@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-sim race-resilience race-net race-serve race-amr alloc-test fuzz-smoke chaos-smoke verify bench bench-hybrid bench-comm bench-resilience bench-phases bench-net bench-serve bench-amr clean
+.PHONY: all build test bench-test vet race race-sim race-resilience race-net race-serve race-amr alloc-test fuzz-smoke chaos-smoke verify bench bench-hybrid bench-comm bench-resilience bench-phases bench-net bench-serve bench-amr clean
 
 all: build
 
@@ -12,6 +12,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench-test builds and tests the benchmark of record. bench/ is a module
+# of its own, so `go build ./... && go test ./...` at the root never
+# compiles it: a change to an API it reads (sim.ExchangeStats, the scenario
+# schema) or to a golden field hash only shows up here.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -81,9 +88,9 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/sim/
 
 # verify is the pre-commit gate: static checks, a full build, the
-# allocation regression gate, the fuzz seed sweep, the chaos soak, and
-# the test suite under the race detector.
-verify: vet build alloc-test fuzz-smoke chaos-smoke race-net race-sim race-serve race-amr race
+# benchmark module's own tests, the allocation regression gate, the fuzz
+# seed sweep, the chaos soak, and the test suite under the race detector.
+verify: vet build bench-test alloc-test fuzz-smoke chaos-smoke race-net race-sim race-serve race-amr race
 
 bench:
 	$(GO) test -bench=. -benchtime=0.2s -run='^$$' ./internal/...

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -52,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: serve.Handler(srv)}
+	httpSrv := serve.NewHTTPServer(srv)
 	fmt.Printf("walberla-serve listening on http://%s (sessions: %d resident max)\n",
 		ln.Addr(), *maxSessions)
 

@@ -18,6 +18,7 @@ import (
 	"walberla/internal/boundary"
 	"walberla/internal/comm"
 	"walberla/internal/core"
+	"walberla/internal/distance"
 	"walberla/internal/lattice"
 	"walberla/internal/setup"
 	"walberla/internal/sim"
@@ -47,11 +48,47 @@ type Scenario struct {
 	Physics    Physics        `json:"physics"`
 	Refinement RefinementSpec `json:"refinement"`
 	Parallel   Parallel       `json:"parallel"`
-	Transport  Transport  `json:"transport"`
-	Resilience Resilience `json:"resilience"`
-	Faults     Faults     `json:"faults"`
-	Telemetry  Telemetry  `json:"telemetry"`
-	Run        RunSpec    `json:"run"`
+	Transport  Transport      `json:"transport"`
+	Resilience Resilience     `json:"resilience"`
+	Faults     Faults         `json:"faults"`
+	Telemetry  Telemetry      `json:"telemetry"`
+	Run        RunSpec        `json:"run"`
+
+	// tree memoises the generated geometry of the tree example, so that
+	// Validate and every later Problem call share one generation instead
+	// of repeating it (see treeSDF). Never serialised; copies of the
+	// scenario share it until their geometry fields diverge.
+	tree *treeGeometry
+}
+
+// treeGeometry is a generated tree with the geometry fields it was
+// generated from.
+type treeGeometry struct {
+	depth int
+	seed  int64
+	sdf   *distance.Union
+}
+
+// treeSDF returns the signed distance field of the tree example:
+// vascular.Generate plus one mesh SDF with its octree per segment, by far
+// the most expensive part of mapping a scenario. It is generated once per
+// scenario value and reused for as long as the fields it depends on are
+// unchanged; a copy whose tree_depth or seed was edited regenerates. The
+// field is immutable once built, so problems and worlds may share it.
+func (sc *Scenario) treeSDF() (*distance.Union, error) {
+	depth, seed := sc.Geometry.TreeDepth, sc.Geometry.Seed
+	if t := sc.tree; t != nil && t.depth == depth && t.seed == seed {
+		return t.sdf, nil
+	}
+	vp := vascular.DefaultParams()
+	vp.Depth = depth
+	vp.Seed = seed
+	sdf, err := vascular.Generate(vp).SDF()
+	if err != nil {
+		return nil, err
+	}
+	sc.tree = &treeGeometry{depth: depth, seed: seed, sdf: sdf}
+	return sdf, nil
 }
 
 // Geometry selects the domain and its driving boundary conditions.
@@ -500,8 +537,10 @@ func (sc *Scenario) stencil() *lattice.Stencil {
 }
 
 // Problem maps the scenario onto the core.Problem façade. The mapping is
-// pure: calling it twice yields problems that build identical forests and
-// identical solver configurations.
+// deterministic: calling it twice yields problems that build identical
+// forests and identical solver configurations. The only state it touches
+// is the tree example's memoised geometry (treeSDF), so like Validate it
+// must not run concurrently on one Scenario value.
 func (sc *Scenario) Problem() (*core.Problem, error) {
 	kc, err := sim.ParseKernelChoice(sc.Collision.Kernel)
 	if err != nil {
@@ -553,10 +592,7 @@ func (sc *Scenario) Problem() (*core.Problem, error) {
 			return 1, amp * math.Cos(fx) * math.Sin(fy), -amp * math.Sin(fx) * math.Cos(fy), 0
 		}
 	case "tree":
-		vp := vascular.DefaultParams()
-		vp.Depth = sc.Geometry.TreeDepth
-		vp.Seed = sc.Geometry.Seed
-		sdf, err := vascular.Generate(vp).SDF()
+		sdf, err := sc.treeSDF()
 		if err != nil {
 			return nil, fmt.Errorf("scenario: tree geometry: %w", err)
 		}

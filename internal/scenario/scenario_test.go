@@ -206,3 +206,58 @@ func TestExecuteDeterministic(t *testing.T) {
 		t.Errorf("hash differs across worker counts: %016x vs %016x", r1.Hash, r2.Hash)
 	}
 }
+
+// TestTreeGeometryGeneratedOnce: one scenario, one geometry. Parse (which
+// validates), a second Validate and every Problem call share the single
+// generated tree; a copy whose geometry fields were edited regenerates its
+// own without touching the original's; and two problems of one scenario
+// still build identical forests.
+func TestTreeGeometryGeneratedOnce(t *testing.T) {
+	sc, err := Parse([]byte(`{"version": 1, "geometry": {"example": "tree", "tree_depth": 2, "dx": 0.05},
+  "resolution": {"cells_per_block": [16, 16, 16]}, "parallel": {"ranks": 2}, "run": {"steps": 1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.tree == nil {
+		t.Fatal("Parse validated a tree scenario without keeping its geometry")
+	}
+	generated := sc.tree.sdf
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := sc.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := sc.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.Geometry != generated || p2.Geometry != generated {
+		t.Error("validate → problem → problem generated the tree more than once")
+	}
+	f1, err := p1.BuildForest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := p2.BuildForest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f1, f2) {
+		t.Error("two problems of one scenario built different forests")
+	}
+
+	deeper := *sc
+	deeper.Geometry.TreeDepth = 3
+	p3, err := deeper.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3.Geometry == generated {
+		t.Error("a copy with another tree_depth reused the original's geometry")
+	}
+	if sc.tree.sdf != generated {
+		t.Error("regenerating on a copy replaced the original's geometry")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"walberla/internal/scenario"
 	"walberla/internal/sim"
@@ -83,6 +84,56 @@ func Handler(s *Server) http.Handler {
 	return mux
 }
 
+// Bounds on what one client can make the daemon hold or wait for. No
+// request body of the API is larger than a scenario document, and none is
+// streamed, so a client gets seconds to deliver its header and body; a
+// response has no deadline because a step request legitimately computes
+// for minutes.
+const (
+	maxBodyBytes      = 1 << 20
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server the daemon serves its API from:
+// Handler(s) behind the header, body-read and idle timeouts above.
+func NewHTTPServer(s *Server) *http.Server {
+	return &http.Server{
+		Handler:           Handler(s),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// readBody reads a request body of at most maxBodyBytes; a larger one is a
+// 413 and the connection is closed instead of being drained.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return nil, &APIError{Status: http.StatusRequestEntityTooLarge,
+			Err: fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)}
+	case err != nil:
+		return nil, &APIError{Status: 400, Err: err}
+	}
+	return body, nil
+}
+
+// decodeBody decodes the bounded JSON body of a command request into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return &APIError{Status: 400, Err: fmt.Errorf("serve: bad %s request: %w", what, err)}
+	}
+	return nil
+}
+
 // CreateRequest is the POST /v1/sessions body: the scenario document
 // itself, optionally wrapped with a tenant for fair-share accounting.
 type CreateRequest struct {
@@ -91,9 +142,9 @@ type CreateRequest struct {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
-		writeErr(w, &APIError{Status: 400, Err: err})
+		writeErr(w, err)
 		return
 	}
 	var req CreateRequest
@@ -118,8 +169,8 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Steps int `json:"steps"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &APIError{Status: 400, Err: fmt.Errorf("serve: bad step request: %w", err)})
+	if err := decodeBody(w, r, "step", &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	hash, stepped, err := s.Step(r.Context(), r.PathValue("id"), req.Steps)
@@ -138,8 +189,8 @@ func (s *Server) handleSteer(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Force [3]float64 `json:"force"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &APIError{Status: 400, Err: fmt.Errorf("serve: bad steer request: %w", err)})
+	if err := decodeBody(w, r, "steer", &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if err := s.Steer(r.Context(), r.PathValue("id"), req.Force); err != nil {

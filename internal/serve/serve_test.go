@@ -7,14 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"walberla/internal/scenario"
 	"walberla/internal/telemetry"
+	"walberla/internal/testutil"
 )
 
 // testScenario is a small two-rank cavity that steps in milliseconds.
@@ -208,9 +211,18 @@ func apiStatus(t *testing.T, err error, want int) {
 // including scenario rejection, session metrics labels and the VTK frame
 // manifest.
 func TestHTTPAPI(t *testing.T) {
+	testutil.CheckLeaks(t)
 	metrics := telemetry.NewMetricsServer()
 	s := newTestServer(t, Config{Metrics: metrics})
-	ts := httptest.NewServer(Handler(s))
+	// Serve from the daemon's own http.Server, with the header deadline
+	// shortened so the slow-client case below takes milliseconds.
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = NewHTTPServer(s)
+	if ts.Config.ReadHeaderTimeout <= 0 || ts.Config.ReadTimeout <= 0 {
+		t.Fatalf("daemon server has no read deadlines: %+v", ts.Config)
+	}
+	ts.Config.ReadHeaderTimeout = 100 * time.Millisecond
+	ts.Start()
 	defer ts.Close()
 
 	post := func(path string, body any) (int, map[string]any) {
@@ -283,6 +295,29 @@ func TestHTTPAPI(t *testing.T) {
 	code, out = post("/v1/sessions/"+id+"/step", map[string]any{"steps": 0})
 	if code != 400 {
 		t.Fatalf("zero steps → %d %v", code, out)
+	}
+
+	// Bounded input: a body over the limit is a 413 on every verb that
+	// reads one, and costs the session nothing.
+	huge := map[string]any{"steps": 1, "pad": strings.Repeat("x", maxBodyBytes)}
+	for _, path := range []string{"/v1/sessions", "/v1/sessions/" + id + "/step", "/v1/sessions/" + id + "/steer"} {
+		if code, out := post(path, huge); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body to %s → %d %v, want 413", path, code, out)
+		}
+	}
+	// A client that never finishes its header is cut off at the header
+	// deadline instead of holding a connection open.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/sessions HTTP/1.1\r\nHost: slow\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a TCP conn accepts deadlines
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Errorf("slow-header connection was not closed by the server: %v", err)
 	}
 
 	// The list shows the session with its step count.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -73,14 +74,145 @@ func (a aggKey) less(b aggKey) bool {
 	return a.off < b.off
 }
 
-// localOp is a same-rank boundary exchange: a direct field-to-field copy
-// from the source block's interior slab into the peer's ghost slab, with
-// no staging buffer at all ("fast local communication").
+// localOp is a same-rank boundary exchange ("fast local communication"):
+// the source block's interior slab lands in the peer's ghost slab with no
+// staging buffer. It is compiled at plan build into index runs over the
+// two fields' raw storage, and holds only the ghost slots the DESTINATION
+// block reads (see compileLocal and docs/EXCHANGE.md).
 type localOp struct {
 	src, dst *BlockData
-	srcReg   region
-	dstReg   region
-	dirs     []lattice.Direction
+	runs     []copyRun
+	floats   int // values moved, the sum of the run lengths
+}
+
+// copyRun is one piece of a compiled local copy: reps rows of n contiguous
+// values each, row r going from position src+r*srcStep of the source
+// field's Data() to position dst+r*dstStep of the destination's. A dense
+// face compiles to a handful of runs (one per direction, or per direction
+// and z-layer where x is the normal and rows are single values); a masked
+// one to runs of mostly one row. Positions survive the per-step Src/Dst
+// swap, which exchanges storage between two identically shaped fields.
+type copyRun struct {
+	src, dst         int32
+	n, reps          int32
+	srcStep, dstStep int32
+}
+
+// shortRun is the row length below which a scalar loop beats the call
+// into memmove.
+const shortRun = 8
+
+// exec performs the copy on the blocks' current Src fields.
+func (l *localOp) exec() {
+	src, dst := l.src.Src.Data(), l.dst.Src.Data()
+	for _, r := range l.runs {
+		sp, dp := r.src, r.dst
+		for rep := int32(0); rep < r.reps; rep++ {
+			if r.n < shortRun {
+				for k := int32(0); k < r.n; k++ {
+					dst[dp+k] = src[sp+k]
+				}
+			} else {
+				copy(dst[dp:dp+r.n], src[sp:sp+r.n])
+			}
+			sp += r.srcStep
+			dp += r.dstStep
+		}
+	}
+}
+
+// addRow appends the row of n values at source position sp and destination
+// position dp to the runs of one copy, runs[first:]: a row contiguous with
+// a single-row run lengthens it, a row of equal length continuing (or
+// founding) the constant step of the last run becomes its next repetition.
+func addRow(runs []copyRun, first, sp, dp, n int) []copyRun {
+	if k := len(runs) - 1; k >= first {
+		r := &runs[k]
+		switch {
+		case r.reps == 1 && int(r.src+r.n) == sp && int(r.dst+r.n) == dp:
+			r.n += int32(n)
+			return runs
+		case int(r.n) != n:
+		case r.reps == 1:
+			r.reps, r.srcStep, r.dstStep = 2, int32(sp)-r.src, int32(dp)-r.dst
+			return runs
+		case int(r.src+r.reps*r.srcStep) == sp && int(r.dst+r.reps*r.dstStep) == dp:
+			r.reps++
+			return runs
+		}
+	}
+	return append(runs, copyRun{src: int32(sp), dst: int32(dp), n: int32(n), reps: 1})
+}
+
+// compileLocal lowers the copy of src's interior slab srcReg into dst's
+// ghost slab dstReg to index runs appended to runs, keeping only the slots
+// dst reads: slot (g, d) survives iff the stream-pull of an interior fluid
+// cell g+e_d of dst reads it and g is not a boundary cell, whose links
+// boundary.Apply rewrites after the exchange anyway. The receiver's flags
+// are authoritative — they are the ones its kernel and boundary sweep were
+// built from. A destination whose interior is all fluid (the dense kernel
+// path, which tests no flags) takes every slot, layer by layer for SoA,
+// without evaluating the mask. Adjacent slots merge into rows and
+// equidistant rows into one run (addRow). It returns the extended run list
+// and the number of slots kept.
+func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction) ([]copyRun, int) {
+	sf, df := src.Src, dst.Src
+	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
+		panic("sim: local copy requires matching stencil and layout")
+	}
+	if len(sf.Data()) > math.MaxInt32 || len(df.Data()) > math.MaxInt32 {
+		panic("sim: block too large for 32-bit copy runs")
+	}
+	st, flags := df.Stencil, dst.Flags
+	dense := dst.Fluid == df.InteriorCells()
+	soa := sf.Layout == field.SoA
+	xStride := st.Q // Data() distance of one step in x
+	if soa {
+		xStride = 1
+	}
+	first, kept := len(runs), 0
+	nx, ny := srcReg.hi[0]-srcReg.lo[0], srcReg.hi[1]-srcReg.lo[1]
+	_, srcRow, _ := sf.Strides()
+	_, dstRow, _ := df.Strides()
+	for _, d := range dirs {
+		cx, cy, cz := st.Cx[d], st.Cy[d], st.Cz[d]
+		for z := srcReg.lo[2]; z < srcReg.hi[2]; z++ {
+			gz := dstReg.lo[2] + (z - srcReg.lo[2])
+			if dense && soa {
+				// The whole z-layer at once: ny rows, one field row apart. A
+				// single row goes through addRow, which folds the rows of
+				// successive layers into one run.
+				sp := sf.Index(srcReg.lo[0], srcReg.lo[1], z, d)
+				dp := df.Index(dstReg.lo[0], dstReg.lo[1], gz, d)
+				if ny == 1 {
+					runs = addRow(runs, first, sp, dp, nx)
+				} else {
+					runs = append(runs, copyRun{src: int32(sp), dst: int32(dp), n: int32(nx),
+						reps: int32(ny), srcStep: int32(srcRow), dstStep: int32(dstRow)})
+				}
+				kept += nx * ny
+				continue
+			}
+			for y := srcReg.lo[1]; y < srcReg.hi[1]; y++ {
+				gy := dstReg.lo[1] + (y - srcReg.lo[1])
+				sp := sf.Index(srcReg.lo[0], y, z, d)
+				dp := df.Index(dstReg.lo[0], gy, gz, d)
+				for i := 0; i < nx; i++ {
+					if !dense {
+						gx := dstReg.lo[0] + i
+						tx, ty, tz := gx+cx, gy+cy, gz+cz
+						if tx < 0 || tx >= df.Nx || ty < 0 || ty >= df.Ny || tz < 0 || tz >= df.Nz ||
+							flags.Get(tx, ty, tz) != field.Fluid || flags.Get(gx, gy, gz).IsBoundary() {
+							continue
+						}
+					}
+					runs = addRow(runs, first, sp+i*xStride, dp+i*xStride, 1)
+					kept++
+				}
+			}
+		}
+	}
+	return runs, kept
 }
 
 // rankChannel aggregates all traffic between this rank and one neighbor
@@ -101,12 +233,27 @@ type rankChannel struct {
 	inbox []float64
 }
 
-// packTask indexes one parallel pack-phase task: a local copy
-// (chIdx < 0, index into locals) or a remote slab pack (channel chIdx,
+// packTask indexes one parallel pack-phase task: the local copies
+// locals[slabIdx:end] (chIdx < 0) or a remote slab pack (channel chIdx,
 // manifest entry slabIdx).
 type packTask struct {
 	chIdx   int
 	slabIdx int
+	end     int
+}
+
+// localTaskFloats is the volume at which a pack task of local copies is
+// closed. A masked copy often moves a few dozen values — less than claiming
+// a task and stamping its span costs — so small copies share a task, while
+// a dense face of 16^2 cells or more still gets its own.
+const localTaskFloats = 1024
+
+// localCopyStats is the per-step volume of a plan's same-rank copies and
+// what the receiver's need-mask removed from it.
+type localCopyStats struct {
+	floats       int // values moved
+	copiesElided int // block pairs whose mask came out empty
+	floatsElided int // values of the full slabs that are not moved
 }
 
 // aggBufPool recycles aggregate buffers across plan rebuilds, bounding
@@ -135,9 +282,15 @@ func aggPutBuf(b []float64) {
 
 // buildAggregatePlan enumerates the boundary exchanges of all local
 // blocks and groups the remote ones into per-neighbor-rank channels with
-// canonically ordered manifests and precomputed buffer windows.
-func buildAggregatePlan(s *Simulation) (locals []localOp, channels []rankChannel) {
+// canonically ordered manifests and precomputed buffer windows. Same-rank
+// exchanges are compiled to index runs; the ones no fluid cell of the
+// destination reads leave the plan.
+func buildAggregatePlan(s *Simulation) (locals []localOp, channels []rankChannel, ls localCopyStats) {
 	me := s.Comm.Rank()
+	// All runs of the plan share one backing array; starts[i] is where the
+	// runs of locals[i] begin, resolved to sub-slices once it stops growing.
+	var runs []copyRun
+	var starts []int
 	byRank := make(map[int]int) // neighbor rank -> index into channels
 	for _, bd := range s.Blocks {
 		cells := bd.Block.Cells
@@ -153,13 +306,18 @@ func buildAggregatePlan(s *Simulation) (locals []localOp, channels []rankChannel
 				if !ok {
 					panic(fmt.Sprintf("sim: local neighbor %v missing", n.Coord))
 				}
-				locals = append(locals, localOp{
-					src:    bd,
-					dst:    peer,
-					srcReg: sendRegion(cells, o),
-					dstReg: recvRegion(peer.Block.Cells, ro),
-					dirs:   sendDirs,
-				})
+				srcReg := sendRegion(cells, o)
+				first := len(runs)
+				var kept int
+				runs, kept = compileLocal(runs, bd, peer, srcReg, recvRegion(peer.Block.Cells, ro), sendDirs)
+				ls.floats += kept
+				ls.floatsElided += len(sendDirs)*srcReg.cells() - kept
+				if kept == 0 {
+					ls.copiesElided++
+					continue
+				}
+				locals = append(locals, localOp{src: bd, dst: peer, floats: kept})
+				starts = append(starts, first)
 				continue
 			}
 			ci, ok := byRank[n.Rank]
@@ -187,6 +345,10 @@ func buildAggregatePlan(s *Simulation) (locals []localOp, channels []rankChannel
 			})
 		}
 	}
+	starts = append(starts, len(runs))
+	for i := range locals {
+		locals[i].runs = runs[starts[i]:starts[i+1]]
+	}
 	// Deterministic channel order (ascending neighbor rank) and canonical
 	// manifest order within each channel.
 	sort.Slice(channels, func(i, j int) bool { return channels[i].rank < channels[j].rank })
@@ -211,7 +373,7 @@ func buildAggregatePlan(s *Simulation) (locals []localOp, channels []rankChannel
 		ch.bufs[0] = aggGetBuf(ch.sendFloats)
 		ch.bufs[1] = aggGetBuf(ch.sendFloats)
 	}
-	return locals, channels
+	return locals, channels, ls
 }
 
 // releaseAggregateBuffers returns the channels' persistent buffers to the
@@ -275,8 +437,13 @@ func (s *Simulation) completeExchangeAggregated() error {
 // escape to the heap).
 func (s *Simulation) buildExchangeClosures() {
 	s.packTasks = s.packTasks[:0]
+	first, vol := 0, 0
 	for li := range s.locals {
-		s.packTasks = append(s.packTasks, packTask{chIdx: -1, slabIdx: li})
+		vol += s.locals[li].floats
+		if vol >= localTaskFloats || li == len(s.locals)-1 {
+			s.packTasks = append(s.packTasks, packTask{chIdx: -1, slabIdx: first, end: li + 1})
+			first, vol = li+1, 0
+		}
 	}
 	s.unpackTasks = s.unpackTasks[:0]
 	for ci := range s.channels {
@@ -292,8 +459,9 @@ func (s *Simulation) buildExchangeClosures() {
 		lane := s.tel.worker(worker)
 		start := lane.Start()
 		if t.chIdx < 0 {
-			l := &s.locals[t.slabIdx]
-			field.CopyRegion(l.dst.Src, l.dstReg.lo, l.src.Src, l.srcReg.lo, l.srcReg.hi, l.dirs)
+			for li := t.slabIdx; li < t.end; li++ {
+				s.locals[li].exec()
+			}
 			lane.Span(telemetry.PhaseLocalCopy, s.steps, int32(i), start)
 			return
 		}

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/field"
+	"walberla/internal/lattice"
 )
 
 // allFluid is the SetupFlags of the fully periodic test scenarios.
@@ -229,5 +232,296 @@ func TestExchangeStatsVolumesMatch(t *testing.T) {
 	}
 	if a.MessagesPerStep >= p.MessagesPerStep {
 		t.Errorf("aggregation does not reduce messages: %d vs %d", a.MessagesPerStep, p.MessagesPerStep)
+	}
+}
+
+// flagPattern assigns a cell type to every cell of a world from its global
+// coordinate and the coordinate of the block whose flag field is being
+// filled (patterns that ignore the block see one consistent geometry).
+type flagPattern struct {
+	name string
+	at   func(block [3]int, x, y, z int) field.CellType
+}
+
+// hashType draws Fluid : NoSlip : Outside as 6 : 2 : 2 from a seeded hash
+// of the inputs. Outside cells next to fluid ones are deliberate: no hull
+// separates them, so the kernels pull from them and the need-mask must
+// keep them.
+func hashType(seed uint64, v ...int) field.CellType {
+	h := fnvMix(fnvOffset, seed)
+	for _, c := range v {
+		h = fnvMix(h, uint64(int64(c)))
+	}
+	switch r := h >> 33 % 10; {
+	case r < 6:
+		return field.Fluid
+	case r < 8:
+		return field.NoSlip
+	}
+	return field.Outside
+}
+
+// maskCells is the block shape of the need-mask tests: three different
+// extents, so an axis mix-up in the lowering cannot cancel out.
+var maskCells = [3]int{5, 4, 3}
+
+// maskPatterns are the geometries of the need-mask differential tests.
+func maskPatterns() []flagPattern {
+	random := func(seed uint64) flagPattern {
+		return flagPattern{fmt.Sprintf("random%d", seed), func(_ [3]int, x, y, z int) field.CellType {
+			return hashType(seed, x, y, z)
+		}}
+	}
+	constant := func(name string, t field.CellType) flagPattern {
+		return flagPattern{name, func([3]int, int, int, int) field.CellType { return t }}
+	}
+	return []flagPattern{
+		random(1), random(2), random(3),
+		constant("all-solid", field.Outside),
+		constant("all-fluid", field.Fluid),
+		{"single-fluid", func(_ [3]int, x, y, z int) field.CellType {
+			// The last cell of block (0,0,0): all its upstream cells are walls.
+			if x == maskCells[0]-1 && y == maskCells[1]-1 && z == maskCells[2]-1 {
+				return field.Fluid
+			}
+			return field.NoSlip
+		}},
+		{"checkerboard", func(_ [3]int, x, y, z int) field.CellType {
+			if (x+y+z)%2 == 0 {
+				return field.Fluid
+			}
+			return field.NoSlip
+		}},
+		{"wall-inside-face", func(_ [3]int, x, y, z int) field.CellType {
+			// A wall one cell inside the +x face of the x == 0 blocks, with a
+			// fluid layer between it and the face.
+			if x == maskCells[0]-2 {
+				return field.NoSlip
+			}
+			return field.Fluid
+		}},
+		// The two sides of a block face disagree about the shared cells: the
+		// receiver's own flags decide what it reads.
+		{"inconsistent", func(b [3]int, x, y, z int) field.CellType {
+			return hashType(7, b[0], b[1], b[2], x, y, z)
+		}},
+	}
+}
+
+// maskModels are the stencil/layout combinations of the need-mask tests.
+var maskModels = []struct {
+	name    string
+	stencil *lattice.Stencil
+	layout  LayoutChoice
+}{
+	{"d3q19-soa", lattice.D3Q19(), LayoutSoA},
+	{"d3q19-aos", lattice.D3Q19(), LayoutAoS},
+	{"d3q27-aos", lattice.D3Q27(), LayoutAoS},
+}
+
+// maskConfig is the solver configuration of one need-mask case on a 2x2x2
+// world: pattern flags with no-slip walls around a non-periodic domain, and
+// a spatially varying initial state plus a body force so that every PDF of
+// every cell is distinct.
+func maskConfig(p flagPattern, periodic bool, stencil *lattice.Stencil, layout LayoutChoice) Config {
+	n := [3]int{2 * maskCells[0], 2 * maskCells[1], 2 * maskCells[2]}
+	return Config{
+		Stencil: stencil,
+		Layout:  layout,
+		Tau:     0.8,
+		Force:   [3]float64{1e-6, -2e-6, 3e-6},
+		InitialState: func(x, y, z int) (float64, float64, float64, float64) {
+			fx, fy, fz := float64(x)+0.5, float64(y)+0.5, float64(z)+0.5
+			return 1 + 0.01*math.Sin(fx+2*fy+3*fz), 0.02 * math.Cos(fy), 0.02 * math.Sin(fz), 0.02 * math.Cos(fx)
+		},
+		SetupFlags: func(b *blockforest.Block, _ *blockforest.BlockForest, flags *field.FlagField) {
+			for z := -1; z <= flags.Nz; z++ {
+				for y := -1; y <= flags.Ny; y++ {
+					for x := -1; x <= flags.Nx; x++ {
+						g := [3]int{b.Coord[0]*flags.Nx + x, b.Coord[1]*flags.Ny + y, b.Coord[2]*flags.Nz + z}
+						t := field.NoSlip
+						if periodic {
+							for d := range g {
+								g[d] = (g[d] + n[d]) % n[d]
+							}
+							t = p.at(b.Coord, g[0], g[1], g[2])
+						} else if g[0] >= 0 && g[0] < n[0] && g[1] >= 0 && g[1] < n[1] && g[2] >= 0 && g[2] < n[2] {
+							t = p.at(b.Coord, g[0], g[1], g[2])
+						}
+						flags.Set(x, y, z, t)
+					}
+				}
+			}
+		},
+	}
+}
+
+// interiorBits snapshots the exact bit pattern of every interior PDF of
+// every block in canonical (z, y, x, direction) order. Ghost slots are left
+// out: the ones no fluid cell reads are unspecified.
+func interiorBits(s *Simulation, mu *sync.Mutex, into map[[3]int][]uint64) {
+	mu.Lock()
+	defer mu.Unlock()
+	for _, bd := range s.Blocks {
+		f := bd.Src
+		var bits []uint64
+		for z := 0; z < f.Nz; z++ {
+			for y := 0; y < f.Ny; y++ {
+				for x := 0; x < f.Nx; x++ {
+					for a := 0; a < f.Stencil.Q; a++ {
+						bits = append(bits, math.Float64bits(f.Get(x, y, z, lattice.Direction(a))))
+					}
+				}
+			}
+		}
+		into[bd.Block.Coord] = bits
+	}
+}
+
+// runMaskCase steps one need-mask case and returns its field hash and
+// interior bits. With poison set, every ghost slot the plan does not write
+// is overwritten with NaN before every step.
+func runMaskCase(t *testing.T, cfg Config, periodic bool, ranks, steps int, poison bool) (uint64, map[[3]int][]uint64) {
+	t.Helper()
+	f := blockforest.NewSetupForest(
+		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
+		[3]int{2, 2, 2}, maskCells, [3]bool{periodic, periodic, periodic})
+	f.BalanceMorton(ranks)
+	var mu sync.Mutex
+	var hash uint64
+	bits := make(map[[3]int][]uint64)
+	comm.Run(ranks, func(c *comm.Comm) {
+		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s, err := New(c, forest, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pre := func() {}
+		if poison {
+			pre = s.GhostPoisoner()
+		}
+		for i := 0; i < steps; i++ {
+			pre()
+			if err := s.Step(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		h, err := s.FieldHash()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == 0 {
+			hash = h
+		}
+		interiorBits(s, &mu, bits)
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	return hash, bits
+}
+
+// TestCompiledLocalCopiesMatchPerPair is the differential test of the
+// need-mask: on every geometry × world × stencil/layout × decomposition ×
+// worker count the aggregated exchange, whose same-rank copies move only
+// the ghost slots the receiver reads, ends on the field hash and on every
+// interior PDF of the per-pair exchange, which copies full slabs — and
+// still does when every slot it leaves unwritten holds NaN.
+func TestCompiledLocalCopiesMatchPerPair(t *testing.T) {
+	const steps = 30
+	for _, p := range maskPatterns() {
+		for _, periodic := range []bool{false, true} {
+			for _, m := range maskModels {
+				world := "walled"
+				if periodic {
+					world = "periodic"
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", p.name, world, m.name), func(t *testing.T) {
+					cfg := maskConfig(p, periodic, m.stencil, m.layout)
+					ref := cfg
+					ref.Exchange = ExchangePerPair
+					wantHash, wantBits := runMaskCase(t, ref, periodic, 1, steps, false)
+					for _, w := range wantBits {
+						for _, b := range w {
+							if v := math.Float64frombits(b); v != v {
+								t.Fatal("per-pair reference holds NaN")
+							}
+						}
+					}
+					for _, ranks := range []int{1, 2} {
+						for _, workers := range []int{1, 2, 4} {
+							for _, poison := range []bool{false, true} {
+								cfg.Workers = workers
+								label := fmt.Sprintf("ranks=%d workers=%d poison=%v", ranks, workers, poison)
+								hash, bits := runMaskCase(t, cfg, periodic, ranks, steps, poison)
+								if hash != wantHash {
+									t.Errorf("%s: field hash %016x, per-pair %016x", label, hash, wantHash)
+								}
+								compareBits(t, wantBits, bits, label)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNeedMaskIsReadSet checks the mask from the other side: on a periodic
+// single-rank world, where every ghost cell has a same-rank source, the
+// compiled copies move exactly one value per ghost slot that the stream-pull
+// of an interior fluid cell reads from a non-boundary cell — no slot more.
+func TestNeedMaskIsReadSet(t *testing.T) {
+	for _, m := range maskModels {
+		f := blockforest.NewSetupForest(
+			blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
+			[3]int{2, 2, 2}, maskCells, [3]bool{true, true, true})
+		f.BalanceMorton(1)
+		comm.Run(1, func(c *comm.Comm) {
+			forest, err := blockforest.Distribute(c, f)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			s, err := New(c, forest, maskConfig(maskPatterns()[0], true, m.stencil, m.layout))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			st, want := s.Stencil, 0
+			for _, bd := range s.Blocks {
+				fl := bd.Flags
+				for z := 0; z < fl.Nz; z++ {
+					for y := 0; y < fl.Ny; y++ {
+						for x := 0; x < fl.Nx; x++ {
+							if fl.Get(x, y, z) != field.Fluid {
+								continue
+							}
+							for a := 1; a < st.Q; a++ {
+								gx, gy, gz := x-st.Cx[a], y-st.Cy[a], z-st.Cz[a]
+								ghost := gx < 0 || gx >= fl.Nx || gy < 0 || gy >= fl.Ny || gz < 0 || gz >= fl.Nz
+								if ghost && !fl.Get(gx, gy, gz).IsBoundary() {
+									want++
+								}
+							}
+						}
+					}
+				}
+			}
+			es := s.ExchangeStats()
+			if es.LocalFloats != want || want == 0 {
+				t.Errorf("%s: plan moves %d values, the read set has %d", m.name, es.LocalFloats, want)
+			}
+			if es.LocalFloatsElided == 0 {
+				t.Errorf("%s: nothing elided on a random geometry: %+v", m.name, es)
+			}
+		})
 	}
 }

@@ -1,0 +1,73 @@
+package sim
+
+import (
+	"math"
+
+	"walberla/internal/lattice"
+)
+
+// PostExchange exposes the post half of the ghost exchange to the external
+// test package, whose benchmarks build worlds through internal/core.
+func (s *Simulation) PostExchange() error { return s.postExchange() }
+
+// GhostPoisoner returns a function that overwrites with NaN every ghost
+// slot of this rank's Src fields that the aggregated exchange plan does
+// NOT write — neither a compiled local copy nor a remote receive slab.
+// Calling it before every step turns any read of a slot the need-mask
+// dropped into a NaN in the interior.
+func (s *Simulation) GhostPoisoner() func() {
+	written := make(map[*BlockData][]bool, len(s.Blocks))
+	for _, bd := range s.Blocks {
+		written[bd] = make([]bool, len(bd.Src.Data()))
+	}
+	for i := range s.locals {
+		l := &s.locals[i]
+		for _, r := range l.runs {
+			for rep := int32(0); rep < r.reps; rep++ {
+				for k := int32(0); k < r.n; k++ {
+					written[l.dst][r.dst+rep*r.dstStep+k] = true
+				}
+			}
+		}
+	}
+	for ci := range s.channels {
+		for _, sl := range s.channels[ci].recv {
+			for _, d := range sl.dirs {
+				for z := sl.reg.lo[2]; z < sl.reg.hi[2]; z++ {
+					for y := sl.reg.lo[1]; y < sl.reg.hi[1]; y++ {
+						for x := sl.reg.lo[0]; x < sl.reg.hi[0]; x++ {
+							written[sl.bd][sl.bd.Src.Index(x, y, z, d)] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	poison := make(map[*BlockData][]int, len(s.Blocks))
+	for _, bd := range s.Blocks {
+		f := bd.Src
+		for z := -1; z <= f.Nz; z++ {
+			for y := -1; y <= f.Ny; y++ {
+				for x := -1; x <= f.Nx; x++ {
+					if x >= 0 && x < f.Nx && y >= 0 && y < f.Ny && z >= 0 && z < f.Nz {
+						continue
+					}
+					for a := 0; a < f.Stencil.Q; a++ {
+						if i := f.Index(x, y, z, lattice.Direction(a)); !written[bd][i] {
+							poison[bd] = append(poison[bd], i)
+						}
+					}
+				}
+			}
+		}
+	}
+	nan := math.NaN()
+	return func() {
+		for bd, slots := range poison {
+			data := bd.Src.Data()
+			for _, i := range slots {
+				data[i] = nan
+			}
+		}
+	}
+}

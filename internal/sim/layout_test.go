@@ -52,9 +52,16 @@ func layoutConfig(layout LayoutChoice, workers int) Config {
 	}
 }
 
-// runLayoutCavity runs the obstacle cavity and returns its FieldHash (the
-// layout-independent state fingerprint).
+// runLayoutCavity runs the obstacle cavity over the aggregated exchange and
+// returns its FieldHash (the layout-independent state fingerprint).
 func runLayoutCavity(t *testing.T, layout LayoutChoice, workers, steps int, opts comm.Options) uint64 {
+	t.Helper()
+	return runLayoutCavityMode(t, layout, workers, steps, opts, ExchangeAggregated)
+}
+
+// runLayoutCavityMode is runLayoutCavity with an explicit exchange wire
+// format.
+func runLayoutCavityMode(t *testing.T, layout LayoutChoice, workers, steps int, opts comm.Options, mode ExchangeMode) uint64 {
 	t.Helper()
 	const ranks = 2
 	var hash uint64
@@ -64,7 +71,9 @@ func runLayoutCavity(t *testing.T, layout LayoutChoice, workers, steps int, opts
 			t.Error(err)
 			return
 		}
-		s, err := New(c, forest, layoutConfig(layout, workers))
+		cfg := layoutConfig(layout, workers)
+		cfg.Exchange = mode
+		s, err := New(c, forest, cfg)
 		if err != nil {
 			t.Error(err)
 			return
@@ -89,10 +98,12 @@ func runLayoutCavity(t *testing.T, layout LayoutChoice, workers, steps int, opts
 // the same field hash for every layout × worker count × transport
 // combination — AoS and SoA kernels are floating-point equivalent, the
 // exchange is layout-independent, and the worker pool execution order
-// never changes results.
+// never changes results. The reference is the per-pair exchange, which
+// copies full slabs between the obstacle blocks where the aggregated plan
+// moves only the ghost slots their sparse kernels read.
 func TestLayoutBitIdentityMatrix(t *testing.T) {
 	const steps = 12
-	want := runLayoutCavity(t, LayoutSoA, 1, steps, comm.Options{})
+	want := runLayoutCavityMode(t, LayoutSoA, 1, steps, comm.Options{}, ExchangePerPair)
 	for _, layout := range []LayoutChoice{LayoutAoS, LayoutSoA} {
 		for _, workers := range []int{1, 2, 4, 7} {
 			for _, transport := range []string{"inproc", "unix"} {

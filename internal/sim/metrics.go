@@ -193,8 +193,16 @@ type ExchangeStats struct {
 	MessagesPerStep int
 	// RemoteSlabs counts the boundary slabs crossing a rank border.
 	RemoteSlabs int
-	// LocalCopies counts the same-rank block-to-block ghost copies.
-	LocalCopies int
+	// LocalCopies counts the same-rank block-to-block ghost copies in the
+	// plan and LocalFloats the values they move per step. The aggregated
+	// plan keeps only the ghost slots the destination block reads:
+	// LocalCopiesElided block pairs left it entirely and LocalFloatsElided
+	// values of the full slabs are not moved (both zero in per-pair mode,
+	// which copies full slabs).
+	LocalCopies       int
+	LocalFloats       int
+	LocalCopiesElided int
+	LocalFloatsElided int
 	// SendFloats and RecvFloats are this rank's per-step payload volumes
 	// in float64 values (identical in both modes: aggregation batches
 	// messages, it never changes the communicated data).
@@ -212,6 +220,7 @@ func (s *Simulation) ExchangeStats() ExchangeStats {
 			op := &s.plan[i]
 			if !op.remote {
 				st.LocalCopies++
+				st.LocalFloats += len(op.sendDirs) * op.src.cells()
 				continue
 			}
 			ranks[op.rank] = true
@@ -226,6 +235,9 @@ func (s *Simulation) ExchangeStats() ExchangeStats {
 	st.NeighborRanks = len(s.channels)
 	st.MessagesPerStep = len(s.channels)
 	st.LocalCopies = len(s.locals)
+	st.LocalFloats = s.localStats.floats
+	st.LocalCopiesElided = s.localStats.copiesElided
+	st.LocalFloatsElided = s.localStats.floatsElided
 	for i := range s.channels {
 		ch := &s.channels[i]
 		st.RemoteSlabs += len(ch.send)

@@ -322,12 +322,14 @@ type Simulation struct {
 
 	byCoord map[[3]int]*BlockData
 
-	// Aggregated exchange state (ExchangeAggregated, aggregate.go): local
-	// block-to-block copies, one channel per neighbor rank, the alternating
-	// send-buffer parity, and the flattened pack/unpack task lists with
-	// their precomputed pool closures (stored once so the steady-state
-	// exchange allocates nothing).
+	// Aggregated exchange state (ExchangeAggregated, aggregate.go): the
+	// compiled local block-to-block copies and what their need-mask
+	// elided, one channel per neighbor rank, the alternating send-buffer
+	// parity, and the flattened pack/unpack task lists with their
+	// precomputed pool closures (stored once so the steady-state exchange
+	// allocates nothing).
 	locals      []localOp
+	localStats  localCopyStats
 	channels    []rankChannel
 	exParity    int
 	packTasks   []packTask
@@ -640,6 +642,7 @@ func (s *Simulation) rebuildPlan(recycleBuffers bool) {
 		releaseAggregateBuffers(s.channels)
 	}
 	s.locals, s.channels, s.plan = nil, nil, nil
+	s.localStats = localCopyStats{}
 	remote := make(map[*BlockData]bool)
 	if s.Config.Exchange == ExchangePerPair {
 		s.plan = buildExchangePlan(s)
@@ -649,7 +652,7 @@ func (s *Simulation) rebuildPlan(recycleBuffers bool) {
 			}
 		}
 	} else {
-		s.locals, s.channels = buildAggregatePlan(s)
+		s.locals, s.channels, s.localStats = buildAggregatePlan(s)
 		s.buildExchangeClosures()
 		for ci := range s.channels {
 			for _, sl := range s.channels[ci].send {

@@ -18,8 +18,9 @@ import (
 //     the per-worker utilization the load-imbalance factor is computed
 //     from;
 //   - registry counters for per-phase nanoseconds, checkpoint/replica
-//     bytes and failures, and gauges for mailbox occupancy and worker
-//     imbalance.
+//     bytes and failures, and gauges for mailbox occupancy, worker
+//     imbalance and the same-rank exchange volume (values moved per step,
+//     copies and values the need-mask elided).
 //
 // All handles are pre-resolved at construction and nil-safe, so an
 // untraced simulation pays one branch per recording site and a traced
@@ -50,6 +51,10 @@ type simTel struct {
 	mttrMs     *telemetry.Gauge
 	worldSize  *telemetry.Gauge
 	degradedMs *telemetry.Gauge
+
+	localFloats       *telemetry.Gauge
+	localCopiesElided *telemetry.Gauge
+	localFloatsElided *telemetry.Gauge
 }
 
 // resolveSimTel registers the simulation's metrics and caches the lane
@@ -75,6 +80,10 @@ func resolveSimTel(tr *telemetry.Tracer, reg *telemetry.Registry) simTel {
 		mttrMs:          reg.Gauge("recovery.mttr_ms"),
 		worldSize:       reg.Gauge("recovery.world_size"),
 		degradedMs:      reg.Gauge("recovery.degraded_ms"),
+
+		localFloats:       reg.Gauge("sim.exchange.local_floats"),
+		localCopiesElided: reg.Gauge("sim.exchange.local_copies_elided"),
+		localFloatsElided: reg.Gauge("sim.exchange.local_floats_elided"),
 	}
 }
 
@@ -92,6 +101,10 @@ func (s *Simulation) publishGauges() {
 	mb := s.Comm.MailboxStats()
 	t.mboxPending.Set(float64(mb.Pending))
 	t.mboxHigh.Set(float64(mb.HighWater))
+	es := s.ExchangeStats()
+	t.localFloats.Set(float64(es.LocalFloats))
+	t.localCopiesElided.Set(float64(es.LocalCopiesElided))
+	t.localFloatsElided.Set(float64(es.LocalFloatsElided))
 }
 
 // Tracer returns the tracer the simulation records into (nil when

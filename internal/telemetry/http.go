@@ -25,6 +25,12 @@ type MetricsServer struct {
 	regs []metricsEntry
 	srv  *http.Server
 	done chan struct{} // closed when the serve goroutine has fully exited
+
+	// readHeaderTimeout bounds how long a client may take to deliver its
+	// request header (and, doubled, the whole request): every endpoint is a
+	// GET, so a connection that trickles bytes is holding a goroutine for
+	// nothing.
+	readHeaderTimeout time.Duration
 }
 
 type metricsEntry struct {
@@ -35,7 +41,9 @@ type metricsEntry struct {
 
 // NewMetricsServer builds an empty server; attach registries with
 // Register/RegisterLabeled, then Serve or ServeContext.
-func NewMetricsServer() *MetricsServer { return &MetricsServer{} }
+func NewMetricsServer() *MetricsServer {
+	return &MetricsServer{readHeaderTimeout: 10 * time.Second}
+}
 
 // Register attaches one rank's registry. Safe to call concurrently from
 // SPMD rank goroutines, also while serving.
@@ -148,7 +156,12 @@ func (s *MetricsServer) ServeContext(ctx context.Context, addr string) (string, 
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: s}
+	srv := &http.Server{
+		Handler:           s,
+		ReadHeaderTimeout: s.readHeaderTimeout,
+		ReadTimeout:       2 * s.readHeaderTimeout,
+		IdleTimeout:       time.Minute,
+	}
 	done := make(chan struct{})
 	s.mu.Lock()
 	s.srv = srv

@@ -3,11 +3,14 @@ package telemetry
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"walberla/internal/testutil"
 )
 
 func fetch(t *testing.T, url string) string {
@@ -81,6 +84,40 @@ func TestMetricsServerCloseStopsServing(t *testing.T) {
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMetricsServerCutsOffSlowHeader: the listener has read deadlines, so a
+// client that opens a connection and never finishes its request header is
+// disconnected instead of holding a goroutine until the process exits.
+func TestMetricsServerCutsOffSlowHeader(t *testing.T) {
+	testutil.CheckLeaks(t)
+	s := NewMetricsServer()
+	if s.readHeaderTimeout <= 0 {
+		t.Fatal("metrics server has no header deadline")
+	}
+	s.readHeaderTimeout = 100 * time.Millisecond
+	s.Register(0, NewRegistry())
+	addr, err := s.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: slow\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a TCP conn accepts deadlines
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Errorf("slow-header connection was not closed by the server: %v", err)
+	}
+	// A well-behaved client is still served.
+	if body := fetch(t, "http://"+addr+"/metrics"); !strings.Contains(body, "counters") {
+		t.Errorf("metrics endpoint stopped serving: %s", body)
 	}
 }
 

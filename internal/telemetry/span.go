@@ -61,7 +61,7 @@ const (
 	PhasePack
 	// PhaseUnpack is one unpack task on a worker lane.
 	PhaseUnpack
-	// PhaseLocalCopy is one same-rank block-to-block ghost copy.
+	// PhaseLocalCopy is one task of same-rank block-to-block ghost copies.
 	PhaseLocalCopy
 	// PhaseSend is one point-to-point send, including any backpressure
 	// wait on a depth-bounded destination mailbox. Arg is the destination
