@@ -59,13 +59,15 @@ race-serve:
 race-amr:
 	$(GO) test -race -count=1 ./internal/amr/ ./internal/blockforest/
 
-# alloc-test re-runs the steady-state allocation regression gates
-# uncached and WITHOUT the race detector (race instrumentation allocates,
-# so the tests skip themselves under -race): TestStepZeroAlloc with
-# telemetry disabled AND TestStepZeroAllocTraced with a tracer and
-# metrics registry attached — the telemetry overhead guard.
+# alloc-test re-runs the memory gates uncached and WITHOUT the race
+# detector (race instrumentation allocates, so the allocation tests skip
+# themselves under -race): TestStepZeroAlloc with telemetry disabled AND
+# TestStepZeroAllocTraced with a tracer and metrics registry attached — the
+# telemetry overhead guard — and TestFieldMemoryFollowsFluid, the
+# proportionality gate of the allocation windows (PDF storage follows the
+# fluid a rank owns, not its blocks' boxes).
 alloc-test:
-	$(GO) test -count=1 -run 'TestStepZeroAlloc' ./internal/sim/
+	$(GO) test -count=1 -run 'TestStepZeroAlloc|TestFieldMemoryFollowsFluid' ./internal/sim/
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus — a
 # regression sweep, not an open-ended hunt: the checkpoint readers, the

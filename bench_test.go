@@ -228,8 +228,8 @@ func BenchmarkSparseKernels(b *testing.B) {
 		k    kernels.Kernel
 	}{
 		{"conditional", kernels.NewSparseConditional(trt)},
-		{"celllist", kernels.NewSparseCellList(trt, flags)},
-		{"interval", kernels.NewSparseInterval(trt, flags)},
+		{"celllist", kernels.NewSparseCellList(trt, flags, field.Window{})},
+		{"interval", kernels.NewSparseInterval(trt, flags, field.Window{})},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			src := field.NewPDFField(lattice.D3Q19(), edge, edge, edge, 1, s.k.Layout())

@@ -49,9 +49,11 @@ type link struct {
 // indices of that field's storage — by-direction array positions for SoA,
 // interleaved positions for AoS — so the steady-state boundary pass is a
 // flat gather/scatter with no per-link coordinate arithmetic. The compiled
-// form is tied to the field's shape and layout (both stable across the
-// double-buffer Swap of the time loop) and is rebuilt transparently if a
-// differently shaped field is passed.
+// form is tied to the field's shape, layout and allocation window (all
+// stable across the double-buffer Swap of the time loop) and is rebuilt
+// transparently if a differently shaped field is passed. Every link cell
+// lies within one cell of an interior fluid cell, so the window must hold
+// the fluid's bounding box grown by one.
 type Sweep struct {
 	stencil *lattice.Stencil
 	flags   *field.FlagField
@@ -76,6 +78,7 @@ type Sweep struct {
 type compiledLinks struct {
 	layout            field.Layout
 	nx, ny, nz, ghost int
+	win               field.Window
 
 	nsDst, nsSrc []int32
 
@@ -149,6 +152,7 @@ func (bs *Sweep) compile(src *field.PDFField) *compiledLinks {
 	c := &compiledLinks{
 		layout: src.Layout,
 		nx:     src.Nx, ny: src.Ny, nz: src.Nz, ghost: src.Ghost,
+		win: src.Window(),
 	}
 	c.nsDst = make([]int32, len(bs.noSlip))
 	c.nsSrc = make([]int32, len(bs.noSlip))
@@ -202,7 +206,8 @@ func (bs *Sweep) compile(src *field.PDFField) *compiledLinks {
 
 // matches reports whether the compiled form addresses fields shaped like f.
 func (c *compiledLinks) matches(f *field.PDFField) bool {
-	return c.layout == f.Layout && c.nx == f.Nx && c.ny == f.Ny && c.nz == f.Nz && c.ghost == f.Ghost
+	return c.layout == f.Layout && c.nx == f.Nx && c.ny == f.Ny && c.nz == f.Nz && c.ghost == f.Ghost &&
+		c.win == f.Window()
 }
 
 // Apply writes the boundary values into src so that the subsequent

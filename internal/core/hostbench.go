@@ -104,8 +104,8 @@ func MeasureSparseStrategies(edge int, fill float64, steps int, seed int64) []Sp
 		k    kernels.Kernel
 	}{
 		{"conditional", kernels.NewSparseConditional(trt)},
-		{"celllist", kernels.NewSparseCellList(trt, flags)},
-		{"interval", kernels.NewSparseInterval(trt, flags)},
+		{"celllist", kernels.NewSparseCellList(trt, flags, field.Window{})},
+		{"interval", kernels.NewSparseInterval(trt, flags, field.Window{})},
 	}
 	var out []SparseBenchResult
 	for _, s := range strategies {

@@ -41,15 +41,22 @@ func (f *Field) Distance(p [3]float64) float64 {
 
 // Signed returns phi(p, Gamma) = z * d(p, Gamma) with z = -1 inside.
 func (f *Field) Signed(p [3]float64) float64 {
+	v, _ := f.signedColor(p)
+	return v
+}
+
+// signedColor returns phi(p) and the boundary color of the nearest
+// triangle, both from one nearest-triangle search.
+func (f *Field) signedColor(p [3]float64) (float64, mesh.Color) {
 	t, q, d2, feat := f.tree.Nearest(p)
 	if t < 0 {
-		return math.Inf(1)
+		return math.Inf(1), mesh.ColorWall
 	}
-	n := f.pn.Normal(t, feat)
-	if mesh.Dot(mesh.Sub(p, q), n) < 0 {
-		return -math.Sqrt(d2)
+	d := math.Sqrt(d2)
+	if mesh.Dot(mesh.Sub(p, q), f.pn.Normal(t, feat)) < 0 {
+		d = -d
 	}
-	return math.Sqrt(d2)
+	return d, f.Mesh.TriangleColor(t)
 }
 
 // Inside reports whether p lies strictly inside the surface, i.e.

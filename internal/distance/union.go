@@ -67,15 +67,22 @@ func (u *Union) Bounds() blockforest.AABB { return u.bounds }
 
 // Signed implements SDF.
 func (u *Union) Signed(p [3]float64) float64 {
-	v, _ := u.signedArg(p)
+	v, _ := u.signedColor(p)
 	return v
 }
 
-// signedArg returns the union value and the index of the minimizing
-// component.
-func (u *Union) signedArg(p [3]float64) (float64, int) {
+// colored is an SDF that reports phi(p) together with the boundary color
+// of the nearest surface element, from the one search phi(p) takes anyway.
+type colored interface {
+	signedColor(p [3]float64) (float64, mesh.Color)
+}
+
+// signedColor returns the union value and the color of the surface element
+// nearest to p in the minimizing component.
+func (u *Union) signedColor(p [3]float64) (float64, mesh.Color) {
 	best := math.Inf(1)
 	arg := -1
+	color, known := mesh.ColorWall, true
 	for i, c := range u.components {
 		// A component cannot beat the current best if even its bounding
 		// box is farther away (box distance lower-bounds |phi_i| outside).
@@ -90,11 +97,22 @@ func (u *Union) signedArg(p [3]float64) (float64, int) {
 				continue
 			}
 		}
-		if v := c.Signed(p); v < best {
-			best, arg = v, i
+		var v float64
+		var col mesh.Color
+		cc, ok := c.(colored)
+		if ok {
+			v, col = cc.signedColor(p)
+		} else {
+			v = c.Signed(p)
+		}
+		if v < best {
+			best, arg, color, known = v, i, col, ok
 		}
 	}
-	return best, arg
+	if !known {
+		color = u.components[arg].ClosestTriangleColor(p)
+	}
+	return best, color
 }
 
 // Inside implements SDF.
@@ -111,11 +129,8 @@ func (u *Union) Inside(p [3]float64) bool {
 }
 
 // ClosestTriangleColor implements SDF: the color comes from the component
-// realizing the union minimum.
+// realizing the union minimum, found by the search that evaluated it.
 func (u *Union) ClosestTriangleColor(p [3]float64) mesh.Color {
-	_, arg := u.signedArg(p)
-	if arg < 0 {
-		return mesh.ColorWall
-	}
-	return u.components[arg].ClosestTriangleColor(p)
+	_, color := u.signedColor(p)
+	return color
 }

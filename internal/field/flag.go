@@ -114,6 +114,27 @@ func (f *FlagField) Count(c CellType) int {
 	return n
 }
 
+// Bounds returns the bounding box of the interior cells of the given type,
+// the empty zero Window when there is none.
+func (f *FlagField) Bounds(c CellType) Window {
+	w := Window{Lo: [3]int{f.Nx, f.Ny, f.Nz}}
+	for z := 0; z < f.Nz; z++ {
+		for y := 0; y < f.Ny; y++ {
+			for x := 0; x < f.Nx; x++ {
+				if f.Get(x, y, z) != c {
+					continue
+				}
+				w.Lo = [3]int{min(w.Lo[0], x), min(w.Lo[1], y), min(w.Lo[2], z)}
+				w.Hi = [3]int{max(w.Hi[0], x+1), max(w.Hi[1], y+1), max(w.Hi[2], z+1)}
+			}
+		}
+	}
+	if w.Empty() {
+		return Window{}
+	}
+	return w
+}
+
 // FluidFraction returns the fraction of interior cells marked Fluid; this
 // is the per-block workload measure used for load balancing and the
 // quantity plotted in the paper's Figure 7.

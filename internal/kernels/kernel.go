@@ -45,12 +45,11 @@ type Kernel interface {
 
 // checkShapes panics when src/dst are unusable for a kernel sweep.
 func checkShapes(src, dst *field.PDFField, layout field.Layout) {
-	if src.Nx != dst.Nx || src.Ny != dst.Ny || src.Nz != dst.Nz ||
-		src.Ghost != dst.Ghost || src.Stencil != dst.Stencil {
-		panic("kernels: src and dst shapes differ")
-	}
 	if src.Layout != layout || dst.Layout != layout {
 		panic("kernels: field layout does not match kernel layout")
+	}
+	if !src.SameShape(dst) {
+		panic("kernels: src and dst shapes differ")
 	}
 	if src.Ghost < 1 {
 		panic("kernels: stream-pull requires a ghost layer")

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"walberla/internal/collide"
@@ -125,8 +126,8 @@ func TestSparseKernelsMatchGeneric(t *testing.T) {
 
 		kernelsUnderTest := []Kernel{
 			NewSparseConditional(trt),
-			NewSparseCellList(trt, flags),
-			NewSparseInterval(trt, flags),
+			NewSparseCellList(trt, flags, field.Window{}),
+			NewSparseInterval(trt, flags, field.Window{}),
 			NewD3Q19TRT(trt), // dense kernel with flags
 			NewSplitTRT(trt), // split kernel with flags
 		}
@@ -149,8 +150,8 @@ func TestSparseKernelsLeaveNonFluidUntouched(t *testing.T) {
 	flags := sparseFlags(r, nx, ny, nz, 0.4)
 	for _, mk := range []func() Kernel{
 		func() Kernel { return NewSparseConditional(trt) },
-		func() Kernel { return NewSparseCellList(trt, flags) },
-		func() Kernel { return NewSparseInterval(trt, flags) },
+		func() Kernel { return NewSparseCellList(trt, flags, field.Window{}) },
+		func() Kernel { return NewSparseInterval(trt, flags, field.Window{}) },
 	} {
 		k := mk()
 		src := randomField(r, k.Layout(), nx, ny, nz)
@@ -182,14 +183,14 @@ func TestSparseIntervalStats(t *testing.T) {
 	for _, x := range []int{1, 2, 3, 6, 7, 8} {
 		fl.Set(x, 0, 0, field.Fluid)
 	}
-	k := NewSparseInterval(trt, fl)
+	k := NewSparseInterval(trt, fl, field.Window{})
 	if k.Intervals() != 2 {
 		t.Errorf("Intervals = %d, want 2", k.Intervals())
 	}
 	if k.FluidCells() != 6 {
 		t.Errorf("FluidCells = %d, want 6", k.FluidCells())
 	}
-	kl := NewSparseCellList(trt, fl)
+	kl := NewSparseCellList(trt, fl, field.Window{})
 	if kl.FluidCells() != 6 {
 		t.Errorf("cell list FluidCells = %d, want 6", kl.FluidCells())
 	}
@@ -294,8 +295,8 @@ func TestKernelNamesAndLayouts(t *testing.T) {
 		{NewSplitSRT(srt), "SRT SIMD", field.SoA},
 		{NewSplitTRT(trt), "TRT SIMD", field.SoA},
 		{NewSparseConditional(trt), "TRT Conditional", field.AoS},
-		{NewSparseCellList(trt, flags), "TRT CellList", field.AoS},
-		{NewSparseInterval(trt, flags), "TRT Interval", field.SoA},
+		{NewSparseCellList(trt, flags, field.Window{}), "TRT CellList", field.AoS},
+		{NewSparseInterval(trt, flags, field.Window{}), "TRT Interval", field.SoA},
 	}
 	for _, c := range cases {
 		if c.k.Name() != c.name {
@@ -341,4 +342,107 @@ func TestKernelShapeChecks(t *testing.T) {
 		trt := collide.NewTRT(0.8, collide.MagicParameter)
 		NewSparseConditional(trt).Sweep(src, src.CopyShape(), nil)
 	})
+}
+
+// TestSplitKernelSharedAcrossGoroutines sweeps ONE kernel value from two
+// goroutines at once, on fields of different shapes — what the refined
+// runtime does with the kernel of a level. Under the race detector it fails
+// on any kernel state written during Sweep; without it, it still checks
+// that the concurrent sweeps computed what a private kernel computes.
+func TestSplitKernelSharedAcrossGoroutines(t *testing.T) {
+	trt := collide.NewTRT(0.8, collide.MagicParameter)
+	srt := collide.NewSRT(0.8)
+	for _, c := range []struct {
+		name string
+		new  func() Kernel
+	}{
+		{"trt", func() Kernel { return NewSplitTRT(trt) }},
+		{"srt", func() Kernel { return NewSplitSRT(srt) }},
+	} {
+		shared := c.new()
+		// Fields are prepared first and the sweeps released together: the
+		// race detector only sees accesses that are close in its history.
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g, n := range [][3]int{{6, 7, 8}, {9, 5, 4}} {
+			r := rand.New(rand.NewSource(int64(g)))
+			src := randomField(r, field.SoA, n[0], n[1], n[2])
+			want, got := src.CopyShape(), src.CopyShape()
+			c.new().Sweep(src, want, nil)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 20; i++ {
+					shared.Sweep(src, got, nil)
+				}
+				if d := maxDiff(t, want, got, nil); d != 0 {
+					t.Errorf("%s shape %v: shared kernel differs from a private one by %g", c.name, n, d)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// TestKernelsOnCroppedWindows: on fields that store only the bounding box
+// of the fluid grown by one cell, every kernel computes bit for bit what it
+// computes on whole-block fields.
+func TestKernelsOnCroppedWindows(t *testing.T) {
+	const nx, ny, nz = 9, 8, 7
+	r := rand.New(rand.NewSource(23))
+	trt := collide.NewTRT(0.8, collide.MagicParameter)
+	flags := field.NewFlagField(nx, ny, nz, 1)
+	flags.Fill(field.NoSlip)
+	for z := 2; z < 5; z++ {
+		for y := 4; y < ny; y++ { // up to the +y face: the window reaches into the ghost layer
+			for x := 1; x < 4; x++ {
+				if r.Float64() < 0.7 {
+					flags.Set(x, y, z, field.Fluid)
+				}
+			}
+		}
+	}
+	win := flags.Bounds(field.Fluid).Grow(1, field.FullWindow(nx, ny, nz, 1))
+	if win.Cells() == 0 || win.Cells() >= field.FullWindow(nx, ny, nz, 1).Cells() {
+		t.Fatalf("window %v does not crop the block", win)
+	}
+	for _, k := range []Kernel{
+		NewGeneric(lattice.D3Q19(), trt),
+		NewD3Q19TRT(trt),
+		NewD3Q19SRT(collide.NewSRT(0.8)),
+		NewSplitTRT(trt),
+		NewSplitSRT(collide.NewSRT(0.8)),
+		NewSparseConditional(trt),
+		NewSparseCellList(trt, flags, win),
+		NewSparseInterval(trt, flags, win),
+	} {
+		full := randomField(r, k.Layout(), nx, ny, nz)
+		src := field.NewPDFFieldWindow(full.Stencil, nx, ny, nz, 1, k.Layout(), win)
+		src.CopyFrom(full)
+		want, got := full.CopyShape(), src.CopyShape()
+		ref := k
+		switch k.(type) {
+		case *SparseCellList:
+			ref = NewSparseCellList(trt, flags, field.Window{})
+		case *SparseInterval:
+			ref = NewSparseInterval(trt, flags, field.Window{})
+		}
+		ref.Sweep(full, want, flags)
+		k.Sweep(src, got, flags)
+		if d := maxDiff(t, want, got, flags); d != 0 {
+			t.Errorf("%s: cropped fields differ from whole-block ones by %g", k.Name(), d)
+		}
+		if _, isList := k.(*SparseCellList); isList {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: swept a field of another window without complaint", k.Name())
+					}
+				}()
+				k.Sweep(full, want, flags)
+			}()
+		}
+	}
 }

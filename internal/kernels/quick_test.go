@@ -103,8 +103,8 @@ func TestSparseEquivalenceRandomPatterns(t *testing.T) {
 		NewGeneric(lattice.D3Q19(), trt).Sweep(src, ref, flags)
 		for _, k := range []Kernel{
 			NewSparseConditional(trt),
-			NewSparseCellList(trt, flags),
-			NewSparseInterval(trt, flags),
+			NewSparseCellList(trt, flags, field.Window{}),
+			NewSparseInterval(trt, flags, field.Window{}),
 		} {
 			s2 := src.ConvertLayout(k.Layout())
 			d2 := s2.CopyShape()

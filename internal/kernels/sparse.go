@@ -122,23 +122,41 @@ type SparseCellList struct {
 	p     trtParams
 	cells []int32 // linear cell indices of fluid cells
 	src   *field.FlagField
+	win   field.Window
+}
+
+// blockWindow resolves the allocation window a sparse kernel is compiled
+// for: win itself, or the whole ghosted block of flags when win is empty.
+func blockWindow(flags *field.FlagField, win field.Window) field.Window {
+	if win.Empty() {
+		return field.FullWindow(flags.Nx, flags.Ny, flags.Nz, flags.Ghost)
+	}
+	return win
+}
+
+// checkWindow panics when a kernel with precomputed cell indices meets a
+// field allocated for another window than the one it was compiled for.
+func checkWindow(src *field.PDFField, win field.Window, fluid int) {
+	if fluid > 0 && src.Window() != win {
+		panic("kernels: sparse kernel compiled for a different allocation window")
+	}
 }
 
 // NewSparseCellList constructs the cell-list sparse TRT kernel for the
-// given block; the flag field is scanned once to build the list.
-func NewSparseCellList(op collide.TRT, flags *field.FlagField) *SparseCellList {
+// given block; the flag field is scanned once to build the list. win is the
+// allocation window of the PDF fields the kernel will sweep and must hold
+// every fluid cell; the zero value means the whole ghosted block.
+func NewSparseCellList(op collide.TRT, flags *field.FlagField, win field.Window) *SparseCellList {
 	k := &SparseCellList{
 		p:   trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO},
 		src: flags,
+		win: blockWindow(flags, win),
 	}
-	sx, sy, sz := flags.Strides()
-	_ = sx
 	for z := 0; z < flags.Nz; z++ {
 		for y := 0; y < flags.Ny; y++ {
 			for x := 0; x < flags.Nx; x++ {
 				if flags.Get(x, y, z) == field.Fluid {
-					ci := (z+flags.Ghost)*sz + (y+flags.Ghost)*sy + (x + flags.Ghost)
-					k.cells = append(k.cells, int32(ci))
+					k.cells = append(k.cells, int32(k.win.Index(x, y, z)))
 				}
 			}
 		}
@@ -162,6 +180,7 @@ func (k *SparseCellList) Sweep(src, dst *field.PDFField, flags *field.FlagField)
 	if flags != k.src {
 		panic("kernels: SparseCellList used with a different flag field")
 	}
+	checkWindow(src, k.win, len(k.cells))
 	offs := pullOffsets(src)
 	in, out := src.Data(), dst.Data()
 	for _, ci := range k.cells {
@@ -185,24 +204,26 @@ type SparseInterval struct {
 	p         trtParams
 	intervals []interval
 	src       *field.FlagField
+	win       field.Window
 	fluid     int
 }
 
 // NewSparseInterval constructs the interval sparse TRT kernel for the given
-// block. Unlike the paper's single [first,last] pair per line, maximal runs
-// are stored, so lines with interior gaps remain exact. Every stored run is
-// bounds-checked against the line it belongs to — degenerate geometries
-// (no fluid at all, isolated single cells, fully fluid lines) produce
-// empty, length-one, and full-width intervals respectively, all of which
-// must stay inside [lineBase, lineBase+Nx).
-func NewSparseInterval(op collide.TRT, flags *field.FlagField) *SparseInterval {
-	k := &SparseInterval{src: flags}
+// block. win is the allocation window of the PDF fields the kernel will
+// sweep — interval bases are cell indices of that window — and must hold
+// every fluid cell; the zero value means the whole ghosted block. Unlike the
+// paper's single [first,last] pair per line, maximal runs are stored, so
+// lines with interior gaps remain exact. Every stored run is bounds-checked
+// against the line it belongs to — degenerate geometries (no fluid at all,
+// isolated single cells, fully fluid lines) produce empty, length-one, and
+// full-width intervals respectively, all of which must stay inside
+// [lineBase, lineBase+Nx).
+func NewSparseInterval(op collide.TRT, flags *field.FlagField, win field.Window) *SparseInterval {
+	k := &SparseInterval{src: flags, win: blockWindow(flags, win)}
 	k.p = trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}
-	sx, sy, sz := flags.Strides()
-	_ = sx
 	for z := 0; z < flags.Nz; z++ {
 		for y := 0; y < flags.Ny; y++ {
-			lineBase := (z+flags.Ghost)*sz + (y+flags.Ghost)*sy + flags.Ghost
+			lineBase := k.win.Index(0, y, z)
 			x := 0
 			for x < flags.Nx {
 				for x < flags.Nx && flags.Get(x, y, z) != field.Fluid {
@@ -216,6 +237,9 @@ func NewSparseInterval(op collide.TRT, flags *field.FlagField) *SparseInterval {
 					iv := interval{base: lineBase + x0, n: x - x0}
 					if iv.n < 1 || iv.n > flags.Nx || iv.base < lineBase || iv.base+iv.n > lineBase+flags.Nx {
 						panic("kernels: sparse interval escapes its lattice line")
+					}
+					if !k.win.Contains(x0, y, z) || !k.win.Contains(x-1, y, z) {
+						panic("kernels: fluid cells outside the allocation window")
 					}
 					k.intervals = append(k.intervals, iv)
 					k.fluid += iv.n
@@ -246,6 +270,7 @@ func (k *SparseInterval) Sweep(src, dst *field.PDFField, flags *field.FlagField)
 	if flags != k.src {
 		panic("kernels: SparseInterval used with a different flag field")
 	}
+	checkWindow(src, k.win, k.fluid)
 	rows := newDirRows(src, dst)
 	le, lo := k.p.lambdaE, k.p.lambdaO
 	for _, iv := range k.intervals {

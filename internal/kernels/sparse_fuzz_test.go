@@ -54,7 +54,7 @@ func FuzzSparseIntervals(f *testing.F) {
 		flags := fuzzFlags(nx, ny, nz, pattern)
 
 		op := collide.NewTRT(0.8, 3.0/16.0)
-		k := NewSparseInterval(op, flags) // must not panic on any geometry
+		k := NewSparseInterval(op, flags, field.Window{}) // must not panic on any geometry
 
 		// Reference scan: fluid cells and maximal runs per lattice line.
 		fluid, runs := 0, 0

@@ -42,6 +42,11 @@ type Spec struct {
 	// Flags is required by the sparse kernels (which precompute their
 	// fluid cell structure from it) and ignored by the dense ones.
 	Flags *field.FlagField
+	// Window is the allocation window of the PDF fields the kernel will
+	// sweep (field.NewPDFFieldWindow); the zero value means the whole
+	// ghosted block. Only the sparse kernels, whose precomputed cell
+	// indices depend on it, read it.
+	Window field.Window
 }
 
 // New constructs the compute kernel described by the spec.
@@ -81,7 +86,7 @@ func New(spec Spec) (Kernel, error) {
 		if spec.Flags == nil {
 			return nil, fmt.Errorf("kernels: sparse kernel requires a flag field")
 		}
-		return NewSparseInterval(trt, spec.Flags), nil
+		return NewSparseInterval(trt, spec.Flags, spec.Window), nil
 	}
 	return nil, fmt.Errorf("kernels: unknown kernel %q", spec.Choice)
 }

@@ -42,23 +42,31 @@ func newDirRows(src, dst *field.PDFField) dirRows {
 	return r
 }
 
-// tileRows returns the y-strip height of the cache-blocked traversal: the
-// largest strip for which the three z-planes of by-direction source rows a
-// stream-pull sweep re-reads (planes z-1, z, z+1 of the strip) stay
-// resident in the per-core cache budget of the performance model. Within a
-// strip the sweep advances plane by plane, so each padded source row is
-// loaded from memory once and then served from cache for the two
-// neighboring planes. Small blocks fit entirely and degenerate to the
-// untiled traversal.
-func tileRows(nx, ny, ghost int) int {
-	budget := perfmodel.SuperMUCSocket().CacheBlockBytes
-	rowBytes := lattice.Q19 * (nx + 2*ghost) * 8
-	h := budget/(3*rowBytes) - 2
+// tileBudget is the per-core cache budget the tiled traversal is sized
+// against.
+var tileBudget = perfmodel.SuperMUCSocket().CacheBlockBytes
+
+// tileRows returns the y-strip height of the cache-blocked traversal of a
+// field: the largest strip for which the three z-planes of by-direction
+// source rows a stream-pull sweep re-reads (planes z-1, z, z+1 of the
+// strip) stay resident in the per-core cache budget of the performance
+// model. Within a strip the sweep advances plane by plane, so each stored
+// source row is loaded from memory once and then served from cache for the
+// two neighboring planes. Small blocks fit entirely and degenerate to the
+// untiled traversal. It is a pure function of the field's shape, computed
+// per sweep: one kernel value serves many blocks, concurrently.
+func tileRows(f *field.PDFField) int {
+	_, rowCells, _ := f.Strides()
+	rowBytes := lattice.Q19 * rowCells * 8
+	h := f.Ny
+	if rowBytes > 0 {
+		h = tileBudget/(3*rowBytes) - 2
+	}
 	if h < 4 {
 		h = 4
 	}
-	if h > ny {
-		h = ny
+	if h > f.Ny {
+		h = f.Ny
 	}
 	return h
 }
@@ -277,8 +285,7 @@ func srtRowSoA(r *dirRows, base, n int, omega, om1 float64) {
 // SplitSRT is the by-direction SRT kernel on the SoA layout (the paper's
 // "SRT SIMD"). Safe for concurrent use on disjoint fields.
 type SplitSRT struct {
-	p    srtParams
-	tile int
+	p srtParams
 }
 
 // NewSplitSRT constructs the split SRT kernel.
@@ -299,12 +306,9 @@ func (k *SplitSRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 		panic("kernels: split kernel requires the D3Q19 stencil")
 	}
 	rows := newDirRows(src, dst)
-	if k.tile == 0 {
-		k.tile = tileRows(src.Nx, src.Ny, src.Ghost)
-	}
 	omega := k.p.omega
 	om1 := 1.0 - omega
-	sweepRows(src, flags, k.tile, func(base, n int) {
+	sweepRows(src, flags, tileRows(src), func(base, n int) {
 		srtRowSoA(&rows, base, n, omega, om1)
 	})
 }
@@ -313,8 +317,7 @@ func (k *SplitSRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 // "TRT SIMD"), the default distributed hot path for dense blocks. Safe for
 // concurrent use on disjoint fields.
 type SplitTRT struct {
-	p    trtParams
-	tile int
+	p trtParams
 }
 
 // NewSplitTRT constructs the split TRT kernel.
@@ -335,11 +338,8 @@ func (k *SplitTRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 		panic("kernels: split kernel requires the D3Q19 stencil")
 	}
 	rows := newDirRows(src, dst)
-	if k.tile == 0 {
-		k.tile = tileRows(src.Nx, src.Ny, src.Ghost)
-	}
 	le, lo := k.p.lambdaE, k.p.lambdaO
-	sweepRows(src, flags, k.tile, func(base, n int) {
+	sweepRows(src, flags, tileRows(src), func(base, n int) {
 		trtRowSoA(&rows, base, n, le, lo)
 	})
 }

@@ -74,30 +74,48 @@ func SaveCheckpoint(w io.Writer, f *field.PDFField) error {
 	for _, v := range hdr {
 		binary.Write(out, binary.LittleEndian, v)
 	}
-	// Write in canonical (layout-independent) order — (z,y,x) cells with
-	// the Q directions interleaved — so checkpoints are portable between
-	// layouts. Encoding is buffered one padded row at a time: the AoS
-	// storage order coincides with the wire order, and the SoA path
-	// gathers from the by-direction arrays without converting the field.
+	// Write in canonical (layout-independent) order — (z,y,x) cells of the
+	// whole ghosted block with the Q directions interleaved — so checkpoints
+	// are portable between layouts and allocation windows: cells outside the
+	// field's window are written as its fill value, which is what a field
+	// storing them would hold. Encoding is buffered one padded row at a
+	// time: the AoS storage order coincides with the wire order, and the SoA
+	// path gathers from the by-direction arrays without converting the field.
 	q := f.Stencil.Q
 	g := f.Ghost
 	ax := f.Nx + 2*g
-	row := make([]byte, ax*q*8)
+	fillRow := make([]byte, ax*q*8)
+	for x := 0; x < ax; x++ {
+		for a := 0; a < q; a++ {
+			binary.LittleEndian.PutUint64(fillRow[(x*q+a)*8:], math.Float64bits(f.FillValue(lattice.Direction(a))))
+		}
+	}
+	win := f.Window()
+	xa, n := win.Lo[0], win.Hi[0]-win.Lo[0]
+	row := make([]byte, len(fillRow))
 	data := f.Data()
 	cells := f.AllocatedCells()
 	for z := -g; z < f.Nz+g; z++ {
 		for y := -g; y < f.Ny+g; y++ {
-			ci := f.CellIndex(-g, y, z)
+			if !win.Contains(xa, y, z) {
+				out.Write(fillRow)
+				continue
+			}
+			if n < ax {
+				copy(row, fillRow)
+			}
+			ci := f.CellIndex(xa, y, z)
+			stored := row[(xa+g)*q*8:]
 			if f.Layout == field.AoS {
-				vals := data[ci*q : (ci+ax)*q]
+				vals := data[ci*q : (ci+n)*q]
 				for i, v := range vals {
-					binary.LittleEndian.PutUint64(row[i*8:], math.Float64bits(v))
+					binary.LittleEndian.PutUint64(stored[i*8:], math.Float64bits(v))
 				}
 			} else {
 				o := 0
-				for x := 0; x < ax; x++ {
+				for x := 0; x < n; x++ {
 					for a := 0; a < q; a++ {
-						binary.LittleEndian.PutUint64(row[o:], math.Float64bits(data[a*cells+ci+x]))
+						binary.LittleEndian.PutUint64(stored[o:], math.Float64bits(data[a*cells+ci+x]))
 						o += 8
 					}
 				}
@@ -243,7 +261,9 @@ func loadCheckpoint(r io.Reader, s *lattice.Stencil, layout field.Layout, useSto
 
 // RestorePDF loads a checkpoint into an existing field, validating that
 // shapes match — the in-place variant used for simulation restarts where
-// the fields are already allocated by the setup pipeline.
+// the fields are already allocated by the setup pipeline. Checkpoints
+// describe the whole ghosted block; the cells of f's allocation window are
+// restored, the rest of the file is ignored.
 func RestorePDF(r io.Reader, f *field.PDFField) error {
 	g, err := LoadCheckpoint(r, f.Stencil, f.Layout)
 	if err != nil {
@@ -253,7 +273,7 @@ func RestorePDF(r io.Reader, f *field.PDFField) error {
 		return fmt.Errorf("output: checkpoint shape %dx%dx%d (ghost %d) does not match field %dx%dx%d (ghost %d)",
 			g.Nx, g.Ny, g.Nz, g.Ghost, f.Nx, f.Ny, f.Nz, f.Ghost)
 	}
-	copy(f.Data(), g.Data())
+	f.CopyFrom(g)
 	return nil
 }
 

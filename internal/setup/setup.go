@@ -11,6 +11,9 @@ package setup
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
@@ -136,25 +139,65 @@ type Stats struct {
 	Dx              float64
 }
 
-// BuildForest runs the serial version of the pipeline (classification and
-// workload counting on the calling goroutine). For the SPMD version see
-// BuildForestParallel.
+// BuildForest runs the single-process version of the pipeline. Block
+// classification and workload counting — nearest-triangle searches, the
+// bulk of set-up on a complex geometry — are independent per block and run
+// on GOMAXPROCS goroutines; each writes only its own block's result, so the
+// forest and its balance are those of a serial pass. For the SPMD version
+// see BuildForestParallel.
 func BuildForest(sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, error) {
 	grid, domain := GridForDx(sdf.Bounds(), opt.CellsPerBlock, opt.Dx)
 	f := blockforest.NewSetupForest(domain, grid, opt.CellsPerBlock, [3]bool{})
-	discarded := f.Keep(func(b *blockforest.SetupBlock) bool {
-		return geometry.BlockIntersectsDomain(sdf, b.AABB, opt.CellsPerBlock)
+	blocks := f.Blocks()
+	counts := make([]int64, len(blocks)) // fluid cells; -1 discards the block
+	forEach(len(blocks), func(i int) {
+		b := blocks[i]
+		if !geometry.BlockIntersectsDomain(sdf, b.AABB, opt.CellsPerBlock) {
+			counts[i] = -1
+			return
+		}
+		counts[i] = int64(CountInsideCells(sdf, b.AABB, opt.CellsPerBlock))
 	})
+	keep := make(map[[3]int]bool, len(blocks))
 	var fluid int64
-	for _, b := range f.Blocks() {
-		n := CountInsideCells(sdf, b.AABB, opt.CellsPerBlock)
-		b.Workload = float64(n)
-		fluid += int64(n)
+	for i, b := range blocks {
+		if counts[i] < 0 {
+			continue
+		}
+		keep[b.Coord] = true
+		b.Workload = float64(counts[i])
+		fluid += counts[i]
 	}
+	discarded := geometry.ApplyClassification(f, keep)
 	if err := balance(f, opt); err != nil {
 		return nil, Stats{}, err
 	}
 	return f, statsFor(f, grid, discarded, fluid, opt.Dx), nil
+}
+
+// forEach calls fn(i) for every i in [0, n) from up to GOMAXPROCS
+// goroutines and returns when all calls have. Indices are handed out one
+// at a time: per-block costs differ by orders of magnitude.
+func forEach(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func balance(f *blockforest.SetupForest, opt Options) error {

@@ -2,6 +2,7 @@ package setup
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"walberla/internal/blockforest"
@@ -116,6 +117,23 @@ func TestBuildForestParallelMatchesSerial(t *testing.T) {
 	fs, statsS, err := BuildForest(sdf, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// BuildForest spreads the per-block work over GOMAXPROCS goroutines;
+	// on one it is the serial pass, and must build the same forest.
+	prev := runtime.GOMAXPROCS(1)
+	f1, stats1, err := BuildForest(sdf, opt)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats1 != statsS {
+		t.Errorf("GOMAXPROCS=1: stats %+v != %+v at GOMAXPROCS=%d", stats1, statsS, prev)
+	}
+	blocks1 := f1.Blocks()
+	for i, b := range fs.Blocks() {
+		if b1 := blocks1[i]; b1.Coord != b.Coord || b1.Workload != b.Workload || b1.Rank != b.Rank {
+			t.Fatalf("GOMAXPROCS=1 block %d: %+v != %+v", i, b1, b)
+		}
 	}
 	for _, ranks := range []int{1, 5} {
 		comm.Run(ranks, func(c *comm.Comm) {

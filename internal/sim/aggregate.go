@@ -152,9 +152,13 @@ func addRow(runs []copyRun, first, sp, dp, n int) []copyRun {
 // are authoritative — they are the ones its kernel and boundary sweep were
 // built from. A destination whose interior is all fluid (the dense kernel
 // path, which tests no flags) takes every slot, layer by layer for SoA,
-// without evaluating the mask. Adjacent slots merge into rows and
-// equidistant rows into one run (addRow). It returns the extended run list
-// and the number of slots kept.
+// without evaluating the mask. A slot whose source cell lies outside src's
+// allocation window is dropped as well: the source would deliver its fill
+// value, the uniform initial equilibrium the destination slot has held
+// since it was initialized. (A slot dst reads is always inside dst's own
+// window, which holds its fluid cells' whole neighborhood.) Adjacent slots
+// merge into rows and equidistant rows into one run (addRow). It returns
+// the extended run list and the number of slots kept.
 func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction) ([]copyRun, int) {
 	sf, df := src.Src, dst.Src
 	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
@@ -165,6 +169,8 @@ func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, di
 	}
 	st, flags := df.Stencil, dst.Flags
 	dense := dst.Fluid == df.InteriorCells()
+	sw, dw := sf.Window(), df.Window()
+	srcStored := sw.Covers(field.Window{Lo: srcReg.lo, Hi: srcReg.hi})
 	soa := sf.Layout == field.SoA
 	xStride := st.Q // Data() distance of one step in x
 	if soa {
@@ -178,7 +184,7 @@ func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, di
 		cx, cy, cz := st.Cx[d], st.Cy[d], st.Cz[d]
 		for z := srcReg.lo[2]; z < srcReg.hi[2]; z++ {
 			gz := dstReg.lo[2] + (z - srcReg.lo[2])
-			if dense && soa {
+			if dense && soa && srcStored {
 				// The whole z-layer at once: ny rows, one field row apart. A
 				// single row goes through addRow, which folds the rows of
 				// successive layers into one run.
@@ -195,16 +201,21 @@ func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, di
 			}
 			for y := srcReg.lo[1]; y < srcReg.hi[1]; y++ {
 				gy := dstReg.lo[1] + (y - srcReg.lo[1])
+				// Linear in x even where the row leaves a window; only slots
+				// inside both windows are used.
 				sp := sf.Index(srcReg.lo[0], y, z, d)
 				dp := df.Index(dstReg.lo[0], gy, gz, d)
 				for i := 0; i < nx; i++ {
+					gx := dstReg.lo[0] + i
 					if !dense {
-						gx := dstReg.lo[0] + i
 						tx, ty, tz := gx+cx, gy+cy, gz+cz
 						if tx < 0 || tx >= df.Nx || ty < 0 || ty >= df.Ny || tz < 0 || tz >= df.Nz ||
 							flags.Get(tx, ty, tz) != field.Fluid || flags.Get(gx, gy, gz).IsBoundary() {
 							continue
 						}
+					}
+					if !srcStored && !sw.Contains(srcReg.lo[0]+i, y, z) || !dw.Contains(gx, gy, gz) {
+						continue
 					}
 					runs = addRow(runs, first, sp+i*xStride, dp+i*xStride, 1)
 					kept++

@@ -300,6 +300,24 @@ func maskPatterns() []flagPattern {
 			}
 			return field.Fluid
 		}},
+		// Geometries whose fluid leaves most of a block empty, the case the
+		// allocation windows crop: a tube along x through the y = z = 0
+		// blocks, crossing a block face, and thinly scattered fluid.
+		{"tube", func(_ [3]int, x, y, z int) field.CellType {
+			if x >= 1 && x < 2*maskCells[0]-2 && y >= 1 && y <= 2 && z == 1 {
+				return field.Fluid
+			}
+			return field.NoSlip
+		}},
+		{"scattered", func(_ [3]int, x, y, z int) field.CellType {
+			if h := fnvMix(fnvMix(fnvMix(fnvOffset, uint64(x)), uint64(y)), uint64(z)); h>>33%16 == 0 {
+				return field.Fluid
+			}
+			if t := hashType(6, x, y, z); t != field.Fluid {
+				return t
+			}
+			return field.NoSlip
+		}},
 		// The two sides of a block face disagree about the shared cells: the
 		// receiver's own flags decide what it reads.
 		{"inconsistent", func(b [3]int, x, y, z int) field.CellType {
@@ -369,7 +387,7 @@ func interiorBits(s *Simulation, mu *sync.Mutex, into map[[3]int][]uint64) {
 			for y := 0; y < f.Ny; y++ {
 				for x := 0; x < f.Nx; x++ {
 					for a := 0; a < f.Stencil.Q; a++ {
-						bits = append(bits, math.Float64bits(f.Get(x, y, z, lattice.Direction(a))))
+						bits = append(bits, math.Float64bits(f.At(x, y, z, lattice.Direction(a))))
 					}
 				}
 			}
@@ -463,6 +481,106 @@ func TestCompiledLocalCopiesMatchPerPair(t *testing.T) {
 								hash, bits := runMaskCase(t, cfg, periodic, ranks, steps, poison)
 								if hash != wantHash {
 									t.Errorf("%s: field hash %016x, per-pair %016x", label, hash, wantHash)
+								}
+								compareBits(t, wantBits, bits, label)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// windowConfig is maskConfig started from a uniform state, so that blocks
+// take allocation windows cropped to their fluid. With full set the same
+// state arrives through an InitialState func, which makes every block
+// allocate its whole ghosted box — the oracle the cropped runs must match.
+func windowConfig(p flagPattern, periodic bool, stencil *lattice.Stencil, layout LayoutChoice, full bool) Config {
+	cfg := maskConfig(p, periodic, stencil, layout)
+	rho, v := 1.02, [3]float64{0.01, -0.02, 0.015}
+	cfg.InitialRho, cfg.InitialVelocity, cfg.InitialState = rho, v, nil
+	if full {
+		cfg.InitialState = func(int, int, int) (float64, float64, float64, float64) { return rho, v[0], v[1], v[2] }
+	}
+	return cfg
+}
+
+// fieldCells builds the single-rank world of a need-mask case and returns
+// its PDF field footprint.
+func fieldCells(t *testing.T, cfg Config, periodic bool) (allocated, block int64) {
+	t.Helper()
+	f := blockforest.NewSetupForest(
+		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
+		[3]int{2, 2, 2}, maskCells, [3]bool{periodic, periodic, periodic})
+	f.BalanceMorton(1)
+	comm.Run(1, func(c *comm.Comm) {
+		forest, err := blockforest.Distribute(c, f)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s, err := New(c, forest, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		allocated, block = s.FieldCells()
+	})
+	return allocated, block
+}
+
+// TestAllocationWindowsInvisible is the differential test of the
+// allocation windows: on every geometry of the need-mask matrix — blocks
+// without any fluid and a block with one fluid cell in a corner among them
+// — × world × stencil/layout × decomposition × worker count × exchange
+// mode, a run whose fields store only the bounding box of their fluid ends
+// on the field hash and on every interior PDF of the run that stores whole
+// blocks.
+func TestAllocationWindowsInvisible(t *testing.T) {
+	const steps = 30
+	for _, p := range maskPatterns() {
+		for _, periodic := range []bool{false, true} {
+			for _, m := range maskModels {
+				world := "walled"
+				if periodic {
+					world = "periodic"
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", p.name, world, m.name), func(t *testing.T) {
+					ref := windowConfig(p, periodic, m.stencil, m.layout, true)
+					ref.Exchange = ExchangePerPair
+					wantHash, wantBits := runMaskCase(t, ref, periodic, 1, steps, false)
+					if allocated, block := fieldCells(t, ref, periodic); allocated != block {
+						t.Fatalf("oracle stores %d of %d cells, want whole blocks", allocated, block)
+					}
+					cfg := windowConfig(p, periodic, m.stencil, m.layout, false)
+					allocated, block := fieldCells(t, cfg, periodic)
+					switch p.name {
+					case "all-solid":
+						if allocated != 0 {
+							t.Errorf("blocks without fluid store %d cells", allocated)
+						}
+					case "single-fluid":
+						if want := int64(27); !periodic && allocated != want {
+							t.Errorf("one fluid cell in a corner stores %d cells, want its 3^3 neighborhood", allocated)
+						}
+					case "all-fluid":
+						if allocated != block {
+							t.Errorf("all-fluid blocks store %d of %d cells", allocated, block)
+						}
+					case "tube", "scattered":
+						if !periodic && 4*allocated > 3*block {
+							t.Errorf("%s stores %d of %d cells, want windows well inside the blocks", p.name, allocated, block)
+						}
+					}
+					for _, ranks := range []int{1, 2} {
+						for _, workers := range []int{1, 2, 4} {
+							for _, mode := range []ExchangeMode{ExchangeAggregated, ExchangePerPair} {
+								cfg.Workers, cfg.Exchange = workers, mode
+								label := fmt.Sprintf("ranks=%d workers=%d %v", ranks, workers, mode)
+								hash, bits := runMaskCase(t, cfg, periodic, ranks, steps, false)
+								if hash != wantHash {
+									t.Errorf("%s: field hash %016x, whole-block run %016x", label, hash, wantHash)
 								}
 								compareBits(t, wantBits, bits, label)
 							}

@@ -493,34 +493,23 @@ func (s *Simulation) buildAdoptedBlocks(snaps []output.BlockSnapshot, metas []bl
 			return nil, fmt.Errorf("sim: replica block %v has no metadata", snap.Coord)
 		}
 		cells := m.Block.Cells
-		if snap.Src.Nx != cells[0] || snap.Src.Ny != cells[1] || snap.Src.Nz != cells[2] {
-			return nil, fmt.Errorf("sim: replica block %v shape mismatch", snap.Coord)
+		for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
+			if pf.Nx != cells[0] || pf.Ny != cells[1] || pf.Nz != cells[2] || pf.Ghost != 1 {
+				return nil, fmt.Errorf("sim: replica block %v shape mismatch", snap.Coord)
+			}
 		}
 		flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
 		copy(flags.Data(), m.Flags)
-		k, choice, err := s.Config.blockKernel(flags)
+		blk := m.Block // copy out of the decoded metadata
+		bd, err := s.assembleBlock(&blk, flags)
 		if err != nil {
 			return nil, err
 		}
-		src, dst := snap.Src, snap.Dst
-		if k.Layout() != src.Layout {
-			// The snapshot was stored in another layout (the wire format
-			// preserves the sender's); transpose into the kernel's.
-			src = src.ConvertLayout(k.Layout())
-			dst = dst.ConvertLayout(k.Layout())
-		}
-		fluid := flags.Count(field.Fluid)
-		blk := m.Block // copy out of the decoded metadata
-		blocks = append(blocks, &BlockData{
-			Block:      &blk,
-			Src:        src,
-			Dst:        dst,
-			Flags:      flags,
-			Kernel:     k,
-			Boundary:   newBoundarySweep(s, flags),
-			Fluid:      fluid,
-			sweepFlags: denseSweepFlags(choice, flags, fluid),
-		})
+		// Snapshots are decoded whole-block and in the layout they were
+		// stored in; CopyFrom crops to the window and transposes.
+		bd.Src.CopyFrom(snap.Src)
+		bd.Dst.CopyFrom(snap.Dst)
+		blocks = append(blocks, bd)
 	}
 	return blocks, nil
 }
@@ -531,15 +520,6 @@ func decodeReplicaMeta(raw []byte) ([]blockMeta, error) {
 		return nil, fmt.Errorf("sim: decoding replica metadata: %w", err)
 	}
 	return metas, nil
-}
-
-// restoreInto copies one decoded snapshot field into a live block field,
-// transposing first when the snapshot was stored in the other layout.
-func restoreInto(dst, snap *field.PDFField) {
-	if snap.Layout != dst.Layout {
-		snap = snap.ConvertLayout(dst.Layout)
-	}
-	copy(dst.Data(), snap.Data())
 }
 
 // diskShrinkRestore is the fallback rung of shrinking recovery: the
@@ -586,8 +566,8 @@ func (s *Simulation) diskShrinkRestore(myWards []int, rc ResilienceConfig, newCo
 		}
 		for coord, pair := range own {
 			bd := s.byCoord[coord]
-			restoreInto(bd.Src, pair[0])
-			restoreInto(bd.Dst, pair[1])
+			bd.Src.CopyFrom(pair[0])
+			bd.Dst.CopyFrom(pair[1])
 		}
 		return step, adopted, nil
 	}

@@ -10,8 +10,8 @@ import (
 // test package, whose benchmarks build worlds through internal/core.
 func (s *Simulation) PostExchange() error { return s.postExchange() }
 
-// GhostPoisoner returns a function that overwrites with NaN every ghost
-// slot of this rank's Src fields that the aggregated exchange plan does
+// GhostPoisoner returns a function that overwrites with NaN every stored
+// ghost slot of this rank's Src fields that the aggregated exchange plan does
 // NOT write — neither a compiled local copy nor a remote receive slab.
 // Calling it before every step turns any read of a slot the need-mask
 // dropped into a NaN in the interior.
@@ -36,7 +36,9 @@ func (s *Simulation) GhostPoisoner() func() {
 				for z := sl.reg.lo[2]; z < sl.reg.hi[2]; z++ {
 					for y := sl.reg.lo[1]; y < sl.reg.hi[1]; y++ {
 						for x := sl.reg.lo[0]; x < sl.reg.hi[0]; x++ {
-							written[sl.bd][sl.bd.Src.Index(x, y, z, d)] = true
+							if sl.bd.Src.Window().Contains(x, y, z) {
+								written[sl.bd][sl.bd.Src.Index(x, y, z, d)] = true
+							}
 						}
 					}
 				}
@@ -49,7 +51,8 @@ func (s *Simulation) GhostPoisoner() func() {
 		for z := -1; z <= f.Nz; z++ {
 			for y := -1; y <= f.Ny; y++ {
 				for x := -1; x <= f.Nx; x++ {
-					if x >= 0 && x < f.Nx && y >= 0 && y < f.Ny && z >= 0 && z < f.Nz {
+					if x >= 0 && x < f.Nx && y >= 0 && y < f.Ny && z >= 0 && z < f.Nz ||
+						!f.Window().Contains(x, y, z) {
 						continue
 					}
 					for a := 0; a < f.Stencil.Q; a++ {

@@ -90,7 +90,7 @@ func hashInterior(f *field.PDFField) uint64 {
 		for y := 0; y < f.Ny; y++ {
 			for x := 0; x < f.Nx; x++ {
 				for a := 0; a < f.Stencil.Q; a++ {
-					h = fnvMix(h, math.Float64bits(f.Get(x, y, z, lattice.Direction(a))))
+					h = fnvMix(h, math.Float64bits(f.At(x, y, z, lattice.Direction(a))))
 				}
 			}
 		}

@@ -346,8 +346,8 @@ func (s *Simulation) diskHealRestore(myWards []int, rc ResilienceConfig, newComm
 		}
 		for coord, pair := range own {
 			bd := s.byCoord[coord]
-			restoreInto(bd.Src, pair[0])
-			restoreInto(bd.Dst, pair[1])
+			bd.Src.CopyFrom(pair[0])
+			bd.Dst.CopyFrom(pair[1])
 		}
 		return step, wards, nil
 	}

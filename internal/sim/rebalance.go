@@ -192,37 +192,24 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 }
 
 // adoptBlock reconstructs the runtime state of a migrated block on the
-// receiving rank.
+// receiving rank. The payload is the sender's raw field storage: kernel
+// layout and allocation window are pure functions of (config, flags), so
+// the fields assembled here have exactly the sender's shape.
 func (s *Simulation) adoptBlock(mb *migratedBlock) (*BlockData, error) {
 	b := mb.Block
 	cells := b.Cells
 	flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
 	copy(flags.Data(), mb.Flags)
-	k, choice, err := s.Config.blockKernel(flags)
+	bd, err := s.assembleBlock(&b, flags)
 	if err != nil {
 		return nil, err
 	}
-	src := field.NewPDFField(s.Stencil, cells[0], cells[1], cells[2], 1, mb.Layout)
-	copy(src.Data(), mb.SrcData)
-	dst := src.CopyShape()
-	copy(dst.Data(), mb.DstData)
-	if k.Layout() != mb.Layout {
-		// The sender ran the block in a different layout (e.g. a forced
-		// layout changed between runs); transpose into the kernel's.
-		src = src.ConvertLayout(k.Layout())
-		dst = dst.ConvertLayout(k.Layout())
+	if n := len(bd.Src.Data()); mb.Layout != bd.Src.Layout || len(mb.SrcData) != n || len(mb.DstData) != n {
+		return nil, fmt.Errorf("sim: migrated block %v arrives as %v fields of %d and %d values, its kernel runs %v fields of %d",
+			b.Coord, mb.Layout, len(mb.SrcData), len(mb.DstData), bd.Src.Layout, n)
 	}
-	fluid := flags.Count(field.Fluid)
-	bd := &BlockData{
-		Block:      &b,
-		Src:        src,
-		Dst:        dst,
-		Flags:      flags,
-		Kernel:     k,
-		Boundary:   newBoundarySweep(s, flags),
-		Fluid:      fluid,
-		sweepFlags: denseSweepFlags(choice, flags, fluid),
-	}
+	copy(bd.Src.Data(), mb.SrcData)
+	copy(bd.Dst.Data(), mb.DstData)
 	return bd, nil
 }
 

@@ -285,8 +285,8 @@ func (s *Simulation) RestoreLatestCheckpointSet(dir string) (int64, error) {
 		}
 		for coord, pair := range blocks {
 			bd := s.byCoord[coord]
-			restoreInto(bd.Src, pair[0])
-			restoreInto(bd.Dst, pair[1])
+			bd.Src.CopyFrom(pair[0])
+			bd.Dst.CopyFrom(pair[1])
 		}
 		// Simulated time resumes at the restored step; the plain driver's
 		// fault-injection announcements continue from there.
@@ -332,7 +332,7 @@ func (s *Simulation) loadOwnRankFile(setDir string) (map[[3]int][2]*field.PDFFie
 	}
 	defer f.Close()
 	// Decode every block in the layout it was stored in — ranks can run a
-	// mix of layouts under per-block kernel selection; restoreInto
+	// mix of layouts under per-block kernel selection; CopyFrom
 	// transposes if the live block disagrees.
 	snaps, crc, err := output.ReadRankFileStored(f, s.Stencil)
 	if err != nil {

@@ -268,21 +268,37 @@ func (c *Config) resolveKernel(fluidFrac float64) KernelChoice {
 	return KernelSplitTRT
 }
 
-// blockKernel resolves and constructs the kernel of one block from its
-// flag field.
-func (c *Config) blockKernel(flags *field.FlagField) (kernels.Kernel, KernelChoice, error) {
-	interior := flags.Nx * flags.Ny * flags.Nz
-	frac := 1.0
-	if interior > 0 {
-		frac = float64(flags.Count(field.Fluid)) / float64(interior)
+// allocationWindow is the cell box a block's PDF fields allocate storage
+// for (field.NewPDFFieldWindow): the bounding box of the block's interior
+// fluid cells grown by the stencil reach of one cell and clipped to the
+// ghosted block. Every cell a kernel updates or pulls from, every boundary
+// link and every ghost slot a fluid cell reads lies inside it; what lies
+// outside keeps the uniform initial equilibrium for the whole run, which is
+// what the fields report there (docs/KERNELS.md, "Allocation windows"). A
+// per-cell InitialState gives solid interior cells values of their own, so
+// such blocks take the whole ghosted block. Like the kernel choice it is a
+// pure function of (config, flags): every rank that reconstructs a block
+// arrives at the same window, and raw field storage can travel as is.
+func (c *Config) allocationWindow(flags *field.FlagField) field.Window {
+	full := field.FullWindow(flags.Nx, flags.Ny, flags.Nz, flags.Ghost)
+	if c.InitialState != nil {
+		return full
 	}
-	choice := c.resolveKernel(frac)
+	return flags.Bounds(field.Fluid).Grow(1, full)
+}
+
+// blockKernel resolves and constructs the kernel of one block from its
+// flag field and fluid cell count, for PDF fields allocated for the window
+// win.
+func (c *Config) blockKernel(flags *field.FlagField, fluid int, win field.Window) (kernels.Kernel, KernelChoice, error) {
+	choice := c.resolveKernel(float64(fluid) / float64(flags.Nx*flags.Ny*flags.Nz))
 	k, err := kernels.New(kernels.Spec{
 		Choice:  choice,
 		Stencil: c.Stencil,
 		Tau:     c.Tau,
 		Magic:   c.Magic,
 		Flags:   flags,
+		Window:  win,
 	})
 	return k, choice, err
 }
@@ -446,13 +462,29 @@ func (s *Simulation) newBlockData(b *blockforest.Block) (*BlockData, error) {
 	} else {
 		defaultFlags(b, s.Forest, flags)
 	}
-	k, choice, err := s.Config.blockKernel(flags)
+	bd, err := s.assembleBlock(b, flags)
 	if err != nil {
 		return nil, err
 	}
-	layout := k.Layout()
-	src := field.NewPDFField(s.Stencil, cells[0], cells[1], cells[2], 1, layout)
+	s.applyInitialState(bd)
+	return bd, nil
+}
+
+// assembleBlock builds the runtime state of a block from its flag field:
+// the kernel, the two PDF fields sized to the block's allocation window and
+// holding the uniform initial equilibrium, and the boundary sweep. It is
+// the one place a block comes into being — construction, migration install,
+// buddy adoption and heal all pass through it — so a block rebuilt on
+// another rank gets the identical kernel and window.
+func (s *Simulation) assembleBlock(b *blockforest.Block, flags *field.FlagField) (*BlockData, error) {
+	win := s.Config.allocationWindow(flags)
 	fluid := flags.Count(field.Fluid)
+	k, choice, err := s.Config.blockKernel(flags, fluid, win)
+	if err != nil {
+		return nil, err
+	}
+	cells := b.Cells
+	src := field.NewPDFFieldWindow(s.Stencil, cells[0], cells[1], cells[2], 1, k.Layout(), win)
 	bd := &BlockData{
 		Block:      b,
 		Src:        src,
@@ -463,7 +495,7 @@ func (s *Simulation) newBlockData(b *blockforest.Block) (*BlockData, error) {
 		Fluid:      fluid,
 		sweepFlags: denseSweepFlags(choice, flags, fluid),
 	}
-	s.initBlockState(bd)
+	s.fillUniform(bd)
 	return bd, nil
 }
 
@@ -478,25 +510,38 @@ func denseSweepFlags(choice KernelChoice, flags *field.FlagField, fluid int) *fi
 }
 
 // initBlockState (re)initializes a block's PDF fields to the configured
-// step-zero state. It is shared between construction and checkpoint-less
-// rewinds: a resilient restart that finds no valid checkpoint set rolls
-// the fields back to exactly this state.
+// step-zero state. A resilient restart that finds no valid checkpoint set
+// rolls the fields back to exactly this state.
 func (s *Simulation) initBlockState(bd *BlockData) {
+	s.fillUniform(bd)
+	s.applyInitialState(bd)
+}
+
+// fillUniform sets both PDF fields of a block to the equilibrium of the
+// configured uniform initial density and velocity — also the value their
+// cells outside the allocation window report from then on.
+func (s *Simulation) fillUniform(bd *BlockData) {
 	v := s.Config.InitialVelocity
 	bd.Src.FillEquilibrium(s.Config.InitialRho, v[0], v[1], v[2])
 	bd.Dst.FillEquilibrium(s.Config.InitialRho, v[0], v[1], v[2])
-	if s.Config.InitialState != nil {
-		cells := bd.Block.Cells
-		feq := make([]float64, s.Stencil.Q)
-		base := [3]int{bd.Block.Coord[0] * cells[0], bd.Block.Coord[1] * cells[1], bd.Block.Coord[2] * cells[2]}
-		for z := 0; z < cells[2]; z++ {
-			for y := 0; y < cells[1]; y++ {
-				for x := 0; x < cells[0]; x++ {
-					rho, ux, uy, uz := s.Config.InitialState(base[0]+x, base[1]+y, base[2]+z)
-					s.Stencil.Equilibrium(feq, rho, ux, uy, uz)
-					for a := 0; a < s.Stencil.Q; a++ {
-						bd.Src.Set(x, y, z, lattice.Direction(a), feq[a])
-					}
+}
+
+// applyInitialState overrides the interior of Src with the per-cell
+// equilibrium of Config.InitialState, if one is configured.
+func (s *Simulation) applyInitialState(bd *BlockData) {
+	if s.Config.InitialState == nil {
+		return
+	}
+	cells := bd.Block.Cells
+	feq := make([]float64, s.Stencil.Q)
+	base := [3]int{bd.Block.Coord[0] * cells[0], bd.Block.Coord[1] * cells[1], bd.Block.Coord[2] * cells[2]}
+	for z := 0; z < cells[2]; z++ {
+		for y := 0; y < cells[1]; y++ {
+			for x := 0; x < cells[0]; x++ {
+				rho, ux, uy, uz := s.Config.InitialState(base[0]+x, base[1]+y, base[2]+z)
+				s.Stencil.Equilibrium(feq, rho, ux, uy, uz)
+				for a := 0; a < s.Stencil.Q; a++ {
+					bd.Src.Set(x, y, z, lattice.Direction(a), feq[a])
 				}
 			}
 		}
@@ -782,6 +827,20 @@ func (s *Simulation) LocalCells() int64 {
 		n += int64(bd.Src.InteriorCells())
 	}
 	return n
+}
+
+// FieldCells returns the PDF field footprint of this rank in cells, per
+// field: allocated is what the blocks' allocation windows store, block what
+// whole ghosted blocks would. Memory follows the fluid a rank owns when
+// allocated stays near the fluid's bounding boxes; the two are equal on
+// all-fluid worlds.
+func (s *Simulation) FieldCells() (allocated, block int64) {
+	for _, bd := range s.Blocks {
+		f := bd.Src
+		allocated += int64(f.AllocatedCells())
+		block += int64(field.FullWindow(f.Nx, f.Ny, f.Nz, f.Ghost).Cells())
+	}
+	return allocated, block
 }
 
 // LocalFluidCells returns the number of fluid cells on this rank.

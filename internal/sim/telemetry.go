@@ -19,8 +19,10 @@ import (
 //     from;
 //   - registry counters for per-phase nanoseconds, checkpoint/replica
 //     bytes and failures, and gauges for mailbox occupancy, worker
-//     imbalance and the same-rank exchange volume (values moved per step,
-//     copies and values the need-mask elided).
+//     imbalance, the same-rank exchange volume (values moved per step,
+//     copies and values the need-mask elided) and the PDF field footprint
+//     (cells the allocation windows store against cells of the ghosted
+//     blocks).
 //
 // All handles are pre-resolved at construction and nil-safe, so an
 // untraced simulation pays one branch per recording site and a traced
@@ -55,6 +57,9 @@ type simTel struct {
 	localFloats       *telemetry.Gauge
 	localCopiesElided *telemetry.Gauge
 	localFloatsElided *telemetry.Gauge
+
+	fieldAllocated *telemetry.Gauge
+	fieldBlock     *telemetry.Gauge
 }
 
 // resolveSimTel registers the simulation's metrics and caches the lane
@@ -84,6 +89,9 @@ func resolveSimTel(tr *telemetry.Tracer, reg *telemetry.Registry) simTel {
 		localFloats:       reg.Gauge("sim.exchange.local_floats"),
 		localCopiesElided: reg.Gauge("sim.exchange.local_copies_elided"),
 		localFloatsElided: reg.Gauge("sim.exchange.local_floats_elided"),
+
+		fieldAllocated: reg.Gauge("sim.field.allocated_cells"),
+		fieldBlock:     reg.Gauge("sim.field.block_cells"),
 	}
 }
 
@@ -105,6 +113,9 @@ func (s *Simulation) publishGauges() {
 	t.localFloats.Set(float64(es.LocalFloats))
 	t.localCopiesElided.Set(float64(es.LocalCopiesElided))
 	t.localFloatsElided.Set(float64(es.LocalFloatsElided))
+	allocated, block := s.FieldCells()
+	t.fieldAllocated.Set(float64(allocated))
+	t.fieldBlock.Set(float64(block))
 }
 
 // Tracer returns the tracer the simulation records into (nil when
