@@ -1,14 +1,16 @@
 GO ?= go
 
-.PHONY: all build test bench-test vet race race-sim race-resilience race-net race-serve race-amr alloc-test fuzz-smoke chaos-smoke verify bench bench-hybrid bench-comm bench-resilience bench-phases bench-net bench-serve bench-amr clean
+.PHONY: all build test bench-test vet race race-sim race-resilience race-net race-serve race-amr alloc-test fuzz-smoke chaos-smoke verify bench clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -38,10 +40,10 @@ race-resilience:
 
 # race-net re-runs the socket-transport suite uncached under the race
 # detector: wire framing, reconnect/backoff with the frame fault
-# injector, failure accusation, and the cross-transport bit-identity and
-# shrink-recovery-over-sockets tests.
+# injector, failure accusation, the receive-buffer ownership contract, and
+# the cross-transport bit-identity and shrink-recovery-over-sockets tests.
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes' ./internal/comm/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes' ./internal/comm/ ./internal/sim/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
@@ -96,63 +98,6 @@ verify: vet build bench-test alloc-test fuzz-smoke chaos-smoke race-net race-sim
 
 bench:
 	$(GO) test -bench=. -benchtime=0.2s -run='^$$' ./internal/...
-
-# bench-hybrid measures serial vs multi-worker MLUPS and writes
-# BENCH_hybrid.json.
-bench-hybrid: build
-	$(GO) run ./cmd/walberla-bench -fig hybrid
-
-# bench-comm compares the per-block-pair and rank-aggregated ghost
-# exchange wire formats (messages/bytes per step, MLUPS) and writes
-# BENCH_comm.json.
-bench-comm: build
-	$(GO) run ./cmd/walberla-bench -fig comm
-
-# bench-resilience compares recovery latency (restore and MTTR) of the
-# in-memory buddy shrink path, the spare-rank heal path and disk
-# rewind-and-replay at equal checkpoint intervals, appends a timestamped
-# record to BENCH_resilience.json, and fails if restore latency or MTTR
-# regressed past 1.5x+1ms of the best recorded baseline (or any in-memory
-# recovery touched disk).
-bench-resilience: build
-	$(GO) run ./cmd/walberla-bench -fig resilience
-	$(GO) run ./cmd/walberla-bench -compare
-
-# bench-phases breaks the step time into its split-phase components
-# (exchange post, interior sweep, residual wait, frontier sweep) per
-# worker count, on the telemetry timers, appends a timestamped record to
-# BENCH_phases.json, and fails if end-to-end MLUPS or the kernel/roofline
-# ratio regressed more than 5% against the best recorded baseline.
-bench-phases: build
-	$(GO) run ./cmd/walberla-bench -fig phases
-	$(GO) run ./cmd/walberla-bench -compare
-
-# bench-net compares the in-process communicator with the unix/tcp
-# socket transports on the same ghost-exchange workload, measures
-# reconnect recovery after severed connections, calibrates the postal
-# model (latency, bandwidth) against the real wire, and writes
-# BENCH_net.json.
-bench-net: build
-	$(GO) run ./cmd/walberla-bench -fig net
-
-# bench-amr compares runtime adaptive mesh refinement against uniform
-# coarse and uniform fine baselines on a Gaussian shear layer (an exact
-# Navier-Stokes solution): cell-count savings, RMS profile error vs the
-# analytic solution, per-level MLUPS and the re-grade + migration
-# overhead. Appends a timestamped record to
-# BENCH_amr.json and fails if the refined run's cell savings drop below
-# 4x, its accuracy falls behind uniform coarse, or its MLUPS regresses
-# more than 25% against the best recorded baseline.
-bench-amr: build
-	$(GO) run ./cmd/walberla-bench -fig amr
-	$(GO) run ./cmd/walberla-bench -compare
-
-# bench-serve measures the session daemon: session create latency,
-# suspend/resume round trip through a checkpoint set, and aggregate
-# MLUPS at 1/4/8 concurrent sessions over the shared stepping gate vs
-# one dedicated run. Writes BENCH_serve.json.
-bench-serve: build
-	$(GO) run ./cmd/walberla-bench -fig serve
 
 clean:
 	$(GO) clean ./...

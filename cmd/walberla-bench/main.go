@@ -1,10 +1,15 @@
-// Command walberla-bench regenerates the evaluation of the paper: every
-// figure of section 4 is reproduced either as a real measurement on the
-// host machine (node-level kernel studies, sparse-strategy ablation,
-// small-scale distributed runs through the in-process message passing
-// runtime) or as a projection of the calibrated machine/network models
-// (the petascale scaling figures), or both. Output is tab-separated with
-// one header line per table, suitable for plotting.
+// Command walberla-bench regenerates the evaluation figures of the paper:
+// every figure of section 4 is reproduced as a projection of the
+// calibrated machine/network models (the roofline/ECM kernel studies and
+// the petascale scaling figures), next to a small in-process run of the
+// same experiment that shows the shape of the curve (kernel MLUPS vs
+// threads, weak/strong scaling over goroutine ranks, the sparse-strategy
+// and load-balancer ablations). Output is tab-separated with one `###`
+// header line per table, suitable for plotting.
+//
+// These are paper figures and model projections, not host records: the
+// performance of this code on this host is measured by the benchmark of
+// record in bench/ (bash bench/run.sh, BENCHMARK.json).
 //
 // Usage:
 //
@@ -16,84 +21,51 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
 
 var quick = flag.Bool("quick", false, "reduce problem sizes for fast runs")
 
+// figures is the -fig table, in the order `-fig all` prints it.
+var figures = []struct {
+	name string
+	run  func()
+}{
+	{"1", figure1},
+	{"2", figure2},
+	{"3", figure3},
+	{"4", figure4},
+	{"5", figure5},
+	{"6", figure6},
+	{"7", figure7},
+	{"8", figure8},
+	{"sparse", sparseAblation},
+	{"filesize", fileSizes},
+	{"balance", balanceAblation},
+	{"iaca", iacaReport},
+}
+
 func main() {
-	figure := flag.String("fig", "all", "figure to regenerate: 1|3|4|5|6|7|8|sparse|filesize|balance|iaca|hybrid|comm|resilience|phases|net|serve|amr|all")
-	compare := flag.Bool("compare", false, "compare the newest record of every benchmark history on disk (BENCH_phases.json, BENCH_resilience.json, BENCH_amr.json) against its best recorded baseline and fail on a regression")
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	figure := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, "|")+"|all")
 	flag.Parse()
 
-	if *compare {
-		if err := compareAll(); err != nil {
-			fmt.Fprintln(os.Stderr, "walberla-bench -compare:", err)
-			os.Exit(1)
+	found := false
+	for _, f := range figures {
+		if *figure == "all" || *figure == f.name {
+			f.run()
+			found = true
 		}
-		return
 	}
-
-	figures := map[string]func(){
-		"1":          figure1,
-		"2":          figure2,
-		"3":          figure3,
-		"4":          figure4,
-		"5":          figure5,
-		"6":          figure6,
-		"7":          figure7,
-		"8":          figure8,
-		"sparse":     sparseAblation,
-		"filesize":   fileSizes,
-		"balance":    balanceAblation,
-		"iaca":       iacaReport,
-		"hybrid":     hybridBench,
-		"comm":       commBench,
-		"resilience": resilienceBench,
-		"phases":     phasesBench,
-		"net":        netBench,
-		"serve":      serveBench,
-		"amr":        amrBench,
-	}
-	if *figure == "all" {
-		for _, name := range []string{"1", "2", "3", "4", "5", "6", "7", "8", "sparse", "filesize", "balance", "iaca", "hybrid", "comm", "resilience", "phases", "net", "serve", "amr"} {
-			figures[name]()
-		}
-		return
-	}
-	f, ok := figures[*figure]
-	if !ok {
+	if !found {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figure)
 		os.Exit(2)
 	}
-	f()
 }
 
 func header(title string) {
 	fmt.Printf("\n### %s\n", title)
-}
-
-// compareAll ratchets every benchmark history present on disk against its
-// best recorded baseline; at least one history must exist.
-func compareAll() error {
-	compared := false
-	for _, c := range []struct {
-		file string
-		fn   func() error
-	}{
-		{phasesFile, comparePhases},
-		{resilienceFile, compareResilience},
-		{amrFile, compareAmr},
-	} {
-		if _, err := os.Stat(c.file); err != nil {
-			continue
-		}
-		compared = true
-		if err := c.fn(); err != nil {
-			return err
-		}
-	}
-	if !compared {
-		return fmt.Errorf("no benchmark history found (run walberla-bench -fig phases or -fig resilience first)")
-	}
-	return nil
 }

@@ -131,7 +131,7 @@ func (s *Sim) rebuildPlan() {
 	me := s.Comm.Rank()
 
 	var dirTable [27][]lattice.Direction
-	offAt := func(i int) [3]int { return [3]int{i%3 - 1, i / 3 % 3 - 1, i / 9 - 1} }
+	offAt := func(i int) [3]int { return [3]int{i%3 - 1, i/3%3 - 1, i/9 - 1} }
 	for i := 0; i < 27; i++ {
 		if o := offAt(i); o != [3]int{} {
 			dirTable[i] = dirsInto(st, o)

@@ -91,9 +91,16 @@ var errTimeout = errors.New("comm: receive deadline exceeded")
 // recycled once the queue drains, so steady-state traffic — e.g. the ghost
 // layer exchange depositing one aggregate per step — enqueues without heap
 // allocations after warm-up.
+//
+// taken counts the messages ever popped. It is bumped under the mailbox
+// lock and read lock-free by the socket reader, which may recycle the
+// receive buffer of a delivered message only once the consumer has popped
+// a later one (see recvRing); the atomic is also the happens-before edge
+// from the consumer's last read of that buffer to the reader's next write.
 type queue struct {
-	msgs []message
-	head int
+	msgs  []message
+	head  int
+	taken atomic.Uint64
 }
 
 func (q *queue) empty() bool { return q.head == len(q.msgs) }
@@ -106,6 +113,7 @@ func (q *queue) pop() message {
 	m := q.msgs[q.head]
 	q.msgs[q.head] = message{} // release the payload reference
 	q.head++
+	q.taken.Add(1)
 	if q.head == len(q.msgs) {
 		q.msgs = q.msgs[:0]
 		q.head = 0
@@ -241,10 +249,16 @@ func (m *mailbox) take(ctx, source, tag int, timeout time.Duration, bail func() 
 }
 
 // purge discards all pending messages (recovery: stale traffic of the
-// failed epoch must not match post-recovery receives).
+// failed epoch must not match post-recovery receives). The queues stay,
+// emptied, so a socket reader's view of queue.taken survives a recovery;
+// discarded messages do not count as taken.
 func (m *mailbox) purge() {
 	m.mu.Lock()
-	m.queues = make(map[mkey]*queue)
+	for _, q := range m.queues {
+		clear(q.msgs)
+		q.msgs = q.msgs[:0]
+		q.head = 0
+	}
 	m.count = 0
 	m.cond.Broadcast()
 	m.mu.Unlock()

@@ -70,13 +70,13 @@ type netTransport struct {
 // them). All atomics: they are bumped from driver, supervisor and reader
 // goroutines alike.
 type netCounters struct {
-	framesSent, framesRecv              atomic.Int64
-	bytesSent, bytesRecv                atomic.Int64
-	heartbeats, connects, reconnects    atomic.Int64
-	resent, dups, gaps, checksumErrs    atomic.Int64
-	accusals                            atomic.Int64
-	injDrops, injCorrupts               atomic.Int64
-	injDelays, injSevers                atomic.Int64
+	framesSent, framesRecv           atomic.Int64
+	bytesSent, bytesRecv             atomic.Int64
+	heartbeats, connects, reconnects atomic.Int64
+	resent, dups, gaps, checksumErrs atomic.Int64
+	accusals                         atomic.Int64
+	injDrops, injCorrupts            atomic.Int64
+	injDelays, injSevers             atomic.Int64
 }
 
 // netEndpoint is one world rank's side of the transport.
@@ -390,23 +390,25 @@ func (ep *netEndpoint) handleAccept(sock net.Conn) {
 // delivery is epoch-gated under the mailbox lock — a frame sent before a
 // recovery must not outlive the recovery purge. finishRecoveryLocked
 // advances the epoch before purging under this same lock, so the check
-// here cannot race the purge. The per-(ctx, source, tag) pending count
-// after the push is returned so the reader can judge whether its rotation
-// buffers are draining (see recvRing).
-func (m *mailbox) putNet(msg message, w *world, epoch int64, bail func() error) (int, error) {
+// here cannot race the purge. It returns the queue the message went to and
+// the value queue.taken reaches when the consumer pops the message after
+// this one — the point from which the reader may reuse the buffer the
+// message carries (see recvRing). The queue is nil if nothing was
+// delivered.
+func (m *mailbox) putNet(msg message, w *world, epoch int64, bail func() error) (*queue, uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.maxDepth > 0 && m.count >= m.maxDepth {
 		if epoch < w.epoch.Load() {
-			return 0, nil
+			return nil, 0, nil
 		}
 		if err := bail(); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		m.cond.Wait()
 	}
 	if epoch < w.epoch.Load() {
-		return 0, nil
+		return nil, 0, nil
 	}
 	m.seq++
 	msg.seq = m.seq
@@ -422,5 +424,5 @@ func (m *mailbox) putNet(msg message, w *world, epoch int64, bail func() error) 
 		m.highWater = m.count
 	}
 	m.cond.Broadcast()
-	return len(q.msgs) - q.head, nil
+	return q, q.taken.Load() + uint64(len(q.msgs)-q.head) + 1, nil
 }

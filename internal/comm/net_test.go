@@ -468,3 +468,50 @@ func TestNetTransportManyRanks(t *testing.T) {
 		}
 	})
 }
+
+// TestRecvRingNeverOverwritesHeldBuffer pins the receive-buffer contract:
+// a slice returned by RecvFloat64s stays intact until the consumer takes
+// the stream's next message, however many later messages the reader has
+// deposited meanwhile. One-way stream without application back-pressure:
+// rank 1 takes message 0, then messages 1..3 arrive — as many as the
+// rotation holds — while it still holds message 0.
+func TestRecvRingNeverOverwritesHeldBuffer(t *testing.T) {
+	testutil.CheckLeaks(t)
+	const msgs, width = 4, 16
+	value := func(m, i int) float64 { return float64(1000*m + i) }
+	check := func(m int, got []float64) {
+		for i, v := range got {
+			if v != value(m, i) {
+				t.Errorf("message %d[%d] = %v, want %v", m, i, v, value(m, i))
+				return
+			}
+		}
+	}
+	RunWithOptions(2, Options{Net: fastNet()}, func(c *Comm) {
+		if c.Rank() == 0 {
+			for m := 0; m < msgs; m++ {
+				buf := make([]float64, width)
+				for i := range buf {
+					buf[i] = value(m, i)
+				}
+				if err := c.SendFloat64s(1, 5, buf); err != nil {
+					t.Errorf("send %d: %v", m, err)
+				}
+				if m == 0 {
+					c.Recv(1, 6) // rank 1 holds message 0 from here on
+				}
+			}
+			return
+		}
+		held, _ := c.RecvFloat64s(0, 5)
+		c.Send(0, 6, 0)
+		for c.MailboxStats().Pending < msgs-1 {
+			time.Sleep(time.Millisecond)
+		}
+		check(0, held)
+		for m := 1; m < msgs; m++ {
+			got, _ := c.RecvFloat64s(0, 5)
+			check(m, got)
+		}
+	})
+}

@@ -88,31 +88,33 @@ type recvKey struct {
 }
 
 // recvRing is the reader's per-(ctx, tag) rotation of decode buffers for
-// float64 payloads, mirroring the sender's aggregate double buffer: the
-// sender's ownership protocol keeps at most two messages of a stream
-// pending in the mailbox (the one being consumed plus the one packed
-// ahead), so the buffer three deliveries ago is no longer referenced and
-// a three-deep rotation is allocation-free in the steady state. If the
-// pending count ever reaches the rotation depth the protocol assumption
-// does not hold for this stream and the reader falls back to allocating
-// fresh buffers (a flood of unconsumed messages must never be silently
-// overwritten).
+// float64 payloads. A consumer may read a received slice until it takes
+// the stream's next message, so the slot a message was delivered in is
+// reused only once queue.taken shows a later message of the stream popped
+// (freeAt, from putNet); until then the reader decodes into fresh
+// allocations, which are never tracked — a flood of unconsumed messages is
+// never overwritten. The ghost exchange's ownership protocol (the sender
+// packs at most one message ahead of the one being consumed) frees the
+// slot three deliveries back, so the rotation is allocation-free in the
+// steady state.
 type recvRing struct {
-	bufs        [3][]float64
-	next        int
-	lastPending int
+	bufs   [3][]float64
+	freeAt [3]uint64 // queue.taken value that frees the slot; 0 = never delivered
+	next   int       // oldest slot, the next to be reused
+	q      *queue    // the mailbox queue of this stream, set by the first delivery
 }
 
-// f64Buffer returns the decode target for an n-value float64 payload.
-// Reader-owned (readerGate).
+// f64Buffer returns the decode target for an n-value float64 payload and,
+// when that target is the ring's next slot, the ring to call delivered on
+// after the mailbox deposit. Reader-owned (readerGate).
 func (c *netConn) f64Buffer(k recvKey, n int) ([]float64, *recvRing) {
 	r := c.recvBufs[k]
 	if r == nil {
 		r = &recvRing{}
 		c.recvBufs[k] = r
 	}
-	if r.lastPending >= len(r.bufs) {
-		return make([]float64, n), r
+	if r.q != nil && r.q.taken.Load() < r.freeAt[r.next] {
+		return make([]float64, n), nil
 	}
 	buf := r.bufs[r.next]
 	if cap(buf) < n {
@@ -120,8 +122,16 @@ func (c *netConn) f64Buffer(k recvKey, n int) ([]float64, *recvRing) {
 	}
 	buf = buf[:n]
 	r.bufs[r.next] = buf
-	r.next = (r.next + 1) % len(r.bufs)
 	return buf, r
+}
+
+// delivered records that the slot handed out by f64Buffer now backs a
+// message in q, and moves on to the next slot. A slot whose frame was
+// never deposited (read error, stale epoch) is simply handed out again.
+func (r *recvRing) delivered(q *queue, freeAt uint64) {
+	r.q = q
+	r.freeAt[r.next] = freeAt
+	r.next = (r.next + 1) % len(r.bufs)
 }
 
 // send retains msg as the stream's next data frame and, when the link is

@@ -142,7 +142,7 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 				msg.data = v
 			}
 			c.delivering.Store(true)
-			pending, err := t.w.mailboxes[ep.rank].putNet(msg, t.w, int64(h.epoch), t.bail)
+			q, freeAt, err := t.w.mailboxes[ep.rank].putNet(msg, t.w, int64(h.epoch), t.bail)
 			c.delivering.Store(false)
 			if err != nil {
 				if t.closed.Load() {
@@ -153,8 +153,8 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 				// anyway, so advance the cursor and keep the stream alive.
 			}
 			c.lastRecv.Store(seq)
-			if ring != nil {
-				ring.lastPending = pending
+			if ring != nil && q != nil {
+				ring.delivered(q, freeAt)
 			}
 		default:
 			// hello/welcome mid-stream: the peer lost framing.
