@@ -31,12 +31,15 @@ race:
 race-sim:
 	$(GO) test -race -count=1 ./internal/sim/...
 
-# race-resilience re-runs only the fault-tolerance tests (shrinking and
-# healing recovery, spare-rank rejoin, world re-grow, buddy replication,
-# checkpoint sets, rewind replay) uncached under the race detector — the
-# quick gate while working on recovery code.
+# race-resilience re-runs only the fault-tolerance tests uncached under
+# the race detector — the recovery driver without an LBM (failure loop,
+# checkpoint-set protocol, buddy ring, restore vote), what the uniform and
+# the refined runtime supply to it (shrinking and healing recovery,
+# spare-rank rejoin, replication, checkpoint sets, rewind replay), the
+# recovery matrix over both runtimes and the communicator's failure
+# handling — the quick gate while working on recovery code.
 race-resilience:
-	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos' ./internal/sim/ ./internal/comm/
+	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
 
 # race-net re-runs the socket-transport suite uncached under the race
 # detector: wire framing, reconnect/backoff with the frame fault

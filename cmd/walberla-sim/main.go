@@ -271,6 +271,7 @@ func main() {
 			fmt.Println("simulation:", res.Metrics)
 		}
 		fmt.Printf("field hash: %016x\n", res.Hash)
+		printRecovery(res.Metrics.Recovery)
 		writeTelemetry(*tracePath, *metricsJSON, trace, regs)
 		return
 	}
@@ -548,16 +549,7 @@ func main() {
 		fmt.Printf("hybrid: workers=%d blocks(frontier/interior)=%d/%d overlap: %v\n",
 			*workers, frontier, interior, overlap)
 	}
-	if r := metrics.Recovery; r != (sim.RecoveryStats{}) {
-		fmt.Printf("resilience: failures=%d restores=%d replayed=%d steps checkpoints=%d (%d bytes on rank 0) lost=%v\n",
-			r.FailuresDetected, r.Restores, r.StepsReplayed,
-			r.CheckpointsWritten, r.CheckpointBytes, r.TimeLost)
-		if r.Replications > 0 || r.Shrinks > 0 {
-			fmt.Printf("buddy: replications=%d (%d bytes on rank 0) buddy-restores=%d disk-restores=%d shrinks=%d adopted=%d blocks recovery-disk-reads=%d\n",
-				r.Replications, r.ReplicaBytes, r.BuddyRestores, r.DiskRestores,
-				r.Shrinks, r.BlocksAdopted, r.DiskReadsDuringRecovery)
-		}
-	}
+	printRecovery(metrics.Recovery)
 	if roofline.Machine != "" {
 		if err := roofline.WriteText(os.Stdout); err != nil {
 			fatal(err)
@@ -566,6 +558,22 @@ func main() {
 	writeTelemetry(*tracePath, *metricsJSON, trace, regs)
 	if files > 0 {
 		fmt.Printf("wrote %d output files\n", files)
+	}
+}
+
+// printRecovery summarizes what the fault-tolerant driver did (nothing for
+// a plain run); both the flag path and the scenario path report it.
+func printRecovery(r sim.RecoveryStats) {
+	if r == (sim.RecoveryStats{}) {
+		return
+	}
+	fmt.Printf("resilience: failures=%d restores=%d replayed=%d steps checkpoints=%d (%d bytes on rank 0) lost=%v\n",
+		r.FailuresDetected, r.Restores, r.StepsReplayed,
+		r.CheckpointsWritten, r.CheckpointBytes, r.TimeLost)
+	if r.Replications > 0 || r.Shrinks > 0 {
+		fmt.Printf("buddy: replications=%d (%d bytes on rank 0) buddy-restores=%d disk-restores=%d shrinks=%d adopted=%d blocks recovery-disk-reads=%d\n",
+			r.Replications, r.ReplicaBytes, r.BuddyRestores, r.DiskRestores,
+			r.Shrinks, r.BlocksAdopted, r.DiskReadsDuringRecovery)
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 // TestDocsPointAtThingsThatExist keeps the living documents honest about
 // the repository they describe: every `make <target>` is a Makefile
 // target, every `-fig <name>` is a key of walberla-bench's figure table,
-// every back-ticked repository path exists, and the retired per-writer
-// benchmark records (`retired` below) are not cited. History (CHANGES.md,
-// ROADMAP.md, ISSUE.md), the paper notes and bench/ (frozen by
-// BENCHMARK.json) are out of scope.
+// every back-ticked repository path exists, the retired per-writer
+// benchmark records (`retired` below) are not cited, and — the other
+// direction — every package directory under internal/ and cmd/ is named
+// in DESIGN.md's module map. History (CHANGES.md, ROADMAP.md, ISSUE.md),
+// the paper notes and bench/ (frozen by BENCHMARK.json) are out of scope.
 func TestDocsPointAtThingsThatExist(t *testing.T) {
 	docs := []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
 	more, err := filepath.Glob("docs/*.md")
@@ -43,6 +44,22 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 		rootJSON = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*\.json$`)
 		lineRef  = regexp.MustCompile(`(:\d+(-\d+)?)?[.,;:)]*$`)
 	)
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if name := "`" + root + "/" + e.Name() + "`"; e.IsDir() && !strings.Contains(string(design), name) {
+				t.Errorf("DESIGN.md: the module map has no row for %s", name)
+			}
+		}
+	}
+
 	for _, doc := range docs {
 		data, err := os.ReadFile(doc)
 		if os.IsNotExist(err) && strings.HasPrefix(doc, ".claude/") {

@@ -2,358 +2,236 @@ package amr
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
+	"io"
+	"sort"
 
+	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/output"
+	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
-// Resilient execution for refined worlds: coordinated WBK2 checkpoint
-// sets plus automatic rewind-and-replay (RecoverRewind), or in-memory
-// buddy replication with shrinking recovery (RecoverShrink). Because
-// stepping, the refinement controller and the balancer are all
+// Resilient execution for refined worlds. The failure loop, the
+// checkpoint-set protocol, the buddy ring and the restore vote are
+// internal/resilience's; this file supplies the three things a generation
+// of a refined world consists of (the resilience.World methods of type
+// world): leafSnapshots — the WBK2 rank file, whose records carry the full
+// leaf identity (tree, octree path, level, coordinates) alongside both PDF
+// fields; blocksFromSnapshots — runtime blocks back from such records,
+// flags regenerated from the pure config function, so a replica needs no
+// side band; and installRestored — the forest of the restored step rebuilt
+// from the restored leaves themselves, so re-grades between the
+// checkpoint and the failure are undone together with the field state.
+// Because stepping, the refinement controller and the balancer are all
 // deterministic, a recovered run finishes bit-identical to an
-// uninterrupted one. Heal (re-growing the world onto a spare rank) is
-// not supported for refined worlds; use the uniform simulation's driver
-// when healing is required.
+// uninterrupted one. Heal is one method (resilience.Forwarder) away.
 
-// RecoveryMode selects how RunResilient repairs the world after a
-// permanent rank failure.
-type RecoveryMode int
-
-const (
-	// RecoverRewind keeps the world intact: every rank backs off,
-	// rendezvouses and rewinds from the newest valid disk checkpoint
-	// set — re-grades since the checkpoint are undone and replayed.
-	RecoverRewind RecoveryMode = iota
-	// RecoverShrink drops the failed rank: the survivors shrink the
-	// communicator, the dead rank's buddy re-owns its leaves from the
-	// in-memory replica, and the run resumes from the replicated step
-	// with zero disk I/O.
-	RecoverShrink
-)
-
-// ErrRetired is returned by RunResilient on a rank that failed
-// permanently under RecoverShrink: the rank has been removed from the
-// world and must not communicate again.
-var ErrRetired = errors.New("amr: rank retired after permanent failure (shrinking recovery)")
-
-// errSilenced is the internal conversion of an injected Hang: the rank
-// goes dark without marking itself dead.
-var errSilenced = errors.New("amr: rank silenced by injected hang")
-
-// ErrInterrupted is returned (wrapped) by RunResilientCtx when the run
-// was stopped by context cancellation rather than by an error.
-var ErrInterrupted = errors.New("amr: run interrupted")
-
-// ResilienceConfig tunes RunResilient. The semantics match the uniform
-// simulation's sim.ResilienceConfig field for field.
-type ResilienceConfig struct {
-	// CheckpointEvery protects every multiple of this coarse-step count.
-	// 0 disables protection: failures rewind to the initial state, and
-	// shrink recovery has no replicas to restore from.
-	CheckpointEvery int
-	// Dir is the checkpoint root directory; empty disables disk
-	// checkpointing (RecoverShrink then runs purely in memory).
-	Dir string
-	// Mode selects rewind (default) or shrinking recovery.
-	Mode RecoveryMode
-	// MaxFailures caps tolerated rank-failure events. Negative selects
-	// the default of 8; 0 aborts on the first failure.
-	MaxFailures int
-	// BackoffBase and BackoffMax shape the capped exponential delay
-	// between failure detection and the recovery rendezvous; zero means
-	// 10ms base, 2s cap.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+// WriteCheckpointSet writes a coordinated checkpoint set for the given
+// coarse step: every rank snapshots all of its leaves into a per-rank
+// WBK2 file, committed atomically by the set protocol. Returns the bytes
+// this rank wrote (0 if the set already existed).
+func (s *Sim) WriteCheckpointSet(dir string, step int) (int64, error) {
+	return resilience.WriteSet(world{s}, dir, step)
 }
 
-// Validate normalizes the configuration in place and rejects unknown
-// recovery modes.
-func (rc *ResilienceConfig) Validate() error {
-	if rc.Mode != RecoverRewind && rc.Mode != RecoverShrink {
-		return fmt.Errorf("amr: unknown or unsupported recovery mode %d", rc.Mode)
-	}
-	if rc.CheckpointEvery < 0 {
-		return fmt.Errorf("amr: negative checkpoint interval %d", rc.CheckpointEvery)
-	}
-	if rc.MaxFailures < 0 {
-		rc.MaxFailures = 8
-	}
-	if rc.BackoffBase == 0 {
-		rc.BackoffBase = 10 * time.Millisecond
-	}
-	if rc.BackoffMax == 0 {
-		rc.BackoffMax = 2 * time.Second
-	}
-	return nil
+// RestoreLatestCheckpointSet rewinds the simulation to the newest
+// checkpoint set every rank can load and CRC-validate. The restored
+// forest topology replaces the current one entirely. With no usable set,
+// the world rewinds to the initial uniform forest. Returns the restored
+// coarse step.
+func (s *Sim) RestoreLatestCheckpointSet(dir string) (int64, error) {
+	return resilience.RestoreNewestSet(world{s}, dir)
 }
 
-// backoff returns the capped exponential delay for the nth failure
-// (1-based).
-func (rc *ResilienceConfig) backoff(n int) time.Duration {
-	d := rc.BackoffBase
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= rc.BackoffMax {
-			return rc.BackoffMax
-		}
-	}
-	if d > rc.BackoffMax {
-		return rc.BackoffMax
-	}
-	return d
-}
-
-// RecoveryStats accumulates what resilient execution did.
-type RecoveryStats struct {
-	FailuresDetected        int
-	Restores                int
-	BuddyRestores           int // in-memory shrink restores
-	DiskRestores            int // disk-fallback shrink restores
-	Shrinks                 int
-	StepsReplayed           int
-	CheckpointsWritten      int
-	CheckpointBytes         int64
-	Replications            int
-	ReplicaBytes            int64
-	LeavesAdopted           int
-	DiskReadsDuringRecovery int64
-	TimeLost                time.Duration
-	RestoreLatency          time.Duration
-}
-
-// RunResilient advances the simulation by the given number of coarse
-// steps under the fault-tolerant driver. Under RecoverShrink a rank
-// that failed permanently returns ErrRetired.
-func (s *Sim) RunResilient(steps int, rc ResilienceConfig) (RecoveryStats, error) {
+// RunResilient advances the simulation to the given coarse step under the
+// fault-tolerant driver. Under resilience.Shrink a rank that failed
+// permanently returns resilience.ErrRetired.
+func (s *Sim) RunResilient(steps int, rc resilience.Config) (resilience.Stats, error) {
 	return s.RunResilientCtx(context.Background(), steps, rc)
 }
 
-// RunResilientCtx is RunResilient bound to a context. Cancellation
-// stops the driver at the next coarse-step boundary, never inside a
-// checkpoint; the cancellation vote costs one scalar allreduce per
-// step.
-func (s *Sim) RunResilientCtx(ctx context.Context, steps int, rc ResilienceConfig) (RecoveryStats, error) {
-	if err := rc.Validate(); err != nil {
-		return RecoveryStats{}, err
-	}
-	if rc.Mode == RecoverShrink {
-		s.buddy = newBuddyState()
-	}
-	var rec RecoveryStats
-	failures := 0
-	needRestore := false
-	var deadPending []int // world ranks whose leaves still need re-owning
-
-	// onFailure classifies one rank-failure event; non-nil means this
-	// rank is done (retired or out of budget).
-	onFailure := func(err error) error {
-		var rfe *comm.RankFailedError
-		if !errors.As(err, &rfe) {
-			return err
-		}
-		failures++
-		rec.FailuresDetected++
-		if failures > rc.MaxFailures {
-			return fmt.Errorf("amr: giving up after %d rank failures: %w", failures, err)
-		}
-		if rc.Mode == RecoverShrink {
-			if rfe.Rank == s.Comm.WorldRank() {
-				s.Comm.Retire()
-				return ErrRetired
-			}
-			found := false
-			for _, d := range deadPending {
-				found = found || d == rfe.Rank
-			}
-			if !found {
-				deadPending = append(deadPending, rfe.Rank)
-			}
-		}
-		return nil
-	}
-
-	for {
-		if needRestore {
-			recStart := s.tel.driver.Start()
-			tRec := time.Now()
-			sleepCtx(ctx, rc.backoff(failures))
-			if rc.Mode == RecoverShrink {
-				for _, d := range deadPending {
-					s.Comm.MarkDead(d)
-				}
-			}
-			s.Comm.Recover()
-			resStart := s.tel.driver.Start()
-			tRestore := time.Now()
-			prevStep := s.step
-			diskBefore := s.recoveryDiskReads
-			var restored int64
-			var err error
-			if rc.Mode == RecoverShrink {
-				restored, err = s.shrinkRestoreAttempt(deadPending, rc, &rec, tRestore)
-			} else {
-				restored, err = s.restoreAttempt(rc.Dir)
-			}
-			rec.DiskReadsDuringRecovery += s.recoveryDiskReads - diskBefore
-			if err != nil {
-				rec.TimeLost += time.Since(tRec)
-				if terminal := onFailure(err); terminal != nil {
-					return rec, terminal
-				}
-				continue
-			}
-			deadPending = nil
-			rec.Restores++
-			if rc.Mode == RecoverRewind {
-				rec.RestoreLatency += time.Since(tRestore)
-			}
-			if prevStep > int(restored) {
-				rec.StepsReplayed += prevStep - int(restored)
-			}
-			rec.TimeLost += time.Since(tRec)
-			s.tel.driver.Span(telemetry.PhaseRestore, s.step, 0, resStart)
-			s.tel.driver.Span(telemetry.PhaseRecovery, s.step, 0, recStart)
-			needRestore = false
-		}
-
-		err := s.runAttempt(ctx, steps, rc, &rec)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, ErrInterrupted) {
-			return rec, err
-		}
-		if errors.Is(err, errSilenced) {
-			// Injected silent failure: go dark without a trace; the
-			// survivors detect the silence by timeout and shrink.
-			return rec, ErrRetired
-		}
-		if terminal := onFailure(err); terminal != nil {
-			return rec, terminal
-		}
-		needRestore = true
-	}
-	return rec, nil
-}
-
-// runAttempt executes coarse steps until completion or the first
-// detected failure, converting injected-crash panics into the typed
-// error the communication layer returns.
-func (s *Sim) runAttempt(ctx context.Context, total int, rc ResilienceConfig, rec *RecoveryStats) (err error) {
-	defer convertCrash(&err)
-	for s.step < total {
-		if stop, verr := s.cancelVote(ctx); verr != nil {
-			return verr
-		} else if stop {
-			return interrupted(ctx)
-		}
-		// Arm this step's injected crashes and hangs before any
-		// collective work (each spec fires at most once across replays).
-		s.Comm.SetStep(s.step)
-		if rc.Mode == RecoverShrink && rc.CheckpointEvery > 0 &&
-			s.step%rc.CheckpointEvery == 0 && s.buddy.lastStep != s.step {
-			// Produce a replica generation, including one at step 0 so
-			// the buddy always holds at least the initial state.
-			repStart := s.tel.driver.Start()
-			if err := s.replicate(s.step, rec); err != nil {
-				return err
-			}
-			s.tel.driver.Span(telemetry.PhaseReplicate, s.step, 0, repStart)
-		}
-		if rc.CheckpointEvery > 0 && rc.Dir != "" && s.step > 0 && s.step%rc.CheckpointEvery == 0 {
-			ckStart := s.tel.driver.Start()
-			n, err := s.WriteCheckpointSet(rc.Dir, s.step)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				rec.CheckpointsWritten++
-				rec.CheckpointBytes += n
-			}
-			s.tel.driver.Span(telemetry.PhaseCheckpoint, s.step, 0, ckStart)
-		}
-		if err := s.Step(); err != nil {
-			return err
-		}
-	}
-	return s.Comm.BarrierErr()
-}
-
-// restoreAttempt wraps RestoreLatestCheckpointSet with panic conversion
-// (a crash can be scheduled to fire during recovery traffic too).
-func (s *Sim) restoreAttempt(dir string) (step int64, err error) {
-	defer convertCrash(&err)
-	return s.RestoreLatestCheckpointSet(dir)
-}
-
-// shrinkRestoreAttempt wraps shrinkRecover the same way.
-func (s *Sim) shrinkRestoreAttempt(dead []int, rc ResilienceConfig, rec *RecoveryStats, start time.Time) (step int64, err error) {
-	defer convertCrash(&err)
-	return s.shrinkRecover(dead, rc, rec, start)
-}
-
-// convertCrash converts injected-failure panics into the typed errors
-// of the communication layer; other panics propagate.
-func convertCrash(err *error) {
-	if r := recover(); r != nil {
-		if cr, ok := r.(comm.Crash); ok {
-			*err = &comm.RankFailedError{Rank: cr.Rank, Cause: "injected crash"}
-			return
-		}
-		if _, ok := r.(comm.Hang); ok {
-			*err = errSilenced
-			return
-		}
-		var rfe *comm.RankFailedError
-		if e, isErr := r.(error); isErr && errors.As(e, &rfe) {
-			*err = rfe
-			return
-		}
-		panic(r)
-	}
-}
-
-// cancelVote is the collective cancellation check: the loop stops iff
-// any rank's context is done, so all ranks agree on the exact step the
-// run ends at. No communication for non-cancellable contexts.
-func (s *Sim) cancelVote(ctx context.Context) (stop bool, err error) {
-	if ctx == nil || ctx.Done() == nil {
-		return false, nil
-	}
-	flag := int64(0)
-	if ctx.Err() != nil {
-		flag = 1
-	}
-	v, err := s.Comm.AllreduceInt64Err(flag, comm.Max[int64])
+// RunResilientCtx is RunResilient bound to a context. Cancellation stops
+// the driver at the next coarse-step boundary, never inside a checkpoint,
+// with an error wrapping resilience.ErrInterrupted.
+func (s *Sim) RunResilientCtx(ctx context.Context, steps int, rc resilience.Config) (resilience.Stats, error) {
+	d, err := resilience.NewDriver(world{s}, rc)
 	if err != nil {
-		return false, err
+		return resilience.Stats{}, err
 	}
-	return v != 0, nil
+	err = d.Run(ctx, s.step, steps)
+	return d.Stats, err
 }
 
-// interrupted builds the ErrInterrupted-wrapping error of a cancelled
-// run.
-func interrupted(ctx context.Context) error {
-	if cause := context.Cause(ctx); cause != nil {
-		return fmt.Errorf("%w: %w", ErrInterrupted, cause)
-	}
-	return ErrInterrupted
+// world is the refined simulation as the recovery driver sees it.
+type world struct{ *Sim }
+
+func (w world) Comm() *comm.Comm { return w.Sim.Comm }
+
+func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
+	return w.tel.driver, w.cfg.Metrics
 }
 
-// sleepCtx sleeps for d or until the context is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return
+// ownSnapshot is this rank's raw state: the owned leaf descriptors plus
+// field copies in the configured layout, restored without decoding.
+type ownSnapshot struct {
+	leaves   []blockforest.Leaf
+	src, dst [][]float64
+}
+
+func (w world) Snapshot(reuse resilience.State) resilience.State {
+	og, _ := reuse.(*ownSnapshot)
+	if og == nil || len(og.src) != len(w.blocks) {
+		og = &ownSnapshot{src: make([][]float64, len(w.blocks)), dst: make([][]float64, len(w.blocks))}
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
+	og.leaves = og.leaves[:0]
+	for i, b := range w.blocks {
+		og.leaves = append(og.leaves, blockforest.Leaf{ID: b.ID, Coord: b.Coord})
+		og.src[i] = append(og.src[i][:0], b.Src.Data()...)
+		og.dst[i] = append(og.dst[i][:0], b.Dst.Data()...)
 	}
+	return og
+}
+
+func (w world) Encode(out io.Writer) (int64, uint32, error) {
+	return output.WriteLeafFile(out, w.leafSnapshots())
+}
+
+// Meta is empty: the leaf list is replicated metadata and flag fields are
+// a pure function of the config, so WBK2 records are self-contained.
+func (w world) Meta() ([]byte, error) { return nil, nil }
+
+func (w world) Decode(r io.Reader, _ []byte) (resilience.State, uint32, error) {
+	snaps, crc, err := output.ReadLeafFileStored(r, w.cfg.Stencil)
+	if err != nil {
+		return nil, 0, err
+	}
+	C := w.cfg.Cells
+	for _, sn := range snaps {
+		for _, f := range [2][3]int{{sn.Src.Nx, sn.Src.Ny, sn.Src.Nz}, {sn.Dst.Nx, sn.Dst.Ny, sn.Dst.Nz}} {
+			if f != C {
+				return nil, 0, fmt.Errorf("amr: snapshot leaf %d/%d shape mismatch", sn.Tree, sn.Path)
+			}
+		}
+	}
+	return snaps, crc, nil
+}
+
+// Owns accepts any rank file: Install replaces the topology.
+func (w world) Owns(resilience.State) error { return nil }
+
+func (w world) Reset() error {
+	w.step = 0
+	return w.buildInitialForest()
+}
+
+// Install rebuilds this rank's blocks from its own restored state plus the
+// adopted wards and commits them on c; the leaf-descriptor allgather of
+// installRestored rebuilds the forest with c's ranks, so no old→new
+// renumbering pass is needed.
+func (w world) Install(c *comm.Comm, _ []int, step int, own resilience.State, wards []resilience.State) (int, error) {
+	s := w.Sim
+	var blocks []*Block
+	switch o := own.(type) {
+	case *ownSnapshot:
+		for i, bl := range o.leaves {
+			b := s.newBlock(leafFrom(bl), false)
+			copy(b.Src.Data(), o.src[i])
+			copy(b.Dst.Data(), o.dst[i])
+			blocks = append(blocks, b)
+		}
+	case []output.LeafSnapshot:
+		blocks = s.blocksFromSnapshots(o)
+	}
+	kept := len(blocks)
+	for _, ward := range wards {
+		blocks = append(blocks, s.blocksFromSnapshots(ward.([]output.LeafSnapshot))...)
+	}
+	s.Comm = c
+	return len(blocks) - kept, s.installRestored(blocks, step)
+}
+
+// leafSnapshots converts the owned blocks into WBK2 records.
+func (s *Sim) leafSnapshots() []output.LeafSnapshot {
+	snaps := make([]output.LeafSnapshot, len(s.blocks))
+	for i, b := range s.blocks {
+		snaps[i] = output.LeafSnapshot{
+			Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level,
+			Coord: b.Coord, Src: b.Src, Dst: b.Dst,
+		}
+	}
+	return snaps
+}
+
+// blocksFromSnapshots turns decoded (shape-checked) WBK2 records into
+// runtime blocks, converting layouts and regenerating flag fields from the
+// pure config function. installRestored assigns the owner.
+func (s *Sim) blocksFromSnapshots(snaps []output.LeafSnapshot) []*Block {
+	blocks := make([]*Block, 0, len(snaps))
+	for _, sn := range snaps {
+		bl := blockforest.Leaf{
+			ID:    blockforest.BlockID{Tree: sn.Tree, Path: sn.Path, Level: sn.Level},
+			Coord: sn.Coord,
+		}
+		b := &Block{Leaf: leafFrom(bl), Src: s.ensureLayout(sn.Src), Dst: s.ensureLayout(sn.Dst)}
+		s.attachFlags(b)
+		blocks = append(blocks, b)
+	}
+	return blocks
+}
+
+// installRestored commits a restored local block set: the global forest
+// is rebuilt by allgathering every rank's restored leaf descriptors, so
+// topology recovery needs no side channel — the rank files themselves
+// carry the forest. Collective over s.Comm.
+func (s *Sim) installRestored(blocks []*Block, step int) error {
+	type leafDesc struct {
+		Tree  uint32
+		Path  uint64
+		Level uint8
+		Coord [3]int
+	}
+	local := make([]leafDesc, len(blocks))
+	for i, b := range blocks {
+		local[i] = leafDesc{Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level, Coord: b.Coord}
+	}
+	gathered, err := s.Comm.AllgatherErr(local)
+	if err != nil {
+		return err
+	}
+	var all []blockforest.Leaf
+	for r, g := range gathered {
+		for _, d := range g.([]leafDesc) {
+			all = append(all, blockforest.Leaf{
+				ID:    blockforest.BlockID{Tree: d.Tree, Path: d.Path, Level: d.Level},
+				Coord: d.Coord,
+				Rank:  r,
+			})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		ki, kj := blockforest.MortonKey(all[i].Coord), blockforest.MortonKey(all[j].Coord)
+		if ki != kj {
+			return ki < kj
+		}
+		return all[i].ID.Less(all[j].ID)
+	})
+	if err := blockforest.CheckGraded(all, s.cfg.Grid, s.cfg.Periodic); err != nil {
+		return fmt.Errorf("amr: restored forest is not 2:1 graded: %w", err)
+	}
+	s.setLeaves(all)
+	s.blocks = nil
+	s.byID = nil
+	for _, b := range blocks {
+		b.Rank = s.Comm.Rank()
+		s.addBlock(b)
+	}
+	s.sortBlocks()
+	if err := s.rebuildKernels(); err != nil {
+		return err
+	}
+	s.rebuildPlan()
+	s.step = step
+	return nil
 }

@@ -1,13 +1,18 @@
 package amr
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"walberla/internal/comm"
 	"walberla/internal/field"
+	"walberla/internal/output"
+	"walberla/internal/resilience"
 )
 
 // TestCheckpointRestoreRoundTrip: a mixed-level world checkpointed
@@ -95,17 +100,17 @@ func TestResilientRewindBitIdentical(t *testing.T) {
 	var mu sync.Mutex
 	var got uint64
 	var gotLevels []int
-	var recovered []RecoveryStats
+	var recovered []resilience.Stats
 	comm.RunWithOptions(2, comm.Options{Faults: &comm.FaultPlan{Seed: 7, Crashes: crashes}}, func(c *comm.Comm) {
 		s, err := New(c, baseConfig(1, field.AoS))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		rec, err := s.RunResilient(steps, ResilienceConfig{
+		rec, err := s.RunResilient(steps, resilience.Config{
 			CheckpointEvery: 2,
 			Dir:             dir,
-			Mode:            RecoverRewind,
+			Mode:            resilience.Rewind,
 			MaxFailures:     2 * steps,
 			BackoffBase:     time.Millisecond,
 			BackoffMax:      10 * time.Millisecond,
@@ -155,7 +160,7 @@ func TestShrinkRecoveryZeroDiskReads(t *testing.T) {
 	opts := comm.Options{Faults: &comm.FaultPlan{Seed: 11, Crashes: []comm.CrashSpec{{Rank: victim, Step: 5}}}}
 	var mu sync.Mutex
 	var got uint64
-	var recovered []RecoveryStats
+	var recovered []resilience.Stats
 	retired := 0
 	comm.RunWithOptions(3, opts, func(c *comm.Comm) {
 		s, err := New(c, baseConfig(1, field.AoS))
@@ -163,14 +168,14 @@ func TestShrinkRecoveryZeroDiskReads(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		rec, err := s.RunResilient(steps, ResilienceConfig{
+		rec, err := s.RunResilient(steps, resilience.Config{
 			CheckpointEvery: 2,
-			Mode:            RecoverShrink,
+			Mode:            resilience.Shrink,
 			MaxFailures:     4,
 			BackoffBase:     time.Millisecond,
 			BackoffMax:      10 * time.Millisecond,
 		})
-		if errors.Is(err, ErrRetired) {
+		if errors.Is(err, resilience.ErrRetired) {
 			if c.Rank() != victim {
 				t.Errorf("rank %d retired, expected only rank %d to", c.Rank(), victim)
 			}
@@ -219,29 +224,58 @@ func TestShrinkRecoveryZeroDiskReads(t *testing.T) {
 		if r.Replications == 0 || r.ReplicaBytes == 0 {
 			t.Errorf("no replication activity recorded: %+v", r)
 		}
-		adopted += r.LeavesAdopted
+		adopted += r.BlocksAdopted
 	}
 	if adopted == 0 {
 		t.Error("no survivor adopted the dead rank's leaves")
 	}
 }
 
-// TestResilienceConfigValidate rejects malformed configurations.
-func TestResilienceConfigValidate(t *testing.T) {
-	bad := []ResilienceConfig{
-		{Mode: RecoveryMode(7)},
-		{CheckpointEvery: -1},
-	}
-	for _, rc := range bad {
-		if err := rc.Validate(); err == nil {
-			t.Errorf("Validate accepted %+v", rc)
+// TestCheckpointSetBytesAreTheCodecs pins the bytes of a refined
+// generation: a rank file of a set is exactly output.WriteLeafFile of the
+// rank's leaves, the same stream a replica payload carries (with no side
+// band), so sets written before and after the recovery driver moved out
+// of this package restore each other.
+func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
+	dir := t.TempDir()
+	comm.Run(2, func(c *comm.Comm) {
+		s, err := New(c, baseConfig(1, field.SoA))
+		if err != nil {
+			t.Error(err)
+			return
 		}
-	}
-	rc := ResilienceConfig{MaxFailures: -1}
-	if err := rc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if rc.MaxFailures != 8 || rc.BackoffBase == 0 || rc.BackoffMax == 0 {
-		t.Errorf("defaults not applied: %+v", rc)
-	}
+		if err := s.Run(3); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.WriteCheckpointSet(dir, 3); err != nil {
+			t.Error(err)
+			return
+		}
+		var snaps []output.LeafSnapshot
+		for _, b := range s.OwnedBlocks() {
+			snaps = append(snaps, output.LeafSnapshot{Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level, Coord: b.Coord, Src: b.Src, Dst: b.Dst})
+		}
+		var want, payload bytes.Buffer
+		size, crc, err := output.WriteLeafFile(&want, snaps)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		setDir := filepath.Join(dir, output.SetDirName(3))
+		got, err := os.ReadFile(filepath.Join(setDir, output.RankFileName(c.Rank())))
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("rank %d: rank file differs from output.WriteLeafFile (%d vs %d bytes, err %v)", c.Rank(), len(got), want.Len(), err)
+		}
+		m, err := output.ValidateSetDir(setDir)
+		if err != nil || int(m.Ranks) != 2 || m.Step != 3 || m.Entries[c.Rank()].Size != size || m.Entries[c.Rank()].CRC != crc {
+			t.Errorf("rank %d: manifest %+v does not list the file (size %d, CRC %08x, err %v)", c.Rank(), m, size, crc, err)
+		}
+		if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
+			t.Errorf("rank %d: replica payload differs from the rank file (err %v)", c.Rank(), err)
+		}
+		if meta, err := (world{s}).Meta(); err != nil || meta != nil {
+			t.Errorf("rank %d: a refined replica carries a side band (%d bytes, err %v)", c.Rank(), len(meta), err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
@@ -114,24 +115,14 @@ func (s *Sim) Run(steps int) error {
 }
 
 // RunCtx is Run with cooperative cancellation: all ranks vote on the
-// context state every coarse step, so they stop at the same step.
+// context state every coarse step, so they stop at the same step, with an
+// error wrapping resilience.ErrInterrupted.
 func (s *Sim) RunCtx(ctx context.Context, steps int) error {
 	for i := 0; i < steps; i++ {
-		var canceled int64
-		if ctx.Err() != nil {
-			canceled = 1
-		}
-		v, err := s.Comm.AllreduceInt64Err(canceled, func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if err != nil {
+		if stop, err := resilience.CancelVote(ctx, s.Comm); err != nil {
 			return err
-		}
-		if v > 0 {
-			return ctx.Err()
+		} else if stop {
+			return resilience.Interrupted(ctx)
 		}
 		if err := s.Step(); err != nil {
 			return err

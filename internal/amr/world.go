@@ -52,11 +52,6 @@ type Sim struct {
 	tel   amrTel
 	stats Stats
 
-	buddy *buddyState
-	// recoveryDiskReads counts disk accesses on recovery paths, backing
-	// the zero-disk assertion of shrink recovery.
-	recoveryDiskReads int64
-
 	// scratch is per-worker interpolation scratch (Q-vector pairs).
 	scratch []interpScratch
 }

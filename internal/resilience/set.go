@@ -1,0 +1,212 @@
+package resilience
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+
+	"walberla/internal/comm"
+	"walberla/internal/output"
+)
+
+// The checkpoint-set protocol: one "set-<step>" directory per coordinated
+// checkpoint, one file per rank in the runtime's rank-file encoding, and
+// a manifest of sizes and CRC32Cs that commits the set. newestUsableSet
+// and readRankFile are the only two functions on a recovery path that
+// touch the disk, so Stats.DiskReadsDuringRecovery is counted in them and
+// nowhere else.
+
+// ckptStatus is the coordination payload broadcast by rank 0 when a
+// checkpoint set is opened and closed.
+type ckptStatus struct {
+	Err  string
+	Skip bool
+}
+
+// WriteSet writes a coordinated checkpoint set for the given step: every
+// rank writes all of its blocks (World.Encode) into a per-rank file, rank
+// 0 gathers sizes and CRC32Cs into the manifest, and the whole set
+// directory is renamed into place atomically — a crash mid-checkpoint
+// never produces a half-valid set. Collective over the world's
+// communicator. Returns the bytes this rank wrote (0 if the set already
+// existed).
+func WriteSet(w World, dir string, step int) (int64, error) {
+	c := w.Comm()
+	final := filepath.Join(dir, output.SetDirName(step))
+	tmp := filepath.Join(dir, output.TmpSetDirName(step))
+
+	// Rank 0 opens the set (or reports it as already committed) and
+	// broadcasts the verdict so every rank agrees before touching disk.
+	var open ckptStatus
+	if c.Rank() == 0 {
+		if _, err := os.Stat(final); err == nil {
+			open.Skip = true
+		} else {
+			os.RemoveAll(tmp)
+			if err := os.MkdirAll(tmp, 0o755); err != nil {
+				open.Err = err.Error()
+			}
+		}
+	}
+	if err := bcastStatus(c, &open); err != nil {
+		return 0, err
+	}
+	if open.Err != "" {
+		return 0, fmt.Errorf("resilience: opening checkpoint set %d: %s", step, open.Err)
+	}
+	if open.Skip {
+		return 0, nil
+	}
+
+	// Every rank writes its own file; errors are gathered, not returned
+	// early, so rank 0 always receives one contribution per rank.
+	type contribution struct {
+		Entry output.ManifestEntry
+		Err   string
+	}
+	var contrib contribution
+	contrib.Entry.Name = output.RankFileName(c.Rank())
+	if f, err := os.Create(filepath.Join(tmp, contrib.Entry.Name)); err != nil {
+		contrib.Err = err.Error()
+	} else {
+		size, crc, werr := w.Encode(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		if werr != nil {
+			contrib.Err = werr.Error()
+		}
+		contrib.Entry.Size, contrib.Entry.CRC = size, crc
+	}
+	gathered, err := c.GatherErr(0, contrib)
+	if err != nil {
+		return 0, err
+	}
+
+	// Rank 0 commits: manifest write, then the atomic rename.
+	var closed ckptStatus
+	if c.Rank() == 0 {
+		m := &output.SetManifest{Step: int64(step), Ranks: int32(c.Size())}
+		for r, g := range gathered {
+			gc := g.(contribution)
+			if gc.Err != "" && closed.Err == "" {
+				closed.Err = fmt.Sprintf("rank %d: %s", r, gc.Err)
+			}
+			m.Entries = append(m.Entries, gc.Entry)
+		}
+		if closed.Err == "" {
+			if err := writeManifestFile(filepath.Join(tmp, output.ManifestName), m); err != nil {
+				closed.Err = err.Error()
+			} else if err := os.Rename(tmp, final); err != nil {
+				closed.Err = err.Error()
+			}
+		}
+		if closed.Err != "" {
+			os.RemoveAll(tmp)
+		}
+	}
+	if err := bcastStatus(c, &closed); err != nil {
+		return 0, err
+	}
+	if closed.Err != "" {
+		return 0, fmt.Errorf("resilience: committing checkpoint set %d: %s", step, closed.Err)
+	}
+	return contrib.Entry.Size, nil
+}
+
+// bcastStatus replaces st on every rank with rank 0's.
+func bcastStatus(c *comm.Comm, st *ckptStatus) error {
+	v, err := c.BcastErr(0, *st)
+	if err != nil {
+		return err
+	}
+	*st = v.(ckptStatus)
+	return nil
+}
+
+func writeManifestFile(path string, m *output.SetManifest) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := output.WriteManifest(f, m); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// newestUsableSet walks the committed, manifest-valid sets under dir
+// newest first and returns the first one every member of c can use: rank
+// 0 enumerates, each member tries load on the candidate's directory, and
+// a single failure votes the set down for all (a set corrupted on any
+// rank falls back to the next older one). A nil load votes neutrally — a
+// recruited spare reads nothing itself, its state arrives by stream.
+func (d *Driver) newestUsableSet(c *comm.Comm, dir string, load func(setDir string) error) (step int64, found bool, err error) {
+	var candidates []int64
+	if c.Rank() == 0 {
+		candidates = output.ListValidSets(dir)
+		d.Stats.DiskReadsDuringRecovery++
+	}
+	v, err := c.BcastErr(0, candidates)
+	if err != nil {
+		return 0, false, err
+	}
+	if v != nil {
+		candidates = v.([]int64)
+	}
+	for _, step := range candidates {
+		ok := int64(1)
+		if load != nil && load(filepath.Join(dir, output.SetDirName(int(step)))) != nil {
+			ok = 0
+		}
+		agree, err := minOver(c, ok)
+		if err != nil {
+			return 0, false, err
+		}
+		if agree == 1 {
+			return step, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// readRankFile opens one rank's file of a committed set through the
+// manifest — the set must validate, must have been written by a world of
+// the given size and must list the file — and decodes it, checking the
+// stream's CRC32C against the manifest's. meta is the side band of the
+// rank that wrote it, when adoption will need it.
+func (d *Driver) readRankFile(setDir string, rank, ranks int, meta []byte) (State, error) {
+	d.Stats.DiskReadsDuringRecovery++
+	m, err := output.ValidateSetDir(setDir)
+	if err != nil {
+		return nil, err
+	}
+	if int(m.Ranks) != ranks {
+		return nil, fmt.Errorf("resilience: checkpoint set %s was written by %d ranks, need %d", setDir, m.Ranks, ranks)
+	}
+	name := output.RankFileName(rank)
+	var entry *output.ManifestEntry
+	for i := range m.Entries {
+		if m.Entries[i].Name == name {
+			entry = &m.Entries[i]
+			break
+		}
+	}
+	if entry == nil {
+		return nil, fmt.Errorf("resilience: checkpoint set %s has no file for rank %d", setDir, rank)
+	}
+	f, err := os.Open(filepath.Join(setDir, name))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	state, crc, err := d.World.Decode(f, meta)
+	if err != nil {
+		return nil, err
+	}
+	if crc != entry.CRC {
+		return nil, fmt.Errorf("resilience: rank file %s CRC %08x does not match manifest %08x", name, crc, entry.CRC)
+	}
+	return state, nil
+}

@@ -179,26 +179,6 @@ func domainFaceFlags(special map[lattice.Face]field.CellType) amr.FlagsFunc {
 	}
 }
 
-// AMRResilient reports whether the AMR run uses the fault-tolerant
-// driver, and with which configuration.
-func (sc *Scenario) AMRResilient() (amr.ResilienceConfig, bool) {
-	if sc.Resilience.CheckpointEvery == 0 {
-		return amr.ResilienceConfig{}, false
-	}
-	rc := amr.ResilienceConfig{
-		CheckpointEvery: sc.Resilience.CheckpointEvery,
-		Dir:             sc.Resilience.Dir,
-		MaxFailures:     -1,
-	}
-	if sc.Resilience.Mode == "shrink" {
-		rc.Mode = amr.RecoverShrink
-	}
-	if sc.Resilience.MaxFailures != nil {
-		rc.MaxFailures = *sc.Resilience.MaxFailures
-	}
-	return rc, true
-}
-
 // executeAMR is the AMR arm of Execute: same contract, refined world.
 func executeAMR(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result, error) {
 	var mu sync.Mutex
@@ -225,19 +205,19 @@ func executeAMR(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result,
 			fail(err)
 			return
 		}
-		rc, resilient := sc.AMRResilient()
+		rc, resilient := sc.Resilient()
+		var rec sim.RecoveryStats
 		var runErr error
 		if resilient {
-			_, runErr = s.RunResilientCtx(ctx, sc.Run.Steps, rc)
+			rec, runErr = s.RunResilientCtx(ctx, sc.Run.Steps, rc)
 		} else {
 			runErr = s.RunCtx(ctx, sc.Run.Steps)
 		}
 		interrupted := false
 		switch {
-		case errors.Is(runErr, amr.ErrInterrupted), errors.Is(runErr, context.Canceled),
-			errors.Is(runErr, context.DeadlineExceeded):
+		case errors.Is(runErr, sim.ErrInterrupted):
 			interrupted = true
-		case errors.Is(runErr, amr.ErrRetired):
+		case errors.Is(runErr, sim.ErrRetired):
 			// This rank failed permanently under shrinking recovery; the
 			// survivors carry its leaves (and the result) on.
 			return
@@ -261,7 +241,10 @@ func executeAMR(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result,
 		}
 		if s.Comm.Rank() == 0 {
 			mu.Lock()
-			res = Result{Hash: hash, Steps: s.Steps(), Levels: s.LevelCounts(), Interrupted: interrupted}
+			res = Result{
+				Metrics: sim.Metrics{Recovery: rec},
+				Hash:    hash, Steps: s.Steps(), Levels: s.LevelCounts(), Interrupted: interrupted,
+			}
 			mu.Unlock()
 		}
 	})

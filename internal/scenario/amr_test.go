@@ -129,7 +129,7 @@ func TestAMRGoldenParse(t *testing.T) {
 	if sc.Refinement.Criterion != "gradient" || sc.Refinement.Interval != 4 {
 		t.Errorf("refinement defaults = %+v", sc.Refinement)
 	}
-	if _, resilient := sc.AMRResilient(); resilient {
+	if _, resilient := sc.Resilient(); resilient {
 		t.Error("plain scenario reports a resilient AMR run")
 	}
 }

@@ -1,0 +1,103 @@
+package scenario
+
+import (
+	"context"
+	"testing"
+	"time"
+)
+
+// TestRecoveryMatrix runs one table of recovery invariants over both step
+// runtimes, with the faults injected where a user injects them — the
+// scenario's own faults section: every world × recovery mode × failure
+// kind finishes on the field hash of the same scenario run fault-free,
+// having restored exactly once in the way the mode implies, and without
+// touching the disk when no checkpoint directory is configured.
+func TestRecoveryMatrix(t *testing.T) {
+	const steps, every, victim, at = 8, 2, 1, 5
+	worlds := []struct {
+		name  string
+		build func() *Scenario
+		heal  bool // the runtime can take recruits
+	}{
+		{"uniform cavity", func() *Scenario {
+			return &Scenario{
+				Version:    Version,
+				Geometry:   Geometry{Example: "cavity", LidVelocity: 0.08},
+				Resolution: Resolution{Grid: [3]int{2, 2, 1}, CellsPerBlock: [3]int{8, 8, 8}},
+			}
+		}, true},
+		{"refined shear layer", func() *Scenario {
+			// The cavity's near-lid shear layer, refined one level at
+			// runtime.
+			sc := amrBase()
+			sc.Refinement.Interval = 2
+			return sc
+		}, false},
+	}
+	for _, w := range worlds {
+		ref := w.build()
+		ref.Parallel.Ranks, ref.Run.Steps = 3, steps
+		clean, err := Execute(context.Background(), ref, ExecuteOptions{})
+		if err != nil {
+			t.Fatalf("%s: fault-free run: %v", w.name, err)
+		}
+		for _, mode := range []string{"rewind", "shrink", "heal"} {
+			for _, kind := range []string{"crash", "hang"} {
+				if mode == "heal" && !w.heal || mode == "rewind" && kind == "hang" {
+					// A refined world cannot take recruits yet; a rank that
+					// hangs never rejoins, which rewinding needs.
+					continue
+				}
+				t.Run(w.name+"/"+mode+"/"+kind, func(t *testing.T) {
+					sc := w.build()
+					sc.Parallel.Ranks, sc.Run.Steps = 3, steps
+					if kind == "hang" {
+						// Silence is detected by whoever waits on the silent
+						// rank timing out. With a third rank that wait can be
+						// transitive — a healthy rank stuck behind the hung one
+						// is accused by its own neighbor first — so the hang
+						// rows run the victim against a single survivor.
+						sc.Parallel.Ranks = 2
+					}
+					sc.Resilience = Resilience{CheckpointEvery: every, Mode: mode}
+					if mode == "rewind" {
+						sc.Resilience.Dir = t.TempDir()
+					}
+					if mode == "heal" {
+						sc.Parallel.Spares = 1
+					}
+					ev := []FaultEvent{{Rank: victim, Step: at}}
+					if kind == "hang" {
+						sc.Faults.Hangs = ev
+						sc.Resilience.FailTimeout = Duration(500 * time.Millisecond)
+					} else {
+						sc.Faults.Crashes = ev
+					}
+					got, err := Execute(context.Background(), sc, ExecuteOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Hash != clean.Hash {
+						t.Errorf("finished on hash %016x, fault-free %016x", got.Hash, clean.Hash)
+					}
+					r := got.Metrics.Recovery
+					if r.Restores != 1 || r.FailuresDetected != 1 {
+						t.Errorf("%d restores for %d failures, want 1 and 1: %+v", r.Restores, r.FailuresDetected, r)
+					}
+					want := map[string][2]int{"rewind": {0, 0}, "shrink": {1, 0}, "heal": {0, 1}}[mode]
+					if r.Shrinks != want[0] || r.Heals != want[1] {
+						t.Errorf("%d shrinks and %d heals, want %d and %d", r.Shrinks, r.Heals, want[0], want[1])
+					}
+					if mode != "rewind" && (r.DiskReadsDuringRecovery != 0 || r.BuddyRestores != 1) {
+						t.Errorf("recovery without a checkpoint directory read the disk %d times (%d buddy restores)", r.DiskReadsDuringRecovery, r.BuddyRestores)
+					}
+					// A survivor still inside the step before the failure aborts
+					// there, so the replay is anything up to one interval.
+					if r.StepsReplayed > every {
+						t.Errorf("replayed %d steps, more than the interval of %d", r.StepsReplayed, every)
+					}
+				})
+			}
+		}
+	}
+}

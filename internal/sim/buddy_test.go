@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/resilience"
 )
 
 // shrinkForest is the shared scenario of the shrinking-recovery tests: a
@@ -230,7 +232,12 @@ func TestShrinkDiskFallback(t *testing.T) {
 			return
 		}
 		rc := ResilienceConfig{Mode: RecoverShrink, CheckpointEvery: 2, Dir: dir}
-		if _, err := s.RunResilient(steps, rc); err != nil {
+		d, err := resilience.NewDriver(world{s}, rc)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.runDriver(context.Background(), d, 0, steps); err != nil {
 			t.Errorf("rank %d: fault-free run: %v", c.Rank(), err)
 			return
 		}
@@ -238,8 +245,8 @@ func TestShrinkDiskFallback(t *testing.T) {
 		// Invalidate every in-memory generation, keeping only the
 		// retained block metadata — as if the replicas were too stale to
 		// agree on.
-		s.buddy.own[0].step, s.buddy.own[1].step = -1, -1
-		s.buddy.replica[0], s.buddy.replica[1] = nil, nil
+		d.Ring.Own[0].Step, d.Ring.Own[1].Step = -1, -1
+		d.Ring.Replica[0], d.Ring.Replica[1] = nil, nil
 
 		if c.Rank() == 1 {
 			c.Retire()
@@ -249,13 +256,12 @@ func TestShrinkDiskFallback(t *testing.T) {
 		<-retired
 		c.MarkDead(c.WorldRankOf(1))
 		c.Recover()
-		var rec RecoveryStats
-		rc.Validate()
-		restored, err := s.shrinkRecover([]int{c.WorldRankOf(1)}, rc, &rec, time.Now())
+		restored, err := d.Repair([]int{c.WorldRankOf(1)})
 		if err != nil {
-			t.Errorf("shrinkRecover: %v", err)
+			t.Errorf("Repair: %v", err)
 			return
 		}
+		rec := d.Stats
 		if restored != 4 {
 			t.Errorf("restored step %d, want 4 (the newest disk set)", restored)
 		}
@@ -274,71 +280,6 @@ func TestShrinkDiskFallback(t *testing.T) {
 		t.FailNow()
 	}
 	assertBitsEqual(t, got, want)
-}
-
-// TestBackoffCapping: the exponential recovery delay must grow from the
-// base and saturate at the cap.
-func TestBackoffCapping(t *testing.T) {
-	rc := ResilienceConfig{BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond}
-	rc.Validate()
-	for _, tc := range []struct {
-		n    int
-		want time.Duration
-	}{
-		{1, 10 * time.Millisecond},
-		{2, 20 * time.Millisecond},
-		{3, 40 * time.Millisecond},
-		{4, 80 * time.Millisecond},
-		{5, 80 * time.Millisecond},
-		{30, 80 * time.Millisecond}, // no overflow past the cap
-	} {
-		if got := rc.backoff(tc.n); got != tc.want {
-			t.Errorf("backoff(%d) = %v, want %v", tc.n, got, tc.want)
-		}
-	}
-	var def ResilienceConfig
-	def.Validate()
-	if def.BackoffBase != 10*time.Millisecond || def.BackoffMax != 2*time.Second {
-		t.Errorf("default backoff = %v/%v, want 10ms/2s", def.BackoffBase, def.BackoffMax)
-	}
-}
-
-// TestMaxFailuresSemantics: negative selects the documented default of 8,
-// positive values pass through, and 0 means zero tolerance — the first
-// failure aborts the run instead of recovering.
-func TestMaxFailuresSemantics(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{-1, 8}, {-7, 8}, {0, 0}, {5, 5}} {
-		rc := ResilienceConfig{MaxFailures: tc.in}
-		rc.Validate()
-		if rc.MaxFailures != tc.want {
-			t.Errorf("applyDefaults(MaxFailures=%d) = %d, want %d", tc.in, rc.MaxFailures, tc.want)
-		}
-	}
-
-	// Zero tolerance: a single injected crash must abort every rank with
-	// the give-up error rather than rewinding.
-	dir := t.TempDir()
-	comm.RunWithOptions(2, comm.Options{Faults: &comm.FaultPlan{Seed: 3, Crashes: []comm.CrashSpec{{Rank: 1, Step: 2}}}}, func(c *comm.Comm) {
-		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), cavityForest()))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		s, err := New(c, forest, cavityConfig())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		_, err = s.RunResilient(4, ResilienceConfig{
-			CheckpointEvery: 2,
-			Dir:             dir,
-			MaxFailures:     0,
-			BackoffBase:     time.Millisecond,
-		})
-		if err == nil || !strings.Contains(err.Error(), "giving up") {
-			t.Errorf("rank %d: err = %v, want the give-up abort", c.Rank(), err)
-		}
-	})
 }
 
 // TestReplicateRoundTrip: one replication generation decodes back into
@@ -361,26 +302,41 @@ func TestReplicateRoundTrip(t *testing.T) {
 		}
 		mustRun(t, s, 3)
 		collectBits(s, &mu, want)
-		s.buddy = newBuddyState()
+		ring := resilience.NewRing()
 		var rec RecoveryStats
-		if err := s.replicate(3, &rec); err != nil {
+		if err := ring.Replicate(world{s}, 3, &rec); err != nil {
 			t.Errorf("rank %d: replicate: %v", c.Rank(), err)
 			return
 		}
+		// What went on the wire is the rank file plus the side band.
+		var payload bytes.Buffer
+		if _, _, err := (world{s}).Encode(&payload); err != nil {
+			t.Error(err)
+			return
+		}
+		meta, err := world{s}.Meta()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if want := int64(payload.Len() + len(meta)); rec.ReplicaBytes != want || len(meta) == 0 {
+			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + metadata %d", c.Rank(), rec.ReplicaBytes, payload.Len(), len(meta))
+		}
 		ward := (c.Rank() + c.Size() - 1) % c.Size()
-		gen := s.buddy.replicaAt(c.WorldRankOf(ward), 3)
+		gen := ring.ReplicaAt(c.WorldRankOf(ward), 3)
 		if gen == nil {
 			t.Errorf("rank %d: no committed replica for ward %d", c.Rank(), ward)
 			return
 		}
-		if len(gen.snaps) == 0 || len(gen.snaps) != len(gen.metas) {
+		set := gen.State.(*blockSet)
+		if len(set.snaps) == 0 || len(set.snaps) != len(set.metas) {
 			t.Errorf("rank %d: replica decoded to %d snapshots, %d metas",
-				c.Rank(), len(gen.snaps), len(gen.metas))
+				c.Rank(), len(set.snaps), len(set.metas))
 			return
 		}
-		blocks, err := s.adoptReplica(gen)
+		blocks, err := s.buildAdoptedBlocks(set)
 		if err != nil {
-			t.Errorf("rank %d: adoptReplica: %v", c.Rank(), err)
+			t.Errorf("rank %d: buildAdoptedBlocks: %v", c.Rank(), err)
 			return
 		}
 		mu.Lock()

@@ -10,6 +10,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/resilience"
 	"walberla/internal/testutil"
 )
 
@@ -365,14 +366,19 @@ func TestHealDiskFallback(t *testing.T) {
 		// retained replica metadata without releasing the parked spare.
 		rcSeed := rc
 		rcSeed.Mode = RecoverShrink
-		if _, err := s.RunResilient(steps, rcSeed); err != nil {
+		seed, err := resilience.NewDriver(world{s}, rcSeed)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.runDriver(context.Background(), seed, 0, steps); err != nil {
 			t.Errorf("rank %d: seeding run: %v", c.WorldRank(), err)
 			return
 		}
 		// Invalidate the in-memory generations, keeping only the metadata —
 		// as if the replicas were too stale to agree on.
-		s.buddy.own[0].step, s.buddy.own[1].step = -1, -1
-		s.buddy.replica[0], s.buddy.replica[1] = nil, nil
+		seed.Ring.Own[0].Step, seed.Ring.Own[1].Step = -1, -1
+		seed.Ring.Replica[0], seed.Ring.Replica[1] = nil, nil
 
 		if c.WorldRank() == 1 {
 			// The victim: declare the failure (waking the parked spare into
@@ -385,12 +391,18 @@ func TestHealDiskFallback(t *testing.T) {
 		<-retiredCh
 		c.MarkDead(c.WorldRankOf(1))
 		c.Recover()
-		var rec RecoveryStats
-		restored, err := s.healRestoreAttempt([]int{c.WorldRankOf(1)}, active, rc, &rec, time.Now())
+		d, err := resilience.NewDriver(world{s}, rc)
 		if err != nil {
-			t.Errorf("healRestoreAttempt: %v", err)
+			t.Error(err)
 			return
 		}
+		d.Ring = seed.Ring
+		restored, err := d.Repair([]int{c.WorldRankOf(1)})
+		if err != nil {
+			t.Errorf("Repair: %v", err)
+			return
+		}
+		rec := d.Stats
 		if restored != newestSet {
 			t.Errorf("restored step %d, want %d (the newest disk set)", restored, newestSet)
 		}
@@ -404,7 +416,7 @@ func TestHealDiskFallback(t *testing.T) {
 			t.Errorf("post-heal communicator size %d, want %d", s.Comm.Size(), active)
 		}
 		// Mirror the driver tail so the recruit's shared loop completes.
-		if _, err := s.runResilientLoop(context.Background(), steps, rc, active, int(restored), rec); err != nil {
+		if _, err := s.runDriver(context.Background(), d, restored, steps); err != nil {
 			t.Errorf("post-heal driver: %v", err)
 			return
 		}

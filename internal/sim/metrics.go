@@ -31,63 +31,6 @@ type Metrics struct {
 	Recovery RecoveryStats
 }
 
-// RecoveryStats summarizes the fault-tolerance side of a resilient run on
-// this rank: failures observed, checkpoint traffic, and the work redone
-// because of rewinds.
-type RecoveryStats struct {
-	// FailuresDetected counts rank-failure events this rank observed.
-	FailuresDetected int
-	// Restores counts successful rewinds to a checkpoint set (or to the
-	// initial state when no valid set existed).
-	Restores int
-	// StepsReplayed is the total number of time steps re-executed after
-	// rewinds.
-	StepsReplayed int
-	// CheckpointsWritten counts the checkpoint sets this rank contributed
-	// to; CheckpointBytes is this rank's bytes written into them.
-	CheckpointsWritten int
-	CheckpointBytes    int64
-	// TimeLost is the wall time this rank spent in recovery (backoff,
-	// rendezvous and state restore), excluding replayed steps.
-	TimeLost time.Duration
-	// RestoreLatency is the state-restore part of TimeLost alone — from
-	// the end of the recovery rendezvous to the simulation being ready to
-	// step again. This is the buddy-vs-disk comparison the resilience
-	// benchmark reports.
-	RestoreLatency time.Duration
-
-	// Buddy replication and shrinking recovery (RecoverShrink).
-
-	// Replications counts the buddy-replica generations this rank
-	// produced; ReplicaBytes is their serialized payload volume.
-	Replications int
-	ReplicaBytes int64
-	// BuddyRestores counts recoveries satisfied entirely from in-memory
-	// replicas; DiskRestores counts shrink recoveries that had to fall
-	// back to a disk checkpoint set.
-	BuddyRestores int
-	DiskRestores  int
-	// Shrinks counts world-shrink events this rank survived;
-	// BlocksAdopted is the number of dead ranks' blocks this rank
-	// re-owned.
-	Shrinks       int
-	BlocksAdopted int
-	// DiskReadsDuringRecovery counts filesystem reads (directory scans and
-	// file opens) performed while restoring state after a failure — zero
-	// on the pure buddy path.
-	DiskReadsDuringRecovery int
-
-	// Healing recovery (RecoverHeal).
-
-	// Heals counts world-heal events this rank took part in — as a
-	// survivor, a supplier or a recruited spare.
-	Heals int
-	// DegradedTime is the wall time this rank observed the world below
-	// its full size: from a failure detection until a heal restored the
-	// target world size (or until the run ended, under plain shrinking).
-	DegradedTime time.Duration
-}
-
 // OverlapTimes is this rank's accumulated split-phase step breakdown: the
 // exchange post (pack, send, local copies), the interior sweeps that run
 // while remote data is in flight, the residual wait for remote slabs plus

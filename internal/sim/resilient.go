@@ -1,672 +1,383 @@
 package sim
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"encoding/gob"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
+	"sort"
 	"time"
 
+	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/field"
 	"walberla/internal/output"
+	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
-// Resilient execution: coordinated checkpoint sets plus automatic
-// rewind-and-replay on rank failure. Checkpoints are taken at a step
-// barrier (every rank snapshots the same step, before executing it), so a
-// restored run replays the exact deterministic step sequence and finishes
-// bit-identical to an uninterrupted run.
+// Resilient execution of the uniform simulation. The failure loop, the
+// checkpoint-set protocol, the buddy ring and the restore vote live in
+// internal/resilience; this file supplies what a generation of a uniform
+// world *contains* (the resilience.World methods of type world: WBK1 rank
+// files plus gob-encoded block metadata, raw field snapshots, block
+// adoption and neighborhood renumbering) and the public entry points.
+// Protection is taken at a step barrier, so a restored run replays the
+// exact deterministic step sequence and finishes bit-identical to an
+// uninterrupted one. See docs/RESILIENCE.md.
 
-// RecoveryMode selects how RunResilient repairs the world after a
-// permanent rank failure.
-type RecoveryMode int
-
-const (
-	// RecoverRewind (the default) keeps the world intact: every rank —
-	// including the one that failed, which in the in-process model can
-	// rejoin — backs off, rendezvouses and rewinds from the newest valid
-	// disk checkpoint set.
-	RecoverRewind RecoveryMode = iota
-	// RecoverShrink drops the failed rank: the survivors shrink the
-	// communicator, the dead rank's buddy re-owns its blocks from the
-	// in-memory replica, and the run resumes from the replicated step
-	// with zero disk I/O (ULFM-style shrinking recovery; see
-	// docs/RESILIENCE.md). Disk checkpoint sets, when configured, remain
-	// the fallback for a stale or missing replica generation.
-	RecoverShrink
-	// RecoverHeal additionally repairs the lost capacity: after the
-	// failure the world *grows back* to its full size by recruiting a
-	// parked spare rank (comm.ParkSpare/GrowWorld), the dead rank's buddy
-	// streams the replica blocks to the recruit instead of adopting them,
-	// and the run resumes at full world size — still bit-identical, since
-	// stepping is deterministic and the restore generation is voted the
-	// same way. With the spare pool exhausted a heal degrades to a plain
-	// shrink. See docs/RESILIENCE.md and RunSpare.
-	RecoverHeal
+// The resilience vocabulary under the names this package has always
+// exported.
+type (
+	// RecoveryMode selects how RunResilient repairs the world after a
+	// permanent rank failure.
+	RecoveryMode = resilience.Mode
+	// ResilienceConfig tunes RunResilient.
+	ResilienceConfig = resilience.Config
+	// RecoveryStats summarizes the fault-tolerance side of a resilient
+	// run on this rank.
+	RecoveryStats = resilience.Stats
 )
 
-// ErrRetired is returned by RunResilient on a rank that failed
-// permanently under RecoverShrink: the rank has been removed from the
-// world, the survivors carry its blocks on, and this rank must simply
-// return from the SPMD function without further communication.
-var ErrRetired = errors.New("sim: rank retired after permanent failure (shrinking recovery)")
+const (
+	RecoverRewind = resilience.Rewind
+	RecoverShrink = resilience.Shrink
+	RecoverHeal   = resilience.Heal
+)
 
-// errSilenced is the internal conversion of an injected Hang: the rank
-// must go dark without even marking itself dead — the world has to detect
-// the silence by timeout.
-var errSilenced = errors.New("sim: rank silenced by injected hang")
-
-// ResilienceConfig tunes RunResilient.
-type ResilienceConfig struct {
-	// CheckpointEvery protects every multiple of this step count: under
-	// RecoverRewind a coordinated disk checkpoint set is written (when Dir
-	// is non-empty), under RecoverShrink an in-memory buddy replica
-	// generation is produced (plus the disk set when Dir is set, as the
-	// fallback rung). 0 disables both: failures rewind to the initial
-	// state, and shrink recovery has no replicas to restore from.
-	CheckpointEvery int
-	// Dir is the checkpoint root directory; one "set-<step>" subdirectory
-	// per checkpoint. Empty disables disk checkpointing (RecoverShrink
-	// then runs purely in memory).
-	Dir string
-	// Mode selects rewind (default) or shrinking recovery.
-	Mode RecoveryMode
-	// MaxFailures caps how many rank-failure events are tolerated before
-	// the run aborts. Negative selects the default of 8; 0 means zero
-	// tolerance — abort on the first failure; positive values are the
-	// cap.
-	MaxFailures int
-	// BackoffBase and BackoffMax shape the capped exponential delay
-	// between failure detection and the recovery rendezvous; zero means
-	// 10ms base, 2s cap.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-}
-
-// Validate normalizes the resilience configuration in place (default
-// failure budget and backoff shape) and rejects unknown recovery modes —
-// the ResilienceConfig counterpart of Config.Validate.
-func (rc *ResilienceConfig) Validate() error {
-	if rc.Mode != RecoverRewind && rc.Mode != RecoverShrink && rc.Mode != RecoverHeal {
-		return fmt.Errorf("sim: unknown recovery mode %d", rc.Mode)
-	}
-	if rc.CheckpointEvery < 0 {
-		return fmt.Errorf("sim: negative checkpoint interval %d", rc.CheckpointEvery)
-	}
-	if rc.MaxFailures < 0 {
-		rc.MaxFailures = 8
-	}
-	if rc.BackoffBase == 0 {
-		rc.BackoffBase = 10 * time.Millisecond
-	}
-	if rc.BackoffMax == 0 {
-		rc.BackoffMax = 2 * time.Second
-	}
-	return nil
-}
-
-// backoff returns the capped exponential delay for the nth failure
-// (1-based).
-func (rc *ResilienceConfig) backoff(n int) time.Duration {
-	d := rc.BackoffBase
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= rc.BackoffMax {
-			return rc.BackoffMax
-		}
-	}
-	if d > rc.BackoffMax {
-		return rc.BackoffMax
-	}
-	return d
-}
-
-// ckptStatus is the coordination payload broadcast by rank 0 when a
-// checkpoint set is opened and closed.
-type ckptStatus struct {
-	Err    string
-	Skip   bool
-	Total  int64
-	Commit bool
-}
+var (
+	// ErrRetired is returned by RunResilient on a rank that failed
+	// permanently under RecoverShrink or RecoverHeal.
+	ErrRetired = resilience.ErrRetired
+	// ErrInterrupted is returned (wrapped) by RunCtx and RunResilientCtx
+	// when the run was stopped by context cancellation.
+	ErrInterrupted = resilience.ErrInterrupted
+)
 
 // WriteCheckpointSet writes a coordinated checkpoint set for the given
-// step: every rank snapshots all of its blocks (both PDF fields, so
-// replay is bit-identical) into a per-rank file, rank 0 gathers sizes and
-// CRC32Cs into the manifest, and the whole set directory is renamed into
-// place atomically — a crash mid-checkpoint never produces a half-valid
-// set. Returns the bytes this rank wrote (0 if the set already existed).
+// step: every rank snapshots all of its blocks (both PDF fields, so replay
+// is bit-identical) into a per-rank WBK1 file, committed atomically by the
+// set protocol (resilience.WriteSet). Returns the bytes this rank wrote (0
+// if the set already existed).
 func (s *Simulation) WriteCheckpointSet(dir string, step int) (int64, error) {
-	c := s.Comm
-	final := filepath.Join(dir, output.SetDirName(step))
-	tmp := filepath.Join(dir, output.TmpSetDirName(step))
-
-	// Rank 0 opens the set (or reports it as already committed) and
-	// broadcasts the verdict so every rank agrees before touching disk.
-	var open ckptStatus
-	if c.Rank() == 0 {
-		if _, err := os.Stat(final); err == nil {
-			open.Skip = true
-		} else {
-			os.RemoveAll(tmp)
-			if err := os.MkdirAll(tmp, 0o755); err != nil {
-				open.Err = err.Error()
-			}
-		}
-	}
-	v, err := c.BcastErr(0, open)
-	if err != nil {
-		return 0, err
-	}
-	open = v.(ckptStatus)
-	if open.Err != "" {
-		return 0, fmt.Errorf("sim: opening checkpoint set %d: %s", step, open.Err)
-	}
-	if open.Skip {
-		return 0, nil
-	}
-
-	// Every rank writes its own file; errors are gathered, not returned
-	// early, so rank 0 always receives one contribution per rank.
-	type contribution struct {
-		Entry output.ManifestEntry
-		Err   string
-	}
-	var contrib contribution
-	contrib.Entry.Name = output.RankFileName(c.Rank())
-	blocks := make([]output.BlockSnapshot, len(s.Blocks))
-	for i, bd := range s.Blocks {
-		blocks[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
-	}
-	if f, err := os.Create(filepath.Join(tmp, contrib.Entry.Name)); err != nil {
-		contrib.Err = err.Error()
-	} else {
-		size, crc, werr := output.WriteRankFile(f, blocks)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			contrib.Err = werr.Error()
-		}
-		contrib.Entry.Size, contrib.Entry.CRC = size, crc
-	}
-
-	gathered, err := c.GatherErr(0, contrib)
-	if err != nil {
-		return 0, err
-	}
-
-	// Rank 0 commits: manifest write, then the atomic rename.
-	var closeSt ckptStatus
-	if c.Rank() == 0 {
-		m := &output.SetManifest{Step: int64(step), Ranks: int32(c.Size())}
-		for r, g := range gathered {
-			gc := g.(contribution)
-			if gc.Err != "" && closeSt.Err == "" {
-				closeSt.Err = fmt.Sprintf("rank %d: %s", r, gc.Err)
-			}
-			m.Entries = append(m.Entries, gc.Entry)
-			closeSt.Total += gc.Entry.Size
-		}
-		if closeSt.Err == "" {
-			if err := writeManifestFile(filepath.Join(tmp, output.ManifestName), m); err != nil {
-				closeSt.Err = err.Error()
-			} else if err := os.Rename(tmp, final); err != nil {
-				closeSt.Err = err.Error()
-			} else {
-				closeSt.Commit = true
-			}
-		}
-		if closeSt.Err != "" {
-			os.RemoveAll(tmp)
-		}
-	}
-	v, err = c.BcastErr(0, closeSt)
-	if err != nil {
-		return 0, err
-	}
-	closeSt = v.(ckptStatus)
-	if closeSt.Err != "" {
-		return 0, fmt.Errorf("sim: committing checkpoint set %d: %s", step, closeSt.Err)
-	}
-	return contrib.Entry.Size, nil
-}
-
-func writeManifestFile(path string, m *output.SetManifest) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := output.WriteManifest(f, m); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return resilience.WriteSet(world{s}, dir, step)
 }
 
 // RestoreLatestCheckpointSet rewinds the simulation to the newest
-// checkpoint set that every rank can load and CRC-validate, voting sets
-// down collectively so all ranks restore the same one (a set corrupted on
-// any rank falls back to the next older set). With no usable set, the
-// fields are re-initialized to the configured step-zero state. Returns the
-// restored step.
+// checkpoint set that every rank can load and CRC-validate
+// (resilience.RestoreNewestSet). With no usable set, the fields are
+// re-initialized to the configured step-zero state. Returns the restored
+// step.
 func (s *Simulation) RestoreLatestCheckpointSet(dir string) (int64, error) {
-	c := s.Comm
-
-	// Rank 0 enumerates the committed, manifest-valid sets.
-	var candidates []int64
-	if c.Rank() == 0 {
-		candidates = output.ListValidSets(dir)
-		s.recoveryDiskReads++
-	}
-	v, err := c.BcastErr(0, candidates)
-	if err != nil {
-		return 0, err
-	}
-	if v != nil {
-		candidates = v.([]int64)
-	}
-
-	for _, step := range candidates {
-		blocks, loadErr := s.loadOwnRankFile(filepath.Join(dir, output.SetDirName(int(step))))
-		ok := int64(1)
-		if loadErr != nil {
-			ok = 0
-		}
-		agree, err := c.AllreduceInt64Err(ok, comm.Min[int64])
-		if err != nil {
-			return 0, err
-		}
-		if agree == 0 {
-			continue // some rank cannot use this set; try the next older one
-		}
-		for coord, pair := range blocks {
-			bd := s.byCoord[coord]
-			bd.Src.CopyFrom(pair[0])
-			bd.Dst.CopyFrom(pair[1])
-		}
-		// Simulated time resumes at the restored step; the plain driver's
-		// fault-injection announcements continue from there.
-		s.worldSteps = int(step)
-		return step, nil
-	}
-
-	// No usable checkpoint: rewind to the initial state.
-	for _, bd := range s.Blocks {
-		s.initBlockState(bd)
-	}
-	return 0, nil
-}
-
-// loadOwnRankFile reads and fully validates this rank's file of one set:
-// manifest CRC and size, per-record CRCs, and an exact match between the
-// snapshot coordinates and this rank's block assignment.
-func (s *Simulation) loadOwnRankFile(setDir string) (map[[3]int][2]*field.PDFField, error) {
-	c := s.Comm
-	s.recoveryDiskReads++
-	m, err := output.ValidateSetDir(setDir)
-	if err != nil {
-		return nil, err
-	}
-	if int(m.Ranks) != c.Size() {
-		return nil, fmt.Errorf("sim: checkpoint set %s was written by %d ranks, running %d",
-			setDir, m.Ranks, c.Size())
-	}
-	name := output.RankFileName(c.Rank())
-	var entry *output.ManifestEntry
-	for i := range m.Entries {
-		if m.Entries[i].Name == name {
-			entry = &m.Entries[i]
-			break
-		}
-	}
-	if entry == nil {
-		return nil, fmt.Errorf("sim: checkpoint set %s has no file for rank %d", setDir, c.Rank())
-	}
-	f, err := os.Open(filepath.Join(setDir, name))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	// Decode every block in the layout it was stored in — ranks can run a
-	// mix of layouts under per-block kernel selection; CopyFrom
-	// transposes if the live block disagrees.
-	snaps, crc, err := output.ReadRankFileStored(f, s.Stencil)
-	if err != nil {
-		return nil, err
-	}
-	if crc != entry.CRC {
-		return nil, fmt.Errorf("sim: rank file %s CRC %08x does not match manifest %08x", name, crc, entry.CRC)
-	}
-	if len(snaps) != len(s.Blocks) {
-		return nil, fmt.Errorf("sim: rank file %s has %d blocks, rank owns %d", name, len(snaps), len(s.Blocks))
-	}
-	blocks := make(map[[3]int][2]*field.PDFField, len(snaps))
-	for _, snap := range snaps {
-		bd, ok := s.byCoord[snap.Coord]
-		if !ok {
-			return nil, fmt.Errorf("sim: rank file %s contains block %v not owned by rank %d",
-				name, snap.Coord, c.Rank())
-		}
-		for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
-			if pf.Nx != bd.Src.Nx || pf.Ny != bd.Src.Ny || pf.Nz != bd.Src.Nz || pf.Ghost != bd.Src.Ghost {
-				return nil, fmt.Errorf("sim: rank file %s block %v shape mismatch", name, snap.Coord)
-			}
-		}
-		blocks[snap.Coord] = [2]*field.PDFField{snap.Src, snap.Dst}
-	}
-	return blocks, nil
+	return resilience.RestoreNewestSet(world{s}, dir)
 }
 
 // RunResilient advances the simulation by the given number of steps under
-// the fault-tolerant driver: periodic protection (disk checkpoint sets,
-// and under RecoverShrink in-memory buddy replicas), and on any detected
-// rank failure a capped-exponential backoff, a recovery rendezvous, and a
-// state restore before replaying — a disk rewind of the whole world
-// (RecoverRewind) or a shrink of the world onto the survivors with the
-// dead rank's blocks adopted from its buddy's replica (RecoverShrink).
-// Because stepping is deterministic, the run finishes bit-identical to an
-// uninterrupted one on the same final block assignment.
-//
-// Under RecoverShrink a rank that failed permanently returns ErrRetired:
-// it is no longer part of the world and must not communicate again.
+// the fault-tolerant driver (resilience.Driver): periodic protection, and
+// on any detected rank failure a backoff, a recovery rendezvous and a
+// repair in the configured mode before replaying. Under RecoverShrink and
+// RecoverHeal a rank that failed permanently returns ErrRetired: it is no
+// longer part of the world and must not communicate again.
 func (s *Simulation) RunResilient(steps int, rc ResilienceConfig) (Metrics, error) {
 	return s.RunResilientCtx(context.Background(), steps, rc)
 }
 
 // RunResilientCtx is RunResilient bound to a context. Cancellation stops
-// the driver at the next step boundary — never inside a checkpoint: an
-// in-flight checkpoint set or buddy-replica generation always finishes
-// (or, on error, is rolled back atomically by the set's tmp-dir commit
-// protocol) before the drivers return an error wrapping ErrInterrupted.
-// As in RunCtx, a cancellable context costs one scalar allreduce per step
-// so every rank leaves the loop at the same step.
+// the driver at the next step boundary — never inside a checkpoint — with
+// an error wrapping ErrInterrupted.
 func (s *Simulation) RunResilientCtx(ctx context.Context, steps int, rc ResilienceConfig) (Metrics, error) {
-	if err := rc.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	if rc.Mode != RecoverRewind {
-		s.buddy = newBuddyState()
-	}
-	return s.runResilientLoop(ctx, steps, rc, s.Comm.Size(), 0, RecoveryStats{})
-}
-
-// runResilientLoop is the shared fault-tolerant driver: RunResilientCtx
-// enters it at step 0 on the initial communicator, a recruited spare
-// (joinAndRun) enters it at the restored step on the grown one. target is
-// the full world size heal mode grows back to.
-func (s *Simulation) runResilientLoop(ctx context.Context, steps int, rc ResilienceConfig, target, startStep int, rec RecoveryStats) (Metrics, error) {
-	s.ResetTimers()
-	start := time.Now()
-	step := startStep
-	failures := rec.FailuresDetected
-	needRestore := false
-	var deadPending []int // world ranks whose blocks still need re-owning
-	var degradedSince time.Time
-
-	// In heal mode the end of the run — on every path except this rank's
-	// own retirement — must release the parked spares, or they would wait
-	// forever for a recruitment that can no longer happen.
-	endRun := true
-	defer func() {
-		if endRun && rc.Mode == RecoverHeal && s.Comm.WorldSize() > s.Comm.Size() {
-			s.Comm.ReleaseSpares()
-		}
-	}()
-
-	// onFailure classifies one rank-failure event; it returns a non-nil
-	// terminal error when this rank is done (retired or out of budget).
-	onFailure := func(err error) error {
-		var rfe *comm.RankFailedError
-		if !errors.As(err, &rfe) {
-			return err
-		}
-		failures++
-		rec.FailuresDetected++
-		s.tel.failures.Inc()
-		if failures > rc.MaxFailures {
-			return fmt.Errorf("sim: giving up after %d rank failures: %w", failures, err)
-		}
-		if rc.Mode != RecoverRewind {
-			if rfe.Rank == s.Comm.WorldRank() {
-				// This rank is the victim: leave the world for good. The
-				// survivors carry the run on (and in heal mode recruit a
-				// replacement), so the spares must stay parked.
-				endRun = false
-				s.Comm.Retire()
-				return ErrRetired
-			}
-			found := false
-			for _, d := range deadPending {
-				found = found || d == rfe.Rank
-			}
-			if !found {
-				deadPending = append(deadPending, rfe.Rank)
-			}
-			if degradedSince.IsZero() {
-				degradedSince = time.Now()
-			}
-		}
-		return nil
-	}
-
-	for {
-		if needRestore {
-			recStart := s.tel.driver.Start()
-			tRec := time.Now()
-			// The backoff observes ctx so cancellation mid-recovery does not
-			// sit out the whole ladder; the rendezvous and restore still run
-			// (skipping them would strand the peers in the collective), and
-			// the cancellation vote at the top of the next attempt then
-			// exits every rank at the same point.
-			sleepCtx(ctx, rc.backoff(failures))
-			if rc.Mode != RecoverRewind {
-				for _, d := range deadPending {
-					s.Comm.MarkDead(d)
-				}
-			}
-			s.Comm.Recover()
-			resStart := s.tel.driver.Start()
-			tRestore := time.Now()
-			diskBefore := s.recoveryDiskReads
-			var restored int64
-			var err error
-			switch rc.Mode {
-			case RecoverHeal:
-				restored, err = s.healRestoreAttempt(deadPending, target, rc, &rec, tRestore)
-			case RecoverShrink:
-				restored, err = s.shrinkRestoreAttempt(deadPending, rc, &rec, tRestore)
-			default:
-				restored, err = s.restoreAttempt(rc.Dir)
-			}
-			rec.DiskReadsDuringRecovery += s.recoveryDiskReads - diskBefore
-			if err != nil {
-				rec.TimeLost += time.Since(tRec)
-				if terminal := onFailure(err); terminal != nil {
-					return Metrics{}, terminal
-				}
-				continue
-			}
-			deadPending = nil
-			rec.Restores++
-			if rc.Mode == RecoverRewind {
-				// The shrink and heal paths record their rendezvous-to-ready
-				// time themselves, just before their completion barrier.
-				rec.RestoreLatency += time.Since(tRestore)
-			}
-			if step > int(restored) {
-				rec.StepsReplayed += step - int(restored)
-			}
-			step = int(restored)
-			rec.TimeLost += time.Since(tRec)
-			if !degradedSince.IsZero() && s.Comm.Size() >= target {
-				// A heal restored the full world size; plain shrinking stays
-				// degraded until the run ends.
-				rec.DegradedTime += time.Since(degradedSince)
-				degradedSince = time.Time{}
-			}
-			s.publishRecoveryGauges(&rec, degradedSince)
-			s.tel.driver.Span(telemetry.PhaseRestore, step, 0, resStart)
-			s.tel.driver.Span(telemetry.PhaseRecovery, step, 0, recStart)
-			needRestore = false
-		}
-
-		err := s.runAttempt(ctx, steps, rc, &step, &rec)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, ErrInterrupted) {
-			// Cancellation is not a failure: every rank left the loop at
-			// the same step boundary with consistent fields and every
-			// checkpoint set committed.
-			return Metrics{}, err
-		}
-		if errors.Is(err, errSilenced) {
-			// Injected silent failure: go dark without a trace — the
-			// survivors must detect the silence via the failure-detection
-			// deadline and shrink around this rank. The spares must stay
-			// parked: one of them is this rank's replacement.
-			endRun = false
-			return Metrics{}, ErrRetired
-		}
-		if terminal := onFailure(err); terminal != nil {
-			return Metrics{}, terminal
-		}
-		needRestore = true
-	}
-
-	if !degradedSince.IsZero() {
-		rec.DegradedTime += time.Since(degradedSince)
-		degradedSince = time.Time{}
-	}
-	s.publishRecoveryGauges(&rec, degradedSince)
-	wall := time.Since(start)
-	m, err := s.gatherMetrics(steps, wall)
+	d, err := resilience.NewDriver(world{s}, rc)
 	if err != nil {
 		return Metrics{}, err
 	}
-	m.Recovery = rec
+	return s.runDriver(ctx, d, 0, steps)
+}
+
+// runDriver runs the driver from step `from` and reduces the run's
+// metrics.
+func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, from, steps int) (Metrics, error) {
+	s.ResetTimers()
+	start := time.Now()
+	if err := d.Run(ctx, from, steps); err != nil {
+		return Metrics{}, err
+	}
+	m, err := s.gatherMetrics(steps, time.Since(start))
+	if err != nil {
+		return Metrics{}, err
+	}
+	m.Recovery = d.Stats
 	return m, nil
 }
 
-// publishRecoveryGauges refreshes the resilience gauges: mean time to
-// repair, current world size, and accumulated degraded wall time.
-func (s *Simulation) publishRecoveryGauges(rec *RecoveryStats, degradedSince time.Time) {
-	if rec.Restores > 0 {
-		s.tel.mttrMs.Set(float64(rec.TimeLost.Milliseconds()) / float64(rec.Restores))
-	}
-	s.tel.worldSize.Set(float64(s.Comm.Size()))
-	d := rec.DegradedTime
-	if !degradedSince.IsZero() {
-		d += time.Since(degradedSince)
-	}
-	s.tel.degradedMs.Set(float64(d.Milliseconds()))
+// RunSpare parks this rank as a hot spare of a heal-mode resilient run:
+// it waits at the communicator layer, joins every recovery rendezvous,
+// and when recruited receives the dead rank's state and finishes the run
+// as a full member of the world. See RunSpareCtx.
+func RunSpare(world *comm.Comm, active int, domain *blockforest.BlockForest, cfg Config, steps int, rc ResilienceConfig) (*Simulation, Metrics, bool, error) {
+	return RunSpareCtx(context.Background(), world, active, domain, cfg, steps, rc)
 }
 
-// sleepCtx sleeps for d or until the context is cancelled, whichever
-// comes first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return
+// RunSpareCtx is the spare-rank counterpart of RunResilientCtx. world is
+// the world communicator this rank received from comm.Run; active is the
+// target active world size; domain supplies the forest header (Domain,
+// GridSize, CellsPerBlock, Periodic — the block assignment itself is
+// streamed on recruitment). It returns joined=false with a nil Simulation
+// when the run ended without needing this spare, and otherwise the joined
+// run's Simulation (for FieldHash and the like) and metrics. Like
+// RunResilientCtx it returns ErrRetired if this rank itself fails
+// permanently after joining.
+func RunSpareCtx(ctx context.Context, wc *comm.Comm, active int, domain *blockforest.BlockForest, cfg Config, steps int, rc ResilienceConfig) (*Simulation, Metrics, bool, error) {
+	var s *Simulation
+	var start time.Time
+	_, rec, joined, err := resilience.RunSpare(ctx, wc, active, rc, steps, func(c *comm.Comm) (resilience.World, error) {
+		start = time.Now()
+		var err error
+		s, err = New(c, &blockforest.BlockForest{
+			Rank:          c.Rank(),
+			NumRanks:      c.Size(),
+			Domain:        domain.Domain,
+			GridSize:      domain.GridSize,
+			CellsPerBlock: domain.CellsPerBlock,
+			Periodic:      domain.Periodic,
+		}, cfg)
+		return world{s}, err
+	})
+	if err != nil || !joined {
+		return s, Metrics{}, joined, err
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
+	m, err := s.gatherMetrics(steps, time.Since(start))
+	m.Recovery = rec
+	return s, m, true, err
 }
 
-// runAttempt executes steps until completion or the first detected
-// failure, converting injected-crash panics into the same typed error the
-// communication layer returns, so the driver above treats "this rank
-// died" and "a peer died" uniformly.
-func (s *Simulation) runAttempt(ctx context.Context, total int, rc ResilienceConfig, step *int, rec *RecoveryStats) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if cr, ok := r.(comm.Crash); ok {
-				err = &comm.RankFailedError{Rank: cr.Rank, Cause: "injected crash"}
-				return
-			}
-			if _, ok := r.(comm.Hang); ok {
-				err = errSilenced
-				return
-			}
-			var rfe *comm.RankFailedError
-			if e, isErr := r.(error); isErr && errors.As(e, &rfe) {
-				err = rfe
-				return
-			}
-			panic(r)
-		}
-	}()
-	for *step < total {
-		// The cancellation vote sits before this step's protection work,
-		// so a cancel that lands while a checkpoint set or replica
-		// generation is being produced is only acted on at the next step
-		// boundary — after the set committed.
-		if stop, verr := s.cancelVote(ctx); verr != nil {
-			return verr
-		} else if stop {
-			return interrupted(ctx)
-		}
-		// Arm this step's injected crashes and hangs (each fires at most
-		// once per spec across replays) before any collective work for
-		// the step.
-		s.Comm.SetStep(*step)
-		if rc.Mode != RecoverRewind && rc.CheckpointEvery > 0 &&
-			*step%rc.CheckpointEvery == 0 && s.buddy.lastStep != *step {
-			// Produce a buddy-replica generation, including one at step 0
-			// so the buddy always holds at least the initial state (and
-			// with it the block metadata adoption needs).
-			repStart := s.tel.driver.Start()
-			if err := s.replicate(*step, rec); err != nil {
-				return err
-			}
-			s.tel.driver.Span(telemetry.PhaseReplicate, *step, 0, repStart)
-		}
-		if rc.CheckpointEvery > 0 && rc.Dir != "" && *step > 0 && *step%rc.CheckpointEvery == 0 {
-			ckStart := s.tel.driver.Start()
-			n, err := s.WriteCheckpointSet(rc.Dir, *step)
-			if err != nil {
-				return err
-			}
-			if n > 0 {
-				rec.CheckpointsWritten++
-				rec.CheckpointBytes += n
-				s.tel.checkpointBytes.Add(n)
-			}
-			s.tel.driver.Span(telemetry.PhaseCheckpoint, *step, 0, ckStart)
-		}
-		if err := s.Step(); err != nil {
-			return err
-		}
-		*step++
-	}
-	return s.Comm.BarrierErr()
+// world is the uniform simulation as the recovery driver sees it.
+type world struct{ *Simulation }
+
+func (w world) Comm() *comm.Comm { return w.Simulation.Comm }
+
+func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
+	return w.tel.driver, w.Config.Metrics
 }
 
-// restoreAttempt wraps RestoreLatestCheckpointSet with the same panic
-// conversion as runAttempt (a crash can be scheduled to fire during
-// recovery traffic too).
-func (s *Simulation) restoreAttempt(dir string) (step int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if cr, ok := r.(comm.Crash); ok {
-				err = &comm.RankFailedError{Rank: cr.Rank, Cause: "injected crash"}
-				return
-			}
-			var rfe *comm.RankFailedError
-			if e, isErr := r.(error); isErr && errors.As(e, &rfe) {
-				err = rfe
-				return
-			}
-			panic(r)
+// ownSnapshot is this rank's raw state: copies of both PDF fields of
+// every local block, restored by memcpy — the survivor's rewind needs no
+// decoding at all.
+type ownSnapshot struct {
+	coords   [][3]int
+	src, dst [][]float64
+}
+
+func (w world) Snapshot(reuse resilience.State) resilience.State {
+	og, _ := reuse.(*ownSnapshot)
+	if og == nil || len(og.src) != len(w.Blocks) {
+		og = &ownSnapshot{src: make([][]float64, len(w.Blocks)), dst: make([][]float64, len(w.Blocks))}
+	}
+	og.coords = og.coords[:0]
+	for i, bd := range w.Blocks {
+		og.coords = append(og.coords, bd.Block.Coord)
+		og.src[i] = append(og.src[i][:0], bd.Src.Data()...)
+		og.dst[i] = append(og.dst[i][:0], bd.Dst.Data()...)
+	}
+	return og
+}
+
+// blockMeta carries the non-field state of one block — the side band of
+// the WBK1 rank file, which stores only coordinates and fields: the forest
+// block (ID, coordinates, AABB, neighborhood with communicator ranks as of
+// the producing generation) and the flag field contents.
+type blockMeta struct {
+	Block blockforest.Block
+	Flags []field.CellType
+}
+
+// blockSet is a decoded rank file: whole-block field snapshots in the
+// layout they were stored in, joined — when the blocks are to be adopted —
+// with their metadata.
+type blockSet struct {
+	snaps []output.BlockSnapshot
+	metas []blockMeta
+}
+
+func (w world) Encode(out io.Writer) (int64, uint32, error) {
+	snaps := make([]output.BlockSnapshot, len(w.Blocks))
+	for i, bd := range w.Blocks {
+		snaps[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
+	}
+	return output.WriteRankFile(out, snaps)
+}
+
+func (w world) Meta() ([]byte, error) {
+	metas := make([]blockMeta, len(w.Blocks))
+	for i, bd := range w.Blocks {
+		metas[i] = blockMeta{Block: *bd.Block, Flags: bd.Flags.Data()}
+	}
+	return encodeMetas(metas)
+}
+
+func encodeMetas(metas []blockMeta) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(metas)
+	return buf.Bytes(), err
+}
+
+// Decode reads every block in the layout it was stored in — ranks can run
+// a mix of layouts under per-block kernel selection; CopyFrom transposes
+// if the live block disagrees.
+func (w world) Decode(r io.Reader, meta []byte) (resilience.State, uint32, error) {
+	snaps, crc, err := output.ReadRankFileStored(r, w.Stencil)
+	if err != nil {
+		return nil, 0, err
+	}
+	set := &blockSet{snaps: snaps}
+	if meta != nil {
+		if err := gob.NewDecoder(bytes.NewReader(meta)).Decode(&set.metas); err != nil {
+			return nil, 0, fmt.Errorf("sim: decoding replica metadata: %w", err)
 		}
-	}()
-	return s.RestoreLatestCheckpointSet(dir)
+		if len(set.metas) != len(snaps) {
+			return nil, 0, fmt.Errorf("sim: replica has %d field snapshots but %d metadata records", len(snaps), len(set.metas))
+		}
+	}
+	return set, crc, nil
+}
+
+func (w world) Reencode(ward resilience.State) ([]byte, uint32, []byte, error) {
+	set := ward.(*blockSet)
+	var payload bytes.Buffer
+	_, crc, err := output.WriteRankFile(&payload, set.snaps)
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("sim: encoding heal payload: %w", err)
+	}
+	meta, err := encodeMetas(set.metas)
+	return payload.Bytes(), crc, meta, err
+}
+
+// Owns demands an exact match between the snapshot coordinates and this
+// rank's block assignment, and between the shapes.
+func (w world) Owns(state resilience.State) error {
+	snaps := state.(*blockSet).snaps
+	if len(snaps) != len(w.Blocks) {
+		return fmt.Errorf("sim: rank file has %d blocks, rank owns %d", len(snaps), len(w.Blocks))
+	}
+	for _, snap := range snaps {
+		bd, ok := w.byCoord[snap.Coord]
+		if !ok {
+			return fmt.Errorf("sim: rank file contains block %v not owned by rank %d", snap.Coord, w.Comm().Rank())
+		}
+		for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
+			if pf.Nx != bd.Src.Nx || pf.Ny != bd.Src.Ny || pf.Nz != bd.Src.Nz || pf.Ghost != bd.Src.Ghost {
+				return fmt.Errorf("sim: rank file block %v shape mismatch", snap.Coord)
+			}
+		}
+	}
+	return nil
+}
+
+func (w world) Reset() error {
+	for _, bd := range w.Blocks {
+		w.initBlockState(bd)
+	}
+	return nil
+}
+
+// Install rewinds the local blocks, re-owns the wards' through the same
+// adoption path the dynamic load balancer uses, and — when the
+// communicator changed — renumbers every neighborhood with the old→new
+// rank map and rebuilds the exchange plan.
+func (w world) Install(c *comm.Comm, redirect []int, step int, own resilience.State, wards []resilience.State) (int, error) {
+	s := w.Simulation
+	switch o := own.(type) {
+	case *ownSnapshot:
+		for i, coord := range o.coords {
+			bd := s.byCoord[coord]
+			if bd == nil {
+				return 0, fmt.Errorf("sim: own snapshot holds unknown block %v", coord)
+			}
+			copy(bd.Src.Data(), o.src[i])
+			copy(bd.Dst.Data(), o.dst[i])
+		}
+	case *blockSet: // Owns vouched for the coordinates
+		for _, snap := range o.snaps {
+			bd := s.byCoord[snap.Coord]
+			bd.Src.CopyFrom(snap.Src)
+			bd.Dst.CopyFrom(snap.Dst)
+		}
+	}
+	// Simulated time resumes at the restored step; the plain driver's
+	// fault-injection announcements continue from there.
+	s.worldSteps = step
+	var adopted []*BlockData
+	for _, ward := range wards {
+		blocks, err := s.buildAdoptedBlocks(ward.(*blockSet))
+		if err != nil {
+			return 0, err
+		}
+		adopted = append(adopted, blocks...)
+	}
+	if redirect == nil {
+		return 0, nil
+	}
+
+	kept := append(s.Blocks, adopted...)
+	sort.Slice(kept, func(i, j int) bool {
+		return blockforest.MortonKey(kept[i].Block.Coord) < blockforest.MortonKey(kept[j].Block.Coord)
+	})
+	s.Blocks = kept
+	s.byCoord = make(map[[3]int]*BlockData, len(kept))
+	forestBlocks := make([]*blockforest.Block, 0, len(kept))
+	for _, bd := range kept {
+		for i := range bd.Block.Neighbors {
+			n := &bd.Block.Neighbors[i]
+			if n.Rank < 0 || n.Rank >= len(redirect) {
+				return 0, fmt.Errorf("sim: neighbor of block %v has invalid rank %d", bd.Block.Coord, n.Rank)
+			}
+			n.Rank = redirect[n.Rank]
+		}
+		s.byCoord[bd.Block.Coord] = bd
+		forestBlocks = append(forestBlocks, bd.Block)
+	}
+	s.Comm = c
+	s.Forest.Rank = c.Rank()
+	s.Forest.NumRanks = c.Size()
+	s.Forest.Blocks = forestBlocks
+	// recycleBuffers=false: the dead rank's final zero-copy unpack read our
+	// old send buffers and will never synchronize with this rebuild, so the
+	// retired buffers must not be repacked — see rebuildPlan.
+	s.rebuildPlan(false)
+	return len(adopted), nil
+}
+
+// buildAdoptedBlocks joins decoded field snapshots with their metadata
+// into runtime blocks.
+func (s *Simulation) buildAdoptedBlocks(set *blockSet) ([]*BlockData, error) {
+	byCoord := make(map[[3]int]*blockMeta, len(set.metas))
+	for i := range set.metas {
+		byCoord[set.metas[i].Block.Coord] = &set.metas[i]
+	}
+	blocks := make([]*BlockData, 0, len(set.snaps))
+	for _, snap := range set.snaps {
+		m := byCoord[snap.Coord]
+		if m == nil {
+			return nil, fmt.Errorf("sim: replica block %v has no metadata", snap.Coord)
+		}
+		cells := m.Block.Cells
+		for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
+			if pf.Nx != cells[0] || pf.Ny != cells[1] || pf.Nz != cells[2] || pf.Ghost != 1 {
+				return nil, fmt.Errorf("sim: replica block %v shape mismatch", snap.Coord)
+			}
+		}
+		flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
+		copy(flags.Data(), m.Flags)
+		blk := m.Block // copy out of the decoded metadata
+		bd, err := s.assembleBlock(&blk, flags)
+		if err != nil {
+			return nil, err
+		}
+		// Snapshots are decoded whole-block and in the layout they were
+		// stored in; CopyFrom crops to the window and transposes.
+		bd.Src.CopyFrom(snap.Src)
+		bd.Dst.CopyFrom(snap.Dst)
+		blocks = append(blocks, bd)
+	}
+	return blocks, nil
 }

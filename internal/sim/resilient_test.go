@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"walberla/internal/blockforest"
 	"walberla/internal/boundary"
 	"walberla/internal/comm"
+	"walberla/internal/field"
 	"walberla/internal/output"
 )
 
@@ -345,5 +348,75 @@ func TestWriteCheckpointSetAtomicAndIdempotent(t *testing.T) {
 	}
 	if got := output.ListValidSets(dir); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("ListValidSets = %v, want [5]", got)
+	}
+}
+
+// TestCheckpointSetBytesAreTheCodecs pins the on-disk and on-wire bytes of
+// a uniform generation to the codecs they were before the recovery driver
+// moved out of this package: a rank file is exactly output.WriteRankFile
+// of the rank's blocks, the manifest exactly output.WriteManifest of the
+// gathered sizes and CRCs, and the replica side band exactly the gob of
+// the block metadata — so sets and replicas written before and after the
+// move restore each other.
+func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	manifest := &output.SetManifest{Step: 3, Ranks: 2, Entries: make([]output.ManifestEntry, 2)}
+	comm.Run(2, func(c *comm.Comm) {
+		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), cavityForest()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s, err := New(c, forest, cavityConfig())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mustRun(t, s, 3)
+		if _, err := s.WriteCheckpointSet(dir, 3); err != nil {
+			t.Error(err)
+			return
+		}
+		snaps := make([]output.BlockSnapshot, len(s.Blocks))
+		metas := make([]blockMeta, len(s.Blocks))
+		for i, bd := range s.Blocks {
+			snaps[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
+			metas[i] = blockMeta{Block: *bd.Block, Flags: append([]field.CellType(nil), bd.Flags.Data()...)}
+		}
+		var want bytes.Buffer
+		size, crc, err := output.WriteRankFile(&want, snaps)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		name := output.RankFileName(c.Rank())
+		got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), name))
+		if err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("rank %d: rank file differs from output.WriteRankFile (%d vs %d bytes, err %v)", c.Rank(), len(got), want.Len(), err)
+		}
+		mu.Lock()
+		manifest.Entries[c.Rank()] = output.ManifestEntry{Name: name, Size: size, CRC: crc}
+		mu.Unlock()
+
+		var wantMeta bytes.Buffer
+		if err := gob.NewEncoder(&wantMeta).Encode(metas); err != nil {
+			t.Error(err)
+			return
+		}
+		if meta, err := (world{s}).Meta(); err != nil || !bytes.Equal(meta, wantMeta.Bytes()) {
+			t.Errorf("rank %d: replica side band differs from the gob of the block metadata (err %v)", c.Rank(), err)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	var want bytes.Buffer
+	if err := output.WriteManifest(&want, manifest); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), output.ManifestName))
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("manifest differs from output.WriteManifest (err %v)", err)
 	}
 }

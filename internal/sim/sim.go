@@ -14,7 +14,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,6 +24,7 @@ import (
 	"walberla/internal/field"
 	"walberla/internal/kernels"
 	"walberla/internal/lattice"
+	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
@@ -373,14 +373,6 @@ type Simulation struct {
 	// members are nil-safe, so untraced simulations pay one branch per
 	// recording site.
 	tel simTel
-
-	// In-memory buddy replication state of shrinking recovery (buddy.go);
-	// nil unless RunResilient runs with RecoverShrink.
-	buddy *buddyState
-	// recoveryDiskReads counts filesystem reads performed by the restore
-	// paths; the driver snapshots it around each recovery to assert the
-	// buddy path stays disk-free.
-	recoveryDiskReads int
 
 	computeTime  time.Duration
 	commTime     time.Duration
@@ -735,10 +727,10 @@ func (s *Simulation) RunCtx(ctx context.Context, steps int) (Metrics, error) {
 	s.ResetTimers()
 	start := time.Now()
 	for i := 0; i < steps; i++ {
-		if stop, err := s.cancelVote(ctx); err != nil {
+		if stop, err := resilience.CancelVote(ctx, s.Comm); err != nil {
 			return Metrics{}, err
 		} else if stop {
-			return Metrics{}, interrupted(ctx)
+			return Metrics{}, resilience.Interrupted(ctx)
 		}
 		// Announce the absolute step to the fault injector (free without a
 		// plan). The resilient drivers announce their own replay-aware step
@@ -752,43 +744,6 @@ func (s *Simulation) RunCtx(ctx context.Context, steps int) (Metrics, error) {
 	wall := time.Since(start)
 	return s.gatherMetrics(steps, wall)
 }
-
-// cancelVote is the collective cancellation check of the context-bound
-// drivers: every rank contributes whether its context is done, and the
-// loop stops iff any rank's is — so all ranks agree on the exact step the
-// run ends at. It is a no-op (no communication) for contexts that can
-// never be cancelled.
-func (s *Simulation) cancelVote(ctx context.Context) (stop bool, err error) {
-	if ctx == nil || ctx.Done() == nil {
-		return false, nil
-	}
-	flag := int64(0)
-	if ctx.Err() != nil {
-		flag = 1
-	}
-	v, err := s.Comm.AllreduceInt64Err(flag, comm.Max[int64])
-	if err != nil {
-		return false, err
-	}
-	return v != 0, nil
-}
-
-// interrupted builds the ErrInterrupted-wrapping error of a cancelled
-// run, attaching this rank's own context cause when it has one (on ranks
-// that merely voted with a cancelled peer the cause is unknown).
-func interrupted(ctx context.Context) error {
-	if cause := context.Cause(ctx); cause != nil {
-		return fmt.Errorf("%w: %w", ErrInterrupted, cause)
-	}
-	return ErrInterrupted
-}
-
-// ErrInterrupted is returned (wrapped) by RunCtx and RunResilientCtx when
-// the run was stopped by context cancellation rather than by an error:
-// the simulation state is a consistent step boundary on every rank, and
-// any in-flight checkpoint set was finished (or rolled back atomically)
-// before the drivers returned.
-var ErrInterrupted = errors.New("sim: run interrupted")
 
 // SetForce replaces the constant body force applied after collision —
 // the steering hook of the session API. Every rank must call it at the

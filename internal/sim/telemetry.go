@@ -17,12 +17,13 @@ import (
 //     collide-stream sweep and for every pack/unpack/local-copy task —
 //     the per-worker utilization the load-imbalance factor is computed
 //     from;
-//   - registry counters for per-phase nanoseconds, checkpoint/replica
-//     bytes and failures, and gauges for mailbox occupancy, worker
-//     imbalance, the same-rank exchange volume (values moved per step,
-//     copies and values the need-mask elided) and the PDF field footprint
-//     (cells the allocation windows store against cells of the ghosted
-//     blocks).
+//   - registry counters for per-phase nanoseconds, and gauges for
+//     mailbox occupancy, worker imbalance, the same-rank exchange volume
+//     (values moved per step, copies and values the need-mask elided) and
+//     the PDF field footprint (cells the allocation windows store against
+//     cells of the ghosted blocks). Checkpoint/replica bytes, failures
+//     and the recovery gauges are the recovery driver's
+//     (internal/resilience), which records into the same registry.
 //
 // All handles are pre-resolved at construction and nil-safe, so an
 // untraced simulation pays one branch per recording site and a traced
@@ -42,17 +43,9 @@ type simTel struct {
 	collideNs  *telemetry.Counter
 	steps      *telemetry.Counter
 
-	checkpointBytes *telemetry.Counter
-	replicaBytes    *telemetry.Counter
-	failures        *telemetry.Counter
-
 	imbalance   *telemetry.Gauge
 	mboxPending *telemetry.Gauge
 	mboxHigh    *telemetry.Gauge
-
-	mttrMs     *telemetry.Gauge
-	worldSize  *telemetry.Gauge
-	degradedMs *telemetry.Gauge
 
 	localFloats       *telemetry.Gauge
 	localCopiesElided *telemetry.Gauge
@@ -67,24 +60,18 @@ type simTel struct {
 // disabled).
 func resolveSimTel(tr *telemetry.Tracer, reg *telemetry.Registry) simTel {
 	return simTel{
-		tracer:          tr,
-		driver:          tr.Driver(),
-		postNs:          reg.Counter("sim.phase.exchange_post_ns"),
-		interiorNs:      reg.Counter("sim.phase.interior_sweep_ns"),
-		waitNs:          reg.Counter("sim.phase.exchange_wait_ns"),
-		frontierNs:      reg.Counter("sim.phase.frontier_sweep_ns"),
-		boundaryNs:      reg.Counter("sim.phase.boundary_ns"),
-		collideNs:       reg.Counter("sim.phase.collide_stream_ns"),
-		steps:           reg.Counter("sim.steps"),
-		checkpointBytes: reg.Counter("sim.checkpoint_bytes"),
-		replicaBytes:    reg.Counter("sim.replica_bytes"),
-		failures:        reg.Counter("sim.failures_detected"),
-		imbalance:       reg.Gauge("sim.load_imbalance"),
-		mboxPending:     reg.Gauge("comm.mailbox_pending"),
-		mboxHigh:        reg.Gauge("comm.mailbox_high_water"),
-		mttrMs:          reg.Gauge("recovery.mttr_ms"),
-		worldSize:       reg.Gauge("recovery.world_size"),
-		degradedMs:      reg.Gauge("recovery.degraded_ms"),
+		tracer:      tr,
+		driver:      tr.Driver(),
+		postNs:      reg.Counter("sim.phase.exchange_post_ns"),
+		interiorNs:  reg.Counter("sim.phase.interior_sweep_ns"),
+		waitNs:      reg.Counter("sim.phase.exchange_wait_ns"),
+		frontierNs:  reg.Counter("sim.phase.frontier_sweep_ns"),
+		boundaryNs:  reg.Counter("sim.phase.boundary_ns"),
+		collideNs:   reg.Counter("sim.phase.collide_stream_ns"),
+		steps:       reg.Counter("sim.steps"),
+		imbalance:   reg.Gauge("sim.load_imbalance"),
+		mboxPending: reg.Gauge("comm.mailbox_pending"),
+		mboxHigh:    reg.Gauge("comm.mailbox_high_water"),
 
 		localFloats:       reg.Gauge("sim.exchange.local_floats"),
 		localCopiesElided: reg.Gauge("sim.exchange.local_copies_elided"),
