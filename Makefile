@@ -51,9 +51,11 @@ race-net:
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
 # gate, bit-identical suspend/resume, the scenario schema round trip and
-# the HTTP API surface.
+# the HTTP API surface — and, because every one of them starts its world
+# through it, the launcher (internal/core: first-error capture, world
+# revocation, spare parking) and the walberla-sim front end on top.
 race-serve:
-	$(GO) test -race -count=1 ./internal/serve/ ./internal/scenario/
+	$(GO) test -race -count=1 ./internal/serve/ ./internal/scenario/ ./internal/core/ ./cmd/walberla-sim/
 
 # race-amr re-runs the adaptive mesh refinement suite uncached under the
 # race detector: the level-wise timestepping determinism battery
@@ -80,6 +82,7 @@ alloc-test:
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadRankFile -fuzztime 5s ./internal/output/
+	$(GO) test -run '^Fuzz' -fuzz FuzzReadLeafFile -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/comm/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSparseIntervals -fuzztime 5s ./internal/kernels/

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sync"
 
-	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/core"
 	"walberla/internal/partition"
 	"walberla/internal/perfmodel"
 	"walberla/internal/setup"
@@ -83,49 +83,31 @@ func balanceAblation() {
 		if useGraph {
 			name = "graph"
 		}
-		f, _, err := setup.BuildForest(sdf, setup.Options{
-			CellsPerBlock:       cells,
+		p := &core.Problem{
+			Geometry:            sdf,
 			Dx:                  dx,
+			CellsPerBlock:       cells,
+			Kernel:              sim.KernelSparse,
+			Tau:                 0.6,
 			Ranks:               4,
 			Seed:                1,
 			UseGraphPartitioner: useGraph,
-		})
-		if err != nil {
-			panic(err)
 		}
 		var maxT, sumT float64
 		var maxCells, totalCells int64
 		var mu sync.Mutex
-		comm.Run(4, func(c *comm.Comm) {
-			var in *blockforest.SetupForest
-			if c.Rank() == 0 {
-				in = f
-			}
-			bf, err := blockforest.Distribute(c, in)
-			if err != nil {
-				panic(err)
-			}
-			s, err := sim.New(c, bf, sim.Config{
-				Kernel:     sim.KernelSparse,
-				Tau:        0.6,
-				SetupFlags: setup.FlagsFromSDF(sdf),
-			})
-			if err != nil {
-				panic(err)
-			}
-			if _, err := s.Run(100); err != nil {
-				panic(err)
-			}
+		err := p.RunEach(100, func(_ *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
 			compute, _, _ := s.PhaseTimes()
 			_, mc, tc := s.RankLoad()
 			mu.Lock()
 			sumT += compute.Seconds()
-			if compute.Seconds() > maxT {
-				maxT = compute.Seconds()
-			}
+			maxT = max(maxT, compute.Seconds())
 			maxCells, totalCells = mc, tc
 			mu.Unlock()
 		})
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%s\t%.3f\t%.3f\n", name,
 			maxT/(sumT/4), float64(maxCells)/(float64(totalCells)/4))
 	}

@@ -15,8 +15,11 @@ import (
 // TestDocsPointAtThingsThatExist keeps the living documents honest about
 // the repository they describe: every `make <target>` is a Makefile
 // target, every `-fig <name>` is a key of walberla-bench's figure table,
-// every back-ticked repository path exists, the retired per-writer
-// benchmark records (`retired` below) are not cited, and — the other
+// every `-flag` cited after `walberla-sim` (or the verify skill's `wsim`)
+// on a line, or on the continuation lines of such a command, is a flag
+// the binary defines, every back-ticked repository path exists, the
+// retired per-writer benchmark records (`retired` below) are not cited,
+// and — the other
 // direction — every package directory under internal/ and cmd/ is named
 // in DESIGN.md's module map. History (CHANGES.md, ROADMAP.md, ISSUE.md),
 // the paper notes and bench/ (frozen by BENCHMARK.json) are out of scope.
@@ -34,6 +37,7 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 	targets := makeTargets(t)
 	figures := figureNames(t)
 	figures["all"] = true
+	simFlags := simFlagNames(t)
 
 	var (
 		span     = regexp.MustCompile("`[^`\n]+`")
@@ -43,6 +47,8 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 		repoPath = regexp.MustCompile(`^(internal|cmd|docs|bench|examples)/`)
 		rootJSON = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*\.json$`)
 		lineRef  = regexp.MustCompile(`(:\d+(-\d+)?)?[.,;:)]*$`)
+		simCmd   = regexp.MustCompile(`\b(walberla-sim|wsim)\b(.*)$`)
+		flagTok  = regexp.MustCompile("(?:^|[\\s`(\"])-([a-z][a-z0-9-]*)")
 	)
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -68,11 +74,23 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fenced := false
+		fenced, continued := false, false
 		for i, line := range strings.Split(string(data), "\n") {
 			bad := func(format string, args ...any) {
 				t.Helper()
 				t.Errorf("%s:%d: "+format, append([]any{doc, i + 1}, args...)...)
+			}
+			cited := ""
+			if m := simCmd.FindStringSubmatch(line); m != nil {
+				cited = m[2]
+			} else if continued {
+				cited = line
+			}
+			continued = cited != "" && strings.HasSuffix(strings.TrimSpace(line), `\`)
+			for _, m := range flagTok.FindAllStringSubmatch(cited, -1) {
+				if !simFlags[m[1]] {
+					bad("-%s is not a flag of cmd/walberla-sim", m[1])
+				}
 			}
 			if strings.Contains(line, retired) {
 				bad("cites a retired %s*.json record", retired)
@@ -160,6 +178,40 @@ func figureNames(t *testing.T) map[string]bool {
 	})
 	if len(names) == 0 {
 		t.Fatal("no figure table found in cmd/walberla-bench/main.go")
+	}
+	return names
+}
+
+// simFlagNames reads the flags cmd/walberla-sim defines — the first
+// argument of every fs.<Type>("name", ...) call in its main.go.
+func simFlagNames(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "cmd/walberla-sim/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 3 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				names[name] = true
+			}
+		}
+		return true
+	})
+	if len(names) < 30 {
+		t.Fatalf("found only %d flag definitions in cmd/walberla-sim/main.go", len(names))
 	}
 	return names
 }

@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 
-	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/field"
+	"walberla/internal/core"
 	"walberla/internal/sim"
 )
 
@@ -29,41 +27,28 @@ func main() {
 	nu := (tau - 0.5) / 3.0
 	k := 2 * math.Pi / float64(n)
 
-	f := blockforest.NewSetupForest(
-		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
-		[3]int{2, 2, 1}, [3]int{n / 2, n / 2, 2}, [3]bool{true, true, true})
-	f.BalanceMorton(ranks)
+	p := &core.Problem{
+		Grid:          [3]int{2, 2, 1},
+		CellsPerBlock: [3]int{n / 2, n / 2, 2},
+		Periodic:      [3]bool{true, true, true},
+		Tau:           tau,
+		Ranks:         ranks,
+		InitialState: func(x, y, z int) (float64, float64, float64, float64) {
+			fx := (float64(x) + 0.5) * k
+			fy := (float64(y) + 0.5) * k
+			return 1.0,
+				u0 * math.Cos(fx) * math.Sin(fy),
+				-u0 * math.Sin(fx) * math.Cos(fy),
+				0
+		},
+	}
 
 	fmt.Printf("Taylor-Green vortex, %d^2 cells, tau=%g (nu=%g), u0=%g\n", n, tau, nu, u0)
 	fmt.Println("\n steps   E/E0(measured)  E/E0(analytic)  error%")
 
-	var mu sync.Mutex
-	comm.Run(ranks, func(c *comm.Comm) {
-		var in *blockforest.SetupForest
-		if c.Rank() == 0 {
-			in = f
-		}
-		forest, err := blockforest.Distribute(c, in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s, err := sim.New(c, forest, sim.Config{
-			Tau: tau,
-			InitialState: func(x, y, z int) (float64, float64, float64, float64) {
-				fx := (float64(x) + 0.5) * k
-				fy := (float64(y) + 0.5) * k
-				return 1.0,
-					u0 * math.Cos(fx) * math.Sin(fy),
-					-u0 * math.Sin(fx) * math.Cos(fy),
-					0
-			},
-			SetupFlags: func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
-				flags.Fill(field.Fluid)
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	// RunEach(0, ...) hands every rank its freshly built simulation; the
+	// callback drives the time loop itself to sample the energy as it goes.
+	err := p.RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
 		energy := func() float64 {
 			var e float64
 			for _, bd := range s.Blocks {
@@ -86,14 +71,15 @@ func main() {
 			}
 			e := energy()
 			if c.Rank() == 0 {
-				mu.Lock()
 				want := math.Exp(-4 * nu * k * k * float64(step))
 				got := e / e0
 				fmt.Printf("%6d   %.6f        %.6f        %+.3f%%\n",
 					step, got, want, 100*(got-want)/want)
-				mu.Unlock()
 			}
 		}
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nvalidation: measured decay tracks the analytic Navier-Stokes solution")
 }

@@ -1,12 +1,14 @@
 // Package core is the high-level façade of the framework: it wires the
 // setup pipeline, the distributed block forest, and the simulation driver
-// into a single Problem description that runs SPMD over the in-process
-// communicator — the API the examples and command line tools build on.
+// into a single Problem description and the one launcher that starts its
+// SPMD world (Launch) and runs it to completion (Execute) — what the
+// examples, the scenario layer, the session daemon and the command line
+// tools all go through.
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/boundary"
@@ -61,9 +63,6 @@ type Problem struct {
 	// Workers is the intra-rank worker count for block sweeps and
 	// pack/unpack (the hybrid MPI+threads mode); zero means one.
 	Workers int
-	// Exchange selects the ghost exchange wire format; the zero value is
-	// sim.ExchangeAggregated (one message per neighbor rank per step).
-	Exchange sim.ExchangeMode
 	// Seed drives randomized setup stages.
 	Seed int64
 	// TelemetryFor, if non-nil, supplies each rank's tracer and metrics
@@ -116,9 +115,8 @@ func (p *Problem) BuildForest() (*blockforest.SetupForest, error) {
 	return f, nil
 }
 
-// SimConfig assembles the sim.Config of this problem; callers that do
-// not go through Run/RunEach (the session daemon) normalize it with
-// Config.Validate before use.
+// SimConfig assembles the sim.Config of this problem (Launch adds each
+// rank's telemetry); sim.New normalizes it with Config.Validate.
 func (p *Problem) SimConfig() sim.Config {
 	cfg := sim.Config{
 		Stencil:         p.Stencil,
@@ -133,7 +131,6 @@ func (p *Problem) SimConfig() sim.Config {
 		InitialState:    p.InitialState,
 		SetupFlags:      p.SetupFlags,
 		Workers:         p.Workers,
-		Exchange:        p.Exchange,
 	}
 	if p.Geometry != nil && cfg.SetupFlags == nil {
 		cfg.SetupFlags = setup.FlagsFromSDF(p.Geometry)
@@ -155,59 +152,16 @@ func (p *Problem) Run(steps int) (sim.Metrics, error) {
 
 // RunEach executes the problem and invokes fn on every rank after the
 // time loop, giving access to the local simulation state (for probing
-// fields, writing output, or assertions in tests).
+// fields, writing output, or assertions in tests). It is Execute on the
+// default World: in-process ranks, plain stepping.
 func (p *Problem) RunEach(steps int, fn func(c *comm.Comm, s *sim.Simulation, m sim.Metrics)) error {
-	forest, err := p.BuildForest()
-	if err != nil {
-		return err
-	}
-	ranks := p.Ranks
-	if ranks == 0 {
-		ranks = 1
-	}
-	var mu sync.Mutex
-	var firstErr error
-	comm.Run(ranks, func(c *comm.Comm) {
-		var in *blockforest.SetupForest
-		if c.Rank() == 0 {
-			in = forest
-		}
-		bf, err := blockforest.Distribute(c, in)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		cfg := p.SimConfig()
-		if p.TelemetryFor != nil {
-			cfg.Tracer, cfg.Metrics = p.TelemetryFor(c.Rank())
-		}
-		s, err := sim.New(c, bf, cfg)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		m, err := s.Run(steps)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
+	_, err := p.Execute(context.Background(), World{Steps: steps}, func(r *Rank) error {
 		if fn != nil {
-			fn(c, s, m)
+			fn(r.Sim.Comm, r.Sim, r.Metrics)
 		}
+		return nil
 	})
-	return firstErr
+	return err
 }
 
 // LidDrivenCavity returns a ready-to-run lid-driven cavity problem: a

@@ -79,57 +79,11 @@ type SetManifest struct {
 // WriteRankFile writes the blocks of one rank, returning the byte size
 // and CRC32C of the produced file for the manifest.
 func WriteRankFile(w io.Writer, blocks []BlockSnapshot) (int64, uint32, error) {
-	crc := crc32.New(castagnoli)
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: io.MultiWriter(bw, crc)}
-	io.WriteString(cw, rankFileMagic)
-	binary.Write(cw, binary.LittleEndian, uint32(len(blocks)))
-	for _, b := range blocks {
-		var rec bytes.Buffer
-		for _, c := range b.Coord {
-			binary.Write(&rec, binary.LittleEndian, int64(c))
-		}
-		var src, dst bytes.Buffer
-		if err := SaveCheckpoint(&src, b.Src); err != nil {
-			return 0, 0, err
-		}
-		if err := SaveCheckpoint(&dst, b.Dst); err != nil {
-			return 0, 0, err
-		}
-		binary.Write(&rec, binary.LittleEndian, uint64(src.Len()))
-		rec.Write(src.Bytes())
-		binary.Write(&rec, binary.LittleEndian, uint64(dst.Len()))
-		rec.Write(dst.Bytes())
-		// CRC32C per block record, over coordinates, lengths and payloads.
-		recCRC := crc32.Checksum(rec.Bytes(), castagnoli)
-		if _, err := cw.Write(rec.Bytes()); err != nil {
-			return 0, 0, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, recCRC); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, 0, err
-	}
-	return cw.n, crc.Sum32(), nil
+	return writeRecords(w, rankFileMagic, blocks, func(rec *bytes.Buffer, b *BlockSnapshot) (src, dst *field.PDFField) {
+		writeCoord(rec, b.Coord)
+		return b.Src, b.Dst
+	})
 }
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// maxRankFileBlocks bounds the block count a rank file header may claim
-// before any allocation happens — far above any per-rank block count the
-// framework produces.
-const maxRankFileBlocks = 1 << 20
 
 // ReadRankFile reads and CRC-validates the blocks of one rank file,
 // returning the snapshots and the CRC32C of the whole byte stream (to be
@@ -148,71 +102,158 @@ func ReadRankFileStored(r io.Reader, s *lattice.Stencil) ([]BlockSnapshot, uint3
 }
 
 func readRankFile(r io.Reader, s *lattice.Stencil, layout field.Layout, useStored bool) ([]BlockSnapshot, uint32, error) {
+	f := recordFormat{magic: rankFileMagic, noun: "block", s: s, layout: layout, useStored: useStored}
+	return readRecords(r, f, func(rr io.Reader, b *BlockSnapshot) (reason string, src, dst **field.PDFField) {
+		return readCoord(rr, &b.Coord), &b.Src, &b.Dst
+	})
+}
+
+// The record loop of both rank-file codecs (WBK1 here, WBK2 in
+// leaffile.go): magic, record count, then per record a key, the length-
+// prefixed Src and Dst checkpoints and a CRC32C over all of it; the whole
+// stream is CRC'd for the manifest. The codecs differ in the key alone.
+
+// writeRecords writes one file of records; key encodes a record's key and
+// names its two fields.
+func writeRecords[T any](w io.Writer, magic string, recs []T, key func(rec *bytes.Buffer, r *T) (src, dst *field.PDFField)) (int64, uint32, error) {
+	crc := crc32.New(castagnoli)
+	bw := bufio.NewWriter(w)
+	cw := &countingWriter{w: io.MultiWriter(bw, crc)}
+	io.WriteString(cw, magic)
+	binary.Write(cw, binary.LittleEndian, uint32(len(recs)))
+	for i := range recs {
+		var rec bytes.Buffer
+		src, dst := key(&rec, &recs[i])
+		for _, f := range []*field.PDFField{src, dst} {
+			var payload bytes.Buffer
+			if err := SaveCheckpoint(&payload, f); err != nil {
+				return 0, 0, err
+			}
+			binary.Write(&rec, binary.LittleEndian, uint64(payload.Len()))
+			rec.Write(payload.Bytes())
+		}
+		// CRC32C per record, over key, lengths and payloads.
+		recCRC := crc32.Checksum(rec.Bytes(), castagnoli)
+		if _, err := cw.Write(rec.Bytes()); err != nil {
+			return 0, 0, err
+		}
+		if err := binary.Write(cw, binary.LittleEndian, recCRC); err != nil {
+			return 0, 0, err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, 0, err
+	}
+	return cw.n, crc.Sum32(), nil
+}
+
+func writeCoord(rec *bytes.Buffer, coord [3]int) {
+	for _, c := range coord {
+		binary.Write(rec, binary.LittleEndian, int64(c))
+	}
+}
+
+// readCoord decodes what writeCoord wrote; like every key decoder it
+// returns the reason the record is unusable, or "".
+func readCoord(rr io.Reader, coord *[3]int) string {
+	for d := range coord {
+		var c int64
+		if err := binary.Read(rr, binary.LittleEndian, &c); err != nil {
+			return fmt.Sprintf("truncated coordinates: %v", err)
+		}
+		coord[d] = int(c)
+	}
+	return ""
+}
+
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// maxRankFileBlocks bounds the record count a rank file header may claim
+// before any allocation happens — far above any per-rank block count the
+// framework produces.
+const maxRankFileBlocks = 1 << 20
+
+// recordFormat is what one rank-file codec hands the shared reader.
+type recordFormat struct {
+	magic, noun string // noun names a record in error messages
+	s           *lattice.Stencil
+	layout      field.Layout
+	useStored   bool
+}
+
+// readRecords reads and CRC-validates one file of records; key decodes a
+// record's key from rr and names where its two fields go.
+func readRecords[T any](r io.Reader, f recordFormat, key func(rr io.Reader, rec *T) (reason string, src, dst **field.PDFField)) ([]T, uint32, error) {
 	cr := newCRCReader(bufio.NewReader(r))
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, 0, corruptf(rankFileMagic, "reading magic: %v", err)
+		return nil, 0, corruptf(f.magic, "reading magic: %v", err)
 	}
-	if string(magic) != rankFileMagic {
-		return nil, 0, corruptf(rankFileMagic, "bad magic %q", magic)
+	if string(magic) != f.magic {
+		return nil, 0, corruptf(f.magic, "bad magic %q", magic)
 	}
 	var count uint32
 	if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-		return nil, 0, corruptf(rankFileMagic, "truncated block count: %v", err)
+		return nil, 0, corruptf(f.magic, "truncated %s count: %v", f.noun, err)
 	}
 	if count > maxRankFileBlocks {
-		return nil, 0, corruptf(rankFileMagic, "implausible block count %d", count)
+		return nil, 0, corruptf(f.magic, "implausible %s count %d", f.noun, count)
 	}
 	// Grow toward the claimed count instead of trusting it for the initial
 	// allocation: the header is read before any payload is validated, so a
 	// corrupt count must not drive a large up-front allocation.
-	initialCap := count
-	if initialCap > 1024 {
-		initialCap = 1024
-	}
-	blocks := make([]BlockSnapshot, 0, initialCap)
+	recs := make([]T, 0, min(count, 1024))
 	for i := uint32(0); i < count; i++ {
 		recCRC := crc32.New(castagnoli)
 		rr := io.TeeReader(cr, recCRC)
-		var b BlockSnapshot
-		for d := 0; d < 3; d++ {
-			var c int64
-			if err := binary.Read(rr, binary.LittleEndian, &c); err != nil {
-				return nil, 0, corruptf(rankFileMagic, "block %d: truncated coordinates: %v", i, err)
-			}
-			b.Coord[d] = int(c)
+		var rec T
+		reason, src, dst := key(rr, &rec)
+		if reason != "" {
+			return nil, 0, corruptf(f.magic, "%s %d: %s", f.noun, i, reason)
 		}
-		for fi, dst := range []**field.PDFField{&b.Src, &b.Dst} {
+		for fi, dst := range []**field.PDFField{src, dst} {
 			var n uint64
 			if err := binary.Read(rr, binary.LittleEndian, &n); err != nil {
-				return nil, 0, corruptf(rankFileMagic, "block %d: truncated field length: %v", i, err)
+				return nil, 0, corruptf(f.magic, "%s %d: truncated field length: %v", f.noun, i, err)
 			}
 			if n == 0 || n > 1<<40 {
-				return nil, 0, corruptf(rankFileMagic, "block %d: implausible field length %d", i, n)
+				return nil, 0, corruptf(f.magic, "%s %d: implausible field length %d", f.noun, i, n)
 			}
-			f, err := loadCheckpoint(io.LimitReader(rr, int64(n)), s, layout, useStored)
+			pf, err := loadCheckpoint(io.LimitReader(rr, int64(n)), f.s, f.layout, f.useStored)
 			if err != nil {
-				return nil, 0, fmt.Errorf("block %d field %d: %w", i, fi, err)
+				// Any undecodable embedded field makes the record unusable —
+				// classify it as corruption so callers can vote the whole
+				// file down uniformly.
+				return nil, 0, corruptf(f.magic, "%s %d field %d: %v", f.noun, i, fi, err)
 			}
-			*dst = f
+			*dst = pf
 		}
 		var stored uint32
 		want := recCRC.Sum32()
 		if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
-			return nil, 0, corruptf(rankFileMagic, "block %d: missing record CRC: %v", i, err)
+			return nil, 0, corruptf(f.magic, "%s %d: missing record CRC: %v", f.noun, i, err)
 		}
 		if stored != want {
-			return nil, 0, corruptf(rankFileMagic,
-				"block %d: record CRC mismatch: stored %08x, computed %08x", i, stored, want)
+			return nil, 0, corruptf(f.magic,
+				"%s %d: record CRC mismatch: stored %08x, computed %08x", f.noun, i, stored, want)
 		}
-		blocks = append(blocks, b)
+		recs = append(recs, rec)
 	}
 	// Trailing garbage would change the file CRC vs the manifest; drain
 	// to compute the full-stream CRC.
 	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return nil, 0, corruptf(rankFileMagic, "draining trailer: %v", err)
+		return nil, 0, corruptf(f.magic, "draining trailer: %v", err)
 	}
-	return blocks, cr.crc.Sum32(), nil
+	return recs, cr.crc.Sum32(), nil
 }
 
 // WriteManifest writes the set manifest, self-protected by a trailing

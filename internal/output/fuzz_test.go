@@ -108,6 +108,7 @@ func FuzzReadRankFile(f *testing.F) {
 		f.Add(c)
 	}
 	f.Add([]byte(rankFileMagic))
+	f.Add(validLeafFileBytes(f)) // the sibling codec's bytes through the shared loop
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, _, err := ReadRankFile(bytes.NewReader(data), lattice.D3Q19(), field.SoA)
 		if err != nil {
@@ -116,6 +117,51 @@ func FuzzReadRankFile(f *testing.F) {
 		for _, b := range blocks {
 			if b.Src == nil || b.Dst == nil {
 				t.Fatal("decoded block with nil field")
+			}
+		}
+	})
+}
+
+// validLeafFileBytes encodes a two-leaf WBK2 file: what arrives from a
+// peer during migration and buddy replication, and from disk.
+func validLeafFileBytes(t testing.TB) []byte {
+	t.Helper()
+	src := field.NewPDFField(lattice.D3Q19(), 2, 2, 2, 1, field.SoA)
+	src.FillEquilibrium(1.0, 0.01, 0, 0)
+	dst := src.CopyShape()
+	dst.FillEquilibrium(1.0, 0, 0.01, 0)
+	var buf bytes.Buffer
+	if _, _, err := WriteLeafFile(&buf, []LeafSnapshot{
+		{Tree: 3, Path: 0o52, Level: 2, Coord: [3]int{1, 2, 3}, Src: src, Dst: dst},
+		{Tree: 4, Coord: [3]int{2, 2, 3}, Src: dst, Dst: src},
+	}); err != nil {
+		t.Fatalf("WriteLeafFile: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func FuzzReadLeafFile(f *testing.F) {
+	valid := validLeafFileBytes(f)
+	f.Add(valid)
+	for _, c := range corruptions(valid) {
+		f.Add(c)
+	}
+	f.Add([]byte(leafFileMagic))
+	f.Add(validRankFileBytes(f)) // the sibling codec's bytes through the shared loop
+	f.Fuzz(func(t *testing.T, data []byte) {
+		leaves, _, err := ReadLeafFile(bytes.NewReader(data), lattice.D3Q19(), field.SoA)
+		if err != nil {
+			// One reader serves both codecs, but this one's bytes come from
+			// peers: every failure must be the typed error recovery votes on.
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("non-typed leaf file error: %v", err)
+			}
+			return
+		}
+		for _, l := range leaves {
+			if l.Src == nil || l.Dst == nil || l.Level > 20 {
+				t.Fatalf("decoded an unusable leaf %+v", l)
 			}
 		}
 	})
@@ -162,6 +208,15 @@ func TestReadersRejectSeedCorpusCorruptions(t *testing.T) {
 		// manifest cross-check rejects.
 		if _, crc, err := ReadRankFile(bytes.NewReader(c), lattice.D3Q19(), field.SoA); err == nil && crc == validCRC {
 			t.Errorf("rank file corruption %d accepted with unchanged CRC", i)
+		}
+	}
+	valid = validLeafFileBytes(t)
+	if _, validCRC, err = ReadLeafFile(bytes.NewReader(valid), lattice.D3Q19(), field.SoA); err != nil {
+		t.Fatalf("valid leaf file rejected: %v", err)
+	}
+	for i, c := range corruptions(valid) {
+		if _, crc, err := ReadLeafFile(bytes.NewReader(c), lattice.D3Q19(), field.SoA); err == nil && crc == validCRC {
+			t.Errorf("leaf file corruption %d accepted with unchanged CRC", i)
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package output
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"fmt"
 	"io"
 
 	"walberla/internal/field"
@@ -34,45 +33,22 @@ type LeafSnapshot struct {
 	Dst   *field.PDFField
 }
 
+// leafID is the fixed-size head of a record key on the wire (13 bytes,
+// little-endian, no padding), followed by the root grid coordinate.
+type leafID struct {
+	Tree  uint32
+	Path  uint64
+	Level uint8
+}
+
 // WriteLeafFile writes the leaves of one rank, returning the byte size
 // and the CRC32C of everything written.
 func WriteLeafFile(w io.Writer, leaves []LeafSnapshot) (int64, uint32, error) {
-	crc := crc32.New(castagnoli)
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: io.MultiWriter(bw, crc)}
-	io.WriteString(cw, leafFileMagic)
-	binary.Write(cw, binary.LittleEndian, uint32(len(leaves)))
-	for _, l := range leaves {
-		var rec bytes.Buffer
-		binary.Write(&rec, binary.LittleEndian, l.Tree)
-		binary.Write(&rec, binary.LittleEndian, l.Path)
-		rec.WriteByte(l.Level)
-		for _, c := range l.Coord {
-			binary.Write(&rec, binary.LittleEndian, int64(c))
-		}
-		var src, dst bytes.Buffer
-		if err := SaveCheckpoint(&src, l.Src); err != nil {
-			return 0, 0, err
-		}
-		if err := SaveCheckpoint(&dst, l.Dst); err != nil {
-			return 0, 0, err
-		}
-		binary.Write(&rec, binary.LittleEndian, uint64(src.Len()))
-		rec.Write(src.Bytes())
-		binary.Write(&rec, binary.LittleEndian, uint64(dst.Len()))
-		rec.Write(dst.Bytes())
-		recCRC := crc32.Checksum(rec.Bytes(), castagnoli)
-		if _, err := cw.Write(rec.Bytes()); err != nil {
-			return 0, 0, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, recCRC); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, 0, err
-	}
-	return cw.n, crc.Sum32(), nil
+	return writeRecords(w, leafFileMagic, leaves, func(rec *bytes.Buffer, l *LeafSnapshot) (src, dst *field.PDFField) {
+		binary.Write(rec, binary.LittleEndian, leafID{l.Tree, l.Path, l.Level})
+		writeCoord(rec, l.Coord)
+		return l.Src, l.Dst
+	})
 }
 
 // ReadLeafFile reads a WBK2 leaf file, restoring every field in the
@@ -88,81 +64,17 @@ func ReadLeafFileStored(r io.Reader, s *lattice.Stencil) ([]LeafSnapshot, uint32
 }
 
 func readLeafFile(r io.Reader, s *lattice.Stencil, layout field.Layout, useStored bool) ([]LeafSnapshot, uint32, error) {
-	cr := newCRCReader(bufio.NewReader(r))
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(cr, magic); err != nil {
-		return nil, 0, corruptf(leafFileMagic, "reading magic: %v", err)
-	}
-	if string(magic) != leafFileMagic {
-		return nil, 0, corruptf(leafFileMagic, "bad magic %q", magic)
-	}
-	var count uint32
-	if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-		return nil, 0, corruptf(leafFileMagic, "truncated leaf count: %v", err)
-	}
-	if count > maxRankFileBlocks {
-		return nil, 0, corruptf(leafFileMagic, "implausible leaf count %d", count)
-	}
-	initialCap := count
-	if initialCap > 1024 {
-		initialCap = 1024
-	}
-	leaves := make([]LeafSnapshot, 0, initialCap)
-	for i := uint32(0); i < count; i++ {
-		recCRC := crc32.New(castagnoli)
-		rr := io.TeeReader(cr, recCRC)
-		var l LeafSnapshot
-		if err := binary.Read(rr, binary.LittleEndian, &l.Tree); err != nil {
-			return nil, 0, corruptf(leafFileMagic, "leaf %d: truncated tree: %v", i, err)
+	f := recordFormat{magic: leafFileMagic, noun: "leaf", s: s, layout: layout, useStored: useStored}
+	return readRecords(r, f, func(rr io.Reader, l *LeafSnapshot) (reason string, src, dst **field.PDFField) {
+		var id leafID
+		if err := binary.Read(rr, binary.LittleEndian, &id); err != nil {
+			reason = fmt.Sprintf("truncated identity: %v", err)
+		} else if id.Level > 20 {
+			reason = fmt.Sprintf("implausible level %d", id.Level)
+		} else {
+			l.Tree, l.Path, l.Level = id.Tree, id.Path, id.Level
+			reason = readCoord(rr, &l.Coord)
 		}
-		if err := binary.Read(rr, binary.LittleEndian, &l.Path); err != nil {
-			return nil, 0, corruptf(leafFileMagic, "leaf %d: truncated path: %v", i, err)
-		}
-		var level [1]byte
-		if _, err := io.ReadFull(rr, level[:]); err != nil {
-			return nil, 0, corruptf(leafFileMagic, "leaf %d: truncated level: %v", i, err)
-		}
-		l.Level = level[0]
-		if l.Level > 20 {
-			return nil, 0, corruptf(leafFileMagic, "leaf %d: implausible level %d", i, l.Level)
-		}
-		for d := 0; d < 3; d++ {
-			var c int64
-			if err := binary.Read(rr, binary.LittleEndian, &c); err != nil {
-				return nil, 0, corruptf(leafFileMagic, "leaf %d: truncated coordinates: %v", i, err)
-			}
-			l.Coord[d] = int(c)
-		}
-		for fi, dst := range []**field.PDFField{&l.Src, &l.Dst} {
-			var n uint64
-			if err := binary.Read(rr, binary.LittleEndian, &n); err != nil {
-				return nil, 0, corruptf(leafFileMagic, "leaf %d: truncated field length: %v", i, err)
-			}
-			if n == 0 || n > 1<<40 {
-				return nil, 0, corruptf(leafFileMagic, "leaf %d: implausible field length %d", i, n)
-			}
-			f, err := loadCheckpoint(io.LimitReader(rr, int64(n)), s, layout, useStored)
-			if err != nil {
-				// Any undecodable embedded field makes the record unusable —
-				// classify it as corruption so callers can vote the whole
-				// file down uniformly.
-				return nil, 0, corruptf(leafFileMagic, "leaf %d field %d: %v", i, fi, err)
-			}
-			*dst = f
-		}
-		var stored uint32
-		want := recCRC.Sum32()
-		if err := binary.Read(cr, binary.LittleEndian, &stored); err != nil {
-			return nil, 0, corruptf(leafFileMagic, "leaf %d: missing record CRC: %v", i, err)
-		}
-		if stored != want {
-			return nil, 0, corruptf(leafFileMagic,
-				"leaf %d: record CRC mismatch: stored %08x, computed %08x", i, stored, want)
-		}
-		leaves = append(leaves, l)
-	}
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return nil, 0, corruptf(leafFileMagic, "draining trailer: %v", err)
-	}
-	return leaves, cr.crc.Sum32(), nil
+		return reason, &l.Src, &l.Dst
+	})
 }

@@ -1,21 +1,14 @@
 package scenario
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"walberla/internal/amr"
 	"walberla/internal/boundary"
-	"walberla/internal/comm"
 	"walberla/internal/field"
 	"walberla/internal/kernels"
 	"walberla/internal/lattice"
-	"walberla/internal/output"
 	"walberla/internal/sim"
 )
 
@@ -24,7 +17,7 @@ import (
 // level-wise timestepping on a 2:1-graded octree with a runtime
 // refine/coarsen controller. The AMR driver constrains the schema —
 // D3Q19 only, dense examples only (no tree/SDF geometry, no obstacle),
-// no sparse kernels, no per-pair exchange, no heal-mode recovery and no
+// no sparse kernels, no heal-mode recovery and no
 // workload rebalancing (re-grades rebalance by construction) — and
 // validateRefinement rejects the unsupported combinations loudly.
 
@@ -63,9 +56,6 @@ func (sc *Scenario) validateRefinement() error {
 	}
 	if kernels.Choice(sc.Collision.Kernel) == kernels.ChoiceSparse {
 		return fmt.Errorf("scenario: refinement does not support the sparse kernel %q", sc.Collision.Kernel)
-	}
-	if sc.Parallel.Exchange == "per-pair" {
-		return fmt.Errorf("scenario: refinement requires the aggregated exchange (parallel.exchange %q)", sc.Parallel.Exchange)
 	}
 	if sc.Resilience.Mode == "heal" {
 		return fmt.Errorf("scenario: refinement does not support resilience.mode heal (use rewind or shrink)")
@@ -177,109 +167,4 @@ func domainFaceFlags(special map[lattice.Face]field.CellType) amr.FlagsFunc {
 		}
 		return fl
 	}
-}
-
-// executeAMR is the AMR arm of Execute: same contract, refined world.
-func executeAMR(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result, error) {
-	var mu sync.Mutex
-	var res Result
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	comm.RunWithOptions(sc.Parallel.Ranks, sc.CommOptions(), func(c *comm.Comm) {
-		cfg, err := sc.AMRConfig()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if opts.TelemetryFor != nil {
-			cfg.Tracer, cfg.Metrics = opts.TelemetryFor(c.WorldRank())
-		}
-		s, err := amr.New(c, cfg)
-		if err != nil {
-			fail(err)
-			return
-		}
-		rc, resilient := sc.Resilient()
-		var rec sim.RecoveryStats
-		var runErr error
-		if resilient {
-			rec, runErr = s.RunResilientCtx(ctx, sc.Run.Steps, rc)
-		} else {
-			runErr = s.RunCtx(ctx, sc.Run.Steps)
-		}
-		interrupted := false
-		switch {
-		case errors.Is(runErr, sim.ErrInterrupted):
-			interrupted = true
-		case errors.Is(runErr, sim.ErrRetired):
-			// This rank failed permanently under shrinking recovery; the
-			// survivors carry its leaves (and the result) on.
-			return
-		case runErr != nil:
-			fail(runErr)
-			return
-		}
-		hash, err := s.FieldHash()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if opts.VTKDir != "" {
-			if err := writeAMRVTK(opts.VTKDir, s); err != nil {
-				fail(err)
-				return
-			}
-		}
-		if opts.EachAMR != nil {
-			opts.EachAMR(s.Comm, s)
-		}
-		if s.Comm.Rank() == 0 {
-			mu.Lock()
-			res = Result{
-				Metrics: sim.Metrics{Recovery: rec},
-				Hash:    hash, Steps: s.Steps(), Levels: s.LevelCounts(), Interrupted: interrupted,
-			}
-			mu.Unlock()
-		}
-	})
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	return res, nil
-}
-
-// writeAMRVTK dumps every local leaf's field as block_L<level>_X_Y_Z.vtk
-// into dir; the spacing halves per level so viewers reassemble the
-// mixed-resolution domain in physical coordinates.
-func writeAMRVTK(dir string, s *amr.Sim) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, b := range s.OwnedBlocks() {
-		h := 1.0 / float64(int(1)<<uint(b.Level()))
-		origin := [3]float64{
-			(float64(b.Idx[0]*b.Src.Nx) + 0.5) * h,
-			(float64(b.Idx[1]*b.Src.Ny) + 0.5) * h,
-			(float64(b.Idx[2]*b.Src.Nz) + 0.5) * h,
-		}
-		name := fmt.Sprintf("block_L%d_%d_%d_%d", b.Level(), b.Idx[0], b.Idx[1], b.Idx[2])
-		f, err := os.Create(filepath.Join(dir, name+".vtk"))
-		if err != nil {
-			return err
-		}
-		err = output.WriteVTK(f, name, b.Src, b.Flags, origin, h)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

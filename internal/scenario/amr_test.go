@@ -46,7 +46,6 @@ func TestRefinementValidateErrors(t *testing.T) {
 		}, "obstacle"},
 		{"d2q9 stencil", func(sc *Scenario) { sc.Lattice.Stencil = "d2q9" }, "d3q19"},
 		{"sparse kernel", func(sc *Scenario) { sc.Collision.Kernel = "sparse" }, "sparse"},
-		{"per-pair exchange", func(sc *Scenario) { sc.Parallel.Exchange = "per-pair" }, "aggregated"},
 		{"heal recovery", func(sc *Scenario) {
 			sc.Resilience = Resilience{CheckpointEvery: 2, Mode: "heal"}
 		}, "heal"},

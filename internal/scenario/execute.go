@@ -2,16 +2,10 @@ package scenario
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"walberla/internal/amr"
-	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/output"
+	"walberla/internal/core"
 	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
@@ -34,205 +28,47 @@ type ExecuteOptions struct {
 }
 
 // Result is what one scenario execution produced.
-type Result struct {
-	// Metrics are the globally reduced run metrics (zero when the run was
-	// interrupted before completion).
-	Metrics sim.Metrics
-	// Hash is the collective field fingerprint after the run — equal
-	// across CLI, daemon, worker counts and transports exactly when the
-	// fields are bit-identical.
-	Hash uint64
-	// Steps is the number of steps rank 0 executed (less than the
-	// scenario's run.steps when interrupted).
-	Steps int
-	// Levels is the final leaf count per refinement level (AMR runs
-	// only; nil for uniform runs).
-	Levels []int
-	// Interrupted reports that the context cancelled the run at a step
-	// boundary; the fields (and Hash) are the consistent state there.
-	Interrupted bool
-}
+type Result = core.Outcome
 
 // Execute runs the scenario to completion (or cancellation) and returns
-// the reduced metrics and the final field hash. It is the one execution
-// path shared by the CLI, the tests and the benchmark harness, which is
-// what makes "the same scenario file gives the same answer everywhere" a
-// checkable property rather than a convention.
+// the reduced metrics and the final field hash: the scenario mapped onto
+// core.Problem.Execute, the launcher the CLI, the daemon, the tests and
+// the benchmark harness share — which is what makes "the same scenario
+// file gives the same answer everywhere" a checkable property rather
+// than a convention.
 func Execute(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
-	}
-	if sc.AMR() {
-		return executeAMR(ctx, sc, opts)
 	}
 	p, err := sc.Problem()
 	if err != nil {
 		return Result{}, err
 	}
-	forest, err := p.BuildForest()
-	if err != nil {
-		return Result{}, err
+	p.TelemetryFor = opts.TelemetryFor
+	w := core.World{
+		Comm:           sc.CommOptions(),
+		Spares:         sc.Parallel.Spares,
+		Steps:          sc.Run.Steps,
+		RebalanceEvery: sc.Run.RebalanceEvery,
+		VTKDir:         opts.VTKDir,
 	}
-	rc, resilient := sc.Resilient()
-
-	var mu sync.Mutex
-	var res Result
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	if rc, resilient := sc.Resilient(); resilient {
+		w.Resilience = &rc
 	}
-	// Heal mode parks parallel.spares extra ranks alongside the active
-	// world; they join via the spare driver when a failure recruits them.
-	active := sc.Parallel.Ranks
-	spares := 0
-	if resilient && rc.Mode == sim.RecoverHeal {
-		spares = sc.Parallel.Spares
+	if sc.AMR() {
+		cfg, err := sc.AMRConfig()
+		if err != nil {
+			return Result{}, err
+		}
+		w.Refined = &cfg
 	}
-	comm.RunWithOptions(active+spares, sc.CommOptions(), func(c *comm.Comm) {
-		cfg := p.SimConfig()
-		if opts.TelemetryFor != nil {
-			cfg.Tracer, cfg.Metrics = opts.TelemetryFor(c.WorldRank())
-		}
-		var s *sim.Simulation
-		var m sim.Metrics
-		var err error
-		if spares > 0 && c.WorldRank() >= active {
-			header := &blockforest.BlockForest{
-				Domain:        forest.Domain,
-				GridSize:      forest.GridSize,
-				CellsPerBlock: forest.CellsPerBlock,
-			}
-			var joined bool
-			s, m, joined, err = sim.RunSpareCtx(ctx, c, active, header, cfg, sc.Run.Steps, rc)
-			if !joined {
-				// The run ended without needing this spare.
-				if err != nil {
-					fail(err)
-				}
-				return
-			}
-		} else {
-			ac := c
-			if spares > 0 {
-				ac = c.GrowWorld(active)
-			}
-			var in *blockforest.SetupForest
-			if ac.Rank() == 0 {
-				in = forest
-			}
-			bf, derr := blockforest.Distribute(ac, in)
-			if derr != nil {
-				fail(derr)
-				return
-			}
-			s, err = sim.New(ac, bf, cfg)
-			if err != nil {
-				fail(err)
-				return
-			}
-			switch {
-			case resilient:
-				m, err = s.RunResilientCtx(ctx, sc.Run.Steps, rc)
-			case sc.Run.RebalanceEvery > 0:
-				m, err = runRebalanced(ctx, s, sc.Run.Steps, sc.Run.RebalanceEvery)
-			default:
-				m, err = s.RunCtx(ctx, sc.Run.Steps)
-			}
-		}
-		interrupted := false
+	return p.Execute(ctx, w, func(r *core.Rank) error {
 		switch {
-		case errors.Is(err, sim.ErrInterrupted):
-			interrupted = true
-		case errors.Is(err, sim.ErrRetired):
-			// This rank failed permanently under shrinking/healing recovery;
-			// the survivors carry its blocks (and the result) on.
-			return
-		case err != nil:
-			fail(err)
-			return
+		case r.Refined != nil && opts.EachAMR != nil:
+			opts.EachAMR(r.Refined.Comm, r.Refined)
+		case r.Sim != nil && opts.Each != nil:
+			opts.Each(r.Sim.Comm, r.Sim)
 		}
-		hash, err := s.FieldHash()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if opts.VTKDir != "" {
-			if err := WriteBlockVTK(opts.VTKDir, s); err != nil {
-				fail(err)
-				return
-			}
-		}
-		if opts.Each != nil {
-			opts.Each(s.Comm, s)
-		}
-		// Recovery may have renumbered the communicator (shrink) or swapped
-		// members in (heal): the rank holding rank 0 NOW reports the result.
-		if s.Comm.Rank() == 0 {
-			mu.Lock()
-			res = Result{Metrics: m, Hash: hash, Steps: s.Steps(), Interrupted: interrupted}
-			mu.Unlock()
-		}
+		return nil
 	})
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	return res, nil
-}
-
-// runRebalanced interleaves chunked stepping with workload-measured
-// rebalancing, preserving the context's step-boundary cancellation.
-func runRebalanced(ctx context.Context, s *sim.Simulation, steps, every int) (sim.Metrics, error) {
-	var m sim.Metrics
-	for remaining := steps; remaining > 0; {
-		chunk := every
-		if chunk > remaining {
-			chunk = remaining
-		}
-		var err error
-		m, err = s.RunCtx(ctx, chunk)
-		if err != nil {
-			return m, err
-		}
-		remaining -= chunk
-		if remaining > 0 {
-			if err := s.RebalanceByWorkload(true); err != nil {
-				return m, err
-			}
-		}
-	}
-	return m, nil
-}
-
-// WriteBlockVTK dumps every local block's field as block_X_Y_Z.vtk into
-// dir (created if missing). Each rank writes only its own blocks, so the
-// daemon and the CLI call this per rank without coordination.
-func WriteBlockVTK(dir string, s *sim.Simulation) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, bd := range s.Blocks {
-		spacing := (bd.Block.AABB.Max[0] - bd.Block.AABB.Min[0]) / float64(bd.Src.Nx)
-		origin := [3]float64{
-			bd.Block.AABB.Min[0] + spacing/2,
-			bd.Block.AABB.Min[1] + spacing/2,
-			bd.Block.AABB.Min[2] + spacing/2,
-		}
-		name := fmt.Sprintf("block_%d_%d_%d", bd.Block.Coord[0], bd.Block.Coord[1], bd.Block.Coord[2])
-		f, err := os.Create(filepath.Join(dir, name+".vtk"))
-		if err != nil {
-			return err
-		}
-		err = output.WriteVTK(f, name, bd.Src, bd.Flags, origin, spacing)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -189,14 +189,12 @@ type Physics struct {
 }
 
 // Parallel sets the execution shape: SPMD ranks, intra-rank workers and
-// the ghost exchange wire format.
+// parked spares.
 type Parallel struct {
 	// Ranks is the number of SPMD processes; default 1.
 	Ranks int `json:"ranks,omitempty"`
 	// Workers is the intra-rank worker count; default 1.
 	Workers int `json:"workers,omitempty"`
-	// Exchange is "aggregated" (default) or "per-pair".
-	Exchange string `json:"exchange,omitempty"`
 	// Spares parks this many extra ranks alongside the active world; heal
 	// recovery recruits them to replace permanently failed ranks (needs
 	// resilience.mode "heal").
@@ -208,7 +206,7 @@ type Transport struct {
 	// Network is "inproc" (default), "unix" or "tcp".
 	Network string `json:"network,omitempty"`
 	// Addrs optionally pins one listen address per rank (socket
-	// transports only; length must equal ranks).
+	// transports only; length must equal ranks + spares).
 	Addrs []string `json:"addrs,omitempty"`
 	// Heartbeat is the socket transport liveness probe interval.
 	Heartbeat Duration `json:"heartbeat,omitempty"`
@@ -427,13 +425,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Parallel.Workers == 0 {
 		sc.Parallel.Workers = 1
 	}
-	switch sc.Parallel.Exchange {
-	case "":
-		sc.Parallel.Exchange = "aggregated"
-	case "aggregated", "per-pair":
-	default:
-		return fmt.Errorf("scenario: unknown parallel.exchange %q (want aggregated or per-pair)", sc.Parallel.Exchange)
-	}
 	switch sc.Transport.Network {
 	case "":
 		sc.Transport.Network = "inproc"
@@ -443,9 +434,6 @@ func (sc *Scenario) Validate() error {
 	}
 	if sc.Transport.Network == "inproc" && (len(sc.Transport.Addrs) != 0 || sc.Transport.Heartbeat != 0) {
 		return fmt.Errorf("scenario: transport.addrs/heartbeat need network unix or tcp")
-	}
-	if n := len(sc.Transport.Addrs); n != 0 && n != sc.Parallel.Ranks {
-		return fmt.Errorf("scenario: transport.addrs has %d addresses for %d ranks", n, sc.Parallel.Ranks)
 	}
 	if sc.Resilience.CheckpointEvery < 0 {
 		return fmt.Errorf("scenario: resilience.checkpoint_every must be non-negative, got %d", sc.Resilience.CheckpointEvery)
@@ -471,8 +459,11 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario: parallel.spares needs resilience.checkpoint_every > 0")
 		}
 	}
+	world := sc.Parallel.Ranks + sc.Parallel.Spares
+	if n := len(sc.Transport.Addrs); n != 0 && n != world {
+		return fmt.Errorf("scenario: transport.addrs has %d addresses for %d ranks (parallel.spares included)", n, world)
+	}
 	if !sc.Faults.empty() {
-		world := sc.Parallel.Ranks + sc.Parallel.Spares
 		for _, kind := range []struct {
 			name   string
 			events []FaultEvent
@@ -564,9 +555,6 @@ func (sc *Scenario) Problem() (*core.Problem, error) {
 		Workers:         sc.Parallel.Workers,
 		Seed:            sc.Geometry.Seed,
 	}
-	if sc.Parallel.Exchange == "per-pair" {
-		p.Exchange = sim.ExchangePerPair
-	}
 	switch sc.Geometry.Example {
 	case "cavity":
 		p.Grid = sc.Resolution.Grid
@@ -635,12 +623,10 @@ func (sc *Scenario) CommOptions() comm.Options {
 	return opts
 }
 
-// Resilient reports whether the scenario runs the fault-tolerant driver,
-// and with which configuration.
+// Resilient maps the resilience section onto the fault-tolerant driver's
+// configuration and reports whether the scenario runs it
+// (checkpoint_every > 0).
 func (sc *Scenario) Resilient() (sim.ResilienceConfig, bool) {
-	if sc.Resilience.CheckpointEvery == 0 {
-		return sim.ResilienceConfig{}, false
-	}
 	rc := sim.ResilienceConfig{
 		CheckpointEvery: sc.Resilience.CheckpointEvery,
 		Dir:             sc.Resilience.Dir,
@@ -655,5 +641,5 @@ func (sc *Scenario) Resilient() (sim.ResilienceConfig, bool) {
 	if sc.Resilience.MaxFailures != nil {
 		rc.MaxFailures = *sc.Resilience.MaxFailures
 	}
-	return rc, true
+	return rc, rc.CheckpointEvery > 0
 }

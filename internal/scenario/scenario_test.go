@@ -24,9 +24,6 @@ func TestParseGolden(t *testing.T) {
 	if sc.Parallel.Ranks != 2 || sc.Parallel.Workers != 2 {
 		t.Errorf("parallel = %+v", sc.Parallel)
 	}
-	if sc.Parallel.Exchange != "aggregated" {
-		t.Errorf("exchange default = %q, want aggregated", sc.Parallel.Exchange)
-	}
 	if sc.Transport.Network != "inproc" {
 		t.Errorf("network default = %q, want inproc", sc.Transport.Network)
 	}
@@ -80,6 +77,17 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// TestParseRejectsExchangeKey: the selector of the legacy per-pair wire
+// format is gone from the schema, and strict parsing says so instead of
+// ignoring it.
+func TestParseRejectsExchangeKey(t *testing.T) {
+	doc := `{"version": 1, "geometry": {"example": "cavity"}, "resolution": {"grid": [1, 1, 1]},
+		"parallel": {"exchange": "per-pair"}, "run": {"steps": 1}}`
+	if _, err := Parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), `unknown field "exchange"`) {
+		t.Errorf("parallel.exchange: got %v, want an unknown-field error", err)
+	}
+}
+
 // TestValidateErrors covers the semantic checks beyond JSON shape.
 func TestValidateErrors(t *testing.T) {
 	base := func() *Scenario {
@@ -107,7 +115,6 @@ func TestValidateErrors(t *testing.T) {
 			sc.Geometry.Example = "channel"
 			sc.Geometry.Obstacle = &Obstacle{Min: [3]int{2, 0, 0}, Max: [3]int{1, 1, 1}}
 		}, "obstacle"},
-		{"bad exchange", func(sc *Scenario) { sc.Parallel.Exchange = "zero-copy" }, "parallel.exchange"},
 		{"bad network", func(sc *Scenario) { sc.Transport.Network = "infiniband" }, "transport.network"},
 		{"addrs on inproc", func(sc *Scenario) { sc.Transport.Addrs = []string{"a"} }, "transport.addrs"},
 		{"addr count", func(sc *Scenario) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/core"
 	"walberla/internal/output"
 	"walberla/internal/scenario"
 	"walberla/internal/sim"
@@ -196,19 +198,9 @@ func (s *Session) start(resume bool) error {
 
 	go s.world(ctx, cmds, ready, done, resume)
 
-	// A failing non-zero rank can tear the world down before rank 0 ever
-	// reports readiness — watch both channels.
-	var err error
-	select {
-	case err = <-ready:
-	case <-done:
-		select {
-		case err = <-ready:
-		default:
-			err = fmt.Errorf("serve: session %s world exited during spin-up", s.ID)
-		}
-	}
-	if err != nil {
+	// Exactly one verdict arrives: rank 0's readiness, or the launcher's
+	// error when any rank failed before that.
+	if err := <-ready; err != nil {
 		cancel(err)
 		<-done
 		s.mu.Lock()
@@ -227,8 +219,9 @@ func (s *Session) start(resume bool) error {
 	return nil
 }
 
-// world hosts the session's SPMD ranks for one residency. It exits when
-// a suspend or destroy command lands (or spin-up fails).
+// world hosts the session's SPMD ranks for one residency, started by the
+// shared launcher on the session's kept forest. It exits when a suspend
+// or destroy command lands (or spin-up fails).
 func (s *Session) world(ctx context.Context, cmds chan command, ready chan<- error, done chan struct{}, resume bool) {
 	defer close(done)
 	sc := s.scenario
@@ -237,71 +230,33 @@ func (s *Session) world(ctx context.Context, cmds chan command, ready chan<- err
 		ready <- err
 		return
 	}
-	var mu sync.Mutex
-	var worldErr error
-	fail := func(err error) {
-		mu.Lock()
-		if worldErr == nil {
-			worldErr = err
-		}
-		mu.Unlock()
-	}
 	metrics := s.srv.cfg.Metrics
-	opts := sc.CommOptions()
+	p.TelemetryFor = func(rank int) (*telemetry.Tracer, *telemetry.Registry) {
+		reg := telemetry.NewRegistry()
+		metrics.RegisterLabeled(s.ID, rank, reg)
+		return nil, reg
+	}
+	defer metrics.UnregisterLabeled(s.ID)
+	w := core.World{Forest: s.forest, Comm: sc.CommOptions()}
 	s.mu.Lock()
 	if s.respawns > 0 {
 		// An injected fault schedule describes one world incarnation; a
 		// respawned world is fresh hardware and runs clean (otherwise a
 		// deterministic crash would re-fire on every respawn).
-		opts.Faults = nil
+		w.Comm.Faults = nil
 	}
 	s.mu.Unlock()
-	comm.RunWithOptions(sc.Parallel.Ranks, opts, func(c *comm.Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				switch r.(type) {
-				case comm.Crash, comm.Hang:
-					// An injected fault killed this rank. The sentinel must
-					// not escape to RunWithOptions (which re-panics unhandled
-					// rank deaths); the world dies as a whole and the
-					// supervisor decides whether the session survives.
-					fail(fmt.Errorf("serve: session %s: %v", s.ID, r))
-				default:
-					panic(r)
-				}
-			}
-		}()
-		var in *blockforest.SetupForest
-		if c.Rank() == 0 {
-			in = s.forest
-		}
-		bf, err := blockforest.Distribute(c, in)
-		if err != nil {
-			if c.Rank() == 0 {
-				ready <- err
-			}
-			return
-		}
-		cfg := p.SimConfig()
-		reg := telemetry.NewRegistry()
-		cfg.Metrics = reg
-		metrics.RegisterLabeled(s.ID, c.Rank(), reg)
-		defer metrics.UnregisterLabeled(s.ID)
-		st, err := sim.New(c, bf, cfg)
-		if err != nil {
-			if c.Rank() == 0 {
-				ready <- err
-			}
-			return
-		}
+	// An injected fault that kills a rank comes back from the launcher as
+	// the world's error: the world dies as a whole and the supervisor
+	// decides whether the session survives.
+	up := false // written by rank 0 before Launch returns
+	err = p.Launch(ctx, w, func(r *core.Rank) error {
+		c, st := r.Sim.Comm, r.Sim
 		step := 0
 		if resume {
 			restored, err := st.RestoreLatestCheckpointSet(s.dir)
 			if err != nil {
-				if c.Rank() == 0 {
-					ready <- fmt.Errorf("serve: restoring session %s: %w", s.ID, err)
-				}
-				return
+				return fmt.Errorf("serve: restoring session %s: %w", s.ID, err)
 			}
 			step = int(restored)
 			if c.Rank() == 0 {
@@ -314,14 +269,16 @@ func (s *Session) world(ctx context.Context, cmds chan command, ready chan<- err
 			}
 		}
 		if c.Rank() == 0 {
+			up = true
 			ready <- nil
 		}
-		if err := s.commandLoop(ctx, c, st, cmds, step); err != nil {
-			fail(err)
-		}
+		return s.commandLoop(ctx, c, st, cmds, step)
 	})
-	if worldErr != nil {
-		s.supervise(worldErr)
+	switch {
+	case !up:
+		ready <- cmp.Or(err, fmt.Errorf("serve: session %s world exited during spin-up", s.ID))
+	case err != nil:
+		s.supervise(fmt.Errorf("serve: session %s: %w", s.ID, err))
 	}
 }
 
@@ -527,7 +484,7 @@ func (s *Session) execute(ctx context.Context, c *comm.Comm, st *sim.Simulation,
 		answer(reply, cmdResult{hash: hash})
 		return false, nil
 	case opSnapshot:
-		err := scenario.WriteBlockVTK(w.Dir, st)
+		err := (&core.Rank{Sim: st}).WriteVTK(w.Dir)
 		// Frame manifests list a complete frame or nothing: every rank
 		// finishes writing before rank 0 reads the directory.
 		if berr := c.BarrierErr(); berr != nil {

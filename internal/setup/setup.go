@@ -22,7 +22,6 @@ import (
 	"walberla/internal/geometry"
 	"walberla/internal/lattice"
 	"walberla/internal/partition"
-	"walberla/internal/sim"
 )
 
 // GridForDx computes the root block grid covering the bounding box of the
@@ -277,21 +276,4 @@ func FlagsFromSDF(sdf distance.SDF) func(b *blockforest.Block, forest *blockfore
 		geometry.Voxelize(sdf, b.AABB, flags)
 		geometry.DilateBoundary(sdf, b.AABB, flags, lattice.D3Q19())
 	}
-}
-
-// NewSimulation is the end-to-end convenience: distribute the forest built
-// by rank 0, voxelize locally, and construct the simulation.
-func NewSimulation(c *comm.Comm, f *blockforest.SetupForest, sdf distance.SDF, cfg sim.Config) (*sim.Simulation, error) {
-	var in *blockforest.SetupForest
-	if c.Rank() == 0 {
-		in = f
-	}
-	forest, err := blockforest.Distribute(c, in)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.SetupFlags == nil {
-		cfg.SetupFlags = FlagsFromSDF(sdf)
-	}
-	return sim.New(c, forest, cfg)
 }

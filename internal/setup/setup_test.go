@@ -226,13 +226,19 @@ func TestEndToEndVascularSimulation(t *testing.T) {
 		if c.Rank() == 0 {
 			in = f
 		}
-		s, err := NewSimulation(c, in, sdf, sim.Config{
+		bf, err := blockforest.Distribute(c, in)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s, err := sim.New(c, bf, sim.Config{
 			Kernel: sim.KernelSparse,
 			Tau:    0.9,
 			Boundary: boundary.Config{
 				WallVelocity: [3]float64{0, 0, 0.02}, // inflow pushes along +z (root direction)
 				Density:      1.0,
 			},
+			SetupFlags: FlagsFromSDF(sdf),
 		})
 		if err != nil {
 			t.Error(err)

@@ -22,8 +22,8 @@ import (
 // completeExchange waits for the remote slabs and unpacks them. Interior
 // sweeps run between the two halves while remote data is in flight.
 //
-// Two wire formats exist, selected by Config.Exchange and bit-identical
-// to each other (see docs/EXCHANGE.md):
+// Two wire formats exist, ending in bit-identical fluid state (see
+// docs/EXCHANGE.md). Only tests set Config.Exchange:
 //
 //   - ExchangeAggregated (default, aggregate.go): all slabs bound for the
 //     same neighbor rank travel in ONE message per step, packed by a
@@ -31,8 +31,8 @@ import (
 //     O(neighbor ranks) messages per step and zero steady-state heap
 //     allocations.
 //   - ExchangePerPair (this file): the legacy one-message-per-block-pair
-//     path with per-step pack buffers, kept for comparison benchmarks and
-//     cross-validation tests.
+//     path with per-step pack buffers and full slabs — the differential
+//     oracle the aggregated plan is tested against.
 
 // ExchangeMode selects the ghost exchange wire format.
 type ExchangeMode int

@@ -110,19 +110,14 @@ func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, from, 
 	return m, nil
 }
 
-// RunSpare parks this rank as a hot spare of a heal-mode resilient run:
-// it waits at the communicator layer, joins every recovery rendezvous,
-// and when recruited receives the dead rank's state and finishes the run
-// as a full member of the world. See RunSpareCtx.
-func RunSpare(world *comm.Comm, active int, domain *blockforest.BlockForest, cfg Config, steps int, rc ResilienceConfig) (*Simulation, Metrics, bool, error) {
-	return RunSpareCtx(context.Background(), world, active, domain, cfg, steps, rc)
-}
-
-// RunSpareCtx is the spare-rank counterpart of RunResilientCtx. world is
-// the world communicator this rank received from comm.Run; active is the
-// target active world size; domain supplies the forest header (Domain,
-// GridSize, CellsPerBlock, Periodic — the block assignment itself is
-// streamed on recruitment). It returns joined=false with a nil Simulation
+// RunSpareCtx parks this rank as a hot spare of a heal-mode resilient
+// run: it waits at the communicator layer, joins every recovery
+// rendezvous, and when recruited receives the dead rank's state and
+// finishes the run as a full member of the world — the spare-rank
+// counterpart of RunResilientCtx. wc is the world communicator this rank
+// received from comm.Run; active is the target active world size; domain
+// supplies the forest header (Domain, GridSize, CellsPerBlock, Periodic —
+// the block assignment itself is streamed on recruitment). It returns joined=false with a nil Simulation
 // when the run ended without needing this spare, and otherwise the joined
 // run's Simulation (for FieldHash and the like) and metrics. Like
 // RunResilientCtx it returns ErrRetired if this rank itself fails

@@ -100,8 +100,11 @@ type Config struct {
 	Workers int
 	// Exchange selects the ghost exchange wire format; the zero value is
 	// ExchangeAggregated (one message per neighbor rank per step from
-	// persistent buffers). Both modes are bit-identical; ExchangePerPair
-	// is kept for comparison benchmarks.
+	// persistent buffers), which every front end runs. ExchangePerPair is
+	// the tests' differential oracle: it copies and sends whole slabs and
+	// must end in the same field hash (aggregate_test.go, worlds_test.go,
+	// layout_test.go). No flag, scenario key or core.Problem field selects
+	// it.
 	Exchange ExchangeMode
 	// InitialRho and InitialVelocity initialize all fluid cells to the
 	// corresponding equilibrium. Zero rho means 1.

@@ -116,6 +116,39 @@ func TestLocalCopyElisionByWorld(t *testing.T) {
 	}
 }
 
+// runEachMode is p.RunEach(0, fn) with the ghost exchange wire format
+// chosen by hand. No front end selects the per-pair format any more — it
+// is the differential oracle of these tests — so the world is built here:
+// forest, distribution, and the problem's sim.Config with Exchange set.
+func runEachMode(p *core.Problem, mode sim.ExchangeMode, fn func(c *comm.Comm, s *sim.Simulation, m sim.Metrics)) error {
+	forest, err := p.BuildForest()
+	if err != nil {
+		return err
+	}
+	var mu sync.Mutex
+	comm.Run(max(p.Ranks, 1), func(c *comm.Comm) {
+		var in *blockforest.SetupForest
+		if c.Rank() == 0 {
+			in = forest
+		}
+		bf, rerr := blockforest.Distribute(c, in)
+		var s *sim.Simulation
+		if rerr == nil {
+			cfg := p.SimConfig()
+			cfg.Exchange = mode
+			s, rerr = sim.New(c, bf, cfg)
+		}
+		if rerr != nil {
+			mu.Lock()
+			err = rerr
+			mu.Unlock()
+			return
+		}
+		fn(c, s, sim.Metrics{})
+	})
+	return err
+}
+
 // treeHash steps the smoke tree and returns its field hash; with poison set,
 // every ghost slot the exchange plan does not write holds NaN before every
 // step.
@@ -124,9 +157,8 @@ func treeHash(t *testing.T, ranks, workers int, mode sim.ExchangeMode, poison bo
 	const steps = 30
 	p := problemFor(t, treeDoc(2, 0.05, ranks))
 	p.Workers = workers
-	p.Exchange = mode
 	var hash uint64
-	err := p.RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+	err := runEachMode(p, mode, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
 		pre := func() {}
 		if poison {
 			pre = s.GhostPoisoner()
@@ -271,7 +303,7 @@ const treeSteps = 30
 func (r *treeRun) run(t *testing.T) *treeRun {
 	t.Helper()
 	p := problemFor(t, treeDoc(2, 0.05, r.ranks))
-	p.Workers, p.Exchange, p.Layout = r.workers, r.mode, r.layout
+	p.Workers, p.Layout = r.workers, r.layout
 	if r.wholeBlocks {
 		p.InitialState = func(int, int, int) (float64, float64, float64, float64) {
 			return 1, p.InitialVelocity[0], p.InitialVelocity[1], p.InitialVelocity[2]
@@ -283,7 +315,7 @@ func (r *treeRun) run(t *testing.T) *treeRun {
 	r.bits, r.windows = make(map[[3]int][]uint64), make(map[[3]int]field.Window)
 	r.allocated, r.block = make([]int64, r.ranks), make([]int64, r.ranks)
 	var mu sync.Mutex
-	err := p.RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+	err := runEachMode(p, r.mode, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
 		drive := r.drive
 		if drive == nil {
 			drive = func(_ *comm.Comm, s *sim.Simulation) error { _, err := s.Run(treeSteps); return err }
