@@ -70,11 +70,13 @@ race-amr:
 # detector (race instrumentation allocates, so the allocation tests skip
 # themselves under -race): TestStepZeroAlloc with telemetry disabled AND
 # TestStepZeroAllocTraced with a tracer and metrics registry attached — the
-# telemetry overhead guard — and TestFieldMemoryFollowsFluid, the
+# telemetry overhead guard — their refined twins TestStepZeroAllocRefined
+# and TestStepZeroAllocRefinedTraced (a coarse step of a static
+# three-level forest), and TestFieldMemoryFollowsFluid, the
 # proportionality gate of the allocation windows (PDF storage follows the
 # fluid a rank owns, not its blocks' boxes).
 alloc-test:
-	$(GO) test -count=1 -run 'TestStepZeroAlloc|TestFieldMemoryFollowsFluid' ./internal/sim/
+	$(GO) test -count=1 -run 'TestStepZeroAlloc|TestStepZeroAllocRefined|TestFieldMemoryFollowsFluid' ./internal/sim/ ./internal/amr/
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus — a
 # regression sweep, not an open-ended hunt: the checkpoint readers, the

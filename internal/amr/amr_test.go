@@ -9,6 +9,8 @@ import (
 	"walberla/internal/comm"
 	"walberla/internal/field"
 	"walberla/internal/lattice"
+	"walberla/internal/sim"
+	"walberla/internal/telemetry"
 )
 
 // baseConfig is the shared refined-world test scenario: a periodic
@@ -121,18 +123,9 @@ func TestConstantStateInvariant(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Refine the left half twice: levels 0..2 coexist.
-		for round := 0; round < 2; round++ {
-			marks := map[blockforest.BlockID]blockforest.Mark{}
-			for _, l := range s.Leaves() {
-				if l.Idx[0] < s.cfg.Grid[0]<<uint(l.Level())/2 {
-					marks[l.ID] = blockforest.MarkRefine
-				}
-			}
-			if err := s.ApplyMarks(marks); err != nil {
-				t.Error(err)
-				return
-			}
+		if err := refineLeftHalf(s); err != nil {
+			t.Error(err)
+			return
 		}
 		if s.MaxLevel() != 2 {
 			t.Errorf("expected max level 2, got %d", s.MaxLevel())
@@ -243,18 +236,172 @@ func TestRegradeStats(t *testing.T) {
 	})
 }
 
-// TestUniformMatchesLevelZero: with refinement disabled the AMR driver
-// must advance exactly like a uniform world — one sweep per block per
-// step — and keep a single level.
-func TestUniformMatchesLevelZero(t *testing.T) {
-	cfg := baseConfig(2, field.AoS)
-	cfg.Refinement = Refinement{}
-	h1, levels := runRefined(t, 2, 6, cfg, comm.Options{})
-	if len(levels) != 1 || levels[0] != 16 {
-		t.Fatalf("uniform run refined: %v", levels)
+// refineLeftHalf refines the left half of the domain twice: levels 0..2
+// coexist in a static forest.
+func refineLeftHalf(s *Sim) error {
+	for round := 0; round < 2; round++ {
+		marks := map[blockforest.BlockID]blockforest.Mark{}
+		for _, l := range s.Leaves() {
+			if l.Idx[0] < s.cfg.Grid[0]<<uint(l.Level())/2 {
+				marks[l.ID] = blockforest.MarkRefine
+			}
+		}
+		if err := s.ApplyMarks(marks); err != nil {
+			return err
+		}
 	}
-	h2, _ := runRefined(t, 2, 6, cfg, comm.Options{})
-	if h1 != h2 {
-		t.Fatalf("uniform AMR run not reproducible: %016x vs %016x", h1, h2)
+	return nil
+}
+
+// interiorBits is the exact bit pattern of a field's interior, in
+// (z, y, x, direction) order.
+func interiorBits(f *field.PDFField) []uint64 {
+	var bits []uint64
+	for z := 0; z < f.Nz; z++ {
+		for y := 0; y < f.Ny; y++ {
+			for x := 0; x < f.Nx; x++ {
+				for a := 0; a < f.Stencil.Q; a++ {
+					bits = append(bits, math.Float64bits(f.At(x, y, z, lattice.Direction(a))))
+				}
+			}
+		}
+	}
+	return bits
+}
+
+// TestUniformMatchesLevelZero: a uniform grid is a one-level forest. With
+// refinement disabled the AMR driver must advance exactly like the uniform
+// solver (internal/sim) on the same periodic box and initial state —
+// sim's cell (x, y, z) is amr's position x+0.5 — so every block ends
+// bit-equal, in both layouts, on one rank and two.
+func TestUniformMatchesLevelZero(t *testing.T) {
+	const steps = 6
+	for _, layout := range []field.Layout{field.AoS, field.SoA} {
+		for _, ranks := range []int{1, 2} {
+			cfg := baseConfig(2, layout)
+			cfg.Refinement = Refinement{}
+			var mu sync.Mutex
+			refined, uniform := map[[3]int][]uint64{}, map[[3]int][]uint64{}
+			comm.Run(ranks, func(c *comm.Comm) {
+				s, err := New(c, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := s.Run(steps); err != nil {
+					t.Error(err)
+					return
+				}
+				if levels := s.LevelCounts(); len(levels) != 1 || levels[0] != 16 {
+					t.Errorf("uniform run refined: %v", levels)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, b := range s.OwnedBlocks() {
+					refined[b.Coord] = interiorBits(b.Src)
+				}
+			})
+			f := blockforest.NewSetupForest(blockforest.NewAABB([3]float64{}, [3]float64{4, 2, 2}), cfg.Grid, cfg.Cells, cfg.Periodic)
+			f.BalanceMorton(ranks)
+			comm.Run(ranks, func(c *comm.Comm) {
+				var in *blockforest.SetupForest
+				if c.Rank() == 0 {
+					in = f
+				}
+				forest, err := blockforest.Distribute(c, in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sc := cfg.simConfig()
+				s, err := sim.New(c, forest, sc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.Run(steps); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, bd := range s.Blocks {
+					uniform[bd.Block.Coord] = interiorBits(bd.Src)
+				}
+			})
+			if t.Failed() {
+				t.FailNow()
+			}
+			if len(refined) != 16 || len(uniform) != 16 {
+				t.Fatalf("%v ranks=%d: %d refined and %d uniform blocks, want 16", layout, ranks, len(refined), len(uniform))
+			}
+			for coord, want := range uniform {
+				got := refined[coord]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%v ranks=%d: block %v value %d: bits %016x, uniform %016x", layout, ranks, coord, i, got[i], want[i])
+						break
+					}
+				}
+			}
+		}
 	}
 }
+
+// stepZeroAllocRefined is the allocation gate of the refined step: on a
+// static three-level forest over two ranks, a steady-state coarse step —
+// every level's exchange, resampled interface transfers included, and
+// every level's sweeps — performs zero heap allocations. Workers is 1
+// because the pool's per-region goroutine spawns are the one deliberate
+// exception (as in sim's TestStepZeroAlloc).
+func stepZeroAllocRefined(t *testing.T, traced bool) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	const runs = 20
+	trace := telemetry.NewTrace()
+	comm.Run(2, func(c *comm.Comm) {
+		cfg := baseConfig(1, field.SoA)
+		cfg.Refinement.Interval = 0
+		if traced {
+			cfg.Tracer, cfg.Metrics = trace.NewTracer(c.Rank(), 1, 0), telemetry.NewRegistry()
+		}
+		s, err := New(c, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := refineLeftHalf(s); err != nil {
+			t.Error(err)
+			return
+		}
+		step := func() {
+			if err := s.Step(); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if c.Rank() != 0 {
+			// Feed rank 0's receives through AllocsPerRun's runs+1 calls; rank
+			// 0's global malloc counter still sees this rank's steps.
+			for i := 0; i < runs+1; i++ {
+				step()
+			}
+			return
+		}
+		if s.MaxLevel() != 2 {
+			t.Errorf("forest has max level %d, want 2", s.MaxLevel())
+		}
+		if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+			t.Errorf("refined Step allocates %.1f objects per coarse step in steady state, want 0", avg)
+		}
+		if traced && s.tel.driver.Len() == 0 {
+			t.Error("tracing was attached but no spans were recorded")
+		}
+	})
+}
+
+func TestStepZeroAllocRefined(t *testing.T)       { stepZeroAllocRefined(t, false) }
+func TestStepZeroAllocRefinedTraced(t *testing.T) { stepZeroAllocRefined(t, true) }

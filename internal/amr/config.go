@@ -23,10 +23,10 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/boundary"
-	"walberla/internal/collide"
 	"walberla/internal/field"
 	"walberla/internal/kernels"
 	"walberla/internal/lattice"
+	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
 
@@ -78,13 +78,13 @@ type Config struct {
 	Cells    [3]int // cells per block per axis (even when MaxLevel > 0)
 	Periodic [3]bool
 
-	// Choice selects the collision kernel family; per-level kernels are
-	// instantiated from it with the level's relaxation time. Zero value
-	// picks the D3Q19 TRT kernel in the configured layout. Sparse
-	// kernels are not supported.
+	// Choice pins the collision kernel of every leaf, each instantiated
+	// with its level's relaxation time; the zero value selects per leaf
+	// like the uniform solver (sim.KernelAuto: the D3Q19 TRT kernel of the
+	// configured layout, the interval kernel for sparse SoA leaves).
 	Choice kernels.Choice
 	Layout field.Layout
-	// Tau is the coarse-grid (level 0) relaxation time.
+	// Tau is the coarse-grid (level 0) relaxation time; zero means 0.9.
 	Tau   float64
 	Magic float64
 
@@ -129,9 +129,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("amr: cells per block %v must be even with refinement (2:1 interface alignment)", c.Cells)
 		}
 	}
-	if c.Tau <= 0.5 {
-		return fmt.Errorf("amr: tau %g must exceed 0.5", c.Tau)
-	}
 	r := &c.Refinement
 	if r.MaxLevel < 0 || r.MaxLevel > maxRefineLevel {
 		return fmt.Errorf("amr: max level %d out of range [0,8]", r.MaxLevel)
@@ -152,17 +149,36 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("amr: coarsen_below %g must be in [0, refine_above)", r.CoarsenBelow)
 		}
 	}
-	if _, err := c.kernelSpec(0); err != nil {
-		return err
-	}
-	return nil
+	sc := c.simConfig()
+	return sc.Validate()
 }
 
-// tauAt returns the relaxation time of level l under acoustic scaling:
-// both dx and dt halve per level, so ν = c_s²(τ−1/2)dt requires
-// τ_ℓ − 1/2 = 2^ℓ(τ₀ − 1/2).
-func (c *Config) tauAt(l int) float64 {
-	return 0.5 + float64(int(1)<<uint(l))*(c.Tau-0.5)
+// simConfig configures the data plane of the leaves (internal/sim). Its
+// InitialState, the one of level-0 cell centers, makes windows whole
+// where the leaves are initialized per cell (initBlockState).
+func (c *Config) simConfig() sim.Config {
+	sc := sim.Config{
+		Stencil:         c.Stencil,
+		Kernel:          c.Choice,
+		Layout:          sim.LayoutAoS,
+		Tau:             c.Tau,
+		Magic:           c.Magic,
+		Workers:         c.Workers,
+		InitialRho:      c.InitialRho,
+		InitialVelocity: c.InitialVelocity,
+		Boundary:        c.Boundary,
+		Tracer:          c.Tracer,
+		Metrics:         c.Metrics,
+	}
+	if c.Layout == field.SoA {
+		sc.Layout = sim.LayoutSoA
+	}
+	if f := c.InitialState; f != nil {
+		sc.InitialState = func(x, y, z int) (float64, float64, float64, float64) {
+			return f(float64(x)+0.5, float64(y)+0.5, float64(z)+0.5)
+		}
+	}
+	return sc
 }
 
 // tauOddAt returns the relaxation time of the odd (antisymmetric)
@@ -170,44 +186,13 @@ func (c *Config) tauAt(l int) float64 {
 // through the magic parameter, Λ = (τ⁺−1/2)(τ⁻−1/2), so τ⁻ does NOT
 // follow the 2^ℓ acoustic scaling of τ⁺ — interface rescaling of the
 // odd non-equilibrium part must use the τ⁻ ratio, not the τ⁺ ratio.
-// SRT relaxes both parities with τ.
-func (c *Config) tauOddAt(l int) float64 {
-	if strings.HasPrefix(string(c.resolvedChoice()), "SRT") {
-		return c.tauAt(l)
+// SRT relaxes both parities with τ. c is the data plane's validated
+// configuration.
+func tauOddAt(c *sim.Config, l int) float64 {
+	if strings.HasPrefix(string(c.Kernel), "SRT") {
+		return c.TauAt(l)
 	}
-	magic := c.Magic
-	if magic == 0 {
-		magic = collide.MagicParameter
-	}
-	return 0.5 + magic/(c.tauAt(l)-0.5)
-}
-
-// resolvedChoice is the kernel family after defaulting.
-func (c *Config) resolvedChoice() kernels.Choice {
-	if c.Choice != "" {
-		return c.Choice
-	}
-	if c.Layout == field.SoA {
-		return kernels.ChoiceSplitTRT
-	}
-	return kernels.ChoiceD3Q19TRT
-}
-
-// kernelSpec builds the collision kernel spec of one level.
-func (c *Config) kernelSpec(l int) (kernels.Spec, error) {
-	choice := c.resolvedChoice()
-	if choice == kernels.ChoiceSparse {
-		return kernels.Spec{}, fmt.Errorf("amr: sparse kernels are not supported")
-	}
-	return kernels.Spec{Choice: choice, Stencil: c.Stencil, Tau: c.tauAt(l), Magic: c.Magic}, nil
-}
-
-// workers resolves the pool size.
-func (c *Config) workers() int {
-	if c.Workers <= 0 {
-		return 1
-	}
-	return c.Workers
+	return 0.5 + c.Magic/(c.TauAt(l)-0.5)
 }
 
 // Leaf is one octree leaf of the AMR forest, replicated on every rank:

@@ -5,10 +5,12 @@ import (
 
 	"walberla/internal/field"
 	"walberla/internal/lattice"
+	"walberla/internal/sim"
 )
 
 // Level-interface PDF transfer. Three operators share the same
-// arithmetic so ghost exchange, block splitting and block merging stay
+// arithmetic so ghost exchange (the Resample the data plane calls when it
+// packs a transfer between levels), block splitting and block merging stay
 // mutually consistent:
 //
 //   - sampleCoarse: trilinear interpolation of a coarse field at a fine
@@ -44,11 +46,14 @@ import (
 // (equilibrium transfer) instead of dividing by zero.
 //
 // All loops run in a fixed order with no reductions, so every operator
-// is bitwise deterministic.
+// is bitwise deterministic. Reads go through storage where the field's
+// allocation window holds the cells (always, unless a leaf has solid
+// cells and no per-cell initial state) and through At, the window's fill
+// outside, otherwise.
 
 // interpScratch is the per-worker scratch of the transfer operators.
 // f2 holds the second time level of a temporally interpolated
-// coarse→fine sample (see exchange.go sampleCoarseAt).
+// coarse→fine sample (see resampler).
 type interpScratch struct {
 	f   []float64
 	f2  []float64
@@ -102,17 +107,76 @@ func postNeqRatio(tauDst, tauSrc, dtRatio float64) float64 {
 // lambdaToFine is the non-equilibrium scale pair for coarse(src) →
 // fine(dst) transfer between adjacent levels.
 func (s *Sim) lambdaToFine(fineLevel int) lambdaPair {
+	c := &s.plane.Config
 	return lambdaPair{
-		even: postNeqRatio(s.cfg.tauAt(fineLevel), s.cfg.tauAt(fineLevel-1), 0.5),
-		odd:  postNeqRatio(s.cfg.tauOddAt(fineLevel), s.cfg.tauOddAt(fineLevel-1), 0.5),
+		even: postNeqRatio(c.TauAt(fineLevel), c.TauAt(fineLevel-1), 0.5),
+		odd:  postNeqRatio(tauOddAt(c, fineLevel), tauOddAt(c, fineLevel-1), 0.5),
 	}
 }
 
 // lambdaToCoarse is the inverse pair for fine(src) → coarse(dst).
 func (s *Sim) lambdaToCoarse(fineLevel int) lambdaPair {
+	c := &s.plane.Config
 	return lambdaPair{
-		even: postNeqRatio(s.cfg.tauAt(fineLevel-1), s.cfg.tauAt(fineLevel), 2),
-		odd:  postNeqRatio(s.cfg.tauOddAt(fineLevel-1), s.cfg.tauOddAt(fineLevel), 2),
+		even: postNeqRatio(c.TauAt(fineLevel-1), c.TauAt(fineLevel), 2),
+		odd:  postNeqRatio(tauOddAt(c, fineLevel-1), tauOddAt(c, fineLevel), 2),
+	}
+}
+
+// resampler is the refined world's sim.Resampler: transfers between
+// levels packed at the receiver's resolution. A coarse sender is sampled
+// at the receiving sub-step's start time: it has already swept, so its
+// pre-sweep state sits in Dst and its post-sweep state in Src — phase 0
+// (first half of the parent interval) reads Dst, phase 1 the midpoint
+// average ½(Dst+Src), linear temporal interpolation.
+type resampler struct{ *Sim }
+
+func (r resampler) Resample(t *sim.Transfer, buf []float64, worker int) {
+	s, level := r.Sim, int(t.Src.Block.ID.Level)
+	vol := (t.Hi[0] - t.Lo[0]) * (t.Hi[1] - t.Lo[1]) * (t.Hi[2] - t.Lo[2])
+	src, src2, lam := t.Src.Src, (*field.PDFField)(nil), s.lambdaToCoarse(level)
+	if t.ToFiner {
+		src, lam = t.Src.Dst, s.lambdaToFine(level+1)
+		if s.phase == 1 {
+			src2 = t.Src.Src
+		}
+	}
+	s.transfer(t.ToFiner, src, src2, t.Lo, t.Hi, t.Base, lam, &s.scratch[worker], func(ci int, _ [3]int, f []float64) {
+		for di, a := range t.Dirs {
+			buf[di*vol+ci] = f[a]
+		}
+	})
+}
+
+// transfer is the loop of all three operators: for every cell p of the
+// receiver box [lo, hi), in slab order (ci counts them), the receiver's
+// PDF vector — sampled at cell p+base of the coarse src's 2× subdivision
+// (averaged with the sample of src2, if set) when prolonging, the 2×2×2
+// group of the fine src at 2p+base otherwise — rescaled by lam and handed
+// to put.
+func (s *Sim) transfer(prolong bool, src, src2 *field.PDFField, lo, hi, base [3]int, lam lambdaPair, sc *interpScratch, put func(ci int, p [3]int, f []float64)) {
+	ci := 0
+	for z := lo[2]; z < hi[2]; z++ {
+		for y := lo[1]; y < hi[1]; y++ {
+			for x := lo[0]; x < hi[0]; x++ {
+				F := [3]int{x + base[0], y + base[1], z + base[2]}
+				switch {
+				case !prolong:
+					restrictFine(src, [3]int{F[0] + x, F[1] + y, F[2] + z}, sc.f)
+				case src2 == nil:
+					s.sampleCoarse(src, F, sc.f)
+				default:
+					s.sampleCoarse(src, F, sc.f)
+					s.sampleCoarse(src2, F, sc.f2)
+					for a := range sc.f {
+						sc.f[a] = 0.5 * (sc.f[a] + sc.f2[a])
+					}
+				}
+				s.rescaleNeq(sc.f, lam, sc)
+				put(ci, [3]int{x, y, z}, sc.f)
+				ci++
+			}
+		}
 	}
 }
 
@@ -147,12 +211,29 @@ func (s *Sim) sampleCoarse(src *field.PDFField, F [3]int, out []float64) {
 		w1[d] = q - float64(lo)
 	}
 	w0 := [3]float64{1 - w1[0], 1 - w1[1], 1 - w1[2]}
+	win := src.Window()
+	stored := win.Contains(i0[0], i0[1], i0[2]) && win.Contains(i1[0], i1[1], i1[2])
 	for a := range out {
+		d := lattice.Direction(a)
+		var c [8]float64 // the corners, x fastest
+		if stored {
+			c = [8]float64{
+				src.Get(i0[0], i0[1], i0[2], d), src.Get(i1[0], i0[1], i0[2], d),
+				src.Get(i0[0], i1[1], i0[2], d), src.Get(i1[0], i1[1], i0[2], d),
+				src.Get(i0[0], i0[1], i1[2], d), src.Get(i1[0], i0[1], i1[2], d),
+				src.Get(i0[0], i1[1], i1[2], d), src.Get(i1[0], i1[1], i1[2], d),
+			}
+		} else {
+			c = [8]float64{
+				src.At(i0[0], i0[1], i0[2], d), src.At(i1[0], i0[1], i0[2], d),
+				src.At(i0[0], i1[1], i0[2], d), src.At(i1[0], i1[1], i0[2], d),
+				src.At(i0[0], i0[1], i1[2], d), src.At(i1[0], i0[1], i1[2], d),
+				src.At(i0[0], i1[1], i1[2], d), src.At(i1[0], i1[1], i1[2], d),
+			}
+		}
 		v := 0.0
-		v += w0[2] * (w0[1]*(w0[0]*src.Get(i0[0], i0[1], i0[2], lattice.Direction(a))+w1[0]*src.Get(i1[0], i0[1], i0[2], lattice.Direction(a))) +
-			w1[1]*(w0[0]*src.Get(i0[0], i1[1], i0[2], lattice.Direction(a))+w1[0]*src.Get(i1[0], i1[1], i0[2], lattice.Direction(a))))
-		v += w1[2] * (w0[1]*(w0[0]*src.Get(i0[0], i0[1], i1[2], lattice.Direction(a))+w1[0]*src.Get(i1[0], i0[1], i1[2], lattice.Direction(a))) +
-			w1[1]*(w0[0]*src.Get(i0[0], i1[1], i1[2], lattice.Direction(a))+w1[0]*src.Get(i1[0], i1[1], i1[2], lattice.Direction(a))))
+		v += w0[2] * (w0[1]*(w0[0]*c[0]+w1[0]*c[1]) + w1[1]*(w0[0]*c[2]+w1[0]*c[3]))
+		v += w1[2] * (w0[1]*(w0[0]*c[4]+w1[0]*c[5]) + w1[1]*(w0[0]*c[6]+w1[0]*c[7]))
 		out[a] = v
 	}
 }
@@ -161,12 +242,19 @@ func (s *Sim) sampleCoarse(src *field.PDFField, F [3]int, out []float64) {
 // F (fine interior coordinates; the group never straddles blocks
 // because cells per block is even).
 func restrictFine(src *field.PDFField, F [3]int, out []float64) {
+	win := src.Window()
+	stored := win.Contains(F[0], F[1], F[2]) && win.Contains(F[0]+1, F[1]+1, F[2]+1)
 	for a := range out {
+		d := lattice.Direction(a)
 		v := 0.0
 		for bz := 0; bz < 2; bz++ {
 			for by := 0; by < 2; by++ {
 				for bx := 0; bx < 2; bx++ {
-					v += src.Get(F[0]+bx, F[1]+by, F[2]+bz, lattice.Direction(a))
+					if stored {
+						v += src.Get(F[0]+bx, F[1]+by, F[2]+bz, d)
+					} else {
+						v += src.At(F[0]+bx, F[1]+by, F[2]+bz, d)
+					}
 				}
 			}
 		}
@@ -174,44 +262,33 @@ func restrictFine(src *field.PDFField, F [3]int, out []float64) {
 	}
 }
 
-// prolongBlock fills a child field from its parent: child octant oct of
-// the parent's 2× subdivision, interior cells only, with non-equilibrium
-// rescaling for the finer level.
+// prolongBlock fills the interior of a child field from its parent:
+// child octant oct of the parent's 2× subdivision, rescaled for the finer
+// level.
 func (s *Sim) prolongBlock(parent *field.PDFField, oct int, fineLevel int, child *field.PDFField, sc *interpScratch) {
 	C := s.cfg.Cells
-	lam := s.lambdaToFine(fineLevel)
 	org := [3]int{(oct & 1) * C[0], (oct >> 1 & 1) * C[1], (oct >> 2 & 1) * C[2]}
-	for z := 0; z < C[2]; z++ {
-		for y := 0; y < C[1]; y++ {
-			for x := 0; x < C[0]; x++ {
-				F := [3]int{org[0] + x, org[1] + y, org[2] + z}
-				s.sampleCoarse(parent, F, sc.f)
-				s.rescaleNeq(sc.f, lam, sc)
-				for a, v := range sc.f {
-					child.Set(x, y, z, lattice.Direction(a), v)
-				}
-			}
-		}
-	}
+	s.transfer(true, parent, nil, [3]int{}, C, org, s.lambdaToFine(fineLevel), sc, func(_ int, p [3]int, f []float64) {
+		setCell(child, p, f)
+	})
 }
 
-// restrictBlock fills one octant of a parent field from a child:
-// interior cells only, with non-equilibrium rescaling for the coarser
-// level.
+// restrictBlock fills one octant of a parent field's interior from a
+// child, rescaled for the coarser level.
 func (s *Sim) restrictBlock(child *field.PDFField, oct int, fineLevel int, parent *field.PDFField, sc *interpScratch) {
 	C := s.cfg.Cells
-	lam := s.lambdaToCoarse(fineLevel)
-	half := [3]int{C[0] / 2, C[1] / 2, C[2] / 2}
-	org := [3]int{(oct & 1) * half[0], (oct >> 1 & 1) * half[1], (oct >> 2 & 1) * half[2]}
-	for z := 0; z < half[2]; z++ {
-		for y := 0; y < half[1]; y++ {
-			for x := 0; x < half[0]; x++ {
-				restrictFine(child, [3]int{2 * x, 2 * y, 2 * z}, sc.f)
-				s.rescaleNeq(sc.f, lam, sc)
-				for a, v := range sc.f {
-					parent.Set(org[0]+x, org[1]+y, org[2]+z, lattice.Direction(a), v)
-				}
-			}
+	org := [3]int{(oct & 1) * C[0] / 2, (oct >> 1 & 1) * C[1] / 2, (oct >> 2 & 1) * C[2] / 2}
+	hi := [3]int{org[0] + C[0]/2, org[1] + C[1]/2, org[2] + C[2]/2}
+	s.transfer(false, child, nil, org, hi, [3]int{-2 * org[0], -2 * org[1], -2 * org[2]}, s.lambdaToCoarse(fineLevel), sc,
+		func(_ int, p [3]int, f []float64) { setCell(parent, p, f) })
+}
+
+// setCell stores a PDF vector at an interior cell of f if its window holds
+// the cell; outside it the cell keeps f's fill, like every solid cell there.
+func setCell(f *field.PDFField, p [3]int, v []float64) {
+	if f.Window().Contains(p[0], p[1], p[2]) {
+		for a, x := range v {
+			f.Set(p[0], p[1], p[2], lattice.Direction(a), x)
 		}
 	}
 }

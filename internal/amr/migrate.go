@@ -7,7 +7,6 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/field"
 	"walberla/internal/output"
 	"walberla/internal/telemetry"
 )
@@ -32,11 +31,12 @@ import (
 // such children, and because InitialState is pure the result is
 // bit-identical on every rank.
 //
-// Both Src and Dst fields transfer (non-fluid interior cells carry
-// state the kernels never rewrite), while flag fields are regenerated
-// at the destination from the pure Config.Flags function. Because every
-// rank derives the same movement table from the replicated metadata, no
-// negotiation precedes the point-to-point payload exchange.
+// Both Src and Dst fields transfer (non-fluid interior cells carry state
+// the kernels never rewrite), while flag fields — and with them kernel and
+// allocation window — are regenerated at the destination from the pure
+// Config.Flags function. Because every rank derives the same movement
+// table from the replicated metadata, no negotiation precedes the
+// point-to-point payload exchange.
 
 // tagMigrate carries WBK2 migration payloads between re-grades.
 const tagMigrate = 1<<28 + 64
@@ -47,7 +47,6 @@ type payload struct {
 	src, dst int                 // comm ranks
 	kind     opKindMigrate
 	newLeaf  int // index into the graded leaf list
-	oct      int // octant for split/merge payloads
 }
 
 type opKindMigrate uint8
@@ -59,8 +58,8 @@ const (
 	payloadMerge
 )
 
-// migrate installs a graded leaf set: ships payloads, rebuilds blocks,
-// kernels and the exchange plan.
+// migrate installs a graded leaf set: ships payloads, assembles the new
+// blocks and rebuilds the exchange plans.
 func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	t0 := time.Now()
 	lt0 := s.tel.driver.Start()
@@ -86,8 +85,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 				if s.step == 0 && s.cfg.InitialState != nil {
 					kind, src = payloadSplitInit, nl.Rank
 				}
-				moves = append(moves, payload{id: nl.ID, src: src, dst: nl.Rank, kind: kind,
-					newLeaf: ni, oct: nl.ID.Octant()})
+				moves = append(moves, payload{id: nl.ID, src: src, dst: nl.Rank, kind: kind, newLeaf: ni})
 				continue
 			}
 		}
@@ -98,15 +96,14 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			if !ok {
 				return fmt.Errorf("amr: graded leaf %v has neither ancestor nor children", nl.ID)
 			}
-			moves = append(moves, payload{id: cid, src: oc.Rank, dst: nl.Rank, kind: payloadMerge,
-				newLeaf: ni, oct: o})
+			moves = append(moves, payload{id: cid, src: oc.Rank, dst: nl.Rank, kind: payloadMerge, newLeaf: ni})
 		}
 		merges++
 	}
 	moved := 0
 	sendTo := map[int][]payload{}
 	recvFrom := map[int]bool{}
-	var localPayloads []output.LeafSnapshot
+	incoming := make(map[blockforest.BlockID]output.LeafSnapshot)
 	for _, m := range moves {
 		if m.kind == payloadSplitInit {
 			continue // materialized at the destination, nothing ships
@@ -115,12 +112,16 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			moved++
 		}
 		switch {
-		case m.src == me && m.dst == me:
-			localPayloads = append(localPayloads, s.buildPayload(m))
-		case m.src == me:
+		case m.src == me && m.dst != me:
 			sendTo[m.dst] = append(sendTo[m.dst], m)
-		case m.dst == me:
+		case m.dst == me && m.src != me:
 			recvFrom[m.src] = true
+		case m.src == me && m.kind != payloadKeep: // a kept leaf that stays is its block
+			sn, err := s.buildPayload(m, graded)
+			if err != nil {
+				return err
+			}
+			incoming[m.id] = sn
 		}
 	}
 
@@ -139,7 +140,11 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 		snaps := make([]output.LeafSnapshot, len(ms))
 		for i, m := range ms {
-			snaps[i] = s.buildPayload(m)
+			sn, err := s.buildPayload(m, graded)
+			if err != nil {
+				return err
+			}
+			snaps[i] = sn
 		}
 		var buf bytes.Buffer
 		if _, _, err := output.WriteLeafFile(&buf, snaps); err != nil {
@@ -148,10 +153,6 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		if err := s.Comm.SendErr(r, tagMigrate, buf.Bytes()); err != nil {
 			return fmt.Errorf("amr: migration send to rank %d: %w", r, err)
 		}
-	}
-	incoming := make(map[blockforest.BlockID]output.LeafSnapshot)
-	for _, sn := range localPayloads {
-		incoming[snapID(sn)] = sn
 	}
 	for r := 0; r < s.Comm.Size(); r++ {
 		rp, ok := reqs[r]
@@ -175,54 +176,49 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 	}
 
-	// Assemble the new local block set.
+	// Assemble the new local block set around the payloads.
 	newBlocks := make(map[blockforest.BlockID]*Block)
 	for _, m := range moves {
 		if m.dst != me {
 			continue
 		}
 		nl := leafFrom(graded[m.newLeaf])
-		switch m.kind {
-		case payloadSplitInit:
-			newBlocks[nl.ID] = s.newBlock(nl, true)
-		case payloadKeep, payloadSplit:
-			sn, ok := incoming[m.id]
-			if !ok {
-				return fmt.Errorf("amr: missing migration payload for leaf %v", m.id)
+		sn, ok := incoming[m.id]
+		var b *Block
+		var err error
+		switch {
+		case m.kind == payloadSplitInit:
+			if b, err = s.newBlock(nl, nil, nil); err == nil {
+				s.initBlockState(b)
 			}
-			b := &Block{Leaf: nl, Src: s.ensureLayout(sn.Src), Dst: s.ensureLayout(sn.Dst)}
-			s.attachFlags(b)
-			newBlocks[nl.ID] = b
-		case payloadMerge:
-			b := newBlocks[nl.ID]
-			if b == nil {
-				b = s.newBlock(nl, false)
-				b.Src.FillEquilibrium(1, 0, 0, 0)
-				b.Dst.FillEquilibrium(1, 0, 0, 0)
-				newBlocks[nl.ID] = b
+		case m.kind == payloadKeep && m.src == me:
+			b = &Block{Leaf: nl, BlockData: s.byID[m.id].BlockData}
+		case !ok:
+			return fmt.Errorf("amr: missing migration payload for leaf %v", m.id)
+		case m.kind == payloadMerge:
+			if b = newBlocks[nl.ID]; b == nil {
+				b, err = s.newBlock(nl, nil, nil)
 			}
-			sn, ok := incoming[m.id]
-			if !ok {
-				return fmt.Errorf("amr: missing merge payload for child %v", m.id)
+			if err == nil {
+				s.restrictBlock(sn.Src, m.id.Octant(), int(m.id.Level), b.Src, &s.scratch[0])
+				s.restrictBlock(sn.Dst, m.id.Octant(), int(m.id.Level), b.Dst, &s.scratch[0])
 			}
-			fineLevel := int(m.id.Level)
-			s.restrictBlock(s.ensureLayout(sn.Src), m.oct, fineLevel, b.Src, &s.scratch[0])
-			s.restrictBlock(s.ensureLayout(sn.Dst), m.oct, fineLevel, b.Dst, &s.scratch[0])
+		default: // a kept leaf arriving or a split child, prolonged at its source
+			b, err = s.newBlock(nl, sn.Src, sn.Dst)
 		}
+		if err != nil {
+			return err
+		}
+		newBlocks[nl.ID] = b
 	}
 
-	// Install: new leaf list, blocks in canonical order, kernels, plan.
+	// Install: new leaf list, blocks, plans.
 	s.setLeaves(graded)
-	s.blocks = s.blocks[:0]
-	s.byID = make(map[blockforest.BlockID]*Block, len(newBlocks))
+	blocks := make([]*Block, 0, len(newBlocks))
 	for _, b := range newBlocks {
-		s.addBlock(b)
+		blocks = append(blocks, b)
 	}
-	s.sortBlocks()
-	if err := s.rebuildKernels(); err != nil {
-		return err
-	}
-	s.rebuildPlan()
+	s.install(blocks, true)
 
 	// splits already counts new fine leaves (one per child payload);
 	// merges counts octets, i.e. 8 removed leaves each.
@@ -243,25 +239,33 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 // Split children are prolonged here at the source, so the wire carries
 // the new fine state and every destination receives ready-to-install
 // fields.
-func (s *Sim) buildPayload(m payload) output.LeafSnapshot {
+func (s *Sim) buildPayload(m payload, graded []blockforest.Leaf) (output.LeafSnapshot, error) {
 	b := s.byID[sourceID(m)]
 	if b == nil {
 		panic(fmt.Sprintf("amr: payload source %v not owned", sourceID(m)))
 	}
-	sn := output.LeafSnapshot{Tree: m.id.Tree, Path: m.id.Path, Level: m.id.Level, Coord: b.Coord}
-	switch m.kind {
-	case payloadKeep, payloadMerge:
-		sn.Src, sn.Dst = b.Src, b.Dst
-	case payloadSplit:
-		C := s.cfg.Cells
-		fineLevel := int(m.id.Level)
-		src := field.NewPDFField(s.cfg.Stencil, C[0], C[1], C[2], 1, s.cfg.Layout)
-		dst := field.NewPDFField(s.cfg.Stencil, C[0], C[1], C[2], 1, s.cfg.Layout)
-		s.prolongBlock(b.Src, m.oct, fineLevel, src, &s.scratch[0])
-		s.prolongBlock(b.Dst, m.oct, fineLevel, dst, &s.scratch[0])
-		sn.Src, sn.Dst = src, dst
+	sn := output.LeafSnapshot{Tree: m.id.Tree, Path: m.id.Path, Level: m.id.Level, Coord: b.Coord, Src: b.Src, Dst: b.Dst}
+	if m.kind == payloadSplit {
+		child, err := s.splitChild(b, leafFrom(graded[m.newLeaf]))
+		if err != nil {
+			return sn, err
+		}
+		sn.Src, sn.Dst = child.Src, child.Dst
 	}
-	return sn
+	return sn, nil
+}
+
+// splitChild assembles the child leaf l of parent and prolongs both of
+// the parent's fields into it.
+func (s *Sim) splitChild(parent *Block, l Leaf) (*Block, error) {
+	child, err := s.newBlock(l, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	oct, level := l.ID.Octant(), l.Level()
+	s.prolongBlock(parent.Src, oct, level, child.Src, &s.scratch[0])
+	s.prolongBlock(parent.Dst, oct, level, child.Dst, &s.scratch[0])
+	return child, nil
 }
 
 // sourceID is the old leaf a payload reads from.
@@ -274,13 +278,4 @@ func sourceID(m payload) blockforest.BlockID {
 
 func snapID(sn output.LeafSnapshot) blockforest.BlockID {
 	return blockforest.BlockID{Tree: sn.Tree, Path: sn.Path, Level: sn.Level}
-}
-
-// ensureLayout converts a restored field into the configured layout if
-// the stored one differs.
-func (s *Sim) ensureLayout(f *field.PDFField) *field.PDFField {
-	if f.Layout == s.cfg.Layout {
-		return f
-	}
-	return f.ConvertLayout(s.cfg.Layout)
 }

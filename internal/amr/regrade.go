@@ -3,9 +3,11 @@ package amr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"walberla/internal/blockforest"
+	"walberla/internal/field"
 	"walberla/internal/lattice"
 	"walberla/internal/telemetry"
 )
@@ -45,39 +47,19 @@ func (s *Sim) regrade() (changed bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("amr: regrade allgather: %w", err)
 	}
-	byID := make(map[blockforest.BlockID]blockforest.Mark, len(s.leaves))
+	marks := make(map[blockforest.BlockID]blockforest.Mark, len(s.leaves))
 	for _, g := range gathered {
 		for _, e := range g.([]markEntry) {
-			byID[e.ID] = e.Mark
+			marks[e.ID] = e.Mark
 		}
 	}
-	marks := make([]blockforest.Mark, len(s.leaves))
-	for i, l := range s.leaves {
-		marks[i] = byID[l.ID]
-	}
-	graded := blockforest.Grade(s.bfLeaves(), marks, s.cfg.Grid, s.cfg.Periodic, s.cfg.Refinement.MaxLevel)
-
-	// Level-weighted contiguous assignment: a level-ℓ block sweeps 2^ℓ
-	// sub-steps per coarse step, so it costs 2^ℓ× a coarse block.
-	weights := make([]float64, len(graded))
-	for i, l := range graded {
-		weights[i] = float64(int(1) << uint(l.ID.Level))
-	}
-	for i, r := range blockforest.AssignContiguous(weights, s.Comm.Size()) {
-		graded[i].Rank = r
-	}
-
 	s.stats.Regrades++
 	s.tel.regrades.Inc()
-	s.tel.driver.Span(telemetry.PhaseRegrade, s.step, int32(len(graded)), lt0)
+	s.tel.driver.Span(telemetry.PhaseRegrade, s.step, int32(len(s.leaves)), lt0)
 	ns := time.Since(t0).Nanoseconds()
 	s.stats.RegradeNs += ns
 	s.tel.regradeNs.Add(ns)
-
-	if s.sameForest(graded) {
-		return false, nil
-	}
-	return true, s.migrate(graded)
+	return s.applyMarks(marks, s.cfg.Refinement.MaxLevel)
 }
 
 // ApplyMarks refines/coarsens explicitly marked leaves (unlisted leaves
@@ -86,40 +68,28 @@ func (s *Sim) regrade() (changed bool, err error) {
 // must be identical on all ranks. The same 2:1 grading, level-weighted
 // balancing and migration as the runtime controller apply.
 func (s *Sim) ApplyMarks(m map[blockforest.BlockID]blockforest.Mark) error {
-	marks := make([]blockforest.Mark, len(s.leaves))
-	for i, l := range s.leaves {
-		marks[i] = m[l.ID]
-	}
 	maxLevel := s.cfg.Refinement.MaxLevel
 	if maxLevel == 0 {
 		maxLevel = maxRefineLevel
 	}
-	graded := blockforest.Grade(s.bfLeaves(), marks, s.cfg.Grid, s.cfg.Periodic, maxLevel)
-	weights := make([]float64, len(graded))
-	for i, l := range graded {
-		weights[i] = float64(int(1) << uint(l.ID.Level))
-	}
-	for i, r := range blockforest.AssignContiguous(weights, s.Comm.Size()) {
-		graded[i].Rank = r
-	}
-	if s.sameForest(graded) {
-		return nil
-	}
-	return s.migrate(graded)
+	_, err := s.applyMarks(m, maxLevel)
+	return err
 }
 
-// sameForest reports whether the graded leaf set matches the current
-// one, identity and placement included.
-func (s *Sim) sameForest(graded []blockforest.Leaf) bool {
-	if len(graded) != len(s.leaves) {
-		return false
+// applyMarks grades the forest under the marks (absent leaves keep their
+// level), assigns it by level-weighted cost and migrates to it if it
+// differs from the current one, identity and placement included.
+func (s *Sim) applyMarks(m map[blockforest.BlockID]blockforest.Mark, maxLevel int) (changed bool, err error) {
+	marks := make([]blockforest.Mark, len(s.leaves))
+	for i, l := range s.leaves {
+		marks[i] = m[l.ID]
 	}
-	for i, g := range graded {
-		if g.ID != s.leaves[i].ID || g.Rank != s.leaves[i].Rank {
-			return false
-		}
+	graded := blockforest.Grade(s.bfLeaves(), marks, s.cfg.Grid, s.cfg.Periodic, maxLevel)
+	s.assignRanks(graded)
+	if slices.EqualFunc(graded, s.leaves, func(g blockforest.Leaf, l Leaf) bool { return g.ID == l.ID && g.Rank == l.Rank }) {
+		return false, nil
 	}
-	return true
+	return true, s.migrate(graded)
 }
 
 // markOf evaluates the refinement criterion of one block and applies
@@ -147,11 +117,16 @@ func (s *Sim) criterion(b *Block) float64 {
 	u := make([][3]float64, n)
 	f := make([]float64, st.Q)
 	idx := func(x, y, z int) int { return (z*C[1]+y)*C[0] + x }
+	src := b.Src
+	stored := src.Window().Covers(field.Window{Hi: C}) // else solid cells read as the fill
 	for z := 0; z < C[2]; z++ {
 		for y := 0; y < C[1]; y++ {
 			for x := 0; x < C[0]; x++ {
-				for a := 0; a < st.Q; a++ {
-					f[a] = b.Src.Get(x, y, z, lattice.Direction(a))
+				for a := 0; stored && a < st.Q; a++ {
+					f[a] = src.Get(x, y, z, lattice.Direction(a))
+				}
+				for a := 0; !stored && a < st.Q; a++ {
+					f[a] = src.At(x, y, z, lattice.Direction(a))
 				}
 				_, ux, uy, uz := st.Moments(f)
 				u[idx(x, y, z)] = [3]float64{ux, uy, uz}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
@@ -19,9 +18,10 @@ import (
 // of a refined world consists of (the resilience.World methods of type
 // world): leafSnapshots — the WBK2 rank file, whose records carry the full
 // leaf identity (tree, octree path, level, coordinates) alongside both PDF
-// fields; blocksFromSnapshots — runtime blocks back from such records,
-// flags regenerated from the pure config function, so a replica needs no
-// side band; and installRestored — the forest of the restored step rebuilt
+// fields, also the form of the own in-memory generation; blocksFromSnapshots
+// — runtime blocks back from such records, assembled from the pure config
+// function, so a replica needs no side band; and installRestored — the
+// forest of the restored step rebuilt
 // from the restored leaves themselves, so re-grades between the
 // checkpoint and the failure are undone together with the field state.
 // Because stepping, the refinement controller and the balancer are all
@@ -73,25 +73,24 @@ func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
 	return w.tel.driver, w.cfg.Metrics
 }
 
-// ownSnapshot is this rank's raw state: the owned leaf descriptors plus
-// field copies in the configured layout, restored without decoding.
-type ownSnapshot struct {
-	leaves   []blockforest.Leaf
-	src, dst [][]float64
-}
-
+// Snapshot is this rank's own generation in the form every other one
+// takes: WBK2 records of its leaves, holding field copies (in the previous
+// generation's storage where it fits), installed like a decoded rank file.
 func (w world) Snapshot(reuse resilience.State) resilience.State {
-	og, _ := reuse.(*ownSnapshot)
-	if og == nil || len(og.src) != len(w.blocks) {
-		og = &ownSnapshot{src: make([][]float64, len(w.blocks)), dst: make([][]float64, len(w.blocks))}
+	old, _ := reuse.([]output.LeafSnapshot)
+	snaps := w.leafSnapshots()
+	for i := range snaps {
+		sn := &snaps[i]
+		src, dst := sn.Src, sn.Dst
+		if i < len(old) && old[i].Src.SameShape(sn.Src) {
+			sn.Src, sn.Dst = old[i].Src, old[i].Dst
+		} else {
+			sn.Src, sn.Dst = src.CopyShape(), dst.CopyShape()
+		}
+		copy(sn.Src.Data(), src.Data())
+		copy(sn.Dst.Data(), dst.Data())
 	}
-	og.leaves = og.leaves[:0]
-	for i, b := range w.blocks {
-		og.leaves = append(og.leaves, blockforest.Leaf{ID: b.ID, Coord: b.Coord})
-		og.src[i] = append(og.src[i][:0], b.Src.Data()...)
-		og.dst[i] = append(og.dst[i][:0], b.Dst.Data()...)
-	}
-	return og
+	return snaps
 }
 
 func (w world) Encode(out io.Writer) (int64, uint32, error) {
@@ -133,22 +132,17 @@ func (w world) Reset() error {
 func (w world) Install(c *comm.Comm, _ []int, step int, own resilience.State, wards []resilience.State) (int, error) {
 	s := w.Sim
 	var blocks []*Block
-	switch o := own.(type) {
-	case *ownSnapshot:
-		for i, bl := range o.leaves {
-			b := s.newBlock(leafFrom(bl), false)
-			copy(b.Src.Data(), o.src[i])
-			copy(b.Dst.Data(), o.dst[i])
-			blocks = append(blocks, b)
+	kept := 0
+	for i, st := range append([]resilience.State{own}, wards...) {
+		snaps, _ := st.([]output.LeafSnapshot)
+		if err := s.blocksFromSnapshots(&blocks, snaps); err != nil {
+			return 0, err
 		}
-	case []output.LeafSnapshot:
-		blocks = s.blocksFromSnapshots(o)
+		if i == 0 {
+			kept = len(blocks)
+		}
 	}
-	kept := len(blocks)
-	for _, ward := range wards {
-		blocks = append(blocks, s.blocksFromSnapshots(ward.([]output.LeafSnapshot))...)
-	}
-	s.Comm = c
+	s.Comm, s.plane.Comm = c, c
 	return len(blocks) - kept, s.installRestored(blocks, step)
 }
 
@@ -164,21 +158,22 @@ func (s *Sim) leafSnapshots() []output.LeafSnapshot {
 	return snaps
 }
 
-// blocksFromSnapshots turns decoded (shape-checked) WBK2 records into
-// runtime blocks, converting layouts and regenerating flag fields from the
-// pure config function. installRestored assigns the owner.
-func (s *Sim) blocksFromSnapshots(snaps []output.LeafSnapshot) []*Block {
-	blocks := make([]*Block, 0, len(snaps))
+// blocksFromSnapshots appends to blocks the runtime blocks of decoded
+// (shape-checked) WBK2 records, assembled like every leaf from the pure
+// config function and filled with a copy of the records, whatever layout
+// they were stored in (a buddy ring keeps its decoded replicas).
+// installRestored assigns the owner.
+func (s *Sim) blocksFromSnapshots(blocks *[]*Block, snaps []output.LeafSnapshot) error {
 	for _, sn := range snaps {
-		bl := blockforest.Leaf{
-			ID:    blockforest.BlockID{Tree: sn.Tree, Path: sn.Path, Level: sn.Level},
-			Coord: sn.Coord,
+		b, err := s.newBlock(leafFrom(blockforest.Leaf{ID: snapID(sn), Coord: sn.Coord}), nil, nil)
+		if err != nil {
+			return err
 		}
-		b := &Block{Leaf: leafFrom(bl), Src: s.ensureLayout(sn.Src), Dst: s.ensureLayout(sn.Dst)}
-		s.attachFlags(b)
-		blocks = append(blocks, b)
+		b.Src.CopyFrom(sn.Src)
+		b.Dst.CopyFrom(sn.Dst)
+		*blocks = append(*blocks, b)
 	}
-	return blocks
+	return nil
 }
 
 // installRestored commits a restored local block set: the global forest
@@ -186,15 +181,9 @@ func (s *Sim) blocksFromSnapshots(snaps []output.LeafSnapshot) []*Block {
 // topology recovery needs no side channel — the rank files themselves
 // carry the forest. Collective over s.Comm.
 func (s *Sim) installRestored(blocks []*Block, step int) error {
-	type leafDesc struct {
-		Tree  uint32
-		Path  uint64
-		Level uint8
-		Coord [3]int
-	}
-	local := make([]leafDesc, len(blocks))
+	local := make([]blockforest.Leaf, len(blocks))
 	for i, b := range blocks {
-		local[i] = leafDesc{Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level, Coord: b.Coord}
+		local[i] = blockforest.Leaf{ID: b.ID, Coord: b.Coord}
 	}
 	gathered, err := s.Comm.AllgatherErr(local)
 	if err != nil {
@@ -202,36 +191,22 @@ func (s *Sim) installRestored(blocks []*Block, step int) error {
 	}
 	var all []blockforest.Leaf
 	for r, g := range gathered {
-		for _, d := range g.([]leafDesc) {
-			all = append(all, blockforest.Leaf{
-				ID:    blockforest.BlockID{Tree: d.Tree, Path: d.Path, Level: d.Level},
-				Coord: d.Coord,
-				Rank:  r,
-			})
+		for _, l := range g.([]blockforest.Leaf) {
+			l.Rank = r
+			all = append(all, l)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		ki, kj := blockforest.MortonKey(all[i].Coord), blockforest.MortonKey(all[j].Coord)
-		if ki != kj {
-			return ki < kj
-		}
-		return all[i].ID.Less(all[j].ID)
-	})
+	sortLeaves(all)
 	if err := blockforest.CheckGraded(all, s.cfg.Grid, s.cfg.Periodic); err != nil {
 		return fmt.Errorf("amr: restored forest is not 2:1 graded: %w", err)
 	}
 	s.setLeaves(all)
-	s.blocks = nil
-	s.byID = nil
 	for _, b := range blocks {
 		b.Rank = s.Comm.Rank()
-		s.addBlock(b)
 	}
-	s.sortBlocks()
-	if err := s.rebuildKernels(); err != nil {
-		return err
-	}
-	s.rebuildPlan()
+	// Not a collective every former reader of the send buffers joined (a
+	// failed rank read them last): no recycling.
+	s.install(blocks, false)
 	s.step = step
 	return nil
 }

@@ -2,6 +2,7 @@ package amr
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"walberla/internal/resilience"
@@ -16,7 +17,7 @@ import (
 // so a level-ℓ block performs 2^ℓ collide-stream sweeps per coarse
 // step and refreshes its ghosts before each one. The coarse level
 // sweeps first: its exchange restricts time-aligned fine data (the
-// fine level has not advanced yet), and because the buffer swap leaves
+// fine level has not advanced yet), and because the field swap leaves
 // the pre-sweep state in Dst, both ends of the parent's interval are
 // in memory when the fine sub-steps run. The first sub-step (phase 0)
 // reads coarse ghosts at the interval start (the parent's Dst) and the
@@ -62,61 +63,38 @@ func (s *Sim) Step() error {
 func (s *Sim) advance(level, phase int) error {
 	t0 := time.Now()
 	lt0 := s.tel.driver.Start()
-	if err := s.exchangeLevel(level, phase); err != nil {
-		return err
+	s.phase = phase
+	if err := s.plane.ExchangeLevel(level); err != nil {
+		return fmt.Errorf("amr: level %d exchange: %w", level, err)
 	}
 	s.tel.driver.Span(telemetry.PhaseAMRExchange, s.step, int32(level), lt0)
 	xNs := time.Since(t0).Nanoseconds()
 	s.stats.ExchangeNs[level] += xNs
 	s.tel.exchangeNs[level].Add(xNs)
-	s.sweepLevel(level)
-	if level < s.maxLevel {
-		if err := s.advance(level+1, 0); err != nil {
-			return err
-		}
-		if err := s.advance(level+1, 1); err != nil {
+
+	t1 := time.Now()
+	lt1 := s.tel.driver.Start()
+	s.plane.SweepLevel(level)
+	s.tel.driver.Span(telemetry.PhaseAMRSweep, s.step, int32(level), lt1)
+	ns := time.Since(t1).Nanoseconds()
+	s.stats.SweepNs[level] += ns
+	s.tel.sweepNs[level].Add(ns)
+
+	for phase := 0; level < s.maxLevel && phase < 2; phase++ {
+		if err := s.advance(level+1, phase); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// sweepLevel runs boundary handling and the collide-stream kernel on
-// every owned block of one level, then swaps the double buffers. Blocks
-// are independent (kernels read ghosts, write only their own Dst), so
-// the pool schedule cannot change results.
-func (s *Sim) sweepLevel(level int) {
-	t0 := time.Now()
-	lt0 := s.tel.driver.Start()
-	blocks := s.blocksByLevel[level]
-	k := s.kernels[level]
-	s.pool.run(len(blocks), func(worker, i int) {
-		b := blocks[i]
-		if b.Boundary != nil {
-			b.Boundary.Apply(b.Src)
-		}
-		k.Sweep(b.Src, b.Dst, b.Flags)
-		b.Src, b.Dst = b.Dst, b.Src
-	})
-	s.tel.driver.Span(telemetry.PhaseAMRSweep, s.step, int32(level), lt0)
-	ns := time.Since(t0).Nanoseconds()
-	s.stats.SweepNs[level] += ns
-	s.tel.sweepNs[level].Add(ns)
 }
 
 // Run advances the simulation by the given number of coarse steps.
-func (s *Sim) Run(steps int) error {
-	for i := 0; i < steps; i++ {
-		if err := s.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *Sim) Run(steps int) error { return s.RunCtx(context.Background(), steps) }
 
 // RunCtx is Run with cooperative cancellation: all ranks vote on the
-// context state every coarse step, so they stop at the same step, with an
-// error wrapping resilience.ErrInterrupted.
+// context state every coarse step (a background context skips the vote),
+// so they stop at the same step, with an error wrapping
+// resilience.ErrInterrupted.
 func (s *Sim) RunCtx(ctx context.Context, steps int) error {
 	for i := 0; i < steps; i++ {
 		if stop, err := resilience.CancelVote(ctx, s.Comm); err != nil {

@@ -8,7 +8,6 @@ import (
 // handles are nil-safe, so an untraced simulation pays one branch per
 // recording site.
 type amrTel struct {
-	tracer *telemetry.Tracer
 	driver *telemetry.Lane
 
 	steps    *telemetry.Counter
@@ -31,7 +30,6 @@ type amrTel struct {
 
 func resolveAMRTel(tr *telemetry.Tracer, reg *telemetry.Registry) amrTel {
 	t := amrTel{
-		tracer:    tr,
 		driver:    tr.Driver(),
 		steps:     reg.Counter("amr.steps"),
 		regrades:  reg.Counter("amr.regrades"),
@@ -50,12 +48,4 @@ func resolveAMRTel(tr *telemetry.Tracer, reg *telemetry.Registry) amrTel {
 		t.exchangeNs[l] = reg.Counter("amr.level" + names[l] + ".exchange_ns")
 	}
 	return t
-}
-
-// publishGauges refreshes the forest-shape gauges after construction
-// and every re-grade.
-func (s *Sim) publishGauges() {
-	s.tel.leaves.Set(float64(len(s.leaves)))
-	s.tel.maxLevel.Set(float64(s.maxLevel))
-	s.tel.cells.Set(float64(s.TotalCells()))
 }

@@ -5,21 +5,18 @@ import (
 	"sort"
 
 	"walberla/internal/blockforest"
-	"walberla/internal/boundary"
 	"walberla/internal/comm"
 	"walberla/internal/field"
-	"walberla/internal/kernels"
 	"walberla/internal/lattice"
+	"walberla/internal/sim"
 )
 
-// Block is one locally owned leaf with its simulation state.
+// Block is one locally owned leaf with its simulation state, a block of
+// the data plane (internal/sim) like any uniform block: level kernel,
+// allocation window, flag field and boundary sweep included.
 type Block struct {
 	Leaf
-	Src, Dst *field.PDFField
-	// Flags is non-nil only for blocks with boundary cells; dense fluid
-	// blocks take the flag-free kernel fast path.
-	Flags    *field.FlagField
-	Boundary *boundary.Sweep
+	*sim.BlockData
 }
 
 // lkey addresses a block region by level and level-grid index.
@@ -31,7 +28,8 @@ type lkey struct {
 // Sim is a distributed AMR simulation. Every rank holds the full
 // (lightweight) leaf list, so re-grade and balancing decisions are
 // computed identically everywhere without collective negotiation; the
-// heavyweight state — PDF fields — lives only on the owning rank.
+// heavyweight state — the blocks — lives only on the owning rank, in the
+// data plane that assembles, sweeps and exchanges them.
 type Sim struct {
 	Comm *comm.Comm
 	cfg  Config
@@ -40,13 +38,14 @@ type Sim struct {
 	byKey    map[lkey]int // (level, idx) → position in leaves
 	maxLevel int          // deepest level currently present
 
-	blocks        []*Block // owned leaves, canonical order
-	byID          map[blockforest.BlockID]*Block
-	blocksByLevel [][]*Block
+	blocks []*Block // owned leaves, canonical order
+	byID   map[blockforest.BlockID]*Block
 
-	kernels []kernels.Kernel // per level, 0..maxLevel
-	pool    workerPool
-	plan    *plan
+	// plane owns the blocks' data, sweeps and exchange plans; phase is the
+	// temporal interpolation phase of the exchange it is running (see
+	// resampler).
+	plane *sim.Simulation
+	phase int
 
 	step  int // coarse steps completed
 	tel   amrTel
@@ -76,14 +75,16 @@ func New(c *comm.Comm, cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{Comm: c, cfg: cfg}
+	plane, err := sim.New(c, &blockforest.BlockForest{Rank: c.Rank(), NumRanks: c.Size()}, cfg.simConfig())
+	if err != nil {
+		return nil, err
+	}
+	s := &Sim{Comm: c, cfg: cfg, plane: plane}
 	s.tel = resolveAMRTel(cfg.Tracer, cfg.Metrics)
-	s.pool.workers = cfg.workers()
-	s.scratch = make([]interpScratch, cfg.workers())
+	s.scratch = make([]interpScratch, plane.Workers())
 	for i := range s.scratch {
 		s.scratch[i] = newInterpScratch(cfg.Stencil.Q)
 	}
-
 	if err := s.buildInitialForest(); err != nil {
 		return nil, err
 	}
@@ -107,35 +108,50 @@ func (s *Sim) buildInitialForest() error {
 			}
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		ki, kj := blockforest.MortonKey(roots[i].Coord), blockforest.MortonKey(roots[j].Coord)
-		if ki != kj {
-			return ki < kj
-		}
-		return roots[i].ID.Less(roots[j].ID)
-	})
-	weights := make([]float64, len(roots))
-	for i := range weights {
-		weights[i] = 1
-	}
-	for i, r := range blockforest.AssignContiguous(weights, s.Comm.Size()) {
-		roots[i].Rank = r
-	}
+	sortLeaves(roots)
+	s.assignRanks(roots)
 	s.setLeaves(roots)
-	s.blocks = nil
-	s.byID = nil
+	var blocks []*Block
 	for _, l := range s.leaves {
 		if l.Rank != s.Comm.Rank() {
 			continue
 		}
-		s.addBlock(s.newBlock(l, true))
+		b, err := s.newBlock(l, nil, nil)
+		if err != nil {
+			return err
+		}
+		s.initBlockState(b)
+		blocks = append(blocks, b)
 	}
-	s.sortBlocks()
-	if err := s.rebuildKernels(); err != nil {
-		return err
-	}
-	s.rebuildPlan()
+	s.install(blocks, false)
 	return nil
+}
+
+// sortLeaves puts leaves in canonical forest order.
+func sortLeaves(ls []blockforest.Leaf) {
+	sort.Slice(ls, func(i, j int) bool { return canonicalLess(ls[i].Coord, ls[j].Coord, ls[i].ID, ls[j].ID) })
+}
+
+// canonicalLess is the forest order: Morton order of the root trees, then
+// depth-first within a tree.
+func canonicalLess(ci, cj [3]int, i, j blockforest.BlockID) bool {
+	if ki, kj := blockforest.MortonKey(ci), blockforest.MortonKey(cj); ki != kj {
+		return ki < kj
+	}
+	return i.Less(j)
+}
+
+// assignRanks distributes leaves (in canonical order) contiguously by
+// level-weighted cost: a level-ℓ block sweeps 2^ℓ sub-steps per coarse
+// step, so it costs 2^ℓ× a coarse block.
+func (s *Sim) assignRanks(ls []blockforest.Leaf) {
+	weights := make([]float64, len(ls))
+	for i, l := range ls {
+		weights[i] = float64(int(1) << uint(l.ID.Level))
+	}
+	for i, r := range blockforest.AssignContiguous(weights, s.Comm.Size()) {
+		ls[i].Rank = r
+	}
 }
 
 // treeOf returns the root tree index of a grid coordinate (the same
@@ -169,30 +185,30 @@ func (s *Sim) bfLeaves() []blockforest.Leaf {
 	return out
 }
 
-// newBlock allocates the state of one owned leaf. init fills the
-// initial condition; migration paths pass init=false and install
-// transferred fields instead.
-func (s *Sim) newBlock(l Leaf, init bool) *Block {
+// newBlock assembles one owned leaf in the data plane — flags from the
+// pure Config.Flags function (all fluid without one), the level's kernel,
+// the allocation window, the boundary sweep — holding the uniform initial
+// equilibrium, or the state src and dst that migration hands over.
+func (s *Sim) newBlock(l Leaf, src, dst *field.PDFField) (*Block, error) {
 	C := s.cfg.Cells
-	b := &Block{Leaf: l}
-	b.Src = field.NewPDFField(s.cfg.Stencil, C[0], C[1], C[2], 1, s.cfg.Layout)
-	b.Dst = field.NewPDFField(s.cfg.Stencil, C[0], C[1], C[2], 1, s.cfg.Layout)
-	if init {
-		s.initBlockState(b)
+	var flags *field.FlagField
+	if s.cfg.Flags != nil {
+		flags = s.cfg.Flags(l, s.cfg.Grid, C)
 	}
-	s.attachFlags(b)
-	return b
+	if flags == nil {
+		flags = field.NewFlagField(C[0], C[1], C[2], 1)
+		flags.Fill(field.Fluid)
+	}
+	bd, err := s.plane.AssembleBlock(&blockforest.Block{ID: l.ID, Coord: l.Coord, Cells: C}, flags, src, dst)
+	if err != nil {
+		return nil, fmt.Errorf("amr: leaf %v: %w", l.ID, err)
+	}
+	return &Block{Leaf: l, BlockData: bd}, nil
 }
 
-// initBlockState fills the initial condition of one block.
+// initBlockState writes the configured initial state into both fields of
+// one block (a per-cell InitialState makes the window whole).
 func (s *Sim) initBlockState(b *Block) {
-	rho := s.cfg.InitialRho
-	if rho == 0 {
-		rho = 1
-	}
-	v := s.cfg.InitialVelocity
-	b.Src.FillEquilibrium(rho, v[0], v[1], v[2])
-	b.Dst.FillEquilibrium(rho, v[0], v[1], v[2])
 	if s.cfg.InitialState == nil {
 		return
 	}
@@ -218,69 +234,94 @@ func (s *Sim) initBlockState(b *Block) {
 	}
 }
 
-// attachFlags regenerates the block's flag field and boundary sweep
-// from the pure config function (nil flags for dense fluid blocks).
-func (s *Sim) attachFlags(b *Block) {
-	b.Flags, b.Boundary = nil, nil
-	if s.cfg.Flags == nil {
-		return
-	}
-	fl := s.cfg.Flags(b.Leaf, s.cfg.Grid, s.cfg.Cells)
-	if fl == nil {
-		return
-	}
-	sw := boundary.NewSweep(s.cfg.Stencil, fl, s.cfg.Boundary)
-	ns, v, p := sw.Links()
-	boundaryCells := ns+v+p > 0
-	allFluid := fl.Count(field.Fluid) == fl.Nx*fl.Ny*fl.Nz
-	if !boundaryCells && allFluid {
-		return // dense fast path
-	}
-	b.Flags = fl
-	if boundaryCells {
-		b.Boundary = sw
-	}
-}
-
-// addBlock registers an owned block.
-func (s *Sim) addBlock(b *Block) {
-	if s.byID == nil {
-		s.byID = make(map[blockforest.BlockID]*Block)
-	}
-	s.blocks = append(s.blocks, b)
-	s.byID[b.ID] = b
-}
-
-// sortBlocks restores canonical order after additions.
-func (s *Sim) sortBlocks() {
-	sort.Slice(s.blocks, func(i, j int) bool {
-		ki, kj := blockforest.MortonKey(s.blocks[i].Coord), blockforest.MortonKey(s.blocks[j].Coord)
-		if ki != kj {
-			return ki < kj
-		}
-		return s.blocks[i].ID.Less(s.blocks[j].ID)
+// install commits an owned block set (any order) against the current
+// leaf list: canonical order, the identity index, every block's
+// neighborhood — the same-level, coarser or finer leaves around it — the
+// data plane's exchange plans and the forest-shape gauges. recycleBuffers
+// is true only for re-grades, which are collective
+// (sim.Simulation.SetBlocks).
+func (s *Sim) install(blocks []*Block, recycleBuffers bool) {
+	sort.Slice(blocks, func(i, j int) bool {
+		return canonicalLess(blocks[i].Coord, blocks[j].Coord, blocks[i].ID, blocks[j].ID)
 	})
-}
-
-// rebuildKernels instantiates the per-level collision kernels for the
-// current depth.
-func (s *Sim) rebuildKernels() error {
-	s.kernels = make([]kernels.Kernel, s.maxLevel+1)
-	for l := 0; l <= s.maxLevel; l++ {
-		spec, err := s.cfg.kernelSpec(l)
-		if err != nil {
-			return err
-		}
-		k, err := kernels.New(spec)
-		if err != nil {
-			return fmt.Errorf("amr: level %d kernel: %w", l, err)
-		}
-		s.kernels[l] = k
+	s.blocks = blocks
+	s.byID = make(map[blockforest.BlockID]*Block, len(blocks))
+	data := make([]*sim.BlockData, len(blocks))
+	for i, b := range blocks {
+		s.byID[b.ID] = b
+		b.Block.Neighbors = s.neighbors(b.Leaf)
+		data[i] = b.BlockData
 	}
-	return nil
+	s.plane.SetBlocks(data, resampler{s}, recycleBuffers)
+	s.tel.leaves.Set(float64(len(s.leaves)))
+	s.tel.maxLevel.Set(float64(s.maxLevel))
+	s.tel.cells.Set(float64(s.TotalCells()))
 }
 
-// Step returns the number of completed coarse steps.
+// neighbors lists the leaves around l, offset by offset: the leaf of the
+// same level, else the coarser leaf covering the region, else — by 2:1
+// grading — the finer leaves adjacent to l (four across a face, two
+// across an edge, one across a corner). Regions beyond a non-periodic
+// domain boundary have none.
+func (s *Sim) neighbors(l Leaf) []blockforest.Neighbor {
+	out := make([]blockforest.Neighbor, 0, 26)
+	lv := l.Level()
+	add := func(i int, o [3]int) {
+		n := &s.leaves[i]
+		out = append(out, blockforest.Neighbor{ID: n.ID, Coord: n.Coord, Offset: o, Rank: n.Rank})
+	}
+	for oi := 0; oi < 27; oi++ {
+		o := [3]int{oi%3 - 1, oi/3%3 - 1, oi/9 - 1}
+		if o == ([3]int{}) {
+			continue
+		}
+		n, ok := s.wrapIdx(lv, [3]int{l.Idx[0] + o[0], l.Idx[1] + o[1], l.Idx[2] + o[2]})
+		if !ok {
+			continue // domain boundary: handled by boundary conditions
+		}
+		if i, ok := s.leafAt(lv, n); ok {
+			add(i, o)
+			continue
+		}
+		if i, ok := s.leafAt(lv-1, [3]int{n[0] >> 1, n[1] >> 1, n[2] >> 1}); ok { // never at level 0
+			add(i, o)
+			continue
+		}
+	children:
+		for b := 0; b < 8; b++ {
+			bits := [3]int{b & 1, b >> 1 & 1, b >> 2 & 1}
+			for d := 0; d < 3; d++ {
+				if o[d] != 0 && bits[d] != (1-o[d])/2 {
+					continue children // not adjacent to l
+				}
+			}
+			i, ok := s.leafAt(lv+1, [3]int{2*n[0] + bits[0], 2*n[1] + bits[1], 2*n[2] + bits[2]})
+			if !ok {
+				panic(fmt.Sprintf("amr: 2:1 balance broken at level %d region %v", lv, n))
+			}
+			add(i, o)
+		}
+	}
+	return out
+}
+
+// FieldHash folds every interior PDF value of every leaf into one
+// FNV-1a hash, identical on all ranks (sim.WorldHash). Leaves are sorted
+// by the full leaf identity (forest order is placement-independent) and
+// folded with level metadata, so equal hashes mean bit-identical refined
+// worlds regardless of rank count, worker count, transport or layout.
+func (s *Sim) FieldHash() (uint64, error) {
+	data := make([]*sim.BlockData, len(s.blocks))
+	keys := make([][]uint64, len(s.blocks))
+	for i, b := range s.blocks {
+		data[i] = b.BlockData
+		keys[i] = []uint64{uint64(b.ID.Tree), b.ID.Path, uint64(b.ID.Level),
+			uint64(int64(b.Coord[0])), uint64(int64(b.Coord[1])), uint64(int64(b.Coord[2]))}
+	}
+	return sim.WorldHash(s.Comm, data, keys, []int{0, 2, 1}) // tree, level, path
+}
+
+// Steps returns the number of completed coarse steps.
 func (s *Sim) Steps() int { return s.step }
 
 // MaxLevel returns the deepest refinement level currently present.
@@ -314,26 +355,17 @@ func (s *Sim) LevelCounts() []int {
 // GetStats returns the accumulated AMR statistics of this rank.
 func (s *Sim) GetStats() Stats { return s.stats }
 
-// levelExtent returns the level-ℓ block grid extent.
-func (s *Sim) levelExtent(level int) [3]int {
-	return [3]int{
-		s.cfg.Grid[0] << uint(level),
-		s.cfg.Grid[1] << uint(level),
-		s.cfg.Grid[2] << uint(level),
-	}
-}
-
 // wrapIdx wraps an unwrapped level index into the periodic domain; ok
 // is false outside a non-periodic boundary.
 func (s *Sim) wrapIdx(level int, idx [3]int) (w [3]int, ok bool) {
-	ext := s.levelExtent(level)
 	for d := 0; d < 3; d++ {
+		ext := s.cfg.Grid[d] << uint(level)
 		w[d] = idx[d]
-		if w[d] < 0 || w[d] >= ext[d] {
+		if w[d] < 0 || w[d] >= ext {
 			if !s.cfg.Periodic[d] {
 				return w, false
 			}
-			w[d] = ((w[d] % ext[d]) + ext[d]) % ext[d]
+			w[d] = ((w[d] % ext) + ext) % ext
 		}
 	}
 	return w, true
@@ -344,12 +376,4 @@ func (s *Sim) wrapIdx(level int, idx [3]int) (w [3]int, ok bool) {
 func (s *Sim) leafAt(level int, idx [3]int) (int, bool) {
 	i, ok := s.byKey[lkey{level: level, idx: idx}]
 	return i, ok
-}
-
-// floorDiv2 is floor(a/2) for possibly negative a.
-func floorDiv2(a int) int {
-	if a < 0 {
-		return -((-a + 1) / 2)
-	}
-	return a / 2
 }

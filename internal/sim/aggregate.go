@@ -13,39 +13,46 @@ import (
 	"walberla/internal/telemetry"
 )
 
-// Rank-aggregated ghost exchange (ExchangeAggregated, the default wire
-// format — see docs/EXCHANGE.md).
+// Rank-aggregated ghost exchange, the one exchange of both runtimes (see
+// docs/EXCHANGE.md).
 //
 // At plan build time every remote boundary slab is entered into the
 // manifest of its neighbor-rank channel with a precomputed offset into
-// one contiguous aggregate buffer. Each step then packs all slabs bound
+// one contiguous aggregate buffer. Each exchange then packs all slabs bound
 // for a rank directly into that rank's aggregate (pack tasks fan out over
 // the worker pool, writing to disjoint sub-slices) and issues exactly ONE
 // message per neighbor rank — O(neighbor ranks) messages per step instead
 // of O(block pairs), the message aggregation of the SC13 framework.
 //
+// A plan is built per level of the receiving blocks — a uniform world has
+// one. Transfers between levels are produced at the receiver's resolution
+// by the sender at pack time (the Resampler), so receivers always unpack
+// a plain slab.
+//
 // Both sides sort their manifest by the same canonical key — (Morton key
-// of the SENDING block, offset index of the SENDING direction) — so the
-// receiver's unpack windows line up with the sender's pack windows without
-// any per-slab headers on the wire. The fixed manifest order also makes
-// the pack byte-for-byte deterministic for every worker count, which the
-// resilient rewind-and-replay driver depends on.
+// of the SENDING block, its identity, offset index of the sending
+// direction, identity of the RECEIVING block) — so the receiver's unpack
+// windows line up with the sender's pack windows without any per-slab
+// headers on the wire. The fixed manifest order also makes the pack
+// byte-for-byte deterministic for every worker count, which the resilient
+// rewind-and-replay driver depends on.
 //
 // Buffer ownership: the transport is eager and zero-copy (the receiver
 // sees the sender's buffer), so a sender must not overwrite a buffer the
 // receiver may still be unpacking. Each channel therefore owns TWO
-// persistent aggregate send buffers used alternately (s.exParity). Rank A
-// repacks a buffer at step N+2 only after completing step N+1, which
-// required B's step-N+1 message, which B sent after finishing its step-N
-// unpack of that very buffer — a happens-before chain that makes two
-// buffers sufficient for any worker count. Receive delivery is zero-copy:
-// the channel's inbox is the sender's aggregate, valid until the next
-// exchange completes.
+// persistent aggregate send buffers used alternately (its parity). Rank A
+// repacks a buffer at exchange N+2 only after completing exchange N+1,
+// which required B's message of N+1, which B sent after finishing its
+// exchange-N unpack of that very buffer — a happens-before chain that makes
+// two buffers sufficient for any worker count (on a refined world the edge
+// may run through the adjacent level, docs/EXCHANGE.md "Levels"). Receive
+// delivery is zero-copy: the channel's inbox is the sender's aggregate,
+// valid until the next exchange completes.
 
-// tagAggregate is the single tag of all aggregated exchange traffic: one
-// message per (sender, receiver, step), matched in step order by the
-// per-(source, tag) FIFO of the transport. It lives above every legacy
-// per-pair tag (tree*27+offset) and below the migration tags (1<<30).
+// tagAggregate is the tag of level-0 aggregated exchange traffic, level ℓ
+// using tagAggregate+ℓ: one message per (sender, receiver, level, exchange),
+// matched in order by the per-(source, tag) FIFO of the transport. It lives
+// below the migration tags (1<<30).
 const tagAggregate = 1 << 29
 
 // slabOp is one manifest entry of a rank channel: a boundary slab of a
@@ -56,22 +63,37 @@ type slabOp struct {
 	dirs   []lattice.Direction
 	reg    region
 	off, n int
-	// key is the canonical manifest order: (Morton key of the sending
-	// block, offset index of the sending direction), computable by both
-	// sides of the channel.
+	// key is the canonical manifest order, computable by both sides of the
+	// channel.
 	key aggKey
+	// x, on the send side of a transfer between levels, is what the
+	// Resampler packs instead of the slab reg of bd (which is then the
+	// receiver-frame box).
+	x *Transfer
 }
 
+// aggKey orders a manifest: the sending block (Morton key of its root
+// coordinate, then its identity), the offset index of the sending
+// direction, then the receiving block. On a uniform world the Morton key
+// and the offset decide.
 type aggKey struct {
-	block uint64
-	off   int
+	block    uint64
+	src      blockforest.BlockID
+	off      int
+	receiver blockforest.BlockID
 }
 
 func (a aggKey) less(b aggKey) bool {
 	if a.block != b.block {
 		return a.block < b.block
 	}
-	return a.off < b.off
+	if a.src != b.src {
+		return a.src.Less(b.src)
+	}
+	if a.off != b.off {
+		return a.off < b.off
+	}
+	return a.receiver.Less(b.receiver)
 }
 
 // localOp is a same-rank boundary exchange ("fast local communication"):
@@ -227,7 +249,10 @@ func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, di
 }
 
 // rankChannel aggregates all traffic between this rank and one neighbor
-// rank into a single message per step and direction.
+// rank of one plan into a single message per exchange and direction. On a
+// refined world either direction may be empty, and same-rank transfers
+// between levels travel on a channel to the own rank, whose aggregate is
+// handed from pack to unpack without a message.
 type rankChannel struct {
 	rank       int
 	send       []slabOp
@@ -235,18 +260,19 @@ type rankChannel struct {
 	sendFloats int
 	recvFloats int
 	// bufs are the two persistent aggregate send buffers, used alternately
-	// (see the ownership comment above).
-	bufs [2][]float64
-	// req is the persistent receive request, re-posted every step.
+	// (see the ownership comment above); parity selects the next one.
+	bufs   [2][]float64
+	parity int
+	// req is the persistent receive request, re-posted every exchange.
 	req comm.RecvRequest
-	// inbox is the aggregate delivered for the current step (the sender's
-	// buffer, zero-copy); cleared after unpack.
+	// inbox is the aggregate delivered for the current exchange (the
+	// sender's buffer, zero-copy); cleared after unpack.
 	inbox []float64
 }
 
 // packTask indexes one parallel pack-phase task: the local copies
-// locals[slabIdx:end] (chIdx < 0) or a remote slab pack (channel chIdx,
-// manifest entry slabIdx).
+// locals[slabIdx:end] (chIdx < 0) or a slab pack (channel chIdx, manifest
+// entry slabIdx).
 type packTask struct {
 	chIdx   int
 	slabIdx int
@@ -267,13 +293,30 @@ type localCopyStats struct {
 	floatsElided int // values of the full slabs that are not moved
 }
 
+// plan is the aggregated ghost exchange of one level: every transfer into
+// a ghost layer of a block on that level that involves this rank, with the
+// flattened pack/unpack task lists and their pool closures (stored once so
+// the steady-state exchange allocates nothing).
+type plan struct {
+	tag         int
+	locals      []localOp
+	localStats  localCopyStats
+	channels    []rankChannel
+	packTasks   []packTask
+	remotePacks int // leading packTasks that fill messages to other ranks
+	unpackTasks []packTask
+	packFn      func(int, int)
+	localFn     func(int, int) // packFn over the same-rank rest
+	unpackFn    func(int, int)
+}
+
 // aggBufPool recycles aggregate buffers across plan rebuilds, bounding
 // allocation churn when block assignments change at runtime. Buffers may
 // only be released when the rebuild trigger is collective among every
-// rank whose zero-copy unpack read them (rebalancing). Failure-recovery
-// rebuilds skip the release: the dead rank's last unpack never
-// synchronizes with the survivors again, so repacking its input would be
-// a data race. See rebuildPlan.
+// rank whose zero-copy unpack read them (rebalancing, re-grades).
+// Failure-recovery rebuilds skip the release: the dead rank's last unpack
+// never synchronizes with the survivors again, so repacking its input
+// would be a data race. See rebuildPlan.
 var aggBufPool sync.Pool
 
 func aggGetBuf(n int) []float64 {
@@ -291,140 +334,194 @@ func aggPutBuf(b []float64) {
 	}
 }
 
-// buildAggregatePlan enumerates the boundary exchanges of all local
-// blocks and groups the remote ones into per-neighbor-rank channels with
-// canonically ordered manifests and precomputed buffer windows. Same-rank
-// exchanges are compiled to index runs; the ones no fluid cell of the
-// destination reads leave the plan.
-func buildAggregatePlan(s *Simulation) (locals []localOp, channels []rankChannel, ls localCopyStats) {
+// buildPlans builds the plan of every level present: the ones of the
+// local blocks and of their neighbors. There is always a level-0 plan.
+func buildPlans(s *Simulation) []plan {
+	byID := make(map[blockforest.BlockID]*BlockData, len(s.Blocks))
+	top := 0
+	for _, bd := range s.Blocks {
+		byID[bd.Block.ID] = bd
+		top = max(top, int(bd.Block.ID.Level))
+		for _, n := range bd.Block.Neighbors {
+			top = max(top, int(n.ID.Level))
+		}
+	}
+	plans := make([]plan, top+1)
+	for l := range plans {
+		plans[l] = buildPlan(s, l, byID)
+		s.bindTasks(&plans[l])
+	}
+	return plans
+}
+
+// buildPlan enumerates the ghost transfers into the level's blocks that
+// involve a local block, from the local blocks' neighborhoods: the remote
+// ones go into per-neighbor-rank channels with canonically ordered
+// manifests and precomputed buffer windows, the same-rank ones between
+// blocks of one level into compiled index runs (the ones no fluid cell of
+// the destination reads leave the plan), the same-rank ones between levels
+// into both manifests of the channel to the own rank. A local transfer is
+// enumerated once, at its sender; a remote one at both ends, each deriving
+// the same manifest key.
+func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData) plan {
 	me := s.Comm.Rank()
+	p := plan{tag: tagAggregate + level}
 	// All runs of the plan share one backing array; starts[i] is where the
 	// runs of locals[i] begin, resolved to sub-slices once it stops growing.
 	var runs []copyRun
 	var starts []int
 	byRank := make(map[int]int) // neighbor rank -> index into channels
+	channel := func(rank int) *rankChannel {
+		ci, ok := byRank[rank]
+		if !ok {
+			ci = len(p.channels)
+			byRank[rank] = ci
+			p.channels = append(p.channels, rankChannel{rank: rank})
+		}
+		return &p.channels[ci]
+	}
 	for _, bd := range s.Blocks {
-		cells := bd.Block.Cells
-		for _, n := range bd.Block.Neighbors {
-			o := n.Offset
-			sendDirs := commDirections(s.Stencil, o)
-			if len(sendDirs) == 0 {
-				continue // corner offsets carry no D3Q19 PDFs
+		blk := bd.Block
+		for _, n := range blk.Neighbors {
+			rel, w, wn := relOrigin(blk.ID, n)
+			// We receive into our ghost layer at n.Offset, n sends from the
+			// opposite direction; corner offsets carry no D3Q19 PDFs.
+			if ro := neg(n.Offset); int(blk.ID.Level) == level && n.Rank != me && len(commDirections(s.Stencil, ro)) > 0 {
+				ch := channel(n.Rank)
+				ch.recv = append(ch.recv, slabOp{
+					bd:   bd,
+					dirs: commDirections(s.Stencil, ro),
+					reg:  ghostBox(blk.Cells, n.Offset, rel, wn, w),
+					key:  aggKey{blockforest.MortonKey(n.Coord), n.ID, offsetIndex(ro), blk.ID},
+				})
 			}
-			ro := [3]int{-o[0], -o[1], -o[2]}
-			if n.Rank == me {
-				peer, ok := s.byCoord[n.Coord]
-				if !ok {
-					panic(fmt.Sprintf("sim: local neighbor %v missing", n.Coord))
-				}
-				srcReg := sendRegion(cells, o)
-				first := len(runs)
-				var kept int
-				runs, kept = compileLocal(runs, bd, peer, srcReg, recvRegion(peer.Block.Cells, ro), sendDirs)
-				ls.floats += kept
-				ls.floatsElided += len(sendDirs)*srcReg.cells() - kept
-				if kept == 0 {
-					ls.copiesElided++
-					continue
-				}
-				locals = append(locals, localOp{src: bd, dst: peer, floats: kept})
-				starts = append(starts, first)
+			if int(n.ID.Level) != level {
 				continue
 			}
-			ci, ok := byRank[n.Rank]
-			if !ok {
-				ci = len(channels)
-				byRank[n.Rank] = ci
-				channels = append(channels, rankChannel{rank: n.Rank})
+			// We send into n's ghost layer at every offset o of n that we
+			// cover: several where n is finer. Where n is coarser we reach the
+			// same o from several of our offsets; the transfer is entered from
+			// the one that is zero wherever o is.
+			offsets, k := receiverOffsets(rel, w, wn)
+			for _, o := range offsets[:k] {
+				dirs := commDirections(s.Stencil, neg(o))
+				if len(dirs) == 0 || !entering(n.Offset, o) {
+					continue
+				}
+				key := aggKey{blockforest.MortonKey(blk.Coord), blk.ID, offsetIndex(neg(o)), n.ID}
+				reg := sendRegion(blk.Cells, neg(o))
+				var x *Transfer
+				if w != wn {
+					reg = ghostBox(blk.Cells, o, neg(rel), w, wn)
+					x = &Transfer{Src: bd, ToFiner: w > wn, Lo: reg.lo, Hi: reg.hi, Dirs: dirs,
+						Base: [3]int{rel[0] * blk.Cells[0], rel[1] * blk.Cells[1], rel[2] * blk.Cells[2]}}
+				}
+				peer := byID[n.ID]
+				if n.Rank == me && peer == nil {
+					panic(fmt.Sprintf("sim: local neighbor %v missing", n.ID))
+				}
+				if n.Rank != me || x != nil {
+					ch := channel(n.Rank)
+					ch.send = append(ch.send, slabOp{bd: bd, dirs: dirs, reg: reg, key: key, x: x})
+					if n.Rank == me {
+						ch.recv = append(ch.recv, slabOp{bd: peer, dirs: dirs, reg: reg, key: key})
+					}
+					continue
+				}
+				first := len(runs)
+				var kept int
+				runs, kept = compileLocal(runs, bd, peer, reg, recvRegion(peer.Block.Cells, o), dirs)
+				p.localStats.floats += kept
+				p.localStats.floatsElided += len(dirs)*reg.cells() - kept
+				if kept == 0 {
+					p.localStats.copiesElided++
+					continue
+				}
+				p.locals = append(p.locals, localOp{src: bd, dst: peer, floats: kept})
+				starts = append(starts, first)
 			}
-			ch := &channels[ci]
-			// Send entry: we are the sender — key by our block and offset.
-			ch.send = append(ch.send, slabOp{
-				bd:   bd,
-				dirs: sendDirs,
-				reg:  sendRegion(cells, o),
-				key:  aggKey{blockforest.MortonKey(bd.Block.Coord), offsetIndex(o)},
-			})
-			// Receive entry: the NEIGHBOR is the sender — key by its block
-			// and its sending offset (the reverse of ours), so both sides
-			// order the manifest identically.
-			ch.recv = append(ch.recv, slabOp{
-				bd:   bd,
-				dirs: commDirections(s.Stencil, ro),
-				reg:  recvRegion(cells, o),
-				key:  aggKey{blockforest.MortonKey(n.Coord), offsetIndex(ro)},
-			})
 		}
 	}
 	starts = append(starts, len(runs))
-	for i := range locals {
-		locals[i].runs = runs[starts[i]:starts[i+1]]
+	for i := range p.locals {
+		p.locals[i].runs = runs[starts[i]:starts[i+1]]
 	}
 	// Deterministic channel order (ascending neighbor rank) and canonical
 	// manifest order within each channel.
-	sort.Slice(channels, func(i, j int) bool { return channels[i].rank < channels[j].rank })
-	for i := range channels {
-		ch := &channels[i]
+	sort.Slice(p.channels, func(i, j int) bool { return p.channels[i].rank < p.channels[j].rank })
+	for i := range p.channels {
+		ch := &p.channels[i]
 		sort.Slice(ch.send, func(a, b int) bool { return ch.send[a].key.less(ch.send[b].key) })
 		sort.Slice(ch.recv, func(a, b int) bool { return ch.recv[a].key.less(ch.recv[b].key) })
-		off := 0
-		for k := range ch.send {
-			sl := &ch.send[k]
-			sl.off, sl.n = off, len(sl.dirs)*sl.reg.cells()
-			off += sl.n
-		}
-		ch.sendFloats = off
-		off = 0
-		for k := range ch.recv {
-			sl := &ch.recv[k]
-			sl.off, sl.n = off, len(sl.dirs)*sl.reg.cells()
-			off += sl.n
-		}
-		ch.recvFloats = off
+		ch.sendFloats = assignWindows(ch.send)
+		ch.recvFloats = assignWindows(ch.recv)
 		ch.bufs[0] = aggGetBuf(ch.sendFloats)
 		ch.bufs[1] = aggGetBuf(ch.sendFloats)
 	}
-	return locals, channels, ls
+	return p
 }
 
-// releaseAggregateBuffers returns the channels' persistent buffers to the
-// pool before a plan rebuild discards them.
-func releaseAggregateBuffers(channels []rankChannel) {
-	for i := range channels {
-		aggPutBuf(channels[i].bufs[0])
-		aggPutBuf(channels[i].bufs[1])
+// assignWindows lays a sorted manifest out in its aggregate buffer and
+// returns the buffer length.
+func assignWindows(slabs []slabOp) int {
+	off := 0
+	for k := range slabs {
+		sl := &slabs[k]
+		sl.off, sl.n = off, len(sl.dirs)*sl.reg.cells()
+		off += sl.n
+	}
+	return off
+}
+
+// release returns the plan's persistent send buffers to the pool before a
+// rebuild discards them.
+func (p *plan) release() {
+	for i := range p.channels {
+		aggPutBuf(p.channels[i].bufs[0])
+		aggPutBuf(p.channels[i].bufs[1])
 	}
 }
 
-// postExchangeAggregated starts one aggregated ghost layer
-// synchronization: local copies and remote slab packs fan out over the
-// worker pool (each task writes a disjoint ghost slab or a disjoint
-// aggregate sub-slice), then exactly one message per neighbor rank is
-// sent from the step's aggregate buffer and one receive per neighbor
-// rank is posted. Steady-state, the whole phase performs zero heap
+// post starts the plan's exchange: the slabs bound for other ranks are
+// packed on the worker pool, exactly one message per remote channel with a
+// payload is sent from its current buffer and one receive per remote
+// channel expecting one is posted; then the same-rank work — compiled
+// copies and transfers between levels — runs on the pool while the
+// messages travel. Every task writes a disjoint ghost slab or a disjoint
+// aggregate sub-slice. Steady-state, the whole phase performs zero heap
 // allocations.
-func (s *Simulation) postExchangeAggregated() error {
-	s.pool.run(len(s.packTasks), s.packFn)
-	p := s.exParity
-	for i := range s.channels {
-		ch := &s.channels[i]
-		if err := s.Comm.SendFloat64s(ch.rank, tagAggregate, ch.bufs[p]); err != nil {
-			return err
+func (p *plan) post(s *Simulation) error {
+	s.pool.run(p.remotePacks, p.packFn)
+	me := s.Comm.Rank()
+	for i := range p.channels {
+		ch := &p.channels[i]
+		switch {
+		case ch.rank == me:
+			ch.inbox = ch.bufs[0]
+		case ch.sendFloats > 0:
+			if err := s.Comm.SendFloat64s(ch.rank, p.tag, ch.bufs[ch.parity]); err != nil {
+				return err
+			}
+			ch.parity ^= 1
 		}
 	}
-	for i := range s.channels {
-		ch := &s.channels[i]
-		s.Comm.IrecvInit(&ch.req, ch.rank, tagAggregate)
+	for i := range p.channels {
+		if ch := &p.channels[i]; ch.rank != me && ch.recvFloats > 0 {
+			s.Comm.IrecvInit(&ch.req, ch.rank, p.tag)
+		}
 	}
-	s.exParity ^= 1
+	s.pool.run(len(p.packTasks)-p.remotePacks, p.localFn)
 	return nil
 }
 
-// completeExchangeAggregated waits for each neighbor rank's aggregate and
-// unpacks all slabs by manifest on the worker pool.
-func (s *Simulation) completeExchangeAggregated() error {
-	for i := range s.channels {
-		ch := &s.channels[i]
+// complete waits for each neighbor rank's aggregate and unpacks all slabs
+// by manifest on the worker pool.
+func (p *plan) complete(s *Simulation) error {
+	for i := range p.channels {
+		ch := &p.channels[i]
+		if ch.recvFloats == 0 || ch.inbox != nil {
+			continue
+		}
 		buf, _, err := ch.req.WaitFloat64s()
 		if err != nil {
 			return err
@@ -435,60 +532,67 @@ func (s *Simulation) completeExchangeAggregated() error {
 		}
 		ch.inbox = buf
 	}
-	s.pool.run(len(s.unpackTasks), s.unpackFn)
-	for i := range s.channels {
-		s.channels[i].inbox = nil // the sender reclaims it two steps on
+	s.pool.run(len(p.unpackTasks), p.unpackFn)
+	for i := range p.channels {
+		p.channels[i].inbox = nil // the sender reclaims it two exchanges on
 	}
 	return nil
 }
 
-// buildExchangeClosures precomputes the flattened task lists and the pool
-// closures of the aggregated exchange, so postExchange/completeExchange
-// allocate nothing per step (a fresh closure per pool.run call would
-// escape to the heap).
-func (s *Simulation) buildExchangeClosures() {
-	s.packTasks = s.packTasks[:0]
+// bindTasks precomputes the flattened task lists and the pool closures of
+// a plan, so post/complete allocate nothing per exchange (a fresh closure
+// per pool.run call would escape to the heap).
+func (s *Simulation) bindTasks(p *plan) {
+	var own []packTask // transfers between levels to this rank: same-rank work
+	for ci := range p.channels {
+		for si := range p.channels[ci].send {
+			if t := (packTask{chIdx: ci, slabIdx: si}); p.channels[ci].rank == s.Comm.Rank() {
+				own = append(own, t)
+			} else {
+				p.packTasks = append(p.packTasks, t)
+			}
+		}
+		for si := range p.channels[ci].recv {
+			p.unpackTasks = append(p.unpackTasks, packTask{chIdx: ci, slabIdx: si})
+		}
+	}
+	p.remotePacks = len(p.packTasks)
+	p.packTasks = append(p.packTasks, own...)
 	first, vol := 0, 0
-	for li := range s.locals {
-		vol += s.locals[li].floats
-		if vol >= localTaskFloats || li == len(s.locals)-1 {
-			s.packTasks = append(s.packTasks, packTask{chIdx: -1, slabIdx: first, end: li + 1})
+	for li := range p.locals {
+		vol += p.locals[li].floats
+		if vol >= localTaskFloats || li == len(p.locals)-1 {
+			p.packTasks = append(p.packTasks, packTask{chIdx: -1, slabIdx: first, end: li + 1})
 			first, vol = li+1, 0
 		}
 	}
-	s.unpackTasks = s.unpackTasks[:0]
-	for ci := range s.channels {
-		for si := range s.channels[ci].send {
-			s.packTasks = append(s.packTasks, packTask{chIdx: ci, slabIdx: si})
-		}
-		for si := range s.channels[ci].recv {
-			s.unpackTasks = append(s.unpackTasks, packTask{chIdx: ci, slabIdx: si})
-		}
-	}
-	s.packFn = func(worker, i int) {
-		t := s.packTasks[i]
+	p.packFn = func(worker, i int) {
+		t := p.packTasks[i]
 		lane := s.tel.worker(worker)
 		start := lane.Start()
 		if t.chIdx < 0 {
 			for li := t.slabIdx; li < t.end; li++ {
-				s.locals[li].exec()
+				p.locals[li].exec()
 			}
 			lane.Span(telemetry.PhaseLocalCopy, s.steps, int32(i), start)
 			return
 		}
-		ch := &s.channels[t.chIdx]
+		ch := &p.channels[t.chIdx]
 		sl := &ch.send[t.slabIdx]
-		buf := ch.bufs[s.exParity][sl.off : sl.off+sl.n]
-		if n := sl.bd.Src.PackRegion(buf, sl.reg.lo, sl.reg.hi, sl.dirs); n != sl.n {
+		buf := ch.bufs[ch.parity][sl.off : sl.off+sl.n] // the own rank's channel keeps parity 0
+		if sl.x != nil {
+			s.resample.Resample(sl.x, buf, worker)
+		} else if n := sl.bd.Src.PackRegion(buf, sl.reg.lo, sl.reg.hi, sl.dirs); n != sl.n {
 			panic(fmt.Sprintf("sim: packed %d of %d values", n, sl.n))
 		}
 		lane.Span(telemetry.PhasePack, s.steps, int32(i), start)
 	}
-	s.unpackFn = func(worker, i int) {
-		t := s.unpackTasks[i]
+	p.localFn = func(worker, i int) { p.packFn(worker, p.remotePacks+i) }
+	p.unpackFn = func(worker, i int) {
+		t := p.unpackTasks[i]
 		lane := s.tel.worker(worker)
 		start := lane.Start()
-		ch := &s.channels[t.chIdx]
+		ch := &p.channels[t.chIdx]
 		sl := &ch.recv[t.slabIdx]
 		buf := ch.inbox[sl.off : sl.off+sl.n]
 		if n := sl.bd.Src.UnpackRegion(buf, sl.reg.lo, sl.reg.hi, sl.dirs); n != sl.n {
@@ -496,4 +600,65 @@ func (s *Simulation) buildExchangeClosures() {
 		}
 		lane.Span(telemetry.PhaseUnpack, s.steps, int32(i), start)
 	}
+}
+
+// aggregated is the exchanger of production: the level plans, of which a
+// uniform world has one.
+type aggregated struct{}
+
+func (aggregated) build(s *Simulation, recycleBuffers bool) map[*BlockData]bool {
+	if recycleBuffers {
+		for i := range s.levels {
+			s.levels[i].release()
+		}
+	}
+	s.levels = buildPlans(s)
+	remote := make(map[*BlockData]bool)
+	for l := range s.levels {
+		for ci := range s.levels[l].channels {
+			ch := &s.levels[l].channels[ci]
+			if ch.rank == s.Comm.Rank() {
+				continue
+			}
+			for _, sl := range ch.send {
+				remote[sl.bd] = true
+			}
+			for _, sl := range ch.recv {
+				remote[sl.bd] = true
+			}
+		}
+	}
+	return remote
+}
+
+func (aggregated) post(s *Simulation) error     { return s.levels[0].post(s) }
+func (aggregated) complete(s *Simulation) error { return s.levels[0].complete(s) }
+
+func (aggregated) stats(s *Simulation) ExchangeStats {
+	var st ExchangeStats
+	peers := make(map[int]bool)
+	for l := range s.levels {
+		p := &s.levels[l]
+		st.LocalCopies += len(p.locals)
+		st.LocalFloats += p.localStats.floats
+		st.LocalCopiesElided += p.localStats.copiesElided
+		st.LocalFloatsElided += p.localStats.floatsElided
+		for i := range p.channels {
+			ch := &p.channels[i]
+			if ch.rank == s.Comm.Rank() {
+				st.LocalCopies += len(ch.recv)
+				st.LocalFloats += ch.recvFloats
+				continue
+			}
+			peers[ch.rank] = true
+			if ch.sendFloats > 0 {
+				st.MessagesPerStep++
+			}
+			st.RemoteSlabs += len(ch.send)
+			st.SendFloats += ch.sendFloats
+			st.RecvFloats += ch.recvFloats
+		}
+	}
+	st.NeighborRanks = len(peers)
+	return st
 }

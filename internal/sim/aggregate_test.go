@@ -50,12 +50,13 @@ func TestAggregatedPlanSingleRank(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(s.channels) != 0 {
-			t.Errorf("single-rank plan has %d channels, want 0", len(s.channels))
+		p := &s.levels[0]
+		if len(s.levels) != 1 || len(p.channels) != 0 {
+			t.Errorf("single-rank plan has %d levels and %d channels, want 1 and 0", len(s.levels), len(p.channels))
 		}
 		// 8 blocks x 18 non-corner offsets (6 faces + 12 edges for D3Q19).
-		if len(s.locals) != 8*18 {
-			t.Errorf("plan has %d local copies, want %d", len(s.locals), 8*18)
+		if len(p.locals) != 8*18 {
+			t.Errorf("plan has %d local copies, want %d", len(p.locals), 8*18)
 		}
 		st := s.ExchangeStats()
 		if st.MessagesPerStep != 0 || st.NeighborRanks != 0 || st.LocalCopies != 8*18 {
@@ -83,10 +84,10 @@ func TestAggregatedPlanManifest(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if len(s.channels) != 1 {
-			t.Fatalf("rank %d: %d channels, want 1", c.Rank(), len(s.channels))
+		if len(s.levels) != 1 || len(s.levels[0].channels) != 1 {
+			t.Fatalf("rank %d: %d levels, want 1 with 1 channel", c.Rank(), len(s.levels))
 		}
-		ch := &s.channels[0]
+		ch := &s.levels[0].channels[0]
 		if ch.rank == c.Rank() {
 			t.Errorf("channel to self (rank %d)", ch.rank)
 		}
@@ -137,7 +138,7 @@ func TestAggregatedOneMessagePerNeighborRank(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			s, err := New(c, forest, Config{Exchange: mode, SetupFlags: allFluid})
+			s, err := newWithExchange(c, forest, Config{SetupFlags: allFluid}, mode)
 			if err != nil {
 				t.Error(err)
 				return
@@ -175,8 +176,8 @@ func TestAggregatedOneMessagePerNeighborRank(t *testing.T) {
 				// message per step, everyone else none.
 				for dst, ps := range st.Peers {
 					want := int64(0)
-					for i := range s.channels {
-						if s.channels[i].rank == dst {
+					for _, ch := range s.levels[0].channels {
+						if ch.rank == dst {
 							want = measured
 						}
 					}
@@ -210,7 +211,7 @@ func TestExchangeStatsVolumesMatch(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			s, err := New(c, forest, Config{Exchange: mode, SetupFlags: allFluid})
+			s, err := newWithExchange(c, forest, Config{SetupFlags: allFluid}, mode)
 			if err != nil {
 				t.Error(err)
 				return
@@ -396,10 +397,10 @@ func interiorBits(s *Simulation, mu *sync.Mutex, into map[[3]int][]uint64) {
 	}
 }
 
-// runMaskCase steps one need-mask case and returns its field hash and
-// interior bits. With poison set, every ghost slot the plan does not write
-// is overwritten with NaN before every step.
-func runMaskCase(t *testing.T, cfg Config, periodic bool, ranks, steps int, poison bool) (uint64, map[[3]int][]uint64) {
+// runMaskCase steps one need-mask case over the given exchange and returns
+// its field hash and interior bits. With poison set, every ghost slot the
+// plan does not write is overwritten with NaN before every step.
+func runMaskCase(t *testing.T, cfg Config, mode ExchangeMode, periodic bool, ranks, steps int, poison bool) (uint64, map[[3]int][]uint64) {
 	t.Helper()
 	f := blockforest.NewSetupForest(
 		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
@@ -414,7 +415,7 @@ func runMaskCase(t *testing.T, cfg Config, periodic bool, ranks, steps int, pois
 			t.Error(err)
 			return
 		}
-		s, err := New(c, forest, cfg)
+		s, err := newWithExchange(c, forest, cfg, mode)
 		if err != nil {
 			t.Error(err)
 			return
@@ -463,9 +464,7 @@ func TestCompiledLocalCopiesMatchPerPair(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", p.name, world, m.name), func(t *testing.T) {
 					cfg := maskConfig(p, periodic, m.stencil, m.layout)
-					ref := cfg
-					ref.Exchange = ExchangePerPair
-					wantHash, wantBits := runMaskCase(t, ref, periodic, 1, steps, false)
+					wantHash, wantBits := runMaskCase(t, cfg, ExchangePerPair, periodic, 1, steps, false)
 					for _, w := range wantBits {
 						for _, b := range w {
 							if v := math.Float64frombits(b); v != v {
@@ -478,7 +477,7 @@ func TestCompiledLocalCopiesMatchPerPair(t *testing.T) {
 							for _, poison := range []bool{false, true} {
 								cfg.Workers = workers
 								label := fmt.Sprintf("ranks=%d workers=%d poison=%v", ranks, workers, poison)
-								hash, bits := runMaskCase(t, cfg, periodic, ranks, steps, poison)
+								hash, bits := runMaskCase(t, cfg, ExchangeAggregated, periodic, ranks, steps, poison)
 								if hash != wantHash {
 									t.Errorf("%s: field hash %016x, per-pair %016x", label, hash, wantHash)
 								}
@@ -548,8 +547,7 @@ func TestAllocationWindowsInvisible(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", p.name, world, m.name), func(t *testing.T) {
 					ref := windowConfig(p, periodic, m.stencil, m.layout, true)
-					ref.Exchange = ExchangePerPair
-					wantHash, wantBits := runMaskCase(t, ref, periodic, 1, steps, false)
+					wantHash, wantBits := runMaskCase(t, ref, ExchangePerPair, periodic, 1, steps, false)
 					if allocated, block := fieldCells(t, ref, periodic); allocated != block {
 						t.Fatalf("oracle stores %d of %d cells, want whole blocks", allocated, block)
 					}
@@ -576,9 +574,9 @@ func TestAllocationWindowsInvisible(t *testing.T) {
 					for _, ranks := range []int{1, 2} {
 						for _, workers := range []int{1, 2, 4} {
 							for _, mode := range []ExchangeMode{ExchangeAggregated, ExchangePerPair} {
-								cfg.Workers, cfg.Exchange = workers, mode
+								cfg.Workers = workers
 								label := fmt.Sprintf("ranks=%d workers=%d %v", ranks, workers, mode)
-								hash, bits := runMaskCase(t, cfg, periodic, ranks, steps, false)
+								hash, bits := runMaskCase(t, cfg, mode, periodic, ranks, steps, false)
 								if hash != wantHash {
 									t.Errorf("%s: field hash %016x, whole-block run %016x", label, hash, wantHash)
 								}

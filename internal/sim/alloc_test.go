@@ -125,7 +125,7 @@ func benchStep(b *testing.B, mode ExchangeMode) {
 			b.Error(err)
 			return
 		}
-		s, err := New(c, forest, Config{Workers: 1, Exchange: mode, SetupFlags: allFluid})
+		s, err := newWithExchange(c, forest, Config{Workers: 1, SetupFlags: allFluid}, mode)
 		if err != nil {
 			b.Error(err)
 			return

@@ -226,7 +226,6 @@ func TestConfigValidateSingleNormalizationPoint(t *testing.T) {
 	for _, bad := range []Config{
 		{Tau: 0.5},
 		{Workers: -1},
-		{Exchange: ExchangeMode(99)},
 	} {
 		cfg := bad
 		if err := cfg.Validate(); err == nil {

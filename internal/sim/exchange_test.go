@@ -115,18 +115,19 @@ func TestExchangePlanStructure(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		s, err := New(c, forest, Config{Exchange: ExchangePerPair, SetupFlags: func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
+		s, err := newWithExchange(c, forest, Config{SetupFlags: func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
 			flags.Fill(field.Fluid)
-		}})
+		}}, ExchangePerPair)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// 8 blocks x 18 non-corner offsets (6 faces + 12 edges for D3Q19).
-		if len(s.plan) != 8*18 {
-			t.Errorf("plan has %d ops, want %d", len(s.plan), 8*18)
+		plan := pairOps(s)
+		if len(plan) != 8*18 {
+			t.Errorf("plan has %d ops, want %d", len(plan), 8*18)
 		}
-		for _, op := range s.plan {
+		for _, op := range plan {
 			if op.remote {
 				t.Error("single-rank plan contains remote op")
 			}

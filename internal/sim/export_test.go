@@ -10,6 +10,10 @@ import (
 // test package, whose benchmarks build worlds through internal/core.
 func (s *Simulation) PostExchange() error { return s.postExchange() }
 
+// NewWithExchange is New with the ghost exchange wire format chosen by hand
+// — how the external tests build their per-pair oracle.
+var NewWithExchange = newWithExchange
+
 // GhostPoisoner returns a function that overwrites with NaN every stored
 // ghost slot of this rank's Src fields that the aggregated exchange plan does
 // NOT write — neither a compiled local copy nor a remote receive slab.
@@ -20,8 +24,9 @@ func (s *Simulation) GhostPoisoner() func() {
 	for _, bd := range s.Blocks {
 		written[bd] = make([]bool, len(bd.Src.Data()))
 	}
-	for i := range s.locals {
-		l := &s.locals[i]
+	p := &s.levels[0]
+	for i := range p.locals {
+		l := &p.locals[i]
 		for _, r := range l.runs {
 			for rep := int32(0); rep < r.reps; rep++ {
 				for k := int32(0); k < r.n; k++ {
@@ -30,8 +35,8 @@ func (s *Simulation) GhostPoisoner() func() {
 			}
 		}
 	}
-	for ci := range s.channels {
-		for _, sl := range s.channels[ci].recv {
+	for ci := range p.channels {
+		for _, sl := range p.channels[ci].recv {
 			for _, d := range sl.dirs {
 				for z := sl.reg.lo[2]; z < sl.reg.hi[2]; z++ {
 					for y := sl.reg.lo[1]; y < sl.reg.hi[1]; y++ {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"walberla/internal/comm"
 	"walberla/internal/field"
 	"walberla/internal/lattice"
 )
@@ -20,43 +21,56 @@ import (
 // canonical (z, y, x, direction) order through the layout-agnostic
 // accessor.
 func (s *Simulation) FieldHash() (uint64, error) {
-	type blockHash struct {
-		Coord [3]int
-		Hash  uint64
+	keys := make([][]uint64, len(s.Blocks))
+	for i, bd := range s.Blocks {
+		c := bd.Block.Coord
+		keys[i] = []uint64{uint64(int64(c[0])), uint64(int64(c[1])), uint64(int64(c[2]))}
 	}
-	local := make([]blockHash, 0, len(s.Blocks))
-	for _, bd := range s.Blocks {
-		local = append(local, blockHash{bd.Block.Coord, hashInterior(bd.Src)})
+	return WorldHash(s.Comm, s.Blocks, keys, []int{2, 1, 0})
+}
+
+// WorldHash is the fold behind both runtimes' FieldHash: the interior
+// digest of every local block, keyed by the words naming the block
+// (keys[i] for blocks[i]), is gathered on rank 0, the entries are sorted
+// by the key words order lists, most significant first, and folded — key
+// words, then digest — into one value, which every rank returns.
+// Collective.
+func WorldHash(c *comm.Comm, blocks []*BlockData, keys [][]uint64, order []int) (uint64, error) {
+	type digest struct {
+		Key  []uint64
+		Hash uint64
 	}
-	gathered, err := s.Comm.GatherErr(0, local)
+	local := make([]digest, len(blocks))
+	for i, bd := range blocks {
+		local[i] = digest{keys[i], hashInterior(bd.Src)}
+	}
+	gathered, err := c.GatherErr(0, local)
 	if err != nil {
 		return 0, err
 	}
 	var h uint64
-	if s.Comm.Rank() == 0 {
-		var all []blockHash
+	if c.Rank() == 0 {
+		var all []digest
 		for _, g := range gathered {
-			all = append(all, g.([]blockHash)...)
+			all = append(all, g.([]digest)...)
 		}
 		sort.Slice(all, func(i, j int) bool {
-			a, b := all[i].Coord, all[j].Coord
-			if a[2] != b[2] {
-				return a[2] < b[2]
+			for _, k := range order {
+				if a, b := all[i].Key[k], all[j].Key[k]; a != b {
+					return a < b
+				}
 			}
-			if a[1] != b[1] {
-				return a[1] < b[1]
-			}
-			return a[0] < b[0]
+			return false
 		})
 		h = fnvOffset
-		for _, bh := range all {
-			for _, c := range bh.Coord {
-				h = fnvMix(h, uint64(int64(c)))
+		for _, d := range all {
+			for _, w := range d.Key {
+				h = fnvMix(h, w)
 			}
-			h = fnvMix(h, bh.Hash)
+			h = fnvMix(h, d.Hash)
 		}
 	}
-	v, err := s.Comm.BcastErr(0, h)
+	v, err := c.BcastErr(0, h)
 	if err != nil {
 		return 0, err
 	}

@@ -44,10 +44,9 @@ func taylorGreenBitsMode(t *testing.T, workers, steps int, mode ExchangeMode) ma
 			t.Error(err)
 			return
 		}
-		s, err := New(c, forest, Config{
-			Tau:      0.8,
-			Workers:  workers,
-			Exchange: mode,
+		s, err := newWithExchange(c, forest, Config{
+			Tau:     0.8,
+			Workers: workers,
 			// A body force exercises the forcing sweep on the workers too.
 			Force: [3]float64{1e-7, 0, 0},
 			InitialState: func(x, y, z int) (float64, float64, float64, float64) {
@@ -61,7 +60,7 @@ func taylorGreenBitsMode(t *testing.T, workers, steps int, mode ExchangeMode) ma
 			SetupFlags: func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
 				flags.Fill(field.Fluid)
 			},
-		})
+		}, mode)
 		if err != nil {
 			t.Error(err)
 			return

@@ -71,9 +71,7 @@ func runLayoutCavityMode(t *testing.T, layout LayoutChoice, workers, steps int, 
 			t.Error(err)
 			return
 		}
-		cfg := layoutConfig(layout, workers)
-		cfg.Exchange = mode
-		s, err := New(c, forest, cfg)
+		s, err := newWithExchange(c, forest, layoutConfig(layout, workers), mode)
 		if err != nil {
 			t.Error(err)
 			return

@@ -1,0 +1,175 @@
+package sim
+
+import (
+	"walberla/internal/blockforest"
+	"walberla/internal/field"
+	"walberla/internal/lattice"
+)
+
+// Refined worlds. The refined runtime (internal/amr) keeps its leaves here
+// as blocks (AssembleBlock, with the level's relaxation time) and drives
+// them level by level through ExchangeLevel and SweepLevel. It supplies
+// only what it alone knows: the leaves around each block (Block.Neighbors)
+// and the arithmetic of transfers between levels (the Resampler).
+
+// Transfer is a ghost transfer between blocks one level apart, produced on
+// the sender at the receiver's resolution when the exchange packs it: for
+// every cell p of the receiver-frame box [Lo, Hi) and every direction of
+// Dirs, in PackRegion order (dir-major, then z, y, x), the receiver's value
+// taken from Src.
+type Transfer struct {
+	Src *BlockData
+	// ToFiner is set when the receiver is one level finer than Src (the
+	// transfer prolongs), clear when it is one level coarser (it restricts).
+	ToFiner bool
+	Lo, Hi  [3]int
+	// Base maps receiver cell p into Src: prolonging, p+Base is a cell of
+	// Src's 2× subdivision (its interior spans [0, 2N)); restricting, 2p+Base
+	// is the origin of a 2×2×2 group of Src's interior cells.
+	Base [3]int
+	Dirs []lattice.Direction
+}
+
+// Resampler computes transfers between levels. Resample writes the payload
+// of t into buf (len(t.Dirs) values per cell of the box); worker is the
+// pool worker running it, for per-worker scratch. Concurrent calls read
+// only the interiors of their sources.
+type Resampler interface {
+	Resample(t *Transfer, buf []float64, worker int)
+}
+
+// TauAt returns the relaxation time of refinement level l under acoustic
+// scaling: both dx and dt halve per level, so ν = c_s²(τ−1/2)dt requires
+// τ_ℓ − 1/2 = 2^ℓ(τ₀ − 1/2). Level 0 is Tau itself, exactly (τ − 1/2 is
+// exact in floating point for τ ≥ 1/2).
+func (c *Config) TauAt(l int) float64 {
+	return 0.5 + float64(int(1)<<uint(l))*(c.Tau-0.5)
+}
+
+// SetBlocks makes blocks this rank's block set — blocks of any levels in
+// canonical order, each with its whole neighborhood in Block.Neighbors —
+// and rebuilds the exchange plans of all levels, whose transfers between
+// levels r computes. recycleBuffers is rebuildPlan's: true only when every
+// rank that read the retired send buffers took part in the collective that
+// led here.
+func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler, recycleBuffers bool) {
+	s.Blocks, s.resample, s.levelBlocks = blocks, r, nil
+	for _, bd := range blocks {
+		l := int(bd.Block.ID.Level)
+		for len(s.levelBlocks) <= l {
+			s.levelBlocks = append(s.levelBlocks, nil)
+		}
+		s.levelBlocks[l] = append(s.levelBlocks[l], bd)
+	}
+	s.rebuildPlan(recycleBuffers)
+}
+
+// ExchangeLevel refreshes the ghost layers of this rank's blocks on one
+// level of a refined world: the level's plan posted and completed at once.
+// Every rank calls it for every level in the same order.
+func (s *Simulation) ExchangeLevel(level int) error {
+	if level >= len(s.levels) {
+		return nil
+	}
+	p := &s.levels[level]
+	if err := p.post(s); err != nil {
+		return err
+	}
+	return p.complete(s)
+}
+
+// SweepLevel runs the sweep of the uniform step — boundary handling,
+// stream-collide, forcing, on the worker pool — over this rank's blocks on
+// one level, then swaps their fields.
+func (s *Simulation) SweepLevel(level int) {
+	if level >= len(s.levelBlocks) {
+		return
+	}
+	bds := s.levelBlocks[level]
+	s.sweepBlocks(bds)
+	for _, bd := range bds {
+		field.Swap(bd.Src, bd.Dst)
+	}
+}
+
+// Level geometry. 2:1 grading keeps neighbors within one level, so in the
+// block grid of the finer of two neighbors each spans one or two blocks
+// per axis, and where one starts relative to the other decides every
+// transfer between them. A refined block's octant bits are the low bits of
+// its level-grid index.
+
+func neg(o [3]int) [3]int { return [3]int{-o[0], -o[1], -o[2]} }
+
+// octantBits returns the octant bits of a refined block.
+func octantBits(id blockforest.BlockID) [3]int {
+	oct := id.Octant()
+	return [3]int{oct & 1, oct >> 1 & 1, oct >> 2 & 1}
+}
+
+// relOrigin returns where neighbor n of block id starts relative to id, in
+// blocks of the finer level's grid, with the widths of id and n there.
+func relOrigin(id blockforest.BlockID, n blockforest.Neighbor) (rel [3]int, w, wn int) {
+	p := n.Offset
+	switch int(n.ID.Level) - int(id.Level) {
+	case 0:
+		return p, 1, 1
+	case 1: // n is a child of id's neighbor region p
+		c := octantBits(n.ID)
+		for d := range rel {
+			rel[d] = 2*p[d] + c[d]
+		}
+		return rel, 2, 1
+	}
+	b := octantBits(id) // id is a child, n its parent's neighbor
+	for d := range rel {
+		rel[d] = 2*((b[d]+p[d])>>1) - b[d]
+	}
+	return rel, 1, 2
+}
+
+// receiverOffsets lists in out[:n] the offsets at which the ghost layer
+// of a neighbor starting at rel (width wn) overlaps a sender of width w —
+// at most four (a finer neighbor across a face).
+func receiverOffsets(rel [3]int, w, wn int) (out [4][3]int, n int) {
+	for oi := 0; oi < 27; oi++ {
+		o := [3]int{oi%3 - 1, oi/3%3 - 1, oi/9 - 1}
+		in := o != [3]int{}
+		for d := 0; d < 3 && in; d++ {
+			lo := rel[d] + o[d]*wn
+			in = lo < w && lo+wn > 0
+		}
+		if in {
+			out[n] = o
+			n++
+		}
+	}
+	return out, n
+}
+
+// entering reports whether a local block enters the transfer into its
+// neighbor's ghost layer at offset o from its own neighbor entry at offset
+// p: from the entry that is zero wherever o is. Only a coarser neighbor
+// is seen at several entries yielding the same o, and exactly one of them
+// qualifies; every other transfer has a single entry, which does.
+func entering(p, o [3]int) bool {
+	for d := 0; d < 3; d++ {
+		if o[d] == 0 && p[d] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// ghostBox is the part of a receiver's ghost slab at offset o that a
+// sender starting at rel (relative to the receiver, width w; the
+// receiver's width wr) covers: the whole slab, or for a finer sender the
+// half it occupies along every axis the slab spans.
+func ghostBox(cells, o, rel [3]int, w, wr int) region {
+	r := recvRegion(cells, o)
+	for d := 0; d < 3; d++ {
+		if wr > w && o[d] == 0 {
+			r.lo[d], r.hi[d] = rel[d]*cells[d]/2, (rel[d]+1)*cells[d]/2
+		}
+	}
+	return r
+}

@@ -124,71 +124,35 @@ func (s *Simulation) gatherMetrics(steps int, wall time.Duration) (Metrics, erro
 
 // ExchangeStats describes this rank's ghost-exchange communication
 // pattern under the current plan — the quantities the message-aggregation
-// benchmark compares between wire formats.
+// benchmark reports.
 type ExchangeStats struct {
-	Mode ExchangeMode
 	// NeighborRanks is the number of distinct remote ranks this rank
 	// exchanges ghost data with.
 	NeighborRanks int
 	// MessagesPerStep is the number of point-to-point sends this rank
-	// issues per time step: NeighborRanks in aggregated mode, RemoteSlabs
-	// in per-pair mode.
+	// issues per time step: one per neighbor rank.
 	MessagesPerStep int
 	// RemoteSlabs counts the boundary slabs crossing a rank border.
 	RemoteSlabs int
 	// LocalCopies counts the same-rank block-to-block ghost copies in the
-	// plan and LocalFloats the values they move per step. The aggregated
-	// plan keeps only the ghost slots the destination block reads:
-	// LocalCopiesElided block pairs left it entirely and LocalFloatsElided
-	// values of the full slabs are not moved (both zero in per-pair mode,
-	// which copies full slabs).
+	// plan and LocalFloats the values they move per step. The plan keeps
+	// only the ghost slots the destination block reads: LocalCopiesElided
+	// block pairs left it entirely and LocalFloatsElided values of the full
+	// slabs are not moved.
 	LocalCopies       int
 	LocalFloats       int
 	LocalCopiesElided int
 	LocalFloatsElided int
 	// SendFloats and RecvFloats are this rank's per-step payload volumes
-	// in float64 values (identical in both modes: aggregation batches
-	// messages, it never changes the communicated data).
+	// in float64 values (aggregation batches messages, it never changes the
+	// communicated data).
 	SendFloats int
 	RecvFloats int
 }
 
 // ExchangeStats reports the communication pattern of the current exchange
 // plan.
-func (s *Simulation) ExchangeStats() ExchangeStats {
-	st := ExchangeStats{Mode: s.Config.Exchange}
-	if s.Config.Exchange == ExchangePerPair {
-		ranks := make(map[int]bool)
-		for i := range s.plan {
-			op := &s.plan[i]
-			if !op.remote {
-				st.LocalCopies++
-				st.LocalFloats += len(op.sendDirs) * op.src.cells()
-				continue
-			}
-			ranks[op.rank] = true
-			st.RemoteSlabs++
-			st.SendFloats += len(op.sendDirs) * op.src.cells()
-			st.RecvFloats += len(op.recvDirs) * op.dst.cells()
-		}
-		st.NeighborRanks = len(ranks)
-		st.MessagesPerStep = st.RemoteSlabs
-		return st
-	}
-	st.NeighborRanks = len(s.channels)
-	st.MessagesPerStep = len(s.channels)
-	st.LocalCopies = len(s.locals)
-	st.LocalFloats = s.localStats.floats
-	st.LocalCopiesElided = s.localStats.copiesElided
-	st.LocalFloatsElided = s.localStats.floatsElided
-	for i := range s.channels {
-		ch := &s.channels[i]
-		st.RemoteSlabs += len(ch.send)
-		st.SendFloats += ch.sendFloats
-		st.RecvFloats += ch.recvFloats
-	}
-	return st
-}
+func (s *Simulation) ExchangeStats() ExchangeStats { return s.exchange.stats(s) }
 
 // PhaseTimes returns this rank's accumulated phase timers since the last
 // reset. Communication time is wall clock on the rank's driving

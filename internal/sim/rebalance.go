@@ -55,7 +55,8 @@ func (s *Simulation) Workloads(useMeasured bool) map[[3]int]float64 {
 // RebalanceByWorkload computes a fresh Morton-curve assignment from the
 // current workloads (measured compute times when useMeasured is set) and
 // migrates blocks accordingly. Collective: every rank must call it at the
-// same point of the time loop.
+// same point of the time loop. A peer failure comes back as an error
+// wrapping *comm.RankFailedError.
 func (s *Simulation) RebalanceByWorkload(useMeasured bool) error {
 	type entry struct {
 		Coord    [3]int
@@ -65,7 +66,10 @@ func (s *Simulation) RebalanceByWorkload(useMeasured bool) error {
 	for c, w := range s.Workloads(useMeasured) {
 		mine = append(mine, entry{c, w})
 	}
-	gathered := s.Comm.Gather(0, mine)
+	gathered, err := s.Comm.GatherErr(0, mine)
+	if err != nil {
+		return fmt.Errorf("sim: rebalance workload gather: %w", err)
+	}
 	var assignment map[[3]int]int
 	if s.Comm.Rank() == 0 {
 		var all []entry
@@ -102,13 +106,21 @@ func (s *Simulation) RebalanceByWorkload(useMeasured bool) error {
 			count++
 		}
 	}
-	assignment = s.Comm.Bcast(0, assignment).(map[[3]int]int)
+	v, err := s.Comm.BcastErr(0, assignment)
+	if err != nil {
+		return fmt.Errorf("sim: rebalance assignment broadcast: %w", err)
+	}
+	assignment, ok := v.(map[[3]int]int)
+	if !ok {
+		return fmt.Errorf("sim: rebalance assignment broadcast carried %T", v)
+	}
 	return s.Rebalance(assignment)
 }
 
 // Rebalance migrates blocks to match the given complete assignment
 // (coordinate of every block in the simulation to its new rank) and
-// rebuilds the local data structures. Collective.
+// rebuilds the local data structures. Collective; a peer failure comes back
+// as an error wrapping *comm.RankFailedError.
 func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	me := s.Comm.Rank()
 	ranks := s.Comm.Size()
@@ -136,29 +148,44 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	for r := 0; r < ranks; r++ {
 		counts[r] = len(outgoing[r])
 	}
-	incomingCounts := s.Comm.Alltoall(counts)
+	incomingCounts, err := s.Comm.AlltoallErr(counts)
+	if err != nil {
+		return fmt.Errorf("sim: rebalance count exchange: %w", err)
+	}
 	for dst, blocks := range outgoing {
 		for _, bd := range blocks {
 			b := *bd.Block // copy; ranks inside are updated by the receiver
-			s.Comm.Send(dst, tagMigrateBlock, &migratedBlock{
+			if err := s.Comm.SendErr(dst, tagMigrateBlock, &migratedBlock{
 				Block:    b,
 				Workload: bd.Block.Workload,
 				Layout:   bd.Src.Layout,
 				SrcData:  bd.Src.Data(),
 				DstData:  bd.Dst.Data(),
 				Flags:    bd.Flags.Data(),
-			})
+			}); err != nil {
+				return fmt.Errorf("sim: rebalance send to rank %d: %w", dst, err)
+			}
 		}
 	}
 	expect := 0
 	for r := 0; r < ranks; r++ {
 		if r != me {
-			expect += incomingCounts[r].(int)
+			n, ok := incomingCounts[r].(int)
+			if !ok {
+				return fmt.Errorf("sim: rebalance count from rank %d is %T", r, incomingCounts[r])
+			}
+			expect += n
 		}
 	}
 	for i := 0; i < expect; i++ {
-		payload, _ := s.Comm.Recv(comm.AnySource, tagMigrateBlock)
-		mb := payload.(*migratedBlock)
+		payload, src, err := s.Comm.RecvErr(comm.AnySource, tagMigrateBlock)
+		if err != nil {
+			return fmt.Errorf("sim: rebalance receive: %w", err)
+		}
+		mb, ok := payload.(*migratedBlock)
+		if !ok {
+			return fmt.Errorf("sim: rebalance payload from rank %d is %T", src, payload)
+		}
 		bd, err := s.adoptBlock(mb)
 		if err != nil {
 			return err
@@ -200,7 +227,7 @@ func (s *Simulation) adoptBlock(mb *migratedBlock) (*BlockData, error) {
 	cells := b.Cells
 	flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
 	copy(flags.Data(), mb.Flags)
-	bd, err := s.assembleBlock(&b, flags)
+	bd, err := s.AssembleBlock(&b, flags, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/boundary"
@@ -162,6 +164,39 @@ func TestRebalanceValidation(t *testing.T) {
 		}
 		if err := s.Rebalance(map[[3]int]int{{0, 0, 0}: 5, {1, 0, 0}: 0}); err == nil {
 			t.Error("out-of-range rank accepted")
+		}
+	})
+}
+
+// TestRebalanceReturnsRankFailure: a peer that retires instead of joining
+// the rebalancing collective reaches every survivor as a returned
+// *comm.RankFailedError, never as a panic.
+func TestRebalanceReturnsRankFailure(t *testing.T) {
+	f := blockforest.NewSetupForest(
+		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
+		[3]int{3, 2, 1}, [3]int{4, 4, 4}, [3]bool{true, true, true})
+	f.BalanceMorton(3)
+	// The failure deadline is what tells the survivors' wildcard receives
+	// that rank 2 is gone.
+	comm.RunWithOptions(3, comm.Options{FailTimeout: 500 * time.Millisecond}, func(c *comm.Comm) {
+		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s, err := New(c, forest, Config{SetupFlags: allFluid})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mustRun(t, s, 2)
+		if c.Rank() == 2 {
+			c.Retire()
+			return
+		}
+		err = s.RebalanceByWorkload(true)
+		if !errors.As(err, new(*comm.RankFailedError)) {
+			t.Errorf("rank %d: RebalanceByWorkload returned %v, want a *comm.RankFailedError", c.Rank(), err)
 		}
 	})
 }

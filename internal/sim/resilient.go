@@ -155,26 +155,25 @@ func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
 	return w.tel.driver, w.Config.Metrics
 }
 
-// ownSnapshot is this rank's raw state: copies of both PDF fields of
-// every local block, restored by memcpy — the survivor's rewind needs no
-// decoding at all.
-type ownSnapshot struct {
-	coords   [][3]int
-	src, dst [][]float64
-}
-
+// Snapshot is this rank's own generation in the form of a decoded rank
+// file without metadata: copies of both PDF fields of every local block
+// (in the previous generation's storage where it fits), restored by
+// memcpy — the survivor's rewind needs no decoding at all.
 func (w world) Snapshot(reuse resilience.State) resilience.State {
-	og, _ := reuse.(*ownSnapshot)
-	if og == nil || len(og.src) != len(w.Blocks) {
-		og = &ownSnapshot{src: make([][]float64, len(w.Blocks)), dst: make([][]float64, len(w.Blocks))}
-	}
-	og.coords = og.coords[:0]
+	old, _ := reuse.(*blockSet)
+	set := &blockSet{snaps: make([]output.BlockSnapshot, len(w.Blocks))}
 	for i, bd := range w.Blocks {
-		og.coords = append(og.coords, bd.Block.Coord)
-		og.src[i] = append(og.src[i][:0], bd.Src.Data()...)
-		og.dst[i] = append(og.dst[i][:0], bd.Dst.Data()...)
+		var src, dst *field.PDFField
+		if old != nil && i < len(old.snaps) && old.snaps[i].Src.SameShape(bd.Src) {
+			src, dst = old.snaps[i].Src, old.snaps[i].Dst
+		} else {
+			src, dst = bd.Src.CopyShape(), bd.Dst.CopyShape()
+		}
+		copy(src.Data(), bd.Src.Data())
+		copy(dst.Data(), bd.Dst.Data())
+		set.snaps[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: src, Dst: dst}
 	}
-	return og
+	return set
 }
 
 // blockMeta carries the non-field state of one block — the side band of
@@ -281,17 +280,7 @@ func (w world) Reset() error {
 // rank map and rebuilds the exchange plan.
 func (w world) Install(c *comm.Comm, redirect []int, step int, own resilience.State, wards []resilience.State) (int, error) {
 	s := w.Simulation
-	switch o := own.(type) {
-	case *ownSnapshot:
-		for i, coord := range o.coords {
-			bd := s.byCoord[coord]
-			if bd == nil {
-				return 0, fmt.Errorf("sim: own snapshot holds unknown block %v", coord)
-			}
-			copy(bd.Src.Data(), o.src[i])
-			copy(bd.Dst.Data(), o.dst[i])
-		}
-	case *blockSet: // Owns vouched for the coordinates
+	if o, ok := own.(*blockSet); ok { // own snapshot, or a rank file Owns vouched for
 		for _, snap := range o.snaps {
 			bd := s.byCoord[snap.Coord]
 			bd.Src.CopyFrom(snap.Src)
@@ -364,12 +353,13 @@ func (s *Simulation) buildAdoptedBlocks(set *blockSet) ([]*BlockData, error) {
 		flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
 		copy(flags.Data(), m.Flags)
 		blk := m.Block // copy out of the decoded metadata
-		bd, err := s.assembleBlock(&blk, flags)
+		// Snapshots are decoded whole-block and in the layout they were
+		// stored in; the copy crops to the window and transposes. (Never
+		// handed over: a buddy ring keeps its decoded replicas.)
+		bd, err := s.AssembleBlock(&blk, flags, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		// Snapshots are decoded whole-block and in the layout they were
-		// stored in; CopyFrom crops to the window and transposes.
 		bd.Src.CopyFrom(snap.Src)
 		bd.Dst.CopyFrom(snap.Dst)
 		blocks = append(blocks, bd)

@@ -98,14 +98,6 @@ type Config struct {
 	// process" of the paper). 0 or 1 runs serially; any value yields
 	// bit-identical results.
 	Workers int
-	// Exchange selects the ghost exchange wire format; the zero value is
-	// ExchangeAggregated (one message per neighbor rank per step from
-	// persistent buffers), which every front end runs. ExchangePerPair is
-	// the tests' differential oracle: it copies and sends whole slabs and
-	// must end in the same field hash (aggregate_test.go, worlds_test.go,
-	// layout_test.go). No flag, scenario key or core.Problem field selects
-	// it.
-	Exchange ExchangeMode
 	// InitialRho and InitialVelocity initialize all fluid cells to the
 	// corresponding equilibrium. Zero rho means 1.
 	InitialRho      float64
@@ -194,9 +186,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
-	}
-	if c.Exchange != ExchangeAggregated && c.Exchange != ExchangePerPair {
-		return fmt.Errorf("sim: unknown exchange mode %v", c.Exchange)
 	}
 	return nil
 }
@@ -290,15 +279,15 @@ func (c *Config) allocationWindow(flags *field.FlagField) field.Window {
 	return flags.Bounds(field.Fluid).Grow(1, full)
 }
 
-// blockKernel resolves and constructs the kernel of one block from its
-// flag field and fluid cell count, for PDF fields allocated for the window
-// win.
-func (c *Config) blockKernel(flags *field.FlagField, fluid int, win field.Window) (kernels.Kernel, KernelChoice, error) {
+// blockKernel resolves and constructs the kernel of one block on the given
+// refinement level from its flag field and fluid cell count, for PDF
+// fields allocated for the window win.
+func (c *Config) blockKernel(level int, flags *field.FlagField, fluid int, win field.Window) (kernels.Kernel, KernelChoice, error) {
 	choice := c.resolveKernel(float64(fluid) / float64(flags.Nx*flags.Ny*flags.Nz))
 	k, err := kernels.New(kernels.Spec{
 		Choice:  choice,
 		Stencil: c.Stencil,
-		Tau:     c.Tau,
+		Tau:     c.TauAt(level),
 		Magic:   c.Magic,
 		Flags:   flags,
 		Window:  win,
@@ -341,24 +330,14 @@ type Simulation struct {
 
 	byCoord map[[3]int]*BlockData
 
-	// Aggregated exchange state (ExchangeAggregated, aggregate.go): the
-	// compiled local block-to-block copies and what their need-mask
-	// elided, one channel per neighbor rank, the alternating send-buffer
-	// parity, and the flattened pack/unpack task lists with their
-	// precomputed pool closures (stored once so the steady-state exchange
-	// allocates nothing).
-	locals      []localOp
-	localStats  localCopyStats
-	channels    []rankChannel
-	exParity    int
-	packTasks   []packTask
-	unpackTasks []packTask
-	packFn      func(int, int)
-	unpackFn    func(int, int)
-
-	// Legacy per-pair exchange state (ExchangePerPair, exchange.go).
-	plan    []exchangeOp
-	pending []recvOp
+	// levels holds the exchange plan of every level present (aggregate.go),
+	// one for a uniform world; exchange runs the uniform step's exchange on
+	// it (the tests swap in their per-pair oracle). A refined world adds
+	// its blocks per level and its Resampler (levels.go).
+	levels      []plan
+	exchange    exchanger
+	levelBlocks [][]*BlockData
+	resample    Resampler
 
 	// Hybrid execution state: the worker pool, the frontier/interior
 	// block split (frontier blocks have off-rank neighbors and must wait
@@ -396,13 +375,14 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		return nil, err
 	}
 	s := &Simulation{
-		Comm:    c,
-		Forest:  forest,
-		Stencil: cfg.Stencil,
-		Config:  cfg,
-		byCoord: make(map[[3]int]*BlockData),
-		pool:    workerPool{workers: cfg.Workers},
-		force:   newForcing(cfg.Stencil, cfg.Force),
+		Comm:     c,
+		Forest:   forest,
+		Stencil:  cfg.Stencil,
+		Config:   cfg,
+		byCoord:  make(map[[3]int]*BlockData),
+		exchange: aggregated{},
+		pool:     workerPool{workers: cfg.Workers},
+		force:    newForcing(cfg.Stencil, cfg.Force),
 	}
 	s.tel = resolveSimTel(cfg.Tracer, cfg.Metrics)
 	// The rank's driver goroutine owns lane 0, so the communicator shares
@@ -457,7 +437,7 @@ func (s *Simulation) newBlockData(b *blockforest.Block) (*BlockData, error) {
 	} else {
 		defaultFlags(b, s.Forest, flags)
 	}
-	bd, err := s.assembleBlock(b, flags)
+	bd, err := s.AssembleBlock(b, flags, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -465,32 +445,44 @@ func (s *Simulation) newBlockData(b *blockforest.Block) (*BlockData, error) {
 	return bd, nil
 }
 
-// assembleBlock builds the runtime state of a block from its flag field:
-// the kernel, the two PDF fields sized to the block's allocation window and
-// holding the uniform initial equilibrium, and the boundary sweep. It is
-// the one place a block comes into being — construction, migration install,
-// buddy adoption and heal all pass through it — so a block rebuilt on
-// another rank gets the identical kernel and window.
-func (s *Simulation) assembleBlock(b *blockforest.Block, flags *field.FlagField) (*BlockData, error) {
+// AssembleBlock builds the runtime state of a block from its flag field:
+// the kernel (relaxing at the relaxation time of the block's refinement
+// level), the two PDF fields sized to the block's allocation window, and
+// the boundary sweep. The fields hold the uniform initial equilibrium —
+// or, given src and dst (state the caller hands over, like a migrated
+// block's decoded fields), that state: src and dst themselves where they
+// already have the block's layout and window, a copy otherwise. It is the
+// one place a block comes into being — construction, migration install,
+// buddy adoption, heal and every leaf of a refined world pass through it —
+// so a block rebuilt on another rank gets the identical kernel and window.
+func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField, src, dst *field.PDFField) (*BlockData, error) {
 	win := s.Config.allocationWindow(flags)
 	fluid := flags.Count(field.Fluid)
-	k, choice, err := s.Config.blockKernel(flags, fluid, win)
+	k, choice, err := s.Config.blockKernel(int(b.ID.Level), flags, fluid, win)
 	if err != nil {
 		return nil, err
 	}
-	cells := b.Cells
-	src := field.NewPDFFieldWindow(s.Stencil, cells[0], cells[1], cells[2], 1, k.Layout(), win)
 	bd := &BlockData{
 		Block:      b,
 		Src:        src,
-		Dst:        src.CopyShape(),
+		Dst:        dst,
 		Flags:      flags,
 		Kernel:     k,
-		Boundary:   newBoundarySweep(s, flags),
+		Boundary:   boundary.NewSweep(s.Stencil, flags, s.Config.Boundary),
 		Fluid:      fluid,
 		sweepFlags: denseSweepFlags(choice, flags, fluid),
 	}
-	s.fillUniform(bd)
+	cells := b.Cells
+	if src == nil || !src.SameShape(dst) || src.Stencil != s.Stencil || src.Layout != k.Layout() || src.Window() != win ||
+		src.Nx != cells[0] || src.Ny != cells[1] || src.Nz != cells[2] || src.Ghost != 1 {
+		bd.Src = field.NewPDFFieldWindow(s.Stencil, cells[0], cells[1], cells[2], 1, k.Layout(), win)
+		bd.Dst = bd.Src.CopyShape()
+		s.fillUniform(bd)
+		if src != nil {
+			bd.Src.CopyFrom(src)
+			bd.Dst.CopyFrom(dst)
+		}
+	}
 	return bd, nil
 }
 
@@ -543,11 +535,6 @@ func (s *Simulation) applyInitialState(bd *BlockData) {
 	}
 }
 
-// newBoundarySweep builds the boundary handling of one block.
-func newBoundarySweep(s *Simulation, flags *field.FlagField) *boundary.Sweep {
-	return boundary.NewSweep(s.Stencil, flags, s.Config.Boundary)
-}
-
 // defaultFlags marks all interior cells fluid and ghost layers at the
 // domain boundary (no neighbor, non-periodic) as no-slip walls; ghost
 // layers toward existing neighbors stay fluid (they receive data).
@@ -589,8 +576,9 @@ func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 // Step advances the simulation by one time step, overlapping the
 // ghost-layer exchange with the interior sweeps:
 //
-//  1. post the exchange — pack boundary slabs (on the worker pool), send
-//     them, copy between same-rank blocks, post remote receives;
+//  1. post the exchange — pack the remote boundary slabs (on the worker
+//     pool), send them, post remote receives, copy between same-rank
+//     blocks;
 //  2. sweep the interior blocks (no off-rank neighbors) on the worker
 //     pool while remote data is in flight;
 //  3. complete the exchange — wait for the remote slabs and unpack them
@@ -661,48 +649,24 @@ func (s *Simulation) sweepBlocks(bds []*BlockData) {
 	s.tel.collideNs.Add(int64(cNs))
 }
 
-// rebuildPlan recomputes the exchange plan of the configured mode and the
-// frontier/interior block split; it must run after any change to the
-// block assignment or the neighborhood views (construction, rebalancing,
-// failure recovery).
+// rebuildPlan recomputes the exchange plans and the frontier/interior
+// block split; it must run after any change to the block assignment or the
+// neighborhood views (construction, rebalancing, failure recovery,
+// re-grades).
 //
 // recycleBuffers controls whether the retired aggregate buffers of the
-// previous plan return to the buffer pool. That is safe only when the
+// previous plans return to the buffer pool. That is safe only when the
 // rebuild trigger is collective among every rank that ever read those
 // buffers: the in-process transport delivers sends zero-copy, so a peer's
 // unpack reads alias our send buffers, and repacking a recycled buffer
 // must happen-after those reads. Rebalancing qualifies (it starts with an
-// Alltoall). Failure recovery does NOT — a hung or crashed rank read our
-// buffers and then retired without ever synchronizing again, so its final
-// unpack has no happens-before edge to the recovery rendezvous. Recovery
-// rebuilds must pass false and let the garbage collector take the retired
-// buffers.
+// Alltoall), and so do re-grades (an allgather). Failure recovery does NOT
+// — a hung or crashed rank read our buffers and then retired without ever
+// synchronizing again, so its final unpack has no happens-before edge to
+// the recovery rendezvous. Recovery rebuilds must pass false and let the
+// garbage collector take the retired buffers.
 func (s *Simulation) rebuildPlan(recycleBuffers bool) {
-	if recycleBuffers {
-		releaseAggregateBuffers(s.channels)
-	}
-	s.locals, s.channels, s.plan = nil, nil, nil
-	s.localStats = localCopyStats{}
-	remote := make(map[*BlockData]bool)
-	if s.Config.Exchange == ExchangePerPair {
-		s.plan = buildExchangePlan(s)
-		for i := range s.plan {
-			if s.plan[i].remote {
-				remote[s.plan[i].bd] = true
-			}
-		}
-	} else {
-		s.locals, s.channels, s.localStats = buildAggregatePlan(s)
-		s.buildExchangeClosures()
-		for ci := range s.channels {
-			for _, sl := range s.channels[ci].send {
-				remote[sl.bd] = true
-			}
-			for _, sl := range s.channels[ci].recv {
-				remote[sl.bd] = true
-			}
-		}
-	}
+	remote := s.exchange.build(s, recycleBuffers)
 	s.interior, s.frontier = nil, nil
 	for _, bd := range s.Blocks {
 		if remote[bd] {

@@ -81,21 +81,20 @@ func TestD3Q27ExchangePlanHasCorners(t *testing.T) {
 	f.BalanceMorton(1)
 	comm.Run(1, func(c *comm.Comm) {
 		forest, _ := blockforest.Distribute(c, f)
-		s, err := New(c, forest, Config{
-			Stencil:  lattice.D3Q27(),
-			Kernel:   KernelGenericTRT,
-			Exchange: ExchangePerPair,
+		s, err := newWithExchange(c, forest, Config{
+			Stencil: lattice.D3Q27(),
+			Kernel:  KernelGenericTRT,
 			SetupFlags: func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
 				flags.Fill(field.Fluid)
 			},
-		})
+		}, ExchangePerPair)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// All 26 offsets carry PDFs for D3Q27: 8 blocks x 26 ops.
-		if len(s.plan) != 8*26 {
-			t.Errorf("D3Q27 plan has %d ops, want %d", len(s.plan), 8*26)
+		if n := len(pairOps(s)); n != 8*26 {
+			t.Errorf("D3Q27 plan has %d ops, want %d", n, 8*26)
 		}
 	})
 }

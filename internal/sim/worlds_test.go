@@ -134,9 +134,7 @@ func runEachMode(p *core.Problem, mode sim.ExchangeMode, fn func(c *comm.Comm, s
 		bf, rerr := blockforest.Distribute(c, in)
 		var s *sim.Simulation
 		if rerr == nil {
-			cfg := p.SimConfig()
-			cfg.Exchange = mode
-			s, rerr = sim.New(c, bf, cfg)
+			s, rerr = sim.NewWithExchange(c, bf, p.SimConfig(), mode)
 		}
 		if rerr != nil {
 			mu.Lock()
