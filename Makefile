@@ -7,9 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
-# vet also fails when gofmt would rewrite any file.
+# vet also fails when gofmt would rewrite any file, and vets the arm64
+# build too: off amd64 the split kernels have no assembly rows, and that
+# build must keep compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
@@ -80,7 +83,9 @@ alloc-test:
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus — a
 # regression sweep, not an open-ended hunt: the checkpoint readers, the
-# wire frame decoder, and the sparse interval-list builder.
+# wire frame decoder, the sparse interval-list builder, the AVX2 split
+# rows against the Go rows (bit for bit; skipped on CPUs without AVX2),
+# and the 2:1 grading.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadRankFile -fuzztime 5s ./internal/output/
@@ -88,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/comm/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSparseIntervals -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^Fuzz' -fuzz FuzzSplitRows -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzRegrade -fuzztime 5s ./internal/blockforest/
 
 # chaos-smoke runs the deterministic multi-layer chaos soak uncached

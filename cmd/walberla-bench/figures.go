@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"walberla/internal/core"
+	"walberla/internal/kernels"
 	"walberla/internal/perfmodel"
 	"walberla/internal/scaling"
 	"walberla/internal/setup"
@@ -102,7 +103,7 @@ func figure2() {
 // curves for the six kernels (ranking claim) and modeled curves for the
 // two machines of the paper.
 func figure3() {
-	header("Figure 3 (host measurement): kernel MLUPS vs threads")
+	header("Figure 3 (host measurement): kernel MLUPS vs threads, split rows " + kernels.RowISA())
 	edge, steps := 48, 12
 	if *quick {
 		edge, steps = 32, 4
@@ -413,7 +414,7 @@ func figure8() {
 // sparseAblation benchmarks the three sparse-block strategies of section
 // 4.3 at several fill fractions on the host.
 func sparseAblation() {
-	header("Sparse kernel strategies (section 4.3, host measurement)")
+	header("Sparse kernel strategies (section 4.3, host measurement), interval rows " + kernels.RowISA())
 	edge, steps := 48, 8
 	if *quick {
 		edge, steps = 32, 4

@@ -32,6 +32,7 @@ import (
 	"walberla/internal/blockforest"
 	"walberla/internal/core"
 	"walberla/internal/distance"
+	"walberla/internal/kernels"
 	"walberla/internal/mesh"
 	"walberla/internal/output"
 	"walberla/internal/perfmodel"
@@ -329,6 +330,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "simulation:", out.Metrics)
 	}
 	fmt.Fprintf(stdout, "field hash: %016x\n", out.Hash)
+	fmt.Fprintf(stdout, "split-kernel rows: %s\n", kernels.RowISA())
 	if lead != nil && lead.Workers() > 1 {
 		frontier, interior := lead.BlockSplit()
 		fmt.Fprintf(stdout, "hybrid: workers=%d blocks(frontier/interior)=%d/%d overlap: %v\n",

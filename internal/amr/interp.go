@@ -213,15 +213,20 @@ func (s *Sim) sampleCoarse(src *field.PDFField, F [3]int, out []float64) {
 	w0 := [3]float64{1 - w1[0], 1 - w1[1], 1 - w1[2]}
 	win := src.Window()
 	stored := win.Contains(i0[0], i0[1], i0[2]) && win.Contains(i1[0], i1[1], i1[2])
+	var p0, ds int
+	var off [8]int
+	if stored {
+		p0, ds, off = cornerOffsets(src, i0, i1)
+	}
+	data := src.Data()
 	for a := range out {
 		d := lattice.Direction(a)
 		var c [8]float64 // the corners, x fastest
 		if stored {
+			p := p0 + a*ds
 			c = [8]float64{
-				src.Get(i0[0], i0[1], i0[2], d), src.Get(i1[0], i0[1], i0[2], d),
-				src.Get(i0[0], i1[1], i0[2], d), src.Get(i1[0], i1[1], i0[2], d),
-				src.Get(i0[0], i0[1], i1[2], d), src.Get(i1[0], i0[1], i1[2], d),
-				src.Get(i0[0], i1[1], i1[2], d), src.Get(i1[0], i1[1], i1[2], d),
+				data[p+off[0]], data[p+off[1]], data[p+off[2]], data[p+off[3]],
+				data[p+off[4]], data[p+off[5]], data[p+off[6]], data[p+off[7]],
 			}
 		} else {
 			c = [8]float64{
@@ -238,23 +243,44 @@ func (s *Sim) sampleCoarse(src *field.PDFField, F [3]int, out []float64) {
 	}
 }
 
+// cornerOffsets addresses the eight corners of the stored cell box with
+// low corner lo and high corner hi once for all directions: the corner k
+// (x fastest) of direction a is at p0 + a*ds + off[k] in src.Data().
+func cornerOffsets(src *field.PDFField, lo, hi [3]int) (p0, ds int, off [8]int) {
+	p0 = src.Index(lo[0], lo[1], lo[2], 0)
+	ds = src.Index(lo[0], lo[1], lo[2], 1) - p0
+	sx := src.Index(hi[0], lo[1], lo[2], 0) - p0
+	sy := src.Index(lo[0], hi[1], lo[2], 0) - p0
+	sz := src.Index(lo[0], lo[1], hi[2], 0) - p0
+	return p0, ds, [8]int{0, sx, sy, sx + sy, sz, sx + sz, sy + sz, sx + sy + sz}
+}
+
 // restrictFine averages the aligned 2×2×2 fine cell group with origin
 // F (fine interior coordinates; the group never straddles blocks
 // because cells per block is even).
 func restrictFine(src *field.PDFField, F [3]int, out []float64) {
+	hi := [3]int{F[0] + 1, F[1] + 1, F[2] + 1}
 	win := src.Window()
-	stored := win.Contains(F[0], F[1], F[2]) && win.Contains(F[0]+1, F[1]+1, F[2]+1)
+	if win.Contains(F[0], F[1], F[2]) && win.Contains(hi[0], hi[1], hi[2]) {
+		p0, ds, off := cornerOffsets(src, F, hi)
+		data := src.Data()
+		for a := range out {
+			p := p0 + a*ds
+			v := 0.0
+			for _, o := range off {
+				v += data[p+o]
+			}
+			out[a] = v * 0.125
+		}
+		return
+	}
 	for a := range out {
 		d := lattice.Direction(a)
 		v := 0.0
 		for bz := 0; bz < 2; bz++ {
 			for by := 0; by < 2; by++ {
 				for bx := 0; bx < 2; bx++ {
-					if stored {
-						v += src.Get(F[0]+bx, F[1]+by, F[2]+bz, d)
-					} else {
-						v += src.At(F[0]+bx, F[1]+by, F[2]+bz, d)
-					}
+					v += src.At(F[0]+bx, F[1]+by, F[2]+bz, d)
 				}
 			}
 		}

@@ -113,9 +113,7 @@ func (s *Sim) markOf(b *Block) blockforest.Mark {
 func (s *Sim) criterion(b *Block) float64 {
 	C := s.cfg.Cells
 	st := s.cfg.Stencil
-	n := C[0] * C[1] * C[2]
-	u := make([][3]float64, n)
-	f := make([]float64, st.Q)
+	u, f := s.critU, s.critF
 	idx := func(x, y, z int) int { return (z*C[1]+y)*C[0] + x }
 	src := b.Src
 	stored := src.Window().Covers(field.Window{Hi: C}) // else solid cells read as the fill

@@ -53,6 +53,10 @@ type Sim struct {
 
 	// scratch is per-worker interpolation scratch (Q-vector pairs).
 	scratch []interpScratch
+	// critU and critF are the refinement criterion's per-cell velocities
+	// and PDF vector.
+	critU [][3]float64
+	critF []float64
 }
 
 // Stats accumulates AMR bookkeeping of one rank since construction.
@@ -85,6 +89,8 @@ func New(c *comm.Comm, cfg Config) (*Sim, error) {
 	for i := range s.scratch {
 		s.scratch[i] = newInterpScratch(cfg.Stencil.Q)
 	}
+	s.critU = make([][3]float64, cfg.Cells[0]*cfg.Cells[1]*cfg.Cells[2])
+	s.critF = make([]float64, cfg.Stencil.Q)
 	if err := s.buildInitialForest(); err != nil {
 		return nil, err
 	}

@@ -7,17 +7,17 @@
 //  2. D3Q19-specialized: streaming and collision fused with common
 //     subexpressions eliminated, hard-coded against the D3Q19 ordering
 //     (the paper's "SRT/TRT D3Q19").
-//  3. Split: the SIMD-style kernel — structure-of-arrays layout with the
-//     innermost loop split by direction so that each inner loop touches
-//     only a small number of concurrent load/store streams (the paper's
-//     "SRT/TRT SIMD", there implemented with SSE/AVX/QPX intrinsics; here
-//     the identical code transformation is expressed as contiguous-slice
-//     loops, the shape Go's compiler and hardware prefetchers reward).
+//  3. Split: the SIMD kernel — structure-of-arrays layout, each row of
+//     cells updated by direction from contiguous per-direction arrays (the
+//     paper's "SRT/TRT SIMD", there implemented with SSE/AVX/QPX
+//     intrinsics; here with AVX2 assembly, 4 cells per instruction, on
+//     CPUs that have it, and with the bit-identical Go row elsewhere —
+//     RowISA reports which).
 //
 // In addition the package provides the three sparse-block strategies of
 // section 4.3 for partially fluid-filled blocks: a conditional in the
 // inner loop, a fluid-cell list, and per-row fluid intervals (the
-// vectorizable compressed scheme).
+// compressed scheme, whose runs go through the split kernel's rows).
 //
 // All kernels compute one stream-pull time step
 //

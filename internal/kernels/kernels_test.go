@@ -342,6 +342,22 @@ func TestKernelShapeChecks(t *testing.T) {
 		trt := collide.NewTRT(0.8, collide.MagicParameter)
 		NewSparseConditional(trt).Sweep(src, src.CopyShape(), nil)
 	})
+	// A row pulling from outside its direction's array panics before any
+	// update: the AVX2 rows would read a neighboring direction's array, or
+	// past the allocation, without complaint.
+	soa := field.NewPDFField(lattice.D3Q19(), 8, 4, 4, 1, field.SoA)
+	rows := newDirRows(soa, soa.CopyShape())
+	for _, rw := range []struct {
+		name    string
+		base, n int
+	}{
+		{"row from the first stored cell", 0, 8},
+		{"row past the last line", soa.CellIndex(0, 3, 3), 16},
+		{"row past the allocation", soa.CellIndex(0, 3, 3), 80},
+	} {
+		mustPanic("trt "+rw.name, func() { trtRow(&rows, rw.base, rw.n, -1, -1) })
+		mustPanic("srt "+rw.name, func() { srtRow(&rows, rw.base, rw.n, 1, 0) })
+	}
 }
 
 // TestSplitKernelSharedAcrossGoroutines sweeps ONE kernel value from two

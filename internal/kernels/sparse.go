@@ -274,6 +274,6 @@ func (k *SparseInterval) Sweep(src, dst *field.PDFField, flags *field.FlagField)
 	rows := newDirRows(src, dst)
 	le, lo := k.p.lambdaE, k.p.lambdaO
 	for _, iv := range k.intervals {
-		trtRowSoA(&rows, iv.base, iv.n, le, lo)
+		trtRow(&rows, iv.base, iv.n, le, lo)
 	}
 }

@@ -10,18 +10,19 @@ import (
 // The split kernels are the paper's stage-3 "SIMD" optimization: the PDF
 // field is stored structure-of-arrays (one contiguous array per lattice
 // direction), so a row of cells reads 19 unit-stride load streams and
-// writes 19 unit-stride store streams — the access pattern hardware
-// prefetchers and wide loads reward. The original formulation splits the
-// cell update into per-direction loops with intrinsics; expressed in Go,
-// the fastest equivalent keeps the by-direction streams but fuses the
-// whole update into a single register-resident pass over each row,
-// avoiding the scratch-array traffic a literal loop split would add.
+// writes 19 unit-stride store streams, and 4 neighboring cells of a row
+// fill one 256-bit vector per direction. The update of a row is one fused,
+// register-resident pass — no scratch arrays between per-direction loops.
+// On CPUs with AVX2 the pass runs in assembly, 4 cells per vector
+// instruction, the n%4 cells left of a row in the Go row; elsewhere the Go
+// row does all of it (RowISA says which).
 //
 // The floating-point evaluation order of the update is kept exactly
 // identical to the D3Q19-specialized AoS kernels (same expressions, same
 // shared pair helpers), so a simulation produces bit-identical fields in
 // either layout — the property the distributed layer's cross-layout hash
-// checks rely on.
+// checks rely on. The AVX2 rows evaluate the same expressions without FMA,
+// so they are bit-identical to the Go rows, which stay the reference.
 
 // dirRows caches the per-direction SoA slices of src and dst for a sweep,
 // together with the pull offsets: the pulled value of direction a for the
@@ -30,16 +31,94 @@ type dirRows struct {
 	in   [lattice.Q19][]float64
 	out  [lattice.Q19][]float64
 	offs [lattice.Q19]int
+
+	// The AVX2 rows address the whole SoA arrays: the pulled value of
+	// direction a for cell ci is src[ci+ioff[a]], its update goes to
+	// dst[ci+ooff[a]]. Every pull of the row [base, base+n) stays in its
+	// direction's array exactly when lo <= base and base+n <= hi.
+	src, dst   []float64
+	ioff, ooff [lattice.Q19]int
+	lo, hi     int
 }
 
 func newDirRows(src, dst *field.PDFField) dirRows {
 	var r dirRows
 	r.offs = pullOffsets(src)
+	cells := src.AllocatedCells()
+	r.src, r.dst = src.Data(), dst.Data()
+	r.hi = cells
 	for a := 0; a < lattice.Q19; a++ {
 		r.in[a] = src.DirSlice(lattice.Direction(a))
 		r.out[a] = dst.DirSlice(lattice.Direction(a))
+		r.ioff[a] = a*cells - r.offs[a]
+		r.ooff[a] = a * cells
+		r.lo = max(r.lo, r.offs[a])
+		r.hi = min(r.hi, cells+r.offs[a])
 	}
 	return r
+}
+
+// RowISA names the instruction set the split and interval kernels update
+// their rows with on this CPU: "avx2" or "go" (portable Go, no vector
+// instructions). It is fixed at start-up from CPUID.
+func RowISA() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// checkRow panics unless every pull and store of the row [base, base+n)
+// stays in its direction's array — the bounds check the AVX2 rows, unlike
+// the Go rows' slicing, do not make themselves.
+func (r *dirRows) checkRow(base, n int) {
+	if base < r.lo || base+n > r.hi {
+		panic("kernels: row leaves the field")
+	}
+}
+
+// trtRow updates a row with the AVX2 row where the CPU has one, else with
+// the Go row.
+func trtRow(r *dirRows, base, n int, le, lo float64) {
+	if useAVX2 {
+		trtRowVec(r, base, n, le, lo)
+	} else {
+		trtRowSoA(r, base, n, le, lo)
+	}
+}
+
+// trtRowVec is trtRowSoA in AVX2: assembly for the first n&^3 cells, the
+// Go row for the rest.
+func trtRowVec(r *dirRows, base, n int, le, lo float64) {
+	if m := n &^ 3; m > 0 {
+		r.checkRow(base, n)
+		trtRowAVX2(&r.src[base], &r.dst[base], &r.ioff, &r.ooff, m, le, lo)
+		base, n = base+m, n-m
+	}
+	if n > 0 {
+		trtRowSoA(r, base, n, le, lo)
+	}
+}
+
+// srtRow is trtRow for the SRT collision.
+func srtRow(r *dirRows, base, n int, omega, om1 float64) {
+	if useAVX2 {
+		srtRowVec(r, base, n, omega, om1)
+	} else {
+		srtRowSoA(r, base, n, omega, om1)
+	}
+}
+
+// srtRowVec is trtRowVec for the SRT collision.
+func srtRowVec(r *dirRows, base, n int, omega, om1 float64) {
+	if m := n &^ 3; m > 0 {
+		r.checkRow(base, n)
+		srtRowAVX2(&r.src[base], &r.dst[base], &r.ioff, &r.ooff, m, omega, om1)
+		base, n = base+m, n-m
+	}
+	if n > 0 {
+		srtRowSoA(r, base, n, omega, om1)
+	}
 }
 
 // tileBudget is the per-core cache budget the tiled traversal is sized
@@ -109,7 +188,8 @@ func sweepRows(src *field.PDFField, flags *field.FlagField, tile int, row func(b
 // trtRowSoA applies the fused TRT stream-collide update to n consecutive
 // cells starting at linear index base, reading and writing the
 // by-direction arrays directly. The arithmetic mirrors trtCellAoS
-// expression by expression.
+// expression by expression. It is the reference FuzzSplitRows holds the
+// AVX2 row to, and the only row on CPUs without AVX2.
 func trtRowSoA(r *dirRows, base, n int, le, lo float64) {
 	inC := r.in[lattice.C][base:][:n]
 	inN := r.in[lattice.N][base-r.offs[lattice.N]:][:n]
@@ -309,7 +389,7 @@ func (k *SplitSRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 	omega := k.p.omega
 	om1 := 1.0 - omega
 	sweepRows(src, flags, tileRows(src), func(base, n int) {
-		srtRowSoA(&rows, base, n, omega, om1)
+		srtRow(&rows, base, n, omega, om1)
 	})
 }
 
@@ -340,6 +420,6 @@ func (k *SplitTRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 	rows := newDirRows(src, dst)
 	le, lo := k.p.lambdaE, k.p.lambdaO
 	sweepRows(src, flags, tileRows(src), func(base, n int) {
-		trtRowSoA(&rows, base, n, le, lo)
+		trtRow(&rows, base, n, le, lo)
 	})
 }
