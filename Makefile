@@ -85,7 +85,8 @@ alloc-test:
 # regression sweep, not an open-ended hunt: the checkpoint readers, the
 # wire frame decoder, the sparse interval-list builder, the AVX2 split
 # rows against the Go rows (bit for bit; skipped on CPUs without AVX2),
-# and the 2:1 grading.
+# the D3Q19 moment/equilibrium fast path against the generic stencil
+# loops (bit for bit on finite input) and the 2:1 grading.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadRankFile -fuzztime 5s ./internal/output/
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/comm/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSparseIntervals -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSplitRows -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^Fuzz' -fuzz FuzzStencilD3Q19 -fuzztime 5s ./internal/lattice/
 	$(GO) test -run '^Fuzz' -fuzz FuzzRegrade -fuzztime 5s ./internal/blockforest/
 
 # chaos-smoke runs the deterministic multi-layer chaos soak uncached

@@ -400,7 +400,23 @@ func stepZeroAllocRefined(t *testing.T, traced bool) {
 		if traced && s.tel.driver.Len() == 0 {
 			t.Error("tracing was attached but no spans were recorded")
 		}
+		if n := countSpans(cfg.Tracer, telemetry.PhaseResample); traced && n == 0 {
+			t.Error("a traced refined step recorded no resample spans")
+		}
 	})
+}
+
+// countSpans counts the retained spans of one phase on all lanes of tr.
+func countSpans(tr *telemetry.Tracer, p telemetry.Phase) int {
+	n := 0
+	for _, l := range tr.Lanes() {
+		l.Each(func(sp telemetry.Span) {
+			if sp.Phase == p {
+				n++
+			}
+		})
+	}
+	return n
 }
 
 func TestStepZeroAllocRefined(t *testing.T)       { stepZeroAllocRefined(t, false) }

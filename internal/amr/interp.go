@@ -75,16 +75,31 @@ type lambdaPair struct {
 }
 
 // rescaleNeq rescales the non-equilibrium part of f in place, each
-// direction parity by its own factor.
-func (s *Sim) rescaleNeq(f []float64, lam lambdaPair, sc *interpScratch) {
+// direction parity by its own factor, for the directions dirs only; the
+// other entries of f keep their value. The moments are those of the
+// whole vector, but f_eq is needed only at dirs and their inverses: a
+// ghost pack keeps 5 of 19 directions across a face and 1 across an
+// edge, so unless dirs is the whole stencil the rescale evaluates
+// EquilibriumDir there instead of the full Equilibrium — the same
+// expression, so the same bits.
+func (s *Sim) rescaleNeq(f []float64, dirs []lattice.Direction, lam lambdaPair, sc *interpScratch) {
 	st := s.cfg.Stencil
 	rho, ux, uy, uz := st.Moments(f)
-	st.Equilibrium(sc.feq, rho, ux, uy, uz)
-	for a := range f {
-		sc.neq[a] = f[a] - sc.feq[a]
+	if len(dirs) == st.Q {
+		st.Equilibrium(sc.feq, rho, ux, uy, uz)
+		for a := range f {
+			sc.neq[a] = f[a] - sc.feq[a]
+		}
+	} else {
+		for _, a := range dirs {
+			ab := st.Inv[a]
+			sc.feq[a] = st.EquilibriumDir(a, rho, ux, uy, uz)
+			sc.neq[a] = f[a] - sc.feq[a]
+			sc.neq[ab] = f[ab] - st.EquilibriumDir(ab, rho, ux, uy, uz)
+		}
 	}
-	for a := range f {
-		ab := int(st.Inv[a])
+	for _, a := range dirs {
+		ab := st.Inv[a]
 		p := 0.5 * (sc.neq[a] + sc.neq[ab])
 		m := 0.5 * (sc.neq[a] - sc.neq[ab])
 		f[a] = sc.feq[a] + lam.even*p + lam.odd*m
@@ -129,50 +144,73 @@ func (s *Sim) lambdaToCoarse(fineLevel int) lambdaPair {
 // pre-sweep state sits in Dst and its post-sweep state in Src — phase 0
 // (first half of the parent interval) reads Dst, phase 1 the midpoint
 // average ½(Dst+Src), linear temporal interpolation.
+//
+// Nothing writes the coarse fields between the two phases — only finer
+// levels run, and their exchanges write only their own ghosts — so phase
+// 0 keeps its raw Dst samples in the transfer's memo, stamped with the
+// sender level's sweep count, and phase 1 samples only Src. A phase 1
+// that finds another stamp samples Dst again.
 type resampler struct{ *Sim }
 
 func (r resampler) Resample(t *sim.Transfer, buf []float64, worker int) {
 	s, level := r.Sim, int(t.Src.Block.ID.Level)
 	vol := (t.Hi[0] - t.Lo[0]) * (t.Hi[1] - t.Lo[1]) * (t.Hi[2] - t.Lo[2])
-	src, src2, lam := t.Src.Src, (*field.PDFField)(nil), s.lambdaToCoarse(level)
+	src, src2, memo, lam := t.Src.Src, (*field.PDFField)(nil), []float64(nil), s.lambdaToCoarse(level)
 	if t.ToFiner {
 		src, lam = t.Src.Dst, s.lambdaToFine(level+1)
-		if s.phase == 1 {
+		switch sweeps := s.plane.LevelSweeps(level); {
+		case s.phase == 0:
+			memo, t.MemoStamp = t.Memo, sweeps
+		case t.MemoStamp == sweeps:
+			memo, src2 = t.Memo, t.Src.Src
+		default:
 			src2 = t.Src.Src
 		}
 	}
-	s.transfer(t.ToFiner, src, src2, t.Lo, t.Hi, t.Base, lam, &s.scratch[worker], func(ci int, _ [3]int, f []float64) {
+	s.transfer(t, src, src2, memo, lam, &s.scratch[worker], func(ci int, _ [3]int, f []float64) {
 		for di, a := range t.Dirs {
 			buf[di*vol+ci] = f[a]
 		}
 	})
 }
 
-// transfer is the loop of all three operators: for every cell p of the
-// receiver box [lo, hi), in slab order (ci counts them), the receiver's
-// PDF vector — sampled at cell p+base of the coarse src's 2× subdivision
-// (averaged with the sample of src2, if set) when prolonging, the 2×2×2
-// group of the fine src at 2p+base otherwise — rescaled by lam and handed
-// to put.
-func (s *Sim) transfer(prolong bool, src, src2 *field.PDFField, lo, hi, base [3]int, lam lambdaPair, sc *interpScratch, put func(ci int, p [3]int, f []float64)) {
+// transfer is the loop of all three operators: for every cell p of t's
+// receiver box [Lo, Hi), in slab order (ci counts them), the receiver's
+// PDF vector — sampled at cell p+Base of the coarse src's 2× subdivision
+// (averaged with the sample of src2, if set) when t prolongs, the 2×2×2
+// group of the fine src at 2p+Base otherwise — rescaled by lam at t.Dirs
+// and handed to put. memo, if set, holds the raw samples of src, Q
+// values per cell: a prolongation without src2 writes them, one with
+// src2 reads them instead of sampling src.
+func (s *Sim) transfer(t *sim.Transfer, src, src2 *field.PDFField, memo []float64, lam lambdaPair, sc *interpScratch, put func(ci int, p [3]int, f []float64)) {
+	q := len(sc.f)
+	lo, hi, base := t.Lo, t.Hi, t.Base
 	ci := 0
 	for z := lo[2]; z < hi[2]; z++ {
 		for y := lo[1]; y < hi[1]; y++ {
 			for x := lo[0]; x < hi[0]; x++ {
 				F := [3]int{x + base[0], y + base[1], z + base[2]}
+				var m []float64
+				if memo != nil {
+					m = memo[ci*q : (ci+1)*q]
+				}
 				switch {
-				case !prolong:
+				case !t.ToFiner:
 					restrictFine(src, [3]int{F[0] + x, F[1] + y, F[2] + z}, sc.f)
 				case src2 == nil:
 					s.sampleCoarse(src, F, sc.f)
+					copy(m, sc.f)
 				default:
-					s.sampleCoarse(src, F, sc.f)
+					if m == nil {
+						s.sampleCoarse(src, F, sc.f)
+						m = sc.f
+					}
 					s.sampleCoarse(src2, F, sc.f2)
 					for a := range sc.f {
-						sc.f[a] = 0.5 * (sc.f[a] + sc.f2[a])
+						sc.f[a] = 0.5 * (m[a] + sc.f2[a])
 					}
 				}
-				s.rescaleNeq(sc.f, lam, sc)
+				s.rescaleNeq(sc.f, t.Dirs, lam, sc)
 				put(ci, [3]int{x, y, z}, sc.f)
 				ci++
 			}
@@ -293,8 +331,9 @@ func restrictFine(src *field.PDFField, F [3]int, out []float64) {
 // level.
 func (s *Sim) prolongBlock(parent *field.PDFField, oct int, fineLevel int, child *field.PDFField, sc *interpScratch) {
 	C := s.cfg.Cells
-	org := [3]int{(oct & 1) * C[0], (oct >> 1 & 1) * C[1], (oct >> 2 & 1) * C[2]}
-	s.transfer(true, parent, nil, [3]int{}, C, org, s.lambdaToFine(fineLevel), sc, func(_ int, p [3]int, f []float64) {
+	t := sim.Transfer{ToFiner: true, Hi: C, Dirs: s.allDirs,
+		Base: [3]int{(oct & 1) * C[0], (oct >> 1 & 1) * C[1], (oct >> 2 & 1) * C[2]}}
+	s.transfer(&t, parent, nil, nil, s.lambdaToFine(fineLevel), sc, func(_ int, p [3]int, f []float64) {
 		setCell(child, p, f)
 	})
 }
@@ -304,9 +343,11 @@ func (s *Sim) prolongBlock(parent *field.PDFField, oct int, fineLevel int, child
 func (s *Sim) restrictBlock(child *field.PDFField, oct int, fineLevel int, parent *field.PDFField, sc *interpScratch) {
 	C := s.cfg.Cells
 	org := [3]int{(oct & 1) * C[0] / 2, (oct >> 1 & 1) * C[1] / 2, (oct >> 2 & 1) * C[2] / 2}
-	hi := [3]int{org[0] + C[0]/2, org[1] + C[1]/2, org[2] + C[2]/2}
-	s.transfer(false, child, nil, org, hi, [3]int{-2 * org[0], -2 * org[1], -2 * org[2]}, s.lambdaToCoarse(fineLevel), sc,
-		func(_ int, p [3]int, f []float64) { setCell(parent, p, f) })
+	t := sim.Transfer{Lo: org, Hi: [3]int{org[0] + C[0]/2, org[1] + C[1]/2, org[2] + C[2]/2},
+		Base: [3]int{-2 * org[0], -2 * org[1], -2 * org[2]}, Dirs: s.allDirs}
+	s.transfer(&t, child, nil, nil, s.lambdaToCoarse(fineLevel), sc, func(_ int, p [3]int, f []float64) {
+		setCell(parent, p, f)
+	})
 }
 
 // setCell stores a PDF vector at an interior cell of f if its window holds

@@ -109,71 +109,96 @@ func (s *Sim) markOf(b *Block) blockforest.Mark {
 // criterion computes the block's flow criterion in physical units: the
 // maximum over interior cells of the velocity-gradient Frobenius norm
 // or the vorticity magnitude, with lattice differences rescaled by the
-// level's 1/h = 2^ℓ.
+// level's 1/h = 2^ℓ. It maximizes the squared norm and takes one square
+// root per block: sqrt is monotone and correctly rounded and 2^ℓ scales
+// exactly, so that is the maximum of the per-cell norms bit for bit (a
+// NaN cell never wins either comparison).
 func (s *Sim) criterion(b *Block) float64 {
 	C := s.cfg.Cells
 	st := s.cfg.Stencil
 	u, f := s.critU, s.critF
-	idx := func(x, y, z int) int { return (z*C[1]+y)*C[0] + x }
 	src := b.Src
-	stored := src.Window().Covers(field.Window{Hi: C}) // else solid cells read as the fill
+	// Storage holds the whole interior unless the leaf has solid cells (and
+	// no per-cell initial state); then the cells outside read as the fill.
+	stored := src.Window().Covers(field.Window{Hi: C})
+	data := src.Data()
+	var ds, xs int
+	if stored {
+		p0 := src.Index(0, 0, 0, 0)
+		ds, xs = src.Index(0, 0, 0, 1)-p0, src.Index(1, 0, 0, 0)-p0
+	}
+	i := 0
 	for z := 0; z < C[2]; z++ {
 		for y := 0; y < C[1]; y++ {
+			p := 0
+			if stored {
+				p = src.Index(0, y, z, 0)
+			}
 			for x := 0; x < C[0]; x++ {
-				for a := 0; stored && a < st.Q; a++ {
-					f[a] = src.Get(x, y, z, lattice.Direction(a))
-				}
-				for a := 0; !stored && a < st.Q; a++ {
-					f[a] = src.At(x, y, z, lattice.Direction(a))
+				if stored {
+					for a := range f {
+						f[a] = data[p+a*ds]
+					}
+					p += xs
+				} else {
+					for a := range f {
+						f[a] = src.At(x, y, z, lattice.Direction(a))
+					}
 				}
 				_, ux, uy, uz := st.Moments(f)
-				u[idx(x, y, z)] = [3]float64{ux, uy, uz}
+				u[i] = [3]float64{ux, uy, uz}
+				i++
 			}
 		}
 	}
 	// One-sided differences at block edges, central inside; ghost
 	// moments are never read, so the criterion is a pure function of
 	// the block's interior state.
-	diff := func(x, y, z, axis, comp int) float64 {
-		lo, hi := [3]int{x, y, z}, [3]int{x, y, z}
-		if lo[axis] > 0 {
-			lo[axis]--
-		}
-		if hi[axis] < C[axis]-1 {
-			hi[axis]++
-		}
-		if lo[axis] == hi[axis] {
-			return 0
-		}
-		d := u[idx(hi[0], hi[1], hi[2])][comp] - u[idx(lo[0], lo[1], lo[2])][comp]
-		return d / float64(hi[axis]-lo[axis])
-	}
-	h := float64(int(1) << uint(b.Level())) // 1/h: physical gradients
-	var maxCrit float64
+	stride := [3]int{1, C[0], C[0] * C[1]}
+	vorticity := s.cfg.Refinement.Criterion == CriterionVorticity
+	var maxSq float64
+	i = 0
 	for z := 0; z < C[2]; z++ {
 		for y := 0; y < C[1]; y++ {
 			for x := 0; x < C[0]; x++ {
-				var crit float64
-				if s.cfg.Refinement.Criterion == CriterionVorticity {
-					wx := diff(x, y, z, 1, 2) - diff(x, y, z, 2, 1)
-					wy := diff(x, y, z, 2, 0) - diff(x, y, z, 0, 2)
-					wz := diff(x, y, z, 0, 1) - diff(x, y, z, 1, 0)
-					crit = math.Sqrt(wx*wx + wy*wy + wz*wz)
+				c := [3]int{x, y, z}
+				var g [3][3]float64 // g[axis][comp]: ∂u_comp/∂x_axis in lattice units
+				for axis := 0; axis < 3; axis++ {
+					lo, hi, n := i, i, 0
+					if c[axis] > 0 {
+						lo -= stride[axis]
+						n++
+					}
+					if c[axis] < C[axis]-1 {
+						hi += stride[axis]
+						n++
+					}
+					if n == 0 {
+						continue
+					}
+					for comp := 0; comp < 3; comp++ {
+						g[axis][comp] = (u[hi][comp] - u[lo][comp]) / float64(n)
+					}
+				}
+				var sq float64
+				if vorticity {
+					wx := g[1][2] - g[2][1]
+					wy := g[2][0] - g[0][2]
+					wz := g[0][1] - g[1][0]
+					sq = wx*wx + wy*wy + wz*wz
 				} else {
-					var sum float64
 					for axis := 0; axis < 3; axis++ {
 						for comp := 0; comp < 3; comp++ {
-							d := diff(x, y, z, axis, comp)
-							sum += d * d
+							sq += g[axis][comp] * g[axis][comp]
 						}
 					}
-					crit = math.Sqrt(sum)
 				}
-				if crit *= h; crit > maxCrit {
-					maxCrit = crit
+				if sq > maxSq {
+					maxSq = sq
 				}
+				i++
 			}
 		}
 	}
-	return maxCrit
+	return math.Sqrt(maxSq) * float64(int(1)<<uint(b.Level()))
 }

@@ -51,8 +51,11 @@ type Sim struct {
 	tel   amrTel
 	stats Stats
 
-	// scratch is per-worker interpolation scratch (Q-vector pairs).
+	// scratch is per-worker interpolation scratch (Q-vector pairs);
+	// allDirs lists every direction of the stencil, the output of the
+	// whole-block transfers.
 	scratch []interpScratch
+	allDirs []lattice.Direction
 	// critU and critF are the refinement criterion's per-cell velocities
 	// and PDF vector.
 	critU [][3]float64
@@ -88,6 +91,9 @@ func New(c *comm.Comm, cfg Config) (*Sim, error) {
 	s.scratch = make([]interpScratch, plane.Workers())
 	for i := range s.scratch {
 		s.scratch[i] = newInterpScratch(cfg.Stencil.Q)
+	}
+	for a := 0; a < cfg.Stencil.Q; a++ {
+		s.allDirs = append(s.allDirs, lattice.Direction(a))
 	}
 	s.critU = make([][3]float64, cfg.Cells[0]*cfg.Cells[1]*cfg.Cells[2])
 	s.critF = make([]float64, cfg.Stencil.Q)

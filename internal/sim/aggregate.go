@@ -414,7 +414,10 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 				if w != wn {
 					reg = ghostBox(blk.Cells, o, neg(rel), w, wn)
 					x = &Transfer{Src: bd, ToFiner: w > wn, Lo: reg.lo, Hi: reg.hi, Dirs: dirs,
-						Base: [3]int{rel[0] * blk.Cells[0], rel[1] * blk.Cells[1], rel[2] * blk.Cells[2]}}
+						Base: [3]int{rel[0] * blk.Cells[0], rel[1] * blk.Cells[1], rel[2] * blk.Cells[2]}, MemoStamp: -1}
+					if x.ToFiner {
+						x.Memo = make([]float64, reg.cells()*s.Stencil.Q)
+					}
 				}
 				peer := byID[n.ID]
 				if n.Rank == me && peer == nil {
@@ -580,12 +583,14 @@ func (s *Simulation) bindTasks(p *plan) {
 		ch := &p.channels[t.chIdx]
 		sl := &ch.send[t.slabIdx]
 		buf := ch.bufs[ch.parity][sl.off : sl.off+sl.n] // the own rank's channel keeps parity 0
+		phase := telemetry.PhasePack
 		if sl.x != nil {
 			s.resample.Resample(sl.x, buf, worker)
+			phase = telemetry.PhaseResample
 		} else if n := sl.bd.Src.PackRegion(buf, sl.reg.lo, sl.reg.hi, sl.dirs); n != sl.n {
 			panic(fmt.Sprintf("sim: packed %d of %d values", n, sl.n))
 		}
-		lane.Span(telemetry.PhasePack, s.steps, int32(i), start)
+		lane.Span(phase, s.steps, int32(i), start)
 	}
 	p.localFn = func(worker, i int) { p.packFn(worker, p.remotePacks+i) }
 	p.unpackFn = func(worker, i int) {

@@ -112,6 +112,16 @@ func TestStepZeroAllocTraced(t *testing.T) {
 		if s.Tracer().Driver().Len() == 0 {
 			t.Error("tracing was attached but no spans were recorded")
 		}
+		// A uniform world has no transfers between levels: its packs are
+		// all plain slabs.
+		phases := map[telemetry.Phase]int{}
+		for _, l := range s.Tracer().Lanes() {
+			l.Each(func(sp telemetry.Span) { phases[sp.Phase]++ })
+		}
+		if phases[telemetry.PhasePack] == 0 || phases[telemetry.PhaseResample] != 0 {
+			t.Errorf("uniform step recorded %d pack and %d resample spans, want some and none",
+				phases[telemetry.PhasePack], phases[telemetry.PhaseResample])
+		}
 	})
 }
 

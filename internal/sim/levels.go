@@ -28,12 +28,19 @@ type Transfer struct {
 	// is the origin of a 2×2×2 group of Src's interior cells.
 	Base [3]int
 	Dirs []lattice.Direction
+	// Memo, on a transfer to a finer level, is the Resampler's to keep one
+	// PDF vector per cell of the box (Q values each, in box order) from one
+	// exchange to a later one; MemoStamp is what it last stamped Memo with,
+	// -1 before the first stamp. Both are allocated with the plan and die
+	// with it. A transfer to a coarser level has none.
+	Memo      []float64
+	MemoStamp int
 }
 
 // Resampler computes transfers between levels. Resample writes the payload
 // of t into buf (len(t.Dirs) values per cell of the box); worker is the
 // pool worker running it, for per-worker scratch. Concurrent calls read
-// only the interiors of their sources.
+// only the interiors of their sources and write only their own transfer.
 type Resampler interface {
 	Resample(t *Transfer, buf []float64, worker int)
 }
@@ -61,6 +68,7 @@ func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler, recycleBuffers 
 		}
 		s.levelBlocks[l] = append(s.levelBlocks[l], bd)
 	}
+	s.levelSweeps = make([]int, len(s.levelBlocks))
 	s.rebuildPlan(recycleBuffers)
 }
 
@@ -90,6 +98,17 @@ func (s *Simulation) SweepLevel(level int) {
 	for _, bd := range bds {
 		field.Swap(bd.Src, bd.Dst)
 	}
+	s.levelSweeps[level]++
+}
+
+// LevelSweeps returns the number of SweepLevel calls on one level since
+// the last SetBlocks. While the world steps only these sweeps write the
+// level's fields, so the count stamps state derived from them.
+func (s *Simulation) LevelSweeps(level int) int {
+	if level >= len(s.levelSweeps) {
+		return 0
+	}
+	return s.levelSweeps[level]
 }
 
 // Level geometry. 2:1 grading keeps neighbors within one level, so in the

@@ -333,10 +333,12 @@ type Simulation struct {
 	// levels holds the exchange plan of every level present (aggregate.go),
 	// one for a uniform world; exchange runs the uniform step's exchange on
 	// it (the tests swap in their per-pair oracle). A refined world adds
-	// its blocks per level and its Resampler (levels.go).
+	// its blocks per level, their sweep counts and its Resampler
+	// (levels.go).
 	levels      []plan
 	exchange    exchanger
 	levelBlocks [][]*BlockData
+	levelSweeps []int
 	resample    Resampler
 
 	// Hybrid execution state: the worker pool, the frontier/interior

@@ -63,6 +63,11 @@ const (
 	PhaseUnpack
 	// PhaseLocalCopy is one task of same-rank block-to-block ghost copies.
 	PhaseLocalCopy
+	// PhaseResample is one pack task of a transfer between refinement
+	// levels on a worker lane: the sender's interpolation (or restriction)
+	// and rescale at the receiver's resolution, the arithmetic part of an
+	// AMR exchange.
+	PhaseResample
 	// PhaseSend is one point-to-point send, including any backpressure
 	// wait on a depth-bounded destination mailbox. Arg is the destination
 	// world rank.
@@ -151,6 +156,7 @@ var phaseTable = [NumPhases]phaseInfo{
 	PhasePack:          {name: "pack", argName: "task"},
 	PhaseUnpack:        {name: "unpack", argName: "task"},
 	PhaseLocalCopy:     {name: "local-copy", argName: "task"},
+	PhaseResample:      {name: "resample", argName: "task"},
 	PhaseSend:          {name: "send", argName: "peer"},
 	PhaseRecv:          {name: "recv", argName: "peer"},
 	PhaseBarrier:       {name: "barrier"},
