@@ -86,7 +86,10 @@ alloc-test:
 # wire frame decoder, the sparse interval-list builder, the AVX2 split
 # rows against the Go rows (bit for bit; skipped on CPUs without AVX2),
 # the D3Q19 moment/equilibrium fast path against the generic stencil
-# loops (bit for bit on finite input) and the 2:1 grading.
+# loops (bit for bit on finite input), the 2:1 grading, and the pruned
+# signed-distance queries against the unpruned searches (the plane-bound
+# nearest-triangle walk and the nearest-component-first union: same
+# triangle, bits, feature and color).
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadRankFile -fuzztime 5s ./internal/output/
@@ -97,6 +100,8 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzSplitRows -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzStencilD3Q19 -fuzztime 5s ./internal/lattice/
 	$(GO) test -run '^Fuzz' -fuzz FuzzRegrade -fuzztime 5s ./internal/blockforest/
+	$(GO) test -run '^Fuzz' -fuzz FuzzNearest -fuzztime 5s ./internal/distance/
+	$(GO) test -run '^Fuzz' -fuzz FuzzUnionSignedColor -fuzztime 5s ./internal/distance/
 
 # chaos-smoke runs the deterministic multi-layer chaos soak uncached
 # under the race detector: seeded frame drop/corruption/delay/sever, rank

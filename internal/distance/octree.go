@@ -9,10 +9,16 @@ import (
 
 // Octree spatially subdivides the triangle set of a mesh (Payne and Toga)
 // so that nearest-triangle queries prune whole subtrees by comparing the
-// current best distance against the distance to a node's bounding box.
+// current best distance against the distance to a node's bounding box,
+// and single triangles against the distance to their plane.
 type Octree struct {
 	m    *mesh.Mesh
 	root *octreeNode
+	// planes[t] is the plane of triangle t; see Nearest.
+	planes []plane
+	// planeAbs is the absolute margin of the plane test: planeAbsMargin
+	// times the largest coordinate magnitude of the mesh.
+	planeAbs float64
 	// stats
 	nodes, leaves int
 }
@@ -24,6 +30,14 @@ type octreeNode struct {
 	leaf     bool
 }
 
+// plane is a triangle's unit normal n and offset n·a: |n·p − off| is the
+// distance of p to the triangle's plane, a lower bound of its distance to
+// the triangle. The zero plane bounds nothing and never prunes.
+type plane struct {
+	n   [3]float64
+	off float64
+}
+
 // Build parameters: leaves hold at most maxLeafTris triangles unless depth
 // exceeds maxDepth.
 const (
@@ -31,10 +45,31 @@ const (
 	maxDepth    = 12
 )
 
+// Margins of the plane test. The computed plane distance and the computed
+// point–triangle distance each differ from the exact ones by a few unit
+// roundoffs (2^-53) of the coordinates' magnitude — of the mesh's near it,
+// of p's far from it, where the distance itself is that large. The margins
+// are 2^13 roundoffs of the mesh's largest coordinate magnitude on
+// distances and 2^23 roundoffs on squared distances: thousands of times
+// the error either way.
+const (
+	planeAbsMargin = 0x1p-40
+	planeRelMargin = 0x1p-30
+)
+
 // NewOctree builds the triangle octree of a mesh.
 func NewOctree(m *mesh.Mesh) *Octree {
 	o := &Octree{m: m}
 	bounds := m.Bounds()
+	var scale float64
+	for i := 0; i < 3; i++ {
+		scale = math.Max(scale, math.Max(math.Abs(bounds.Min[i]), math.Abs(bounds.Max[i])))
+	}
+	o.planeAbs = planeAbsMargin * scale
+	o.planes = make([]plane, m.TriangleCount())
+	for t := range o.planes {
+		o.planes[t] = o.trianglePlane(t)
+	}
 	// Expand slightly so every triangle is strictly interior (guards
 	// against degenerate flat domains).
 	eps := 1e-9 + 1e-9*mesh.Norm(mesh.Sub(bounds.Max, bounds.Min))
@@ -48,6 +83,22 @@ func NewOctree(m *mesh.Mesh) *Octree {
 	}
 	o.root = o.build(bounds, all, 0)
 	return o
+}
+
+// trianglePlane returns the plane of triangle t, or the zero plane when
+// the triangle is degenerate: no normal, or a computed normal (a sliver's
+// may be far off) that does not hold all three corners within half the
+// absolute margin.
+func (o *Octree) trianglePlane(t int) plane {
+	a, b, c := o.m.TriangleVertices(t)
+	n := o.m.UnitNormal(t)
+	pl := plane{n: n, off: mesh.Dot(n, a)}
+	for _, v := range [2][3]float64{b, c} {
+		if !(math.Abs(mesh.Dot(n, v)-pl.off) <= o.planeAbs/2) {
+			return plane{}
+		}
+	}
+	return pl
 }
 
 // triBounds returns the bounding box of triangle t.
@@ -137,6 +188,23 @@ func distSqToBox(p [3]float64, b blockforest.AABB) float64 {
 // Nearest returns the triangle of the mesh closest to p, the closest point
 // on it, the squared distance and the closest feature — the arg-min
 // triangle t̂(p) of equation (11).
+//
+// The walk visits children nearest-box-first, skips a node whose box is
+// not nearer than the best squared distance found so far, and takes a
+// triangle only if it is strictly nearer; the result is the first
+// minimiser in that traversal order. Before its exact test a triangle is
+// skipped when its plane is farther away, with margins:
+//
+//	(|n·p − n·a| − planeAbs)² > best·(1 + planeRelMargin).
+//
+// The plane distance lower-bounds the distance to the triangle, and the
+// margins exceed the rounding error of both computed distances, so a
+// skipped triangle's computed squared distance is not below best: it could
+// never have passed the strict d < best. The boxes, the child order and
+// the in-node triangle order are those of the unpruned walk, so the result
+// is the same first minimiser — the same triangle, the same closest and
+// distSq bits and the same feature, hence the same pseudonormal sign and
+// color.
 func (o *Octree) Nearest(p [3]float64) (tri int, closest [3]float64, distSq float64, feat Feature) {
 	best := math.Inf(1)
 	var bestTri int = -1
@@ -148,6 +216,11 @@ func (o *Octree) Nearest(p [3]float64) (tri int, closest [3]float64, distSq floa
 			return
 		}
 		for _, t := range n.tris {
+			pl := &o.planes[t]
+			h := math.Abs(pl.n[0]*p[0]+pl.n[1]*p[1]+pl.n[2]*p[2]-pl.off) - o.planeAbs
+			if h > 0 && h*h > best*(1+planeRelMargin) {
+				continue
+			}
 			a, b, c := o.m.TriangleVertices(int(t))
 			d, q, f := PointTriangleDistSq(p, a, b, c)
 			if d < best {

@@ -4,6 +4,17 @@
 // the sign computed from angle-weighted pseudonormals (Bærentzen-Aanæs)
 // of the closest feature, and an octree over the triangle set
 // (Payne-Toga) reducing the number of point-triangle distances evaluated.
+//
+// Set-up runs hundreds of thousands of queries per block forest, so both
+// searches prune more than the octree alone: Octree.Nearest skips a
+// triangle whose plane is farther than the best distance found so far
+// (with margins above the rounding error), and Union searches the
+// component with the nearest box first. Neither changes the answer: the
+// walk returns the same first minimiser of the unpruned traversal — same
+// triangle, closest point and distance bits, feature, sign and color —
+// and the union the value and color of its lowest-index minimiser, as the
+// index-order scan does (see Octree.Nearest and Union for the arguments;
+// the unpruned searches live on in the tests as the oracle).
 package distance
 
 import (

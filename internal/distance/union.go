@@ -36,6 +36,19 @@ var _ SDF = (*Union)(nil)
 // is a lower bound inside overlap regions. Component bounding boxes prune
 // evaluations: a component whose box is farther away than the current best
 // distance cannot improve the minimum.
+//
+// Signed and ClosestTriangleColor return the value and color of the
+// lowest-index minimiser. The search starts at the component whose box is
+// nearest to p, which usually holds the minimiser, so that its value
+// prunes most of the others; the rest follow in index order. While best ≥ 0
+// a component is skipped if its box distance exceeds best, or equals it
+// and its index is above the current minimiser's: outside its box phi_i is
+// at least the box distance, so it could neither beat nor tie-break the
+// minimiser. Once best < 0 only components whose box contains p can go
+// deeper. A value replaces the minimiser if it is smaller, or equal at a
+// lower index. So no skipped component is the lowest-index minimiser, and
+// the result is that minimiser whatever the visiting order — what the
+// index-order scan returns.
 type Union struct {
 	components []SDF
 	boxes      []blockforest.AABB
@@ -78,14 +91,25 @@ type colored interface {
 }
 
 // signedColor returns the union value and the color of the surface element
-// nearest to p in the minimizing component.
+// nearest to p in the minimizing component; see Union for the order.
 func (u *Union) signedColor(p [3]float64) (float64, mesh.Color) {
+	first, firstDist := 0, distSqToBox(p, u.boxes[0])
+	for i := 1; i < len(u.boxes); i++ {
+		if d := distSqToBox(p, u.boxes[i]); d < firstDist {
+			first, firstDist = i, d
+		}
+	}
 	best := math.Inf(1)
 	arg := -1
 	color, known := mesh.ColorWall, true
-	for i, c := range u.components {
-		// A component cannot beat the current best if even its bounding
-		// box is farther away (box distance lower-bounds |phi_i| outside).
+	// k = -1 visits the nearest component, then k runs over the others.
+	for k := -1; k < len(u.components); k++ {
+		i := k
+		if k < 0 {
+			i = first
+		} else if k == first {
+			continue
+		}
 		if arg >= 0 && best < 0 {
 			// Already inside some component; a component can only deepen
 			// the minimum if p is inside it, i.e. p must be in its box.
@@ -93,19 +117,19 @@ func (u *Union) signedColor(p [3]float64) (float64, mesh.Color) {
 				continue
 			}
 		} else if arg >= 0 {
-			if d := math.Sqrt(distSqToBox(p, u.boxes[i])); d >= best {
+			if d := math.Sqrt(distSqToBox(p, u.boxes[i])); d > best || d == best && i > arg {
 				continue
 			}
 		}
 		var v float64
 		var col mesh.Color
-		cc, ok := c.(colored)
+		cc, ok := u.components[i].(colored)
 		if ok {
 			v, col = cc.signedColor(p)
 		} else {
-			v = c.Signed(p)
+			v = u.components[i].Signed(p)
 		}
-		if v < best {
+		if v < best || v == best && i < arg {
 			best, arg, color, known = v, i, col, ok
 		}
 	}

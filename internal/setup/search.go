@@ -3,6 +3,7 @@ package setup
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/distance"
@@ -18,24 +19,22 @@ import (
 // with the most blocks that does not exceed the target.
 
 // countBlocksAtDx classifies the grid at resolution dx and returns the
-// number of blocks required by the simulation.
+// number of blocks required by the simulation. Blocks are classified on
+// GOMAXPROCS goroutines, as in BuildForest; the count does not depend on
+// the order.
 func countBlocksAtDx(sdf distance.SDF, cells [3]int, dx float64) int {
 	grid, domain := GridForDx(sdf.Bounds(), cells, dx)
-	n := 0
-	for k := 0; k < grid[2]; k++ {
-		for j := 0; j < grid[1]; j++ {
-			for i := 0; i < grid[0]; i++ {
-				b := blockAABB(domain, grid, cells, [3]int{i, j, k})
-				if geometry.BlockIntersectsDomain(sdf, b, cells) {
-					n++
-				}
-			}
+	var n atomic.Int64
+	forEach(grid[0]*grid[1]*grid[2], func(i int) {
+		c := [3]int{i % grid[0], i / grid[0] % grid[1], i / (grid[0] * grid[1])}
+		if geometry.BlockIntersectsDomain(sdf, blockAABB(domain, grid, c), cells) {
+			n.Add(1)
 		}
-	}
-	return n
+	})
+	return int(n.Load())
 }
 
-func blockAABB(domain blockforest.AABB, grid, cells [3]int, c [3]int) blockforest.AABB {
+func blockAABB(domain blockforest.AABB, grid, c [3]int) blockforest.AABB {
 	s := domain.Size()
 	var b blockforest.AABB
 	for d := 0; d < 3; d++ {
@@ -43,7 +42,6 @@ func blockAABB(domain blockforest.AABB, grid, cells [3]int, c [3]int) blockfores
 		b.Min[d] = domain.Min[d] + float64(c[d])*w
 		b.Max[d] = domain.Min[d] + float64(c[d]+1)*w
 	}
-	_ = cells
 	return b
 }
 

@@ -43,71 +43,6 @@ func GridForDx(bounds blockforest.AABB, cells [3]int, dx float64) (grid [3]int, 
 	return grid, domain
 }
 
-// CountInsideCells counts the lattice cell centers of a block that lie
-// inside the domain, using the same recursive region pruning as the
-// voxelization (far cheaper than testing every cell).
-func CountInsideCells(sdf distance.SDF, block blockforest.AABB, cells [3]int) int {
-	dx := [3]float64{
-		(block.Max[0] - block.Min[0]) / float64(cells[0]),
-		(block.Max[1] - block.Min[1]) / float64(cells[1]),
-		(block.Max[2] - block.Min[2]) / float64(cells[2]),
-	}
-	return countRegion(sdf, block, dx, [3]int{0, 0, 0}, cells)
-}
-
-func countRegion(sdf distance.SDF, block blockforest.AABB, dx [3]float64, lo, hi [3]int) int {
-	nx, ny, nz := hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		return 0
-	}
-	region := centerRegion(block, dx, lo, hi)
-	switch geometry.ClassifyAABB(sdf, region) {
-	case geometry.RegionOutside:
-		return 0
-	case geometry.RegionInside:
-		return nx * ny * nz
-	}
-	if nx*ny*nz <= 8 {
-		n := 0
-		for z := lo[2]; z < hi[2]; z++ {
-			for y := lo[1]; y < hi[1]; y++ {
-				for x := lo[0]; x < hi[0]; x++ {
-					p := [3]float64{
-						block.Min[0] + (float64(x)+0.5)*dx[0],
-						block.Min[1] + (float64(y)+0.5)*dx[1],
-						block.Min[2] + (float64(z)+0.5)*dx[2],
-					}
-					if sdf.Inside(p) {
-						n++
-					}
-				}
-			}
-		}
-		return n
-	}
-	axis := 0
-	if ny > nx {
-		axis = 1
-	}
-	if nz > max(nx, ny) {
-		axis = 2
-	}
-	mid := (lo[axis] + hi[axis]) / 2
-	hiA, loB := hi, lo
-	hiA[axis] = mid
-	loB[axis] = mid
-	return countRegion(sdf, block, dx, lo, hiA) + countRegion(sdf, block, dx, loB, hi)
-}
-
-func centerRegion(block blockforest.AABB, dx [3]float64, lo, hi [3]int) blockforest.AABB {
-	var b blockforest.AABB
-	for d := 0; d < 3; d++ {
-		b.Min[d] = block.Min[d] + (float64(lo[d])+0.5)*dx[d]
-		b.Max[d] = block.Min[d] + (float64(hi[d]-1)+0.5)*dx[d]
-	}
-	return b
-}
-
 // Options configures the initialization pipeline.
 type Options struct {
 	// CellsPerBlock is the lattice cell grid per block.
@@ -155,7 +90,7 @@ func BuildForest(sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats
 			counts[i] = -1
 			return
 		}
-		counts[i] = int64(CountInsideCells(sdf, b.AABB, opt.CellsPerBlock))
+		counts[i] = int64(geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock))
 	})
 	keep := make(map[[3]int]bool, len(blocks))
 	var fluid int64
@@ -246,7 +181,7 @@ func BuildForestParallel(c *comm.Comm, sdf distance.SDF, opt Options) (*blockfor
 		if i%c.Size() != c.Rank() {
 			continue
 		}
-		n := CountInsideCells(sdf, b.AABB, opt.CellsPerBlock)
+		n := geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock)
 		mine = append(mine, int64(i), int64(n))
 	}
 	gathered := c.Allgather(mine)

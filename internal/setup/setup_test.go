@@ -10,6 +10,7 @@ import (
 	"walberla/internal/comm"
 	"walberla/internal/distance"
 	"walberla/internal/field"
+	"walberla/internal/geometry"
 	"walberla/internal/mesh"
 	"walberla/internal/sim"
 	"walberla/internal/vascular"
@@ -39,31 +40,6 @@ func TestGridForDx(t *testing.T) {
 		if got := domain.Max[d] - domain.Min[d]; math.Abs(got-want) > 1e-12 {
 			t.Errorf("axis %d: domain extent %v, want %v", d, got, want)
 		}
-	}
-}
-
-func TestCountInsideCellsMatchesBruteForce(t *testing.T) {
-	sdf := sphereSDF(t, 0.8)
-	block := blockforest.NewAABB([3]float64{-1, -1, -1}, [3]float64{1, 1, 1})
-	cells := [3]int{12, 12, 12}
-	got := CountInsideCells(sdf, block, cells)
-	want := 0
-	for z := 0; z < cells[2]; z++ {
-		for y := 0; y < cells[1]; y++ {
-			for x := 0; x < cells[0]; x++ {
-				p := [3]float64{
-					-1 + (float64(x)+0.5)/6,
-					-1 + (float64(y)+0.5)/6,
-					-1 + (float64(z)+0.5)/6,
-				}
-				if sdf.Inside(p) {
-					want++
-				}
-			}
-		}
-	}
-	if got != want {
-		t.Errorf("CountInsideCells = %d, brute force %d", got, want)
 	}
 }
 
@@ -173,6 +149,35 @@ func TestFindWeakScalingDx(t *testing.T) {
 		}
 		if got := countBlocksAtDx(sdf, cells, dx); got != blocks {
 			t.Errorf("target %d: recount %d != reported %d", target, got, blocks)
+		}
+	}
+}
+
+// The scaling searches count blocks on several goroutines; the count
+// must be the serial one.
+func TestCountBlocksAtDxParallelMatchesSerial(t *testing.T) {
+	params := vascular.DefaultParams()
+	params.Depth = 3
+	sdf, err := vascular.Generate(params).SDF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cells := [3]int{8, 8, 8}
+	for _, dx := range []float64{0.04, 0.02, 0.012} {
+		grid, domain := GridForDx(sdf.Bounds(), cells, dx)
+		serial := 0
+		for k := 0; k < grid[2]; k++ {
+			for j := 0; j < grid[1]; j++ {
+				for i := 0; i < grid[0]; i++ {
+					if geometry.BlockIntersectsDomain(sdf, blockAABB(domain, grid, [3]int{i, j, k}), cells) {
+						serial++
+					}
+				}
+			}
+		}
+		if got := countBlocksAtDx(sdf, cells, dx); got != serial || serial == 0 {
+			t.Errorf("dx %v: parallel count %d, serial %d", dx, got, serial)
 		}
 	}
 }
