@@ -73,18 +73,21 @@ race-amr:
 # detector (race instrumentation allocates, so the allocation tests skip
 # themselves under -race): TestStepZeroAlloc with telemetry disabled AND
 # TestStepZeroAllocTraced with a tracer and metrics registry attached — the
-# telemetry overhead guard — their refined twins TestStepZeroAllocRefined
-# and TestStepZeroAllocRefinedTraced (a coarse step of a static
-# three-level forest), and TestFieldMemoryFollowsFluid, the
-# proportionality gate of the allocation windows (PDF storage follows the
-# fluid a rank owns, not its blocks' boxes).
+# telemetry overhead guard — TestStepZeroAllocTree (the smoke tree on row
+# storage: interval kernels, per-row pulls, masked copies), the refined
+# twins TestStepZeroAllocRefined and TestStepZeroAllocRefinedTraced (a
+# coarse step of a static three-level forest), and
+# TestFieldMemoryFollowsFluid, the proportionality gate of the allocation
+# rows (PDF storage follows the fluid a rank owns, not its blocks' boxes).
 alloc-test:
 	$(GO) test -count=1 -run 'TestStepZeroAlloc|TestStepZeroAllocRefined|TestFieldMemoryFollowsFluid' ./internal/sim/ ./internal/amr/
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus — a
 # regression sweep, not an open-ended hunt: the checkpoint readers, the
-# wire frame decoder, the sparse interval-list builder, the AVX2 split
-# rows against the Go rows (bit for bit; skipped on CPUs without AVX2),
+# wire frame decoder, PDF fields stored in random allocation rows against
+# whole-block twins, the sparse interval-list builder (on whole blocks and
+# on row storage), the AVX2 split rows against the Go rows (bit for bit;
+# skipped on CPUs without AVX2),
 # the D3Q19 moment/equilibrium fast path against the generic stencil
 # loops (bit for bit on finite input), the 2:1 grading, and the pruned
 # signed-distance queries against the unpruned searches (the plane-bound
@@ -96,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadLeafFile -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/comm/
+	$(GO) test -run '^Fuzz' -fuzz FuzzRowLayout -fuzztime 5s ./internal/field/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSparseIntervals -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSplitRows -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzStencilD3Q19 -fuzztime 5s ./internal/lattice/

@@ -227,9 +227,9 @@ func BenchmarkSparseKernels(b *testing.B) {
 		name string
 		k    kernels.Kernel
 	}{
-		{"conditional", kernels.NewSparseConditional(trt)},
-		{"celllist", kernels.NewSparseCellList(trt, flags, field.Window{})},
-		{"interval", kernels.NewSparseInterval(trt, flags, field.Window{})},
+		{"conditional", kernels.NewSparseConditional(trt, nil)},
+		{"celllist", kernels.NewSparseCellList(trt, flags, nil)},
+		{"interval", kernels.NewSparseInterval(trt, flags, nil)},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			src := field.NewPDFField(lattice.D3Q19(), edge, edge, edge, 1, s.k.Layout())

@@ -249,8 +249,9 @@ func (s *Sim) sampleCoarse(src *field.PDFField, F [3]int, out []float64) {
 		w1[d] = q - float64(lo)
 	}
 	w0 := [3]float64{1 - w1[0], 1 - w1[1], 1 - w1[2]}
-	win := src.Window()
-	stored := win.Contains(i0[0], i0[1], i0[2]) && win.Contains(i1[0], i1[1], i1[2])
+	// A field storing its whole block addresses the corners with constant
+	// strides; any other reads them through At.
+	stored := src.Rows().Full()
 	var p0, ds int
 	var off [8]int
 	if stored {
@@ -281,9 +282,10 @@ func (s *Sim) sampleCoarse(src *field.PDFField, F [3]int, out []float64) {
 	}
 }
 
-// cornerOffsets addresses the eight corners of the stored cell box with
-// low corner lo and high corner hi once for all directions: the corner k
-// (x fastest) of direction a is at p0 + a*ds + off[k] in src.Data().
+// cornerOffsets addresses the eight corners of the cell box with low
+// corner lo and high corner hi of a field storing its whole block once for
+// all directions: the corner k (x fastest) of direction a is at
+// p0 + a*ds + off[k] in src.Data().
 func cornerOffsets(src *field.PDFField, lo, hi [3]int) (p0, ds int, off [8]int) {
 	p0 = src.Index(lo[0], lo[1], lo[2], 0)
 	ds = src.Index(lo[0], lo[1], lo[2], 1) - p0
@@ -298,8 +300,7 @@ func cornerOffsets(src *field.PDFField, lo, hi [3]int) (p0, ds int, off [8]int) 
 // because cells per block is even).
 func restrictFine(src *field.PDFField, F [3]int, out []float64) {
 	hi := [3]int{F[0] + 1, F[1] + 1, F[2] + 1}
-	win := src.Window()
-	if win.Contains(F[0], F[1], F[2]) && win.Contains(hi[0], hi[1], hi[2]) {
+	if src.Rows().Full() {
 		p0, ds, off := cornerOffsets(src, F, hi)
 		data := src.Data()
 		for a := range out {
@@ -350,10 +351,10 @@ func (s *Sim) restrictBlock(child *field.PDFField, oct int, fineLevel int, paren
 	})
 }
 
-// setCell stores a PDF vector at an interior cell of f if its window holds
-// the cell; outside it the cell keeps f's fill, like every solid cell there.
+// setCell stores a PDF vector at an interior cell of f if f stores the
+// cell; elsewhere the cell keeps f's fill, like every solid cell there.
 func setCell(f *field.PDFField, p [3]int, v []float64) {
-	if f.Window().Contains(p[0], p[1], p[2]) {
+	if f.Rows().Contains(p[0], p[1], p[2]) {
 		for a, x := range v {
 			f.Set(p[0], p[1], p[2], lattice.Direction(a), x)
 		}

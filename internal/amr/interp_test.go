@@ -162,10 +162,10 @@ func (s *Sim) criterionReference(b *Block) float64 {
 	u, f := s.critU, s.critF
 	idx := func(x, y, z int) int { return (z*C[1]+y)*C[0] + x }
 	src := b.Src
-	stored := src.Window().Covers(field.Window{Hi: C}) // else solid cells read as the fill
 	for z := 0; z < C[2]; z++ {
 		for y := 0; y < C[1]; y++ {
 			for x := 0; x < C[0]; x++ {
+				stored := src.Rows().Contains(x, y, z) // else a solid cell reads as the fill
 				for a := 0; stored && a < st.Q; a++ {
 					f[a] = src.Get(x, y, z, lattice.Direction(a))
 				}
@@ -222,28 +222,38 @@ func (s *Sim) criterionReference(b *Block) float64 {
 }
 
 // TestCriterionMatchesReference compares the criterion with its oracle
-// bit for bit on random fields of a non-cubic block: both layouts, a
-// window holding the whole block, one holding just the interior and a
-// cropped one (read through At), both criteria, several levels, with and
-// without a NaN cell.
+// bit for bit on random fields of a non-cubic block: both layouts, rows
+// holding the whole block, just the interior, a cropped box and a span per
+// row around a diagonal channel (the last three read through At), both
+// criteria, several levels, with and without a NaN cell.
 func TestCriterionMatchesReference(t *testing.T) {
 	st := lattice.D3Q19()
 	C := [3]int{8, 6, 4}
-	windows := []field.Window{
-		field.FullWindow(C[0], C[1], C[2], 1),
-		{Hi: C},
-		{Lo: [3]int{1, -1, 0}, Hi: [3]int{7, 5, 5}},
+	box := func(lo, hi [3]int) *field.Rows {
+		return field.NewRows(C[0], C[1], C[2], 1, func(y, z int) (int, int) {
+			if y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2] {
+				return 0, 0
+			}
+			return lo[0], hi[0]
+		})
+	}
+	layouts := []*field.Rows{
+		field.FullRows(C[0], C[1], C[2], 1),
+		box([3]int{}, C),
+		box([3]int{1, -1, 0}, [3]int{7, 5, 5}),
+		field.NewRows(C[0], C[1], C[2], 1, func(y, z int) (int, int) { return max(y+z-1, -1), min(y+z+3, C[0]+1) }),
 	}
 	rng := rand.New(rand.NewSource(7))
 	feq := make([]float64, st.Q)
 	for _, layout := range []field.Layout{field.AoS, field.SoA} {
-		for wi, win := range windows {
+		for wi, rows := range layouts {
 			for _, nan := range []bool{false, true} {
-				f := field.NewPDFFieldWindow(st, C[0], C[1], C[2], 1, layout, win)
+				f := field.NewPDFFieldRows(st, layout, rows)
 				f.FillEquilibrium(1, 0.01, -0.02, 0.005)
-				for z := win.Lo[2]; z < win.Hi[2]; z++ {
-					for y := win.Lo[1]; y < win.Hi[1]; y++ {
-						for x := win.Lo[0]; x < win.Hi[0]; x++ {
+				for z := -1; z <= C[2]; z++ {
+					for y := -1; y <= C[1]; y++ {
+						lo, hi := rows.Span(y, z)
+						for x := lo; x < hi; x++ {
 							st.Equilibrium(feq, 1+0.05*rng.NormFloat64(),
 								0.05*rng.NormFloat64(), 0.05*rng.NormFloat64(), 0.05*rng.NormFloat64())
 							for a, v := range feq {
@@ -252,7 +262,7 @@ func TestCriterionMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				if nan {
+				if nan && rows.Contains(2, 2, 2) {
 					f.Set(2, 2, 2, lattice.E, math.NaN())
 				}
 				for _, crit := range []Criterion{CriterionGradient, CriterionVorticity} {
@@ -265,7 +275,7 @@ func TestCriterionMatchesReference(t *testing.T) {
 						b := &Block{Leaf: Leaf{ID: blockforest.BlockID{Level: level}}, BlockData: &sim.BlockData{Src: f}}
 						got, want := s.criterion(b), s.criterionReference(b)
 						if math.Float64bits(got) != math.Float64bits(want) || !(want > 0) {
-							t.Errorf("%v window %d nan=%v %s level %d: criterion %v, reference %v",
+							t.Errorf("%v rows %d nan=%v %s level %d: criterion %v, reference %v",
 								layout, wi, nan, crit, level, got, want)
 						}
 					}

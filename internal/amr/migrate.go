@@ -147,6 +147,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			snaps[i] = sn
 		}
 		var buf bytes.Buffer
+		buf.Grow(int(output.LeafFileSize(snaps)))
 		if _, _, err := output.WriteLeafFile(&buf, snaps); err != nil {
 			return fmt.Errorf("amr: encoding migration payload for rank %d: %w", r, err)
 		}

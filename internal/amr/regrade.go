@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"walberla/internal/blockforest"
-	"walberla/internal/field"
 	"walberla/internal/lattice"
 	"walberla/internal/telemetry"
 )
@@ -118,9 +117,10 @@ func (s *Sim) criterion(b *Block) float64 {
 	st := s.cfg.Stencil
 	u, f := s.critU, s.critF
 	src := b.Src
-	// Storage holds the whole interior unless the leaf has solid cells (and
-	// no per-cell initial state); then the cells outside read as the fill.
-	stored := src.Window().Covers(field.Window{Hi: C})
+	// A leaf storing its whole block — every leaf without solid cells, or
+	// with a per-cell initial state — is read with constant strides; any
+	// other through At, its cells outside the rows reading as the fill.
+	stored := src.Rows().Full()
 	data := src.Data()
 	var ds, xs int
 	if stored {

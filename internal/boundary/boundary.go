@@ -78,7 +78,7 @@ type Sweep struct {
 type compiledLinks struct {
 	layout            field.Layout
 	nx, ny, nz, ghost int
-	win               field.Window
+	rows              *field.Rows
 
 	nsDst, nsSrc []int32
 
@@ -152,7 +152,7 @@ func (bs *Sweep) compile(src *field.PDFField) *compiledLinks {
 	c := &compiledLinks{
 		layout: src.Layout,
 		nx:     src.Nx, ny: src.Ny, nz: src.Nz, ghost: src.Ghost,
-		win: src.Window(),
+		rows: src.Rows(),
 	}
 	c.nsDst = make([]int32, len(bs.noSlip))
 	c.nsSrc = make([]int32, len(bs.noSlip))
@@ -207,7 +207,7 @@ func (bs *Sweep) compile(src *field.PDFField) *compiledLinks {
 // matches reports whether the compiled form addresses fields shaped like f.
 func (c *compiledLinks) matches(f *field.PDFField) bool {
 	return c.layout == f.Layout && c.nx == f.Nx && c.ny == f.Ny && c.nz == f.Nz && c.ghost == f.Ghost &&
-		c.win == f.Window()
+		c.rows.Equal(f.Rows())
 }
 
 // Apply writes the boundary values into src so that the subsequent

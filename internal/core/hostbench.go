@@ -103,9 +103,9 @@ func MeasureSparseStrategies(edge int, fill float64, steps int, seed int64) []Sp
 		name string
 		k    kernels.Kernel
 	}{
-		{"conditional", kernels.NewSparseConditional(trt)},
-		{"celllist", kernels.NewSparseCellList(trt, flags, field.Window{})},
-		{"interval", kernels.NewSparseInterval(trt, flags, field.Window{})},
+		{"conditional", kernels.NewSparseConditional(trt, nil)},
+		{"celllist", kernels.NewSparseCellList(trt, flags, nil)},
+		{"interval", kernels.NewSparseInterval(trt, flags, nil)},
 	}
 	var out []SparseBenchResult
 	for _, s := range strategies {

@@ -33,17 +33,18 @@ func TestConstructorPanics(t *testing.T) {
 }
 
 func TestStrides(t *testing.T) {
+	// A field storing its whole block indexes as a plain array: the row
+	// table reproduces the box formula with strides 1, 6 and 6*7.
 	s := lattice.D3Q19()
 	f := NewPDFField(s, 4, 5, 6, 1, SoA)
-	sx, sy, sz := f.Strides()
-	if sx != 1 || sy != 6 || sz != 6*7 {
-		t.Errorf("PDF strides (%d,%d,%d)", sx, sy, sz)
-	}
-	// Stride consistency with CellIndex.
-	if f.CellIndex(1, 0, 0)-f.CellIndex(0, 0, 0) != sx ||
-		f.CellIndex(0, 1, 0)-f.CellIndex(0, 0, 0) != sy ||
-		f.CellIndex(0, 0, 1)-f.CellIndex(0, 0, 0) != sz {
-		t.Error("strides inconsistent with CellIndex")
+	for z := -1; z <= 6; z++ {
+		for y := -1; y <= 5; y++ {
+			for x := -1; x <= 4; x++ {
+				if got, want := f.CellIndex(x, y, z), (z+1)*42+(y+1)*6+x+1; got != want {
+					t.Fatalf("CellIndex(%d,%d,%d) = %d, box formula %d", x, y, z, got, want)
+				}
+			}
+		}
 	}
 	fl := NewFlagField(4, 5, 6, 1)
 	fx, fy, fz := fl.Strides()

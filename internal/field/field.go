@@ -43,15 +43,16 @@ func (l Layout) String() string {
 // width. Cell (0,0,0) is the first interior cell; ghost cells have
 // coordinates down to -Ghost and up to N+Ghost-1.
 //
-// Storage covers the field's allocation window, a cell box inside the
-// ghosted block (the whole block for NewPDFField). Cells of the block
-// outside the window are not stored: they hold the field's fill value —
-// what FillEquilibrium last wrote, zero before. At and PackRegion report it
-// there, UnpackRegion, CopyRegion and CopyFrom leave such cells out, and the
-// direct accessors (Get, Set, Index, Data) address stored cells only. A
-// block whose fluid occupies a corner thus pays for the corner only, while
-// the addressing inside the window keeps the constant strides the kernels
-// depend on (docs/KERNELS.md, "Allocation windows").
+// Storage follows the field's allocation rows (Rows): per (y, z) line of
+// the ghosted block one x-span of stored cells, the whole block for
+// NewPDFField. Cells of the block outside their row's span are not stored:
+// they hold the field's fill value — what FillEquilibrium last wrote, zero
+// before. At and PackRegion report it there, UnpackRegion, CopyRegion and
+// CopyFrom leave such cells out, and the direct accessors (Get, Set, Index,
+// Data) address stored cells only. A block whose fluid is a thin vessel
+// thus pays for the cells around the vessel only, while x stays
+// unit-stride inside every row the kernels update (docs/KERNELS.md,
+// "Allocation rows").
 type PDFField struct {
 	Stencil *lattice.Stencil
 	Nx      int // interior cells in x
@@ -60,53 +61,41 @@ type PDFField struct {
 	Ghost   int // ghost layer width
 	Layout  Layout
 
-	win        Window
-	ox, oy, oz int // -win.Lo: coordinate to window-relative position
-	ax, ay, az int // window extents
-	cells      int // ax*ay*az
+	rows  *Rows
+	spans []rowSpan // rows.spans: CellIndex(x, y, z) = spans[(z+Ghost)*ry+y+Ghost].base + x
+	ry    int       // rows per z-layer
+	cells int       // stored cells
 	// Data position of PDF (cell ci, direction a) is ci*cellStep + a*dirStep:
 	// (Q, 1) for AoS, (1, cells) for SoA.
 	cellStep, dirStep int
 	data              []float64
-	fill              []float64 // per direction, the value of cells outside the window
+	fill              []float64 // per direction, the value of cells outside the rows
 }
 
 // NewPDFField allocates a PDF field of nx x ny x nz interior cells with the
-// given ghost layer width and layout, its window the whole ghosted block.
-// All PDFs start at zero.
+// given ghost layer width and layout, storing the whole ghosted block. All
+// PDFs start at zero.
 func NewPDFField(s *lattice.Stencil, nx, ny, nz, ghost int, layout Layout) *PDFField {
-	return NewPDFFieldWindow(s, nx, ny, nz, ghost, layout, FullWindow(nx, ny, nz, ghost))
+	return NewPDFFieldRows(s, layout, FullRows(nx, ny, nz, ghost))
 }
 
-// NewPDFFieldWindow allocates a PDF field whose storage covers only the
-// window w, which must lie inside the ghosted block; an empty window
-// allocates nothing. All PDFs, and the fill value, start at zero.
-func NewPDFFieldWindow(s *lattice.Stencil, nx, ny, nz, ghost int, layout Layout, w Window) *PDFField {
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		panic(fmt.Sprintf("field: invalid extents %dx%dx%d", nx, ny, nz))
-	}
-	if ghost < 0 {
-		panic("field: negative ghost layer width")
-	}
-	if w.Empty() {
-		w = Window{}
-	} else if full := FullWindow(nx, ny, nz, ghost); !full.Covers(w) {
-		panic(fmt.Sprintf("field: window %v exceeds the ghosted block %v", w, full))
-	}
-	ax, ay, az := w.Hi[0]-w.Lo[0], w.Hi[1]-w.Lo[1], w.Hi[2]-w.Lo[2]
-	cells := ax * ay * az
+// NewPDFFieldRows allocates a PDF field with the block shape and allocation
+// rows of rows, which it shares. All PDFs, and the fill value, start at
+// zero.
+func NewPDFFieldRows(s *lattice.Stencil, layout Layout, rows *Rows) *PDFField {
+	cells := rows.Cells()
 	cellStep, dirStep := s.Q, 1
 	if layout == SoA {
 		cellStep, dirStep = 1, cells
 	}
 	return &PDFField{
 		Stencil: s,
-		Nx:      nx, Ny: ny, Nz: nz,
-		Ghost:  ghost,
-		Layout: layout,
-		win:    w,
-		ox:     -w.Lo[0], oy: -w.Lo[1], oz: -w.Lo[2],
-		ax: ax, ay: ay, az: az,
+		Nx:      rows.nx, Ny: rows.ny, Nz: rows.nz,
+		Ghost:    rows.ghost,
+		Layout:   layout,
+		rows:     rows,
+		spans:    rows.spans,
+		ry:       rows.ry,
 		cells:    cells,
 		cellStep: cellStep, dirStep: dirStep,
 		data: make([]float64, cells*s.Q),
@@ -114,59 +103,62 @@ func NewPDFFieldWindow(s *lattice.Stencil, nx, ny, nz, ghost int, layout Layout,
 	}
 }
 
-// Window returns the field's allocation window.
-func (f *PDFField) Window() Window { return f.win }
+// Rows returns the field's allocation rows.
+func (f *PDFField) Rows() *Rows { return f.rows }
 
-// FillValue returns what cells outside the window read as for direction
-// dir.
+// Window returns the bounding box of the stored cells.
+func (f *PDFField) Window() Window { return f.rows.box }
+
+// FillValue returns what cells outside the rows read as for direction dir.
 func (f *PDFField) FillValue(dir lattice.Direction) float64 { return f.fill[dir] }
 
 // SameShape reports whether g has f's extents, ghost width, stencil, layout
-// and window, so that a linear index addresses the same PDF in both.
+// and allocation rows, so that a linear index addresses the same PDF in
+// both.
 func (f *PDFField) SameShape(g *PDFField) bool {
 	return f.Nx == g.Nx && f.Ny == g.Ny && f.Nz == g.Nz && f.Ghost == g.Ghost &&
-		f.Layout == g.Layout && f.Stencil == g.Stencil && f.win == g.win
+		f.Layout == g.Layout && f.Stencil == g.Stencil && f.rows.Equal(g.rows)
 }
 
 // CellIndex converts interior-relative coordinates (ghost cells allowed,
-// from -Ghost to N+Ghost-1) into the linear cell index used by Data. It is
-// a pure linear map: only cells inside the window index storage.
+// from -Ghost to N+Ghost-1) into the linear cell index used by Data: the
+// base of the cell's row plus x. Only stored cells index storage.
 func (f *PDFField) CellIndex(x, y, z int) int {
-	return ((z+f.oz)*f.ay+(y+f.oy))*f.ax + (x + f.ox)
+	return f.spans[(z+f.Ghost)*f.ry+y+f.Ghost].base + x
 }
 
 // Index returns the position of PDF (x,y,z,dir) within Data; the cell must
-// lie inside the window.
+// be stored.
 func (f *PDFField) Index(x, y, z int, dir lattice.Direction) int {
 	return f.CellIndex(x, y, z)*f.cellStep + int(dir)*f.dirStep
 }
 
 // Get returns the stored PDF value at (x,y,z) for direction dir. Like Index
 // it is the kernels' accessor and addresses storage directly: the cell must
-// lie inside the window (a window test per access costs the interpolation
-// and generic-kernel loops half their speed). Code that traverses whole
-// blocks reads through At.
+// be stored (a span test per access costs the interpolation and
+// generic-kernel loops half their speed). Code that traverses whole blocks
+// reads through At.
 func (f *PDFField) Get(x, y, z int, dir lattice.Direction) float64 {
 	return f.data[f.Index(x, y, z, dir)]
 }
 
-// Set stores the PDF value at (x,y,z) for direction dir; the cell must lie
-// inside the window.
+// Set stores the PDF value at (x,y,z) for direction dir; the cell must be
+// stored.
 func (f *PDFField) Set(x, y, z int, dir lattice.Direction, v float64) {
 	f.data[f.Index(x, y, z, dir)] = v
 }
 
 // At returns the PDF value at any cell of the ghosted block: the stored
-// value inside the window, the fill value outside.
+// value inside the cell's row span, the fill value outside.
 func (f *PDFField) At(x, y, z int, dir lattice.Direction) float64 {
-	if !f.win.Contains(x, y, z) {
+	if !f.rows.Contains(x, y, z) {
 		return f.fill[dir]
 	}
 	return f.data[f.Index(x, y, z, dir)]
 }
 
-// Data exposes the raw storage of the window for compute kernels.
-// Layout-dependent; use Index or the stride accessors to address it.
+// Data exposes the raw storage of the rows for compute kernels.
+// Layout-dependent; use Index or CellIndex to address it.
 func (f *PDFField) Data() []float64 { return f.data }
 
 // DirSlice returns the contiguous per-direction array of a SoA field. It
@@ -179,12 +171,8 @@ func (f *PDFField) DirSlice(dir lattice.Direction) []float64 {
 	return f.data[off : off+f.cells : off+f.cells]
 }
 
-// Strides returns the linear-index increments for a step in x, y and z,
-// in units of cells (multiply by Q for AoS PDF offsets).
-func (f *PDFField) Strides() (sx, sy, sz int) { return 1, f.ax, f.ax * f.ay }
-
 // AllocatedCells returns the number of cells the field stores: the cells
-// of its window, ghost cells included.
+// of its rows, ghost cells included.
 func (f *PDFField) AllocatedCells() int { return f.cells }
 
 // InteriorCells returns Nx*Ny*Nz.
@@ -192,7 +180,7 @@ func (f *PDFField) InteriorCells() int { return f.Nx * f.Ny * f.Nz }
 
 // FillEquilibrium sets every cell, including ghosts, to the equilibrium
 // distribution for the given density and velocity, which also becomes the
-// fill value of the cells outside the window.
+// fill value of the cells outside the rows.
 func (f *PDFField) FillEquilibrium(rho, ux, uy, uz float64) {
 	f.Stencil.Equilibrium(f.fill, rho, ux, uy, uz)
 	q := f.Stencil.Q
@@ -241,43 +229,62 @@ func spread(dst []float64, at, n, step int, v float64) {
 	}
 }
 
-// steps returns the Data distances of one step in x, y and z.
-func (f *PDFField) steps() (x, y, z int) {
-	return f.cellStep, f.ax * f.cellStep, f.ay * f.ax * f.cellStep
+// fillCopy writes the n positions of dst, ds apart from dp on, of one row:
+// positions [a, b) from src, ss apart from sp on, the others v.
+func fillCopy(dst []float64, dp, ds, n, a, b int, src []float64, sp, ss int, v float64) {
+	spread(dst, dp, a, ds, v)
+	if b > a {
+		copySteps(dst[dp+a*ds:], ds, src[sp:], ss, b-a)
+	}
+	spread(dst, dp+b*ds, n-b, ds, v)
+}
+
+// layer returns the spans of rows y0..y1-1 of z-layer z, rows that must
+// lie in the ghosted block.
+func (r *Rows) layer(y0, y1, z int) []rowSpan {
+	i := r.row(y0, z)
+	return r.spans[i : i+y1-y0]
+}
+
+// stored is an empty range at 0 for a >= b, [a, b) otherwise.
+func stored(a, b int) (int, int) {
+	if a >= b {
+		return 0, 0
+	}
+	return a, b
 }
 
 // PackRegion serializes the PDFs of the given directions over the
 // half-open cell box [lo, hi) into dst, in deterministic dir-major, then
 // z, y, x order, and returns the number of values written; cells outside
-// the window contribute the fill value. dst must hold at least len(dirs) *
+// the rows contribute the fill value. dst must hold at least len(dirs) *
 // volume(box) values; the write is a pure sub-slice fill, so concurrent
 // PackRegion calls into disjoint sub-slices of one aggregate buffer are
-// race-free. For SoA fields each x-row is one contiguous copy.
+// race-free. For SoA fields the stored part of each x-row is one
+// contiguous copy.
 //
-// Pack and unpack visit the rows of the stored part of the box with the
-// same loop; they stay two functions because a shared body branching per
-// row on the direction measured 15-30 % slower on block faces.
+// Pack and unpack visit the rows of the box with the same loop; they stay
+// two functions because a shared body branching per row on the direction
+// measured 15-30 % slower on block faces.
 func (f *PDFField) PackRegion(dst []float64, lo, hi [3]int, dirs []lattice.Direction) int {
 	box := Window{lo, hi}
-	nx, ny, vol := hi[0]-lo[0], hi[1]-lo[1], box.Cells()
-	c := f.win.Intersect(box) // the stored part of the box
-	n := c.Hi[0] - c.Lo[0]
-	step, rowStep, layerStep := f.steps()
+	vol := box.Cells()
+	if vol == 0 {
+		return 0
+	}
+	c := box.Intersect(FullWindow(f.Nx, f.Ny, f.Nz, f.Ghost)) // the rows of the box in the block
+	nx, ny, step := hi[0]-lo[0], hi[1]-lo[1], f.cellStep
 	for di, d := range dirs {
+		off := int(d) * f.dirStep
 		if c != box {
 			fillFloats(dst[di*vol:(di+1)*vol], f.fill[d])
 		}
-		// Buffer position and Data position of the first stored value of
-		// the current z-layer.
-		bufLayer := di*vol + ((c.Lo[2]-lo[2])*ny+c.Lo[1]-lo[1])*nx + c.Lo[0] - lo[0]
-		layer := f.Index(c.Lo[0], c.Lo[1], c.Lo[2], d)
-		for z := c.Lo[2]; n > 0 && z < c.Hi[2]; z++ {
-			k, i := bufLayer, layer
-			bufLayer, layer = bufLayer+ny*nx, layer+layerStep
-			for y := c.Lo[1]; y < c.Hi[1]; y++ {
-				copySteps(dst[k:], 1, f.data[i:], step, n)
+		for z := c.Lo[2]; z < c.Hi[2]; z++ {
+			k := di*vol + ((z-lo[2])*ny+c.Lo[1]-lo[1])*nx
+			for _, sp := range f.rows.layer(c.Lo[1], c.Hi[1], z) {
+				a, b := stored(max(int(sp.lo), lo[0])-lo[0], min(int(sp.hi), hi[0])-lo[0])
+				fillCopy(dst, k, 1, nx, a, b, f.data, (sp.base+lo[0]+a)*step+off, step, f.fill[d])
 				k += nx
-				i += rowStep
 			}
 		}
 	}
@@ -287,25 +294,24 @@ func (f *PDFField) PackRegion(dst []float64, lo, hi [3]int, dirs []lattice.Direc
 // UnpackRegion reverses PackRegion: it reads len(dirs) * volume(box)
 // values from src into the box, in the same deterministic order, and
 // returns the number of values consumed; values addressed to cells outside
-// the window are skipped.
+// the rows are skipped.
 func (f *PDFField) UnpackRegion(src []float64, lo, hi [3]int, dirs []lattice.Direction) int {
 	box := Window{lo, hi}
-	nx, ny, vol := hi[0]-lo[0], hi[1]-lo[1], box.Cells()
-	c := f.win.Intersect(box) // the stored part of the box
-	n := c.Hi[0] - c.Lo[0]
-	step, rowStep, layerStep := f.steps()
+	vol := box.Cells()
+	if vol == 0 {
+		return 0
+	}
+	c := box.Intersect(FullWindow(f.Nx, f.Ny, f.Nz, f.Ghost))
+	nx, ny, step := hi[0]-lo[0], hi[1]-lo[1], f.cellStep
 	for di, d := range dirs {
-		// Buffer position and Data position of the first stored value of
-		// the current z-layer.
-		bufLayer := di*vol + ((c.Lo[2]-lo[2])*ny+c.Lo[1]-lo[1])*nx + c.Lo[0] - lo[0]
-		layer := f.Index(c.Lo[0], c.Lo[1], c.Lo[2], d)
-		for z := c.Lo[2]; n > 0 && z < c.Hi[2]; z++ {
-			k, i := bufLayer, layer
-			bufLayer, layer = bufLayer+ny*nx, layer+layerStep
-			for y := c.Lo[1]; y < c.Hi[1]; y++ {
-				copySteps(f.data[i:], step, src[k:], 1, n)
+		off := int(d) * f.dirStep
+		for z := c.Lo[2]; z < c.Hi[2]; z++ {
+			k := di*vol + ((z-lo[2])*ny+c.Lo[1]-lo[1])*nx
+			for _, sp := range f.rows.layer(c.Lo[1], c.Hi[1], z) {
+				if a, b := max(int(sp.lo), lo[0]), min(int(sp.hi), hi[0]); a < b {
+					copySteps(f.data[(sp.base+a)*step+off:], step, src[k+a-lo[0]:], 1, b-a)
+				}
 				k += nx
-				i += rowStep
 			}
 		}
 	}
@@ -316,86 +322,83 @@ func (f *PDFField) UnpackRegion(src []float64, lo, hi [3]int, dirs []lattice.Dir
 // box [srcLo, srcHi) of src into the identically shaped box starting at
 // dstLo of dst — the zero-staging path for ghost exchange between blocks
 // of the same rank. Both fields must share stencil and layout. Source
-// cells outside src's window are read as its fill value, destination cells
-// outside dst's window are skipped.
+// cells outside src's rows are read as its fill value, destination cells
+// outside dst's rows are skipped.
 func CopyRegion(dst *PDFField, dstLo [3]int, src *PDFField, srcLo, srcHi [3]int, dirs []lattice.Direction) {
 	if dst.Stencil != src.Stencil || dst.Layout != src.Layout {
 		panic("field: CopyRegion requires matching stencil and layout")
 	}
-	// In source coordinates, shift taking them to destination coordinates:
-	// t is the part of the box whose destination cells are stored, c the
-	// part of t whose source cells are stored too.
+	// Work in source coordinates over the rows of the box that lie in both
+	// blocks; per row, [ta, tb) is the part whose destination cells are
+	// stored, [a, b) the part of it whose source cells are stored too.
 	shift := [3]int{dstLo[0] - srcLo[0], dstLo[1] - srcLo[1], dstLo[2] - srcLo[2]}
-	t := Window{srcLo, srcHi}
+	box := Window{srcLo, srcHi}
+	db := FullWindow(dst.Nx, dst.Ny, dst.Nz, dst.Ghost)
 	for d := 0; d < 3; d++ {
-		t.Lo[d] = max(t.Lo[d], dst.win.Lo[d]-shift[d])
-		t.Hi[d] = max(min(t.Hi[d], dst.win.Hi[d]-shift[d]), t.Lo[d])
+		db.Lo[d], db.Hi[d] = db.Lo[d]-shift[d], db.Hi[d]-shift[d]
 	}
-	c := src.win.Intersect(t)
-	n := c.Hi[0] - c.Lo[0]
-	step, srcRow, srcLayer := src.steps()
-	_, dstRow, dstLayer := dst.steps()
+	c := box.Intersect(FullWindow(src.Nx, src.Ny, src.Nz, src.Ghost)).Intersect(db)
+	step := src.cellStep
 	for _, d := range dirs {
-		if c != t {
-			for z := t.Lo[2]; z < t.Hi[2]; z++ {
-				for y := t.Lo[1]; y < t.Hi[1]; y++ {
-					spread(dst.data, dst.Index(t.Lo[0]+shift[0], y+shift[1], z+shift[2], d), t.Hi[0]-t.Lo[0], step, src.fill[d])
+		so, do := int(d)*src.dirStep, int(d)*dst.dirStep
+		for z := c.Lo[2]; z < c.Hi[2]; z++ {
+			ss := src.rows.layer(c.Lo[1], c.Hi[1], z)
+			ds := dst.rows.layer(c.Lo[1]+shift[1], c.Hi[1]+shift[1], z+shift[2])
+			for j := range ss {
+				sp, tp := &ss[j], &ds[j]
+				ta, tb := max(int(tp.lo)-shift[0], srcLo[0]), min(int(tp.hi)-shift[0], srcHi[0])
+				if ta >= tb {
+					continue
 				}
-			}
-		}
-		sl := src.Index(c.Lo[0], c.Lo[1], c.Lo[2], d)
-		dl := dst.Index(c.Lo[0]+shift[0], c.Lo[1]+shift[1], c.Lo[2]+shift[2], d)
-		for z := c.Lo[2]; n > 0 && z < c.Hi[2]; z++ {
-			si, di := sl, dl
-			sl, dl = sl+srcLayer, dl+dstLayer
-			for y := c.Lo[1]; y < c.Hi[1]; y++ {
-				copySteps(dst.data[di:], step, src.data[si:], step, n)
-				si += srcRow
-				di += dstRow
+				a, b := stored(max(int(sp.lo), ta)-ta, min(int(sp.hi), tb)-ta)
+				fillCopy(dst.data, (tp.base+ta+shift[0])*step+do, step, tb-ta, a, b,
+					src.data, (sp.base+ta+a)*step+so, step, src.fill[d])
 			}
 		}
 	}
 }
 
 // CopyShape allocates a new zeroed field with identical shape, ghost width,
-// stencil, layout and window — the destination field of a stream-pull
+// stencil, layout and rows — the destination field of a stream-pull
 // update.
 func (f *PDFField) CopyShape() *PDFField {
-	return NewPDFFieldWindow(f.Stencil, f.Nx, f.Ny, f.Nz, f.Ghost, f.Layout, f.win)
+	return NewPDFFieldRows(f.Stencil, f.Layout, f.rows)
 }
 
-// CopyFrom overwrites every cell of f's window with the value g holds
-// there (g's fill value outside g's window). The fields must agree in
-// extents, ghost width and stencil, and may differ in layout and window —
+// CopyFrom overwrites every stored cell of f with the value g holds there
+// (g's fill value where g does not store the cell). The fields must agree
+// in extents, ghost width and stencil, and may differ in layout and rows —
 // it is how a decoded checkpoint or a replica lands in a live block field.
 func (f *PDFField) CopyFrom(g *PDFField) {
 	if f.Nx != g.Nx || f.Ny != g.Ny || f.Nz != g.Nz || f.Ghost != g.Ghost || f.Stencil != g.Stencil {
 		panic("field: CopyFrom requires identically sized fields")
 	}
-	if f.Layout == g.Layout && f.win == g.win {
+	if f.Layout == g.Layout && f.rows.Equal(g.rows) {
 		copy(f.data, g.data)
 		return
 	}
-	c := g.win.Intersect(f.win) // the cells both fields store
-	for a := 0; a < f.Stencil.Q; a++ {
-		d := lattice.Direction(a)
-		for z := f.win.Lo[2]; z < f.win.Hi[2]; z++ {
-			for y := f.win.Lo[1]; y < f.win.Hi[1]; y++ {
-				spread(f.data, f.Index(f.win.Lo[0], y, z, d), f.ax, f.cellStep, g.fill[a])
-			}
-		}
-		for z := c.Lo[2]; !c.Empty() && z < c.Hi[2]; z++ {
-			for y := c.Lo[1]; y < c.Hi[1]; y++ {
-				copySteps(f.data[f.Index(c.Lo[0], y, z, d):], f.cellStep, g.data[g.Index(c.Lo[0], y, z, d):], g.cellStep, c.Hi[0]-c.Lo[0])
+	for q := 0; q < f.Stencil.Q; q++ {
+		fo, gOff := q*f.dirStep, q*g.dirStep
+		for z := -f.Ghost; z < f.Nz+f.Ghost; z++ {
+			gs := g.rows.layer(-f.Ghost, f.Ny+f.Ghost, z)
+			for j, sp := range f.rows.layer(-f.Ghost, f.Ny+f.Ghost, z) {
+				lo, hi := int(sp.lo), int(sp.hi)
+				if lo == hi {
+					continue
+				}
+				gp := &gs[j]
+				a, b := stored(max(int(gp.lo), lo)-lo, min(int(gp.hi), hi)-lo)
+				fillCopy(f.data, (sp.base+lo)*f.cellStep+fo, f.cellStep, hi-lo, a, b,
+					g.data, (gp.base+lo+a)*g.cellStep+gOff, g.cellStep, g.fill[q])
 			}
 		}
 	}
 }
 
-// ConvertLayout returns a copy of the field, same window and fill value,
-// in the requested layout.
+// ConvertLayout returns a copy of the field, same rows and fill value, in
+// the requested layout.
 func (f *PDFField) ConvertLayout(layout Layout) *PDFField {
-	out := NewPDFFieldWindow(f.Stencil, f.Nx, f.Ny, f.Nz, f.Ghost, layout, f.win)
+	out := NewPDFFieldRows(f.Stencil, layout, f.rows)
 	copy(out.fill, f.fill)
 	out.CopyFrom(f)
 	return out

@@ -1,9 +1,9 @@
 package field
 
 // Window is a half-open box [Lo, Hi) of cell coordinates, interior-relative
-// like every field coordinate (ghost cells are negative or beyond N). It is
-// the part of a ghosted block a PDFField allocates storage for; a window
-// with Hi[d] <= Lo[d] on any axis holds no cell.
+// like every field coordinate (ghost cells are negative or beyond N): the
+// bounding box of the cells a PDFField stores; a window with Hi[d] <= Lo[d]
+// on any axis holds no cell.
 type Window struct {
 	Lo, Hi [3]int
 }
@@ -30,11 +30,6 @@ func (w Window) Cells() int {
 	return (w.Hi[0] - w.Lo[0]) * (w.Hi[1] - w.Lo[1]) * (w.Hi[2] - w.Lo[2])
 }
 
-// Contains reports whether cell (x,y,z) lies in the window.
-func (w Window) Contains(x, y, z int) bool {
-	return x >= w.Lo[0] && x < w.Hi[0] && y >= w.Lo[1] && y < w.Hi[1] && z >= w.Lo[2] && z < w.Hi[2]
-}
-
 // Covers reports whether every cell of o lies in w.
 func (w Window) Covers(o Window) bool {
 	if o.Empty() {
@@ -55,25 +50,6 @@ func (w Window) Intersect(o Window) Window {
 	for d := 0; d < 3; d++ {
 		w.Lo[d] = max(w.Lo[d], o.Lo[d])
 		w.Hi[d] = max(min(w.Hi[d], o.Hi[d]), w.Lo[d])
-	}
-	return w
-}
-
-// Index returns the row-major (x fastest) linear index of cell (x,y,z)
-// within the window — the cell index of a PDFField allocated for it.
-func (w Window) Index(x, y, z int) int {
-	return ((z-w.Lo[2])*(w.Hi[1]-w.Lo[1])+(y-w.Lo[1]))*(w.Hi[0]-w.Lo[0]) + (x - w.Lo[0])
-}
-
-// Grow extends the window by n cells on every side and clips it to bounds.
-// An empty window stays empty.
-func (w Window) Grow(n int, bounds Window) Window {
-	if w.Empty() {
-		return Window{}
-	}
-	for d := 0; d < 3; d++ {
-		w.Lo[d] = max(w.Lo[d]-n, bounds.Lo[d])
-		w.Hi[d] = min(w.Hi[d]+n, bounds.Hi[d])
 	}
 	return w
 }

@@ -63,25 +63,48 @@ func forEachWindowCase(t *testing.T, fn func(t *testing.T, st *lattice.Stencil, 
 	}
 }
 
+// boxRows is the layout of an nx x ny x nz block with ghost width 1 storing
+// the box w.
+func boxRows(nx, ny, nz int, w field.Window) *field.Rows {
+	return field.NewRows(nx, ny, nz, 1, func(y, z int) (int, int) {
+		if w.Empty() || y < w.Lo[1] || y >= w.Hi[1] || z < w.Lo[2] || z >= w.Hi[2] {
+			return 0, 0
+		}
+		return w.Lo[0], w.Hi[0]
+	})
+}
+
 // twins returns a field allocated for the window w and a whole-block twin
 // with the same logical content: both at the same equilibrium, then the
 // same random values on the cells of w.
 func twins(st *lattice.Stencil, layout field.Layout, w field.Window, seed int64) (win, full *field.PDFField) {
-	win = field.NewPDFFieldWindow(st, winCells[0], winCells[1], winCells[2], 1, layout, w)
-	full = field.NewPDFField(st, winCells[0], winCells[1], winCells[2], 1, layout)
+	return rowTwins(st, layout, boxRows(winCells[0], winCells[1], winCells[2], w), seed)
+}
+
+// rowTwins is twins for any allocation rows.
+func rowTwins(st *lattice.Stencil, layout field.Layout, rows *field.Rows, seed int64) (win, full *field.PDFField) {
+	nx, ny, nz, ghost := rows.Extents()
+	win = field.NewPDFFieldRows(st, layout, rows)
+	full = field.NewPDFField(st, nx, ny, nz, ghost, layout)
 	win.FillEquilibrium(1.03, 0.02, -0.01, 0.03)
 	full.FillEquilibrium(1.03, 0.02, -0.01, 0.03)
 	r := rand.New(rand.NewSource(seed))
 	forBlock(full, func(x, y, z int) {
 		for a := 0; a < st.Q; a++ {
 			v := r.Float64()
-			if w.Contains(x, y, z) {
+			if rows.Contains(x, y, z) {
 				win.Set(x, y, z, lattice.Direction(a), v)
 				full.Set(x, y, z, lattice.Direction(a), v)
 			}
 		}
 	})
 	return win, full
+}
+
+// boxIndex is the row-major (x fastest) index of cell (x,y,z) within the
+// box w.
+func boxIndex(w field.Window, x, y, z int) int {
+	return ((z-w.Lo[2])*(w.Hi[1]-w.Lo[1])+(y-w.Lo[1]))*(w.Hi[0]-w.Lo[0]) + x - w.Lo[0]
 }
 
 // forBlock visits every cell of the ghosted block in (z, y, x) order.
@@ -95,11 +118,11 @@ func forBlock(f *field.PDFField, fn func(x, y, z int)) {
 	}
 }
 
-// checkTwin requires win to equal its whole-block twin on every cell of
-// its window and to report its fill value on every other cell of the block.
+// checkTwin requires win to equal its whole-block twin on every cell it
+// stores and to report its fill value on every other cell of the block.
 func checkTwin(t *testing.T, what string, win, full *field.PDFField) {
 	t.Helper()
-	w := win.Window()
+	w := win.Rows()
 	forBlock(full, func(x, y, z int) {
 		for a := 0; a < win.Stencil.Q; a++ {
 			d := lattice.Direction(a)
@@ -110,7 +133,7 @@ func checkTwin(t *testing.T, what string, win, full *field.PDFField) {
 				t.Fatalf("%s: Get(%d,%d,%d) dir %d = %v, want %v", what, x, y, z, a, got, want)
 			}
 			if got := win.At(x, y, z, d); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: At(%d,%d,%d) dir %d = %v, want %v (in window: %v)", what, x, y, z, a, got, want, w.Contains(x, y, z))
+				t.Fatalf("%s: At(%d,%d,%d) dir %d = %v, want %v (stored: %v)", what, x, y, z, a, got, want, w.Contains(x, y, z))
 			}
 		}
 	})
@@ -143,9 +166,8 @@ func TestWindowShapeAndAccess(t *testing.T) {
 		if got := win.Window(); got != w && !(w.Empty() && got.Empty()) {
 			t.Fatalf("Window() = %v, want %v", got, w)
 		}
-		sx, sy, sz := win.Strides()
-		if !w.Empty() && (sx != 1 || sy != w.Hi[0]-w.Lo[0] || sz != sy*(w.Hi[1]-w.Lo[1])) {
-			t.Errorf("strides %d,%d,%d do not match window %v", sx, sy, sz, w)
+		if full := field.FullWindow(winCells[0], winCells[1], winCells[2], 1); win.Rows().Full() != (w == full) {
+			t.Errorf("window %v: Full() = %v", w, win.Rows().Full())
 		}
 		checkTwin(t, "after Set", win, full)
 		if win.TotalMass() != full.TotalMass() {
@@ -154,11 +176,11 @@ func TestWindowShapeAndAccess(t *testing.T) {
 		// Index maps the window's cells bijectively onto the storage.
 		seen := make(map[int]bool)
 		forBlock(full, func(x, y, z int) {
-			if !w.Contains(x, y, z) {
+			if !win.Rows().Contains(x, y, z) {
 				return
 			}
-			if ci, wi := win.CellIndex(x, y, z), w.Index(x, y, z); ci != wi {
-				t.Fatalf("CellIndex(%d,%d,%d) = %d, Window.Index = %d", x, y, z, ci, wi)
+			if ci, wi := win.CellIndex(x, y, z), boxIndex(w, x, y, z); ci != wi {
+				t.Fatalf("CellIndex(%d,%d,%d) = %d, box formula %d", x, y, z, ci, wi)
 			}
 			for a := 0; a < st.Q; a++ {
 				i := win.Index(x, y, z, lattice.Direction(a))
@@ -323,7 +345,7 @@ func BenchmarkFillEquilibrium(b *testing.B) {
 	} {
 		for _, layout := range []field.Layout{field.SoA, field.AoS} {
 			b.Run(fmt.Sprintf("%s/%v", c.name, layout), func(b *testing.B) {
-				f := field.NewPDFFieldWindow(lattice.D3Q19(), 32, 32, 32, 1, layout, c.w)
+				f := field.NewPDFFieldRows(lattice.D3Q19(), layout, boxRows(32, 32, 32, c.w))
 				b.SetBytes(int64(len(f.Data()) * 8))
 				for i := 0; i < b.N; i++ {
 					f.FillEquilibrium(1, 0.01, 0, 0)

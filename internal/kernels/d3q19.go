@@ -6,30 +6,21 @@ import (
 	"walberla/internal/lattice"
 )
 
-// pullOffsets returns, for each D3Q19 direction, the linear cell-index
-// offset of the upstream neighbor a stream-pull update reads from.
-func pullOffsets(f *field.PDFField) [lattice.Q19]int {
-	s := f.Stencil
-	sx, sy, sz := f.Strides()
-	var offs [lattice.Q19]int
-	for a := 0; a < lattice.Q19; a++ {
-		offs[a] = s.Cx[a]*sx + s.Cy[a]*sy + s.Cz[a]*sz
-	}
-	return offs
-}
-
 // D3Q19SRT is the SRT kernel specialized for the D3Q19 model: streaming and
 // collision are fused, the direction loop is fully unrolled against the
 // fixed ordering, and common subexpressions of the equilibrium (the
 // symmetric/antisymmetric parts shared by direction pairs) are computed
 // once. This is the paper's "SRT D3Q19" optimization stage.
 type D3Q19SRT struct {
-	p srtParams
+	p     srtParams
+	pulls pullTable
 }
 
 // NewD3Q19SRT constructs the specialized SRT kernel.
-func NewD3Q19SRT(op collide.SRT) *D3Q19SRT {
-	return &D3Q19SRT{p: srtParams{omega: op.Omega()}}
+func NewD3Q19SRT(op collide.SRT) *D3Q19SRT { return newD3Q19SRT(op, pullTable{}) }
+
+func newD3Q19SRT(op collide.SRT, pulls pullTable) *D3Q19SRT {
+	return &D3Q19SRT{p: srtParams{omega: op.Omega()}, pulls: pulls}
 }
 
 // Name implements Kernel.
@@ -40,11 +31,12 @@ func (k *D3Q19SRT) Layout() field.Layout { return field.AoS }
 
 // Sweep implements Kernel.
 func (k *D3Q19SRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.AoS)
+	checkSweep(src, dst, flags, field.AoS)
 	if src.Stencil.Q != lattice.Q19 {
 		panic("kernels: D3Q19 kernel requires the D3Q19 stencil")
 	}
-	offs := pullOffsets(src)
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	in := src.Data()
 	out := dst.Data()
 	omega := k.p.omega
@@ -53,31 +45,33 @@ func (k *D3Q19SRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 	for z := 0; z < src.Nz; z++ {
 		for y := 0; y < src.Ny; y++ {
 			ci := src.CellIndex(0, y, z)
+			v := pulls.at(y, z)
 			for x := 0; x < src.Nx; x++ {
 				if !isFluid(flags, x, y, z) {
 					ci++
 					continue
 				}
 				// Pull all 19 PDFs from their upstream neighbors.
-				fC := in[(ci-offs[lattice.C])*q+int(lattice.C)]
-				fN := in[(ci-offs[lattice.N])*q+int(lattice.N)]
-				fS := in[(ci-offs[lattice.S])*q+int(lattice.S)]
-				fW := in[(ci-offs[lattice.W])*q+int(lattice.W)]
-				fE := in[(ci-offs[lattice.E])*q+int(lattice.E)]
-				fT := in[(ci-offs[lattice.T])*q+int(lattice.T)]
-				fB := in[(ci-offs[lattice.B])*q+int(lattice.B)]
-				fNE := in[(ci-offs[lattice.NE])*q+int(lattice.NE)]
-				fNW := in[(ci-offs[lattice.NW])*q+int(lattice.NW)]
-				fSE := in[(ci-offs[lattice.SE])*q+int(lattice.SE)]
-				fSW := in[(ci-offs[lattice.SW])*q+int(lattice.SW)]
-				fTN := in[(ci-offs[lattice.TN])*q+int(lattice.TN)]
-				fTS := in[(ci-offs[lattice.TS])*q+int(lattice.TS)]
-				fTE := in[(ci-offs[lattice.TE])*q+int(lattice.TE)]
-				fTW := in[(ci-offs[lattice.TW])*q+int(lattice.TW)]
-				fBN := in[(ci-offs[lattice.BN])*q+int(lattice.BN)]
-				fBS := in[(ci-offs[lattice.BS])*q+int(lattice.BS)]
-				fBE := in[(ci-offs[lattice.BE])*q+int(lattice.BE)]
-				fBW := in[(ci-offs[lattice.BW])*q+int(lattice.BW)]
+				base := ci * q
+				fC := in[base+v.ioff[lattice.C]]
+				fN := in[base+v.ioff[lattice.N]]
+				fS := in[base+v.ioff[lattice.S]]
+				fW := in[base+v.ioff[lattice.W]]
+				fE := in[base+v.ioff[lattice.E]]
+				fT := in[base+v.ioff[lattice.T]]
+				fB := in[base+v.ioff[lattice.B]]
+				fNE := in[base+v.ioff[lattice.NE]]
+				fNW := in[base+v.ioff[lattice.NW]]
+				fSE := in[base+v.ioff[lattice.SE]]
+				fSW := in[base+v.ioff[lattice.SW]]
+				fTN := in[base+v.ioff[lattice.TN]]
+				fTS := in[base+v.ioff[lattice.TS]]
+				fTE := in[base+v.ioff[lattice.TE]]
+				fTW := in[base+v.ioff[lattice.TW]]
+				fBN := in[base+v.ioff[lattice.BN]]
+				fBS := in[base+v.ioff[lattice.BS]]
+				fBE := in[base+v.ioff[lattice.BE]]
+				fBW := in[base+v.ioff[lattice.BW]]
 
 				// Macroscopic values with shared partial sums.
 				rho := fC + fN + fS + fW + fE + fT + fB +
@@ -91,7 +85,6 @@ func (k *D3Q19SRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 				w0r := rho * (1.0 / 3.0)
 				w1r := rho * (1.0 / 18.0)
 				w2r := rho * (1.0 / 36.0)
-				base := ci * q
 
 				out[base+int(lattice.C)] = om1*fC + omega*w0r*(1.0-usq)
 
@@ -133,12 +126,15 @@ func srtPair(out []float64, base, a, b int, fa, fb, wr, d, usq, omega, om1 float
 // the TRT operator coincides with the direction-pair structure used for
 // common subexpression elimination (the paper's "TRT D3Q19").
 type D3Q19TRT struct {
-	p trtParams
+	p     trtParams
+	pulls pullTable
 }
 
 // NewD3Q19TRT constructs the specialized TRT kernel.
-func NewD3Q19TRT(op collide.TRT) *D3Q19TRT {
-	return &D3Q19TRT{p: trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}}
+func NewD3Q19TRT(op collide.TRT) *D3Q19TRT { return newD3Q19TRT(op, pullTable{}) }
+
+func newD3Q19TRT(op collide.TRT, pulls pullTable) *D3Q19TRT {
+	return &D3Q19TRT{p: trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}, pulls: pulls}
 }
 
 // Name implements Kernel.
@@ -149,11 +145,12 @@ func (k *D3Q19TRT) Layout() field.Layout { return field.AoS }
 
 // Sweep implements Kernel.
 func (k *D3Q19TRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.AoS)
+	checkSweep(src, dst, flags, field.AoS)
 	if src.Stencil.Q != lattice.Q19 {
 		panic("kernels: D3Q19 kernel requires the D3Q19 stencil")
 	}
-	offs := pullOffsets(src)
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	in := src.Data()
 	out := dst.Data()
 	le, lo := k.p.lambdaE, k.p.lambdaO
@@ -161,30 +158,32 @@ func (k *D3Q19TRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 	for z := 0; z < src.Nz; z++ {
 		for y := 0; y < src.Ny; y++ {
 			ci := src.CellIndex(0, y, z)
+			v := pulls.at(y, z)
 			for x := 0; x < src.Nx; x++ {
 				if !isFluid(flags, x, y, z) {
 					ci++
 					continue
 				}
-				fC := in[(ci-offs[lattice.C])*q+int(lattice.C)]
-				fN := in[(ci-offs[lattice.N])*q+int(lattice.N)]
-				fS := in[(ci-offs[lattice.S])*q+int(lattice.S)]
-				fW := in[(ci-offs[lattice.W])*q+int(lattice.W)]
-				fE := in[(ci-offs[lattice.E])*q+int(lattice.E)]
-				fT := in[(ci-offs[lattice.T])*q+int(lattice.T)]
-				fB := in[(ci-offs[lattice.B])*q+int(lattice.B)]
-				fNE := in[(ci-offs[lattice.NE])*q+int(lattice.NE)]
-				fNW := in[(ci-offs[lattice.NW])*q+int(lattice.NW)]
-				fSE := in[(ci-offs[lattice.SE])*q+int(lattice.SE)]
-				fSW := in[(ci-offs[lattice.SW])*q+int(lattice.SW)]
-				fTN := in[(ci-offs[lattice.TN])*q+int(lattice.TN)]
-				fTS := in[(ci-offs[lattice.TS])*q+int(lattice.TS)]
-				fTE := in[(ci-offs[lattice.TE])*q+int(lattice.TE)]
-				fTW := in[(ci-offs[lattice.TW])*q+int(lattice.TW)]
-				fBN := in[(ci-offs[lattice.BN])*q+int(lattice.BN)]
-				fBS := in[(ci-offs[lattice.BS])*q+int(lattice.BS)]
-				fBE := in[(ci-offs[lattice.BE])*q+int(lattice.BE)]
-				fBW := in[(ci-offs[lattice.BW])*q+int(lattice.BW)]
+				base := ci * q
+				fC := in[base+v.ioff[lattice.C]]
+				fN := in[base+v.ioff[lattice.N]]
+				fS := in[base+v.ioff[lattice.S]]
+				fW := in[base+v.ioff[lattice.W]]
+				fE := in[base+v.ioff[lattice.E]]
+				fT := in[base+v.ioff[lattice.T]]
+				fB := in[base+v.ioff[lattice.B]]
+				fNE := in[base+v.ioff[lattice.NE]]
+				fNW := in[base+v.ioff[lattice.NW]]
+				fSE := in[base+v.ioff[lattice.SE]]
+				fSW := in[base+v.ioff[lattice.SW]]
+				fTN := in[base+v.ioff[lattice.TN]]
+				fTS := in[base+v.ioff[lattice.TS]]
+				fTE := in[base+v.ioff[lattice.TE]]
+				fTW := in[base+v.ioff[lattice.TW]]
+				fBN := in[base+v.ioff[lattice.BN]]
+				fBS := in[base+v.ioff[lattice.BS]]
+				fBE := in[base+v.ioff[lattice.BE]]
+				fBW := in[base+v.ioff[lattice.BW]]
 
 				rho := fC + fN + fS + fW + fE + fT + fB +
 					fNE + fNW + fSE + fSW + fTN + fTS + fTE + fTW + fBN + fBS + fBE + fBW
@@ -197,7 +196,6 @@ func (k *D3Q19TRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 				w0r := rho * (1.0 / 3.0)
 				w1r := rho * (1.0 / 18.0)
 				w2r := rho * (1.0 / 36.0)
-				base := ci * q
 
 				// Center direction has no odd part.
 				out[base+int(lattice.C)] = fC + le*(fC-w0r*(1.0-usq))

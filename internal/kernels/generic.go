@@ -33,7 +33,7 @@ func (k *Generic) Layout() field.Layout { return field.AoS }
 
 // Sweep implements Kernel.
 func (k *Generic) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.AoS)
+	checkSweep(src, dst, flags, field.AoS)
 	s := k.Stencil
 	if src.Stencil != s {
 		panic("kernels: field stencil does not match kernel stencil")

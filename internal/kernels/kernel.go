@@ -43,8 +43,10 @@ type Kernel interface {
 	Sweep(src, dst *field.PDFField, flags *field.FlagField)
 }
 
-// checkShapes panics when src/dst are unusable for a kernel sweep.
-func checkShapes(src, dst *field.PDFField, layout field.Layout) {
+// checkSweep panics when src/dst are unusable for a kernel sweep with the
+// given flags: a dense sweep (nil flags) updates every interior cell from
+// its whole neighborhood, so it needs fields that store the whole block.
+func checkSweep(src, dst *field.PDFField, flags *field.FlagField, layout field.Layout) {
 	if src.Layout != layout || dst.Layout != layout {
 		panic("kernels: field layout does not match kernel layout")
 	}
@@ -53,6 +55,9 @@ func checkShapes(src, dst *field.PDFField, layout field.Layout) {
 	}
 	if src.Ghost < 1 {
 		panic("kernels: stream-pull requires a ghost layer")
+	}
+	if flags == nil && !src.Rows().Full() {
+		panic("kernels: a dense sweep needs fields that store their whole block")
 	}
 }
 

@@ -125,9 +125,9 @@ func TestSparseKernelsMatchGeneric(t *testing.T) {
 		NewGeneric(lattice.D3Q19(), trt).Sweep(srcA, ref, flags)
 
 		kernelsUnderTest := []Kernel{
-			NewSparseConditional(trt),
-			NewSparseCellList(trt, flags, field.Window{}),
-			NewSparseInterval(trt, flags, field.Window{}),
+			NewSparseConditional(trt, nil),
+			NewSparseCellList(trt, flags, nil),
+			NewSparseInterval(trt, flags, nil),
 			NewD3Q19TRT(trt), // dense kernel with flags
 			NewSplitTRT(trt), // split kernel with flags
 		}
@@ -149,9 +149,9 @@ func TestSparseKernelsLeaveNonFluidUntouched(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	flags := sparseFlags(r, nx, ny, nz, 0.4)
 	for _, mk := range []func() Kernel{
-		func() Kernel { return NewSparseConditional(trt) },
-		func() Kernel { return NewSparseCellList(trt, flags, field.Window{}) },
-		func() Kernel { return NewSparseInterval(trt, flags, field.Window{}) },
+		func() Kernel { return NewSparseConditional(trt, nil) },
+		func() Kernel { return NewSparseCellList(trt, flags, nil) },
+		func() Kernel { return NewSparseInterval(trt, flags, nil) },
 	} {
 		k := mk()
 		src := randomField(r, k.Layout(), nx, ny, nz)
@@ -183,14 +183,14 @@ func TestSparseIntervalStats(t *testing.T) {
 	for _, x := range []int{1, 2, 3, 6, 7, 8} {
 		fl.Set(x, 0, 0, field.Fluid)
 	}
-	k := NewSparseInterval(trt, fl, field.Window{})
+	k := NewSparseInterval(trt, fl, nil)
 	if k.Intervals() != 2 {
 		t.Errorf("Intervals = %d, want 2", k.Intervals())
 	}
 	if k.FluidCells() != 6 {
 		t.Errorf("FluidCells = %d, want 6", k.FluidCells())
 	}
-	kl := NewSparseCellList(trt, fl, field.Window{})
+	kl := NewSparseCellList(trt, fl, nil)
 	if kl.FluidCells() != 6 {
 		t.Errorf("cell list FluidCells = %d, want 6", kl.FluidCells())
 	}
@@ -294,9 +294,9 @@ func TestKernelNamesAndLayouts(t *testing.T) {
 		{NewD3Q19TRT(trt), "TRT D3Q19", field.AoS},
 		{NewSplitSRT(srt), "SRT SIMD", field.SoA},
 		{NewSplitTRT(trt), "TRT SIMD", field.SoA},
-		{NewSparseConditional(trt), "TRT Conditional", field.AoS},
-		{NewSparseCellList(trt, flags, field.Window{}), "TRT CellList", field.AoS},
-		{NewSparseInterval(trt, flags, field.Window{}), "TRT Interval", field.SoA},
+		{NewSparseConditional(trt, nil), "TRT Conditional", field.AoS},
+		{NewSparseCellList(trt, flags, nil), "TRT CellList", field.AoS},
+		{NewSparseInterval(trt, flags, nil), "TRT Interval", field.SoA},
 	}
 	for _, c := range cases {
 		if c.k.Name() != c.name {
@@ -340,13 +340,16 @@ func TestKernelShapeChecks(t *testing.T) {
 	mustPanic("shape mismatch", func() { k.Sweep(src, shapeMismatch, nil) })
 	mustPanic("sparse without flags", func() {
 		trt := collide.NewTRT(0.8, collide.MagicParameter)
-		NewSparseConditional(trt).Sweep(src, src.CopyShape(), nil)
+		NewSparseConditional(trt, nil).Sweep(src, src.CopyShape(), nil)
 	})
 	// A row pulling from outside its direction's array panics before any
 	// update: the AVX2 rows would read a neighboring direction's array, or
 	// past the allocation, without complaint.
 	soa := field.NewPDFField(lattice.D3Q19(), 8, 4, 4, 1, field.SoA)
 	rows := newDirRows(soa, soa.CopyShape())
+	var pulls rowPulls
+	(&pullTable{}).bind(&pulls, soa, nil)
+	v := pulls.at(0, 0)
 	for _, rw := range []struct {
 		name    string
 		base, n int
@@ -355,8 +358,8 @@ func TestKernelShapeChecks(t *testing.T) {
 		{"row past the last line", soa.CellIndex(0, 3, 3), 16},
 		{"row past the allocation", soa.CellIndex(0, 3, 3), 80},
 	} {
-		mustPanic("trt "+rw.name, func() { trtRow(&rows, rw.base, rw.n, -1, -1) })
-		mustPanic("srt "+rw.name, func() { srtRow(&rows, rw.base, rw.n, 1, 0) })
+		mustPanic("trt "+rw.name, func() { trtRow(&rows, v, rw.base, rw.n, -1, -1) })
+		mustPanic("srt "+rw.name, func() { srtRow(&rows, v, rw.base, rw.n, 1, 0) })
 	}
 }
 
@@ -403,8 +406,9 @@ func TestSplitKernelSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestKernelsOnCroppedWindows: on fields that store only the bounding box
-// of the fluid grown by one cell, every kernel computes bit for bit what it
-// computes on whole-block fields.
+// of the fluid grown by one cell, every kernel built for that box computes
+// bit for bit what it computes on whole-block fields, and meets fields of
+// that box only.
 func TestKernelsOnCroppedWindows(t *testing.T) {
 	const nx, ny, nz = 9, 8, 7
 	r := rand.New(rand.NewSource(23))
@@ -420,45 +424,20 @@ func TestKernelsOnCroppedWindows(t *testing.T) {
 			}
 		}
 	}
-	win := flags.Bounds(field.Fluid).Grow(1, field.FullWindow(nx, ny, nz, 1))
+	win := grown(flags.Bounds(field.Fluid), nx, ny, nz)
 	if win.Cells() == 0 || win.Cells() >= field.FullWindow(nx, ny, nz, 1).Cells() {
 		t.Fatalf("window %v does not crop the block", win)
 	}
-	for _, k := range []Kernel{
-		NewGeneric(lattice.D3Q19(), trt),
-		NewD3Q19TRT(trt),
-		NewD3Q19SRT(collide.NewSRT(0.8)),
-		NewSplitTRT(trt),
-		NewSplitSRT(collide.NewSRT(0.8)),
-		NewSparseConditional(trt),
-		NewSparseCellList(trt, flags, win),
-		NewSparseInterval(trt, flags, win),
-	} {
-		full := randomField(r, k.Layout(), nx, ny, nz)
-		src := field.NewPDFFieldWindow(full.Stencil, nx, ny, nz, 1, k.Layout(), win)
-		src.CopyFrom(full)
-		want, got := full.CopyShape(), src.CopyShape()
-		ref := k
-		switch k.(type) {
-		case *SparseCellList:
-			ref = NewSparseCellList(trt, flags, field.Window{})
-		case *SparseInterval:
-			ref = NewSparseInterval(trt, flags, field.Window{})
-		}
-		ref.Sweep(full, want, flags)
-		k.Sweep(src, got, flags)
-		if d := maxDiff(t, want, got, flags); d != 0 {
-			t.Errorf("%s: cropped fields differ from whole-block ones by %g", k.Name(), d)
-		}
-		if _, isList := k.(*SparseCellList); isList {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: swept a field of another window without complaint", k.Name())
-					}
-				}()
-				k.Sweep(full, want, flags)
-			}()
-		}
+	rows := boxRows(nx, ny, nz, win)
+	for _, rk := range rowKernels() {
+		sweepRowStorage(t, "cropped window", rk, flags, rows, randomPDFs(r, rk.st, field.AoS, nx, ny, nz))
 	}
+	k := NewSparseCellList(trt, flags, rows)
+	full := randomField(r, k.Layout(), nx, ny, nz)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: swept a field of another window without complaint", k.Name())
+		}
+	}()
+	k.Sweep(full, full.CopyShape(), flags)
 }

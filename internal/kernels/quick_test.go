@@ -102,9 +102,9 @@ func TestSparseEquivalenceRandomPatterns(t *testing.T) {
 		ref := src.CopyShape()
 		NewGeneric(lattice.D3Q19(), trt).Sweep(src, ref, flags)
 		for _, k := range []Kernel{
-			NewSparseConditional(trt),
-			NewSparseCellList(trt, flags, field.Window{}),
-			NewSparseInterval(trt, flags, field.Window{}),
+			NewSparseConditional(trt, nil),
+			NewSparseCellList(trt, flags, nil),
+			NewSparseInterval(trt, flags, nil),
 		} {
 			s2 := src.ConvertLayout(k.Layout())
 			d2 := s2.CopyShape()

@@ -22,28 +22,29 @@ import (
 //     consecutive fluid cells per line.
 
 // trtCellAoS applies the fused pull-stream TRT update to the single cell
-// with linear index ci of an AoS field.
-func trtCellAoS(in, out []float64, ci int, offs *[lattice.Q19]int, le, lo float64) {
+// with linear index ci of an AoS field, whose row pulls with v.
+func trtCellAoS(in, out []float64, ci int, v *pullVec, le, lo float64) {
 	const q = lattice.Q19
-	fC := in[(ci-offs[lattice.C])*q+int(lattice.C)]
-	fN := in[(ci-offs[lattice.N])*q+int(lattice.N)]
-	fS := in[(ci-offs[lattice.S])*q+int(lattice.S)]
-	fW := in[(ci-offs[lattice.W])*q+int(lattice.W)]
-	fE := in[(ci-offs[lattice.E])*q+int(lattice.E)]
-	fT := in[(ci-offs[lattice.T])*q+int(lattice.T)]
-	fB := in[(ci-offs[lattice.B])*q+int(lattice.B)]
-	fNE := in[(ci-offs[lattice.NE])*q+int(lattice.NE)]
-	fNW := in[(ci-offs[lattice.NW])*q+int(lattice.NW)]
-	fSE := in[(ci-offs[lattice.SE])*q+int(lattice.SE)]
-	fSW := in[(ci-offs[lattice.SW])*q+int(lattice.SW)]
-	fTN := in[(ci-offs[lattice.TN])*q+int(lattice.TN)]
-	fTS := in[(ci-offs[lattice.TS])*q+int(lattice.TS)]
-	fTE := in[(ci-offs[lattice.TE])*q+int(lattice.TE)]
-	fTW := in[(ci-offs[lattice.TW])*q+int(lattice.TW)]
-	fBN := in[(ci-offs[lattice.BN])*q+int(lattice.BN)]
-	fBS := in[(ci-offs[lattice.BS])*q+int(lattice.BS)]
-	fBE := in[(ci-offs[lattice.BE])*q+int(lattice.BE)]
-	fBW := in[(ci-offs[lattice.BW])*q+int(lattice.BW)]
+	base := ci * q
+	fC := in[base+v.ioff[lattice.C]]
+	fN := in[base+v.ioff[lattice.N]]
+	fS := in[base+v.ioff[lattice.S]]
+	fW := in[base+v.ioff[lattice.W]]
+	fE := in[base+v.ioff[lattice.E]]
+	fT := in[base+v.ioff[lattice.T]]
+	fB := in[base+v.ioff[lattice.B]]
+	fNE := in[base+v.ioff[lattice.NE]]
+	fNW := in[base+v.ioff[lattice.NW]]
+	fSE := in[base+v.ioff[lattice.SE]]
+	fSW := in[base+v.ioff[lattice.SW]]
+	fTN := in[base+v.ioff[lattice.TN]]
+	fTS := in[base+v.ioff[lattice.TS]]
+	fTE := in[base+v.ioff[lattice.TE]]
+	fTW := in[base+v.ioff[lattice.TW]]
+	fBN := in[base+v.ioff[lattice.BN]]
+	fBS := in[base+v.ioff[lattice.BS]]
+	fBE := in[base+v.ioff[lattice.BE]]
+	fBW := in[base+v.ioff[lattice.BW]]
 
 	rho := fC + fN + fS + fW + fE + fT + fB +
 		fNE + fNW + fSE + fSW + fTN + fTS + fTE + fTW + fBN + fBS + fBE + fBW
@@ -56,7 +57,6 @@ func trtCellAoS(in, out []float64, ci int, offs *[lattice.Q19]int, le, lo float6
 	w0r := rho * (1.0 / 3.0)
 	w1r := rho * (1.0 / 18.0)
 	w2r := rho * (1.0 / 36.0)
-	base := ci * q
 
 	out[base+int(lattice.C)] = fC + le*(fC-w0r*(1.0-usq))
 	trtPair(out, base, int(lattice.E), int(lattice.W), fE, fW, w1r, ux, usq, le, lo)
@@ -73,12 +73,15 @@ func trtCellAoS(in, out []float64, ci int, offs *[lattice.Q19]int, le, lo float6
 // SparseConditional is strategy one: the full block is traversed and a
 // conditional in the innermost loop skips non-fluid cells.
 type SparseConditional struct {
-	p trtParams
+	p     trtParams
+	pulls pullTable
 }
 
-// NewSparseConditional constructs the conditional sparse TRT kernel.
-func NewSparseConditional(op collide.TRT) *SparseConditional {
-	return &SparseConditional{p: trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}}
+// NewSparseConditional constructs the conditional sparse TRT kernel for
+// PDF fields stored in rows; nil rows give a kernel for fields storing
+// their whole block.
+func NewSparseConditional(op collide.TRT, rows *field.Rows) *SparseConditional {
+	return &SparseConditional{p: trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}, pulls: newPullTable(rows, nil, field.AoS)}
 }
 
 // Name implements Kernel.
@@ -89,24 +92,25 @@ func (k *SparseConditional) Layout() field.Layout { return field.AoS }
 
 // Sweep implements Kernel.
 func (k *SparseConditional) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.AoS)
 	if flags == nil {
 		panic("kernels: sparse kernel requires a flag field")
 	}
-	offs := pullOffsets(src)
+	checkSweep(src, dst, flags, field.AoS)
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	in, out := src.Data(), dst.Data()
 	fdata := flags.Data()
-	fsx, fsy, fsz := flags.Strides()
-	_ = fsx
+	_, fsy, fsz := flags.Strides()
 	for z := 0; z < src.Nz; z++ {
 		for y := 0; y < src.Ny; y++ {
 			ci := src.CellIndex(0, y, z)
 			fi := (z+flags.Ghost)*fsz + (y+flags.Ghost)*fsy + flags.Ghost
+			v := pulls.at(y, z)
 			for x := 0; x < src.Nx; x++ {
 				// The branch the paper identifies as the vectorization
 				// blocker — evaluated for every traversed cell.
 				if fdata[fi] == field.Fluid {
-					trtCellAoS(in, out, ci, &offs, k.p.lambdaE, k.p.lambdaO)
+					trtCellAoS(in, out, ci, v, k.p.lambdaE, k.p.lambdaO)
 				}
 				ci++
 				fi++
@@ -120,43 +124,40 @@ func (k *SparseConditional) Sweep(src, dst *field.PDFField, flags *field.FlagFie
 // inner loop at the cost of indexed access.
 type SparseCellList struct {
 	p     trtParams
-	cells []int32 // linear cell indices of fluid cells
+	cells []fluidCell
 	src   *field.FlagField
-	win   field.Window
+	pulls pullTable
 }
 
-// blockWindow resolves the allocation window a sparse kernel is compiled
-// for: win itself, or the whole ghosted block of flags when win is empty.
-func blockWindow(flags *field.FlagField, win field.Window) field.Window {
-	if win.Empty() {
-		return field.FullWindow(flags.Nx, flags.Ny, flags.Nz, flags.Ghost)
-	}
-	return win
-}
+// fluidCell is a cell of the list: its linear index and the pull vector of
+// its row.
+type fluidCell struct{ ci, v int32 }
 
-// checkWindow panics when a kernel with precomputed cell indices meets a
-// field allocated for another window than the one it was compiled for.
-func checkWindow(src *field.PDFField, win field.Window, fluid int) {
-	if fluid > 0 && src.Window() != win {
-		panic("kernels: sparse kernel compiled for a different allocation window")
+// blockRows resolves the allocation rows a sparse kernel is built for:
+// rows itself, or the whole ghosted block of flags when rows is nil.
+func blockRows(flags *field.FlagField, rows *field.Rows) *field.Rows {
+	if rows == nil {
+		return field.FullRows(flags.Nx, flags.Ny, flags.Nz, flags.Ghost)
 	}
+	return rows
 }
 
 // NewSparseCellList constructs the cell-list sparse TRT kernel for the
-// given block; the flag field is scanned once to build the list. win is the
-// allocation window of the PDF fields the kernel will sweep and must hold
-// every fluid cell; the zero value means the whole ghosted block.
-func NewSparseCellList(op collide.TRT, flags *field.FlagField, win field.Window) *SparseCellList {
+// given block; the flag field is scanned once to build the list. rows are
+// the allocation rows of the PDF fields the kernel will sweep and must
+// store every fluid cell and what it pulls from; nil means the whole
+// ghosted block.
+func NewSparseCellList(op collide.TRT, flags *field.FlagField, rows *field.Rows) *SparseCellList {
 	k := &SparseCellList{
-		p:   trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO},
-		src: flags,
-		win: blockWindow(flags, win),
+		p:     trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO},
+		src:   flags,
+		pulls: newPullTable(blockRows(flags, rows), flags, field.AoS),
 	}
 	for z := 0; z < flags.Nz; z++ {
 		for y := 0; y < flags.Ny; y++ {
 			for x := 0; x < flags.Nx; x++ {
 				if flags.Get(x, y, z) == field.Fluid {
-					k.cells = append(k.cells, int32(k.win.Index(x, y, z)))
+					k.cells = append(k.cells, fluidCell{int32(k.pulls.rows.CellIndex(x, y, z)), k.pulls.vec(y, z)})
 				}
 			}
 		}
@@ -176,22 +177,23 @@ func (k *SparseCellList) FluidCells() int { return len(k.cells) }
 // Sweep implements Kernel. The flag field must be the one the kernel was
 // constructed from (the list is precomputed).
 func (k *SparseCellList) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.AoS)
 	if flags != k.src {
 		panic("kernels: SparseCellList used with a different flag field")
 	}
-	checkWindow(src, k.win, len(k.cells))
-	offs := pullOffsets(src)
+	checkSweep(src, dst, flags, field.AoS)
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	in, out := src.Data(), dst.Data()
-	for _, ci := range k.cells {
-		trtCellAoS(in, out, int(ci), &offs, k.p.lambdaE, k.p.lambdaO)
+	for _, c := range k.cells {
+		trtCellAoS(in, out, int(c.ci), &pulls.vecs[c.v], k.p.lambdaE, k.p.lambdaO)
 	}
 }
 
 // interval is a run of consecutive fluid cells within one lattice line.
 type interval struct {
-	base int // linear cell index of the first fluid cell
-	n    int // run length
+	base int   // linear cell index of the first fluid cell
+	n    int32 // run length
+	v    int32 // the pull vector of the line
 }
 
 // SparseInterval is strategy three: per lattice line the ranges of fluid
@@ -204,26 +206,26 @@ type SparseInterval struct {
 	p         trtParams
 	intervals []interval
 	src       *field.FlagField
-	win       field.Window
+	pulls     pullTable
 	fluid     int
 }
 
 // NewSparseInterval constructs the interval sparse TRT kernel for the given
-// block. win is the allocation window of the PDF fields the kernel will
-// sweep — interval bases are cell indices of that window — and must hold
-// every fluid cell; the zero value means the whole ghosted block. Unlike the
-// paper's single [first,last] pair per line, maximal runs are stored, so
-// lines with interior gaps remain exact. Every stored run is bounds-checked
-// against the line it belongs to — degenerate geometries (no fluid at all,
-// isolated single cells, fully fluid lines) produce empty, length-one, and
-// full-width intervals respectively, all of which must stay inside
-// [lineBase, lineBase+Nx).
-func NewSparseInterval(op collide.TRT, flags *field.FlagField, win field.Window) *SparseInterval {
-	k := &SparseInterval{src: flags, win: blockWindow(flags, win)}
+// block. rows are the allocation rows of the PDF fields the kernel will
+// sweep — interval bases are their cell indices — and must store every
+// fluid cell and what it pulls from; nil means the whole ghosted block.
+// Unlike the paper's single [first,last] pair per line, maximal runs are
+// stored, so lines with interior gaps remain exact. Every stored run is
+// bounds-checked against the line it belongs to — degenerate geometries
+// (no fluid at all, isolated single cells, fully fluid lines) produce
+// empty, length-one, and full-width intervals respectively, all of which
+// must stay inside [lineBase, lineBase+Nx).
+func NewSparseInterval(op collide.TRT, flags *field.FlagField, rows *field.Rows) *SparseInterval {
+	k := &SparseInterval{src: flags, pulls: newPullTable(blockRows(flags, rows), flags, field.SoA)}
 	k.p = trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}
 	for z := 0; z < flags.Nz; z++ {
 		for y := 0; y < flags.Ny; y++ {
-			lineBase := k.win.Index(0, y, z)
+			lineBase := k.pulls.rows.CellIndex(0, y, z)
 			x := 0
 			for x < flags.Nx {
 				for x < flags.Nx && flags.Get(x, y, z) != field.Fluid {
@@ -234,15 +236,12 @@ func NewSparseInterval(op collide.TRT, flags *field.FlagField, win field.Window)
 					x++
 				}
 				if x > x0 {
-					iv := interval{base: lineBase + x0, n: x - x0}
-					if iv.n < 1 || iv.n > flags.Nx || iv.base < lineBase || iv.base+iv.n > lineBase+flags.Nx {
+					iv := interval{base: lineBase + x0, n: int32(x - x0), v: k.pulls.vec(y, z)}
+					if iv.n < 1 || int(iv.n) > flags.Nx || iv.base < lineBase || iv.base+int(iv.n) > lineBase+flags.Nx {
 						panic("kernels: sparse interval escapes its lattice line")
 					}
-					if !k.win.Contains(x0, y, z) || !k.win.Contains(x-1, y, z) {
-						panic("kernels: fluid cells outside the allocation window")
-					}
 					k.intervals = append(k.intervals, iv)
-					k.fluid += iv.n
+					k.fluid += int(iv.n)
 				}
 			}
 		}
@@ -266,14 +265,15 @@ func (k *SparseInterval) Intervals() int { return len(k.intervals) }
 // Sweep implements Kernel. The flag field must be the one the kernel was
 // constructed from.
 func (k *SparseInterval) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.SoA)
 	if flags != k.src {
 		panic("kernels: SparseInterval used with a different flag field")
 	}
-	checkWindow(src, k.win, k.fluid)
+	checkSweep(src, dst, flags, field.SoA)
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	rows := newDirRows(src, dst)
 	le, lo := k.p.lambdaE, k.p.lambdaO
 	for _, iv := range k.intervals {
-		trtRow(&rows, iv.base, iv.n, le, lo)
+		trtRow(&rows, &pulls.vecs[iv.v], iv.base, int(iv.n), le, lo)
 	}
 }

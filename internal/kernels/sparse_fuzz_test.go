@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"walberla/internal/collide"
@@ -38,7 +39,8 @@ func fuzzFlags(nx, ny, nz int, pattern []byte) *field.FlagField {
 // every stored run against escaping its lattice line), it must account
 // exactly the scanned fluid-cell and run counts, and its sweep must be
 // bit-identical to the flag-aware dense split kernel, leaving every
-// non-fluid cell untouched.
+// non-fluid cell untouched — over whole-block fields and over fields
+// stored in allocation rows around the fluid.
 func FuzzSparseIntervals(f *testing.F) {
 	f.Add(uint8(4), uint8(4), uint8(4), []byte{})                       // zero fluid cells
 	f.Add(uint8(8), uint8(2), uint8(2), []byte{0xff, 0xff, 0xff, 0xff}) // full-width intervals
@@ -54,7 +56,7 @@ func FuzzSparseIntervals(f *testing.F) {
 		flags := fuzzFlags(nx, ny, nz, pattern)
 
 		op := collide.NewTRT(0.8, 3.0/16.0)
-		k := NewSparseInterval(op, flags, field.Window{}) // must not panic on any geometry
+		k := NewSparseInterval(op, flags, nil) // must not panic on any geometry
 
 		// Reference scan: fluid cells and maximal runs per lattice line.
 		fluid, runs := 0, 0
@@ -112,6 +114,29 @@ func FuzzSparseIntervals(f *testing.F) {
 		for j := range wd {
 			if math.Float64bits(gd[j]) != math.Float64bits(wd[j]) {
 				t.Fatal(diffReport(nx, ny, nz, j, gd[j], wd[j]))
+			}
+		}
+
+		// Row storage: the same sweep over fields that store, per row, the
+		// cells around the fluid — the storage rule's rows, or wider ones —
+		// gives the same bits on every stored cell.
+		rows := fluidRows(rand.New(rand.NewSource(int64(len(pattern)))), flags, lattice.D3Q19(), int(bx)%3)
+		compact := field.NewPDFFieldRows(lattice.D3Q19(), field.SoA, rows)
+		compact.CopyFrom(src)
+		gotRows := compact.CopyShape()
+		gotRows.FillEquilibrium(7, 0, 0, 0)
+		NewSparseInterval(op, flags, rows).Sweep(compact, gotRows, flags)
+		for z := -1; z <= nz; z++ {
+			for y := -1; y <= ny; y++ {
+				for x := -1; x <= nx; x++ {
+					for a := 0; rows.Contains(x, y, z) && a < lattice.Q19; a++ {
+						d := lattice.Direction(a)
+						if g, w := gotRows.Get(x, y, z, d), want.Get(x, y, z, d); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%dx%dx%d row storage: cell (%d,%d,%d) dir %d = %x, split kernel computes %x",
+								nx, ny, nz, x, y, z, a, math.Float64bits(g), math.Float64bits(w))
+						}
+					}
+				}
 			}
 		}
 	})

@@ -42,11 +42,12 @@ type Spec struct {
 	// Flags is required by the sparse kernels (which precompute their
 	// fluid cell structure from it) and ignored by the dense ones.
 	Flags *field.FlagField
-	// Window is the allocation window of the PDF fields the kernel will
-	// sweep (field.NewPDFFieldWindow); the zero value means the whole
-	// ghosted block. Only the sparse kernels, whose precomputed cell
-	// indices depend on it, read it.
-	Window field.Window
+	// Rows are the allocation rows of the PDF fields the kernel will sweep
+	// (field.NewPDFFieldRows); the D3Q19 kernels precompute their per-row
+	// pull offsets, and the sparse ones their cell indices, from them. nil
+	// means whole blocks: such a kernel sweeps fields storing their whole
+	// block, of any shape. The generic kernels address through the fields and ignore it.
+	Rows *field.Rows
 }
 
 // New constructs the compute kernel described by the spec.
@@ -69,24 +70,25 @@ func New(spec Spec) (Kernel, error) {
 		spec.Choice != ChoiceGenericSRT && spec.Choice != ChoiceGenericTRT {
 		return nil, fmt.Errorf("kernels: kernel %q supports D3Q19 only", spec.Choice)
 	}
+	pulls := func(layout field.Layout) pullTable { return newPullTable(spec.Rows, spec.Flags, layout) }
 	switch spec.Choice {
 	case ChoiceGenericSRT:
 		return NewGeneric(st, srt), nil
 	case ChoiceGenericTRT:
 		return NewGeneric(st, trt), nil
 	case ChoiceD3Q19SRT:
-		return NewD3Q19SRT(srt), nil
+		return newD3Q19SRT(srt, pulls(field.AoS)), nil
 	case ChoiceD3Q19TRT:
-		return NewD3Q19TRT(trt), nil
+		return newD3Q19TRT(trt, pulls(field.AoS)), nil
 	case ChoiceSplitSRT:
-		return NewSplitSRT(srt), nil
+		return newSplitSRT(srt, pulls(field.SoA)), nil
 	case ChoiceSplitTRT:
-		return NewSplitTRT(trt), nil
+		return newSplitTRT(trt, pulls(field.SoA)), nil
 	case ChoiceSparse:
 		if spec.Flags == nil {
 			return nil, fmt.Errorf("kernels: sparse kernel requires a flag field")
 		}
-		return NewSparseInterval(trt, spec.Flags, spec.Window), nil
+		return NewSparseInterval(trt, spec.Flags, spec.Rows), nil
 	}
 	return nil, fmt.Errorf("kernels: unknown kernel %q", spec.Choice)
 }

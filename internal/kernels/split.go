@@ -24,36 +24,23 @@ import (
 // checks rely on. The AVX2 rows evaluate the same expressions without FMA,
 // so they are bit-identical to the Go rows, which stay the reference.
 
-// dirRows caches the per-direction SoA slices of src and dst for a sweep,
-// together with the pull offsets: the pulled value of direction a for the
-// cell with linear index ci is in[a][ci-offs[a]].
+// dirRows caches, for a sweep, the SoA storage of src and dst: the pulled
+// value of direction a for the cell with linear index ci is
+// src[ci+v.ioff[a]], where v is the pull vector of the cell's row
+// (rowPulls), its update goes to out[a][ci] = dst[ci+ooff[a]].
 type dirRows struct {
-	in   [lattice.Q19][]float64
-	out  [lattice.Q19][]float64
-	offs [lattice.Q19]int
-
-	// The AVX2 rows address the whole SoA arrays: the pulled value of
-	// direction a for cell ci is src[ci+ioff[a]], its update goes to
-	// dst[ci+ooff[a]]. Every pull of the row [base, base+n) stays in its
-	// direction's array exactly when lo <= base and base+n <= hi.
-	src, dst   []float64
-	ioff, ooff [lattice.Q19]int
-	lo, hi     int
+	out      [lattice.Q19][]float64
+	src, dst []float64
+	ooff     [lattice.Q19]int
 }
 
 func newDirRows(src, dst *field.PDFField) dirRows {
 	var r dirRows
-	r.offs = pullOffsets(src)
 	cells := src.AllocatedCells()
 	r.src, r.dst = src.Data(), dst.Data()
-	r.hi = cells
 	for a := 0; a < lattice.Q19; a++ {
-		r.in[a] = src.DirSlice(lattice.Direction(a))
 		r.out[a] = dst.DirSlice(lattice.Direction(a))
-		r.ioff[a] = a*cells - r.offs[a]
 		r.ooff[a] = a * cells
-		r.lo = max(r.lo, r.offs[a])
-		r.hi = min(r.hi, cells+r.offs[a])
 	}
 	return r
 }
@@ -69,55 +56,56 @@ func RowISA() string {
 }
 
 // checkRow panics unless every pull and store of the row [base, base+n)
-// stays in its direction's array — the bounds check the AVX2 rows, unlike
-// the Go rows' slicing, do not make themselves.
-func (r *dirRows) checkRow(base, n int) {
-	if base < r.lo || base+n > r.hi {
+// stays in its direction's array under the row's vector v — the
+// bounds check the AVX2 rows do not make themselves, and the one that
+// keeps the Go rows, which slice the whole storage, inside a direction.
+func checkRow(v *pullVec, base, n int) {
+	if base < v.lo || base+n > v.hi {
 		panic("kernels: row leaves the field")
 	}
 }
 
 // trtRow updates a row with the AVX2 row where the CPU has one, else with
 // the Go row.
-func trtRow(r *dirRows, base, n int, le, lo float64) {
+func trtRow(r *dirRows, v *pullVec, base, n int, le, lo float64) {
+	checkRow(v, base, n)
 	if useAVX2 {
-		trtRowVec(r, base, n, le, lo)
+		trtRowVec(r, v, base, n, le, lo)
 	} else {
-		trtRowSoA(r, base, n, le, lo)
+		trtRowSoA(r, v, base, n, le, lo)
 	}
 }
 
 // trtRowVec is trtRowSoA in AVX2: assembly for the first n&^3 cells, the
-// Go row for the rest.
-func trtRowVec(r *dirRows, base, n int, le, lo float64) {
+// Go row for the rest. The row must have passed checkRow.
+func trtRowVec(r *dirRows, v *pullVec, base, n int, le, lo float64) {
 	if m := n &^ 3; m > 0 {
-		r.checkRow(base, n)
-		trtRowAVX2(&r.src[base], &r.dst[base], &r.ioff, &r.ooff, m, le, lo)
+		trtRowAVX2(&r.src[base], &r.dst[base], &v.ioff, &r.ooff, m, le, lo)
 		base, n = base+m, n-m
 	}
 	if n > 0 {
-		trtRowSoA(r, base, n, le, lo)
+		trtRowSoA(r, v, base, n, le, lo)
 	}
 }
 
 // srtRow is trtRow for the SRT collision.
-func srtRow(r *dirRows, base, n int, omega, om1 float64) {
+func srtRow(r *dirRows, v *pullVec, base, n int, omega, om1 float64) {
+	checkRow(v, base, n)
 	if useAVX2 {
-		srtRowVec(r, base, n, omega, om1)
+		srtRowVec(r, v, base, n, omega, om1)
 	} else {
-		srtRowSoA(r, base, n, omega, om1)
+		srtRowSoA(r, v, base, n, omega, om1)
 	}
 }
 
 // srtRowVec is trtRowVec for the SRT collision.
-func srtRowVec(r *dirRows, base, n int, omega, om1 float64) {
+func srtRowVec(r *dirRows, v *pullVec, base, n int, omega, om1 float64) {
 	if m := n &^ 3; m > 0 {
-		r.checkRow(base, n)
-		srtRowAVX2(&r.src[base], &r.dst[base], &r.ioff, &r.ooff, m, omega, om1)
+		srtRowAVX2(&r.src[base], &r.dst[base], &v.ioff, &r.ooff, m, omega, om1)
 		base, n = base+m, n-m
 	}
 	if n > 0 {
-		srtRowSoA(r, base, n, omega, om1)
+		srtRowSoA(r, v, base, n, omega, om1)
 	}
 }
 
@@ -135,8 +123,8 @@ var tileBudget = perfmodel.SuperMUCSocket().CacheBlockBytes
 // untiled traversal. It is a pure function of the field's shape, computed
 // per sweep: one kernel value serves many blocks, concurrently.
 func tileRows(f *field.PDFField) int {
-	_, rowCells, _ := f.Strides()
-	rowBytes := lattice.Q19 * rowCells * 8
+	w := f.Window()
+	rowBytes := lattice.Q19 * (w.Hi[0] - w.Lo[0]) * 8
 	h := f.Ny
 	if rowBytes > 0 {
 		h = tileBudget/(3*rowBytes) - 2
@@ -151,10 +139,10 @@ func tileRows(f *field.PDFField) int {
 }
 
 // sweepRows drives a cache-blocked traversal of the interior, invoking
-// row(base, n) for every maximal run of fluid cells. A nil flag field
-// means the block is dense and whole rows are updated without any
-// per-cell flag inspection.
-func sweepRows(src *field.PDFField, flags *field.FlagField, tile int, row func(base, n int)) {
+// row(y, z, base, n) for every maximal run of fluid cells of row (y, z). A
+// nil flag field means the block is dense and whole rows are updated
+// without any per-cell flag inspection.
+func sweepRows(src *field.PDFField, flags *field.FlagField, tile int, row func(y, z, base, n int)) {
 	nx, ny, nz := src.Nx, src.Ny, src.Nz
 	for y0 := 0; y0 < ny; y0 += tile {
 		y1 := y0 + tile
@@ -164,7 +152,7 @@ func sweepRows(src *field.PDFField, flags *field.FlagField, tile int, row func(b
 		for z := 0; z < nz; z++ {
 			for y := y0; y < y1; y++ {
 				if flags == nil {
-					row(src.CellIndex(0, y, z), nx)
+					row(y, z, src.CellIndex(0, y, z), nx)
 					continue
 				}
 				x := 0
@@ -177,7 +165,7 @@ func sweepRows(src *field.PDFField, flags *field.FlagField, tile int, row func(b
 						x++
 					}
 					if x > r0 {
-						row(src.CellIndex(r0, y, z), x-r0)
+						row(y, z, src.CellIndex(r0, y, z), x-r0)
 					}
 				}
 			}
@@ -190,26 +178,26 @@ func sweepRows(src *field.PDFField, flags *field.FlagField, tile int, row func(b
 // by-direction arrays directly. The arithmetic mirrors trtCellAoS
 // expression by expression. It is the reference FuzzSplitRows holds the
 // AVX2 row to, and the only row on CPUs without AVX2.
-func trtRowSoA(r *dirRows, base, n int, le, lo float64) {
-	inC := r.in[lattice.C][base:][:n]
-	inN := r.in[lattice.N][base-r.offs[lattice.N]:][:n]
-	inS := r.in[lattice.S][base-r.offs[lattice.S]:][:n]
-	inW := r.in[lattice.W][base-r.offs[lattice.W]:][:n]
-	inE := r.in[lattice.E][base-r.offs[lattice.E]:][:n]
-	inT := r.in[lattice.T][base-r.offs[lattice.T]:][:n]
-	inB := r.in[lattice.B][base-r.offs[lattice.B]:][:n]
-	inNE := r.in[lattice.NE][base-r.offs[lattice.NE]:][:n]
-	inNW := r.in[lattice.NW][base-r.offs[lattice.NW]:][:n]
-	inSE := r.in[lattice.SE][base-r.offs[lattice.SE]:][:n]
-	inSW := r.in[lattice.SW][base-r.offs[lattice.SW]:][:n]
-	inTN := r.in[lattice.TN][base-r.offs[lattice.TN]:][:n]
-	inTS := r.in[lattice.TS][base-r.offs[lattice.TS]:][:n]
-	inTE := r.in[lattice.TE][base-r.offs[lattice.TE]:][:n]
-	inTW := r.in[lattice.TW][base-r.offs[lattice.TW]:][:n]
-	inBN := r.in[lattice.BN][base-r.offs[lattice.BN]:][:n]
-	inBS := r.in[lattice.BS][base-r.offs[lattice.BS]:][:n]
-	inBE := r.in[lattice.BE][base-r.offs[lattice.BE]:][:n]
-	inBW := r.in[lattice.BW][base-r.offs[lattice.BW]:][:n]
+func trtRowSoA(r *dirRows, v *pullVec, base, n int, le, lo float64) {
+	inC := r.src[base+v.ioff[lattice.C]:][:n]
+	inN := r.src[base+v.ioff[lattice.N]:][:n]
+	inS := r.src[base+v.ioff[lattice.S]:][:n]
+	inW := r.src[base+v.ioff[lattice.W]:][:n]
+	inE := r.src[base+v.ioff[lattice.E]:][:n]
+	inT := r.src[base+v.ioff[lattice.T]:][:n]
+	inB := r.src[base+v.ioff[lattice.B]:][:n]
+	inNE := r.src[base+v.ioff[lattice.NE]:][:n]
+	inNW := r.src[base+v.ioff[lattice.NW]:][:n]
+	inSE := r.src[base+v.ioff[lattice.SE]:][:n]
+	inSW := r.src[base+v.ioff[lattice.SW]:][:n]
+	inTN := r.src[base+v.ioff[lattice.TN]:][:n]
+	inTS := r.src[base+v.ioff[lattice.TS]:][:n]
+	inTE := r.src[base+v.ioff[lattice.TE]:][:n]
+	inTW := r.src[base+v.ioff[lattice.TW]:][:n]
+	inBN := r.src[base+v.ioff[lattice.BN]:][:n]
+	inBS := r.src[base+v.ioff[lattice.BS]:][:n]
+	inBE := r.src[base+v.ioff[lattice.BE]:][:n]
+	inBW := r.src[base+v.ioff[lattice.BW]:][:n]
 	outC := r.out[lattice.C][base:][:n]
 	outN := r.out[lattice.N][base:][:n]
 	outS := r.out[lattice.S][base:][:n]
@@ -277,26 +265,26 @@ func trtRowSoA(r *dirRows, base, n int, le, lo float64) {
 
 // srtRowSoA is the SRT variant of trtRowSoA, mirroring the D3Q19SRT
 // arithmetic expression by expression.
-func srtRowSoA(r *dirRows, base, n int, omega, om1 float64) {
-	inC := r.in[lattice.C][base:][:n]
-	inN := r.in[lattice.N][base-r.offs[lattice.N]:][:n]
-	inS := r.in[lattice.S][base-r.offs[lattice.S]:][:n]
-	inW := r.in[lattice.W][base-r.offs[lattice.W]:][:n]
-	inE := r.in[lattice.E][base-r.offs[lattice.E]:][:n]
-	inT := r.in[lattice.T][base-r.offs[lattice.T]:][:n]
-	inB := r.in[lattice.B][base-r.offs[lattice.B]:][:n]
-	inNE := r.in[lattice.NE][base-r.offs[lattice.NE]:][:n]
-	inNW := r.in[lattice.NW][base-r.offs[lattice.NW]:][:n]
-	inSE := r.in[lattice.SE][base-r.offs[lattice.SE]:][:n]
-	inSW := r.in[lattice.SW][base-r.offs[lattice.SW]:][:n]
-	inTN := r.in[lattice.TN][base-r.offs[lattice.TN]:][:n]
-	inTS := r.in[lattice.TS][base-r.offs[lattice.TS]:][:n]
-	inTE := r.in[lattice.TE][base-r.offs[lattice.TE]:][:n]
-	inTW := r.in[lattice.TW][base-r.offs[lattice.TW]:][:n]
-	inBN := r.in[lattice.BN][base-r.offs[lattice.BN]:][:n]
-	inBS := r.in[lattice.BS][base-r.offs[lattice.BS]:][:n]
-	inBE := r.in[lattice.BE][base-r.offs[lattice.BE]:][:n]
-	inBW := r.in[lattice.BW][base-r.offs[lattice.BW]:][:n]
+func srtRowSoA(r *dirRows, v *pullVec, base, n int, omega, om1 float64) {
+	inC := r.src[base+v.ioff[lattice.C]:][:n]
+	inN := r.src[base+v.ioff[lattice.N]:][:n]
+	inS := r.src[base+v.ioff[lattice.S]:][:n]
+	inW := r.src[base+v.ioff[lattice.W]:][:n]
+	inE := r.src[base+v.ioff[lattice.E]:][:n]
+	inT := r.src[base+v.ioff[lattice.T]:][:n]
+	inB := r.src[base+v.ioff[lattice.B]:][:n]
+	inNE := r.src[base+v.ioff[lattice.NE]:][:n]
+	inNW := r.src[base+v.ioff[lattice.NW]:][:n]
+	inSE := r.src[base+v.ioff[lattice.SE]:][:n]
+	inSW := r.src[base+v.ioff[lattice.SW]:][:n]
+	inTN := r.src[base+v.ioff[lattice.TN]:][:n]
+	inTS := r.src[base+v.ioff[lattice.TS]:][:n]
+	inTE := r.src[base+v.ioff[lattice.TE]:][:n]
+	inTW := r.src[base+v.ioff[lattice.TW]:][:n]
+	inBN := r.src[base+v.ioff[lattice.BN]:][:n]
+	inBS := r.src[base+v.ioff[lattice.BS]:][:n]
+	inBE := r.src[base+v.ioff[lattice.BE]:][:n]
+	inBW := r.src[base+v.ioff[lattice.BW]:][:n]
 	outC := r.out[lattice.C][base:][:n]
 	outN := r.out[lattice.N][base:][:n]
 	outS := r.out[lattice.S][base:][:n]
@@ -365,12 +353,15 @@ func srtRowSoA(r *dirRows, base, n int, omega, om1 float64) {
 // SplitSRT is the by-direction SRT kernel on the SoA layout (the paper's
 // "SRT SIMD"). Safe for concurrent use on disjoint fields.
 type SplitSRT struct {
-	p srtParams
+	p     srtParams
+	pulls pullTable
 }
 
 // NewSplitSRT constructs the split SRT kernel.
-func NewSplitSRT(op collide.SRT) *SplitSRT {
-	return &SplitSRT{p: srtParams{omega: op.Omega()}}
+func NewSplitSRT(op collide.SRT) *SplitSRT { return newSplitSRT(op, pullTable{}) }
+
+func newSplitSRT(op collide.SRT, pulls pullTable) *SplitSRT {
+	return &SplitSRT{p: srtParams{omega: op.Omega()}, pulls: pulls}
 }
 
 // Name implements Kernel.
@@ -381,15 +372,17 @@ func (k *SplitSRT) Layout() field.Layout { return field.SoA }
 
 // Sweep implements Kernel.
 func (k *SplitSRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.SoA)
+	checkSweep(src, dst, flags, field.SoA)
 	if src.Stencil.Q != lattice.Q19 {
 		panic("kernels: split kernel requires the D3Q19 stencil")
 	}
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	rows := newDirRows(src, dst)
 	omega := k.p.omega
 	om1 := 1.0 - omega
-	sweepRows(src, flags, tileRows(src), func(base, n int) {
-		srtRow(&rows, base, n, omega, om1)
+	sweepRows(src, flags, tileRows(src), func(y, z, base, n int) {
+		srtRow(&rows, pulls.at(y, z), base, n, omega, om1)
 	})
 }
 
@@ -397,12 +390,15 @@ func (k *SplitSRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
 // "TRT SIMD"), the default distributed hot path for dense blocks. Safe for
 // concurrent use on disjoint fields.
 type SplitTRT struct {
-	p trtParams
+	p     trtParams
+	pulls pullTable
 }
 
 // NewSplitTRT constructs the split TRT kernel.
-func NewSplitTRT(op collide.TRT) *SplitTRT {
-	return &SplitTRT{p: trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}}
+func NewSplitTRT(op collide.TRT) *SplitTRT { return newSplitTRT(op, pullTable{}) }
+
+func newSplitTRT(op collide.TRT, pulls pullTable) *SplitTRT {
+	return &SplitTRT{p: trtParams{lambdaE: op.LambdaE, lambdaO: op.LambdaO}, pulls: pulls}
 }
 
 // Name implements Kernel.
@@ -413,13 +409,15 @@ func (k *SplitTRT) Layout() field.Layout { return field.SoA }
 
 // Sweep implements Kernel.
 func (k *SplitTRT) Sweep(src, dst *field.PDFField, flags *field.FlagField) {
-	checkShapes(src, dst, field.SoA)
+	checkSweep(src, dst, flags, field.SoA)
 	if src.Stencil.Q != lattice.Q19 {
 		panic("kernels: split kernel requires the D3Q19 stencil")
 	}
+	var pulls rowPulls
+	k.pulls.bind(&pulls, src, flags)
 	rows := newDirRows(src, dst)
 	le, lo := k.p.lambdaE, k.p.lambdaO
-	sweepRows(src, flags, tileRows(src), func(base, n int) {
-		trtRow(&rows, base, n, le, lo)
+	sweepRows(src, flags, tileRows(src), func(y, z, base, n int) {
+		trtRow(&rows, pulls.at(y, z), base, n, le, lo)
 	})
 }

@@ -26,11 +26,12 @@ func fuzzPDF(r *rand.Rand) float64 {
 }
 
 // FuzzSplitRows checks the AVX2 rows against the Go rows bit for bit, for
-// TRT and SRT: on fields cropped to an allocation window around a random
-// fluid box, for every line of that box (row lengths 1-67, so every tail
-// length n%4 occurs) and for the runs of a SparseInterval built over it. It
-// calls both paths directly; on a CPU without AVX2 there is nothing to
-// compare.
+// TRT and SRT: on a field cropped to the box around a random fluid region,
+// for every line of that box (row lengths 1-67, so every tail length n%4
+// occurs), and for the runs of SparseIntervals built over it and over a
+// field stored in allocation rows around the fluid. It calls the checked
+// row, which takes the AVX2 path, and the Go row directly; on a CPU
+// without AVX2 there is nothing to compare.
 func FuzzSplitRows(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(255), uint8(0))   // one-cell rows
 	f.Add(int64(2), uint8(3), uint8(255), uint8(5))   // a 4-cell row: no tail
@@ -64,42 +65,63 @@ func FuzzSplitRows(f *testing.F) {
 		if fluid.Empty() {
 			return
 		}
-		win := fluid.Grow(1, field.FullWindow(nx, ny, nz, 1))
-		src := field.NewPDFFieldWindow(lattice.D3Q19(), nx, ny, nz, 1, field.SoA, win)
-		for i := range src.Data() {
-			src.Data()[i] = fuzzPDF(r)
+		win := grown(fluid, nx, ny, nz)
+		cropped := field.NewPDFFieldRows(lattice.D3Q19(), field.SoA, boxRows(nx, ny, nz, win))
+		compact := field.NewPDFFieldRows(lattice.D3Q19(), field.SoA, fluidRows(r, flags, lattice.D3Q19(), int(shape)%3))
+		for _, src := range []*field.PDFField{cropped, compact} {
+			for i := range src.Data() {
+				src.Data()[i] = fuzzPDF(r)
+			}
 		}
-		type row struct{ base, n int }
+		// A row to update: the field, the pulls it sweeps with and either
+		// its (y, z) in the field's box or its vector in those pulls.
+		type row struct {
+			src        *field.PDFField
+			pulls      *pullTable
+			y, z, v    int
+			base, n    int
+			ofInterval bool
+		}
 		var rows []row
+		croppedPulls := newPullTable(cropped.Rows(), nil, field.SoA)
 		for z := fluid.Lo[2]; z < fluid.Hi[2]; z++ {
 			for y := fluid.Lo[1]; y < fluid.Hi[1]; y++ {
-				rows = append(rows, row{src.CellIndex(fluid.Lo[0], y, z), fluid.Hi[0] - fluid.Lo[0]})
+				rows = append(rows, row{cropped, &croppedPulls, y, z, 0, cropped.CellIndex(fluid.Lo[0], y, z), fluid.Hi[0] - fluid.Lo[0], false})
 			}
 		}
 		tau := 0.5 + 1.5*r.Float64()
 		trt := collide.NewTRT(tau, collide.MagicParameter)
-		for _, iv := range NewSparseInterval(trt, flags, win).intervals {
-			rows = append(rows, row{iv.base, iv.n})
+		for _, src := range []*field.PDFField{cropped, compact} {
+			k := NewSparseInterval(trt, flags, src.Rows())
+			for _, iv := range k.intervals {
+				rows = append(rows, row{src, &k.pulls, 0, 0, int(iv.v), iv.base, int(iv.n), true})
+			}
 		}
 
 		omega := collide.NewSRT(tau).Omega()
 		for _, c := range []struct {
 			name     string
-			vec, ref func(d *dirRows, base, n int, p, q float64)
+			row, ref func(d *dirRows, v *pullVec, base, n int, p, q float64)
 			p, q     float64
 		}{
-			{"trt", trtRowVec, trtRowSoA, trt.LambdaE, trt.LambdaO},
-			{"srt", srtRowVec, srtRowSoA, omega, 1 - omega},
+			{"trt", trtRow, trtRowSoA, trt.LambdaE, trt.LambdaO},
+			{"srt", srtRow, srtRowSoA, omega, 1 - omega},
 		} {
 			for _, rw := range rows {
-				got, want := src.CopyShape(), src.CopyShape()
-				gr, wr := newDirRows(src, got), newDirRows(src, want)
-				c.vec(&gr, rw.base, rw.n, c.p, c.q)
-				c.ref(&wr, rw.base, rw.n, c.p, c.q)
+				got, want := rw.src.CopyShape(), rw.src.CopyShape()
+				gr, wr := newDirRows(rw.src, got), newDirRows(rw.src, want)
+				var pulls rowPulls
+				rw.pulls.bind(&pulls, rw.src, nil)
+				v := pulls.at(rw.y, rw.z)
+				if rw.ofInterval {
+					v = &pulls.vecs[rw.v]
+				}
+				c.row(&gr, v, rw.base, rw.n, c.p, c.q)
+				c.ref(&wr, v, rw.base, rw.n, c.p, c.q)
 				for j, w := range want.Data() {
 					if g := got.Data()[j]; math.Float64bits(g) != math.Float64bits(w) {
 						t.Fatalf("%s row %d+%d of %dx%dx%d, window %v: data[%d] = %x, Go row %x",
-							c.name, rw.base, rw.n, nx, ny, nz, win, j, math.Float64bits(g), math.Float64bits(w))
+							c.name, rw.base, rw.n, nx, ny, nz, rw.src.Window(), j, math.Float64bits(g), math.Float64bits(w))
 					}
 				}
 			}

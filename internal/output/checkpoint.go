@@ -76,8 +76,8 @@ func SaveCheckpoint(w io.Writer, f *field.PDFField) error {
 	}
 	// Write in canonical (layout-independent) order — (z,y,x) cells of the
 	// whole ghosted block with the Q directions interleaved — so checkpoints
-	// are portable between layouts and allocation windows: cells outside the
-	// field's window are written as its fill value, which is what a field
+	// are portable between layouts and allocation rows: cells outside the
+	// field's rows are written as its fill value, which is what a field
 	// storing them would hold. Encoding is buffered one padded row at a
 	// time: the AoS storage order coincides with the wire order, and the SoA
 	// path gathers from the by-direction arrays without converting the field.
@@ -90,17 +90,17 @@ func SaveCheckpoint(w io.Writer, f *field.PDFField) error {
 			binary.LittleEndian.PutUint64(fillRow[(x*q+a)*8:], math.Float64bits(f.FillValue(lattice.Direction(a))))
 		}
 	}
-	win := f.Window()
-	xa, n := win.Lo[0], win.Hi[0]-win.Lo[0]
 	row := make([]byte, len(fillRow))
 	data := f.Data()
 	cells := f.AllocatedCells()
 	for z := -g; z < f.Nz+g; z++ {
 		for y := -g; y < f.Ny+g; y++ {
-			if !win.Contains(xa, y, z) {
+			xa, xb := f.Rows().Span(y, z)
+			if xa == xb {
 				out.Write(fillRow)
 				continue
 			}
+			n := xb - xa
 			if n < ax {
 				copy(row, fillRow)
 			}
@@ -262,7 +262,7 @@ func loadCheckpoint(r io.Reader, s *lattice.Stencil, layout field.Layout, useSto
 // RestorePDF loads a checkpoint into an existing field, validating that
 // shapes match — the in-place variant used for simulation restarts where
 // the fields are already allocated by the setup pipeline. Checkpoints
-// describe the whole ghosted block; the cells of f's allocation window are
+// describe the whole ghosted block; the cells of f's allocation rows are
 // restored, the rest of the file is ignored.
 func RestorePDF(r io.Reader, f *field.PDFField) error {
 	g, err := LoadCheckpoint(r, f.Stencil, f.Layout)

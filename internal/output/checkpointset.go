@@ -121,11 +121,15 @@ func writeRecords[T any](w io.Writer, magic string, recs []T, key func(rec *byte
 	cw := &countingWriter{w: io.MultiWriter(bw, crc)}
 	io.WriteString(cw, magic)
 	binary.Write(cw, binary.LittleEndian, uint32(len(recs)))
+	var rec, payload bytes.Buffer
 	for i := range recs {
-		var rec bytes.Buffer
+		rec.Reset()
 		src, dst := key(&rec, &recs[i])
 		for _, f := range []*field.PDFField{src, dst} {
-			var payload bytes.Buffer
+			size := CheckpointSize(f.Stencil.Q, f.Nx, f.Ny, f.Nz, f.Ghost)
+			rec.Grow(int(8 + size))
+			payload.Reset()
+			payload.Grow(int(size))
 			if err := SaveCheckpoint(&payload, f); err != nil {
 				return 0, 0, err
 			}

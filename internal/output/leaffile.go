@@ -51,6 +51,21 @@ func WriteLeafFile(w io.Writer, leaves []LeafSnapshot) (int64, uint32, error) {
 	})
 }
 
+// LeafFileSize returns the exact number of bytes WriteLeafFile writes for
+// leaves: magic and record count, then per record the 13-byte identity,
+// the root coordinate, two length-prefixed whole-block checkpoints and the
+// record CRC. Encoders size their buffer with it once.
+func LeafFileSize(leaves []LeafSnapshot) int64 {
+	n := int64(4 + 4)
+	for i := range leaves {
+		n += 13 + 3*8 + 4
+		for _, f := range []*field.PDFField{leaves[i].Src, leaves[i].Dst} {
+			n += 8 + CheckpointSize(f.Stencil.Q, f.Nx, f.Ny, f.Nz, f.Ghost)
+		}
+	}
+	return n
+}
+
 // ReadLeafFile reads a WBK2 leaf file, restoring every field in the
 // given layout, and returns the leaves plus the whole-stream CRC32C.
 func ReadLeafFile(r io.Reader, s *lattice.Stencil, layout field.Layout) ([]LeafSnapshot, uint32, error) {

@@ -3,6 +3,7 @@ package output
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"walberla/internal/field"
@@ -141,5 +142,52 @@ func TestLeafFileRejectsGarbageWithoutAllocating(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, _, err := ReadLeafFileStored(bytes.NewReader(trunc), s); err == nil {
 		t.Fatal("truncated leaf file accepted")
+	}
+}
+
+// TestLeafFileSize: LeafFileSize is the byte count WriteLeafFile writes
+// and reports, for random leaf sets of whole-block, cropped and
+// row-compact fields in both layouts.
+func TestLeafFileSize(t *testing.T) {
+	s := lattice.D3Q19()
+	r := rand.New(rand.NewSource(3))
+	mk := func() *field.PDFField {
+		n := [3]int{1 + r.Intn(6), 1 + r.Intn(5), 1 + r.Intn(4)}
+		layout := field.Layout(r.Intn(2))
+		var rows *field.Rows
+		switch r.Intn(3) {
+		case 0:
+			rows = field.FullRows(n[0], n[1], n[2], 1)
+		case 1: // the interior only
+			rows = field.NewRows(n[0], n[1], n[2], 1, func(y, z int) (int, int) {
+				if y < 0 || y >= n[1] || z < 0 || z >= n[2] {
+					return 0, 0
+				}
+				return 0, n[0]
+			})
+		default:
+			rows = field.NewRows(n[0], n[1], n[2], 1, func(y, z int) (int, int) {
+				a, b := r.Intn(n[0]+2)-1, r.Intn(n[0]+2)-1
+				return min(a, b), max(a, b)
+			})
+		}
+		f := field.NewPDFFieldRows(s, layout, rows)
+		f.FillEquilibrium(1, 0.01, 0, 0)
+		return f
+	}
+	for rep := 0; rep < 20; rep++ {
+		leaves := make([]LeafSnapshot, r.Intn(5))
+		for i := range leaves {
+			leaves[i] = LeafSnapshot{Tree: uint32(i), Path: uint64(r.Intn(64)), Level: uint8(r.Intn(3)), Coord: [3]int{i, -i, 2 * i}, Src: mk()}
+			leaves[i].Dst = leaves[i].Src.CopyShape()
+		}
+		var buf bytes.Buffer
+		size, _, err := WriteLeafFile(&buf, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := LeafFileSize(leaves); size != want || int64(buf.Len()) != want {
+			t.Fatalf("%d leaves: WriteLeafFile wrote %d bytes and reports %d, LeafFileSize says %d", len(leaves), buf.Len(), size, want)
+		}
 	}
 }

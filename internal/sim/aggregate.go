@@ -173,14 +173,15 @@ func addRow(runs []copyRun, first, sp, dp, n int) []copyRun {
 // boundary.Apply rewrites after the exchange anyway. The receiver's flags
 // are authoritative — they are the ones its kernel and boundary sweep were
 // built from. A destination whose interior is all fluid (the dense kernel
-// path, which tests no flags) takes every slot, layer by layer for SoA,
-// without evaluating the mask. A slot whose source cell lies outside src's
-// allocation window is dropped as well: the source would deliver its fill
-// value, the uniform initial equilibrium the destination slot has held
-// since it was initialized. (A slot dst reads is always inside dst's own
-// window, which holds its fluid cells' whole neighborhood.) Adjacent slots
-// merge into rows and equidistant rows into one run (addRow). It returns
-// the extended run list and the number of slots kept.
+// path, which tests no flags) takes every slot, row by row for SoA where
+// the source stores the whole row, without evaluating the mask. A slot
+// whose source cell lies outside src's allocation rows is dropped as well:
+// the source would deliver its fill value, the uniform initial equilibrium
+// the destination slot has held since it was initialized. (A slot dst
+// reads is always stored by dst, whose rows hold every cell its fluid
+// cells pull from.) Adjacent slots merge into rows and equidistant rows
+// into one run (addRow). It returns the extended run list and the number
+// of slots kept.
 func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction) ([]copyRun, int) {
 	sf, df := src.Src, dst.Src
 	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
@@ -191,42 +192,31 @@ func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, di
 	}
 	st, flags := df.Stencil, dst.Flags
 	dense := dst.Fluid == df.InteriorCells()
-	sw, dw := sf.Window(), df.Window()
-	srcStored := sw.Covers(field.Window{Lo: srcReg.lo, Hi: srcReg.hi})
+	sr, dr := sf.Rows(), df.Rows()
 	soa := sf.Layout == field.SoA
 	xStride := st.Q // Data() distance of one step in x
 	if soa {
 		xStride = 1
 	}
 	first, kept := len(runs), 0
-	nx, ny := srcReg.hi[0]-srcReg.lo[0], srcReg.hi[1]-srcReg.lo[1]
-	_, srcRow, _ := sf.Strides()
-	_, dstRow, _ := df.Strides()
+	nx := srcReg.hi[0] - srcReg.lo[0]
 	for _, d := range dirs {
 		cx, cy, cz := st.Cx[d], st.Cy[d], st.Cz[d]
 		for z := srcReg.lo[2]; z < srcReg.hi[2]; z++ {
 			gz := dstReg.lo[2] + (z - srcReg.lo[2])
-			if dense && soa && srcStored {
-				// The whole z-layer at once: ny rows, one field row apart. A
-				// single row goes through addRow, which folds the rows of
-				// successive layers into one run.
-				sp := sf.Index(srcReg.lo[0], srcReg.lo[1], z, d)
-				dp := df.Index(dstReg.lo[0], dstReg.lo[1], gz, d)
-				if ny == 1 {
-					runs = addRow(runs, first, sp, dp, nx)
-				} else {
-					runs = append(runs, copyRun{src: int32(sp), dst: int32(dp), n: int32(nx),
-						reps: int32(ny), srcStep: int32(srcRow), dstStep: int32(dstRow)})
-				}
-				kept += nx * ny
-				continue
-			}
 			for y := srcReg.lo[1]; y < srcReg.hi[1]; y++ {
 				gy := dstReg.lo[1] + (y - srcReg.lo[1])
-				// Linear in x even where the row leaves a window; only slots
-				// inside both windows are used.
+				// Linear in x even where the row leaves its span; only slots
+				// both fields store are used.
 				sp := sf.Index(srcReg.lo[0], y, z, d)
 				dp := df.Index(dstReg.lo[0], gy, gz, d)
+				if lo, hi := sr.Span(y, z); dense && soa && lo <= srcReg.lo[0] && srcReg.hi[0] <= hi {
+					// The whole row at once; successive rows of one step fold
+					// into one run.
+					runs = addRow(runs, first, sp, dp, nx)
+					kept += nx
+					continue
+				}
 				for i := 0; i < nx; i++ {
 					gx := dstReg.lo[0] + i
 					if !dense {
@@ -236,7 +226,7 @@ func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, di
 							continue
 						}
 					}
-					if !srcStored && !sw.Contains(srcReg.lo[0]+i, y, z) || !dw.Contains(gx, gy, gz) {
+					if !sr.Contains(srcReg.lo[0]+i, y, z) || !dr.Contains(gx, gy, gz) {
 						continue
 					}
 					runs = addRow(runs, first, sp+i*xStride, dp+i*xStride, 1)

@@ -492,9 +492,9 @@ func TestCompiledLocalCopiesMatchPerPair(t *testing.T) {
 }
 
 // windowConfig is maskConfig started from a uniform state, so that blocks
-// take allocation windows cropped to their fluid. With full set the same
-// state arrives through an InitialState func, which makes every block
-// allocate its whole ghosted box — the oracle the cropped runs must match.
+// store allocation rows around their fluid. With full set the same state
+// arrives through an InitialState func, which makes every block allocate
+// its whole ghosted box — the oracle the row-compact runs must match.
 func windowConfig(p flagPattern, periodic bool, stencil *lattice.Stencil, layout LayoutChoice, full bool) Config {
 	cfg := maskConfig(p, periodic, stencil, layout)
 	rho, v := 1.02, [3]float64{0.01, -0.02, 0.015}
@@ -530,10 +530,10 @@ func fieldCells(t *testing.T, cfg Config, periodic bool) (allocated, block int64
 }
 
 // TestAllocationWindowsInvisible is the differential test of the
-// allocation windows: on every geometry of the need-mask matrix — blocks
+// allocation rows: on every geometry of the need-mask matrix — blocks
 // without any fluid and a block with one fluid cell in a corner among them
 // — × world × stencil/layout × decomposition × worker count × exchange
-// mode, a run whose fields store only the bounding box of their fluid ends
+// mode, a run whose fields store only the cells linked to their fluid ends
 // on the field hash and on every interior PDF of the run that stores whole
 // blocks.
 func TestAllocationWindowsInvisible(t *testing.T) {
@@ -559,8 +559,8 @@ func TestAllocationWindowsInvisible(t *testing.T) {
 							t.Errorf("blocks without fluid store %d cells", allocated)
 						}
 					case "single-fluid":
-						if want := int64(27); !periodic && allocated != want {
-							t.Errorf("one fluid cell in a corner stores %d cells, want its 3^3 neighborhood", allocated)
+						if want := int64(m.stencil.Q); !periodic && allocated != want {
+							t.Errorf("one fluid cell in a corner stores %d cells, want the %d its velocities link", allocated, want)
 						}
 					case "all-fluid":
 						if allocated != block {

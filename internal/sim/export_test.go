@@ -10,6 +10,10 @@ import (
 // test package, whose benchmarks build worlds through internal/core.
 func (s *Simulation) PostExchange() error { return s.postExchange() }
 
+// RaceEnabled reports a race-instrumented build, in which the allocation
+// gates skip themselves.
+const RaceEnabled = raceEnabled
+
 // NewWithExchange is New with the ghost exchange wire format chosen by hand
 // — how the external tests build their per-pair oracle.
 var NewWithExchange = newWithExchange
@@ -41,7 +45,7 @@ func (s *Simulation) GhostPoisoner() func() {
 				for z := sl.reg.lo[2]; z < sl.reg.hi[2]; z++ {
 					for y := sl.reg.lo[1]; y < sl.reg.hi[1]; y++ {
 						for x := sl.reg.lo[0]; x < sl.reg.hi[0]; x++ {
-							if sl.bd.Src.Window().Contains(x, y, z) {
+							if sl.bd.Src.Rows().Contains(x, y, z) {
 								written[sl.bd][sl.bd.Src.Index(x, y, z, d)] = true
 							}
 						}
@@ -57,7 +61,7 @@ func (s *Simulation) GhostPoisoner() func() {
 			for y := -1; y <= f.Ny; y++ {
 				for x := -1; x <= f.Nx; x++ {
 					if x >= 0 && x < f.Nx && y >= 0 && y < f.Ny && z >= 0 && z < f.Nz ||
-						!f.Window().Contains(x, y, z) {
+						!f.Rows().Contains(x, y, z) {
 						continue
 					}
 					for a := 0; a < f.Stencil.Q; a++ {

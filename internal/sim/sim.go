@@ -260,29 +260,76 @@ func (c *Config) resolveKernel(fluidFrac float64) KernelChoice {
 	return KernelSplitTRT
 }
 
-// allocationWindow is the cell box a block's PDF fields allocate storage
-// for (field.NewPDFFieldWindow): the bounding box of the block's interior
-// fluid cells grown by the stencil reach of one cell and clipped to the
-// ghosted block. Every cell a kernel updates or pulls from, every boundary
-// link and every ghost slot a fluid cell reads lies inside it; what lies
+// allocationRows are the allocation rows a block's PDF fields store
+// (field.NewPDFFieldRows): per (y, z) line of the ghosted block the x-hull
+// of the cells some stencil velocity, rest included, links to an interior
+// fluid cell. Every cell a kernel updates or pulls from, every boundary
+// link and every ghost slot a fluid cell reads is such a cell; what lies
 // outside keeps the uniform initial equilibrium for the whole run, which is
-// what the fields report there (docs/KERNELS.md, "Allocation windows"). A
-// per-cell InitialState gives solid interior cells values of their own, so
-// such blocks take the whole ghosted block. Like the kernel choice it is a
-// pure function of (config, flags): every rank that reconstructs a block
-// arrives at the same window, and raw field storage can travel as is.
-func (c *Config) allocationWindow(flags *field.FlagField) field.Window {
-	full := field.FullWindow(flags.Nx, flags.Ny, flags.Nz, flags.Ghost)
-	if c.InitialState != nil {
-		return full
+// what the fields report there (docs/KERNELS.md, "Allocation rows"). The
+// hulls are the interior-fluid hulls of the neighboring rows, each widened
+// by the x-reach of the velocities linking the two rows (D3Q19 has no
+// corner links, so a diagonal neighbor row adds its hull unwidened). An
+// all-fluid block keeps its whole ghosted box: its hulls miss only corner
+// ghosts, and the box keeps dense blocks on the box formula. So does every
+// block of a per-cell InitialState, which gives solid interior cells values
+// of their own. Like the kernel choice it is a pure function of
+// (config, flags): every rank that reconstructs a block arrives at the same
+// rows, and raw field storage can travel as is.
+func (c *Config) allocationRows(flags *field.FlagField, fluid int) *field.Rows {
+	nx, ny, nz, g := flags.Nx, flags.Ny, flags.Nz, flags.Ghost
+	if c.InitialState != nil || fluid == nx*ny*nz {
+		return field.FullRows(nx, ny, nz, g)
 	}
-	return flags.Bounds(field.Fluid).Grow(1, full)
+	// reach[cz+1][cy+1] is how far in x the velocities (·, cy, cz) reach, -1
+	// where there is none.
+	var reach [3][3]int
+	for i := range reach {
+		reach[i] = [3]int{-1, -1, -1}
+	}
+	st := c.Stencil
+	for a := 0; a < st.Q; a++ {
+		r := &reach[st.Cz[a]+1][st.Cy[a]+1]
+		*r = max(*r, st.Cx[a], -st.Cx[a])
+	}
+	// The interior-fluid hull [lo, hi) of every interior row; lo >= hi when
+	// the row has none.
+	lo, hi := make([]int, ny*nz), make([]int, ny*nz)
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			i := z*ny + y
+			lo[i], hi[i] = nx, 0
+			for x := 0; x < nx; x++ {
+				if flags.Get(x, y, z) == field.Fluid {
+					lo[i], hi[i] = min(lo[i], x), x+1
+				}
+			}
+		}
+	}
+	return field.NewRows(nx, ny, nz, g, func(y, z int) (int, int) {
+		a, b := nx+g, -g
+		for dz := -1; dz <= 1; dz++ {
+			for dy := -1; dy <= 1; dy++ {
+				fy, fz, m := y+dy, z+dz, reach[dz+1][dy+1]
+				if m < 0 || fy < 0 || fy >= ny || fz < 0 || fz >= nz {
+					continue
+				}
+				if i := fz*ny + fy; lo[i] < hi[i] {
+					a, b = min(a, lo[i]-m), max(b, hi[i]+m)
+				}
+			}
+		}
+		if a >= b {
+			return 0, 0
+		}
+		return max(a, -g), min(b, nx+g)
+	})
 }
 
 // blockKernel resolves and constructs the kernel of one block on the given
 // refinement level from its flag field and fluid cell count, for PDF
-// fields allocated for the window win.
-func (c *Config) blockKernel(level int, flags *field.FlagField, fluid int, win field.Window) (kernels.Kernel, KernelChoice, error) {
+// fields stored in rows.
+func (c *Config) blockKernel(level int, flags *field.FlagField, fluid int, rows *field.Rows) (kernels.Kernel, KernelChoice, error) {
 	choice := c.resolveKernel(float64(fluid) / float64(flags.Nx*flags.Ny*flags.Nz))
 	k, err := kernels.New(kernels.Spec{
 		Choice:  choice,
@@ -290,7 +337,7 @@ func (c *Config) blockKernel(level int, flags *field.FlagField, fluid int, win f
 		Tau:     c.TauAt(level),
 		Magic:   c.Magic,
 		Flags:   flags,
-		Window:  win,
+		Rows:    rows,
 	})
 	return k, choice, err
 }
@@ -449,18 +496,21 @@ func (s *Simulation) newBlockData(b *blockforest.Block) (*BlockData, error) {
 
 // AssembleBlock builds the runtime state of a block from its flag field:
 // the kernel (relaxing at the relaxation time of the block's refinement
-// level), the two PDF fields sized to the block's allocation window, and
+// level), the two PDF fields stored in the block's allocation rows, and
 // the boundary sweep. The fields hold the uniform initial equilibrium —
 // or, given src and dst (state the caller hands over, like a migrated
 // block's decoded fields), that state: src and dst themselves where they
-// already have the block's layout and window, a copy otherwise. It is the
+// already have the block's layout and rows, a copy otherwise. It is the
 // one place a block comes into being — construction, migration install,
 // buddy adoption, heal and every leaf of a refined world pass through it —
-// so a block rebuilt on another rank gets the identical kernel and window.
+// so a block rebuilt on another rank gets the identical kernel and rows.
 func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField, src, dst *field.PDFField) (*BlockData, error) {
-	win := s.Config.allocationWindow(flags)
 	fluid := flags.Count(field.Fluid)
-	k, choice, err := s.Config.blockKernel(int(b.ID.Level), flags, fluid, win)
+	rows := s.Config.allocationRows(flags, fluid)
+	if src != nil && src.Rows().Equal(rows) {
+		rows = src.Rows() // one table for kernel and fields
+	}
+	k, choice, err := s.Config.blockKernel(int(b.ID.Level), flags, fluid, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -475,9 +525,9 @@ func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField,
 		sweepFlags: denseSweepFlags(choice, flags, fluid),
 	}
 	cells := b.Cells
-	if src == nil || !src.SameShape(dst) || src.Stencil != s.Stencil || src.Layout != k.Layout() || src.Window() != win ||
-		src.Nx != cells[0] || src.Ny != cells[1] || src.Nz != cells[2] || src.Ghost != 1 {
-		bd.Src = field.NewPDFFieldWindow(s.Stencil, cells[0], cells[1], cells[2], 1, k.Layout(), win)
+	if src == nil || src.Rows() != rows || dst.Rows() != rows || src.Stencil != s.Stencil || dst.Stencil != s.Stencil ||
+		src.Layout != k.Layout() || dst.Layout != k.Layout() || src.Nx != cells[0] || src.Ny != cells[1] || src.Nz != cells[2] || src.Ghost != 1 {
+		bd.Src = field.NewPDFFieldRows(s.Stencil, k.Layout(), rows)
 		bd.Dst = bd.Src.CopyShape()
 		s.fillUniform(bd)
 		if src != nil {
@@ -508,7 +558,7 @@ func (s *Simulation) initBlockState(bd *BlockData) {
 
 // fillUniform sets both PDF fields of a block to the equilibrium of the
 // configured uniform initial density and velocity — also the value their
-// cells outside the allocation window report from then on.
+// cells outside the allocation rows report from then on.
 func (s *Simulation) fillUniform(bd *BlockData) {
 	v := s.Config.InitialVelocity
 	bd.Src.FillEquilibrium(s.Config.InitialRho, v[0], v[1], v[2])
@@ -754,9 +804,9 @@ func (s *Simulation) LocalCells() int64 {
 }
 
 // FieldCells returns the PDF field footprint of this rank in cells, per
-// field: allocated is what the blocks' allocation windows store, block what
+// field: allocated is what the blocks' allocation rows store, block what
 // whole ghosted blocks would. Memory follows the fluid a rank owns when
-// allocated stays near the fluid's bounding boxes; the two are equal on
+// allocated stays near the cells around the fluid; the two are equal on
 // all-fluid worlds.
 func (s *Simulation) FieldCells() (allocated, block int64) {
 	for _, bd := range s.Blocks {
