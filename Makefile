@@ -46,10 +46,11 @@ race-resilience:
 
 # race-net re-runs the socket-transport suite uncached under the race
 # detector: wire framing, reconnect/backoff with the frame fault
-# injector, failure accusation, the receive-buffer ownership contract, and
-# the cross-transport bit-identity and shrink-recovery-over-sockets tests.
+# injector, failure accusation (only the silent rank is named), the
+# receive-buffer ownership contract, and the cross-transport bit-identity
+# and shrink-recovery-over-sockets tests.
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes' ./internal/comm/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank' ./internal/comm/ ./internal/sim/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
@@ -107,14 +108,16 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzNearest -fuzztime 5s ./internal/distance/
 	$(GO) test -run '^Fuzz' -fuzz FuzzUnionSignedColor -fuzztime 5s ./internal/distance/
 
-# chaos-smoke runs the deterministic multi-layer chaos soak uncached
-# under the race detector: seeded frame drop/corruption/delay/sever, rank
-# crashes, a silent hang and on-disk checkpoint bit-flips against a
-# 4-active + 3-spare heal-mode world, asserting the run ends at full
-# world size, bit-identical to the fault-free reference, with all
-# recoveries served from buddy memory and no leaked goroutines.
+# chaos-smoke runs the deterministic multi-layer chaos soak three times
+# uncached under the race detector: seeded frame
+# drop/corruption/delay/sever, rank crashes, a silent hang and on-disk
+# checkpoint bit-flips against a 4-active + 3-spare heal-mode world,
+# asserting the run ends at full world size, bit-identical to the
+# fault-free reference, with all recoveries served from buddy memory and
+# no leaked goroutines. Three runs, so a detector that accuses the wrong
+# rank one time in a few cannot pass by luck.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/sim/
+	$(GO) test -race -count=3 -run 'TestChaos' ./internal/sim/
 
 # verify is the pre-commit gate: static checks, a full build, the
 # benchmark module's own tests, the allocation regression gate, the fuzz

@@ -14,12 +14,12 @@ import (
 //
 //	crash=RANK@STEP   kill RANK when the time loop reaches STEP (repeatable)
 //	hang=RANK@STEP    silence RANK at STEP without any notification — the
-//	                  failure is only detectable by timeout (-fail-timeout)
-//	drop=P            drop each message with probability P
+//	                  failure is detected only by its beat missing for
+//	                  -fail-timeout
 //	delay=P:DUR       delay each message with probability P by up to DUR
 //	seed=N            seed of the deterministic fault decisions
 //
-// Example: "crash=1@40,drop=0.001,delay=0.01:2ms,seed=7".
+// Example: "crash=1@40,delay=0.01:2ms,seed=7".
 func parseFaultSpec(spec string) (*comm.FaultPlan, error) {
 	if spec == "" {
 		return nil, nil
@@ -49,12 +49,6 @@ func parseFaultSpec(spec string) (*comm.FaultPlan, error) {
 			} else {
 				p.Hangs = append(p.Hangs, comm.CrashSpec{Rank: rank, Step: step})
 			}
-		case "drop":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("drop probability %q: %v", val, err)
-			}
-			p.Drop = f
 		case "delay":
 			probStr, durStr, ok := strings.Cut(val, ":")
 			if !ok {

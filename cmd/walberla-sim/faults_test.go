@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseFaultSpec(t *testing.T) {
-	p, err := parseFaultSpec("crash=1@40,crash=0@80,drop=0.001,delay=0.01:2ms,seed=7")
+	p, err := parseFaultSpec("crash=1@40,crash=0@80,delay=0.01:2ms,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -14,7 +14,7 @@ func TestParseFaultSpec(t *testing.T) {
 		p.Crashes[1].Rank != 0 || p.Crashes[1].Step != 80 {
 		t.Fatalf("crashes = %+v", p.Crashes)
 	}
-	if p.Drop != 0.001 || p.DelayProb != 0.01 || p.MaxDelay != 2*time.Millisecond || p.Seed != 7 {
+	if p.DelayProb != 0.01 || p.MaxDelay != 2*time.Millisecond || p.Seed != 7 {
 		t.Fatalf("plan = %+v", p)
 	}
 
@@ -29,7 +29,7 @@ func TestParseFaultSpec(t *testing.T) {
 	if p, err := parseFaultSpec(""); p != nil || err != nil {
 		t.Fatalf("empty spec: %v, %v", p, err)
 	}
-	for _, bad := range []string{"crash=1", "crash=x@2", "hang=1", "hang=x@2", "drop=oops", "delay=0.5", "wat=1", "crash"} {
+	for _, bad := range []string{"crash=1", "crash=x@2", "hang=1", "hang=x@2", "drop=0.001", "delay=0.5", "wat=1", "crash"} {
 		if _, err := parseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -21,16 +21,19 @@
 // support the %MPI accounting of the scaling experiments.
 //
 // For resilience testing the runtime supports deterministic fault
-// injection (FaultPlan): dropped and delayed messages and rank crashes at
-// chosen time steps. Every operation has an error-returning variant
-// (SendErr, RecvErr, BarrierErr, ...) that surfaces a typed
-// *RankFailedError instead of deadlocking when a rank has failed; see
-// fault.go and docs/RESILIENCE.md for the fault model and the recovery
-// protocol built on top in package sim.
+// injection (FaultPlan): delayed messages, and rank crashes and silent
+// hangs at chosen time steps. Every operation has an error-returning
+// variant (SendErr, RecvErr, BarrierErr, ...) that surfaces a typed
+// *RankFailedError instead of deadlocking when a rank has failed. A
+// receive waits until its message arrives or a failure is declared; a
+// failure is declared by an injected crash, by Accuse, or by the one
+// failure detector of the transport, which accuses a rank only when that
+// rank's own beat has been missing for Options.FailTimeout. See fault.go
+// and docs/RESILIENCE.md for the fault model and the recovery protocol
+// built on top in package resilience.
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -80,11 +83,6 @@ func (m *message) bytes() int64 {
 
 // mkey is the exact-match index key of a mailbox queue.
 type mkey struct{ ctx, source, tag int }
-
-// errTimeout is the internal sentinel of an expired receive deadline; the
-// public error surfaced to callers is a *RankFailedError with a timeout
-// cause (see recvErr).
-var errTimeout = errors.New("comm: receive deadline exceeded")
 
 // queue is one per-(context, source, tag) FIFO of pending messages. Popped
 // slots are cleared (dropping payload references) and the backing array is
@@ -219,18 +217,11 @@ func (m *mailbox) match(ctx, source, tag int) (message, bool) {
 }
 
 // take removes and returns the first message matching context, source
-// (world rank or AnySource) and tag, blocking until one arrives. A
-// non-zero timeout bounds the wait (errTimeout); bail is polled on every
-// wakeup so a declared rank failure unblocks the receive.
-func (m *mailbox) take(ctx, source, tag int, timeout time.Duration, bail func() error) (message, error) {
+// (world rank or AnySource) and tag, blocking until one arrives; bail is
+// polled on every wakeup so a declared rank failure unblocks the receive.
+func (m *mailbox) take(ctx, source, tag int, bail func() error) (message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		t := time.AfterFunc(timeout, m.cond.Broadcast)
-		defer t.Stop()
-	}
 	for {
 		if msg, ok := m.match(ctx, source, tag); ok {
 			if m.maxDepth > 0 {
@@ -240,9 +231,6 @@ func (m *mailbox) take(ctx, source, tag int, timeout time.Duration, bail func() 
 		}
 		if err := bail(); err != nil {
 			return message{}, err
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return message{}, errTimeout
 		}
 		m.cond.Wait()
 	}
@@ -279,9 +267,10 @@ func (m *mailbox) depth() (pending, highWater int) {
 	return m.count, m.highWater
 }
 
-// Options configures a Run: fault injection, mailbox bounding and receive
-// timeouts. The zero value reproduces the classic perfect-network runtime:
-// no faults, unbounded mailboxes, receives that wait forever.
+// Options configures a Run: fault injection, mailbox bounding, failure
+// detection and the transport. The zero value reproduces the classic
+// perfect-network runtime: no faults, unbounded mailboxes, in-process
+// delivery and no failure detector.
 type Options struct {
 	// Faults injects deterministic communication faults; nil disables
 	// injection entirely.
@@ -290,19 +279,14 @@ type Options struct {
 	// to a full mailbox block until the receiver drains it (backpressure,
 	// accounted in Stats.BackpressureWait). 0 means unbounded.
 	MailboxDepth int
-	// RecvTimeout bounds every error-returning receive; when it expires the
-	// runtime declares the awaited rank failed and returns a typed
-	// *RankFailedError. 0 means wait forever (except under a FaultPlan
-	// with drops, where it defaults to 10s so lost messages surface).
-	RecvTimeout time.Duration
-	// FailTimeout is the failure-detection deadline: a rank whose message
-	// a receive has awaited longer than this is *declared* failed with a
-	// timeout-cause *RankFailedError (RankFailedError.TimedOut reports
-	// true) — the heartbeat that detects silent failures, not just
-	// injected crashes. It acts as the default for RecvTimeout when
-	// RecvTimeout is 0; an explicit RecvTimeout takes precedence. On the
-	// socket transport it is additionally the connection-level accusation
-	// deadline (see NetOptions).
+	// FailTimeout is the failure-detection deadline: a rank whose own beat
+	// has been missing this long is *declared* failed with a timeout-cause
+	// *RankFailedError (RankFailedError.TimedOut reports true). On the
+	// socket transport the beat is the rank's connection heartbeat; in
+	// process it is implicit and stops only at an injected hang. Waiting on
+	// a rank never accuses it: a healthy rank blocked behind a silent one
+	// keeps beating. 0 disables detection — a silent rank is then never
+	// declared failed.
 	FailTimeout time.Duration
 	// Net selects the socket transport (TCP or unix-domain sockets) and
 	// configures its heartbeats, reconnect backoff and frame-fault
@@ -332,7 +316,7 @@ type world struct {
 	// silence fires exactly once even across recovery replays.
 	hangFired []atomic.Bool
 	// sendSeq is the per-world-rank send counter driving the deterministic
-	// drop/delay decisions.
+	// delay decisions.
 	sendSeq []atomic.Uint64
 
 	// Pending delayed-delivery timers of the fault injector. Tracked so
@@ -411,12 +395,8 @@ type Stats struct {
 	// BackpressureWait is the total time this rank's sends spent blocked
 	// on full (depth-bounded) destination mailboxes.
 	BackpressureWait time.Duration
-	// Dropped counts this rank's sends discarded by fault injection.
-	Dropped int64
 	// Delayed counts this rank's sends deferred by fault injection.
 	Delayed int64
-	// Timeouts counts receives that expired and declared a failure.
-	Timeouts int64
 }
 
 // MailboxStats reports the receive-queue occupancy of one rank.
@@ -453,31 +433,15 @@ func Run(n int, f func(c *Comm)) {
 	RunWithOptions(n, Options{}, f)
 }
 
-// RunWithOptions is Run with fault injection, mailbox bounding and
-// receive-timeout configuration.
+// RunWithOptions is Run with fault injection, mailbox bounding, failure
+// detection and transport configuration.
 func RunWithOptions(n int, opts Options, f func(c *Comm)) {
 	if n <= 0 {
 		panic("comm: Run requires at least one rank")
 	}
-	if opts.RecvTimeout == 0 {
-		// The failure-detection deadline doubles as the receive deadline:
-		// a silent rank is detected by the receives awaiting it.
-		opts.RecvTimeout = opts.FailTimeout
-		if opts.Net != nil {
-			// On the socket transport the connection-level detector is
-			// primary: its accusation names the silent rank, while a receive
-			// timeout can only blame whichever rank it happened to await.
-			// Give the transport the first FailTimeout window to itself.
-			opts.RecvTimeout = 2 * opts.FailTimeout
-		}
-	}
 	if p := opts.Faults; p != nil {
 		if err := p.Validate(n); err != nil {
 			panic("comm: " + err.Error())
-		}
-		if opts.RecvTimeout == 0 && p.Drop > 0 {
-			// Dropped messages would otherwise hang receivers forever.
-			opts.RecvTimeout = 10 * time.Second
 		}
 	}
 	if opts.MailboxDepth < 0 {
@@ -495,13 +459,14 @@ func RunWithOptions(n int, opts Options, f func(c *Comm)) {
 		w.hangFired = make([]atomic.Bool, len(opts.Faults.Hangs))
 	}
 	w.sendSeq = make([]atomic.Uint64, n)
-	w.transport = &inprocTransport{w: w}
 	if opts.Net != nil {
 		nt, err := newNetTransport(w, *opts.Net)
 		if err != nil {
 			panic("comm: " + err.Error())
 		}
 		w.transport = nt
+	} else {
+		w.transport = newInprocTransport(w)
 	}
 	group := make([]int, n)
 	toIndex := make(map[int]int, n)
@@ -737,27 +702,17 @@ func (c *Comm) Recv(src, tag int) (data any, source int) {
 }
 
 // RecvErr is Recv returning a typed *RankFailedError instead of
-// panicking when a rank failure has been declared or the configured
-// receive timeout expires (the timeout declares the awaited rank failed).
+// panicking when a rank failure has been declared. It waits until the
+// message arrives or a failure is declared, however long that takes.
 func (c *Comm) RecvErr(src, tag int) (any, int, error) {
-	return c.RecvWithin(src, tag, c.w.opts.RecvTimeout)
-}
-
-// RecvWithin is RecvErr with an explicit per-call timeout overriding the
-// Options default; 0 waits forever.
-func (c *Comm) RecvWithin(src, tag int, timeout time.Duration) (any, int, error) {
 	if tag < 0 && tag != AnyTag {
 		panic("comm: user tags must be non-negative")
 	}
-	return c.recv(src, tag, timeout)
+	return c.recvErr(src, tag)
 }
 
 func (c *Comm) recvErr(src, tag int) (any, int, error) {
-	return c.recv(src, tag, c.w.opts.RecvTimeout)
-}
-
-func (c *Comm) recv(src, tag int, timeout time.Duration) (any, int, error) {
-	msg, source, err := c.recvMsg(src, tag, timeout)
+	msg, source, err := c.recvMsg(src, tag)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -767,8 +722,8 @@ func (c *Comm) recv(src, tag int, timeout time.Duration) (any, int, error) {
 // recvFloat64s is the typed receive path: a float64 payload is returned
 // without ever being boxed into an interface, keeping the steady-state
 // ghost exchange allocation-free end to end.
-func (c *Comm) recvFloat64s(src, tag int, timeout time.Duration) ([]float64, int, error) {
-	msg, source, err := c.recvMsg(src, tag, timeout)
+func (c *Comm) recvFloat64s(src, tag int) ([]float64, int, error) {
+	msg, source, err := c.recvMsg(src, tag)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -782,7 +737,7 @@ func (c *Comm) recvFloat64s(src, tag int, timeout time.Duration) ([]float64, int
 	return f, source, nil
 }
 
-func (c *Comm) recvMsg(src, tag int, timeout time.Duration) (message, int, error) {
+func (c *Comm) recvMsg(src, tag int) (message, int, error) {
 	worldSrc := AnySource
 	if src != AnySource {
 		if src < 0 || src >= len(c.group) {
@@ -792,36 +747,13 @@ func (c *Comm) recvMsg(src, tag int, timeout time.Duration) (message, int, error
 	}
 	telStart := c.tel.start()
 	start := time.Now()
-	msg, err := c.w.mailboxes[c.WorldRank()].take(c.ctx, worldSrc, tag, timeout, c.w.failErr)
+	msg, err := c.w.mailboxes[c.WorldRank()].take(c.ctx, worldSrc, tag, c.w.failErr)
 	waited := time.Since(start)
 	c.stats.RecvWait += waited
-	if err == errTimeout {
-		c.stats.Timeouts++
-		// Accuse the awaited rank (the likely victim of a drop or crash);
-		// a wildcard receive can only accuse the receiver itself.
-		accused := worldSrc
-		if accused == AnySource {
-			accused = c.WorldRank()
-		}
-		f := &RankFailedError{
-			Rank: accused,
-			Cause: fmt.Sprintf("%srank %d received no message (tag %d) within %v",
-				timeoutCausePrefix, c.WorldRank(), tag, timeout),
-		}
-		c.w.declareFailure(f)
-		// Concurrent timeouts race to declare; everyone returns the winning
-		// accusation so the whole world blames the same rank (a loser may
-		// have accused a merely-slow rank stuck behind the real victim).
-		if winner := c.w.failure.Load(); winner != nil {
-			f = winner
-		}
-		c.tel.recv(worldSrc, telStart, waited, true, f.Rank)
-		return message{}, 0, f
-	}
+	c.tel.recv(worldSrc, telStart, waited, err)
 	if err != nil {
 		return message{}, 0, err
 	}
-	c.tel.recv(worldSrc, telStart, waited, false, 0)
 	return msg, c.toIndex[msg.source], nil
 }
 
@@ -840,7 +772,7 @@ func (c *Comm) RecvFloat64sErr(src, tag int) ([]float64, int, error) {
 	if tag < 0 && tag != AnyTag {
 		panic("comm: user tags must be non-negative")
 	}
-	return c.recvFloat64s(src, tag, c.w.opts.RecvTimeout)
+	return c.recvFloat64s(src, tag)
 }
 
 // RecvBytes is Recv with a []byte payload, panicking on type mismatch.

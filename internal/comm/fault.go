@@ -7,19 +7,18 @@ import (
 	"time"
 )
 
-// Deterministic fault injection. A FaultPlan describes communication
-// faults as a pure function of (seed, sender rank, per-rank send counter)
-// plus explicit rank-crash trigger points, so a faulty run is exactly
+// Deterministic fault injection. A FaultPlan describes message delays as
+// a pure function of (seed, sender rank, per-rank send counter) plus
+// explicit rank crash and hang trigger points, so a faulty run is exactly
 // reproducible: the same plan against the same SPMD program injects the
 // same faults, independent of goroutine scheduling.
 
-// FaultPlan describes the faults to inject into one Run.
+// FaultPlan describes the faults to inject into one Run. Messages are
+// delayed, never lost: both transports deliver reliably, and the socket
+// transport's frame-level loss (NetFaultPlan.Drop) is absorbed by resend.
 type FaultPlan struct {
-	// Seed drives the per-message drop/delay decisions.
+	// Seed drives the per-message delay decisions.
 	Seed int64
-	// Drop is the probability in [0,1] that a point-to-point message
-	// (including collective-internal ones) is silently discarded.
-	Drop float64
 	// DelayProb is the probability in [0,1] that a message is delivered
 	// late, after a pseudo-random delay in (0, MaxDelay].
 	DelayProb float64
@@ -29,14 +28,15 @@ type FaultPlan struct {
 	// value at the first SetStep call whose step reaches the trigger.
 	// Each entry fires at most once, even across recovery replays.
 	Crashes []CrashSpec
-	// Hangs lists silent rank failures: the victim panics with a Hang
-	// value at the trigger step WITHOUT declaring a global failure — it
-	// simply stops communicating, modeling a hung or partitioned node.
-	// Survivors only notice through the failure-detection deadline
-	// (Options.FailTimeout), which accuses the silent rank by timeout.
-	// Each entry fires at most once, even across recovery replays. A
-	// driver must recover by shrinking (the victim never rejoins); the
-	// rewind driver would wait for the silent rank forever.
+	// Hangs lists silent rank failures: at the trigger step the victim's
+	// beat stops (the transport silences it) and it panics with a Hang
+	// value WITHOUT declaring a global failure, modeling a hung node.
+	// Survivors only notice through the transport's failure detector,
+	// which accuses the silent rank once its beat has been missing for
+	// Options.FailTimeout. Each entry fires at most once, even across
+	// recovery replays. A driver must recover by shrinking (the victim
+	// never rejoins); the rewind driver would wait for the silent rank
+	// forever.
 	Hangs []CrashSpec
 }
 
@@ -50,9 +50,6 @@ type CrashSpec struct {
 // panics on an invalid plan, so front ends should validate user-supplied
 // plans first.
 func (p *FaultPlan) Validate(n int) error {
-	if p.Drop < 0 || p.Drop > 1 {
-		return fmt.Errorf("fault plan: drop fraction %v outside [0,1]", p.Drop)
-	}
 	if p.DelayProb < 0 || p.DelayProb > 1 {
 		return fmt.Errorf("fault plan: delay probability %v outside [0,1]", p.DelayProb)
 	}
@@ -78,10 +75,10 @@ func (p *FaultPlan) Validate(n int) error {
 	return nil
 }
 
-// Fault decision sub-streams.
+// Fault decision sub-streams. The values are mixed into every decision:
+// changing one changes which messages every seeded plan delays.
 const (
-	faultKindDrop = 1 + iota
-	faultKindDelay
+	faultKindDelay = 2 + iota
 	faultKindDelayLen
 )
 
@@ -100,17 +97,12 @@ func (p *FaultPlan) chance(kind, rank int, n uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// injectSendFaults applies drop/delay decisions to one outgoing message.
+// injectSendFaults applies the delay decision to one outgoing message.
 // It returns done=true when the message was consumed by the injector
-// (dropped, or scheduled for delayed delivery).
+// (scheduled for delayed delivery).
 func (c *Comm) injectSendFaults(p *FaultPlan, worldDst int, msg message) (done bool, err error) {
 	w := c.w
 	n := w.sendSeq[c.WorldRank()].Add(1)
-	if p.Drop > 0 && p.chance(faultKindDrop, c.WorldRank(), n) < p.Drop {
-		c.stats.Dropped++
-		c.tel.drop(worldDst)
-		return true, nil
-	}
 	if p.DelayProb > 0 && p.chance(faultKindDelay, c.WorldRank(), n) < p.DelayProb {
 		c.stats.Delayed++
 		c.tel.delay(worldDst)
@@ -186,10 +178,10 @@ func (c Crash) String() string {
 }
 
 // Hang is the panic value of an injected silent failure (FaultPlan.Hangs).
-// Unlike Crash it declares nothing: the rank just stops participating, and
-// the rest of the world discovers the failure only through the
-// failure-detection deadline. The resilient driver catches it and retires
-// the rank without ever communicating again.
+// Unlike Crash it declares nothing: the rank's beat stops and it stops
+// participating, and the rest of the world discovers the failure only
+// through the transport's failure detector. The resilient driver catches
+// it and retires the rank without ever communicating again.
 type Hang struct{ Rank int }
 
 func (h Hang) String() string {
@@ -197,11 +189,11 @@ func (h Hang) String() string {
 }
 
 // RankFailedError reports that a rank has failed (injected crash) or has
-// been declared failed (receive timeout). Once declared, every
-// error-returning operation of every rank fails fast with this error
-// until Recover is called — the in-process analogue of MPI ULFM's
-// communicator revocation, which keeps collectives from deadlocking on a
-// dead rank.
+// been declared failed (Accuse, or its beat missing for FailTimeout).
+// Once declared, every error-returning operation of every rank fails
+// fast with this error until Recover is called — the in-process analogue
+// of MPI ULFM's communicator revocation, which keeps collectives from
+// deadlocking on a dead rank.
 type RankFailedError struct {
 	// Rank is the world rank that failed or was accused.
 	Rank int
@@ -213,14 +205,14 @@ func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("comm: rank %d failed (%s)", e.Rank, e.Cause)
 }
 
-// timeoutCausePrefix marks failures declared by an expired receive
-// deadline, so drivers can distinguish detection by timeout from an
+// timeoutCausePrefix marks failures declared by a transport's failure
+// detector, so drivers can distinguish detection by timeout from an
 // injected crash.
 const timeoutCausePrefix = "timeout: "
 
-// TimedOut reports whether this failure was declared by the
-// failure-detection deadline (Options.FailTimeout / RecvTimeout) rather
-// than an injected crash.
+// TimedOut reports whether this failure was declared by the transport's
+// failure detector — the rank's beat missing for Options.FailTimeout —
+// rather than by an injected crash or Accuse.
 func (e *RankFailedError) TimedOut() bool {
 	return strings.HasPrefix(e.Cause, "timeout")
 }
@@ -232,9 +224,9 @@ func IsRankFailure(err error) bool {
 }
 
 // SetStep announces the current simulation step of this rank to the fault
-// injector; crash triggers whose step has been reached fire here, making
-// the crash point deterministic regardless of the step's communication
-// pattern. A no-op without a fault plan.
+// injector; crash and hang triggers whose step has been reached fire
+// here, making the failure point deterministic regardless of the step's
+// communication pattern. A no-op without a fault plan.
 func (c *Comm) SetStep(step int) {
 	p := c.w.opts.Faults
 	if p == nil {
@@ -255,7 +247,8 @@ func (c *Comm) SetStep(step int) {
 		hs := p.Hangs[i]
 		if hs.Rank == me && step >= hs.Step && c.w.hangFired[i].CompareAndSwap(false, true) {
 			// Deliberately no declareFailure: the world must detect the
-			// silence on its own, via the failure-detection deadline.
+			// silence on its own, via the transport's failure detector.
+			c.w.transport.silence(me)
 			panic(Hang{Rank: me})
 		}
 	}

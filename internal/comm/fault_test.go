@@ -2,48 +2,13 @@ package comm
 
 import (
 	"errors"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// A dropped message must surface as a typed rank failure on the receiver
-// (via the receive timeout), not hang forever.
-func TestDropSurfacesTimeoutFailure(t *testing.T) {
-	opts := Options{
-		Faults:      &FaultPlan{Seed: 3, Drop: 1.0}, // drop everything
-		RecvTimeout: 50 * time.Millisecond,
-	}
-	RunWithOptions(2, opts, func(c *Comm) {
-		if c.Rank() == 0 {
-			if err := c.SendErr(1, 1, 42); err != nil {
-				t.Errorf("SendErr of a dropped message: %v", err)
-			}
-			if s := c.Stats(); s.Dropped != 1 {
-				t.Errorf("Dropped = %d, want 1", s.Dropped)
-			}
-			return
-		}
-		_, _, err := c.RecvErr(0, 1)
-		var rf *RankFailedError
-		if !errors.As(err, &rf) {
-			t.Fatalf("RecvErr = %v, want *RankFailedError", err)
-		}
-		if rf.Rank != 0 {
-			t.Errorf("accused rank %d, want 0", rf.Rank)
-		}
-		if !strings.Contains(rf.Cause, "within") {
-			t.Errorf("cause %q does not mention the timeout", rf.Cause)
-		}
-		if s := c.Stats(); s.Timeouts != 1 {
-			t.Errorf("Timeouts = %d, want 1", s.Timeouts)
-		}
-	})
-}
-
-// Delayed messages still arrive (late), and drop decisions are a pure
-// function of the seed: two runs with the same plan drop the same sends.
+// Delayed messages still arrive (late), and delay decisions are a pure
+// function of the seed: two runs with the same plan delay the same sends.
 func TestDelayedDeliveryAndDeterminism(t *testing.T) {
 	opts := Options{
 		Faults: &FaultPlan{Seed: 7, DelayProb: 1.0, MaxDelay: 20 * time.Millisecond},
@@ -64,32 +29,31 @@ func TestDelayedDeliveryAndDeterminism(t *testing.T) {
 		}
 	})
 
-	drops := func(seed int64) []int64 {
+	delays := func(seed int64) []int64 {
 		var counts [4]int64
-		RunWithOptions(4, Options{Faults: &FaultPlan{Seed: seed, Drop: 0.5}, RecvTimeout: time.Hour},
-			func(c *Comm) {
-				for i := 0; i < 50; i++ {
-					dst := (c.Rank() + 1) % c.Size()
-					if err := c.SendErr(dst, 1, i); err != nil {
-						t.Errorf("SendErr: %v", err)
-					}
+		plan := &FaultPlan{Seed: seed, DelayProb: 0.5, MaxDelay: time.Millisecond}
+		RunWithOptions(4, Options{Faults: plan}, func(c *Comm) {
+			for i := 0; i < 50; i++ {
+				dst := (c.Rank() + 1) % c.Size()
+				if err := c.SendErr(dst, 1, i); err != nil {
+					t.Errorf("SendErr: %v", err)
 				}
-				atomic.StoreInt64(&counts[c.Rank()], c.Stats().Dropped)
-				// Drain nothing: receivers would time out on dropped
-				// messages; this test only checks the drop decisions.
-			})
+			}
+			atomic.StoreInt64(&counts[c.Rank()], c.Stats().Delayed)
+			// Drain nothing: this test only checks the delay decisions.
+		})
 		return counts[:]
 	}
-	a, b := drops(11), drops(11)
+	a, b := delays(11), delays(11)
 	for r := range a {
 		if a[r] != b[r] {
-			t.Errorf("rank %d: drop count %d vs %d across identical runs", r, a[r], b[r])
+			t.Errorf("rank %d: delay count %d vs %d across identical runs", r, a[r], b[r])
 		}
 		if a[r] == 0 || a[r] == 50 {
-			t.Errorf("rank %d: degenerate drop count %d of 50 at fraction 0.5", r, a[r])
+			t.Errorf("rank %d: degenerate delay count %d of 50 at probability 0.5", r, a[r])
 		}
 	}
-	c := drops(12)
+	c := delays(12)
 	same := true
 	for r := range a {
 		if a[r] != c[r] {
@@ -97,7 +61,7 @@ func TestDelayedDeliveryAndDeterminism(t *testing.T) {
 		}
 	}
 	if same {
-		t.Error("different seeds produced identical drop patterns")
+		t.Error("different seeds produced identical delay patterns")
 	}
 }
 
@@ -197,13 +161,16 @@ func TestRecoverRestoresService(t *testing.T) {
 		if c.Failed() != nil {
 			t.Errorf("rank %d: failure still declared after Recover", c.Rank())
 		}
-		// Stale pre-crash traffic is gone.
+		// Stale pre-crash traffic is gone: the first tag-9 message rank 2
+		// receives is the one rank 0 sends after the recovery.
+		if c.Rank() == 0 {
+			c.Send(2, 9, "fresh")
+		}
 		if c.Rank() == 2 {
-			if _, _, err := c.RecvWithin(0, 9, 20*time.Millisecond); err == nil {
-				t.Error("stale pre-recovery message survived the purge")
+			if v, _ := c.Recv(0, 9); v != "fresh" {
+				t.Errorf("received %v: stale pre-recovery message survived the purge", v)
 			}
 		}
-		c.Recover() // clear the failure the stale-probe timeout just declared
 		// Service restored: a collective over all ranks completes.
 		sum, err := c.AllreduceInt64Err(int64(c.Rank()), Sum[int64])
 		if err != nil || sum != 3 {
@@ -366,4 +333,57 @@ func TestMixedWildcardAndExactMatching(t *testing.T) {
 			}
 		}
 	})
+}
+
+// recoverHang, deferred by a rank's SPMD function, absorbs the rank's own
+// injected Hang; want says whether the rank must have hung.
+func recoverHang(t *testing.T, c *Comm, want bool) {
+	r := recover()
+	if r == nil {
+		if want {
+			t.Errorf("rank %d: hang did not fire", c.WorldRank())
+		}
+		return
+	}
+	if h, ok := r.(Hang); !ok || h.Rank != c.WorldRank() || !want {
+		panic(r)
+	}
+}
+
+// TestFailureNamesOnlyTheSilentRank: a healthy rank blocked behind a hung
+// one is never accused. Rank 2 waits on rank 1 from the start, rank 1
+// works for half the failure timeout and then waits on rank 0, and rank 0
+// hangs: on either transport every survivor's failure names rank 0.
+func TestFailureNamesOnlyTheSilentRank(t *testing.T) {
+	const failTimeout = 300 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		net  *NetOptions
+	}{{"inproc", nil}, {"unix", fastNet()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{
+				Net:         tc.net,
+				Faults:      &FaultPlan{Hangs: []CrashSpec{{Rank: 0, Step: 0}}},
+				FailTimeout: failTimeout,
+			}
+			RunWithOptions(3, opts, func(c *Comm) {
+				var err error
+				switch c.Rank() {
+				case 0:
+					defer recoverHang(t, c, true)
+					c.SetStep(0)
+					return
+				case 1:
+					time.Sleep(failTimeout / 2)
+					_, _, err = c.RecvErr(0, 1)
+				case 2:
+					_, _, err = c.RecvErr(1, 1)
+				}
+				var rfe *RankFailedError
+				if !errors.As(err, &rfe) || rfe.Rank != 0 || !rfe.TimedOut() {
+					t.Errorf("rank %d: got %v, want a timeout failure of rank 0", c.Rank(), err)
+				}
+			})
+		})
+	}
 }

@@ -131,8 +131,8 @@ func (c *Comm) ParkSpare(target int) (int64, bool) {
 	}
 }
 
-// Accuse declares the given world rank failed, exactly as the built-in
-// failure detectors (receive deadline, connection heartbeat) would: every
+// Accuse declares the given world rank failed, exactly as a transport's
+// failure detector (in-process watchdog, connection heartbeat) would: every
 // pending error-returning operation aborts with a *RankFailedError and
 // parked spares wake into the recovery rendezvous. It is the ULFM
 // "revoke" analogue for callers that learn about a death out-of-band — a

@@ -50,8 +50,9 @@ func TestGrowWorldRecruitsLowestSpare(t *testing.T) {
 			return
 		}
 		// Survivors: wait out the victim's retirement, declare the failure
-		// (in the resilient driver, send timeouts do this — the declaration
-		// is what wakes parked spares into the rendezvous), and grow.
+		// (in the resilient driver, a crash or the failure detector does
+		// this — the declaration is what wakes parked spares into the
+		// rendezvous), and grow.
 		for c.Alive(victim) {
 			time.Sleep(time.Millisecond)
 		}

@@ -31,7 +31,7 @@ func BenchmarkMailboxExactMatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.put(message{ctx: 0, source: 0, tag: 1, data: i}, noBail)
-				if _, err := m.take(0, 0, 1, 0, noBail); err != nil {
+				if _, err := m.take(0, 0, 1, noBail); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -48,7 +48,7 @@ func BenchmarkMailboxWildcardSource(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.put(message{ctx: 0, source: 0, tag: 1, data: i}, noBail)
-				if _, err := m.take(0, AnySource, 1, 0, noBail); err != nil {
+				if _, err := m.take(0, AnySource, 1, noBail); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +80,7 @@ func BenchmarkSendRecvRoundtrip(b *testing.B) {
 // armed (but never-firing) fault plan: the deterministic decision hashing
 // must add only nanoseconds.
 func BenchmarkSendRecvRoundtripFaultPlan(b *testing.B) {
-	opts := Options{Faults: &FaultPlan{Seed: 1, Drop: 0, DelayProb: 0,
+	opts := Options{Faults: &FaultPlan{Seed: 1, DelayProb: 0,
 		Crashes: []CrashSpec{{Rank: 0, Step: 1 << 30}}}}
 	RunWithOptions(2, opts, func(c *Comm) {
 		if c.Rank() == 0 {

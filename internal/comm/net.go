@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"walberla/internal/telemetry"
 )
 
 // Socket transport: the same communicator semantics as the in-process
@@ -26,9 +24,10 @@ import (
 // wait for a connection: frames are retained in a per-connection ring and
 // replayed when the link (re)establishes, so "connect refused at startup",
 // a mid-run sever and an injected drop all ride the same idempotent-resend
-// path. Failure detection is connection-level: heartbeats and read
-// deadlines spot a silent peer, reconnects back off exponentially, and a
-// peer silent past FailTimeout is accused through the ordinary
+// path. Failure detection is connection-level and is this transport's
+// only accuser: heartbeats and read deadlines spot a silent peer,
+// reconnects back off exponentially, and a peer whose beat has been
+// missing past FailTimeout is accused through the ordinary
 // RankFailedError machinery so buddy restore + Shrink work unchanged.
 
 // errTransportClosed aborts transport-internal waits at shutdown.
@@ -90,30 +89,17 @@ type netEndpoint struct {
 	// closed and every connection involving it is shut for good.
 	dead atomic.Bool
 
-	// Black-hole injection: once the endpoint has sent holeAfter data
-	// frames, it falls silent — writes discarded, inbound frames drained
-	// but ignored, dials suppressed, accepts refused. dataSent counts only
-	// first transmissions from the rank's driver goroutine, so the trigger
-	// point is deterministic.
-	holePlanned bool
-	holeAfter   uint64
-	holed       atomic.Bool
-	dataSent    atomic.Uint64
+	// silent marks the endpoint of a hung rank (silence): its supervisors
+	// stop — no heartbeats, redials or accusations — inbound frames are
+	// drained but ignored and handshakes refused, so its peers see its
+	// beat stop exactly as a hung node's would.
+	silent atomic.Bool
 
 	stats netCounters
 	tel   atomic.Pointer[netTel]
 }
 
-func (ep *netEndpoint) isHoled() bool { return ep.holed.Load() }
-
-// noteDataSend advances the deterministic black-hole trigger.
-func (ep *netEndpoint) noteDataSend() {
-	n := ep.dataSent.Add(1)
-	if ep.holePlanned && n > ep.holeAfter && !ep.holed.Load() {
-		ep.holed.Store(true)
-		ep.event(telemetry.PhaseNetFault, ep.rank)
-	}
-}
+func (ep *netEndpoint) isSilent() bool { return ep.silent.Load() }
 
 // snapshot copies the endpoint counters into the public NetStats form.
 func (ep *netEndpoint) snapshot() NetStats {
@@ -177,13 +163,7 @@ func newNetTransport(w *world, opts NetOptions) (*netTransport, error) {
 		if err != nil {
 			return fail(fmt.Errorf("socket transport: rank %d listen %s %q: %w", r, opts.Network, addr, err))
 		}
-		ep := &netEndpoint{t: t, rank: r, ln: ln, conns: make([]*netConn, w.size)}
-		if p := opts.Faults; p != nil {
-			if after, ok := p.holeAfter(r); ok {
-				ep.holePlanned, ep.holeAfter = true, after
-			}
-		}
-		t.endpoints[r] = ep
+		t.endpoints[r] = &netEndpoint{t: t, rank: r, ln: ln, conns: make([]*netConn, w.size)}
 		t.addrs[r] = ln.Addr().String()
 	}
 	now := time.Now().UnixNano()
@@ -275,6 +255,10 @@ func (t *netTransport) noteDead(worldRank int) {
 	}
 }
 
+// silence stops a hung rank's endpoint; its peers' supervisors accuse it
+// once its heartbeats have been missing for FailTimeout.
+func (t *netTransport) silence(worldRank int) { t.endpoints[worldRank].silent.Store(true) }
+
 // onFailure wakes senders blocked on full retention rings so they observe
 // the declared failure (the socket analogue of the mailbox wake).
 func (t *netTransport) onFailure() {
@@ -343,7 +327,7 @@ func (ep *netEndpoint) acceptLoop() {
 
 // handleAccept runs the acceptor's half of the connection handshake: read
 // the dialer's hello (which carries how far its inbound stream got), apply
-// refusal/black-hole/death policy, answer with a welcome carrying our own
+// refusal/silence/death policy, answer with a welcome carrying our own
 // receive progress, then install the socket.
 func (ep *netEndpoint) handleAccept(sock net.Conn) {
 	t := ep.t
@@ -363,7 +347,7 @@ func (ep *netEndpoint) handleAccept(sock net.Conn) {
 		return
 	}
 	c := ep.conns[src]
-	if ep.isHoled() || ep.dead.Load() || t.endpoints[src].dead.Load() || t.closed.Load() {
+	if ep.isSilent() || ep.dead.Load() || t.endpoints[src].dead.Load() || t.closed.Load() {
 		sock.Close()
 		return
 	}

@@ -280,25 +280,29 @@ func TestNetTransportDelay(t *testing.T) {
 	})
 }
 
-// TestNetTransportBlackHoleAccusation silences rank 2 mid-run and checks
-// the connection-level detector accuses exactly that rank within
-// FailTimeout, surfacing the typed timeout-cause RankFailedError on the
-// survivors.
-func TestNetTransportBlackHoleAccusation(t *testing.T) {
+// TestNetTransportHangAccusation hangs rank 2 mid-run and checks the
+// connection-level detector accuses exactly that rank within FailTimeout,
+// surfacing the typed timeout-cause RankFailedError on the survivors.
+func TestNetTransportHangAccusation(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const n = 3
 	const failTimeout = 300 * time.Millisecond
-	opts := fastNet()
-	opts.Faults = &NetFaultPlan{BlackHoles: []HoleSpec{{Rank: 2, AfterFrames: 4}}}
+	opts := Options{
+		Net:         fastNet(),
+		Faults:      &FaultPlan{Hangs: []CrashSpec{{Rank: 2, Step: 4}}},
+		FailTimeout: failTimeout,
+	}
 	var mu sync.Mutex
 	detect := make([]time.Duration, 0, n)
 	accusedSet := make(map[int]bool)
-	RunWithOptions(n, Options{Net: opts, FailTimeout: failTimeout}, func(c *Comm) {
+	RunWithOptions(n, opts, func(c *Comm) {
+		defer recoverHang(t, c, c.Rank() == 2)
 		right := (c.Rank() + 1) % n
 		left := (c.Rank() + n - 1) % n
 		start := time.Now()
 		var failure *RankFailedError
 		for step := 0; step < 1000; step++ {
+			c.SetStep(step)
 			if err := c.SendFloat64s(right, 1, []float64{float64(step)}); err != nil {
 				if !errors.As(err, &failure) {
 					t.Errorf("rank %d: untyped send error %v", c.Rank(), err)
@@ -314,7 +318,7 @@ func TestNetTransportBlackHoleAccusation(t *testing.T) {
 		}
 		elapsed := time.Since(start)
 		if failure == nil {
-			t.Errorf("rank %d: black hole never surfaced as a failure", c.Rank())
+			t.Errorf("rank %d: hang never surfaced as a failure", c.Rank())
 			return
 		}
 		if !failure.TimedOut() {
@@ -329,7 +333,7 @@ func TestNetTransportBlackHoleAccusation(t *testing.T) {
 		t.Errorf("accused set = %v, want exactly rank 2", accusedSet)
 	}
 	// The transport must detect the silence within FailTimeout of it
-	// starting (generous wall-clock envelope: traffic until the hole plus
+	// starting (generous wall-clock envelope: traffic until the hang plus
 	// the detection window plus scheduling slack).
 	for _, d := range detect {
 		if d > 8*failTimeout {
@@ -344,18 +348,16 @@ func TestNetTransportBlackHoleAccusation(t *testing.T) {
 func TestNetTransportMarkDeadStopsReconnects(t *testing.T) {
 	testutil.CheckLeaks(t)
 	const n = 3
-	opts := fastNet()
-	opts.Faults = &NetFaultPlan{BlackHoles: []HoleSpec{{Rank: 2, AfterFrames: 0}}}
-	RunWithOptions(n, Options{Net: opts, FailTimeout: 200 * time.Millisecond}, func(c *Comm) {
+	opts := Options{
+		Net:         fastNet(),
+		Faults:      &FaultPlan{Hangs: []CrashSpec{{Rank: 2, Step: 0}}},
+		FailTimeout: 200 * time.Millisecond,
+	}
+	RunWithOptions(n, opts, func(c *Comm) {
 		if c.Rank() == 2 {
-			// The victim: wait until either it observes the accusation or
-			// the survivors' recovery has already marked it dead (their
-			// Recover clears the failure, so polling Failed alone races),
-			// then retire.
-			for c.Failed() == nil && c.Alive(2) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			c.Retire()
+			// The victim hangs at once; the survivors mark it dead.
+			defer recoverHang(t, c, true)
+			c.SetStep(0)
 			return
 		}
 		// Survivors: trip the failure detector by awaiting the victim.
@@ -426,7 +428,6 @@ func TestNetOptionsValidate(t *testing.T) {
 		{"sever self", NetOptions{Network: "unix", Faults: &NetFaultPlan{Severs: []SeverSpec{{From: 1, To: 1, AtFrame: 1}}}}},
 		{"sever frame zero", NetOptions{Network: "unix", Faults: &NetFaultPlan{Severs: []SeverSpec{{From: 0, To: 1}}}}},
 		{"refusal rank", NetOptions{Network: "unix", Faults: &NetFaultPlan{Refusals: []RefuseSpec{{From: 0, To: 9, Count: 1}}}}},
-		{"hole rank", NetOptions{Network: "unix", Faults: &NetFaultPlan{BlackHoles: []HoleSpec{{Rank: -1}}}}},
 	}
 	for _, tc := range cases {
 		if err := tc.opts.validate(2); err == nil {

@@ -200,10 +200,7 @@ func (c *netConn) send(msg message) (time.Duration, error) {
 			time.Sleep(d)
 		}
 	}
-	ep.noteDataSend()
 	switch {
-	case ep.isHoled():
-		// Swallowed without a trace; only the stall detectors will notice.
 	case sever:
 		ep.stats.injSevers.Add(1)
 		ep.netFault(c.peer)
@@ -263,7 +260,7 @@ func (c *netConn) writeDataLocked(rf *retainedFrame, corrupt bool) {
 // its cursor has proof of a lost frame and can force the resend without
 // waiting for the next data frame.
 func (c *netConn) writeHeartbeatLocked() {
-	if c.down || c.ep.isHoled() {
+	if c.down {
 		return
 	}
 	encodeFrameHeader(&c.hbHdr, frameHeader{

@@ -8,8 +8,9 @@ import (
 // Deterministic frame-layer fault injection for the socket transport,
 // mirroring FaultPlan one layer down: where FaultPlan drops or delays
 // *messages* above the transport, a NetFaultPlan corrupts the *wire* —
-// frames vanish, checksums flip, sockets sever mid-stream, whole
-// endpoints fall silent. Every decision is a pure function of (seed,
+// frames vanish, checksums flip, writes stall, sockets sever mid-stream,
+// handshakes are refused. A silent endpoint is not a wire fault: it is
+// what an injected hang (FaultPlan.Hangs) does. Every decision is a pure function of (seed,
 // directed stream, frame sequence number), so a faulty run over real
 // sockets is exactly reproducible regardless of goroutine or kernel
 // scheduling.
@@ -42,12 +43,6 @@ type NetFaultPlan struct {
 	// (the acceptor closes the socket before the handshake completes),
 	// exercising the connect-retry backoff path — including at startup.
 	Refusals []RefuseSpec
-	// BlackHoles silence whole endpoints permanently: from the moment rank
-	// Rank has sent AfterFrames data frames, its writes are discarded, its
-	// reads ignored, its handshakes refused and its dials suppressed. The
-	// silence is only detectable through the stall/accusation machinery,
-	// modeling a died-without-a-trace node.
-	BlackHoles []HoleSpec
 }
 
 // SeverSpec tears down the socket carrying the From→To stream just
@@ -62,13 +57,6 @@ type SeverSpec struct {
 type RefuseSpec struct {
 	From, To int
 	Count    int
-}
-
-// HoleSpec silences world rank Rank permanently once it has sent
-// AfterFrames data frames (0 silences it from the start).
-type HoleSpec struct {
-	Rank        int
-	AfterFrames uint64
 }
 
 // Validate checks the plan against a world of n ranks.
@@ -120,11 +108,6 @@ func (p *NetFaultPlan) Validate(n int) error {
 		}
 		if r.Count <= 0 {
 			return fmt.Errorf("net fault plan: refusal count %d must be positive", r.Count)
-		}
-	}
-	for _, h := range p.BlackHoles {
-		if err := checkRank("black-hole", h.Rank); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -187,15 +170,4 @@ func (p *NetFaultPlan) refusals(from, to int) int {
 		}
 	}
 	return n
-}
-
-// holeAfter returns the black-hole trigger for rank (sent-data-frame
-// count at which the endpoint falls silent) and whether one is planned.
-func (p *NetFaultPlan) holeAfter(rank int) (uint64, bool) {
-	for _, h := range p.BlackHoles {
-		if h.Rank == rank {
-			return h.AfterFrames, true
-		}
-	}
-	return 0, false
 }

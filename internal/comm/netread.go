@@ -47,8 +47,8 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 				c.sever(gen)
 				return
 			}
-			if ep.isHoled() {
-				continue // black-holed: drain, acknowledge nothing
+			if ep.isSilent() {
+				continue // hung: drain, acknowledge nothing
 			}
 			c.lastIn.Store(time.Now().UnixNano())
 			c.prune(h.ack)
@@ -91,7 +91,7 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 				c.sever(gen)
 				return
 			}
-			if ep.isHoled() {
+			if ep.isSilent() {
 				continue
 			}
 			c.lastIn.Store(time.Now().UnixNano())
@@ -167,7 +167,8 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 // supervise is the connection's background caretaker: while up it
 // heartbeats and tears down stalled links; while down it accuses peers
 // silent past FailTimeout and (on the dialer side) redials with capped
-// exponential backoff.
+// exponential backoff. It stops when its endpoint is silenced: a hung
+// rank beats, redials and accuses nothing.
 func (c *netConn) supervise() {
 	t := c.ep.t
 	defer t.wg.Done()
@@ -186,6 +187,9 @@ func (c *netConn) supervise() {
 			return
 		case <-timer.C:
 		}
+		if c.ep.isSilent() {
+			return
+		}
 		c.mu.Lock()
 		if c.permDown {
 			c.mu.Unlock()
@@ -194,7 +198,7 @@ func (c *netConn) supervise() {
 		down := c.down
 		if !down {
 			idle := time.Since(time.Unix(0, c.lastIn.Load()))
-			if idle > t.opts.StallTimeout && !c.delivering.Load() && !c.ep.isHoled() {
+			if idle > t.opts.StallTimeout && !c.delivering.Load() {
 				// Silent past the stall threshold: assume the socket is
 				// dead, recycle it. If the peer is alive the redial
 				// restores the stream; if not, the accusation clock below
@@ -208,7 +212,7 @@ func (c *netConn) supervise() {
 		c.mu.Unlock()
 		if down {
 			c.maybeAccuse()
-			if c.dialer && !c.ep.isHoled() && c.tryDial() {
+			if c.dialer && c.tryDial() {
 				backoff = t.opts.ReconnectBase
 				timer.Reset(t.opts.HeartbeatEvery)
 				continue
@@ -225,14 +229,10 @@ func (c *netConn) supervise() {
 	}
 }
 
-// maybeAccuse declares a rank failure once the connection has been silent
-// past FailTimeout. Normally the silent peer is accused; but an endpoint
-// whose every live connection is down at once is far more likely to be
-// the problem itself (a black-holed node still believes it is fine — its
-// packets just go nowhere), so with two or more live links all down it
-// accuses its own rank. For a world of three or more ranks this makes the
-// black-hole victim's identity deterministic: every endpoint, victim
-// included, names the victim.
+// maybeAccuse declares the peer failed once its beat — any inbound frame,
+// heartbeats included — has been missing past FailTimeout with the link
+// down. The peer's beat is independent of what its driver waits for, so a
+// healthy rank blocked behind a hung one is never accused.
 func (c *netConn) maybeAccuse() {
 	t := c.ep.t
 	ft := t.w.opts.FailTimeout
@@ -248,31 +248,12 @@ func (c *netConn) maybeAccuse() {
 	if !eligible {
 		return
 	}
-	accused := c.peer
-	live, downN := 0, 0
-	for _, o := range c.ep.conns {
-		if o == nil {
-			continue
-		}
-		o.mu.Lock()
-		if !o.permDown {
-			live++
-			if o.down {
-				downN++
-			}
-		}
-		o.mu.Unlock()
-	}
-	if live >= 2 && downN == live {
-		accused = c.ep.rank
-	}
-	f := &RankFailedError{
-		Rank: accused,
+	c.ep.accused(c.peer)
+	t.w.declareFailure(&RankFailedError{
+		Rank: c.peer,
 		Cause: fmt.Sprintf("%srank %d saw no traffic from rank %d on the %s transport within %v",
 			timeoutCausePrefix, c.ep.rank, c.peer, t.opts.Network, ft),
-	}
-	c.ep.accused(accused)
-	t.w.declareFailure(f)
+	})
 }
 
 // tryDial attempts the dialer's half of the handshake: connect, send a

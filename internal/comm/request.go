@@ -48,8 +48,8 @@ func (c *Comm) IrecvInit(req *RecvRequest, src, tag int) {
 // Wait completes the receive, blocking until the matching message arrives
 // and returning its payload and origin (communicator-relative). Like
 // RecvErr it returns a typed *RankFailedError instead of deadlocking when
-// a rank failure has been declared or the configured receive timeout
-// expires. Completing a request twice is a programming error and panics.
+// a rank failure has been declared. Completing a request twice is a
+// programming error and panics.
 func (r *RecvRequest) Wait() (any, int, error) {
 	if r.done {
 		panic("comm: RecvRequest completed twice")
@@ -66,5 +66,5 @@ func (r *RecvRequest) WaitFloat64s() ([]float64, int, error) {
 		panic("comm: RecvRequest completed twice")
 	}
 	r.done = true
-	return r.c.recvFloat64s(r.src, r.tag, r.c.w.opts.RecvTimeout)
+	return r.c.recvFloat64s(r.src, r.tag)
 }

@@ -20,9 +20,7 @@ type commTel struct {
 	step     int // current simulation step, stamps spans
 	sends    *telemetry.Counter
 	bytes    *telemetry.Counter
-	dropped  *telemetry.Counter
 	delayed  *telemetry.Counter
-	timeouts *telemetry.Counter
 	recvWait *telemetry.Histogram
 	bpWait   *telemetry.Histogram
 }
@@ -43,9 +41,7 @@ func (c *Comm) SetTelemetry(lane *telemetry.Lane, reg *telemetry.Registry) {
 		lane:     lane,
 		sends:    reg.Counter("comm.sends"),
 		bytes:    reg.Counter("comm.bytes_sent"),
-		dropped:  reg.Counter("comm.dropped"),
 		delayed:  reg.Counter("comm.delayed"),
-		timeouts: reg.Counter("comm.timeouts"),
 		recvWait: reg.Histogram("comm.recv_wait"),
 		bpWait:   reg.Histogram("comm.backpressure_wait"),
 	}
@@ -75,8 +71,8 @@ func (t *commTel) start() int64 {
 	return t.lane.Start()
 }
 
-// sendStart counts one send attempt (delivered, dropped or delayed alike,
-// matching Stats.Sends) and stamps the span start.
+// sendStart counts one send attempt (delivered or delayed alike, matching
+// Stats.Sends) and stamps the span start.
 func (t *commTel) sendStart(nb int64) int64 {
 	if t == nil {
 		return 0
@@ -98,29 +94,20 @@ func (t *commTel) sendDone(worldDst int, start int64, waited time.Duration) {
 	t.lane.Span(telemetry.PhaseSend, t.step, int32(worldDst), start)
 }
 
-// telRecv records one completed (or failed) receive from worldSrc.
-func (t *commTel) recv(worldSrc int, start int64, waited time.Duration, timedOut bool, accused int) {
+// recv records one completed receive from worldSrc, or one a declared
+// rank failure aborted (err, with an instant naming the failed rank).
+func (t *commTel) recv(worldSrc int, start int64, waited time.Duration, err error) {
 	if t == nil {
 		return
 	}
 	t.recvWait.Observe(waited)
 	t.lane.Span(telemetry.PhaseRecv, t.step, int32(worldSrc), start)
-	if timedOut {
-		t.timeouts.Inc()
-		t.lane.Instant(telemetry.PhaseRankFailed, t.step, int32(accused))
+	if f, ok := err.(*RankFailedError); ok {
+		t.lane.Instant(telemetry.PhaseRankFailed, t.step, int32(f.Rank))
 	}
 }
 
-// telDrop records a send consumed by drop injection.
-func (t *commTel) drop(worldDst int) {
-	if t == nil {
-		return
-	}
-	t.dropped.Inc()
-	t.lane.Instant(telemetry.PhaseFaultDrop, t.step, int32(worldDst))
-}
-
-// telDelay records a send deferred by delay injection.
+// delay records a send deferred by delay injection.
 func (t *commTel) delay(worldDst int) {
 	if t == nil {
 		return

@@ -66,38 +66,40 @@ func TestSetTelemetryRecordsTraffic(t *testing.T) {
 }
 
 func TestTelemetryFaultInstants(t *testing.T) {
-	plan := &FaultPlan{Seed: 42, Drop: 1.0}
+	plan := &FaultPlan{Seed: 42, DelayProb: 1, MaxDelay: time.Millisecond, Hangs: []CrashSpec{{Rank: 1, Step: 0}}}
 	var lane *telemetry.Lane
 	var reg *telemetry.Registry
-	RunWithOptions(2, Options{Faults: plan, RecvTimeout: 50 * time.Millisecond}, func(c *Comm) {
-		if c.Rank() == 0 {
-			tr := telemetry.NewTracer(0, 0, 64)
-			r := telemetry.NewRegistry()
-			c.SetTelemetry(tr.Driver(), r)
-			lane, reg = tr.Driver(), r
-			c.SendErr(1, 3, []float64{1}) //nolint:errcheck
-			// The drop means rank 1 never replies; the timeout declares a
-			// failure, visible as an instant event.
-			c.RecvErr(1, 4) //nolint:errcheck
+	RunWithOptions(2, Options{Faults: plan, FailTimeout: 50 * time.Millisecond}, func(c *Comm) {
+		if c.Rank() == 1 {
+			defer recoverHang(t, c, true)
+			c.SetStep(0)
+			return
 		}
-		// Rank 1 sends nothing and exits.
+		tr := telemetry.NewTracer(0, 0, 64)
+		r := telemetry.NewRegistry()
+		c.SetTelemetry(tr.Driver(), r)
+		lane, reg = tr.Driver(), r
+		c.SendErr(1, 3, []float64{1}) //nolint:errcheck
+		// Rank 1 hangs and never replies; the failure detector declares it
+		// failed, which the aborted receive shows as an instant event.
+		c.RecvErr(1, 4) //nolint:errcheck
 	})
-	if reg.Snapshot(0).Counter("comm.dropped") != 1 {
-		t.Fatalf("dropped = %d, want 1", reg.Snapshot(0).Counter("comm.dropped"))
+	if reg.Snapshot(0).Counter("comm.delayed") != 1 {
+		t.Fatalf("delayed = %d, want 1", reg.Snapshot(0).Counter("comm.delayed"))
 	}
-	if reg.Snapshot(0).Counter("comm.timeouts") != 1 {
-		t.Fatalf("timeouts = %d, want 1", reg.Snapshot(0).Counter("comm.timeouts"))
-	}
-	var drops, failed int
+	var delays, failed int
 	lane.Each(func(s telemetry.Span) {
 		switch s.Phase {
-		case telemetry.PhaseFaultDrop:
-			drops++
+		case telemetry.PhaseFaultDelay:
+			delays++
 		case telemetry.PhaseRankFailed:
 			failed++
+			if s.Arg != 1 {
+				t.Errorf("rank-failed instant names rank %d, want 1", s.Arg)
+			}
 		}
 	})
-	if drops != 1 || failed != 1 {
-		t.Fatalf("instants: drops=%d failed=%d, want 1/1", drops, failed)
+	if delays != 1 || failed != 1 {
+		t.Fatalf("instants: delays=%d failed=%d, want 1/1", delays, failed)
 	}
 }

@@ -2,6 +2,8 @@ package comm
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -10,10 +12,12 @@ import (
 // mailbox. Backend zero is the original in-process channel world (the
 // sender deposits directly into the receiver's mailbox); the socket
 // backend (net.go) pushes every message through a real length-prefixed,
-// checksummed wire protocol over TCP or unix-domain sockets, with
-// connection-level failure detection feeding the same RankFailedError
-// machinery. Everything above deliver — matching, collectives, fault
-// injection, recovery — is transport-agnostic.
+// checksummed wire protocol over TCP or unix-domain sockets. Each backend
+// owns exactly one failure detector, which accuses a rank only when that
+// rank's own beat has been missing for Options.FailTimeout: the in-process
+// watchdog, or the socket transport's connection supervisors. Everything
+// above deliver — matching, collectives, fault injection, recovery — is
+// transport-agnostic.
 
 // transport moves stamped messages between world ranks.
 type transport interface {
@@ -30,6 +34,10 @@ type transport interface {
 	// onFailure wakes transport-internal waiters (ring-full blocked
 	// senders) so they observe a declared rank failure.
 	onFailure()
+	// silence stops a world rank's beat, as a hung node's stops: the
+	// transport's failure detector accuses it once FailTimeout passes. The
+	// one thing an injected hang does to the transport.
+	silence(worldRank int)
 	// shutdown tears the transport down after the run (listeners, sockets,
 	// background goroutines).
 	shutdown()
@@ -38,8 +46,26 @@ type transport interface {
 // inprocTransport is backend zero: the classic shared-memory mailbox
 // deposit. deliver is exactly the pre-transport send path, so the
 // zero-allocation and bit-identity properties of the in-process runtime
-// are unchanged.
-type inprocTransport struct{ w *world }
+// are unchanged. A rank in process beats implicitly for as long as it is
+// not silenced; with a FailTimeout set, one watchdog goroutine accuses a
+// rank silent for longer than that.
+type inprocTransport struct {
+	w *world
+	// silentSince is the UnixNano time each world rank was silenced, 0
+	// while it beats (and again once it is dead: nothing left to accuse).
+	silentSince []atomic.Int64
+	done        chan struct{}
+	wg          sync.WaitGroup
+}
+
+func newInprocTransport(w *world) *inprocTransport {
+	t := &inprocTransport{w: w, silentSince: make([]atomic.Int64, w.size), done: make(chan struct{})}
+	if ft := w.opts.FailTimeout; ft > 0 {
+		t.wg.Add(1)
+		go t.watch(ft)
+	}
+	return t
+}
 
 func (t *inprocTransport) name() string { return "inproc" }
 
@@ -47,9 +73,42 @@ func (t *inprocTransport) deliver(src, dst int, msg message) (time.Duration, err
 	return t.w.mailboxes[dst].put(msg, t.w.failErr)
 }
 
-func (t *inprocTransport) noteDead(int) {}
-func (t *inprocTransport) onFailure()   {}
-func (t *inprocTransport) shutdown()    {}
+func (t *inprocTransport) silence(rank int) { t.silentSince[rank].Store(time.Now().UnixNano()) }
+
+func (t *inprocTransport) noteDead(rank int) { t.silentSince[rank].Store(0) }
+func (t *inprocTransport) onFailure()        {}
+
+func (t *inprocTransport) shutdown() {
+	close(t.done)
+	t.wg.Wait()
+}
+
+// watch is the in-process failure detector: while no failure is declared,
+// it accuses the first rank whose beat has been missing for ft.
+func (t *inprocTransport) watch(ft time.Duration) {
+	defer t.wg.Done()
+	tick := time.NewTicker(max(ft/4, time.Millisecond))
+	defer tick.Stop()
+	for {
+		select {
+		case <-t.done:
+			return
+		case <-tick.C:
+		}
+		if t.w.failure.Load() != nil {
+			continue
+		}
+		for r := range t.silentSince {
+			if since := t.silentSince[r].Load(); since != 0 && time.Since(time.Unix(0, since)) > ft {
+				t.w.declareFailure(&RankFailedError{
+					Rank:  r,
+					Cause: fmt.Sprintf("%srank %d's beat missing for %v", timeoutCausePrefix, r, ft),
+				})
+				break
+			}
+		}
+	}
+}
 
 // NetOptions selects and configures the socket transport. The zero value
 // of every field picks a sensible default; Options.Net == nil selects the

@@ -25,7 +25,7 @@ type World struct {
 	// world lands on the identical assignment); nil builds p.BuildForest().
 	Forest *blockforest.SetupForest
 	// Comm configures the communicator: transport, fault plan and
-	// failure-detection deadline.
+	// failure-detection timeout.
 	Comm comm.Options
 	// Spares parks this many extra ranks beside the p.Ranks active ones;
 	// heal recovery recruits them (needs Resilience in heal mode).

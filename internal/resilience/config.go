@@ -61,7 +61,7 @@ var ErrInterrupted = errors.New("resilience: run interrupted")
 
 // errSilenced is the internal conversion of an injected Hang: the rank
 // must go dark without even marking itself dead — the world has to detect
-// the silence by timeout.
+// the silence through the transport's failure detector.
 var errSilenced = errors.New("resilience: rank silenced by injected hang")
 
 // Config tunes the driver.

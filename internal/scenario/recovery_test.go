@@ -51,14 +51,6 @@ func TestRecoveryMatrix(t *testing.T) {
 				t.Run(w.name+"/"+mode+"/"+kind, func(t *testing.T) {
 					sc := w.build()
 					sc.Parallel.Ranks, sc.Run.Steps = 3, steps
-					if kind == "hang" {
-						// Silence is detected by whoever waits on the silent
-						// rank timing out. With a third rank that wait can be
-						// transitive — a healthy rank stuck behind the hung one
-						// is accused by its own neighbor first — so the hang
-						// rows run the victim against a single survivor.
-						sc.Parallel.Ranks = 2
-					}
 					sc.Resilience = Resilience{CheckpointEvery: every, Mode: mode}
 					if mode == "rewind" {
 						sc.Resilience.Dir = t.TempDir()

@@ -226,8 +226,8 @@ type Resilience struct {
 	// MaxFailures aborts after this many rank failures; nil means the
 	// driver default, explicit 0 aborts on the first failure.
 	MaxFailures *int `json:"max_failures,omitempty"`
-	// FailTimeout declares a rank failed when a receive from it exceeds
-	// this deadline (silent-failure detection); zero disables it.
+	// FailTimeout declares a rank failed when its beat has been missing
+	// this long (silent-failure detection); zero disables it.
 	FailTimeout Duration `json:"fail_timeout,omitempty"`
 }
 

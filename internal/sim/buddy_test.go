@@ -166,11 +166,11 @@ func TestShrinkRecoveryBitIdenticalAfterCrash(t *testing.T) {
 	}
 }
 
-// TestShrinkRecoveryBitIdenticalAfterSilentFailure exercises the
-// failure-detection deadline: the victim goes silent (injected hang, no
-// crash notification), the survivors declare it dead by receive timeout,
-// and shrinking recovery proceeds exactly as for a crash — in memory,
-// bit-identical.
+// TestShrinkRecoveryBitIdenticalAfterSilentFailure exercises the failure
+// detector: the victim goes silent (injected hang, no crash notification),
+// the in-process watchdog declares it dead once its beat has been missing
+// for FailTimeout, and shrinking recovery proceeds exactly as for a crash
+// — in memory, bit-identical.
 func TestShrinkRecoveryBitIdenticalAfterSilentFailure(t *testing.T) {
 	const steps, victim = 8, 1
 	for _, workers := range []int{1, 2, 4, 7} {

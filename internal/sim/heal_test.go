@@ -161,11 +161,10 @@ func TestHealRecoveryBitIdenticalAfterCrash(t *testing.T) {
 }
 
 // TestHealRecoveryBitIdenticalAfterSilentFailure exercises healing after
-// a silent hang: the victim goes dark, the survivors declare it dead by
-// timeout and recruit a spare in its place. Two spares are provisioned —
-// timeout-based accusation may, in principle, first name a healthy rank,
-// which then also gets replaced; either way the run must finish at full
-// world size and bit-identical.
+// a silent hang: the victim goes dark, the failure detector declares it
+// dead and the survivors recruit the one spare in its place. The detector
+// names only the silent rank, so one spare is enough: the run must finish
+// at full world size and bit-identical.
 func TestHealRecoveryBitIdenticalAfterSilentFailure(t *testing.T) {
 	const steps, victim = 8, 1
 	for _, workers := range []int{1, 2, 4, 7} {
@@ -175,8 +174,11 @@ func TestHealRecoveryBitIdenticalAfterSilentFailure(t *testing.T) {
 				Faults:      &comm.FaultPlan{Seed: 13, Hangs: []comm.CrashSpec{{Rank: victim, Step: 5}}},
 				FailTimeout: 500 * time.Millisecond,
 			}
-			got, recovered, _ := runHealScenario(t, opts, 3, 2, steps, workers, healConfig())
+			got, recovered, joined := runHealScenario(t, opts, 3, 1, steps, workers, healConfig())
 			assertBitsEqual(t, got, want)
+			if joined != 1 {
+				t.Errorf("%d spares joined, want 1", joined)
+			}
 			for _, r := range recovered {
 				if r.Heals == 0 {
 					t.Errorf("finisher saw no heal: %+v", r)
@@ -215,7 +217,7 @@ func TestNetHealRecoveryCrash(t *testing.T) {
 
 // TestNetHealRecoverySilentHang is the socket-transport variant of the
 // silent-failure heal: the hung rank is accused by the connection-level
-// failure detector, and a spare replaces it over the wire.
+// failure detector, and the one spare replaces it over the wire.
 func TestNetHealRecoverySilentHang(t *testing.T) {
 	const steps, victim = 8, 1
 	for _, workers := range []int{1, 2, 4, 7} {
@@ -226,8 +228,11 @@ func TestNetHealRecoverySilentHang(t *testing.T) {
 				Faults:      &comm.FaultPlan{Seed: 13, Hangs: []comm.CrashSpec{{Rank: victim, Step: 5}}},
 				FailTimeout: 2 * time.Second,
 			}
-			got, recovered, _ := runHealScenario(t, opts, 3, 2, steps, workers, healConfig())
+			got, recovered, joined := runHealScenario(t, opts, 3, 1, steps, workers, healConfig())
 			assertBitsEqual(t, got, want)
+			if joined != 1 {
+				t.Errorf("%d spares joined, want 1", joined)
+			}
 			for _, r := range recovered {
 				if r.Heals == 0 {
 					t.Errorf("finisher saw no heal: %+v", r)

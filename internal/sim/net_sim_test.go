@@ -162,26 +162,21 @@ func TestNetShrinkRecoveryCrash(t *testing.T) {
 	}
 }
 
-// TestNetShrinkRecoveryBlackHole is the connection-level acceptance test:
-// the victim's NIC "fails" (a frame-layer black hole — it keeps computing
-// but its frames go nowhere and nothing comes back), the transport's
-// failure detector accuses it within FailTimeout, and the survivors
-// complete shrinking recovery from the in-memory replicas, bit-identical
-// and without touching disk. AfterFrames is calibrated to the scenario's
-// frame trace: with a replica generation per step, the victim's ninth
-// data frame lands well past the first complete generation (replica
-// frames are atomic — delivered whole or not at all, so an interrupted
-// generation leaves the previous one intact) and well before the run's
-// final collectives, so the accusation fires mid-stepping with a wide
-// scheduling margin on both sides.
-func TestNetShrinkRecoveryBlackHole(t *testing.T) {
+// TestNetShrinkRecoveryHang is the connection-level acceptance test: the
+// victim hangs mid-run (its endpoint falls silent — no heartbeats, no
+// acks, no redials), the transport's failure detector accuses it within
+// FailTimeout, and the survivors complete shrinking recovery from the
+// in-memory replicas, bit-identical and without touching disk.
+func TestNetShrinkRecoveryHang(t *testing.T) {
 	const steps, victim = 8, 1
 	const failTimeout = 300 * time.Millisecond
 	want := shrinkReference(t, 3, steps, 1)
 
-	netOpts := socketOpts()
-	netOpts.Faults = &comm.NetFaultPlan{BlackHoles: []comm.HoleSpec{{Rank: victim, AfterFrames: 9}}}
-	opts := comm.Options{Net: netOpts, FailTimeout: failTimeout}
+	opts := comm.Options{
+		Net:         socketOpts(),
+		Faults:      &comm.FaultPlan{Seed: 13, Hangs: []comm.CrashSpec{{Rank: victim, Step: 5}}},
+		FailTimeout: failTimeout,
+	}
 
 	start := time.Now()
 	got, recovered := runShrinkScenario(t, opts, victim, steps, 1, ResilienceConfig{
@@ -195,7 +190,7 @@ func TestNetShrinkRecoveryBlackHole(t *testing.T) {
 	assertBitsEqual(t, got, want)
 	for _, r := range recovered {
 		if r.Shrinks != 1 || r.BuddyRestores != 1 || r.DiskRestores != 0 {
-			t.Errorf("black hole was not recovered by one buddy shrink: %+v", r)
+			t.Errorf("hang was not recovered by one buddy shrink: %+v", r)
 		}
 		if r.DiskReadsDuringRecovery != 0 {
 			t.Errorf("buddy recovery performed %d disk reads, want 0: %+v", r.DiskReadsDuringRecovery, r)

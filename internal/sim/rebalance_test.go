@@ -168,7 +168,7 @@ func TestRebalanceValidation(t *testing.T) {
 	})
 }
 
-// TestRebalanceReturnsRankFailure: a peer that retires instead of joining
+// TestRebalanceReturnsRankFailure: a peer that hangs instead of joining
 // the rebalancing collective reaches every survivor as a returned
 // *comm.RankFailedError, never as a panic.
 func TestRebalanceReturnsRankFailure(t *testing.T) {
@@ -176,9 +176,13 @@ func TestRebalanceReturnsRankFailure(t *testing.T) {
 		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
 		[3]int{3, 2, 1}, [3]int{4, 4, 4}, [3]bool{true, true, true})
 	f.BalanceMorton(3)
-	// The failure deadline is what tells the survivors' wildcard receives
+	// The failure detector is what tells the survivors' wildcard receives
 	// that rank 2 is gone.
-	comm.RunWithOptions(3, comm.Options{FailTimeout: 500 * time.Millisecond}, func(c *comm.Comm) {
+	opts := comm.Options{
+		Faults:      &comm.FaultPlan{Hangs: []comm.CrashSpec{{Rank: 2, Step: 3}}},
+		FailTimeout: 500 * time.Millisecond,
+	}
+	comm.RunWithOptions(3, opts, func(c *comm.Comm) {
 		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
 		if err != nil {
 			t.Error(err)
@@ -191,7 +195,12 @@ func TestRebalanceReturnsRankFailure(t *testing.T) {
 		}
 		mustRun(t, s, 2)
 		if c.Rank() == 2 {
-			c.Retire()
+			defer func() {
+				if _, ok := recover().(comm.Hang); !ok {
+					t.Error("rank 2 did not hang")
+				}
+			}()
+			c.SetStep(3)
 			return
 		}
 		err = s.RebalanceByWorkload(true)

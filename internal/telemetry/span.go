@@ -95,12 +95,10 @@ const (
 	// recovery: recruit a spare, vote, forward the dead rank's blocks and
 	// rebuild the topology at full size.
 	PhaseHeal
-	// PhaseFaultDrop marks a send discarded by fault injection (instant).
-	PhaseFaultDrop
 	// PhaseFaultDelay marks a send deferred by fault injection (instant).
 	PhaseFaultDelay
-	// PhaseRankFailed marks a declared rank failure (instant). Arg is the
-	// accused world rank.
+	// PhaseRankFailed marks a receive aborted by a declared rank failure
+	// (instant). Arg is the failed world rank.
 	PhaseRankFailed
 	// PhaseNetConnect marks an established socket-transport connection
 	// (instant). Arg is the peer world rank.
@@ -112,8 +110,7 @@ const (
 	// a reconnect handshake (instant). Arg is the peer world rank.
 	PhaseNetResend
 	// PhaseNetFault marks an injected frame-layer network fault — drop,
-	// corruption, sever or black-hole trigger (instant). Arg is the peer
-	// world rank.
+	// corruption, delay or sever (instant). Arg is the peer world rank.
 	PhaseNetFault
 	// PhaseNetAccuse marks the socket transport accusing a rank of failure
 	// after a connection stalled past FailTimeout (instant). Arg is the
@@ -166,7 +163,6 @@ var phaseTable = [NumPhases]phaseInfo{
 	PhaseRestore:       {name: "restore"},
 	PhaseShrink:        {name: "shrink"},
 	PhaseHeal:          {name: "heal"},
-	PhaseFaultDrop:     {name: "fault-drop", argName: "peer", instant: true},
 	PhaseFaultDelay:    {name: "fault-delay", argName: "peer", instant: true},
 	PhaseRankFailed:    {name: "rank-failed", argName: "rank", instant: true},
 	PhaseNetConnect:    {name: "net-connect", argName: "peer", instant: true},

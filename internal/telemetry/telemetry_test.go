@@ -17,7 +17,7 @@ func TestLaneRecordsSpans(t *testing.T) {
 	s0 := l.Start()
 	time.Sleep(time.Millisecond)
 	l.Span(PhaseStep, 7, 0, s0)
-	l.Instant(PhaseFaultDrop, 7, 1)
+	l.Instant(PhaseFaultDelay, 7, 1)
 
 	if got := l.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
@@ -30,7 +30,7 @@ func TestLaneRecordsSpans(t *testing.T) {
 	if spans[0].End <= spans[0].Start {
 		t.Fatalf("span has non-positive duration: %+v", spans[0])
 	}
-	if spans[1].Phase != PhaseFaultDrop || spans[1].Start != spans[1].End {
+	if spans[1].Phase != PhaseFaultDelay || spans[1].Start != spans[1].End {
 		t.Fatalf("instant span = %+v", spans[1])
 	}
 	if l.BusyNs() <= 0 {
@@ -70,7 +70,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 
 	l.Span(PhaseStep, 0, 0, l.Start())
-	l.Instant(PhaseFaultDrop, 0, 0)
+	l.Instant(PhaseFaultDelay, 0, 0)
 	l.Each(func(Span) { t.Fatal("nil lane has spans") })
 	if l.Len() != 0 || l.BusyNs() != 0 || l.Dropped() != 0 || l.Name() != "" {
 		t.Fatal("nil lane reports state")
@@ -386,7 +386,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		s := l.Start()
 		l.Span(PhaseStep, 1, 2, s)
-		l.Instant(PhaseFaultDrop, 1, 2)
+		l.Instant(PhaseFaultDelay, 1, 2)
 		c.Add(3)
 		g.Set(1.5)
 		h.Observe(time.Microsecond)
