@@ -45,12 +45,13 @@ race-resilience:
 	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
 
 # race-net re-runs the socket-transport suite uncached under the race
-# detector: wire framing, reconnect/backoff with the frame fault
-# injector, failure accusation (only the silent rank is named), the
-# receive-buffer ownership contract, and the cross-transport bit-identity
-# and shrink-recovery-over-sockets tests.
+# detector: wire framing, reconnect/backoff under the fault plan's frame
+# clauses, in-order stalls on both transports (streams keep send order,
+# stalled frames still cross the wire), failure accusation (only the
+# silent rank is named), the receive-buffer ownership contract, and the
+# cross-transport bit-identity and shrink-recovery-over-sockets tests.
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank' ./internal/comm/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire' ./internal/comm/ ./internal/sim/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
@@ -109,9 +110,10 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzUnionSignedColor -fuzztime 5s ./internal/distance/
 
 # chaos-smoke runs the deterministic multi-layer chaos soak three times
-# uncached under the race detector: seeded frame
-# drop/corruption/delay/sever, rank crashes, a silent hang and on-disk
-# checkpoint bit-flips against a 4-active + 3-spare heal-mode world,
+# uncached under the race detector, once per transport from one seeded
+# plan: rank crashes, a silent hang and in-order stalls (plus frame
+# drop/corruption/sever over sockets) and on-disk checkpoint bit-flips
+# against a 4-active + 3-spare heal-mode world,
 # asserting the run ends at full world size, bit-identical to the
 # fault-free reference, with all recoveries served from buddy memory and
 # no leaked goroutines. Three runs, so a detector that accuses the wrong

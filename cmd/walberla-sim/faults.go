@@ -16,7 +16,9 @@ import (
 //	hang=RANK@STEP    silence RANK at STEP without any notification — the
 //	                  failure is detected only by its beat missing for
 //	                  -fail-timeout
-//	delay=P:DUR       delay each message with probability P by up to DUR
+//	delay=P:DUR       with probability P, stall a message between two ranks
+//	                  by up to DUR before it leaves its sender — in order,
+//	                  nothing behind it overtakes it — on either transport
 //	seed=N            seed of the deterministic fault decisions
 //
 // Example: "crash=1@40,delay=0.01:2ms,seed=7".
@@ -62,7 +64,7 @@ func parseFaultSpec(spec string) (*comm.FaultPlan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("delay duration %q: %v", durStr, err)
 			}
-			p.DelayProb, p.MaxDelay = f, d
+			p.Delay, p.MaxDelay = f, d
 		case "seed":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {

@@ -14,7 +14,7 @@ func TestParseFaultSpec(t *testing.T) {
 		p.Crashes[1].Rank != 0 || p.Crashes[1].Step != 80 {
 		t.Fatalf("crashes = %+v", p.Crashes)
 	}
-	if p.DelayProb != 0.01 || p.MaxDelay != 2*time.Millisecond || p.Seed != 7 {
+	if p.Delay != 0.01 || p.MaxDelay != 2*time.Millisecond || p.Seed != 7 {
 		t.Fatalf("plan = %+v", p)
 	}
 

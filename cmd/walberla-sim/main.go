@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 		checkpointEvery = fs.Int("checkpoint-every", 0, "run the fault-tolerant driver, taking a coordinated checkpoint set every N steps (0 = off)")
 		checkpointSets  = fs.String("checkpoint-sets", "checkpoint-sets", "directory for coordinated checkpoint sets (with -checkpoint-every)")
-		injectFault     = fs.String("inject-fault", "", `deterministic fault plan, e.g. "crash=1@40,hang=2@80,delay=0.01:2ms,seed=7"; selects the fault-tolerant driver`)
+		injectFault     = fs.String("inject-fault", "", `deterministic fault plan, e.g. "crash=1@40,hang=2@80,delay=0.01:2ms,seed=7" (delay=P:DUR stalls a message in order, on either transport); selects the fault-tolerant driver`)
 		recoverMode     = fs.String("recover-mode", "rewind", "recovery after a rank failure: rewind (disk checkpoint sets), shrink (in-memory buddy replicas, survivors adopt the dead rank's blocks) or heal (shrink, then a spare rank rejoins and the world re-grows to full size; see -spares)")
 		failTimeout     = fs.Duration("fail-timeout", 0, "declare a rank failed when its beat has been missing this long (0 = no silent-failure detection)")
 		maxFailures     = fs.Int("max-failures", -1, "abort after this many rank failures (-1 = default of 8, 0 = abort on the first failure)")

@@ -14,23 +14,25 @@
 // Message passing is "eager": sends do not rendezvous with the receiver
 // (each rank owns a mailbox), receives block until a matching message
 // arrives. Messages match on (communicator context, source, tag), so
-// traffic in a subcommunicator cannot interfere with the parent's.
-// Mailboxes may be depth-bounded (Options.MailboxDepth), in which case a
-// full mailbox applies backpressure to senders; per-rank statistics
-// (message and byte counts, time blocked in receives and in backpressure)
-// support the %MPI accounting of the scaling experiments.
+// traffic in a subcommunicator cannot interfere with the parent's, and
+// messages of one (context, source, tag) stream match in send order, as
+// MPI guarantees. Per-rank statistics (message and byte counts, time
+// blocked in receives and in the socket transport's backpressure) support
+// the %MPI accounting of the scaling experiments.
 //
 // For resilience testing the runtime supports deterministic fault
-// injection (FaultPlan): delayed messages, and rank crashes and silent
-// hangs at chosen time steps. Every operation has an error-returning
-// variant (SendErr, RecvErr, BarrierErr, ...) that surfaces a typed
-// *RankFailedError instead of deadlocking when a rank has failed. A
-// receive waits until its message arrives or a failure is declared; a
-// failure is declared by an injected crash, by Accuse, or by the one
-// failure detector of the transport, which accuses a rank only when that
-// rank's own beat has been missing for Options.FailTimeout. See fault.go
-// and docs/RESILIENCE.md for the fault model and the recovery protocol
-// built on top in package resilience.
+// injection (FaultPlan): rank crashes and silent hangs at chosen time
+// steps, and wire clauses applied where a message leaves its sender — an
+// in-order stall on either transport, frame drops, corruptions, severs and
+// refused connections on the socket transport. Every operation has an
+// error-returning variant (SendErr, RecvErr, BarrierErr, ...) that
+// surfaces a typed *RankFailedError instead of deadlocking when a rank has
+// failed. A receive waits until its message arrives or a failure is
+// declared; a failure is declared by an injected crash, by Accuse, or by
+// the one failure detector of the transport, which accuses a rank only
+// when that rank's own beat has been missing for Options.FailTimeout. See
+// fault.go and docs/RESILIENCE.md for the fault model and the recovery
+// protocol built on top in package resilience.
 package comm
 
 import (
@@ -128,39 +130,37 @@ func (q *queue) peek() *message { return &q.msgs[q.head] }
 // the matching queue heads, preserving the arrival-order semantics of the
 // previous single-queue implementation. Drained queues stay in the map
 // with their capacity so repeated traffic on a key does not reallocate.
-// An optional depth bound turns the eager channel into a backpressured
-// one: full mailboxes block senders.
+// Mailboxes are unbounded: a deposit never blocks.
 type mailbox struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queues    map[mkey]*queue
 	count     int    // total pending messages
 	seq       uint64 // arrival counter
-	maxDepth  int    // 0 = unbounded
 	highWater int    // maximum of count over the run
+	// epoch is the world's recovery counter (world.epoch); put sheds
+	// traffic sent before the latest recovery.
+	epoch *atomic.Int64
 }
 
-func newMailbox(maxDepth int) *mailbox {
-	m := &mailbox{queues: make(map[mkey]*queue), maxDepth: maxDepth}
+func newMailbox(epoch *atomic.Int64) *mailbox {
+	m := &mailbox{queues: make(map[mkey]*queue), epoch: epoch}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-// put enqueues a message, blocking while the mailbox is at its depth bound.
-// bail is polled while blocked; a non-nil bail error aborts the send (used
-// to break backpressure deadlocks when a rank has failed). It returns the
-// time spent blocked on backpressure.
-func (m *mailbox) put(msg message, bail func() error) (time.Duration, error) {
+// put deposits a message sent in the given epoch. It returns the queue the
+// message went to and the value queue.taken reaches when the consumer pops
+// the message after this one — the point from which the socket reader may
+// reuse the buffer the message carries (see recvRing). A message sent
+// before a recovery is shed instead (nil queue): finishRecoveryLocked
+// advances the epoch before purging under this same lock, so the check
+// cannot race the purge.
+func (m *mailbox) put(msg message, epoch int64) (*queue, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var waited time.Duration
-	for m.maxDepth > 0 && m.count >= m.maxDepth {
-		if err := bail(); err != nil {
-			return waited, err
-		}
-		t0 := time.Now()
-		m.cond.Wait()
-		waited += time.Since(t0)
+	if epoch < m.epoch.Load() {
+		return nil, 0
 	}
 	m.seq++
 	msg.seq = m.seq
@@ -176,7 +176,7 @@ func (m *mailbox) put(msg message, bail func() error) (time.Duration, error) {
 		m.highWater = m.count
 	}
 	m.cond.Broadcast()
-	return waited, nil
+	return q, q.taken.Load() + uint64(len(q.msgs)-q.head) + 1
 }
 
 // match finds and removes the first message matching context, source and
@@ -224,9 +224,6 @@ func (m *mailbox) take(ctx, source, tag int, bail func() error) (message, error)
 	defer m.mu.Unlock()
 	for {
 		if msg, ok := m.match(ctx, source, tag); ok {
-			if m.maxDepth > 0 {
-				m.cond.Broadcast() // free a sender blocked on the bound
-			}
 			return msg, nil
 		}
 		if err := bail(); err != nil {
@@ -267,18 +264,13 @@ func (m *mailbox) depth() (pending, highWater int) {
 	return m.count, m.highWater
 }
 
-// Options configures a Run: fault injection, mailbox bounding, failure
-// detection and the transport. The zero value reproduces the classic
-// perfect-network runtime: no faults, unbounded mailboxes, in-process
-// delivery and no failure detector.
+// Options configures a Run: fault injection, failure detection and the
+// transport. The zero value reproduces the classic perfect-network
+// runtime: no faults, in-process delivery and no failure detector.
 type Options struct {
-	// Faults injects deterministic communication faults; nil disables
-	// injection entirely.
+	// Faults injects deterministic faults; nil disables injection
+	// entirely.
 	Faults *FaultPlan
-	// MailboxDepth bounds the number of queued messages per rank; senders
-	// to a full mailbox block until the receiver drains it (backpressure,
-	// accounted in Stats.BackpressureWait). 0 means unbounded.
-	MailboxDepth int
 	// FailTimeout is the failure-detection deadline: a rank whose own beat
 	// has been missing this long is *declared* failed with a timeout-cause
 	// *RankFailedError (RankFailedError.TimedOut reports true). On the
@@ -289,8 +281,8 @@ type Options struct {
 	// declared failed.
 	FailTimeout time.Duration
 	// Net selects the socket transport (TCP or unix-domain sockets) and
-	// configures its heartbeats, reconnect backoff and frame-fault
-	// injection; nil keeps messages in process (see transport.go).
+	// configures its addresses and heartbeat; nil keeps messages in
+	// process (see transport.go).
 	Net *NetOptions
 }
 
@@ -303,8 +295,8 @@ type world struct {
 	// mailbox deposit, or the socket backend when Options.Net is set.
 	transport transport
 
-	// epoch counts completed recoveries; delayed (fault-injected) messages
-	// from an older epoch are discarded at delivery time.
+	// epoch counts completed recoveries; a message sent in an older epoch
+	// is shed at delivery (mailbox.put).
 	epoch atomic.Int64
 	// failure is the first declared rank failure of the current epoch; all
 	// error-returning operations fail fast once it is set.
@@ -315,17 +307,6 @@ type world struct {
 	// hangFired marks FaultPlan.Hangs entries that have triggered, so a
 	// silence fires exactly once even across recovery replays.
 	hangFired []atomic.Bool
-	// sendSeq is the per-world-rank send counter driving the deterministic
-	// delay decisions.
-	sendSeq []atomic.Uint64
-
-	// Pending delayed-delivery timers of the fault injector. Tracked so
-	// recovery and run teardown can stop them: an untracked timer firing
-	// after the world is gone would leak, and one firing after a recovery
-	// would race the epoch check (see injectSendFaults).
-	timerMu      sync.Mutex
-	timers       map[*time.Timer]struct{}
-	timersClosed bool
 
 	// Recovery rendezvous and permanent-death bookkeeping (see
 	// (*Comm).Recover, MarkDead, Shrink). dead/deadCount are guarded by
@@ -356,8 +337,8 @@ func (w *world) declareFailure(f *RankFailedError) {
 			m.wake()
 		}
 		if w.transport != nil {
-			// Senders can also be blocked inside the transport (retention-
-			// ring backpressure); wake them too.
+			// Senders can be blocked inside the transport (retention-ring
+			// backpressure); wake them too.
 			w.transport.onFailure()
 		}
 		// Parked spares wait on the recovery condition (see grow.go); wake
@@ -393,9 +374,10 @@ type Stats struct {
 	// the numerator of the %MPI metric.
 	RecvWait time.Duration
 	// BackpressureWait is the total time this rank's sends spent blocked
-	// on full (depth-bounded) destination mailboxes.
+	// on full retention rings of the socket transport.
 	BackpressureWait time.Duration
-	// Delayed counts this rank's sends deferred by fault injection.
+	// Delayed counts this rank's sends stalled by fault injection
+	// (FaultPlan.Delay), on either transport.
 	Delayed int64
 }
 
@@ -405,8 +387,6 @@ type MailboxStats struct {
 	Pending int
 	// HighWater is the maximum queue depth observed so far.
 	HighWater int
-	// Depth is the configured bound (0 = unbounded).
-	Depth int
 }
 
 // Comm is one rank's handle to a communicator: the world communicator
@@ -433,32 +413,25 @@ func Run(n int, f func(c *Comm)) {
 	RunWithOptions(n, Options{}, f)
 }
 
-// RunWithOptions is Run with fault injection, mailbox bounding, failure
-// detection and transport configuration.
+// RunWithOptions is Run with fault injection, failure detection and
+// transport configuration; it panics on options Validate rejects.
 func RunWithOptions(n int, opts Options, f func(c *Comm)) {
 	if n <= 0 {
 		panic("comm: Run requires at least one rank")
 	}
-	if p := opts.Faults; p != nil {
-		if err := p.Validate(n); err != nil {
-			panic("comm: " + err.Error())
-		}
-	}
-	if opts.MailboxDepth < 0 {
-		panic("comm: negative mailbox depth")
+	if err := opts.Validate(n); err != nil {
+		panic(err.Error())
 	}
 	w := &world{size: n, mailboxes: make([]*mailbox, n), opts: opts}
 	w.recCond = sync.NewCond(&w.recMu)
 	w.dead = make([]bool, n)
-	w.timers = make(map[*time.Timer]struct{})
 	for i := range w.mailboxes {
-		w.mailboxes[i] = newMailbox(opts.MailboxDepth)
+		w.mailboxes[i] = newMailbox(&w.epoch)
 	}
 	if opts.Faults != nil {
 		w.crashFired = make([]atomic.Bool, len(opts.Faults.Crashes))
 		w.hangFired = make([]atomic.Bool, len(opts.Faults.Hangs))
 	}
-	w.sendSeq = make([]atomic.Uint64, n)
 	if opts.Net != nil {
 		nt, err := newNetTransport(w, *opts.Net)
 		if err != nil {
@@ -493,24 +466,13 @@ func RunWithOptions(n int, opts Options, f func(c *Comm)) {
 		}(r)
 	}
 	wg.Wait()
-	// Stop delayed-delivery timers still pending at teardown; their
-	// callbacks must never touch the mailboxes of a finished world.
-	w.stopDelayedTimers(true)
 	w.transport.shutdown()
-	if testHookWorld != nil {
-		testHookWorld(w)
-	}
 	select {
 	case p := <-panics:
 		panic("comm: " + p)
 	default:
 	}
 }
-
-// testHookWorld, when non-nil, observes the world of each Run after
-// teardown — tests assert invariants like "no pending delayed-delivery
-// timers survive the run".
-var testHookWorld func(w *world)
 
 // Rank returns this rank's id within the communicator, in [0, Size).
 func (c *Comm) Rank() int { return c.rank }
@@ -544,7 +506,7 @@ func (c *Comm) ResetStats() {
 func (c *Comm) MailboxStats() MailboxStats {
 	m := c.w.mailboxes[c.WorldRank()]
 	pending, high := m.depth()
-	return MailboxStats{Pending: pending, HighWater: high, Depth: m.maxDepth}
+	return MailboxStats{Pending: pending, HighWater: high}
 }
 
 // Split partitions the communicator into subgroups: ranks passing the
@@ -621,8 +583,8 @@ func payloadBytes(data any) int64 {
 }
 
 // Send delivers data to rank dst with the given non-negative tag. Send is
-// asynchronous (eager): it blocks only while the destination mailbox is at
-// its depth bound. The payload is shared, not copied; the sender must not
+// asynchronous (eager): it blocks only for an injected stall or, on the
+// socket transport, while the connection's retention ring is full. The payload is shared, not copied; the sender must not
 // modify it afterwards (pack fresh buffers per message, as the ghost-layer
 // exchange does). Send panics if a rank failure has been declared; use
 // SendErr where failures must be handled.
@@ -678,12 +640,11 @@ func (c *Comm) sendMsg(dst, tag int, msg message) error {
 	}
 	msg.ctx, msg.source, msg.tag = c.ctx, c.WorldRank(), tag
 	telStart := c.tel.sendStart(nb)
-	if p := w.opts.Faults; p != nil {
-		if done, err := c.injectSendFaults(p, worldDst, msg); done {
-			return err
-		}
+	waited, stalled, err := w.transport.deliver(c.WorldRank(), worldDst, msg)
+	if stalled {
+		c.stats.Delayed++
+		c.tel.delay(worldDst)
 	}
-	waited, err := w.transport.deliver(c.WorldRank(), worldDst, msg)
 	c.stats.BackpressureWait += waited
 	c.tel.sendDone(worldDst, telStart, waited)
 	return err

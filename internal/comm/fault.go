@@ -7,23 +7,45 @@ import (
 	"time"
 )
 
-// Deterministic fault injection. A FaultPlan describes message delays as
-// a pure function of (seed, sender rank, per-rank send counter) plus
-// explicit rank crash and hang trigger points, so a faulty run is exactly
-// reproducible: the same plan against the same SPMD program injects the
-// same faults, independent of goroutine scheduling.
+// Deterministic fault injection. A FaultPlan holds rank events — crashes
+// and silent hangs at chosen time steps — and wire clauses, which apply
+// where a message leaves its sender (transport.deliver). Every wire
+// decision is a pure function of (seed, kind, directed stream, per-stream
+// sequence number), so a faulty run is exactly reproducible: the same plan
+// against the same SPMD program injects the same faults, independent of
+// goroutine or kernel scheduling.
 
 // FaultPlan describes the faults to inject into one Run. Messages are
-// delayed, never lost: both transports deliver reliably, and the socket
-// transport's frame-level loss (NetFaultPlan.Drop) is absorbed by resend.
+// stalled, never reordered or lost: both transports deliver every message
+// of a (source, tag) stream in send order, and the socket transport's
+// frame faults (Drop, Corrupt, Severs, Refusals) are absorbed by resend.
 type FaultPlan struct {
-	// Seed drives the per-message delay decisions.
+	// Seed drives every per-message decision.
 	Seed int64
-	// DelayProb is the probability in [0,1] that a message is delivered
-	// late, after a pseudo-random delay in (0, MaxDelay].
-	DelayProb float64
-	// MaxDelay bounds injected delivery delays.
+	// Delay is the probability in [0,1] that a cross-rank message stalls
+	// its stream for a pseudo-random duration in [0, MaxDelay) before it
+	// is deposited (in process) or written (socket). The sender waits, so
+	// nothing behind the message overtakes it. Both transports.
+	Delay    float64
 	MaxDelay time.Duration
+	// Drop is the probability in [0,1] that a data frame's socket write is
+	// skipped. The frame stays in the sender's retention ring; the receiver
+	// observes a sequence gap (at the next data frame or heartbeat) and
+	// forces a reconnect, after which the frame is resent — so drops cost
+	// latency, never data. Socket transport only, like the three below.
+	Drop float64
+	// Corrupt is the probability in [0,1] that a data frame is written
+	// with a flipped checksum. The receiver's CRC check rejects it, severs
+	// the connection and recovers the frame through the reconnect resend.
+	Corrupt float64
+	// Severs closes directed-pair sockets at chosen frames: the connection
+	// From→To is torn down immediately before writing the AtFrame-th data
+	// frame (1-based). The transport reconnects with backoff and resends.
+	Severs []SeverSpec
+	// Refusals reject the first Count connection attempts dialed From→To
+	// (the acceptor closes the socket before the handshake completes),
+	// exercising the connect-retry backoff path — including at startup.
+	Refusals []RefuseSpec
 	// Crashes lists rank crashes: the victim rank panics with a Crash
 	// value at the first SetStep call whose step reaches the trigger.
 	// Each entry fires at most once, even across recovery replays.
@@ -46,39 +68,100 @@ type CrashSpec struct {
 	Step int
 }
 
-// Validate checks the plan against a world of n ranks; RunWithOptions
-// panics on an invalid plan, so front ends should validate user-supplied
-// plans first.
-func (p *FaultPlan) Validate(n int) error {
-	if p.DelayProb < 0 || p.DelayProb > 1 {
-		return fmt.Errorf("fault plan: delay probability %v outside [0,1]", p.DelayProb)
-	}
-	if p.DelayProb > 0 && p.MaxDelay <= 0 {
-		return fmt.Errorf("fault plan: delay probability %v requires a positive MaxDelay", p.DelayProb)
-	}
-	for _, cs := range p.Crashes {
-		if cs.Rank < 0 || cs.Rank >= n {
-			return fmt.Errorf("fault plan: crash rank %d outside world of size %d", cs.Rank, n)
+// SeverSpec tears down the socket carrying the From→To stream just
+// before its AtFrame-th data frame (1-based).
+type SeverSpec struct {
+	From, To int
+	AtFrame  uint64
+}
+
+// RefuseSpec rejects the first Count connection attempts of the dialer
+// From toward the acceptor To.
+type RefuseSpec struct {
+	From, To int
+	Count    int
+}
+
+// Validate checks the options against a world of n ranks (parked spares
+// included): the socket flavor and address count, and the fault plan's
+// probabilities and rank targets. A wire clause the in-process transport
+// cannot express — a drop, corruption, sever or refusal — is rejected
+// there, not ignored. RunWithOptions panics on invalid options, so front
+// ends validate user-supplied ones first.
+func (o Options) Validate(n int) error {
+	if o.Net != nil {
+		if nw := o.Net.Network; nw != "" && nw != "tcp" && nw != "unix" {
+			return fmt.Errorf("comm: unknown network %q (want tcp or unix)", nw)
 		}
-		if cs.Step < 0 {
-			return fmt.Errorf("fault plan: negative crash step %d", cs.Step)
+		if a := len(o.Net.Addrs); a != 0 && a != n {
+			return fmt.Errorf("comm: %d transport addresses for %d ranks", a, n)
 		}
 	}
-	for _, hs := range p.Hangs {
-		if hs.Rank < 0 || hs.Rank >= n {
-			return fmt.Errorf("fault plan: hang rank %d outside world of size %d", hs.Rank, n)
+	p := o.Faults
+	if p == nil {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"delay", p.Delay}, {"drop", p.Drop}, {"corrupt", p.Corrupt}} {
+		if f.v < 0 || f.v > 1 {
+			return fmt.Errorf("comm: fault plan: %s probability %v outside [0,1]", f.name, f.v)
 		}
-		if hs.Step < 0 {
-			return fmt.Errorf("fault plan: negative hang step %d", hs.Step)
+	}
+	if p.Delay > 0 && p.MaxDelay <= 0 {
+		return fmt.Errorf("comm: fault plan: delay probability %v requires a positive MaxDelay", p.Delay)
+	}
+	if o.Net == nil && (p.Drop > 0 || p.Corrupt > 0 || len(p.Severs) > 0 || len(p.Refusals) > 0) {
+		return fmt.Errorf("comm: fault plan: drop, corrupt, sever and refusal clauses need the socket transport")
+	}
+	rank := func(what string, r int) error {
+		if r < 0 || r >= n {
+			return fmt.Errorf("comm: fault plan: %s rank %d outside world of size %d", what, r, n)
+		}
+		return nil
+	}
+	for _, ev := range []struct {
+		what  string
+		specs []CrashSpec
+	}{{"crash", p.Crashes}, {"hang", p.Hangs}} {
+		for _, cs := range ev.specs {
+			if err := rank(ev.what, cs.Rank); err != nil {
+				return err
+			}
+			if cs.Step < 0 {
+				return fmt.Errorf("comm: fault plan: negative %s step %d", ev.what, cs.Step)
+			}
+		}
+	}
+	for _, s := range p.Severs {
+		if err := errors.Join(rank("sever", s.From), rank("sever", s.To)); err != nil {
+			return err
+		}
+		if s.From == s.To {
+			return fmt.Errorf("comm: fault plan: sever of the self stream of rank %d", s.From)
+		}
+		if s.AtFrame == 0 {
+			return fmt.Errorf("comm: fault plan: sever frame numbers are 1-based")
+		}
+	}
+	for _, r := range p.Refusals {
+		if err := errors.Join(rank("refusal", r.From), rank("refusal", r.To)); err != nil {
+			return err
+		}
+		if r.Count <= 0 {
+			return fmt.Errorf("comm: fault plan: refusal count %d must be positive", r.Count)
 		}
 	}
 	return nil
 }
 
 // Fault decision sub-streams. The values are mixed into every decision:
-// changing one changes which messages every seeded plan delays.
+// changing one changes which messages every seeded plan hits.
 const (
-	faultKindDelay = 2 + iota
+	faultKindDrop = 1 + iota
+	faultKindCorrupt
+	faultKindDelay
 	faultKindDelayLen
 )
 
@@ -90,82 +173,54 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// chance returns a deterministic uniform value in [0,1) for the n-th send
-// of a rank under decision sub-stream kind.
-func (p *FaultPlan) chance(kind, rank int, n uint64) float64 {
-	h := mix64(uint64(p.Seed)<<16 ^ uint64(kind)<<56 ^ uint64(rank)<<40 ^ n)
+// chance returns a deterministic uniform value in [0,1) for the seq-th
+// message of the directed stream src→dst under sub-stream kind.
+func (p *FaultPlan) chance(kind, src, dst int, seq uint64) float64 {
+	h := mix64(uint64(p.Seed)<<20 ^ uint64(kind)<<56 ^ uint64(src)<<44 ^ uint64(dst)<<32 ^ seq)
 	return float64(h>>11) / float64(1<<53)
 }
 
-// injectSendFaults applies the delay decision to one outgoing message.
-// It returns done=true when the message was consumed by the injector
-// (scheduled for delayed delivery).
-func (c *Comm) injectSendFaults(p *FaultPlan, worldDst int, msg message) (done bool, err error) {
-	w := c.w
-	n := w.sendSeq[c.WorldRank()].Add(1)
-	if p.DelayProb > 0 && p.chance(faultKindDelay, c.WorldRank(), n) < p.DelayProb {
-		c.stats.Delayed++
-		c.tel.delay(worldDst)
-		if msg.f64 != nil {
-			// Typed payloads may be persistent buffers the sender repacks
-			// next step; a delayed delivery must snapshot the contents.
-			msg.f64 = append([]float64(nil), msg.f64...)
-		}
-		d := time.Duration(p.chance(faultKindDelayLen, c.WorldRank(), n) * float64(p.MaxDelay))
-		epoch := w.epoch.Load()
-		mb := w.mailboxes[worldDst]
-		// The timer is registered before its callback can observe the
-		// registry, and the callback delivers only while still registered:
-		// stopDelayedTimers (recovery, run teardown) clears the registry,
-		// so a timer it could not Stop in time sheds its message instead of
-		// delivering into a recovered or torn-down world.
-		w.timerMu.Lock()
-		if w.timersClosed {
-			w.timerMu.Unlock()
-			return true, nil
-		}
-		var t *time.Timer
-		t = time.AfterFunc(d, func() {
-			w.timerMu.Lock()
-			_, live := w.timers[t]
-			delete(w.timers, t)
-			w.timerMu.Unlock()
-			// A recovery between send and delivery invalidated this
-			// message: traffic never crosses epochs.
-			if !live || w.epoch.Load() != epoch {
-				return
-			}
-			mb.put(msg, w.failErr) //nolint:errcheck // late traffic may be shed on failure
-		})
-		w.timers[t] = struct{}{}
-		w.timerMu.Unlock()
-		return true, nil
+// stall decides whether the seq-th message src→dst stalls its stream, and
+// for how long.
+func (p *FaultPlan) stall(src, dst int, seq uint64) (time.Duration, bool) {
+	if p.Delay <= 0 || p.chance(faultKindDelay, src, dst, seq) >= p.Delay {
+		return 0, false
 	}
-	return false, nil
+	return time.Duration(p.chance(faultKindDelayLen, src, dst, seq) * float64(p.MaxDelay)), true
 }
 
-// stopDelayedTimers stops and deregisters all pending delayed-delivery
-// timers; final additionally refuses future registrations (run teardown).
-// A timer that already fired finds itself deregistered and sheds its
-// message.
-func (w *world) stopDelayedTimers(final bool) {
-	w.timerMu.Lock()
-	for t := range w.timers {
-		t.Stop()
-	}
-	clear(w.timers)
-	if final {
-		w.timersClosed = true
-	}
-	w.timerMu.Unlock()
+// dropFrame decides whether the seq-th data frame src→dst is dropped.
+func (p *FaultPlan) dropFrame(src, dst int, seq uint64) bool {
+	return p.Drop > 0 && p.chance(faultKindDrop, src, dst, seq) < p.Drop
 }
 
-// pendingDelayedTimers reports the number of registered delayed-delivery
-// timers (teardown invariant checked by tests).
-func (w *world) pendingDelayedTimers() int {
-	w.timerMu.Lock()
-	defer w.timerMu.Unlock()
-	return len(w.timers)
+// corruptFrame decides whether the seq-th data frame src→dst is written
+// with a flipped checksum.
+func (p *FaultPlan) corruptFrame(src, dst int, seq uint64) bool {
+	return p.Corrupt > 0 && p.chance(faultKindCorrupt, src, dst, seq) < p.Corrupt
+}
+
+// severAt reports whether the socket carrying src→dst must be torn down
+// just before its seq-th data frame.
+func (p *FaultPlan) severAt(src, dst int, seq uint64) bool {
+	for _, s := range p.Severs {
+		if s.From == src && s.To == dst && s.AtFrame == seq {
+			return true
+		}
+	}
+	return false
+}
+
+// refusals returns the number of connection attempts to reject for the
+// dialer from toward the acceptor to.
+func (p *FaultPlan) refusals(from, to int) int {
+	n := 0
+	for _, r := range p.Refusals {
+		if r.From == from && r.To == to {
+			n += r.Count
+		}
+	}
+	return n
 }
 
 // Crash is the panic value of an injected rank crash. The resilient
@@ -260,10 +315,10 @@ func (c *Comm) Failed() *RankFailedError { return c.w.failure.Load() }
 // Recover is the world-wide recovery rendezvous: every *live* rank of the
 // Run (the full world minus ranks marked dead with MarkDead/Retire,
 // regardless of subcommunicators) must call it after a failure. Once the
-// last live rank arrives, all mailboxes are purged, pending
-// delayed-delivery timers stopped, the failure flag cleared and the
-// message epoch advanced, so stale traffic from before the failure can
-// never match a post-recovery receive. It returns the new epoch number.
+// last live rank arrives, the message epoch is advanced, all mailboxes
+// purged and the failure flag cleared, so stale traffic from before the
+// failure can never match a post-recovery receive. It returns the new
+// epoch number.
 //
 // Recover is intentionally built on shared synchronization rather than
 // messages — it models the out-of-band runtime service (mpirun, a
@@ -295,7 +350,6 @@ func (w *world) finishRecoveryLocked() {
 	w.recCount = 0
 	w.recGen++
 	w.epoch.Add(1)
-	w.stopDelayedTimers(false)
 	for _, m := range w.mailboxes {
 		m.purge()
 	}

@@ -84,8 +84,9 @@ var (
 	// ErrBadFrame reports an unknown frame kind or payload encoding, or a
 	// nonzero reserved field.
 	ErrBadFrame = errors.New("comm: malformed frame header")
-	// ErrFrameTooLarge reports a length prefix above the configured
-	// MaxFrameBytes bound, rejected before any payload allocation.
+	// ErrFrameTooLarge reports a length prefix above the decoder's bound
+	// (defaultMaxFrameBytes on the wire), rejected before any payload
+	// allocation.
 	ErrFrameTooLarge = errors.New("comm: frame exceeds maximum size")
 	// ErrChecksum reports a frame whose CRC-32C does not cover its bytes.
 	ErrChecksum = errors.New("comm: frame checksum mismatch")

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,9 +16,9 @@ import (
 // over distinct (source, tag) keys that the benchmarked receive never
 // matches.
 func benchMailbox(backlog int) *mailbox {
-	m := newMailbox(0)
+	m := newMailbox(new(atomic.Int64))
 	for i := 0; i < backlog; i++ {
-		m.put(message{ctx: 0, source: 1 + i%7, tag: 100 + i/7, data: i}, func() error { return nil })
+		m.put(message{ctx: 0, source: 1 + i%7, tag: 100 + i/7, data: i}, 0)
 	}
 	return m
 }
@@ -30,7 +31,7 @@ func BenchmarkMailboxExactMatch(b *testing.B) {
 			m := benchMailbox(backlog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.put(message{ctx: 0, source: 0, tag: 1, data: i}, noBail)
+				m.put(message{ctx: 0, source: 0, tag: 1, data: i}, 0)
 				if _, err := m.take(0, 0, 1, noBail); err != nil {
 					b.Fatal(err)
 				}
@@ -47,7 +48,7 @@ func BenchmarkMailboxWildcardSource(b *testing.B) {
 			m := benchMailbox(backlog)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.put(message{ctx: 0, source: 0, tag: 1, data: i}, noBail)
+				m.put(message{ctx: 0, source: 0, tag: 1, data: i}, 0)
 				if _, err := m.take(0, AnySource, 1, noBail); err != nil {
 					b.Fatal(err)
 				}
@@ -80,7 +81,7 @@ func BenchmarkSendRecvRoundtrip(b *testing.B) {
 // armed (but never-firing) fault plan: the deterministic decision hashing
 // must add only nanoseconds.
 func BenchmarkSendRecvRoundtripFaultPlan(b *testing.B) {
-	opts := Options{Faults: &FaultPlan{Seed: 1, DelayProb: 0,
+	opts := Options{Faults: &FaultPlan{Seed: 1, Delay: 0,
 		Crashes: []CrashSpec{{Rank: 0, Step: 1 << 30}}}}
 	RunWithOptions(2, opts, func(c *Comm) {
 		if c.Rank() == 0 {

@@ -51,6 +51,9 @@ type netTransport struct {
 	opts      NetOptions
 	endpoints []*netEndpoint
 	addrs     []string // resolved listen address per rank
+	// stallAfter is the per-connection silence threshold, stallBeats
+	// heartbeat intervals.
+	stallAfter time.Duration
 
 	// opaque holds payloads the wire cannot carry (arbitrary interface
 	// values of collectives and migration). The frame travels empty and the
@@ -74,8 +77,7 @@ type netCounters struct {
 	heartbeats, connects, reconnects atomic.Int64
 	resent, dups, gaps, checksumErrs atomic.Int64
 	accusals                         atomic.Int64
-	injDrops, injCorrupts            atomic.Int64
-	injDelays, injSevers             atomic.Int64
+	injDrops, injCorrupts, injSevers atomic.Int64
 }
 
 // netEndpoint is one world rank's side of the transport.
@@ -112,7 +114,7 @@ func (ep *netEndpoint) snapshot() NetStats {
 		ResentFrames: s.resent.Load(), DupFrames: s.dups.Load(), Gaps: s.gaps.Load(),
 		ChecksumErrors: s.checksumErrs.Load(), Accusals: s.accusals.Load(),
 		InjectedDrops: s.injDrops.Load(), InjectedCorrupts: s.injCorrupts.Load(),
-		InjectedDelays: s.injDelays.Load(), InjectedSevers: s.injSevers.Load(),
+		InjectedSevers: s.injSevers.Load(),
 	}
 }
 
@@ -123,13 +125,11 @@ func (ep *netEndpoint) snapshot() NetStats {
 // backoff either way.
 func newNetTransport(w *world, opts NetOptions) (*netTransport, error) {
 	opts = opts.withDefaults()
-	if err := opts.validate(w.size); err != nil {
-		return nil, err
-	}
 	t := &netTransport{
 		w: w, opts: opts, done: make(chan struct{}),
-		endpoints: make([]*netEndpoint, w.size),
-		addrs:     make([]string, w.size),
+		endpoints:  make([]*netEndpoint, w.size),
+		addrs:      make([]string, w.size),
+		stallAfter: stallBeats * opts.HeartbeatEvery,
 	}
 	if opts.Network == "unix" && len(opts.Addrs) == 0 {
 		dir, err := os.MkdirTemp("", "wbnet")
@@ -174,14 +174,14 @@ func newNetTransport(w *world, opts NetOptions) (*netTransport, error) {
 			}
 			c := &netConn{
 				ep: ep, peer: p, dialer: r < p, down: true,
-				ring:     make([]retainedFrame, opts.RetainFrames),
+				ring:     make([]retainedFrame, retainFrames),
 				recvBufs: make(map[recvKey]*recvRing),
 			}
 			c.cond = sync.NewCond(&c.mu)
 			// A fresh connection has seen no silence yet: the accusation
 			// clock starts now, not at the unix epoch.
 			c.lastIn.Store(now)
-			if pl := opts.Faults; pl != nil && !c.dialer {
+			if pl := w.opts.Faults; pl != nil && !c.dialer {
 				c.refusedLeft.Store(int64(pl.refusals(p, r)))
 			}
 			ep.conns[p] = c
@@ -202,9 +202,8 @@ func newNetTransport(w *world, opts NetOptions) (*netTransport, error) {
 
 func (t *netTransport) name() string { return t.opts.Network }
 
-// bail is the abort predicate of transport-internal waits (retention-ring
-// backpressure, mailbox depth bounds): a declared rank failure or the
-// transport shutting down unblocks them.
+// bail is the abort predicate of a sender waiting on a full retention
+// ring: a declared rank failure or the transport shutting down unblocks it.
 func (t *netTransport) bail() error {
 	if t.closed.Load() {
 		return errTransportClosed
@@ -213,17 +212,19 @@ func (t *netTransport) bail() error {
 }
 
 // deliver routes one stamped message. Self-sends skip the wire (as a real
-// MPI implementation short-circuits rank-local traffic); everything else
-// becomes a data frame on the pair's connection.
-func (t *netTransport) deliver(src, dst int, msg message) (time.Duration, error) {
+// MPI implementation short-circuits rank-local traffic) and with it every
+// wire clause; everything else becomes a data frame on the pair's
+// connection.
+func (t *netTransport) deliver(src, dst int, msg message) (time.Duration, bool, error) {
 	if src == dst {
-		return t.w.mailboxes[dst].put(msg, t.w.failErr)
+		t.w.mailboxes[dst].put(msg, t.w.epoch.Load())
+		return 0, false, nil
 	}
 	if t.endpoints[src].dead.Load() || t.endpoints[dst].dead.Load() {
 		if err := t.w.failErr(); err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		return 0, &RankFailedError{Rank: dst, Cause: fmt.Sprintf("send over %s transport to retired rank", t.opts.Network)}
+		return 0, false, &RankFailedError{Rank: dst, Cause: fmt.Sprintf("send over %s transport to retired rank", t.opts.Network)}
 	}
 	return t.endpoints[src].conns[dst].send(msg)
 }
@@ -291,11 +292,6 @@ func (t *netTransport) shutdown() {
 			}
 		}
 	}
-	// Readers blocked depositing into a bounded mailbox poll bail; wake
-	// them so they see the closed flag.
-	for _, m := range t.w.mailboxes {
-		m.wake()
-	}
 	t.wg.Wait()
 	if t.tmpDir != "" {
 		os.RemoveAll(t.tmpDir)
@@ -332,9 +328,9 @@ func (ep *netEndpoint) acceptLoop() {
 func (ep *netEndpoint) handleAccept(sock net.Conn) {
 	t := ep.t
 	defer t.wg.Done()
-	sock.SetDeadline(time.Now().Add(4 * t.opts.StallTimeout))
+	sock.SetDeadline(time.Now().Add(4 * t.stallAfter))
 	var s frameScratch
-	h, _, err := readFrame(sock, t.opts.MaxFrameBytes, &s)
+	h, _, err := readFrame(sock, defaultMaxFrameBytes, &s)
 	if err != nil || h.kind != frameHello {
 		sock.Close()
 		return
@@ -368,45 +364,4 @@ func (ep *netEndpoint) handleAccept(sock net.Conn) {
 	}
 	sock.SetDeadline(time.Time{})
 	c.install(sock, h.ack)
-}
-
-// putNet is the socket reader's mailbox deposit: identical to put except
-// delivery is epoch-gated under the mailbox lock — a frame sent before a
-// recovery must not outlive the recovery purge. finishRecoveryLocked
-// advances the epoch before purging under this same lock, so the check
-// here cannot race the purge. It returns the queue the message went to and
-// the value queue.taken reaches when the consumer pops the message after
-// this one — the point from which the reader may reuse the buffer the
-// message carries (see recvRing). The queue is nil if nothing was
-// delivered.
-func (m *mailbox) putNet(msg message, w *world, epoch int64, bail func() error) (*queue, uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.maxDepth > 0 && m.count >= m.maxDepth {
-		if epoch < w.epoch.Load() {
-			return nil, 0, nil
-		}
-		if err := bail(); err != nil {
-			return nil, 0, err
-		}
-		m.cond.Wait()
-	}
-	if epoch < w.epoch.Load() {
-		return nil, 0, nil
-	}
-	m.seq++
-	msg.seq = m.seq
-	k := mkey{msg.ctx, msg.source, msg.tag}
-	q := m.queues[k]
-	if q == nil {
-		q = &queue{}
-		m.queues[k] = q
-	}
-	q.push(msg)
-	m.count++
-	if m.count > m.highWater {
-		m.highWater = m.count
-	}
-	m.cond.Broadcast()
-	return q, q.taken.Load() + uint64(len(q.msgs)-q.head) + 1, nil
 }

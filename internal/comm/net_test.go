@@ -146,16 +146,15 @@ func TestNetTransportSplitTraffic(t *testing.T) {
 	})
 }
 
-// exerciseFaultyNet runs steady ring traffic under a frame-fault plan and
+// exerciseFaultyNet runs steady ring traffic under a fault plan and
 // asserts every value still arrives intact and in order — transient wire
-// faults must be fully absorbed by retention, reconnect and resend.
-func exerciseFaultyNet(t *testing.T, n, steps int, plan *NetFaultPlan, check func(r int, all []NetStats)) {
+// faults must be fully absorbed by retention, reconnect and resend. It
+// returns every rank's socket counters and the world's stalled sends.
+func exerciseFaultyNet(t *testing.T, n, steps int, plan *FaultPlan) (all []NetStats, delayed int64) {
 	t.Helper()
-	opts := fastNet()
-	opts.Faults = plan
-	statsMu := sync.Mutex{}
-	all := make([]NetStats, n)
-	RunWithOptions(n, Options{Net: opts, FailTimeout: 20 * time.Second}, func(c *Comm) {
+	var mu sync.Mutex
+	all = make([]NetStats, n)
+	RunWithOptions(n, Options{Net: fastNet(), Faults: plan, FailTimeout: 20 * time.Second}, func(c *Comm) {
 		right := (c.Rank() + 1) % n
 		left := (c.Rank() + n - 1) % n
 		for step := 0; step < steps; step++ {
@@ -177,61 +176,49 @@ func exerciseFaultyNet(t *testing.T, n, steps int, plan *NetFaultPlan, check fun
 		}
 		c.Barrier()
 		s, _ := c.NetStats()
-		statsMu.Lock()
+		mu.Lock()
 		all[c.WorldRank()] = s
-		statsMu.Unlock()
+		delayed += c.Stats().Delayed
+		mu.Unlock()
 	})
-	for r := range all {
-		check(r, all)
+	return all, delayed
+}
+
+// total sums one counter over every rank's socket statistics.
+func total(all []NetStats, f func(NetStats) int64) int64 {
+	var s int64
+	for _, st := range all {
+		s += f(st)
 	}
+	return s
 }
 
 // TestNetTransportDropsAbsorbed injects deterministic frame drops; the
 // gap/heartbeat detectors must recover every one via reconnect + resend
 // with zero effect on delivered values.
 func TestNetTransportDropsAbsorbed(t *testing.T) {
-	total := func(all []NetStats, f func(NetStats) int64) int64 {
-		var s int64
-		for _, st := range all {
-			s += f(st)
-		}
-		return s
+	all, _ := exerciseFaultyNet(t, 3, 40, &FaultPlan{Seed: 42, Drop: 0.05})
+	if total(all, func(s NetStats) int64 { return s.InjectedDrops }) == 0 {
+		t.Error("plan injected no drops — fault path untested")
 	}
-	exerciseFaultyNet(t, 3, 40, &NetFaultPlan{Seed: 42, Drop: 0.05}, func(r int, all []NetStats) {
-		if r != 0 {
-			return
-		}
-		if total(all, func(s NetStats) int64 { return s.InjectedDrops }) == 0 {
-			t.Error("plan injected no drops — fault path untested")
-		}
-		if total(all, func(s NetStats) int64 { return s.ResentFrames }) == 0 {
-			t.Error("drops recovered without any resends?")
-		}
-		if total(all, func(s NetStats) int64 { return s.Reconnects }) == 0 {
-			t.Error("drops recovered without any reconnects?")
-		}
-	})
+	if total(all, func(s NetStats) int64 { return s.ResentFrames }) == 0 {
+		t.Error("drops recovered without any resends?")
+	}
+	if total(all, func(s NetStats) int64 { return s.Reconnects }) == 0 {
+		t.Error("drops recovered without any reconnects?")
+	}
 }
 
 // TestNetTransportCorruptionAbsorbed injects checksum corruption; the CRC
 // must reject the frames and the resend path must deliver clean copies.
 func TestNetTransportCorruptionAbsorbed(t *testing.T) {
-	exerciseFaultyNet(t, 3, 40, &NetFaultPlan{Seed: 7, Corrupt: 0.05}, func(r int, all []NetStats) {
-		if r != 0 {
-			return
-		}
-		var checksums, corrupts int64
-		for _, s := range all {
-			checksums += s.ChecksumErrors
-			corrupts += s.InjectedCorrupts
-		}
-		if corrupts == 0 {
-			t.Error("plan injected no corruption — fault path untested")
-		}
-		if checksums == 0 {
-			t.Error("injected corruption never tripped the CRC check")
-		}
-	})
+	all, _ := exerciseFaultyNet(t, 3, 40, &FaultPlan{Seed: 7, Corrupt: 0.05})
+	if total(all, func(s NetStats) int64 { return s.InjectedCorrupts }) == 0 {
+		t.Error("plan injected no corruption — fault path untested")
+	}
+	if total(all, func(s NetStats) int64 { return s.ChecksumErrors }) == 0 {
+		t.Error("injected corruption never tripped the CRC check")
+	}
 }
 
 // TestNetTransportSeverAndRefusal severs live sockets mid-stream and
@@ -239,43 +226,53 @@ func TestNetTransportCorruptionAbsorbed(t *testing.T) {
 // redial path end to end.
 func TestNetTransportSeverAndRefusal(t *testing.T) {
 	testutil.CheckLeaks(t)
-	plan := &NetFaultPlan{
+	all, _ := exerciseFaultyNet(t, 2, 30, &FaultPlan{
 		Seed:     3,
 		Severs:   []SeverSpec{{From: 0, To: 1, AtFrame: 5}, {From: 1, To: 0, AtFrame: 11}},
 		Refusals: []RefuseSpec{{From: 0, To: 1, Count: 2}},
-	}
-	exerciseFaultyNet(t, 2, 30, plan, func(r int, all []NetStats) {
-		if r != 0 {
-			return
-		}
-		var severs, reconnects int64
-		for _, s := range all {
-			severs += s.InjectedSevers
-			reconnects += s.Reconnects
-		}
-		if severs != 2 {
-			t.Errorf("injected severs = %d, want 2", severs)
-		}
-		if reconnects < 2 {
-			t.Errorf("reconnects = %d, want >= 2", reconnects)
-		}
 	})
+	if severs := total(all, func(s NetStats) int64 { return s.InjectedSevers }); severs != 2 {
+		t.Errorf("injected severs = %d, want 2", severs)
+	}
+	if reconnects := total(all, func(s NetStats) int64 { return s.Reconnects }); reconnects < 2 {
+		t.Errorf("reconnects = %d, want >= 2", reconnects)
+	}
 }
 
 // TestNetTransportDelay injects write stalls; traffic must simply be
 // slower, never wrong.
 func TestNetTransportDelay(t *testing.T) {
-	plan := &NetFaultPlan{Seed: 9, Delay: 0.1, MaxDelay: 2 * time.Millisecond}
-	exerciseFaultyNet(t, 2, 30, plan, func(r int, all []NetStats) {
-		if r != 0 {
+	if _, delayed := exerciseFaultyNet(t, 2, 30, &FaultPlan{Seed: 9, Delay: 0.1, MaxDelay: 2 * time.Millisecond}); delayed == 0 {
+		t.Error("plan injected no delays — fault path untested")
+	}
+}
+
+// TestDelayedFramesCrossTheWire: a stalled message is still a frame on the
+// socket — every send of a fully stalled stream is written exactly once.
+func TestDelayedFramesCrossTheWire(t *testing.T) {
+	const sends = 20
+	opts := Options{
+		Net:    &NetOptions{Network: "unix"},
+		Faults: &FaultPlan{Seed: 7, Delay: 1, MaxDelay: time.Millisecond},
+	}
+	RunWithOptions(2, opts, func(c *Comm) {
+		if c.Rank() == 1 {
+			c.Send(0, 1, 0) // the link is up before rank 0 sends
+			for i := 0; i < sends; i++ {
+				c.Recv(0, 2)
+			}
+			c.Send(0, 3, 0)
 			return
 		}
-		var delays int64
-		for _, s := range all {
-			delays += s.InjectedDelays
+		c.Recv(1, 1)
+		for i := 0; i < sends; i++ {
+			c.Send(1, 2, i)
 		}
-		if delays == 0 {
-			t.Error("plan injected no delays — fault path untested")
+		c.Recv(1, 3)
+		s, _ := c.NetStats()
+		if s.FramesSent != sends || c.Stats().Delayed != sends {
+			t.Errorf("%d stalled sends wrote %d frames (%d stalls counted, %d reconnects)",
+				sends, s.FramesSent, c.Stats().Delayed, s.Reconnects)
 		}
 	})
 }
@@ -388,14 +385,12 @@ func TestNetTransportMarkDeadStopsReconnects(t *testing.T) {
 	})
 }
 
-// TestNetTransportBackpressure bounds the retention ring and floods one
-// direction: senders must block (not fail, not drop) until acks free ring
-// space.
+// TestNetTransportBackpressure floods one direction past the retention
+// ring's capacity: senders must block (not fail, not drop) until acks
+// free ring space.
 func TestNetTransportBackpressure(t *testing.T) {
-	opts := fastNet()
-	opts.RetainFrames = 4
-	RunWithOptions(2, Options{Net: opts}, func(c *Comm) {
-		const msgs = 64
+	RunWithOptions(2, Options{Net: fastNet()}, func(c *Comm) {
+		const msgs = 4 * retainFrames
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
 				if err := c.SendFloat64s(1, 5, []float64{float64(i)}); err != nil {
@@ -416,26 +411,69 @@ func TestNetTransportBackpressure(t *testing.T) {
 	})
 }
 
-// TestNetOptionsValidate rejects impossible socket configurations.
+// TestBackpressureUnblocksOnFailure: a sender blocked on the full
+// retention ring of a silent peer must not hang — the failure declaration
+// aborts the send with an error. The hung rank acknowledges nothing, so
+// the ring fills and stays full until the detector accuses it.
+func TestBackpressureUnblocksOnFailure(t *testing.T) {
+	opts := Options{
+		Net:         fastNet(),
+		Faults:      &FaultPlan{Hangs: []CrashSpec{{Rank: 1, Step: 0}}},
+		FailTimeout: 200 * time.Millisecond,
+	}
+	RunWithOptions(2, opts, func(c *Comm) {
+		if c.Rank() == 1 {
+			defer recoverHang(t, c, true)
+			c.SetStep(0)
+			return
+		}
+		var err error
+		for i := 0; i < 4*retainFrames && err == nil; i++ {
+			err = c.SendFloat64s(1, 1, []float64{float64(i)})
+		}
+		if !IsRankFailure(err) {
+			t.Errorf("blocked sender got %v, want rank failure", err)
+		}
+		if c.Stats().BackpressureWait <= 0 {
+			t.Error("the sender never blocked on the retention ring")
+		}
+	})
+}
+
+// TestNetOptionsValidate: Options.Validate, the one check of a world's
+// options, rejects what cannot run.
 func TestNetOptionsValidate(t *testing.T) {
+	unix := &NetOptions{Network: "unix"}
 	cases := []struct {
 		name string
-		opts NetOptions
+		opts Options
 	}{
-		{"bad network", NetOptions{Network: "udp"}},
-		{"addr count", NetOptions{Network: "tcp", Addrs: []string{"127.0.0.1:0"}}},
-		{"bad fault fraction", NetOptions{Network: "unix", Faults: &NetFaultPlan{Drop: 1.5}}},
-		{"sever self", NetOptions{Network: "unix", Faults: &NetFaultPlan{Severs: []SeverSpec{{From: 1, To: 1, AtFrame: 1}}}}},
-		{"sever frame zero", NetOptions{Network: "unix", Faults: &NetFaultPlan{Severs: []SeverSpec{{From: 0, To: 1}}}}},
-		{"refusal rank", NetOptions{Network: "unix", Faults: &NetFaultPlan{Refusals: []RefuseSpec{{From: 0, To: 9, Count: 1}}}}},
+		{"bad network", Options{Net: &NetOptions{Network: "udp"}}},
+		{"addr count", Options{Net: &NetOptions{Network: "tcp", Addrs: []string{"127.0.0.1:0"}}}},
+		{"bad fault fraction", Options{Net: unix, Faults: &FaultPlan{Drop: 1.5}}},
+		{"delay without a bound", Options{Faults: &FaultPlan{Delay: 0.5}}},
+		{"crash rank", Options{Faults: &FaultPlan{Crashes: []CrashSpec{{Rank: 2}}}}},
+		{"negative hang step", Options{Faults: &FaultPlan{Hangs: []CrashSpec{{Rank: 1, Step: -1}}}}},
+		{"sever self", Options{Net: unix, Faults: &FaultPlan{Severs: []SeverSpec{{From: 1, To: 1, AtFrame: 1}}}}},
+		{"sever frame zero", Options{Net: unix, Faults: &FaultPlan{Severs: []SeverSpec{{From: 0, To: 1}}}}},
+		{"refusal rank", Options{Net: unix, Faults: &FaultPlan{Refusals: []RefuseSpec{{From: 0, To: 9, Count: 1}}}}},
+		{"drop clause on inproc is rejected", Options{Faults: &FaultPlan{Drop: 0.1}}},
+		{"sever clause on inproc is rejected", Options{Faults: &FaultPlan{Severs: []SeverSpec{{From: 0, To: 1, AtFrame: 1}}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.opts.validate(2); err == nil {
-			t.Errorf("%s: validate accepted %+v", tc.name, tc.opts)
+		if err := tc.opts.Validate(2); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.opts)
 		}
 	}
-	if err := (NetOptions{}).withDefaults().validate(2); err != nil {
-		t.Errorf("default options rejected: %v", err)
+	for _, ok := range []Options{
+		{},
+		{Net: &NetOptions{}},
+		{Faults: &FaultPlan{Delay: 0.5, MaxDelay: time.Millisecond, Hangs: []CrashSpec{{Rank: 1}}}},
+		{Net: unix, Faults: &FaultPlan{Drop: 0.1, Corrupt: 0.1, Severs: []SeverSpec{{From: 0, To: 1, AtFrame: 1}}}},
+	} {
+		if err := ok.Validate(2); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ type netConn struct {
 
 	// Outgoing stream state under mu: per-directed-stream data sequence
 	// (from 1) and the retention ring of unacked frames, a circular buffer
-	// of capacity NetOptions.RetainFrames. A full ring blocks the sender —
+	// of capacity retainFrames. A full ring blocks the sender —
 	// end-to-end backpressure through the wire.
 	sendSeq    uint64
 	ring       []retainedFrame
@@ -57,13 +57,10 @@ type netConn struct {
 
 	// Reader-owned state, serialized across socket generations by
 	// readerGate (a reader holds it for its whole life, so a reconnected
-	// socket's reader waits for its predecessor to drain). delivering
-	// suppresses stall teardown while the reader is blocked depositing
-	// into a full mailbox — the link is fine, the receiver is just behind.
+	// socket's reader waits for its predecessor to drain).
 	readerGate sync.Mutex
 	scratch    frameScratch
 	recvBufs   map[recvKey]*recvRing
-	delivering atomic.Bool
 }
 
 // retainedFrame is one unacked data frame: everything needed to rewrite
@@ -91,7 +88,7 @@ type recvKey struct {
 // float64 payloads. A consumer may read a received slice until it takes
 // the stream's next message, so the slot a message was delivered in is
 // reused only once queue.taken shows a later message of the stream popped
-// (freeAt, from putNet); until then the reader decodes into fresh
+// (freeAt, from mailbox.put); until then the reader decodes into fresh
 // allocations, which are never tracked — a flood of unconsumed messages is
 // never overwritten. The ghost exchange's ownership protocol (the sender
 // packs at most one message ahead of the one being consumed) frees the
@@ -136,19 +133,18 @@ func (r *recvRing) delivered(q *queue, freeAt uint64) {
 
 // send retains msg as the stream's next data frame and, when the link is
 // up, writes it immediately. It never waits for a connection — only for
-// ring space — so connection loss is invisible to senders beyond latency.
-// Injected frame faults apply exactly once, at first transmission;
-// resends are verbatim (a deterministic per-seq drop would otherwise
-// repeat forever).
-func (c *netConn) send(msg message) (time.Duration, error) {
+// ring space and an injected stall — so connection loss is invisible to
+// senders beyond latency. Injected frame faults apply exactly once, at
+// first transmission; resends are verbatim (a deterministic per-seq drop
+// would otherwise repeat forever).
+func (c *netConn) send(msg message) (waited time.Duration, stalled bool, err error) {
 	ep := c.ep
 	t := ep.t
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var waited time.Duration
 	for c.nRet == len(c.ring) && !c.permDown {
 		if err := t.bail(); err != nil {
-			return waited, err
+			return waited, false, err
 		}
 		t0 := time.Now()
 		c.cond.Wait()
@@ -156,9 +152,9 @@ func (c *netConn) send(msg message) (time.Duration, error) {
 	}
 	if c.permDown {
 		if err := t.w.failErr(); err != nil {
-			return waited, err
+			return waited, false, err
 		}
-		return waited, &RankFailedError{Rank: c.peer, Cause: "send on permanently closed connection"}
+		return waited, false, &RankFailedError{Rank: c.peer, Cause: "send on permanently closed connection"}
 	}
 	c.sendSeq++
 	seq := c.sendSeq
@@ -188,13 +184,12 @@ func (c *netConn) send(msg message) (time.Duration, error) {
 
 	// First-transmission fault decisions (deterministic per seq).
 	var drop, corrupt, sever bool
-	if p := t.opts.Faults; p != nil {
+	if p := t.w.opts.Faults; p != nil {
 		sever = p.severAt(ep.rank, c.peer, seq)
 		drop = !sever && p.dropFrame(ep.rank, c.peer, seq)
 		corrupt = !sever && !drop && p.corruptFrame(ep.rank, c.peer, seq)
-		if d := p.delayFrame(ep.rank, c.peer, seq); d > 0 {
-			ep.stats.injDelays.Add(1)
-			ep.netFault(c.peer)
+		var d time.Duration
+		if d, stalled = p.stall(ep.rank, c.peer, seq); stalled {
 			// Sleeping under mu models a serialized slow link: everything
 			// behind this frame (including heartbeats) waits too.
 			time.Sleep(d)
@@ -217,7 +212,7 @@ func (c *netConn) send(msg message) (time.Duration, error) {
 		}
 		c.writeDataLocked(&c.ring[(c.head+c.nRet-1)%len(c.ring)], corrupt)
 	}
-	return waited, nil
+	return waited, stalled, nil
 }
 
 // framePayload returns the wire bytes of a retained frame (zero-copy for
@@ -281,7 +276,7 @@ func (c *netConn) writeFrameLocked(hdr, payload []byte) bool {
 	}
 	// A peer that stopped reading must not wedge the writer forever: bound
 	// the write, turn pathological backpressure into teardown + resend.
-	sock.SetWriteDeadline(time.Now().Add(4 * c.ep.t.opts.StallTimeout))
+	sock.SetWriteDeadline(time.Now().Add(4 * c.ep.t.stallAfter))
 	var nw int64
 	var err error
 	if len(payload) > 0 {

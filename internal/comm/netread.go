@@ -29,12 +29,12 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 		// The deadline is a backstop only — the supervisor's stall detector
 		// fires first on a silent peer; this bounds how long a reader can
 		// linger on a socket the supervisor already abandoned.
-		sock.SetReadDeadline(time.Now().Add(4 * t.opts.StallTimeout))
+		sock.SetReadDeadline(time.Now().Add(4 * t.stallAfter))
 		if _, err := io.ReadFull(sock, c.scratch.hdr[:]); err != nil {
 			c.sever(gen)
 			return
 		}
-		h, err := decodeFrameHeader(&c.scratch.hdr, t.opts.MaxFrameBytes)
+		h, err := decodeFrameHeader(&c.scratch.hdr, defaultMaxFrameBytes)
 		if err != nil {
 			c.sever(gen)
 			return
@@ -141,17 +141,7 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 				}
 				msg.data = v
 			}
-			c.delivering.Store(true)
-			q, freeAt, err := t.w.mailboxes[ep.rank].putNet(msg, t.w, int64(h.epoch), t.bail)
-			c.delivering.Store(false)
-			if err != nil {
-				if t.closed.Load() {
-					return
-				}
-				// A declared failure aborted a backpressured deposit. The
-				// pending recovery's purge would have discarded the message
-				// anyway, so advance the cursor and keep the stream alive.
-			}
+			q, freeAt := t.w.mailboxes[ep.rank].put(msg, int64(h.epoch))
 			c.lastRecv.Store(seq)
 			if ring != nil && q != nil {
 				ring.delivered(q, freeAt)
@@ -172,7 +162,7 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 func (c *netConn) supervise() {
 	t := c.ep.t
 	defer t.wg.Done()
-	backoff := t.opts.ReconnectBase
+	backoff := reconnectBase
 	// Dialers attempt the first connection immediately; acceptors just
 	// start their heartbeat cadence.
 	first := t.opts.HeartbeatEvery
@@ -198,7 +188,7 @@ func (c *netConn) supervise() {
 		down := c.down
 		if !down {
 			idle := time.Since(time.Unix(0, c.lastIn.Load()))
-			if idle > t.opts.StallTimeout && !c.delivering.Load() {
+			if idle > t.stallAfter {
 				// Silent past the stall threshold: assume the socket is
 				// dead, recycle it. If the peer is alive the redial
 				// restores the stream; if not, the accusation clock below
@@ -213,17 +203,14 @@ func (c *netConn) supervise() {
 		if down {
 			c.maybeAccuse()
 			if c.dialer && c.tryDial() {
-				backoff = t.opts.ReconnectBase
+				backoff = reconnectBase
 				timer.Reset(t.opts.HeartbeatEvery)
 				continue
 			}
 			timer.Reset(backoff)
-			backoff *= 2
-			if backoff > t.opts.ReconnectMax {
-				backoff = t.opts.ReconnectMax
-			}
+			backoff = min(2*backoff, reconnectMax)
 		} else {
-			backoff = t.opts.ReconnectBase
+			backoff = reconnectBase
 			timer.Reset(t.opts.HeartbeatEvery)
 		}
 	}
@@ -262,16 +249,12 @@ func (c *netConn) maybeAccuse() {
 // timeout) report false and the supervisor backs off.
 func (c *netConn) tryDial() bool {
 	t := c.ep.t
-	dialTO := t.opts.StallTimeout
-	if dialTO <= 0 {
-		dialTO = time.Second
-	}
-	d := net.Dialer{Timeout: dialTO}
+	d := net.Dialer{Timeout: t.stallAfter}
 	sock, err := d.Dial(t.opts.Network, t.addrs[c.peer])
 	if err != nil {
 		return false
 	}
-	sock.SetDeadline(time.Now().Add(4 * t.opts.StallTimeout))
+	sock.SetDeadline(time.Now().Add(4 * t.stallAfter))
 	var hdr [frameHeaderLen]byte
 	encodeFrameHeader(&hdr, frameHeader{
 		kind: frameHello, ack: c.lastRecv.Load(),
@@ -282,7 +265,7 @@ func (c *netConn) tryDial() bool {
 		return false
 	}
 	var s frameScratch
-	h, _, err := readFrame(sock, t.opts.MaxFrameBytes, &s)
+	h, _, err := readFrame(sock, defaultMaxFrameBytes, &s)
 	if err != nil || h.kind != frameWelcome || int(h.source) != c.peer {
 		sock.Close()
 		return false

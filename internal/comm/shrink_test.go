@@ -139,54 +139,3 @@ func TestHangFiresSilently(t *testing.T) {
 		}
 	})
 }
-
-// TestDelayedTimersStoppedAtTeardown arms a plan that delays every
-// message far beyond the run's lifetime and asserts no delayed-delivery
-// timer survives the Run — the leak fixed by the timer registry.
-func TestDelayedTimersStoppedAtTeardown(t *testing.T) {
-	checked := false
-	testHookWorld = func(w *world) {
-		if n := w.pendingDelayedTimers(); n != 0 {
-			t.Errorf("%d delayed-delivery timers pending after Run", n)
-		}
-		if !w.timersClosed {
-			t.Error("timer registry not closed after Run")
-		}
-		checked = true
-	}
-	defer func() { testHookWorld = nil }()
-	opts := Options{Faults: &FaultPlan{Seed: 5, DelayProb: 1, MaxDelay: time.Minute}}
-	RunWithOptions(2, opts, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 4; i++ {
-				if err := c.SendErr(1, 9, i); err != nil {
-					t.Errorf("send: %v", err)
-				}
-			}
-		}
-	})
-	if !checked {
-		t.Fatal("teardown hook did not run")
-	}
-}
-
-// TestDelayedDeliveryShedOnRecover: a message in delayed flight when the
-// world recovers must never be delivered afterwards.
-func TestDelayedDeliveryShedOnRecover(t *testing.T) {
-	opts := Options{Faults: &FaultPlan{Seed: 11, DelayProb: 1, MaxDelay: 150 * time.Millisecond}}
-	RunWithOptions(2, opts, func(c *Comm) {
-		if c.Rank() == 0 {
-			if err := c.SendErr(1, 4, 42); err != nil {
-				t.Errorf("send: %v", err)
-			}
-		}
-		c.Recover()
-		if c.Rank() == 1 {
-			// Twice the longest delay: the message would have landed by now.
-			time.Sleep(300 * time.Millisecond)
-			if n := c.MailboxStats().Pending; n != 0 {
-				t.Errorf("delayed pre-recovery message was delivered (%d pending)", n)
-			}
-		}
-	})
-}

@@ -107,7 +107,7 @@ func (t *commTel) recv(worldSrc int, start int64, waited time.Duration, err erro
 	}
 }
 
-// delay records a send deferred by delay injection.
+// delay records a send stalled by delay injection.
 func (t *commTel) delay(worldDst int) {
 	if t == nil {
 		return

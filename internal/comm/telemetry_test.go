@@ -66,7 +66,7 @@ func TestSetTelemetryRecordsTraffic(t *testing.T) {
 }
 
 func TestTelemetryFaultInstants(t *testing.T) {
-	plan := &FaultPlan{Seed: 42, DelayProb: 1, MaxDelay: time.Millisecond, Hangs: []CrashSpec{{Rank: 1, Step: 0}}}
+	plan := &FaultPlan{Seed: 42, Delay: 1, MaxDelay: time.Millisecond, Hangs: []CrashSpec{{Rank: 1, Step: 0}}}
 	var lane *telemetry.Lane
 	var reg *telemetry.Registry
 	RunWithOptions(2, Options{Faults: plan, FailTimeout: 50 * time.Millisecond}, func(c *Comm) {

@@ -15,18 +15,19 @@ import (
 // checksummed wire protocol over TCP or unix-domain sockets. Each backend
 // owns exactly one failure detector, which accuses a rank only when that
 // rank's own beat has been missing for Options.FailTimeout: the in-process
-// watchdog, or the socket transport's connection supervisors. Everything
-// above deliver — matching, collectives, fault injection, recovery — is
-// transport-agnostic.
+// watchdog, or the socket transport's connection supervisors. The fault
+// plan's wire clauses apply inside deliver, on both backends; everything
+// above it — matching, collectives, recovery — is transport-agnostic.
 
 // transport moves stamped messages between world ranks.
 type transport interface {
 	// name identifies the backend ("inproc", "tcp", "unix").
 	name() string
-	// deliver moves msg from world rank src into dst's mailbox, blocking
-	// on backpressure (full mailbox, full retention ring). It returns the
-	// time spent blocked.
-	deliver(src, dst int, msg message) (time.Duration, error)
+	// deliver moves msg from world rank src into dst's mailbox, applying
+	// the fault plan's wire clauses on the way: an injected stall holds the
+	// sender (stalled), and the socket backend also blocks on a full
+	// retention ring (waited, the time spent blocked).
+	deliver(src, dst int, msg message) (waited time.Duration, stalled bool, err error)
 	// noteDead tells the transport a world rank is permanently dead:
 	// connections to it are closed, reconnect attempts stop and retained
 	// frames toward it are shed.
@@ -44,13 +45,15 @@ type transport interface {
 }
 
 // inprocTransport is backend zero: the classic shared-memory mailbox
-// deposit. deliver is exactly the pre-transport send path, so the
-// zero-allocation and bit-identity properties of the in-process runtime
-// are unchanged. A rank in process beats implicitly for as long as it is
-// not silenced; with a FailTimeout set, one watchdog goroutine accuses a
-// rank silent for longer than that.
+// deposit, allocation-free like the rest of the in-process send path. A
+// rank in process beats implicitly for as long as it is not silenced; with
+// a FailTimeout set, one watchdog goroutine accuses a rank silent for
+// longer than that.
 type inprocTransport struct {
 	w *world
+	// sent numbers the messages of each directed stream src→dst (index
+	// src*size+dst) for the fault plan's decisions; nil without a plan.
+	sent []atomic.Uint64
 	// silentSince is the UnixNano time each world rank was silenced, 0
 	// while it beats (and again once it is dead: nothing left to accuse).
 	silentSince []atomic.Int64
@@ -60,6 +63,9 @@ type inprocTransport struct {
 
 func newInprocTransport(w *world) *inprocTransport {
 	t := &inprocTransport{w: w, silentSince: make([]atomic.Int64, w.size), done: make(chan struct{})}
+	if w.opts.Faults != nil {
+		t.sent = make([]atomic.Uint64, w.size*w.size)
+	}
 	if ft := w.opts.FailTimeout; ft > 0 {
 		t.wg.Add(1)
 		go t.watch(ft)
@@ -69,8 +75,20 @@ func newInprocTransport(w *world) *inprocTransport {
 
 func (t *inprocTransport) name() string { return "inproc" }
 
-func (t *inprocTransport) deliver(src, dst int, msg message) (time.Duration, error) {
-	return t.w.mailboxes[dst].put(msg, t.w.failErr)
+// deliver deposits msg, after an injected stall if the plan draws one for
+// this cross-rank message. The stall holds the sender, so the stream stays
+// in send order; a recovery completing meanwhile sheds the message.
+func (t *inprocTransport) deliver(src, dst int, msg message) (time.Duration, bool, error) {
+	epoch := t.w.epoch.Load()
+	var stalled bool
+	if p := t.w.opts.Faults; p != nil && src != dst {
+		var d time.Duration
+		if d, stalled = p.stall(src, dst, t.sent[src*t.w.size+dst].Add(1)); stalled {
+			time.Sleep(d)
+		}
+	}
+	t.w.mailboxes[dst].put(msg, epoch)
+	return 0, stalled, nil
 }
 
 func (t *inprocTransport) silence(rank int) { t.silentSince[rank].Store(time.Now().UnixNano()) }
@@ -124,26 +142,25 @@ type NetOptions struct {
 	// HeartbeatEvery is the idle-liveness probe interval of every
 	// connection; heartbeats also carry the cumulative acks and the
 	// sender's last data sequence, so dropped stream tails are detected
-	// within one interval. Default 20ms.
+	// within one interval. A connection with no inbound bytes for six
+	// intervals is torn down and redialed. Default 20ms.
 	HeartbeatEvery time.Duration
-	// StallTimeout is the per-connection silence threshold: a connection
-	// with no inbound bytes for this long is torn down and redialed.
-	// Default 6×HeartbeatEvery.
-	StallTimeout time.Duration
-	// ReconnectBase and ReconnectMax bound the capped exponential backoff
-	// between reconnect attempts. Defaults 1ms and 100ms.
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
-	// RetainFrames is the per-connection retention ring capacity: unacked
-	// data frames kept for idempotent resend. A full ring blocks the
-	// sender (end-to-end backpressure). Default 512.
-	RetainFrames int
-	// MaxFrameBytes guards the decoder against corrupt length prefixes.
-	// Default 64 MiB.
-	MaxFrameBytes int
-	// Faults injects deterministic frame-layer faults; nil disables.
-	Faults *NetFaultPlan
 }
+
+// Fixed socket-transport parameters.
+const (
+	// stallBeats is the per-connection silence threshold in heartbeat
+	// intervals.
+	stallBeats = 6
+	// reconnectBase and reconnectMax bound the capped exponential backoff
+	// between reconnect attempts.
+	reconnectBase = time.Millisecond
+	reconnectMax  = 100 * time.Millisecond
+	// retainFrames is the per-connection retention ring capacity: unacked
+	// data frames kept for idempotent resend. A full ring blocks the
+	// sender (end-to-end backpressure).
+	retainFrames = 512
+)
 
 // withDefaults resolves the zero-value fields.
 func (o NetOptions) withDefaults() NetOptions {
@@ -153,42 +170,7 @@ func (o NetOptions) withDefaults() NetOptions {
 	if o.HeartbeatEvery <= 0 {
 		o.HeartbeatEvery = 20 * time.Millisecond
 	}
-	if o.StallTimeout <= 0 {
-		o.StallTimeout = 6 * o.HeartbeatEvery
-	}
-	if o.ReconnectBase <= 0 {
-		o.ReconnectBase = time.Millisecond
-	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = 100 * time.Millisecond
-	}
-	if o.ReconnectMax < o.ReconnectBase {
-		o.ReconnectMax = o.ReconnectBase
-	}
-	if o.RetainFrames <= 0 {
-		o.RetainFrames = 512
-	}
-	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = defaultMaxFrameBytes
-	}
 	return o
-}
-
-// validate rejects impossible socket configurations before the world
-// starts.
-func (o NetOptions) validate(n int) error {
-	if o.Network != "tcp" && o.Network != "unix" {
-		return fmt.Errorf("net options: unknown network %q (want tcp or unix)", o.Network)
-	}
-	if len(o.Addrs) != 0 && len(o.Addrs) != n {
-		return fmt.Errorf("net options: %d listen addresses for %d ranks", len(o.Addrs), n)
-	}
-	if o.Faults != nil {
-		if err := o.Faults.Validate(n); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TransportName reports the backend moving this communicator's messages:
@@ -222,11 +204,11 @@ type NetStats struct {
 	// Accusals counts rank failures this endpoint declared from stalled
 	// connections.
 	Accusals int64
-	// InjectedDrops/Corrupts/Delays/Severs count NetFaultPlan decisions
-	// taken on this endpoint's outgoing streams.
+	// InjectedDrops/Corrupts/Severs count the fault plan's frame faults
+	// taken on this endpoint's outgoing streams (stalls count in
+	// Stats.Delayed, as on every transport).
 	InjectedDrops    int64
 	InjectedCorrupts int64
-	InjectedDelays   int64
 	InjectedSevers   int64
 }
 

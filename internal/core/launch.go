@@ -94,14 +94,10 @@ func (w *World) validate(ranks int) error {
 		return fmt.Errorf("core: workload rebalancing cannot be combined with the fault-tolerant driver or a refined world")
 	case w.Forest != nil && w.Forest.MaxRank() >= ranks:
 		return fmt.Errorf("core: the forest is balanced for %d ranks, the world has %d", w.Forest.MaxRank()+1, ranks)
-	case w.Comm.Net != nil && len(w.Comm.Net.Addrs) != 0 && len(w.Comm.Net.Addrs) != n:
-		return fmt.Errorf("core: %d transport addresses for %d ranks (spares included)", len(w.Comm.Net.Addrs), n)
 	}
-	if w.Comm.Faults != nil {
-		// Fault targets may name spare ranks too.
-		if err := w.Comm.Faults.Validate(n); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
+	// Addresses and fault targets cover the spare ranks too.
+	if err := w.Comm.Validate(n); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -460,9 +460,6 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	world := sc.Parallel.Ranks + sc.Parallel.Spares
-	if n := len(sc.Transport.Addrs); n != 0 && n != world {
-		return fmt.Errorf("scenario: transport.addrs has %d addresses for %d ranks (parallel.spares included)", n, world)
-	}
 	if !sc.Faults.empty() {
 		for _, kind := range []struct {
 			name   string
@@ -483,6 +480,11 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Faults.Hangs) > 0 && sc.Resilience.FailTimeout <= 0 {
 			return fmt.Errorf("scenario: faults.hangs need resilience.fail_timeout > 0 (silent-failure detection)")
 		}
+	}
+	// With the fault events in range, what the communicator can still
+	// reject is the address count (parallel.spares included).
+	if err := sc.CommOptions().Validate(world); err != nil {
+		return fmt.Errorf("scenario: transport.addrs: %w", err)
 	}
 	if sc.Run.Steps <= 0 {
 		return fmt.Errorf("scenario: run.steps must be positive, got %d", sc.Run.Steps)

@@ -17,11 +17,13 @@ import (
 )
 
 // Deterministic multi-layer chaos harness (make chaos-smoke). One seeded
-// schedule composes faults across every layer the runtime can inject:
+// plan composes faults across every layer the runtime can inject, on both
+// transports:
 //
-//   - frame layer: probabilistic drops, corruptions and delays plus a
-//     directed sever — all transparently recovered by the transport's
-//     retention/resend machinery, costing latency but never data;
+//   - wire: in-order stalls and, over sockets, probabilistic frame drops
+//     and corruptions plus a directed sever — all transparently absorbed
+//     (frame faults by the transport's retention/resend machinery),
+//     costing latency but never data;
 //   - rank layer: two injected crashes and one silent hang — three
 //     permanent failures, each healed by recruiting a parked spare;
 //   - disk layer: a bit flipped in a committed checkpoint set while the
@@ -99,38 +101,45 @@ func flipCheckpointBit(dir string, stop <-chan struct{}, done chan<- bool) {
 }
 
 // TestChaosSoak is the acceptance soak: three permanent failures (two
-// crashes and a silent hang) interleaved with continuous frame-layer
-// faults and a disk-checkpoint bit flip, against a three-deep spare pool
-// over real sockets. The run must finish at full world size with zero
-// invariant violations.
+// crashes and a silent hang) interleaved with continuous stalls and a
+// disk-checkpoint bit flip, against a three-deep spare pool, on both
+// transports from one seeded plan; over sockets the plan adds frame drops,
+// corruption and a sever. The run must finish at full world size with
+// zero invariant violations.
 func TestChaosSoak(t *testing.T) {
-	testutil.CheckLeaks(t)
 	const active, spares, steps, workers = 4, 3, 24, 2
-	dir := t.TempDir()
 	wantBits := shrinkReference(t, active, steps, workers)
 	wantHash := referenceFieldHash(t, active, steps, workers)
+	for _, tc := range []struct {
+		name string
+		net  *comm.NetOptions
+	}{{"inproc", nil}, {"unix", socketOpts()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckLeaks(t)
+			plan := &comm.FaultPlan{
+				Seed:     101,
+				Delay:    0.05,
+				MaxDelay: 2 * time.Millisecond,
+				Crashes: []comm.CrashSpec{
+					{Rank: 1, Step: 6},
+					{Rank: 2, Step: 12},
+				},
+				Hangs: []comm.CrashSpec{{Rank: 0, Step: 18}},
+			}
+			if tc.net != nil {
+				plan.Drop, plan.Corrupt = 0.02, 0.01
+				plan.Severs = []comm.SeverSpec{{From: 3, To: 0, AtFrame: 30}}
+			}
+			opts := comm.Options{Net: tc.net, Faults: plan, FailTimeout: time.Second}
+			chaosSoak(t, opts, active, spares, steps, workers, wantBits, wantHash)
+		})
+	}
+}
 
-	netOpts := socketOpts()
-	netOpts.Faults = &comm.NetFaultPlan{
-		Seed:     101,
-		Drop:     0.02,
-		Corrupt:  0.01,
-		Delay:    0.05,
-		MaxDelay: 2 * time.Millisecond,
-		Severs:   []comm.SeverSpec{{From: 3, To: 0, AtFrame: 30}},
-	}
-	opts := comm.Options{
-		Net: netOpts,
-		Faults: &comm.FaultPlan{
-			Seed: 101,
-			Crashes: []comm.CrashSpec{
-				{Rank: 1, Step: 6},
-				{Rank: 2, Step: 12},
-			},
-			Hangs: []comm.CrashSpec{{Rank: 0, Step: 18}},
-		},
-		FailTimeout: time.Second,
-	}
+// chaosSoak runs the heal-mode world of TestChaosSoak under opts and
+// checks its invariants against the fault-free reference.
+func chaosSoak(t *testing.T, opts comm.Options, active, spares, steps, workers int, wantBits map[[3]int][]uint64, wantHash uint64) {
+	dir := t.TempDir()
 	rc := ResilienceConfig{
 		Mode:            RecoverHeal,
 		CheckpointEvery: 2,

@@ -76,8 +76,7 @@ func TestNetTransientFaultsBitIdentical(t *testing.T) {
 	const steps = 6
 	want := runCavityBits(t, comm.Options{}, 2, steps)
 
-	opts := socketOpts()
-	opts.Faults = &comm.NetFaultPlan{
+	plan := &comm.FaultPlan{
 		Seed:     42,
 		Drop:     0.03,
 		Corrupt:  0.03,
@@ -91,7 +90,7 @@ func TestNetTransientFaultsBitIdentical(t *testing.T) {
 	var mu sync.Mutex
 	got := make(map[[3]int][]uint64)
 	var injected, resent int64
-	comm.RunWithOptions(2, comm.Options{Net: opts, FailTimeout: 30 * time.Second}, func(c *comm.Comm) {
+	comm.RunWithOptions(2, comm.Options{Net: socketOpts(), Faults: plan, FailTimeout: 30 * time.Second}, func(c *comm.Comm) {
 		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), cavityForest()))
 		if err != nil {
 			t.Error(err)

@@ -95,7 +95,8 @@ const (
 	// recovery: recruit a spare, vote, forward the dead rank's blocks and
 	// rebuild the topology at full size.
 	PhaseHeal
-	// PhaseFaultDelay marks a send deferred by fault injection (instant).
+	// PhaseFaultDelay marks a send stalled by fault injection, on either
+	// transport (instant).
 	PhaseFaultDelay
 	// PhaseRankFailed marks a receive aborted by a declared rank failure
 	// (instant). Arg is the failed world rank.
@@ -109,8 +110,9 @@ const (
 	// PhaseNetResend marks retained frames being replayed to a peer after
 	// a reconnect handshake (instant). Arg is the peer world rank.
 	PhaseNetResend
-	// PhaseNetFault marks an injected frame-layer network fault — drop,
-	// corruption, delay or sever (instant). Arg is the peer world rank.
+	// PhaseNetFault marks an injected frame fault — drop, corruption or
+	// sever (instant; stalls are PhaseFaultDelay). Arg is the peer world
+	// rank.
 	PhaseNetFault
 	// PhaseNetAccuse marks the socket transport accusing a rank of failure
 	// after a connection stalled past FailTimeout (instant). Arg is the
