@@ -13,9 +13,9 @@ import (
 // writes 19 unit-stride store streams, and 4 neighboring cells of a row
 // fill one 256-bit vector per direction. The update of a row is one fused,
 // register-resident pass — no scratch arrays between per-direction loops.
-// On CPUs with AVX2 the pass runs in assembly, 4 cells per vector
-// instruction, the n%4 cells left of a row in the Go row; elsewhere the Go
-// row does all of it (RowISA says which).
+// On CPUs with AVX2 the whole row runs in assembly, 4 cells per vector
+// instruction and the n%4 cells left of a row in one masked pass;
+// elsewhere the Go row does it (RowISA says which).
 //
 // The floating-point evaluation order of the update is kept exactly
 // identical to the D3Q19-specialized AoS kernels (same expressions, same
@@ -70,20 +70,8 @@ func checkRow(v *pullVec, base, n int) {
 func trtRow(r *dirRows, v *pullVec, base, n int, le, lo float64) {
 	checkRow(v, base, n)
 	if useAVX2 {
-		trtRowVec(r, v, base, n, le, lo)
+		trtRowAVX2(&r.src[base], &r.dst[base], &v.ioff, &r.ooff, n, le, lo)
 	} else {
-		trtRowSoA(r, v, base, n, le, lo)
-	}
-}
-
-// trtRowVec is trtRowSoA in AVX2: assembly for the first n&^3 cells, the
-// Go row for the rest. The row must have passed checkRow.
-func trtRowVec(r *dirRows, v *pullVec, base, n int, le, lo float64) {
-	if m := n &^ 3; m > 0 {
-		trtRowAVX2(&r.src[base], &r.dst[base], &v.ioff, &r.ooff, m, le, lo)
-		base, n = base+m, n-m
-	}
-	if n > 0 {
 		trtRowSoA(r, v, base, n, le, lo)
 	}
 }
@@ -92,19 +80,8 @@ func trtRowVec(r *dirRows, v *pullVec, base, n int, le, lo float64) {
 func srtRow(r *dirRows, v *pullVec, base, n int, omega, om1 float64) {
 	checkRow(v, base, n)
 	if useAVX2 {
-		srtRowVec(r, v, base, n, omega, om1)
+		srtRowAVX2(&r.src[base], &r.dst[base], &v.ioff, &r.ooff, n, omega, om1)
 	} else {
-		srtRowSoA(r, v, base, n, omega, om1)
-	}
-}
-
-// srtRowVec is trtRowVec for the SRT collision.
-func srtRowVec(r *dirRows, v *pullVec, base, n int, omega, om1 float64) {
-	if m := n &^ 3; m > 0 {
-		srtRowAVX2(&r.src[base], &r.dst[base], &v.ioff, &r.ooff, m, omega, om1)
-		base, n = base+m, n-m
-	}
-	if n > 0 {
 		srtRowSoA(r, v, base, n, omega, om1)
 	}
 }

@@ -22,10 +22,11 @@ func hasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// trtRowAVX2 updates n cells (a multiple of 4) with the TRT row: the pulled
+// trtRowAVX2 updates n cells, any n >= 0, with the TRT row: the pulled
 // value of direction a for the i-th cell is in[ioff[a]+i], its update goes
-// to out[ooff[a]+i]. The caller guarantees every such element lies in its
-// direction's array.
+// to out[ooff[a]+i]. It reads and writes no other element, not even in the
+// masked pass over the last n%4 cells. The caller guarantees every such
+// element lies in its direction's array.
 //
 //go:noescape
 func trtRowAVX2(in, out *float64, ioff, ooff *[lattice.Q19]int, n int, le, lo float64)
