@@ -91,7 +91,10 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 			for i, b := range s.blocks {
 				data[i] = b.BlockData
 			}
-			s.plane.SetBlocks(data, rec, false)
+			if err := s.plane.SetBlocks(data, rec, false); err != nil {
+				t.Error(err)
+				return
+			}
 			s.phase = 1
 			for level := 1; level <= s.MaxLevel(); level++ {
 				if err := s.plane.ExchangeLevel(level); err != nil {

@@ -219,7 +219,9 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	for _, b := range newBlocks {
 		blocks = append(blocks, b)
 	}
-	s.install(blocks, true)
+	if err := s.install(blocks, true); err != nil {
+		return err
+	}
 
 	// splits already counts new fine leaves (one per child payload);
 	// merges counts octets, i.e. 8 removed leaves each.

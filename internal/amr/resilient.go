@@ -206,7 +206,9 @@ func (s *Sim) installRestored(blocks []*Block, step int) error {
 	}
 	// Not a collective every former reader of the send buffers joined (a
 	// failed rank read them last): no recycling.
-	s.install(blocks, false)
+	if err := s.install(blocks, false); err != nil {
+		return err
+	}
 	s.step = step
 	return nil
 }

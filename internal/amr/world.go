@@ -135,8 +135,7 @@ func (s *Sim) buildInitialForest() error {
 		s.initBlockState(b)
 		blocks = append(blocks, b)
 	}
-	s.install(blocks, false)
-	return nil
+	return s.install(blocks, false)
 }
 
 // sortLeaves puts leaves in canonical forest order.
@@ -251,8 +250,9 @@ func (s *Sim) initBlockState(b *Block) {
 // neighborhood — the same-level, coarser or finer leaves around it — the
 // data plane's exchange plans and the forest-shape gauges. recycleBuffers
 // is true only for re-grades, which are collective
-// (sim.Simulation.SetBlocks).
-func (s *Sim) install(blocks []*Block, recycleBuffers bool) {
+// (sim.Simulation.SetBlocks). It fails when a neighbor rank fails during
+// the plan build.
+func (s *Sim) install(blocks []*Block, recycleBuffers bool) error {
 	sort.Slice(blocks, func(i, j int) bool {
 		return canonicalLess(blocks[i].Coord, blocks[j].Coord, blocks[i].ID, blocks[j].ID)
 	})
@@ -264,10 +264,13 @@ func (s *Sim) install(blocks []*Block, recycleBuffers bool) {
 		b.Block.Neighbors = s.neighbors(b.Leaf)
 		data[i] = b.BlockData
 	}
-	s.plane.SetBlocks(data, resampler{s}, recycleBuffers)
+	if err := s.plane.SetBlocks(data, resampler{s}, recycleBuffers); err != nil {
+		return err
+	}
 	s.tel.leaves.Set(float64(len(s.leaves)))
 	s.tel.maxLevel.Set(float64(s.maxLevel))
 	s.tel.cells.Set(float64(s.TotalCells()))
+	return nil
 }
 
 // neighbors lists the leaves around l, offset by offset: the leaf of the

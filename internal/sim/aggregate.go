@@ -17,25 +17,30 @@ import (
 // docs/EXCHANGE.md).
 //
 // At plan build time every remote boundary slab is entered into the
-// manifest of its neighbor-rank channel with a precomputed offset into
-// one contiguous aggregate buffer. Each exchange then packs all slabs bound
+// manifest of its neighbor-rank channel. The receiver evaluates which of
+// the slab's ghost slots its sweep reads (the need-mask) and sends the
+// mask of each channel to the sender once per plan build; both sides then
+// lower every slab against that mask to index runs, the format of the
+// same-rank copies, and lay the kept slots out back to back in one
+// contiguous aggregate buffer. Each exchange then packs all slabs bound
 // for a rank directly into that rank's aggregate (pack tasks fan out over
-// the worker pool, writing to disjoint sub-slices) and issues exactly ONE
+// the worker pool, writing to disjoint positions) and issues exactly ONE
 // message per neighbor rank — O(neighbor ranks) messages per step instead
-// of O(block pairs), the message aggregation of the SC13 framework.
+// of O(block pairs), the message aggregation of the SC13 framework, and a
+// payload that follows the fluid cells instead of the block faces.
 //
 // A plan is built per level of the receiving blocks — a uniform world has
 // one. Transfers between levels are produced at the receiver's resolution
-// by the sender at pack time (the Resampler), so receivers always unpack
-// a plain slab.
+// by the sender at pack time (the Resampler) and cross whole, so
+// receivers always unpack a plain slab.
 //
 // Both sides sort their manifest by the same canonical key — (Morton key
-// of the SENDING block, its identity, offset index of the sending
-// direction, identity of the RECEIVING block) — so the receiver's unpack
-// windows line up with the sender's pack windows without any per-slab
-// headers on the wire. The fixed manifest order also makes the pack
-// byte-for-byte deterministic for every worker count, which the resilient
-// rewind-and-replay driver depends on.
+// of the SENDING block, its identity, offset index of the SENDING
+// direction, identity of the RECEIVING block) — and lower it against the
+// same mask, so the receiver's unpack windows line up with the sender's
+// pack windows without any per-slab headers on the wire. The fixed
+// manifest order also makes the pack byte-for-byte deterministic for every
+// worker count, which the resilient rewind-and-replay driver depends on.
 //
 // Buffer ownership: the transport is eager and zero-copy (the receiver
 // sees the sender's buffer), so a sender must not overwrite a buffer the
@@ -55,21 +60,44 @@ import (
 // below the migration tags (1<<30).
 const tagAggregate = 1 << 29
 
+// tagNeedMask is the tag of the level-0 mask handshake, level ℓ using
+// tagNeedMask+ℓ: one message per remote channel and plan build, from the
+// receiver of the channel's slabs to their sender. It lives between the
+// exchange tags and the migration tags (1<<30).
+const tagNeedMask = tagAggregate + 1<<20
+
 // slabOp is one manifest entry of a rank channel: a boundary slab of a
-// local block with its precomputed window [off, off+n) into the channel's
-// aggregate buffer.
+// local block, the index runs that move the slots its mask keeps between
+// the block's field and the channel's aggregate buffer, and its window
+// [off, off+n) there.
 type slabOp struct {
 	bd     *BlockData
 	dirs   []lattice.Direction
 	reg    region
 	off, n int
+	runs   []copyRun
+	// mask selects the slots that cross, as the receiver evaluated it; it
+	// lives from the plan build to the lowering.
+	mask slotMask
 	// key is the canonical manifest order, computable by both sides of the
 	// channel.
 	key aggKey
 	// x, on the send side of a transfer between levels, is what the
 	// Resampler packs instead of the slab reg of bd (which is then the
-	// receiver-frame box).
+	// receiver-frame box); it packs the whole window and has no runs.
 	x *Transfer
+}
+
+// slots is the size of the slab's whole window, every slot kept.
+func (sl *slabOp) slots() int { return len(sl.dirs) * sl.reg.cells() }
+
+// manifestSlots is the number of slots of a manifest's whole slabs.
+func manifestSlots(slabs []slabOp) int {
+	n := 0
+	for k := range slabs {
+		n += slabs[k].slots()
+	}
+	return n
 }
 
 // aggKey orders a manifest: the sending block (Morton key of its root
@@ -100,20 +128,21 @@ func (a aggKey) less(b aggKey) bool {
 // the source block's interior slab lands in the peer's ghost slab with no
 // staging buffer. It is compiled at plan build into index runs over the
 // two fields' raw storage, and holds only the ghost slots the DESTINATION
-// block reads (see compileLocal and docs/EXCHANGE.md).
+// block reads (see needMask and docs/EXCHANGE.md).
 type localOp struct {
 	src, dst *BlockData
 	runs     []copyRun
 	floats   int // values moved, the sum of the run lengths
 }
 
-// copyRun is one piece of a compiled local copy: reps rows of n contiguous
-// values each, row r going from position src+r*srcStep of the source
-// field's Data() to position dst+r*dstStep of the destination's. A dense
-// face compiles to a handful of runs (one per direction, or per direction
-// and z-layer where x is the normal and rows are single values); a masked
-// one to runs of mostly one row. Positions survive the per-step Src/Dst
-// swap, which exchanges storage between two identically shaped fields.
+// copyRun is one piece of a lowered transfer: reps rows of n contiguous
+// values each, row r going from position src+r*srcStep of the source to
+// position dst+r*dstStep of the destination — a field's Data() or an
+// aggregate buffer on either side. A dense face compiles to a handful of
+// runs (one per direction, or per direction and z-layer where x is the
+// normal and rows are single values); a masked one to runs of mostly one
+// row. Positions survive the per-step Src/Dst swap, which exchanges
+// storage between two identically shaped fields.
 type copyRun struct {
 	src, dst         int32
 	n, reps          int32
@@ -124,10 +153,11 @@ type copyRun struct {
 // into memmove.
 const shortRun = 8
 
-// exec performs the copy on the blocks' current Src fields.
-func (l *localOp) exec() {
-	src, dst := l.src.Src.Data(), l.dst.Src.Data()
-	for _, r := range l.runs {
+// execRuns performs runs from src to dst: the one executor of same-rank
+// copies (field to field), packs (field to aggregate) and unpacks
+// (aggregate to field).
+func execRuns(dst, src []float64, runs []copyRun) {
+	for _, r := range runs {
 		sp, dp := r.src, r.dst
 		for rep := int32(0); rep < r.reps; rep++ {
 			if r.n < shortRun {
@@ -144,8 +174,8 @@ func (l *localOp) exec() {
 }
 
 // addRow appends the row of n values at source position sp and destination
-// position dp to the runs of one copy, runs[first:]: a row contiguous with
-// a single-row run lengthens it, a row of equal length continuing (or
+// position dp to the runs of one transfer, runs[first:]: a row contiguous
+// with a single-row run lengthens it, a row of equal length continuing (or
 // founding) the constant step of the last run becomes its next repetition.
 func addRow(runs []copyRun, first, sp, dp, n int) []copyRun {
 	if k := len(runs) - 1; k >= first {
@@ -166,76 +196,291 @@ func addRow(runs []copyRun, first, sp, dp, n int) []copyRun {
 	return append(runs, copyRun{src: int32(sp), dst: int32(dp), n: int32(n), reps: 1})
 }
 
-// compileLocal lowers the copy of src's interior slab srcReg into dst's
-// ghost slab dstReg to index runs appended to runs, keeping only the slots
-// dst reads: slot (g, d) survives iff the stream-pull of an interior fluid
-// cell g+e_d of dst reads it and g is not a boundary cell, whose links
-// boundary.Apply rewrites after the exchange anyway. The receiver's flags
-// are authoritative — they are the ones its kernel and boundary sweep were
-// built from. A destination whose interior is all fluid (the dense kernel
-// path, which tests no flags) takes every slot, row by row for SoA where
-// the source stores the whole row, without evaluating the mask. A slot
-// whose source cell lies outside src's allocation rows is dropped as well:
-// the source would deliver its fill value, the uniform initial equilibrium
-// the destination slot has held since it was initialized. (A slot dst
-// reads is always stored by dst, whose rows hold every cell its fluid
-// cells pull from.) Adjacent slots merge into rows and equidistant rows
-// into one run (addRow). It returns the extended run list and the number
-// of slots kept.
-func compileLocal(runs []copyRun, src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction) ([]copyRun, int) {
-	sf, df := src.Src, dst.Src
-	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
-		panic("sim: local copy requires matching stencil and layout")
+// slotMask selects slots of a slab: slot k of the slab's canonical order
+// (dir-major, then z, y, x) is kept iff bit off+k of bits is set. Nil bits
+// keep every slot.
+type slotMask struct {
+	bits []byte
+	off  int
+}
+
+func (m slotMask) has(k int) bool {
+	if m.bits == nil {
+		return true
 	}
-	if len(sf.Data()) > math.MaxInt32 || len(df.Data()) > math.MaxInt32 {
-		panic("sim: block too large for 32-bit copy runs")
+	k += m.off
+	return m.bits[k>>3]>>(k&7)&1 != 0
+}
+
+// simplify returns the mask of a slab of n slots with nil bits when it
+// keeps every slot, so that lowering tests no bit.
+func (m slotMask) simplify(n int) slotMask {
+	if m.all(0, n) {
+		return slotMask{}
 	}
-	st, flags := df.Stencil, dst.Flags
-	dense := dst.Fluid == df.InteriorCells()
-	sr, dr := sf.Rows(), df.Rows()
-	soa := sf.Layout == field.SoA
-	xStride := st.Q // Data() distance of one step in x
-	if soa {
-		xStride = 1
+	return m
+}
+
+// all reports whether slots k..k+n-1 are all kept.
+func (m slotMask) all(k, n int) bool {
+	for i := k; i < k+n && m.bits != nil; i++ {
+		if !m.has(i) {
+			return false
+		}
 	}
-	first, kept := len(runs), 0
-	nx := srcReg.hi[0] - srcReg.lo[0]
+	return true
+}
+
+// setBits sets bits [k, k+n) of bits.
+func setBits(bits []byte, k, n int) {
+	for ; n > 0 && k&7 != 0; k, n = k+1, n-1 {
+		bits[k>>3] |= 1 << (k & 7)
+	}
+	for ; n >= 8; k, n = k+8, n-8 {
+		bits[k>>3] = 0xff
+	}
+	for ; n > 0; k, n = k+1, n-1 {
+		bits[k>>3] |= 1 << (k & 7)
+	}
+}
+
+// readsAll reports whether the block's interior is all fluid: it runs the
+// dense kernel path, which tests no flags, and reads every ghost slot.
+func (bd *BlockData) readsAll() bool { return bd.Fluid == bd.Src.InteriorCells() }
+
+// needMask is the need-rule, the one place that decides which ghost slots
+// a block reads: it sets bit at+k of bits for every slot k of bd's ghost
+// slab (reg, dirs; canonical order) that bd's sweep reads. The kernels
+// stream-pull, so slot (g, d) is read iff g+e_d is an interior Fluid cell
+// — every kernel, dense-with-flags or sparse, skips the others — and g is
+// not a boundary cell, whose links boundary.Apply rewrites after the
+// exchange anyway. The receiver's flags are authoritative: they are the
+// ones its kernel and boundary sweep were built from (docs/EXCHANGE.md,
+// "Why the receiver is authoritative"). A block that readsAll takes every
+// slot without a flag being looked at.
+func needMask(bits []byte, at int, bd *BlockData, reg region, dirs []lattice.Direction) {
+	if bd.readsAll() {
+		setBits(bits, at, len(dirs)*reg.cells())
+		return
+	}
+	st, flags, f := bd.Src.Stencil, bd.Flags, bd.Src
+	k := at
 	for _, d := range dirs {
 		cx, cy, cz := st.Cx[d], st.Cy[d], st.Cz[d]
-		for z := srcReg.lo[2]; z < srcReg.hi[2]; z++ {
-			gz := dstReg.lo[2] + (z - srcReg.lo[2])
-			for y := srcReg.lo[1]; y < srcReg.hi[1]; y++ {
-				gy := dstReg.lo[1] + (y - srcReg.lo[1])
-				// Linear in x even where the row leaves its span; only slots
-				// both fields store are used.
-				sp := sf.Index(srcReg.lo[0], y, z, d)
-				dp := df.Index(dstReg.lo[0], gy, gz, d)
-				if lo, hi := sr.Span(y, z); dense && soa && lo <= srcReg.lo[0] && srcReg.hi[0] <= hi {
-					// The whole row at once; successive rows of one step fold
-					// into one run.
-					runs = addRow(runs, first, sp, dp, nx)
-					kept += nx
-					continue
-				}
-				for i := 0; i < nx; i++ {
-					gx := dstReg.lo[0] + i
-					if !dense {
-						tx, ty, tz := gx+cx, gy+cy, gz+cz
-						if tx < 0 || tx >= df.Nx || ty < 0 || ty >= df.Ny || tz < 0 || tz >= df.Nz ||
-							flags.Get(tx, ty, tz) != field.Fluid || flags.Get(gx, gy, gz).IsBoundary() {
-							continue
-						}
-					}
-					if !sr.Contains(srcReg.lo[0]+i, y, z) || !dr.Contains(gx, gy, gz) {
+		for gz := reg.lo[2]; gz < reg.hi[2]; gz++ {
+			for gy := reg.lo[1]; gy < reg.hi[1]; gy++ {
+				for gx := reg.lo[0]; gx < reg.hi[0]; gx, k = gx+1, k+1 {
+					tx, ty, tz := gx+cx, gy+cy, gz+cz
+					if tx < 0 || tx >= f.Nx || ty < 0 || ty >= f.Ny || tz < 0 || tz >= f.Nz ||
+						flags.Get(tx, ty, tz) != field.Fluid || flags.Get(gx, gy, gz).IsBoundary() {
 						continue
 					}
-					runs = addRow(runs, first, sp+i*xStride, dp+i*xStride, 1)
-					kept++
+					bits[k>>3] |= 1 << (k & 7)
 				}
 			}
 		}
 	}
-	return runs, kept
+}
+
+// end is one side of a lowered slab transfer: the box of a field starting
+// at cell lo, or, with f nil, an aggregate window starting at position at.
+type end struct {
+	f  *field.PDFField
+	lo [3]int
+	at int
+}
+
+// row returns the field position of the first slot of row (y, z) of the
+// box at direction 0, and whether the end holds the row's nx slots
+// contiguously (an aggregate always does). The position is linear in x
+// even where the row leaves its span; only slots the field stores are
+// ever used.
+func (e end) row(y, z, nx int) (int, bool) {
+	if e.f == nil {
+		return 0, true
+	}
+	x, y, z := e.lo[0], e.lo[1]+y, e.lo[2]+z
+	lo, hi := e.f.Rows().Span(y, z)
+	return e.f.Index(x, y, z, 0), e.f.Layout == field.SoA && lo <= x && x+nx <= hi
+}
+
+// pos returns the position of slot i, direction d, of the row starting at
+// field position rp; on an aggregate end, of the window's kept-th slot.
+func (e end) pos(rp int, d lattice.Direction, i, kept int) int {
+	switch {
+	case e.f == nil:
+		return e.at + kept
+	case e.f.Layout == field.SoA:
+		return rp + int(d)*e.f.AllocatedCells() + i
+	}
+	return rp + int(d) + i*e.f.Stencil.Q
+}
+
+// stores reports whether the end holds slot i of row (y, z).
+func (e end) stores(i, y, z int) bool {
+	return e.f == nil || e.f.Rows().Contains(e.lo[0]+i, e.lo[1]+y, e.lo[2]+z)
+}
+
+// fillSlot is an aggregate position whose slot the sender does not store:
+// it carries the sender's fill value, written once at plan build.
+type fillSlot struct {
+	pos int
+	v   float64
+}
+
+// runSink is where a lowering pass puts its runs: a reused scratch list
+// while counting (see plan.lower), the plan's backing array in the final
+// pass. It also keeps the per-row scratch of a slab.
+type runSink struct {
+	final bool
+	all   []copyRun
+	tmp   []copyRun
+	count int
+	rows  []rowEnds
+}
+
+// rowEnds is the field position of one row of a slab on both ends, at
+// direction 0, and whether both hold it contiguously; even counts the
+// whole rows from this one on, within its z-layer, that lie one constant
+// step apart on both ends.
+type rowEnds struct {
+	src, dst int
+	whole    bool
+	even     int
+}
+
+// lower lowers the slots m keeps of one slab — dirs over a box of extent
+// ext, canonical order (dir-major, then z, y, x) — from src to dst, and
+// returns their runs (nil while counting), the number of slots m keeps
+// (the window length) and the number of values the runs move. On an
+// aggregate end the kept slots take the window's positions in order. A
+// kept slot an end's field does not store gets no run: a receiver skips
+// it; a sender leaves it to the fill value — a local destination has held
+// that value since it was initialized, an aggregate position goes to
+// fills, to be written once into both send buffers. A row m keeps whole
+// and both ends hold contiguously becomes one row without a per-slot
+// test; adjacent slots merge into rows and equidistant rows into one run
+// (addRow). The rows' field positions are looked up once per slab, not
+// once per direction, and a z-layer of even whole rows that the mask keeps
+// folds in one step: the first two rows set the run's step, the rest are
+// repetitions addRow would count one by one.
+func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m slotMask, fills *[]fillSlot) ([]copyRun, int, int) {
+	for _, e := range [2]end{src, dst} {
+		if e.f != nil && len(e.f.Data()) > math.MaxInt32 {
+			panic("sim: block too large for 32-bit copy runs")
+		}
+	}
+	runs := k.list()
+	first, nx := len(runs), ext[0]
+	k.rows = k.rows[:0]
+	for z := 0; z < ext[2]; z++ {
+		for y := 0; y < ext[1]; y++ {
+			s, sWhole := src.row(y, z, nx)
+			t, tWhole := dst.row(y, z, nx)
+			k.rows = append(k.rows, rowEnds{src: s, dst: t, whole: sWhole && tWhole})
+		}
+		layer := k.rows[len(k.rows)-ext[1]:]
+		for y := len(layer) - 1; y >= 0; y-- {
+			switch r := &layer[y]; {
+			case !r.whole:
+			case y+1 == len(layer) || !layer[y+1].whole:
+				r.even = 1
+			case layer[y+1].even > 1 && layer[y+2].src-layer[y+1].src == layer[y+1].src-r.src &&
+				layer[y+2].dst-layer[y+1].dst == layer[y+1].dst-r.dst:
+				r.even = layer[y+1].even + 1
+			default:
+				r.even = 2
+			}
+		}
+	}
+	kept, moved, bit := 0, 0, 0
+	for _, d := range dirs {
+		for ri := 0; ri < len(k.rows); ri++ {
+			r := k.rows[ri]
+			if e := r.even; e > 2 && m.all(bit, e*nx) {
+				for _, q := range k.rows[ri : ri+2] {
+					runs = addRow(runs, first, src.pos(q.src, d, 0, kept), dst.pos(q.dst, d, 0, kept), nx)
+					kept, moved, bit = kept+nx, moved+nx, bit+nx
+				}
+				last, next := &runs[len(runs)-1], k.rows[ri+2]
+				if last.reps > 1 && int(last.src+last.reps*last.srcStep) == src.pos(next.src, d, 0, kept) &&
+					int(last.dst+last.reps*last.dstStep) == dst.pos(next.dst, d, 0, kept) {
+					last.reps += int32(e - 2)
+					kept, moved, bit = kept+(e-2)*nx, moved+(e-2)*nx, bit+(e-2)*nx
+					ri += e - 1
+				} else {
+					ri++
+				}
+				continue
+			}
+			if r.whole && m.all(bit, nx) {
+				runs = addRow(runs, first, src.pos(r.src, d, 0, kept), dst.pos(r.dst, d, 0, kept), nx)
+				kept, moved, bit = kept+nx, moved+nx, bit+nx
+				continue
+			}
+			y, z := ri%ext[1], ri/ext[1]
+			for i := 0; i < nx; i, bit = i+1, bit+1 {
+				if !m.has(bit) {
+					continue
+				}
+				s, t := src.pos(r.src, d, i, kept), dst.pos(r.dst, d, i, kept)
+				kept++
+				switch {
+				case !dst.stores(i, y, z):
+				case !src.stores(i, y, z):
+					if dst.f == nil {
+						*fills = append(*fills, fillSlot{t, src.f.FillValue(d)})
+					}
+				default:
+					runs = addRow(runs, first, s, t, 1)
+					moved++
+				}
+			}
+		}
+	}
+	return k.take(runs, first), kept, moved
+}
+
+// list returns the list the next transfer is lowered onto.
+func (k *runSink) list() []copyRun {
+	if k.final {
+		return k.all
+	}
+	return k.tmp[:0]
+}
+
+// take takes back the list a transfer was lowered onto, its runs starting
+// at first, and returns those runs (nil while counting).
+func (k *runSink) take(runs []copyRun, first int) []copyRun {
+	if !k.final {
+		k.tmp = runs
+		k.count += len(runs)
+		return nil
+	}
+	k.all = runs
+	return runs[first:len(runs):len(runs)]
+}
+
+// compileLocal lowers the copy of src's interior slab srcReg into dst's
+// ghost slab dstReg onto the sink, keeping only the slots dst reads
+// (needMask). A slot whose source cell lies outside src's allocation rows
+// is dropped as well: the source would deliver its fill value, the
+// uniform initial equilibrium the destination slot has held since it was
+// initialized. (A slot dst reads is always stored by dst, whose rows hold
+// every cell its fluid cells pull from.) It returns the runs and the
+// number of values they move.
+func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction) ([]copyRun, int) {
+	sf, df := src.Src, dst.Src
+	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
+		panic("sim: local copy requires matching stencil and layout")
+	}
+	var m slotMask
+	if !dst.readsAll() {
+		m.bits = make([]byte, (len(dirs)*dstReg.cells()+7)/8)
+		needMask(m.bits, 0, dst, dstReg, dirs)
+	}
+	runs, _, moved := k.lower(end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, srcReg.size(), dirs, m, nil)
+	return runs, moved
 }
 
 // rankChannel aggregates all traffic between this rank and one neighbor
@@ -249,6 +494,9 @@ type rankChannel struct {
 	recv       []slabOp
 	sendFloats int
 	recvFloats int
+	// mask is the need-mask of the receive manifest of a remote channel,
+	// from the plan build to the handshake that sends it.
+	mask []byte
 	// bufs are the two persistent aggregate send buffers, used alternately
 	// (see the ownership comment above); parity selects the next one.
 	bufs   [2][]float64
@@ -260,27 +508,53 @@ type rankChannel struct {
 	inbox []float64
 }
 
-// packTask indexes one parallel pack-phase task: the local copies
-// locals[slabIdx:end] (chIdx < 0) or a slab pack (channel chIdx, manifest
-// entry slabIdx).
+// packTask indexes one parallel task: the local copies
+// locals[slabIdx:end] (chIdx < 0) or the slabs [slabIdx, end) of the
+// manifest of channel chIdx.
 type packTask struct {
 	chIdx   int
 	slabIdx int
 	end     int
 }
 
-// localTaskFloats is the volume at which a pack task of local copies is
-// closed. A masked copy often moves a few dozen values — less than claiming
-// a task and stamping its span costs — so small copies share a task, while
-// a dense face of 16^2 cells or more still gets its own.
+// localTaskFloats is the volume at which a task of local copies or slabs
+// is closed. A masked transfer often moves a few dozen values — less than
+// claiming a task and stamping its span costs — so small ones share a
+// task, while a dense face of 16^2 cells or more still gets its own.
 const localTaskFloats = 1024
 
-// localCopyStats is the per-step volume of a plan's same-rank copies and
-// what the receiver's need-mask removed from it.
-type localCopyStats struct {
-	floats       int // values moved
-	copiesElided int // block pairs whose mask came out empty
-	floatsElided int // values of the full slabs that are not moved
+func never(int) bool { return false }
+
+// groupTasks appends the tasks of n consecutive items of channel ci (-1:
+// the local copies), closing a task at localTaskFloats values; an item
+// alone reports gets a task of its own.
+func groupTasks(tasks []packTask, ci, n int, floats func(int) int, alone func(int) bool) []packTask {
+	first, vol := 0, 0
+	for i := 0; i < n; i++ {
+		if alone(i) {
+			if first < i {
+				tasks = append(tasks, packTask{chIdx: ci, slabIdx: first, end: i})
+			}
+			tasks = append(tasks, packTask{chIdx: ci, slabIdx: i, end: i + 1})
+			first, vol = i+1, 0
+			continue
+		}
+		vol += floats(i)
+		if vol >= localTaskFloats || i == n-1 {
+			tasks = append(tasks, packTask{chIdx: ci, slabIdx: first, end: i + 1})
+			first, vol = i+1, 0
+		}
+	}
+	return tasks
+}
+
+// transferStats is the per-step volume of a plan and what the receivers'
+// need-masks removed from it.
+type transferStats struct {
+	localFloats        int // values the same-rank copies move
+	localCopiesElided  int // block pairs whose mask came out empty
+	localFloatsElided  int // values of the full local slabs that are not moved
+	remoteFloatsElided int // values of the full received slabs that do not cross
 }
 
 // plan is the aggregated ghost exchange of one level: every transfer into
@@ -290,7 +564,7 @@ type localCopyStats struct {
 type plan struct {
 	tag         int
 	locals      []localOp
-	localStats  localCopyStats
+	stats       transferStats
 	channels    []rankChannel
 	packTasks   []packTask
 	remotePacks int // leading packTasks that fill messages to other ranks
@@ -326,7 +600,9 @@ func aggPutBuf(b []float64) {
 
 // buildPlans builds the plan of every level present: the ones of the
 // local blocks and of their neighbors. There is always a level-0 plan.
-func buildPlans(s *Simulation) []plan {
+// Between enumerating the transfers and lowering them it runs the mask
+// handshake, which fails only when a peer does.
+func buildPlans(s *Simulation) ([]plan, error) {
 	byID := make(map[blockforest.BlockID]*BlockData, len(s.Blocks))
 	top := 0
 	for _, bd := range s.Blocks {
@@ -337,29 +613,41 @@ func buildPlans(s *Simulation) []plan {
 		}
 	}
 	plans := make([]plan, top+1)
+	copies := make([][]localCopy, top+1)
 	for l := range plans {
-		plans[l] = buildPlan(s, l, byID)
+		plans[l], copies[l] = buildPlan(s, l, byID)
+	}
+	if err := exchangeMasks(s, plans); err != nil {
+		return nil, err
+	}
+	for l := range plans {
+		plans[l].lower(copies[l])
 		s.bindTasks(&plans[l])
 	}
-	return plans
+	return plans, nil
+}
+
+// localCopy is a same-rank transfer on one level as enumerated, before it
+// is lowered to a localOp: src's interior slab srcReg into dst's ghost
+// slab dstReg.
+type localCopy struct {
+	src, dst       *BlockData
+	srcReg, dstReg region
+	dirs           []lattice.Direction
 }
 
 // buildPlan enumerates the ghost transfers into the level's blocks that
 // involve a local block, from the local blocks' neighborhoods: the remote
 // ones go into per-neighbor-rank channels with canonically ordered
-// manifests and precomputed buffer windows, the same-rank ones between
-// blocks of one level into compiled index runs (the ones no fluid cell of
-// the destination reads leave the plan), the same-rank ones between levels
-// into both manifests of the channel to the own rank. A local transfer is
-// enumerated once, at its sender; a remote one at both ends, each deriving
-// the same manifest key.
-func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData) plan {
+// manifests, whose receive slabs get their need-masks; the same-rank ones
+// between blocks of one level into the returned copies, the same-rank ones
+// between levels into both manifests of the channel to the own rank. A
+// local transfer is enumerated once, at its sender; a remote one at both
+// ends, each deriving the same manifest key.
+func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData) (plan, []localCopy) {
 	me := s.Comm.Rank()
 	p := plan{tag: tagAggregate + level}
-	// All runs of the plan share one backing array; starts[i] is where the
-	// runs of locals[i] begin, resolved to sub-slices once it stops growing.
-	var runs []copyRun
-	var starts []int
+	var copies []localCopy
 	byRank := make(map[int]int) // neighbor rank -> index into channels
 	channel := func(rank int) *rankChannel {
 		ci, ok := byRank[rank]
@@ -421,23 +709,9 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 					}
 					continue
 				}
-				first := len(runs)
-				var kept int
-				runs, kept = compileLocal(runs, bd, peer, reg, recvRegion(peer.Block.Cells, o), dirs)
-				p.localStats.floats += kept
-				p.localStats.floatsElided += len(dirs)*reg.cells() - kept
-				if kept == 0 {
-					p.localStats.copiesElided++
-					continue
-				}
-				p.locals = append(p.locals, localOp{src: bd, dst: peer, floats: kept})
-				starts = append(starts, first)
+				copies = append(copies, localCopy{src: bd, dst: peer, srcReg: reg, dstReg: recvRegion(peer.Block.Cells, o), dirs: dirs})
 			}
 		}
-	}
-	starts = append(starts, len(runs))
-	for i := range p.locals {
-		p.locals[i].runs = runs[starts[i]:starts[i+1]]
 	}
 	// Deterministic channel order (ascending neighbor rank) and canonical
 	// manifest order within each channel.
@@ -446,21 +720,156 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 		ch := &p.channels[i]
 		sort.Slice(ch.send, func(a, b int) bool { return ch.send[a].key.less(ch.send[b].key) })
 		sort.Slice(ch.recv, func(a, b int) bool { return ch.recv[a].key.less(ch.recv[b].key) })
-		ch.sendFloats = assignWindows(ch.send)
-		ch.recvFloats = assignWindows(ch.recv)
-		ch.bufs[0] = aggGetBuf(ch.sendFloats)
-		ch.bufs[1] = aggGetBuf(ch.sendFloats)
+		if ch.rank != me {
+			ch.mask = maskManifest(ch.recv)
+		}
 	}
-	return p
+	return p, copies
 }
 
-// assignWindows lays a sorted manifest out in its aggregate buffer and
-// returns the buffer length.
-func assignWindows(slabs []slabOp) int {
+// maskManifest evaluates the need-mask of a remote channel's receive
+// manifest into one bit string, slab after slab, and returns it: a
+// transfer between levels crosses whole (its sender resamples the whole
+// window), every other slab keeps what its receiving block reads.
+func maskManifest(recv []slabOp) []byte {
+	bits := make([]byte, (manifestSlots(recv)+7)/8)
+	at := 0
+	for k := range recv {
+		sl := &recv[k]
+		if sl.key.src.Level != sl.key.receiver.Level {
+			setBits(bits, at, sl.slots())
+		} else {
+			needMask(bits, at, sl.bd, sl.reg, sl.dirs)
+		}
+		sl.mask = slotMask{bits: bits, off: at}.simplify(sl.slots())
+		at += sl.slots()
+	}
+	return bits
+}
+
+// exchangeMasks is the mask handshake of a plan build: every rank sends
+// the mask of each remote channel's receive manifest to the channel's
+// rank, then takes its peers' masks for its send manifests. Sends are
+// eager, so sending all first cannot deadlock. It returns the transport's
+// error when a peer has failed, and an error when a mask does not fit the
+// manifest it is meant for.
+func exchangeMasks(s *Simulation, plans []plan) error {
+	me := s.Comm.Rank()
+	for l := range plans {
+		for i := range plans[l].channels {
+			if ch := &plans[l].channels[i]; ch.rank != me && len(ch.recv) > 0 {
+				if err := s.Comm.SendErr(ch.rank, tagNeedMask+l, ch.mask); err != nil {
+					return err
+				}
+				ch.mask = nil
+			}
+		}
+	}
+	for l := range plans {
+		for i := range plans[l].channels {
+			ch := &plans[l].channels[i]
+			if ch.rank == me || len(ch.send) == 0 {
+				continue
+			}
+			data, _, err := s.Comm.RecvErr(ch.rank, tagNeedMask+l)
+			if err != nil {
+				return err
+			}
+			n := manifestSlots(ch.send)
+			bits, ok := data.([]byte)
+			if !ok || len(bits) != (n+7)/8 {
+				return fmt.Errorf("sim: rank %d: level-%d need-mask from rank %d does not fit a manifest of %d slots", me, l, ch.rank, n)
+			}
+			at := 0
+			for k := range ch.send {
+				sl := &ch.send[k]
+				sl.mask = slotMask{bits: bits, off: at}.simplify(sl.slots())
+				if sl.x != nil && sl.mask.bits != nil {
+					return fmt.Errorf("sim: rank %d: rank %d masks a level-%d transfer between levels", me, ch.rank, l)
+				}
+				at += sl.slots()
+			}
+		}
+	}
+	return nil
+}
+
+// lower lowers every transfer of the plan to index runs: the same-rank
+// copies field to field — the ones whose mask comes out empty leave the
+// plan — the send slabs field to aggregate and the receive slabs aggregate
+// to field, each against its mask. A slab's window is the prefix sum of
+// the kept slots before it, so both ends of a channel agree on every
+// position and the bytes stay layout-agnostic. A transfer between levels
+// keeps its whole window, which the Resampler packs. Send buffers are
+// taken at the windows' size, and every slot whose sender does not store
+// the cell gets its fill value, once, in both.
+//
+// It lowers twice: a first pass counts the runs, lowering each transfer
+// into one reused scratch list, and the second lowers them into one
+// backing array of exactly that size. Runs live as long as the plan, and
+// on a world of many small blocks the growth slack of an appended list, or
+// the garbage of a compacting copy, shows in the peak memory.
+func (p *plan) lower(copies []localCopy) {
+	var sink runSink
+	p.lowerInto(copies, &sink)
+	sink = runSink{all: make([]copyRun, 0, sink.count), final: true}
+	p.lowerInto(copies, &sink)
+}
+
+// lowerInto is one pass of lower. Every pass computes the same windows and
+// statistics; only the final one keeps runs and takes the send buffers.
+func (p *plan) lowerInto(copies []localCopy, sink *runSink) {
+	p.locals, p.stats = p.locals[:0], transferStats{}
+	for _, c := range copies {
+		runs, moved := sink.compileLocal(c.src, c.dst, c.srcReg, c.dstReg, c.dirs)
+		p.stats.localFloats += moved
+		p.stats.localFloatsElided += len(c.dirs)*c.srcReg.cells() - moved
+		if moved == 0 {
+			p.stats.localCopiesElided++
+			continue
+		}
+		p.locals = append(p.locals, localOp{src: c.src, dst: c.dst, runs: runs, floats: moved})
+	}
+	var fills []fillSlot
+	for i := range p.channels {
+		ch := &p.channels[i]
+		fills = fills[:0]
+		ch.sendFloats = lowerManifest(ch.send, sink, &fills, true)
+		ch.recvFloats = lowerManifest(ch.recv, sink, nil, false)
+		for k := range ch.recv {
+			p.stats.remoteFloatsElided += ch.recv[k].slots() - ch.recv[k].n
+		}
+		if !sink.final {
+			continue
+		}
+		ch.bufs[0] = aggGetBuf(ch.sendFloats)
+		ch.bufs[1] = aggGetBuf(ch.sendFloats)
+		for _, f := range fills {
+			ch.bufs[0][f.pos], ch.bufs[1][f.pos] = f.v, f.v
+		}
+	}
+}
+
+// lowerManifest lowers the slabs of one manifest in order onto the sink
+// and returns the aggregate length. The final pass drops the masks.
+func lowerManifest(slabs []slabOp, sink *runSink, fills *[]fillSlot, send bool) int {
 	off := 0
 	for k := range slabs {
 		sl := &slabs[k]
-		sl.off, sl.n = off, len(sl.dirs)*sl.reg.cells()
+		sl.off = off
+		if sl.x != nil {
+			sl.n = sl.slots()
+		} else {
+			blk, agg := end{f: sl.bd.Src, lo: sl.reg.lo}, end{at: off}
+			src, dst := blk, agg
+			if !send {
+				src, dst = agg, blk
+			}
+			sl.runs, sl.n, _ = sink.lower(src, dst, sl.reg.size(), sl.dirs, sl.mask, fills)
+		}
+		if sink.final {
+			sl.mask = slotMask{}
+		}
 		off += sl.n
 	}
 	return off
@@ -480,8 +889,8 @@ func (p *plan) release() {
 // payload is sent from its current buffer and one receive per remote
 // channel expecting one is posted; then the same-rank work — compiled
 // copies and transfers between levels — runs on the pool while the
-// messages travel. Every task writes a disjoint ghost slab or a disjoint
-// aggregate sub-slice. Steady-state, the whole phase performs zero heap
+// messages travel. Every task writes disjoint ghost slots or disjoint
+// aggregate positions. Steady-state, the whole phase performs zero heap
 // allocations.
 func (p *plan) post(s *Simulation) error {
 	s.pool.run(p.remotePacks, p.packFn)
@@ -538,47 +947,41 @@ func (p *plan) complete(s *Simulation) error {
 func (s *Simulation) bindTasks(p *plan) {
 	var own []packTask // transfers between levels to this rank: same-rank work
 	for ci := range p.channels {
-		for si := range p.channels[ci].send {
-			if t := (packTask{chIdx: ci, slabIdx: si}); p.channels[ci].rank == s.Comm.Rank() {
-				own = append(own, t)
-			} else {
-				p.packTasks = append(p.packTasks, t)
-			}
+		ch := &p.channels[ci]
+		sent := func(k int) int { return ch.send[k].n }
+		resampled := func(k int) bool { return ch.send[k].x != nil }
+		if ch.rank == s.Comm.Rank() {
+			own = groupTasks(own, ci, len(ch.send), sent, resampled)
+		} else {
+			p.packTasks = groupTasks(p.packTasks, ci, len(ch.send), sent, resampled)
 		}
-		for si := range p.channels[ci].recv {
-			p.unpackTasks = append(p.unpackTasks, packTask{chIdx: ci, slabIdx: si})
-		}
+		p.unpackTasks = groupTasks(p.unpackTasks, ci, len(ch.recv), func(k int) int { return ch.recv[k].n }, never)
 	}
 	p.remotePacks = len(p.packTasks)
 	p.packTasks = append(p.packTasks, own...)
-	first, vol := 0, 0
-	for li := range p.locals {
-		vol += p.locals[li].floats
-		if vol >= localTaskFloats || li == len(p.locals)-1 {
-			p.packTasks = append(p.packTasks, packTask{chIdx: -1, slabIdx: first, end: li + 1})
-			first, vol = li+1, 0
-		}
-	}
+	p.packTasks = groupTasks(p.packTasks, -1, len(p.locals), func(i int) int { return p.locals[i].floats }, never)
 	p.packFn = func(worker, i int) {
 		t := p.packTasks[i]
 		lane := s.tel.worker(worker)
 		start := lane.Start()
 		if t.chIdx < 0 {
 			for li := t.slabIdx; li < t.end; li++ {
-				p.locals[li].exec()
+				l := &p.locals[li]
+				execRuns(l.dst.Src.Data(), l.src.Src.Data(), l.runs)
 			}
 			lane.Span(telemetry.PhaseLocalCopy, s.steps, int32(i), start)
 			return
 		}
 		ch := &p.channels[t.chIdx]
-		sl := &ch.send[t.slabIdx]
-		buf := ch.bufs[ch.parity][sl.off : sl.off+sl.n] // the own rank's channel keeps parity 0
+		buf := ch.bufs[ch.parity] // the own rank's channel keeps parity 0
 		phase := telemetry.PhasePack
-		if sl.x != nil {
-			s.resample.Resample(sl.x, buf, worker)
-			phase = telemetry.PhaseResample
-		} else if n := sl.bd.Src.PackRegion(buf, sl.reg.lo, sl.reg.hi, sl.dirs); n != sl.n {
-			panic(fmt.Sprintf("sim: packed %d of %d values", n, sl.n))
+		for k := t.slabIdx; k < t.end; k++ {
+			if sl := &ch.send[k]; sl.x != nil {
+				s.resample.Resample(sl.x, buf[sl.off:sl.off+sl.n], worker)
+				phase = telemetry.PhaseResample
+			} else {
+				execRuns(buf, sl.bd.Src.Data(), sl.runs)
+			}
 		}
 		lane.Span(phase, s.steps, int32(i), start)
 	}
@@ -588,10 +991,9 @@ func (s *Simulation) bindTasks(p *plan) {
 		lane := s.tel.worker(worker)
 		start := lane.Start()
 		ch := &p.channels[t.chIdx]
-		sl := &ch.recv[t.slabIdx]
-		buf := ch.inbox[sl.off : sl.off+sl.n]
-		if n := sl.bd.Src.UnpackRegion(buf, sl.reg.lo, sl.reg.hi, sl.dirs); n != sl.n {
-			panic(fmt.Sprintf("sim: unpacked %d of %d values", n, sl.n))
+		for k := t.slabIdx; k < t.end; k++ {
+			sl := &ch.recv[k]
+			execRuns(sl.bd.Src.Data(), ch.inbox, sl.runs)
 		}
 		lane.Span(telemetry.PhaseUnpack, s.steps, int32(i), start)
 	}
@@ -601,13 +1003,18 @@ func (s *Simulation) bindTasks(p *plan) {
 // uniform world has one.
 type aggregated struct{}
 
-func (aggregated) build(s *Simulation, recycleBuffers bool) map[*BlockData]bool {
+func (aggregated) build(s *Simulation, recycleBuffers bool) (map[*BlockData]bool, error) {
 	if recycleBuffers {
 		for i := range s.levels {
 			s.levels[i].release()
 		}
 	}
-	s.levels = buildPlans(s)
+	s.levels = nil
+	plans, err := buildPlans(s)
+	if err != nil {
+		return nil, err
+	}
+	s.levels = plans
 	remote := make(map[*BlockData]bool)
 	for l := range s.levels {
 		for ci := range s.levels[l].channels {
@@ -623,7 +1030,7 @@ func (aggregated) build(s *Simulation, recycleBuffers bool) map[*BlockData]bool 
 			}
 		}
 	}
-	return remote
+	return remote, nil
 }
 
 func (aggregated) post(s *Simulation) error     { return s.levels[0].post(s) }
@@ -635,9 +1042,10 @@ func (aggregated) stats(s *Simulation) ExchangeStats {
 	for l := range s.levels {
 		p := &s.levels[l]
 		st.LocalCopies += len(p.locals)
-		st.LocalFloats += p.localStats.floats
-		st.LocalCopiesElided += p.localStats.copiesElided
-		st.LocalFloatsElided += p.localStats.floatsElided
+		st.LocalFloats += p.stats.localFloats
+		st.LocalCopiesElided += p.stats.localCopiesElided
+		st.LocalFloatsElided += p.stats.localFloatsElided
+		st.RemoteFloatsElided += p.stats.remoteFloatsElided
 		for i := range p.channels {
 			ch := &p.channels[i]
 			if ch.rank == s.Comm.Rank() {

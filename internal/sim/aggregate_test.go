@@ -195,8 +195,9 @@ func TestAggregatedOneMessagePerNeighborRank(t *testing.T) {
 	run(ExchangePerPair)
 }
 
-// TestExchangeStatsVolumesMatch: aggregation batches messages but never
-// changes the communicated payload volume.
+// TestExchangeStatsVolumesMatch: on an all-fluid world, where every block
+// reads every ghost slot, aggregation batches messages but never changes
+// the communicated payload volume.
 func TestExchangeStatsVolumesMatch(t *testing.T) {
 	f := blockforest.NewSetupForest(
 		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
@@ -224,9 +225,9 @@ func TestExchangeStatsVolumesMatch(t *testing.T) {
 		})
 	}
 	a, p := stats[ExchangeAggregated], stats[ExchangePerPair]
-	if a.SendFloats != p.SendFloats || a.RecvFloats != p.RecvFloats {
-		t.Errorf("payload volumes differ: aggregated %d/%d vs per-pair %d/%d floats",
-			a.SendFloats, a.RecvFloats, p.SendFloats, p.RecvFloats)
+	if a.SendFloats != p.SendFloats || a.RecvFloats != p.RecvFloats || a.RemoteFloatsElided != 0 {
+		t.Errorf("payload volumes differ: aggregated %d/%d (%d elided) vs per-pair %d/%d floats",
+			a.SendFloats, a.RecvFloats, a.RemoteFloatsElided, p.SendFloats, p.RecvFloats)
 	}
 	if a.RemoteSlabs != p.RemoteSlabs || a.LocalCopies != p.LocalCopies {
 		t.Errorf("slab counts differ: aggregated %+v vs per-pair %+v", a, p)
@@ -402,6 +403,13 @@ func interiorBits(s *Simulation, mu *sync.Mutex, into map[[3]int][]uint64) {
 // plan does not write is overwritten with NaN before every step.
 func runMaskCase(t *testing.T, cfg Config, mode ExchangeMode, periodic bool, ranks, steps int, poison bool) (uint64, map[[3]int][]uint64) {
 	t.Helper()
+	return runMaskCaseOn(t, comm.Options{}, cfg, mode, periodic, ranks, steps, poison)
+}
+
+// runMaskCaseOn is runMaskCase on a world with the given communicator
+// options.
+func runMaskCaseOn(t *testing.T, opts comm.Options, cfg Config, mode ExchangeMode, periodic bool, ranks, steps int, poison bool) (uint64, map[[3]int][]uint64) {
+	t.Helper()
 	f := blockforest.NewSetupForest(
 		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
 		[3]int{2, 2, 2}, maskCells, [3]bool{periodic, periodic, periodic})
@@ -409,7 +417,7 @@ func runMaskCase(t *testing.T, cfg Config, mode ExchangeMode, periodic bool, ran
 	var mu sync.Mutex
 	var hash uint64
 	bits := make(map[[3]int][]uint64)
-	comm.Run(ranks, func(c *comm.Comm) {
+	comm.RunWithOptions(ranks, opts, func(c *comm.Comm) {
 		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
 		if err != nil {
 			t.Error(err)
@@ -591,53 +599,61 @@ func TestAllocationWindowsInvisible(t *testing.T) {
 }
 
 // TestNeedMaskIsReadSet checks the mask from the other side: on a periodic
-// single-rank world, where every ghost cell has a same-rank source, the
-// compiled copies move exactly one value per ghost slot that the stream-pull
-// of an interior fluid cell reads from a non-boundary cell — no slot more.
+// world every ghost cell has a source, on one rank a same-rank one, on two
+// ranks a same-rank or a remote one. The compiled copies and the received
+// windows together move exactly one value per ghost slot that the
+// stream-pull of an interior fluid cell reads from a non-boundary cell —
+// no slot more, on either side of a rank border.
 func TestNeedMaskIsReadSet(t *testing.T) {
 	for _, m := range maskModels {
-		f := blockforest.NewSetupForest(
-			blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
-			[3]int{2, 2, 2}, maskCells, [3]bool{true, true, true})
-		f.BalanceMorton(1)
-		comm.Run(1, func(c *comm.Comm) {
-			forest, err := blockforest.Distribute(c, f)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			s, err := New(c, forest, maskConfig(maskPatterns()[0], true, m.stencil, m.layout))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			st, want := s.Stencil, 0
-			for _, bd := range s.Blocks {
-				fl := bd.Flags
-				for z := 0; z < fl.Nz; z++ {
-					for y := 0; y < fl.Ny; y++ {
-						for x := 0; x < fl.Nx; x++ {
-							if fl.Get(x, y, z) != field.Fluid {
-								continue
-							}
-							for a := 1; a < st.Q; a++ {
-								gx, gy, gz := x-st.Cx[a], y-st.Cy[a], z-st.Cz[a]
-								ghost := gx < 0 || gx >= fl.Nx || gy < 0 || gy >= fl.Ny || gz < 0 || gz >= fl.Nz
-								if ghost && !fl.Get(gx, gy, gz).IsBoundary() {
-									want++
+		for _, ranks := range []int{1, 2} {
+			f := blockforest.NewSetupForest(
+				blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
+				[3]int{2, 2, 2}, maskCells, [3]bool{true, true, true})
+			f.BalanceMorton(ranks)
+			comm.Run(ranks, func(c *comm.Comm) {
+				forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s, err := New(c, forest, maskConfig(maskPatterns()[0], true, m.stencil, m.layout))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				st, want := s.Stencil, 0
+				for _, bd := range s.Blocks {
+					fl := bd.Flags
+					for z := 0; z < fl.Nz; z++ {
+						for y := 0; y < fl.Ny; y++ {
+							for x := 0; x < fl.Nx; x++ {
+								if fl.Get(x, y, z) != field.Fluid {
+									continue
+								}
+								for a := 1; a < st.Q; a++ {
+									gx, gy, gz := x-st.Cx[a], y-st.Cy[a], z-st.Cz[a]
+									ghost := gx < 0 || gx >= fl.Nx || gy < 0 || gy >= fl.Ny || gz < 0 || gz >= fl.Nz
+									if ghost && !fl.Get(gx, gy, gz).IsBoundary() {
+										want++
+									}
 								}
 							}
 						}
 					}
 				}
-			}
-			es := s.ExchangeStats()
-			if es.LocalFloats != want || want == 0 {
-				t.Errorf("%s: plan moves %d values, the read set has %d", m.name, es.LocalFloats, want)
-			}
-			if es.LocalFloatsElided == 0 {
-				t.Errorf("%s: nothing elided on a random geometry: %+v", m.name, es)
-			}
-		})
+				es := s.ExchangeStats()
+				label := fmt.Sprintf("%s ranks=%d rank %d", m.name, ranks, c.Rank())
+				if es.LocalFloats+es.RecvFloats != want || want == 0 {
+					t.Errorf("%s: plan moves %d local + %d received values, the read set has %d", label, es.LocalFloats, es.RecvFloats, want)
+				}
+				if es.LocalFloatsElided == 0 {
+					t.Errorf("%s: nothing elided locally on a random geometry: %+v", label, es)
+				}
+				if remote := ranks > 1; remote != (es.RemoteFloatsElided > 0) || remote != (es.RecvFloats > 0) {
+					t.Errorf("%s: %d received, %d elided remote values", label, es.RecvFloats, es.RemoteFloatsElided)
+				}
+			})
+		}
 	}
 }

@@ -28,8 +28,9 @@ import (
 // in the tests that compare against it.
 type exchanger interface {
 	// build derives the plan of the current block set and reports the
-	// blocks that exchange with another rank.
-	build(s *Simulation, recycleBuffers bool) (remote map[*BlockData]bool)
+	// blocks that exchange with another rank. It fails when the plan
+	// build's handshake does (a peer failed, a mask did not fit).
+	build(s *Simulation, recycleBuffers bool) (remote map[*BlockData]bool, err error)
 	post(s *Simulation) error
 	complete(s *Simulation) error
 	stats(s *Simulation) ExchangeStats
@@ -93,6 +94,11 @@ type region struct {
 
 func (r region) cells() int {
 	return (r.hi[0] - r.lo[0]) * (r.hi[1] - r.lo[1]) * (r.hi[2] - r.lo[2])
+}
+
+// size is the box's extent along each axis.
+func (r region) size() [3]int {
+	return [3]int{r.hi[0] - r.lo[0], r.hi[1] - r.lo[1], r.hi[2] - r.lo[2]}
 }
 
 // sendRegion is the interior slab packed for a neighbor at offset o.

@@ -10,6 +10,10 @@ import (
 // test package, whose benchmarks build worlds through internal/core.
 func (s *Simulation) PostExchange() error { return s.postExchange() }
 
+// ExchangeGhostLayers exposes one whole ghost exchange, post and complete,
+// to the external test package.
+func (s *Simulation) ExchangeGhostLayers() error { return s.exchangeGhostLayers() }
+
 // RaceEnabled reports a race-instrumented build, in which the allocation
 // gates skip themselves.
 const RaceEnabled = raceEnabled
@@ -20,38 +24,31 @@ var NewWithExchange = newWithExchange
 
 // GhostPoisoner returns a function that overwrites with NaN every stored
 // ghost slot of this rank's Src fields that the aggregated exchange plan does
-// NOT write — neither a compiled local copy nor a remote receive slab.
-// Calling it before every step turns any read of a slot the need-mask
-// dropped into a NaN in the interior.
+// NOT write — neither a compiled local copy nor the unpack runs of a receive
+// slab, which hold only the slots the receiver's need-mask kept. Calling it
+// before every step turns any read of a slot a mask dropped, same-rank or
+// remote, into a NaN in the interior.
 func (s *Simulation) GhostPoisoner() func() {
 	written := make(map[*BlockData][]bool, len(s.Blocks))
 	for _, bd := range s.Blocks {
 		written[bd] = make([]bool, len(bd.Src.Data()))
 	}
-	p := &s.levels[0]
-	for i := range p.locals {
-		l := &p.locals[i]
-		for _, r := range l.runs {
+	mark := func(bd *BlockData, runs []copyRun) {
+		for _, r := range runs {
 			for rep := int32(0); rep < r.reps; rep++ {
 				for k := int32(0); k < r.n; k++ {
-					written[l.dst][r.dst+rep*r.dstStep+k] = true
+					written[bd][r.dst+rep*r.dstStep+k] = true
 				}
 			}
 		}
 	}
+	p := &s.levels[0]
+	for i := range p.locals {
+		mark(p.locals[i].dst, p.locals[i].runs)
+	}
 	for ci := range p.channels {
 		for _, sl := range p.channels[ci].recv {
-			for _, d := range sl.dirs {
-				for z := sl.reg.lo[2]; z < sl.reg.hi[2]; z++ {
-					for y := sl.reg.lo[1]; y < sl.reg.hi[1]; y++ {
-						for x := sl.reg.lo[0]; x < sl.reg.hi[0]; x++ {
-							if sl.bd.Src.Rows().Contains(x, y, z) {
-								written[sl.bd][sl.bd.Src.Index(x, y, z, d)] = true
-							}
-						}
-					}
-				}
-			}
+			mark(sl.bd, sl.runs)
 		}
 	}
 	poison := make(map[*BlockData][]int, len(s.Blocks))

@@ -144,10 +144,12 @@ type ExchangeStats struct {
 	LocalCopiesElided int
 	LocalFloatsElided int
 	// SendFloats and RecvFloats are this rank's per-step payload volumes
-	// in float64 values (aggregation batches messages, it never changes the
-	// communicated data).
-	SendFloats int
-	RecvFloats int
+	// in float64 values. Only the ghost slots the receiving block reads
+	// cross: RemoteFloatsElided values of the full slabs this rank
+	// receives do not.
+	SendFloats         int
+	RecvFloats         int
+	RemoteFloatsElided int
 }
 
 // ExchangeStats reports the communication pattern of the current exchange

@@ -7,6 +7,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/lattice"
 	"walberla/internal/telemetry"
 )
 
@@ -66,6 +67,26 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 		got := runCavityBits(t, comm.Options{Net: &comm.NetOptions{Network: "tcp"}}, 1, steps)
 		assertBitsEqual(t, got, want)
 	})
+	// A sparse world masks its remote slabs: the mask handshake and the
+	// masked payloads cross the socket, and every ghost slot the plan
+	// leaves unwritten holds NaN before each step.
+	for _, p := range maskPatterns() {
+		if p.name != "random1" && p.name != "tube" {
+			continue
+		}
+		for _, workers := range []int{1, 2} {
+			t.Run("masked/"+p.name+"/"+workerName(workers), func(t *testing.T) {
+				cfg := maskConfig(p, true, lattice.D3Q19(), LayoutSoA)
+				cfg.Workers = workers
+				wantHash, want := runMaskCaseOn(t, comm.Options{}, cfg, ExchangeAggregated, true, 2, steps, true)
+				gotHash, got := runMaskCaseOn(t, comm.Options{Net: socketOpts()}, cfg, ExchangeAggregated, true, 2, steps, true)
+				if gotHash != wantHash {
+					t.Errorf("field hash %016x over unix, %016x in process", gotHash, wantHash)
+				}
+				assertBitsEqual(t, got, want)
+			})
+		}
+	}
 }
 
 // TestNetTransientFaultsBitIdentical injects frame-level drops, corruption

@@ -45,7 +45,9 @@ func newWithExchange(c *comm.Comm, forest *blockforest.BlockForest, cfg Config, 
 		return s, err
 	}
 	s.exchange = &perPair{}
-	s.rebuildPlan(true)
+	if err := s.rebuildPlan(true); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -86,7 +88,7 @@ func tagFor(tree uint32, offIdx int) int { return int(tree)*27 + offIdx }
 
 // build enumerates, for each local block, the boundary exchanges with all
 // its neighbors.
-func (pp *perPair) build(s *Simulation, _ bool) map[*BlockData]bool {
+func (pp *perPair) build(s *Simulation, _ bool) (map[*BlockData]bool, error) {
 	pp.plan = nil
 	remote := make(map[*BlockData]bool)
 	for _, bd := range s.Blocks {
@@ -122,7 +124,7 @@ func (pp *perPair) build(s *Simulation, _ bool) map[*BlockData]bool {
 			pp.plan = append(pp.plan, op)
 		}
 	}
-	return remote
+	return remote, nil
 }
 
 // pack serializes the PDFs of the given directions over the region in

@@ -213,7 +213,9 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 		forestBlocks = append(forestBlocks, bd.Block)
 	}
 	s.Forest.Blocks = forestBlocks
-	s.rebuildPlan(true)
+	if err := s.rebuildPlan(true); err != nil {
+		return err
+	}
 	// Migration invalidates ghost layers; synchronize before stepping on.
 	return s.exchangeGhostLayers()
 }

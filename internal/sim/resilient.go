@@ -327,7 +327,9 @@ func (w world) Install(c *comm.Comm, redirect []int, step int, own resilience.St
 	// recycleBuffers=false: the dead rank's final zero-copy unpack read our
 	// old send buffers and will never synchronize with this rebuild, so the
 	// retired buffers must not be repacked — see rebuildPlan.
-	s.rebuildPlan(false)
+	if err := s.rebuildPlan(false); err != nil {
+		return 0, err
+	}
 	return len(adopted), nil
 }
 

@@ -474,7 +474,9 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 			lane.SpanAt(telemetry.PhaseCollideStream, s.steps, int32(i), mid, mid+int64(bd.stepCompute))
 		}
 	}
-	s.rebuildPlan(true)
+	if err := s.rebuildPlan(true); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -717,8 +719,15 @@ func (s *Simulation) sweepBlocks(bds []*BlockData) {
 // synchronizing again, so its final unpack has no happens-before edge to
 // the recovery rendezvous. Recovery rebuilds must pass false and let the
 // garbage collector take the retired buffers.
-func (s *Simulation) rebuildPlan(recycleBuffers bool) {
-	remote := s.exchange.build(s, recycleBuffers)
+//
+// The rebuild includes the mask handshake with every neighbor rank, so it
+// is collective among the ranks that exchange with each other, and it
+// returns the transport's error when one of them fails meanwhile.
+func (s *Simulation) rebuildPlan(recycleBuffers bool) error {
+	remote, err := s.exchange.build(s, recycleBuffers)
+	if err != nil {
+		return err
+	}
 	s.interior, s.frontier = nil, nil
 	for _, bd := range s.Blocks {
 		if remote[bd] {
@@ -727,6 +736,7 @@ func (s *Simulation) rebuildPlan(recycleBuffers bool) {
 			s.interior = append(s.interior, bd)
 		}
 	}
+	return nil
 }
 
 // Run advances the given number of steps and returns the metrics of the

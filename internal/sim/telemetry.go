@@ -47,9 +47,10 @@ type simTel struct {
 	mboxPending *telemetry.Gauge
 	mboxHigh    *telemetry.Gauge
 
-	localFloats       *telemetry.Gauge
-	localCopiesElided *telemetry.Gauge
-	localFloatsElided *telemetry.Gauge
+	localFloats        *telemetry.Gauge
+	localCopiesElided  *telemetry.Gauge
+	localFloatsElided  *telemetry.Gauge
+	remoteFloatsElided *telemetry.Gauge
 
 	fieldAllocated *telemetry.Gauge
 	fieldBlock     *telemetry.Gauge
@@ -73,9 +74,10 @@ func resolveSimTel(tr *telemetry.Tracer, reg *telemetry.Registry) simTel {
 		mboxPending: reg.Gauge("comm.mailbox_pending"),
 		mboxHigh:    reg.Gauge("comm.mailbox_high_water"),
 
-		localFloats:       reg.Gauge("sim.exchange.local_floats"),
-		localCopiesElided: reg.Gauge("sim.exchange.local_copies_elided"),
-		localFloatsElided: reg.Gauge("sim.exchange.local_floats_elided"),
+		localFloats:        reg.Gauge("sim.exchange.local_floats"),
+		localCopiesElided:  reg.Gauge("sim.exchange.local_copies_elided"),
+		localFloatsElided:  reg.Gauge("sim.exchange.local_floats_elided"),
+		remoteFloatsElided: reg.Gauge("sim.exchange.remote_floats_elided"),
 
 		fieldAllocated: reg.Gauge("sim.field.allocated_cells"),
 		fieldBlock:     reg.Gauge("sim.field.block_cells"),
@@ -100,6 +102,7 @@ func (s *Simulation) publishGauges() {
 	t.localFloats.Set(float64(es.LocalFloats))
 	t.localCopiesElided.Set(float64(es.LocalCopiesElided))
 	t.localFloatsElided.Set(float64(es.LocalFloatsElided))
+	t.remoteFloatsElided.Set(float64(es.RemoteFloatsElided))
 	allocated, block := s.FieldCells()
 	t.fieldAllocated.Set(float64(allocated))
 	t.fieldBlock.Set(float64(block))

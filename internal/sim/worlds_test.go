@@ -202,7 +202,10 @@ func TestTreeCompiledMatchesPerPair(t *testing.T) {
 // one rank, where it consists of nothing but the same-rank copies: a sparse
 // tree (49 blocks of 16^3, fluid fraction 0.05), the dense_node cavity
 // (2x2x2 blocks of 32^3) and the halo_unix box (4x4x4 periodic blocks of
-// 8^3).
+// 8^3). Its tree-2ranks row splits the tree over two ranks; a post may
+// repack a send buffer only after the peer unpacked it, so that row times
+// whole exchanges — pack, send, same-rank copies, receive, unpack — and
+// reports rank 0's remote values (sent plus received) per exchange.
 func BenchmarkPostExchange(b *testing.B) {
 	for _, w := range []struct{ name, doc string }{
 		{"tree", treeDoc(3, 0.012, 1)},
@@ -227,6 +230,31 @@ func BenchmarkPostExchange(b *testing.B) {
 			}
 		})
 	}
+	b.Run("tree-2ranks", func(b *testing.B) {
+		p := problemFor(b, treeDoc(3, 0.012, 2))
+		err := p.RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+			c.Barrier()
+			if c.Rank() == 0 {
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				if err := s.ExchangeGhostLayers(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+			if c.Rank() == 0 {
+				b.StopTimer()
+				es := s.ExchangeStats()
+				b.ReportMetric(float64(es.LocalCopies), "copies/op")
+				b.ReportMetric(float64(es.LocalFloats), "values/op")
+				b.ReportMetric(float64(es.SendFloats+es.RecvFloats), "remote-values/op")
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // treeFlagsHash folds the flag fields of every block of the smoke tree,
