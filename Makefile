@@ -18,10 +18,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# bench-test builds and tests the benchmark of record. bench/ is a module
-# of its own, so `go build ./... && go test ./...` at the root never
-# compiles it: a change to an API it reads (sim.ExchangeStats, the scenario
-# schema) or to a golden field hash only shows up here.
+# bench-test builds and tests the benchmark of record on its own. bench/
+# is a module of its own; the root `go test ./...` reaches it through
+# TestBenchModule (skipped under -short), so a change to an API it reads
+# (sim.ExchangeStats, the scenario schema, the checkpoint sets) or to a
+# golden field hash fails tier-1 too.
 bench-test:
 	cd bench && $(GO) test ./...
 
@@ -97,7 +98,6 @@ alloc-test:
 # triangle, bits, feature and color).
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
-	$(GO) test -run '^Fuzz' -fuzz FuzzReadRankFile -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadLeafFile -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/comm/

@@ -7,7 +7,8 @@
 // every front end shares (single reader, broadcast, per-rank voxelization,
 // time loop — plain, rebalanced or fault-tolerant). The run reports
 // MLUPS/MFLUPS, the field hash, recovery and roofline summaries, and
-// optionally writes VTK output, per-block PDF checkpoints and telemetry.
+// optionally writes VTK output, checkpoint sets and telemetry; -resume
+// continues from the newest usable checkpoint set.
 //
 // Usage:
 //
@@ -82,9 +83,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tau        = fs.Float64("tau", 0.6, "relaxation time")
 		inflowU    = fs.Float64("inflow", 0.02, "inflow velocity magnitude (+z)")
 		vtkDir     = fs.String("vtk", "", "write per-block VTK files into this directory")
-		ckptDir    = fs.String("checkpoint", "", "write per-block PDF checkpoints into this directory")
+		ckptDir    = fs.String("checkpoint", "", "directory of coordinated checkpoint sets: the periodic ones of -checkpoint-every and a final one at the end of the run")
 		rebalance  = fs.Int("rebalance", 0, "dynamically rebalance by measured compute time every N steps (0 = off)")
-		resumeDir  = fs.String("resume", "", "restore per-block PDF checkpoints from this directory before stepping")
+		resumeDir  = fs.String("resume", "", "restore the newest usable checkpoint set in this directory, step included, before stepping")
 
 		tracePath   = fs.String("trace", "", "write a Chrome-trace/Perfetto JSON of all ranks' phase spans to this file (load in ui.perfetto.dev or chrome://tracing)")
 		metricsJSON = fs.String("metrics-json", "", "write a merged JSON metrics snapshot (counters, gauges, histograms, roofline comparison) to this file")
@@ -98,7 +99,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		amrInterval     = fs.Int("amr-interval", 0, "coarse steps between AMR controller passes (default 4)")
 
 		checkpointEvery = fs.Int("checkpoint-every", 0, "run the fault-tolerant driver, taking a coordinated checkpoint set every N steps (0 = off)")
-		checkpointSets  = fs.String("checkpoint-sets", "checkpoint-sets", "directory for coordinated checkpoint sets (with -checkpoint-every)")
 		injectFault     = fs.String("inject-fault", "", `deterministic fault plan, e.g. "crash=1@40,hang=2@80,delay=0.01:2ms,seed=7" (delay=P:DUR stalls a message in order, on either transport); selects the fault-tolerant driver`)
 		recoverMode     = fs.String("recover-mode", "rewind", "recovery after a rank failure: rewind (disk checkpoint sets), shrink (in-memory buddy replicas, survivors adopt the dead rank's blocks) or heal (shrink, then a spare rank rejoins and the world re-grows to full size; see -spares)")
 		failTimeout     = fs.Duration("fail-timeout", 0, "declare a rank failed when its beat has been missing this long (0 = no silent-failure detection)")
@@ -148,7 +148,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		"seed":              func(sc *scn) { sc.Geometry.Seed = *seed },
 		"rebalance":         func(sc *scn) { sc.Run.RebalanceEvery = *rebalance },
 		"checkpoint-every":  func(sc *scn) { sc.Resilience.CheckpointEvery = *checkpointEvery },
-		"checkpoint-sets":   func(sc *scn) { sc.Resilience.Dir = *checkpointSets },
+		"checkpoint":        func(sc *scn) { sc.Resilience.Dir = *ckptDir },
 		"recover-mode":      func(sc *scn) { sc.Resilience.Mode = *recoverMode },
 		"fail-timeout":      func(sc *scn) { sc.Resilience.FailTimeout = scenario.Duration(*failTimeout) },
 		"max-failures":      func(sc *scn) { sc.Resilience.MaxFailures = maxFailures },
@@ -220,7 +220,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		w.Resilience = &rc
 	}
 	if sc.AMR() {
-		if err := reject("does not apply to a refined scenario (uniform block files and the uniform roofline model)", "resume", "checkpoint", "machine"); err != nil {
+		if err := reject("does not apply to a refined scenario (the uniform runtime's restore hook and roofline model)", "resume", "machine"); err != nil {
 			return err
 		}
 		cfg, err := sc.AMRConfig()
@@ -231,7 +231,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if w.Resilience == nil {
 		if err := reject("needs the fault-tolerant driver (-checkpoint-every or -inject-fault)",
-			"spares", "recover-mode", "max-failures", "checkpoint-sets"); err != nil {
+			"spares", "recover-mode", "max-failures"); err != nil {
 			return err
 		}
 	}
@@ -269,31 +269,37 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	// What only the command line does to a rank: restore per-block
-	// checkpoints before the first step, and after the last one write them
-	// and compare rank 0 against the machine model.
-	blockFile := func(dir string, bd *sim.BlockData) string {
-		c := bd.Block.Coord
-		return filepath.Join(dir, fmt.Sprintf("block_%d_%d_%d.wbc", c[0], c[1], c[2]))
-	}
-	if *resumeDir != "" {
+	// What only the command line does to a rank: restore the newest usable
+	// checkpoint set before the first step; after the last one write the
+	// final set and compare rank 0 against the machine model.
+	if dir := *resumeDir; dir != "" {
 		w.Prepare = func(s *sim.Simulation) error {
-			for _, bd := range s.Blocks {
-				fh, err := os.Open(blockFile(*resumeDir, bd))
-				if err != nil {
-					continue // no checkpoint for this block: keep the initial state
-				}
-				err = output.RestorePDF(fh, bd.Src)
-				fh.Close()
-				if err != nil {
-					return err
-				}
+			step, err := s.RestoreLatestCheckpointSet(dir)
+			if err != nil || step > 0 {
+				return err
 			}
-			return nil
+			// Without a usable set the restore rewound to the initial state,
+			// which is what a set at step 0 holds: only such a set counts.
+			if m, err := output.ValidateSetDir(filepath.Join(dir, output.SetDirName(0))); err == nil && int(m.Ranks) == s.Comm.Size() {
+				return nil
+			}
+			return fmt.Errorf("-resume: no usable checkpoint set for %d ranks in %s", s.Comm.Size(), dir)
 		}
 	}
+	setDir := sc.Resilience.Dir
 	var lead *sim.Simulation // whoever holds rank 0 at the end
 	out, err := p.Execute(ctx, w, func(r *core.Rank) error {
+		if setDir != "" {
+			var err error
+			if r.Refined != nil {
+				_, err = r.Refined.WriteCheckpointSet(setDir, r.Refined.Steps())
+			} else {
+				_, err = r.Sim.WriteCheckpointSet(setDir, r.Sim.WorldStep())
+			}
+			if err != nil {
+				return err
+			}
+		}
 		s := r.Sim
 		if s == nil {
 			return nil // refined world: Execute's hash, levels and VTK are all there is
@@ -304,17 +310,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		s.RooflineReport(machine()).Publish(s.Config.Metrics)
 		if s.Comm.Rank() == 0 {
 			lead = s
-		}
-		if *ckptDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return err
-		}
-		for _, bd := range s.Blocks {
-			if err := writeFile(blockFile(*ckptDir, bd), func(f *os.File) error { return output.SaveCheckpoint(f, bd.Src) }); err != nil {
-				return err
-			}
 		}
 		return nil
 	})

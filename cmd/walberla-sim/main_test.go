@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"walberla/internal/output"
 	"walberla/internal/setup"
 	"walberla/internal/vascular"
 )
@@ -82,6 +84,67 @@ func TestFlagsMergeIntoScenario(t *testing.T) {
 	}
 }
 
+// fieldHash runs the command and returns the field hash it printed.
+func fieldHash(t *testing.T, args string) string {
+	t.Helper()
+	out, err := cli(t, strings.Fields(args)...)
+	if err != nil {
+		t.Fatalf("%s: %v", args, err)
+	}
+	m := hashLine.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("%s: no field hash in\n%s", args, out)
+	}
+	return m[1]
+}
+
+// TestCheckpointSetsAcrossRecovery: the final set is named after the step
+// its fields are at, also when recovery fell back to the initial state; a
+// set written after the block ownership changed (a rebalance, a shrink)
+// resumes on the fresh distribution; a resumed fault-tolerant run is
+// protected from its first step, and its recruited spare runs to the
+// resumed end step.
+func TestCheckpointSetsAcrossRecovery(t *testing.T) {
+	dir := t.TempDir()
+	sets := func(name string) string { return filepath.Join(dir, name) }
+	base := "-tree -dx 0.02 -cells 8 "
+
+	// The crash comes before the first periodic set: rewind replays from
+	// the initial state, and simulated time restarts with it.
+	if h := fieldHash(t, base+"-ranks 2 -steps 20 -checkpoint-every 5 -inject-fault crash=1@3 -checkpoint "+sets("early")); h != treeHash {
+		t.Errorf("rewind to the initial state: hash %s, want %s", h, treeHash)
+	}
+	if got := output.ListValidSets(sets("early")); !slices.Equal(got, []int64{20, 15, 10, 5}) {
+		t.Errorf("rewind to the initial state left sets %v, want [20 15 10 5]", got)
+	}
+
+	for _, tc := range []struct{ name, first, resume string }{
+		{"plain", "-ranks 2", "-ranks 2 -checkpoint-every 4 -recover-mode shrink -inject-fault crash=1@11"},
+		{"rebalanced", "-ranks 2 -rebalance 3", "-ranks 2"},
+		{"shrunk", "-ranks 3 -checkpoint-every 4 -recover-mode shrink -inject-fault crash=1@7", "-ranks 2"},
+	} {
+		ckpt := sets(tc.name)
+		fieldHash(t, base+tc.first+" -steps 10 -checkpoint "+ckpt)
+		if h := fieldHash(t, base+tc.resume+" -steps 10 -resume "+ckpt); h != treeHash {
+			t.Errorf("%s: 10 steps, then %s -resume: hash %s, want the 20-step %s", tc.name, tc.resume, h, treeHash)
+		}
+	}
+
+	path := writeScenario(t, healScenario)
+	want := fieldHash(t, "-scenario "+path+" -steps 15")
+	fieldHash(t, "-scenario "+path+" -steps 5 -checkpoint "+sets("heal"))
+	out, err := cli(t, strings.Fields("-scenario "+path+" -resume "+sets("heal")+" -checkpoint "+sets("heal")+" -inject-fault crash=1@7")...)
+	if err != nil {
+		t.Fatalf("resumed heal run: %v\n%s", err, out)
+	}
+	if m := hashLine.FindStringSubmatch(out); m == nil || m[1] != want || !strings.Contains(out, "failures=1") {
+		t.Errorf("resumed heal run: hash %v, want %s after one failure\n%s", m, want, out)
+	}
+	if got := output.ListValidSets(sets("heal")); !slices.Equal(got, []int64{15, 10, 5}) {
+		t.Errorf("resumed heal run left sets %v, want [15 10 5]", got)
+	}
+}
+
 // TestFlagsAndScenarioAreOnePath runs every stepping mode from flags
 // alone and from the equivalent scenario file with the mode's flags on
 // top: same launcher, same hash — the fault-free one, whatever happened.
@@ -94,10 +157,10 @@ func TestFlagsAndScenarioAreOnePath(t *testing.T) {
 		{"plain", func(string) string { return "" }},
 		{"rebalanced", func(string) string { return "-rebalance 5" }},
 		{"rewind after a crash", func(dir string) string {
-			return "-checkpoint-every 5 -inject-fault crash=1@12 -checkpoint-sets " + dir
+			return "-checkpoint-every 5 -inject-fault crash=1@12 -checkpoint " + dir
 		}},
 		{"heal after a crash", func(dir string) string {
-			return "-spares 1 -recover-mode heal -checkpoint-every 5 -inject-fault crash=1@12 -checkpoint-sets " + dir
+			return "-spares 1 -recover-mode heal -checkpoint-every 5 -inject-fault crash=1@12 -checkpoint " + dir
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,13 +184,15 @@ func TestFlagsAndScenarioAreOnePath(t *testing.T) {
 // is an error naming it — from run, not from a rank calling os.Exit.
 func TestRejectsByName(t *testing.T) {
 	path := writeScenario(t, healScenario)
+	empty := t.TempDir()
 	for _, tc := range []struct {
 		args, want string
 	}{
 		{"-scenario " + path + " -tree", "-tree cannot be combined with -scenario"},
 		{"-scenario " + path + " -recover-mode shrink -spares 1", `parallel.spares needs resilience.mode "heal"`},
 		{"-scenario " + path + " -inject-fault crash=3@4", "crash rank 3 outside world of size 3"},
-		{"-scenario ../../internal/scenario/testdata/amr-cavity.json -checkpoint out", "-checkpoint does not apply to a refined scenario"},
+		{"-scenario ../../internal/scenario/testdata/amr-cavity.json -resume out", "-resume does not apply to a refined scenario"},
+		{treeFlags + " -resume " + empty, "no usable checkpoint set for 2 ranks in " + empty},
 		{treeFlags + " -recover-mode shrink", "-recover-mode needs the fault-tolerant driver"},
 		{treeFlags + " -heartbeat 5ms", "heartbeat need network unix or tcp"},
 		{treeFlags + " -amr-max-level 2", "refinement does not support the tree example"},
@@ -144,34 +209,46 @@ func TestRejectsByName(t *testing.T) {
 	}
 }
 
-// TestBlocksFileAndPerBlockCheckpoints drives the flags only the command
-// line has: a -blocks file fixes the spacing, -checkpoint then -resume
-// continue a run bit-identically.
-func TestBlocksFileAndPerBlockCheckpoints(t *testing.T) {
+// TestBlocksFileAndCheckpointSets drives the flags only the command line
+// has: a -blocks file fixes the spacing, -checkpoint then -resume continue
+// a run bit-identically through checkpoint sets — plainly, and under the
+// fault-tolerant driver, whose periodic sets and fault schedule then count
+// from the restored step — and a -resume that finds no set for its rank
+// count fails. A refined scenario writes its final set too.
+func TestBlocksFileAndCheckpointSets(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ckpt")
-	hash := func(args string) string {
-		t.Helper()
-		out, err := cli(t, strings.Fields(args)...)
-		if err != nil {
-			t.Fatalf("%s: %v", args, err)
-		}
-		m := hashLine.FindStringSubmatch(out)
-		if m == nil {
-			t.Fatalf("%s: no field hash in\n%s", args, out)
-		}
-		return m[1]
-	}
+	hash := func(args string) string { t.Helper(); return fieldHash(t, args) }
 	base := "-tree -dx 0.02 -cells 8 -ranks 2 "
 	first := hash(base + "-steps 10 -checkpoint " + ckpt + " -vtk " + filepath.Join(dir, "vtk"))
 	whole := hash(base + "-steps 20")
 	if resumed := hash(base + "-steps 10 -resume " + ckpt); resumed != whole || resumed == first {
 		t.Errorf("10 steps + 10 resumed steps hash %s, 20 steps %s, 10 steps %s", resumed, whole, first)
 	}
-	for _, pattern := range []string{"ckpt/block_*.wbc", "vtk/block_*.vtk"} {
-		if files, _ := filepath.Glob(filepath.Join(dir, pattern)); len(files) == 0 {
-			t.Errorf("no %s written", pattern)
-		}
+	if _, err := output.ValidateSetDir(filepath.Join(ckpt, output.SetDirName(10))); err != nil {
+		t.Errorf("final set: %v", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "vtk/block_*.vtk")); len(files) == 0 {
+		t.Error("no VTK files written")
+	}
+	again := filepath.Join(dir, "again")
+	if resumed := hash(base + "-steps 10 -resume " + ckpt + " -checkpoint-every 4 -checkpoint " + again + " -inject-fault crash=1@13"); resumed != whole {
+		t.Errorf("resilient resume with a crash hash %s, 20 steps %s", resumed, whole)
+	}
+	// The restored step is a protection barrier too: its set lands beside
+	// the periodic ones.
+	if got := output.ListValidSets(again); !slices.Equal(got, []int64{20, 16, 12, 10}) {
+		t.Errorf("resumed resilient run left sets %v, want [20 16 12 10]", got)
+	}
+	if out, err := cli(t, strings.Fields("-tree -dx 0.02 -cells 8 -ranks 3 -steps 1 -resume "+ckpt)...); err == nil || !strings.Contains(err.Error(), "no usable checkpoint set for 3 ranks in "+ckpt) {
+		t.Errorf("-resume of a 2-rank set on 3 ranks: error %v\n%s", err, out)
+	}
+	refined := filepath.Join(dir, "refined")
+	if out, err := cli(t, "-scenario", "../../internal/scenario/testdata/amr-cavity.json", "-steps", "2", "-checkpoint", refined); err != nil {
+		t.Fatalf("refined run with -checkpoint: %v\n%s", err, out)
+	}
+	if got := output.ListValidSets(refined); !slices.Equal(got, []int64{2}) {
+		t.Errorf("refined run left sets %v, want [2]", got)
 	}
 	if whole != treeHash {
 		t.Errorf("tree-depth and seed defaults changed the run: hash %s, want %s", whole, treeHash)

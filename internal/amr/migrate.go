@@ -168,7 +168,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		if !ok {
 			return fmt.Errorf("amr: migration recv from rank %d: unexpected %T", r, data)
 		}
-		snaps, _, err := output.ReadLeafFileStored(bytes.NewReader(raw), s.cfg.Stencil)
+		snaps, _, err := output.ReadLeafFile(bytes.NewReader(raw), s.cfg.Stencil)
 		if err != nil {
 			return fmt.Errorf("amr: decoding migration payload from rank %d: %w", r, err)
 		}

@@ -79,17 +79,7 @@ func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
 func (w world) Snapshot(reuse resilience.State) resilience.State {
 	old, _ := reuse.([]output.LeafSnapshot)
 	snaps := w.leafSnapshots()
-	for i := range snaps {
-		sn := &snaps[i]
-		src, dst := sn.Src, sn.Dst
-		if i < len(old) && old[i].Src.SameShape(sn.Src) {
-			sn.Src, sn.Dst = old[i].Src, old[i].Dst
-		} else {
-			sn.Src, sn.Dst = src.CopyShape(), dst.CopyShape()
-		}
-		copy(sn.Src.Data(), src.Data())
-		copy(sn.Dst.Data(), dst.Data())
-	}
+	output.CopyLeaves(snaps, old)
 	return snaps
 }
 
@@ -102,7 +92,7 @@ func (w world) Encode(out io.Writer) (int64, uint32, error) {
 func (w world) Meta() ([]byte, error) { return nil, nil }
 
 func (w world) Decode(r io.Reader, _ []byte) (resilience.State, uint32, error) {
-	snaps, crc, err := output.ReadLeafFileStored(r, w.cfg.Stencil)
+	snaps, crc, err := output.ReadLeafFile(r, w.cfg.Stencil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -117,8 +107,10 @@ func (w world) Decode(r io.Reader, _ []byte) (resilience.State, uint32, error) {
 	return snaps, crc, nil
 }
 
-// Owns accepts any rank file: Install replaces the topology.
-func (w world) Owns(resilience.State) error { return nil }
+// Own takes this rank's file as is: Install replaces the topology.
+func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.State, error) {
+	return read(w.Comm().Rank())
+}
 
 func (w world) Reset() error {
 	w.step = 0

@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/field"
 	"walberla/internal/output"
 	"walberla/internal/resilience"
+	"walberla/internal/sim"
 )
 
 // TestCheckpointRestoreRoundTrip: a mixed-level world checkpointed
@@ -231,51 +233,105 @@ func TestShrinkRecoveryZeroDiskReads(t *testing.T) {
 	}
 }
 
-// TestCheckpointSetBytesAreTheCodecs pins the bytes of a refined
-// generation: a rank file of a set is exactly output.WriteLeafFile of the
-// rank's leaves, the same stream a replica payload carries (with no side
-// band), so sets written before and after the recovery driver moved out
-// of this package restore each other.
+// TestCheckpointSetBytesAreTheCodecs pins the bytes of a generation of
+// both runtimes: a set's rank file is exactly output.WriteLeafFile of the
+// rank's blocks — a uniform block as the level-0 leaf of its root — and
+// its manifest exactly output.WriteManifest of the gathered sizes and
+// CRCs. A refined replica payload is that same stream, with no side band.
 func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
-	dir := t.TempDir()
-	comm.Run(2, func(c *comm.Comm) {
-		s, err := New(c, baseConfig(1, field.SoA))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := s.Run(3); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := s.WriteCheckpointSet(dir, 3); err != nil {
-			t.Error(err)
-			return
-		}
-		var snaps []output.LeafSnapshot
-		for _, b := range s.OwnedBlocks() {
-			snaps = append(snaps, output.LeafSnapshot{Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level, Coord: b.Coord, Src: b.Src, Dst: b.Dst})
-		}
-		var want, payload bytes.Buffer
-		size, crc, err := output.WriteLeafFile(&want, snaps)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		setDir := filepath.Join(dir, output.SetDirName(3))
-		got, err := os.ReadFile(filepath.Join(setDir, output.RankFileName(c.Rank())))
-		if err != nil || !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("rank %d: rank file differs from output.WriteLeafFile (%d vs %d bytes, err %v)", c.Rank(), len(got), want.Len(), err)
-		}
-		m, err := output.ValidateSetDir(setDir)
-		if err != nil || int(m.Ranks) != 2 || m.Step != 3 || m.Entries[c.Rank()].Size != size || m.Entries[c.Rank()].CRC != crc {
-			t.Errorf("rank %d: manifest %+v does not list the file (size %d, CRC %08x, err %v)", c.Rank(), m, size, crc, err)
-		}
-		if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
-			t.Errorf("rank %d: replica payload differs from the rank file (err %v)", c.Rank(), err)
-		}
-		if meta, err := (world{s}).Meta(); err != nil || meta != nil {
-			t.Errorf("rank %d: a refined replica carries a side band (%d bytes, err %v)", c.Rank(), len(meta), err)
-		}
-	})
+	cfg := baseConfig(1, field.SoA)
+	type runtime interface {
+		WriteCheckpointSet(dir string, step int) (int64, error)
+	}
+	for _, tc := range []struct {
+		name string
+		// build returns the runtime on c after three steps and the records
+		// of its blocks.
+		build func(c *comm.Comm) (runtime, []output.LeafSnapshot, error)
+	}{
+		{"uniform", func(c *comm.Comm) (runtime, []output.LeafSnapshot, error) {
+			var in *blockforest.SetupForest
+			if c.Rank() == 0 {
+				in = blockforest.NewSetupForest(blockforest.NewAABB([3]float64{}, [3]float64{4, 2, 2}), cfg.Grid, cfg.Cells, cfg.Periodic)
+				in.BalanceMorton(c.Size())
+			}
+			forest, err := blockforest.Distribute(c, in)
+			if err != nil {
+				return nil, nil, err
+			}
+			s, err := sim.New(c, forest, cfg.simConfig())
+			if err != nil {
+				return nil, nil, err
+			}
+			_, err = s.Run(3)
+			var recs []output.LeafSnapshot
+			for _, bd := range s.Blocks {
+				recs = append(recs, output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst})
+			}
+			return s, recs, err
+		}},
+		{"refined", func(c *comm.Comm) (runtime, []output.LeafSnapshot, error) {
+			s, err := New(c, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			err = s.Run(3)
+			var recs []output.LeafSnapshot
+			for _, b := range s.OwnedBlocks() {
+				recs = append(recs, output.LeafSnapshot{Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level, Coord: b.Coord, Src: b.Src, Dst: b.Dst})
+			}
+			return s, recs, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var mu sync.Mutex
+			manifest := &output.SetManifest{Step: 3, Ranks: 2, Entries: make([]output.ManifestEntry, 2)}
+			comm.Run(2, func(c *comm.Comm) {
+				rt, recs, err := tc.build(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := rt.WriteCheckpointSet(dir, 3); err != nil {
+					t.Error(err)
+					return
+				}
+				var want bytes.Buffer
+				size, crc, err := output.WriteLeafFile(&want, recs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				name := output.RankFileName(c.Rank())
+				got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), name))
+				if err != nil || !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("rank %d: rank file differs from output.WriteLeafFile (%d vs %d bytes, err %v)", c.Rank(), len(got), want.Len(), err)
+				}
+				mu.Lock()
+				manifest.Entries[c.Rank()] = output.ManifestEntry{Name: name, Size: size, CRC: crc}
+				mu.Unlock()
+				if s, ok := rt.(*Sim); ok {
+					var payload bytes.Buffer
+					if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
+						t.Errorf("rank %d: replica payload differs from the rank file (err %v)", c.Rank(), err)
+					}
+					if meta, err := (world{s}).Meta(); err != nil || meta != nil {
+						t.Errorf("rank %d: a refined replica carries a side band (%d bytes, err %v)", c.Rank(), len(meta), err)
+					}
+				}
+			})
+			if t.Failed() {
+				t.FailNow()
+			}
+			var want bytes.Buffer
+			if err := output.WriteManifest(&want, manifest); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), output.ManifestName))
+			if err != nil || !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("manifest differs from output.WriteManifest (err %v)", err)
+			}
+		})
+	}
 }

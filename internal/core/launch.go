@@ -33,9 +33,9 @@ type World struct {
 	// Refined, if non-nil, builds the refined runtime (internal/amr) on
 	// every rank instead of distributing a uniform forest.
 	Refined *amr.Config
-	// Prepare, if non-nil, runs on every active rank between sim.New and
-	// the first step (restoring a checkpoint, say). It must not
-	// communicate.
+	// Prepare, if non-nil, runs collectively on every active rank between
+	// sim.New and the first step (restoring a checkpoint set, say); an
+	// error on any rank ends the launch before the time loop.
 	Prepare func(s *sim.Simulation) error
 
 	// Steps is the length of the run; RebalanceEvery > 0 rebalances blocks

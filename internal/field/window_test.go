@@ -287,7 +287,7 @@ func TestWindowConvertAndCopyFrom(t *testing.T) {
 
 // TestWindowCheckpointRoundTrip: the codecs stay dense-canonical. A
 // windowed field encodes to the very bytes of its whole-block twin — alone
-// (WBC2) and inside a rank file (WBK1) — and restoring the file into a
+// (WBC2) and inside a rank file (WBK2) — and restoring the file into a
 // fresh windowed field reproduces it.
 func TestWindowCheckpointRoundTrip(t *testing.T) {
 	forEachWindowCase(t, func(t *testing.T, st *lattice.Stencil, layout field.Layout, w field.Window) {
@@ -307,22 +307,24 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 		}
 		fresh := win.CopyShape()
 		fresh.FillEquilibrium(1.03, 0.02, -0.01, 0.03)
-		if err := output.RestorePDF(bytes.NewReader(gotFile.Bytes()), fresh); err != nil {
+		loaded, err := output.LoadCheckpoint(bytes.NewReader(gotFile.Bytes()), st)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkTwin(t, "RestorePDF", fresh, full)
+		fresh.CopyFrom(loaded)
+		checkTwin(t, "LoadCheckpoint", fresh, full)
 
 		var gotRank, wantRank bytes.Buffer
-		if _, _, err := output.WriteRankFile(&gotRank, []output.BlockSnapshot{{Coord: [3]int{1, 2, 3}, Src: win, Dst: win}}); err != nil {
+		if _, _, err := output.WriteLeafFile(&gotRank, []output.LeafSnapshot{{Coord: [3]int{1, 2, 3}, Src: win, Dst: win}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := output.WriteRankFile(&wantRank, []output.BlockSnapshot{{Coord: [3]int{1, 2, 3}, Src: full, Dst: full}}); err != nil {
+		if _, _, err := output.WriteLeafFile(&wantRank, []output.LeafSnapshot{{Coord: [3]int{1, 2, 3}, Src: full, Dst: full}}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotRank.Bytes(), wantRank.Bytes()) {
 			t.Fatal("rank files of the windowed field and its twin differ")
 		}
-		snaps, _, err := output.ReadRankFileStored(bytes.NewReader(gotRank.Bytes()), st)
+		snaps, _, err := output.ReadLeafFile(bytes.NewReader(gotRank.Bytes()), st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,24 +154,13 @@ func (c *crcReader) Read(p []byte) (int, error) {
 }
 
 // LoadCheckpoint restores a PDF field saved by SaveCheckpoint, verifying
-// the CRC32C trailer. The stencil must match the saved Q; the restored
-// field uses the requested layout regardless of the layout at save time.
-// Structural problems (bad magic, implausible header, truncation, CRC
-// mismatch) return a typed *CorruptError before any large allocation.
-func LoadCheckpoint(r io.Reader, s *lattice.Stencil, layout field.Layout) (*field.PDFField, error) {
-	return loadCheckpoint(r, s, layout, false)
-}
-
-// LoadCheckpointStored restores a PDF field in the layout recorded in the
-// checkpoint header. The wire format is layout-independent; this variant
-// merely picks the in-memory representation the writer used, which lets a
-// reader reconstruct a mixed-layout rank without knowing the per-block
-// kernel choices in advance.
-func LoadCheckpointStored(r io.Reader, s *lattice.Stencil) (*field.PDFField, error) {
-	return loadCheckpoint(r, s, field.AoS, true)
-}
-
-func loadCheckpoint(r io.Reader, s *lattice.Stencil, layout field.Layout, useStored bool) (*field.PDFField, error) {
+// the CRC32C trailer. The stencil must match the saved Q; the field comes
+// back in the layout recorded in the header — the wire format is
+// layout-independent, and a reader wanting another layout (or allocation
+// rows) CopyFroms into its own field. Structural problems (bad magic,
+// implausible header, truncation, CRC mismatch) return a typed
+// *CorruptError before any large allocation.
+func LoadCheckpoint(r io.Reader, s *lattice.Stencil) (*field.PDFField, error) {
 	br := bufio.NewReader(r)
 	cr := newCRCReader(br)
 	magic := make([]byte, 4)
@@ -212,10 +201,7 @@ func loadCheckpoint(r io.Reader, s *lattice.Stencil, layout field.Layout, useSto
 	if hdr[5] != uint32(field.AoS) && hdr[5] != uint32(field.SoA) {
 		return nil, corruptf(checkpointMagic, "unknown layout %d", hdr[5])
 	}
-	if useStored {
-		layout = field.Layout(hdr[5])
-	}
-	f := field.NewPDFField(s, int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[4]), layout)
+	f := field.NewPDFField(s, int(hdr[1]), int(hdr[2]), int(hdr[3]), int(hdr[4]), field.Layout(hdr[5]))
 	// Decode one padded row of the canonical wire order at a time: a
 	// straight copy into AoS storage, a scatter into the by-direction
 	// arrays for SoA — either way without a layout round-trip.
@@ -255,84 +241,6 @@ func loadCheckpoint(r io.Reader, s *lattice.Stencil, layout field.Layout, useSto
 	}
 	if got != want {
 		return nil, corruptf(checkpointMagic, "CRC mismatch: stored %08x, computed %08x", got, want)
-	}
-	return f, nil
-}
-
-// RestorePDF loads a checkpoint into an existing field, validating that
-// shapes match — the in-place variant used for simulation restarts where
-// the fields are already allocated by the setup pipeline. Checkpoints
-// describe the whole ghosted block; the cells of f's allocation rows are
-// restored, the rest of the file is ignored.
-func RestorePDF(r io.Reader, f *field.PDFField) error {
-	g, err := LoadCheckpoint(r, f.Stencil, f.Layout)
-	if err != nil {
-		return err
-	}
-	if g.Nx != f.Nx || g.Ny != f.Ny || g.Nz != f.Nz || g.Ghost != f.Ghost {
-		return fmt.Errorf("output: checkpoint shape %dx%dx%d (ghost %d) does not match field %dx%dx%d (ghost %d)",
-			g.Nx, g.Ny, g.Nz, g.Ghost, f.Nx, f.Ny, f.Nz, f.Ghost)
-	}
-	f.CopyFrom(g)
-	return nil
-}
-
-// SaveFlags writes a flag field snapshot (same canonical order).
-func SaveFlags(w io.Writer, f *field.FlagField) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("WBF1") // flags checkpoint shares the minimal header style
-	hdr := []uint32{uint32(f.Nx), uint32(f.Ny), uint32(f.Nz), uint32(f.Ghost)}
-	for _, v := range hdr {
-		binary.Write(bw, binary.LittleEndian, v)
-	}
-	g := f.Ghost
-	for z := -g; z < f.Nz+g; z++ {
-		for y := -g; y < f.Ny+g; y++ {
-			for x := -g; x < f.Nx+g; x++ {
-				bw.WriteByte(byte(f.Get(x, y, z)))
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// LoadFlags restores a flag field saved by SaveFlags.
-func LoadFlags(r io.Reader) (*field.FlagField, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != "WBF1" {
-		return nil, fmt.Errorf("output: bad flags magic %q", magic)
-	}
-	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
-		}
-	}
-	const maxExtent = 1 << 16
-	if hdr[0] == 0 || hdr[1] == 0 || hdr[2] == 0 ||
-		hdr[0] > maxExtent || hdr[1] > maxExtent || hdr[2] > maxExtent || hdr[3] > 8 {
-		return nil, corruptf("WBF1", "implausible header %v", hdr)
-	}
-	g64 := int64(hdr[3])
-	if cells := (int64(hdr[0]) + 2*g64) * (int64(hdr[1]) + 2*g64) * (int64(hdr[2]) + 2*g64); cells > maxCheckpointBytes {
-		return nil, corruptf("WBF1", "header %v implies %d cells (limit %d)", hdr, cells, int64(maxCheckpointBytes))
-	}
-	f := field.NewFlagField(int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3]))
-	g := f.Ghost
-	buf := make([]byte, 1)
-	for z := -g; z < f.Nz+g; z++ {
-		for y := -g; y < f.Ny+g; y++ {
-			for x := -g; x < f.Nx+g; x++ {
-				if _, err := io.ReadFull(br, buf); err != nil {
-					return nil, err
-				}
-				f.Set(x, y, z, field.CellType(buf[0]))
-			}
-		}
 	}
 	return f, nil
 }

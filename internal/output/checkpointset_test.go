@@ -2,7 +2,6 @@ package output
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +10,7 @@ import (
 	"walberla/internal/lattice"
 )
 
-func testSnapshot(t *testing.T, s *lattice.Stencil, coord [3]int, seed float64) BlockSnapshot {
+func testSnapshot(t *testing.T, s *lattice.Stencil, coord [3]int, seed float64) LeafSnapshot {
 	t.Helper()
 	mk := func(off float64) *field.PDFField {
 		f := field.NewPDFField(s, 3, 2, 2, 1, field.SoA)
@@ -21,17 +20,17 @@ func testSnapshot(t *testing.T, s *lattice.Stencil, coord [3]int, seed float64) 
 		}
 		return f
 	}
-	return BlockSnapshot{Coord: coord, Src: mk(0), Dst: mk(1000)}
+	return LeafSnapshot{Coord: coord, Src: mk(0), Dst: mk(1000)}
 }
 
-func writeTestSet(t *testing.T, root string, step int, blocks []BlockSnapshot) string {
+func writeTestSet(t *testing.T, root string, step int, blocks []LeafSnapshot) string {
 	t.Helper()
 	dir := filepath.Join(root, SetDirName(step))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	size, crc, err := WriteRankFile(&buf, blocks)
+	size, crc, err := WriteLeafFile(&buf, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,92 +49,6 @@ func writeTestSet(t *testing.T, root string, step int, blocks []BlockSnapshot) s
 		t.Fatal(err)
 	}
 	return dir
-}
-
-func TestRankFileRoundTrip(t *testing.T) {
-	s := lattice.D3Q19()
-	blocks := []BlockSnapshot{
-		testSnapshot(t, s, [3]int{0, 0, 0}, 1),
-		testSnapshot(t, s, [3]int{1, 0, 2}, 2),
-		testSnapshot(t, s, [3]int{-1, 3, 0}, 3),
-	}
-	var buf bytes.Buffer
-	size, crc, err := WriteRankFile(&buf, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != int64(buf.Len()) {
-		t.Fatalf("reported size %d, wrote %d bytes", size, buf.Len())
-	}
-	got, gotCRC, err := ReadRankFile(bytes.NewReader(buf.Bytes()), s, field.AoS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotCRC != crc {
-		t.Fatalf("read CRC %08x, write CRC %08x", gotCRC, crc)
-	}
-	if len(got) != len(blocks) {
-		t.Fatalf("got %d blocks, want %d", len(got), len(blocks))
-	}
-	for i, b := range got {
-		if b.Coord != blocks[i].Coord {
-			t.Fatalf("block %d coord %v, want %v", i, b.Coord, blocks[i].Coord)
-		}
-		for fi, pair := range [][2]*field.PDFField{{b.Src, blocks[i].Src}, {b.Dst, blocks[i].Dst}} {
-			g, w := pair[0], pair[1]
-			if g.Nx != w.Nx || g.Ny != w.Ny || g.Nz != w.Nz || g.Ghost != w.Ghost {
-				t.Fatalf("block %d field %d: shape mismatch", i, fi)
-			}
-			gl := g.Ghost
-			for z := -gl; z < g.Nz+gl; z++ {
-				for y := -gl; y < g.Ny+gl; y++ {
-					for x := -gl; x < g.Nx+gl; x++ {
-						for a := 0; a < s.Q; a++ {
-							gv := g.Get(x, y, z, lattice.Direction(a))
-							wv := w.Get(x, y, z, lattice.Direction(a))
-							if gv != wv {
-								t.Fatalf("block %d field %d (%d,%d,%d,%d): got %v want %v",
-									i, fi, x, y, z, a, gv, wv)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRankFileDetectsBitFlips(t *testing.T) {
-	s := lattice.D3Q19()
-	var buf bytes.Buffer
-	if _, _, err := WriteRankFile(&buf, []BlockSnapshot{testSnapshot(t, s, [3]int{0, 0, 0}, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Flip one bit at several offsets spread over the record (coords,
-	// payload, record CRC); every flip must surface as a typed error.
-	for _, off := range []int{9, 40, 200, len(raw) / 2, len(raw) - 3} {
-		mut := append([]byte(nil), raw...)
-		mut[off] ^= 0x10
-		_, _, err := ReadRankFile(bytes.NewReader(mut), s, field.SoA)
-		if err == nil {
-			t.Fatalf("bit flip at offset %d went undetected", off)
-		}
-		var ce *CorruptError
-		if !errors.As(err, &ce) {
-			t.Fatalf("bit flip at offset %d: error %v is not a *CorruptError", off, err)
-		}
-	}
-}
-
-func TestRankFileRejectsGarbageWithoutAllocating(t *testing.T) {
-	s := lattice.D3Q19()
-	// Claims 2^31 blocks in an 8-byte file: must be rejected by the
-	// plausibility bound, not attempted.
-	garbage := append([]byte(rankFileMagic), 0, 0, 0, 0x80)
-	if _, _, err := ReadRankFile(bytes.NewReader(garbage), s, field.SoA); err == nil {
-		t.Fatal("implausible block count accepted")
-	}
 }
 
 func TestManifestRoundTripAndCorruption(t *testing.T) {
@@ -172,7 +85,7 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 func TestListValidSetsOrderingAndSkipping(t *testing.T) {
 	s := lattice.D3Q19()
 	root := t.TempDir()
-	blocks := []BlockSnapshot{testSnapshot(t, s, [3]int{0, 0, 0}, 1)}
+	blocks := []LeafSnapshot{testSnapshot(t, s, [3]int{0, 0, 0}, 1)}
 	writeTestSet(t, root, 10, blocks)
 	writeTestSet(t, root, 40, blocks)
 	dir20 := writeTestSet(t, root, 20, blocks)

@@ -14,7 +14,7 @@ import (
 // return an error, never panic and never allocate proportionally to an
 // unvalidated header. Run the full fuzzer with e.g.
 //
-//	go test -fuzz FuzzReadRankFile -fuzztime 30s ./internal/output/
+//	go test -fuzz FuzzReadLeafFile -fuzztime 30s ./internal/output/
 //
 // The seed corpus below (valid encodings plus systematic corruptions) also
 // runs as ordinary tests, which is the smoke mode `make verify` uses.
@@ -33,16 +33,20 @@ func validManifestBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// validRankFileBytes encodes a one-block rank file with both PDF fields.
-func validRankFileBytes(t testing.TB) []byte {
+// validUniformFileBytes encodes the rank file of a uniform world: two
+// blocks, each a level-0 leaf of its own root.
+func validUniformFileBytes(t testing.TB) []byte {
 	t.Helper()
 	src := field.NewPDFField(lattice.D3Q19(), 2, 2, 2, 1, field.SoA)
 	src.FillEquilibrium(1.0, 0.01, 0, 0)
 	dst := src.CopyShape()
 	dst.FillEquilibrium(1.0, 0, 0.01, 0)
 	var buf bytes.Buffer
-	if _, _, err := WriteRankFile(&buf, []BlockSnapshot{{Coord: [3]int{1, 2, 3}, Src: src, Dst: dst}}); err != nil {
-		t.Fatalf("WriteRankFile: %v", err)
+	if _, _, err := WriteLeafFile(&buf, []LeafSnapshot{
+		{Tree: 5, Coord: [3]int{1, 2, 3}, Src: src, Dst: dst},
+		{Tree: 6, Coord: [3]int{2, 2, 3}, Src: dst, Dst: src},
+	}); err != nil {
+		t.Fatalf("WriteLeafFile: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -101,29 +105,9 @@ func FuzzReadManifest(f *testing.F) {
 	})
 }
 
-func FuzzReadRankFile(f *testing.F) {
-	valid := validRankFileBytes(f)
-	f.Add(valid)
-	for _, c := range corruptions(valid) {
-		f.Add(c)
-	}
-	f.Add([]byte(rankFileMagic))
-	f.Add(validLeafFileBytes(f)) // the sibling codec's bytes through the shared loop
-	f.Fuzz(func(t *testing.T, data []byte) {
-		blocks, _, err := ReadRankFile(bytes.NewReader(data), lattice.D3Q19(), field.SoA)
-		if err != nil {
-			return // any error is acceptable; panics are not
-		}
-		for _, b := range blocks {
-			if b.Src == nil || b.Dst == nil {
-				t.Fatal("decoded block with nil field")
-			}
-		}
-	})
-}
-
-// validLeafFileBytes encodes a two-leaf WBK2 file: what arrives from a
-// peer during migration and buddy replication, and from disk.
+// validLeafFileBytes encodes a two-leaf WBK2 file of a refined world: what
+// arrives from a peer during migration and buddy replication, and from
+// disk.
 func validLeafFileBytes(t testing.TB) []byte {
 	t.Helper()
 	src := field.NewPDFField(lattice.D3Q19(), 2, 2, 2, 1, field.SoA)
@@ -147,12 +131,16 @@ func FuzzReadLeafFile(f *testing.F) {
 		f.Add(c)
 	}
 	f.Add([]byte(leafFileMagic))
-	f.Add(validRankFileBytes(f)) // the sibling codec's bytes through the shared loop
+	uniform := validUniformFileBytes(f) // the other runtime's records
+	f.Add(uniform)
+	for _, c := range corruptions(uniform) {
+		f.Add(c)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		leaves, _, err := ReadLeafFile(bytes.NewReader(data), lattice.D3Q19(), field.SoA)
+		leaves, _, err := ReadLeafFile(bytes.NewReader(data), lattice.D3Q19())
 		if err != nil {
-			// One reader serves both codecs, but this one's bytes come from
-			// peers: every failure must be the typed error recovery votes on.
+			// These bytes come from disk and from peers: every failure must
+			// be the typed error recovery votes on.
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("non-typed leaf file error: %v", err)
@@ -180,7 +168,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Add(c)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pf, err := LoadCheckpoint(bytes.NewReader(data), lattice.D3Q19(), field.SoA)
+		pf, err := LoadCheckpoint(bytes.NewReader(data), lattice.D3Q19())
 		if err == nil && pf == nil {
 			t.Fatal("nil field without error")
 		}
@@ -197,26 +185,18 @@ func TestReadersRejectSeedCorpusCorruptions(t *testing.T) {
 			t.Errorf("manifest corruption %d accepted", i)
 		}
 	}
-	valid := validRankFileBytes(t)
-	_, validCRC, err := ReadRankFile(bytes.NewReader(valid), lattice.D3Q19(), field.SoA)
-	if err != nil {
-		t.Fatalf("valid rank file rejected: %v", err)
-	}
-	for i, c := range corruptions(valid) {
-		// Trailing garbage is legitimately tolerated by the record-level
-		// checks; it must then surface in the whole-stream CRC, which the
-		// manifest cross-check rejects.
-		if _, crc, err := ReadRankFile(bytes.NewReader(c), lattice.D3Q19(), field.SoA); err == nil && crc == validCRC {
-			t.Errorf("rank file corruption %d accepted with unchanged CRC", i)
+	for _, valid := range [][]byte{validLeafFileBytes(t), validUniformFileBytes(t)} {
+		_, validCRC, err := ReadLeafFile(bytes.NewReader(valid), lattice.D3Q19())
+		if err != nil {
+			t.Fatalf("valid rank file rejected: %v", err)
 		}
-	}
-	valid = validLeafFileBytes(t)
-	if _, validCRC, err = ReadLeafFile(bytes.NewReader(valid), lattice.D3Q19(), field.SoA); err != nil {
-		t.Fatalf("valid leaf file rejected: %v", err)
-	}
-	for i, c := range corruptions(valid) {
-		if _, crc, err := ReadLeafFile(bytes.NewReader(c), lattice.D3Q19(), field.SoA); err == nil && crc == validCRC {
-			t.Errorf("leaf file corruption %d accepted with unchanged CRC", i)
+		for i, c := range corruptions(valid) {
+			// Trailing garbage is legitimately tolerated by the record-level
+			// checks; it must then surface in the whole-stream CRC, which the
+			// manifest cross-check rejects.
+			if _, crc, err := ReadLeafFile(bytes.NewReader(c), lattice.D3Q19()); err == nil && crc == validCRC {
+				t.Errorf("rank file corruption %d accepted with unchanged CRC", i)
+			}
 		}
 	}
 }

@@ -29,6 +29,7 @@ func TestLeafFileRoundTrip(t *testing.T) {
 		testLeafSnapshot(t, s, 0, 0, 0, [3]int{0, 0, 0}, 1),
 		testLeafSnapshot(t, s, 3, 0b1_011, 1, [3]int{1, 0, 2}, 2),
 		testLeafSnapshot(t, s, 7, 0b1_101_110, 2, [3]int{3, 1, 1}, 3),
+		testLeafSnapshot(t, s, 9, 0, 0, [3]int{-1, 3, 0}, 4), // a uniform block
 	}
 	var buf bytes.Buffer
 	size, crc, err := WriteLeafFile(&buf, leaves)
@@ -38,7 +39,7 @@ func TestLeafFileRoundTrip(t *testing.T) {
 	if size != int64(buf.Len()) {
 		t.Fatalf("reported size %d, wrote %d bytes", size, buf.Len())
 	}
-	got, gotCRC, err := ReadLeafFileStored(bytes.NewReader(buf.Bytes()), s)
+	got, gotCRC, err := ReadLeafFile(bytes.NewReader(buf.Bytes()), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +82,13 @@ func TestLeafFileCrossLayout(t *testing.T) {
 	if _, _, err := WriteLeafFile(&buf, []LeafSnapshot{orig}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadLeafFile(bytes.NewReader(buf.Bytes()), s, field.AoS)
+	got, _, err := ReadLeafFile(bytes.NewReader(buf.Bytes()), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := got[0].Src
-	if g.Layout != field.AoS {
-		t.Fatalf("requested AoS, got layout %v", g.Layout)
-	}
+	o := orig.Src
+	g := field.NewPDFField(s, o.Nx, o.Ny, o.Nz, o.Ghost, field.AoS)
+	g.CopyFrom(got[0].Src)
 	gl := g.Ghost
 	for z := -gl; z < g.Nz+gl; z++ {
 		for y := -gl; y < g.Ny+gl; y++ {
@@ -115,7 +115,7 @@ func TestLeafFileDetectsBitFlips(t *testing.T) {
 	for _, off := range []int{9, 20, 60, 300, len(raw) / 2, len(raw) - 2} {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x08
-		_, _, err := ReadLeafFileStored(bytes.NewReader(mut), s)
+		_, _, err := ReadLeafFile(bytes.NewReader(mut), s)
 		if err == nil {
 			t.Fatalf("bit flip at offset %d went undetected", off)
 		}
@@ -131,7 +131,7 @@ func TestLeafFileRejectsGarbageWithoutAllocating(t *testing.T) {
 	// Claims 2^31 leaves in an 8-byte file: rejected by the plausibility
 	// bound, not attempted.
 	garbage := append([]byte(leafFileMagic), 0, 0, 0, 0x80)
-	if _, _, err := ReadLeafFileStored(bytes.NewReader(garbage), s); err == nil {
+	if _, _, err := ReadLeafFile(bytes.NewReader(garbage), s); err == nil {
 		t.Fatal("implausible leaf count accepted")
 	}
 	// Truncated mid-record.
@@ -140,7 +140,7 @@ func TestLeafFileRejectsGarbageWithoutAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, _, err := ReadLeafFileStored(bytes.NewReader(trunc), s); err == nil {
+	if _, _, err := ReadLeafFile(bytes.NewReader(trunc), s); err == nil {
 		t.Fatal("truncated leaf file accepted")
 	}
 }

@@ -33,7 +33,7 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 	if err := SaveCheckpoint(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadCheckpoint(&buf, lattice.D3Q19(), field.SoA)
+	g, err := LoadCheckpoint(&buf, lattice.D3Q19())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,21 +51,23 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 	}
 }
 
-// A checkpoint saved in one layout restores exactly into the other — the
-// format is canonical.
+// A checkpoint loads in the layout it was saved in and restores exactly
+// into the other — the format is canonical.
 func TestCheckpointCrossLayout(t *testing.T) {
 	f := randomPDF(t, field.AoS)
 	var buf bytes.Buffer
 	if err := SaveCheckpoint(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadCheckpoint(&buf, lattice.D3Q19(), field.SoA)
+	loaded, err := LoadCheckpoint(&buf, lattice.D3Q19())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Layout != field.SoA {
-		t.Fatal("layout not applied")
+	if loaded.Layout != field.AoS {
+		t.Fatal("stored layout not kept")
 	}
+	g := field.NewPDFField(lattice.D3Q19(), f.Nx, f.Ny, f.Nz, f.Ghost, field.SoA)
+	g.CopyFrom(loaded)
 	if f.Get(2, 1, 3, lattice.NE) != g.Get(2, 1, 3, lattice.NE) {
 		t.Error("cross-layout restore lost values")
 	}
@@ -77,10 +79,10 @@ func TestCheckpointRejectsWrongStencil(t *testing.T) {
 	if err := SaveCheckpoint(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(&buf, lattice.D2Q9(), field.AoS); err == nil {
+	if _, err := LoadCheckpoint(&buf, lattice.D2Q9()); err == nil {
 		t.Error("Q mismatch accepted")
 	}
-	if _, err := LoadCheckpoint(bytes.NewReader([]byte("XXXX")), lattice.D3Q19(), field.AoS); err == nil {
+	if _, err := LoadCheckpoint(bytes.NewReader([]byte("XXXX")), lattice.D3Q19()); err == nil {
 		t.Error("bad magic accepted")
 	}
 }
@@ -92,56 +94,8 @@ func TestCheckpointTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()/2]
-	if _, err := LoadCheckpoint(bytes.NewReader(short), lattice.D3Q19(), field.AoS); err == nil {
+	if _, err := LoadCheckpoint(bytes.NewReader(short), lattice.D3Q19()); err == nil {
 		t.Error("truncated checkpoint accepted")
-	}
-}
-
-func TestRestorePDFInPlace(t *testing.T) {
-	f := randomPDF(t, field.SoA)
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	g := f.CopyShape()
-	if err := RestorePDF(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if f.Get(1, 2, 3, lattice.TN) != g.Get(1, 2, 3, lattice.TN) {
-		t.Error("in-place restore lost values")
-	}
-	// Shape mismatch rejected.
-	buf.Reset()
-	if err := SaveCheckpoint(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	wrong := field.NewPDFField(lattice.D3Q19(), 2, 2, 2, 1, field.SoA)
-	if err := RestorePDF(&buf, wrong); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}
-
-func TestFlagsRoundTrip(t *testing.T) {
-	f := field.NewFlagField(5, 4, 3, 1)
-	f.FillInterior(field.Fluid)
-	f.Set(1, 1, 1, field.NoSlip)
-	f.Set(-1, 0, 0, field.VelocityBounce)
-	var buf bytes.Buffer
-	if err := SaveFlags(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	g, err := LoadFlags(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for z := -1; z < 4; z++ {
-		for y := -1; y < 5; y++ {
-			for x := -1; x < 6; x++ {
-				if f.Get(x, y, z) != g.Get(x, y, z) {
-					t.Fatalf("flag differs at (%d,%d,%d)", x, y, z)
-				}
-			}
-		}
 	}
 }
 

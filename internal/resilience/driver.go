@@ -45,10 +45,12 @@ type World interface {
 	// that wrote it, when the blocks are to be adopted — and returns the
 	// CRC32C of the stream consumed.
 	Decode(r io.Reader, meta []byte) (state State, crc uint32, err error)
-	// Owns reports whether a decoded rank file holds exactly the blocks
-	// this rank owns now. A checkpoint set that fails it is voted down; a
-	// runtime whose restore replaces the topology accepts any.
-	Owns(state State) error
+	// Own returns this rank's state from a committed checkpoint set; read
+	// decodes the set's file of one rank. A set it fails on is voted down.
+	// A runtime whose restore replaces the topology takes its own file as
+	// is; one whose blocks are fixed by the forest gathers them from any
+	// file, so a set written under another block ownership restores.
+	Own(read func(rank int) (State, error)) (State, error)
 
 	// Install commits one restored generation: own is this rank's state
 	// at step (from Snapshot or Decode; nil on a recruited spare), wards
@@ -58,8 +60,8 @@ type World interface {
 	// on a rewind. Collective over c. Returns how many blocks were
 	// adopted.
 	Install(c *comm.Comm, redirect []int, step int, own State, wards []State) (adopted int, err error)
-	// Reset rewinds to the initial state: the last rung, when no
-	// generation survives anywhere.
+	// Reset rewinds to the initial state at step 0: the last rung, when
+	// no generation survives anywhere.
 	Reset() error
 }
 
@@ -85,6 +87,12 @@ type Driver struct {
 
 	target int // full world size heal grows back to
 	lane   *telemetry.Lane
+	// start is the step the loop last started from — the run's first step
+	// or the restored one — and a protection barrier like every multiple
+	// of CheckpointEvery, so a run that starts between two of them is
+	// protected from its first step. to is the run's end step, which a
+	// heal streams to its recruit.
+	start, to int
 
 	checkpointBytes, failures   *telemetry.Counter
 	mttrMs, worldSize, degraded *telemetry.Gauge
@@ -130,6 +138,7 @@ func NewDriver(w World, cfg Config) (*Driver, error) {
 // permanently returns ErrRetired: it is no longer part of the world and
 // must not communicate again.
 func (d *Driver) Run(ctx context.Context, from, to int) error {
+	d.start, d.to = from, to
 	step := from
 	var dead []int // world ranks whose blocks still need re-owning
 	var degradedSince time.Time
@@ -145,7 +154,7 @@ func (d *Driver) Run(ctx context.Context, from, to int) error {
 		}
 	}()
 
-	err := d.attempt(ctx, &step, to)
+	err := d.attempt(ctx, &step)
 	for err != nil {
 		if errors.Is(err, errSilenced) {
 			// Injected silent failure: go dark without a trace — the
@@ -185,7 +194,7 @@ func (d *Driver) Run(ctx context.Context, from, to int) error {
 		// above, backed off for, and retried.
 		if err = d.recoverFrom(ctx, dead, &step, &degradedSince); err == nil {
 			dead = nil
-			err = d.attempt(ctx, &step, to)
+			err = d.attempt(ctx, &step)
 		}
 	}
 	if !degradedSince.IsZero() {
@@ -196,10 +205,10 @@ func (d *Driver) Run(ctx context.Context, from, to int) error {
 }
 
 // attempt executes steps until completion or the first detected failure.
-func (d *Driver) attempt(ctx context.Context, step *int, to int) (err error) {
+func (d *Driver) attempt(ctx context.Context, step *int) (err error) {
 	defer guard(&err)
 	w, cfg := d.World, &d.Config
-	for *step < to {
+	for *step < d.to {
 		// The cancellation vote sits before this step's protection work,
 		// so a cancel that lands while a checkpoint set or replica
 		// generation is being produced is only acted on at the next step
@@ -213,11 +222,11 @@ func (d *Driver) attempt(ctx context.Context, step *int, to int) (err error) {
 		// once per spec across replays) before any collective work for
 		// the step.
 		w.Comm().SetStep(*step)
-		barrier := cfg.CheckpointEvery > 0 && *step%cfg.CheckpointEvery == 0
+		barrier := cfg.CheckpointEvery > 0 && (*step%cfg.CheckpointEvery == 0 || *step == d.start)
 		if barrier && d.Ring != nil && d.Ring.lastStep != *step {
-			// Produce a buddy-replica generation, including one at step 0
-			// so the buddy always holds at least the initial state (and
-			// with it the side band adoption needs).
+			// Produce a buddy-replica generation, including one at the
+			// first step so the buddy always holds at least the state the
+			// run started from (and with it the side band adoption needs).
 			t0 := d.lane.Start()
 			if err := d.Ring.Replicate(w, *step, &d.Stats); err != nil {
 				return err
@@ -434,10 +443,10 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		var load func(string) error
 		if c != nil {
 			load = func(setDir string) (err error) {
-				if own, err = d.readRankFile(setDir, c.Rank(), c.Size(), nil); err != nil {
-					return err
-				}
-				if err = w.Owns(own); err != nil {
+				own, err = w.Own(func(rank int) (State, error) {
+					return d.readRankFile(setDir, rank, c.Size(), nil)
+				})
+				if err != nil {
 					return err
 				}
 				for i, wd := range mine {
@@ -485,7 +494,7 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		if err != nil {
 			return 0, err
 		}
-		env := &envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, Meta: meta, Redirect: redirect}
+		env := &envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, Meta: meta, Redirect: redirect, To: d.to}
 		if err := d.Ring.send(nc, wd.dest, tagForward, env, &d.Stats); err != nil {
 			return 0, err
 		}
@@ -499,7 +508,7 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		if err != nil {
 			return 0, fmt.Errorf("resilience: heal stream for step %d failed validation: %w", env.Step, err)
 		}
-		adopt, redirect = []State{state}, env.Redirect
+		adopt, redirect, d.to = []State{state}, env.Redirect, env.To
 	}
 
 	adopted, err := w.Install(nc, redirect, step, own, adopt)
@@ -507,6 +516,7 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		return 0, err
 	}
 	d.Stats.BlocksAdopted += adopted
+	d.start = step
 	// This rank is ready to step again; what remains is waiting for the
 	// peers. RestoreLatency is the per-rank rendezvous-to-ready time, so it
 	// is taken here — the barrier below is coordination, and the moments
@@ -549,13 +559,14 @@ func RestoreNewestSet(w World, dir string) (int64, error) {
 // RunSpare parks this rank as a hot spare of a heal-mode run: it waits at
 // the communicator layer, joins every recovery rendezvous, and when
 // recruited receives the dead rank's state and finishes the run as a full
-// member of the world. world is the communicator this rank received from
-// comm.Run, active the target active world size, and build constructs the
+// member of the world, up to the survivors' end step that arrives with
+// its state. world is the communicator this rank received from comm.Run,
+// active the target active world size, and build constructs the
 // recruit's (still empty) World on the grown communicator. It returns
 // joined=false when the run ended without needing this spare, and
 // otherwise the joined run's World and stats; like Run it returns
 // ErrRetired if this rank itself fails permanently after joining.
-func RunSpare(ctx context.Context, world *comm.Comm, active int, cfg Config, to int, build func(*comm.Comm) (World, error)) (w World, st Stats, joined bool, err error) {
+func RunSpare(ctx context.Context, world *comm.Comm, active int, cfg Config, build func(*comm.Comm) (World, error)) (w World, st Stats, joined bool, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, Stats{}, false, err
 	}
@@ -593,6 +604,6 @@ func RunSpare(ctx context.Context, world *comm.Comm, active int, cfg Config, to 
 	}
 	d.worldSize.Set(float64(nc.Size()))
 	release = false
-	err = d.Run(ctx, step, to)
+	err = d.Run(ctx, step, d.to)
 	return w, d.Stats, true, err
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +42,6 @@ func (w *counterWorld) Step() error {
 func (w *counterWorld) Telemetry() (*telemetry.Lane, *telemetry.Registry) { return nil, nil }
 func (w *counterWorld) Snapshot(State) State                              { return w.n }
 func (w *counterWorld) Meta() ([]byte, error)                             { return nil, nil }
-func (w *counterWorld) Owns(State) error                                  { return nil }
 func (w *counterWorld) Reset() error                                      { w.n = 0; return nil }
 
 func (w *counterWorld) Encode(out io.Writer) (int64, uint32, error) {
@@ -51,6 +51,10 @@ func (w *counterWorld) Encode(out io.Writer) (int64, uint32, error) {
 	b := binary.LittleEndian.AppendUint64(nil, uint64(w.n))
 	_, err := out.Write(b)
 	return int64(len(b)), output.CRC32C(b), err
+}
+
+func (w *counterWorld) Own(read func(int) (State, error)) (State, error) {
+	return read(w.c.Rank())
 }
 
 func (w *counterWorld) Decode(r io.Reader, _ []byte) (State, uint32, error) {
@@ -96,9 +100,10 @@ type outcome struct {
 	err   error
 }
 
-// drive runs `active` counter worlds (plus spares parked for Heal) to step
-// `to` under the driver and returns every rank's outcome by world rank.
-func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, to int, crashes []comm.CrashSpec, tweak func(*counterWorld)) []outcome {
+// drive runs `active` counter worlds (plus spares parked for Heal) from
+// step `from` to step `to` under the driver and returns every rank's
+// outcome by world rank.
+func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, from, to int, crashes []comm.CrashSpec, tweak func(*counterWorld)) []outcome {
 	t.Helper()
 	out := make([]outcome, active+spares)
 	var mu sync.Mutex
@@ -107,7 +112,7 @@ func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, to
 		var o outcome
 		if c.WorldRank() >= active {
 			var w World
-			w, o.stats, _, o.err = RunSpare(ctx, c, active, cfg, to, func(nc *comm.Comm) (World, error) {
+			w, o.stats, _, o.err = RunSpare(ctx, c, active, cfg, func(nc *comm.Comm) (World, error) {
 				return forwardingWorld{&counterWorld{c: nc}}, nil
 			})
 			if w != nil {
@@ -117,7 +122,7 @@ func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, to
 			if spares > 0 {
 				c = c.GrowWorld(active)
 			}
-			o.world = &counterWorld{c: c}
+			o.world = &counterWorld{c: c, n: from}
 			if tweak != nil {
 				tweak(o.world)
 			}
@@ -130,7 +135,7 @@ func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, to
 				t.Error(err)
 				return
 			}
-			o.err = d.Run(ctx, 0, to)
+			o.err = d.Run(ctx, from, to)
 			o.stats = d.Stats
 		}
 		mu.Lock()
@@ -173,7 +178,7 @@ func TestDriverRecovery(t *testing.T) {
 				cfg.Dir = t.TempDir()
 			}
 			adopted := 0
-			for r, o := range drive(t, context.Background(), tc.active, tc.spares, cfg, to, crash, nil) {
+			for r, o := range drive(t, context.Background(), tc.active, tc.spares, cfg, 0, to, crash, nil) {
 				if r == tc.retired {
 					if !errors.Is(o.err, ErrRetired) {
 						t.Errorf("rank %d: err = %v, want ErrRetired", r, o.err)
@@ -218,6 +223,52 @@ func TestDriverRecovery(t *testing.T) {
 	}
 }
 
+// TestDriverProtectsItsFirstStep: a run that starts between two
+// multiples of CheckpointEvery (a resumed one) is protected at its first
+// step, so a crash before the next multiple restores that step in every
+// mode, and a recruit runs to the survivors' end step.
+func TestDriverProtectsItsFirstStep(t *testing.T) {
+	const from, to = 5, 9
+	crash := []comm.CrashSpec{{Rank: 1, Step: 6}}
+	for _, tc := range []struct {
+		name           string
+		active, spares int
+		cfg            Config
+		retired        int // world rank that must return ErrRetired, -1 for none
+	}{
+		{name: "rewind", active: 2, cfg: Config{CheckpointEvery: 4}, retired: -1},
+		{name: "shrink", active: 3, cfg: Config{Mode: Shrink, CheckpointEvery: 4}, retired: 1},
+		{name: "heal", active: 2, spares: 1, cfg: Config{Mode: Heal, CheckpointEvery: 4}, retired: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.MaxFailures, cfg.BackoffBase, cfg.Dir = -1, time.Millisecond, t.TempDir()
+			for r, o := range drive(t, context.Background(), tc.active, tc.spares, cfg, from, to, crash, nil) {
+				if r == tc.retired {
+					if !errors.Is(o.err, ErrRetired) {
+						t.Errorf("rank %d: err = %v, want ErrRetired", r, o.err)
+					}
+					continue
+				}
+				if o.err != nil || o.world.n != to {
+					t.Errorf("rank %d finished at state %d (err %v), want %d", r, o.world.n, o.err, to)
+				}
+				if r < tc.active && o.stats.StepsReplayed != 1 {
+					t.Errorf("rank %d replayed %d steps, want 1 (from the first step)", r, o.stats.StepsReplayed)
+				}
+				for _, a := range o.world.adopted {
+					if a != from {
+						t.Errorf("rank %d adopted state %d, want the first step's %d", r, a, from)
+					}
+				}
+			}
+			if got := output.ListValidSets(cfg.Dir); !slices.Equal(got, []int64{8, from}) {
+				t.Errorf("sets %v, want [8 %d]", got, from)
+			}
+		})
+	}
+}
+
 // TestDriverFailureBudget: MaxFailures -1 selects the default of 8, 0 is
 // zero tolerance, n tolerates exactly n events.
 func TestDriverFailureBudget(t *testing.T) {
@@ -227,7 +278,7 @@ func TestDriverFailureBudget(t *testing.T) {
 		giveUp bool
 	}{{-1, false}, {0, true}, {1, true}, {2, false}} {
 		cfg := Config{MaxFailures: tc.max, BackoffBase: time.Millisecond}
-		for r, o := range drive(t, context.Background(), 2, 0, cfg, 6, two, nil) {
+		for r, o := range drive(t, context.Background(), 2, 0, cfg, 0, 6, two, nil) {
 			if gaveUp := o.err != nil && strings.Contains(o.err.Error(), "giving up"); gaveUp != tc.giveUp || (o.err != nil) != tc.giveUp {
 				t.Errorf("MaxFailures %d, rank %d: err = %v, want give-up %v", tc.max, r, o.err, tc.giveUp)
 			}
@@ -243,7 +294,7 @@ func TestDriverFailureBudget(t *testing.T) {
 // the run.
 func TestDriverRepairFailureIsRetried(t *testing.T) {
 	cfg := Config{CheckpointEvery: 2, Dir: t.TempDir(), MaxFailures: -1, BackoffBase: time.Millisecond}
-	out := drive(t, context.Background(), 2, 0, cfg, 6, []comm.CrashSpec{{Rank: 1, Step: 3}}, func(w *counterWorld) {
+	out := drive(t, context.Background(), 2, 0, cfg, 0, 6, []comm.CrashSpec{{Rank: 1, Step: 3}}, func(w *counterWorld) {
 		if w.c.Rank() != 0 {
 			return
 		}
@@ -272,7 +323,7 @@ func TestDriverCancelDuringBackoff(t *testing.T) {
 	time.AfterFunc(20*time.Millisecond, cancel)
 	cfg := Config{MaxFailures: 4, BackoffBase: time.Hour, BackoffMax: time.Hour}
 	start := time.Now()
-	for r, o := range drive(t, ctx, 2, 0, cfg, 1000, []comm.CrashSpec{{Rank: 1, Step: 2}}, nil) {
+	for r, o := range drive(t, ctx, 2, 0, cfg, 0, 1000, []comm.CrashSpec{{Rank: 1, Step: 2}}, nil) {
 		if !errors.Is(o.err, ErrInterrupted) {
 			t.Errorf("rank %d: err = %v, want ErrInterrupted", r, o.err)
 		}
@@ -312,7 +363,7 @@ func TestDriverConfig(t *testing.T) {
 		if _, err := NewDriver(forwardingWorld{w}, Config{Mode: Heal}); err != nil {
 			t.Errorf("NewDriver refused Heal for a Forwarder: %v", err)
 		}
-		if _, _, _, err := RunSpare(context.Background(), c, 1, Config{Mode: Shrink}, 1, nil); err == nil {
+		if _, _, _, err := RunSpare(context.Background(), c, 1, Config{Mode: Shrink}, nil); err == nil {
 			t.Error("RunSpare accepted Shrink, want an error")
 		}
 	})

@@ -47,9 +47,11 @@ type envelope struct {
 	CRC     uint32
 	// Meta is the side band the rank file does not carry (World.Meta).
 	Meta []byte
-	// Redirect, on a heal stream only, is the old→new communicator rank
-	// map the recruit commits its topology with.
+	// Redirect and To, on a heal stream only, are the old→new communicator
+	// rank map the recruit commits its topology with and the step the run
+	// ends at.
 	Redirect []int
+	To       int
 }
 
 // Generation is one protected state: the step barrier it was taken at,

@@ -237,7 +237,7 @@ func TestShrinkDiskFallback(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := s.runDriver(context.Background(), d, 0, steps); err != nil {
+		if _, err := s.runDriver(context.Background(), d, steps); err != nil {
 			t.Errorf("rank %d: fault-free run: %v", c.Rank(), err)
 			return
 		}

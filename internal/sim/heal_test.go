@@ -376,7 +376,7 @@ func TestHealDiskFallback(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if _, err := s.runDriver(context.Background(), seed, 0, steps); err != nil {
+		if _, err := s.runDriver(context.Background(), seed, steps); err != nil {
 			t.Errorf("rank %d: seeding run: %v", c.WorldRank(), err)
 			return
 		}
@@ -396,12 +396,10 @@ func TestHealDiskFallback(t *testing.T) {
 		<-retiredCh
 		c.MarkDead(c.WorldRankOf(1))
 		c.Recover()
-		d, err := resilience.NewDriver(world{s}, rc)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		d.Ring = seed.Ring
+		// The seeding driver, switched to heal, repairs: it knows the run's
+		// end step, which the heal streams to the recruit.
+		d := seed
+		d.Config.Mode = RecoverHeal
 		restored, err := d.Repair([]int{c.WorldRankOf(1)})
 		if err != nil {
 			t.Errorf("Repair: %v", err)
@@ -421,7 +419,7 @@ func TestHealDiskFallback(t *testing.T) {
 			t.Errorf("post-heal communicator size %d, want %d", s.Comm.Size(), active)
 		}
 		// Mirror the driver tail so the recruit's shared loop completes.
-		if _, err := s.runDriver(context.Background(), d, restored, steps); err != nil {
+		if _, err := s.runDriver(context.Background(), d, steps-restored); err != nil {
 			t.Errorf("post-heal driver: %v", err)
 			return
 		}

@@ -20,9 +20,10 @@ import (
 // Resilient execution of the uniform simulation. The failure loop, the
 // checkpoint-set protocol, the buddy ring and the restore vote live in
 // internal/resilience; this file supplies what a generation of a uniform
-// world *contains* (the resilience.World methods of type world: WBK1 rank
-// files plus gob-encoded block metadata, raw field snapshots, block
-// adoption and neighborhood renumbering) and the public entry points.
+// world *contains* (the resilience.World methods of type world: WBK2 rank
+// files whose records are level-0 leaves, plus gob-encoded block
+// metadata; raw field snapshots; block adoption and neighborhood
+// renumbering) and the public entry points.
 // Protection is taken at a step barrier, so a restored run replays the
 // exact deterministic step sequence and finishes bit-identical to an
 // uninterrupted one. See docs/RESILIENCE.md.
@@ -57,7 +58,7 @@ var (
 
 // WriteCheckpointSet writes a coordinated checkpoint set for the given
 // step: every rank snapshots all of its blocks (both PDF fields, so replay
-// is bit-identical) into a per-rank WBK1 file, committed atomically by the
+// is bit-identical) into a per-rank WBK2 file, committed atomically by the
 // set protocol (resilience.WriteSet). Returns the bytes this rank wrote (0
 // if the set already existed).
 func (s *Simulation) WriteCheckpointSet(dir string, step int) (int64, error) {
@@ -66,9 +67,9 @@ func (s *Simulation) WriteCheckpointSet(dir string, step int) (int64, error) {
 
 // RestoreLatestCheckpointSet rewinds the simulation to the newest
 // checkpoint set that every rank can load and CRC-validate
-// (resilience.RestoreNewestSet). With no usable set, the fields are
-// re-initialized to the configured step-zero state. Returns the restored
-// step.
+// (resilience.RestoreNewestSet); simulated time continues from the set's
+// step (WorldStep). With no usable set, the fields are re-initialized to
+// the configured step-zero state. Returns the restored step.
 func (s *Simulation) RestoreLatestCheckpointSet(dir string) (int64, error) {
 	return resilience.RestoreNewestSet(world{s}, dir)
 }
@@ -91,15 +92,16 @@ func (s *Simulation) RunResilientCtx(ctx context.Context, steps int, rc Resilien
 	if err != nil {
 		return Metrics{}, err
 	}
-	return s.runDriver(ctx, d, 0, steps)
+	return s.runDriver(ctx, d, steps)
 }
 
-// runDriver runs the driver from step `from` and reduces the run's
-// metrics.
-func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, from, steps int) (Metrics, error) {
+// runDriver runs the driver for steps steps from the current simulated
+// time — so checkpoint sets and fault schedules count absolute steps, also
+// after a restore — and reduces the run's metrics.
+func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, steps int) (Metrics, error) {
 	s.ResetTimers()
 	start := time.Now()
-	if err := d.Run(ctx, from, steps); err != nil {
+	if err := d.Run(ctx, s.worldSteps, s.worldSteps+steps); err != nil {
 		return Metrics{}, err
 	}
 	m, err := s.gatherMetrics(steps, time.Since(start))
@@ -117,7 +119,9 @@ func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, from, 
 // counterpart of RunResilientCtx. wc is the world communicator this rank
 // received from comm.Run; active is the target active world size; domain
 // supplies the forest header (Domain, GridSize, CellsPerBlock, Periodic —
-// the block assignment itself is streamed on recruitment). It returns joined=false with a nil Simulation
+// the block assignment itself is streamed on recruitment, with the step
+// the survivors run to); steps is the run's length, which the metrics
+// are reduced over. It returns joined=false with a nil Simulation
 // when the run ended without needing this spare, and otherwise the joined
 // run's Simulation (for FieldHash and the like) and metrics. Like
 // RunResilientCtx it returns ErrRetired if this rank itself fails
@@ -125,7 +129,7 @@ func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, from, 
 func RunSpareCtx(ctx context.Context, wc *comm.Comm, active int, domain *blockforest.BlockForest, cfg Config, steps int, rc ResilienceConfig) (*Simulation, Metrics, bool, error) {
 	var s *Simulation
 	var start time.Time
-	_, rec, joined, err := resilience.RunSpare(ctx, wc, active, rc, steps, func(c *comm.Comm) (resilience.World, error) {
+	_, rec, joined, err := resilience.RunSpare(ctx, wc, active, rc, func(c *comm.Comm) (resilience.World, error) {
 		start = time.Now()
 		var err error
 		s, err = New(c, &blockforest.BlockForest{
@@ -155,29 +159,39 @@ func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
 	return w.tel.driver, w.Config.Metrics
 }
 
+// Step is one time step of the driver's loop, which keeps simulated time
+// itself (Install sets it to the restored step).
+func (w world) Step() error {
+	w.worldSteps++
+	return w.Simulation.Step()
+}
+
 // Snapshot is this rank's own generation in the form of a decoded rank
 // file without metadata: copies of both PDF fields of every local block
 // (in the previous generation's storage where it fits), restored by
 // memcpy — the survivor's rewind needs no decoding at all.
 func (w world) Snapshot(reuse resilience.State) resilience.State {
-	old, _ := reuse.(*blockSet)
-	set := &blockSet{snaps: make([]output.BlockSnapshot, len(w.Blocks))}
-	for i, bd := range w.Blocks {
-		var src, dst *field.PDFField
-		if old != nil && i < len(old.snaps) && old.snaps[i].Src.SameShape(bd.Src) {
-			src, dst = old.snaps[i].Src, old.snaps[i].Dst
-		} else {
-			src, dst = bd.Src.CopyShape(), bd.Dst.CopyShape()
-		}
-		copy(src.Data(), bd.Src.Data())
-		copy(dst.Data(), bd.Dst.Data())
-		set.snaps[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: src, Dst: dst}
+	var prev []output.LeafSnapshot
+	if old, ok := reuse.(*blockSet); ok {
+		prev = old.snaps
 	}
+	set := &blockSet{snaps: w.records()}
+	output.CopyLeaves(set.snaps, prev)
 	return set
 }
 
+// records are the local blocks as WBK2 records: a uniform block is a
+// level-0 leaf of its root.
+func (s *Simulation) records() []output.LeafSnapshot {
+	snaps := make([]output.LeafSnapshot, len(s.Blocks))
+	for i, bd := range s.Blocks {
+		snaps[i] = output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
+	}
+	return snaps
+}
+
 // blockMeta carries the non-field state of one block — the side band of
-// the WBK1 rank file, which stores only coordinates and fields: the forest
+// the rank file, which stores only identities and fields: the forest
 // block (ID, coordinates, AABB, neighborhood with communicator ranks as of
 // the producing generation) and the flag field contents.
 type blockMeta struct {
@@ -189,16 +203,12 @@ type blockMeta struct {
 // layout they were stored in, joined — when the blocks are to be adopted —
 // with their metadata.
 type blockSet struct {
-	snaps []output.BlockSnapshot
+	snaps []output.LeafSnapshot
 	metas []blockMeta
 }
 
 func (w world) Encode(out io.Writer) (int64, uint32, error) {
-	snaps := make([]output.BlockSnapshot, len(w.Blocks))
-	for i, bd := range w.Blocks {
-		snaps[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
-	}
-	return output.WriteRankFile(out, snaps)
+	return output.WriteLeafFile(out, w.records())
 }
 
 func (w world) Meta() ([]byte, error) {
@@ -219,7 +229,7 @@ func encodeMetas(metas []blockMeta) ([]byte, error) {
 // a mix of layouts under per-block kernel selection; CopyFrom transposes
 // if the live block disagrees.
 func (w world) Decode(r io.Reader, meta []byte) (resilience.State, uint32, error) {
-	snaps, crc, err := output.ReadRankFileStored(r, w.Stencil)
+	snaps, crc, err := output.ReadLeafFile(r, w.Stencil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -238,7 +248,7 @@ func (w world) Decode(r io.Reader, meta []byte) (resilience.State, uint32, error
 func (w world) Reencode(ward resilience.State) ([]byte, uint32, []byte, error) {
 	set := ward.(*blockSet)
 	var payload bytes.Buffer
-	_, crc, err := output.WriteRankFile(&payload, set.snaps)
+	_, crc, err := output.WriteLeafFile(&payload, set.snaps)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("sim: encoding heal payload: %w", err)
 	}
@@ -246,31 +256,50 @@ func (w world) Reencode(ward resilience.State) ([]byte, uint32, []byte, error) {
 	return payload.Bytes(), crc, meta, err
 }
 
-// Owns demands an exact match between the snapshot coordinates and this
-// rank's block assignment, and between the shapes.
-func (w world) Owns(state resilience.State) error {
-	snaps := state.(*blockSet).snaps
-	if len(snaps) != len(w.Blocks) {
-		return fmt.Errorf("sim: rank file has %d blocks, rank owns %d", len(snaps), len(w.Blocks))
-	}
-	for _, snap := range snaps {
-		bd, ok := w.byCoord[snap.Coord]
-		if !ok {
-			return fmt.Errorf("sim: rank file contains block %v not owned by rank %d", snap.Coord, w.Comm().Rank())
+// Own gathers the records of the blocks this rank owns — level-0 leaves
+// of the blocks' roots, shaped like them, each found once — from the
+// set's rank files, its own file first: that one holds them all unless
+// the set was written under another block ownership (a rebalanced run,
+// or one that shrank).
+func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.State, error) {
+	own := &blockSet{}
+	found := make(map[[3]int]bool, len(w.Blocks))
+	c := w.Comm()
+	for i := range c.Size() {
+		state, err := read((c.Rank() + i) % c.Size())
+		if err != nil {
+			return nil, err
 		}
-		for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
-			if pf.Nx != bd.Src.Nx || pf.Ny != bd.Src.Ny || pf.Nz != bd.Src.Nz || pf.Ghost != bd.Src.Ghost {
-				return fmt.Errorf("sim: rank file block %v shape mismatch", snap.Coord)
+		for _, snap := range state.(*blockSet).snaps {
+			bd, ok := w.byCoord[snap.Coord]
+			if !ok {
+				continue
 			}
+			if found[snap.Coord] || snap.Tree != bd.Block.ID.Tree || snap.Path != 0 || snap.Level != 0 {
+				return nil, fmt.Errorf("sim: checkpoint set has a duplicate or foreign record %d/%#o/L%d %v",
+					snap.Tree, snap.Path, snap.Level, snap.Coord)
+			}
+			for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
+				if pf.Nx != bd.Src.Nx || pf.Ny != bd.Src.Ny || pf.Nz != bd.Src.Nz || pf.Ghost != bd.Src.Ghost {
+					return nil, fmt.Errorf("sim: checkpoint set block %v shape mismatch", snap.Coord)
+				}
+			}
+			found[snap.Coord] = true
+			own.snaps = append(own.snaps, snap)
+		}
+		if len(own.snaps) == len(w.Blocks) {
+			return own, nil
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("sim: checkpoint set holds %d of the %d blocks rank %d owns", len(own.snaps), len(w.Blocks), c.Rank())
 }
 
+// Reset re-initializes every block and simulated time.
 func (w world) Reset() error {
 	for _, bd := range w.Blocks {
 		w.initBlockState(bd)
 	}
+	w.worldSteps = 0
 	return nil
 }
 

@@ -351,17 +351,14 @@ func TestWriteCheckpointSetAtomicAndIdempotent(t *testing.T) {
 	}
 }
 
-// TestCheckpointSetBytesAreTheCodecs pins the on-disk and on-wire bytes of
-// a uniform generation to the codecs they were before the recovery driver
-// moved out of this package: a rank file is exactly output.WriteRankFile
-// of the rank's blocks, the manifest exactly output.WriteManifest of the
-// gathered sizes and CRCs, and the replica side band exactly the gob of
-// the block metadata — so sets and replicas written before and after the
-// move restore each other.
+// TestCheckpointSetBytesAreTheCodecs pins the on-wire bytes of a uniform
+// generation, which only this package can reach (the on-disk bytes of
+// both runtimes are pinned by the table of the same name in internal/amr):
+// a replica payload is exactly the rank file of the set — output.
+// WriteLeafFile of the blocks as level-0 leaves of their roots — and the
+// replica side band exactly the gob of the block metadata.
 func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 	dir := t.TempDir()
-	var mu sync.Mutex
-	manifest := &output.SetManifest{Step: 3, Ranks: 2, Entries: make([]output.ManifestEntry, 2)}
 	comm.Run(2, func(c *comm.Comm) {
 		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), cavityForest()))
 		if err != nil {
@@ -378,27 +375,25 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		snaps := make([]output.BlockSnapshot, len(s.Blocks))
+		recs := make([]output.LeafSnapshot, len(s.Blocks))
 		metas := make([]blockMeta, len(s.Blocks))
 		for i, bd := range s.Blocks {
-			snaps[i] = output.BlockSnapshot{Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
+			recs[i] = output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
 			metas[i] = blockMeta{Block: *bd.Block, Flags: append([]field.CellType(nil), bd.Flags.Data()...)}
 		}
 		var want bytes.Buffer
-		size, crc, err := output.WriteRankFile(&want, snaps)
-		if err != nil {
+		if _, _, err := output.WriteLeafFile(&want, recs); err != nil {
 			t.Error(err)
 			return
 		}
-		name := output.RankFileName(c.Rank())
-		got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), name))
-		if err != nil || !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("rank %d: rank file differs from output.WriteRankFile (%d vs %d bytes, err %v)", c.Rank(), len(got), want.Len(), err)
+		var payload bytes.Buffer
+		if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
+			t.Errorf("rank %d: replica payload differs from output.WriteLeafFile (%d vs %d bytes, err %v)", c.Rank(), payload.Len(), want.Len(), err)
 		}
-		mu.Lock()
-		manifest.Entries[c.Rank()] = output.ManifestEntry{Name: name, Size: size, CRC: crc}
-		mu.Unlock()
-
+		got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), output.RankFileName(c.Rank())))
+		if err != nil || !bytes.Equal(got, payload.Bytes()) {
+			t.Errorf("rank %d: replica payload differs from the set's rank file (err %v)", c.Rank(), err)
+		}
 		var wantMeta bytes.Buffer
 		if err := gob.NewEncoder(&wantMeta).Encode(metas); err != nil {
 			t.Error(err)
@@ -408,15 +403,4 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 			t.Errorf("rank %d: replica side band differs from the gob of the block metadata (err %v)", c.Rank(), err)
 		}
 	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	var want bytes.Buffer
-	if err := output.WriteManifest(&want, manifest); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), output.ManifestName))
-	if err != nil || !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("manifest differs from output.WriteManifest (err %v)", err)
-	}
 }

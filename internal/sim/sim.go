@@ -411,10 +411,11 @@ type Simulation struct {
 	overlap      OverlapTimes
 	steps        int
 	// worldSteps is the cumulative simulated-time step, never reset by
-	// ResetTimers and advanced to the restored step by checkpoint-set
+	// ResetTimers, advanced by both drivers and set to the restored step by
 	// restores. The plain driver announces it to the fault injector so a
 	// scenario's deterministic fault schedule fires at absolute steps even
-	// when the run is split into many RunCtx batches (the serve daemon).
+	// when the run is split into many RunCtx batches (the serve daemon);
+	// the resilient driver starts its loop there.
 	worldSteps int
 }
 
@@ -786,6 +787,11 @@ func (s *Simulation) SetForce(f [3]float64) {
 // Steps returns the number of time steps executed since the last timer
 // reset.
 func (s *Simulation) Steps() int { return s.steps }
+
+// WorldStep returns the simulated-time step the fields are at: every step
+// taken since New, counted from the step of the last restored checkpoint
+// set.
+func (s *Simulation) WorldStep() int { return s.worldSteps }
 
 // ResetTimers zeroes the accumulated phase timers.
 func (s *Simulation) ResetTimers() {
