@@ -87,7 +87,8 @@ alloc-test:
 
 # fuzz-smoke runs each fuzz target briefly against its seed corpus — a
 # regression sweep, not an open-ended hunt: the checkpoint readers, the
-# wire frame decoder, PDF fields stored in random allocation rows against
+# block-structure file reader (an accepted forest re-saves to its bytes),
+# the wire frame decoder, PDF fields stored in random allocation rows against
 # whole-block twins, the sparse interval-list builder (on whole blocks and
 # on row storage), the AVX2 split rows against the Go rows (bit for bit;
 # skipped on CPUs without AVX2),
@@ -106,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzSplitRows -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzStencilD3Q19 -fuzztime 5s ./internal/lattice/
 	$(GO) test -run '^Fuzz' -fuzz FuzzRegrade -fuzztime 5s ./internal/blockforest/
+	$(GO) test -run '^Fuzz' -fuzz FuzzLoadForest -fuzztime 5s ./internal/blockforest/
 	$(GO) test -run '^Fuzz' -fuzz FuzzNearest -fuzztime 5s ./internal/distance/
 	$(GO) test -run '^Fuzz' -fuzz FuzzUnionSignedColor -fuzztime 5s ./internal/distance/
 

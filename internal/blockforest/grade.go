@@ -5,13 +5,12 @@ import (
 	"sort"
 )
 
-// Shared 2:1 grading: the one routine that turns a set of per-leaf
-// refine/coarsen marks into a new, 2:1-balanced leaf set. Both the
-// setup-time refinement path (SetupForest.Grade) and the runtime AMR
-// re-grade controller (internal/amr) call Grade, so the invariants —
-// octet-complete coarsening, 2:1 balance across all 26 neighbor
-// directions, exact volume conservation — are enforced in exactly one
-// place.
+// 2:1 grading: the one routine that turns a set of per-leaf
+// refine/coarsen marks into a new, 2:1-balanced leaf set. The runtime AMR
+// re-grade controller (internal/amr) is its caller, and the setup forest
+// stays flat, so the invariants — octet-complete coarsening, 2:1 balance
+// across all 26 neighbor directions, exact volume conservation — are
+// enforced in exactly one place.
 
 // Mark is a per-leaf refinement vote fed into Grade.
 type Mark int8
@@ -294,9 +293,10 @@ func CheckGraded(leaves []Leaf, grid [3]int, periodic [3]bool) error {
 
 // AssignContiguous splits a workload sequence into numRanks contiguous
 // chunks of near-equal weight and returns the rank of every entry — the
-// one balancing rule behind BalanceMorton, BalanceMortonLeaves and the
-// AMR level-weighted rebalancer. Entries must already be in curve order
-// (Morton), so each rank receives a spatially compact run.
+// rule behind the static BalanceMorton and the AMR level-weighted
+// rebalancer. (The uniform runtime rebalancer, sim.RebalanceByWorkload,
+// cuts at block midpoints instead; see there.) Entries must already be in
+// curve order (Morton), so each rank receives a spatially compact run.
 func AssignContiguous(workloads []float64, numRanks int) []int {
 	if numRanks <= 0 {
 		panic("blockforest: AssignContiguous requires at least one rank")
@@ -318,88 +318,4 @@ func AssignContiguous(workloads []float64, numRanks int) []int {
 		acc += w
 	}
 	return ranks
-}
-
-// Grade re-grades the forest's leaf set in place from per-leaf marks:
-// the setup-time twin of the runtime AMR controller, sharing the same
-// 2:1 routine. Blocks created by refinement carry 1/8 of their parent's
-// workload and memory per level; merged parents reaggregate them.
-func (f *SetupForest) Grade(marks map[BlockID]Mark, maxLevel int) error {
-	f.ensureRefinedIndex()
-	old := f.AllLeaves()
-	leaves := make([]Leaf, len(old))
-	ms := make([]Mark, len(old))
-	byID := make(map[BlockID]*SetupBlock, len(old))
-	for i, b := range old {
-		leaves[i] = Leaf{ID: b.ID, Coord: b.Coord, Rank: b.Rank}
-		ms[i] = marks[b.ID]
-		byID[b.ID] = b
-	}
-	graded := Grade(leaves, ms, f.GridSize, f.Periodic, maxLevel)
-
-	// Rebuild the block maps: keep survivors, derive splits and merges
-	// from the nearest surviving ancestor/descendants.
-	newRefined := make(map[BlockID]*SetupBlock, len(graded))
-	newRoots := make(map[[3]int]*SetupBlock)
-	for _, l := range graded {
-		b := byID[l.ID]
-		if b == nil {
-			b = f.deriveBlock(l, byID)
-		}
-		if l.ID.Level == 0 {
-			newRoots[b.Coord] = b
-		} else {
-			newRefined[l.ID] = b
-		}
-	}
-	f.blocks = newRoots
-	f.refined = newRefined
-	return nil
-}
-
-// deriveBlock materializes a SetupBlock for a graded leaf that did not
-// exist before: either a child of a surviving ancestor (split) or the
-// parent of merged children.
-func (f *SetupForest) deriveBlock(l Leaf, byID map[BlockID]*SetupBlock) *SetupBlock {
-	// Split path: walk up to the nearest pre-existing ancestor.
-	id := l.ID
-	var path []int
-	for {
-		if anc, ok := byID[id]; ok {
-			b := &SetupBlock{ID: l.ID, Coord: anc.Coord, AABB: anc.AABB, Workload: anc.Workload, Memory: anc.Memory, Rank: l.Rank}
-			for i := len(path) - 1; i >= 0; i-- {
-				b.AABB = b.AABB.Octant(path[i])
-				b.Workload /= 8
-				b.Memory /= 8
-			}
-			return b
-		}
-		if id.Level == 0 {
-			break
-		}
-		path = append(path, id.Octant())
-		id = id.Parent()
-	}
-	// Merge path: aggregate the eight former children.
-	var b *SetupBlock
-	for o := 0; o < 8; o++ {
-		c := byID[l.ID.Child(o)]
-		if c == nil {
-			panic(fmt.Sprintf("blockforest: graded leaf %v has neither ancestor nor children", l.ID))
-		}
-		if b == nil {
-			b = &SetupBlock{ID: l.ID, Coord: c.Coord, AABB: c.AABB, Rank: l.Rank}
-		}
-		for d := 0; d < 3; d++ {
-			if c.AABB.Min[d] < b.AABB.Min[d] {
-				b.AABB.Min[d] = c.AABB.Min[d]
-			}
-			if c.AABB.Max[d] > b.AABB.Max[d] {
-				b.AABB.Max[d] = c.AABB.Max[d]
-			}
-		}
-		b.Workload += c.Workload
-		b.Memory += c.Memory
-	}
-	return b
 }

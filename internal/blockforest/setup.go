@@ -34,9 +34,6 @@ type SetupForest struct {
 	Periodic      [3]bool
 
 	blocks map[[3]int]*SetupBlock
-	// refined holds leaves below level 0; see refine.go. The simulation
-	// algorithms operate on flat forests only, as in the paper.
-	refined map[BlockID]*SetupBlock
 }
 
 // NewSetupForest subdivides the domain into a grid[0] x grid[1] x grid[2]
