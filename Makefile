@@ -49,10 +49,12 @@ race-resilience:
 # detector: wire framing, reconnect/backoff under the fault plan's frame
 # clauses, in-order stalls on both transports (streams keep send order,
 # stalled frames still cross the wire), failure accusation (only the
-# silent rank is named), the receive-buffer ownership contract, and the
-# cross-transport bit-identity and shrink-recovery-over-sockets tests.
+# silent rank is named), the receive-buffer ownership contract, the
+# payload contract on both transports, a payload split across frames and
+# joined again, and the cross-transport bit-identity and
+# recovery-over-sockets tests.
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire' ./internal/comm/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire' ./internal/comm/ ./internal/sim/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
@@ -102,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadLeafFile -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/comm/
+	$(GO) test -run '^Fuzz' -fuzz FuzzDecodeEnvelope -fuzztime 5s ./internal/resilience/
 	$(GO) test -run '^Fuzz' -fuzz FuzzRowLayout -fuzztime 5s ./internal/field/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSparseIntervals -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^Fuzz' -fuzz FuzzSplitRows -fuzztime 5s ./internal/kernels/

@@ -19,10 +19,14 @@ import (
 // without a coordinator, and the migration pattern is known without an
 // all-to-all negotiation.
 
-// markEntry is one leaf's criterion vote on the wire.
-type markEntry struct {
-	ID   blockforest.BlockID
-	Mark blockforest.Mark
+// appendID and idAt carry a leaf's BlockID in the []int64 records the
+// controller allgathers: Tree, Path, Level.
+func appendID(dst []int64, id blockforest.BlockID) []int64 {
+	return append(dst, int64(id.Tree), int64(id.Path), int64(id.Level))
+}
+
+func idAt(w []int64) blockforest.BlockID {
+	return blockforest.BlockID{Tree: uint32(w[0]), Path: uint64(w[1]), Level: uint8(w[2])}
 }
 
 // Regrade runs one controller pass: criterion, marks, 2:1 grading,
@@ -38,9 +42,9 @@ func (s *Sim) Regrade() error {
 func (s *Sim) regrade() (changed bool, err error) {
 	t0 := time.Now()
 	lt0 := s.tel.driver.Start()
-	local := make([]markEntry, 0, len(s.blocks))
+	local := make([]int64, 0, 4*len(s.blocks)) // per leaf: ID, then mark
 	for _, b := range s.blocks {
-		local = append(local, markEntry{ID: b.ID, Mark: s.markOf(b)})
+		local = append(appendID(local, b.ID), int64(s.markOf(b)))
 	}
 	gathered, err := s.Comm.AllgatherErr(local)
 	if err != nil {
@@ -48,8 +52,8 @@ func (s *Sim) regrade() (changed bool, err error) {
 	}
 	marks := make(map[blockforest.BlockID]blockforest.Mark, len(s.leaves))
 	for _, g := range gathered {
-		for _, e := range g.([]markEntry) {
-			marks[e.ID] = e.Mark
+		for w := g.([]int64); len(w) >= 4; w = w[4:] {
+			marks[idAt(w)] = blockforest.Mark(w[3])
 		}
 	}
 	s.stats.Regrades++

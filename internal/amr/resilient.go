@@ -173,9 +173,9 @@ func (s *Sim) blocksFromSnapshots(blocks *[]*Block, snaps []output.LeafSnapshot)
 // topology recovery needs no side channel — the rank files themselves
 // carry the forest. Collective over s.Comm.
 func (s *Sim) installRestored(blocks []*Block, step int) error {
-	local := make([]blockforest.Leaf, len(blocks))
-	for i, b := range blocks {
-		local[i] = blockforest.Leaf{ID: b.ID, Coord: b.Coord}
+	local := make([]int64, 0, 6*len(blocks)) // per leaf: ID, then Coord
+	for _, b := range blocks {
+		local = append(appendID(local, b.ID), int64(b.Coord[0]), int64(b.Coord[1]), int64(b.Coord[2]))
 	}
 	gathered, err := s.Comm.AllgatherErr(local)
 	if err != nil {
@@ -183,9 +183,8 @@ func (s *Sim) installRestored(blocks []*Block, step int) error {
 	}
 	var all []blockforest.Leaf
 	for r, g := range gathered {
-		for _, l := range g.([]blockforest.Leaf) {
-			l.Rank = r
-			all = append(all, l)
+		for w := g.([]int64); len(w) >= 6; w = w[6:] {
+			all = append(all, blockforest.Leaf{ID: idAt(w), Coord: [3]int{int(w[3]), int(w[4]), int(w[5])}, Rank: r})
 		}
 	}
 	sortLeaves(all)

@@ -15,7 +15,6 @@ const (
 	tagGather
 	tagReduce
 	tagAlltoall
-	tagScan
 )
 
 // Every collective is implemented as an error-returning core (the *Err
@@ -40,7 +39,7 @@ func (c *Comm) BarrierErr() error {
 	if _, err := c.reduceTreeErr(tagBarrier, nil, func(a, b any) any { return nil }); err != nil {
 		return err
 	}
-	_, err := c.bcastTreeErr(tagBarrier, nil)
+	_, err := c.bcastTreeRootedErr(tagBarrier, 0, nil)
 	if err == nil && c.tel != nil {
 		c.tel.lane.Span(telemetry.PhaseBarrier, c.tel.step, 0, telStart)
 	}
@@ -73,28 +72,21 @@ func (c *Comm) rel(root int) int { return (c.rank - root + c.Size()) % c.Size() 
 // abs translates a tree coordinate back to an absolute rank.
 func (c *Comm) abs(root, r int) int { return (r + root) % c.Size() }
 
-// bcastTreeRootedErr runs a binomial broadcast tree rooted at root.
+// bcastTreeRootedErr runs a binomial broadcast tree rooted at root: a
+// rank receives from its parent (itself without its highest set bit) and
+// forwards to its children (itself plus each higher bit).
 func (c *Comm) bcastTreeRootedErr(tag int, root int, data any) (any, error) {
 	n := c.Size()
 	me := c.rel(root)
-	// Receive from parent (if not root).
-	if me != 0 {
-		mask := 1
-		for mask <= me {
-			mask <<= 1
-		}
-		mask >>= 1
-		parent := me &^ mask
-		var err error
-		data, _, err = c.recvErr(c.abs(root, parent), tag)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Forward to children.
 	mask := 1
 	for mask <= me {
 		mask <<= 1
+	}
+	if me != 0 {
+		var err error
+		if data, _, err = c.recvErr(c.abs(root, me&^(mask>>1)), tag); err != nil {
+			return nil, err
+		}
 	}
 	for ; mask < n; mask <<= 1 {
 		child := me | mask
@@ -105,11 +97,6 @@ func (c *Comm) bcastTreeRootedErr(tag int, root int, data any) (any, error) {
 		}
 	}
 	return data, nil
-}
-
-// bcastTreeErr broadcasts from rank 0.
-func (c *Comm) bcastTreeErr(tag int, data any) (any, error) {
-	return c.bcastTreeRootedErr(tag, 0, data)
 }
 
 // reduceTreeErr combines every rank's contribution at rank 0 using op;
@@ -132,39 +119,6 @@ func (c *Comm) reduceTreeErr(tag int, data any, op func(a, b any) any) (any, err
 	return data, nil
 }
 
-// ReduceFloat64 combines the per-rank values with op at root; other ranks
-// receive 0.
-func (c *Comm) ReduceFloat64(root int, v float64, op func(a, b float64) float64) float64 {
-	// Reduce to rank 0, then move to root if different (a minor shortcut
-	// MPI implementations also take).
-	res, err := c.reduceTreeErr(tagReduce, v, func(a, b any) any {
-		return op(a.(float64), b.(float64))
-	})
-	if err != nil {
-		panic(err)
-	}
-	if root == 0 {
-		if c.rank == 0 {
-			return res.(float64)
-		}
-		return 0
-	}
-	if c.rank == 0 {
-		if err := c.sendErr(root, tagReduce, res); err != nil {
-			panic(err)
-		}
-		return 0
-	}
-	if c.rank == root {
-		got, _, err := c.recvErr(0, tagReduce)
-		if err != nil {
-			panic(err)
-		}
-		return got.(float64)
-	}
-	return 0
-}
-
 // AllreduceFloat64 combines the per-rank values with op and returns the
 // result on every rank (reduce + broadcast).
 func (c *Comm) AllreduceFloat64(v float64, op func(a, b float64) float64) float64 {
@@ -178,17 +132,22 @@ func (c *Comm) AllreduceFloat64(v float64, op func(a, b float64) float64) float6
 // AllreduceFloat64Err is AllreduceFloat64 returning an error on rank
 // failure.
 func (c *Comm) AllreduceFloat64Err(v float64, op func(a, b float64) float64) (float64, error) {
+	return allreduce(c, v, op)
+}
+
+// allreduce reduces to rank 0 and broadcasts the result.
+func allreduce[T int64 | float64](c *Comm, v T, op func(a, b T) T) (T, error) {
 	res, err := c.reduceTreeErr(tagReduce, v, func(a, b any) any {
-		return op(a.(float64), b.(float64))
+		return op(a.(T), b.(T))
 	})
 	if err != nil {
 		return 0, err
 	}
-	out, err := c.bcastTreeErr(tagReduce, res)
+	out, err := c.bcastTreeRootedErr(tagReduce, 0, res)
 	if err != nil {
 		return 0, err
 	}
-	return out.(float64), nil
+	return out.(T), nil
 }
 
 // AllreduceInt64 combines the per-rank values with op on every rank.
@@ -202,17 +161,7 @@ func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) int64 {
 
 // AllreduceInt64Err is AllreduceInt64 returning an error on rank failure.
 func (c *Comm) AllreduceInt64Err(v int64, op func(a, b int64) int64) (int64, error) {
-	res, err := c.reduceTreeErr(tagReduce, v, func(a, b any) any {
-		return op(a.(int64), b.(int64))
-	})
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.bcastTreeErr(tagReduce, res)
-	if err != nil {
-		return 0, err
-	}
-	return out.(int64), nil
+	return allreduce(c, v, op)
 }
 
 // Sum, Max and Min are the common reduction operators.
@@ -249,14 +198,25 @@ func (c *Comm) GatherErr(root int, data any) ([]any, error) {
 	if c.rank != root {
 		return nil, c.sendErr(root, tagGather, data)
 	}
+	return c.collect(tagGather, data)
+}
+
+// collect receives one tag's message from every other rank, in rank
+// order: each (source, tag) stream matches in send order, so a fast rank's
+// next collective cannot stand in for a slow rank's current one. mine
+// fills this rank's own slot.
+func (c *Comm) collect(tag int, mine any) ([]any, error) {
 	out := make([]any, c.Size())
-	out[c.rank] = data
-	for i := 0; i < c.Size()-1; i++ {
-		data, source, err := c.recvErr(AnySource, tagGather)
+	for src := range out {
+		if src == c.rank {
+			out[src] = mine
+			continue
+		}
+		data, _, err := c.recvErr(src, tag)
 		if err != nil {
 			return nil, err
 		}
-		out[source] = data
+		out[src] = data
 	}
 	return out, nil
 }
@@ -270,17 +230,14 @@ func (c *Comm) Allgather(data any) []any {
 	return out
 }
 
-// AllgatherErr is Allgather returning an error on rank failure.
+// AllgatherErr is Allgather returning an error on rank failure: an
+// all-to-all in which every rank sends data to every other.
 func (c *Comm) AllgatherErr(data any) ([]any, error) {
-	gathered, err := c.GatherErr(0, data)
-	if err != nil {
-		return nil, err
+	bufs := make([]any, c.Size())
+	for i := range bufs {
+		bufs[i] = data
 	}
-	res, err := c.bcastTreeErr(tagGather, gathered)
-	if err != nil {
-		return nil, err
-	}
-	return res.([]any), nil
+	return c.AlltoallErr(bufs)
 }
 
 // Alltoall sends bufs[i] to rank i and returns the payloads received from
@@ -306,28 +263,5 @@ func (c *Comm) AlltoallErr(bufs []any) ([]any, error) {
 			return nil, err
 		}
 	}
-	out := make([]any, c.Size())
-	out[c.rank] = bufs[c.rank]
-	for i := 0; i < c.Size()-1; i++ {
-		data, source, err := c.recvErr(AnySource, tagAlltoall)
-		if err != nil {
-			return nil, err
-		}
-		out[source] = data
-	}
-	return out, nil
-}
-
-// ExscanInt64 returns the exclusive prefix sum of v over ranks: rank r
-// receives the sum of the values of ranks 0..r-1 (0 on rank 0). Used for
-// assigning global offsets during parallel setup.
-func (c *Comm) ExscanInt64(v int64) int64 {
-	// Gather + broadcast keeps this O(n) messages; fine at our scales and
-	// faithful in pattern (MPI_Exscan).
-	all := c.Allgather(v)
-	var sum int64
-	for r := 0; r < c.rank; r++ {
-		sum += all[r].(int64)
-	}
-	return sum
+	return c.collect(tagAlltoall, bufs[c.rank])
 }

@@ -4,19 +4,24 @@
 // A "process" (rank) is a goroutine executing the same SPMD function; the
 // communicator offers the MPI subset waLBerla uses: blocking point-to-point
 // send/receive with tag matching, nonblocking sends, the collectives
-// Barrier, Bcast, Gather, Allgather, Reduce, Allreduce and Alltoall (built
-// on point-to-point messages, binomial trees for the rooted collectives),
-// and communicator splitting into subgroups. The communication patterns
-// and volumes therefore match a real distributed run, and ranks share no
-// data except through messages, keeping the paper's fully distributed
-// data structure invariants testable in process.
+// Barrier, Bcast, Gather, Allgather, Allreduce and Alltoall (built on
+// point-to-point messages, binomial trees for the rooted collectives). The
+// communication patterns and volumes therefore match a real distributed
+// run, and ranks share no data except through messages, keeping the
+// paper's fully distributed data structure invariants testable in
+// process.
+//
+// Every payload is one of seven kinds — nil, []byte, []float64, []int64,
+// int64, int and float64 — on both transports: a send of anything else
+// fails with a *PayloadError before it leaves the rank, so what runs in
+// process is what the socket transport can carry.
 //
 // Message passing is "eager": sends do not rendezvous with the receiver
 // (each rank owns a mailbox), receives block until a matching message
 // arrives. Messages match on (communicator context, source, tag), so
-// traffic in a subcommunicator cannot interfere with the parent's, and
-// messages of one (context, source, tag) stream match in send order, as
-// MPI guarantees. Per-rank statistics (message and byte counts, time
+// traffic on a shrunk or grown communicator cannot interfere with the
+// parent's, and messages of one (context, source, tag) stream match in
+// send order, as MPI guarantees. Per-rank statistics (message and byte counts, time
 // blocked in receives and in the socket transport's backpressure) support
 // the %MPI accounting of the scaling experiments.
 //
@@ -37,7 +42,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,14 +77,6 @@ func (m *message) payload() any {
 		return m.f64
 	}
 	return m.data
-}
-
-// bytes estimates the wire size of the payload.
-func (m *message) bytes() int64 {
-	if m.f64 != nil {
-		return int64(8 * len(m.f64))
-	}
-	return payloadBytes(m.data)
 }
 
 // mkey is the exact-match index key of a mailbox queue.
@@ -356,7 +352,7 @@ func (w *world) declareFailure(f *RankFailedError) {
 type PeerStats struct {
 	// Sends is the number of messages sent to this destination.
 	Sends int64
-	// BytesSent is the estimated payload volume sent to this destination.
+	// BytesSent is the payload volume sent to this destination.
 	BytesSent int64
 }
 
@@ -366,7 +362,7 @@ type Stats struct {
 	// Sends is the number of point-to-point messages sent (including those
 	// issued on behalf of collectives).
 	Sends int64
-	// BytesSent is the estimated payload volume of all sends.
+	// BytesSent is the payload volume of all sends, in bytes.
 	BytesSent int64
 	// Peers breaks Sends/BytesSent down by destination world rank.
 	Peers []PeerStats
@@ -390,15 +386,14 @@ type MailboxStats struct {
 }
 
 // Comm is one rank's handle to a communicator: the world communicator
-// created by Run, or a subgroup created by Split. Ranks are relative to
-// the communicator (0..Size-1).
+// created by Run, or one derived from it by Shrink or GrowWorld. Ranks
+// are relative to the communicator (0..Size-1).
 type Comm struct {
 	w       *world
 	group   []int       // world ranks of the members, sorted by comm rank
 	toIndex map[int]int // world rank -> comm rank
 	rank    int         // this rank's position within group
 	ctx     int         // context id isolating this communicator's traffic
-	splits  int         // number of Split calls issued on this handle
 	stats   *Stats
 	// tel is the optional telemetry attachment (SetTelemetry); like stats
 	// it is shared across every communicator derived from this rank's
@@ -509,93 +504,23 @@ func (c *Comm) MailboxStats() MailboxStats {
 	return MailboxStats{Pending: pending, HighWater: high}
 }
 
-// Split partitions the communicator into subgroups: ranks passing the
-// same color form a new communicator, ordered by (key, parent rank). A
-// negative color opts out and receives nil. Collective: every rank of the
-// communicator must call Split.
-func (c *Comm) Split(color, key int) *Comm {
-	c.splits++
-	type entry struct{ Color, Key, Rank int }
-	gathered := c.Allgather(entry{color, key, c.rank})
-	var members []entry
-	for _, g := range gathered {
-		e := g.(entry)
-		if e.Color == color {
-			members = append(members, e)
-		}
-	}
-	if color < 0 {
-		return nil
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].Key != members[j].Key {
-			return members[i].Key < members[j].Key
-		}
-		return members[i].Rank < members[j].Rank
-	})
-	group := make([]int, len(members))
-	toIndex := make(map[int]int, len(members))
-	myRank := -1
-	for i, e := range members {
-		world := c.group[e.Rank]
-		group[i] = world
-		toIndex[world] = i
-		if e.Rank == c.rank {
-			myRank = i
-		}
-	}
-	// Deterministic context id: every member executed the same sequence
-	// of Split calls on the same parent, so (parent ctx, split counter,
-	// color) agree across the subgroup and differ between sibling groups.
-	ctx := (c.ctx*31+c.splits)*1000003 + color + 1
-	return &Comm{
-		w: c.w, group: group, toIndex: toIndex, rank: myRank,
-		ctx: ctx, stats: c.stats, tel: c.tel,
-	}
-}
-
-// payloadBytes estimates the wire size of a payload for the statistics.
-func payloadBytes(data any) int64 {
-	switch d := data.(type) {
-	case nil:
-		return 0
-	case []byte:
-		return int64(len(d))
-	case []float64:
-		return int64(8 * len(d))
-	case []int:
-		return int64(8 * len(d))
-	case []int64:
-		return int64(8 * len(d))
-	case []int32:
-		return int64(4 * len(d))
-	case float64, int, int64, uint64:
-		return 8
-	case int32, uint32, float32:
-		return 4
-	case bool, int8, uint8:
-		return 1
-	case string:
-		return int64(len(d))
-	default:
-		return 8 // opaque payloads count as one word
-	}
-}
-
-// Send delivers data to rank dst with the given non-negative tag. Send is
-// asynchronous (eager): it blocks only for an injected stall or, on the
-// socket transport, while the connection's retention ring is full. The payload is shared, not copied; the sender must not
-// modify it afterwards (pack fresh buffers per message, as the ghost-layer
-// exchange does). Send panics if a rank failure has been declared; use
-// SendErr where failures must be handled.
+// Send delivers data, one of the contract's seven kinds, to rank dst with
+// the given non-negative tag. Send is asynchronous (eager): it blocks only
+// for an injected stall or, on the socket transport, while the
+// connection's retention ring is full. The payload is shared, not copied;
+// the sender must not modify it afterwards (pack fresh buffers per
+// message, as the ghost-layer exchange does). Send panics with SendErr's
+// error; use SendErr where failures must be handled.
 func (c *Comm) Send(dst, tag int, data any) {
 	if err := c.SendErr(dst, tag, data); err != nil {
 		panic(err)
 	}
 }
 
-// SendErr is Send returning a typed *RankFailedError instead of panicking
-// once a rank failure has been declared.
+// SendErr is Send returning an error instead of panicking: a typed
+// *RankFailedError once a rank failure has been declared, or a
+// *PayloadError for a payload outside the contract (see classifyPayload).
+// A payload of any size is carried.
 func (c *Comm) SendErr(dst, tag int, data any) error {
 	if tag < 0 {
 		panic("comm: user tags must be non-negative")
@@ -625,12 +550,19 @@ func (c *Comm) sendMsg(dst, tag int, msg message) error {
 	if dst < 0 || dst >= len(c.group) {
 		panic(fmt.Sprintf("comm: rank %d sends to invalid rank %d (size %d)", c.rank, dst, len(c.group)))
 	}
+	enc, body, err := classifyPayload(&msg)
+	if err != nil {
+		return err
+	}
+	nb := int64(len(body))
+	if enc >= encInt64 {
+		nb = 8 // a scalar
+	}
 	w := c.w
 	if err := w.failErr(); err != nil {
 		return err
 	}
 	worldDst := c.group[dst]
-	nb := msg.bytes()
 	c.stats.Sends++
 	c.stats.BytesSent += nb
 	if worldDst < len(c.stats.Peers) {
@@ -640,7 +572,7 @@ func (c *Comm) sendMsg(dst, tag int, msg message) error {
 	}
 	msg.ctx, msg.source, msg.tag = c.ctx, c.WorldRank(), tag
 	telStart := c.tel.sendStart(nb)
-	waited, stalled, err := w.transport.deliver(c.WorldRank(), worldDst, msg)
+	waited, stalled, err := w.transport.deliver(c.WorldRank(), worldDst, msg, enc, body)
 	if stalled {
 		c.stats.Delayed++
 		c.tel.delay(worldDst)
@@ -734,14 +666,4 @@ func (c *Comm) RecvFloat64sErr(src, tag int) ([]float64, int, error) {
 		panic("comm: user tags must be non-negative")
 	}
 	return c.recvFloat64s(src, tag)
-}
-
-// RecvBytes is Recv with a []byte payload, panicking on type mismatch.
-func (c *Comm) RecvBytes(src, tag int) ([]byte, int) {
-	data, source := c.Recv(src, tag)
-	b, ok := data.([]byte)
-	if !ok {
-		panic(fmt.Sprintf("comm: rank %d expected []byte from %d tag %d, got %T", c.rank, src, tag, data))
-	}
-	return b, source
 }

@@ -152,8 +152,8 @@ func TestRecoverRestoresService(t *testing.T) {
 			// after rank 0's go-signal, so the stale send precedes the
 			// failure declaration.
 			if c.Rank() == 0 {
-				c.Send(2, 9, "stale")
-				c.Send(1, 1, "go")
+				c.Send(2, 9, []byte("stale"))
+				c.Send(1, 1, []byte("go"))
 			}
 			if c.Rank() == 1 {
 				c.Recv(0, 1)
@@ -178,10 +178,10 @@ func TestRecoverRestoresService(t *testing.T) {
 		// Stale pre-crash traffic is gone: the first tag-9 message rank 2
 		// receives is the one rank 0 sends after the recovery.
 		if c.Rank() == 0 {
-			c.Send(2, 9, "fresh")
+			c.Send(2, 9, []byte("fresh"))
 		}
 		if c.Rank() == 2 {
-			if v, _ := c.Recv(0, 9); v != "fresh" {
+			if v, _ := c.Recv(0, 9); string(v.([]byte)) != "fresh" {
 				t.Errorf("received %v: stale pre-recovery message survived the purge", v)
 			}
 		}

@@ -25,7 +25,8 @@ import (
 //	 0       4    magic "WFR1"
 //	 4       1    kind  (data, heartbeat, hello, welcome)
 //	 5       1    enc   (payload encoding)
-//	 6       2    reserved, must be zero
+//	 6       1    reserved, must be zero
+//	 7       1    flags (data frames: frameMore)
 //	 8       8    seq    per-directed-stream sequence (data), lastSent (heartbeat)
 //	16       8    ack    cumulative ack of the reverse stream
 //	24       8    epoch  world epoch at send time
@@ -39,10 +40,19 @@ const (
 	frameMagic     = 0x31524657 // "WFR1" little-endian
 	frameHeaderLen = 56
 
-	// defaultMaxFrameBytes guards the decoder against hostile or corrupt
-	// length prefixes: a frame above the bound is rejected before any
-	// payload allocation.
-	defaultMaxFrameBytes = 64 << 20
+	// defaultMaxFrameBytes bounds a data frame's payload. The sender
+	// splits a larger payload into consecutive frames of this size (a
+	// multiple of 8, so a piece of a []float64 or []int64 holds whole
+	// values); the decoder rejects a longer length prefix before any
+	// payload allocation. A frame this small crosses well within the
+	// stall threshold even on a slow link, and the reader's liveness
+	// clock advances per frame, so a large payload never looks like a
+	// silent peer.
+	defaultMaxFrameBytes = 1 << 20
+
+	// frameMore flags a data frame whose message goes on in the stream's
+	// next data frame; the reader joins the pieces and delivers once.
+	frameMore = 1
 )
 
 // frameKind discriminates the frame types of the wire protocol.
@@ -56,11 +66,8 @@ const (
 )
 
 // payloadEnc identifies how a data frame's payload bytes map back to the
-// message payload. Opaque payloads (arbitrary interface values of the
-// collectives and migration paths) are not serialized: the frame carries
-// no bytes and the receiver resolves the sender's retained reference by
-// sequence number — valid because both endpoints live in one process (see
-// docs/TRANSPORT.md, "single-process scope").
+// message payload: one code per kind of the payload contract
+// (classifyPayload).
 type payloadEnc uint8
 
 const (
@@ -71,7 +78,6 @@ const (
 	encInt64   payloadEnc = 4 // int64 scalar
 	encInt     payloadEnc = 5 // int scalar (carried as 64-bit)
 	encFloat64 payloadEnc = 6 // float64 scalar
-	encOpaque  payloadEnc = 7 // process-local reference, no payload bytes
 )
 
 // Typed decoder errors. The reader severs and redials the connection on
@@ -108,6 +114,7 @@ type frameHeader struct {
 	tag    int32
 	source int32
 	length uint32
+	more   bool // frameMore: the payload goes on in the next data frame
 }
 
 // encodeFrameHeader serializes h into dst and stamps the CRC over the
@@ -118,6 +125,9 @@ func encodeFrameHeader(dst *[frameHeaderLen]byte, h frameHeader, payload []byte)
 	dst[4] = byte(h.kind)
 	dst[5] = byte(h.enc)
 	dst[6], dst[7] = 0, 0
+	if h.more {
+		dst[7] = frameMore
+	}
 	binary.LittleEndian.PutUint64(dst[8:16], h.seq)
 	binary.LittleEndian.PutUint64(dst[16:24], h.ack)
 	binary.LittleEndian.PutUint64(dst[24:32], h.epoch)
@@ -147,21 +157,22 @@ func decodeFrameHeader(raw *[frameHeaderLen]byte, maxFrameBytes int) (frameHeade
 		tag:    int32(binary.LittleEndian.Uint32(raw[40:44])),
 		source: int32(binary.LittleEndian.Uint32(raw[44:48])),
 		length: binary.LittleEndian.Uint32(raw[48:52]),
+		more:   raw[7] == frameMore,
 	}
-	if raw[6] != 0 || raw[7] != 0 {
+	if raw[6] != 0 || raw[7]&^frameMore != 0 {
 		return frameHeader{}, ErrBadFrame
 	}
 	if h.kind < frameData || h.kind > frameWelcome {
 		return frameHeader{}, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, h.kind)
 	}
-	if h.enc > encOpaque {
+	if h.enc > encFloat64 {
 		return frameHeader{}, fmt.Errorf("%w: unknown payload encoding %d", ErrBadFrame, h.enc)
 	}
 	if h.kind != frameData && h.length != 0 {
 		return frameHeader{}, fmt.Errorf("%w: %v frame with payload", ErrBadFrame, h.kind)
 	}
-	if h.enc == encOpaque && h.length != 0 {
-		return frameHeader{}, fmt.Errorf("%w: opaque frame with payload bytes", ErrBadFrame)
+	if h.more && (h.kind != frameData || (h.enc != encF64s && h.enc != encBytes && h.enc != encI64s)) {
+		return frameHeader{}, fmt.Errorf("%w: continued frame of kind %d, encoding %d", ErrBadFrame, h.kind, h.enc)
 	}
 	switch h.enc {
 	case encF64s, encI64s:
@@ -264,20 +275,6 @@ func i64Bytes(v []int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
 }
 
-// bytesF64 decodes a payload byte slice into dst (len(b)/8 values).
-func bytesF64(dst []float64, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
-
-// bytesI64 decodes a payload byte slice into dst (len(b)/8 values).
-func bytesI64(dst []int64, b []byte) {
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
-
 // encodeScalar stamps a scalar payload into an 8-byte scratch.
 func encodeScalar(dst *[8]byte, enc payloadEnc, data any) {
 	switch enc {
@@ -307,29 +304,44 @@ func decodeScalar(enc payloadEnc, b []byte) any {
 	}
 }
 
-// classifyPayload picks the wire encoding of a message payload. Everything
-// not representable as raw bytes travels as an opaque process-local
-// reference.
-func classifyPayload(msg *message) payloadEnc {
+// ErrPayloadType reports a payload outside the contract of classifyPayload.
+var ErrPayloadType = errors.New("comm: payload type outside the wire contract")
+
+// PayloadError is the error of a send whose payload's type is outside
+// the contract of classifyPayload, on both transports. Nothing is sent.
+type PayloadError struct {
+	Type string // the payload's Go type, as %T prints it
+	Err  error  // ErrPayloadType
+}
+
+func (e *PayloadError) Error() string { return fmt.Sprintf("%v: %s", e.Err, e.Type) }
+
+func (e *PayloadError) Unwrap() error { return e.Err }
+
+// classifyPayload is the payload contract of both transports: nil,
+// []byte, []float64, []int64, int64, int and float64. It returns the wire
+// encoding and a slice payload's bytes (a view, not a copy; nil for a
+// scalar, which its frame carries in 8 bytes), or a *PayloadError naming
+// any other type.
+func classifyPayload(msg *message) (payloadEnc, []byte, error) {
 	if msg.f64 != nil {
-		return encF64s
+		return encF64s, f64Bytes(msg.f64), nil
 	}
-	switch msg.data.(type) {
+	switch d := msg.data.(type) {
 	case nil:
-		return encNil
+		return encNil, nil, nil
 	case []float64:
-		return encF64s
+		return encF64s, f64Bytes(d), nil
 	case []byte:
-		return encBytes
+		return encBytes, d, nil
 	case []int64:
-		return encI64s
+		return encI64s, i64Bytes(d), nil
 	case int64:
-		return encInt64
+		return encInt64, nil, nil
 	case int:
-		return encInt
+		return encInt, nil, nil
 	case float64:
-		return encFloat64
-	default:
-		return encOpaque
+		return encFloat64, nil, nil
 	}
+	return 0, nil, &PayloadError{Type: fmt.Sprintf("%T", msg.data), Err: ErrPayloadType}
 }

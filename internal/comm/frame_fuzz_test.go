@@ -11,7 +11,8 @@ import (
 // The invariants under fuzz: malformed input must only ever produce the
 // typed decoder errors (never a panic), the staged payload must never
 // exceed the configured frame bound (no attacker-controlled allocation),
-// and any accepted frame must re-encode to a stream the decoder accepts
+// an accepted frame carries one of the contract's seven encodings, and
+// any accepted frame must re-encode to a stream the decoder accepts
 // again (decode/encode consistency).
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: one valid frame of each interesting shape plus the
@@ -21,10 +22,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	seed(frameHeader{kind: frameData, enc: encF64s, seq: 1, ack: 0, epoch: 0, ctx: 1, tag: 2, source: 0}, f64Bytes([]float64{1, 2, 3}))
 	seed(frameHeader{kind: frameData, enc: encBytes, seq: 2, source: 1}, []byte("seed"))
+	seed(frameHeader{kind: frameData, enc: encBytes, seq: 2, source: 1, more: true}, []byte("piece"))
 	seed(frameHeader{kind: frameData, enc: encI64s, seq: 3, source: 1}, i64Bytes([]int64{-7}))
 	seed(frameHeader{kind: frameData, enc: encInt64, seq: 4, source: 1}, make([]byte, 8))
 	seed(frameHeader{kind: frameData, enc: encNil, seq: 5, source: 1}, nil)
-	seed(frameHeader{kind: frameData, enc: encOpaque, seq: 6, source: 1}, nil)
+	seed(frameHeader{kind: frameData, enc: 7, seq: 6, source: 1}, nil) // no such encoding
 	seed(frameHeader{kind: frameHeartbeat, seq: 10, ack: 9, source: 1}, nil)
 	seed(frameHeader{kind: frameHello, ack: 3, source: 0}, nil)
 	seed(frameHeader{kind: frameWelcome, ack: 4, source: 1}, nil)
@@ -71,6 +73,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if len(payload) > maxBytes || cap(s.payload) > maxBytes {
 				t.Fatalf("payload staging exceeded the frame bound: len %d cap %d", len(payload), cap(s.payload))
+			}
+			if h.enc > encFloat64 {
+				t.Fatalf("accepted payload encoding %d outside the contract", h.enc)
 			}
 			if int(h.length) != len(payload) {
 				t.Fatalf("length prefix %d != payload %d", h.length, len(payload))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -26,10 +27,10 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 	}{
 		{"data f64s", frameHeader{kind: frameData, enc: encF64s, seq: 7, ack: 3, epoch: 2, ctx: -12345, tag: 9, source: 4}, f64Bytes([]float64{1.5, -2.25, math.Inf(1)})},
 		{"data bytes", frameHeader{kind: frameData, enc: encBytes, seq: 1, source: 1}, []byte("hello, wire")},
+		{"data bytes continued", frameHeader{kind: frameData, enc: encBytes, seq: 5, source: 1, more: true}, []byte("piece")},
 		{"data i64s", frameHeader{kind: frameData, enc: encI64s, seq: 2, source: 0}, i64Bytes([]int64{-1, 1 << 62})},
 		{"data int64", frameHeader{kind: frameData, enc: encInt64, seq: 3, source: 2}, make([]byte, 8)},
 		{"data nil", frameHeader{kind: frameData, enc: encNil, seq: 4, source: 2}, nil},
-		{"data opaque", frameHeader{kind: frameData, enc: encOpaque, seq: 5, source: 2}, nil},
 		{"heartbeat", frameHeader{kind: frameHeartbeat, seq: 99, ack: 98, epoch: 1, source: 3}, nil},
 		{"hello", frameHeader{kind: frameHello, ack: 41, source: 0}, nil},
 		{"welcome", frameHeader{kind: frameWelcome, ack: 17, source: 6}, nil},
@@ -99,11 +100,13 @@ func TestFrameDecodeRejections(t *testing.T) {
 	}{
 		{"bad magic", func(raw []byte) { raw[0] = 'X' }, ErrBadMagic},
 		{"reserved nonzero", func(raw []byte) { raw[6] = 1; stampCRC(raw) }, ErrBadFrame},
+		{"unknown flag", func(raw []byte) { raw[7] = 2; stampCRC(raw) }, ErrBadFrame},
 		{"kind zero", func(raw []byte) { raw[4] = 0; stampCRC(raw) }, ErrBadFrame},
 		{"kind unknown", func(raw []byte) { raw[4] = 200; stampCRC(raw) }, ErrBadFrame},
 		{"enc unknown", func(raw []byte) { raw[5] = 99; stampCRC(raw) }, ErrBadFrame},
 		{"heartbeat with payload", func(raw []byte) { raw[4] = byte(frameHeartbeat); stampCRC(raw) }, ErrBadFrame},
-		{"opaque with payload", func(raw []byte) { raw[5] = byte(encOpaque); stampCRC(raw) }, ErrBadFrame},
+		// 7 was the retired opaque encoding: now unknown, with or without payload.
+		{"opaque with payload", func(raw []byte) { raw[5] = 7; stampCRC(raw) }, ErrBadFrame},
 		{"f64 odd length", func(raw []byte) { raw[5] = byte(encF64s); stampCRC(raw) }, ErrBadFrame},
 		{"scalar wrong length", func(raw []byte) { raw[5] = byte(encInt64); stampCRC(raw) }, ErrBadFrame},
 		{"nil with payload", func(raw []byte) { raw[5] = byte(encNil); stampCRC(raw) }, ErrBadFrame},
@@ -120,6 +123,12 @@ func TestFrameDecodeRejections(t *testing.T) {
 				t.Errorf("got %v, want %v", err, tc.target)
 			}
 		})
+	}
+	// Only a slice payload can be split: frameMore on a scalar is refused.
+	raw := buildFrame(frameHeader{kind: frameData, enc: encInt64, seq: 1, more: true}, make([]byte, 8))
+	var s frameScratch
+	if _, _, err := readFrame(bytes.NewReader(raw), 1<<20, &s); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("continued scalar: got %v, want ErrBadFrame", err)
 	}
 }
 
@@ -163,21 +172,31 @@ func TestClassifyPayload(t *testing.T) {
 	cases := []struct {
 		msg  message
 		want payloadEnc
+		size int64
 	}{
-		{message{f64: []float64{1}}, encF64s},
-		{message{data: []float64{1}}, encF64s},
-		{message{}, encNil},
-		{message{data: []byte{1}}, encBytes},
-		{message{data: []int64{1}}, encI64s},
-		{message{data: int64(1)}, encInt64},
-		{message{data: 1}, encInt},
-		{message{data: 1.0}, encFloat64},
-		{message{data: struct{ X int }{1}}, encOpaque},
-		{message{data: map[string]int{"a": 1}}, encOpaque},
+		{message{f64: []float64{1}}, encF64s, 8},
+		{message{data: []float64{1, 2}}, encF64s, 16},
+		{message{}, encNil, 0},
+		{message{data: []byte{1}}, encBytes, 1},
+		{message{data: []int64{1}}, encI64s, 8},
+		{message{data: int64(1)}, encInt64, 8},
+		{message{data: 1}, encInt, 8},
+		{message{data: 1.0}, encFloat64, 8},
 	}
 	for i, tc := range cases {
-		if got := classifyPayload(&tc.msg); got != tc.want {
-			t.Errorf("case %d: got %v want %v", i, got, tc.want)
+		got, body, err := classifyPayload(&tc.msg)
+		size := int64(len(body))
+		if got >= encInt64 {
+			size = 8 // a scalar, carried in its frame's word
+		}
+		if got != tc.want || size != tc.size || err != nil {
+			t.Errorf("case %d: got %v, %d bytes, %v; want %v, %d bytes", i, got, size, err, tc.want, tc.size)
+		}
+	}
+	for _, data := range []any{struct{ X int }{1}, map[string]int{"a": 1}, uint64(1)} {
+		var pe *PayloadError
+		if _, _, err := classifyPayload(&message{data: data}); !errors.As(err, &pe) || !errors.Is(err, ErrPayloadType) || pe.Type != fmt.Sprintf("%T", data) {
+			t.Errorf("%T: got %v, want a *PayloadError naming the type", data, err)
 		}
 	}
 }
@@ -207,20 +226,17 @@ func TestF64BytesRoundTrip(t *testing.T) {
 	if len(b) != 8*len(src) {
 		t.Fatalf("f64Bytes len = %d", len(b))
 	}
-	dst := make([]float64, len(src))
-	bytesF64(dst, b)
+	// The views are the little-endian wire encoding.
 	for i := range src {
-		if math.Float64bits(dst[i]) != math.Float64bits(src[i]) {
-			t.Errorf("f64[%d]: %x != %x", i, math.Float64bits(dst[i]), math.Float64bits(src[i]))
+		if got := binary.LittleEndian.Uint64(b[8*i:]); got != math.Float64bits(src[i]) {
+			t.Errorf("f64[%d]: %x != %x", i, got, math.Float64bits(src[i]))
 		}
 	}
 	iv := []int64{-9, 0, 1 << 60}
 	ib := i64Bytes(iv)
-	idst := make([]int64, len(iv))
-	bytesI64(idst, ib)
 	for i := range iv {
-		if idst[i] != iv[i] {
-			t.Errorf("i64[%d]: %d != %d", i, idst[i], iv[i])
+		if got := int64(binary.LittleEndian.Uint64(ib[8*i:])); got != iv[i] {
+			t.Errorf("i64[%d]: %d != %d", i, got, iv[i])
 		}
 	}
 	if f64Bytes(nil) != nil || i64Bytes(nil) != nil {

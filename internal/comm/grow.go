@@ -1,5 +1,7 @@
 package comm
 
+import "slices"
+
 // World re-growing — the healing counterpart of shrink.go. A Run may be
 // started with more ranks than the application actively computes on; the
 // extra ranks park as *spares* (ParkSpare) while the first `target` live
@@ -20,8 +22,8 @@ package comm
 // growCtxSalt distinguishes the context-id derivation of grown
 // communicators from Shrink's: a heal performs both a shrink and a grow
 // within one recovery epoch, so the two derivations must mix different
-// inputs. The salt has bit 62 set, a value no Split or Shrink context
-// occupies in practice.
+// inputs. The salt has bit 62 set, a value no Shrink context occupies in
+// practice.
 const growCtxSalt = uint64(1) << 62
 
 // WorldSize returns the total number of ranks of the Run this
@@ -37,57 +39,24 @@ func (c *Comm) WorldSize() int { return c.w.size }
 // (at world start, or directly after Recover), because the context id is
 // derived from the recovery epoch.
 func (c *Comm) GrowWorld(target int) *Comm {
-	w := c.w
-	w.recMu.Lock()
-	dead := append([]bool(nil), w.dead...)
-	w.recMu.Unlock()
-
-	me := c.WorldRank()
-	var group []int
-	toIndex := make(map[int]int)
-	myRank := -1
-	for wr := 0; wr < w.size && len(group) < target; wr++ {
-		if dead[wr] {
-			continue
-		}
-		if wr == me {
-			myRank = len(group)
-		}
-		toIndex[wr] = len(group)
-		group = append(group, wr)
-	}
-	if myRank < 0 {
-		return nil
-	}
-	// Deterministic context id in the negative (recovery) context space,
-	// mixed from the epoch and the grow salt. All members agree because
-	// the epoch is shared; successive grows differ because every recovery
-	// advances the epoch; and the salt keeps a grow at epoch E disjoint
-	// from the shrink at the same epoch.
-	h := mix64(uint64(w.epoch.Load())<<32 ^ growCtxSalt)
-	ctx := -int(h>>1) - 1
-	return &Comm{
-		w: w, group: group, toIndex: toIndex, rank: myRank,
-		ctx: ctx, stats: c.stats, tel: c.tel,
-	}
+	c.w.recMu.Lock()
+	active := c.w.activeLocked(target)
+	c.w.recMu.Unlock()
+	// Successive grows differ because every recovery advances the epoch;
+	// the salt keeps a grow at epoch E disjoint from the shrink at E.
+	return c.derive(active, growCtxSalt)
 }
 
-// activeMemberLocked reports whether this rank is among the first
-// `target` live world ranks. Caller holds w.recMu.
-func (c *Comm) activeMemberLocked(target int) bool {
-	w := c.w
-	me := c.WorldRank()
-	n := 0
-	for wr := 0; wr < w.size && n < target; wr++ {
-		if w.dead[wr] {
-			continue
+// activeLocked returns the first `target` live world ranks, in world-rank
+// order. Caller holds w.recMu.
+func (w *world) activeLocked(target int) []int {
+	var active []int
+	for wr := 0; wr < w.size && len(active) < target; wr++ {
+		if !w.dead[wr] {
+			active = append(active, wr)
 		}
-		if wr == me {
-			return true
-		}
-		n++
 	}
-	return false
+	return active
 }
 
 // ParkSpare blocks the calling rank until the active world of the given
@@ -125,7 +94,7 @@ func (c *Comm) ParkSpare(target int) (int64, bool) {
 			// exhausted); the rendezvous will never complete.
 			return 0, false
 		}
-		if c.activeMemberLocked(target) {
+		if slices.Contains(w.activeLocked(target), c.WorldRank()) {
 			return w.epoch.Load(), true
 		}
 	}

@@ -37,13 +37,6 @@ var errTransportClosed = &RankFailedError{Rank: -1, Cause: "transport closed"}
 // f64 field must be non-nil to select the typed receive path).
 var emptyF64 = make([]float64, 0)
 
-// opaqueKey identifies one in-flight opaque payload (src and dst are
-// world ranks, seq the data-frame sequence of the directed stream).
-type opaqueKey struct {
-	src, dst int
-	seq      uint64
-}
-
 // netTransport is the socket backend: one endpoint (listener + connection
 // set) per world rank, all inside this process.
 type netTransport struct {
@@ -54,13 +47,6 @@ type netTransport struct {
 	// stallAfter is the per-connection silence threshold, stallBeats
 	// heartbeat intervals.
 	stallAfter time.Duration
-
-	// opaque holds payloads the wire cannot carry (arbitrary interface
-	// values of collectives and migration). The frame travels empty and the
-	// receiver resolves the value here by (src, dst, seq); entries die with
-	// the retained frame on ack. Valid precisely because both endpoints
-	// share this process (docs/TRANSPORT.md, "single-process scope").
-	opaque sync.Map
 
 	closed atomic.Bool
 	done   chan struct{}
@@ -175,9 +161,9 @@ func newNetTransport(w *world, opts NetOptions) (*netTransport, error) {
 			c := &netConn{
 				ep: ep, peer: p, dialer: r < p, down: true,
 				ring:     make([]retainedFrame, retainFrames),
+				space:    make(chan struct{}, 1),
 				recvBufs: make(map[recvKey]*recvRing),
 			}
-			c.cond = sync.NewCond(&c.mu)
 			// A fresh connection has seen no silence yet: the accusation
 			// clock starts now, not at the unix epoch.
 			c.lastIn.Store(now)
@@ -215,7 +201,7 @@ func (t *netTransport) bail() error {
 // MPI implementation short-circuits rank-local traffic) and with it every
 // wire clause; everything else becomes a data frame on the pair's
 // connection.
-func (t *netTransport) deliver(src, dst int, msg message) (time.Duration, bool, error) {
+func (t *netTransport) deliver(src, dst int, msg message, enc payloadEnc, body []byte) (time.Duration, bool, error) {
 	if src == dst {
 		t.w.mailboxes[dst].put(msg, t.w.epoch.Load())
 		return 0, false, nil
@@ -226,7 +212,7 @@ func (t *netTransport) deliver(src, dst int, msg message) (time.Duration, bool, 
 		}
 		return 0, false, &RankFailedError{Rank: dst, Cause: fmt.Sprintf("send over %s transport to retired rank", t.opts.Network)}
 	}
-	return t.endpoints[src].conns[dst].send(msg)
+	return t.endpoints[src].conns[dst].send(msg, enc, body)
 }
 
 // noteDead shuts every connection involving a permanently dead rank: its
@@ -266,9 +252,7 @@ func (t *netTransport) onFailure() {
 	for _, ep := range t.endpoints {
 		for _, c := range ep.conns {
 			if c != nil {
-				c.mu.Lock()
-				c.cond.Broadcast()
-				c.mu.Unlock()
+				c.wake()
 			}
 		}
 	}

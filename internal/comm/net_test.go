@@ -1,8 +1,11 @@
 package comm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -82,8 +85,8 @@ func TestNetTransportTCP(t *testing.T) {
 }
 
 // TestNetTransportPayloadKinds exercises every wire encoding: nil
-// (barrier), bytes, int64 slices, scalars and opaque struct payloads
-// (collectives gather structs).
+// (barrier), bytes, int64 slices and scalars; a struct payload is refused
+// at the sender, by a send and by a collective alike.
 func TestNetTransportPayloadKinds(t *testing.T) {
 	type opaque struct {
 		Rank int
@@ -99,10 +102,12 @@ func TestNetTransportPayloadKinds(t *testing.T) {
 		c.Send(next, 3, int64(c.Rank()*11))
 		c.Send(next, 4, c.Rank()*13)
 		c.Send(next, 5, float64(c.Rank())+0.5)
-		c.Send(next, 6, opaque{Rank: c.Rank(), Name: "hello"})
+		if err := c.SendErr(next, 6, opaque{Rank: c.Rank(), Name: "hello"}); !errors.Is(err, ErrPayloadType) {
+			t.Errorf("rank %d: struct send returned %v, want ErrPayloadType", c.Rank(), err)
+		}
 
-		if b, _ := c.RecvBytes(prev, 1); b[0] != byte(prev) || b[1] != 0xab {
-			t.Errorf("rank %d: bad []byte payload %v", c.Rank(), b)
+		if v, _ := c.Recv(prev, 1); v.([]byte)[0] != byte(prev) || v.([]byte)[1] != 0xab {
+			t.Errorf("rank %d: bad []byte payload %v", c.Rank(), v)
 		}
 		if v, _ := c.Recv(prev, 2); v.([]int64)[0] != int64(prev) {
 			t.Errorf("rank %d: bad []int64 payload %v", c.Rank(), v)
@@ -116,34 +121,135 @@ func TestNetTransportPayloadKinds(t *testing.T) {
 		if v, _ := c.Recv(prev, 5); v.(float64) != float64(prev)+0.5 {
 			t.Errorf("rank %d: bad float64 payload %v", c.Rank(), v)
 		}
-		if v, _ := c.Recv(prev, 6); v.(opaque) != (opaque{Rank: prev, Name: "hello"}) {
-			t.Errorf("rank %d: bad opaque payload %+v", c.Rank(), v)
-		}
-		gathered := c.Allgather(opaque{Rank: c.Rank(), Name: "g"})
-		for r, g := range gathered {
-			if g.(opaque).Rank != r {
-				t.Errorf("rank %d: allgather[%d] = %+v", c.Rank(), r, g)
-			}
+		if _, err := c.AllgatherErr(opaque{Rank: c.Rank(), Name: "g"}); !errors.Is(err, ErrPayloadType) {
+			t.Errorf("rank %d: struct allgather returned %v, want ErrPayloadType", c.Rank(), err)
 		}
 		c.Barrier()
+		if p := c.MailboxStats().Pending; p != 0 {
+			t.Errorf("rank %d: %d messages pending, want none of the refused payloads", c.Rank(), p)
+		}
 	})
 }
 
-// TestNetTransportSplitTraffic checks that subcommunicator traffic is
-// isolated on the wire exactly as in process (contexts travel in the
-// frame header).
-func TestNetTransportSplitTraffic(t *testing.T) {
-	RunWithOptions(4, Options{Net: fastNet()}, func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
-		sum := sub.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return a + b })
-		want := int64(0 + 2)
-		if c.Rank()%2 == 1 {
-			want = 1 + 3
-		}
-		if sum != want {
-			t.Errorf("rank %d: subgroup sum = %d, want %d", c.Rank(), sum, want)
-		}
-	})
+// contractRows is the payload contract as a table: the seven kinds
+// round-trip, anything else is refused at the sender.
+var contractRows = []struct {
+	name string
+	data any
+	ok   bool
+}{
+	{"nil", nil, true},
+	{"bytes", []byte{1, 2, 0xab}, true},
+	{"float64s", []float64{1.5, -2, math.Inf(-1)}, true},
+	{"int64s", []int64{-7, 1 << 40}, true},
+	{"int64", int64(-42), true},
+	{"int", 1 << 33, true},
+	{"float64", math.Pi, true},
+	{"struct", struct{ Rank int }{1}, false},
+	{"pointer", &struct{ Rank int }{1}, false},
+	{"map", map[int]int{1: 2}, false},
+	{"int32s", []int32{1, 2}, false},
+	{"uint64", uint64(1), false},
+	{"string", "hello", false},
+}
+
+// TestPayloadContract runs the contract table through both transports:
+// they must accept and refuse the same payloads, with the same typed
+// error naming the refused type, and Send panics with that error.
+func TestPayloadContract(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		net  *NetOptions
+	}{{"inproc", nil}, {"unix", fastNet()}} {
+		t.Run(tr.name, func(t *testing.T) {
+			RunWithOptions(2, Options{Net: tr.net}, func(c *Comm) {
+				for tag, row := range contractRows {
+					if c.Rank() == 1 {
+						if row.ok {
+							if got, _ := c.Recv(0, tag); !reflect.DeepEqual(got, row.data) {
+								t.Errorf("%s: received %#v, want %#v", row.name, got, row.data)
+							}
+						}
+						continue
+					}
+					err := c.SendErr(1, tag, row.data)
+					var pe *PayloadError
+					if row.ok && err != nil {
+						t.Errorf("%s: %v", row.name, err)
+					}
+					if !row.ok && (!errors.As(err, &pe) || !errors.Is(err, ErrPayloadType) || pe.Type != fmt.Sprintf("%T", row.data)) {
+						t.Errorf("%s: got %v, want a *PayloadError naming %T", row.name, err, row.data)
+					}
+				}
+				if c.Rank() == 0 {
+					func() {
+						defer func() {
+							if err, _ := recover().(error); !errors.Is(err, ErrPayloadType) {
+								t.Errorf("Send of a string panicked with %v, want ErrPayloadType", err)
+							}
+						}()
+						c.Send(1, 0, "hello")
+					}()
+				}
+				c.Barrier()
+				if p := c.MailboxStats().Pending; p != 0 {
+					t.Errorf("rank %d: %d messages pending after the table", c.Rank(), p)
+				}
+			})
+		})
+	}
+}
+
+// TestPayloadAboveFrameBound sends a 64 MiB []byte, many times what one
+// frame holds, between two small messages over unix: it crosses as
+// consecutive frames and arrives intact and in stream order. In the
+// "sever" case the link is cut at the second piece, so the pieces are
+// replayed over a reconnect and the reader joins them across socket
+// generations.
+func TestPayloadAboveFrameBound(t *testing.T) {
+	big := make([]byte, 64<<20+3)
+	frames := int64(2 + (len(big)+defaultMaxFrameBytes-1)/defaultMaxFrameBytes)
+	for i := range big {
+		big[i] = byte(i*7 + i>>16)
+	}
+	for _, tc := range []struct {
+		name   string
+		faults *FaultPlan
+	}{
+		{"clean", nil},
+		{"sever", &FaultPlan{Severs: []SeverSpec{{From: 0, To: 1, AtFrame: 3}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				RunWithOptions(2, Options{Net: fastNet(), Faults: tc.faults}, func(c *Comm) {
+					if c.Rank() == 0 {
+						c.Send(1, 1, []byte{6})
+						c.Send(1, 1, big)
+						c.Send(1, 1, []byte{7})
+						if ns, _ := c.NetStats(); tc.faults != nil && ns.InjectedSevers != 1 {
+							t.Errorf("%d severs injected, want 1", ns.InjectedSevers)
+						}
+						return
+					}
+					for _, want := range [][]byte{{6}, big, {7}} {
+						if v, _ := c.Recv(0, 1); !bytes.Equal(v.([]byte), want) {
+							t.Errorf("received %d bytes, want %d intact", len(v.([]byte)), len(want))
+						}
+					}
+					if ns, _ := c.NetStats(); ns.FramesRecv != frames || ns.BytesRecv < int64(len(big)) {
+						t.Errorf("%d frames and %d bytes received, want %d frames carrying the %d-byte payload", ns.FramesRecv, ns.BytesRecv, frames, len(big))
+					}
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatal("the payload above the frame bound never arrived")
+			}
+		})
+	}
 }
 
 // exerciseFaultyNet runs steady ring traffic under a fault plan and
@@ -236,6 +342,37 @@ func TestNetTransportSeverAndRefusal(t *testing.T) {
 	}
 	if reconnects := total(all, func(s NetStats) int64 { return s.Reconnects }); reconnects < 2 {
 		t.Errorf("reconnects = %d, want >= 2", reconnects)
+	}
+}
+
+// TestNetResendBothWays severs both directions of a pair before their
+// first frame, so each end retains megabytes for the other when the link
+// comes back. Each end must read while it resends: an end that replays
+// its backlog before its reader starts fills the socket the other end is
+// replaying into, and the pair redials forever.
+func TestNetResendBothWays(t *testing.T) {
+	const frames, size = 4, 1 << 20
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		plan := &FaultPlan{Severs: []SeverSpec{{From: 0, To: 1, AtFrame: 1}, {From: 1, To: 0, AtFrame: 1}}}
+		RunWithOptions(2, Options{Net: fastNet(), Faults: plan}, func(c *Comm) {
+			peer := 1 - c.Rank()
+			for i := 0; i < frames; i++ {
+				c.Send(peer, i, bytes.Repeat([]byte{byte(c.Rank())}, size))
+			}
+			for i := 0; i < frames; i++ {
+				if v, _ := c.Recv(peer, i); len(v.([]byte)) != size || v.([]byte)[size-1] != byte(peer) {
+					t.Errorf("rank %d: frame %d from rank %d is wrong", c.Rank(), i, peer)
+				}
+			}
+			c.Barrier()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the retained frames of both directions never arrived")
 	}
 }
 
@@ -497,11 +634,11 @@ func TestNetTransportManyRanks(t *testing.T) {
 	RunWithOptions(n, Options{Net: fastNet()}, func(c *Comm) {
 		bufs := make([]any, n)
 		for i := range bufs {
-			bufs[i] = fmt.Sprintf("%d->%d", c.Rank(), i)
+			bufs[i] = []byte(fmt.Sprintf("%d->%d", c.Rank(), i))
 		}
 		got := c.Alltoall(bufs)
 		for i, g := range got {
-			if want := fmt.Sprintf("%d->%d", i, c.Rank()); g.(string) != want {
+			if want := fmt.Sprintf("%d->%d", i, c.Rank()); string(g.([]byte)) != want {
 				t.Errorf("rank %d: alltoall[%d] = %v, want %s", c.Rank(), i, g, want)
 			}
 		}

@@ -19,13 +19,20 @@ type netConn struct {
 	peer   int
 	dialer bool // this end dials (lower rank); the other end accepts
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// sock is the live socket, nil while down. sockGen increments on every
-	// install and teardown so readers and error reporters can tell whether
-	// their socket is still the current one.
+	// sendMu serializes whole messages on the outgoing stream, so the
+	// frames of a split payload stay consecutive. Taken before mu.
+	sendMu sync.Mutex
+	mu     sync.Mutex
+	// space wakes the sender (one at most, under sendMu) blocked on a full
+	// retention ring: whatever may free a slot or end the wait leaves a
+	// token, and a token left before the sender waits is not lost.
+	space chan struct{}
+	// sock is the live socket, nil while down. sockGen increments (under
+	// mu) on every install and teardown so readers and error reporters can
+	// tell, without waiting for mu, whether their socket is still the
+	// current one.
 	sock     net.Conn
-	sockGen  uint64
+	sockGen  atomic.Uint64
 	down     bool
 	permDown bool // peer (or self) is dead: never reconnect
 	everUp   bool // distinguishes first connects from reconnects
@@ -33,10 +40,13 @@ type netConn struct {
 	// Outgoing stream state under mu: per-directed-stream data sequence
 	// (from 1) and the retention ring of unacked frames, a circular buffer
 	// of capacity retainFrames. A full ring blocks the sender —
-	// end-to-end backpressure through the wire.
+	// end-to-end backpressure through the wire. acked is the highest
+	// acknowledgement the reader has seen; one it could not prune (mu
+	// busy) waits there for the ring-full wait to prune up to it.
 	sendSeq    uint64
 	ring       []retainedFrame
 	head, nRet int
+	acked      atomic.Uint64
 
 	// Persistent write scratch: header buffers and the two-element iovec
 	// for gather writes straight out of the caller's payload (the
@@ -57,24 +67,27 @@ type netConn struct {
 
 	// Reader-owned state, serialized across socket generations by
 	// readerGate (a reader holds it for its whole life, so a reconnected
-	// socket's reader waits for its predecessor to drain).
-	readerGate sync.Mutex
-	scratch    frameScratch
-	recvBufs   map[recvKey]*recvRing
+	// socket's reader waits for its predecessor to drain). partial holds
+	// the pieces so far of a split payload, sent in partialEpoch.
+	readerGate   sync.Mutex
+	scratch      frameScratch
+	recvBufs     map[recvKey]*recvRing
+	partial      []byte
+	partialEpoch uint64
 }
 
 // retainedFrame is one unacked data frame: everything needed to rewrite
-// it verbatim after a reconnect. Payload fields alias the sender's buffers
-// (zero-copy); exactly one of f64/bytes/i64/word is meaningful, per enc.
+// it verbatim after a reconnect. A slice payload's frame holds a view of
+// the sender's buffer (zero-copy; a piece of it when the payload is
+// split), a scalar's its 8-byte encoding.
 type retainedFrame struct {
 	seq   uint64
 	epoch uint64
 	ctx   int64
 	tag   int32
 	enc   payloadEnc
-	f64   []float64
-	bytes []byte
-	i64   []int64
+	more  bool // frameMore: the message goes on in the next frame
+	body  []byte
 	word  [8]byte
 }
 
@@ -131,104 +144,101 @@ func (r *recvRing) delivered(q *queue, freeAt uint64) {
 	r.next = (r.next + 1) % len(r.bufs)
 }
 
-// send retains msg as the stream's next data frame and, when the link is
-// up, writes it immediately. It never waits for a connection — only for
-// ring space and an injected stall — so connection loss is invisible to
-// senders beyond latency. Injected frame faults apply exactly once, at
-// first transmission; resends are verbatim (a deterministic per-seq drop
-// would otherwise repeat forever).
-func (c *netConn) send(msg message) (waited time.Duration, stalled bool, err error) {
+// send retains msg, whose slice payload's bytes are body, as the
+// stream's next data frames and, when the link is up, writes them
+// immediately. A payload above defaultMaxFrameBytes
+// goes as consecutive frames of at most that size, flagged frameMore but
+// the last. send never waits for a connection — only for ring space and
+// an injected stall — so connection loss is invisible to senders beyond
+// latency. Injected frame faults apply exactly once, at first
+// transmission; resends are verbatim (a deterministic per-seq drop would
+// otherwise repeat forever).
+func (c *netConn) send(msg message, enc payloadEnc, body []byte) (waited time.Duration, stalled bool, err error) {
 	ep := c.ep
 	t := ep.t
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.nRet == len(c.ring) && !c.permDown {
-		if err := t.bail(); err != nil {
-			return waited, false, err
+	// Every frame of a message carries one epoch, so a reader that finds
+	// one piece stale finds the rest stale too.
+	epoch := uint64(t.w.epoch.Load())
+	for first := true; first || len(body) > 0; first = false {
+		piece := body[:min(len(body), defaultMaxFrameBytes)]
+		body = body[len(piece):]
+		for c.nRet == len(c.ring) && !c.permDown {
+			if c.pruneLocked(c.acked.Load()); c.nRet < len(c.ring) {
+				break
+			}
+			if err := t.bail(); err != nil {
+				return waited, stalled, err
+			}
+			t0 := time.Now()
+			c.mu.Unlock()
+			<-c.space
+			c.mu.Lock()
+			waited += time.Since(t0)
 		}
-		t0 := time.Now()
-		c.cond.Wait()
-		waited += time.Since(t0)
-	}
-	if c.permDown {
-		if err := t.w.failErr(); err != nil {
-			return waited, false, err
+		if c.permDown {
+			if err := t.w.failErr(); err != nil {
+				return waited, stalled, err
+			}
+			return waited, stalled, &RankFailedError{Rank: c.peer, Cause: "send on permanently closed connection"}
 		}
-		return waited, false, &RankFailedError{Rank: c.peer, Cause: "send on permanently closed connection"}
-	}
-	c.sendSeq++
-	seq := c.sendSeq
-	enc := classifyPayload(&msg)
-	rf := retainedFrame{
-		seq: seq, epoch: uint64(t.w.epoch.Load()),
-		ctx: int64(msg.ctx), tag: int32(msg.tag), enc: enc,
-	}
-	switch enc {
-	case encF64s:
-		if msg.f64 != nil {
-			rf.f64 = msg.f64
-		} else {
-			rf.f64 = msg.data.([]float64)
+		c.sendSeq++
+		seq := c.sendSeq
+		rf := retainedFrame{
+			seq: seq, epoch: epoch, ctx: int64(msg.ctx), tag: int32(msg.tag),
+			enc: enc, more: len(body) > 0, body: piece,
 		}
-	case encBytes:
-		rf.bytes = msg.data.([]byte)
-	case encI64s:
-		rf.i64 = msg.data.([]int64)
-	case encInt64, encInt, encFloat64:
-		encodeScalar(&rf.word, enc, msg.data)
-	case encOpaque:
-		t.opaque.Store(opaqueKey{ep.rank, c.peer, seq}, msg.data)
-	}
-	c.ring[(c.head+c.nRet)%len(c.ring)] = rf
-	c.nRet++
+		if enc == encInt64 || enc == encInt || enc == encFloat64 {
+			encodeScalar(&rf.word, enc, msg.data)
+		}
+		c.ring[(c.head+c.nRet)%len(c.ring)] = rf
+		c.nRet++
 
-	// First-transmission fault decisions (deterministic per seq).
-	var drop, corrupt, sever bool
-	if p := t.w.opts.Faults; p != nil {
-		sever = p.severAt(ep.rank, c.peer, seq)
-		drop = !sever && p.dropFrame(ep.rank, c.peer, seq)
-		corrupt = !sever && !drop && p.corruptFrame(ep.rank, c.peer, seq)
-		var d time.Duration
-		if d, stalled = p.stall(ep.rank, c.peer, seq); stalled {
-			// Sleeping under mu models a serialized slow link: everything
-			// behind this frame (including heartbeats) waits too.
-			time.Sleep(d)
+		// First-transmission fault decisions (deterministic per seq).
+		var drop, corrupt, sever bool
+		if p := t.w.opts.Faults; p != nil {
+			sever = p.severAt(ep.rank, c.peer, seq)
+			drop = !sever && p.dropFrame(ep.rank, c.peer, seq)
+			corrupt = !sever && !drop && p.corruptFrame(ep.rank, c.peer, seq)
+			if d, ok := p.stall(ep.rank, c.peer, seq); ok {
+				// Sleeping under mu models a serialized slow link:
+				// everything behind this frame (including heartbeats)
+				// waits too.
+				time.Sleep(d)
+				stalled = true
+			}
 		}
-	}
-	switch {
-	case sever:
-		ep.stats.injSevers.Add(1)
-		ep.netFault(c.peer)
-		c.teardownLocked()
-	case drop:
-		ep.stats.injDrops.Add(1)
-		ep.netFault(c.peer)
-	case c.down:
-		// Retained; install replays it when the link comes up.
-	default:
-		if corrupt {
-			ep.stats.injCorrupts.Add(1)
+		switch {
+		case sever:
+			ep.stats.injSevers.Add(1)
 			ep.netFault(c.peer)
+			c.teardownLocked()
+		case drop:
+			ep.stats.injDrops.Add(1)
+			ep.netFault(c.peer)
+		case c.down:
+			// Retained; install replays it when the link comes up.
+		default:
+			if corrupt {
+				ep.stats.injCorrupts.Add(1)
+				ep.netFault(c.peer)
+			}
+			c.writeDataLocked(&c.ring[(c.head+c.nRet-1)%len(c.ring)], corrupt)
 		}
-		c.writeDataLocked(&c.ring[(c.head+c.nRet-1)%len(c.ring)], corrupt)
 	}
 	return waited, stalled, nil
 }
 
-// framePayload returns the wire bytes of a retained frame (zero-copy for
-// slice payloads).
+// framePayload returns the wire bytes of a retained frame.
 func framePayload(rf *retainedFrame) []byte {
 	switch rf.enc {
-	case encF64s:
-		return f64Bytes(rf.f64)
-	case encBytes:
-		return rf.bytes
-	case encI64s:
-		return i64Bytes(rf.i64)
 	case encInt64, encInt, encFloat64:
 		return rf.word[:8]
 	}
-	return nil
+	return rf.body
 }
 
 // writeDataLocked frames and writes one retained frame on the live
@@ -240,6 +250,7 @@ func (c *netConn) writeDataLocked(rf *retainedFrame, corrupt bool) {
 	encodeFrameHeader(&c.hdr, frameHeader{
 		kind: frameData, enc: rf.enc, seq: rf.seq, ack: c.lastRecv.Load(),
 		epoch: rf.epoch, ctx: rf.ctx, tag: rf.tag, source: int32(c.ep.rank),
+		more: rf.more,
 	}, payload)
 	if corrupt {
 		c.hdr[52] ^= 0xff
@@ -305,31 +316,52 @@ func (c *netConn) teardownLocked() {
 		return
 	}
 	c.down = true
-	c.sockGen++
+	c.sockGen.Add(1)
 	if c.sock != nil {
 		c.sock.Close()
 		c.sock = nil
 	}
-	c.cond.Broadcast()
 }
 
 // sever tears the connection down if gen still names the current socket
 // (a reader discovering a stale generation must not kill its successor).
+// A stale reader returns without waiting for mu, which an install may hold
+// while it replays frames only the successor reader drains.
 func (c *netConn) sever(gen uint64) {
+	if c.sockGen.Load() != gen {
+		return
+	}
 	c.mu.Lock()
-	if c.sockGen == gen && !c.permDown {
+	if c.sockGen.Load() == gen && !c.permDown {
 		c.teardownLocked()
 	}
 	c.mu.Unlock()
 }
 
 // prune acknowledges the outgoing stream up to ack: retained frames with
-// seq ≤ ack are released (their opaque payload entries with them) and
-// ring-blocked senders wake.
+// seq ≤ ack are released and a ring-blocked sender wakes. The reader calls
+// it and must never wait for mu: a writer holding mu may be blocked on a
+// full socket that only this reader's peer drains, and that peer's reader
+// may be waiting the same way. When mu is busy the ack stays in acked and
+// the sender is woken to prune up to it.
 func (c *netConn) prune(ack uint64) {
-	c.mu.Lock()
-	c.pruneLocked(ack)
-	c.mu.Unlock()
+	if ack > c.acked.Load() {
+		c.acked.Store(ack) // readers are serialized: no lost update
+	}
+	if c.mu.TryLock() {
+		c.pruneLocked(c.acked.Load())
+		c.mu.Unlock()
+	} else {
+		c.wake()
+	}
+}
+
+// wake leaves a token for a sender blocked on a full ring.
+func (c *netConn) wake() {
+	select {
+	case c.space <- struct{}{}:
+	default:
+	}
 }
 
 func (c *netConn) pruneLocked(ack uint64) {
@@ -339,16 +371,13 @@ func (c *netConn) pruneLocked(ack uint64) {
 		if rf.seq > ack {
 			break
 		}
-		if rf.enc == encOpaque {
-			c.ep.t.opaque.Delete(opaqueKey{c.ep.rank, c.peer, rf.seq})
-		}
 		*rf = retainedFrame{}
 		c.head = (c.head + 1) % len(c.ring)
 		c.nRet--
 		freed = true
 	}
 	if freed {
-		c.cond.Broadcast()
+		c.wake()
 	}
 }
 
@@ -366,11 +395,13 @@ func (c *netConn) resendLocked() {
 	c.ep.event(telemetry.PhaseNetResend, c.peer)
 }
 
-// install adopts a freshly handshaken socket: prune what the peer already
-// acknowledged (peerHas, from its hello/welcome), replay the rest, start
-// the reader. Reports whether the socket was accepted. Callers hold a wg
-// slot (supervisor or accept handler), which makes the wg.Add for the
-// reader safe against shutdown's Wait.
+// install adopts a freshly handshaken socket: start its reader, prune what
+// the peer already acknowledged (peerHas, from its hello/welcome), replay
+// the rest. The reader runs before the replay: when both ends replay more
+// than the socket buffers hold, each end's replay completes only while
+// the other end reads. Reports whether the socket was accepted. Callers
+// hold a wg slot (supervisor or accept handler), which makes the wg.Add
+// for the reader safe against shutdown's Wait.
 func (c *netConn) install(sock net.Conn, peerHas uint64) bool {
 	t := c.ep.t
 	c.mu.Lock()
@@ -382,16 +413,16 @@ func (c *netConn) install(sock net.Conn, peerHas uint64) bool {
 	if c.sock != nil {
 		c.sock.Close()
 	}
-	c.sockGen++
-	gen := c.sockGen
+	gen := c.sockGen.Add(1)
 	c.sock = sock
 	c.down = false
 	reconnect := c.everUp
 	c.everUp = true
 	c.lastIn.Store(time.Now().UnixNano())
+	t.wg.Add(1)
+	go c.readLoop(sock, gen)
 	c.pruneLocked(peerHas)
 	c.resendLocked()
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	ep := c.ep
 	ep.stats.connects.Add(1)
@@ -401,14 +432,11 @@ func (c *netConn) install(sock net.Conn, peerHas uint64) bool {
 	} else {
 		ep.event(telemetry.PhaseNetConnect, c.peer)
 	}
-	t.wg.Add(1)
-	go c.readLoop(sock, gen)
 	return true
 }
 
 // permanentlyDown closes the connection forever (dead peer or shutdown):
-// no reconnects, retained frames and their opaque entries shed, all
-// waiters released.
+// no reconnects, retained frames shed, all waiters released.
 func (c *netConn) permanentlyDown() {
 	c.mu.Lock()
 	if c.permDown {
@@ -417,19 +445,15 @@ func (c *netConn) permanentlyDown() {
 	}
 	c.permDown = true
 	c.down = true
-	c.sockGen++
+	c.sockGen.Add(1)
 	if c.sock != nil {
 		c.sock.Close()
 		c.sock = nil
 	}
 	for i := 0; i < c.nRet; i++ {
-		rf := &c.ring[(c.head+i)%len(c.ring)]
-		if rf.enc == encOpaque {
-			c.ep.t.opaque.Delete(opaqueKey{c.ep.rank, c.peer, rf.seq})
-		}
-		*rf = retainedFrame{}
+		c.ring[(c.head+i)%len(c.ring)] = retainedFrame{}
 	}
 	c.head, c.nRet = 0, 0
-	c.cond.Broadcast()
 	c.mu.Unlock()
+	c.wake()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -19,10 +20,7 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 	defer t.wg.Done()
 	c.readerGate.Lock()
 	defer c.readerGate.Unlock()
-	c.mu.Lock()
-	stale := c.sockGen != gen
-	c.mu.Unlock()
-	if stale {
+	if c.sockGen.Load() != gen {
 		return
 	}
 	for {
@@ -71,16 +69,26 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 			last := c.lastRecv.Load()
 			dup := seq <= last
 			gap := seq > last+1
+			// A piece of a split payload is read onto the end of the pieces
+			// before it, and counts once the frame checks out.
+			joined := !dup && !gap && (h.more || len(c.partial) > 0)
 			var payload []byte
 			var f64dst []float64
 			var ring *recvRing
-			if h.enc == encF64s && !dup && !gap {
+			switch {
+			case joined:
+				c.partial = slices.Grow(c.partial, int(h.length))
+				payload = c.partial[len(c.partial) : len(c.partial)+int(h.length)]
+			case dup || gap || h.enc != encF64s && h.enc != encBytes:
+				payload = c.scratch.grow(int(h.length))
+			case h.enc == encF64s:
 				// Zero-copy decode: read the payload straight into the
 				// rotation buffer the message will carry.
 				f64dst, ring = c.f64Buffer(recvKey{h.ctx, h.tag}, int(h.length)/8)
 				payload = f64Bytes(f64dst)
-			} else {
-				payload = c.scratch.grow(int(h.length))
+			default:
+				// The message carries the buffer read off the wire.
+				payload = make([]byte, h.length)
 			}
 			if _, err := io.ReadFull(sock, payload); err != nil {
 				c.sever(gen)
@@ -111,8 +119,33 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 			if int64(h.epoch) < t.w.epoch.Load() {
 				// Pre-recovery traffic: consume for stream continuity, never
 				// deliver (the wire analogue of the recovery mailbox purge).
+				c.partial = nil
 				c.lastRecv.Store(seq)
 				continue
+			}
+			if joined {
+				if len(c.partial) > 0 && h.epoch != c.partialEpoch {
+					// The pieces before belong to a message its sender
+					// abandoned on a rank failure: this frame begins anew.
+					payload = c.partial[:copy(c.partial, payload)]
+				} else {
+					payload = c.partial[:len(c.partial)+len(payload)]
+				}
+				c.partial, c.partialEpoch = payload, h.epoch
+				if h.more {
+					c.lastRecv.Store(seq)
+					continue
+				}
+				// A []byte message takes the joined buffer; otherwise it
+				// serves the stream's next split payload.
+				c.partial = payload[:0]
+				switch h.enc {
+				case encBytes:
+					c.partial = nil
+				case encF64s:
+					f64dst, ring = c.f64Buffer(recvKey{h.ctx, h.tag}, len(payload)/8)
+					copy(f64Bytes(f64dst), payload)
+				}
 			}
 			msg := message{ctx: int(h.ctx), source: int(h.source), tag: int(h.tag)}
 			switch h.enc {
@@ -122,24 +155,13 @@ func (c *netConn) readLoop(sock net.Conn, gen uint64) {
 				}
 				msg.f64 = f64dst
 			case encBytes:
-				b := make([]byte, len(payload))
-				copy(b, payload)
-				msg.data = b
+				msg.data = payload
 			case encI64s:
 				v := make([]int64, len(payload)/8)
-				bytesI64(v, payload)
+				copy(i64Bytes(v), payload)
 				msg.data = v
 			case encInt64, encInt, encFloat64:
 				msg.data = decodeScalar(h.enc, payload)
-			case encOpaque:
-				v, ok := t.opaque.Load(opaqueKey{c.peer, ep.rank, seq})
-				if !ok {
-					// Unreachable by protocol (pruned means acked means dup);
-					// treat as stream corruption rather than delivering nil.
-					c.sever(gen)
-					return
-				}
-				msg.data = v
 			}
 			q, freeAt := t.w.mailboxes[ep.rank].put(msg, int64(h.epoch))
 			c.lastRecv.Store(seq)

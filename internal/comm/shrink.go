@@ -49,20 +49,6 @@ func (c *Comm) Alive(worldRank int) bool {
 	return worldRank >= 0 && worldRank < w.size && !w.dead[worldRank]
 }
 
-// DeadRanks returns the world ranks marked permanently dead, ascending.
-func (c *Comm) DeadRanks() []int {
-	w := c.w
-	w.recMu.Lock()
-	defer w.recMu.Unlock()
-	var out []int
-	for r, d := range w.dead {
-		if d {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // CommRankOf translates a world rank into this communicator's rank space,
 // returning -1 when the rank is not a member.
 func (c *Comm) CommRankOf(worldRank int) int {
@@ -93,7 +79,7 @@ func (c *Comm) WorldRankOf(commRank int) int {
 // agreed point after Recover: the context id of the shrunk communicator
 // is derived deterministically from the parent context and the recovery
 // epoch, so all survivors build the same communicator and successive
-// shrinks never collide with each other or with Split contexts.
+// shrinks never collide with each other or with the world's context 0.
 func (c *Comm) Shrink() (*Comm, []int) {
 	w := c.w
 	w.recMu.Lock()
@@ -102,31 +88,34 @@ func (c *Comm) Shrink() (*Comm, []int) {
 
 	rankMap := make([]int, len(c.group))
 	var group []int
-	toIndex := make(map[int]int)
-	myRank := -1
 	for i, wr := range c.group {
-		if dead[wr] {
-			rankMap[i] = -1
-			continue
+		rankMap[i] = -1
+		if !dead[wr] {
+			rankMap[i] = len(group)
+			group = append(group, wr)
 		}
-		rankMap[i] = len(group)
-		toIndex[wr] = len(group)
-		if i == c.rank {
-			myRank = len(group)
-		}
-		group = append(group, wr)
 	}
-	if myRank < 0 {
-		return nil, rankMap
-	}
-	// Deterministic context id, disjoint from the non-negative Split
-	// context space: negative, mixed from (parent ctx, epoch). Survivors
-	// agree because both inputs are shared; successive shrinks differ
+	// The parent context salts the derivation: successive shrinks differ
 	// because every recovery advances the epoch.
-	h := mix64(uint64(w.epoch.Load())<<32 ^ uint64(int64(c.ctx)))
-	ctx := -int(h>>1) - 1
+	return c.derive(group, uint64(int64(c.ctx))), rankMap
+}
+
+// derive builds the communicator of the given world ranks, densely ranked
+// in that order, or nil when this rank is not among them. Its context id
+// is negative (disjoint from the world's context 0) and mixed from the
+// recovery epoch and salt: members agree because both are shared.
+func (c *Comm) derive(group []int, salt uint64) *Comm {
+	toIndex := make(map[int]int, len(group))
+	for i, wr := range group {
+		toIndex[wr] = i
+	}
+	rank, ok := toIndex[c.WorldRank()]
+	if !ok {
+		return nil
+	}
+	h := mix64(uint64(c.w.epoch.Load())<<32 ^ salt)
 	return &Comm{
-		w: w, group: group, toIndex: toIndex, rank: myRank,
-		ctx: ctx, stats: c.stats, tel: c.tel,
-	}, rankMap
+		w: c.w, group: group, toIndex: toIndex, rank: rank,
+		ctx: -int(h>>1) - 1, stats: c.stats, tel: c.tel,
+	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Telemetry wiring of the communication runtime. A rank attaches a span
 // lane and a metrics registry with SetTelemetry; derived communicators
-// (Split, Shrink) inherit the attachment like they share Stats. Without
+// (Shrink, GrowWorld) inherit the attachment like they share Stats. Without
 // an attachment every recording site below sees nil handles and costs
 // one branch (the package telemetry nil fast path), which keeps the
 // zero-allocation guarantees of the ghost exchange intact either way:

@@ -23,11 +23,12 @@ import (
 type transport interface {
 	// name identifies the backend ("inproc", "tcp", "unix").
 	name() string
-	// deliver moves msg from world rank src into dst's mailbox, applying
-	// the fault plan's wire clauses on the way: an injected stall holds the
-	// sender (stalled), and the socket backend also blocks on a full
-	// retention ring (waited, the time spent blocked).
-	deliver(src, dst int, msg message) (waited time.Duration, stalled bool, err error)
+	// deliver moves msg, whose payload classifyPayload mapped to enc and
+	// body, from world rank src into dst's mailbox, applying the fault
+	// plan's wire clauses on the way: an injected stall holds the sender
+	// (stalled), and the socket backend also blocks on a full retention
+	// ring (waited, the time spent blocked).
+	deliver(src, dst int, msg message, enc payloadEnc, body []byte) (waited time.Duration, stalled bool, err error)
 	// noteDead tells the transport a world rank is permanently dead:
 	// connections to it are closed, reconnect attempts stop and retained
 	// frames toward it are shed.
@@ -78,7 +79,7 @@ func (t *inprocTransport) name() string { return "inproc" }
 // deliver deposits msg, after an injected stall if the plan draws one for
 // this cross-rank message. The stall holds the sender, so the stream stays
 // in send order; a recovery completing meanwhile sheds the message.
-func (t *inprocTransport) deliver(src, dst int, msg message) (time.Duration, bool, error) {
+func (t *inprocTransport) deliver(src, dst int, msg message, _ payloadEnc, _ []byte) (time.Duration, bool, error) {
 	epoch := t.w.epoch.Load()
 	var stalled bool
 	if p := t.w.opts.Faults; p != nil && src != dst {

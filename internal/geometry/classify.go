@@ -21,13 +21,13 @@ func ClassifyBlocksParallel(c *comm.Comm, sdf distance.SDF, f *blockforest.Setup
 	blocks := f.Blocks()
 	// Deterministic random scatter, identical on every rank.
 	perm := rand.New(rand.NewSource(seed)).Perm(len(blocks))
-	var mine []int32 // indices into blocks kept by this rank's evaluation
+	var mine []int64 // indices into blocks kept by this rank's evaluation
 	for i, b := range blocks {
 		if perm[i]%c.Size() != c.Rank() {
 			continue
 		}
 		if BlockIntersectsDomain(sdf, b.AABB, f.CellsPerBlock) {
-			mine = append(mine, int32(i))
+			mine = append(mine, int64(i))
 		}
 	}
 	gathered := c.Allgather(mine)
@@ -36,7 +36,7 @@ func ClassifyBlocksParallel(c *comm.Comm, sdf distance.SDF, f *blockforest.Setup
 		if part == nil {
 			continue
 		}
-		for _, idx := range part.([]int32) {
+		for _, idx := range part.([]int64) {
 			keep[blocks[idx].Coord] = true
 		}
 	}

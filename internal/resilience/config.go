@@ -148,7 +148,8 @@ type Stats struct {
 
 	// Replications counts the buddy-replica generations this rank
 	// produced; ReplicaBytes is what it put on the wire for them and for
-	// heal streams — rank-file payload plus side-band metadata.
+	// heal streams — the envelopes' bytes: rank-file payload, side-band
+	// metadata and header.
 	Replications int
 	ReplicaBytes int64
 	// BuddyRestores counts recoveries satisfied entirely from in-memory

@@ -494,8 +494,8 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		if err != nil {
 			return 0, err
 		}
-		env := &envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, Meta: meta, Redirect: redirect, To: d.to}
-		if err := d.Ring.send(nc, wd.dest, tagForward, env, &d.Stats); err != nil {
+		env := envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, Meta: meta, Redirect: redirect, To: d.to}
+		if err := d.Ring.send(nc, wd.dest, tagForward, env.marshal(), &d.Stats); err != nil {
 			return 0, err
 		}
 	}

@@ -183,8 +183,10 @@ func TestDriverRecovery(t *testing.T) {
 					if !errors.Is(o.err, ErrRetired) {
 						t.Errorf("rank %d: err = %v, want ErrRetired", r, o.err)
 					}
-					if dead := o.world.c.DeadRanks(); len(dead) != 1 || dead[0] != r {
-						t.Errorf("dead ranks %v, want exactly the victim", dead)
+					for q := 0; q < tc.active+tc.spares; q++ {
+						if alive := o.world.c.Alive(q); alive == (q == r) {
+							t.Errorf("world rank %d alive = %v, want only the victim dead", q, alive)
+						}
 					}
 					continue
 				}

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -34,7 +35,16 @@ const (
 
 // envelope is one generation of one rank's state on the wire: a replica
 // shipped to the buddy, or a dead rank's state streamed to its recruited
-// replacement.
+// replacement. It crosses as bytes (marshal, decodeEnvelope), little-endian:
+//
+//	offset  size  field
+//	 0       8    Step
+//	 8       8    SrcWorld
+//	16       8    To
+//	24       4    CRC
+//	28       4    n = len(Redirect), then n int64 entries
+//	         4    m = len(Meta), then m bytes
+//	         …    Payload, the rest of the message
 type envelope struct {
 	// Step is the generation's step barrier.
 	Step int
@@ -168,7 +178,8 @@ func (r *Ring) Replicate(w World, step int, st *Stats) error {
 	// vote settles on it).
 	if state, err := decode(w, in); err == nil {
 		r.Replica[p] = &Generation{Step: in.Step, SrcWorld: in.SrcWorld, State: state}
-		r.meta[in.SrcWorld] = in.Meta
+		// A copy: in.Meta aliases the whole received envelope.
+		r.meta[in.SrcWorld] = bytes.Clone(in.Meta)
 	}
 	r.parity ^= 1
 	// Commit barrier: without it the ring above only chains each rank to
@@ -183,14 +194,13 @@ func (r *Ring) Replicate(w World, step int, st *Stats) error {
 }
 
 // send is the single site that puts generations on the wire, and so the
-// one place their volume is counted: payload plus side band.
-func (r *Ring) send(c *comm.Comm, to, tag int, env *envelope, st *Stats) error {
+// one place their volume is counted: the envelope's bytes.
+func (r *Ring) send(c *comm.Comm, to, tag int, env []byte, st *Stats) error {
 	if err := c.SendErr(to, tag, env); err != nil {
 		return err
 	}
-	n := int64(len(env.Payload) + len(env.Meta))
-	st.ReplicaBytes += n
-	r.sent.Add(n)
+	st.ReplicaBytes += int64(len(env))
+	r.sent.Add(int64(len(env)))
 	return nil
 }
 
@@ -199,25 +209,76 @@ func receive(c *comm.Comm, from, tag int) (*envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, ok := got.(*envelope)
+	b, ok := got.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("resilience: unexpected payload %T on tag %d", got, tag)
 	}
-	return env, nil
+	return decodeEnvelope(b)
 }
 
-// encode serializes the world's live state into an envelope.
-func encode(w World, step int) (*envelope, error) {
-	var payload bytes.Buffer
-	_, crc, err := w.Encode(&payload)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding replica payload: %w", err)
-	}
+// encode serializes the world's live state into an envelope's bytes, the
+// rank-file encoding written in place after the header.
+func encode(w World, step int) ([]byte, error) {
 	meta, err := w.Meta()
 	if err != nil {
 		return nil, fmt.Errorf("resilience: encoding replica metadata: %w", err)
 	}
-	return &envelope{Step: step, SrcWorld: w.Comm().WorldRank(), Payload: payload.Bytes(), CRC: crc, Meta: meta}, nil
+	env := envelope{Step: step, SrcWorld: w.Comm().WorldRank(), Meta: meta}
+	buf := bytes.NewBuffer(env.marshal())
+	_, crc, err := w.Encode(buf)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: encoding replica payload: %w", err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[24:], crc) // the header's CRC field
+	return b, nil
+}
+
+// marshal returns the envelope's bytes.
+func (e *envelope) marshal() []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 0, 36+8*len(e.Redirect)+len(e.Meta)+len(e.Payload))
+	b = le.AppendUint64(b, uint64(e.Step))
+	b = le.AppendUint64(b, uint64(e.SrcWorld))
+	b = le.AppendUint64(b, uint64(e.To))
+	b = le.AppendUint32(b, e.CRC)
+	b = le.AppendUint32(b, uint32(len(e.Redirect)))
+	for _, r := range e.Redirect {
+		b = le.AppendUint64(b, uint64(r))
+	}
+	b = le.AppendUint32(b, uint32(len(e.Meta)))
+	b = append(b, e.Meta...)
+	return append(b, e.Payload...)
+}
+
+// decodeEnvelope parses an envelope's bytes. Every count is checked
+// against the bytes left before anything is sliced or allocated; Meta and
+// Payload alias b.
+func decodeEnvelope(b []byte) (*envelope, error) {
+	le := binary.LittleEndian
+	bad := fmt.Errorf("resilience: malformed envelope of %d bytes", len(b))
+	if len(b) < 32 {
+		return nil, bad
+	}
+	e := &envelope{Step: int(int64(le.Uint64(b))), SrcWorld: int(int64(le.Uint64(b[8:]))),
+		To: int(int64(le.Uint64(b[16:]))), CRC: le.Uint32(b[24:])}
+	n, b := uint64(le.Uint32(b[28:])), b[32:]
+	if uint64(len(b)) < 8*n+4 {
+		return nil, bad
+	}
+	if n > 0 {
+		e.Redirect = make([]int, n)
+		for i := range e.Redirect {
+			e.Redirect[i] = int(int64(le.Uint64(b[8*i:])))
+		}
+	}
+	b = b[8*n:]
+	m, b := uint64(le.Uint32(b)), b[4:]
+	if uint64(len(b)) < m {
+		return nil, bad
+	}
+	e.Meta, e.Payload = b[:m:m], b[m:]
+	return e, nil
 }
 
 // decode validates and deserializes one envelope. Each block is decoded

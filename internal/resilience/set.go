@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -59,24 +60,22 @@ func WriteSet(w World, dir string, step int) (int64, error) {
 	}
 
 	// Every rank writes its own file; errors are gathered, not returned
-	// early, so rank 0 always receives one contribution per rank.
-	type contribution struct {
-		Entry output.ManifestEntry
-		Err   string
-	}
-	var contrib contribution
-	contrib.Entry.Name = output.RankFileName(c.Rank())
-	if f, err := os.Create(filepath.Join(tmp, contrib.Entry.Name)); err != nil {
-		contrib.Err = err.Error()
+	// early, so rank 0 always receives one contribution per rank: the
+	// file's size and CRC32C, then the error text.
+	var size int64
+	var crc uint32
+	var werr error
+	if f, err := os.Create(filepath.Join(tmp, output.RankFileName(c.Rank()))); err != nil {
+		werr = err
 	} else {
-		size, crc, werr := w.Encode(f)
+		size, crc, werr = w.Encode(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
-		if werr != nil {
-			contrib.Err = werr.Error()
-		}
-		contrib.Entry.Size, contrib.Entry.CRC = size, crc
+	}
+	contrib := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, uint64(size)), crc)
+	if werr != nil {
+		contrib = append(contrib, werr.Error()...)
 	}
 	gathered, err := c.GatherErr(0, contrib)
 	if err != nil {
@@ -88,11 +87,16 @@ func WriteSet(w World, dir string, step int) (int64, error) {
 	if c.Rank() == 0 {
 		m := &output.SetManifest{Step: int64(step), Ranks: int32(c.Size())}
 		for r, g := range gathered {
-			gc := g.(contribution)
-			if gc.Err != "" && closed.Err == "" {
-				closed.Err = fmt.Sprintf("rank %d: %s", r, gc.Err)
+			b, _ := g.([]byte)
+			if len(b) < 12 {
+				closed.Err = fmt.Sprintf("rank %d: malformed contribution of %d bytes", r, len(b))
+				break
 			}
-			m.Entries = append(m.Entries, gc.Entry)
+			if len(b) > 12 && closed.Err == "" {
+				closed.Err = fmt.Sprintf("rank %d: %s", r, b[12:])
+			}
+			m.Entries = append(m.Entries, output.ManifestEntry{Name: output.RankFileName(r),
+				Size: int64(binary.LittleEndian.Uint64(b)), CRC: binary.LittleEndian.Uint32(b[8:])})
 		}
 		if closed.Err == "" {
 			if err := writeManifestFile(filepath.Join(tmp, output.ManifestName), m); err != nil {
@@ -111,16 +115,24 @@ func WriteSet(w World, dir string, step int) (int64, error) {
 	if closed.Err != "" {
 		return 0, fmt.Errorf("resilience: committing checkpoint set %d: %s", step, closed.Err)
 	}
-	return contrib.Entry.Size, nil
+	return size, nil
 }
 
-// bcastStatus replaces st on every rank with rank 0's.
+// bcastStatus replaces st on every rank with rank 0's, sent as one flag
+// byte (Skip) followed by the error text.
 func bcastStatus(c *comm.Comm, st *ckptStatus) error {
-	v, err := c.BcastErr(0, *st)
+	b := append([]byte{0}, st.Err...)
+	if st.Skip {
+		b[0] = 1
+	}
+	v, err := c.BcastErr(0, b)
 	if err != nil {
 		return err
 	}
-	*st = v.(ckptStatus)
+	if b, _ = v.([]byte); len(b) == 0 {
+		return fmt.Errorf("resilience: empty checkpoint status")
+	}
+	*st = ckptStatus{Skip: b[0] == 1, Err: string(b[1:])}
 	return nil
 }
 

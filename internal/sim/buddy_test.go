@@ -55,6 +55,15 @@ func shrinkReference(t *testing.T, ranks, steps, workers int) map[[3]int][]uint6
 	return want
 }
 
+// checkReplicasOnTheWire holds a socket-transport rank to the one payload
+// contract: the replica and heal-stream bytes it counted must have
+// crossed its sockets.
+func checkReplicasOnTheWire(t *testing.T, c *comm.Comm, r RecoveryStats) {
+	if ns, ok := c.NetStats(); ok && ns.BytesSent < r.ReplicaBytes {
+		t.Errorf("rank %d: %d replica bytes sent, but only %d bytes crossed its sockets", c.WorldRank(), r.ReplicaBytes, ns.BytesSent)
+	}
+}
+
 func assertBitsEqual(t *testing.T, got, want map[[3]int][]uint64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -77,16 +86,17 @@ func assertBitsEqual(t *testing.T, got, want map[[3]int][]uint64) {
 	}
 }
 
-// runShrinkScenario executes the faulty run under RecoverShrink and
-// returns the surviving ranks' block bits and recovery stats. The victim
-// must come back with ErrRetired and contributes nothing.
-func runShrinkScenario(t *testing.T, opts comm.Options, victim, steps, workers int, rc ResilienceConfig) (map[[3]int][]uint64, []RecoveryStats) {
+// runShrinkScenario executes the faulty run on `ranks` ranks under
+// RecoverShrink and returns the surviving ranks' block bits and recovery
+// stats. The victim must come back with ErrRetired and contributes
+// nothing.
+func runShrinkScenario(t *testing.T, opts comm.Options, ranks, victim, steps, workers int, rc ResilienceConfig) (map[[3]int][]uint64, []RecoveryStats) {
 	t.Helper()
 	var mu sync.Mutex
 	got := make(map[[3]int][]uint64)
 	var recovered []RecoveryStats
-	comm.RunWithOptions(3, opts, func(c *comm.Comm) {
-		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), shrinkForest(3)))
+	comm.RunWithOptions(ranks, opts, func(c *comm.Comm) {
+		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), shrinkForest(ranks)))
 		if err != nil {
 			t.Error(err)
 			return
@@ -109,9 +119,10 @@ func runShrinkScenario(t *testing.T, opts comm.Options, victim, steps, workers i
 			t.Errorf("rank %d: RunResilient: %v", c.Rank(), err)
 			return
 		}
-		if m.Ranks != 2 {
-			t.Errorf("rank %d: metrics report %d ranks, want 2 after the shrink", c.Rank(), m.Ranks)
+		if m.Ranks != ranks-1 {
+			t.Errorf("rank %d: metrics report %d ranks, want %d after the shrink", c.Rank(), m.Ranks, ranks-1)
 		}
+		checkReplicasOnTheWire(t, c, m.Recovery)
 		collectBits(s, &mu, got)
 		mu.Lock()
 		recovered = append(recovered, m.Recovery)
@@ -134,7 +145,7 @@ func TestShrinkRecoveryBitIdenticalAfterCrash(t *testing.T) {
 		t.Run(workerName(workers), func(t *testing.T) {
 			want := shrinkReference(t, 3, steps, workers)
 			opts := comm.Options{Faults: &comm.FaultPlan{Seed: 11, Crashes: []comm.CrashSpec{{Rank: victim, Step: 5}}}}
-			got, recovered := runShrinkScenario(t, opts, victim, steps, workers, ResilienceConfig{
+			got, recovered := runShrinkScenario(t, opts, 3, victim, steps, workers, ResilienceConfig{
 				Mode:            RecoverShrink,
 				CheckpointEvery: 2,
 				MaxFailures:     4,
@@ -180,7 +191,7 @@ func TestShrinkRecoveryBitIdenticalAfterSilentFailure(t *testing.T) {
 				Faults:      &comm.FaultPlan{Seed: 13, Hangs: []comm.CrashSpec{{Rank: victim, Step: 5}}},
 				FailTimeout: 500 * time.Millisecond,
 			}
-			got, recovered := runShrinkScenario(t, opts, victim, steps, workers, ResilienceConfig{
+			got, recovered := runShrinkScenario(t, opts, 3, victim, steps, workers, ResilienceConfig{
 				Mode:            RecoverShrink,
 				CheckpointEvery: 2,
 				MaxFailures:     4,
@@ -308,7 +319,8 @@ func TestReplicateRoundTrip(t *testing.T) {
 			t.Errorf("rank %d: replicate: %v", c.Rank(), err)
 			return
 		}
-		// What went on the wire is the rank file plus the side band.
+		// What went on the wire is the envelope: the rank file, the side
+		// band and a 36-byte header (no redirect table on a replica).
 		var payload bytes.Buffer
 		if _, _, err := (world{s}).Encode(&payload); err != nil {
 			t.Error(err)
@@ -319,8 +331,8 @@ func TestReplicateRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if want := int64(payload.Len() + len(meta)); rec.ReplicaBytes != want || len(meta) == 0 {
-			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + metadata %d", c.Rank(), rec.ReplicaBytes, payload.Len(), len(meta))
+		if want := int64(payload.Len() + len(meta) + 36); rec.ReplicaBytes != want || len(meta) == 0 {
+			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + metadata %d + header 36", c.Rank(), rec.ReplicaBytes, payload.Len(), len(meta))
 		}
 		ward := (c.Rank() + c.Size() - 1) % c.Size()
 		gen := ring.ReplicaAt(c.WorldRankOf(ward), 3)

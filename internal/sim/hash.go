@@ -33,16 +33,17 @@ func (s *Simulation) FieldHash() (uint64, error) {
 // digest of every local block, keyed by the words naming the block
 // (keys[i] for blocks[i]), is gathered on rank 0, the entries are sorted
 // by the key words order lists, most significant first, and folded — key
-// words, then digest — into one value, which every rank returns.
-// Collective.
+// words, then digest — into one value, which every rank returns. Each
+// rank sends its entries as one []int64: per block the key's length, its
+// words and the digest. Collective.
 func WorldHash(c *comm.Comm, blocks []*BlockData, keys [][]uint64, order []int) (uint64, error) {
-	type digest struct {
-		Key  []uint64
-		Hash uint64
-	}
-	local := make([]digest, len(blocks))
+	var local []int64
 	for i, bd := range blocks {
-		local[i] = digest{keys[i], hashInterior(bd.Src)}
+		local = append(local, int64(len(keys[i])))
+		for _, w := range keys[i] {
+			local = append(local, int64(w))
+		}
+		local = append(local, int64(hashInterior(bd.Src)))
 	}
 	gathered, err := c.GatherErr(0, local)
 	if err != nil {
@@ -50,35 +51,37 @@ func WorldHash(c *comm.Comm, blocks []*BlockData, keys [][]uint64, order []int) 
 	}
 	var h uint64
 	if c.Rank() == 0 {
-		var all []digest
+		var all [][]int64 // key words, then digest
 		for _, g := range gathered {
-			all = append(all, g.([]digest)...)
+			for words := g.([]int64); len(words) > 0; {
+				n := int(words[0]) + 2
+				all, words = append(all, words[1:n]), words[n:]
+			}
 		}
 		sort.Slice(all, func(i, j int) bool {
 			for _, k := range order {
-				if a, b := all[i].Key[k], all[j].Key[k]; a != b {
+				if a, b := uint64(all[i][k]), uint64(all[j][k]); a != b {
 					return a < b
 				}
 			}
 			return false
 		})
 		h = fnvOffset
-		for _, d := range all {
-			for _, w := range d.Key {
-				h = fnvMix(h, w)
+		for _, e := range all {
+			for _, w := range e {
+				h = fnvMix(h, uint64(w))
 			}
-			h = fnvMix(h, d.Hash)
 		}
 	}
-	v, err := c.BcastErr(0, h)
+	v, err := c.BcastErr(0, int64(h))
 	if err != nil {
 		return 0, err
 	}
-	hv, ok := v.(uint64)
+	hv, ok := v.(int64)
 	if !ok {
 		return 0, fmt.Errorf("sim: field hash broadcast carried %T", v)
 	}
-	return hv, nil
+	return uint64(hv), nil
 }
 
 const (

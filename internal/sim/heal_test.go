@@ -70,6 +70,7 @@ func runHealScenario(t *testing.T, opts comm.Options, active, spares, steps, wor
 			if m.Ranks != active {
 				t.Errorf("recruited spare %d: metrics report %d ranks, want %d", c.WorldRank(), m.Ranks, active)
 			}
+			checkReplicasOnTheWire(t, c, m.Recovery)
 			collectBits(s, &mu, got)
 			mu.Lock()
 			recovered = append(recovered, m.Recovery)
@@ -99,6 +100,7 @@ func runHealScenario(t *testing.T, opts comm.Options, active, spares, steps, wor
 		if m.Ranks != active {
 			t.Errorf("rank %d: metrics report %d ranks, want %d after the heal", c.WorldRank(), m.Ranks, active)
 		}
+		checkReplicasOnTheWire(t, c, m.Recovery)
 		collectBits(s, &mu, got)
 		mu.Lock()
 		recovered = append(recovered, m.Recovery)

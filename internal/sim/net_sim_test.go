@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -219,7 +220,7 @@ func TestNetShrinkRecoveryCrash(t *testing.T) {
 		Faults:      &comm.FaultPlan{Seed: 11, Crashes: []comm.CrashSpec{{Rank: victim, Step: 5}}},
 		FailTimeout: 2 * time.Second,
 	}
-	got, recovered := runShrinkScenario(t, opts, victim, steps, 1, ResilienceConfig{
+	got, recovered := runShrinkScenario(t, opts, 3, victim, steps, 1, ResilienceConfig{
 		Mode:            RecoverShrink,
 		CheckpointEvery: 2,
 		MaxFailures:     4,
@@ -235,6 +236,102 @@ func TestNetShrinkRecoveryCrash(t *testing.T) {
 			t.Errorf("buddy recovery over sockets read disk %d times, want 0: %+v", r.DiskReadsDuringRecovery, r)
 		}
 	}
+}
+
+// TestNetReplicasCrossTheSocket runs a 2-rank world over unix sockets under
+// shrink and heal recovery: it must end on the fault-free bits, and every
+// rank's sockets must have carried at least the replica and heal-stream
+// bytes it counted (checkReplicasOnTheWire) — no replica crosses as a
+// reference.
+func TestNetReplicasCrossTheSocket(t *testing.T) {
+	const steps, victim = 8, 1
+	want := shrinkReference(t, 2, steps, 1)
+	opts := comm.Options{
+		Net:         socketOpts(),
+		Faults:      &comm.FaultPlan{Seed: 11, Crashes: []comm.CrashSpec{{Rank: victim, Step: 5}}},
+		FailTimeout: 2 * time.Second,
+	}
+	t.Run("shrink", func(t *testing.T) {
+		rc := healConfig()
+		rc.Mode = RecoverShrink
+		got, recovered := runShrinkScenario(t, opts, 2, victim, steps, 1, rc)
+		assertBitsEqual(t, got, want)
+		if len(recovered) != 1 || recovered[0].Shrinks != 1 || recovered[0].ReplicaBytes == 0 {
+			t.Errorf("want one survivor that shrank once from its replicas: %+v", recovered)
+		}
+	})
+	t.Run("heal", func(t *testing.T) {
+		got, recovered, _ := runHealScenario(t, opts, 2, 1, steps, 1, healConfig())
+		assertBitsEqual(t, got, want)
+		assertHealedFromBuddy(t, recovered)
+	})
+}
+
+// TestNetReplicaAboveFrameBound gives each of two ranks a 24³ block, so
+// a rank file (5.3 MB) is several times what one socket frame holds
+// (1 MiB) and every replica crosses unix sockets as consecutive frames. A
+// crash then shrinks the world onto the survivor, which adopts its ward's
+// blocks from that replica and must end on the fault-free bits.
+func TestNetReplicaAboveFrameBound(t *testing.T) {
+	const steps, victim = 4, 1
+	forest := func() *blockforest.SetupForest {
+		f := blockforest.NewSetupForest(blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{2, 1, 1}),
+			[3]int{2, 1, 1}, [3]int{24, 24, 24}, [3]bool{})
+		f.BalanceMorton(2)
+		return f
+	}
+	run := func(opts comm.Options, rc *ResilienceConfig) map[[3]int][]uint64 {
+		var mu sync.Mutex
+		bits := make(map[[3]int][]uint64)
+		comm.RunWithOptions(2, opts, func(c *comm.Comm) {
+			f, err := blockforest.Distribute(c, forestFor(c.Rank(), forest()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			s, err := New(c, f, cavityConfig())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if rc == nil {
+				mustRun(t, s, steps)
+				collectBits(s, &mu, bits)
+				return
+			}
+			if size := output.LeafFileSize(records(s.Blocks)); size <= 4<<20 {
+				t.Errorf("rank %d: %d-byte rank file fits in a few frames", c.Rank(), size)
+			}
+			m, err := s.RunResilient(steps, *rc)
+			if c.Rank() == victim {
+				if !errors.Is(err, ErrRetired) {
+					t.Errorf("victim: err = %v, want ErrRetired", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Errorf("rank %d: RunResilient: %v", c.Rank(), err)
+				return
+			}
+			if m.Recovery.Shrinks != 1 || m.Recovery.ReplicaBytes <= 4<<20 {
+				t.Errorf("rank %d: want one shrink from replicas above the frame bound: %+v", c.Rank(), m.Recovery)
+			}
+			checkReplicasOnTheWire(t, c, m.Recovery)
+			collectBits(s, &mu, bits)
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+		return bits
+	}
+	want := run(comm.Options{}, nil)
+	rc := healConfig()
+	rc.Mode = RecoverShrink
+	assertBitsEqual(t, run(comm.Options{
+		Net:         socketOpts(),
+		Faults:      &comm.FaultPlan{Seed: 11, Crashes: []comm.CrashSpec{{Rank: victim, Step: 3}}},
+		FailTimeout: 5 * time.Second,
+	}, &rc), want)
 }
 
 // TestNetShrinkRecoveryHang is the connection-level acceptance test: the
@@ -254,7 +351,7 @@ func TestNetShrinkRecoveryHang(t *testing.T) {
 	}
 
 	start := time.Now()
-	got, recovered := runShrinkScenario(t, opts, victim, steps, 1, ResilienceConfig{
+	got, recovered := runShrinkScenario(t, opts, 3, victim, steps, 1, ResilienceConfig{
 		Mode:            RecoverShrink,
 		CheckpointEvery: 1,
 		MaxFailures:     4,
