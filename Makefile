@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-test vet race race-sim race-resilience race-net race-serve race-amr alloc-test fuzz-smoke chaos-smoke verify bench clean
+.PHONY: all build test bench-test vet race race-sim race-resilience race-net race-serve race-amr alloc-test fuzz-smoke chaos-smoke verify bench loc clean
 
 all: build
 
@@ -130,6 +130,15 @@ chaos-smoke:
 # benchmark module's own tests, the allocation regression gate, the fuzz
 # seed sweep, the chaos soak, and the test suite under the race detector.
 verify: vet build bench-test alloc-test fuzz-smoke chaos-smoke race-net race-sim race-serve race-amr race
+
+# loc prints the non-test Go line count of each package under internal/
+# and cmd/, then the total of non-test Go outside bench/: the figure the
+# line counts in CHANGES.md and ROADMAP.md report.
+loc:
+	@for d in internal/*/ cmd/*/; do \
+		printf '%-24s %6d\n' "$${d%/}" "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done
+	@printf '%-24s %6d\n' 'total (outside bench/)' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 
 bench:
 	$(GO) test -bench=. -benchtime=0.2s -run='^$$' ./internal/...

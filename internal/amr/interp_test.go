@@ -91,7 +91,7 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 			for i, b := range s.blocks {
 				data[i] = b.BlockData
 			}
-			if err := s.plane.SetBlocks(data, rec, false); err != nil {
+			if err := s.plane.SetBlocks(data, rec); err != nil {
 				t.Error(err)
 				return
 			}

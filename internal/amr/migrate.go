@@ -219,7 +219,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	for _, b := range newBlocks {
 		blocks = append(blocks, b)
 	}
-	if err := s.install(blocks, true); err != nil {
+	if err := s.install(blocks); err != nil {
 		return err
 	}
 

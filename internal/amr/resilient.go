@@ -195,9 +195,7 @@ func (s *Sim) installRestored(blocks []*Block, step int) error {
 	for _, b := range blocks {
 		b.Rank = s.Comm.Rank()
 	}
-	// Not a collective every former reader of the send buffers joined (a
-	// failed rank read them last): no recycling.
-	if err := s.install(blocks, false); err != nil {
+	if err := s.install(blocks); err != nil {
 		return err
 	}
 	s.step = step

@@ -135,7 +135,7 @@ func (s *Sim) buildInitialForest() error {
 		s.initBlockState(b)
 		blocks = append(blocks, b)
 	}
-	return s.install(blocks, false)
+	return s.install(blocks)
 }
 
 // sortLeaves puts leaves in canonical forest order.
@@ -248,11 +248,9 @@ func (s *Sim) initBlockState(b *Block) {
 // install commits an owned block set (any order) against the current
 // leaf list: canonical order, the identity index, every block's
 // neighborhood — the same-level, coarser or finer leaves around it — the
-// data plane's exchange plans and the forest-shape gauges. recycleBuffers
-// is true only for re-grades, which are collective
-// (sim.Simulation.SetBlocks). It fails when a neighbor rank fails during
-// the plan build.
-func (s *Sim) install(blocks []*Block, recycleBuffers bool) error {
+// data plane's exchange plans and the forest-shape gauges. It fails when a
+// neighbor rank fails during the plan build.
+func (s *Sim) install(blocks []*Block) error {
 	sort.Slice(blocks, func(i, j int) bool {
 		return canonicalLess(blocks[i].Coord, blocks[j].Coord, blocks[i].ID, blocks[j].ID)
 	})
@@ -264,7 +262,7 @@ func (s *Sim) install(blocks []*Block, recycleBuffers bool) error {
 		b.Block.Neighbors = s.neighbors(b.Leaf)
 		data[i] = b.BlockData
 	}
-	if err := s.plane.SetBlocks(data, resampler{s}, recycleBuffers); err != nil {
+	if err := s.plane.SetBlocks(data, resampler{s}); err != nil {
 		return err
 	}
 	s.tel.leaves.Set(float64(len(s.leaves)))

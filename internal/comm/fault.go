@@ -83,13 +83,20 @@ type RefuseSpec struct {
 }
 
 // Validate checks the options against a world of n ranks (parked spares
-// included): the socket flavor and address count, and the fault plan's
-// probabilities and rank targets. A wire clause the in-process transport
-// cannot express — a drop, corruption, sever or refusal — is rejected
-// there, not ignored. RunWithOptions panics on invalid options, so front
-// ends validate user-supplied ones first.
+// included): the failure timeout and heartbeat interval (never negative),
+// the socket flavor and address count, and the fault plan's probabilities
+// and rank targets. A wire clause the in-process transport cannot express
+// — a drop, corruption, sever or refusal — is rejected there, not ignored.
+// RunWithOptions panics on invalid options, so front ends validate
+// user-supplied ones first.
 func (o Options) Validate(n int) error {
+	if o.FailTimeout < 0 {
+		return fmt.Errorf("comm: negative FailTimeout %v", o.FailTimeout)
+	}
 	if o.Net != nil {
+		if o.Net.HeartbeatEvery < 0 {
+			return fmt.Errorf("comm: negative NetOptions.HeartbeatEvery %v", o.Net.HeartbeatEvery)
+		}
 		if nw := o.Net.Network; nw != "" && nw != "tcp" && nw != "unix" {
 			return fmt.Errorf("comm: unknown network %q (want tcp or unix)", nw)
 		}

@@ -596,6 +596,8 @@ func TestNetOptionsValidate(t *testing.T) {
 		{"refusal rank", Options{Net: unix, Faults: &FaultPlan{Refusals: []RefuseSpec{{From: 0, To: 9, Count: 1}}}}},
 		{"drop clause on inproc is rejected", Options{Faults: &FaultPlan{Drop: 0.1}}},
 		{"sever clause on inproc is rejected", Options{Faults: &FaultPlan{Severs: []SeverSpec{{From: 0, To: 1, AtFrame: 1}}}}},
+		{"negative fail timeout", Options{FailTimeout: -time.Second}},
+		{"negative heartbeat", Options{Net: &NetOptions{Network: "unix", HeartbeatEvery: -5 * time.Millisecond}}},
 	}
 	for _, tc := range cases {
 		if err := tc.opts.Validate(2); err == nil {

@@ -482,9 +482,16 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	// With the fault events in range, what the communicator can still
-	// reject is the address count (parallel.spares included).
+	// reject is a negative duration (it checks those first) or the address
+	// count (parallel.spares included).
 	if err := sc.CommOptions().Validate(world); err != nil {
-		return fmt.Errorf("scenario: transport.addrs: %w", err)
+		key := "transport.addrs"
+		if sc.Resilience.FailTimeout < 0 {
+			key = "resilience.fail_timeout"
+		} else if sc.Transport.Heartbeat < 0 {
+			key = "transport.heartbeat"
+		}
+		return fmt.Errorf("scenario: %s: %w", key, err)
 	}
 	if sc.Run.Steps <= 0 {
 		return fmt.Errorf("scenario: run.steps must be positive, got %d", sc.Run.Steps)

@@ -122,6 +122,11 @@ func TestValidateErrors(t *testing.T) {
 			sc.Transport.Addrs = []string{"127.0.0.1:0"}
 			sc.Parallel.Ranks = 2
 		}, "transport.addrs"},
+		{"negative fail timeout", func(sc *Scenario) { sc.Resilience.FailTimeout = Duration(-time.Second) }, "resilience.fail_timeout"},
+		{"negative heartbeat", func(sc *Scenario) {
+			sc.Transport.Network = "unix"
+			sc.Transport.Heartbeat = Duration(-5 * time.Millisecond)
+		}, "transport.heartbeat"},
 		{"bad mode", func(sc *Scenario) { sc.Resilience.Mode = "forward" }, "resilience.mode"},
 		{"rewind without dir", func(sc *Scenario) { sc.Resilience.CheckpointEvery = 5 }, "resilience.dir"},
 		{"no steps", func(sc *Scenario) { sc.Run.Steps = 0 }, "run.steps"},

@@ -368,6 +368,37 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
+// TestCreateRejectsCLIOnlyKeys: a session parks no spare rank, recovers
+// only by respawning its world and never rebalances, so Create refuses the
+// keys that ask for those with a 400 naming the key instead of running
+// without them.
+func TestCreateRejectsCLIOnlyKeys(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, row := range []struct {
+		key string
+		set func(sc *scenario.Scenario)
+	}{
+		{"parallel.spares", func(sc *scenario.Scenario) {
+			sc.Parallel.Spares, sc.Resilience.Mode, sc.Resilience.CheckpointEvery = 1, "heal", 2
+		}},
+		{"resilience.mode", func(sc *scenario.Scenario) { sc.Resilience.Mode, sc.Resilience.CheckpointEvery = "shrink", 2 }},
+		{"resilience.mode", func(sc *scenario.Scenario) { sc.Resilience.Mode, sc.Resilience.CheckpointEvery = "heal", 2 }},
+		{"run.rebalance_every", func(sc *scenario.Scenario) { sc.Run.RebalanceEvery = 5 }},
+	} {
+		sc := testScenario(t, 4)
+		row.set(sc)
+		_, err := s.Create(sc, "tenant-a")
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 400 {
+			t.Errorf("%s: want a 400 APIError, got %v", row.key, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), row.key) {
+			t.Errorf("error %q does not name %s", err, row.key)
+		}
+	}
+}
+
 // TestCreateRejectsRefinement: refined scenarios run on the AMR driver,
 // which the stateful session loop does not host — Create must refuse
 // them with a 400 rather than silently running uniform.

@@ -100,6 +100,21 @@ func (s *Server) Create(sc *scenario.Scenario, tenant string) (*Session, error) 
 		// only for now. Refusing here beats silently dropping refinement.
 		return nil, &APIError{Status: 400, Err: fmt.Errorf("serve: refined scenarios (refinement.max_level > 0) are not supported as sessions; run them with walberla-sim or scenario.Execute")}
 	}
+	// A session parks no spare, recovers by respawning its whole world
+	// from its last set and never rebalances: keys asking for more are
+	// refused by name, not dropped.
+	for _, k := range []struct {
+		set bool
+		key string
+	}{
+		{sc.Parallel.Spares > 0, "parallel.spares"},
+		{sc.Resilience.Mode != "rewind", fmt.Sprintf("resilience.mode %q", sc.Resilience.Mode)},
+		{sc.Run.RebalanceEvery > 0, "run.rebalance_every"},
+	} {
+		if k.set {
+			return nil, &APIError{Status: 400, Err: fmt.Errorf("serve: %s is not supported by sessions; run the scenario with walberla-sim or scenario.Execute", k.key)}
+		}
+	}
 	p, err := sc.Problem()
 	if err != nil {
 		return nil, &APIError{Status: 400, Err: err}

@@ -3,8 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
@@ -50,9 +50,10 @@ import (
 // which required B's message of N+1, which B sent after finishing its
 // exchange-N unpack of that very buffer — a happens-before chain that makes
 // two buffers sufficient for any worker count (on a refined world the edge
-// may run through the adjacent level, docs/EXCHANGE.md "Levels"). Receive
-// delivery is zero-copy: the channel's inbox is the sender's aggregate,
-// valid until the next exchange completes.
+// may run through the adjacent level, docs/EXCHANGE.md "Levels"). Every
+// plan build takes them fresh, so a retired one is never repacked, whoever
+// read it last. Receive delivery is zero-copy: the channel's inbox is the
+// sender's aggregate, valid until the next exchange completes.
 
 // tagAggregate is the tag of level-0 aggregated exchange traffic, level ℓ
 // using tagAggregate+ℓ: one message per (sender, receiver, level, exchange),
@@ -174,11 +175,11 @@ func execRuns(dst, src []float64, runs []copyRun) {
 }
 
 // addRow appends the row of n values at source position sp and destination
-// position dp to the runs of one transfer, runs[first:]: a row contiguous
-// with a single-row run lengthens it, a row of equal length continuing (or
+// position dp to the runs of one transfer: a row contiguous with a
+// single-row run lengthens it, a row of equal length continuing (or
 // founding) the constant step of the last run becomes its next repetition.
-func addRow(runs []copyRun, first, sp, dp, n int) []copyRun {
-	if k := len(runs) - 1; k >= first {
+func addRow(runs []copyRun, sp, dp, n int) []copyRun {
+	if k := len(runs) - 1; k >= 0 {
 		r := &runs[k]
 		switch {
 		case r.reps == 1 && int(r.src+r.n) == sp && int(r.dst+r.n) == dp:
@@ -328,15 +329,12 @@ type fillSlot struct {
 	v   float64
 }
 
-// runSink is where a lowering pass puts its runs: a reused scratch list
-// while counting (see plan.lower), the plan's backing array in the final
-// pass. It also keeps the per-row scratch of a slab.
+// runSink is the scratch of lowering, reused from transfer to transfer:
+// the runs of the transfer being lowered and the per-row lookups of its
+// slab.
 type runSink struct {
-	final bool
-	all   []copyRun
-	tmp   []copyRun
-	count int
-	rows  []rowEnds
+	runs []copyRun
+	rows []rowEnds
 }
 
 // rowEnds is the field position of one row of a slab on both ends, at
@@ -351,12 +349,12 @@ type rowEnds struct {
 
 // lower lowers the slots m keeps of one slab — dirs over a box of extent
 // ext, canonical order (dir-major, then z, y, x) — from src to dst, and
-// returns their runs (nil while counting), the number of slots m keeps
-// (the window length) and the number of values the runs move. On an
-// aggregate end the kept slots take the window's positions in order. A
-// kept slot an end's field does not store gets no run: a receiver skips
-// it; a sender leaves it to the fill value — a local destination has held
-// that value since it was initialized, an aggregate position goes to
+// returns their runs (an exact-size copy of the scratch list), the number
+// of slots m keeps (the window length) and the number of values the runs
+// move. On an aggregate end the kept slots take the window's positions in
+// order. A kept slot an end's field does not store gets no run: a receiver
+// skips it; a sender leaves it to the fill value — a local destination has
+// held that value since it was initialized, an aggregate position goes to
 // fills, to be written once into both send buffers. A row m keeps whole
 // and both ends hold contiguously becomes one row without a per-slot
 // test; adjacent slots merge into rows and equidistant rows into one run
@@ -370,8 +368,7 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 			panic("sim: block too large for 32-bit copy runs")
 		}
 	}
-	runs := k.list()
-	first, nx := len(runs), ext[0]
+	runs, nx := k.runs[:0], ext[0]
 	k.rows = k.rows[:0]
 	for z := 0; z < ext[2]; z++ {
 		for y := 0; y < ext[1]; y++ {
@@ -399,7 +396,7 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 			r := k.rows[ri]
 			if e := r.even; e > 2 && m.all(bit, e*nx) {
 				for _, q := range k.rows[ri : ri+2] {
-					runs = addRow(runs, first, src.pos(q.src, d, 0, kept), dst.pos(q.dst, d, 0, kept), nx)
+					runs = addRow(runs, src.pos(q.src, d, 0, kept), dst.pos(q.dst, d, 0, kept), nx)
 					kept, moved, bit = kept+nx, moved+nx, bit+nx
 				}
 				last, next := &runs[len(runs)-1], k.rows[ri+2]
@@ -414,7 +411,7 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 				continue
 			}
 			if r.whole && m.all(bit, nx) {
-				runs = addRow(runs, first, src.pos(r.src, d, 0, kept), dst.pos(r.dst, d, 0, kept), nx)
+				runs = addRow(runs, src.pos(r.src, d, 0, kept), dst.pos(r.dst, d, 0, kept), nx)
 				kept, moved, bit = kept+nx, moved+nx, bit+nx
 				continue
 			}
@@ -432,33 +429,14 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 						*fills = append(*fills, fillSlot{t, src.f.FillValue(d)})
 					}
 				default:
-					runs = addRow(runs, first, s, t, 1)
+					runs = addRow(runs, s, t, 1)
 					moved++
 				}
 			}
 		}
 	}
-	return k.take(runs, first), kept, moved
-}
-
-// list returns the list the next transfer is lowered onto.
-func (k *runSink) list() []copyRun {
-	if k.final {
-		return k.all
-	}
-	return k.tmp[:0]
-}
-
-// take takes back the list a transfer was lowered onto, its runs starting
-// at first, and returns those runs (nil while counting).
-func (k *runSink) take(runs []copyRun, first int) []copyRun {
-	if !k.final {
-		k.tmp = runs
-		k.count += len(runs)
-		return nil
-	}
-	k.all = runs
-	return runs[first:len(runs):len(runs)]
+	k.runs = runs
+	return slices.Clone(runs), kept, moved
 }
 
 // compileLocal lowers the copy of src's interior slab srcReg into dst's
@@ -572,30 +550,6 @@ type plan struct {
 	packFn      func(int, int)
 	localFn     func(int, int) // packFn over the same-rank rest
 	unpackFn    func(int, int)
-}
-
-// aggBufPool recycles aggregate buffers across plan rebuilds, bounding
-// allocation churn when block assignments change at runtime. Buffers may
-// only be released when the rebuild trigger is collective among every
-// rank whose zero-copy unpack read them (rebalancing, re-grades).
-// Failure-recovery rebuilds skip the release: the dead rank's last unpack
-// never synchronizes with the survivors again, so repacking its input
-// would be a data race. See rebuildPlan.
-var aggBufPool sync.Pool
-
-func aggGetBuf(n int) []float64 {
-	if v := aggBufPool.Get(); v != nil {
-		if b := v.([]float64); cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func aggPutBuf(b []float64) {
-	if cap(b) > 0 {
-		aggBufPool.Put(b[:0]) //nolint:staticcheck // slice header boxing only on rebuilds
-	}
 }
 
 // buildPlans builds the plan of every level present: the ones of the
@@ -800,26 +754,16 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 // to field, each against its mask. A slab's window is the prefix sum of
 // the kept slots before it, so both ends of a channel agree on every
 // position and the bytes stay layout-agnostic. A transfer between levels
-// keeps its whole window, which the Resampler packs. Send buffers are
-// taken at the windows' size, and every slot whose sender does not store
-// the cell gets its fill value, once, in both.
-//
-// It lowers twice: a first pass counts the runs, lowering each transfer
-// into one reused scratch list, and the second lowers them into one
-// backing array of exactly that size. Runs live as long as the plan, and
-// on a world of many small blocks the growth slack of an appended list, or
-// the garbage of a compacting copy, shows in the peak memory.
+// keeps its whole window, which the Resampler packs. Each transfer is
+// lowered once and keeps an exact-size copy of its runs: they live as long
+// as the plan, and on a world of many small blocks the growth slack of one
+// appended list, or the garbage of compacting it, shows in the peak memory.
+// Both send buffers of a channel are new, at the windows' size, and every
+// slot whose sender does not store the cell gets its fill value, once, in
+// both.
 func (p *plan) lower(copies []localCopy) {
 	var sink runSink
-	p.lowerInto(copies, &sink)
-	sink = runSink{all: make([]copyRun, 0, sink.count), final: true}
-	p.lowerInto(copies, &sink)
-}
-
-// lowerInto is one pass of lower. Every pass computes the same windows and
-// statistics; only the final one keeps runs and takes the send buffers.
-func (p *plan) lowerInto(copies []localCopy, sink *runSink) {
-	p.locals, p.stats = p.locals[:0], transferStats{}
+	p.locals = make([]localOp, 0, len(copies))
 	for _, c := range copies {
 		runs, moved := sink.compileLocal(c.src, c.dst, c.srcReg, c.dstReg, c.dirs)
 		p.stats.localFloats += moved
@@ -834,24 +778,20 @@ func (p *plan) lowerInto(copies []localCopy, sink *runSink) {
 	for i := range p.channels {
 		ch := &p.channels[i]
 		fills = fills[:0]
-		ch.sendFloats = lowerManifest(ch.send, sink, &fills, true)
-		ch.recvFloats = lowerManifest(ch.recv, sink, nil, false)
+		ch.sendFloats = lowerManifest(ch.send, &sink, &fills, true)
+		ch.recvFloats = lowerManifest(ch.recv, &sink, nil, false)
 		for k := range ch.recv {
 			p.stats.remoteFloatsElided += ch.recv[k].slots() - ch.recv[k].n
 		}
-		if !sink.final {
-			continue
-		}
-		ch.bufs[0] = aggGetBuf(ch.sendFloats)
-		ch.bufs[1] = aggGetBuf(ch.sendFloats)
+		ch.bufs = [2][]float64{make([]float64, ch.sendFloats), make([]float64, ch.sendFloats)}
 		for _, f := range fills {
 			ch.bufs[0][f.pos], ch.bufs[1][f.pos] = f.v, f.v
 		}
 	}
 }
 
-// lowerManifest lowers the slabs of one manifest in order onto the sink
-// and returns the aggregate length. The final pass drops the masks.
+// lowerManifest lowers the slabs of one manifest in order onto the sink,
+// drops their masks and returns the aggregate length.
 func lowerManifest(slabs []slabOp, sink *runSink, fills *[]fillSlot, send bool) int {
 	off := 0
 	for k := range slabs {
@@ -867,21 +807,10 @@ func lowerManifest(slabs []slabOp, sink *runSink, fills *[]fillSlot, send bool) 
 			}
 			sl.runs, sl.n, _ = sink.lower(src, dst, sl.reg.size(), sl.dirs, sl.mask, fills)
 		}
-		if sink.final {
-			sl.mask = slotMask{}
-		}
+		sl.mask = slotMask{}
 		off += sl.n
 	}
 	return off
-}
-
-// release returns the plan's persistent send buffers to the pool before a
-// rebuild discards them.
-func (p *plan) release() {
-	for i := range p.channels {
-		aggPutBuf(p.channels[i].bufs[0])
-		aggPutBuf(p.channels[i].bufs[1])
-	}
 }
 
 // post starts the plan's exchange: the slabs bound for other ranks are
@@ -1003,12 +932,7 @@ func (s *Simulation) bindTasks(p *plan) {
 // uniform world has one.
 type aggregated struct{}
 
-func (aggregated) build(s *Simulation, recycleBuffers bool) (map[*BlockData]bool, error) {
-	if recycleBuffers {
-		for i := range s.levels {
-			s.levels[i].release()
-		}
-	}
+func (aggregated) build(s *Simulation) (map[*BlockData]bool, error) {
 	s.levels = nil
 	plans, err := buildPlans(s)
 	if err != nil {

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
@@ -655,5 +658,113 @@ func TestNeedMaskIsReadSet(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sendBuffers returns the backing array of every channel send buffer of
+// the plans of s.
+func sendBuffers(s *Simulation) []unsafe.Pointer {
+	var arrays []unsafe.Pointer
+	for l := range s.levels {
+		for _, ch := range s.levels[l].channels {
+			for _, b := range ch.bufs {
+				if cap(b) > 0 {
+					arrays = append(arrays, unsafe.Pointer(unsafe.SliceData(b)))
+				}
+			}
+		}
+	}
+	return arrays
+}
+
+// TestRebuildTakesFreshSendBuffers pins the ownership rule of a plan
+// rebuild: no send buffer of a retired plan — which a peer's zero-copy
+// unpack may have read last, a failed peer's too — backs a buffer of the
+// new plans, so none is ever repacked. Each row records the buffers of
+// every rank before the rebuild (keeping them reachable, so a fresh
+// allocation cannot reuse their memory) and looks for them among the new
+// plans' buffers: a rebalance swap, the SetBlocks an amr re-grade
+// (migrate) installs its leaves through, and a shrink recovery's Install.
+func TestRebuildTakesFreshSendBuffers(t *testing.T) {
+	periodic := func() *blockforest.SetupForest {
+		f := blockforest.NewSetupForest(blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
+			[3]int{2, 1, 1}, [3]int{8, 8, 8}, [3]bool{true, true, true})
+		f.BalanceMorton(2)
+		return f
+	}
+	crash := comm.Options{Faults: &comm.FaultPlan{Seed: 11, Crashes: []comm.CrashSpec{{Rank: 1, Step: 5}}}}
+	rows := []struct {
+		name    string
+		ranks   int
+		forest  *blockforest.SetupForest
+		cfg     Config
+		opts    comm.Options
+		rebuild func(*Simulation) error
+	}{
+		{"rebalance", 2, periodic(), Config{SetupFlags: allFluid}, comm.Options{}, func(s *Simulation) error {
+			if _, err := s.Run(2); err != nil {
+				return err
+			}
+			return s.Rebalance(map[[3]int]int{{0, 0, 0}: 1, {1, 0, 0}: 0})
+		}},
+		{"regrade", 2, periodic(), Config{SetupFlags: allFluid}, comm.Options{}, func(s *Simulation) error {
+			if _, err := s.Run(2); err != nil {
+				return err
+			}
+			return s.SetBlocks(s.Blocks, nil)
+		}},
+		{"shrink", 3, shrinkForest(3), cavityConfig(), crash, func(s *Simulation) error {
+			m, err := s.RunResilient(8, ResilienceConfig{Mode: RecoverShrink, CheckpointEvery: 2, MaxFailures: 4,
+				BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+			if err == nil && m.Recovery.Shrinks != 1 {
+				err = fmt.Errorf("%d shrinks, want 1", m.Recovery.Shrinks)
+			}
+			return err
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var retired, fresh []unsafe.Pointer
+			comm.RunWithOptions(row.ranks, row.opts, func(c *comm.Comm) {
+				forest, err := blockforest.Distribute(c, forestFor(c.Rank(), row.forest))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s, err := New(c, forest, row.cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				retired = append(retired, sendBuffers(s)...)
+				mu.Unlock()
+				if err := row.rebuild(s); errors.Is(err, ErrRetired) {
+					return // the shrink row's victim
+				} else if err != nil {
+					t.Errorf("rank %d: %v", c.Rank(), err)
+					return
+				}
+				if _, err := s.Run(2); err != nil {
+					t.Errorf("rank %d: stepping the new plan: %v", c.Rank(), err)
+				}
+				mu.Lock()
+				fresh = append(fresh, sendBuffers(s)...)
+				mu.Unlock()
+			})
+			if len(retired) == 0 || len(fresh) == 0 {
+				t.Fatalf("%d retired and %d new send buffers; the row exchanges nothing", len(retired), len(fresh))
+			}
+			old := make(map[unsafe.Pointer]bool, len(retired))
+			for _, a := range retired {
+				old[a] = true
+			}
+			for _, a := range fresh {
+				if old[a] {
+					t.Errorf("a new plan's send buffer is a retired one (%p)", a)
+				}
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ type exchanger interface {
 	// build derives the plan of the current block set and reports the
 	// blocks that exchange with another rank. It fails when the plan
 	// build's handshake does (a peer failed, a mask did not fit).
-	build(s *Simulation, recycleBuffers bool) (remote map[*BlockData]bool, err error)
+	build(s *Simulation) (remote map[*BlockData]bool, err error)
 	post(s *Simulation) error
 	complete(s *Simulation) error
 	stats(s *Simulation) ExchangeStats

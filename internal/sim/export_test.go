@@ -14,6 +14,10 @@ func (s *Simulation) PostExchange() error { return s.postExchange() }
 // to the external test package.
 func (s *Simulation) ExchangeGhostLayers() error { return s.exchangeGhostLayers() }
 
+// RebuildPlan exposes the exchange plan rebuild to the external test
+// package's benchmarks.
+func (s *Simulation) RebuildPlan() error { return s.rebuildPlan() }
+
 // RaceEnabled reports a race-instrumented build, in which the allocation
 // gates skip themselves.
 const RaceEnabled = raceEnabled

@@ -56,11 +56,9 @@ func (c *Config) TauAt(l int) float64 {
 // SetBlocks makes blocks this rank's block set — blocks of any levels in
 // canonical order, each with its whole neighborhood in Block.Neighbors —
 // and rebuilds the exchange plans of all levels, whose transfers between
-// levels r computes. recycleBuffers is rebuildPlan's: true only when every
-// rank that read the retired send buffers took part in the collective that
-// led here. Like every plan rebuild it is collective among neighboring
-// ranks and fails only when one of them does.
-func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler, recycleBuffers bool) error {
+// levels r computes. Like every plan rebuild it is collective among
+// neighboring ranks and fails only when one of them does.
+func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler) error {
 	s.Blocks, s.resample, s.levelBlocks = blocks, r, nil
 	for _, bd := range blocks {
 		l := int(bd.Block.ID.Level)
@@ -70,7 +68,7 @@ func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler, recycleBuffers 
 		s.levelBlocks[l] = append(s.levelBlocks[l], bd)
 	}
 	s.levelSweeps = make([]int, len(s.levelBlocks))
-	return s.rebuildPlan(recycleBuffers)
+	return s.rebuildPlan()
 }
 
 // ExchangeLevel refreshes the ghost layers of this rank's blocks on one

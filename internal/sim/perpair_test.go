@@ -45,7 +45,7 @@ func newWithExchange(c *comm.Comm, forest *blockforest.BlockForest, cfg Config, 
 		return s, err
 	}
 	s.exchange = &perPair{}
-	if err := s.rebuildPlan(true); err != nil {
+	if err := s.rebuildPlan(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -88,7 +88,7 @@ func tagFor(tree uint32, offIdx int) int { return int(tree)*27 + offIdx }
 
 // build enumerates, for each local block, the boundary exchanges with all
 // its neighbors.
-func (pp *perPair) build(s *Simulation, _ bool) (map[*BlockData]bool, error) {
+func (pp *perPair) build(s *Simulation) (map[*BlockData]bool, error) {
 	pp.plan = nil
 	remote := make(map[*BlockData]bool)
 	for _, bd := range s.Blocks {

@@ -171,7 +171,7 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	for _, bd := range outgoing[me] {
 		bd.Block.Neighbors = ranked[bd.Block.Coord]
 	}
-	if err := s.install(append(outgoing[me], gained...), nil, true); err != nil {
+	if err := s.install(append(outgoing[me], gained...), nil); err != nil {
 		return err
 	}
 	// Migration invalidates ghost layers; synchronize before stepping on.

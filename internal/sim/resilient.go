@@ -338,18 +338,14 @@ func (w world) Install(c *comm.Comm, redirect []int, step int, own resilience.St
 	s.Comm = c
 	s.Forest.Rank = c.Rank()
 	s.Forest.NumRanks = c.Size()
-	// recycleBuffers=false: the dead rank's final zero-copy unpack read our
-	// old send buffers and will never synchronize with this rebuild, so the
-	// retired buffers must not be repacked — see rebuildPlan.
-	return len(adopted), s.install(append(s.Blocks, adopted...), redirect, false)
+	return len(adopted), s.install(append(s.Blocks, adopted...), redirect)
 }
 
 // install makes blocks this rank's block set — in Morton order, indexed
 // by coordinate and listed in the forest — with every neighbor rank r
 // renumbered to redirect[r] (nil: the ranks are already the new ones),
-// and rebuilds the exchange plan (recycleBuffers: see rebuildPlan).
-// Install and Rebalance end in it.
-func (s *Simulation) install(blocks []*BlockData, redirect []int, recycleBuffers bool) error {
+// and rebuilds the exchange plan. Install and Rebalance end in it.
+func (s *Simulation) install(blocks []*BlockData, redirect []int) error {
 	sort.Slice(blocks, func(i, j int) bool {
 		return blockforest.MortonKey(blocks[i].Block.Coord) < blockforest.MortonKey(blocks[j].Block.Coord)
 	})
@@ -367,7 +363,7 @@ func (s *Simulation) install(blocks []*BlockData, redirect []int, recycleBuffers
 		s.byCoord[bd.Block.Coord] = bd
 		s.Forest.Blocks = append(s.Forest.Blocks, bd.Block)
 	}
-	return s.rebuildPlan(recycleBuffers)
+	return s.rebuildPlan()
 }
 
 // buildAdoptedBlocks joins decoded field snapshots with their metadata

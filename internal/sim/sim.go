@@ -475,7 +475,7 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 			lane.SpanAt(telemetry.PhaseCollideStream, s.steps, int32(i), mid, mid+int64(bd.stepCompute))
 		}
 	}
-	if err := s.rebuildPlan(true); err != nil {
+	if err := s.rebuildPlan(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -707,25 +707,11 @@ func (s *Simulation) sweepBlocks(bds []*BlockData) {
 // rebuildPlan recomputes the exchange plans and the frontier/interior
 // block split; it must run after any change to the block assignment or the
 // neighborhood views (construction, rebalancing, failure recovery,
-// re-grades).
-//
-// recycleBuffers controls whether the retired aggregate buffers of the
-// previous plans return to the buffer pool. That is safe only when the
-// rebuild trigger is collective among every rank that ever read those
-// buffers: the in-process transport delivers sends zero-copy, so a peer's
-// unpack reads alias our send buffers, and repacking a recycled buffer
-// must happen-after those reads. Rebalancing qualifies (it starts with an
-// Alltoall), and so do re-grades (an allgather). Failure recovery does NOT
-// — a hung or crashed rank read our buffers and then retired without ever
-// synchronizing again, so its final unpack has no happens-before edge to
-// the recovery rendezvous. Recovery rebuilds must pass false and let the
-// garbage collector take the retired buffers.
-//
-// The rebuild includes the mask handshake with every neighbor rank, so it
-// is collective among the ranks that exchange with each other, and it
+// re-grades). It includes the mask handshake with every neighbor rank, so
+// it is collective among the ranks that exchange with each other, and it
 // returns the transport's error when one of them fails meanwhile.
-func (s *Simulation) rebuildPlan(recycleBuffers bool) error {
-	remote, err := s.exchange.build(s, recycleBuffers)
+func (s *Simulation) rebuildPlan() error {
+	remote, err := s.exchange.build(s)
 	if err != nil {
 		return err
 	}

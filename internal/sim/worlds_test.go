@@ -795,3 +795,41 @@ func BenchmarkNewSim(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRebuildPlan times one exchange plan rebuild alone — transfer
+// enumeration, need-masks, lowering and send buffers — on one rank of the
+// worlds of BenchmarkNewSim, each built once.
+func BenchmarkRebuildPlan(b *testing.B) {
+	for _, w := range []struct{ name, doc string }{
+		{"tree", treeDoc(3, 0.012, 1)},
+		{"dense32", fmt.Sprintf(cavityDoc, 32, 32, 32, 1)},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			p := problemFor(b, w.doc)
+			forest, err := p.BuildForest()
+			if err != nil {
+				b.Fatal(err)
+			}
+			comm.Run(1, func(c *comm.Comm) {
+				bf, err := blockforest.Distribute(c, forest)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				s, err := sim.New(c, bf, p.SimConfig())
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.RebuildPlan(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
