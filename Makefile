@@ -39,11 +39,12 @@ race-sim:
 # the race detector — the recovery driver without an LBM (failure loop,
 # checkpoint-set protocol, buddy ring, restore vote), what the uniform and
 # the refined runtime supply to it (shrinking and healing recovery,
-# spare-rank rejoin, replication, checkpoint sets, rewind replay), the
-# recovery matrix over both runtimes and the communicator's failure
-# handling — the quick gate while working on recovery code.
+# spare-rank rejoin, replication, checkpoint sets, rewind replay, and the
+# rebalance that shares recovery's install path), the recovery matrix over
+# both runtimes and the communicator's failure handling — the quick gate
+# while working on recovery code.
 race-resilience:
-	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
+	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint|TestRebalance' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
 
 # race-net re-runs the socket-transport suite uncached under the race
 # detector: wire framing, reconnect/backoff under the fault plan's frame

@@ -20,7 +20,7 @@ import (
 // leaf identity (tree, octree path, level, coordinates) alongside both PDF
 // fields, also the form of the own in-memory generation; blocksFromSnapshots
 // — runtime blocks back from such records, assembled from the pure config
-// function, so a replica needs no side band; and installRestored — the
+// function, so a record is self-contained; and installRestored — the
 // forest of the restored step rebuilt
 // from the restored leaves themselves, so re-grades between the
 // checkpoint and the failure are undone together with the field state.
@@ -87,11 +87,10 @@ func (w world) Encode(out io.Writer) (int64, uint32, error) {
 	return output.WriteLeafFile(out, w.leafSnapshots())
 }
 
-// Meta is empty: the leaf list is replicated metadata and flag fields are
-// a pure function of the config, so WBK2 records are self-contained.
-func (w world) Meta() ([]byte, error) { return nil, nil }
-
-func (w world) Decode(r io.Reader, _ []byte) (resilience.State, uint32, error) {
+// Decode reads a rank file. WBK2 records are self-contained: a leaf's
+// identity fixes its box, and flag fields are a pure function of the
+// config.
+func (w world) Decode(r io.Reader) (resilience.State, uint32, error) {
 	snaps, crc, err := output.ReadLeafFile(r, w.cfg.Stencil)
 	if err != nil {
 		return nil, 0, err
@@ -121,7 +120,7 @@ func (w world) Reset() error {
 // adopted wards and commits them on c; the leaf-descriptor allgather of
 // installRestored rebuilds the forest with c's ranks, so no old→new
 // renumbering pass is needed.
-func (w world) Install(c *comm.Comm, _ []int, step int, own resilience.State, wards []resilience.State) (int, error) {
+func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []resilience.State) (int, error) {
 	s := w.Sim
 	var blocks []*Block
 	kept := 0

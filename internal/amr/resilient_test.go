@@ -237,7 +237,7 @@ func TestShrinkRecoveryZeroDiskReads(t *testing.T) {
 // both runtimes: a set's rank file is exactly output.WriteLeafFile of the
 // rank's blocks — a uniform block as the level-0 leaf of its root — and
 // its manifest exactly output.WriteManifest of the gathered sizes and
-// CRCs. A refined replica payload is that same stream, with no side band.
+// CRCs. A refined replica payload is that same stream.
 func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 	cfg := baseConfig(1, field.SoA)
 	type runtime interface {
@@ -315,9 +315,6 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 					var payload bytes.Buffer
 					if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
 						t.Errorf("rank %d: replica payload differs from the rank file (err %v)", c.Rank(), err)
-					}
-					if meta, err := (world{s}).Meta(); err != nil || meta != nil {
-						t.Errorf("rank %d: a refined replica carries a side band (%d bytes, err %v)", c.Rank(), len(meta), err)
 					}
 				}
 			})

@@ -95,6 +95,12 @@ func (w *World) validate(ranks int) error {
 	case w.Forest != nil && w.Forest.MaxRank() >= ranks:
 		return fmt.Errorf("core: the forest is balanced for %d ranks, the world has %d", w.Forest.MaxRank()+1, ranks)
 	}
+	if w.Resilience != nil {
+		rc := *w.Resilience // the driver normalizes its own copy
+		if err := rc.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	// Addresses and fault targets cover the spare ranks too.
 	if err := w.Comm.Validate(n); err != nil {
 		return fmt.Errorf("core: %w", err)

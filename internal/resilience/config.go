@@ -74,7 +74,7 @@ type Config struct {
 	CheckpointEvery int
 	// Dir is the checkpoint root directory; one "set-<step>" subdirectory
 	// per checkpoint. Empty disables disk checkpointing (Shrink and Heal
-	// then run purely in memory).
+	// then run purely in memory); Rewind with a CheckpointEvery needs it.
 	Dir string
 	// Mode selects rewind (default), shrinking or healing recovery.
 	Mode Mode
@@ -91,14 +91,18 @@ type Config struct {
 }
 
 // Validate normalizes the configuration in place (default failure budget
-// and backoff shape) and rejects unknown recovery modes. Whether the World
-// at hand supports the mode is checked by NewDriver.
+// and backoff shape) and rejects unknown recovery modes and rewind
+// checkpointing without a directory to rewind from. Whether the World at
+// hand supports the mode is checked by NewDriver.
 func (c *Config) Validate() error {
 	if c.Mode != Rewind && c.Mode != Shrink && c.Mode != Heal {
 		return fmt.Errorf("resilience: unknown recovery mode %d", c.Mode)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("resilience: negative checkpoint interval %d", c.CheckpointEvery)
+	}
+	if c.Mode == Rewind && c.CheckpointEvery > 0 && c.Dir == "" {
+		return fmt.Errorf("resilience: rewind checkpointing needs a checkpoint directory (resilience.dir)")
 	}
 	if c.MaxFailures < 0 {
 		c.MaxFailures = 8

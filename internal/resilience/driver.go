@@ -37,14 +37,12 @@ type World interface {
 	// Encode writes this rank's blocks in the runtime's rank-file encoding
 	// and returns the byte count and CRC32C of the stream. The same bytes
 	// are a checkpoint-set file on disk and a replica payload in memory.
+	// A rank file is self-contained: adopting its blocks needs nothing
+	// else.
 	Encode(w io.Writer) (size int64, crc uint32, err error)
-	// Meta returns the side band a rank file does not carry but adopting
-	// its blocks needs; nil when the encoding is self-contained.
-	Meta() ([]byte, error)
-	// Decode parses what Encode wrote — with meta, the Meta of the rank
-	// that wrote it, when the blocks are to be adopted — and returns the
-	// CRC32C of the stream consumed.
-	Decode(r io.Reader, meta []byte) (state State, crc uint32, err error)
+	// Decode parses what Encode wrote and returns the CRC32C of the stream
+	// consumed.
+	Decode(r io.Reader) (state State, crc uint32, err error)
 	// Own returns this rank's state from a committed checkpoint set; read
 	// decodes the set's file of one rank. A set it fails on is voted down.
 	// A runtime whose restore replaces the topology takes its own file as
@@ -55,11 +53,12 @@ type World interface {
 	// Install commits one restored generation: own is this rank's state
 	// at step (from Snapshot or Decode; nil on a recruited spare), wards
 	// the decoded states of dead ranks this rank re-owns. c is the
-	// communicator to continue on and redirect maps every rank of the
-	// previous one to its successor in c — both unchanged, redirect nil,
-	// on a rewind. Collective over c. Returns how many blocks were
-	// adopted.
-	Install(c *comm.Comm, redirect []int, step int, own State, wards []State) (adopted int, err error)
+	// communicator to continue on. On a rewind it is the world's own and
+	// there are no wards: ownership is unchanged. After a shrink or heal c
+	// is new or there are wards, and the runtime rebuilds its topology from
+	// what every rank of c now owns. Collective over c. Returns how many
+	// blocks were adopted.
+	Install(c *comm.Comm, step int, own State, wards []State) (adopted int, err error)
 	// Reset rewinds to the initial state at step 0: the last rung, when
 	// no generation survives anywhere.
 	Reset() error
@@ -71,8 +70,8 @@ type World interface {
 type Forwarder interface {
 	World
 	// Reencode serializes a decoded ward state back into a rank-file
-	// payload and its side band, for the stream to the replacement.
-	Reencode(ward State) (payload []byte, crc uint32, meta []byte, err error)
+	// payload, for the stream to the replacement.
+	Reencode(ward State) (payload []byte, crc uint32, err error)
 }
 
 // Driver runs one World under the failure loop.
@@ -226,7 +225,7 @@ func (d *Driver) attempt(ctx context.Context, step *int) (err error) {
 		if barrier && d.Ring != nil && d.Ring.lastStep != *step {
 			// Produce a buddy-replica generation, including one at the
 			// first step so the buddy always holds at least the state the
-			// run started from (and with it the side band adoption needs).
+			// run started from.
 			t0 := d.lane.Start()
 			if err := d.Ring.Replicate(w, *step, &d.Stats); err != nil {
 				return err
@@ -322,7 +321,7 @@ type ward struct {
 func (d *Driver) Repair(dead []int) (restored int, err error) {
 	c := d.World.Comm()
 	if d.Config.Mode == Rewind {
-		return d.restore(c, c, nil, nil, telemetry.PhaseRestore)
+		return d.restore(c, c, nil, telemetry.PhaseRestore)
 	}
 	old := c.Size()
 	var deadOld []int // dead ranks of the pre-repair communicator, ascending
@@ -364,13 +363,14 @@ func (d *Driver) Repair(dead []int) (restored int, err error) {
 		phase = telemetry.PhaseHeal
 	}
 
-	// The old→new rank map. Survivors keep their identity; a dead rank maps
-	// to whoever re-owns its blocks: the i-th recruit for the i-th dead
-	// rank, else its buddy — both deterministic, so no agreement traffic is
-	// needed. A dead buddy means the replica is gone with it: with
-	// single-failure-at-a-time semantics this cannot occur (the previous
-	// failure is fully recovered, and re-protected, before the next one is
-	// handled), so it is unrecoverable.
+	// The old→new rank map, a routing table of this rank's alone. Survivors
+	// keep their identity; a dead rank maps to whoever re-owns its blocks:
+	// the i-th recruit for the i-th dead rank, else its buddy — both
+	// deterministic, so no agreement traffic is needed. A dead buddy means
+	// the replica is gone with it: with single-failure-at-a-time semantics
+	// this cannot occur (the previous failure is fully recovered, and
+	// re-protected, before the next one is handled), so it is
+	// unrecoverable.
 	redirect := make([]int, old)
 	for r := range redirect {
 		redirect[r] = nc.CommRankOf(c.WorldRankOf(r))
@@ -394,7 +394,7 @@ func (d *Driver) Repair(dead []int) (restored int, err error) {
 			return 0, fmt.Errorf("resilience: surviving rank %d missing from the repaired communicator", r)
 		}
 	}
-	return d.restore(c, nc, redirect, mine, phase)
+	return d.restore(c, nc, mine, phase)
 }
 
 // restore picks the restore generation over nc — memory, else disk, else
@@ -403,7 +403,7 @@ func (d *Driver) Repair(dead []int) (restored int, err error) {
 // a recruited spare: it holds nothing, votes neutrally throughout and
 // receives its blocks by stream. A failure can strike during recovery
 // traffic too, hence the guard.
-func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase telemetry.Phase) (restored int, err error) {
+func (d *Driver) restore(c, nc *comm.Comm, mine []ward, phase telemetry.Phase) (restored int, err error) {
 	defer guard(&err)
 	start, t0 := time.Now(), d.lane.Start()
 	w, cfg := d.World, &d.Config
@@ -444,17 +444,13 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		if c != nil {
 			load = func(setDir string) (err error) {
 				own, err = w.Own(func(rank int) (State, error) {
-					return d.readRankFile(setDir, rank, c.Size(), nil)
+					return d.readRankFile(setDir, rank, c.Size())
 				})
 				if err != nil {
 					return err
 				}
 				for i, wd := range mine {
-					meta, ok := d.Ring.meta[wd.world]
-					if !ok {
-						return fmt.Errorf("resilience: no retained metadata for dead rank %d", wd.world)
-					}
-					if wards[i], err = d.readRankFile(setDir, wd.rank, c.Size(), meta); err != nil {
+					if wards[i], err = d.readRankFile(setDir, wd.rank, c.Size()); err != nil {
 						return err
 					}
 				}
@@ -483,18 +479,18 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 	}
 
 	// Route the wards: adopt here, or stream to the recruit in the replica
-	// envelope, which then commits with the same rank map.
+	// envelope, with the step the run ends at.
 	var adopt []State
 	for i, wd := range mine {
 		if wd.dest == nc.Rank() {
 			adopt = append(adopt, wards[i])
 			continue
 		}
-		payload, crc, meta, err := w.(Forwarder).Reencode(wards[i])
+		payload, crc, err := w.(Forwarder).Reencode(wards[i])
 		if err != nil {
 			return 0, err
 		}
-		env := envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, Meta: meta, Redirect: redirect, To: d.to}
+		env := envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, To: d.to}
 		if err := d.Ring.send(nc, wd.dest, tagForward, env.marshal(), &d.Stats); err != nil {
 			return 0, err
 		}
@@ -508,10 +504,10 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 		if err != nil {
 			return 0, fmt.Errorf("resilience: heal stream for step %d failed validation: %w", env.Step, err)
 		}
-		adopt, redirect, d.to = []State{state}, env.Redirect, env.To
+		adopt, d.to = []State{state}, env.To
 	}
 
-	adopted, err := w.Install(nc, redirect, step, own, adopt)
+	adopted, err := w.Install(nc, step, own, adopt)
 	if err != nil {
 		return 0, err
 	}
@@ -552,7 +548,7 @@ func (d *Driver) restore(c, nc *comm.Comm, redirect []int, mine []ward, phase te
 // world is reset to its initial state. Returns the restored step.
 func RestoreNewestSet(w World, dir string) (int64, error) {
 	d := &Driver{World: w, Config: Config{Dir: dir}}
-	step, err := d.restore(w.Comm(), w.Comm(), nil, nil, telemetry.PhaseRestore)
+	step, err := d.restore(w.Comm(), w.Comm(), nil, telemetry.PhaseRestore)
 	return int64(step), err
 }
 
@@ -598,7 +594,7 @@ func RunSpare(ctx context.Context, world *comm.Comm, active int, cfg Config, bui
 	}
 	d.target = active
 	// The recruit's side of Repair.
-	step, err := d.restore(nil, nc, nil, nil, telemetry.PhaseHeal)
+	step, err := d.restore(nil, nc, nil, telemetry.PhaseHeal)
 	if err != nil {
 		return w, d.Stats, true, err
 	}

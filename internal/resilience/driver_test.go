@@ -41,7 +41,6 @@ func (w *counterWorld) Step() error {
 
 func (w *counterWorld) Telemetry() (*telemetry.Lane, *telemetry.Registry) { return nil, nil }
 func (w *counterWorld) Snapshot(State) State                              { return w.n }
-func (w *counterWorld) Meta() ([]byte, error)                             { return nil, nil }
 func (w *counterWorld) Reset() error                                      { w.n = 0; return nil }
 
 func (w *counterWorld) Encode(out io.Writer) (int64, uint32, error) {
@@ -57,7 +56,7 @@ func (w *counterWorld) Own(read func(int) (State, error)) (State, error) {
 	return read(w.c.Rank())
 }
 
-func (w *counterWorld) Decode(r io.Reader, _ []byte) (State, uint32, error) {
+func (w *counterWorld) Decode(r io.Reader) (State, uint32, error) {
 	b := make([]byte, 8)
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, 0, err
@@ -65,7 +64,7 @@ func (w *counterWorld) Decode(r io.Reader, _ []byte) (State, uint32, error) {
 	return int(binary.LittleEndian.Uint64(b)), output.CRC32C(b), nil
 }
 
-func (w *counterWorld) Install(c *comm.Comm, _ []int, _ int, own State, wards []State) (int, error) {
+func (w *counterWorld) Install(c *comm.Comm, _ int, own State, wards []State) (int, error) {
 	if f := w.failInstall; f != nil {
 		w.failInstall = nil
 		if err := f(w); err != nil {
@@ -88,9 +87,9 @@ func (w *counterWorld) Install(c *comm.Comm, _ []int, _ int, own State, wards []
 // forwardingWorld adds the one method Heal needs.
 type forwardingWorld struct{ *counterWorld }
 
-func (w forwardingWorld) Reencode(ward State) ([]byte, uint32, []byte, error) {
+func (w forwardingWorld) Reencode(ward State) ([]byte, uint32, error) {
 	b := binary.LittleEndian.AppendUint64(nil, uint64(ward.(int)))
-	return b, output.CRC32C(b), nil, nil
+	return b, output.CRC32C(b), nil
 }
 
 // outcome is what one rank's driver run ended with.
@@ -335,9 +334,10 @@ func TestDriverCancelDuringBackoff(t *testing.T) {
 	}
 }
 
-// TestDriverConfig: validation, defaults and the back-off ladder.
+// TestDriverConfig: validation (rewind checkpointing needs a directory),
+// defaults and the back-off ladder.
 func TestDriverConfig(t *testing.T) {
-	for _, bad := range []Config{{Mode: Mode(7)}, {Mode: Mode(-1)}, {CheckpointEvery: -1}} {
+	for _, bad := range []Config{{Mode: Mode(7)}, {Mode: Mode(-1)}, {CheckpointEvery: -1}, {CheckpointEvery: 2}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
 		}

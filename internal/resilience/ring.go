@@ -17,9 +17,11 @@ import (
 //   - an *own snapshot*: whatever World.Snapshot copies raw, restored
 //     without decoding — the survivor's rewind is a memcpy;
 //   - a *buddy replica*: the blocks in the runtime's rank-file encoding
-//     (the bytes of a disk checkpoint set file, but into memory) plus the
-//     side-band metadata adoption needs, sent to the buddy rank
-//     (rank+1) mod size.
+//     (the bytes of a disk checkpoint set file, but into memory), sent to
+//     the buddy rank (rank+1) mod size. A rank file is self-contained:
+//     whoever adopts its blocks rebuilds their neighbourhoods and flags
+//     from the geometry and from what every rank owns after the repair
+//     (World.Install), so nothing else travels with it.
 //
 // Both are double-buffered generations: a failure mid-replication leaves
 // the previous generation intact, and the restore vote picks the newest
@@ -42,9 +44,7 @@ const (
 //	 8       8    SrcWorld
 //	16       8    To
 //	24       4    CRC
-//	28       4    n = len(Redirect), then n int64 entries
-//	         4    m = len(Meta), then m bytes
-//	         …    Payload, the rest of the message
+//	28       …    Payload, the rest of the message
 type envelope struct {
 	// Step is the generation's step barrier.
 	Step int
@@ -55,14 +55,12 @@ type envelope struct {
 	// is its CRC32C.
 	Payload []byte
 	CRC     uint32
-	// Meta is the side band the rank file does not carry (World.Meta).
-	Meta []byte
-	// Redirect and To, on a heal stream only, are the old→new communicator
-	// rank map the recruit commits its topology with and the step the run
-	// ends at.
-	Redirect []int
-	To       int
+	// To, on a heal stream only, is the step the run ends at.
+	To int
 }
+
+// envelopeHeader is the byte count before an envelope's payload.
+const envelopeHeader = 28
 
 // Generation is one protected state: the step barrier it was taken at,
 // the world rank it belongs to, and the runtime's opaque form of it.
@@ -81,10 +79,6 @@ type Ring struct {
 	// path, and a restore that adopts them is a pure memory operation.
 	Own     [2]Generation
 	Replica [2]*Generation
-	// meta retains the newest side band per protected world rank even
-	// when payload generations are invalidated — it is static between
-	// repairs, and the disk rung needs it to adopt.
-	meta map[int][]byte
 
 	parity int // slot the next generation writes
 	// lastStep is the step of the newest generation this rank produced
@@ -103,7 +97,7 @@ func NewRing() *Ring {
 // reset drops every generation: after a repair the communicator ranks
 // they were taken under are stale.
 func (r *Ring) reset() {
-	*r = Ring{meta: make(map[int][]byte), lastStep: -1, sent: r.sent}
+	*r = Ring{lastStep: -1, sent: r.sent}
 	r.Own[0].Step, r.Own[1].Step = -1, -1
 }
 
@@ -178,8 +172,6 @@ func (r *Ring) Replicate(w World, step int, st *Stats) error {
 	// vote settles on it).
 	if state, err := decode(w, in); err == nil {
 		r.Replica[p] = &Generation{Step: in.Step, SrcWorld: in.SrcWorld, State: state}
-		// A copy: in.Meta aliases the whole received envelope.
-		r.meta[in.SrcWorld] = bytes.Clone(in.Meta)
 	}
 	r.parity ^= 1
 	// Commit barrier: without it the ring above only chains each rank to
@@ -219,11 +211,7 @@ func receive(c *comm.Comm, from, tag int) (*envelope, error) {
 // encode serializes the world's live state into an envelope's bytes, the
 // rank-file encoding written in place after the header.
 func encode(w World, step int) ([]byte, error) {
-	meta, err := w.Meta()
-	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding replica metadata: %w", err)
-	}
-	env := envelope{Step: step, SrcWorld: w.Comm().WorldRank(), Meta: meta}
+	env := envelope{Step: step, SrcWorld: w.Comm().WorldRank()}
 	buf := bytes.NewBuffer(env.marshal())
 	_, crc, err := w.Encode(buf)
 	if err != nil {
@@ -237,48 +225,22 @@ func encode(w World, step int) ([]byte, error) {
 // marshal returns the envelope's bytes.
 func (e *envelope) marshal() []byte {
 	le := binary.LittleEndian
-	b := make([]byte, 0, 36+8*len(e.Redirect)+len(e.Meta)+len(e.Payload))
+	b := make([]byte, 0, envelopeHeader+len(e.Payload))
 	b = le.AppendUint64(b, uint64(e.Step))
 	b = le.AppendUint64(b, uint64(e.SrcWorld))
 	b = le.AppendUint64(b, uint64(e.To))
 	b = le.AppendUint32(b, e.CRC)
-	b = le.AppendUint32(b, uint32(len(e.Redirect)))
-	for _, r := range e.Redirect {
-		b = le.AppendUint64(b, uint64(r))
-	}
-	b = le.AppendUint32(b, uint32(len(e.Meta)))
-	b = append(b, e.Meta...)
 	return append(b, e.Payload...)
 }
 
-// decodeEnvelope parses an envelope's bytes. Every count is checked
-// against the bytes left before anything is sliced or allocated; Meta and
-// Payload alias b.
+// decodeEnvelope parses an envelope's bytes; Payload aliases b.
 func decodeEnvelope(b []byte) (*envelope, error) {
+	if len(b) < envelopeHeader {
+		return nil, fmt.Errorf("resilience: malformed envelope of %d bytes", len(b))
+	}
 	le := binary.LittleEndian
-	bad := fmt.Errorf("resilience: malformed envelope of %d bytes", len(b))
-	if len(b) < 32 {
-		return nil, bad
-	}
-	e := &envelope{Step: int(int64(le.Uint64(b))), SrcWorld: int(int64(le.Uint64(b[8:]))),
-		To: int(int64(le.Uint64(b[16:]))), CRC: le.Uint32(b[24:])}
-	n, b := uint64(le.Uint32(b[28:])), b[32:]
-	if uint64(len(b)) < 8*n+4 {
-		return nil, bad
-	}
-	if n > 0 {
-		e.Redirect = make([]int, n)
-		for i := range e.Redirect {
-			e.Redirect[i] = int(int64(le.Uint64(b[8*i:])))
-		}
-	}
-	b = b[8*n:]
-	m, b := uint64(le.Uint32(b)), b[4:]
-	if uint64(len(b)) < m {
-		return nil, bad
-	}
-	e.Meta, e.Payload = b[:m:m], b[m:]
-	return e, nil
+	return &envelope{Step: int(int64(le.Uint64(b))), SrcWorld: int(int64(le.Uint64(b[8:]))),
+		To: int(int64(le.Uint64(b[16:]))), CRC: le.Uint32(b[24:]), Payload: b[envelopeHeader:]}, nil
 }
 
 // decode validates and deserializes one envelope. Each block is decoded
@@ -289,7 +251,7 @@ func decode(w World, in *envelope) (State, error) {
 	if output.CRC32C(in.Payload) != in.CRC {
 		return nil, fmt.Errorf("resilience: envelope of rank %d step %d fails its CRC", in.SrcWorld, in.Step)
 	}
-	state, crc, err := w.Decode(bytes.NewReader(in.Payload), in.Meta)
+	state, crc, err := w.Decode(bytes.NewReader(in.Payload))
 	if err != nil {
 		return nil, err
 	}

@@ -186,9 +186,8 @@ func (d *Driver) newestUsableSet(c *comm.Comm, dir string, load func(setDir stri
 // readRankFile opens one rank's file of a committed set through the
 // manifest — the set must validate, must have been written by a world of
 // the given size and must list the file — and decodes it, checking the
-// stream's CRC32C against the manifest's. meta is the side band of the
-// rank that wrote it, when adoption will need it.
-func (d *Driver) readRankFile(setDir string, rank, ranks int, meta []byte) (State, error) {
+// stream's CRC32C against the manifest's.
+func (d *Driver) readRankFile(setDir string, rank, ranks int) (State, error) {
 	d.Stats.DiskReadsDuringRecovery++
 	m, err := output.ValidateSetDir(setDir)
 	if err != nil {
@@ -213,7 +212,7 @@ func (d *Driver) readRankFile(setDir string, rank, ranks int, meta []byte) (Stat
 		return nil, err
 	}
 	defer f.Close()
-	state, crc, err := d.World.Decode(f, meta)
+	state, crc, err := d.World.Decode(f)
 	if err != nil {
 		return nil, err
 	}

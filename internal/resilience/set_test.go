@@ -56,7 +56,7 @@ func TestSetCandidateVote(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			load = func(setDir string) error {
-				_, err := d.readRankFile(setDir, 0, 3, nil)
+				_, err := d.readRankFile(setDir, 0, 3)
 				return err
 			}
 		case 1:
@@ -64,7 +64,7 @@ func TestSetCandidateVote(t *testing.T) {
 				if strings.HasSuffix(setDir, "4") {
 					return os.ErrNotExist
 				}
-				_, err := d.readRankFile(setDir, 1, 3, nil)
+				_, err := d.readRankFile(setDir, 1, 3)
 				return err
 			}
 		}
@@ -79,7 +79,7 @@ func TestSetCandidateVote(t *testing.T) {
 			t.Errorf("rank %d counted %d disk reads", c.Rank(), reads)
 		}
 
-		if _, err := d.readRankFile(dir+"/set-0000000004", c.Rank(), 2, nil); err == nil {
+		if _, err := d.readRankFile(dir+"/set-0000000004", c.Rank(), 2); err == nil {
 			t.Errorf("rank %d: a set written by 3 ranks passed for a world of 2", c.Rank())
 		}
 		w.n = 0

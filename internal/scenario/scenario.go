@@ -217,7 +217,8 @@ type Transport struct {
 type Resilience struct {
 	// CheckpointEvery takes a coordinated checkpoint set every N steps.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Dir is the checkpoint set directory (required when checkpointing).
+	// Dir is the checkpoint set directory, required to run rewind
+	// checkpointing (a session daemon picks its own and refuses the key).
 	Dir string `json:"dir,omitempty"`
 	// Mode is "rewind" (default; disk checkpoint sets), "shrink"
 	// (in-memory buddy replicas, survivors adopt a dead rank's blocks) or
@@ -444,9 +445,6 @@ func (sc *Scenario) Validate() error {
 	case "rewind", "shrink", "heal":
 	default:
 		return fmt.Errorf("scenario: unknown resilience.mode %q (want rewind, shrink or heal)", sc.Resilience.Mode)
-	}
-	if sc.Resilience.CheckpointEvery > 0 && sc.Resilience.Mode == "rewind" && sc.Resilience.Dir == "" {
-		return fmt.Errorf("scenario: resilience.dir is required for rewind checkpointing")
 	}
 	if sc.Parallel.Spares < 0 {
 		return fmt.Errorf("scenario: parallel.spares must be non-negative, got %d", sc.Parallel.Spares)

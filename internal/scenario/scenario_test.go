@@ -128,7 +128,6 @@ func TestValidateErrors(t *testing.T) {
 			sc.Transport.Heartbeat = Duration(-5 * time.Millisecond)
 		}, "transport.heartbeat"},
 		{"bad mode", func(sc *Scenario) { sc.Resilience.Mode = "forward" }, "resilience.mode"},
-		{"rewind without dir", func(sc *Scenario) { sc.Resilience.CheckpointEvery = 5 }, "resilience.dir"},
 		{"no steps", func(sc *Scenario) { sc.Run.Steps = 0 }, "run.steps"},
 		{"rebalance with resilience", func(sc *Scenario) {
 			sc.Run.RebalanceEvery = 2
@@ -151,6 +150,26 @@ func TestValidateErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestExecuteRewindNeedsDir: rewind checkpointing without a set directory
+// is a scenario the session daemon runs (it owns where its sets go), so
+// Validate accepts it; Execute, which hands resilience.dir to the driver,
+// refuses it by name before any rank starts.
+func TestExecuteRewindNeedsDir(t *testing.T) {
+	sc := &Scenario{
+		Version:    Version,
+		Geometry:   Geometry{Example: "cavity"},
+		Resolution: Resolution{Grid: [3]int{1, 1, 1}},
+		Resilience: Resilience{CheckpointEvery: 5},
+		Run:        RunSpec{Steps: 1},
+	}
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if _, err := Execute(context.Background(), sc, ExecuteOptions{}); err == nil || !strings.Contains(err.Error(), "resilience.dir") {
+		t.Fatalf("Execute error = %v, want one naming resilience.dir", err)
 	}
 }
 

@@ -28,7 +28,7 @@ func faultyScenario(t *testing.T, steps, crashRank, crashStep int) *scenario.Sce
 		"physics": {"force": [0, 0, 0], "initial_velocity": [0, 0, 0]},
 		"parallel": {"ranks": 2},
 		"transport": {},
-		"resilience": {"checkpoint_every": 2, "dir": "sets"},
+		"resilience": {"checkpoint_every": 2},
 		"faults": {"seed": 9, "crashes": [{"rank": %d, "step": %d}]},
 		"telemetry": {},
 		"run": {"steps": %d}

@@ -369,9 +369,9 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestCreateRejectsCLIOnlyKeys: a session parks no spare rank, recovers
-// only by respawning its world and never rebalances, so Create refuses the
-// keys that ask for those with a 400 naming the key instead of running
-// without them.
+// only by respawning its world, writes its sets under its own data
+// directory and never rebalances, so Create refuses the keys that ask for
+// those with a 400 naming the key instead of running without them.
 func TestCreateRejectsCLIOnlyKeys(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, row := range []struct {
@@ -384,6 +384,7 @@ func TestCreateRejectsCLIOnlyKeys(t *testing.T) {
 		{"resilience.mode", func(sc *scenario.Scenario) { sc.Resilience.Mode, sc.Resilience.CheckpointEvery = "shrink", 2 }},
 		{"resilience.mode", func(sc *scenario.Scenario) { sc.Resilience.Mode, sc.Resilience.CheckpointEvery = "heal", 2 }},
 		{"run.rebalance_every", func(sc *scenario.Scenario) { sc.Run.RebalanceEvery = 5 }},
+		{"resilience.dir", func(sc *scenario.Scenario) { sc.Resilience.CheckpointEvery, sc.Resilience.Dir = 2, "sets" }},
 	} {
 		sc := testScenario(t, 4)
 		row.set(sc)
@@ -396,6 +397,42 @@ func TestCreateRejectsCLIOnlyKeys(t *testing.T) {
 		if !strings.Contains(err.Error(), row.key) {
 			t.Errorf("error %q does not name %s", err, row.key)
 		}
+	}
+}
+
+// TestCheckpointingSessionNeedsNoDir: a session with checkpoint_every > 0
+// and no resilience.dir — the daemon writes its sets under its own data
+// directory — is created, suspended and resumed, and ends on the hash of
+// an uninterrupted run.
+func TestCheckpointingSessionNeedsNoDir(t *testing.T) {
+	const total = 6
+	want, err := scenario.Execute(context.Background(), testScenario(t, total), scenario.ExecuteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := testScenario(t, total)
+	sc.Resilience.CheckpointEvery = 2
+	s := newTestServer(t, Config{})
+	sess, err := s.Create(sc, "tenant-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := s.Step(ctx, sess.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Suspend(ctx, sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Resume(ctx, sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	hash, stepped, err := s.Step(ctx, sess.ID, total-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepped != total || hash != want.Hash {
+		t.Fatalf("stepped %d to hash %016x, want %d steps and %016x", stepped, hash, total, want.Hash)
 	}
 }
 

@@ -101,14 +101,16 @@ func (s *Server) Create(sc *scenario.Scenario, tenant string) (*Session, error) 
 		return nil, &APIError{Status: 400, Err: fmt.Errorf("serve: refined scenarios (refinement.max_level > 0) are not supported as sessions; run them with walberla-sim or scenario.Execute")}
 	}
 	// A session parks no spare, recovers by respawning its whole world
-	// from its last set and never rebalances: keys asking for more are
-	// refused by name, not dropped.
+	// from its last set, keeps its sets under its own data directory and
+	// never rebalances: keys asking for more are refused by name, not
+	// dropped.
 	for _, k := range []struct {
 		set bool
 		key string
 	}{
 		{sc.Parallel.Spares > 0, "parallel.spares"},
 		{sc.Resilience.Mode != "rewind", fmt.Sprintf("resilience.mode %q", sc.Resilience.Mode)},
+		{sc.Resilience.Dir != "", "resilience.dir"},
 		{sc.Run.RebalanceEvery > 0, "run.rebalance_every"},
 	} {
 		if k.set {

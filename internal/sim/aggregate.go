@@ -476,7 +476,8 @@ type rankChannel struct {
 	// from the plan build to the handshake that sends it.
 	mask []byte
 	// bufs are the two persistent aggregate send buffers, used alternately
-	// (see the ownership comment above); parity selects the next one.
+	// (see the ownership comment above); parity selects the next one. The
+	// channel to the own rank has bufs[0] alone and keeps parity 0.
 	bufs   [2][]float64
 	parity int
 	// req is the persistent receive request, re-posted every exchange.
@@ -575,7 +576,7 @@ func buildPlans(s *Simulation) ([]plan, error) {
 		return nil, err
 	}
 	for l := range plans {
-		plans[l].lower(copies[l])
+		plans[l].lower(copies[l], s.Comm.Rank())
 		s.bindTasks(&plans[l])
 	}
 	return plans, nil
@@ -758,10 +759,11 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 // lowered once and keeps an exact-size copy of its runs: they live as long
 // as the plan, and on a world of many small blocks the growth slack of one
 // appended list, or the garbage of compacting it, shows in the peak memory.
-// Both send buffers of a channel are new, at the windows' size, and every
-// slot whose sender does not store the cell gets its fill value, once, in
-// both.
-func (p *plan) lower(copies []localCopy) {
+// A channel's send buffers are new, at the windows' size — two to
+// alternate between for a remote channel, one for the channel to the own
+// rank me, whose aggregate never leaves the rank — and every slot whose
+// sender does not store the cell gets its fill value, once, in each.
+func (p *plan) lower(copies []localCopy, me int) {
 	var sink runSink
 	p.locals = make([]localOp, 0, len(copies))
 	for _, c := range copies {
@@ -783,9 +785,15 @@ func (p *plan) lower(copies []localCopy) {
 		for k := range ch.recv {
 			p.stats.remoteFloatsElided += ch.recv[k].slots() - ch.recv[k].n
 		}
-		ch.bufs = [2][]float64{make([]float64, ch.sendFloats), make([]float64, ch.sendFloats)}
-		for _, f := range fills {
-			ch.bufs[0][f.pos], ch.bufs[1][f.pos] = f.v, f.v
+		bufs := 2
+		if ch.rank == me {
+			bufs = 1
+		}
+		for b := range bufs {
+			ch.bufs[b] = make([]float64, ch.sendFloats)
+			for _, f := range fills {
+				ch.bufs[b][f.pos] = f.v
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/output"
 	"walberla/internal/resilience"
 )
 
@@ -319,20 +320,15 @@ func TestReplicateRoundTrip(t *testing.T) {
 			t.Errorf("rank %d: replicate: %v", c.Rank(), err)
 			return
 		}
-		// What went on the wire is the envelope: the rank file, the side
-		// band and a 36-byte header (no redirect table on a replica).
+		// What went on the wire is the envelope: the rank file behind a
+		// 28-byte header, nothing else.
 		var payload bytes.Buffer
 		if _, _, err := (world{s}).Encode(&payload); err != nil {
 			t.Error(err)
 			return
 		}
-		meta, err := world{s}.Meta()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if want := int64(payload.Len() + len(meta) + 36); rec.ReplicaBytes != want || len(meta) == 0 {
-			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + metadata %d + header 36", c.Rank(), rec.ReplicaBytes, payload.Len(), len(meta))
+		if want := int64(payload.Len() + 28); rec.ReplicaBytes != want {
+			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + header 28", c.Rank(), rec.ReplicaBytes, payload.Len())
 		}
 		ward := (c.Rank() + c.Size() - 1) % c.Size()
 		gen := ring.ReplicaAt(c.WorldRankOf(ward), 3)
@@ -340,16 +336,20 @@ func TestReplicateRoundTrip(t *testing.T) {
 			t.Errorf("rank %d: no committed replica for ward %d", c.Rank(), ward)
 			return
 		}
-		set := gen.State.(*blockSet)
-		if len(set.snaps) == 0 || len(set.snaps) != len(set.metas) {
-			t.Errorf("rank %d: replica decoded to %d snapshots, %d metas",
-				c.Rank(), len(set.snaps), len(set.metas))
+		recs := gen.State.([]output.LeafSnapshot)
+		wardForest := blockforest.Build(cavityForest(), ward, c.Size())
+		if len(recs) == 0 || len(recs) != len(wardForest.Blocks) {
+			t.Errorf("rank %d: replica decoded to %d records, ward owns %d blocks", c.Rank(), len(recs), len(wardForest.Blocks))
 			return
 		}
-		blocks, err := s.buildAdoptedBlocks(set)
-		if err != nil {
-			t.Errorf("rank %d: buildAdoptedBlocks: %v", c.Rank(), err)
-			return
+		var blocks []*BlockData
+		for i, rec := range recs {
+			bd, err := s.adopt(wardForest.Blocks[i], rec) // both in Morton order
+			if err != nil {
+				t.Errorf("rank %d: adopt: %v", c.Rank(), err)
+				return
+			}
+			blocks = append(blocks, bd)
 		}
 		mu.Lock()
 		for _, bd := range blocks {

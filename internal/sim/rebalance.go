@@ -7,18 +7,19 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/output"
 )
 
 // Dynamic load balancing — the extension the paper names as future work
 // ("This will also require dynamic load balancing"). Blocks migrate the
-// way recovery moves them: each destination gets a WBK2 rank file (both
-// PDF fields, dense-canonical, as a buddy replica) and the blocks'
-// metadata (forest block, flag field), builds them with
-// buildAdoptedBlocks and rebuilds its exchange plan. Assignments cut the
+// way recovery moves them: each destination gets one WBK2 rank file (both
+// PDF fields, dense-canonical, as a buddy replica) and nothing else, and
+// every rank then rebuilds its neighbourhoods from the allgathered
+// ownership and builds the blocks it gained (reown). Assignments cut the
 // Morton curve by static (fluid cells) or measured (compute time) loads.
 
-// tagMigrate carries a rank file and tagMigrate+1 its metadata: user tag
-// space above any ghost-exchange tag (which is bounded by numTrees * 27).
+// tagMigrate carries a rank file: user tag space above any ghost-exchange
+// tag (which is bounded by numTrees * 27).
 const tagMigrate = 1 << 30
 
 // Workloads returns this rank's per-block workloads: the measured kernel
@@ -97,15 +98,25 @@ func (s *Simulation) RebalanceByWorkload(useMeasured bool) error {
 
 // Rebalance migrates blocks to match the given complete assignment
 // (coordinate of every block in the simulation to its new rank) and
-// rebuilds the local data structures. Collective. Every rank checks the
-// assignment against its blocks and their neighborhoods before anything
-// moves, and the ranks agree on the verdict: a rejected assignment errors
-// on every rank and changes no world. A peer failure comes back wrapping
-// *comm.RankFailedError: while blocks are in flight it leaves this rank's
-// world as it was, during the exchange plan's rebuild unusable.
+// rebuilds the local data structures. Collective. Every rank checks that
+// the assignment gives each of its blocks a rank of this world before
+// anything moves, and the ranks agree on the verdict: a rejected
+// assignment errors on every rank and changes no world. A peer failure
+// comes back wrapping *comm.RankFailedError: while blocks are in flight
+// it leaves this rank's world as it was, during the exchange plan's
+// rebuild unusable.
 func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	me, ranks := s.Comm.Rank(), s.Comm.Size()
-	ranked, verr := s.ranked(assignment)
+	outgoing := make([][]*BlockData, ranks)
+	var verr error
+	for _, bd := range s.Blocks {
+		r, ok := assignment[bd.Block.Coord]
+		if !ok || r < 0 || r >= ranks {
+			verr = fmt.Errorf("sim: assignment gives local block %v no rank of %d", bd.Block.Coord, ranks)
+			break
+		}
+		outgoing[r] = append(outgoing[r], bd)
+	}
 	var rejects int64
 	if verr != nil {
 		rejects = 1
@@ -121,82 +132,40 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	}
 
 	// Every other rank gets the blocks it gains, possibly none, as one rank
-	// file and its metadata, with the neighbor ranks this rank checked.
-	outgoing := make([][]*BlockData, ranks)
-	for _, bd := range s.Blocks {
-		r := assignment[bd.Block.Coord]
-		outgoing[r] = append(outgoing[r], bd)
-	}
+	// file.
 	for dst, blocks := range outgoing {
 		if dst == me {
 			continue
 		}
-		set := &blockSet{snaps: records(blocks), metas: metas(blocks)}
-		for i := range set.metas {
-			set.metas[i].Block.Neighbors = ranked[set.metas[i].Block.Coord]
-		}
-		payload, _, meta, err := world{s}.Reencode(set)
+		payload, _, err := world{s}.Reencode(records(blocks))
 		if err != nil {
 			return err
 		}
-		for i, msg := range [2][]byte{payload, meta} {
-			if err := s.Comm.SendErr(dst, tagMigrate+i, msg); err != nil {
-				return fmt.Errorf("sim: rebalance send to rank %d: %w", dst, err)
-			}
+		if err := s.Comm.SendErr(dst, tagMigrate, payload); err != nil {
+			return fmt.Errorf("sim: rebalance send to rank %d: %w", dst, err)
 		}
 	}
-	var gained []*BlockData
+	var gained []output.LeafSnapshot
 	for src := range ranks {
 		if src == me {
 			continue
 		}
-		var msgs [2][]byte // rank file, metadata
-		for i := range msgs {
-			v, _, err := s.Comm.RecvErr(src, tagMigrate+i)
-			if err != nil {
-				return fmt.Errorf("sim: rebalance receive: %w", err)
-			}
-			msgs[i], _ = v.([]byte)
+		v, _, err := s.Comm.RecvErr(src, tagMigrate)
+		if err != nil {
+			return fmt.Errorf("sim: rebalance receive: %w", err)
 		}
-		set, _, err := world{s}.Decode(bytes.NewReader(msgs[0]), msgs[1])
+		msg, _ := v.([]byte)
+		snaps, _, err := world{s}.Decode(bytes.NewReader(msg))
 		if err != nil {
 			return fmt.Errorf("sim: rebalance blocks from rank %d: %w", src, err)
 		}
-		blocks, err := s.buildAdoptedBlocks(set.(*blockSet))
-		if err != nil {
-			return err
-		}
-		gained = append(gained, blocks...)
+		gained = append(gained, snaps.([]output.LeafSnapshot)...)
 	}
-	for _, bd := range outgoing[me] {
-		bd.Block.Neighbors = ranked[bd.Block.Coord]
-	}
-	if err := s.install(append(outgoing[me], gained...), nil); err != nil {
+	if err := s.reown(outgoing[me], gained); err != nil {
 		return err
 	}
 	// Migration invalidates ghost layers; synchronize before stepping on.
 	return s.exchangeGhostLayers()
-}
-
-// ranked is every local block's neighborhood, by block coordinate, with
-// the ranks of the assignment — copies; the live blocks keep theirs — or
-// an error if the assignment gives a local block or a neighbor no rank of
-// this world.
-func (s *Simulation) ranked(assignment map[[3]int]int) (map[[3]int][]blockforest.Neighbor, error) {
-	out := make(map[[3]int][]blockforest.Neighbor, len(s.Blocks))
-	for _, bd := range s.Blocks {
-		// Entry 0 is the block itself, checked and then dropped.
-		nbs := append([]blockforest.Neighbor{{Coord: bd.Block.Coord}}, bd.Block.Neighbors...)
-		for i := range nbs {
-			r, ok := assignment[nbs[i].Coord]
-			if !ok || r < 0 || r >= s.Comm.Size() {
-				return nil, fmt.Errorf("sim: assignment gives block %v (local block %v or a neighbor) no rank of %d", nbs[i].Coord, bd.Block.Coord, s.Comm.Size())
-			}
-			nbs[i].Rank = r
-		}
-		out[bd.Block.Coord] = nbs[1:]
-	}
-	return out, nil
 }
 
 // RankLoad reports this rank's current share of the global workload (sum

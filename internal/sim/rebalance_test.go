@@ -147,7 +147,7 @@ func TestRebalanceByMeasuredTime(t *testing.T) {
 }
 
 // TestRebalanceRejectsAssignmentOnEveryRank: an assignment only rank 1
-// finds wanting (its map misses its block's neighbor) is rejected before
+// finds wanting (its map misses its own block) is rejected before
 // anything moves. Both ranks return an error within a bounded wait,
 // neither world changes, and both step on to the hash of a run that never
 // tried.
@@ -185,7 +185,7 @@ func TestRebalanceRejectsAssignmentOnEveryRank(t *testing.T) {
 					}
 					assignment := map[[3]int]int{{0, 0, 0}: 0, {1, 0, 0}: 1, {2, 0, 0}: 1}
 					if c.Rank() == 1 {
-						delete(assignment, [3]int{1, 0, 0})
+						delete(assignment, [3]int{2, 0, 0})
 					}
 					if err := s.Rebalance(assignment); err == nil {
 						t.Errorf("rank %d accepted an assignment rank 1 rejects", c.Rank())

@@ -3,10 +3,8 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"walberla/internal/blockforest"
@@ -21,9 +19,13 @@ import (
 // checkpoint-set protocol, the buddy ring and the restore vote live in
 // internal/resilience; this file supplies what a generation of a uniform
 // world *contains* (the resilience.World methods of type world: WBK2 rank
-// files whose records are level-0 leaves, plus gob-encoded block
-// metadata; raw field snapshots; block adoption and neighborhood
-// renumbering) and the public entry points.
+// files whose records are level-0 leaves; raw field snapshots; block
+// adoption) and the public entry points. A record is self-contained: its
+// identity fixes the block's box, and flags are a function of the
+// geometry and the neighbourhood. So when ownership changes (a shrink or
+// heal, never a rewind) every rank allgathers the block coordinates all
+// ranks now own, rebuilds its neighbourhoods with the setup code and
+// builds the adopted blocks' flags as construction does (reown).
 // Protection is taken at a step barrier, so a restored run replays the
 // exact deterministic step sequence and finishes bit-identical to an
 // uninterrupted one. See docs/RESILIENCE.md.
@@ -150,7 +152,8 @@ func RunSpareCtx(ctx context.Context, wc *comm.Comm, active int, domain *blockfo
 	return s, m, true, err
 }
 
-// world is the uniform simulation as the recovery driver sees it.
+// world is the uniform simulation as the recovery driver sees it. Its
+// state is a decoded rank file: []output.LeafSnapshot.
 type world struct{ *Simulation }
 
 func (w world) Comm() *comm.Comm { return w.Simulation.Comm }
@@ -167,38 +170,19 @@ func (w world) Step() error {
 }
 
 // Snapshot is this rank's own generation in the form of a decoded rank
-// file without metadata: copies of both PDF fields of every local block
-// (in the previous generation's storage where it fits), restored by
-// memcpy — the survivor's rewind needs no decoding at all.
+// file: copies of both PDF fields of every local block (in the previous
+// generation's storage where it fits), restored by memcpy — the
+// survivor's rewind needs no decoding at all.
 func (w world) Snapshot(reuse resilience.State) resilience.State {
-	var prev []output.LeafSnapshot
-	if old, ok := reuse.(*blockSet); ok {
-		prev = old.snaps
-	}
-	set := &blockSet{snaps: records(w.Blocks)}
-	output.CopyLeaves(set.snaps, prev)
-	return set
-}
-
-// blockMeta carries the non-field state of one block — the side band of
-// the rank file, which stores only identities and fields: the forest
-// block (ID, coordinates, AABB, neighborhood with communicator ranks as of
-// the producing generation) and the flag field contents.
-type blockMeta struct {
-	Block blockforest.Block
-	Flags []field.CellType
-}
-
-// blockSet is a decoded rank file: whole-block field snapshots in the
-// layout they were stored in, joined — when the blocks are to be adopted —
-// with their metadata.
-type blockSet struct {
-	snaps []output.LeafSnapshot
-	metas []blockMeta
+	prev, _ := reuse.([]output.LeafSnapshot)
+	snaps := records(w.Blocks)
+	output.CopyLeaves(snaps, prev)
+	return snaps
 }
 
 // records are the given live blocks as WBK2 records: a uniform block is a
-// level-0 leaf of its root.
+// level-0 leaf of its root. A decoded rank file — the state of type world
+// — is such a list, in the layout each block was stored in.
 func records(blocks []*BlockData) []output.LeafSnapshot {
 	snaps := make([]output.LeafSnapshot, len(blocks))
 	for i, bd := range blocks {
@@ -207,58 +191,28 @@ func records(blocks []*BlockData) []output.LeafSnapshot {
 	return snaps
 }
 
-// metas are the given live blocks' metadata.
-func metas(blocks []*BlockData) []blockMeta {
-	out := make([]blockMeta, len(blocks))
-	for i, bd := range blocks {
-		out[i] = blockMeta{Block: *bd.Block, Flags: bd.Flags.Data()}
-	}
-	return out
-}
-
 func (w world) Encode(out io.Writer) (int64, uint32, error) {
 	return output.WriteLeafFile(out, records(w.Blocks))
-}
-
-func (w world) Meta() ([]byte, error) {
-	return encodeMetas(metas(w.Blocks))
-}
-
-func encodeMetas(metas []blockMeta) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(metas)
-	return buf.Bytes(), err
 }
 
 // Decode reads every block in the layout it was stored in — ranks can run
 // a mix of layouts under per-block kernel selection; CopyFrom transposes
 // if the live block disagrees.
-func (w world) Decode(r io.Reader, meta []byte) (resilience.State, uint32, error) {
+func (w world) Decode(r io.Reader) (resilience.State, uint32, error) {
 	snaps, crc, err := output.ReadLeafFile(r, w.Stencil)
 	if err != nil {
 		return nil, 0, err
 	}
-	set := &blockSet{snaps: snaps}
-	if meta != nil {
-		if err := gob.NewDecoder(bytes.NewReader(meta)).Decode(&set.metas); err != nil {
-			return nil, 0, fmt.Errorf("sim: decoding replica metadata: %w", err)
-		}
-		if len(set.metas) != len(snaps) {
-			return nil, 0, fmt.Errorf("sim: replica has %d field snapshots but %d metadata records", len(snaps), len(set.metas))
-		}
-	}
-	return set, crc, nil
+	return snaps, crc, nil
 }
 
-func (w world) Reencode(ward resilience.State) ([]byte, uint32, []byte, error) {
-	set := ward.(*blockSet)
+func (w world) Reencode(ward resilience.State) ([]byte, uint32, error) {
 	var payload bytes.Buffer
-	_, crc, err := output.WriteLeafFile(&payload, set.snaps)
+	_, crc, err := output.WriteLeafFile(&payload, ward.([]output.LeafSnapshot))
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("sim: encoding heal payload: %w", err)
+		return nil, 0, fmt.Errorf("sim: encoding heal payload: %w", err)
 	}
-	meta, err := encodeMetas(set.metas)
-	return payload.Bytes(), crc, meta, err
+	return payload.Bytes(), crc, nil
 }
 
 // Own gathers the records of the blocks this rank owns — level-0 leaves
@@ -267,7 +221,7 @@ func (w world) Reencode(ward resilience.State) ([]byte, uint32, []byte, error) {
 // the set was written under another block ownership (a rebalanced run,
 // or one that shrank).
 func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.State, error) {
-	own := &blockSet{}
+	var own []output.LeafSnapshot
 	found := make(map[[3]int]bool, len(w.Blocks))
 	c := w.Comm()
 	for i := range c.Size() {
@@ -275,28 +229,39 @@ func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.St
 		if err != nil {
 			return nil, err
 		}
-		for _, snap := range state.(*blockSet).snaps {
+		for _, snap := range state.([]output.LeafSnapshot) {
 			bd, ok := w.byCoord[snap.Coord]
 			if !ok {
 				continue
 			}
-			if found[snap.Coord] || snap.Tree != bd.Block.ID.Tree || snap.Path != 0 || snap.Level != 0 {
-				return nil, fmt.Errorf("sim: checkpoint set has a duplicate or foreign record %d/%#o/L%d %v",
-					snap.Tree, snap.Path, snap.Level, snap.Coord)
+			if found[snap.Coord] {
+				return nil, fmt.Errorf("sim: checkpoint set has a duplicate record of block %v", snap.Coord)
 			}
-			for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
-				if pf.Nx != bd.Src.Nx || pf.Ny != bd.Src.Ny || pf.Nz != bd.Src.Nz || pf.Ghost != bd.Src.Ghost {
-					return nil, fmt.Errorf("sim: checkpoint set block %v shape mismatch", snap.Coord)
-				}
+			if err := checkRecord(snap, bd.Block); err != nil {
+				return nil, err
 			}
 			found[snap.Coord] = true
-			own.snaps = append(own.snaps, snap)
+			own = append(own, snap)
 		}
-		if len(own.snaps) == len(w.Blocks) {
+		if len(own) == len(w.Blocks) {
 			return own, nil
 		}
 	}
-	return nil, fmt.Errorf("sim: checkpoint set holds %d of the %d blocks rank %d owns", len(own.snaps), len(w.Blocks), c.Rank())
+	return nil, fmt.Errorf("sim: checkpoint set holds %d of the %d blocks rank %d owns", len(own), len(w.Blocks), c.Rank())
+}
+
+// checkRecord reports whether rec can be the state of block b: its
+// level-0 leaf, shaped like it.
+func checkRecord(rec output.LeafSnapshot, b *blockforest.Block) error {
+	if rec.Tree != b.ID.Tree || rec.Path != 0 || rec.Level != 0 {
+		return fmt.Errorf("sim: record %d/%#o/L%d %v is no block of this forest", rec.Tree, rec.Path, rec.Level, rec.Coord)
+	}
+	for _, pf := range [2]*field.PDFField{rec.Src, rec.Dst} {
+		if pf.Nx != b.Cells[0] || pf.Ny != b.Cells[1] || pf.Nz != b.Cells[2] || pf.Ghost != 1 {
+			return fmt.Errorf("sim: record of block %v shape mismatch", rec.Coord)
+		}
+	}
+	return nil
 }
 
 // Reset re-initializes every block and simulated time.
@@ -308,96 +273,107 @@ func (w world) Reset() error {
 	return nil
 }
 
-// Install rewinds the local blocks, re-owns the wards' through the same
-// adoption path the dynamic load balancer uses, and — when the
-// communicator changed — renumbers every neighborhood with the old→new
-// rank map and rebuilds the exchange plan.
-func (w world) Install(c *comm.Comm, redirect []int, step int, own resilience.State, wards []resilience.State) (int, error) {
+// Install rewinds the local blocks and, when ownership changed (a new
+// communicator, or wards to adopt), re-owns the wards' records through
+// the same path the dynamic load balancer uses (reown).
+func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []resilience.State) (int, error) {
 	s := w.Simulation
-	if o, ok := own.(*blockSet); ok { // own snapshot, or a rank file Owns vouched for
-		for _, snap := range o.snaps {
-			bd := s.byCoord[snap.Coord]
-			bd.Src.CopyFrom(snap.Src)
-			bd.Dst.CopyFrom(snap.Dst)
-		}
+	snaps, _ := own.([]output.LeafSnapshot) // nil on a recruit
+	for _, snap := range snaps {            // own snapshot, or records Own vouched for
+		bd := s.byCoord[snap.Coord]
+		bd.Src.CopyFrom(snap.Src)
+		bd.Dst.CopyFrom(snap.Dst)
 	}
 	// Simulated time resumes at the restored step; the plain driver's
 	// fault-injection announcements continue from there.
 	s.worldSteps = step
-	var adopted []*BlockData
-	for _, ward := range wards {
-		blocks, err := s.buildAdoptedBlocks(ward.(*blockSet))
-		if err != nil {
-			return 0, err
-		}
-		adopted = append(adopted, blocks...)
+	if c == s.Comm && len(wards) == 0 {
+		return 0, nil // a rewind
 	}
-	if redirect == nil {
-		return 0, nil
+	var adopted []output.LeafSnapshot
+	for _, ward := range wards {
+		adopted = append(adopted, ward.([]output.LeafSnapshot)...)
 	}
 	s.Comm = c
-	s.Forest.Rank = c.Rank()
-	s.Forest.NumRanks = c.Size()
-	return len(adopted), s.install(append(s.Blocks, adopted...), redirect)
+	return len(adopted), s.reown(s.Blocks, adopted)
 }
 
-// install makes blocks this rank's block set — in Morton order, indexed
-// by coordinate and listed in the forest — with every neighbor rank r
-// renumbered to redirect[r] (nil: the ranks are already the new ones),
-// and rebuilds the exchange plan. Install and Rebalance end in it.
-func (s *Simulation) install(blocks []*BlockData, redirect []int) error {
-	sort.Slice(blocks, func(i, j int) bool {
-		return blockforest.MortonKey(blocks[i].Block.Coord) < blockforest.MortonKey(blocks[j].Block.Coord)
-	})
-	s.Blocks = blocks
-	s.byCoord = make(map[[3]int]*BlockData, len(blocks))
-	s.Forest.Blocks = make([]*blockforest.Block, 0, len(blocks))
-	for _, bd := range blocks {
-		for i := 0; redirect != nil && i < len(bd.Block.Neighbors); i++ {
-			n := &bd.Block.Neighbors[i]
-			if n.Rank < 0 || n.Rank >= len(redirect) {
-				return fmt.Errorf("sim: neighbor of block %v has invalid rank %d", bd.Block.Coord, n.Rank)
-			}
-			n.Rank = redirect[n.Rank]
-		}
-		s.byCoord[bd.Block.Coord] = bd
-		s.Forest.Blocks = append(s.Forest.Blocks, bd.Block)
+// reown makes kept and the blocks of recs this rank's block set after its
+// ownership changed (Install and Rebalance end in it), rebuilding topology
+// as setup does: every rank's owned coordinates are allgathered into a
+// setup forest whose Build yields this rank's blocks, neighbourhoods and
+// owners — the forest keeps only those. A kept block keeps its BlockData;
+// an adopted one is built by newBlockData (flags from Config.SetupFlags)
+// and filled from its record. Collective over s.Comm; a failure before
+// the allgather completes leaves the world as it was.
+func (s *Simulation) reown(kept []*BlockData, recs []output.LeafSnapshot) error {
+	local := make([]int64, 0, 3*(len(kept)+len(recs)))
+	for _, bd := range kept {
+		local = append(local, int64(bd.Block.Coord[0]), int64(bd.Block.Coord[1]), int64(bd.Block.Coord[2]))
 	}
+	for _, rec := range recs {
+		local = append(local, int64(rec.Coord[0]), int64(rec.Coord[1]), int64(rec.Coord[2]))
+	}
+	gathered, err := s.Comm.AllgatherErr(local)
+	if err != nil {
+		return fmt.Errorf("sim: gathering block ownership: %w", err)
+	}
+	f := s.Forest
+	setup := blockforest.NewSetupForest(f.Domain, f.GridSize, f.CellsPerBlock, f.Periodic)
+	owner := make(map[[3]int]int)
+	for r, g := range gathered {
+		for v, _ := g.([]int64); len(v) >= 3; v = v[3:] {
+			c := [3]int{int(v[0]), int(v[1]), int(v[2])}
+			if _, twice := owner[c]; twice || setup.Block(c) == nil {
+				return fmt.Errorf("sim: block %v is owned twice or lies outside the grid", c)
+			}
+			owner[c] = r
+		}
+	}
+	setup.Keep(func(b *blockforest.SetupBlock) bool {
+		r, ok := owner[b.Coord]
+		b.Rank = r
+		return ok
+	})
+	*s.Forest = *blockforest.Build(setup, s.Comm.Rank(), s.Comm.Size())
+
+	byCoord := make(map[[3]int]*BlockData, len(kept))
+	for _, bd := range kept {
+		byCoord[bd.Block.Coord] = bd
+	}
+	byRecord := make(map[[3]int]output.LeafSnapshot, len(recs))
+	for _, rec := range recs {
+		byRecord[rec.Coord] = rec
+	}
+	s.Blocks = make([]*BlockData, len(s.Forest.Blocks))
+	for i, b := range s.Forest.Blocks {
+		bd := byCoord[b.Coord]
+		if bd != nil {
+			bd.Block.Neighbors = b.Neighbors
+			s.Forest.Blocks[i] = bd.Block
+		} else if bd, err = s.adopt(b, byRecord[b.Coord]); err != nil {
+			return err
+		}
+		byCoord[b.Coord] = bd
+		s.Blocks[i] = bd
+	}
+	s.byCoord = byCoord
 	return s.rebuildPlan()
 }
 
-// buildAdoptedBlocks joins decoded field snapshots with their metadata
-// into runtime blocks.
-func (s *Simulation) buildAdoptedBlocks(set *blockSet) ([]*BlockData, error) {
-	byCoord := make(map[[3]int]*blockMeta, len(set.metas))
-	for i := range set.metas {
-		byCoord[set.metas[i].Block.Coord] = &set.metas[i]
+// adopt builds block b as construction does and fills it with rec's
+// fields: the records are decoded whole-block and in the layout they were
+// stored in, and the copy crops to the block's rows and transposes.
+// (Never handed over: a buddy ring keeps its decoded replicas.)
+func (s *Simulation) adopt(b *blockforest.Block, rec output.LeafSnapshot) (*BlockData, error) {
+	if err := checkRecord(rec, b); err != nil {
+		return nil, err
 	}
-	blocks := make([]*BlockData, 0, len(set.snaps))
-	for _, snap := range set.snaps {
-		m := byCoord[snap.Coord]
-		if m == nil {
-			return nil, fmt.Errorf("sim: replica block %v has no metadata", snap.Coord)
-		}
-		cells := m.Block.Cells
-		for _, pf := range [2]*field.PDFField{snap.Src, snap.Dst} {
-			if pf.Nx != cells[0] || pf.Ny != cells[1] || pf.Nz != cells[2] || pf.Ghost != 1 {
-				return nil, fmt.Errorf("sim: replica block %v shape mismatch", snap.Coord)
-			}
-		}
-		flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
-		copy(flags.Data(), m.Flags)
-		blk := m.Block // copy out of the decoded metadata
-		// Snapshots are decoded whole-block and in the layout they were
-		// stored in; the copy crops to the window and transposes. (Never
-		// handed over: a buddy ring keeps its decoded replicas.)
-		bd, err := s.AssembleBlock(&blk, flags, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		bd.Src.CopyFrom(snap.Src)
-		bd.Dst.CopyFrom(snap.Dst)
-		blocks = append(blocks, bd)
+	bd, err := s.newBlockData(b)
+	if err != nil {
+		return nil, err
 	}
-	return blocks, nil
+	bd.Src.CopyFrom(rec.Src)
+	bd.Dst.CopyFrom(rec.Dst)
+	return bd, nil
 }

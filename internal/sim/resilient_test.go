@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"walberla/internal/blockforest"
 	"walberla/internal/boundary"
 	"walberla/internal/comm"
-	"walberla/internal/field"
 	"walberla/internal/output"
 )
 
@@ -355,8 +353,7 @@ func TestWriteCheckpointSetAtomicAndIdempotent(t *testing.T) {
 // generation, which only this package can reach (the on-disk bytes of
 // both runtimes are pinned by the table of the same name in internal/amr):
 // a replica payload is exactly the rank file of the set — output.
-// WriteLeafFile of the blocks as level-0 leaves of their roots — and the
-// replica side band exactly the gob of the block metadata.
+// WriteLeafFile of the blocks as level-0 leaves of their roots.
 func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 	dir := t.TempDir()
 	comm.Run(2, func(c *comm.Comm) {
@@ -376,10 +373,8 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 			return
 		}
 		recs := make([]output.LeafSnapshot, len(s.Blocks))
-		metas := make([]blockMeta, len(s.Blocks))
 		for i, bd := range s.Blocks {
 			recs[i] = output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
-			metas[i] = blockMeta{Block: *bd.Block, Flags: append([]field.CellType(nil), bd.Flags.Data()...)}
 		}
 		var want bytes.Buffer
 		if _, _, err := output.WriteLeafFile(&want, recs); err != nil {
@@ -393,14 +388,6 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 		got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), output.RankFileName(c.Rank())))
 		if err != nil || !bytes.Equal(got, payload.Bytes()) {
 			t.Errorf("rank %d: replica payload differs from the set's rank file (err %v)", c.Rank(), err)
-		}
-		var wantMeta bytes.Buffer
-		if err := gob.NewEncoder(&wantMeta).Encode(metas); err != nil {
-			t.Error(err)
-			return
-		}
-		if meta, err := (world{s}).Meta(); err != nil || !bytes.Equal(meta, wantMeta.Bytes()) {
-			t.Errorf("rank %d: replica side band differs from the gob of the block metadata (err %v)", c.Rank(), err)
 		}
 	})
 }

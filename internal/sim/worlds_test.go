@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -591,6 +592,145 @@ func TestTreeRecoveryRebuildsWindows(t *testing.T) {
 		}}).run(t)
 		got.sameAs(t, "rebalance", want)
 	})
+}
+
+// builtState is what construction fixes of one block besides its fields:
+// the owner, the flag field (ghost layers included) and the neighborhood.
+type builtState struct {
+	rank      int
+	flags     []field.CellType
+	neighbors []blockforest.Neighbor
+}
+
+// builtStates records the built state of every block of the rank.
+func builtStates(s *sim.Simulation, mu *sync.Mutex, into map[[3]int]builtState) {
+	mu.Lock()
+	defer mu.Unlock()
+	for _, bd := range s.Blocks {
+		into[bd.Block.Coord] = builtState{s.Comm.Rank(), slices.Clone(bd.Flags.Data()), slices.Clone(bd.Block.Neighbors)}
+	}
+}
+
+// TestShrinkAndRebalanceMatchConstruction: blocks that change owner carry
+// their fields alone, and the world they land in rebuilds the rest. After
+// a shrink and after a rebalance, every block — kept, adopted or moved —
+// holds bit for bit the flag field and the neighbor list (IDs, offsets,
+// owners) that sim.New builds for that block when the forest assigns it
+// there from the start. Two worlds: the smoke tree, whose flags come from
+// its signed distance function on a sparse forest with missing neighbors,
+// and the cavity, whose flags read neighbor existence.
+func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
+	worlds := []struct{ name, doc string }{
+		{"tree", treeDoc(2, 0.05, 3)},
+		{"cavity", fmt.Sprintf(cavityDoc, 8, 8, 8, 3)},
+	}
+	for _, w := range worlds {
+		p := problemFor(t, w.doc)
+		forest, err := p.BuildForest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// build runs the forest with every block on the given owner, drives
+		// it and records the built state of every block.
+		build := func(t *testing.T, ranks int, opts comm.Options, owner map[[3]int]int, drive func(*comm.Comm, *sim.Simulation) error) map[[3]int]builtState {
+			t.Helper()
+			for _, b := range forest.Blocks() {
+				b.Rank = owner[b.Coord]
+			}
+			var mu sync.Mutex
+			got := make(map[[3]int]builtState)
+			var errs []error
+			comm.RunWithOptions(ranks, opts, func(c *comm.Comm) {
+				var in *blockforest.SetupForest
+				if c.Rank() == 0 {
+					in = forest
+				}
+				bf, err := blockforest.Distribute(c, in)
+				var s *sim.Simulation
+				if err == nil {
+					s, err = sim.New(c, bf, p.SimConfig())
+				}
+				if err == nil {
+					err = drive(c, s)
+				}
+				switch {
+				case errors.Is(err, sim.ErrRetired):
+				case err != nil:
+					mu.Lock()
+					errs = append(errs, fmt.Errorf("rank %d: %w", c.Rank(), err))
+					mu.Unlock()
+				default:
+					builtStates(s, &mu, got)
+				}
+			})
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		initial := make(map[[3]int]int)
+		for _, b := range forest.Blocks() {
+			initial[b.Coord] = b.Rank
+		}
+		sparse := false
+		for _, st := range build(t, 3, comm.Options{}, initial, func(*comm.Comm, *sim.Simulation) error { return nil }) {
+			sparse = sparse || len(st.neighbors) < 26
+		}
+		if !sparse {
+			t.Fatalf("%s: every block has all 26 neighbors", w.name)
+		}
+		for _, ev := range []struct {
+			name  string
+			ranks int
+			opts  comm.Options
+			drive func(*comm.Comm, *sim.Simulation) error
+		}{
+			{"shrink", 2, comm.Options{Faults: &comm.FaultPlan{Seed: 5, Crashes: []comm.CrashSpec{{Rank: 1, Step: 3}}}},
+				func(_ *comm.Comm, s *sim.Simulation) error {
+					m, err := s.RunResilient(6, sim.ResilienceConfig{Mode: sim.RecoverShrink, CheckpointEvery: 2,
+						MaxFailures: 2, BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond})
+					if err == nil && m.Recovery.Shrinks != 1 {
+						err = fmt.Errorf("%d shrinks, want 1", m.Recovery.Shrinks)
+					}
+					return err
+				}},
+			{"rebalance", 3, comm.Options{}, func(c *comm.Comm, s *sim.Simulation) error {
+				if _, err := s.Run(2); err != nil {
+					return err
+				}
+				rotate := make(map[[3]int]int, len(initial))
+				for coord, r := range initial {
+					rotate[coord] = (r + 1) % c.Size()
+				}
+				return s.Rebalance(rotate)
+			}},
+		} {
+			t.Run(w.name+"/"+ev.name, func(t *testing.T) {
+				got := build(t, 3, ev.opts, initial, ev.drive)
+				owner := make(map[[3]int]int, len(got))
+				moved := 0
+				for coord, st := range got {
+					owner[coord] = st.rank
+					if st.rank != initial[coord] {
+						moved++
+					}
+				}
+				if len(got) != len(initial) || moved == 0 {
+					t.Fatalf("%d of %d blocks after the %s, %d on another rank", len(got), len(initial), ev.name, moved)
+				}
+				want := build(t, ev.ranks, comm.Options{}, owner, func(*comm.Comm, *sim.Simulation) error { return nil })
+				for coord, w := range want {
+					g := got[coord]
+					if !slices.Equal(g.flags, w.flags) {
+						t.Errorf("block %v: flag field differs from construction's", coord)
+					}
+					if !slices.Equal(g.neighbors, w.neighbors) {
+						t.Errorf("block %v: neighbors %v, construction builds %v", coord, g.neighbors, w.neighbors)
+					}
+				}
+			})
+		}
+	}
 }
 
 // linkedHull is the storage rule written out cell by cell: the x-hull of
