@@ -70,8 +70,10 @@ race-serve:
 # race detector: the level-wise timestepping determinism battery
 # (workers/ranks/layout/transport bit-identity), the runtime
 # refine/coarsen controller, migration, the grading invariants and the
-# AMR resilience tests (rewind replay, buddy shrink with zero disk
-# reads).
+# AMR resilience tests (rewind replay, buddy shrink with zero disk reads,
+# a wrong-shaped record refused on restore). Refined heal onto a
+# recruited spare, in process and over unix sockets, is in
+# TestRecoveryMatrix (race-resilience, race-serve).
 race-amr:
 	$(GO) test -race -count=1 ./internal/amr/ ./internal/blockforest/
 

@@ -31,8 +31,8 @@ import (
 // such children, and because InitialState is pure the result is
 // bit-identical on every rank.
 //
-// Both Src and Dst fields transfer (non-fluid interior cells carry state
-// the kernels never rewrite), while flag fields — and with them kernel and
+// Both Src and Dst fields transfer (the field hash folds the solid
+// interior cells of both), while flag fields — and with them kernel and
 // allocation window — are regenerated at the destination from the pure
 // Config.Flags function. Because every rank derives the same movement
 // table from the replicated metadata, no negotiation precedes the
@@ -146,12 +146,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			}
 			snaps[i] = sn
 		}
-		var buf bytes.Buffer
-		buf.Grow(int(output.LeafFileSize(snaps)))
-		if _, _, err := output.WriteLeafFile(&buf, snaps); err != nil {
-			return fmt.Errorf("amr: encoding migration payload for rank %d: %w", r, err)
-		}
-		if err := s.Comm.SendErr(r, tagMigrate, buf.Bytes()); err != nil {
+		if err := s.Comm.SendErr(r, tagMigrate, output.AppendLeafFile(nil, snaps)); err != nil {
 			return fmt.Errorf("amr: migration send to rank %d: %w", r, err)
 		}
 	}

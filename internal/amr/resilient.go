@@ -3,30 +3,31 @@ package amr
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/field"
+	"walberla/internal/lattice"
 	"walberla/internal/output"
 	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
 // Resilient execution for refined worlds. The failure loop, the
-// checkpoint-set protocol, the buddy ring and the restore vote are
-// internal/resilience's; this file supplies the three things a generation
-// of a refined world consists of (the resilience.World methods of type
-// world): leafSnapshots — the WBK2 rank file, whose records carry the full
-// leaf identity (tree, octree path, level, coordinates) alongside both PDF
-// fields, also the form of the own in-memory generation; blocksFromSnapshots
-// — runtime blocks back from such records, assembled from the pure config
-// function, so a record is self-contained; and installRestored — the
-// forest of the restored step rebuilt
-// from the restored leaves themselves, so re-grades between the
-// checkpoint and the failure are undone together with the field state.
-// Because stepping, the refinement controller and the balancer are all
-// deterministic, a recovered run finishes bit-identical to an
-// uninterrupted one. Heal is one method (resilience.Forwarder) away.
+// checkpoint-set protocol, the buddy ring, the restore vote and the rank-
+// file codec are internal/resilience's; this file supplies the three
+// things a generation of a refined world consists of (the resilience.World
+// methods of type world): Records — the owned leaves as WBK2 records,
+// which carry the full leaf identity (tree, octree path, level,
+// coordinates) alongside both PDF fields; blocksFromSnapshots — runtime
+// blocks back from such records, assembled from the pure config function,
+// so a record is self-contained; and installRestored — the forest of the
+// restored step rebuilt from the restored leaves themselves, so re-grades
+// between the checkpoint and the failure are undone together with the
+// field state. Because stepping, the refinement controller and the
+// balancer are all deterministic, a recovered run — rewound, shrunk or
+// healed onto a recruited spare (RunSpareCtx) — finishes bit-identical to
+// an uninterrupted one.
 
 // WriteCheckpointSet writes a coordinated checkpoint set for the given
 // coarse step: every rank snapshots all of its leaves into a per-rank
@@ -64,6 +65,27 @@ func (s *Sim) RunResilientCtx(ctx context.Context, steps int, rc resilience.Conf
 	return d.Stats, err
 }
 
+// RunSpareCtx parks this rank as a hot spare of a heal-mode resilient run
+// of a refined world — the spare-rank counterpart of RunResilientCtx. It
+// waits at the communicator layer, joins every recovery rendezvous, and
+// when recruited builds a world that owns no leaf on the grown
+// communicator, adopts the dead rank's streamed leaves (the forest is
+// rebuilt from every rank's leaves, as on any restore) and finishes the
+// run as a full member of the world. wc is the world communicator this
+// rank received from comm.Run; active is the target active world size. It
+// returns joined=false with a nil Sim when the run ended without needing
+// this spare. Like RunResilientCtx it returns resilience.ErrRetired if
+// this rank itself fails permanently after joining.
+func RunSpareCtx(ctx context.Context, wc *comm.Comm, active int, cfg Config, rc resilience.Config) (*Sim, resilience.Stats, bool, error) {
+	var s *Sim
+	_, rec, joined, err := resilience.RunSpare(ctx, wc, active, rc, func(c *comm.Comm) (resilience.World, error) {
+		var err error
+		s, err = newSim(c, cfg)
+		return world{s}, err
+	})
+	return s, rec, joined, err
+}
+
 // world is the refined simulation as the recovery driver sees it.
 type world struct{ *Sim }
 
@@ -73,37 +95,16 @@ func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
 	return w.tel.driver, w.cfg.Metrics
 }
 
-// Snapshot is this rank's own generation in the form every other one
-// takes: WBK2 records of its leaves, holding field copies (in the previous
-// generation's storage where it fits), installed like a decoded rank file.
-func (w world) Snapshot(reuse resilience.State) resilience.State {
-	old, _ := reuse.([]output.LeafSnapshot)
-	snaps := w.leafSnapshots()
-	output.CopyLeaves(snaps, old)
-	return snaps
-}
-
-func (w world) Encode(out io.Writer) (int64, uint32, error) {
-	return output.WriteLeafFile(out, w.leafSnapshots())
-}
-
-// Decode reads a rank file. WBK2 records are self-contained: a leaf's
-// identity fixes its box, and flag fields are a pure function of the
-// config.
-func (w world) Decode(r io.Reader) (resilience.State, uint32, error) {
-	snaps, crc, err := output.ReadLeafFile(r, w.cfg.Stencil)
-	if err != nil {
-		return nil, 0, err
-	}
-	C := w.cfg.Cells
-	for _, sn := range snaps {
-		for _, f := range [2][3]int{{sn.Src.Nx, sn.Src.Ny, sn.Src.Nz}, {sn.Dst.Nx, sn.Dst.Ny, sn.Dst.Nz}} {
-			if f != C {
-				return nil, 0, fmt.Errorf("amr: snapshot leaf %d/%d shape mismatch", sn.Tree, sn.Path)
-			}
+// Records are the owned leaves as WBK2 records, in canonical order.
+func (w world) Records() (resilience.State, *lattice.Stencil) {
+	snaps := make([]output.LeafSnapshot, len(w.blocks))
+	for i, b := range w.blocks {
+		snaps[i] = output.LeafSnapshot{
+			Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level,
+			Coord: b.Coord, Src: b.Src, Dst: b.Dst,
 		}
 	}
-	return snaps, crc, nil
+	return snaps, w.cfg.Stencil
 }
 
 // Own takes this rank's file as is: Install replaces the topology.
@@ -124,8 +125,7 @@ func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []res
 	s := w.Sim
 	var blocks []*Block
 	kept := 0
-	for i, st := range append([]resilience.State{own}, wards...) {
-		snaps, _ := st.([]output.LeafSnapshot)
+	for i, snaps := range append([]resilience.State{own}, wards...) {
 		if err := s.blocksFromSnapshots(&blocks, snaps); err != nil {
 			return 0, err
 		}
@@ -137,24 +137,19 @@ func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []res
 	return len(blocks) - kept, s.installRestored(blocks, step)
 }
 
-// leafSnapshots converts the owned blocks into WBK2 records.
-func (s *Sim) leafSnapshots() []output.LeafSnapshot {
-	snaps := make([]output.LeafSnapshot, len(s.blocks))
-	for i, b := range s.blocks {
-		snaps[i] = output.LeafSnapshot{
-			Tree: b.ID.Tree, Path: b.ID.Path, Level: b.ID.Level,
-			Coord: b.Coord, Src: b.Src, Dst: b.Dst,
+// blocksFromSnapshots appends to blocks the runtime blocks of decoded
+// WBK2 records, assembled like every leaf from the pure config function
+// and filled with a copy of the records, whatever layout they were stored
+// in (a buddy ring keeps its decoded replicas). A record shaped unlike a
+// leaf is refused before any is copied. installRestored assigns the owner.
+func (s *Sim) blocksFromSnapshots(blocks *[]*Block, snaps []output.LeafSnapshot) error {
+	for _, sn := range snaps {
+		for _, f := range [2]*field.PDFField{sn.Src, sn.Dst} {
+			if [3]int{f.Nx, f.Ny, f.Nz} != s.cfg.Cells {
+				return fmt.Errorf("amr: snapshot leaf %d/%d shape mismatch", sn.Tree, sn.Path)
+			}
 		}
 	}
-	return snaps
-}
-
-// blocksFromSnapshots appends to blocks the runtime blocks of decoded
-// (shape-checked) WBK2 records, assembled like every leaf from the pure
-// config function and filled with a copy of the records, whatever layout
-// they were stored in (a buddy ring keeps its decoded replicas).
-// installRestored assigns the owner.
-func (s *Sim) blocksFromSnapshots(blocks *[]*Block, snaps []output.LeafSnapshot) error {
 	for _, sn := range snaps {
 		b, err := s.newBlock(leafFrom(blockforest.Leaf{ID: snapID(sn), Coord: sn.Coord}), nil, nil)
 		if err != nil {

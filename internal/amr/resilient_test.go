@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/field"
+	"walberla/internal/lattice"
 	"walberla/internal/output"
 	"walberla/internal/resilience"
 	"walberla/internal/sim"
@@ -234,7 +236,7 @@ func TestShrinkRecoveryZeroDiskReads(t *testing.T) {
 }
 
 // TestCheckpointSetBytesAreTheCodecs pins the bytes of a generation of
-// both runtimes: a set's rank file is exactly output.WriteLeafFile of the
+// both runtimes: a set's rank file is exactly the WBK2 encoding of the
 // rank's blocks — a uniform block as the level-0 leaf of its root — and
 // its manifest exactly output.WriteManifest of the gathered sizes and
 // CRCs. A refined replica payload is that same stream.
@@ -250,16 +252,7 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 		build func(c *comm.Comm) (runtime, []output.LeafSnapshot, error)
 	}{
 		{"uniform", func(c *comm.Comm) (runtime, []output.LeafSnapshot, error) {
-			var in *blockforest.SetupForest
-			if c.Rank() == 0 {
-				in = blockforest.NewSetupForest(blockforest.NewAABB([3]float64{}, [3]float64{4, 2, 2}), cfg.Grid, cfg.Cells, cfg.Periodic)
-				in.BalanceMorton(c.Size())
-			}
-			forest, err := blockforest.Distribute(c, in)
-			if err != nil {
-				return nil, nil, err
-			}
-			s, err := sim.New(c, forest, cfg.simConfig())
+			s, err := uniformTwin(c, cfg)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -297,24 +290,19 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				var want bytes.Buffer
-				size, crc, err := output.WriteLeafFile(&want, recs)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				want := output.AppendLeafFile(nil, recs)
 				name := output.RankFileName(c.Rank())
 				got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), name))
-				if err != nil || !bytes.Equal(got, want.Bytes()) {
-					t.Errorf("rank %d: rank file differs from output.WriteLeafFile (%d vs %d bytes, err %v)", c.Rank(), len(got), want.Len(), err)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("rank %d: rank file differs from the WBK2 encoding of its blocks (%d vs %d bytes, err %v)", c.Rank(), len(got), len(want), err)
 				}
 				mu.Lock()
-				manifest.Entries[c.Rank()] = output.ManifestEntry{Name: name, Size: size, CRC: crc}
+				manifest.Entries[c.Rank()] = output.ManifestEntry{Name: name, Size: int64(len(want)), CRC: output.CRC32C(want)}
 				mu.Unlock()
 				if s, ok := rt.(*Sim); ok {
-					var payload bytes.Buffer
-					if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
-						t.Errorf("rank %d: replica payload differs from the rank file (err %v)", c.Rank(), err)
+					own, _ := world{s}.Records()
+					if payload := output.AppendLeafFile(nil, own); !bytes.Equal(payload, want) {
+						t.Errorf("rank %d: replica payload differs from the rank file", c.Rank())
 					}
 				}
 			})
@@ -331,4 +319,111 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// uniformTwin builds the uniform runtime on cfg's root grid: the
+// refinement-free twin of a refined world.
+func uniformTwin(c *comm.Comm, cfg Config) (*sim.Simulation, error) {
+	var in *blockforest.SetupForest
+	if c.Rank() == 0 {
+		in = blockforest.NewSetupForest(blockforest.NewAABB([3]float64{}, [3]float64{4, 2, 2}), cfg.Grid, cfg.Cells, cfg.Periodic)
+		in.BalanceMorton(c.Size())
+	}
+	forest, err := blockforest.Distribute(c, in)
+	if err != nil {
+		return nil, err
+	}
+	return sim.New(c, forest, cfg.simConfig())
+}
+
+// TestRestoreRefusesWrongShapedRecord: a committed checkpoint set whose
+// rank file holds a record shaped unlike the block it would fill (one
+// record cropped to half its width, the manifest entry rewritten so the
+// set validates) makes RestoreLatestCheckpointSet of either runtime
+// return an error — no panic, and no block takes the set's state.
+func TestRestoreRefusesWrongShapedRecord(t *testing.T) {
+	cfg := baseConfig(1, field.SoA)
+	type runtime interface {
+		WriteCheckpointSet(dir string, step int) (int64, error)
+		RestoreLatestCheckpointSet(dir string) (int64, error)
+		FieldHash() (uint64, error)
+	}
+	for _, tc := range []struct {
+		name string
+		// build returns the runtime on c and a function stepping it.
+		build func(c *comm.Comm) (runtime, func(int) error, error)
+	}{
+		{"uniform", func(c *comm.Comm) (runtime, func(int) error, error) {
+			s, err := uniformTwin(c, cfg)
+			return s, func(n int) error { _, err := s.Run(n); return err }, err
+		}},
+		{"refined", func(c *comm.Comm) (runtime, func(int) error, error) {
+			s, err := New(c, cfg)
+			return s, func(n int) error { return s.Run(n) }, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			setDir := filepath.Join(dir, output.SetDirName(2))
+			comm.Run(1, func(c *comm.Comm) {
+				rt, run, err := tc.build(c)
+				if err == nil {
+					err = run(2)
+				}
+				if err == nil {
+					_, err = rt.WriteCheckpointSet(dir, 2)
+				}
+				if err == nil {
+					err = cropFirstRecord(setDir)
+				}
+				if err == nil {
+					err = run(1)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				before, _ := rt.FieldHash()
+				step, err := rt.RestoreLatestCheckpointSet(dir)
+				if err == nil || !strings.Contains(err.Error(), "shape mismatch") {
+					t.Errorf("restore = step %d, %v; want the shape mismatch refused", step, err)
+				}
+				if after, _ := rt.FieldHash(); after != before {
+					t.Errorf("the refused restore changed the fields: hash %016x, was %016x", after, before)
+				}
+			})
+		})
+	}
+}
+
+// cropFirstRecord rewrites rank 0's file of the set with its first record
+// cropped to half its x extent, and the manifest entry to match.
+func cropFirstRecord(setDir string) error {
+	name := filepath.Join(setDir, output.RankFileName(0))
+	f, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	recs, _, err := output.ReadLeafFile(f, lattice.D3Q19())
+	f.Close()
+	if err != nil {
+		return err
+	}
+	src := recs[0].Src
+	recs[0].Src = field.NewPDFField(src.Stencil, src.Nx/2, src.Ny, src.Nz, src.Ghost, src.Layout)
+	recs[0].Dst = recs[0].Src
+	file := output.AppendLeafFile(nil, recs)
+	if err := os.WriteFile(name, file, 0o644); err != nil {
+		return err
+	}
+	m, err := output.ReadManifestFile(setDir)
+	if err != nil {
+		return err
+	}
+	m.Entries[0].Size, m.Entries[0].CRC = int64(len(file)), output.CRC32C(file)
+	var buf bytes.Buffer
+	if err := output.WriteManifest(&buf, m); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(setDir, output.ManifestName), buf.Bytes(), 0o644)
 }

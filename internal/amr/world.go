@@ -79,6 +79,19 @@ type Stats struct {
 // ranks. The refinement controller (if enabled) first runs before
 // step 1 of Run.
 func New(c *comm.Comm, cfg Config) (*Sim, error) {
+	s, err := newSim(c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.buildInitialForest(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSim builds a refined world on c that owns no leaf yet: what a
+// recruited spare adopts its leaves into (RunSpareCtx).
+func newSim(c *comm.Comm, cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -97,9 +110,6 @@ func New(c *comm.Comm, cfg Config) (*Sim, error) {
 	}
 	s.critU = make([][3]float64, cfg.Cells[0]*cfg.Cells[1]*cfg.Cells[2])
 	s.critF = make([]float64, cfg.Stencil.Q)
-	if err := s.buildInitialForest(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 

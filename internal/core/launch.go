@@ -54,7 +54,7 @@ type World struct {
 type Rank struct {
 	Sim     *sim.Simulation
 	Refined *amr.Sim
-	// Joined marks a parked spare that a heal recruited: its Sim has
+	// Joined marks a parked spare that a heal recruited: its runtime has
 	// already finished the run when the body sees it, with Metrics and Err
 	// as the driver returned them. Execute fills both for every rank.
 	Joined  bool
@@ -87,9 +87,8 @@ func (w *World) validate(ranks int) error {
 	switch {
 	case w.Steps < 0 || w.RebalanceEvery < 0 || w.Spares < 0:
 		return fmt.Errorf("core: negative steps, rebalance interval or spare count")
-	case w.Spares > 0 && (w.Refined != nil || w.Resilience == nil ||
-		w.Resilience.Mode != sim.RecoverHeal || w.Resilience.CheckpointEvery <= 0):
-		return fmt.Errorf("core: %d spare ranks need heal-mode recovery with a checkpoint interval on a uniform world", w.Spares)
+	case w.Spares > 0 && (w.Resilience == nil || w.Resilience.Mode != sim.RecoverHeal || w.Resilience.CheckpointEvery <= 0):
+		return fmt.Errorf("core: %d spare ranks need heal-mode recovery with a checkpoint interval", w.Spares)
 	case w.RebalanceEvery > 0 && (w.Resilience != nil || w.Refined != nil):
 		return fmt.Errorf("core: workload rebalancing cannot be combined with the fault-tolerant driver or a refined world")
 	case w.Forest != nil && w.Forest.MaxRank() >= ranks:
@@ -163,30 +162,37 @@ func (p *Problem) launchRank(ctx context.Context, c *comm.Comm, ranks int, w *Wo
 		cfg.Tracer, cfg.Metrics = p.TelemetryFor(c.WorldRank())
 	}
 	r := &Rank{}
-	switch {
-	case w.Refined != nil:
-		rcfg := *w.Refined
+	var rcfg amr.Config
+	if w.Refined != nil {
+		rcfg = *w.Refined
 		rcfg.Tracer, rcfg.Metrics = cfg.Tracer, cfg.Metrics
-		if r.Refined, err = amr.New(c, rcfg); err != nil {
-			return err
-		}
+	}
+	// With spares parked, active ranks step on the world's leading
+	// sub-communicator.
+	ac := c
+	if w.Spares > 0 && c.WorldRank() < ranks {
+		ac = c.GrowWorld(ranks)
+	}
+	switch {
 	case c.WorldRank() >= ranks:
 		// Spare rank: park until a failure recruits it (or the run ends).
-		header := &blockforest.BlockForest{
-			Domain: forest.Domain, GridSize: forest.GridSize,
-			CellsPerBlock: forest.CellsPerBlock, Periodic: forest.Periodic,
+		if w.Refined != nil {
+			r.Refined, r.Metrics.Recovery, r.Joined, r.Err = amr.RunSpareCtx(ctx, c, ranks, rcfg, *w.Resilience)
+		} else {
+			header := &blockforest.BlockForest{
+				Domain: forest.Domain, GridSize: forest.GridSize,
+				CellsPerBlock: forest.CellsPerBlock, Periodic: forest.Periodic,
+			}
+			r.Sim, r.Metrics, r.Joined, r.Err = sim.RunSpareCtx(ctx, c, ranks, header, cfg, w.Steps, *w.Resilience)
 		}
-		r.Sim, r.Metrics, r.Joined, r.Err = sim.RunSpareCtx(ctx, c, ranks, header, cfg, w.Steps, *w.Resilience)
 		if !r.Joined {
 			return r.Err
 		}
-	default:
-		// Active rank: with spares parked, the simulation runs on the
-		// world's leading sub-communicator.
-		ac := c
-		if w.Spares > 0 {
-			ac = c.GrowWorld(ranks)
+	case w.Refined != nil:
+		if r.Refined, err = amr.New(ac, rcfg); err != nil {
+			return err
 		}
+	default:
 		var in *blockforest.SetupForest
 		if ac.Rank() == 0 {
 			in = forest

@@ -314,17 +314,12 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 		fresh.CopyFrom(loaded)
 		checkTwin(t, "LoadCheckpoint", fresh, full)
 
-		var gotRank, wantRank bytes.Buffer
-		if _, _, err := output.WriteLeafFile(&gotRank, []output.LeafSnapshot{{Coord: [3]int{1, 2, 3}, Src: win, Dst: win}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := output.WriteLeafFile(&wantRank, []output.LeafSnapshot{{Coord: [3]int{1, 2, 3}, Src: full, Dst: full}}); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotRank.Bytes(), wantRank.Bytes()) {
+		gotRank := output.AppendLeafFile(nil, []output.LeafSnapshot{{Coord: [3]int{1, 2, 3}, Src: win, Dst: win}})
+		wantRank := output.AppendLeafFile(nil, []output.LeafSnapshot{{Coord: [3]int{1, 2, 3}, Src: full, Dst: full}})
+		if !bytes.Equal(gotRank, wantRank) {
 			t.Fatal("rank files of the windowed field and its twin differ")
 		}
-		snaps, _, err := output.ReadLeafFile(bytes.NewReader(gotRank.Bytes()), st)
+		snaps, _, err := output.ReadLeafFile(bytes.NewReader(gotRank), st)
 		if err != nil {
 			t.Fatal(err)
 		}

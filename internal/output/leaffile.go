@@ -2,11 +2,11 @@ package output
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"walberla/internal/field"
 	"walberla/internal/lattice"
@@ -45,63 +45,64 @@ type leafID struct {
 	Level uint8
 }
 
-// WriteLeafFile writes the blocks of one rank, returning the byte size
-// and the CRC32C of everything written.
+// WriteLeafFile writes the blocks of one rank — AppendLeafFile's bytes,
+// one record at a time, so a rank file on disk is never held in memory
+// whole — returning the byte size and the CRC32C of everything written.
 func WriteLeafFile(w io.Writer, leaves []LeafSnapshot) (int64, uint32, error) {
 	crc := crc32.New(castagnoli)
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: io.MultiWriter(bw, crc)}
-	io.WriteString(cw, leafFileMagic)
-	binary.Write(cw, binary.LittleEndian, uint32(len(leaves)))
-	var rec, payload bytes.Buffer
+	out := io.MultiWriter(w, crc)
+	buf := binary.LittleEndian.AppendUint32([]byte(leafFileMagic), uint32(len(leaves)))
+	var n int64
+	for i := 0; ; i++ {
+		k, err := out.Write(buf)
+		if n += int64(k); err != nil || i == len(leaves) {
+			return n, crc.Sum32(), err
+		}
+		buf = appendLeaf(buf[:0], &leaves[i])
+	}
+}
+
+// AppendLeafFile appends the WBK2 encoding of leaves to dst, grown once by
+// LeafFileSize, and returns the extended slice: the in-memory rank file of
+// a buddy replica, a heal stream or a migration message.
+func AppendLeafFile(dst []byte, leaves []LeafSnapshot) []byte {
+	dst = slices.Grow(dst, int(LeafFileSize(leaves)))
+	dst = binary.LittleEndian.AppendUint32(append(dst, leafFileMagic...), uint32(len(leaves)))
 	for i := range leaves {
-		l := &leaves[i]
-		rec.Reset()
-		binary.Write(&rec, binary.LittleEndian, leafID{l.Tree, l.Path, l.Level})
-		for _, c := range l.Coord {
-			binary.Write(&rec, binary.LittleEndian, int64(c))
-		}
-		for _, f := range []*field.PDFField{l.Src, l.Dst} {
-			size := CheckpointSize(f.Stencil.Q, f.Nx, f.Ny, f.Nz, f.Ghost)
-			rec.Grow(int(8 + size))
-			payload.Reset()
-			payload.Grow(int(size))
-			if err := SaveCheckpoint(&payload, f); err != nil {
-				return 0, 0, err
-			}
-			binary.Write(&rec, binary.LittleEndian, uint64(payload.Len()))
-			rec.Write(payload.Bytes())
-		}
-		// CRC32C per record, over key, lengths and payloads.
-		recCRC := crc32.Checksum(rec.Bytes(), castagnoli)
-		if _, err := cw.Write(rec.Bytes()); err != nil {
-			return 0, 0, err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, recCRC); err != nil {
-			return 0, 0, err
-		}
+		dst = appendLeaf(dst, &leaves[i])
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, 0, err
+	return dst
+}
+
+// appendLeaf appends one record: its identity, the length-prefixed WBC2
+// encodings of Src and Dst, and a CRC32C over all of that.
+func appendLeaf(dst []byte, l *LeafSnapshot) []byte {
+	le := binary.LittleEndian
+	start := len(dst)
+	dst = append(le.AppendUint64(le.AppendUint32(dst, l.Tree), l.Path), l.Level)
+	for _, c := range l.Coord {
+		dst = le.AppendUint64(dst, uint64(int64(c)))
 	}
-	return cw.n, crc.Sum32(), nil
+	for _, f := range []*field.PDFField{l.Src, l.Dst} {
+		w := sliceWriter{le.AppendUint64(dst, uint64(CheckpointSize(f.Stencil.Q, f.Nx, f.Ny, f.Nz, f.Ghost)))}
+		SaveCheckpoint(&w, f) // writes to memory cannot fail
+		dst = w.b
+	}
+	return le.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
+// sliceWriter appends what is written to it.
+type sliceWriter struct{ b []byte }
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// LeafFileSize returns the exact number of bytes WriteLeafFile writes for
-// leaves: magic and record count, then per record the 13-byte identity,
-// the root coordinate, two length-prefixed whole-block checkpoints and the
-// record CRC. Encoders size their buffer with it once.
+// LeafFileSize returns the exact number of bytes WriteLeafFile writes and
+// AppendLeafFile appends for leaves: magic and record count, then per
+// record the 13-byte identity, the root coordinate, two length-prefixed
+// whole-block checkpoints and the record CRC.
 func LeafFileSize(leaves []LeafSnapshot) int64 {
 	n := int64(4 + 4)
 	for i := range leaves {

@@ -146,8 +146,9 @@ func TestLeafFileRejectsGarbageWithoutAllocating(t *testing.T) {
 }
 
 // TestLeafFileSize: LeafFileSize is the byte count WriteLeafFile writes
-// and reports, for random leaf sets of whole-block, cropped and
-// row-compact fields in both layouts.
+// and reports, and AppendLeafFile appends the same bytes WriteLeafFile
+// writes (whose CRC32C it reports), for random leaf sets of whole-block,
+// cropped and row-compact fields in both layouts.
 func TestLeafFileSize(t *testing.T) {
 	s := lattice.D3Q19()
 	r := rand.New(rand.NewSource(3))
@@ -182,12 +183,18 @@ func TestLeafFileSize(t *testing.T) {
 			leaves[i].Dst = leaves[i].Src.CopyShape()
 		}
 		var buf bytes.Buffer
-		size, _, err := WriteLeafFile(&buf, leaves)
+		size, crc, err := WriteLeafFile(&buf, leaves)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := LeafFileSize(leaves); size != want || int64(buf.Len()) != want {
 			t.Fatalf("%d leaves: WriteLeafFile wrote %d bytes and reports %d, LeafFileSize says %d", len(leaves), buf.Len(), size, want)
+		}
+		if crc != CRC32C(buf.Bytes()) {
+			t.Fatalf("%d leaves: WriteLeafFile reports CRC %08x of bytes whose CRC is %08x", len(leaves), crc, CRC32C(buf.Bytes()))
+		}
+		if got := AppendLeafFile([]byte("head"), leaves); !bytes.Equal(got, append([]byte("head"), buf.Bytes()...)) {
+			t.Fatalf("%d leaves: AppendLeafFile appends %d bytes that differ from WriteLeafFile's %d", len(leaves), len(got)-4, buf.Len())
 		}
 	}
 }

@@ -41,8 +41,7 @@ const (
 	// its full size by recruiting a parked spare rank
 	// (comm.ParkSpare/GrowWorld), and the dead rank's buddy streams the
 	// replica blocks to the recruit instead of adopting them. With the
-	// spare pool exhausted a heal degrades to a plain shrink. Needs a
-	// World that implements Forwarder.
+	// spare pool exhausted a heal degrades to a plain shrink.
 	Heal
 )
 

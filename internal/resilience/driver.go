@@ -4,23 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
 	"walberla/internal/comm"
+	"walberla/internal/lattice"
+	"walberla/internal/output"
 	"walberla/internal/telemetry"
 )
 
-// State is a runtime's opaque form of one rank's blocks at one step: what
-// World.Snapshot or World.Decode returned. The driver stores, votes on and
-// routes states; only the World that produced one looks inside.
-type State any
+// State is one rank's blocks at one step as WBK2 records: copies of the
+// live fields (an own snapshot), or a decoded rank file (a replica, a heal
+// stream, a disk set's file). The driver copies, encodes, decodes, stores,
+// votes on and routes states; only a World installs one.
+type State = []output.LeafSnapshot
 
 // World is what a step runtime supplies to be run, protected and repaired
-// by the driver: how to step, and how one rank's blocks become bytes and
-// back. Everything else — when, where to, which generation, onto which
-// communicator — is the driver's.
+// by the driver: how to step, its blocks as records, and how records
+// become its blocks again. Everything else — when, where to, which
+// generation, in which encoding, onto which communicator — is the
+// driver's.
 type World interface {
 	// Comm returns the communicator the world currently steps on.
 	Comm() *comm.Comm
@@ -30,19 +33,11 @@ type World interface {
 	// recovery timeline is recorded into; both may be nil.
 	Telemetry() (*telemetry.Lane, *telemetry.Registry)
 
-	// Snapshot copies this rank's state raw, for a restore without
-	// decoding. reuse is an earlier Snapshot result whose storage may be
-	// recycled (nil the first time).
-	Snapshot(reuse State) State
-	// Encode writes this rank's blocks in the runtime's rank-file encoding
-	// and returns the byte count and CRC32C of the stream. The same bytes
-	// are a checkpoint-set file on disk and a replica payload in memory.
-	// A rank file is self-contained: adopting its blocks needs nothing
-	// else.
-	Encode(w io.Writer) (size int64, crc uint32, err error)
-	// Decode parses what Encode wrote and returns the CRC32C of the stream
-	// consumed.
-	Decode(r io.Reader) (state State, crc uint32, err error)
+	// Records returns this rank's blocks as WBK2 records holding live
+	// views of their fields (valid until the next Step or Install), and
+	// the stencil their rank file decodes with. A record is
+	// self-contained: adopting it needs nothing else.
+	Records() (State, *lattice.Stencil)
 	// Own returns this rank's state from a committed checkpoint set; read
 	// decodes the set's file of one rank. A set it fails on is voted down.
 	// A runtime whose restore replaces the topology takes its own file as
@@ -51,27 +46,18 @@ type World interface {
 	Own(read func(rank int) (State, error)) (State, error)
 
 	// Install commits one restored generation: own is this rank's state
-	// at step (from Snapshot or Decode; nil on a recruited spare), wards
-	// the decoded states of dead ranks this rank re-owns. c is the
-	// communicator to continue on. On a rewind it is the world's own and
-	// there are no wards: ownership is unchanged. After a shrink or heal c
-	// is new or there are wards, and the runtime rebuilds its topology from
-	// what every rank of c now owns. Collective over c. Returns how many
+	// at step (nil on a recruited spare), wards the states of dead ranks
+	// this rank re-owns. c is the communicator to continue on. On a rewind
+	// it is the world's own and there are no wards: ownership is
+	// unchanged. After a shrink or heal c is new or there are wards, and
+	// the runtime rebuilds its topology from what every rank of c now
+	// owns. Collective over c. A record that cannot be a block of the
+	// world, such as one shaped unlike it, is an error. Returns how many
 	// blocks were adopted.
 	Install(c *comm.Comm, step int, own State, wards []State) (adopted int, err error)
 	// Reset rewinds to the initial state at step 0: the last rung, when
 	// no generation survives anywhere.
 	Reset() error
-}
-
-// Forwarder is a World that can hand a dead rank's blocks to a recruited
-// spare instead of adopting them — the one method Heal needs beyond
-// Shrink.
-type Forwarder interface {
-	World
-	// Reencode serializes a decoded ward state back into a rank-file
-	// payload, for the stream to the replacement.
-	Reencode(ward State) (payload []byte, crc uint32, err error)
 }
 
 // Driver runs one World under the failure loop.
@@ -97,15 +83,11 @@ type Driver struct {
 	mttrMs, worldSize, degraded *telemetry.Gauge
 }
 
-// NewDriver validates the configuration against the world — Heal is
-// refused for a World that is no Forwarder — and returns a driver ready to
+// NewDriver validates the configuration and returns a driver ready to
 // Run.
 func NewDriver(w World, cfg Config) (*Driver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if _, ok := w.(Forwarder); cfg.Mode == Heal && !ok {
-		return nil, fmt.Errorf("resilience: recovery mode heal needs a world that can forward blocks to a recruit (%T cannot)", w)
 	}
 	lane, reg := w.Telemetry()
 	d := &Driver{
@@ -486,12 +468,8 @@ func (d *Driver) restore(c, nc *comm.Comm, mine []ward, phase telemetry.Phase) (
 			adopt = append(adopt, wards[i])
 			continue
 		}
-		payload, crc, err := w.(Forwarder).Reencode(wards[i])
-		if err != nil {
-			return 0, err
-		}
-		env := envelope{Step: step, SrcWorld: wd.world, Payload: payload, CRC: crc, To: d.to}
-		if err := d.Ring.send(nc, wd.dest, tagForward, env.marshal(), &d.Stats); err != nil {
+		env := envelope{Step: step, SrcWorld: wd.world, To: d.to}
+		if err := d.Ring.send(nc, wd.dest, tagForward, env.seal(wards[i]), &d.Stats); err != nil {
 			return 0, err
 		}
 	}

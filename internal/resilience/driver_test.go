@@ -2,10 +2,8 @@ package resilience
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -13,21 +11,34 @@ import (
 	"time"
 
 	"walberla/internal/comm"
+	"walberla/internal/field"
+	"walberla/internal/lattice"
 	"walberla/internal/output"
 	"walberla/internal/telemetry"
 )
 
 // counterWorld is the driver's World without an LBM: its whole state is
 // the number of steps it has taken, a step is one barrier (so a peer's
-// death is noticed), and its rank file is that number in eight bytes.
+// death is noticed), and its records are one tiny record holding that
+// number (counterRecord).
 type counterWorld struct {
 	c *comm.Comm
 	n int
 
 	adopted     []int                     // ward states re-owned here
-	failEncode  bool                      // Encode reports a write error
 	failInstall func(*counterWorld) error // consulted once per Install
 }
+
+// counterRecord is a count as the one record of its rank: a single-cell
+// D2Q9 field without ghost layers whose first value is the count.
+func counterRecord(n int) State {
+	f := field.NewPDFField(lattice.D2Q9(), 1, 1, 1, 0, field.AoS)
+	f.Data()[0] = float64(n)
+	return State{{Src: f, Dst: f}}
+}
+
+// count reads a count back from its record.
+func count(s State) int { return int(s[0].Src.Data()[0]) }
 
 func (w *counterWorld) Comm() *comm.Comm { return w.c }
 
@@ -40,28 +51,11 @@ func (w *counterWorld) Step() error {
 }
 
 func (w *counterWorld) Telemetry() (*telemetry.Lane, *telemetry.Registry) { return nil, nil }
-func (w *counterWorld) Snapshot(State) State                              { return w.n }
+func (w *counterWorld) Records() (State, *lattice.Stencil)                { return counterRecord(w.n), lattice.D2Q9() }
 func (w *counterWorld) Reset() error                                      { w.n = 0; return nil }
-
-func (w *counterWorld) Encode(out io.Writer) (int64, uint32, error) {
-	if w.failEncode {
-		return 0, 0, errors.New("disk full")
-	}
-	b := binary.LittleEndian.AppendUint64(nil, uint64(w.n))
-	_, err := out.Write(b)
-	return int64(len(b)), output.CRC32C(b), err
-}
 
 func (w *counterWorld) Own(read func(int) (State, error)) (State, error) {
 	return read(w.c.Rank())
-}
-
-func (w *counterWorld) Decode(r io.Reader) (State, uint32, error) {
-	b := make([]byte, 8)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, 0, err
-	}
-	return int(binary.LittleEndian.Uint64(b)), output.CRC32C(b), nil
 }
 
 func (w *counterWorld) Install(c *comm.Comm, _ int, own State, wards []State) (int, error) {
@@ -73,23 +67,15 @@ func (w *counterWorld) Install(c *comm.Comm, _ int, own State, wards []State) (i
 	}
 	w.c = c
 	for _, s := range wards {
-		w.adopted = append(w.adopted, s.(int))
+		w.adopted = append(w.adopted, count(s))
 	}
 	switch {
 	case own != nil:
-		w.n = own.(int)
+		w.n = count(own)
 	case len(wards) == 1: // a recruit takes its ward's place
-		w.n = wards[0].(int)
+		w.n = count(wards[0])
 	}
 	return len(wards), nil
-}
-
-// forwardingWorld adds the one method Heal needs.
-type forwardingWorld struct{ *counterWorld }
-
-func (w forwardingWorld) Reencode(ward State) ([]byte, uint32, error) {
-	b := binary.LittleEndian.AppendUint64(nil, uint64(ward.(int)))
-	return b, output.CRC32C(b), nil
 }
 
 // outcome is what one rank's driver run ended with.
@@ -112,10 +98,10 @@ func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, fr
 		if c.WorldRank() >= active {
 			var w World
 			w, o.stats, _, o.err = RunSpare(ctx, c, active, cfg, func(nc *comm.Comm) (World, error) {
-				return forwardingWorld{&counterWorld{c: nc}}, nil
+				return &counterWorld{c: nc}, nil
 			})
 			if w != nil {
-				o.world = w.(forwardingWorld).counterWorld
+				o.world = w.(*counterWorld)
 			}
 		} else {
 			if spares > 0 {
@@ -125,11 +111,7 @@ func drive(t *testing.T, ctx context.Context, active, spares int, cfg Config, fr
 			if tweak != nil {
 				tweak(o.world)
 			}
-			var w World = o.world
-			if cfg.Mode == Heal {
-				w = forwardingWorld{o.world}
-			}
-			d, err := NewDriver(w, cfg)
+			d, err := NewDriver(o.world, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -358,12 +340,8 @@ func TestDriverConfig(t *testing.T) {
 		}
 	}
 	comm.Run(1, func(c *comm.Comm) {
-		w := &counterWorld{c: c}
-		if _, err := NewDriver(w, Config{Mode: Heal}); err == nil {
-			t.Error("NewDriver accepted Heal for a world that cannot forward blocks")
-		}
-		if _, err := NewDriver(forwardingWorld{w}, Config{Mode: Heal}); err != nil {
-			t.Errorf("NewDriver refused Heal for a Forwarder: %v", err)
+		if _, err := NewDriver(&counterWorld{c: c}, Config{Mode: Heal}); err != nil {
+			t.Errorf("NewDriver refused Heal: %v", err)
 		}
 		if _, _, _, err := RunSpare(context.Background(), c, 1, Config{Mode: Shrink}, nil); err == nil {
 			t.Error("RunSpare accepted Shrink, want an error")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"walberla/internal/comm"
@@ -14,11 +15,12 @@ import (
 // In-memory buddy checkpointing. At every checkpoint interval each rank
 // protects its state twice:
 //
-//   - an *own snapshot*: whatever World.Snapshot copies raw, restored
-//     without decoding — the survivor's rewind is a memcpy;
-//   - a *buddy replica*: the blocks in the runtime's rank-file encoding
-//     (the bytes of a disk checkpoint set file, but into memory), sent to
-//     the buddy rank (rank+1) mod size. A rank file is self-contained:
+//   - an *own snapshot*: its records (World.Records) with their fields
+//     copied raw, restored without decoding — the survivor's rewind is a
+//     memcpy;
+//   - a *buddy replica*: the records in the WBK2 rank-file encoding (the
+//     bytes of a disk checkpoint set file, but into memory), sent to the
+//     buddy rank (rank+1) mod size. A rank file is self-contained:
 //     whoever adopts its blocks rebuilds their neighbourhoods and flags
 //     from the geometry and from what every rank owns after the repair
 //     (World.Install), so nothing else travels with it.
@@ -37,7 +39,7 @@ const (
 
 // envelope is one generation of one rank's state on the wire: a replica
 // shipped to the buddy, or a dead rank's state streamed to its recruited
-// replacement. It crosses as bytes (marshal, decodeEnvelope), little-endian:
+// replacement. It crosses as bytes (seal, decodeEnvelope), little-endian:
 //
 //	offset  size  field
 //	 0       8    Step
@@ -51,8 +53,7 @@ type envelope struct {
 	// SrcWorld is the world rank whose state this is — stable across
 	// shrinks, unlike communicator ranks.
 	SrcWorld int
-	// Payload is the rank-file encoding of all blocks (World.Encode); CRC
-	// is its CRC32C.
+	// Payload is the rank-file encoding of all blocks; CRC is its CRC32C.
 	Payload []byte
 	CRC     uint32
 	// To, on a heal stream only, is the step the run ends at.
@@ -63,7 +64,7 @@ type envelope struct {
 const envelopeHeader = 28
 
 // Generation is one protected state: the step barrier it was taken at,
-// the world rank it belongs to, and the runtime's opaque form of it.
+// the world rank it belongs to, and its records.
 type Generation struct {
 	Step     int
 	SrcWorld int
@@ -143,23 +144,22 @@ func (r *Ring) Replicate(w World, step int, st *Stats) error {
 	c := w.Comm()
 	// Own snapshot first: purely local, so every survivor of a failure
 	// during the exchange below still owns this generation (the vote
-	// requires own generations to be uniform across survivors). The slot's
-	// previous state is handed back for its storage: fresh multi-megabyte
-	// slices every interval keep the collector busy enough to intrude on
-	// the recovery-latency window.
+	// requires own generations to be uniform across survivors). The
+	// slot's previous fields are reused for their storage: fresh
+	// multi-megabyte slices every interval keep the collector busy enough
+	// to intrude on the recovery-latency window.
 	p := r.parity
-	r.Own[p] = Generation{Step: step, SrcWorld: c.WorldRank(), State: w.Snapshot(r.Own[p].State)}
+	own, _ := w.Records()
+	output.CopyLeaves(own, r.Own[p].State)
+	r.Own[p] = Generation{Step: step, SrcWorld: c.WorldRank(), State: own}
 	r.lastStep = step
 	if c.Size() < 2 {
 		r.parity ^= 1
 		return nil // no buddy to protect or be protected by
 	}
 
-	out, err := encode(w, step)
-	if err != nil {
-		return err
-	}
-	if err := r.send(c, (c.Rank()+1)%c.Size(), tagReplica, out, st); err != nil {
+	env := envelope{Step: step, SrcWorld: c.WorldRank()}
+	if err := r.send(c, (c.Rank()+1)%c.Size(), tagReplica, env.seal(own), st); err != nil {
 		return err
 	}
 	in, err := receive(c, (c.Rank()+c.Size()-1)%c.Size(), tagReplica)
@@ -208,29 +208,21 @@ func receive(c *comm.Comm, from, tag int) (*envelope, error) {
 	return decodeEnvelope(b)
 }
 
-// encode serializes the world's live state into an envelope's bytes, the
-// rank-file encoding written in place after the header.
-func encode(w World, step int) ([]byte, error) {
-	env := envelope{Step: step, SrcWorld: w.Comm().WorldRank()}
-	buf := bytes.NewBuffer(env.marshal())
-	_, crc, err := w.Encode(buf)
-	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding replica payload: %w", err)
-	}
-	b := buf.Bytes()
-	binary.LittleEndian.PutUint32(b[24:], crc) // the header's CRC field
-	return b, nil
+// seal returns the envelope carrying recs: its header, then their rank
+// file written in place after it, whose CRC32C fills the header's CRC.
+func (e *envelope) seal(recs State) []byte {
+	b := output.AppendLeafFile(e.appendHeader(nil), recs)
+	binary.LittleEndian.PutUint32(b[24:], output.CRC32C(b[envelopeHeader:]))
+	return b
 }
 
-// marshal returns the envelope's bytes.
-func (e *envelope) marshal() []byte {
+// appendHeader appends the envelope's header fields to dst.
+func (e *envelope) appendHeader(dst []byte) []byte {
 	le := binary.LittleEndian
-	b := make([]byte, 0, envelopeHeader+len(e.Payload))
-	b = le.AppendUint64(b, uint64(e.Step))
-	b = le.AppendUint64(b, uint64(e.SrcWorld))
-	b = le.AppendUint64(b, uint64(e.To))
-	b = le.AppendUint32(b, e.CRC)
-	return append(b, e.Payload...)
+	dst = le.AppendUint64(dst, uint64(e.Step))
+	dst = le.AppendUint64(dst, uint64(e.SrcWorld))
+	dst = le.AppendUint64(dst, uint64(e.To))
+	return le.AppendUint32(dst, e.CRC)
 }
 
 // decodeEnvelope parses an envelope's bytes; Payload aliases b.
@@ -244,14 +236,14 @@ func decodeEnvelope(b []byte) (*envelope, error) {
 }
 
 // decode validates and deserializes one envelope. Each block is decoded
-// in the layout its sender stored it in (the rank-file formats record it
+// in the layout its sender stored it in (the rank-file format records it
 // per block), so replicas from ranks running a mix of layouts restore
 // without any world-wide layout assumption.
 func decode(w World, in *envelope) (State, error) {
 	if output.CRC32C(in.Payload) != in.CRC {
 		return nil, fmt.Errorf("resilience: envelope of rank %d step %d fails its CRC", in.SrcWorld, in.Step)
 	}
-	state, crc, err := w.Decode(bytes.NewReader(in.Payload))
+	state, crc, err := readRecords(w, bytes.NewReader(in.Payload))
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +251,13 @@ func decode(w World, in *envelope) (State, error) {
 		return nil, fmt.Errorf("resilience: envelope of rank %d step %d decodes to a different CRC", in.SrcWorld, in.Step)
 	}
 	return state, nil
+}
+
+// readRecords decodes a rank file with the world's stencil, returning its
+// records and the CRC32C of the stream consumed.
+func readRecords(w World, r io.Reader) (State, uint32, error) {
+	_, st := w.Records()
+	return output.ReadLeafFile(r, st)
 }
 
 // vote agrees over c on the restore generation: the newest step every

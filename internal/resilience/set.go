@@ -17,6 +17,11 @@ import (
 // touch the disk, so Stats.DiskReadsDuringRecovery is counted in them and
 // nowhere else.
 
+// createFile creates a rank file. It is a variable so that a test can
+// fail one rank's write: encoding records cannot fail, so a set write
+// fails only in the file system.
+var createFile = os.Create
+
 // ckptStatus is the coordination payload broadcast by rank 0 when a
 // checkpoint set is opened and closed.
 type ckptStatus struct {
@@ -25,7 +30,7 @@ type ckptStatus struct {
 }
 
 // WriteSet writes a coordinated checkpoint set for the given step: every
-// rank writes all of its blocks (World.Encode) into a per-rank file, rank
+// rank writes its records (World.Records) as a WBK2 rank file, rank
 // 0 gathers sizes and CRC32Cs into the manifest, and the whole set
 // directory is renamed into place atomically — a crash mid-checkpoint
 // never produces a half-valid set. Collective over the world's
@@ -65,10 +70,11 @@ func WriteSet(w World, dir string, step int) (int64, error) {
 	var size int64
 	var crc uint32
 	var werr error
-	if f, err := os.Create(filepath.Join(tmp, output.RankFileName(c.Rank()))); err != nil {
+	if f, err := createFile(filepath.Join(tmp, output.RankFileName(c.Rank()))); err != nil {
 		werr = err
 	} else {
-		size, crc, werr = w.Encode(f)
+		recs, _ := w.Records()
+		size, crc, werr = output.WriteLeafFile(f, recs)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -212,7 +218,7 @@ func (d *Driver) readRankFile(setDir string, rank, ranks int) (State, error) {
 		return nil, err
 	}
 	defer f.Close()
-	state, crc, err := d.World.Decode(f)
+	state, crc, err := readRecords(d.World, f)
 	if err != nil {
 		return nil, err
 	}

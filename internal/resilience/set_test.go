@@ -7,17 +7,27 @@ import (
 	"testing"
 
 	"walberla/internal/comm"
+	"walberla/internal/output"
 )
 
 // TestSetWriteFailureLeavesNoSet: one rank failing its file write aborts
 // the set for everyone — every rank gets the error, and neither a
-// committed nor a temporary set directory survives.
+// committed nor a temporary set directory survives. Rank 1's file is
+// opened read-only, so its write fails in the file system.
 func TestSetWriteFailureLeavesNoSet(t *testing.T) {
 	dir := t.TempDir()
+	createFile = func(name string) (*os.File, error) {
+		f, err := os.Create(name)
+		if err != nil || !strings.HasSuffix(name, output.RankFileName(1)) {
+			return f, err
+		}
+		f.Close()
+		return os.Open(name)
+	}
+	t.Cleanup(func() { createFile = os.Create })
 	comm.Run(2, func(c *comm.Comm) {
-		w := &counterWorld{c: c, n: 3, failEncode: c.Rank() == 1}
-		n, err := WriteSet(w, dir, 3)
-		if err == nil || !strings.Contains(err.Error(), "rank 1: disk full") || n != 0 {
+		n, err := WriteSet(&counterWorld{c: c, n: 3}, dir, 3)
+		if err == nil || !strings.Contains(err.Error(), "rank 1: write ") || n != 0 {
 			t.Errorf("rank %d: WriteSet = %d, %v, want rank 1's write error", c.Rank(), n, err)
 		}
 	})
@@ -42,7 +52,7 @@ func TestSetCandidateVote(t *testing.T) {
 		w := &counterWorld{c: c}
 		for _, step := range []int{2, 4} {
 			w.n = step
-			if n, err := WriteSet(w, dir, step); err != nil || n != 8 {
+			if n, err := WriteSet(w, dir, step); err != nil || n != output.LeafFileSize(counterRecord(step)) {
 				t.Errorf("rank %d: WriteSet(%d) = %d, %v", c.Rank(), step, n, err)
 				return
 			}

@@ -15,10 +15,10 @@ import (
 // Runtime adaptive mesh refinement support. A scenario with
 // refinement.max_level > 0 executes on the AMR driver (internal/amr):
 // level-wise timestepping on a 2:1-graded octree with a runtime
-// refine/coarsen controller. The AMR driver constrains the schema —
-// D3Q19 only, dense examples only (no tree/SDF geometry, no obstacle),
-// no sparse kernels, no heal-mode recovery and no
-// workload rebalancing (re-grades rebalance by construction) — and
+// refine/coarsen controller, recovering in every resilience.mode (rewind,
+// shrink, heal). The AMR driver constrains the schema — D3Q19 only, dense
+// examples only (no tree/SDF geometry, no obstacle), no sparse kernels
+// and no workload rebalancing (re-grades rebalance by construction) — and
 // validateRefinement rejects the unsupported combinations loudly.
 
 // validateRefinement applies the AMR-specific schema restrictions and
@@ -56,9 +56,6 @@ func (sc *Scenario) validateRefinement() error {
 	}
 	if kernels.Choice(sc.Collision.Kernel) == kernels.ChoiceSparse {
 		return fmt.Errorf("scenario: refinement does not support the sparse kernel %q", sc.Collision.Kernel)
-	}
-	if sc.Resilience.Mode == "heal" {
-		return fmt.Errorf("scenario: refinement does not support resilience.mode heal (use rewind or shrink)")
 	}
 	if sc.Run.RebalanceEvery > 0 {
 		return fmt.Errorf("scenario: run.rebalance_every is not supported with refinement (re-grades rebalance by construction)")

@@ -46,9 +46,6 @@ func TestRefinementValidateErrors(t *testing.T) {
 		}, "obstacle"},
 		{"d2q9 stencil", func(sc *Scenario) { sc.Lattice.Stencil = "d2q9" }, "d3q19"},
 		{"sparse kernel", func(sc *Scenario) { sc.Collision.Kernel = "sparse" }, "sparse"},
-		{"heal recovery", func(sc *Scenario) {
-			sc.Resilience = Resilience{CheckpointEvery: 2, Mode: "heal"}
-		}, "heal"},
 		{"workload rebalancing", func(sc *Scenario) { sc.Run.RebalanceEvery = 2 }, "rebalance"},
 		{"body force", func(sc *Scenario) { sc.Physics.Force = [3]float64{1e-6, 0, 0} }, "force"},
 		{"odd cells per block", func(sc *Scenario) { sc.Resolution.CellsPerBlock = [3]int{7, 8, 8} }, "even"},

@@ -4,6 +4,10 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"walberla/internal/amr"
+	"walberla/internal/comm"
+	"walberla/internal/sim"
 )
 
 // TestRecoveryMatrix runs one table of recovery invariants over both step
@@ -17,7 +21,6 @@ func TestRecoveryMatrix(t *testing.T) {
 	worlds := []struct {
 		name  string
 		build func() *Scenario
-		heal  bool // the runtime can take recruits
 	}{
 		{"uniform cavity", func() *Scenario {
 			return &Scenario{
@@ -25,14 +28,20 @@ func TestRecoveryMatrix(t *testing.T) {
 				Geometry:   Geometry{Example: "cavity", LidVelocity: 0.08},
 				Resolution: Resolution{Grid: [3]int{2, 2, 1}, CellsPerBlock: [3]int{8, 8, 8}},
 			}
-		}, true},
+		}},
 		{"refined shear layer", func() *Scenario {
 			// The cavity's near-lid shear layer, refined one level at
 			// runtime.
 			sc := amrBase()
 			sc.Refinement.Interval = 2
 			return sc
-		}, false},
+		}},
+		{"refined shear layer over unix sockets", func() *Scenario {
+			sc := amrBase()
+			sc.Refinement.Interval = 2
+			sc.Transport.Network = "unix"
+			return sc
+		}},
 	}
 	for _, w := range worlds {
 		ref := w.build()
@@ -43,10 +52,8 @@ func TestRecoveryMatrix(t *testing.T) {
 		}
 		for _, mode := range []string{"rewind", "shrink", "heal"} {
 			for _, kind := range []string{"crash", "hang"} {
-				if mode == "heal" && !w.heal || mode == "rewind" && kind == "hang" {
-					// A refined world cannot take recruits yet; a rank that
-					// hangs never rejoins, which rewinding needs.
-					continue
+				if mode == "rewind" && kind == "hang" {
+					continue // a rank that hangs never rejoins, which rewinding needs
 				}
 				t.Run(w.name+"/"+mode+"/"+kind, func(t *testing.T) {
 					sc := w.build()
@@ -65,7 +72,18 @@ func TestRecoveryMatrix(t *testing.T) {
 					} else {
 						sc.Faults.Crashes = ev
 					}
-					got, err := Execute(context.Background(), sc, ExecuteOptions{})
+					// What rank 0 put on its sockets, if it has any: every
+					// replica byte it counted must be among them.
+					var wire comm.NetStats
+					each := func(c *comm.Comm) {
+						if ns, ok := c.NetStats(); ok && c.Rank() == 0 {
+							wire = ns
+						}
+					}
+					got, err := Execute(context.Background(), sc, ExecuteOptions{
+						Each:    func(c *comm.Comm, _ *sim.Simulation) { each(c) },
+						EachAMR: func(c *comm.Comm, _ *amr.Sim) { each(c) },
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -79,6 +97,9 @@ func TestRecoveryMatrix(t *testing.T) {
 					want := map[string][2]int{"rewind": {0, 0}, "shrink": {1, 0}, "heal": {0, 1}}[mode]
 					if r.Shrinks != want[0] || r.Heals != want[1] {
 						t.Errorf("%d shrinks and %d heals, want %d and %d", r.Shrinks, r.Heals, want[0], want[1])
+					}
+					if sc.Transport.Network == "unix" && wire.BytesSent < r.ReplicaBytes {
+						t.Errorf("%d replica bytes sent, but only %d bytes crossed rank 0's sockets", r.ReplicaBytes, wire.BytesSent)
 					}
 					if mode != "rewind" && (r.DiskReadsDuringRecovery != 0 || r.BuddyRestores != 1) {
 						t.Errorf("recovery without a checkpoint directory read the disk %d times (%d buddy restores)", r.DiskReadsDuringRecovery, r.BuddyRestores)

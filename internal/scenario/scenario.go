@@ -162,8 +162,7 @@ type Collision struct {
 // simulation runs on the AMR driver, which refines/coarsens a
 // 2:1-graded block octree at runtime from a flow criterion and
 // rebalances by level-weighted cost on every re-grade. See docs/AMR.md
-// for the constraints (D3Q19, dense examples, no sparse kernels, no
-// heal-mode recovery).
+// for the constraints (D3Q19, dense examples, no sparse kernels).
 type RefinementSpec struct {
 	// MaxLevel caps the refinement depth; 0 (the default) runs the
 	// uniform drivers and makes the other fields invalid.

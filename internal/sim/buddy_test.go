@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -322,13 +321,9 @@ func TestReplicateRoundTrip(t *testing.T) {
 		}
 		// What went on the wire is the envelope: the rank file behind a
 		// 28-byte header, nothing else.
-		var payload bytes.Buffer
-		if _, _, err := (world{s}).Encode(&payload); err != nil {
-			t.Error(err)
-			return
-		}
-		if want := int64(payload.Len() + 28); rec.ReplicaBytes != want {
-			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + header 28", c.Rank(), rec.ReplicaBytes, payload.Len())
+		payload := output.LeafFileSize(records(s.Blocks))
+		if rec.ReplicaBytes != payload+28 {
+			t.Errorf("rank %d: ReplicaBytes = %d, want payload %d + header 28", c.Rank(), rec.ReplicaBytes, payload)
 		}
 		ward := (c.Rank() + c.Size() - 1) % c.Size()
 		gen := ring.ReplicaAt(c.WorldRankOf(ward), 3)
@@ -336,7 +331,7 @@ func TestReplicateRoundTrip(t *testing.T) {
 			t.Errorf("rank %d: no committed replica for ward %d", c.Rank(), ward)
 			return
 		}
-		recs := gen.State.([]output.LeafSnapshot)
+		recs := gen.State
 		wardForest := blockforest.Build(cavityForest(), ward, c.Size())
 		if len(recs) == 0 || len(recs) != len(wardForest.Blocks) {
 			t.Errorf("rank %d: replica decoded to %d records, ward owns %d blocks", c.Rank(), len(recs), len(wardForest.Blocks))

@@ -137,11 +137,7 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 		if dst == me {
 			continue
 		}
-		payload, _, err := world{s}.Reencode(records(blocks))
-		if err != nil {
-			return err
-		}
-		if err := s.Comm.SendErr(dst, tagMigrate, payload); err != nil {
+		if err := s.Comm.SendErr(dst, tagMigrate, output.AppendLeafFile(nil, records(blocks))); err != nil {
 			return fmt.Errorf("sim: rebalance send to rank %d: %w", dst, err)
 		}
 	}
@@ -155,11 +151,11 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 			return fmt.Errorf("sim: rebalance receive: %w", err)
 		}
 		msg, _ := v.([]byte)
-		snaps, _, err := world{s}.Decode(bytes.NewReader(msg))
+		snaps, _, err := output.ReadLeafFile(bytes.NewReader(msg), s.Stencil)
 		if err != nil {
 			return fmt.Errorf("sim: rebalance blocks from rank %d: %w", src, err)
 		}
-		gained = append(gained, snaps.([]output.LeafSnapshot)...)
+		gained = append(gained, snaps...)
 	}
 	if err := s.reown(outgoing[me], gained); err != nil {
 		return err

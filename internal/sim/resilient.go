@@ -1,15 +1,15 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
+	"slices"
 	"time"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/field"
+	"walberla/internal/lattice"
 	"walberla/internal/output"
 	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
@@ -17,10 +17,11 @@ import (
 
 // Resilient execution of the uniform simulation. The failure loop, the
 // checkpoint-set protocol, the buddy ring and the restore vote live in
-// internal/resilience; this file supplies what a generation of a uniform
-// world *contains* (the resilience.World methods of type world: WBK2 rank
-// files whose records are level-0 leaves; raw field snapshots; block
-// adoption) and the public entry points. A record is self-contained: its
+// internal/resilience, which also copies, encodes and decodes the
+// records; this file supplies what a generation of a uniform world
+// *contains* (the resilience.World methods of type world: its blocks as
+// WBK2 records, level-0 leaves of their roots; block adoption) and the
+// public entry points. A record is self-contained: its
 // identity fixes the block's box, and flags are a function of the
 // geometry and the neighbourhood. So when ownership changes (a shrink or
 // heal, never a rewind) every rank allgathers the block coordinates all
@@ -59,10 +60,10 @@ var (
 )
 
 // WriteCheckpointSet writes a coordinated checkpoint set for the given
-// step: every rank snapshots all of its blocks (both PDF fields, so replay
-// is bit-identical) into a per-rank WBK2 file, committed atomically by the
-// set protocol (resilience.WriteSet). Returns the bytes this rank wrote (0
-// if the set already existed).
+// step: every rank writes all of its blocks (both PDF fields, since the
+// field hash folds the solid interior cells of both) into a per-rank WBK2
+// file, committed atomically by the set protocol (resilience.WriteSet).
+// Returns the bytes this rank wrote (0 if the set already existed).
 func (s *Simulation) WriteCheckpointSet(dir string, step int) (int64, error) {
 	return resilience.WriteSet(world{s}, dir, step)
 }
@@ -169,20 +170,14 @@ func (w world) Step() error {
 	return w.Simulation.Step()
 }
 
-// Snapshot is this rank's own generation in the form of a decoded rank
-// file: copies of both PDF fields of every local block (in the previous
-// generation's storage where it fits), restored by memcpy — the
-// survivor's rewind needs no decoding at all.
-func (w world) Snapshot(reuse resilience.State) resilience.State {
-	prev, _ := reuse.([]output.LeafSnapshot)
-	snaps := records(w.Blocks)
-	output.CopyLeaves(snaps, prev)
-	return snaps
+// Records are the live blocks as WBK2 records.
+func (w world) Records() (resilience.State, *lattice.Stencil) {
+	return records(w.Blocks), w.Stencil
 }
 
 // records are the given live blocks as WBK2 records: a uniform block is a
-// level-0 leaf of its root. A decoded rank file — the state of type world
-// — is such a list, in the layout each block was stored in.
+// level-0 leaf of its root. A decoded rank file is such a list, in the
+// layout each block was stored in.
 func records(blocks []*BlockData) []output.LeafSnapshot {
 	snaps := make([]output.LeafSnapshot, len(blocks))
 	for i, bd := range blocks {
@@ -191,35 +186,10 @@ func records(blocks []*BlockData) []output.LeafSnapshot {
 	return snaps
 }
 
-func (w world) Encode(out io.Writer) (int64, uint32, error) {
-	return output.WriteLeafFile(out, records(w.Blocks))
-}
-
-// Decode reads every block in the layout it was stored in — ranks can run
-// a mix of layouts under per-block kernel selection; CopyFrom transposes
-// if the live block disagrees.
-func (w world) Decode(r io.Reader) (resilience.State, uint32, error) {
-	snaps, crc, err := output.ReadLeafFile(r, w.Stencil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return snaps, crc, nil
-}
-
-func (w world) Reencode(ward resilience.State) ([]byte, uint32, error) {
-	var payload bytes.Buffer
-	_, crc, err := output.WriteLeafFile(&payload, ward.([]output.LeafSnapshot))
-	if err != nil {
-		return nil, 0, fmt.Errorf("sim: encoding heal payload: %w", err)
-	}
-	return payload.Bytes(), crc, nil
-}
-
-// Own gathers the records of the blocks this rank owns — level-0 leaves
-// of the blocks' roots, shaped like them, each found once — from the
-// set's rank files, its own file first: that one holds them all unless
-// the set was written under another block ownership (a rebalanced run,
-// or one that shrank).
+// Own gathers the records of the blocks this rank owns, each found once,
+// from the set's rank files, its own file first: that one holds them all
+// unless the set was written under another block ownership (a rebalanced
+// run, or one that shrank). Install checks that they fit the blocks.
 func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.State, error) {
 	var own []output.LeafSnapshot
 	found := make(map[[3]int]bool, len(w.Blocks))
@@ -229,16 +199,12 @@ func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.St
 		if err != nil {
 			return nil, err
 		}
-		for _, snap := range state.([]output.LeafSnapshot) {
-			bd, ok := w.byCoord[snap.Coord]
-			if !ok {
+		for _, snap := range state {
+			if w.byCoord[snap.Coord] == nil {
 				continue
 			}
 			if found[snap.Coord] {
 				return nil, fmt.Errorf("sim: checkpoint set has a duplicate record of block %v", snap.Coord)
-			}
-			if err := checkRecord(snap, bd.Block); err != nil {
-				return nil, err
 			}
 			found[snap.Coord] = true
 			own = append(own, snap)
@@ -273,16 +239,21 @@ func (w world) Reset() error {
 	return nil
 }
 
-// Install rewinds the local blocks and, when ownership changed (a new
-// communicator, or wards to adopt), re-owns the wards' records through
-// the same path the dynamic load balancer uses (reown).
+// Install rewinds the local blocks — own is the own snapshot, or records
+// Own vouched for, all checked before any is copied — and, when ownership
+// changed (a new communicator, or wards to adopt), re-owns the wards'
+// records through the same path the dynamic load balancer uses (reown).
 func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []resilience.State) (int, error) {
 	s := w.Simulation
-	snaps, _ := own.([]output.LeafSnapshot) // nil on a recruit
-	for _, snap := range snaps {            // own snapshot, or records Own vouched for
-		bd := s.byCoord[snap.Coord]
-		bd.Src.CopyFrom(snap.Src)
-		bd.Dst.CopyFrom(snap.Dst)
+	for _, rec := range own {
+		if err := checkRecord(rec, s.byCoord[rec.Coord].Block); err != nil {
+			return 0, err
+		}
+	}
+	for _, rec := range own {
+		bd := s.byCoord[rec.Coord]
+		bd.Src.CopyFrom(rec.Src)
+		bd.Dst.CopyFrom(rec.Dst)
 	}
 	// Simulated time resumes at the restored step; the plain driver's
 	// fault-injection announcements continue from there.
@@ -290,10 +261,7 @@ func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []res
 	if c == s.Comm && len(wards) == 0 {
 		return 0, nil // a rewind
 	}
-	var adopted []output.LeafSnapshot
-	for _, ward := range wards {
-		adopted = append(adopted, ward.([]output.LeafSnapshot)...)
-	}
+	adopted := slices.Concat(wards...)
 	s.Comm = c
 	return len(adopted), s.reown(s.Blocks, adopted)
 }
@@ -303,9 +271,10 @@ func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []res
 // as setup does: every rank's owned coordinates are allgathered into a
 // setup forest whose Build yields this rank's blocks, neighbourhoods and
 // owners — the forest keeps only those. A kept block keeps its BlockData;
-// an adopted one is built by newBlockData (flags from Config.SetupFlags)
-// and filled from its record. Collective over s.Comm; a failure before
-// the allgather completes leaves the world as it was.
+// the adopted ones are built on the worker pool, each from its flags
+// (setupFlags) and filled from its record (adopt). Collective over
+// s.Comm; a failure before the allgather completes leaves the world as it
+// was.
 func (s *Simulation) reown(kept []*BlockData, recs []output.LeafSnapshot) error {
 	local := make([]int64, 0, 3*(len(kept)+len(recs)))
 	for _, bd := range kept {
@@ -346,30 +315,42 @@ func (s *Simulation) reown(kept []*BlockData, recs []output.LeafSnapshot) error 
 		byRecord[rec.Coord] = rec
 	}
 	s.Blocks = make([]*BlockData, len(s.Forest.Blocks))
+	var adopted []int // indices of the blocks built from records
 	for i, b := range s.Forest.Blocks {
-		bd := byCoord[b.Coord]
-		if bd != nil {
+		if bd := byCoord[b.Coord]; bd != nil {
 			bd.Block.Neighbors = b.Neighbors
-			s.Forest.Blocks[i] = bd.Block
-		} else if bd, err = s.adopt(b, byRecord[b.Coord]); err != nil {
+			s.Forest.Blocks[i], s.Blocks[i] = bd.Block, bd
+		} else {
+			adopted = append(adopted, i)
+		}
+	}
+	errs := make([]error, len(adopted))
+	s.pool.run(len(adopted), func(_, k int) {
+		b := s.Forest.Blocks[adopted[k]]
+		s.Blocks[adopted[k]], errs[k] = s.adopt(b, byRecord[b.Coord])
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
-		byCoord[b.Coord] = bd
-		s.Blocks[i] = bd
+	}
+	for _, bd := range s.Blocks {
+		byCoord[bd.Block.Coord] = bd
 	}
 	s.byCoord = byCoord
 	return s.rebuildPlan()
 }
 
-// adopt builds block b as construction does and fills it with rec's
-// fields: the records are decoded whole-block and in the layout they were
-// stored in, and the copy crops to the block's rows and transposes.
-// (Never handed over: a buddy ring keeps its decoded replicas.)
+// adopt builds block b from its flags as construction does and fills it
+// with rec's fields: the records are decoded whole-block and in the layout
+// they were stored in, and the copy crops to the block's rows and
+// transposes. (Never handed over: a buddy ring keeps its decoded
+// replicas.)
 func (s *Simulation) adopt(b *blockforest.Block, rec output.LeafSnapshot) (*BlockData, error) {
 	if err := checkRecord(rec, b); err != nil {
 		return nil, err
 	}
-	bd, err := s.newBlockData(b)
+	bd, err := s.AssembleBlock(b, s.setupFlags(b), nil, nil)
 	if err != nil {
 		return nil, err
 	}

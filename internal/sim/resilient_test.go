@@ -352,8 +352,9 @@ func TestWriteCheckpointSetAtomicAndIdempotent(t *testing.T) {
 // TestCheckpointSetBytesAreTheCodecs pins the on-wire bytes of a uniform
 // generation, which only this package can reach (the on-disk bytes of
 // both runtimes are pinned by the table of the same name in internal/amr):
-// a replica payload is exactly the rank file of the set — output.
-// WriteLeafFile of the blocks as level-0 leaves of their roots.
+// a replica payload (the rank file of the world's records, appended in
+// memory) is exactly the rank file of the set — the WBK2 encoding of the
+// blocks as level-0 leaves of their roots.
 func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 	dir := t.TempDir()
 	comm.Run(2, func(c *comm.Comm) {
@@ -376,17 +377,14 @@ func TestCheckpointSetBytesAreTheCodecs(t *testing.T) {
 		for i, bd := range s.Blocks {
 			recs[i] = output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
 		}
-		var want bytes.Buffer
-		if _, _, err := output.WriteLeafFile(&want, recs); err != nil {
-			t.Error(err)
-			return
-		}
-		var payload bytes.Buffer
-		if _, _, err := (world{s}).Encode(&payload); err != nil || !bytes.Equal(payload.Bytes(), want.Bytes()) {
-			t.Errorf("rank %d: replica payload differs from output.WriteLeafFile (%d vs %d bytes, err %v)", c.Rank(), payload.Len(), want.Len(), err)
+		want := output.AppendLeafFile(nil, recs)
+		own, _ := world{s}.Records()
+		payload := output.AppendLeafFile(nil, own)
+		if !bytes.Equal(payload, want) {
+			t.Errorf("rank %d: replica payload differs from the WBK2 encoding of the blocks (%d vs %d bytes)", c.Rank(), len(payload), len(want))
 		}
 		got, err := os.ReadFile(filepath.Join(dir, output.SetDirName(3), output.RankFileName(c.Rank())))
-		if err != nil || !bytes.Equal(got, payload.Bytes()) {
+		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("rank %d: replica payload differs from the set's rank file (err %v)", c.Rank(), err)
 		}
 	})

@@ -449,10 +449,11 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		c.SetNetTelemetry(lane, cfg.Metrics)
 	}
 	for _, b := range forest.Blocks {
-		bd, err := s.newBlockData(b)
+		bd, err := s.AssembleBlock(b, s.setupFlags(b), nil, nil)
 		if err != nil {
 			return nil, err
 		}
+		s.applyInitialState(bd)
 		s.Blocks = append(s.Blocks, bd)
 		s.byCoord[b.Coord] = bd
 	}
@@ -481,20 +482,16 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 	return s, nil
 }
 
-func (s *Simulation) newBlockData(b *blockforest.Block) (*BlockData, error) {
-	cells := b.Cells
-	flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
+// setupFlags builds the flag field of block b: Config.SetupFlags, else
+// defaultFlags — a pure function of the block and its neighbourhood.
+func (s *Simulation) setupFlags(b *blockforest.Block) *field.FlagField {
+	flags := field.NewFlagField(b.Cells[0], b.Cells[1], b.Cells[2], 1)
 	if s.Config.SetupFlags != nil {
 		s.Config.SetupFlags(b, s.Forest, flags)
 	} else {
 		defaultFlags(b, s.Forest, flags)
 	}
-	bd, err := s.AssembleBlock(b, flags, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.applyInitialState(bd)
-	return bd, nil
+	return flags
 }
 
 // AssembleBlock builds the runtime state of a block from its flag field:

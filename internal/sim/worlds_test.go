@@ -618,14 +618,20 @@ func builtStates(s *sim.Simulation, mu *sync.Mutex, into map[[3]int]builtState) 
 // owners) that sim.New builds for that block when the forest assigns it
 // there from the start. Two worlds: the smoke tree, whose flags come from
 // its signed distance function on a sparse forest with missing neighbors,
-// and the cavity, whose flags read neighbor existence.
+// and the cavity, whose flags read neighbor existence; the tree once more
+// on two workers, which build the adopted blocks in parallel.
 func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
-	worlds := []struct{ name, doc string }{
-		{"tree", treeDoc(2, 0.05, 3)},
-		{"cavity", fmt.Sprintf(cavityDoc, 8, 8, 8, 3)},
+	worlds := []struct {
+		name, doc string
+		workers   int
+	}{
+		{"tree", treeDoc(2, 0.05, 3), 1},
+		{"cavity", fmt.Sprintf(cavityDoc, 8, 8, 8, 3), 1},
+		{"tree on 2 workers", treeDoc(2, 0.05, 3), 2},
 	}
 	for _, w := range worlds {
 		p := problemFor(t, w.doc)
+		p.Workers = w.workers
 		forest, err := p.BuildForest()
 		if err != nil {
 			t.Fatal(err)
