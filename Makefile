@@ -98,10 +98,13 @@ alloc-test:
 # on row storage), the AVX2 split rows against the Go rows (bit for bit;
 # skipped on CPUs without AVX2),
 # the D3Q19 moment/equilibrium fast path against the generic stencil
-# loops (bit for bit on finite input), the 2:1 grading, and the pruned
+# loops (bit for bit on finite input), the 2:1 grading, the pruned
 # signed-distance queries against the unpruned searches (the plane-bound
 # nearest-triangle walk and the nearest-component-first union: same
-# triangle, bits, feature and color).
+# triangle, bits, feature and color), and the boundary hull of a random
+# colored tube against the scan that searches every hull cell's color
+# (the fluid-driven dilation with its wall-color early-out: the same
+# flags, bit for bit).
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadLeafFile -fuzztime 5s ./internal/output/
@@ -116,6 +119,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzLoadForest -fuzztime 5s ./internal/blockforest/
 	$(GO) test -run '^Fuzz' -fuzz FuzzNearest -fuzztime 5s ./internal/distance/
 	$(GO) test -run '^Fuzz' -fuzz FuzzUnionSignedColor -fuzztime 5s ./internal/distance/
+	$(GO) test -run '^Fuzz' -fuzz FuzzDilateBoundary -fuzztime 5s ./internal/geometry/
 
 # chaos-smoke runs the deterministic multi-layer chaos soak three times
 # uncached under the race detector, once per transport from one seeded

@@ -369,10 +369,10 @@ func printRecovery(stdout io.Writer, r sim.RecoveryStats) {
 	fmt.Fprintf(stdout, "resilience: failures=%d restores=%d replayed=%d steps checkpoints=%d (%d bytes on rank 0) lost=%v\n",
 		r.FailuresDetected, r.Restores, r.StepsReplayed,
 		r.CheckpointsWritten, r.CheckpointBytes, r.TimeLost)
-	if r.Replications > 0 || r.Shrinks > 0 {
-		fmt.Fprintf(stdout, "buddy: replications=%d (%d bytes on rank 0) buddy-restores=%d disk-restores=%d shrinks=%d adopted=%d blocks recovery-disk-reads=%d\n",
+	if r.Replications > 0 || r.Shrinks > 0 || r.Heals > 0 {
+		fmt.Fprintf(stdout, "buddy: replications=%d (%d bytes on rank 0) buddy-restores=%d disk-restores=%d shrinks=%d heals=%d adopted=%d blocks recovery-disk-reads=%d\n",
 			r.Replications, r.ReplicaBytes, r.BuddyRestores, r.DiskRestores,
-			r.Shrinks, r.BlocksAdopted, r.DiskReadsDuringRecovery)
+			r.Shrinks, r.Heals, r.BlocksAdopted, r.DiskReadsDuringRecovery)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"walberla/internal/output"
 	"walberla/internal/setup"
+	"walberla/internal/sim"
 	"walberla/internal/vascular"
 )
 
@@ -277,5 +278,20 @@ func TestBlocksFileAndCheckpointSets(t *testing.T) {
 	wbf.Close()
 	if fromFile := hash("-tree -ranks 2 -steps 20 -blocks " + wbf.Name()); fromFile != whole {
 		t.Errorf("-blocks run hash %s, on-the-fly forest %s", fromFile, whole)
+	}
+}
+
+// TestPrintRecovery: a healed run says so on the buddy line, and a run
+// whose driver did nothing prints nothing.
+func TestPrintRecovery(t *testing.T) {
+	var out bytes.Buffer
+	printRecovery(&out, sim.RecoveryStats{})
+	if out.Len() != 0 {
+		t.Errorf("a plain run printed %q", out.String())
+	}
+	printRecovery(&out, sim.RecoveryStats{FailuresDetected: 1, Heals: 1, BlocksAdopted: 2})
+	buddy := regexp.MustCompile(`(?m)^buddy: .* shrinks=0 heals=1 adopted=2 blocks `)
+	if !buddy.MatchString(out.String()) {
+		t.Errorf("a healed run printed %q, want a line matching %s", out.String(), buddy)
 	}
 }

@@ -94,6 +94,8 @@ func (r refField) ClosestTriangleColor(p [3]float64) mesh.Color {
 
 func (r refField) Bounds() blockforest.AABB { return r.f.Bounds() }
 
+func (r refField) ColoredBoxes() []blockforest.AABB { return r.f.ColoredBoxes() }
+
 // refUnion answers a Union's queries by the index-order scan over
 // reference components.
 type refUnion struct{ u *Union }
@@ -154,6 +156,8 @@ func (r refUnion) ClosestTriangleColor(p [3]float64) mesh.Color {
 }
 
 func (r refUnion) Bounds() blockforest.AABB { return r.u.Bounds() }
+
+func (r refUnion) ColoredBoxes() []blockforest.AABB { return r.u.ColoredBoxes() }
 
 // referenceSDF returns s with every query answered by the unpruned
 // searches; Fields and Unions (of Fields and Unions) are rewritten, any

@@ -3,6 +3,7 @@ package distance
 import (
 	"math"
 
+	"walberla/internal/blockforest"
 	"walberla/internal/mesh"
 )
 
@@ -15,6 +16,9 @@ type Field struct {
 
 	tree *Octree
 	pn   *Pseudonormals
+	// colored holds the bounding box of every triangle whose color is
+	// not ColorWall; see SDF.ColoredBoxes.
+	colored []blockforest.AABB
 }
 
 // NewField builds the signed distance field of a mesh. The mesh must be
@@ -24,7 +28,13 @@ func NewField(m *mesh.Mesh) (*Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Field{Mesh: m, tree: NewOctree(m), pn: pn}, nil
+	f := &Field{Mesh: m, tree: NewOctree(m), pn: pn}
+	for t := range m.TriangleCount() {
+		if m.TriangleColor(t) != mesh.ColorWall {
+			f.colored = append(f.colored, f.tree.triBounds(int32(t)))
+		}
+	}
+	return f, nil
 }
 
 // Nearest returns the closest triangle t̂(p) and the closest surface point.

@@ -20,10 +20,18 @@ type SDF interface {
 	ClosestTriangleColor(p [3]float64) mesh.Color
 	// Bounds returns an axis-aligned bounding box of the domain.
 	Bounds() blockforest.AABB
+	// ColoredBoxes returns the bounding boxes of the surface triangles
+	// whose color is not ColorWall. ClosestTriangleColor(p) is the color
+	// of a triangle |phi(p)| away from p, so it is ColorWall unless one of
+	// these boxes lies within |phi(p)| of p.
+	ColoredBoxes() []blockforest.AABB
 }
 
 // Bounds implements SDF for Field.
 func (f *Field) Bounds() blockforest.AABB { return f.Mesh.Bounds() }
+
+// ColoredBoxes implements SDF for Field.
+func (f *Field) ColoredBoxes() []blockforest.AABB { return f.colored }
 
 var _ SDF = (*Field)(nil)
 var _ SDF = (*Union)(nil)
@@ -53,6 +61,7 @@ type Union struct {
 	components []SDF
 	boxes      []blockforest.AABB
 	bounds     blockforest.AABB
+	colored    []blockforest.AABB
 }
 
 // NewUnion combines the given domains; at least one is required.
@@ -64,6 +73,7 @@ func NewUnion(components ...SDF) *Union {
 	u.boxes = make([]blockforest.AABB, len(components))
 	for i, c := range components {
 		u.boxes[i] = c.Bounds()
+		u.colored = append(u.colored, c.ColoredBoxes()...)
 	}
 	u.bounds = u.boxes[0]
 	for _, b := range u.boxes[1:] {
@@ -77,6 +87,9 @@ func NewUnion(components ...SDF) *Union {
 
 // Bounds implements SDF.
 func (u *Union) Bounds() blockforest.AABB { return u.bounds }
+
+// ColoredBoxes implements SDF: those of every component.
+func (u *Union) ColoredBoxes() []blockforest.AABB { return u.colored }
 
 // Signed implements SDF.
 func (u *Union) Signed(p [3]float64) float64 {

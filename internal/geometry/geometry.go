@@ -4,6 +4,21 @@
 // voxelizing blocks against the signed distance function, computing the
 // boundary hull of the fluid cells with a morphological dilation w.r.t.
 // the LBM stencil, and assigning boundary conditions from surface colors.
+//
+// Most hull cells need no color search. A hull cell p is Outside and is
+// marked from a Fluid cell q = p + c_a, so the segment from p to q crosses
+// the surface, and the triangle whose color p takes — the nearest one, or
+// for a union the nearest one of the component realizing the minimum,
+// which is no farther than the surface of any component q lies in — is at
+// most |c_a·dx| from p. A triangle whose bounding box is farther from p
+// than that can neither be the nearest nor tie with it. So when every box
+// of distance.SDF.ColoredBoxes (the non-wall triangles) is that far, the
+// color is ColorWall and DilateBoundary does not search. The comparison
+// carries a relative margin and an absolute one in units of the block's
+// coordinate magnitude, far above the rounding of the cell centers, the
+// inside test and the computed distances, so the hull is bit-identical to
+// searching at every hull cell. On the synthetic coronary tree only the
+// root inlet and the leaf outlets are colored, and few hull cells search.
 package geometry
 
 import (
@@ -263,6 +278,11 @@ func BoundaryTypeFromColor(c mesh.Color) field.CellType {
 // reachable from a fluid cell along a stencil direction becomes a boundary
 // cell whose condition is taken from the color of the closest surface
 // triangle. Returns the number of boundary cells created.
+//
+// The walk starts from the fluid cells, the few of a sparse block. An
+// Outside cell p marked from the fluid cell p + c_a asks for the nearest
+// color only if a colored triangle's box lies within |c_a·dx| of p
+// (see the package comment); otherwise that color is ColorWall.
 func DilateBoundary(sdf distance.SDF, block blockforest.AABB, flags *field.FlagField, s *lattice.Stencil) int {
 	g := flags.Ghost
 	dx := [3]float64{
@@ -270,35 +290,76 @@ func DilateBoundary(sdf distance.SDF, block blockforest.AABB, flags *field.FlagF
 		(block.Max[1] - block.Min[1]) / float64(flags.Ny),
 		(block.Max[2] - block.Min[2]) / float64(flags.Nz),
 	}
+	lo, hi := [3]int{-g, -g, -g}, [3]int{flags.Nx + g, flags.Ny + g, flags.Nz + g}
+	// reach[a] is |c_a·dx| widened by the rounding margins; near keeps the
+	// colored boxes within the largest reach of some cell center.
+	centers := centerRegion(block, dx, lo, hi)
+	var scale float64
+	for d := 0; d < 3; d++ {
+		scale = max(scale, math.Abs(centers.Min[d]), math.Abs(centers.Max[d]))
+	}
+	reach := make([]float64, s.Q)
+	var far float64
+	for a := range reach {
+		cx, cy, cz := float64(s.Cx[a])*dx[0], float64(s.Cy[a])*dx[1], float64(s.Cz[a])*dx[2]
+		r := math.Sqrt(cx*cx+cy*cy+cz*cz)*(1+reachRelMargin) + reachAbsMargin*scale
+		reach[a], far = r*r, max(far, r*r)
+	}
+	var near []blockforest.AABB
+	for _, b := range sdf.ColoredBoxes() {
+		if gapSq(centers, b) <= far {
+			near = append(near, b)
+		}
+	}
 	created := 0
-	for z := -g; z < flags.Nz+g; z++ {
-		for y := -g; y < flags.Ny+g; y++ {
-			for x := -g; x < flags.Nx+g; x++ {
-				if flags.Get(x, y, z) != field.Outside {
+	for z := lo[2]; z < hi[2]; z++ {
+		for y := lo[1]; y < hi[1]; y++ {
+			for x := lo[0]; x < hi[0]; x++ {
+				if flags.Get(x, y, z) != field.Fluid {
 					continue
 				}
-				adjacent := false
-				for a := 0; a < s.Q && !adjacent; a++ {
-					cx, cy, cz := s.Cx[a], s.Cy[a], s.Cz[a]
-					if cx == 0 && cy == 0 && cz == 0 {
+				for a := 0; a < s.Q; a++ {
+					px, py, pz := x-s.Cx[a], y-s.Cy[a], z-s.Cz[a]
+					if px < lo[0] || px >= hi[0] || py < lo[1] || py >= hi[1] || pz < lo[2] || pz >= hi[2] ||
+						flags.Get(px, py, pz) != field.Outside {
 						continue
 					}
-					nx, ny, nz := x+cx, y+cy, z+cz
-					if nx < -g || nx >= flags.Nx+g || ny < -g || ny >= flags.Ny+g || nz < -g || nz >= flags.Nz+g {
-						continue
+					p := cellCenter(block, dx, px, py, pz)
+					color := mesh.ColorWall
+					for _, b := range near {
+						if gapSq(blockforest.AABB{Min: p, Max: p}, b) <= reach[a] {
+							color = sdf.ClosestTriangleColor(p)
+							break
+						}
 					}
-					if flags.Get(nx, ny, nz) == field.Fluid {
-						adjacent = true
-					}
+					flags.Set(px, py, pz, BoundaryTypeFromColor(color))
+					created++
 				}
-				if !adjacent {
-					continue
-				}
-				color := sdf.ClosestTriangleColor(cellCenter(block, dx, x, y, z))
-				flags.Set(x, y, z, BoundaryTypeFromColor(color))
-				created++
 			}
 		}
 	}
 	return created
+}
+
+// Margins of the wall-color early-out (see the package comment): relative
+// to the reach, and absolute in units of the block's largest coordinate
+// magnitude. Each is millions of roundoffs (2^-53).
+const (
+	reachRelMargin = 1e-9
+	reachAbsMargin = 1e-9
+)
+
+// gapSq returns the squared distance between two boxes, zero if they
+// overlap. It does not decrease when a is shrunk, so a box farther from
+// a block's cell-center box than r is farther than r from every center.
+func gapSq(a, b blockforest.AABB) float64 {
+	var d float64
+	for i := 0; i < 3; i++ {
+		if v := b.Min[i] - a.Max[i]; v > 0 {
+			d += v * v
+		} else if v := a.Min[i] - b.Max[i]; v > 0 {
+			d += v * v
+		}
+	}
+	return d
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"walberla/internal/blockforest"
-	"walberla/internal/comm"
 	"walberla/internal/distance"
 	"walberla/internal/field"
 	"walberla/internal/lattice"
@@ -246,40 +245,6 @@ func TestBoundaryTypeFromColor(t *testing.T) {
 	}
 }
 
-// Parallel classification must keep exactly the blocks the serial test
-// keeps, for any rank count.
-func TestClassifyBlocksParallel(t *testing.T) {
-	sdf := sphereSDF(t, [3]float64{0.5, 0.5, 0.5}, 0.3)
-	for _, ranks := range []int{1, 3, 8} {
-		f := blockforest.NewSetupForest(
-			blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
-			[3]int{4, 4, 4}, [3]int{8, 8, 8}, [3]bool{})
-		// Serial truth.
-		truth := map[[3]int]bool{}
-		for _, b := range f.Blocks() {
-			if BlockIntersectsDomain(sdf, b.AABB, f.CellsPerBlock) {
-				truth[b.Coord] = true
-			}
-		}
-		comm.Run(ranks, func(c *comm.Comm) {
-			keep := ClassifyBlocksParallel(c, sdf, f, 42)
-			if len(keep) != len(truth) {
-				t.Errorf("ranks=%d rank=%d: kept %d blocks, want %d", ranks, c.Rank(), len(keep), len(truth))
-				return
-			}
-			for coord := range truth {
-				if !keep[coord] {
-					t.Errorf("ranks=%d: block %v missing", ranks, coord)
-				}
-			}
-		})
-		removed := ApplyClassification(f, truth)
-		if f.NumBlocks() != len(truth) {
-			t.Errorf("ApplyClassification left %d blocks, want %d (removed %d)", f.NumBlocks(), len(truth), removed)
-		}
-	}
-}
-
 // A sparse geometry must discard most blocks — the premise of the paper's
 // block-based approach to vascular geometries.
 func TestSparseGeometryDiscardsBlocks(t *testing.T) {
@@ -287,13 +252,7 @@ func TestSparseGeometryDiscardsBlocks(t *testing.T) {
 	f := blockforest.NewSetupForest(
 		blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1}),
 		[3]int{8, 8, 8}, [3]int{8, 8, 8}, [3]bool{})
-	truth := map[[3]int]bool{}
-	for _, b := range f.Blocks() {
-		if BlockIntersectsDomain(sdf, b.AABB, f.CellsPerBlock) {
-			truth[b.Coord] = true
-		}
-	}
-	ApplyClassification(f, truth)
+	f.Keep(func(b *blockforest.SetupBlock) bool { return BlockIntersectsDomain(sdf, b.AABB, f.CellsPerBlock) })
 	if f.NumBlocks() >= 128 {
 		t.Errorf("sphere of 1.5/8 radius kept %d of 512 blocks, expected far fewer", f.NumBlocks())
 	}

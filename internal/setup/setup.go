@@ -11,6 +11,7 @@ package setup
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -73,36 +74,35 @@ type Stats struct {
 	Dx              float64
 }
 
-// BuildForest runs the single-process version of the pipeline. Block
-// classification and workload counting — nearest-triangle searches, the
-// bulk of set-up on a complex geometry — are independent per block and run
-// on GOMAXPROCS goroutines; each writes only its own block's result, so the
-// forest and its balance are those of a serial pass. For the SPMD version
-// see BuildForestParallel.
+// BuildForest runs the single-process version of the pipeline. A block is
+// kept iff the center of one of its cells lies inside the domain, so one
+// pass counts every candidate's fluid cells — the nearest-triangle
+// searches that are the bulk of set-up on a complex geometry — and the
+// count both decides the block and becomes its workload. The counts are
+// independent per block and run on GOMAXPROCS goroutines; each writes only
+// its own block's entry, so the forest and its balance are those of a
+// serial pass. For the SPMD version see BuildForestParallel.
 func BuildForest(sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, error) {
 	grid, domain := GridForDx(sdf.Bounds(), opt.CellsPerBlock, opt.Dx)
 	f := blockforest.NewSetupForest(domain, grid, opt.CellsPerBlock, [3]bool{})
 	blocks := f.Blocks()
-	counts := make([]int64, len(blocks)) // fluid cells; -1 discards the block
+	counts := make([]int64, len(blocks))
 	forEach(len(blocks), func(i int) {
-		b := blocks[i]
-		if !geometry.BlockIntersectsDomain(sdf, b.AABB, opt.CellsPerBlock) {
-			counts[i] = -1
-			return
-		}
-		counts[i] = int64(geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock))
+		counts[i] = int64(geometry.CountInsideCells(sdf, blocks[i].AABB, opt.CellsPerBlock))
 	})
-	keep := make(map[[3]int]bool, len(blocks))
+	return keepCounted(f, blocks, counts, grid, opt)
+}
+
+// keepCounted weighs every block by its fluid cell count, discards those
+// without fluid (the paper: no block with zero fluid cells exists after
+// classification) and balances the rest.
+func keepCounted(f *blockforest.SetupForest, blocks []*blockforest.SetupBlock, counts []int64, grid [3]int, opt Options) (*blockforest.SetupForest, Stats, error) {
 	var fluid int64
 	for i, b := range blocks {
-		if counts[i] < 0 {
-			continue
-		}
-		keep[b.Coord] = true
 		b.Workload = float64(counts[i])
 		fluid += counts[i]
 	}
-	discarded := geometry.ApplyClassification(f, keep)
+	discarded := f.Keep(func(b *blockforest.SetupBlock) bool { return b.Workload > 0 })
 	if err := balance(f, opt); err != nil {
 		return nil, Stats{}, err
 	}
@@ -161,45 +161,35 @@ func statsFor(f *blockforest.SetupForest, grid [3]int, discarded int, fluid int6
 	return s
 }
 
-// BuildForestParallel runs the pipeline SPMD over a communicator: blocks
-// are randomly scattered for classification and workload counting, results
-// are gathered on all ranks, and the balancing runs redundantly but
-// deterministically. Every rank returns the identical forest.
+// BuildForestParallel runs the pipeline SPMD over a communicator: the
+// candidate blocks are randomly scattered among the ranks (avoiding the
+// load imbalance of the surface's spatial clustering), each rank counts
+// the fluid cells of its share, the nonzero counts are gathered on all
+// ranks, and the balancing runs redundantly but deterministically. Every
+// rank returns the identical forest, the one BuildForest builds.
 func BuildForestParallel(c *comm.Comm, sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, error) {
 	grid, domain := GridForDx(sdf.Bounds(), opt.CellsPerBlock, opt.Dx)
 	f := blockforest.NewSetupForest(domain, grid, opt.CellsPerBlock, [3]bool{})
-	before := f.NumBlocks()
-	keep := geometry.ClassifyBlocksParallel(c, sdf, f, opt.Seed)
-	discarded := before - len(keep)
-	geometry.ApplyClassification(f, keep)
-
-	// Parallel workload counting with the same scatter pattern: each rank
-	// counts its share, then the (index, count) pairs are allgathered.
 	blocks := f.Blocks()
+	// Deterministic random scatter, identical on every rank.
+	perm := rand.New(rand.NewSource(opt.Seed)).Perm(len(blocks))
 	var mine []int64 // interleaved index, count
 	for i, b := range blocks {
-		if i%c.Size() != c.Rank() {
+		if perm[i]%c.Size() != c.Rank() {
 			continue
 		}
-		n := geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock)
-		mine = append(mine, int64(i), int64(n))
-	}
-	gathered := c.Allgather(mine)
-	var fluid int64
-	for _, part := range gathered {
-		if part == nil {
-			continue
-		}
-		pairs := part.([]int64)
-		for i := 0; i < len(pairs); i += 2 {
-			blocks[pairs[i]].Workload = float64(pairs[i+1])
-			fluid += pairs[i+1]
+		if n := geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock); n > 0 {
+			mine = append(mine, int64(i), int64(n))
 		}
 	}
-	if err := balance(f, opt); err != nil {
-		return nil, Stats{}, err
+	counts := make([]int64, len(blocks))
+	for _, part := range c.Allgather(mine) {
+		pairs, _ := part.([]int64)
+		for i := 0; i+1 < len(pairs); i += 2 {
+			counts[pairs[i]] = pairs[i+1]
+		}
 	}
-	return f, statsFor(f, grid, discarded, fluid, opt.Dx), nil
+	return keepCounted(f, blocks, counts, grid, opt)
 }
 
 // FlagsFromSDF returns a simulation setup hook that voxelizes each block
