@@ -40,9 +40,12 @@ race-sim:
 # checkpoint-set protocol, buddy ring, restore vote), what the uniform and
 # the refined runtime supply to it (shrinking and healing recovery,
 # spare-rank rejoin, replication, checkpoint sets, rewind replay, and the
-# rebalance that shares recovery's install path), the recovery matrix over
-# both runtimes and the communicator's failure handling — the quick gate
-# while working on recovery code.
+# rebalance that shares recovery's install path and verdict), the
+# recovery matrix over both runtimes and the communicator's failure
+# handling — the quick gate while working on recovery code. A record
+# refused on one rank fails every rank alike, within a bounded wait
+# (TestRestoreRefusesWrongShapedRecord, on one and on two ranks, and
+# TestRebalanceRejectsAssignmentOnEveryRank).
 race-resilience:
 	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint|TestRebalance' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
 
@@ -71,7 +74,8 @@ race-serve:
 # (workers/ranks/layout/transport bit-identity), the runtime
 # refine/coarsen controller, migration, the grading invariants and the
 # AMR resilience tests (rewind replay, buddy shrink with zero disk reads,
-# a wrong-shaped record refused on restore). Refined heal onto a
+# a wrong-shaped record refused on restore — on two ranks a record
+# refused on one rank fails every rank alike). Refined heal onto a
 # recruited spare, in process and over unix sockets, is in
 # TestRecoveryMatrix (race-resilience, race-serve).
 race-amr:

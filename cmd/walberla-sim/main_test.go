@@ -102,7 +102,8 @@ func fieldHash(t *testing.T, args string) string {
 // TestCheckpointSetsAcrossRecovery: the final set is named after the step
 // its fields are at, also when recovery fell back to the initial state; a
 // set written after the block ownership changed (a rebalance, a shrink)
-// resumes on the fresh distribution; a resumed fault-tolerant run is
+// resumes with its records where the set put them; a resumed
+// fault-tolerant run is
 // protected from its first step, and its recruited spare runs to the
 // resumed end step.
 func TestCheckpointSetsAcrossRecovery(t *testing.T) {

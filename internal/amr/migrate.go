@@ -1,19 +1,20 @@
 package amr
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"walberla/internal/blockforest"
-	"walberla/internal/comm"
 	"walberla/internal/output"
 	"walberla/internal/telemetry"
 )
 
 // Block migration. Every re-grade maps the old forest onto the new one
-// with three payload kinds, each shipped in the layout-independent WBK2
-// leaf stream (one aggregated message per destination rank):
+// with three payload kinds, each a WBK2 record shipped the one way
+// records change hands at run time (the data plane's Ship, which the
+// uniform Rebalance uses too: one rank file per destination rank, sent
+// only to and received only from the ranks of the movement table):
 //
 //   - kept leaves move (or stay) as-is;
 //   - a split leaf is prolonged into its eight children at the source —
@@ -37,9 +38,6 @@ import (
 // Config.Flags function. Because every rank derives the same movement
 // table from the replicated metadata, no negotiation precedes the
 // point-to-point payload exchange.
-
-// tagMigrate carries WBK2 migration payloads between re-grades.
-const tagMigrate = 1<<28 + 64
 
 // payload describes one WBK2 record's journey for one re-grade.
 type payload struct {
@@ -101,8 +99,8 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		merges++
 	}
 	moved := 0
-	sendTo := map[int][]payload{}
-	recvFrom := map[int]bool{}
+	out := map[int][]output.LeafSnapshot{}
+	var from []int // ranks that send here, ascending
 	incoming := make(map[blockforest.BlockID]output.LeafSnapshot)
 	for _, m := range moves {
 		if m.kind == payloadSplitInit {
@@ -112,64 +110,27 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			moved++
 		}
 		switch {
-		case m.src == me && m.dst != me:
-			sendTo[m.dst] = append(sendTo[m.dst], m)
-		case m.dst == me && m.src != me:
-			recvFrom[m.src] = true
-		case m.src == me && m.kind != payloadKeep: // a kept leaf that stays is its block
+		case m.src == me && (m.dst != me || m.kind != payloadKeep): // a kept leaf that stays is its block
 			sn, err := s.buildPayload(m, graded)
 			if err != nil {
 				return err
 			}
-			incoming[m.id] = sn
-		}
-	}
-
-	// Post receives first, then ship one aggregated WBK2 blob per
-	// destination; ranks are walked in a fixed order.
-	reqs := map[int]*comm.RecvRequest{}
-	for r := 0; r < s.Comm.Size(); r++ {
-		if recvFrom[r] {
-			reqs[r] = s.Comm.Irecv(r, tagMigrate)
-		}
-	}
-	for r := 0; r < s.Comm.Size(); r++ {
-		ms, ok := sendTo[r]
-		if !ok {
-			continue
-		}
-		snaps := make([]output.LeafSnapshot, len(ms))
-		for i, m := range ms {
-			sn, err := s.buildPayload(m, graded)
-			if err != nil {
-				return err
+			if m.dst != me {
+				out[m.dst] = append(out[m.dst], sn)
+			} else {
+				incoming[m.id] = sn
 			}
-			snaps[i] = sn
-		}
-		if err := s.Comm.SendErr(r, tagMigrate, output.AppendLeafFile(nil, snaps)); err != nil {
-			return fmt.Errorf("amr: migration send to rank %d: %w", r, err)
+		case m.dst == me && m.src != me && !slices.Contains(from, m.src):
+			from = append(from, m.src)
 		}
 	}
-	for r := 0; r < s.Comm.Size(); r++ {
-		rp, ok := reqs[r]
-		if !ok {
-			continue
-		}
-		data, _, err := rp.Wait()
-		if err != nil {
-			return fmt.Errorf("amr: migration recv from rank %d: %w", r, err)
-		}
-		raw, ok := data.([]byte)
-		if !ok {
-			return fmt.Errorf("amr: migration recv from rank %d: unexpected %T", r, data)
-		}
-		snaps, _, err := output.ReadLeafFile(bytes.NewReader(raw), s.cfg.Stencil)
-		if err != nil {
-			return fmt.Errorf("amr: decoding migration payload from rank %d: %w", r, err)
-		}
-		for _, sn := range snaps {
-			incoming[snapID(sn)] = sn
-		}
+	slices.Sort(from)
+	got, err := s.plane.Ship(out, from)
+	if err != nil {
+		return fmt.Errorf("amr: migration: %w", err)
+	}
+	for _, sn := range got {
+		incoming[snapID(sn)] = sn
 	}
 
 	// Assemble the new local block set around the payloads.

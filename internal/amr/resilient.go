@@ -6,23 +6,25 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/field"
 	"walberla/internal/lattice"
 	"walberla/internal/output"
 	"walberla/internal/resilience"
+	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
 
 // Resilient execution for refined worlds. The failure loop, the
-// checkpoint-set protocol, the buddy ring, the restore vote and the rank-
-// file codec are internal/resilience's; this file supplies the three
-// things a generation of a refined world consists of (the resilience.World
-// methods of type world): Records — the owned leaves as WBK2 records,
-// which carry the full leaf identity (tree, octree path, level,
-// coordinates) alongside both PDF fields; blocksFromSnapshots — runtime
-// blocks back from such records, assembled from the pure config function,
-// so a record is self-contained; and installRestored — the forest of the
-// restored step rebuilt from the restored leaves themselves, so re-grades
+// checkpoint-set protocol, the buddy ring, the restore vote, the rank-
+// file codec and the reading of a set's files are internal/resilience's;
+// this file supplies what a generation of a refined world consists of
+// (the resilience.World methods of type world): Records — the owned
+// leaves as WBK2 records, which carry the full leaf identity (tree,
+// octree path, level, coordinates) alongside both PDF fields; and Install
+// — one record list (this rank's own leaves, then the wards' it adopts),
+// checked and agreed on by every rank (resilience.Agree) before any is
+// copied, built into runtime blocks from the pure config function, so a
+// record is self-contained, and the forest of the restored step rebuilt
+// from the restored leaves themselves (installRestored), so re-grades
 // between the checkpoint and the failure are undone together with the
 // field state. Because stepping, the refinement controller and the
 // balancer are all deterministic, a recovered run — rewound, shrunk or
@@ -47,8 +49,8 @@ func (s *Sim) RestoreLatestCheckpointSet(dir string) (int64, error) {
 }
 
 // RunResilient advances the simulation to the given coarse step under the
-// fault-tolerant driver. Under resilience.Shrink a rank that failed
-// permanently returns resilience.ErrRetired.
+// fault-tolerant driver. Under resilience.Shrink and resilience.Heal a
+// rank that failed permanently returns resilience.ErrRetired.
 func (s *Sim) RunResilient(steps int, rc resilience.Config) (resilience.Stats, error) {
 	return s.RunResilientCtx(context.Background(), steps, rc)
 }
@@ -107,59 +109,40 @@ func (w world) Records() (resilience.State, *lattice.Stencil) {
 	return snaps, w.cfg.Stencil
 }
 
-// Own takes this rank's file as is: Install replaces the topology.
-func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.State, error) {
-	return read(w.Comm().Rank())
-}
-
 func (w world) Reset() error {
 	w.step = 0
 	return w.buildInitialForest()
 }
 
-// Install rebuilds this rank's blocks from its own restored state plus the
-// adopted wards and commits them on c; the leaf-descriptor allgather of
-// installRestored rebuilds the forest with c's ranks, so no old→new
-// renumbering pass is needed.
-func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []resilience.State) (int, error) {
+// Install checks that every record is shaped like a leaf, agrees on the
+// verdict over c, and then builds this rank's blocks from the records —
+// assembled like every leaf from the pure config function, filled with a
+// copy of the records whatever layout they were stored in (a buddy ring
+// keeps its decoded replicas) — and the forest from every rank's
+// (installRestored), on c: no old→new renumbering pass is needed.
+func (w world) Install(c *comm.Comm, step int, recs resilience.State) error {
 	s := w.Sim
-	var blocks []*Block
-	kept := 0
-	for i, snaps := range append([]resilience.State{own}, wards...) {
-		if err := s.blocksFromSnapshots(&blocks, snaps); err != nil {
-			return 0, err
-		}
-		if i == 0 {
-			kept = len(blocks)
+	var err error
+	for _, sn := range recs {
+		if err = sim.CheckShape(sn, s.cfg.Cells); err != nil {
+			break
 		}
 	}
-	s.Comm, s.plane.Comm = c, c
-	return len(blocks) - kept, s.installRestored(blocks, step)
-}
-
-// blocksFromSnapshots appends to blocks the runtime blocks of decoded
-// WBK2 records, assembled like every leaf from the pure config function
-// and filled with a copy of the records, whatever layout they were stored
-// in (a buddy ring keeps its decoded replicas). A record shaped unlike a
-// leaf is refused before any is copied. installRestored assigns the owner.
-func (s *Sim) blocksFromSnapshots(blocks *[]*Block, snaps []output.LeafSnapshot) error {
-	for _, sn := range snaps {
-		for _, f := range [2]*field.PDFField{sn.Src, sn.Dst} {
-			if [3]int{f.Nx, f.Ny, f.Nz} != s.cfg.Cells {
-				return fmt.Errorf("amr: snapshot leaf %d/%d shape mismatch", sn.Tree, sn.Path)
-			}
-		}
+	if err := resilience.Agree(c, err); err != nil {
+		return err
 	}
-	for _, sn := range snaps {
+	blocks := make([]*Block, len(recs))
+	for i, sn := range recs {
 		b, err := s.newBlock(leafFrom(blockforest.Leaf{ID: snapID(sn), Coord: sn.Coord}), nil, nil)
 		if err != nil {
 			return err
 		}
 		b.Src.CopyFrom(sn.Src)
 		b.Dst.CopyFrom(sn.Dst)
-		*blocks = append(*blocks, b)
+		blocks[i] = b
 	}
-	return nil
+	s.Comm, s.plane.Comm = c, c
+	return s.installRestored(blocks, step)
 }
 
 // installRestored commits a restored local block set: the global forest

@@ -337,10 +337,12 @@ func uniformTwin(c *comm.Comm, cfg Config) (*sim.Simulation, error) {
 }
 
 // TestRestoreRefusesWrongShapedRecord: a committed checkpoint set whose
-// rank file holds a record shaped unlike the block it would fill (one
+// rank 0 file holds a record shaped unlike the block it would fill (one
 // record cropped to half its width, the manifest entry rewritten so the
 // set validates) makes RestoreLatestCheckpointSet of either runtime
-// return an error — no panic, and no block takes the set's state.
+// return an error on every rank, within a bounded wait — rank 0's naming
+// the shape mismatch — with no panic, and no block anywhere takes the
+// set's state.
 func TestRestoreRefusesWrongShapedRecord(t *testing.T) {
 	cfg := baseConfig(1, field.SoA)
 	type runtime interface {
@@ -348,7 +350,7 @@ func TestRestoreRefusesWrongShapedRecord(t *testing.T) {
 		RestoreLatestCheckpointSet(dir string) (int64, error)
 		FieldHash() (uint64, error)
 	}
-	for _, tc := range []struct {
+	runtimes := []struct {
 		name string
 		// build returns the runtime on c and a function stepping it.
 		build func(c *comm.Comm) (runtime, func(int) error, error)
@@ -361,38 +363,57 @@ func TestRestoreRefusesWrongShapedRecord(t *testing.T) {
 			s, err := New(c, cfg)
 			return s, func(n int) error { return s.Run(n) }, err
 		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			setDir := filepath.Join(dir, output.SetDirName(2))
-			comm.Run(1, func(c *comm.Comm) {
-				rt, run, err := tc.build(c)
-				if err == nil {
-					err = run(2)
-				}
-				if err == nil {
-					_, err = rt.WriteCheckpointSet(dir, 2)
-				}
-				if err == nil {
-					err = cropFirstRecord(setDir)
-				}
-				if err == nil {
-					err = run(1)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				before, _ := rt.FieldHash()
-				step, err := rt.RestoreLatestCheckpointSet(dir)
-				if err == nil || !strings.Contains(err.Error(), "shape mismatch") {
-					t.Errorf("restore = step %d, %v; want the shape mismatch refused", step, err)
-				}
-				if after, _ := rt.FieldHash(); after != before {
-					t.Errorf("the refused restore changed the fields: hash %016x, was %016x", after, before)
+	}
+	for _, ranks := range []int{1, 2} {
+		for _, tc := range runtimes {
+			name := tc.name
+			if ranks > 1 {
+				name += "-2ranks"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				setDir := filepath.Join(dir, output.SetDirName(2))
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					comm.Run(ranks, func(c *comm.Comm) {
+						rt, run, err := tc.build(c)
+						if err == nil {
+							err = run(2)
+						}
+						if err == nil {
+							_, err = rt.WriteCheckpointSet(dir, 2)
+						}
+						if err == nil && c.Rank() == 0 {
+							err = cropFirstRecord(setDir)
+						}
+						if err == nil {
+							err = c.BarrierErr()
+						}
+						if err == nil {
+							err = run(1)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						before, _ := rt.FieldHash()
+						step, err := rt.RestoreLatestCheckpointSet(dir)
+						if err == nil || c.Rank() == 0 && !strings.Contains(err.Error(), "shape mismatch") {
+							t.Errorf("rank %d: restore = step %d, %v; want the shape mismatch refused", c.Rank(), step, err)
+						}
+						if after, _ := rt.FieldHash(); after != before {
+							t.Errorf("rank %d: the refused restore changed the fields: hash %016x, was %016x", c.Rank(), after, before)
+						}
+					})
+				}()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("a rank is still inside the refused restore after 30 s")
 				}
 			})
-		})
+		}
 	}
 }
 

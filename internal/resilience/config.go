@@ -91,8 +91,8 @@ type Config struct {
 
 // Validate normalizes the configuration in place (default failure budget
 // and backoff shape) and rejects unknown recovery modes and rewind
-// checkpointing without a directory to rewind from. Whether the World at
-// hand supports the mode is checked by NewDriver.
+// checkpointing without a directory to rewind from. Every World supports
+// every mode.
 func (c *Config) Validate() error {
 	if c.Mode != Rewind && c.Mode != Shrink && c.Mode != Heal {
 		return fmt.Errorf("resilience: unknown recovery mode %d", c.Mode)
@@ -151,8 +151,8 @@ type Stats struct {
 
 	// Replications counts the buddy-replica generations this rank
 	// produced; ReplicaBytes is what it put on the wire for them and for
-	// heal streams — the envelopes' bytes: rank-file payload, side-band
-	// metadata and header.
+	// heal streams — the envelopes' bytes: the rank-file payload and
+	// its 28-byte header.
 	Replications int
 	ReplicaBytes int64
 	// BuddyRestores counts recoveries satisfied entirely from in-memory
@@ -255,4 +255,26 @@ func guard(err *error) {
 // checkpoint set) vetoes it for all.
 func minOver(c *comm.Comm, v int64) (int64, error) {
 	return c.AllreduceInt64Err(v, comm.Min[int64])
+}
+
+// Agree is the one verdict of a collective change: each member of c
+// passes what its own check of the change found, and if any member
+// refuses, every member returns an error — its own, or one counting the
+// refusals — so no rank goes ahead. Checks come first and communicate
+// nothing; Agree is the one collective between them and the change.
+func Agree(c *comm.Comm, err error) error {
+	var refused int64
+	if err != nil {
+		refused = 1
+	}
+	n, cerr := c.AllreduceInt64Err(refused, comm.Sum[int64])
+	switch {
+	case cerr != nil:
+		return cerr
+	case err != nil:
+		return err
+	case n > 0:
+		return fmt.Errorf("resilience: refused by %d of %d ranks", n, c.Size())
+	}
+	return nil
 }

@@ -38,23 +38,17 @@ type World interface {
 	// the stencil their rank file decodes with. A record is
 	// self-contained: adopting it needs nothing else.
 	Records() (State, *lattice.Stencil)
-	// Own returns this rank's state from a committed checkpoint set; read
-	// decodes the set's file of one rank. A set it fails on is voted down.
-	// A runtime whose restore replaces the topology takes its own file as
-	// is; one whose blocks are fixed by the forest gathers them from any
-	// file, so a set written under another block ownership restores.
-	Own(read func(rank int) (State, error)) (State, error)
-
-	// Install commits one restored generation: own is this rank's state
-	// at step (nil on a recruited spare), wards the states of dead ranks
-	// this rank re-owns. c is the communicator to continue on. On a rewind
-	// it is the world's own and there are no wards: ownership is
-	// unchanged. After a shrink or heal c is new or there are wards, and
-	// the runtime rebuilds its topology from what every rank of c now
-	// owns. Collective over c. A record that cannot be a block of the
-	// world, such as one shaped unlike it, is an error. Returns how many
-	// blocks were adopted.
-	Install(c *comm.Comm, step int, own State, wards []State) (adopted int, err error)
+	// Install commits one restored generation: recs are the records of
+	// every block this rank owns at step — its own, then those of the dead
+	// ranks it re-owns (none on a rewind; only those on a recruited spare)
+	// — and each becomes a block where the records put it. c is the
+	// communicator to continue on: the world's own on a rewind, a new one
+	// after a shrink or heal. The runtime checks every record without
+	// communicating (one shaped unlike its block is an error), the ranks
+	// agree on the verdict (Agree) before any record is copied, and the
+	// runtime rebuilds its topology from what every rank of c now owns.
+	// Collective over c.
+	Install(c *comm.Comm, step int, recs State) error
 	// Reset rewinds to the initial state at step 0: the last rung, when
 	// no generation survives anywhere.
 	Reset() error
@@ -425,10 +419,7 @@ func (d *Driver) restore(c, nc *comm.Comm, mine []ward, phase telemetry.Phase) (
 		var load func(string) error
 		if c != nil {
 			load = func(setDir string) (err error) {
-				own, err = w.Own(func(rank int) (State, error) {
-					return d.readRankFile(setDir, rank, c.Size())
-				})
-				if err != nil {
+				if own, err = d.readRankFile(setDir, c.Rank(), c.Size()); err != nil {
 					return err
 				}
 				for i, wd := range mine {
@@ -485,11 +476,11 @@ func (d *Driver) restore(c, nc *comm.Comm, mine []ward, phase telemetry.Phase) (
 		adopt, d.to = []State{state}, env.To
 	}
 
-	adopted, err := w.Install(nc, step, own, adopt)
-	if err != nil {
+	recs := slices.Concat(append([]State{own}, adopt...)...)
+	if err := w.Install(nc, step, recs); err != nil {
 		return 0, err
 	}
-	d.Stats.BlocksAdopted += adopted
+	d.Stats.BlocksAdopted += len(recs) - len(own)
 	d.start = step
 	// This rank is ready to step again; what remains is waiting for the
 	// peers. RestoreLatency is the per-rank rendezvous-to-ready time, so it

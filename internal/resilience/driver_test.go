@@ -25,7 +25,7 @@ type counterWorld struct {
 	c *comm.Comm
 	n int
 
-	adopted     []int                     // ward states re-owned here
+	installed   []int                     // the counts of every record installed
 	failInstall func(*counterWorld) error // consulted once per Install
 }
 
@@ -38,7 +38,7 @@ func counterRecord(n int) State {
 }
 
 // count reads a count back from its record.
-func count(s State) int { return int(s[0].Src.Data()[0]) }
+func count(r output.LeafSnapshot) int { return int(r.Src.Data()[0]) }
 
 func (w *counterWorld) Comm() *comm.Comm { return w.c }
 
@@ -54,28 +54,20 @@ func (w *counterWorld) Telemetry() (*telemetry.Lane, *telemetry.Registry) { retu
 func (w *counterWorld) Records() (State, *lattice.Stencil)                { return counterRecord(w.n), lattice.D2Q9() }
 func (w *counterWorld) Reset() error                                      { w.n = 0; return nil }
 
-func (w *counterWorld) Own(read func(int) (State, error)) (State, error) {
-	return read(w.c.Rank())
-}
-
-func (w *counterWorld) Install(c *comm.Comm, _ int, own State, wards []State) (int, error) {
+// Install takes the count of its first record — its own, or on a
+// recruit its ward's — and keeps every record's count.
+func (w *counterWorld) Install(c *comm.Comm, _ int, recs State) error {
 	if f := w.failInstall; f != nil {
 		w.failInstall = nil
 		if err := f(w); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	w.c = c
-	for _, s := range wards {
-		w.adopted = append(w.adopted, count(s))
+	w.c, w.n = c, count(recs[0])
+	for _, r := range recs {
+		w.installed = append(w.installed, count(r))
 	}
-	switch {
-	case own != nil:
-		w.n = count(own)
-	case len(wards) == 1: // a recruit takes its ward's place
-		w.n = count(wards[0])
-	}
-	return len(wards), nil
+	return nil
 }
 
 // outcome is what one rank's driver run ended with.
@@ -193,9 +185,9 @@ func TestDriverRecovery(t *testing.T) {
 					t.Errorf("rank %d read the disk %d times on the memory rung", r, s.DiskReadsDuringRecovery)
 				}
 				adopted += s.BlocksAdopted
-				for _, a := range o.world.adopted {
+				for _, a := range o.world.installed {
 					if a != 4 {
-						t.Errorf("rank %d adopted state %d, want the step-4 generation", r, a)
+						t.Errorf("rank %d installed state %d, want the step-4 generation", r, a)
 					}
 				}
 			}
@@ -239,9 +231,9 @@ func TestDriverProtectsItsFirstStep(t *testing.T) {
 				if r < tc.active && o.stats.StepsReplayed != 1 {
 					t.Errorf("rank %d replayed %d steps, want 1 (from the first step)", r, o.stats.StepsReplayed)
 				}
-				for _, a := range o.world.adopted {
+				for _, a := range o.world.installed {
 					if a != from {
-						t.Errorf("rank %d adopted state %d, want the first step's %d", r, a, from)
+						t.Errorf("rank %d installed state %d, want the first step's %d", r, a, from)
 					}
 				}
 			}
@@ -361,4 +353,24 @@ func TestDriverInterruptedWrapsCause(t *testing.T) {
 	if err := Interrupted(context.Background()); err != ErrInterrupted {
 		t.Errorf("Interrupted without a cause = %v", err)
 	}
+}
+
+// TestDriverAgree: one member's refusal fails every member — the refuser
+// with its own error, the others with one counting the refusals — and no
+// refusal passes everywhere.
+func TestDriverAgree(t *testing.T) {
+	refusal := errors.New("record refused")
+	comm.Run(3, func(c *comm.Comm) {
+		if err := Agree(c, nil); err != nil {
+			t.Errorf("rank %d: no refusal, err = %v", c.Rank(), err)
+		}
+		var mine error
+		if c.Rank() == 1 {
+			mine = refusal
+		}
+		err := Agree(c, mine)
+		if want := "refused by 1 of 3 ranks"; c.Rank() == 1 && err != refusal || c.Rank() != 1 && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("rank %d: err = %v", c.Rank(), err)
+		}
+	})
 }

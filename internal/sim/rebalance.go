@@ -1,26 +1,25 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/output"
+	"walberla/internal/resilience"
 )
 
 // Dynamic load balancing — the extension the paper names as future work
 // ("This will also require dynamic load balancing"). Blocks migrate the
-// way recovery moves them: each destination gets one WBK2 rank file (both
-// PDF fields, dense-canonical, as a buddy replica) and nothing else, and
-// every rank then rebuilds its neighbourhoods from the allgathered
-// ownership and builds the blocks it gained (reown). Assignments cut the
-// Morton curve by static (fluid cells) or measured (compute time) loads.
-
-// tagMigrate carries a rank file: user tag space above any ghost-exchange
-// tag (which is bounded by numTrees * 27).
-const tagMigrate = 1 << 30
+// way every block changes hands: the ranks agree on the assignment
+// (resilience.Agree), each destination gets one WBK2 rank file of
+// records (both PDF fields, as a buddy replica) and nothing else (Ship,
+// which a refined world's migration uses too), and every rank then
+// installs the records it holds as recovery does (reown): it rebuilds its
+// neighbourhoods from the allgathered ownership and builds the blocks it
+// gained. Assignments cut the Morton curve by static (fluid cells) or
+// measured (compute time) loads.
 
 // Workloads returns this rank's per-block workloads: the measured kernel
 // compute time per block if available (after at least one timed step),
@@ -108,56 +107,32 @@ func (s *Simulation) RebalanceByWorkload(useMeasured bool) error {
 func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	me, ranks := s.Comm.Rank(), s.Comm.Size()
 	outgoing := make([][]*BlockData, ranks)
-	var verr error
+	var err error
 	for _, bd := range s.Blocks {
 		r, ok := assignment[bd.Block.Coord]
 		if !ok || r < 0 || r >= ranks {
-			verr = fmt.Errorf("sim: assignment gives local block %v no rank of %d", bd.Block.Coord, ranks)
+			err = fmt.Errorf("sim: assignment gives local block %v no rank of %d", bd.Block.Coord, ranks)
 			break
 		}
 		outgoing[r] = append(outgoing[r], bd)
 	}
-	var rejects int64
-	if verr != nil {
-		rejects = 1
+	if err := resilience.Agree(s.Comm, err); err != nil {
+		return err
 	}
-	rejects, err := s.Comm.AllreduceInt64Err(rejects, comm.Sum[int64])
-	switch {
-	case err != nil:
-		return fmt.Errorf("sim: rebalance verdict: %w", err)
-	case verr != nil:
-		return verr
-	case rejects > 0:
-		return fmt.Errorf("sim: rebalance assignment rejected by %d of %d ranks", rejects, ranks)
-	}
-
-	// Every other rank gets the blocks it gains, possibly none, as one rank
-	// file.
-	for dst, blocks := range outgoing {
-		if dst == me {
-			continue
-		}
-		if err := s.Comm.SendErr(dst, tagMigrate, output.AppendLeafFile(nil, records(blocks))); err != nil {
-			return fmt.Errorf("sim: rebalance send to rank %d: %w", dst, err)
+	// Every other rank gets the blocks it gains, possibly none.
+	out := make(map[int][]output.LeafSnapshot, ranks)
+	var from []int
+	for r := range ranks {
+		if r != me {
+			out[r] = records(outgoing[r])
+			from = append(from, r)
 		}
 	}
-	var gained []output.LeafSnapshot
-	for src := range ranks {
-		if src == me {
-			continue
-		}
-		v, _, err := s.Comm.RecvErr(src, tagMigrate)
-		if err != nil {
-			return fmt.Errorf("sim: rebalance receive: %w", err)
-		}
-		msg, _ := v.([]byte)
-		snaps, _, err := output.ReadLeafFile(bytes.NewReader(msg), s.Stencil)
-		if err != nil {
-			return fmt.Errorf("sim: rebalance blocks from rank %d: %w", src, err)
-		}
-		gained = append(gained, snaps...)
+	gained, err := s.Ship(out, from)
+	if err != nil {
+		return fmt.Errorf("sim: rebalance: %w", err)
 	}
-	if err := s.reown(outgoing[me], gained); err != nil {
+	if err := s.reown(append(records(outgoing[me]), gained...)); err != nil {
 		return err
 	}
 	// Migration invalidates ghost layers; synchronize before stepping on.

@@ -2,34 +2,32 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"time"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/field"
 	"walberla/internal/lattice"
-	"walberla/internal/output"
 	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
 // Resilient execution of the uniform simulation. The failure loop, the
 // checkpoint-set protocol, the buddy ring and the restore vote live in
-// internal/resilience, which also copies, encodes and decodes the
-// records; this file supplies what a generation of a uniform world
-// *contains* (the resilience.World methods of type world: its blocks as
-// WBK2 records, level-0 leaves of their roots; block adoption) and the
-// public entry points. A record is self-contained: its
-// identity fixes the block's box, and flags are a function of the
-// geometry and the neighbourhood. So when ownership changes (a shrink or
-// heal, never a rewind) every rank allgathers the block coordinates all
-// ranks now own, rebuilds its neighbourhoods with the setup code and
-// builds the adopted blocks' flags as construction does (reown).
-// Protection is taken at a step barrier, so a restored run replays the
-// exact deterministic step sequence and finishes bit-identical to an
-// uninterrupted one. See docs/RESILIENCE.md.
+// internal/resilience, which also reads a set's files and copies, encodes
+// and decodes the records; this file supplies what a generation of a
+// uniform world *contains* (the resilience.World methods of type world:
+// its blocks as WBK2 records, level-0 leaves of their roots; installing
+// one record list) and the public entry points. A record is
+// self-contained: its identity fixes the block's box, and flags are a
+// function of the geometry and the neighbourhood. So every restore — a
+// rewind, a shrink or a heal — lands each record where the generation put
+// it: the ranks agree that every record fits (resilience.Agree), then
+// every rank allgathers the block coordinates all ranks now own, rebuilds
+// its neighbourhoods with the setup code and builds the adopted blocks'
+// flags as construction does (reown). Protection is taken at a step
+// barrier, so a restored run replays the exact deterministic step
+// sequence and finishes bit-identical to an uninterrupted one. See
+// docs/RESILIENCE.md.
 
 // The resilience vocabulary under the names this package has always
 // exported.
@@ -175,61 +173,6 @@ func (w world) Records() (resilience.State, *lattice.Stencil) {
 	return records(w.Blocks), w.Stencil
 }
 
-// records are the given live blocks as WBK2 records: a uniform block is a
-// level-0 leaf of its root. A decoded rank file is such a list, in the
-// layout each block was stored in.
-func records(blocks []*BlockData) []output.LeafSnapshot {
-	snaps := make([]output.LeafSnapshot, len(blocks))
-	for i, bd := range blocks {
-		snaps[i] = output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
-	}
-	return snaps
-}
-
-// Own gathers the records of the blocks this rank owns, each found once,
-// from the set's rank files, its own file first: that one holds them all
-// unless the set was written under another block ownership (a rebalanced
-// run, or one that shrank). Install checks that they fit the blocks.
-func (w world) Own(read func(rank int) (resilience.State, error)) (resilience.State, error) {
-	var own []output.LeafSnapshot
-	found := make(map[[3]int]bool, len(w.Blocks))
-	c := w.Comm()
-	for i := range c.Size() {
-		state, err := read((c.Rank() + i) % c.Size())
-		if err != nil {
-			return nil, err
-		}
-		for _, snap := range state {
-			if w.byCoord[snap.Coord] == nil {
-				continue
-			}
-			if found[snap.Coord] {
-				return nil, fmt.Errorf("sim: checkpoint set has a duplicate record of block %v", snap.Coord)
-			}
-			found[snap.Coord] = true
-			own = append(own, snap)
-		}
-		if len(own) == len(w.Blocks) {
-			return own, nil
-		}
-	}
-	return nil, fmt.Errorf("sim: checkpoint set holds %d of the %d blocks rank %d owns", len(own), len(w.Blocks), c.Rank())
-}
-
-// checkRecord reports whether rec can be the state of block b: its
-// level-0 leaf, shaped like it.
-func checkRecord(rec output.LeafSnapshot, b *blockforest.Block) error {
-	if rec.Tree != b.ID.Tree || rec.Path != 0 || rec.Level != 0 {
-		return fmt.Errorf("sim: record %d/%#o/L%d %v is no block of this forest", rec.Tree, rec.Path, rec.Level, rec.Coord)
-	}
-	for _, pf := range [2]*field.PDFField{rec.Src, rec.Dst} {
-		if pf.Nx != b.Cells[0] || pf.Ny != b.Cells[1] || pf.Nz != b.Cells[2] || pf.Ghost != 1 {
-			return fmt.Errorf("sim: record of block %v shape mismatch", rec.Coord)
-		}
-	}
-	return nil
-}
-
 // Reset re-initializes every block and simulated time.
 func (w world) Reset() error {
 	for _, bd := range w.Blocks {
@@ -239,122 +182,22 @@ func (w world) Reset() error {
 	return nil
 }
 
-// Install rewinds the local blocks — own is the own snapshot, or records
-// Own vouched for, all checked before any is copied — and, when ownership
-// changed (a new communicator, or wards to adopt), re-owns the wards'
-// records through the same path the dynamic load balancer uses (reown).
-func (w world) Install(c *comm.Comm, step int, own resilience.State, wards []resilience.State) (int, error) {
+// Install checks every record, agrees on the verdict over c, and makes
+// the records this rank's blocks where the generation put them (reown),
+// on c — a rewind, a shrink and a heal alike.
+func (w world) Install(c *comm.Comm, step int, recs resilience.State) error {
 	s := w.Simulation
-	for _, rec := range own {
-		if err := checkRecord(rec, s.byCoord[rec.Coord].Block); err != nil {
-			return 0, err
+	var err error
+	for _, rec := range recs {
+		if err = s.checkRecord(rec); err != nil {
+			break
 		}
 	}
-	for _, rec := range own {
-		bd := s.byCoord[rec.Coord]
-		bd.Src.CopyFrom(rec.Src)
-		bd.Dst.CopyFrom(rec.Dst)
+	if err := resilience.Agree(c, err); err != nil {
+		return err
 	}
 	// Simulated time resumes at the restored step; the plain driver's
 	// fault-injection announcements continue from there.
-	s.worldSteps = step
-	if c == s.Comm && len(wards) == 0 {
-		return 0, nil // a rewind
-	}
-	adopted := slices.Concat(wards...)
-	s.Comm = c
-	return len(adopted), s.reown(s.Blocks, adopted)
-}
-
-// reown makes kept and the blocks of recs this rank's block set after its
-// ownership changed (Install and Rebalance end in it), rebuilding topology
-// as setup does: every rank's owned coordinates are allgathered into a
-// setup forest whose Build yields this rank's blocks, neighbourhoods and
-// owners — the forest keeps only those. A kept block keeps its BlockData;
-// the adopted ones are built on the worker pool, each from its flags
-// (setupFlags) and filled from its record (adopt). Collective over
-// s.Comm; a failure before the allgather completes leaves the world as it
-// was.
-func (s *Simulation) reown(kept []*BlockData, recs []output.LeafSnapshot) error {
-	local := make([]int64, 0, 3*(len(kept)+len(recs)))
-	for _, bd := range kept {
-		local = append(local, int64(bd.Block.Coord[0]), int64(bd.Block.Coord[1]), int64(bd.Block.Coord[2]))
-	}
-	for _, rec := range recs {
-		local = append(local, int64(rec.Coord[0]), int64(rec.Coord[1]), int64(rec.Coord[2]))
-	}
-	gathered, err := s.Comm.AllgatherErr(local)
-	if err != nil {
-		return fmt.Errorf("sim: gathering block ownership: %w", err)
-	}
-	f := s.Forest
-	setup := blockforest.NewSetupForest(f.Domain, f.GridSize, f.CellsPerBlock, f.Periodic)
-	owner := make(map[[3]int]int)
-	for r, g := range gathered {
-		for v, _ := g.([]int64); len(v) >= 3; v = v[3:] {
-			c := [3]int{int(v[0]), int(v[1]), int(v[2])}
-			if _, twice := owner[c]; twice || setup.Block(c) == nil {
-				return fmt.Errorf("sim: block %v is owned twice or lies outside the grid", c)
-			}
-			owner[c] = r
-		}
-	}
-	setup.Keep(func(b *blockforest.SetupBlock) bool {
-		r, ok := owner[b.Coord]
-		b.Rank = r
-		return ok
-	})
-	*s.Forest = *blockforest.Build(setup, s.Comm.Rank(), s.Comm.Size())
-
-	byCoord := make(map[[3]int]*BlockData, len(kept))
-	for _, bd := range kept {
-		byCoord[bd.Block.Coord] = bd
-	}
-	byRecord := make(map[[3]int]output.LeafSnapshot, len(recs))
-	for _, rec := range recs {
-		byRecord[rec.Coord] = rec
-	}
-	s.Blocks = make([]*BlockData, len(s.Forest.Blocks))
-	var adopted []int // indices of the blocks built from records
-	for i, b := range s.Forest.Blocks {
-		if bd := byCoord[b.Coord]; bd != nil {
-			bd.Block.Neighbors = b.Neighbors
-			s.Forest.Blocks[i], s.Blocks[i] = bd.Block, bd
-		} else {
-			adopted = append(adopted, i)
-		}
-	}
-	errs := make([]error, len(adopted))
-	s.pool.run(len(adopted), func(_, k int) {
-		b := s.Forest.Blocks[adopted[k]]
-		s.Blocks[adopted[k]], errs[k] = s.adopt(b, byRecord[b.Coord])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, bd := range s.Blocks {
-		byCoord[bd.Block.Coord] = bd
-	}
-	s.byCoord = byCoord
-	return s.rebuildPlan()
-}
-
-// adopt builds block b from its flags as construction does and fills it
-// with rec's fields: the records are decoded whole-block and in the layout
-// they were stored in, and the copy crops to the block's rows and
-// transposes. (Never handed over: a buddy ring keeps its decoded
-// replicas.)
-func (s *Simulation) adopt(b *blockforest.Block, rec output.LeafSnapshot) (*BlockData, error) {
-	if err := checkRecord(rec, b); err != nil {
-		return nil, err
-	}
-	bd, err := s.AssembleBlock(b, s.setupFlags(b), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	bd.Src.CopyFrom(rec.Src)
-	bd.Dst.CopyFrom(rec.Dst)
-	return bd, nil
+	s.Comm, s.worldSteps = c, step
+	return s.reown(recs)
 }
