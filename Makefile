@@ -42,10 +42,14 @@ race-sim:
 # spare-rank rejoin, replication, checkpoint sets, rewind replay, and the
 # rebalance that shares recovery's install path and verdict), the
 # recovery matrix over both runtimes and the communicator's failure
-# handling — the quick gate while working on recovery code. A record
-# refused on one rank fails every rank alike, within a bounded wait
-# (TestRestoreRefusesWrongShapedRecord, on one and on two ranks, and
-# TestRebalanceRejectsAssignmentOnEveryRank).
+# handling — the quick gate while working on recovery code. A uniform
+# and a refined restore land through the one shared routine
+# (sim.Simulation.Land), and a record refused on one rank fails every
+# rank alike, within a bounded wait (TestRestoreRefusesWrongShapedRecord,
+# on one and on two ranks, a set of another grid included, and
+# TestRebalanceRejectsAssignmentOnEveryRank); every landed block matches a
+# fresh build (TestShrinkAndRebalanceMatchConstruction, refined rows
+# included).
 race-resilience:
 	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint|TestRebalance' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
 
@@ -73,9 +77,11 @@ race-serve:
 # race detector: the level-wise timestepping determinism battery
 # (workers/ranks/layout/transport bit-identity), the runtime
 # refine/coarsen controller, migration, the grading invariants and the
-# AMR resilience tests (rewind replay, buddy shrink with zero disk reads,
-# a wrong-shaped record refused on restore — on two ranks a record
-# refused on one rank fails every rank alike). Refined heal onto a
+# AMR resilience tests (rewind replay, buddy shrink with zero disk reads;
+# a refined restore lands through the routine the uniform one uses, so a
+# wrong-shaped record or one of another grid is refused on restore — on
+# two ranks a record refused on one rank fails every rank alike), and
+# blockforest's one neighbourhood routine against its oracles. Refined heal onto a
 # recruited spare, in process and over unix sockets, is in
 # TestRecoveryMatrix (race-resilience, race-serve).
 race-amr:
@@ -102,7 +108,9 @@ alloc-test:
 # on row storage), the AVX2 split rows against the Go rows (bit for bit;
 # skipped on CPUs without AVX2),
 # the D3Q19 moment/equilibrium fast path against the generic stencil
-# loops (bit for bit on finite input), the 2:1 grading, the pruned
+# loops (bit for bit on finite input), the 2:1 grading (and on every
+# graded forest the neighbourhood invariant: Index.Neighbors lists, order
+# included, what the refined runtime's reference routine lists), the pruned
 # signed-distance queries against the unpruned searches (the plane-bound
 # nearest-triangle walk and the nearest-component-first union: same
 # triangle, bits, feature and color), and the boundary hull of a random

@@ -66,11 +66,6 @@ type Refinement struct {
 	Interval int
 }
 
-// FlagsFunc builds the flag field of one leaf, ghost layer included. It
-// must be a pure function of the leaf identity — migration and recovery
-// regenerate flags at the destination instead of shipping them.
-type FlagsFunc func(leaf Leaf, grid, cells [3]int) *field.FlagField
-
 // Config describes an AMR simulation.
 type Config struct {
 	Stencil  *lattice.Stencil
@@ -97,11 +92,16 @@ type Config struct {
 	// overrides InitialRho/InitialVelocity.
 	InitialState func(x, y, z float64) (rho, ux, uy, uz float64)
 
-	// Flags marks boundary cells per leaf; nil means fully periodic
-	// fluid. Boundary is the macroscopic boundary data — under acoustic
-	// scaling lattice velocities are level-invariant, so one config
-	// serves all levels.
-	Flags    FlagsFunc
+	// Flags fills the flag field of a leaf's block, ghost layer included,
+	// the uniform runtime's sim.Config.SetupFlags: a pure function of the
+	// block — its identity, box and neighbourhood, all known before it is
+	// called — since migration and recovery rebuild flags where a leaf
+	// lands instead of shipping them. nil gives the uniform default: all
+	// fluid, no-slip walls where a block has no neighbour (none on a
+	// periodic domain). Boundary is the macroscopic boundary data — under
+	// acoustic scaling lattice velocities are level-invariant, so one
+	// config serves all levels.
+	Flags    func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField)
 	Boundary boundary.Config
 
 	Refinement Refinement
@@ -166,6 +166,7 @@ func (c *Config) simConfig() sim.Config {
 		Workers:         c.Workers,
 		InitialRho:      c.InitialRho,
 		InitialVelocity: c.InitialVelocity,
+		SetupFlags:      c.Flags,
 		Boundary:        c.Boundary,
 		Tracer:          c.Tracer,
 		Metrics:         c.Metrics,

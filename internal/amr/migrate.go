@@ -7,6 +7,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/output"
+	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
 
@@ -34,10 +35,13 @@ import (
 //
 // Both Src and Dst fields transfer (the field hash folds the solid
 // interior cells of both), while flag fields — and with them kernel and
-// allocation window — are regenerated at the destination from the pure
-// Config.Flags function. Because every rank derives the same movement
-// table from the replicated metadata, no negotiation precedes the
-// point-to-point payload exchange.
+// allocation window — are regenerated at the destination by the data
+// plane's one assembly (NewBlock): the new leaf set's index gives every
+// new block its neighbourhood, and Config.Flags its flags from that, as on
+// a restore. A kept leaf that stays is its block. The new blocks end in
+// the commit a restore's landing ends in too (Commit). Because every rank
+// derives the same movement table from the replicated metadata, no
+// negotiation precedes the point-to-point payload exchange.
 
 // payload describes one WBK2 record's journey for one re-grade.
 type payload struct {
@@ -98,6 +102,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 		merges++
 	}
+	x := blockforest.NewIndex(graded, s.cfg.Grid, s.cfg.Periodic)
 	moved := 0
 	out := map[int][]output.LeafSnapshot{}
 	var from []int // ranks that send here, ascending
@@ -111,7 +116,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 		switch {
 		case m.src == me && (m.dst != me || m.kind != payloadKeep): // a kept leaf that stays is its block
-			sn, err := s.buildPayload(m, graded)
+			sn, err := s.buildPayload(m, x, graded)
 			if err != nil {
 				return err
 			}
@@ -134,48 +139,45 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	}
 
 	// Assemble the new local block set around the payloads.
-	newBlocks := make(map[blockforest.BlockID]*Block)
+	newBlocks := make(map[blockforest.BlockID]*sim.BlockData)
 	for _, m := range moves {
 		if m.dst != me {
 			continue
 		}
-		nl := leafFrom(graded[m.newLeaf])
+		nl := graded[m.newLeaf]
 		sn, ok := incoming[m.id]
-		var b *Block
+		var bd *sim.BlockData
 		var err error
 		switch {
 		case m.kind == payloadSplitInit:
-			if b, err = s.newBlock(nl, nil, nil); err == nil {
-				s.initBlockState(b)
+			if bd, err = s.plane.NewBlock(x, nl, nil, nil); err == nil {
+				s.initBlockState(bd)
 			}
 		case m.kind == payloadKeep && m.src == me:
-			b = &Block{Leaf: nl, BlockData: s.byID[m.id].BlockData}
+			bd = s.byID[m.id].BlockData
 		case !ok:
 			return fmt.Errorf("amr: missing migration payload for leaf %v", m.id)
 		case m.kind == payloadMerge:
-			if b = newBlocks[nl.ID]; b == nil {
-				b, err = s.newBlock(nl, nil, nil)
+			if bd = newBlocks[nl.ID]; bd == nil {
+				bd, err = s.plane.NewBlock(x, nl, nil, nil)
 			}
 			if err == nil {
-				s.restrictBlock(sn.Src, m.id.Octant(), int(m.id.Level), b.Src, &s.scratch[0])
-				s.restrictBlock(sn.Dst, m.id.Octant(), int(m.id.Level), b.Dst, &s.scratch[0])
+				s.restrictBlock(sn.Src, m.id.Octant(), int(m.id.Level), bd.Src, &s.scratch[0])
+				s.restrictBlock(sn.Dst, m.id.Octant(), int(m.id.Level), bd.Dst, &s.scratch[0])
 			}
 		default: // a kept leaf arriving or a split child, prolonged at its source
-			b, err = s.newBlock(nl, sn.Src, sn.Dst)
+			bd, err = s.plane.NewBlock(x, nl, sn.Src, sn.Dst)
 		}
 		if err != nil {
 			return err
 		}
-		newBlocks[nl.ID] = b
+		newBlocks[nl.ID] = bd
 	}
-
-	// Install: new leaf list, blocks, plans.
-	s.setLeaves(graded)
-	blocks := make([]*Block, 0, len(newBlocks))
-	for _, b := range newBlocks {
-		blocks = append(blocks, b)
+	blocks := make([]*sim.BlockData, 0, len(newBlocks))
+	for _, bd := range newBlocks {
+		blocks = append(blocks, bd)
 	}
-	if err := s.install(blocks); err != nil {
+	if err := s.install(graded, x, blocks); err != nil {
 		return err
 	}
 
@@ -198,14 +200,14 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 // Split children are prolonged here at the source, so the wire carries
 // the new fine state and every destination receives ready-to-install
 // fields.
-func (s *Sim) buildPayload(m payload, graded []blockforest.Leaf) (output.LeafSnapshot, error) {
+func (s *Sim) buildPayload(m payload, x *blockforest.Index, graded []blockforest.Leaf) (output.LeafSnapshot, error) {
 	b := s.byID[sourceID(m)]
 	if b == nil {
 		panic(fmt.Sprintf("amr: payload source %v not owned", sourceID(m)))
 	}
 	sn := output.LeafSnapshot{Tree: m.id.Tree, Path: m.id.Path, Level: m.id.Level, Coord: b.Coord, Src: b.Src, Dst: b.Dst}
 	if m.kind == payloadSplit {
-		child, err := s.splitChild(b, leafFrom(graded[m.newLeaf]))
+		child, err := s.splitChild(x, b, graded[m.newLeaf])
 		if err != nil {
 			return sn, err
 		}
@@ -214,10 +216,10 @@ func (s *Sim) buildPayload(m payload, graded []blockforest.Leaf) (output.LeafSna
 	return sn, nil
 }
 
-// splitChild assembles the child leaf l of parent and prolongs both of
-// the parent's fields into it.
-func (s *Sim) splitChild(parent *Block, l Leaf) (*Block, error) {
-	child, err := s.newBlock(l, nil, nil)
+// splitChild assembles the child leaf l of parent, of the leaf set x
+// indexes, and prolongs both of the parent's fields into it.
+func (s *Sim) splitChild(x *blockforest.Index, parent *Block, l blockforest.Leaf) (*sim.BlockData, error) {
+	child, err := s.plane.NewBlock(x, l, nil, nil)
 	if err != nil {
 		return nil, err
 	}

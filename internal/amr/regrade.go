@@ -71,11 +71,7 @@ func (s *Sim) regrade() (changed bool, err error) {
 // must be identical on all ranks. The same 2:1 grading, level-weighted
 // balancing and migration as the runtime controller apply.
 func (s *Sim) ApplyMarks(m map[blockforest.BlockID]blockforest.Mark) error {
-	maxLevel := s.cfg.Refinement.MaxLevel
-	if maxLevel == 0 {
-		maxLevel = maxRefineLevel
-	}
-	_, err := s.applyMarks(m, maxLevel)
+	_, err := s.applyMarks(m, s.depth())
 	return err
 }
 

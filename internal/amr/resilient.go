@@ -2,14 +2,11 @@ package amr
 
 import (
 	"context"
-	"fmt"
 
-	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/lattice"
 	"walberla/internal/output"
 	"walberla/internal/resilience"
-	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
 
@@ -20,16 +17,17 @@ import (
 // (the resilience.World methods of type world): Records — the owned
 // leaves as WBK2 records, which carry the full leaf identity (tree,
 // octree path, level, coordinates) alongside both PDF fields; and Install
-// — one record list (this rank's own leaves, then the wards' it adopts),
-// checked and agreed on by every rank (resilience.Agree) before any is
-// copied, built into runtime blocks from the pure config function, so a
-// record is self-contained, and the forest of the restored step rebuilt
-// from the restored leaves themselves (installRestored), so re-grades
-// between the checkpoint and the failure are undone together with the
-// field state. Because stepping, the refinement controller and the
-// balancer are all deterministic, a recovered run — rewound, shrunk or
-// healed onto a recruited spare (RunSpareCtx) — finishes bit-identical to
-// an uninterrupted one.
+// — one record list (this rank's own leaves, then the wards' it adopts)
+// landed by the routine the uniform runtime lands its records with
+// (sim.Simulation.Land): checked and agreed on by every rank before any is
+// copied, the forest of the restored step rebuilt from the restored
+// leaves themselves, so re-grades between the checkpoint and the failure
+// are undone together with the field state, the leaves this rank holds
+// kept and the others assembled like every leaf, flags from the block and
+// its neighbourhood, so a record is self-contained. Because stepping, the
+// refinement controller and the balancer are all deterministic, a
+// recovered run — rewound, shrunk or healed onto a recruited spare
+// (RunSpareCtx) — finishes bit-identical to an uninterrupted one.
 
 // WriteCheckpointSet writes a coordinated checkpoint set for the given
 // coarse step: every rank snapshots all of its leaves into a per-rank
@@ -114,67 +112,19 @@ func (w world) Reset() error {
 	return w.buildInitialForest()
 }
 
-// Install checks that every record is shaped like a leaf, agrees on the
-// verdict over c, and then builds this rank's blocks from the records —
-// assembled like every leaf from the pure config function, filled with a
-// copy of the records whatever layout they were stored in (a buddy ring
-// keeps its decoded replicas) — and the forest from every rank's
-// (installRestored), on c: no old→new renumbering pass is needed.
+// Install lands the records — this rank's own leaves, then the wards' it
+// adopts — through the data plane's landing routine (Land), on c: checked
+// and agreed on by every rank, the forest of the restored step rebuilt
+// from the leaf identities every rank holds, the leaves this rank still
+// holds kept and the others assembled as every leaf is. No old→new
+// renumbering pass is needed.
 func (w world) Install(c *comm.Comm, step int, recs resilience.State) error {
 	s := w.Sim
-	var err error
-	for _, sn := range recs {
-		if err = sim.CheckShape(sn, s.cfg.Cells); err != nil {
-			break
-		}
+	leaves, err := s.plane.Land(c, recs, s.depth(), resampler{s})
+	s.Comm = s.plane.Comm
+	if leaves != nil {
+		s.setForest(leaves)
+		s.step = step
 	}
-	if err := resilience.Agree(c, err); err != nil {
-		return err
-	}
-	blocks := make([]*Block, len(recs))
-	for i, sn := range recs {
-		b, err := s.newBlock(leafFrom(blockforest.Leaf{ID: snapID(sn), Coord: sn.Coord}), nil, nil)
-		if err != nil {
-			return err
-		}
-		b.Src.CopyFrom(sn.Src)
-		b.Dst.CopyFrom(sn.Dst)
-		blocks[i] = b
-	}
-	s.Comm, s.plane.Comm = c, c
-	return s.installRestored(blocks, step)
-}
-
-// installRestored commits a restored local block set: the global forest
-// is rebuilt by allgathering every rank's restored leaf descriptors, so
-// topology recovery needs no side channel — the rank files themselves
-// carry the forest. Collective over s.Comm.
-func (s *Sim) installRestored(blocks []*Block, step int) error {
-	local := make([]int64, 0, 6*len(blocks)) // per leaf: ID, then Coord
-	for _, b := range blocks {
-		local = append(appendID(local, b.ID), int64(b.Coord[0]), int64(b.Coord[1]), int64(b.Coord[2]))
-	}
-	gathered, err := s.Comm.AllgatherErr(local)
-	if err != nil {
-		return err
-	}
-	var all []blockforest.Leaf
-	for r, g := range gathered {
-		for w := g.([]int64); len(w) >= 6; w = w[6:] {
-			all = append(all, blockforest.Leaf{ID: idAt(w), Coord: [3]int{int(w[3]), int(w[4]), int(w[5])}, Rank: r})
-		}
-	}
-	sortLeaves(all)
-	if err := blockforest.CheckGraded(all, s.cfg.Grid, s.cfg.Periodic); err != nil {
-		return fmt.Errorf("amr: restored forest is not 2:1 graded: %w", err)
-	}
-	s.setLeaves(all)
-	for _, b := range blocks {
-		b.Rank = s.Comm.Rank()
-	}
-	if err := s.install(blocks); err != nil {
-		return err
-	}
-	s.step = step
-	return nil
+	return err
 }

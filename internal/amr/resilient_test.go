@@ -337,83 +337,103 @@ func uniformTwin(c *comm.Comm, cfg Config) (*sim.Simulation, error) {
 }
 
 // TestRestoreRefusesWrongShapedRecord: a committed checkpoint set whose
-// rank 0 file holds a record shaped unlike the block it would fill (one
+// records cannot be the blocks of the world restoring it makes
+// RestoreLatestCheckpointSet of either runtime return an error on every
+// rank, within a bounded wait — rank 0's naming the fault — with no
+// panic, and no block anywhere takes the set's state. Two faults: rank
+// 0's file holds a record shaped unlike the block it would fill (one
 // record cropped to half its width, the manifest entry rewritten so the
-// set validates) makes RestoreLatestCheckpointSet of either runtime
-// return an error on every rank, within a bounded wait — rank 0's naming
-// the shape mismatch — with no panic, and no block anywhere takes the
-// set's state.
+// set validates), and a set written by the 4×2×2 world is restored into a
+// 2×2×2 world, whose grid holds none of its records — periodic and not,
+// and the uniform twin.
 func TestRestoreRefusesWrongShapedRecord(t *testing.T) {
 	cfg := baseConfig(1, field.SoA)
+	closed := cfg
+	closed.Periodic = [3]bool{}
+	narrow := func(c Config) *Config {
+		c.Grid = [3]int{2, 2, 2}
+		return &c
+	}
 	type runtime interface {
 		WriteCheckpointSet(dir string, step int) (int64, error)
 		RestoreLatestCheckpointSet(dir string) (int64, error)
 		FieldHash() (uint64, error)
 	}
-	runtimes := []struct {
-		name string
-		// build returns the runtime on c and a function stepping it.
-		build func(c *comm.Comm) (runtime, func(int) error, error)
-	}{
-		{"uniform", func(c *comm.Comm) (runtime, func(int) error, error) {
-			s, err := uniformTwin(c, cfg)
-			return s, func(n int) error { _, err := s.Run(n); return err }, err
-		}},
-		{"refined", func(c *comm.Comm) (runtime, func(int) error, error) {
-			s, err := New(c, cfg)
-			return s, func(n int) error { return s.Run(n) }, err
-		}},
+	// build returns a runtime on c and a function stepping it.
+	type build func(c *comm.Comm, cfg Config) (runtime, func(int) error, error)
+	uniform := func(c *comm.Comm, cfg Config) (runtime, func(int) error, error) {
+		s, err := uniformTwin(c, cfg)
+		return s, func(n int) error { _, err := s.Run(n); return err }, err
 	}
-	for _, ranks := range []int{1, 2} {
-		for _, tc := range runtimes {
-			name := tc.name
-			if ranks > 1 {
-				name += "-2ranks"
+	refined := func(c *comm.Comm, cfg Config) (runtime, func(int) error, error) {
+		s, err := New(c, cfg)
+		return s, func(n int) error { return s.Run(n) }, err
+	}
+	rows := []struct {
+		name  string
+		ranks int
+		build build
+		write Config
+		// restore is the world restoring the set; nil: the writing world,
+		// after its first record is cropped.
+		restore *Config
+		want    string // in rank 0's error
+	}{
+		{"uniform", 1, uniform, cfg, nil, "shape mismatch"},
+		{"refined", 1, refined, cfg, nil, "shape mismatch"},
+		{"uniform-2ranks", 2, uniform, cfg, nil, "shape mismatch"},
+		{"refined-2ranks", 2, refined, cfg, nil, "shape mismatch"},
+		{"uniform-wrong-grid", 2, uniform, cfg, narrow(cfg), "no leaf of this forest"},
+		{"refined-wrong-grid", 2, refined, cfg, narrow(cfg), "no leaf of this forest"},
+		{"refined-wrong-grid-closed", 2, refined, closed, narrow(closed), "no leaf of this forest"},
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			setDir := filepath.Join(dir, output.SetDirName(2))
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				comm.Run(tc.ranks, func(c *comm.Comm) {
+					rt, run, err := tc.build(c, tc.write)
+					if err == nil {
+						err = run(2)
+					}
+					if err == nil {
+						_, err = rt.WriteCheckpointSet(dir, 2)
+					}
+					if err == nil && c.Rank() == 0 && tc.restore == nil {
+						err = cropFirstRecord(setDir)
+					}
+					if err == nil {
+						err = c.BarrierErr()
+					}
+					if err == nil && tc.restore != nil {
+						rt, run, err = tc.build(c, *tc.restore)
+					}
+					if err == nil {
+						err = run(1)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					before, _ := rt.FieldHash()
+					step, err := rt.RestoreLatestCheckpointSet(dir)
+					if err == nil || c.Rank() == 0 && !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("rank %d: restore = step %d, %v; want %q refused", c.Rank(), step, err, tc.want)
+					}
+					if after, _ := rt.FieldHash(); after != before {
+						t.Errorf("rank %d: the refused restore changed the fields: hash %016x, was %016x", c.Rank(), after, before)
+					}
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("a rank is still inside the refused restore after 30 s")
 			}
-			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				setDir := filepath.Join(dir, output.SetDirName(2))
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					comm.Run(ranks, func(c *comm.Comm) {
-						rt, run, err := tc.build(c)
-						if err == nil {
-							err = run(2)
-						}
-						if err == nil {
-							_, err = rt.WriteCheckpointSet(dir, 2)
-						}
-						if err == nil && c.Rank() == 0 {
-							err = cropFirstRecord(setDir)
-						}
-						if err == nil {
-							err = c.BarrierErr()
-						}
-						if err == nil {
-							err = run(1)
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						before, _ := rt.FieldHash()
-						step, err := rt.RestoreLatestCheckpointSet(dir)
-						if err == nil || c.Rank() == 0 && !strings.Contains(err.Error(), "shape mismatch") {
-							t.Errorf("rank %d: restore = step %d, %v; want the shape mismatch refused", c.Rank(), step, err)
-						}
-						if after, _ := rt.FieldHash(); after != before {
-							t.Errorf("rank %d: the refused restore changed the fields: hash %016x, was %016x", c.Rank(), after, before)
-						}
-					})
-				}()
-				select {
-				case <-done:
-				case <-time.After(30 * time.Second):
-					t.Fatal("a rank is still inside the refused restore after 30 s")
-				}
-			})
-		}
+		})
 	}
 }
 

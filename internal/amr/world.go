@@ -1,12 +1,8 @@
 package amr
 
 import (
-	"fmt"
-	"sort"
-
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/field"
 	"walberla/internal/lattice"
 	"walberla/internal/sim"
 )
@@ -19,12 +15,6 @@ type Block struct {
 	*sim.BlockData
 }
 
-// lkey addresses a block region by level and level-grid index.
-type lkey struct {
-	level int
-	idx   [3]int
-}
-
 // Sim is a distributed AMR simulation. Every rank holds the full
 // (lightweight) leaf list, so re-grade and balancing decisions are
 // computed identically everywhere without collective negotiation; the
@@ -34,9 +24,8 @@ type Sim struct {
 	Comm *comm.Comm
 	cfg  Config
 
-	leaves   []Leaf       // canonical forest order, all ranks
-	byKey    map[lkey]int // (level, idx) → position in leaves
-	maxLevel int          // deepest level currently present
+	leaves   []Leaf // canonical forest order, all ranks
+	maxLevel int    // deepest level currently present
 
 	blocks []*Block // owned leaves, canonical order
 	byID   map[blockforest.BlockID]*Block
@@ -95,7 +84,11 @@ func newSim(c *comm.Comm, cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	plane, err := sim.New(c, &blockforest.BlockForest{Rank: c.Rank(), NumRanks: c.Size()}, cfg.simConfig())
+	g, n := cfg.Grid, cfg.Cells
+	plane, err := sim.New(c, &blockforest.BlockForest{
+		Rank: c.Rank(), NumRanks: c.Size(), GridSize: g, CellsPerBlock: n, Periodic: cfg.Periodic,
+		Domain: blockforest.NewAABB([3]float64{}, [3]float64{float64(g[0] * n[0]), float64(g[1] * n[1]), float64(g[2] * n[2])}),
+	}, cfg.simConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -123,43 +116,26 @@ func (s *Sim) buildInitialForest() error {
 		for y := 0; y < s.cfg.Grid[1]; y++ {
 			for x := 0; x < s.cfg.Grid[0]; x++ {
 				coord := [3]int{x, y, z}
-				roots = append(roots, blockforest.Leaf{
-					ID:    blockforest.BlockID{Tree: s.treeOf(coord)},
-					Coord: coord,
-				})
+				roots = append(roots, blockforest.Leaf{ID: blockforest.BlockID{Tree: blockforest.TreeIndex(s.cfg.Grid, coord)}, Coord: coord})
 			}
 		}
 	}
-	sortLeaves(roots)
+	blockforest.SortLeaves(roots)
 	s.assignRanks(roots)
-	s.setLeaves(roots)
-	var blocks []*Block
-	for _, l := range s.leaves {
+	x := blockforest.NewIndex(roots, s.cfg.Grid, s.cfg.Periodic)
+	var blocks []*sim.BlockData
+	for _, l := range roots {
 		if l.Rank != s.Comm.Rank() {
 			continue
 		}
-		b, err := s.newBlock(l, nil, nil)
+		bd, err := s.plane.NewBlock(x, l, nil, nil)
 		if err != nil {
 			return err
 		}
-		s.initBlockState(b)
-		blocks = append(blocks, b)
+		s.initBlockState(bd)
+		blocks = append(blocks, bd)
 	}
-	return s.install(blocks)
-}
-
-// sortLeaves puts leaves in canonical forest order.
-func sortLeaves(ls []blockforest.Leaf) {
-	sort.Slice(ls, func(i, j int) bool { return canonicalLess(ls[i].Coord, ls[j].Coord, ls[i].ID, ls[j].ID) })
-}
-
-// canonicalLess is the forest order: Morton order of the root trees, then
-// depth-first within a tree.
-func canonicalLess(ci, cj [3]int, i, j blockforest.BlockID) bool {
-	if ki, kj := blockforest.MortonKey(ci), blockforest.MortonKey(cj); ki != kj {
-		return ki < kj
-	}
-	return i.Less(j)
+	return s.install(roots, x, blocks)
 }
 
 // assignRanks distributes leaves (in canonical order) contiguously by
@@ -175,26 +151,13 @@ func (s *Sim) assignRanks(ls []blockforest.Leaf) {
 	}
 }
 
-// treeOf returns the root tree index of a grid coordinate (the same
-// numbering as blockforest.SetupForest).
-func (s *Sim) treeOf(c [3]int) uint32 {
-	return uint32((c[2]*s.cfg.Grid[1]+c[1])*s.cfg.Grid[0] + c[0])
-}
-
-// setLeaves installs a new global leaf list (already in canonical
-// order) and rebuilds the level index.
-func (s *Sim) setLeaves(bls []blockforest.Leaf) {
-	s.leaves = make([]Leaf, len(bls))
-	s.byKey = make(map[lkey]int, len(bls))
-	s.maxLevel = 0
-	for i, bl := range bls {
-		l := leafFrom(bl)
-		s.leaves[i] = l
-		s.byKey[lkey{level: l.Level(), idx: l.Idx}] = i
-		if l.Level() > s.maxLevel {
-			s.maxLevel = l.Level()
-		}
+// depth is the deepest level a leaf may have: the controller's cap, or
+// with the controller off the deepest level ApplyMarks may grade to.
+func (s *Sim) depth() int {
+	if m := s.cfg.Refinement.MaxLevel; m > 0 {
+		return m
 	}
+	return maxRefineLevel
 }
 
 // bfLeaves converts the global leaf list back to blockforest form.
@@ -206,44 +169,24 @@ func (s *Sim) bfLeaves() []blockforest.Leaf {
 	return out
 }
 
-// newBlock assembles one owned leaf in the data plane — flags from the
-// pure Config.Flags function (all fluid without one), the level's kernel,
-// the allocation window, the boundary sweep — holding the uniform initial
-// equilibrium, or the state src and dst that migration hands over.
-func (s *Sim) newBlock(l Leaf, src, dst *field.PDFField) (*Block, error) {
-	C := s.cfg.Cells
-	var flags *field.FlagField
-	if s.cfg.Flags != nil {
-		flags = s.cfg.Flags(l, s.cfg.Grid, C)
-	}
-	if flags == nil {
-		flags = field.NewFlagField(C[0], C[1], C[2], 1)
-		flags.Fill(field.Fluid)
-	}
-	bd, err := s.plane.AssembleBlock(&blockforest.Block{ID: l.ID, Coord: l.Coord, Cells: C}, flags, src, dst)
-	if err != nil {
-		return nil, fmt.Errorf("amr: leaf %v: %w", l.ID, err)
-	}
-	return &Block{Leaf: l, BlockData: bd}, nil
-}
-
 // initBlockState writes the configured initial state into both fields of
 // one block (a per-cell InitialState makes the window whole).
-func (s *Sim) initBlockState(b *Block) {
+func (s *Sim) initBlockState(b *sim.BlockData) {
 	if s.cfg.InitialState == nil {
 		return
 	}
 	// Physical positions in level-0 lattice units: level ℓ has cell
 	// size 2^-ℓ.
-	h := 1.0 / float64(int(1)<<uint(b.Level()))
+	idx := blockforest.LevelIndex(b.Block.Coord, b.Block.ID)
+	h := 1.0 / float64(int(1)<<uint(b.Block.ID.Level))
 	C := s.cfg.Cells
 	feq := make([]float64, s.cfg.Stencil.Q)
 	for z := 0; z < C[2]; z++ {
 		for y := 0; y < C[1]; y++ {
 			for x := 0; x < C[0]; x++ {
-				px := (float64(b.Idx[0]*C[0]+x) + 0.5) * h
-				py := (float64(b.Idx[1]*C[1]+y) + 0.5) * h
-				pz := (float64(b.Idx[2]*C[2]+z) + 0.5) * h
+				px := (float64(idx[0]*C[0]+x) + 0.5) * h
+				py := (float64(idx[1]*C[1]+y) + 0.5) * h
+				pz := (float64(idx[2]*C[2]+z) + 0.5) * h
 				r, ux, uy, uz := s.cfg.InitialState(px, py, pz)
 				s.cfg.Stencil.Equilibrium(feq, r, ux, uy, uz)
 				for a, fv := range feq {
@@ -255,77 +198,35 @@ func (s *Sim) initBlockState(b *Block) {
 	}
 }
 
-// install commits an owned block set (any order) against the current
-// leaf list: canonical order, the identity index, every block's
-// neighborhood — the same-level, coarser or finer leaves around it — the
-// data plane's exchange plans and the forest-shape gauges. It fails when a
-// neighbor rank fails during the plan build.
-func (s *Sim) install(blocks []*Block) error {
-	sort.Slice(blocks, func(i, j int) bool {
-		return canonicalLess(blocks[i].Coord, blocks[j].Coord, blocks[i].ID, blocks[j].ID)
-	})
-	s.blocks = blocks
-	s.byID = make(map[blockforest.BlockID]*Block, len(blocks))
-	data := make([]*sim.BlockData, len(blocks))
-	for i, b := range blocks {
-		s.byID[b.ID] = b
-		b.Block.Neighbors = s.neighbors(b.Leaf)
-		data[i] = b.BlockData
+// install commits this rank's blocks — leaves of the set x indexes,
+// which leaves lists in canonical order — in the data plane (Commit) and
+// takes the leaf set (setForest). It fails when a neighbor rank fails
+// during the plan build.
+func (s *Sim) install(leaves []blockforest.Leaf, x *blockforest.Index, blocks []*sim.BlockData) error {
+	err := s.plane.Commit(x, blocks, resampler{s})
+	s.setForest(leaves)
+	return err
+}
+
+// setForest takes the leaf set the data plane's blocks were committed
+// against: the replicated leaf list, this rank's blocks — the data plane's
+// — with their identity index, and the forest-shape gauges.
+func (s *Sim) setForest(leaves []blockforest.Leaf) {
+	s.leaves = make([]Leaf, len(leaves))
+	s.maxLevel = 0
+	for i, l := range leaves {
+		s.leaves[i] = leafFrom(l)
+		s.maxLevel = max(s.maxLevel, l.Level())
 	}
-	if err := s.plane.SetBlocks(data, resampler{s}); err != nil {
-		return err
+	s.blocks = make([]*Block, len(s.plane.Blocks))
+	s.byID = make(map[blockforest.BlockID]*Block, len(s.blocks))
+	for i, bd := range s.plane.Blocks {
+		b := &Block{Leaf: leafFrom(blockforest.Leaf{ID: bd.Block.ID, Coord: bd.Block.Coord, Rank: s.Comm.Rank()}), BlockData: bd}
+		s.blocks[i], s.byID[b.ID] = b, b
 	}
 	s.tel.leaves.Set(float64(len(s.leaves)))
 	s.tel.maxLevel.Set(float64(s.maxLevel))
 	s.tel.cells.Set(float64(s.TotalCells()))
-	return nil
-}
-
-// neighbors lists the leaves around l, offset by offset: the leaf of the
-// same level, else the coarser leaf covering the region, else — by 2:1
-// grading — the finer leaves adjacent to l (four across a face, two
-// across an edge, one across a corner). Regions beyond a non-periodic
-// domain boundary have none.
-func (s *Sim) neighbors(l Leaf) []blockforest.Neighbor {
-	out := make([]blockforest.Neighbor, 0, 26)
-	lv := l.Level()
-	add := func(i int, o [3]int) {
-		n := &s.leaves[i]
-		out = append(out, blockforest.Neighbor{ID: n.ID, Coord: n.Coord, Offset: o, Rank: n.Rank})
-	}
-	for oi := 0; oi < 27; oi++ {
-		o := [3]int{oi%3 - 1, oi/3%3 - 1, oi/9 - 1}
-		if o == ([3]int{}) {
-			continue
-		}
-		n, ok := s.wrapIdx(lv, [3]int{l.Idx[0] + o[0], l.Idx[1] + o[1], l.Idx[2] + o[2]})
-		if !ok {
-			continue // domain boundary: handled by boundary conditions
-		}
-		if i, ok := s.leafAt(lv, n); ok {
-			add(i, o)
-			continue
-		}
-		if i, ok := s.leafAt(lv-1, [3]int{n[0] >> 1, n[1] >> 1, n[2] >> 1}); ok { // never at level 0
-			add(i, o)
-			continue
-		}
-	children:
-		for b := 0; b < 8; b++ {
-			bits := [3]int{b & 1, b >> 1 & 1, b >> 2 & 1}
-			for d := 0; d < 3; d++ {
-				if o[d] != 0 && bits[d] != (1-o[d])/2 {
-					continue children // not adjacent to l
-				}
-			}
-			i, ok := s.leafAt(lv+1, [3]int{2*n[0] + bits[0], 2*n[1] + bits[1], 2*n[2] + bits[2]})
-			if !ok {
-				panic(fmt.Sprintf("amr: 2:1 balance broken at level %d region %v", lv, n))
-			}
-			add(i, o)
-		}
-	}
-	return out
 }
 
 // FieldHash folds every interior PDF value of every leaf into one
@@ -377,26 +278,3 @@ func (s *Sim) LevelCounts() []int {
 
 // GetStats returns the accumulated AMR statistics of this rank.
 func (s *Sim) GetStats() Stats { return s.stats }
-
-// wrapIdx wraps an unwrapped level index into the periodic domain; ok
-// is false outside a non-periodic boundary.
-func (s *Sim) wrapIdx(level int, idx [3]int) (w [3]int, ok bool) {
-	for d := 0; d < 3; d++ {
-		ext := s.cfg.Grid[d] << uint(level)
-		w[d] = idx[d]
-		if w[d] < 0 || w[d] >= ext {
-			if !s.cfg.Periodic[d] {
-				return w, false
-			}
-			w[d] = ((w[d] % ext) + ext) % ext
-		}
-	}
-	return w, true
-}
-
-// leafAt looks up the leaf covering a level-grid region at exactly the
-// given level.
-func (s *Sim) leafAt(level int, idx [3]int) (int, bool) {
-	i, ok := s.byKey[lkey{level: level, idx: idx}]
-	return i, ok
-}

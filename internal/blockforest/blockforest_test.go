@@ -151,19 +151,28 @@ func TestSetupForestBlockAABBsTile(t *testing.T) {
 	}
 }
 
+// neighborCoords lists the coordinates and offsets of the blocks around
+// the block at c.
+func neighborCoords(f *SetupForest, c [3]int) (coords, offsets [][3]int) {
+	for _, n := range f.Index().Neighbors(f.Block(c).Leaf()) {
+		coords, offsets = append(coords, n.Coord), append(offsets, n.Offset)
+	}
+	return coords, offsets
+}
+
 func TestNeighbors(t *testing.T) {
 	f := NewSetupForest(unitDomain(), [3]int{3, 3, 3}, [3]int{4, 4, 4}, [3]bool{})
-	coords, _ := f.Neighbors([3]int{1, 1, 1})
+	coords, _ := neighborCoords(f, [3]int{1, 1, 1})
 	if len(coords) != 26 {
 		t.Errorf("center block has %d neighbors, want 26", len(coords))
 	}
-	coords, _ = f.Neighbors([3]int{0, 0, 0})
+	coords, _ = neighborCoords(f, [3]int{0, 0, 0})
 	if len(coords) != 7 {
 		t.Errorf("corner block has %d neighbors, want 7", len(coords))
 	}
 	// Remove a block: it must vanish from neighborhoods.
 	f.RemoveBlock([3]int{1, 1, 0})
-	coords, _ = f.Neighbors([3]int{1, 1, 1})
+	coords, _ = neighborCoords(f, [3]int{1, 1, 1})
 	if len(coords) != 25 {
 		t.Errorf("after removal %d neighbors, want 25", len(coords))
 	}
@@ -171,7 +180,7 @@ func TestNeighbors(t *testing.T) {
 
 func TestNeighborsPeriodic(t *testing.T) {
 	f := NewSetupForest(unitDomain(), [3]int{3, 3, 3}, [3]int{4, 4, 4}, [3]bool{true, true, true})
-	coords, offsets := f.Neighbors([3]int{0, 0, 0})
+	coords, offsets := neighborCoords(f, [3]int{0, 0, 0})
 	if len(coords) != 26 {
 		t.Fatalf("periodic corner block has %d neighbors, want 26", len(coords))
 	}
@@ -247,7 +256,7 @@ func TestBalanceMortonLocality(t *testing.T) {
 	internalFrac := func(rankOf func(b *SetupBlock) int) float64 {
 		internal, total := 0, 0
 		for _, b := range f.Blocks() {
-			coords, _ := f.Neighbors(b.Coord)
+			coords, _ := neighborCoords(f, b.Coord)
 			for _, nc := range coords {
 				total++
 				if rankOf(f.Block(nc)) == rankOf(b) {

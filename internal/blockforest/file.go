@@ -266,7 +266,7 @@ func Load(rd io.Reader) (*SetupForest, error) {
 		}
 		maxRank, maxWork = max(maxRank, rank), max(maxWork, work)
 		f.blocks[c] = &SetupBlock{
-			ID:       BlockID{Tree: f.treeIndex(c)},
+			ID:       BlockID{Tree: TreeIndex(f.GridSize, c)},
 			Coord:    c,
 			AABB:     f.BlockAABB(c),
 			Workload: float64(work),

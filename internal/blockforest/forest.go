@@ -56,12 +56,9 @@ type BlockForest struct {
 	CellsPerBlock [3]int
 	Periodic      [3]bool
 
-	// Blocks are the blocks assigned to this rank, in Morton order.
+	// Blocks are the blocks assigned to this rank, in canonical forest
+	// order (Morton order of the roots, then BlockID).
 	Blocks []*Block
-
-	// headerCount tracks how many remote block headers this rank stores —
-	// the quantity bounded by the distributed-memory invariant.
-	headerCount int
 }
 
 // Build constructs the distributed view of one rank from the global setup
@@ -75,36 +72,38 @@ func Build(f *SetupForest, rank, numRanks int) *BlockForest {
 		CellsPerBlock: f.CellsPerBlock,
 		Periodic:      f.Periodic,
 	}
+	x := f.Index()
 	for _, sb := range f.Blocks() {
-		if sb.Rank != rank {
-			continue
+		if sb.Rank == rank {
+			b := bf.Header(sb.Leaf(), x)
+			b.Workload = sb.Workload
+			bf.Blocks = append(bf.Blocks, b)
 		}
-		b := &Block{
-			ID:       sb.ID,
-			Coord:    sb.Coord,
-			AABB:     sb.AABB,
-			Cells:    f.CellsPerBlock,
-			Workload: sb.Workload,
-		}
-		coords, offsets := f.Neighbors(sb.Coord)
-		for i, nc := range coords {
-			nb := f.Block(nc)
-			b.Neighbors = append(b.Neighbors, Neighbor{
-				ID:     nb.ID,
-				Coord:  nc,
-				Offset: offsets[i],
-				Rank:   nb.Rank,
-			})
-			bf.headerCount++
-		}
-		bf.Blocks = append(bf.Blocks, b)
 	}
 	return bf
 }
 
+// Header returns the block of leaf l in this forest, its neighbourhood
+// looked up in x: the box of its root subdivided along its octree path,
+// and the forest's cells per block.
+func (bf *BlockForest) Header(l Leaf, x *Index) *Block {
+	box := rootAABB(bf.Domain, bf.GridSize, l.Coord)
+	for lv := int(l.ID.Level) - 1; lv >= 0; lv-- {
+		box = box.Octant(int(l.ID.Path >> (3 * uint(lv)) & 7))
+	}
+	return &Block{ID: l.ID, Coord: l.Coord, AABB: box, Cells: bf.CellsPerBlock, Neighbors: x.Neighbors(l)}
+}
+
 // StoredHeaders returns the number of remote block headers this rank
-// keeps; tests assert it depends only on the local neighborhood.
-func (bf *BlockForest) StoredHeaders() int { return bf.headerCount }
+// keeps — the quantity the distributed-memory invariant bounds; tests
+// assert it depends only on the local neighborhood.
+func (bf *BlockForest) StoredHeaders() int {
+	n := 0
+	for _, b := range bf.Blocks {
+		n += len(b.Neighbors)
+	}
+	return n
+}
 
 // LocalCells returns the number of lattice cells allocated on this rank.
 func (bf *BlockForest) LocalCells() int64 {

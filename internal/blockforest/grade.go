@@ -10,7 +10,10 @@ import (
 // re-grade controller (internal/amr) is its caller, and the setup forest
 // stays flat, so the invariants — octet-complete coarsening, 2:1 balance
 // across all 26 neighbor directions, exact volume conservation — are
-// enforced in exactly one place.
+// enforced in exactly one place. Grade works on, and CheckGraded checks,
+// the same Index that lists every block's neighbours (index.go), so the
+// wrap and the covering lookup that grade a forest are the ones its
+// blocks exchange along.
 
 // Mark is a per-leaf refinement vote fed into Grade.
 type Mark int8
@@ -56,60 +59,12 @@ func LevelIndex(coord [3]int, id BlockID) [3]int {
 	return idx
 }
 
-// lkey addresses a block region by level and level-grid index.
-type lkey struct {
-	level int
-	idx   [3]int
-}
-
-// graded is the mutable working set of one Grade run.
-type graded struct {
-	grid     [3]int
-	periodic [3]bool
-	leaves   map[lkey]Leaf
-}
-
-func (g *graded) key(l Leaf) lkey {
-	return lkey{level: l.Level(), idx: LevelIndex(l.Coord, l.ID)}
-}
-
-// neighbor resolves the level-ℓ region adjacent to idx in direction off,
-// honoring periodic wrap. ok is false outside a non-periodic boundary.
-func (g *graded) neighbor(level int, idx, off [3]int) (n [3]int, ok bool) {
-	for d := 0; d < 3; d++ {
-		ext := g.grid[d] << uint(level)
-		n[d] = idx[d] + off[d]
-		if n[d] < 0 || n[d] >= ext {
-			if !g.periodic[d] {
-				return n, false
-			}
-			n[d] = ((n[d] % ext) + ext) % ext
-		}
-	}
-	return n, true
-}
-
-// covering finds the leaf covering the level-ℓ region idx at level ℓ or
-// coarser. Regions outside the forest (geometry-trimmed trees) have no
-// covering leaf.
-func (g *graded) covering(level int, idx [3]int) (Leaf, int, bool) {
-	for lv := level; lv >= 0; lv-- {
-		shift := uint(level - lv)
-		k := lkey{level: lv, idx: [3]int{idx[0] >> shift, idx[1] >> shift, idx[2] >> shift}}
-		if l, ok := g.leaves[k]; ok {
-			return l, lv, true
-		}
-	}
-	return Leaf{}, 0, false
-}
-
 // split replaces a leaf with its eight children (children inherit the
 // rank until the next balancing pass reassigns them).
-func (g *graded) split(l Leaf) {
-	delete(g.leaves, g.key(l))
+func (x *Index) split(l Leaf) {
+	delete(x.leaves, key(l))
 	for o := 0; o < 8; o++ {
-		c := Leaf{ID: l.ID.Child(o), Coord: l.Coord, Rank: l.Rank}
-		g.leaves[g.key(c)] = c
+		x.add(Leaf{ID: l.ID.Child(o), Coord: l.Coord, Rank: l.Rank})
 	}
 }
 
@@ -133,10 +88,7 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 	if len(marks) != len(leaves) {
 		panic(fmt.Sprintf("blockforest: Grade got %d marks for %d leaves", len(marks), len(leaves)))
 	}
-	g := &graded{grid: grid, periodic: periodic, leaves: make(map[lkey]Leaf, len(leaves))}
-	for _, l := range leaves {
-		g.leaves[g.key(l)] = l
-	}
+	g := NewIndex(leaves, grid, periodic)
 
 	// Phase 1: refine marks.
 	for i, l := range leaves {
@@ -170,7 +122,7 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 		ok := true
 		children := [8]Leaf{}
 		for o := 0; o < 8; o++ {
-			c, exists := g.leaves[g.key(Leaf{ID: parent.Child(o), Coord: v.coord})]
+			c, exists := g.leaves[key(Leaf{ID: parent.Child(o), Coord: v.coord})]
 			if !exists || c.ID != parent.Child(o) {
 				ok = false
 				break
@@ -181,26 +133,15 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 			continue
 		}
 		for o := 0; o < 8; o++ {
-			delete(g.leaves, g.key(children[o]))
+			delete(g.leaves, key(children[o]))
 		}
-		p := Leaf{ID: parent, Coord: children[0].Coord, Rank: children[0].Rank}
-		g.leaves[g.key(p)] = p
+		g.add(Leaf{ID: parent, Coord: children[0].Coord, Rank: children[0].Rank})
 	}
 
 	// Phase 3: 2:1 fixpoint. Any leaf with a neighbor two or more levels
 	// coarser forces that coarse leaf to split. Iterate until quiet; each
 	// pass walks a sorted snapshot so the split order (and therefore the
 	// intermediate map state) is deterministic.
-	var offs [][3]int
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx != 0 || dy != 0 || dz != 0 {
-					offs = append(offs, [3]int{dx, dy, dz})
-				}
-			}
-		}
-	}
 	for {
 		snapshot := g.sorted()
 		var tooCoarse []Leaf
@@ -208,8 +149,8 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 		for _, l := range snapshot {
 			lv := l.Level()
 			idx := LevelIndex(l.Coord, l.ID)
-			for _, off := range offs {
-				n, ok := g.neighbor(lv, idx, off)
+			for _, off := range offsets {
+				n, ok := g.wrap(lv, idx, off)
 				if !ok {
 					continue
 				}
@@ -217,7 +158,7 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 				if !found || clv >= lv-1 {
 					continue
 				}
-				k := g.key(c)
+				k := key(c)
 				if !seen[k] {
 					seen[k] = true
 					tooCoarse = append(tooCoarse, c)
@@ -228,7 +169,7 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 			break
 		}
 		for _, c := range tooCoarse {
-			if _, still := g.leaves[g.key(c)]; still {
+			if _, still := g.leaves[key(c)]; still {
 				g.split(c)
 			}
 		}
@@ -236,33 +177,40 @@ func Grade(leaves []Leaf, marks []Mark, grid [3]int, periodic [3]bool, maxLevel 
 	return g.sorted()
 }
 
-// sorted returns the working set in canonical forest order.
-func (g *graded) sorted() []Leaf {
-	out := make([]Leaf, 0, len(g.leaves))
-	for _, l := range g.leaves {
+// sorted returns the leaf set in canonical forest order.
+func (x *Index) sorted() []Leaf {
+	out := make([]Leaf, 0, len(x.leaves))
+	for _, l := range x.leaves {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := mortonKey(out[i].Coord), mortonKey(out[j].Coord)
-		if ki != kj {
-			return ki < kj
-		}
-		return out[i].ID.Less(out[j].ID)
-	})
+	SortLeaves(out)
 	return out
+}
+
+// SortLeaves puts leaves in canonical forest order.
+func SortLeaves(ls []Leaf) {
+	sort.Slice(ls, func(i, j int) bool { return CanonicalLess(ls[i].Coord, ls[i].ID, ls[j].Coord, ls[j].ID) })
+}
+
+// CanonicalLess is the forest order: Morton order of the root trees, then
+// BlockID (depth-first within a tree).
+func CanonicalLess(ci [3]int, i BlockID, cj [3]int, j BlockID) bool {
+	if ki, kj := mortonKey(ci), mortonKey(cj); ki != kj {
+		return ki < kj
+	}
+	return i.Less(j)
 }
 
 // CheckGraded verifies the 2:1 invariant of a leaf set: no two adjacent
 // leaves (faces, edges or corners, with periodic wrap) differ by more
 // than one level, and every region is covered at most once.
 func CheckGraded(leaves []Leaf, grid [3]int, periodic [3]bool) error {
-	g := &graded{grid: grid, periodic: periodic, leaves: make(map[lkey]Leaf, len(leaves))}
+	g := newIndex(grid, periodic, len(leaves))
 	for _, l := range leaves {
-		k := g.key(l)
-		if prev, dup := g.leaves[k]; dup {
-			return fmt.Errorf("blockforest: leaves %v and %v cover the same region %v", prev.ID, l.ID, k)
+		if prev, dup := g.leaves[key(l)]; dup {
+			return fmt.Errorf("blockforest: leaves %v and %v cover the same region %v", prev.ID, l.ID, key(l))
 		}
-		g.leaves[k] = l
+		g.add(l)
 	}
 	for _, l := range leaves {
 		lv := l.Level()
@@ -271,20 +219,13 @@ func CheckGraded(leaves []Leaf, grid [3]int, periodic [3]bool) error {
 		if _, clv, found := g.covering(lv, idx); found && clv != lv {
 			return fmt.Errorf("blockforest: leaf %v shadowed by coarser leaf at level %d", l.ID, clv)
 		}
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dx == 0 && dy == 0 && dz == 0 {
-						continue
-					}
-					n, ok := g.neighbor(lv, idx, [3]int{dx, dy, dz})
-					if !ok {
-						continue
-					}
-					if c, clv, found := g.covering(lv, n); found && clv < lv-1 {
-						return fmt.Errorf("blockforest: leaves %v (level %d) and %v (level %d) break 2:1 balance", l.ID, lv, c.ID, clv)
-					}
-				}
+		for _, off := range offsets {
+			n, ok := g.wrap(lv, idx, off)
+			if !ok {
+				continue
+			}
+			if c, clv, found := g.covering(lv, n); found && clv < lv-1 {
+				return fmt.Errorf("blockforest: leaves %v (level %d) and %v (level %d) break 2:1 balance", l.ID, lv, c.ID, clv)
 			}
 		}
 	}

@@ -21,8 +21,9 @@ func volumeUnits(leaves []Leaf, maxLevel int) uint64 {
 // it, each round re-grading the previous round's output — and checks
 // the invariants the solver relies on after every round: the result is
 // a duplicate-free 2:1-graded cover of the domain (CheckGraded), the
-// covered volume is conserved exactly, and no leaf exceeds the level
-// cap.
+// covered volume is conserved exactly, no leaf exceeds the level cap,
+// and every leaf's neighbour list (Index.Neighbors) is the refined
+// runtime's reference list (gradedNeighbors), order included.
 func FuzzRegrade(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 2})
 	f.Add([]byte{2, 2, 2, 2, 1, 0, 1, 0, 2, 1})
@@ -56,6 +57,9 @@ func FuzzRegrade(f *testing.F) {
 			}
 			leaves = Grade(leaves, marks, grid, periodic, maxLevel)
 			if err := CheckGraded(leaves, grid, periodic); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if err := matchGradedOracle(leaves, grid, periodic); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 			if got := volumeUnits(leaves, maxLevel); got != want {

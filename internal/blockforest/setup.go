@@ -57,7 +57,7 @@ func NewSetupForest(domain AABB, grid, cells [3]int, periodic [3]bool) *SetupFor
 			for i := 0; i < grid[0]; i++ {
 				c := [3]int{i, j, k}
 				f.blocks[c] = &SetupBlock{
-					ID:       BlockID{Tree: f.treeIndex(c)},
+					ID:       BlockID{Tree: TreeIndex(f.GridSize, c)},
 					Coord:    c,
 					AABB:     f.BlockAABB(c),
 					Workload: float64(cells[0] * cells[1] * cells[2]),
@@ -70,19 +70,22 @@ func NewSetupForest(domain AABB, grid, cells [3]int, periodic [3]bool) *SetupFor
 	return f
 }
 
-// treeIndex linearizes a grid coordinate into the root block index.
-func (f *SetupForest) treeIndex(c [3]int) uint32 {
-	return uint32((c[2]*f.GridSize[1]+c[1])*f.GridSize[0] + c[0])
+// TreeIndex linearizes a root grid coordinate into its tree index.
+func TreeIndex(grid, c [3]int) uint32 {
+	return uint32((c[2]*grid[1]+c[1])*grid[0] + c[0])
 }
 
 // BlockAABB returns the bounding box of the block at grid coordinate c.
-func (f *SetupForest) BlockAABB(c [3]int) AABB {
-	s := f.Domain.Size()
+func (f *SetupForest) BlockAABB(c [3]int) AABB { return rootAABB(f.Domain, f.GridSize, c) }
+
+// rootAABB returns the box of root c of a grid over domain.
+func rootAABB(domain AABB, grid, c [3]int) AABB {
+	s := domain.Size()
 	var b AABB
 	for i := 0; i < 3; i++ {
-		w := s[i] / float64(f.GridSize[i])
-		b.Min[i] = f.Domain.Min[i] + float64(c[i])*w
-		b.Max[i] = f.Domain.Min[i] + float64(c[i]+1)*w
+		w := s[i] / float64(grid[i])
+		b.Min[i] = domain.Min[i] + float64(c[i])*w
+		b.Max[i] = domain.Min[i] + float64(c[i]+1)*w
 	}
 	return b
 }
@@ -139,39 +142,18 @@ func (f *SetupForest) Blocks() []*SetupBlock {
 	return out
 }
 
-// Neighbors returns the grid coordinates of the existing blocks in the
-// 26-neighborhood of c, respecting periodic axes. The offset of each
-// neighbor relative to c is returned alongside (before wrapping).
-func (f *SetupForest) Neighbors(c [3]int) (coords [][3]int, offsets [][3]int) {
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				n := [3]int{c[0] + dx, c[1] + dy, c[2] + dz}
-				ok := true
-				for i := 0; i < 3; i++ {
-					if n[i] < 0 || n[i] >= f.GridSize[i] {
-						if !f.Periodic[i] {
-							ok = false
-							break
-						}
-						n[i] = (n[i] + f.GridSize[i]) % f.GridSize[i]
-					}
-				}
-				if !ok {
-					continue
-				}
-				if _, exists := f.blocks[n]; !exists {
-					continue
-				}
-				coords = append(coords, n)
-				offsets = append(offsets, [3]int{dx, dy, dz})
-			}
-		}
+// Leaf is the block as a leaf of the forest: the level-0 leaf of its
+// root.
+func (b *SetupBlock) Leaf() Leaf { return Leaf{ID: b.ID, Coord: b.Coord, Rank: b.Rank} }
+
+// Index indexes the existing blocks as level-0 leaves, for their
+// neighbourhoods (Index.Neighbors).
+func (f *SetupForest) Index() *Index {
+	x := newIndex(f.GridSize, f.Periodic, len(f.blocks))
+	for _, b := range f.blocks {
+		x.add(b.Leaf())
 	}
-	return coords, offsets
+	return x
 }
 
 // MortonKey interleaves the bits of a grid coordinate into the Morton

@@ -19,16 +19,16 @@ func BuildBlockGraph(f *blockforest.SetupForest) (*Graph, []*blockforest.SetupBl
 	}
 	g := NewGraph(len(blocks))
 	c := f.CellsPerBlock
+	x := f.Index()
 	for i, b := range blocks {
 		g.VertexWeight[i] = b.Workload
 		g.VertexMemory[i] = b.Memory
-		coords, offsets := f.Neighbors(b.Coord)
-		for nIdx, nc := range coords {
-			j, ok := index[nc]
+		for _, n := range x.Neighbors(b.Leaf()) {
+			j, ok := index[n.Coord]
 			if !ok || j <= i {
 				continue // each undirected edge once
 			}
-			off := offsets[nIdx]
+			off := n.Offset
 			// Shared boundary size in cells: the product over axes of the
 			// block extent where the offset is zero, 1 where it steps.
 			volume := 1

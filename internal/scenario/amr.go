@@ -6,9 +6,9 @@ import (
 
 	"walberla/internal/amr"
 	"walberla/internal/boundary"
+	"walberla/internal/core"
 	"walberla/internal/field"
 	"walberla/internal/kernels"
-	"walberla/internal/lattice"
 	"walberla/internal/sim"
 )
 
@@ -116,13 +116,10 @@ func (sc *Scenario) AMRConfig() (amr.Config, error) {
 		}
 	case "cavity":
 		cfg.Boundary = boundary.Config{WallVelocity: [3]float64{sc.Geometry.LidVelocity, 0, 0}}
-		cfg.Flags = domainFaceFlags(map[lattice.Face]field.CellType{lattice.FaceT: field.VelocityBounce})
+		cfg.Flags = core.CavityFlags
 	case "channel":
 		cfg.Boundary = boundary.Config{WallVelocity: [3]float64{sc.Geometry.InflowVelocity, 0, 0}, Density: 1}
-		cfg.Flags = domainFaceFlags(map[lattice.Face]field.CellType{
-			lattice.FaceW: field.VelocityBounce,
-			lattice.FaceE: field.PressureBounce,
-		})
+		cfg.Flags = core.ChannelFlags([3]int{}, [3]int{})
 	default:
 		return amr.Config{}, fmt.Errorf("scenario: refinement does not support the %s example", sc.Geometry.Example)
 	}
@@ -130,38 +127,4 @@ func (sc *Scenario) AMRConfig() (amr.Config, error) {
 		return amr.Config{}, fmt.Errorf("scenario: %w", err)
 	}
 	return cfg, nil
-}
-
-// domainFaceFlags builds the level-aware boundary flag function of a
-// box domain: leaves touching a domain face get that face's ghost layer
-// marked (special cases from the map, no-slip otherwise); interior
-// leaves stay flag-free and take the dense kernel fast path. Pure in
-// the leaf identity, as migration and recovery require.
-func domainFaceFlags(special map[lattice.Face]field.CellType) amr.FlagsFunc {
-	return func(leaf amr.Leaf, grid, cells [3]int) *field.FlagField {
-		level := leaf.Level()
-		var faces []lattice.Face
-		for f := lattice.FaceW; f < lattice.NumFaces; f++ {
-			nx, ny, nz := f.Normal()
-			n := [3]int{nx, ny, nz}
-			for d := 0; d < 3; d++ {
-				if (n[d] < 0 && leaf.Idx[d] == 0) || (n[d] > 0 && leaf.Idx[d] == grid[d]<<uint(level)-1) {
-					faces = append(faces, f)
-				}
-			}
-		}
-		if len(faces) == 0 {
-			return nil
-		}
-		fl := field.NewFlagField(cells[0], cells[1], cells[2], 1)
-		fl.Fill(field.Fluid)
-		for _, f := range faces {
-			t, ok := special[f]
-			if !ok {
-				t = field.NoSlip
-			}
-			sim.MarkGhostFace(fl, f, t)
-		}
-		return fl
-	}
 }

@@ -338,12 +338,16 @@ func TestReplicateRoundTrip(t *testing.T) {
 			return
 		}
 		var blocks []*BlockData
+		x := cavityForest().Index()
 		for i, rec := range recs {
-			bd, err := s.adopt(wardForest.Blocks[i], rec) // both in Morton order
+			b := wardForest.Blocks[i] // both in Morton order
+			bd, err := s.NewBlock(x, blockforest.Leaf{ID: b.ID, Coord: b.Coord, Rank: c.Rank()}, nil, nil)
 			if err != nil {
 				t.Errorf("rank %d: adopt: %v", c.Rank(), err)
 				return
 			}
+			bd.Src.CopyFrom(rec.Src)
+			bd.Dst.CopyFrom(rec.Dst)
 			blocks = append(blocks, bd)
 		}
 		mu.Lock()

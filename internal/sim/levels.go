@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sort"
+
 	"walberla/internal/blockforest"
 	"walberla/internal/field"
 	"walberla/internal/lattice"
@@ -53,12 +55,21 @@ func (c *Config) TauAt(l int) float64 {
 	return 0.5 + float64(int(1)<<uint(l))*(c.Tau-0.5)
 }
 
-// SetBlocks makes blocks this rank's block set — blocks of any levels in
-// canonical order, each with its whole neighborhood in Block.Neighbors —
-// and rebuilds the exchange plans of all levels, whose transfers between
-// levels r computes. Like every plan rebuild it is collective among
-// neighboring ranks and fails only when one of them does.
+// SetBlocks makes blocks this rank's block set — blocks of any levels,
+// each with its whole neighborhood in Block.Neighbors, put in canonical
+// order (the forest's too) — and rebuilds the exchange plans of all
+// levels, whose transfers between levels r computes. Like every plan
+// rebuild it is collective among neighboring ranks and fails only when one
+// of them does.
 func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler) error {
+	sort.Slice(blocks, func(i, j int) bool {
+		return blockforest.CanonicalLess(blocks[i].Block.Coord, blocks[i].Block.ID, blocks[j].Block.Coord, blocks[j].Block.ID)
+	})
+	f := s.Forest
+	f.Rank, f.NumRanks, f.Blocks = s.Comm.Rank(), s.Comm.Size(), make([]*blockforest.Block, len(blocks))
+	for i, bd := range blocks {
+		f.Blocks[i] = bd.Block
+	}
 	s.Blocks, s.resample, s.levelBlocks = blocks, r, nil
 	for _, bd := range blocks {
 		l := int(bd.Block.ID.Level)

@@ -91,6 +91,10 @@ func tagFor(tree uint32, offIdx int) int { return int(tree)*27 + offIdx }
 func (pp *perPair) build(s *Simulation) (map[*BlockData]bool, error) {
 	pp.plan = nil
 	remote := make(map[*BlockData]bool)
+	byCoord := make(map[[3]int]*BlockData, len(s.Blocks))
+	for _, bd := range s.Blocks {
+		byCoord[bd.Block.Coord] = bd
+	}
 	for _, bd := range s.Blocks {
 		cells := bd.Block.Cells
 		for _, n := range bd.Block.Neighbors {
@@ -111,7 +115,7 @@ func (pp *perPair) build(s *Simulation) (map[*BlockData]bool, error) {
 				recvTag:  tagFor(bd.Block.ID.Tree, offsetIndex(o)),
 			}
 			if n.Rank == s.Comm.Rank() {
-				peer, ok := s.byCoord[n.Coord]
+				peer, ok := byCoord[n.Coord]
 				if !ok {
 					panic(fmt.Sprintf("sim: local neighbor %v missing", n.Coord))
 				}

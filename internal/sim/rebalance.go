@@ -15,9 +15,9 @@ import (
 // way every block changes hands: the ranks agree on the assignment
 // (resilience.Agree), each destination gets one WBK2 rank file of
 // records (both PDF fields, as a buddy replica) and nothing else (Ship,
-// which a refined world's migration uses too), and every rank then
-// installs the records it holds as recovery does (reown): it rebuilds its
-// neighbourhoods from the allgathered ownership and builds the blocks it
+// which a refined world's migration uses too), and every rank then lands
+// the records it holds as a restore does (Land): it rebuilds its
+// neighbourhoods from the allgathered leaf set and builds the blocks it
 // gained. Assignments cut the Morton curve by static (fluid cells) or
 // measured (compute time) loads.
 
@@ -132,7 +132,7 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	if err != nil {
 		return fmt.Errorf("sim: rebalance: %w", err)
 	}
-	if err := s.reown(append(records(outgoing[me]), gained...)); err != nil {
+	if _, err := s.Land(s.Comm, append(records(outgoing[me]), gained...), 0, nil); err != nil {
 		return err
 	}
 	// Migration invalidates ghost layers; synchronize before stepping on.

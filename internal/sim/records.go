@@ -2,21 +2,26 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"walberla/internal/blockforest"
+	"walberla/internal/comm"
 	"walberla/internal/field"
 	"walberla/internal/output"
+	"walberla/internal/resilience"
 )
 
 // Blocks change hands one way, as WBK2 records (output.LeafSnapshot),
 // whatever moves them — a restore, a shrink or heal, a rebalance, or a
-// refined world's migration. A uniform block is the level-0 leaf of its
-// root (records). A record that lands is checked before the ranks agree
-// on it (checkRecord, CheckShape), one that crosses between ranks is
-// shipped by the one routine both runtimes use (Ship), and a uniform
-// world makes the records it holds its blocks by rebuilding topology as
-// setup does (reown).
+// refined world's migration — and land one way. A uniform block is the
+// level-0 leaf of its root (records). A record that crosses between ranks
+// is shipped by the one routine both runtimes use (Ship); the records a
+// rank holds afterwards become its blocks through the one landing routine
+// of both runtimes (Land), which a refined migration shares the end of
+// (Commit). Every block outside construction is assembled one way
+// (NewBlock): its neighbourhood from the leaf set's blockforest.Index,
+// then its flags from the block and that neighbourhood.
 
 // tagShip carries a rank file (Ship): user tag space above any
 // ghost-exchange tag (which is bounded by numTrees * 27).
@@ -33,23 +38,16 @@ func records(blocks []*BlockData) []output.LeafSnapshot {
 	return snaps
 }
 
-// checkRecord reports whether rec can be a block of this forest: the
-// level-0 leaf of a root of the grid, shaped like its blocks.
-func (s *Simulation) checkRecord(rec output.LeafSnapshot) error {
+// checkRecord reports whether rec can be a block of this forest: a leaf
+// at most maxLevel deep of a root of the grid, shaped like its blocks.
+func (s *Simulation) checkRecord(rec output.LeafSnapshot, maxLevel int) error {
 	g, c := s.Forest.GridSize, rec.Coord
 	in := c[0] >= 0 && c[1] >= 0 && c[2] >= 0 && c[0] < g[0] && c[1] < g[1] && c[2] < g[2]
-	if !in || rec.Tree != uint32((c[2]*g[1]+c[1])*g[0]+c[0]) || rec.Path != 0 || rec.Level != 0 {
-		return fmt.Errorf("sim: record %d/%#o/L%d %v is no block of this forest", rec.Tree, rec.Path, rec.Level, rec.Coord)
+	if !in || rec.Tree != blockforest.TreeIndex(g, c) || int(rec.Level) > maxLevel || rec.Path>>(3*uint(rec.Level)) != 0 {
+		return fmt.Errorf("sim: record %d/%#o/L%d %v is no leaf of this forest", rec.Tree, rec.Path, rec.Level, rec.Coord)
 	}
-	return CheckShape(rec, s.Forest.CellsPerBlock)
-}
-
-// CheckShape reports whether both of rec's fields have the given interior
-// cells and the one ghost layer of every block, as a copy into a block
-// needs.
-func CheckShape(rec output.LeafSnapshot, cells [3]int) error {
 	for _, pf := range [2]*field.PDFField{rec.Src, rec.Dst} {
-		if [3]int{pf.Nx, pf.Ny, pf.Nz} != cells || pf.Ghost != 1 {
+		if [3]int{pf.Nx, pf.Ny, pf.Nz} != s.Forest.CellsPerBlock || pf.Ghost != 1 {
 			return fmt.Errorf("sim: record %d/%#o/L%d %v: shape mismatch", rec.Tree, rec.Path, rec.Level, rec.Coord)
 		}
 	}
@@ -86,94 +84,110 @@ func (s *Simulation) Ship(out map[int][]output.LeafSnapshot, from []int) ([]outp
 	return got, nil
 }
 
-// reown makes the blocks of recs this rank's block set after its
-// ownership changed or was restored (Install and Rebalance end in it),
-// rebuilding topology as setup does: every rank's record coordinates are
-// allgathered into a setup forest whose Build yields this rank's blocks,
-// neighbourhoods and owners — the forest keeps only those. A block this
-// rank holds keeps its BlockData and takes its record's fields in place
-// (none to copy when the record is a view of it, as Rebalance's own are);
-// the others are built on the worker pool, each from its flags
-// (setupFlags) and filled from its record (adopt). Collective over
-// s.Comm; a failure before the allgather completes leaves the world as it
-// was.
-func (s *Simulation) reown(recs []output.LeafSnapshot) error {
-	local := make([]int64, 0, 3*len(recs))
+// Land makes recs — the records of every leaf this rank owns from now on
+// — its block set on c, after its ownership changed or was restored: the
+// uniform Install (a rewind, shrink or heal), Rebalance and the refined
+// Install all end here. maxLevel is the deepest level a leaf may have, r
+// the transfers between levels (nil on a uniform world). In five steps:
+//
+//  1. every record is checked alone (checkRecord);
+//  2. the ranks agree on the verdict (resilience.Agree), so a record
+//     refused anywhere fails every rank before anything changes;
+//  3. the leaf identities are allgathered into the leaf set, which must be
+//     2:1 graded and cover each region once (blockforest.CheckGraded) — a
+//     leaf owned twice is refused here;
+//  4. a block this rank holds keeps its BlockData and takes its record's
+//     fields in place (none to copy when the record is a view of it, as
+//     Rebalance's own are); the others are assembled on the worker pool
+//     (NewBlock) and filled with a copy of their records, which are
+//     decoded whole-block and in the layout they were stored in (a buddy
+//     ring keeps its decoded replicas);
+//  5. Commit.
+//
+// It returns the leaf set in canonical order, owners included. A failure
+// before the allgather completes leaves the world as it was.
+func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int, r Resampler) ([]blockforest.Leaf, error) {
+	var err error
 	for _, rec := range recs {
-		local = append(local, int64(rec.Coord[0]), int64(rec.Coord[1]), int64(rec.Coord[2]))
-	}
-	gathered, err := s.Comm.AllgatherErr(local)
-	if err != nil {
-		return fmt.Errorf("sim: gathering block ownership: %w", err)
-	}
-	f := s.Forest
-	setup := blockforest.NewSetupForest(f.Domain, f.GridSize, f.CellsPerBlock, f.Periodic)
-	owner := make(map[[3]int]int)
-	for r, g := range gathered {
-		for v, _ := g.([]int64); len(v) >= 3; v = v[3:] {
-			c := [3]int{int(v[0]), int(v[1]), int(v[2])}
-			if _, twice := owner[c]; twice || setup.Block(c) == nil {
-				return fmt.Errorf("sim: block %v is owned twice or lies outside the grid", c)
-			}
-			owner[c] = r
+		if err = s.checkRecord(rec, maxLevel); err != nil {
+			break
 		}
 	}
-	setup.Keep(func(b *blockforest.SetupBlock) bool {
-		r, ok := owner[b.Coord]
-		b.Rank = r
-		return ok
-	})
-	*s.Forest = *blockforest.Build(setup, s.Comm.Rank(), s.Comm.Size())
-
-	byRecord := make(map[[3]int]output.LeafSnapshot, len(recs))
-	for _, rec := range recs {
-		byRecord[rec.Coord] = rec
-	}
-	s.Blocks = make([]*BlockData, len(s.Forest.Blocks))
-	var fill []int // indices of the blocks whose record is not their view
-	for i, b := range s.Forest.Blocks {
-		if bd := s.byCoord[b.Coord]; bd != nil {
-			bd.Block.Neighbors = b.Neighbors
-			s.Forest.Blocks[i], s.Blocks[i] = bd.Block, bd
-			if byRecord[b.Coord].Src == bd.Src {
-				continue
-			}
-		}
-		fill = append(fill, i)
-	}
-	errs := make([]error, len(fill))
-	s.pool.run(len(fill), func(_, k int) {
-		b, bd := s.Forest.Blocks[fill[k]], s.Blocks[fill[k]]
-		if bd == nil {
-			s.Blocks[fill[k]], errs[k] = s.adopt(b, byRecord[b.Coord])
-			return
-		}
-		bd.Src.CopyFrom(byRecord[b.Coord].Src)
-		bd.Dst.CopyFrom(byRecord[b.Coord].Dst)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	s.byCoord = make(map[[3]int]*BlockData, len(s.Blocks))
-	for _, bd := range s.Blocks {
-		s.byCoord[bd.Block.Coord] = bd
-	}
-	return s.rebuildPlan()
-}
-
-// adopt builds block b from its flags as construction does and fills it
-// with rec's fields, which Install or the sender checked: the records are
-// decoded whole-block and in the layout they were stored in, and the copy
-// crops to the block's rows and transposes. (Never handed over: a buddy
-// ring keeps its decoded replicas.)
-func (s *Simulation) adopt(b *blockforest.Block, rec output.LeafSnapshot) (*BlockData, error) {
-	bd, err := s.AssembleBlock(b, s.setupFlags(b), nil, nil)
-	if err != nil {
+	if err := resilience.Agree(c, err); err != nil {
 		return nil, err
 	}
-	bd.Src.CopyFrom(rec.Src)
-	bd.Dst.CopyFrom(rec.Dst)
+	s.Comm = c
+	local := make([]int64, 0, 3*len(recs))
+	for _, rec := range recs {
+		local = append(local, int64(rec.Tree), int64(rec.Path), int64(rec.Level))
+	}
+	gathered, err := c.AllgatherErr(local)
+	if err != nil {
+		return nil, fmt.Errorf("sim: gathering the leaf set: %w", err)
+	}
+	f, g := s.Forest, s.Forest.GridSize
+	var leaves []blockforest.Leaf
+	for rank, part := range gathered {
+		for v, _ := part.([]int64); len(v) >= 3; v = v[3:] {
+			t := int(v[0]) // a tree of the grid, as checked
+			leaves = append(leaves, blockforest.Leaf{ID: blockforest.BlockID{Tree: uint32(t), Path: uint64(v[1]), Level: uint8(v[2])},
+				Coord: [3]int{t % g[0], t / g[0] % g[1], t / (g[0] * g[1])}, Rank: rank})
+		}
+	}
+	if err := blockforest.CheckGraded(leaves, f.GridSize, f.Periodic); err != nil {
+		return nil, fmt.Errorf("sim: the landed leaf set: %w", err)
+	}
+	blockforest.SortLeaves(leaves)
+	x := blockforest.NewIndex(leaves, f.GridSize, f.Periodic)
+
+	held := make(map[blockforest.BlockID]*BlockData, len(s.Blocks))
+	for _, bd := range s.Blocks {
+		held[bd.Block.ID] = bd
+	}
+	blocks := make([]*BlockData, len(recs))
+	errs := make([]error, len(recs))
+	s.pool.run(len(recs), func(_, i int) {
+		rec := recs[i]
+		id := blockforest.BlockID{Tree: rec.Tree, Path: rec.Path, Level: rec.Level}
+		bd := held[id]
+		if bd == nil {
+			bd, errs[i] = s.NewBlock(x, blockforest.Leaf{ID: id, Coord: rec.Coord}, nil, nil)
+		}
+		if errs[i] == nil && rec.Src != bd.Src {
+			bd.Src.CopyFrom(rec.Src)
+			bd.Dst.CopyFrom(rec.Dst)
+		}
+		blocks[i] = bd
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return leaves, s.Commit(x, blocks, r)
+}
+
+// NewBlock assembles the block of leaf l of the leaf set indexed by x —
+// its header (Forest.Header: box, cells, neighbourhood), its flags built
+// from that header (setupFlags), then AssembleBlock with src and dst.
+// Every block built outside construction comes from here: an adopted,
+// gained or restored block of either runtime and every leaf of a refined
+// world.
+func (s *Simulation) NewBlock(x *blockforest.Index, l blockforest.Leaf, src, dst *field.PDFField) (*BlockData, error) {
+	b := s.Forest.Header(l, x)
+	bd, err := s.AssembleBlock(b, s.setupFlags(b), src, dst)
+	if err != nil {
+		return nil, fmt.Errorf("sim: leaf %v: %w", l.ID, err)
+	}
 	return bd, nil
+}
+
+// Commit makes blocks — leaves of the set x indexes that this rank owns,
+// in any order — its block set: every block's neighbourhood is looked up
+// in x, then SetBlocks puts them in canonical order and rebuilds the
+// exchange plans, whose transfers between levels r computes.
+func (s *Simulation) Commit(x *blockforest.Index, blocks []*BlockData, r Resampler) error {
+	for _, bd := range blocks {
+		b := bd.Block
+		b.Neighbors = x.Neighbors(blockforest.Leaf{ID: b.ID, Coord: b.Coord})
+	}
+	return s.SetBlocks(blocks, r)
 }

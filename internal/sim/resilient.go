@@ -21,13 +21,13 @@ import (
 // self-contained: its identity fixes the block's box, and flags are a
 // function of the geometry and the neighbourhood. So every restore — a
 // rewind, a shrink or a heal — lands each record where the generation put
-// it: the ranks agree that every record fits (resilience.Agree), then
-// every rank allgathers the block coordinates all ranks now own, rebuilds
-// its neighbourhoods with the setup code and builds the adopted blocks'
-// flags as construction does (reown). Protection is taken at a step
-// barrier, so a restored run replays the exact deterministic step
-// sequence and finishes bit-identical to an uninterrupted one. See
-// docs/RESILIENCE.md.
+// it through the landing routine both runtimes share (Land): the ranks
+// agree that every record fits, every rank allgathers the leaf set,
+// rebuilds its neighbourhoods from it, keeps the blocks it holds and
+// builds the adopted ones, flags included, as construction does.
+// Protection is taken at a step barrier, so a restored run replays the
+// exact deterministic step sequence and finishes bit-identical to an
+// uninterrupted one. See docs/RESILIENCE.md.
 
 // The resilience vocabulary under the names this package has always
 // exported.
@@ -182,22 +182,14 @@ func (w world) Reset() error {
 	return nil
 }
 
-// Install checks every record, agrees on the verdict over c, and makes
-// the records this rank's blocks where the generation put them (reown),
-// on c — a rewind, a shrink and a heal alike.
+// Install lands the records where the generation put them (Land), on c —
+// a rewind, a shrink and a heal alike.
 func (w world) Install(c *comm.Comm, step int, recs resilience.State) error {
-	s := w.Simulation
-	var err error
-	for _, rec := range recs {
-		if err = s.checkRecord(rec); err != nil {
-			break
-		}
-	}
-	if err := resilience.Agree(c, err); err != nil {
+	if _, err := w.Land(c, recs, 0, nil); err != nil {
 		return err
 	}
 	// Simulated time resumes at the restored step; the plain driver's
 	// fault-injection announcements continue from there.
-	s.Comm, s.worldSteps = c, step
-	return s.reown(recs)
+	w.worldSteps = step
+	return nil
 }

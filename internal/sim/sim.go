@@ -375,8 +375,6 @@ type Simulation struct {
 	Config  Config
 	Blocks  []*BlockData
 
-	byCoord map[[3]int]*BlockData
-
 	// levels holds the exchange plan of every level present (aggregate.go),
 	// one for a uniform world; exchange runs the uniform step's exchange on
 	// it (the tests swap in their per-pair oracle). A refined world adds
@@ -429,7 +427,6 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		Forest:   forest,
 		Stencil:  cfg.Stencil,
 		Config:   cfg,
-		byCoord:  make(map[[3]int]*BlockData),
 		exchange: aggregated{},
 		pool:     workerPool{workers: cfg.Workers},
 		force:    newForcing(cfg.Stencil, cfg.Force),
@@ -455,7 +452,6 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		}
 		s.applyInitialState(bd)
 		s.Blocks = append(s.Blocks, bd)
-		s.byCoord[b.Coord] = bd
 	}
 	s.sweepFn = func(worker, i int) {
 		bd := s.sweepList[i]
@@ -825,6 +821,13 @@ func (s *Simulation) LocalFluidCells() int64 {
 	return n
 }
 
-// BlockByCoord returns this rank's block data at the given grid coordinate
-// or nil.
-func (s *Simulation) BlockByCoord(c [3]int) *BlockData { return s.byCoord[c] }
+// BlockByCoord returns this rank's level-0 block at the given grid
+// coordinate or nil.
+func (s *Simulation) BlockByCoord(c [3]int) *BlockData {
+	for _, bd := range s.Blocks {
+		if bd.Block.Coord == c && bd.Block.ID.Level == 0 {
+			return bd
+		}
+	}
+	return nil
+}

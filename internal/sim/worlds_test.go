@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"walberla/internal/amr"
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/core"
@@ -737,6 +738,159 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 			})
 		}
 	}
+	refinedLandingMatchesConstruction(t)
+}
+
+// refinedLandingMatchesConstruction holds the refined runtime's landings
+// to the same standard: the non-periodic cavity, whose flags read
+// neighbor existence, refined twice in its upper root layer, to level 2,
+// on 3 ranks. After a
+// rewind, after a shrink onto 2 ranks and after a migration, every leaf —
+// kept, adopted or moved — holds the flag field and the neighbor list
+// that a fresh build of the world's leaf set with its owners gives it:
+// the neighborhood from blockforest.Index, the flags from the scenario's
+// flag function on that header. A rewind keeps the BlockData of every leaf
+// the rank held before it and holds after it.
+func refinedLandingMatchesConstruction(t *testing.T) {
+	sc, err := scenario.Parse([]byte(fmt.Sprintf(cavityDoc, 8, 8, 8, 3)))
+	if err == nil {
+		sc.Resolution.Grid = [3]int{4, 2, 2}
+		sc.Refinement = scenario.RefinementSpec{MaxLevel: 2, RefineAbove: 1, CoarsenBelow: 0.5}
+		err = sc.Validate()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sc.AMRConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Refinement.Interval = 0 // the leaf set changes by ApplyMarks alone
+	// refine marks the leaves of the given root layer along z.
+	refine := func(s *amr.Sim, z int) error {
+		marks := map[blockforest.BlockID]blockforest.Mark{}
+		for _, l := range s.Leaves() {
+			if l.Coord[2] == z {
+				marks[l.ID] = blockforest.MarkRefine
+			}
+		}
+		return s.ApplyMarks(marks)
+	}
+	rc := sim.ResilienceConfig{Mode: sim.RecoverShrink, CheckpointEvery: 2, MaxFailures: 2,
+		BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond}
+	for _, ev := range []struct {
+		name  string
+		opts  comm.Options
+		drive func(s *amr.Sim, dir string) error
+	}{
+		{"rewind", comm.Options{}, func(s *amr.Sim, dir string) error {
+			if _, err := s.WriteCheckpointSet(dir, s.Steps()); err != nil {
+				return err
+			}
+			if err := refine(s, 0); err != nil {
+				return err
+			}
+			if err := s.Run(1); err != nil {
+				return err
+			}
+			held := map[blockforest.BlockID]*sim.BlockData{}
+			for _, b := range s.OwnedBlocks() {
+				held[b.ID] = b.BlockData
+			}
+			if _, err := s.RestoreLatestCheckpointSet(dir); err != nil {
+				return err
+			}
+			kept := 0
+			for _, b := range s.OwnedBlocks() {
+				if bd, ok := held[b.ID]; ok && bd != b.BlockData {
+					return fmt.Errorf("leaf %v: the rewind reassembled a block the rank still holds", b.ID)
+				} else if ok {
+					kept++
+				}
+			}
+			if kept == 0 {
+				return fmt.Errorf("the rank holds none of its %d leaves after the rewind", len(held))
+			}
+			return nil
+		}},
+		{"shrink", comm.Options{Faults: &comm.FaultPlan{Seed: 5, Crashes: []comm.CrashSpec{{Rank: 1, Step: 3}}}},
+			func(s *amr.Sim, _ string) error {
+				st, err := s.RunResilient(s.Steps()+4, rc)
+				if err == nil && st.Shrinks != 1 {
+					err = fmt.Errorf("%d shrinks, want 1", st.Shrinks)
+				}
+				return err
+			}},
+		{"migrate", comm.Options{}, func(s *amr.Sim, _ string) error { return refine(s, 0) }},
+	} {
+		t.Run("refined cavity/"+ev.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var mu sync.Mutex
+			var leaves []amr.Leaf
+			owned := map[blockforest.BlockID]int{}
+			var errs []error
+			comm.RunWithOptions(3, ev.opts, func(c *comm.Comm) {
+				s, err := amr.New(c, cfg)
+				for range 2 {
+					if err == nil {
+						err = refine(s, 1)
+					}
+				}
+				if err == nil {
+					err = s.Run(2)
+				}
+				if err == nil {
+					err = ev.drive(s, dir)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case errors.Is(err, sim.ErrRetired):
+					return
+				case err != nil:
+					errs = append(errs, fmt.Errorf("rank %d: %w", c.Rank(), err))
+					return
+				}
+				leaves = s.Leaves()
+				x := blockforest.NewIndex(bfLeaves(leaves), cfg.Grid, cfg.Periodic)
+				for _, b := range s.OwnedBlocks() {
+					owned[b.ID] = s.Comm.Rank()
+					l := blockforest.Leaf{ID: b.ID, Coord: b.Coord, Rank: s.Comm.Rank()}
+					want := &blockforest.Block{ID: b.ID, Coord: b.Coord, Cells: cfg.Cells, Neighbors: x.Neighbors(l)}
+					flags := field.NewFlagField(cfg.Cells[0], cfg.Cells[1], cfg.Cells[2], 1)
+					cfg.Flags(want, nil, flags)
+					if !slices.Equal(b.Flags.Data(), flags.Data()) {
+						errs = append(errs, fmt.Errorf("leaf %v: flag field differs from a fresh build's", b.ID))
+					}
+					if !slices.Equal(b.Block.Neighbors, want.Neighbors) {
+						errs = append(errs, fmt.Errorf("leaf %v: neighbors %v, a fresh build gives %v", b.ID, b.Block.Neighbors, want.Neighbors))
+					}
+				}
+			})
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			levels := map[int]bool{}
+			for _, l := range leaves {
+				levels[l.Level()] = true
+				if r, ok := owned[l.ID]; !ok || r != l.Rank {
+					t.Errorf("leaf %v of rank %d is owned by rank %d (held: %v)", l.ID, l.Rank, r, ok)
+				}
+			}
+			if len(owned) != len(leaves) || !levels[2] {
+				t.Errorf("%d blocks owned for %d leaves, levels %v", len(owned), len(leaves), levels)
+			}
+		})
+	}
+}
+
+// bfLeaves converts a refined world's leaves to blockforest form.
+func bfLeaves(ls []amr.Leaf) []blockforest.Leaf {
+	out := make([]blockforest.Leaf, len(ls))
+	for i, l := range ls {
+		out[i] = blockforest.Leaf{ID: l.ID, Coord: l.Coord, Rank: l.Rank}
+	}
+	return out
 }
 
 // linkedHull is the storage rule written out cell by cell: the x-hull of
