@@ -59,10 +59,12 @@ race-resilience:
 # stalled frames still cross the wire), failure accusation (only the
 # silent rank is named), the receive-buffer ownership contract, the
 # payload contract on both transports, a payload split across frames and
-# joined again, and the cross-transport bit-identity and
-# recovery-over-sockets tests.
+# joined again, the cross-transport bit-identity and
+# recovery-over-sockets tests, and the refined overlapped step over
+# sockets (TestRefinedLevelsOverlap: every level's interior blocks sweep
+# while its slabs are on the wire).
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire' ./internal/comm/ ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire|TestRefinedLevelsOverlap' ./internal/comm/ ./internal/sim/ ./internal/amr/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
@@ -75,7 +77,8 @@ race-serve:
 
 # race-amr re-runs the adaptive mesh refinement suite uncached under the
 # race detector: the level-wise timestepping determinism battery
-# (workers/ranks/layout/transport bit-identity), the runtime
+# (workers/ranks/layout/transport bit-identity of the data plane's one
+# overlapped step, run per level, and its overlap on two ranks), the runtime
 # refine/coarsen controller, migration, the grading invariants and the
 # AMR resilience tests (rewind replay, buddy shrink with zero disk reads;
 # a refined restore lands through the routine the uniform one uses, so a
@@ -94,7 +97,8 @@ race-amr:
 # telemetry overhead guard — TestStepZeroAllocTree (the smoke tree on row
 # storage: interval kernels, per-row pulls, masked copies), the refined
 # twins TestStepZeroAllocRefined and TestStepZeroAllocRefinedTraced (a
-# coarse step of a static three-level forest), and
+# coarse step of a static three-level forest: the same overlapped step,
+# run per level sub-step), and
 # TestFieldMemoryFollowsFluid, the proportionality gate of the allocation
 # rows (PDF storage follows the fluid a rank owns, not its blocks' boxes).
 alloc-test:

@@ -206,6 +206,87 @@ func TestTransportInvariance(t *testing.T) {
 	}
 }
 
+// TestRefinedLevelsOverlap: a refined world steps every level the way a
+// uniform world steps: post the level's exchange, sweep its interior
+// blocks while the remote slabs travel, wait, sweep its frontier. On a
+// static three-level forest over two ranks, in process and over unix
+// sockets, refined blocks without a remote neighbour exist and sweep
+// inside the exchange window (Overlap().Interior), every level present
+// accounts sweep and exchange time, and the field ends bit-identical to
+// the single-rank run. The 8×2×2 root grid leaves blocks away from the
+// rank border; on 4×2×2 every level-0 block touches the other rank.
+func TestRefinedLevelsOverlap(t *testing.T) {
+	const steps = 4
+	cfg := baseConfig(1, field.SoA)
+	cfg.Grid, cfg.Cells = [3]int{8, 2, 2}, [3]int{4, 4, 4}
+	cfg.Refinement.Interval = 0
+	run := func(ranks int, opts comm.Options) (hash uint64, refinedInterior int) {
+		var mu sync.Mutex
+		comm.RunWithOptions(ranks, opts, func(c *comm.Comm) {
+			s, err := New(c, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := refineFirstColumn(s); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Run(steps); err != nil {
+				t.Errorf("rank %d: %v", c.Rank(), err)
+				return
+			}
+			h, err := s.FieldHash()
+			if err != nil {
+				t.Errorf("rank %d: hash: %v", c.Rank(), err)
+				return
+			}
+			if s.MaxLevel() != 2 {
+				t.Errorf("forest has max level %d, want 2", s.MaxLevel())
+			}
+			alone := 0
+			for _, b := range s.OwnedBlocks() {
+				if b.Level() == 0 {
+					continue
+				}
+				local := true
+				for _, n := range b.Block.Neighbors {
+					local = local && n.Rank == c.Rank()
+				}
+				if local {
+					alone++
+				}
+			}
+			if o := s.plane.Overlap(); o.Interior <= 0 {
+				t.Errorf("ranks=%d rank %d: no interior sweep overlapped an exchange (%v)", ranks, c.Rank(), o)
+			}
+			st := s.GetStats()
+			for l := 0; l <= s.MaxLevel(); l++ {
+				if st.SweepNs[l] <= 0 || st.ExchangeNs[l] <= 0 {
+					t.Errorf("ranks=%d rank %d: level %d accounts sweep %d ns, exchange %d ns", ranks, c.Rank(), l, st.SweepNs[l], st.ExchangeNs[l])
+				}
+			}
+			mu.Lock()
+			hash, refinedInterior = h, refinedInterior+alone
+			mu.Unlock()
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+		return hash, refinedInterior
+	}
+	want, _ := run(1, comm.Options{})
+	for _, net := range []*comm.NetOptions{nil, {Network: "unix"}} {
+		got, alone := run(2, comm.Options{Net: net})
+		if got != want {
+			t.Errorf("net=%v: two-rank hash %016x != single-rank %016x", net, got, want)
+		}
+		if alone == 0 {
+			t.Errorf("net=%v: no refined block lacks a remote neighbour", net)
+		}
+	}
+}
+
 // TestRegradeStats: the controller reports splits/merges/migrations
 // consistently with the observed forest.
 func TestRegradeStats(t *testing.T) {
@@ -243,6 +324,24 @@ func refineLeftHalf(s *Sim) error {
 		marks := map[blockforest.BlockID]blockforest.Mark{}
 		for _, l := range s.Leaves() {
 			if l.Idx[0] < s.cfg.Grid[0]<<uint(l.Level())/2 {
+				marks[l.ID] = blockforest.MarkRefine
+			}
+		}
+		if err := s.ApplyMarks(marks); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// refineFirstColumn refines the leaves of the first column of roots
+// twice: level 2 there, its neighbours graded to level 1, the columns
+// beyond at level 0.
+func refineFirstColumn(s *Sim) error {
+	for round := 0; round < 2; round++ {
+		marks := map[blockforest.BlockID]blockforest.Mark{}
+		for _, l := range s.Leaves() {
+			if l.Coord[0] == 0 {
 				marks[l.ID] = blockforest.MarkRefine
 			}
 		}

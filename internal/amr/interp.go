@@ -148,18 +148,18 @@ func (s *Sim) lambdaToCoarse(fineLevel int) lambdaPair {
 // Nothing writes the coarse fields between the two phases — only finer
 // levels run, and their exchanges write only their own ghosts — so phase
 // 0 keeps its raw Dst samples in the transfer's memo, stamped with the
-// sender level's sweep count, and phase 1 samples only Src. A phase 1
-// that finds another stamp samples Dst again.
+// sender level's sub-step count (sim.Simulation.LevelSweeps), and phase 1
+// samples only Src. A phase 1 that finds another stamp samples Dst again.
 type resampler struct{ *Sim }
 
-func (r resampler) Resample(t *sim.Transfer, buf []float64, worker int) {
+func (r resampler) Resample(t *sim.Transfer, buf []float64, phase, worker int) {
 	s, level := r.Sim, int(t.Src.Block.ID.Level)
 	vol := (t.Hi[0] - t.Lo[0]) * (t.Hi[1] - t.Lo[1]) * (t.Hi[2] - t.Lo[2])
 	src, src2, memo, lam := t.Src.Src, (*field.PDFField)(nil), []float64(nil), s.lambdaToCoarse(level)
 	if t.ToFiner {
 		src, lam = t.Src.Dst, s.lambdaToFine(level+1)
 		switch sweeps := s.plane.LevelSweeps(level); {
-		case s.phase == 0:
+		case phase == 0:
 			memo, t.MemoStamp = t.Memo, sweeps
 		case t.MemoStamp == sweeps:
 			memo, src2 = t.Memo, t.Src.Src

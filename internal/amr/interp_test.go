@@ -19,9 +19,9 @@ type recorder struct {
 	seen map[*sim.Transfer]bool
 }
 
-func (r *recorder) Resample(t *sim.Transfer, buf []float64, worker int) {
+func (r *recorder) Resample(t *sim.Transfer, buf []float64, phase, worker int) {
 	r.seen[t] = true
-	r.resampler.Resample(t, buf, worker)
+	r.resampler.Resample(t, buf, phase, worker)
 }
 
 // packBuffer allocates the pack buffer of a transfer.
@@ -53,9 +53,12 @@ func referenceResample(s *Sim, t *sim.Transfer, phase int) []float64 {
 // TestResampleMemoMatchesRecompute: on a static three-level forest, in
 // both layouts, every coarse→fine transfer packs at phase 0 and at phase 1
 // exactly what a full recompute gives — the phase-1 pack reading phase 0's
-// memo, and a phase 1 whose memo is missing (no phase 0 since the plan was
-// built) or stale (the sender level swept since) sampling Dst again. A
-// memo poisoned with NaN shows whether a pack read it.
+// memo, and a phase 1 whose memo is missing (no phase 0 since the plan
+// built the transfer) or stale (the sender level stepped since) sampling
+// Dst again. A coarse step through a recording resampler finds the
+// transfers; each is checked as a plan build makes it (no memo stamp yet),
+// at the phase the step hands the resampler. A memo poisoned with NaN
+// shows whether a pack read it.
 func TestResampleMemoMatchesRecompute(t *testing.T) {
 	for _, layout := range []field.Layout{field.AoS, field.SoA} {
 		comm.Run(1, func(c *comm.Comm) {
@@ -66,26 +69,14 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			// Refining the first column of root blocks twice grades its
-			// neighbors to level 1 and leaves the far column at level 0.
-			for round := 0; round < 2; round++ {
-				marks := map[blockforest.BlockID]blockforest.Mark{}
-				for _, l := range s.Leaves() {
-					if l.Coord[0] == 0 {
-						marks[l.ID] = blockforest.MarkRefine
-					}
-				}
-				if err := s.ApplyMarks(marks); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := refineFirstColumn(s); err != nil {
+				t.Error(err)
+				return
 			}
 			if err := s.Run(2); err != nil {
 				t.Error(err)
 				return
 			}
-			// Packing at phase 1 neither stamps nor reads a fresh plan's memos,
-			// so discovering the transfers leaves every stamp missing.
 			rec := &recorder{resampler: resampler{s}, seen: map[*sim.Transfer]bool{}}
 			data := make([]*sim.BlockData, len(s.blocks))
 			for i, b := range s.blocks {
@@ -95,18 +86,18 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			s.phase = 1
-			for level := 1; level <= s.MaxLevel(); level++ {
-				if err := s.plane.ExchangeLevel(level); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := s.Step(); err != nil {
+				t.Error(err)
+				return
 			}
 			var toFiner []*sim.Transfer
 			byLevel := map[int]int{}
 			for x := range rec.seen {
 				if x.ToFiner {
-					toFiner = append(toFiner, x)
+					// The transfer as the plan build made it: memo not stamped.
+					fresh := *x
+					fresh.Memo, fresh.MemoStamp = make([]float64, len(x.Memo)), -1
+					toFiner = append(toFiner, &fresh)
 					byLevel[int(x.Src.Block.ID.Level)]++
 				}
 			}
@@ -116,9 +107,8 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 			}
 			check := func(what string, x *sim.Transfer, phase int) {
 				t.Helper()
-				s.phase = phase
 				got := packBuffer(x)
-				resampler{s}.Resample(x, got, 0)
+				resampler{s}.Resample(x, got, phase, 0)
 				want := referenceResample(s, x, phase)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -140,13 +130,15 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 				// The stamp is valid, so a poisoned memo now is what phase 1 reads.
 				poison(x)
 				got := packBuffer(x)
-				resampler{s}.Resample(x, got, 0)
+				resampler{s}.Resample(x, got, 1, 0)
 				if !math.IsNaN(got[0]) {
 					t.Errorf("%v: phase 1 with a valid stamp from %v did not read its memo", layout, x.Src.Block.ID)
 				}
 			}
-			for level := 0; level < s.MaxLevel(); level++ {
-				s.plane.SweepLevel(level)
+			// A coarse step sweeps every sender level again.
+			if err := s.Step(); err != nil {
+				t.Error(err)
+				return
 			}
 			for _, x := range toFiner {
 				poison(x)

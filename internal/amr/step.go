@@ -2,31 +2,31 @@ package amr
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"walberla/internal/resilience"
-	"walberla/internal/telemetry"
 )
 
-// Level-wise recursive timestepping (Schornbaum–Rüde): one coarse step
-// is advance(0), and
+// Level-wise recursive timestepping (Schornbaum–Rüde). The data plane's
+// Step runs it (sim.Simulation.Step): one coarse step is one sub-step of
+// level 0, and a sub-step of level ℓ is
 //
-//	advance(ℓ): exchange(ℓ); sweep(ℓ); advance(ℓ+1, 0); advance(ℓ+1, 1)
+//	post(ℓ); sweep interior(ℓ); wait(ℓ); sweep frontier(ℓ); swap(ℓ)
+//	then two sub-steps of level ℓ+1
 //
 // so a level-ℓ block performs 2^ℓ collide-stream sweeps per coarse
-// step and refreshes its ghosts before each one. The coarse level
-// sweeps first: its exchange restricts time-aligned fine data (the
-// fine level has not advanced yet), and because the field swap leaves
-// the pre-sweep state in Dst, both ends of the parent's interval are
-// in memory when the fine sub-steps run. The first sub-step (phase 0)
-// reads coarse ghosts at the interval start (the parent's Dst) and the
-// second (phase 1) the midpoint average ½(Dst+Src) — linear temporal
-// interpolation, so the level coupling is second order in time. A
-// zeroth-order hold instead (always reading the interval start) leaks
-// momentum through the interface: in a decaying flow the held value is
-// systematically larger than the time-aligned one, and the bias
-// accumulates as a spurious source.
+// step, refreshes its ghosts before each one and hides its remote ghost
+// traffic behind the level's interior blocks, as a uniform step does.
+// The coarse level sweeps first: its exchange restricts time-aligned
+// fine data (the fine level has not advanced yet), and because the field
+// swap leaves the pre-sweep state in Dst, both ends of the parent's
+// interval are in memory when the fine sub-steps run. The first sub-step
+// (phase 0) reads coarse ghosts at the interval start (the parent's Dst)
+// and the second (phase 1) the midpoint average ½(Dst+Src) — linear
+// temporal interpolation, so the level coupling is second order in time
+// (resampler). A zeroth-order hold instead (always reading the interval
+// start) leaks momentum through the interface: in a decaying flow the
+// held value is systematically larger than the time-aligned one, and the
+// bias accumulates as a spurious source.
 
 // Step advances the simulation by one coarse step, running the
 // refine/coarsen controller first every Refinement.Interval steps.
@@ -48,43 +48,11 @@ func (s *Sim) Step() error {
 			}
 		}
 	}
-	if err := s.advance(0, 0); err != nil {
+	if err := s.plane.Step(); err != nil {
 		return err
 	}
 	s.step++
 	s.tel.steps.Inc()
-	return nil
-}
-
-// advance runs one sub-step of one level; phase says which half of the
-// parent's interval this call covers and selects the temporal
-// interpolation of coarse→fine ghost transfers (level 0 has no parent
-// and ignores it).
-func (s *Sim) advance(level, phase int) error {
-	t0 := time.Now()
-	lt0 := s.tel.driver.Start()
-	s.phase = phase
-	if err := s.plane.ExchangeLevel(level); err != nil {
-		return fmt.Errorf("amr: level %d exchange: %w", level, err)
-	}
-	s.tel.driver.Span(telemetry.PhaseAMRExchange, s.step, int32(level), lt0)
-	xNs := time.Since(t0).Nanoseconds()
-	s.stats.ExchangeNs[level] += xNs
-	s.tel.exchangeNs[level].Add(xNs)
-
-	t1 := time.Now()
-	lt1 := s.tel.driver.Start()
-	s.plane.SweepLevel(level)
-	s.tel.driver.Span(telemetry.PhaseAMRSweep, s.step, int32(level), lt1)
-	ns := time.Since(t1).Nanoseconds()
-	s.stats.SweepNs[level] += ns
-	s.tel.sweepNs[level].Add(ns)
-
-	for phase := 0; level < s.maxLevel && phase < 2; phase++ {
-		if err := s.advance(level+1, phase); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -22,14 +22,10 @@ type amrTel struct {
 
 	regradeNs *telemetry.Counter
 	migrateNs *telemetry.Counter
-
-	// Per-level phase times, pre-resolved for the full level range.
-	sweepNs    [9]*telemetry.Counter
-	exchangeNs [9]*telemetry.Counter
 }
 
 func resolveAMRTel(tr *telemetry.Tracer, reg *telemetry.Registry) amrTel {
-	t := amrTel{
+	return amrTel{
 		driver:    tr.Driver(),
 		steps:     reg.Counter("amr.steps"),
 		regrades:  reg.Counter("amr.regrades"),
@@ -42,10 +38,4 @@ func resolveAMRTel(tr *telemetry.Tracer, reg *telemetry.Registry) amrTel {
 		regradeNs: reg.Counter("amr.regrade_ns"),
 		migrateNs: reg.Counter("amr.migrate_ns"),
 	}
-	names := [9]string{"0", "1", "2", "3", "4", "5", "6", "7", "8"}
-	for l := range t.sweepNs {
-		t.sweepNs[l] = reg.Counter("amr.level" + names[l] + ".sweep_ns")
-		t.exchangeNs[l] = reg.Counter("amr.level" + names[l] + ".exchange_ns")
-	}
-	return t
 }

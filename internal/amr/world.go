@@ -30,11 +30,8 @@ type Sim struct {
 	blocks []*Block // owned leaves, canonical order
 	byID   map[blockforest.BlockID]*Block
 
-	// plane owns the blocks' data, sweeps and exchange plans; phase is the
-	// temporal interpolation phase of the exchange it is running (see
-	// resampler).
+	// plane owns the blocks' data, exchange plans and the step.
 	plane *sim.Simulation
-	phase int
 
 	step  int // coarse steps completed
 	tel   amrTel
@@ -59,8 +56,8 @@ type Stats struct {
 	Migrated   int // leaves that changed rank (global)
 	RegradeNs  int64
 	MigrateNs  int64
-	SweepNs    [9]int64 // per level
-	ExchangeNs [9]int64 // per level
+	SweepNs    [9]int64 // per level: interior + frontier sweeps
+	ExchangeNs [9]int64 // per level: exchange post + wait
 }
 
 // New builds an AMR simulation on the communicator: a uniform level-0
@@ -276,5 +273,13 @@ func (s *Sim) LevelCounts() []int {
 	return counts
 }
 
-// GetStats returns the accumulated AMR statistics of this rank.
-func (s *Sim) GetStats() Stats { return s.stats }
+// GetStats returns the accumulated AMR statistics of this rank; the
+// per-level step times are the data plane's (sim.Simulation.LevelOverlap).
+func (s *Sim) GetStats() Stats {
+	st := s.stats
+	for l := range st.SweepNs {
+		o := s.plane.LevelOverlap(l)
+		st.SweepNs[l], st.ExchangeNs[l] = int64(o.Interior+o.Frontier), int64(o.Post+o.Wait)
+	}
+	return st
+}

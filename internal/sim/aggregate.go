@@ -539,18 +539,21 @@ type transferStats struct {
 // plan is the aggregated ghost exchange of one level: every transfer into
 // a ghost layer of a block on that level that involves this rank, with the
 // flattened pack/unpack task lists and their pool closures (stored once so
-// the steady-state exchange allocates nothing).
+// the steady-state exchange allocates nothing). Its messages carry the tag
+// tagAggregate+level.
 type plan struct {
-	tag         int
-	locals      []localOp
-	stats       transferStats
-	channels    []rankChannel
-	packTasks   []packTask
-	remotePacks int // leading packTasks that fill messages to other ranks
-	unpackTasks []packTask
-	packFn      func(int, int)
-	localFn     func(int, int) // packFn over the same-rank rest
-	unpackFn    func(int, int)
+	level         int
+	locals        []localOp
+	stats         transferStats
+	channels      []rankChannel
+	packTasks     []packTask
+	remotePacks   int // leading packTasks that fill messages to other ranks
+	unpackTasks   []packTask
+	remoteUnpacks int // leading unpackTasks that read messages from other ranks
+	packFn        func(int, int)
+	localFn       func(int, int) // packFn over the same-rank rest
+	unpackFn      func(int, int)
+	ownUnpackFn   func(int, int) // unpackFn over the same-rank rest
 }
 
 // buildPlans builds the plan of every level present: the ones of the
@@ -601,7 +604,7 @@ type localCopy struct {
 // ends, each deriving the same manifest key.
 func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData) (plan, []localCopy) {
 	me := s.Comm.Rank()
-	p := plan{tag: tagAggregate + level}
+	p := plan{level: level}
 	var copies []localCopy
 	byRank := make(map[int]int) // neighbor rank -> index into channels
 	channel := func(rank int) *rankChannel {
@@ -825,10 +828,11 @@ func lowerManifest(slabs []slabOp, sink *runSink, fills *[]fillSlot, send bool) 
 // packed on the worker pool, exactly one message per remote channel with a
 // payload is sent from its current buffer and one receive per remote
 // channel expecting one is posted; then the same-rank work — compiled
-// copies and transfers between levels — runs on the pool while the
-// messages travel. Every task writes disjoint ghost slots or disjoint
-// aggregate positions. Steady-state, the whole phase performs zero heap
-// allocations.
+// copies and transfers between levels, packed and unpacked — runs on the
+// pool while the messages travel, so only blocks that receive from another
+// rank wait for complete. Every task writes disjoint ghost slots or
+// disjoint aggregate positions. Steady-state, the whole phase performs
+// zero heap allocations.
 func (p *plan) post(s *Simulation) error {
 	s.pool.run(p.remotePacks, p.packFn)
 	me := s.Comm.Rank()
@@ -838,7 +842,7 @@ func (p *plan) post(s *Simulation) error {
 		case ch.rank == me:
 			ch.inbox = ch.bufs[0]
 		case ch.sendFloats > 0:
-			if err := s.Comm.SendFloat64s(ch.rank, p.tag, ch.bufs[ch.parity]); err != nil {
+			if err := s.Comm.SendFloat64s(ch.rank, tagAggregate+p.level, ch.bufs[ch.parity]); err != nil {
 				return err
 			}
 			ch.parity ^= 1
@@ -846,14 +850,15 @@ func (p *plan) post(s *Simulation) error {
 	}
 	for i := range p.channels {
 		if ch := &p.channels[i]; ch.rank != me && ch.recvFloats > 0 {
-			s.Comm.IrecvInit(&ch.req, ch.rank, p.tag)
+			s.Comm.IrecvInit(&ch.req, ch.rank, tagAggregate+p.level)
 		}
 	}
 	s.pool.run(len(p.packTasks)-p.remotePacks, p.localFn)
+	s.pool.run(len(p.unpackTasks)-p.remoteUnpacks, p.ownUnpackFn)
 	return nil
 }
 
-// complete waits for each neighbor rank's aggregate and unpacks all slabs
+// complete waits for each neighbor rank's aggregate and unpacks its slabs
 // by manifest on the worker pool.
 func (p *plan) complete(s *Simulation) error {
 	for i := range p.channels {
@@ -871,7 +876,7 @@ func (p *plan) complete(s *Simulation) error {
 		}
 		ch.inbox = buf
 	}
-	s.pool.run(len(p.unpackTasks), p.unpackFn)
+	s.pool.run(p.remoteUnpacks, p.unpackFn)
 	for i := range p.channels {
 		p.channels[i].inbox = nil // the sender reclaims it two exchanges on
 	}
@@ -882,20 +887,23 @@ func (p *plan) complete(s *Simulation) error {
 // a plan, so post/complete allocate nothing per exchange (a fresh closure
 // per pool.run call would escape to the heap).
 func (s *Simulation) bindTasks(p *plan) {
-	var own []packTask // transfers between levels to this rank: same-rank work
+	var own, ownUnpacks []packTask // transfers between levels to this rank: same-rank work
 	for ci := range p.channels {
 		ch := &p.channels[ci]
 		sent := func(k int) int { return ch.send[k].n }
 		resampled := func(k int) bool { return ch.send[k].x != nil }
+		received := func(k int) int { return ch.recv[k].n }
 		if ch.rank == s.Comm.Rank() {
 			own = groupTasks(own, ci, len(ch.send), sent, resampled)
+			ownUnpacks = groupTasks(ownUnpacks, ci, len(ch.recv), received, never)
 		} else {
 			p.packTasks = groupTasks(p.packTasks, ci, len(ch.send), sent, resampled)
+			p.unpackTasks = groupTasks(p.unpackTasks, ci, len(ch.recv), received, never)
 		}
-		p.unpackTasks = groupTasks(p.unpackTasks, ci, len(ch.recv), func(k int) int { return ch.recv[k].n }, never)
 	}
-	p.remotePacks = len(p.packTasks)
+	p.remotePacks, p.remoteUnpacks = len(p.packTasks), len(p.unpackTasks)
 	p.packTasks = append(p.packTasks, own...)
+	p.unpackTasks = append(p.unpackTasks, ownUnpacks...)
 	p.packTasks = groupTasks(p.packTasks, -1, len(p.locals), func(i int) int { return p.locals[i].floats }, never)
 	p.packFn = func(worker, i int) {
 		t := p.packTasks[i]
@@ -914,7 +922,7 @@ func (s *Simulation) bindTasks(p *plan) {
 		phase := telemetry.PhasePack
 		for k := t.slabIdx; k < t.end; k++ {
 			if sl := &ch.send[k]; sl.x != nil {
-				s.resample.Resample(sl.x, buf[sl.off:sl.off+sl.n], worker)
+				s.resample.Resample(sl.x, buf[sl.off:sl.off+sl.n], s.levelSweeps[p.level]&1, worker)
 				phase = telemetry.PhaseResample
 			} else {
 				execRuns(buf, sl.bd.Src.Data(), sl.runs)
@@ -934,6 +942,7 @@ func (s *Simulation) bindTasks(p *plan) {
 		}
 		lane.Span(telemetry.PhaseUnpack, s.steps, int32(i), start)
 	}
+	p.ownUnpackFn = func(worker, i int) { p.unpackFn(worker, p.remoteUnpacks+i) }
 }
 
 // aggregated is the exchanger of production: the level plans, of which a
@@ -965,8 +974,8 @@ func (aggregated) build(s *Simulation) (map[*BlockData]bool, error) {
 	return remote, nil
 }
 
-func (aggregated) post(s *Simulation) error     { return s.levels[0].post(s) }
-func (aggregated) complete(s *Simulation) error { return s.levels[0].complete(s) }
+func (aggregated) post(s *Simulation, level int) error     { return s.levels[level].post(s) }
+func (aggregated) complete(s *Simulation, level int) error { return s.levels[level].complete(s) }
 
 func (aggregated) stats(s *Simulation) ExchangeStats {
 	var st ExchangeStats

@@ -772,52 +772,21 @@ func TestRebuildTakesFreshSendBuffers(t *testing.T) {
 // zeroResampler writes zeros for every transfer between levels.
 type zeroResampler struct{}
 
-func (zeroResampler) Resample(_ *Transfer, buf []float64, _ int) { clear(buf) }
+func (zeroResampler) Resample(_ *Transfer, buf []float64, _, _ int) { clear(buf) }
 
-// twoLevelBlocks is a refined 2×1×1 forest of 4³ blocks on one rank: the
-// root of tree 0 at level 0 beside the eight level-1 children of tree 1,
-// in canonical order, each with its whole neighborhood (same-level,
-// coarser and finer neighbors) as a refined world lists it.
+// twoLevelBlocks is a refined 2×1×1 forest of 4³ all-fluid blocks on one
+// rank: the root of tree 0 at level 0 beside the eight level-1 children of
+// tree 1, each with its whole neighborhood (same-level, coarser and finer
+// neighbors) as blockforest.Index lists it.
 func twoLevelBlocks(s *Simulation) ([]*BlockData, error) {
-	type key struct {
-		level int
-		idx   [3]int
-	}
-	leaves := map[key]blockforest.Leaf{{0, [3]int{}}: {}}
-	var order []blockforest.Leaf
-	order = append(order, blockforest.Leaf{})
+	leaves := []blockforest.Leaf{{}}
 	for oct := range 8 {
-		l := blockforest.Leaf{ID: blockforest.BlockID{Tree: 1}.Child(oct), Coord: [3]int{1, 0, 0}}
-		leaves[key{1, blockforest.LevelIndex(l.Coord, l.ID)}] = l
-		order = append(order, l)
+		leaves = append(leaves, blockforest.Leaf{ID: blockforest.BlockID{Tree: 1}.Child(oct), Coord: [3]int{1, 0, 0}})
 	}
+	x := blockforest.NewIndex(leaves, [3]int{2, 1, 1}, [3]bool{})
 	var blocks []*BlockData
-	for _, l := range order {
-		lv, idx := int(l.ID.Level), blockforest.LevelIndex(l.Coord, l.ID)
-		b := &blockforest.Block{ID: l.ID, Coord: l.Coord, Cells: [3]int{4, 4, 4}}
-		add := func(n blockforest.Leaf, o [3]int) {
-			b.Neighbors = append(b.Neighbors, blockforest.Neighbor{ID: n.ID, Coord: n.Coord, Offset: o})
-		}
-		for oi := range 27 {
-			o := [3]int{oi%3 - 1, oi/3%3 - 1, oi/9 - 1}
-			n := [3]int{idx[0] + o[0], idx[1] + o[1], idx[2] + o[2]}
-			if o == ([3]int{}) || n[0] < 0 || n[1] < 0 || n[2] < 0 || n[0] >= 2<<lv || n[1] >= 1<<lv || n[2] >= 1<<lv {
-				continue
-			}
-			if nb, ok := leaves[key{lv, n}]; ok {
-				add(nb, o)
-			} else if nb, ok := leaves[key{lv - 1, [3]int{n[0] >> 1, n[1] >> 1, n[2] >> 1}}]; ok && lv > 0 {
-				add(nb, o)
-			} else {
-				for c := range 8 {
-					bits := [3]int{c & 1, c >> 1 & 1, c >> 2 & 1}
-					if nb, ok := leaves[key{lv + 1, [3]int{2*n[0] + bits[0], 2*n[1] + bits[1], 2*n[2] + bits[2]}}]; ok &&
-						(o[0] == 0 || bits[0] == (1-o[0])/2) && (o[1] == 0 || bits[1] == (1-o[1])/2) && (o[2] == 0 || bits[2] == (1-o[2])/2) {
-						add(nb, o)
-					}
-				}
-			}
-		}
+	for _, l := range leaves {
+		b := &blockforest.Block{ID: l.ID, Coord: l.Coord, Cells: [3]int{4, 4, 4}, Neighbors: x.Neighbors(l)}
 		flags := field.NewFlagField(4, 4, 4, 1)
 		flags.Fill(field.Fluid)
 		bd, err := s.AssembleBlock(b, flags, nil, nil)
@@ -865,11 +834,9 @@ func TestOwnRankChannelHoldsOneBuffer(t *testing.T) {
 			t.Error("the refined world has no own-rank channel")
 		}
 		for range 2 { // both parities of every other channel
-			for l := range 2 {
-				if err := s.ExchangeLevel(l); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := s.Step(); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	})

@@ -14,25 +14,32 @@ import (
 // communication"); remote blocks exchange messages.
 //
 // The exchange is split-phase so the time loop can overlap it with
-// computation: postExchange packs and sends all boundary slabs (pack and
-// local copies run on the worker pool) and posts the remote receives;
-// completeExchange waits for the remote slabs and unpacks them. Interior
-// sweeps run between the two halves while remote data is in flight.
+// computation: a level's post packs and sends all boundary slabs (pack and
+// local copies run on the worker pool) and posts the remote receives; its
+// complete waits for the remote slabs and unpacks them. The level's
+// interior sweeps run between the two halves while remote data is in
+// flight (Simulation.subStep).
 //
 // The wire format is the rank-aggregated one of aggregate.go; the legacy
 // one-message-per-block-pair format survives in the tests only, as the
 // differential oracle (perpair_test.go).
 
-// exchanger is the ghost exchange behind the uniform step: the aggregated
-// level plans in production (aggregated, aggregate.go), the per-pair oracle
-// in the tests that compare against it.
+// exchanger is the ghost exchange behind the step: the aggregated level
+// plans in production (aggregated, aggregate.go), the per-pair oracle of
+// level 0 in the tests that compare against it.
 type exchanger interface {
 	// build derives the plan of the current block set and reports the
 	// blocks that exchange with another rank. It fails when the plan
 	// build's handshake does (a peer failed, a mask did not fit).
 	build(s *Simulation) (remote map[*BlockData]bool, err error)
-	post(s *Simulation) error
-	complete(s *Simulation) error
+	// post starts one ghost layer synchronization of the Src fields of a
+	// level's blocks; complete finishes it. The level's interior blocks
+	// may be swept between the two halves: every slab is packed in post,
+	// before any sweep, so the overlap is bit-identical to a synchronous
+	// exchange. complete returns a typed *comm.RankFailedError when a peer
+	// has been declared dead mid-exchange instead of deadlocking.
+	post(s *Simulation, level int) error
+	complete(s *Simulation, level int) error
 	stats(s *Simulation) ExchangeStats
 }
 
@@ -133,23 +140,12 @@ func recvRegion(cells [3]int, o [3]int) region {
 	return r
 }
 
-// postExchange starts one ghost layer synchronization of the Src fields;
-// completeExchange finishes it. Interior blocks may be swept between the
-// two halves; the packed slabs are taken before any sweep, so the overlap
-// is bit-identical to a fully synchronous exchange.
-func (s *Simulation) postExchange() error { return s.exchange.post(s) }
-
-// completeExchange finishes the synchronization started by postExchange.
-// A typed *comm.RankFailedError is returned when a peer has been declared
-// dead mid-exchange instead of deadlocking or panicking.
-func (s *Simulation) completeExchange() error { return s.exchange.complete(s) }
-
 // exchangeGhostLayers performs one full, non-overlapped ghost layer
-// synchronization (post immediately followed by complete) — used outside
-// the time loop, e.g. after block migration.
+// synchronization of level 0 (post immediately followed by complete) —
+// used outside the time loop, e.g. after block migration.
 func (s *Simulation) exchangeGhostLayers() error {
-	if err := s.postExchange(); err != nil {
+	if err := s.exchange.post(s, 0); err != nil {
 		return err
 	}
-	return s.completeExchange()
+	return s.exchange.complete(s, 0)
 }

@@ -8,7 +8,7 @@ import (
 
 // PostExchange exposes the post half of the ghost exchange to the external
 // test package, whose benchmarks build worlds through internal/core.
-func (s *Simulation) PostExchange() error { return s.postExchange() }
+func (s *Simulation) PostExchange() error { return s.exchange.post(s, 0) }
 
 // ExchangeGhostLayers exposes one whole ghost exchange, post and complete,
 // to the external test package.

@@ -4,15 +4,17 @@ import (
 	"sort"
 
 	"walberla/internal/blockforest"
-	"walberla/internal/field"
 	"walberla/internal/lattice"
 )
 
 // Refined worlds. The refined runtime (internal/amr) keeps its leaves here
-// as blocks (AssembleBlock, with the level's relaxation time) and drives
-// them level by level through ExchangeLevel and SweepLevel. It supplies
-// only what it alone knows: the leaves around each block (Block.Neighbors)
-// and the arithmetic of transfers between levels (the Resampler).
+// as blocks (AssembleBlock, with the level's relaxation time), and Step
+// runs them: one sub-step of a level is the uniform step's post /
+// interior / wait / frontier over that level's blocks, followed by two
+// sub-steps of the next finer level (Simulation.subStep). The refined
+// runtime supplies only what it alone knows: the leaves around each block
+// (Block.Neighbors) and the arithmetic of transfers between levels (the
+// Resampler).
 
 // Transfer is a ghost transfer between blocks one level apart, produced on
 // the sender at the receiver's resolution when the exchange packs it: for
@@ -40,11 +42,14 @@ type Transfer struct {
 }
 
 // Resampler computes transfers between levels. Resample writes the payload
-// of t into buf (len(t.Dirs) values per cell of the box); worker is the
-// pool worker running it, for per-worker scratch. Concurrent calls read
-// only the interiors of their sources and write only their own transfer.
+// of t into buf (len(t.Dirs) values per cell of the box); phase is the
+// receiving sub-step's half of its parent's interval (0 for the first of a
+// level's two sub-steps, 1 for the second: the parity of the receiving
+// level's LevelSweeps), and worker the pool worker running it, for
+// per-worker scratch. Concurrent calls read only the interiors of their
+// sources and write only their own transfer.
 type Resampler interface {
-	Resample(t *Transfer, buf []float64, worker int)
+	Resample(t *Transfer, buf []float64, phase, worker int)
 }
 
 // TauAt returns the relaxation time of refinement level l under acoustic
@@ -59,8 +64,8 @@ func (c *Config) TauAt(l int) float64 {
 // each with its whole neighborhood in Block.Neighbors, put in canonical
 // order (the forest's too) — and rebuilds the exchange plans of all
 // levels, whose transfers between levels r computes. Like every plan
-// rebuild it is collective among neighboring ranks and fails only when one
-// of them does.
+// rebuild it runs at a step boundary, is collective among neighboring
+// ranks and fails only when one of them does.
 func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler) error {
 	sort.Slice(blocks, func(i, j int) bool {
 		return blockforest.CanonicalLess(blocks[i].Block.Coord, blocks[i].Block.ID, blocks[j].Block.Coord, blocks[j].Block.ID)
@@ -70,50 +75,13 @@ func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler) error {
 	for i, bd := range blocks {
 		f.Blocks[i] = bd.Block
 	}
-	s.Blocks, s.resample, s.levelBlocks = blocks, r, nil
-	for _, bd := range blocks {
-		l := int(bd.Block.ID.Level)
-		for len(s.levelBlocks) <= l {
-			s.levelBlocks = append(s.levelBlocks, nil)
-		}
-		s.levelBlocks[l] = append(s.levelBlocks[l], bd)
-	}
-	s.levelSweeps = make([]int, len(s.levelBlocks))
+	s.Blocks, s.resample = blocks, r
 	return s.rebuildPlan()
 }
 
-// ExchangeLevel refreshes the ghost layers of this rank's blocks on one
-// level of a refined world: the level's plan posted and completed at once.
-// Every rank calls it for every level in the same order.
-func (s *Simulation) ExchangeLevel(level int) error {
-	if level >= len(s.levels) {
-		return nil
-	}
-	p := &s.levels[level]
-	if err := p.post(s); err != nil {
-		return err
-	}
-	return p.complete(s)
-}
-
-// SweepLevel runs the sweep of the uniform step — boundary handling,
-// stream-collide, forcing, on the worker pool — over this rank's blocks on
-// one level, then swaps their fields.
-func (s *Simulation) SweepLevel(level int) {
-	if level >= len(s.levelBlocks) {
-		return
-	}
-	bds := s.levelBlocks[level]
-	s.sweepBlocks(bds)
-	for _, bd := range bds {
-		field.Swap(bd.Src, bd.Dst)
-	}
-	s.levelSweeps[level]++
-}
-
-// LevelSweeps returns the number of SweepLevel calls on one level since
-// the last SetBlocks. While the world steps only these sweeps write the
-// level's fields, so the count stamps state derived from them.
+// LevelSweeps returns the number of sub-steps of one level since the last
+// plan build. While the world steps only these sub-steps write the level's
+// fields, so the count stamps state derived from them.
 func (s *Simulation) LevelSweeps(level int) int {
 	if level >= len(s.levelSweeps) {
 		return 0

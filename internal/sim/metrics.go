@@ -43,6 +43,13 @@ type OverlapTimes struct {
 	Frontier time.Duration
 }
 
+func (o *OverlapTimes) add(d OverlapTimes) {
+	o.Post += d.Post
+	o.Interior += d.Interior
+	o.Wait += d.Wait
+	o.Frontier += d.Frontier
+}
+
 func (o OverlapTimes) String() string {
 	return fmt.Sprintf("post=%v interior=%v wait=%v frontier=%v",
 		o.Post, o.Interior, o.Wait, o.Frontier)
@@ -100,7 +107,8 @@ func (s *Simulation) gatherMetrics(steps int, wall time.Duration) (Metrics, erro
 	if err != nil {
 		return Metrics{}, err
 	}
-	sumComm, err := c.AllreduceFloat64Err(s.commTime.Seconds(), comm.Sum[float64])
+	o := s.Overlap()
+	sumComm, err := c.AllreduceFloat64Err((o.Post + o.Wait).Seconds(), comm.Sum[float64])
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -162,9 +170,25 @@ func (s *Simulation) ExchangeStats() ExchangeStats { return s.exchange.stats(s) 
 // aggregate the per-block sweep times across all workers, reduced in
 // deterministic block order.
 func (s *Simulation) PhaseTimes() (compute, communication, boundaryTime time.Duration) {
-	return s.computeTime, s.commTime, s.boundaryTime
+	o := s.Overlap()
+	return s.computeTime, o.Post + o.Wait, s.boundaryTime
 }
 
 // Overlap returns this rank's accumulated split-phase breakdown of the
 // time loop since the last reset.
-func (s *Simulation) Overlap() OverlapTimes { return s.overlap }
+func (s *Simulation) Overlap() OverlapTimes {
+	var o OverlapTimes
+	for _, lo := range s.levelOverlap {
+		o.add(lo)
+	}
+	return o
+}
+
+// LevelOverlap returns the part of Overlap that the sub-steps of one
+// refinement level took; a uniform world's level 0 is the whole of it.
+func (s *Simulation) LevelOverlap(level int) OverlapTimes {
+	if level >= len(s.levelOverlap) {
+		return OverlapTimes{}
+	}
+	return s.levelOverlap[level]
+}

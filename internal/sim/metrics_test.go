@@ -89,7 +89,7 @@ func TestGatherMetricsGlobalReduction(t *testing.T) {
 	}
 }
 
-// CommFraction is sum(commTime)/sum(wall) over ranks: with the phase
+// CommFraction is sum(post+wait)/sum(wall) over ranks: with the phase
 // timers pinned to known values the reduction is exact.
 func TestCommFraction(t *testing.T) {
 	const ranks = 2
@@ -101,9 +101,9 @@ func TestCommFraction(t *testing.T) {
 		// Pin the per-rank inputs: rank 0 spends 300ms of 1s communicating,
 		// rank 1 spends 100ms of 1s — globally 400ms of 2s = 20%.
 		if c.Rank() == 0 {
-			s.commTime = 300 * time.Millisecond
+			s.levelOverlap[0] = OverlapTimes{Post: 200 * time.Millisecond, Wait: 100 * time.Millisecond}
 		} else {
-			s.commTime = 100 * time.Millisecond
+			s.levelOverlap[0] = OverlapTimes{Post: 100 * time.Millisecond}
 		}
 		m, err := s.gatherMetrics(1, time.Second)
 		if err != nil {

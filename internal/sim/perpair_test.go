@@ -54,7 +54,8 @@ func newWithExchange(c *comm.Comm, forest *blockforest.BlockForest, cfg Config, 
 // pairOps returns the op list of a per-pair world.
 func pairOps(s *Simulation) []exchangeOp { return s.exchange.(*perPair).plan }
 
-// perPair is the per-pair exchanger.
+// perPair is the per-pair exchanger. It serves uniform worlds, level 0
+// only, and ignores the level its post and complete are given.
 type perPair struct {
 	plan    []exchangeOp
 	pending []recvOp
@@ -154,7 +155,7 @@ func unpack(f *field.PDFField, r region, dirs []lattice.Direction, buf []float64
 // The parallel pack/copy phase is race-free by region disjointness: packs
 // read interior slabs, copies write ghost slabs, and two copies into the
 // same block target different offsets, hence disjoint ghost slabs.
-func (pp *perPair) post(s *Simulation) error {
+func (pp *perPair) post(s *Simulation, _ int) error {
 	s.pool.run(len(pp.plan), func(_, i int) {
 		op := &pp.plan[i]
 		op.buf = pack(op.bd.Src, op.src, op.sendDirs)
@@ -189,7 +190,7 @@ func (pp *perPair) post(s *Simulation) error {
 
 // complete waits for every posted per-pair receive and unpacks the slabs
 // into the frontier blocks' ghost layers on the worker pool.
-func (pp *perPair) complete(s *Simulation) error {
+func (pp *perPair) complete(s *Simulation, _ int) error {
 	for i := range pp.pending {
 		p := &pp.pending[i]
 		buf, _, err := p.req.WaitFloat64s()

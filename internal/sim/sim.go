@@ -376,24 +376,25 @@ type Simulation struct {
 	Blocks  []*BlockData
 
 	// levels holds the exchange plan of every level present (aggregate.go),
-	// one for a uniform world; exchange runs the uniform step's exchange on
-	// it (the tests swap in their per-pair oracle). A refined world adds
-	// its blocks per level, their sweep counts and its Resampler
+	// one for a uniform world; exchange runs a level's exchange on it (the
+	// tests swap in their per-pair oracle, which serves level 0 only).
+	// levelSweeps counts each level's sub-steps since the last plan build;
+	// a refined world's Resampler computes its transfers between levels
 	// (levels.go).
 	levels      []plan
 	exchange    exchanger
-	levelBlocks [][]*BlockData
 	levelSweeps []int
 	resample    Resampler
 
 	// Hybrid execution state: the worker pool, the frontier/interior
-	// block split (frontier blocks have off-rank neighbors and must wait
-	// for remote ghost data; interior blocks sweep while communication is
-	// in flight), and the precomputed body-force increments. sweepList and
-	// sweepFn are the persistent argument slot and closure of sweepBlocks.
+	// block split of every level (frontier blocks have off-rank neighbors
+	// and must wait for remote ghost data; interior blocks sweep while
+	// communication is in flight), and the precomputed body-force
+	// increments. sweepList and sweepFn are the persistent argument slot
+	// and closure of sweepBlocks.
 	pool      workerPool
-	interior  []*BlockData
-	frontier  []*BlockData
+	interior  [][]*BlockData
+	frontier  [][]*BlockData
 	sweepList []*BlockData
 	sweepFn   func(int, int)
 	force     *forcing
@@ -404,9 +405,8 @@ type Simulation struct {
 	tel simTel
 
 	computeTime  time.Duration
-	commTime     time.Duration
 	boundaryTime time.Duration
-	overlap      OverlapTimes
+	levelOverlap []OverlapTimes // the step's phase breakdown, per level
 	steps        int
 	// worldSteps is the cumulative simulated-time step, never reset by
 	// ResetTimers, advanced by both drivers and set to the restored step by
@@ -621,58 +621,72 @@ func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 	markGhostFace(flags, f, t)
 }
 
-// Step advances the simulation by one time step, overlapping the
-// ghost-layer exchange with the interior sweeps:
-//
-//  1. post the exchange — pack the remote boundary slabs (on the worker
-//     pool), send them, post remote receives, copy between same-rank
-//     blocks;
-//  2. sweep the interior blocks (no off-rank neighbors) on the worker
-//     pool while remote data is in flight;
-//  3. complete the exchange — wait for the remote slabs and unpack them
-//     into the frontier blocks' ghost layers;
-//  4. sweep the frontier blocks;
-//  5. swap the PDF fields.
-//
-// Each block's sweep fuses boundary handling, the stream-collide kernel
-// and body forcing; blocks touch disjoint state, so any execution order
-// produces bit-identical fields. Step returns a typed
-// *comm.RankFailedError when a peer dies mid-step, leaving this rank's
-// fields in an unspecified state that only a checkpoint restore (or
-// re-initialization) may repair.
+// Step advances the simulation by one time step — on a refined world one
+// coarse step — overlapping every ghost-layer exchange with the interior
+// sweeps. It runs one sub-step of level 0 (subStep), which recurses over
+// the finer levels the exchange plans cover; a uniform world has level 0
+// alone. Step returns a typed *comm.RankFailedError when a peer dies
+// mid-step, leaving this rank's fields in an unspecified state that only a
+// checkpoint restore (or re-initialization) may repair.
 func (s *Simulation) Step() error {
 	s.Comm.SetTelemetryStep(s.steps)
 	stepStart := s.tel.driver.Start()
+	if err := s.subStep(0); err != nil {
+		return err
+	}
+	s.tel.steps.Inc()
+	s.tel.driver.Span(telemetry.PhaseStep, s.steps, 0, stepStart)
+	s.steps++
+	return nil
+}
+
+// subStep runs one sub-step of level l:
+//
+//  1. post the level's exchange — pack the remote boundary slabs and the
+//     transfers between levels (on the worker pool), send them, post
+//     remote receives, copy between same-rank blocks;
+//  2. sweep the level's interior blocks (no off-rank neighbors) on the
+//     worker pool while remote data is in flight;
+//  3. complete the exchange — wait for the remote slabs and unpack them
+//     into the frontier blocks' ghost layers;
+//  4. sweep the level's frontier blocks;
+//  5. swap the level's PDF fields;
+//
+// then, where the plans reach level l+1, the two sub-steps of level l+1
+// that cover the same interval (Schornbaum–Rüde; docs/AMR.md). Each
+// block's sweep fuses boundary handling, the stream-collide kernel and
+// body forcing; blocks touch disjoint state and every pack happens in the
+// post, before any sweep, so any execution order produces bit-identical
+// fields.
+func (s *Simulation) subStep(l int) error {
+	start := s.tel.driver.Start()
 	t0 := time.Now()
-	if err := s.postExchange(); err != nil {
+	if err := s.exchange.post(s, l); err != nil {
 		return err
 	}
 	t1 := time.Now()
-	post := t1.Sub(t0)
-	s.overlap.Post += post
-
-	s.sweepBlocks(s.interior)
+	s.sweepBlocks(s.interior[l])
 	t2 := time.Now()
-	interior := t2.Sub(t1)
-	s.overlap.Interior += interior
-
-	if err := s.completeExchange(); err != nil {
+	if err := s.exchange.complete(s, l); err != nil {
 		return err
 	}
 	t3 := time.Now()
-	wait := t3.Sub(t2)
-	s.overlap.Wait += wait
-
-	s.sweepBlocks(s.frontier)
-	frontier := time.Since(t3)
-	s.overlap.Frontier += frontier
-
-	s.commTime = s.overlap.Post + s.overlap.Wait
-	for _, bd := range s.Blocks {
+	s.sweepBlocks(s.frontier[l])
+	o := OverlapTimes{Post: t1.Sub(t0), Interior: t2.Sub(t1), Wait: t3.Sub(t2), Frontier: time.Since(t3)}
+	s.levelOverlap[l].add(o)
+	for _, bd := range s.interior[l] {
 		field.Swap(bd.Src, bd.Dst)
 	}
-	s.tel.stepPhases(s.steps, stepStart, post, interior, wait, frontier)
-	s.steps++
+	for _, bd := range s.frontier[l] {
+		field.Swap(bd.Src, bd.Dst)
+	}
+	s.levelSweeps[l]++
+	s.tel.subStepPhases(s.steps, l, start, o)
+	for k := 0; k < 2 && l+1 < len(s.levels); k++ {
+		if err := s.subStep(l + 1); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -698,22 +712,29 @@ func (s *Simulation) sweepBlocks(bds []*BlockData) {
 }
 
 // rebuildPlan recomputes the exchange plans and the frontier/interior
-// block split; it must run after any change to the block assignment or the
+// split of every level's blocks, and restarts the levels' sub-step counts;
+// it must run after any change to the block assignment or the
 // neighborhood views (construction, rebalancing, failure recovery,
-// re-grades). It includes the mask handshake with every neighbor rank, so
-// it is collective among the ranks that exchange with each other, and it
-// returns the transport's error when one of them fails meanwhile.
+// re-grades), at a step boundary. It includes the mask handshake with
+// every neighbor rank, so it is collective among the ranks that exchange
+// with each other, and it returns the transport's error when one of them
+// fails meanwhile.
 func (s *Simulation) rebuildPlan() error {
 	remote, err := s.exchange.build(s)
 	if err != nil {
 		return err
 	}
-	s.interior, s.frontier = nil, nil
+	n := len(s.levels)
+	s.interior, s.frontier, s.levelSweeps = make([][]*BlockData, n), make([][]*BlockData, n), make([]int, n)
+	for len(s.levelOverlap) < n {
+		s.levelOverlap = append(s.levelOverlap, OverlapTimes{})
+	}
 	for _, bd := range s.Blocks {
+		l := bd.Block.ID.Level
 		if remote[bd] {
-			s.frontier = append(s.frontier, bd)
+			s.frontier[l] = append(s.frontier[l], bd)
 		} else {
-			s.interior = append(s.interior, bd)
+			s.interior[l] = append(s.interior[l], bd)
 		}
 	}
 	return nil
@@ -774,8 +795,8 @@ func (s *Simulation) WorldStep() int { return s.worldSteps }
 
 // ResetTimers zeroes the accumulated phase timers.
 func (s *Simulation) ResetTimers() {
-	s.computeTime, s.commTime, s.boundaryTime = 0, 0, 0
-	s.overlap = OverlapTimes{}
+	s.computeTime, s.boundaryTime = 0, 0
+	clear(s.levelOverlap)
 	s.steps = 0
 }
 
@@ -786,7 +807,11 @@ func (s *Simulation) Workers() int { return s.pool.workers }
 // frontier blocks have off-rank neighbors and wait for remote ghost data,
 // interior blocks sweep while communication is in flight.
 func (s *Simulation) BlockSplit() (frontier, interior int) {
-	return len(s.frontier), len(s.interior)
+	for l := range s.frontier {
+		frontier += len(s.frontier[l])
+		interior += len(s.interior[l])
+	}
+	return frontier, interior
 }
 
 // LocalCells returns the number of allocated interior cells on this rank.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"time"
-
 	"walberla/internal/perfmodel"
 	"walberla/internal/telemetry"
 )
@@ -116,7 +114,7 @@ func (s *Simulation) Tracer() *telemetry.Tracer { return s.tel.tracer }
 // since the last timer reset, keyed by the telemetry exporter's phase
 // names.
 func (s *Simulation) PhaseBreakdown() map[string]float64 {
-	o := s.overlap
+	o := s.Overlap()
 	return map[string]float64{
 		telemetry.PhaseExchangePost.String():  o.Post.Seconds(),
 		telemetry.PhaseInteriorSweep.String(): o.Interior.Seconds(),
@@ -157,7 +155,7 @@ func (c *Config) modelClasses() (perfmodel.KernelClass, perfmodel.CollisionClass
 // kernel time the ECM/roofline models predict.
 func (s *Simulation) RooflineReport(machine *perfmodel.Machine) telemetry.RooflineReport {
 	k, coll := s.Config.modelClasses()
-	o := s.overlap
+	o := s.Overlap()
 	wall := (o.Post + o.Interior + o.Wait + o.Frontier).Seconds()
 	workers := s.pool.workers
 	if workers < 1 {
@@ -178,29 +176,28 @@ func (s *Simulation) RooflineReport(machine *perfmodel.Machine) telemetry.Roofli
 	})
 }
 
-// stepPhases records one completed step's phase spans and counters.
-// Durations are the already-measured phase times of Step, so untraced
-// runs take no extra clock reads here.
-func (t *simTel) stepPhases(step int, stepStart int64, post, interior, wait, frontier time.Duration) {
-	t.postNs.Add(int64(post))
-	t.interiorNs.Add(int64(interior))
-	t.waitNs.Add(int64(wait))
-	t.frontierNs.Add(int64(frontier))
-	t.steps.Inc()
+// subStepPhases records one completed level sub-step's phase counters
+// and spans, whose Arg is the level. Durations are the already-measured
+// phase times of the sub-step, so untraced runs take no extra clock reads
+// here.
+func (t *simTel) subStepPhases(step, level int, start int64, o OverlapTimes) {
+	t.postNs.Add(int64(o.Post))
+	t.interiorNs.Add(int64(o.Interior))
+	t.waitNs.Add(int64(o.Wait))
+	t.frontierNs.Add(int64(o.Frontier))
 	d := t.driver
 	if d == nil {
 		return
 	}
-	// Reconstruct the phase boundaries from the step start and the
+	// Reconstruct the phase boundaries from the sub-step start and the
 	// measured durations instead of stamping each one live — same data,
 	// fewer clock reads.
-	at := stepStart
-	d.SpanAt(telemetry.PhaseExchangePost, step, 0, at, at+int64(post))
-	at += int64(post)
-	d.SpanAt(telemetry.PhaseInteriorSweep, step, 0, at, at+int64(interior))
-	at += int64(interior)
-	d.SpanAt(telemetry.PhaseExchangeWait, step, 0, at, at+int64(wait))
-	at += int64(wait)
-	d.SpanAt(telemetry.PhaseFrontierSweep, step, 0, at, at+int64(frontier))
-	d.Span(telemetry.PhaseStep, step, 0, stepStart)
+	at, arg := start, int32(level)
+	d.SpanAt(telemetry.PhaseExchangePost, step, arg, at, at+int64(o.Post))
+	at += int64(o.Post)
+	d.SpanAt(telemetry.PhaseInteriorSweep, step, arg, at, at+int64(o.Interior))
+	at += int64(o.Interior)
+	d.SpanAt(telemetry.PhaseExchangeWait, step, arg, at, at+int64(o.Wait))
+	at += int64(o.Wait)
+	d.SpanAt(telemetry.PhaseFrontierSweep, step, arg, at, at+int64(o.Frontier))
 }

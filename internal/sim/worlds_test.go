@@ -19,6 +19,7 @@ import (
 	"walberla/internal/field"
 	"walberla/internal/lattice"
 	"walberla/internal/scenario"
+	"walberla/internal/setup"
 	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 	"walberla/internal/testutil"
@@ -39,9 +40,12 @@ func problemFor(tb testing.TB, doc string) *core.Problem {
 }
 
 // treeDoc is the synthetic coronary tree in blocks of 16^3.
-func treeDoc(depth int, dx float64, ranks int) string {
+func treeDoc(depth int, dx float64, ranks int) string { return treeDocCells(depth, dx, 16, ranks) }
+
+// treeDocCells is treeDoc in blocks of cells³.
+func treeDocCells(depth int, dx float64, cells, ranks int) string {
 	return fmt.Sprintf(`{"version": 1, "geometry": {"example": "tree", "tree_depth": %d, "dx": %g},
-  "resolution": {"cells_per_block": [16, 16, 16]}, "parallel": {"ranks": %d}, "run": {"steps": 1}}`, depth, dx, ranks)
+  "resolution": {"cells_per_block": [%d, %d, %d]}, "parallel": {"ranks": %d}, "run": {"steps": 1}}`, depth, dx, cells, cells, cells, ranks)
 }
 
 const (
@@ -617,18 +621,22 @@ func builtStates(s *sim.Simulation, mu *sync.Mutex, into map[[3]int]builtState) 
 // a shrink and after a rebalance, every block — kept, adopted or moved —
 // holds bit for bit the flag field and the neighbor list (IDs, offsets,
 // owners) that sim.New builds for that block when the forest assigns it
-// there from the start. Two worlds: the smoke tree, whose flags come from
-// its signed distance function on a sparse forest with missing neighbors,
-// and the cavity, whose flags read neighbor existence; the tree once more
-// on two workers, which build the adopted blocks in parallel.
+// there from the start. Three worlds: the smoke tree, whose flags come from
+// its signed distance function on a sparse forest with missing neighbors;
+// the tree in blocks of 8³ at dx 0.02, whose geometry trims blocks from
+// the grid, so blocks land next to a trimmed region; and the cavity, whose
+// flags read neighbor existence. The smoke tree once more on two workers,
+// which build the adopted blocks in parallel.
 func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 	worlds := []struct {
 		name, doc string
 		workers   int
+		trimmed   bool
 	}{
-		{"tree", treeDoc(2, 0.05, 3), 1},
-		{"cavity", fmt.Sprintf(cavityDoc, 8, 8, 8, 3), 1},
-		{"tree on 2 workers", treeDoc(2, 0.05, 3), 2},
+		{"tree", treeDoc(2, 0.05, 3), 1, false},
+		{"trimmed tree", treeDocCells(2, 0.02, 8, 3), 1, true},
+		{"cavity", fmt.Sprintf(cavityDoc, 8, 8, 8, 3), 1, false},
+		{"tree on 2 workers", treeDoc(2, 0.05, 3), 2, false},
 	}
 	for _, w := range worlds {
 		p := problemFor(t, w.doc)
@@ -636,6 +644,15 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 		forest, err := p.BuildForest()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if w.trimmed {
+			_, st, err := setup.BuildForest(p.Geometry, setup.Options{CellsPerBlock: p.CellsPerBlock, Dx: p.Dx, Ranks: p.Ranks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.DiscardedBlocks == 0 {
+				t.Fatalf("%s: the geometry trims no block", w.name)
+			}
 		}
 		// build runs the forest with every block on the given owner, drives
 		// it and records the built state of every block.
@@ -725,6 +742,9 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 				if len(got) != len(initial) || moved == 0 {
 					t.Fatalf("%d of %d blocks after the %s, %d on another rank", len(got), len(initial), ev.name, moved)
 				}
+				if w.trimmed && !landsBesideTrimmed(got, initial, forest.GridSize) {
+					t.Errorf("no block that changed owner lacks a neighbor inside the grid")
+				}
 				want := build(t, ev.ranks, comm.Options{}, owner, func(*comm.Comm, *sim.Simulation) error { return nil })
 				for coord, w := range want {
 					g := got[coord]
@@ -739,6 +759,33 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 		}
 	}
 	refinedLandingMatchesConstruction(t)
+}
+
+// landsBesideTrimmed reports whether a block of got that is not on its
+// initial owner lacks a neighbor at an offset inside the grid: the gap a
+// block the geometry trimmed leaves, not the domain boundary.
+func landsBesideTrimmed(got map[[3]int]builtState, initial map[[3]int]int, grid [3]int) bool {
+	for coord, st := range got {
+		if st.rank == initial[coord] {
+			continue
+		}
+		listed := make(map[[3]int]bool, len(st.neighbors))
+		for _, n := range st.neighbors {
+			listed[n.Offset] = true
+		}
+		for oi := range 27 {
+			o := [3]int{oi%3 - 1, oi/3%3 - 1, oi/9 - 1}
+			inside := o != [3]int{}
+			for d := range 3 {
+				c := coord[d] + o[d]
+				inside = inside && c >= 0 && c < grid[d]
+			}
+			if inside && !listed[o] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // refinedLandingMatchesConstruction holds the refined runtime's landings

@@ -37,10 +37,13 @@ type Phase uint8
 // Span phases of the simulation pipeline, the communication runtime and
 // the resilience stack.
 const (
-	// PhaseStep is one full time step on the rank's driver goroutine.
+	// PhaseStep is one full time step on the rank's driver goroutine (on
+	// a refined world one coarse step, every level's sub-steps).
 	PhaseStep Phase = iota
-	// PhaseExchangePost is the first exchange half: pack, send, local
-	// copies, receive posts.
+	// PhaseExchangePost is the first exchange half of one level sub-step:
+	// pack (resampling transfers between levels included), send, local
+	// copies, receive posts. Arg is the refinement level, as for the next
+	// three phases.
 	PhaseExchangePost
 	// PhaseInteriorSweep covers the interior block sweeps that overlap the
 	// in-flight communication.
@@ -118,13 +121,6 @@ const (
 	// after a connection stalled past FailTimeout (instant). Arg is the
 	// accused world rank.
 	PhaseNetAccuse
-	// PhaseAMRExchange is one level's ghost exchange in the AMR
-	// sub-cycled step (pack, wire, interpolate/restrict, unpack). Arg is
-	// the refinement level.
-	PhaseAMRExchange
-	// PhaseAMRSweep covers one level's boundary + collide-stream sweeps
-	// in the AMR sub-cycled step. Arg is the refinement level.
-	PhaseAMRSweep
 	// PhaseRegrade spans one refine/coarsen controller pass: criterion
 	// evaluation, mark gather and 2:1 re-grading. Arg is the number of
 	// leaves after the pass.
@@ -146,10 +142,10 @@ type phaseInfo struct {
 
 var phaseTable = [NumPhases]phaseInfo{
 	PhaseStep:          {name: "step"},
-	PhaseExchangePost:  {name: "exchange-post"},
-	PhaseInteriorSweep: {name: "interior-sweep"},
-	PhaseExchangeWait:  {name: "exchange-wait"},
-	PhaseFrontierSweep: {name: "frontier-sweep"},
+	PhaseExchangePost:  {name: "exchange-post", argName: "level"},
+	PhaseInteriorSweep: {name: "interior-sweep", argName: "level"},
+	PhaseExchangeWait:  {name: "exchange-wait", argName: "level"},
+	PhaseFrontierSweep: {name: "frontier-sweep", argName: "level"},
 	PhaseBoundary:      {name: "boundary", argName: "block"},
 	PhaseCollideStream: {name: "collide-stream", argName: "block"},
 	PhasePack:          {name: "pack", argName: "task"},
@@ -172,8 +168,6 @@ var phaseTable = [NumPhases]phaseInfo{
 	PhaseNetResend:     {name: "net-resend", argName: "peer", instant: true},
 	PhaseNetFault:      {name: "net-fault", argName: "peer", instant: true},
 	PhaseNetAccuse:     {name: "net-accuse", argName: "rank", instant: true},
-	PhaseAMRExchange:   {name: "amr-exchange", argName: "level"},
-	PhaseAMRSweep:      {name: "amr-sweep", argName: "level"},
 	PhaseRegrade:       {name: "regrade", argName: "leaves"},
 	PhaseMigrate:       {name: "migrate", argName: "moved"},
 }
