@@ -49,9 +49,11 @@ race-sim:
 # on one and on two ranks, a set of another grid included, and
 # TestRebalanceRejectsAssignmentOnEveryRank); every landed block matches a
 # fresh build (TestShrinkAndRebalanceMatchConstruction, refined rows
-# included).
+# included). The packages run one at a time (-p 1): under -race the
+# refined rows of internal/sim's binary alone reach about 3.4 GB, and two
+# such binaries side by side do not fit an 8 GB host.
 race-resilience:
-	$(GO) test -race -count=1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint|TestRebalance' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
+	$(GO) test -race -count=1 -p 1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint|TestRebalance' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
 
 # race-net re-runs the socket-transport suite uncached under the race
 # detector: wire framing, reconnect/backoff under the fault plan's frame
@@ -120,7 +122,9 @@ alloc-test:
 # triangle, bits, feature and color), and the boundary hull of a random
 # colored tube against the scan that searches every hull cell's color
 # (the fluid-driven dilation with its wall-color early-out: the same
-# flags, bit for bit).
+# flags, bit for bit), and on such tubes the fluid count of a ghosted
+# voxelization — the forest build's one classification, whose voxels the
+# ranks land as flags — against a query per cell center.
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadManifest -fuzztime 5s ./internal/output/
 	$(GO) test -run '^Fuzz' -fuzz FuzzReadLeafFile -fuzztime 5s ./internal/output/
@@ -136,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz FuzzNearest -fuzztime 5s ./internal/distance/
 	$(GO) test -run '^Fuzz' -fuzz FuzzUnionSignedColor -fuzztime 5s ./internal/distance/
 	$(GO) test -run '^Fuzz' -fuzz FuzzDilateBoundary -fuzztime 5s ./internal/geometry/
+	$(GO) test -run '^Fuzz' -fuzz FuzzVoxelCount -fuzztime 5s ./internal/geometry/
 
 # chaos-smoke runs the deterministic multi-layer chaos soak three times
 # uncached under the race detector, once per transport from one seeded

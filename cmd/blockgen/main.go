@@ -55,7 +55,7 @@ func main() {
 		}
 		fmt.Printf("binary search: dx = %g yields %d blocks (target %d)\n", resolution, blocks, *target)
 	}
-	forest, stats, err := setup.BuildForest(sdf, setup.Options{
+	forest, stats, _, err := setup.BuildForest(sdf, setup.Options{
 		CellsPerBlock:       cpb,
 		Dx:                  resolution,
 		Ranks:               *ranks,

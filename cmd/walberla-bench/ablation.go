@@ -36,7 +36,7 @@ func balanceAblation() {
 	fmt.Println("ranks\tbalancer\tmax/avg_workload\tedge_cut\ttotal_edge_weight")
 	for _, ranks := range []int{4, 16, 64} {
 		for _, useGraph := range []bool{false, true} {
-			f, _, err := setup.BuildForest(sdf, setup.Options{
+			f, _, _, err := setup.BuildForest(sdf, setup.Options{
 				CellsPerBlock:       cells,
 				Dx:                  dx,
 				Ranks:               ranks,

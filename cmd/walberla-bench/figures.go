@@ -47,7 +47,7 @@ func figure1() {
 		if err != nil {
 			panic(err)
 		}
-		f, stats, err := setup.BuildForest(sdf, setup.Options{
+		f, stats, _, err := setup.BuildForest(sdf, setup.Options{
 			CellsPerBlock: cells, Dx: dx, Ranks: target, Seed: 1,
 		})
 		if err != nil {
@@ -80,7 +80,7 @@ func figure2() {
 	// Stage 1: block division (cheap, no cell data exists yet).
 	grid, _ := setup.GridForDx(sdf.Bounds(), cells, dx)
 	candidates := grid[0] * grid[1] * grid[2]
-	f, stats, err := setup.BuildForest(sdf, setup.Options{
+	f, stats, _, err := setup.BuildForest(sdf, setup.Options{
 		CellsPerBlock: cells, Dx: dx, Ranks: 8, Seed: 1,
 	})
 	if err != nil {
@@ -292,7 +292,7 @@ func figure7() {
 		if err != nil {
 			panic(err)
 		}
-		_, stats, err := setup.BuildForest(sdf, setup.Options{
+		_, stats, _, err := setup.BuildForest(sdf, setup.Options{
 			CellsPerBlock: cells, Dx: dx, Ranks: target, Seed: 1,
 		})
 		if err != nil {

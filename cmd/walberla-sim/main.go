@@ -38,7 +38,6 @@ import (
 	"walberla/internal/output"
 	"walberla/internal/perfmodel"
 	"walberla/internal/scenario"
-	"walberla/internal/setup"
 	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
@@ -206,7 +205,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p.Geometry, p.SetupFlags = sdf, setup.FlagsFromSDF(sdf)
+		p.Geometry = sdf
 	}
 	w := core.World{
 		Forest:         forest,

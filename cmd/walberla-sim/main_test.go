@@ -263,7 +263,7 @@ func TestBlocksFileAndCheckpointSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forest, _, err := setup.BuildForest(sdf, setup.Options{
+	forest, _, _, err := setup.BuildForest(sdf, setup.Options{
 		CellsPerBlock: [3]int{8, 8, 8}, Dx: 0.02, Ranks: 2, Seed: 1, UseGraphPartitioner: true,
 	})
 	if err != nil {

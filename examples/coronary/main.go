@@ -43,7 +43,7 @@ func main() {
 		Seed:                1,
 		UseGraphPartitioner: true,
 	}
-	forest, stats, err := setup.BuildForest(sdf, opts)
+	forest, stats, _, err := setup.BuildForest(sdf, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,7 +89,8 @@ type Config struct {
 	InitialVelocity [3]float64
 	// InitialState, if non-nil, initializes cells from their physical
 	// position (level-0 lattice units, domain [0, Grid·Cells)) and
-	// overrides InitialRho/InitialVelocity.
+	// overrides InitialRho/InitialVelocity. Leaves are built on the worker
+	// pool, so it is called concurrently.
 	InitialState func(x, y, z float64) (rho, ux, uy, uz float64)
 
 	// Flags fills the flag field of a leaf's block, ghost layer included,
@@ -100,7 +101,8 @@ type Config struct {
 	// fluid, no-slip walls where a block has no neighbour (none on a
 	// periodic domain). Boundary is the macroscopic boundary data — under
 	// acoustic scaling lattice velocities are level-invariant, so one
-	// config serves all levels.
+	// config serves all levels. Like InitialState it is called
+	// concurrently.
 	Flags    func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField)
 	Boundary boundary.Config
 

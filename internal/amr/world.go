@@ -105,8 +105,8 @@ func newSim(c *comm.Comm, cfg Config) (*Sim, error) {
 
 // buildInitialForest (re)installs the uniform level-0 forest with the
 // configured initial condition: one leaf per root grid cell in canonical
-// (Morton) order, contiguously assigned. Also the rewind target when no
-// usable checkpoint set exists.
+// (Morton) order, contiguously assigned, this rank's built on the worker
+// pool. Also the rewind target when no usable checkpoint set exists.
 func (s *Sim) buildInitialForest() error {
 	var roots []blockforest.Leaf
 	for z := 0; z < s.cfg.Grid[2]; z++ {
@@ -120,17 +120,15 @@ func (s *Sim) buildInitialForest() error {
 	blockforest.SortLeaves(roots)
 	s.assignRanks(roots)
 	x := blockforest.NewIndex(roots, s.cfg.Grid, s.cfg.Periodic)
-	var blocks []*sim.BlockData
+	var mine []blockforest.Leaf
 	for _, l := range roots {
-		if l.Rank != s.Comm.Rank() {
-			continue
+		if l.Rank == s.Comm.Rank() {
+			mine = append(mine, l)
 		}
-		bd, err := s.plane.NewBlock(x, l, nil, nil)
-		if err != nil {
-			return err
-		}
-		s.initBlockState(bd)
-		blocks = append(blocks, bd)
+	}
+	blocks, err := s.plane.NewBlocks(x, mine, s.initBlockState)
+	if err != nil {
+		return err
 	}
 	return s.install(roots, x, blocks)
 }

@@ -46,7 +46,7 @@ func TestNeighborsMatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, _, err := setup.BuildForest(sdf, setup.Options{CellsPerBlock: [3]int{8, 8, 8}, Dx: 0.02, Ranks: 3, UseGraphPartitioner: true})
+	tree, _, _, err := setup.BuildForest(sdf, setup.Options{CellsPerBlock: [3]int{8, 8, 8}, Dx: 0.02, Ranks: 3, UseGraphPartitioner: true})
 	if err != nil {
 		t.Fatal(err)
 	}

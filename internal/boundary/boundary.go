@@ -95,46 +95,67 @@ type compiledLinks struct {
 
 // NewSweep scans the flag field (including its ghost layer, where domain
 // walls commonly live) and builds the link lists for all boundary cells
-// adjacent to fluid cells.
+// adjacent to fluid cells. A first scan counts the links of each
+// condition, so a second fills lists of their exact size; a block without
+// links needs none.
 func NewSweep(s *lattice.Stencil, flags *field.FlagField, cfg Config) *Sweep {
 	bs := &Sweep{stencil: s, flags: flags, cfg: cfg}
 	if bs.cfg.Density == 0 {
 		bs.cfg.Density = 1.0
 	}
-	g := flags.Ghost
-	for z := -g; z < flags.Nz+g; z++ {
-		for y := -g; y < flags.Ny+g; y++ {
-			for x := -g; x < flags.Nx+g; x++ {
-				ct := flags.Get(x, y, z)
-				if !ct.IsBoundary() {
+	var n [3]int
+	eachLink(s, flags, func(l link, list int) { n[list]++ })
+	if n == [3]int{} {
+		return bs
+	}
+	bs.noSlip = make([]link, 0, n[0])
+	bs.velocity = make([]link, 0, n[1])
+	bs.pressure = make([]link, 0, n[2])
+	lists := [3]*[]link{&bs.noSlip, &bs.velocity, &bs.pressure}
+	eachLink(s, flags, func(l link, list int) { *lists[list] = append(*lists[list], l) })
+	return bs
+}
+
+// eachLink calls fn for every link from a boundary cell into an interior
+// fluid cell, in storage order of the boundary cells and stencil order of
+// the directions, with the link's list: 0 for NoSlip, 1 for
+// VelocityBounce, 2 for PressureBounce.
+func eachLink(s *lattice.Stencil, flags *field.FlagField, fn func(l link, list int)) {
+	type dir struct{ a, cx, cy, cz, off int }
+	data := flags.Data()
+	_, sy, sz := flags.Strides()
+	dirs := make([]dir, 0, 27)
+	for a := 0; a < s.Q; a++ {
+		if cx, cy, cz := s.Cx[a], s.Cy[a], s.Cz[a]; cx != 0 || cy != 0 || cz != 0 {
+			dirs = append(dirs, dir{a, cx, cy, cz, cx + cy*sy + cz*sz})
+		}
+	}
+	nx, ny, nz, g := flags.Nx, flags.Ny, flags.Nz, flags.Ghost
+	for z := -g; z < nz+g; z++ {
+		for y := -g; y < ny+g; y++ {
+			row := flags.Index(-g, y, z)
+			for k, c := range data[row : row+nx+2*g] {
+				if !c.IsBoundary() {
 					continue
 				}
-				for a := 0; a < s.Q; a++ {
-					cx, cy, cz := s.Cx[a], s.Cy[a], s.Cz[a]
-					if cx == 0 && cy == 0 && cz == 0 {
-						continue
-					}
-					nx, ny, nz := x+cx, y+cy, z+cz
-					if nx < 0 || nx >= flags.Nx || ny < 0 || ny >= flags.Ny || nz < 0 || nz >= flags.Nz {
-						continue // fluid neighbors are interior cells only
-					}
-					if flags.Get(nx, ny, nz) != field.Fluid {
-						continue
-					}
-					l := link{int32(x), int32(y), int32(z), lattice.Direction(a)}
-					switch ct {
-					case field.NoSlip:
-						bs.noSlip = append(bs.noSlip, l)
-					case field.VelocityBounce:
-						bs.velocity = append(bs.velocity, l)
-					case field.PressureBounce:
-						bs.pressure = append(bs.pressure, l)
+				list := 0
+				switch c {
+				case field.VelocityBounce:
+					list = 1
+				case field.PressureBounce:
+					list = 2
+				}
+				x, i := k-g, row+k
+				for _, d := range dirs {
+					// Fluid neighbors are interior cells only.
+					if uint(x+d.cx) < uint(nx) && uint(y+d.cy) < uint(ny) && uint(z+d.cz) < uint(nz) &&
+						data[i+d.off] == field.Fluid {
+						fn(link{int32(x), int32(y), int32(z), lattice.Direction(d.a)}, list)
 					}
 				}
 			}
 		}
 	}
-	return bs
 }
 
 // Links returns the number of boundary links per condition, useful for

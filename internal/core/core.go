@@ -27,8 +27,12 @@ import (
 // boundary conditions from surface colors.
 type Problem struct {
 	// Geometry, if non-nil, selects the complex-geometry path: the block
-	// grid is derived from the geometry bounds and Dx, blocks outside the
-	// domain are discarded, and blocks are voxelized per rank.
+	// grid is derived from the geometry bounds and Dx, BuildForest
+	// voxelizes the candidate blocks once and discards those without
+	// fluid, and every rank lands the kept voxels as its blocks' flags
+	// (setup.FlagsFromSDF), voxelizing only a block the forest build did
+	// not keep at its box — a forest from a file, or one built at another
+	// Dx — then computes each block's boundary hull.
 	Geometry distance.SDF
 	// Dx is the lattice spacing for geometry problems.
 	Dx float64
@@ -52,10 +56,13 @@ type Problem struct {
 	InitialRho      float64
 	InitialVelocity [3]float64
 	// InitialState optionally initializes every cell individually (global
-	// cell coordinates), e.g. for analytic validation flows.
+	// cell coordinates), e.g. for analytic validation flows. It is called
+	// concurrently, from every rank and worker (sim.Config.InitialState).
 	InitialState func(x, y, z int) (rho, ux, uy, uz float64)
-	// SetupFlags overrides the per-block flag setup of dense problems
-	// (e.g. marking a moving lid); geometry problems voxelize instead.
+	// SetupFlags overrides the per-block flag setup (e.g. marking a moving
+	// lid); nil gives geometry problems the flags of Geometry. It is
+	// called concurrently, from every rank and worker
+	// (sim.Config.SetupFlags).
 	SetupFlags func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField)
 
 	// Ranks is the number of SPMD processes; zero means one.
@@ -75,12 +82,18 @@ type Problem struct {
 	UseGraphPartitioner bool
 	// MemoryLimitCells caps allocated cells per rank during balancing.
 	MemoryLimitCells float64
+
+	// voxels are the kept blocks' voxels of the last geometry forest
+	// BuildForest built, which SimConfig's flag hook lands.
+	voxels *setup.Voxels
 }
 
 // BuildForest constructs the balanced global forest on the calling
 // goroutine (rank 0 does this before broadcasting; the scenario and
 // session layers build it once and reuse it across world restarts so a
-// resumed session restores onto the identical block assignment).
+// resumed session restores onto the identical block assignment). A
+// geometry problem keeps the kept blocks' voxels for SimConfig's flag
+// hook, so BuildForest must not run while a world of p is being built.
 func (p *Problem) BuildForest() (*blockforest.SetupForest, error) {
 	ranks := p.Ranks
 	if ranks == 0 {
@@ -90,7 +103,7 @@ func (p *Problem) BuildForest() (*blockforest.SetupForest, error) {
 		if p.Dx <= 0 {
 			return nil, fmt.Errorf("core: geometry problems need Dx > 0")
 		}
-		f, _, err := setup.BuildForest(p.Geometry, setup.Options{
+		f, _, vox, err := setup.BuildForest(p.Geometry, setup.Options{
 			CellsPerBlock:       p.CellsPerBlock,
 			Dx:                  p.Dx,
 			Ranks:               ranks,
@@ -98,7 +111,11 @@ func (p *Problem) BuildForest() (*blockforest.SetupForest, error) {
 			Seed:                p.Seed,
 			UseGraphPartitioner: p.UseGraphPartitioner,
 		})
-		return f, err
+		if err != nil {
+			return nil, err
+		}
+		p.voxels = vox
+		return f, nil
 	}
 	for d := 0; d < 3; d++ {
 		if p.Grid[d] <= 0 || p.CellsPerBlock[d] <= 0 {
@@ -133,7 +150,7 @@ func (p *Problem) SimConfig() sim.Config {
 		Workers:         p.Workers,
 	}
 	if p.Geometry != nil && cfg.SetupFlags == nil {
-		cfg.SetupFlags = setup.FlagsFromSDF(p.Geometry)
+		cfg.SetupFlags = setup.FlagsFromSDF(p.Geometry, p.voxels)
 	}
 	return cfg
 }

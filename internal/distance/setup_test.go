@@ -29,11 +29,11 @@ func TestSetupMatchesReferenceSDF(t *testing.T) {
 		}
 		ref := distance.ReferenceSDF(sdf)
 		opt := setup.Options{CellsPerBlock: cells, Dx: tc.dx, Ranks: 3, Seed: 1, UseGraphPartitioner: true}
-		got, gotStats, err := setup.BuildForest(sdf, opt)
+		got, gotStats, vox, err := setup.BuildForest(sdf, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats, err := setup.BuildForest(ref, opt)
+		want, wantStats, _, err := setup.BuildForest(ref, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestSetupMatchesReferenceSDF(t *testing.T) {
 			t.Fatalf("depth %d dx %v: stats %+v, reference %+v", tc.depth, tc.dx, gotStats, wantStats)
 		}
 		gb, wb := got.Blocks(), want.Blocks()
-		hook, refHook := setup.FlagsFromSDF(sdf), setup.FlagsFromSDF(ref)
+		hook, refHook := setup.FlagsFromSDF(sdf, vox), setup.FlagsFromSDF(ref, nil)
 		for i, b := range gb {
 			if w := wb[i]; b.Coord != w.Coord || b.Workload != w.Workload || b.Rank != w.Rank {
 				t.Fatalf("depth %d dx %v block %d: %+v, reference %+v", tc.depth, tc.dx, i, b, w)

@@ -4,6 +4,9 @@
 // voxelizing blocks against the signed distance function, computing the
 // boundary hull of the fluid cells with a morphological dilation w.r.t.
 // the LBM stencil, and assigning boundary conditions from surface colors.
+// Voxelize is the one classification of cells: the forest build counts a
+// block's fluid cells from its output, which the simulation then lands as
+// the block's flags.
 //
 // Most hull cells need no color search. A hull cell p is Outside and is
 // marked from a Fluid cell q = p + c_a, so the segment from p to q crosses
@@ -188,57 +191,6 @@ func voxelizeRegion(sdf distance.SDF, block blockforest.AABB, dx [3]float64, fla
 	loB[axis] = mid
 	voxelizeRegion(sdf, block, dx, flags, lo, hiA)
 	voxelizeRegion(sdf, block, dx, flags, loB, hi)
-}
-
-// CountInsideCells counts the lattice cell centers of a block that lie
-// inside the domain, using the same recursive region pruning as the
-// voxelization (far cheaper than testing every cell).
-func CountInsideCells(sdf distance.SDF, block blockforest.AABB, cells [3]int) int {
-	dx := [3]float64{
-		(block.Max[0] - block.Min[0]) / float64(cells[0]),
-		(block.Max[1] - block.Min[1]) / float64(cells[1]),
-		(block.Max[2] - block.Min[2]) / float64(cells[2]),
-	}
-	return countRegion(sdf, block, dx, [3]int{0, 0, 0}, cells)
-}
-
-func countRegion(sdf distance.SDF, block blockforest.AABB, dx [3]float64, lo, hi [3]int) int {
-	nx, ny, nz := hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2]
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		return 0
-	}
-	region := centerRegion(block, dx, lo, hi)
-	switch ClassifyAABB(sdf, region) {
-	case RegionOutside:
-		return 0
-	case RegionInside:
-		return nx * ny * nz
-	}
-	if nx*ny*nz <= 8 {
-		n := 0
-		for z := lo[2]; z < hi[2]; z++ {
-			for y := lo[1]; y < hi[1]; y++ {
-				for x := lo[0]; x < hi[0]; x++ {
-					if sdf.Inside(cellCenter(block, dx, x, y, z)) {
-						n++
-					}
-				}
-			}
-		}
-		return n
-	}
-	axis := 0
-	if ny > nx {
-		axis = 1
-	}
-	if nz > max(nx, ny) {
-		axis = 2
-	}
-	mid := (lo[axis] + hi[axis]) / 2
-	hiA, loB := hi, lo
-	hiA[axis] = mid
-	loB[axis] = mid
-	return countRegion(sdf, block, dx, lo, hiA) + countRegion(sdf, block, dx, loB, hi)
 }
 
 func fillRegion(flags *field.FlagField, lo, hi [3]int, c field.CellType) {

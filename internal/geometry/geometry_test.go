@@ -90,31 +90,6 @@ func TestVoxelizeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCountInsideCellsMatchesBruteForce(t *testing.T) {
-	sdf := sphereSDF(t, [3]float64{0, 0, 0}, 0.8)
-	block := blockforest.NewAABB([3]float64{-1, -1, -1}, [3]float64{1, 1, 1})
-	cells := [3]int{12, 12, 12}
-	got := CountInsideCells(sdf, block, cells)
-	want := 0
-	for z := 0; z < cells[2]; z++ {
-		for y := 0; y < cells[1]; y++ {
-			for x := 0; x < cells[0]; x++ {
-				p := [3]float64{
-					-1 + (float64(x)+0.5)/6,
-					-1 + (float64(y)+0.5)/6,
-					-1 + (float64(z)+0.5)/6,
-				}
-				if sdf.Inside(p) {
-					want++
-				}
-			}
-		}
-	}
-	if got != want {
-		t.Errorf("CountInsideCells = %d, brute force %d", got, want)
-	}
-}
-
 func TestVoxelizeSphereVolume(t *testing.T) {
 	sdf := sphereSDF(t, [3]float64{0.5, 0.5, 0.5}, 0.4)
 	block := blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1})

@@ -183,36 +183,83 @@ func TestDilateBoundaryMatchesScan(t *testing.T) {
 	})
 }
 
-// FuzzDilateBoundary holds DilateBoundary to the scan on a random tube
-// with random cap colors, in a randomly placed block of random spacing.
-func FuzzDilateBoundary(f *testing.F) {
+// addTubeSeeds adds the seed inputs of the random-tube fuzzers.
+func addTubeSeeds(f *testing.F) {
 	f.Add(0.2, 0.3, 0.15, 0.75, 0.9, 0.7, 0.13, uint8(1), uint8(2), 0.0, 0.0, 0.0, 1.0, 1.2, 0.9, uint8(10), uint8(14), uint8(18))
 	f.Add(0.5, 0.5, -0.2, 0.5, 0.5, 0.55, 0.2, uint8(2), uint8(1), 0.1, 0.2, 0.05, 0.8, 0.9, 0.7, uint8(8), uint8(8), uint8(8))
 	f.Add(-0.3, 0.1, 0.4, 1.4, 0.6, 0.5, 0.08, uint8(0), uint8(2), -0.1, 0.0, 0.1, 1.1, 0.9, 0.6, uint8(12), uint8(9), uint8(6))
+}
+
+// randomTube makes the fuzzers' input: a tube from (x0, y0, z0) to
+// (x1, y1, z1) of radius r with cap colors c0 and c1, and a block at
+// (bx, by, bz) of size (sx, sy, sz) with 2 + n%16 cells per axis. It skips
+// inputs out of range.
+func randomTube(t *testing.T, x0, y0, z0, x1, y1, z1, r float64, c0, c1 uint8,
+	bx, by, bz, sx, sy, sz float64, nx, ny, nz uint8) (distance.SDF, blockforest.AABB, [3]int) {
+	t.Helper()
+	p0, p1 := [3]float64{x0, y0, z0}, [3]float64{x1, y1, z1}
+	size := [3]float64{sx, sy, sz}
+	for _, v := range []float64{x0, y0, z0, x1, y1, z1, bx, by, bz} {
+		if !(math.Abs(v) <= 4) {
+			t.Skip()
+		}
+	}
+	for _, v := range size {
+		if !(v >= 0.05 && v <= 4) {
+			t.Skip()
+		}
+	}
+	if !(r >= 0.01 && r <= 2) || mesh.Norm(mesh.Sub(p1, p0)) < 0.05 {
+		t.Skip()
+	}
 	colors := []mesh.Color{mesh.ColorWall, mesh.ColorInflow, mesh.ColorOutflow}
+	tube, err := distance.NewField(mesh.NewTube(p0, p1, r, 12, colors[int(c0)%3], colors[int(c1)%3]))
+	if err != nil {
+		t.Skip()
+	}
+	block := blockforest.NewAABB([3]float64{bx, by, bz}, [3]float64{bx + sx, by + sy, bz + sz})
+	return tube, block, [3]int{int(nx%16) + 2, int(ny%16) + 2, int(nz%16) + 2}
+}
+
+// FuzzDilateBoundary holds DilateBoundary to the scan on a random tube
+// with random cap colors, in a randomly placed block of random spacing.
+func FuzzDilateBoundary(f *testing.F) {
+	addTubeSeeds(f)
 	f.Fuzz(func(t *testing.T, x0, y0, z0, x1, y1, z1, r float64, c0, c1 uint8,
 		bx, by, bz, sx, sy, sz float64, nx, ny, nz uint8) {
-		p0, p1 := [3]float64{x0, y0, z0}, [3]float64{x1, y1, z1}
-		size := [3]float64{sx, sy, sz}
-		for _, v := range []float64{x0, y0, z0, x1, y1, z1, bx, by, bz} {
-			if !(math.Abs(v) <= 4) {
-				t.Skip()
-			}
-		}
-		for _, v := range size {
-			if !(v >= 0.05 && v <= 4) {
-				t.Skip()
-			}
-		}
-		if !(r >= 0.01 && r <= 2) || mesh.Norm(mesh.Sub(p1, p0)) < 0.05 {
-			t.Skip()
-		}
-		cells := [3]int{int(nx%16) + 2, int(ny%16) + 2, int(nz%16) + 2}
-		tube, err := distance.NewField(mesh.NewTube(p0, p1, r, 12, colors[int(c0)%3], colors[int(c1)%3]))
-		if err != nil {
-			t.Skip()
-		}
-		block := blockforest.NewAABB([3]float64{bx, by, bz}, [3]float64{bx + sx, by + sy, bz + sz})
+		tube, block, cells := randomTube(t, x0, y0, z0, x1, y1, z1, r, c0, c1, bx, by, bz, sx, sy, sz, nx, ny, nz)
 		compareHull(t, tube, block, cells)
+	})
+}
+
+// FuzzVoxelCount: the fluid cells of a ghosted Voxelize's interior — the
+// forest build's workload of a block — are the cell centers inside the
+// domain, counted one query per cell, on a random tube in a randomly
+// placed block of random spacing.
+func FuzzVoxelCount(f *testing.F) {
+	addTubeSeeds(f)
+	f.Fuzz(func(t *testing.T, x0, y0, z0, x1, y1, z1, r float64, c0, c1 uint8,
+		bx, by, bz, sx, sy, sz float64, nx, ny, nz uint8) {
+		tube, block, cells := randomTube(t, x0, y0, z0, x1, y1, z1, r, c0, c1, bx, by, bz, sx, sy, sz, nx, ny, nz)
+		flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
+		Voxelize(tube, block, flags)
+		dx := [3]float64{
+			(block.Max[0] - block.Min[0]) / float64(cells[0]),
+			(block.Max[1] - block.Min[1]) / float64(cells[1]),
+			(block.Max[2] - block.Min[2]) / float64(cells[2]),
+		}
+		want := 0
+		for z := 0; z < cells[2]; z++ {
+			for y := 0; y < cells[1]; y++ {
+				for x := 0; x < cells[0]; x++ {
+					if tube.Inside(cellCenter(block, dx, x, y, z)) {
+						want++
+					}
+				}
+			}
+		}
+		if got := flags.Count(field.Fluid); got != want {
+			t.Errorf("Voxelize counts %d fluid cells, %d cell centers are inside", got, want)
+		}
 	})
 }

@@ -20,7 +20,6 @@ import (
 	"walberla/internal/core"
 	"walberla/internal/distance"
 	"walberla/internal/lattice"
-	"walberla/internal/setup"
 	"walberla/internal/sim"
 	"walberla/internal/vascular"
 )
@@ -593,7 +592,6 @@ func (sc *Scenario) Problem() (*core.Problem, error) {
 		p.Geometry = sdf
 		p.Dx = sc.Geometry.Dx
 		p.Boundary = boundary.Config{WallVelocity: [3]float64{0, 0, sc.Geometry.InflowVelocity}, Density: 1}
-		p.SetupFlags = setup.FlagsFromSDF(sdf)
 		p.UseGraphPartitioner = true
 	default:
 		return nil, fmt.Errorf("scenario: unknown geometry.example %q", sc.Geometry.Example)

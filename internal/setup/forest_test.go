@@ -1,6 +1,8 @@
 package setup
 
 import (
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -9,13 +11,15 @@ import (
 	"walberla/internal/distance"
 	"walberla/internal/field"
 	"walberla/internal/geometry"
+	"walberla/internal/lattice"
 	"walberla/internal/mesh"
 	"walberla/internal/vascular"
 )
 
 // buildForestTwoPass is the pipeline before its one classification pass:
 // the block-domain intersection test decides which blocks stay, and only
-// those are counted. It is the oracle of TestForestMatchesTwoPass.
+// those are counted, cell by cell. It is the oracle of
+// TestForestMatchesTwoPass.
 func buildForestTwoPass(sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, error) {
 	grid, domain := GridForDx(sdf.Bounds(), opt.CellsPerBlock, opt.Dx)
 	f := blockforest.NewSetupForest(domain, grid, opt.CellsPerBlock, [3]bool{})
@@ -24,7 +28,7 @@ func buildForestTwoPass(sdf distance.SDF, opt Options) (*blockforest.SetupForest
 	})
 	var fluid int64
 	for _, b := range f.Blocks() {
-		n := geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock)
+		n := insideCells(sdf, b.AABB, opt.CellsPerBlock)
 		b.Workload = float64(n)
 		fluid += int64(n)
 	}
@@ -32,6 +36,27 @@ func buildForestTwoPass(sdf distance.SDF, opt Options) (*blockforest.SetupForest
 		return nil, Stats{}, err
 	}
 	return f, statsFor(f, grid, discarded, fluid, opt.Dx), nil
+}
+
+// insideCells counts the cell centers of a block inside the domain, one
+// query per cell.
+func insideCells(sdf distance.SDF, box blockforest.AABB, cells [3]int) int {
+	n := 0
+	for z := 0; z < cells[2]; z++ {
+		for y := 0; y < cells[1]; y++ {
+			for x := 0; x < cells[0]; x++ {
+				var p [3]float64
+				for d, i := range [3]int{x, y, z} {
+					dx := (box.Max[d] - box.Min[d]) / float64(cells[d])
+					p[d] = box.Min[d] + (float64(i)+0.5)*dx
+				}
+				if sdf.Inside(p) {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 func treeSDF(t testing.TB, depth int) *distance.Union {
@@ -66,9 +91,10 @@ func sameForest(t *testing.T, what string, got, want *blockforest.SetupForest, g
 	}
 }
 
-// TestForestMatchesTwoPass holds the count-only classification of
+// TestForestMatchesTwoPass holds the one classification pass of
 // BuildForest and BuildForestParallel to the two-pass pipeline: the same
-// kept blocks, workloads, ranks and statistics.
+// kept blocks, workloads, ranks and statistics — and BuildForestParallel
+// to BuildForest's voxels.
 func TestForestMatchesTwoPass(t *testing.T) {
 	cases := []struct {
 		name string
@@ -77,6 +103,7 @@ func TestForestMatchesTwoPass(t *testing.T) {
 	}{
 		{"sphere", sphereSDF(t, 0.8), Options{CellsPerBlock: [3]int{8, 8, 8}, Dx: 0.04, Ranks: 4, Seed: 7}},
 		{"smoke tree", treeSDF(t, 2), Options{CellsPerBlock: [3]int{16, 16, 16}, Dx: 0.05, Ranks: 2, Seed: 1, UseGraphPartitioner: true}},
+		{"trimmed tree", treeSDF(t, 2), Options{CellsPerBlock: [3]int{8, 8, 8}, Dx: 0.02, Ranks: 3, Seed: 1, UseGraphPartitioner: true}},
 		{"depth-4 tree", treeSDF(t, 4), Options{CellsPerBlock: [3]int{16, 16, 16}, Dx: 0.009, Ranks: 2, Seed: 1, UseGraphPartitioner: true}},
 	}
 	for _, tc := range cases {
@@ -85,20 +112,87 @@ func TestForestMatchesTwoPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotStats, err := BuildForest(tc.sdf, tc.opt)
+			got, gotStats, vox, err := BuildForest(tc.sdf, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameForest(t, "BuildForest", got, want, gotStats, wantStats)
 			for _, ranks := range []int{1, 3, 8} {
 				comm.Run(ranks, func(c *comm.Comm) {
-					got, gotStats, err := BuildForestParallel(c, tc.sdf, tc.opt)
+					got, gotStats, pvox, err := BuildForestParallel(c, tc.sdf, tc.opt)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					sameForest(t, "BuildForestParallel", got, want, gotStats, wantStats)
+					if !reflect.DeepEqual(pvox, vox) {
+						t.Errorf("BuildForestParallel on %d ranks: voxels differ from BuildForest's", ranks)
+					}
 				})
+			}
+		})
+	}
+}
+
+// TestKeptVoxelsAreTheFlags: on the smoke tree, the trimmed tree and the
+// benchmark's depth-4 tree, every kept block's flags through the kept
+// voxels are byte for byte a fresh Voxelize and DilateBoundary of the
+// block, the forest's statistics are those of the cell counts it had
+// before it kept voxels, and a forest built at another spacing misses the
+// voxels and still voxelizes.
+func TestKeptVoxelsAreTheFlags(t *testing.T) {
+	cases := []struct {
+		name  string
+		depth int
+		opt   Options
+		want  Stats // zero: not pinned here
+	}{
+		{"smoke tree", 2, Options{CellsPerBlock: [3]int{16, 16, 16}, Dx: 0.05, Ranks: 2, Seed: 1, UseGraphPartitioner: true}, Stats{}},
+		{"trimmed tree", 2, Options{CellsPerBlock: [3]int{8, 8, 8}, Dx: 0.02, Ranks: 3, Seed: 1, UseGraphPartitioner: true}, Stats{}},
+		{"depth-4 tree", 4, Options{CellsPerBlock: [3]int{16, 16, 16}, Dx: 0.009, Ranks: 2, Seed: 1, UseGraphPartitioner: true},
+			Stats{Blocks: 117, DiscardedBlocks: 1647, FluidCells: 28999}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sdf := treeSDF(t, tc.depth)
+			f, st, vox, err := BuildForest(sdf, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want.Blocks > 0 && (st.Blocks != tc.want.Blocks || st.DiscardedBlocks != tc.want.DiscardedBlocks || st.FluidCells != tc.want.FluidCells) {
+				t.Errorf("stats %+v, want %d blocks, %d discarded, %d fluid cells", st, tc.want.Blocks, tc.want.DiscardedBlocks, tc.want.FluidCells)
+			}
+			cells := tc.opt.CellsPerBlock
+			hook := FlagsFromSDF(sdf, vox)
+			landed := newVoxelField(cells)
+			fresh := newVoxelField(cells)
+			check := func(what string, b *blockforest.Block) {
+				hook(b, nil, landed)
+				geometry.Voxelize(sdf, b.AABB, fresh)
+				geometry.DilateBoundary(sdf, b.AABB, fresh, lattice.D3Q19())
+				if !slices.Equal(landed.Data(), fresh.Data()) {
+					t.Fatalf("%s block %v: landed flags differ from a fresh voxelization", what, b.Coord)
+				}
+			}
+			for _, sb := range f.Blocks() {
+				b := &blockforest.Block{Coord: sb.Coord, AABB: sb.AABB, Cells: cells}
+				if !vox.Flags(b.Coord, b.AABB, landed) {
+					t.Fatalf("block %v: no kept voxels", b.Coord)
+				}
+				check("kept", b)
+			}
+			other := tc.opt
+			other.Dx *= 1.25
+			g, _, _, err := BuildForest(sdf, other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sb := range g.Blocks() {
+				b := &blockforest.Block{Coord: sb.Coord, AABB: sb.AABB, Cells: cells}
+				if vox.Flags(b.Coord, b.AABB, landed) {
+					t.Fatalf("block %v at dx %v: hit the voxels kept at dx %v", b.Coord, other.Dx, tc.opt.Dx)
+				}
+				check("other-dx", b)
 			}
 		})
 	}
@@ -121,11 +215,11 @@ func (c *countingSDF) ClosestTriangleColor(p [3]float64) mesh.Color {
 func treeFlags(t testing.TB, sdf distance.SDF, dx float64) (hull int) {
 	t.Helper()
 	cells := [3]int{16, 16, 16}
-	f, _, err := BuildForest(sdf, Options{CellsPerBlock: cells, Dx: dx, Ranks: 1})
+	f, _, vox, err := BuildForest(sdf, Options{CellsPerBlock: cells, Dx: dx, Ranks: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := FlagsFromSDF(sdf)
+	hook := FlagsFromSDF(sdf, vox)
 	flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
 	for _, b := range f.Blocks() {
 		hook(&blockforest.Block{Coord: b.Coord, AABB: b.AABB, Cells: cells}, nil, flags)
@@ -156,12 +250,12 @@ func TestTreeFlagsSkipWallSearches(t *testing.T) {
 func BenchmarkFlagsFromSDF(b *testing.B) {
 	sdf := &countingSDF{SDF: treeSDF(b, 2)}
 	cells := [3]int{16, 16, 16}
-	f, _, err := BuildForest(sdf, Options{CellsPerBlock: cells, Dx: 0.05, Ranks: 1})
+	f, _, vox, err := BuildForest(sdf, Options{CellsPerBlock: cells, Dx: 0.05, Ranks: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	blocks := f.Blocks()
-	hook := FlagsFromSDF(sdf)
+	hook := FlagsFromSDF(sdf, vox)
 	flags := field.NewFlagField(cells[0], cells[1], cells[2], 1)
 	sdf.colors.Store(0)
 	b.ResetTimer()

@@ -25,10 +25,12 @@ import (
 func countBlocksAtDx(sdf distance.SDF, cells [3]int, dx float64) int {
 	grid, domain := GridForDx(sdf.Bounds(), cells, dx)
 	var n atomic.Int64
-	forEach(grid[0]*grid[1]*grid[2], func(i int) {
-		c := [3]int{i % grid[0], i / grid[0] % grid[1], i / (grid[0] * grid[1])}
-		if geometry.BlockIntersectsDomain(sdf, blockAABB(domain, grid, c), cells) {
-			n.Add(1)
+	forEach(grid[0]*grid[1]*grid[2], func() func(int) {
+		return func(i int) {
+			c := [3]int{i % grid[0], i / grid[0] % grid[1], i / (grid[0] * grid[1])}
+			if geometry.BlockIntersectsDomain(sdf, blockAABB(domain, grid, c), cells) {
+				n.Add(1)
+			}
 		}
 	})
 	return int(n.Load())

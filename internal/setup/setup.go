@@ -76,47 +76,73 @@ type Stats struct {
 
 // BuildForest runs the single-process version of the pipeline. A block is
 // kept iff the center of one of its cells lies inside the domain, so one
-// pass counts every candidate's fluid cells — the nearest-triangle
-// searches that are the bulk of set-up on a complex geometry — and the
-// count both decides the block and becomes its workload. The counts are
-// independent per block and run on GOMAXPROCS goroutines; each writes only
-// its own block's entry, so the forest and its balance are those of a
-// serial pass. For the SPMD version see BuildForestParallel.
-func BuildForest(sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, error) {
+// pass voxelizes every candidate that is not wholly outside — the
+// nearest-triangle searches that are the bulk of set-up on a complex
+// geometry — and the fluid count of its interior both decides the block
+// and becomes its workload. The kept blocks' voxels come back as Voxels,
+// the flags the simulation lands (FlagsFromSDF). The candidates are
+// independent and run on GOMAXPROCS goroutines, each reusing one flag
+// field; each writes only its own block's entries, so the forest and its
+// balance are those of a serial pass. For the SPMD version see
+// BuildForestParallel.
+func BuildForest(sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, *Voxels, error) {
 	grid, domain := GridForDx(sdf.Bounds(), opt.CellsPerBlock, opt.Dx)
 	f := blockforest.NewSetupForest(domain, grid, opt.CellsPerBlock, [3]bool{})
 	blocks := f.Blocks()
 	counts := make([]int64, len(blocks))
-	forEach(len(blocks), func(i int) {
-		counts[i] = int64(geometry.CountInsideCells(sdf, blocks[i].AABB, opt.CellsPerBlock))
+	bits := make([][]byte, len(blocks))
+	forEach(len(blocks), func() func(int) {
+		flags := newVoxelField(opt.CellsPerBlock)
+		return func(i int) { counts[i], bits[i] = classify(sdf, blocks[i].AABB, flags) }
 	})
-	return keepCounted(f, blocks, counts, grid, opt)
+	return keepCounted(f, blocks, counts, bits, grid, opt)
+}
+
+// classify voxelizes one candidate block into flags and returns its fluid
+// count and, when it has fluid, its packed voxels. A block whose box is
+// wholly outside has neither, and is not voxelized.
+func classify(sdf distance.SDF, box blockforest.AABB, flags *field.FlagField) (int64, []byte) {
+	if geometry.ClassifyAABB(sdf, box) == geometry.RegionOutside {
+		return 0, nil
+	}
+	geometry.Voxelize(sdf, box, flags)
+	n := flags.Count(field.Fluid)
+	if n == 0 {
+		return 0, nil
+	}
+	return int64(n), packVoxels(flags)
 }
 
 // keepCounted weighs every block by its fluid cell count, discards those
 // without fluid (the paper: no block with zero fluid cells exists after
-// classification) and balances the rest.
-func keepCounted(f *blockforest.SetupForest, blocks []*blockforest.SetupBlock, counts []int64, grid [3]int, opt Options) (*blockforest.SetupForest, Stats, error) {
+// classification), balances the rest and files the kept blocks' voxels.
+func keepCounted(f *blockforest.SetupForest, blocks []*blockforest.SetupBlock, counts []int64, bits [][]byte, grid [3]int, opt Options) (*blockforest.SetupForest, Stats, *Voxels, error) {
 	var fluid int64
+	vox := &Voxels{cells: opt.CellsPerBlock, blocks: make(map[[3]int]voxelBlock)}
 	for i, b := range blocks {
 		b.Workload = float64(counts[i])
 		fluid += counts[i]
+		if counts[i] > 0 {
+			vox.blocks[b.Coord] = voxelBlock{box: b.AABB, bits: bits[i]}
+		}
 	}
 	discarded := f.Keep(func(b *blockforest.SetupBlock) bool { return b.Workload > 0 })
 	if err := balance(f, opt); err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
-	return f, statsFor(f, grid, discarded, fluid, opt.Dx), nil
+	return f, statsFor(f, grid, discarded, fluid, opt.Dx), vox, nil
 }
 
-// forEach calls fn(i) for every i in [0, n) from up to GOMAXPROCS
-// goroutines and returns when all calls have. Indices are handed out one
-// at a time: per-block costs differ by orders of magnitude.
-func forEach(n int, fn func(i int)) {
+// forEach calls task(i) for every i in [0, n) from up to GOMAXPROCS
+// goroutines and returns when all calls have. Each goroutine gets its
+// task from worker, so a task may keep scratch of its own. Indices are
+// handed out one at a time: per-block costs differ by orders of magnitude.
+func forEach(n int, worker func() (task func(i int))) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
+		task := worker()
 		for i := 0; i < n; i++ {
-			fn(i)
+			task(i)
 		}
 		return
 	}
@@ -126,8 +152,9 @@ func forEach(n int, fn func(i int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			task := worker()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
+				task(i)
 			}
 		}()
 	}
@@ -163,42 +190,57 @@ func statsFor(f *blockforest.SetupForest, grid [3]int, discarded int, fluid int6
 
 // BuildForestParallel runs the pipeline SPMD over a communicator: the
 // candidate blocks are randomly scattered among the ranks (avoiding the
-// load imbalance of the surface's spatial clustering), each rank counts
-// the fluid cells of its share, the nonzero counts are gathered on all
-// ranks, and the balancing runs redundantly but deterministically. Every
-// rank returns the identical forest, the one BuildForest builds.
-func BuildForestParallel(c *comm.Comm, sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, error) {
+// load imbalance of the surface's spatial clustering), each rank
+// classifies its share, the nonzero counts and their voxels are gathered
+// on all ranks, and the balancing runs redundantly but deterministically.
+// Every rank returns the identical forest and voxels, those BuildForest
+// builds.
+func BuildForestParallel(c *comm.Comm, sdf distance.SDF, opt Options) (*blockforest.SetupForest, Stats, *Voxels, error) {
 	grid, domain := GridForDx(sdf.Bounds(), opt.CellsPerBlock, opt.Dx)
 	f := blockforest.NewSetupForest(domain, grid, opt.CellsPerBlock, [3]bool{})
 	blocks := f.Blocks()
 	// Deterministic random scatter, identical on every rank.
 	perm := rand.New(rand.NewSource(opt.Seed)).Perm(len(blocks))
 	var mine []int64 // interleaved index, count
+	var mineBits []byte
+	flags := newVoxelField(opt.CellsPerBlock)
 	for i, b := range blocks {
 		if perm[i]%c.Size() != c.Rank() {
 			continue
 		}
-		if n := geometry.CountInsideCells(sdf, b.AABB, opt.CellsPerBlock); n > 0 {
-			mine = append(mine, int64(i), int64(n))
+		if n, v := classify(sdf, b.AABB, flags); n > 0 {
+			mine = append(mine, int64(i), n)
+			mineBits = append(mineBits, v...)
 		}
 	}
 	counts := make([]int64, len(blocks))
-	for _, part := range c.Allgather(mine) {
+	bits := make([][]byte, len(blocks))
+	size := (len(flags.Data()) + 7) / 8 // one block's packed voxels
+	gotBits := c.Allgather(mineBits)
+	for r, part := range c.Allgather(mine) {
 		pairs, _ := part.([]int64)
+		v, _ := gotBits[r].([]byte)
 		for i := 0; i+1 < len(pairs); i += 2 {
-			counts[pairs[i]] = pairs[i+1]
+			counts[pairs[i]], bits[pairs[i]] = pairs[i+1], v[:size:size]
+			v = v[size:]
 		}
 	}
-	return keepCounted(f, blocks, counts, grid, opt)
+	return keepCounted(f, blocks, counts, bits, grid, opt)
 }
 
-// FlagsFromSDF returns a simulation setup hook that voxelizes each block
-// against the SDF and computes the boundary hull with condition assignment
-// from surface colors — the per-process initialization of the paper ("every
-// process voxelizes its blocks independently").
-func FlagsFromSDF(sdf distance.SDF) func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
+// FlagsFromSDF returns a simulation setup hook that gives each block the
+// voxels BuildForest kept for it — a copy, when kept holds a block at the
+// block's coordinate with the block's box — or else voxelizes the block
+// against the SDF, and then computes the boundary hull with condition
+// assignment from surface colors: the per-process initialization of the
+// paper ("every process voxelizes its blocks independently"), with the
+// voxelization done once, by the forest build. kept may be nil. The hook
+// only reads kept, so ranks and workers may call it at once.
+func FlagsFromSDF(sdf distance.SDF, kept *Voxels) func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
 	return func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {
-		geometry.Voxelize(sdf, b.AABB, flags)
+		if !kept.Flags(b.Coord, b.AABB, flags) {
+			geometry.Voxelize(sdf, b.AABB, flags)
+		}
 		geometry.DilateBoundary(sdf, b.AABB, flags, lattice.D3Q19())
 	}
 }

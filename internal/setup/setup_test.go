@@ -45,7 +45,7 @@ func TestGridForDx(t *testing.T) {
 
 func TestBuildForestSerial(t *testing.T) {
 	sdf := sphereSDF(t, 0.8)
-	f, stats, err := BuildForest(sdf, Options{
+	f, stats, _, err := BuildForest(sdf, Options{
 		CellsPerBlock: [3]int{8, 8, 8},
 		Dx:            0.04, // block edge 0.32: the 5x5x5 grid's corners miss the sphere
 		Ranks:         4,
@@ -90,14 +90,14 @@ func TestBuildForestParallelMatchesSerial(t *testing.T) {
 		Seed:                7,
 		UseGraphPartitioner: true,
 	}
-	fs, statsS, err := BuildForest(sdf, opt)
+	fs, statsS, _, err := BuildForest(sdf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// BuildForest spreads the per-block work over GOMAXPROCS goroutines;
 	// on one it is the serial pass, and must build the same forest.
 	prev := runtime.GOMAXPROCS(1)
-	f1, stats1, err := BuildForest(sdf, opt)
+	f1, stats1, _, err := BuildForest(sdf, opt)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestBuildForestParallelMatchesSerial(t *testing.T) {
 	}
 	for _, ranks := range []int{1, 5} {
 		comm.Run(ranks, func(c *comm.Comm) {
-			fp, statsP, err := BuildForestParallel(c, sdf, opt)
+			fp, statsP, _, err := BuildForestParallel(c, sdf, opt)
 			if err != nil {
 				t.Error(err)
 				return
@@ -213,7 +213,7 @@ func TestEndToEndVascularSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, stats, err := BuildForest(sdf, Options{
+	f, stats, vox, err := BuildForest(sdf, Options{
 		CellsPerBlock:       [3]int{10, 10, 10},
 		Dx:                  tree.Params.RootRadius / 2.5,
 		Ranks:               3,
@@ -243,7 +243,7 @@ func TestEndToEndVascularSimulation(t *testing.T) {
 				WallVelocity: [3]float64{0, 0, 0.02}, // inflow pushes along +z (root direction)
 				Density:      1.0,
 			},
-			SetupFlags: FlagsFromSDF(sdf),
+			SetupFlags: FlagsFromSDF(sdf, vox),
 		})
 		if err != nil {
 			t.Error(err)

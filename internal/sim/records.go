@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"walberla/internal/blockforest"
@@ -144,22 +143,20 @@ func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int
 	for _, bd := range s.Blocks {
 		held[bd.Block.ID] = bd
 	}
-	blocks := make([]*BlockData, len(recs))
-	errs := make([]error, len(recs))
-	s.pool.run(len(recs), func(_, i int) {
+	blocks, err := s.assemble(len(recs), func(i int) (*BlockData, error) {
 		rec := recs[i]
 		id := blockforest.BlockID{Tree: rec.Tree, Path: rec.Path, Level: rec.Level}
-		bd := held[id]
+		bd, err := held[id], error(nil)
 		if bd == nil {
-			bd, errs[i] = s.NewBlock(x, blockforest.Leaf{ID: id, Coord: rec.Coord}, nil, nil)
+			bd, err = s.NewBlock(x, blockforest.Leaf{ID: id, Coord: rec.Coord}, nil, nil)
 		}
-		if errs[i] == nil && rec.Src != bd.Src {
+		if err == nil && rec.Src != bd.Src {
 			bd.Src.CopyFrom(rec.Src)
 			bd.Dst.CopyFrom(rec.Dst)
 		}
-		blocks[i] = bd
+		return bd, err
 	})
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return leaves, s.Commit(x, blocks, r)
@@ -178,6 +175,19 @@ func (s *Simulation) NewBlock(x *blockforest.Index, l blockforest.Leaf, src, dst
 		return nil, fmt.Errorf("sim: leaf %v: %w", l.ID, err)
 	}
 	return bd, nil
+}
+
+// NewBlocks assembles the blocks of leaves ls of the set x indexes on the
+// worker pool (NewBlock), calls init on each once it is built, on the same
+// worker, and returns them in the order of ls.
+func (s *Simulation) NewBlocks(x *blockforest.Index, ls []blockforest.Leaf, init func(*BlockData)) ([]*BlockData, error) {
+	return s.assemble(len(ls), func(i int) (*BlockData, error) {
+		bd, err := s.NewBlock(x, ls[i], nil, nil)
+		if err == nil {
+			init(bd)
+		}
+		return bd, err
+	})
 }
 
 // Commit makes blocks — leaves of the set x indexes that this rank owns,

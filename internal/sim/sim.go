@@ -104,6 +104,8 @@ type Config struct {
 	InitialVelocity [3]float64
 	// InitialState, if non-nil, overrides the uniform initialization with
 	// a per-cell equilibrium state; x, y, z are global cell coordinates.
+	// Blocks are built on the worker pool, so it is called concurrently
+	// (and from every in-process rank at once).
 	InitialState func(x, y, z int) (rho, ux, uy, uz float64)
 	// Boundary configures wall velocities and outflow densities.
 	Boundary boundary.Config
@@ -113,7 +115,10 @@ type Config struct {
 	Force [3]float64
 	// SetupFlags populates the flag field of each block (voxelization,
 	// domain walls). nil means: all interior cells fluid, ghost cells at
-	// the domain boundary NoSlip walls, remaining ghosts fluid.
+	// the domain boundary NoSlip walls, remaining ghosts fluid. Blocks are
+	// built on the worker pool, so it is called concurrently (and from
+	// every in-process rank at once), and must be a pure function of the
+	// block and its neighbourhood.
 	SetupFlags func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField)
 	// Tracer, when non-nil, records per-phase spans of the step pipeline,
 	// the worker pool, the communication runtime and the resilience stack
@@ -445,14 +450,18 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		}
 		c.SetNetTelemetry(lane, cfg.Metrics)
 	}
-	for _, b := range forest.Blocks {
+	blocks, err := s.assemble(len(forest.Blocks), func(i int) (*BlockData, error) {
+		b := forest.Blocks[i]
 		bd, err := s.AssembleBlock(b, s.setupFlags(b), nil, nil)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			s.applyInitialState(bd)
 		}
-		s.applyInitialState(bd)
-		s.Blocks = append(s.Blocks, bd)
+		return bd, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.Blocks = blocks
 	s.sweepFn = func(worker, i int) {
 		bd := s.sweepList[i]
 		lane := s.tel.worker(worker)
@@ -476,6 +485,23 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		return nil, err
 	}
 	return s, nil
+}
+
+// assemble runs build(i) for every i in [0, n) on the worker pool and
+// returns the blocks in index order, or the first error in index order:
+// construction, landing and a refined world's first leaves build their
+// blocks through it. build may run concurrently with itself, and so may
+// what it calls — Config.SetupFlags and Config.InitialState among them.
+func (s *Simulation) assemble(n int, build func(i int) (*BlockData, error)) ([]*BlockData, error) {
+	blocks := make([]*BlockData, n)
+	errs := make([]error, n)
+	s.pool.run(n, func(_, i int) { blocks[i], errs[i] = build(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return blocks, nil
 }
 
 // setupFlags builds the flag field of block b: Config.SetupFlags, else
