@@ -49,11 +49,14 @@ race-sim:
 # on one and on two ranks, a set of another grid included, and
 # TestRebalanceRejectsAssignmentOnEveryRank); every landed block matches a
 # fresh build (TestShrinkAndRebalanceMatchConstruction, refined rows
-# included). The packages run one at a time (-p 1): under -race the
+# included); the refined cavity scenario ends on its pinned hash plainly,
+# healed onto a spare and resumed (TestRefinedScenarioHash, walberla-sim).
+# The packages run one at a time (-p 1): under -race the
 # refined rows of internal/sim's binary alone reach about 3.4 GB, and two
 # such binaries side by side do not fit an 8 GB host.
 race-resilience:
 	$(GO) test -race -count=1 -p 1 -run 'TestShrink|TestReplicate|TestResilient|TestRestore|TestWriteCheckpoint|TestBackoff|TestMaxFailures|TestFail|TestHeal|TestSpare|TestGrowWorld|TestChaos|TestRecovery|TestDriver|TestSet|TestCheckpoint|TestRebalance' ./internal/resilience/ ./internal/sim/ ./internal/amr/ ./internal/scenario/ ./internal/comm/
+	$(GO) test -race -count=1 -run 'TestRefinedScenarioHash' ./cmd/walberla-sim/
 
 # race-net re-runs the socket-transport suite uncached under the race
 # detector: wire framing, reconnect/backoff under the fault plan's frame

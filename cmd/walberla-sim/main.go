@@ -219,7 +219,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		w.Resilience = &rc
 	}
 	if sc.AMR() {
-		if err := reject("does not apply to a refined scenario (the uniform runtime's restore hook and roofline model)", "resume", "machine"); err != nil {
+		if err := reject("does not apply to a refined scenario (the roofline model is the uniform world's)", "machine"); err != nil {
 			return err
 		}
 		cfg, err := sc.AMRConfig()
@@ -288,20 +288,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	setDir := sc.Resilience.Dir
 	var lead *sim.Simulation // whoever holds rank 0 at the end
 	out, err := p.Execute(ctx, w, func(r *core.Rank) error {
+		s := r.Sim
 		if setDir != "" {
-			var err error
-			if r.Refined != nil {
-				_, err = r.Refined.WriteCheckpointSet(setDir, r.Refined.Steps())
-			} else {
-				_, err = r.Sim.WriteCheckpointSet(setDir, r.Sim.WorldStep())
-			}
-			if err != nil {
+			if _, err := s.WriteCheckpointSet(setDir, s.WorldStep()); err != nil {
 				return err
 			}
 		}
-		s := r.Sim
-		if s == nil {
-			return nil // refined world: Execute's hash, levels and VTK are all there is
+		if r.Refined != nil {
+			return nil // the roofline model is the uniform world's
 		}
 		// The live measured-vs-model comparison lands in the registry, so
 		// the metrics snapshot (file and HTTP endpoint) reports per-phase
@@ -320,6 +314,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "interrupted at step %d (state is consistent at this boundary)\n", out.Steps)
 	case out.Levels != nil:
 		fmt.Fprintf(stdout, "AMR run complete: %d steps, leaves per level %v\n", out.Steps, out.Levels)
+		fallthrough
 	default:
 		fmt.Fprintln(stdout, "simulation:", out.Metrics)
 	}

@@ -33,6 +33,11 @@ const (
 		"resolution": {"cells_per_block": [8, 8, 8]}, "collision": {"tau": 0.6},
 		"parallel": {"ranks": 2}, "run": {"steps": 20}}`
 	treeHash = "5e900109f39e4bd0"
+
+	// refinedScenario is the checked-in refined cavity; refinedHash is its
+	// field hash after its 6 steps.
+	refinedScenario = "-scenario ../../internal/scenario/testdata/amr-cavity.json"
+	refinedHash     = "ff71bdd150329bef"
 )
 
 var (
@@ -147,6 +152,31 @@ func TestCheckpointSetsAcrossRecovery(t *testing.T) {
 	}
 }
 
+// TestRefinedScenarioHash pins the refined cavity's field hash: run
+// plainly, healed onto a spare after a crash, and resumed from the set of
+// its first half, it ends on refinedHash, and each run prints its metrics
+// after the leaves per level.
+func TestRefinedScenarioHash(t *testing.T) {
+	sets := t.TempDir()
+	fieldHash(t, refinedScenario+" -steps 3 -checkpoint "+sets)
+	for _, mode := range []string{
+		"",
+		"-spares 1 -recover-mode heal -checkpoint-every 2 -inject-fault crash=1@3",
+		"-steps 3 -resume " + sets,
+	} {
+		out, err := cli(t, strings.Fields(refinedScenario+" "+mode)...)
+		if err != nil {
+			t.Fatalf("%q: %v", mode, err)
+		}
+		if m := hashLine.FindStringSubmatch(out); m == nil || m[1] != refinedHash {
+			t.Errorf("%q: field hash %v, want %s\n%s", mode, m, refinedHash, out)
+		}
+		if !regexp.MustCompile(`(?m)^AMR run complete: 6 steps.*\nsimulation: steps=\d+ .*MLUPS=[0-9.]*[1-9]`).MatchString(out) {
+			t.Errorf("%q: no metrics after the level summary\n%s", mode, out)
+		}
+	}
+}
+
 // TestFlagsAndScenarioAreOnePath runs every stepping mode from flags
 // alone and from the equivalent scenario file with the mode's flags on
 // top: same launcher, same hash — the fault-free one, whatever happened.
@@ -193,7 +223,7 @@ func TestRejectsByName(t *testing.T) {
 		{"-scenario " + path + " -tree", "-tree cannot be combined with -scenario"},
 		{"-scenario " + path + " -recover-mode shrink -spares 1", `parallel.spares needs resilience.mode "heal"`},
 		{"-scenario " + path + " -inject-fault crash=3@4", "crash rank 3 outside world of size 3"},
-		{"-scenario ../../internal/scenario/testdata/amr-cavity.json -resume out", "-resume does not apply to a refined scenario"},
+		{refinedScenario + " -machine juqueen", "-machine does not apply to a refined scenario"},
 		{treeFlags + " -resume " + empty, "no usable checkpoint set for 2 ranks in " + empty},
 		{treeFlags + " -recover-mode shrink", "-recover-mode needs the fault-tolerant driver"},
 		{treeFlags + " -heartbeat 5ms", "heartbeat need network unix or tcp"},

@@ -7,15 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
 
 	"walberla/internal/analysis"
 	"walberla/internal/boundary"
-	"walberla/internal/comm"
 	"walberla/internal/core"
-	"walberla/internal/setup"
 	"walberla/internal/sim"
 	"walberla/internal/vascular"
 )
@@ -34,30 +33,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Initialization: block grid over the geometry, classification,
-	// fluid-cell workloads, graph-partitioned static load balancing.
-	opts := setup.Options{
-		CellsPerBlock:       [3]int{12, 12, 12},
-		Dx:                  params.RootRadius / 3,
-		Ranks:               ranks,
-		Seed:                1,
-		UseGraphPartitioner: true,
-	}
-	forest, stats, _, err := setup.BuildForest(sdf, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("partitioning: grid %v, %d blocks kept (%d discarded), %.1f%% fluid\n",
-		stats.Grid, stats.Blocks, stats.DiscardedBlocks, 100*stats.FluidFraction)
-	workloads := forest.RankWorkloads(ranks)
-	fmt.Printf("per-rank fluid-cell workloads after balancing: %v\n", workloads)
-
-	// 3. Distributed simulation: inflow at the root, outflow at the
-	// leaves, sparse interval kernel.
+	// 2. The problem: inflow at the root, outflow at the leaves, sparse
+	// interval kernel.
+	cells := [3]int{12, 12, 12}
 	problem := &core.Problem{
 		Geometry:      sdf,
-		Dx:            opts.Dx,
-		CellsPerBlock: opts.CellsPerBlock,
+		Dx:            params.RootRadius / 3,
+		CellsPerBlock: cells,
 		Kernel:        sim.KernelSparse,
 		Tau:           0.6,
 		Boundary: boundary.Config{
@@ -69,16 +51,35 @@ func main() {
 		UseGraphPartitioner: true,
 	}
 
+	// 3. Initialization, once: block grid over the geometry,
+	// classification, fluid-cell workloads, graph-partitioned static load
+	// balancing. The ranks land the voxels this build kept.
+	forest, err := problem.BuildForest()
+	if err != nil {
+		log.Fatal(err)
+	}
+	g := forest.GridSize
+	workloads := forest.RankWorkloads(ranks)
+	fluid := 0.0
+	for _, w := range workloads {
+		fluid += w
+	}
+	fmt.Printf("partitioning: grid %v, %d blocks kept (%d discarded), %.1f%% fluid\n",
+		g, forest.NumBlocks(), g[0]*g[1]*g[2]-forest.NumBlocks(), 100*fluid/float64(forest.TotalCells()))
+	fmt.Printf("per-rank fluid-cell workloads after balancing: %v\n", workloads)
+
+	// 4. Distributed simulation on that forest.
 	var mu sync.Mutex
 	var metrics sim.Metrics
 	var inletFlux, residual float64
 	var fluxProfile []float64
-	err = problem.RunEach(400, func(c *comm.Comm, s *sim.Simulation, m sim.Metrics) {
+	_, err = problem.Execute(context.Background(), core.World{Forest: forest, Steps: 400}, func(rk *core.Rank) error {
+		c, s, m := rk.Sim.Comm, rk.Sim, rk.Metrics
 		// Collective measurements first — no lock may be held across a
 		// collective call (every rank must reach it).
 		// Volumetric flux through cross-sections along the tree axis:
 		// the inlet plane and a few planes downstream.
-		nzTotal := s.Forest.GridSize[2] * opts.CellsPerBlock[2]
+		nzTotal := s.Forest.GridSize[2] * cells[2]
 		var fluxes []float64
 		for _, frac := range []float64{0.05, 0.25, 0.5, 0.75} {
 			fluxes = append(fluxes, analysis.PlaneFlux(c, s, analysis.AxisZ, int(frac*float64(nzTotal))))
@@ -87,11 +88,11 @@ func main() {
 		r := analysis.NewResidual()
 		r.Update(c, s)
 		if _, err := s.Run(20); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res := r.Update(c, s)
 		if c.Rank() != 0 {
-			return
+			return nil
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -99,6 +100,7 @@ func main() {
 		fluxProfile = fluxes
 		inletFlux = fluxes[0]
 		residual = res
+		return nil
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -33,9 +33,8 @@ func main() {
 		Periodic:      [3]bool{true, true, true},
 		Tau:           tau,
 		Ranks:         ranks,
-		InitialState: func(x, y, z int) (float64, float64, float64, float64) {
-			fx := (float64(x) + 0.5) * k
-			fy := (float64(y) + 0.5) * k
+		InitialState: func(x, y, z float64) (float64, float64, float64, float64) {
+			fx, fy := x*k, y*k
 			return 1.0,
 				u0 * math.Cos(fx) * math.Sin(fy),
 				-u0 * math.Sin(fx) * math.Cos(fy),

@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,23 +17,17 @@ import (
 // baseConfig is the shared refined-world test scenario: a periodic
 // 4×2×2 root grid of 8³-cell blocks with a localized shear layer that
 // drives the gradient criterion in the domain's left half.
-func baseConfig(workers int, layout field.Layout) Config {
+func baseConfig(workers int, layout sim.LayoutChoice) Config {
 	return Config{
-		Stencil:  lattice.D3Q19(),
+		Config: sim.Config{
+			Layout:       layout,
+			Tau:          0.8,
+			Workers:      workers,
+			InitialState: jet,
+		},
 		Grid:     [3]int{4, 2, 2},
 		Cells:    [3]int{8, 8, 8},
 		Periodic: [3]bool{true, true, true},
-		Layout:   layout,
-		Tau:      0.8,
-		Workers:  workers,
-		InitialState: func(x, y, z float64) (float64, float64, float64, float64) {
-			// A narrow jet centered at x=8 (inside the left half of the
-			// 32-cell-wide domain): |∂uy/∂x| peaks at 0.015 near the jet
-			// and falls below 1e-4 past x=16, so with the hysteresis band
-			// below, the controller refines a strict subset with clear
-			// threshold margins on both sides.
-			return 1.0, 0, 0.05 * math.Exp(-(x-8)*(x-8)/8), 0
-		},
 		Refinement: Refinement{
 			MaxLevel:     2,
 			Criterion:    CriterionGradient,
@@ -40,6 +35,49 @@ func baseConfig(workers int, layout field.Layout) Config {
 			CoarsenBelow: 0.001,
 			Interval:     4,
 		},
+	}
+}
+
+// jet is a narrow jet centered at x=8 (inside the left half of the
+// 32-cell-wide domain): |∂uy/∂x| peaks at 0.015 near the jet and falls
+// below 1e-4 past x=16, so with the hysteresis band of baseConfig the
+// controller refines a strict subset with clear threshold margins on both
+// sides.
+func jet(x, y, z float64) (float64, float64, float64, float64) {
+	return 1.0, 0, 0.05 * math.Exp(-(x-8)*(x-8)/8), 0
+}
+
+// run advances s by steps coarse steps on its data plane.
+func run(s *Sim, steps int) error {
+	_, err := s.plane.Run(steps)
+	return err
+}
+
+// TestConfigValidate: Config.Validate refuses what a refined world cannot
+// run, the settings of the embedded sim.Config included, naming each.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"body force", func(c *Config) { c.Force = [3]float64{1e-6, 0, 0} }, "body force"},
+		{"d3q27 stencil", func(c *Config) { c.Stencil = lattice.D3Q27() }, "d3q19"},
+		{"d2q9 stencil", func(c *Config) { c.Stencil, c.Layout = lattice.D2Q9(), sim.LayoutAoS }, "d3q19"},
+		{"sparse kernel", func(c *Config) { c.Kernel = sim.KernelSparse }, "sparse"},
+		{"tau", func(c *Config) { c.Tau = 0.5 }, "tau"},
+		{"odd cells", func(c *Config) { c.Cells = [3]int{8, 7, 8} }, "even"},
+		{"max level", func(c *Config) { c.Refinement.MaxLevel = 9 }, "max level"},
+	} {
+		cfg := baseConfig(1, sim.LayoutAuto)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	cfg := baseConfig(1, sim.LayoutAuto)
+	if err := cfg.Validate(); err != nil || cfg.Stencil != lattice.D3Q19() || cfg.Tau != 0.8 {
+		t.Errorf("base config: Validate = %v, stencil %v, tau %v", err, cfg.Stencil, cfg.Tau)
 	}
 }
 
@@ -56,7 +94,7 @@ func runRefined(t *testing.T, ranks, steps int, cfg Config, opts comm.Options) (
 			t.Error(err)
 			return
 		}
-		if err := s.Run(steps); err != nil {
+		if err := run(s, steps); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
 		}
@@ -80,7 +118,7 @@ func runRefined(t *testing.T, ranks, steps int, cfg Config, opts comm.Options) (
 // shear scenario must actually refine (a strict subset of the domain)
 // and keep the forest 2:1 graded and volume-conserving.
 func TestRefinedRunProducesMixedLevels(t *testing.T) {
-	_, levels := runRefined(t, 2, 8, baseConfig(1, field.AoS), comm.Options{})
+	_, levels := runRefined(t, 2, 8, baseConfig(1, sim.LayoutAoS), comm.Options{})
 	if len(levels) < 2 {
 		t.Fatalf("controller never refined: level counts %v", levels)
 	}
@@ -113,7 +151,7 @@ func TestRefinedRunProducesMixedLevels(t *testing.T) {
 // zero, so the only error is float64 round-off in the re-derived
 // equilibrium).
 func TestConstantStateInvariant(t *testing.T) {
-	cfg := baseConfig(2, field.AoS)
+	cfg := baseConfig(2, sim.LayoutAoS)
 	cfg.InitialState = nil
 	cfg.InitialRho = 1
 	cfg.Refinement.Interval = 0 // static forest; pre-refine explicitly
@@ -131,7 +169,7 @@ func TestConstantStateInvariant(t *testing.T) {
 			t.Errorf("expected max level 2, got %d", s.MaxLevel())
 			return
 		}
-		if err := s.Run(6); err != nil {
+		if err := run(s, 6); err != nil {
 			t.Error(err)
 			return
 		}
@@ -162,9 +200,9 @@ func TestConstantStateInvariant(t *testing.T) {
 // TestWorkerInvariance: the refined run is bit-identical for any
 // intra-rank worker count.
 func TestWorkerInvariance(t *testing.T) {
-	want, wantLevels := runRefined(t, 2, 8, baseConfig(1, field.AoS), comm.Options{})
+	want, wantLevels := runRefined(t, 2, 8, baseConfig(1, sim.LayoutAoS), comm.Options{})
 	for _, w := range []int{2, 4, 7} {
-		got, gotLevels := runRefined(t, 2, 8, baseConfig(w, field.AoS), comm.Options{})
+		got, gotLevels := runRefined(t, 2, 8, baseConfig(w, sim.LayoutAoS), comm.Options{})
 		if got != want {
 			t.Errorf("workers=%d: hash %016x != serial %016x (levels %v vs %v)", w, got, want, gotLevels, wantLevels)
 		}
@@ -175,9 +213,9 @@ func TestWorkerInvariance(t *testing.T) {
 // count — the forest order, grading and interpolation are all
 // placement-independent.
 func TestRankInvariance(t *testing.T) {
-	want, _ := runRefined(t, 1, 8, baseConfig(1, field.AoS), comm.Options{})
+	want, _ := runRefined(t, 1, 8, baseConfig(1, sim.LayoutAoS), comm.Options{})
 	for _, ranks := range []int{2, 3, 4} {
-		got, _ := runRefined(t, ranks, 8, baseConfig(2, field.AoS), comm.Options{})
+		got, _ := runRefined(t, ranks, 8, baseConfig(2, sim.LayoutAoS), comm.Options{})
 		if got != want {
 			t.Errorf("ranks=%d: hash %016x != single-rank %016x", ranks, got, want)
 		}
@@ -188,8 +226,8 @@ func TestRankInvariance(t *testing.T) {
 // implementations) produce the same bits — the split SoA kernel is an
 // exact reimplementation, and the hash reads cells layout-agnostically.
 func TestLayoutInvariance(t *testing.T) {
-	want, _ := runRefined(t, 2, 8, baseConfig(2, field.AoS), comm.Options{})
-	got, _ := runRefined(t, 2, 8, baseConfig(2, field.SoA), comm.Options{})
+	want, _ := runRefined(t, 2, 8, baseConfig(2, sim.LayoutAoS), comm.Options{})
+	got, _ := runRefined(t, 2, 8, baseConfig(2, sim.LayoutSoA), comm.Options{})
 	if got != want {
 		t.Errorf("SoA hash %016x != AoS %016x", got, want)
 	}
@@ -199,8 +237,8 @@ func TestLayoutInvariance(t *testing.T) {
 // bit-identical to the in-process run — migration and level-tagged
 // exchange survive real serialization.
 func TestTransportInvariance(t *testing.T) {
-	want, _ := runRefined(t, 2, 8, baseConfig(2, field.AoS), comm.Options{})
-	got, _ := runRefined(t, 2, 8, baseConfig(2, field.AoS), comm.Options{Net: &comm.NetOptions{Network: "unix"}})
+	want, _ := runRefined(t, 2, 8, baseConfig(2, sim.LayoutAoS), comm.Options{})
+	got, _ := runRefined(t, 2, 8, baseConfig(2, sim.LayoutAoS), comm.Options{Net: &comm.NetOptions{Network: "unix"}})
 	if got != want {
 		t.Errorf("unix-socket hash %016x != in-process %016x", got, want)
 	}
@@ -217,7 +255,7 @@ func TestTransportInvariance(t *testing.T) {
 // rank border; on 4×2×2 every level-0 block touches the other rank.
 func TestRefinedLevelsOverlap(t *testing.T) {
 	const steps = 4
-	cfg := baseConfig(1, field.SoA)
+	cfg := baseConfig(1, sim.LayoutSoA)
 	cfg.Grid, cfg.Cells = [3]int{8, 2, 2}, [3]int{4, 4, 4}
 	cfg.Refinement.Interval = 0
 	run := func(ranks int, opts comm.Options) (hash uint64, refinedInterior int) {
@@ -232,7 +270,7 @@ func TestRefinedLevelsOverlap(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := s.Run(steps); err != nil {
+			if err := run(s, steps); err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
 				return
 			}
@@ -291,12 +329,12 @@ func TestRefinedLevelsOverlap(t *testing.T) {
 // consistently with the observed forest.
 func TestRegradeStats(t *testing.T) {
 	comm.Run(2, func(c *comm.Comm) {
-		s, err := New(c, baseConfig(1, field.AoS))
+		s, err := New(c, baseConfig(1, sim.LayoutAoS))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if err := s.Run(8); err != nil {
+		if err := run(s, 8); err != nil {
 			t.Error(err)
 			return
 		}
@@ -375,7 +413,7 @@ func interiorBits(f *field.PDFField) []uint64 {
 // bit-equal, in both layouts, on one rank and two.
 func TestUniformMatchesLevelZero(t *testing.T) {
 	const steps = 6
-	for _, layout := range []field.Layout{field.AoS, field.SoA} {
+	for _, layout := range []sim.LayoutChoice{sim.LayoutAoS, sim.LayoutSoA} {
 		for _, ranks := range []int{1, 2} {
 			cfg := baseConfig(2, layout)
 			cfg.Refinement = Refinement{}
@@ -387,7 +425,7 @@ func TestUniformMatchesLevelZero(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := s.Run(steps); err != nil {
+				if err := run(s, steps); err != nil {
 					t.Error(err)
 					return
 				}
@@ -412,8 +450,7 @@ func TestUniformMatchesLevelZero(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				sc := cfg.simConfig()
-				s, err := sim.New(c, forest, sc)
+				s, err := sim.New(c, forest, cfg.Config)
 				if err != nil {
 					t.Error(err)
 					return
@@ -447,6 +484,89 @@ func TestUniformMatchesLevelZero(t *testing.T) {
 	}
 }
 
+// TestDepthZeroIsUniform: a uniform world is a refined world at depth 0,
+// bit for bit. The same dense periodic world with a Gaussian jet, on 4×2×2
+// and on 4×4×4 roots of 16³ cells, built once by sim.New on a distributed
+// forest and once by New with refinement off, ends 100 steps on the same
+// Simulation.FieldHash, on 2 ranks × 2 workers.
+func TestDepthZeroIsUniform(t *testing.T) {
+	const steps = 100
+	for _, grid := range [][3]int{{4, 2, 2}, {4, 4, 4}} {
+		cfg := baseConfig(2, sim.LayoutAuto)
+		cfg.Grid, cfg.Cells, cfg.Refinement = grid, [3]int{16, 16, 16}, Refinement{}
+		refined := func(c *comm.Comm, cfg Config) (*sim.Simulation, error) {
+			s, err := New(c, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return s.Plane(), nil
+		}
+		var hashes [2]uint64
+		for i, build := range []func(*comm.Comm, Config) (*sim.Simulation, error){uniformTwin, refined} {
+			comm.Run(2, func(c *comm.Comm) {
+				s, err := build(c, cfg)
+				if err == nil {
+					_, err = s.Run(steps)
+				}
+				var h uint64
+				if err == nil {
+					h, err = s.FieldHash()
+				}
+				if err != nil {
+					t.Errorf("grid %v world %d rank %d: %v", grid, i, c.Rank(), err)
+				}
+				if c.Rank() == 0 {
+					hashes[i] = h
+				}
+			})
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+		if hashes[0] != hashes[1] {
+			t.Errorf("grid %v: refined world at depth 0 hashes %016x, the uniform world %016x", grid, hashes[1], hashes[0])
+		}
+	}
+}
+
+// TestRefinedMetricsCountSweeps: a refined run's metrics count the cell
+// updates its sweeps performed. On a static three-level forest a level-ℓ
+// leaf updates its cells 2^ℓ times per coarse step, so the run's updates
+// (MLUPS × wall time) are Σ cells·2^ℓ·steps; TotalCells counts each leaf
+// once.
+func TestRefinedMetricsCountSweeps(t *testing.T) {
+	const steps = 3
+	cfg := baseConfig(1, sim.LayoutSoA)
+	cfg.Refinement.Interval = 0
+	cells := int64(cfg.Cells[0] * cfg.Cells[1] * cfg.Cells[2])
+	comm.Run(2, func(c *comm.Comm) {
+		s, err := New(c, cfg)
+		if err == nil {
+			err = refineLeftHalf(s)
+		}
+		var m sim.Metrics
+		if err == nil {
+			m, err = s.plane.Run(steps)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var want int64
+		for _, l := range s.Leaves() {
+			want += cells << l.Level() * steps
+		}
+		for name, rate := range map[string]float64{"MLUPS": m.MLUPS, "MFLUPS": m.MFLUPS} {
+			if got := rate * m.WallTime.Seconds() * 1e6; math.Abs(got-float64(want)) > 1e-9*float64(want) {
+				t.Errorf("rank %d: %s counts %.0f updates, want %d (levels %v)", c.Rank(), name, got, want, s.LevelCounts())
+			}
+		}
+		if m.Steps != steps || m.TotalCells != cells*int64(s.NumLeaves()) {
+			t.Errorf("rank %d: %d steps over %d cells, want %d over %d", c.Rank(), m.Steps, m.TotalCells, steps, cells*int64(s.NumLeaves()))
+		}
+	})
+}
+
 // stepZeroAllocRefined is the allocation gate of the refined step: on a
 // static three-level forest over two ranks, a steady-state coarse step —
 // every level's exchange, resampled interface transfers included, and
@@ -460,7 +580,7 @@ func stepZeroAllocRefined(t *testing.T, traced bool) {
 	const runs = 20
 	trace := telemetry.NewTrace()
 	comm.Run(2, func(c *comm.Comm) {
-		cfg := baseConfig(1, field.SoA)
+		cfg := baseConfig(1, sim.LayoutSoA)
 		cfg.Refinement.Interval = 0
 		if traced {
 			cfg.Tracer, cfg.Metrics = trace.NewTracer(c.Rank(), 1, 0), telemetry.NewRegistry()

@@ -22,12 +22,8 @@ import (
 	"strings"
 
 	"walberla/internal/blockforest"
-	"walberla/internal/boundary"
-	"walberla/internal/field"
-	"walberla/internal/kernels"
 	"walberla/internal/lattice"
 	"walberla/internal/sim"
-	"walberla/internal/telemetry"
 )
 
 // maxRefineLevel is the deepest refinement level the per-level stats
@@ -66,59 +62,42 @@ type Refinement struct {
 	Interval int
 }
 
-// Config describes an AMR simulation.
+// Config describes a refined world: the data plane's configuration
+// (sim.Config) and what only a refined world has — its root grid and the
+// refine/coarsen controller. Of the plane's settings, Tau is the
+// relaxation time of level 0 (sim.Config.TauAt scales it per level), and
+// InitialState, SetupFlags and Boundary serve every leaf at any level:
+// InitialState takes cell centres in level-0 lattice units (domain
+// [0, Grid·Cells)); SetupFlags is a pure function of the block — its
+// identity, box and neighbourhood — since migration and recovery rebuild
+// flags where a leaf lands instead of shipping them (nil gives all fluid,
+// no-slip walls where a block has no neighbour); and under acoustic
+// scaling lattice velocities are level-invariant, so one Boundary serves
+// all levels.
 type Config struct {
-	Stencil  *lattice.Stencil
+	sim.Config
 	Grid     [3]int // root blocks per axis
 	Cells    [3]int // cells per block per axis (even when MaxLevel > 0)
 	Periodic [3]bool
 
-	// Choice pins the collision kernel of every leaf, each instantiated
-	// with its level's relaxation time; the zero value selects per leaf
-	// like the uniform solver (sim.KernelAuto: the D3Q19 TRT kernel of the
-	// configured layout, the interval kernel for sparse SoA leaves).
-	Choice kernels.Choice
-	Layout field.Layout
-	// Tau is the coarse-grid (level 0) relaxation time; zero means 0.9.
-	Tau   float64
-	Magic float64
-
-	Workers int
-
-	InitialRho      float64
-	InitialVelocity [3]float64
-	// InitialState, if non-nil, initializes cells from their physical
-	// position (level-0 lattice units, domain [0, Grid·Cells)) and
-	// overrides InitialRho/InitialVelocity. Leaves are built on the worker
-	// pool, so it is called concurrently.
-	InitialState func(x, y, z float64) (rho, ux, uy, uz float64)
-
-	// Flags fills the flag field of a leaf's block, ghost layer included,
-	// the uniform runtime's sim.Config.SetupFlags: a pure function of the
-	// block — its identity, box and neighbourhood, all known before it is
-	// called — since migration and recovery rebuild flags where a leaf
-	// lands instead of shipping them. nil gives the uniform default: all
-	// fluid, no-slip walls where a block has no neighbour (none on a
-	// periodic domain). Boundary is the macroscopic boundary data — under
-	// acoustic scaling lattice velocities are level-invariant, so one
-	// config serves all levels. Like InitialState it is called
-	// concurrently.
-	Flags    func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField)
-	Boundary boundary.Config
-
 	Refinement Refinement
-
-	Tracer  *telemetry.Tracer
-	Metrics *telemetry.Registry
 }
 
-// Validate checks the configuration.
+// Validate normalizes the data plane's configuration (sim.Config.Validate)
+// and checks what a refined world adds and what it cannot do: it runs the
+// D3Q19 stencil only, with no body force and no sparse kernel. It is the
+// one place these restrictions are checked.
 func (c *Config) Validate() error {
-	if c.Stencil == nil {
-		return fmt.Errorf("amr: nil stencil")
+	if err := c.Config.Validate(); err != nil {
+		return err
 	}
-	if c.Stencil.Q != 19 {
-		return fmt.Errorf("amr: only the D3Q19 stencil is supported, got Q=%d", c.Stencil.Q)
+	switch {
+	case c.Stencil != lattice.D3Q19():
+		return fmt.Errorf("amr: refined worlds run the d3q19 stencil only, got %v", c.Stencil)
+	case c.Force != [3]float64{}:
+		return fmt.Errorf("amr: a body force is not supported on refined worlds, got %v", c.Force)
+	case c.Kernel == sim.KernelSparse:
+		return fmt.Errorf("amr: the sparse kernel is not supported on refined worlds")
 	}
 	for d := 0; d < 3; d++ {
 		if c.Grid[d] <= 0 {
@@ -151,37 +130,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("amr: coarsen_below %g must be in [0, refine_above)", r.CoarsenBelow)
 		}
 	}
-	sc := c.simConfig()
-	return sc.Validate()
-}
-
-// simConfig configures the data plane of the leaves (internal/sim). Its
-// InitialState, the one of level-0 cell centers, makes windows whole
-// where the leaves are initialized per cell (initBlockState).
-func (c *Config) simConfig() sim.Config {
-	sc := sim.Config{
-		Stencil:         c.Stencil,
-		Kernel:          c.Choice,
-		Layout:          sim.LayoutAoS,
-		Tau:             c.Tau,
-		Magic:           c.Magic,
-		Workers:         c.Workers,
-		InitialRho:      c.InitialRho,
-		InitialVelocity: c.InitialVelocity,
-		SetupFlags:      c.Flags,
-		Boundary:        c.Boundary,
-		Tracer:          c.Tracer,
-		Metrics:         c.Metrics,
-	}
-	if c.Layout == field.SoA {
-		sc.Layout = sim.LayoutSoA
-	}
-	if f := c.InitialState; f != nil {
-		sc.InitialState = func(x, y, z int) (float64, float64, float64, float64) {
-			return f(float64(x)+0.5, float64(y)+0.5, float64(z)+0.5)
-		}
-	}
-	return sc
+	return nil
 }
 
 // tauOddAt returns the relaxation time of the odd (antisymmetric)

@@ -53,7 +53,7 @@ import (
 
 // interpScratch is the per-worker scratch of the transfer operators.
 // f2 holds the second time level of a temporally interpolated
-// coarse→fine sample (see resampler).
+// coarse→fine sample (see Resample).
 type interpScratch struct {
 	f   []float64
 	f2  []float64
@@ -138,8 +138,8 @@ func (s *Sim) lambdaToCoarse(fineLevel int) lambdaPair {
 	}
 }
 
-// resampler is the refined world's sim.Resampler: transfers between
-// levels packed at the receiver's resolution. A coarse sender is sampled
+// Resample computes the refined world's transfers between levels (the
+// refiner's sim.Resampler), packed at the receiver's resolution. A coarse sender is sampled
 // at the receiving sub-step's start time: it has already swept, so its
 // pre-sweep state sits in Dst and its post-sweep state in Src — phase 0
 // (first half of the parent interval) reads Dst, phase 1 the midpoint
@@ -150,9 +150,7 @@ func (s *Sim) lambdaToCoarse(fineLevel int) lambdaPair {
 // 0 keeps its raw Dst samples in the transfer's memo, stamped with the
 // sender level's sub-step count (sim.Simulation.LevelSweeps), and phase 1
 // samples only Src. A phase 1 that finds another stamp samples Dst again.
-type resampler struct{ *Sim }
-
-func (r resampler) Resample(t *sim.Transfer, buf []float64, phase, worker int) {
+func (r refiner) Resample(t *sim.Transfer, buf []float64, phase, worker int) {
 	s, level := r.Sim, int(t.Src.Block.ID.Level)
 	vol := (t.Hi[0] - t.Lo[0]) * (t.Hi[1] - t.Lo[1]) * (t.Hi[2] - t.Lo[2])
 	src, src2, memo, lam := t.Src.Src, (*field.PDFField)(nil), []float64(nil), s.lambdaToCoarse(level)

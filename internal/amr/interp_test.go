@@ -15,13 +15,13 @@ import (
 // recorder is the refined world's resampler, remembering every transfer
 // it packs.
 type recorder struct {
-	resampler
+	refiner
 	seen map[*sim.Transfer]bool
 }
 
 func (r *recorder) Resample(t *sim.Transfer, buf []float64, phase, worker int) {
 	r.seen[t] = true
-	r.resampler.Resample(t, buf, phase, worker)
+	r.refiner.Resample(t, buf, phase, worker)
 }
 
 // packBuffer allocates the pack buffer of a transfer.
@@ -60,7 +60,7 @@ func referenceResample(s *Sim, t *sim.Transfer, phase int) []float64 {
 // at the phase the step hands the resampler. A memo poisoned with NaN
 // shows whether a pack read it.
 func TestResampleMemoMatchesRecompute(t *testing.T) {
-	for _, layout := range []field.Layout{field.AoS, field.SoA} {
+	for _, layout := range []sim.LayoutChoice{sim.LayoutAoS, sim.LayoutSoA} {
 		comm.Run(1, func(c *comm.Comm) {
 			cfg := baseConfig(1, layout)
 			cfg.Refinement.Interval = 0
@@ -73,11 +73,11 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := s.Run(2); err != nil {
+			if err := run(s, 2); err != nil {
 				t.Error(err)
 				return
 			}
-			rec := &recorder{resampler: resampler{s}, seen: map[*sim.Transfer]bool{}}
+			rec := &recorder{refiner: refiner{s}, seen: map[*sim.Transfer]bool{}}
 			data := make([]*sim.BlockData, len(s.blocks))
 			for i, b := range s.blocks {
 				data[i] = b.BlockData
@@ -108,7 +108,7 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 			check := func(what string, x *sim.Transfer, phase int) {
 				t.Helper()
 				got := packBuffer(x)
-				resampler{s}.Resample(x, got, phase, 0)
+				refiner{s}.Resample(x, got, phase, 0)
 				want := referenceResample(s, x, phase)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -130,7 +130,7 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 				// The stamp is valid, so a poisoned memo now is what phase 1 reads.
 				poison(x)
 				got := packBuffer(x)
-				resampler{s}.Resample(x, got, 1, 0)
+				refiner{s}.Resample(x, got, 1, 0)
 				if !math.IsNaN(got[0]) {
 					t.Errorf("%v: phase 1 with a valid stamp from %v did not read its memo", layout, x.Src.Block.ID)
 				}
@@ -263,7 +263,7 @@ func TestCriterionMatchesReference(t *testing.T) {
 				for _, crit := range []Criterion{CriterionGradient, CriterionVorticity} {
 					for _, level := range []uint8{0, 1, 3} {
 						s := &Sim{
-							cfg:   Config{Stencil: st, Cells: C, Refinement: Refinement{Criterion: crit}},
+							cfg:   Config{Config: sim.Config{Stencil: st}, Cells: C, Refinement: Refinement{Criterion: crit}},
 							critU: make([][3]float64, C[0]*C[1]*C[2]),
 							critF: make([]float64, st.Q),
 						}

@@ -37,9 +37,9 @@ import (
 // interior cells of both), while flag fields — and with them kernel and
 // allocation window — are regenerated at the destination by the data
 // plane's one assembly (NewBlock): the new leaf set's index gives every
-// new block its neighbourhood, and Config.Flags its flags from that, as on
-// a restore. A kept leaf that stays is its block. The new blocks end in
-// the commit a restore's landing ends in too (Commit). Because every rank
+// new block its neighbourhood, and Config.SetupFlags its flags from that,
+// as on a restore. A kept leaf that stays is its block. The new blocks end
+// in the commit a restore's landing ends in too (Commit). Because every rank
 // derives the same movement table from the replicated metadata, no
 // negotiation precedes the point-to-point payload exchange.
 
@@ -65,7 +65,7 @@ const (
 func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	t0 := time.Now()
 	lt0 := s.tel.driver.Start()
-	me := s.Comm.Rank()
+	me, step := s.plane.Comm.Rank(), s.plane.WorldStep()
 	oldByID := make(map[blockforest.BlockID]Leaf, len(s.leaves))
 	for _, l := range s.leaves {
 		oldByID[l.ID] = l
@@ -84,7 +84,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			if op, ok := oldByID[nl.ID.Parent()]; ok {
 				splits++
 				kind, src := payloadSplit, op.Rank
-				if s.step == 0 && s.cfg.InitialState != nil {
+				if step == 0 && s.cfg.InitialState != nil {
 					kind, src = payloadSplitInit, nl.Rank
 				}
 				moves = append(moves, payload{id: nl.ID, src: src, dst: nl.Rank, kind: kind, newLeaf: ni})
@@ -138,8 +138,11 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		incoming[snapID(sn)] = sn
 	}
 
-	// Assemble the new local block set around the payloads.
+	// Assemble the new local block set around the payloads; the children
+	// re-initialized from the initial condition are built together, at
+	// their step-0 state, on the worker pool.
 	newBlocks := make(map[blockforest.BlockID]*sim.BlockData)
+	var inits []blockforest.Leaf
 	for _, m := range moves {
 		if m.dst != me {
 			continue
@@ -150,9 +153,8 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		var err error
 		switch {
 		case m.kind == payloadSplitInit:
-			if bd, err = s.plane.NewBlock(x, nl, nil, nil); err == nil {
-				s.initBlockState(bd)
-			}
+			inits = append(inits, nl)
+			continue
 		case m.kind == payloadKeep && m.src == me:
 			bd = s.byID[m.id].BlockData
 		case !ok:
@@ -173,7 +175,10 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 		newBlocks[nl.ID] = bd
 	}
-	blocks := make([]*sim.BlockData, 0, len(newBlocks))
+	blocks, err := s.plane.NewBlocks(x, inits)
+	if err != nil {
+		return err
+	}
 	for _, bd := range newBlocks {
 		blocks = append(blocks, bd)
 	}
@@ -189,7 +194,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	s.tel.splits.Add(int64(splits))
 	s.tel.merges.Add(int64(merges * 8))
 	s.tel.migrated.Add(int64(moved))
-	s.tel.driver.Span(telemetry.PhaseMigrate, s.step, int32(moved), lt0)
+	s.tel.driver.Span(telemetry.PhaseMigrate, step, int32(moved), lt0)
 	ns := time.Since(t0).Nanoseconds()
 	s.stats.MigrateNs += ns
 	s.tel.migrateNs.Add(ns)

@@ -46,7 +46,7 @@ func (s *Sim) regrade() (changed bool, err error) {
 	for _, b := range s.blocks {
 		local = append(appendID(local, b.ID), int64(s.markOf(b)))
 	}
-	gathered, err := s.Comm.AllgatherErr(local)
+	gathered, err := s.plane.Comm.AllgatherErr(local)
 	if err != nil {
 		return false, fmt.Errorf("amr: regrade allgather: %w", err)
 	}
@@ -58,7 +58,7 @@ func (s *Sim) regrade() (changed bool, err error) {
 	}
 	s.stats.Regrades++
 	s.tel.regrades.Inc()
-	s.tel.driver.Span(telemetry.PhaseRegrade, s.step, int32(len(s.leaves)), lt0)
+	s.tel.driver.Span(telemetry.PhaseRegrade, s.plane.WorldStep(), int32(len(s.leaves)), lt0)
 	ns := time.Since(t0).Nanoseconds()
 	s.stats.RegradeNs += ns
 	s.tel.regradeNs.Add(ns)
@@ -71,7 +71,7 @@ func (s *Sim) regrade() (changed bool, err error) {
 // must be identical on all ranks. The same 2:1 grading, level-weighted
 // balancing and migration as the runtime controller apply.
 func (s *Sim) ApplyMarks(m map[blockforest.BlockID]blockforest.Mark) error {
-	_, err := s.applyMarks(m, s.depth())
+	_, err := s.applyMarks(m, refiner{s}.Depth())
 	return err
 }
 

@@ -1,10 +1,6 @@
 package amr
 
-import (
-	"context"
-
-	"walberla/internal/resilience"
-)
+import "walberla/internal/blockforest"
 
 // Level-wise recursive timestepping (Schornbaum–Rüde). The data plane's
 // Step runs it (sim.Simulation.Step): one coarse step is one sub-step of
@@ -23,56 +19,51 @@ import (
 // (phase 0) reads coarse ghosts at the interval start (the parent's Dst)
 // and the second (phase 1) the midpoint average ½(Dst+Src) — linear
 // temporal interpolation, so the level coupling is second order in time
-// (resampler). A zeroth-order hold instead (always reading the interval
-// start) leaks momentum through the interface: in a decaying flow the
-// held value is systematically larger than the time-aligned one, and the
-// bias accumulates as a spurious source.
+// (refiner.Resample). A zeroth-order hold instead (always reading the
+// interval start) leaks momentum through the interface: in a decaying
+// flow the held value is systematically larger than the time-aligned
+// one, and the bias accumulates as a spurious source.
 
-// Step advances the simulation by one coarse step, running the
-// refine/coarsen controller first every Refinement.Interval steps.
-// Before the very first step the controller iterates to a fixpoint
-// instead of passing once: 2:1 grading admits only one level per pass,
-// so a sharp initial feature needs MaxLevel passes to be fully
-// resolved — and resolving it before any physics runs lets each pass
-// re-sample the exact initial condition (see migrate) rather than
-// interpolate a coarse representation of it.
-func (s *Sim) Step() error {
-	if iv := s.cfg.Refinement.Interval; iv > 0 && s.step%iv == 0 {
-		for pass := 0; ; pass++ {
-			changed, err := s.regrade()
-			if err != nil {
-				return err
-			}
-			if !changed || s.step > 0 || pass >= s.cfg.Refinement.MaxLevel {
-				break
-			}
-		}
+// refiner is the refined world's sim.Refiner: the controller and its leaf
+// set as the data plane sees them, and the transfers between levels
+// (Resample, interp.go).
+type refiner struct{ *Sim }
+
+// BeforeStep runs the refine/coarsen controller before every
+// Refinement.Interval-th coarse step. Before the very first step the
+// controller iterates to a fixpoint instead of passing once: 2:1 grading
+// admits only one level per pass, so a sharp initial feature needs
+// MaxLevel passes to be fully resolved — and resolving it before any
+// physics runs lets each pass re-sample the exact initial condition (see
+// migrate) rather than interpolate a coarse representation of it.
+func (r refiner) BeforeStep(step int) error {
+	iv := r.cfg.Refinement.Interval
+	if iv == 0 || step%iv != 0 {
+		return nil
 	}
-	if err := s.plane.Step(); err != nil {
-		return err
-	}
-	s.step++
-	s.tel.steps.Inc()
-	return nil
-}
-
-// Run advances the simulation by the given number of coarse steps.
-func (s *Sim) Run(steps int) error { return s.RunCtx(context.Background(), steps) }
-
-// RunCtx is Run with cooperative cancellation: all ranks vote on the
-// context state every coarse step (a background context skips the vote),
-// so they stop at the same step, with an error wrapping
-// resilience.ErrInterrupted.
-func (s *Sim) RunCtx(ctx context.Context, steps int) error {
-	for i := 0; i < steps; i++ {
-		if stop, err := resilience.CancelVote(ctx, s.Comm); err != nil {
-			return err
-		} else if stop {
-			return resilience.Interrupted(ctx)
-		}
-		if err := s.Step(); err != nil {
+	for pass := 0; ; pass++ {
+		changed, err := r.regrade()
+		if err != nil || !changed || step > 0 || pass >= r.cfg.Refinement.MaxLevel {
 			return err
 		}
 	}
-	return nil
 }
+
+// Depth is the deepest level a leaf may have: the controller's cap, or
+// with the controller off the deepest level ApplyMarks may grade to.
+func (r refiner) Depth() int {
+	if m := r.cfg.Refinement.MaxLevel; m > 0 {
+		return m
+	}
+	return maxRefineLevel
+}
+
+// Landed takes the leaf set a restore landed.
+func (r refiner) Landed(leaves []blockforest.Leaf) { r.setForest(leaves) }
+
+// Reset rebuilds the initial uniform forest.
+func (r refiner) Reset() error { return r.buildInitialForest() }
+
+// Step advances the simulation by one coarse step: the data plane's Step,
+// which runs the controller first (BeforeStep).
+func (s *Sim) Step() error { return s.plane.Step() }

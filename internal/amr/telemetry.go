@@ -10,7 +10,6 @@ import (
 type amrTel struct {
 	driver *telemetry.Lane
 
-	steps    *telemetry.Counter
 	regrades *telemetry.Counter
 	splits   *telemetry.Counter
 	merges   *telemetry.Counter
@@ -27,7 +26,6 @@ type amrTel struct {
 func resolveAMRTel(tr *telemetry.Tracer, reg *telemetry.Registry) amrTel {
 	return amrTel{
 		driver:    tr.Driver(),
-		steps:     reg.Counter("amr.steps"),
 		regrades:  reg.Counter("amr.regrades"),
 		splits:    reg.Counter("amr.blocks_split"),
 		merges:    reg.Counter("amr.blocks_merged"),

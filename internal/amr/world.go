@@ -15,14 +15,15 @@ type Block struct {
 	*sim.BlockData
 }
 
-// Sim is a distributed AMR simulation. Every rank holds the full
-// (lightweight) leaf list, so re-grade and balancing decisions are
-// computed identically everywhere without collective negotiation; the
-// heavyweight state — the blocks — lives only on the owning rank, in the
-// data plane that assembles, sweeps and exchanges them.
+// Sim is a distributed AMR simulation: the refine/coarsen controller and
+// the leaf set of a data plane (internal/sim), which assembles, sweeps,
+// exchanges, runs, checkpoints and recovers the blocks (Plane). Every rank
+// holds the full (lightweight) leaf list, so re-grade and balancing
+// decisions are computed identically everywhere without collective
+// negotiation; the heavyweight state — the blocks — lives only on the
+// owning rank.
 type Sim struct {
-	Comm *comm.Comm
-	cfg  Config
+	cfg Config
 
 	leaves   []Leaf // canonical forest order, all ranks
 	maxLevel int    // deepest level currently present
@@ -30,10 +31,10 @@ type Sim struct {
 	blocks []*Block // owned leaves, canonical order
 	byID   map[blockforest.BlockID]*Block
 
-	// plane owns the blocks' data, exchange plans and the step.
+	// plane owns the blocks' data, exchange plans, the step and simulated
+	// time (WorldStep counts the coarse steps).
 	plane *sim.Simulation
 
-	step  int // coarse steps completed
 	tel   amrTel
 	stats Stats
 
@@ -62,10 +63,10 @@ type Stats struct {
 
 // New builds an AMR simulation on the communicator: a uniform level-0
 // forest with one leaf per root grid cell, Morton-distributed across
-// ranks. The refinement controller (if enabled) first runs before
-// step 1 of Run.
+// ranks. The refinement controller (if enabled) first runs before the
+// first step.
 func New(c *comm.Comm, cfg Config) (*Sim, error) {
-	s, err := newSim(c, cfg)
+	s, err := NewSpare(c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +76,10 @@ func New(c *comm.Comm, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// newSim builds a refined world on c that owns no leaf yet: what a
-// recruited spare adopts its leaves into (RunSpareCtx).
-func newSim(c *comm.Comm, cfg Config) (*Sim, error) {
+// NewSpare builds a refined world on c that owns no leaf yet: what a
+// recruited spare adopts its leaves into (sim.RunSpareCtx, building the
+// world's Plane).
+func NewSpare(c *comm.Comm, cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,11 +87,12 @@ func newSim(c *comm.Comm, cfg Config) (*Sim, error) {
 	plane, err := sim.New(c, &blockforest.BlockForest{
 		Rank: c.Rank(), NumRanks: c.Size(), GridSize: g, CellsPerBlock: n, Periodic: cfg.Periodic,
 		Domain: blockforest.NewAABB([3]float64{}, [3]float64{float64(g[0] * n[0]), float64(g[1] * n[1]), float64(g[2] * n[2])}),
-	}, cfg.simConfig())
+	}, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{Comm: c, cfg: cfg, plane: plane}
+	s := &Sim{cfg: cfg, plane: plane}
+	plane.SetRefiner(refiner{s})
 	s.tel = resolveAMRTel(cfg.Tracer, cfg.Metrics)
 	s.scratch = make([]interpScratch, plane.Workers())
 	for i := range s.scratch {
@@ -102,6 +105,11 @@ func newSim(c *comm.Comm, cfg Config) (*Sim, error) {
 	s.critF = make([]float64, cfg.Stencil.Q)
 	return s, nil
 }
+
+// Plane returns the data plane the world runs on: what steps, runs,
+// checkpoints and recovers it (Run, RunResilient, WriteCheckpointSet,
+// sim.RunSpareCtx), as it does a uniform world.
+func (s *Sim) Plane() *sim.Simulation { return s.plane }
 
 // buildInitialForest (re)installs the uniform level-0 forest with the
 // configured initial condition: one leaf per root grid cell in canonical
@@ -122,11 +130,11 @@ func (s *Sim) buildInitialForest() error {
 	x := blockforest.NewIndex(roots, s.cfg.Grid, s.cfg.Periodic)
 	var mine []blockforest.Leaf
 	for _, l := range roots {
-		if l.Rank == s.Comm.Rank() {
+		if l.Rank == s.plane.Comm.Rank() {
 			mine = append(mine, l)
 		}
 	}
-	blocks, err := s.plane.NewBlocks(x, mine, s.initBlockState)
+	blocks, err := s.plane.NewBlocks(x, mine)
 	if err != nil {
 		return err
 	}
@@ -141,18 +149,9 @@ func (s *Sim) assignRanks(ls []blockforest.Leaf) {
 	for i, l := range ls {
 		weights[i] = float64(int(1) << uint(l.ID.Level))
 	}
-	for i, r := range blockforest.AssignContiguous(weights, s.Comm.Size()) {
+	for i, r := range blockforest.AssignContiguous(weights, s.plane.Comm.Size()) {
 		ls[i].Rank = r
 	}
-}
-
-// depth is the deepest level a leaf may have: the controller's cap, or
-// with the controller off the deepest level ApplyMarks may grade to.
-func (s *Sim) depth() int {
-	if m := s.cfg.Refinement.MaxLevel; m > 0 {
-		return m
-	}
-	return maxRefineLevel
 }
 
 // bfLeaves converts the global leaf list back to blockforest form.
@@ -164,41 +163,12 @@ func (s *Sim) bfLeaves() []blockforest.Leaf {
 	return out
 }
 
-// initBlockState writes the configured initial state into both fields of
-// one block (a per-cell InitialState makes the window whole).
-func (s *Sim) initBlockState(b *sim.BlockData) {
-	if s.cfg.InitialState == nil {
-		return
-	}
-	// Physical positions in level-0 lattice units: level ℓ has cell
-	// size 2^-ℓ.
-	idx := blockforest.LevelIndex(b.Block.Coord, b.Block.ID)
-	h := 1.0 / float64(int(1)<<uint(b.Block.ID.Level))
-	C := s.cfg.Cells
-	feq := make([]float64, s.cfg.Stencil.Q)
-	for z := 0; z < C[2]; z++ {
-		for y := 0; y < C[1]; y++ {
-			for x := 0; x < C[0]; x++ {
-				px := (float64(idx[0]*C[0]+x) + 0.5) * h
-				py := (float64(idx[1]*C[1]+y) + 0.5) * h
-				pz := (float64(idx[2]*C[2]+z) + 0.5) * h
-				r, ux, uy, uz := s.cfg.InitialState(px, py, pz)
-				s.cfg.Stencil.Equilibrium(feq, r, ux, uy, uz)
-				for a, fv := range feq {
-					b.Src.Set(x, y, z, lattice.Direction(a), fv)
-					b.Dst.Set(x, y, z, lattice.Direction(a), fv)
-				}
-			}
-		}
-	}
-}
-
 // install commits this rank's blocks — leaves of the set x indexes,
 // which leaves lists in canonical order — in the data plane (Commit) and
 // takes the leaf set (setForest). It fails when a neighbor rank fails
 // during the plan build.
 func (s *Sim) install(leaves []blockforest.Leaf, x *blockforest.Index, blocks []*sim.BlockData) error {
-	err := s.plane.Commit(x, blocks, resampler{s})
+	err := s.plane.Commit(x, blocks)
 	s.setForest(leaves)
 	return err
 }
@@ -216,7 +186,7 @@ func (s *Sim) setForest(leaves []blockforest.Leaf) {
 	s.blocks = make([]*Block, len(s.plane.Blocks))
 	s.byID = make(map[blockforest.BlockID]*Block, len(s.blocks))
 	for i, bd := range s.plane.Blocks {
-		b := &Block{Leaf: leafFrom(blockforest.Leaf{ID: bd.Block.ID, Coord: bd.Block.Coord, Rank: s.Comm.Rank()}), BlockData: bd}
+		b := &Block{Leaf: leafFrom(blockforest.Leaf{ID: bd.Block.ID, Coord: bd.Block.Coord, Rank: s.plane.Comm.Rank()}), BlockData: bd}
 		s.blocks[i], s.byID[b.ID] = b, b
 	}
 	s.tel.leaves.Set(float64(len(s.leaves)))
@@ -237,11 +207,28 @@ func (s *Sim) FieldHash() (uint64, error) {
 		keys[i] = []uint64{uint64(b.ID.Tree), b.ID.Path, uint64(b.ID.Level),
 			uint64(int64(b.Coord[0])), uint64(int64(b.Coord[1])), uint64(int64(b.Coord[2]))}
 	}
-	return sim.WorldHash(s.Comm, data, keys, []int{0, 2, 1}) // tree, level, path
+	return sim.WorldHash(s.plane.Comm, data, keys, []int{0, 2, 1}) // tree, level, path
 }
 
-// Steps returns the number of completed coarse steps.
-func (s *Sim) Steps() int { return s.step }
+// Steps returns the number of completed coarse steps: the plane's
+// simulated time (sim.Simulation.WorldStep).
+func (s *Sim) Steps() int { return s.plane.WorldStep() }
+
+// WriteCheckpointSet writes a coordinated checkpoint set of the world for
+// the given coarse step (sim.Simulation.WriteCheckpointSet): every rank's
+// leaves, with their full identity, in one WBK2 rank file.
+func (s *Sim) WriteCheckpointSet(dir string, step int) (int64, error) {
+	return s.plane.WriteCheckpointSet(dir, step)
+}
+
+// RestoreLatestCheckpointSet rewinds the world to the newest checkpoint
+// set every rank can load (sim.Simulation.RestoreLatestCheckpointSet): the
+// forest of the restored step is rebuilt from the restored leaves, or
+// without a usable set the initial uniform forest. Returns the restored
+// coarse step.
+func (s *Sim) RestoreLatestCheckpointSet(dir string) (int64, error) {
+	return s.plane.RestoreLatestCheckpointSet(dir)
+}
 
 // MaxLevel returns the deepest refinement level currently present.
 func (s *Sim) MaxLevel() int { return s.maxLevel }

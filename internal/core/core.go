@@ -55,10 +55,11 @@ type Problem struct {
 	Force           [3]float64
 	InitialRho      float64
 	InitialVelocity [3]float64
-	// InitialState optionally initializes every cell individually (global
-	// cell coordinates), e.g. for analytic validation flows. It is called
-	// concurrently, from every rank and worker (sim.Config.InitialState).
-	InitialState func(x, y, z int) (rho, ux, uy, uz float64)
+	// InitialState optionally initializes every cell individually, from
+	// its centre in level-0 lattice units (cell (i, j, k) at (i+½, j+½,
+	// k+½)), e.g. for analytic validation flows. It is called concurrently,
+	// from every rank and worker (sim.Config.InitialState).
+	InitialState func(x, y, z float64) (rho, ux, uy, uz float64)
 	// SetupFlags overrides the per-block flag setup (e.g. marking a moving
 	// lid); nil gives geometry problems the flags of Geometry. It is
 	// called concurrently, from every rank and worker

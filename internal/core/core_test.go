@@ -152,8 +152,8 @@ func TestProblemStencilAndInitialState(t *testing.T) {
 		Stencil:       lattice.D2Q9(),
 		Kernel:        sim.KernelGenericSRT,
 		Tau:           0.8,
-		InitialState: func(x, y, z int) (float64, float64, float64, float64) {
-			return 1, 0.02 * math.Sin(2*math.Pi*float64(y)/n), 0, 0
+		InitialState: func(x, y, z float64) (float64, float64, float64, float64) {
+			return 1, 0.02 * math.Sin(2*math.Pi*math.Floor(y)/n), 0, 0
 		},
 		Ranks: 2,
 		SetupFlags: func(b *blockforest.Block, forest *blockforest.BlockForest, flags *field.FlagField) {

@@ -30,12 +30,13 @@ type World struct {
 	// Spares parks this many extra ranks beside the p.Ranks active ones;
 	// heal recovery recruits them (needs Resilience in heal mode).
 	Spares int
-	// Refined, if non-nil, builds the refined runtime (internal/amr) on
-	// every rank instead of distributing a uniform forest.
+	// Refined, if non-nil, builds a refined world (internal/amr) on every
+	// rank instead of distributing a uniform forest; it runs on the same
+	// data plane, driver and recovery.
 	Refined *amr.Config
 	// Prepare, if non-nil, runs collectively on every active rank between
-	// sim.New and the first step (restoring a checkpoint set, say); an
-	// error on any rank ends the launch before the time loop.
+	// building the world and the first step (restoring a checkpoint set,
+	// say); an error on any rank ends the launch before the time loop.
 	Prepare func(s *sim.Simulation) error
 
 	// Steps is the length of the run; RebalanceEvery > 0 rebalances blocks
@@ -49,8 +50,9 @@ type World struct {
 	VTKDir string
 }
 
-// Rank is one rank's runtime as Launch hands it to the body: Sim on a
-// uniform world, Refined on a refined one.
+// Rank is one rank's runtime as Launch hands it to the body: Sim is the
+// data plane that runs it, of a uniform and a refined world alike; Refined
+// is a refined world's leaf set and controller (nil on a uniform one).
 type Rank struct {
 	Sim     *sim.Simulation
 	Refined *amr.Sim
@@ -162,46 +164,50 @@ func (p *Problem) launchRank(ctx context.Context, c *comm.Comm, ranks int, w *Wo
 		cfg.Tracer, cfg.Metrics = p.TelemetryFor(c.WorldRank())
 	}
 	r := &Rank{}
-	var rcfg amr.Config
-	if w.Refined != nil {
-		rcfg = *w.Refined
-		rcfg.Tracer, rcfg.Metrics = cfg.Tracer, cfg.Metrics
-	}
-	// With spares parked, active ranks step on the world's leading
-	// sub-communicator.
-	ac := c
-	if w.Spares > 0 && c.WorldRank() < ranks {
-		ac = c.GrowWorld(ranks)
-	}
-	switch {
-	case c.WorldRank() >= ranks:
-		// Spare rank: park until a failure recruits it (or the run ends).
-		if w.Refined != nil {
-			r.Refined, r.Metrics.Recovery, r.Joined, r.Err = amr.RunSpareCtx(ctx, c, ranks, rcfg, *w.Resilience)
-		} else {
-			header := &blockforest.BlockForest{
-				Domain: forest.Domain, GridSize: forest.GridSize,
-				CellsPerBlock: forest.CellsPerBlock, Periodic: forest.Periodic,
+	// build makes this rank's world on c: the refined one, or the uniform
+	// one on the distributed forest; a spare's owns no block yet.
+	build := func(c *comm.Comm, spare bool) (*sim.Simulation, error) {
+		switch {
+		case w.Refined != nil:
+			rcfg, newRefined := *w.Refined, amr.New
+			rcfg.Tracer, rcfg.Metrics = cfg.Tracer, cfg.Metrics
+			if spare {
+				newRefined = amr.NewSpare
 			}
-			r.Sim, r.Metrics, r.Joined, r.Err = sim.RunSpareCtx(ctx, c, ranks, header, cfg, w.Steps, *w.Resilience)
+			var err error
+			if r.Refined, err = newRefined(c, rcfg); err != nil {
+				return nil, err
+			}
+			return r.Refined.Plane(), nil
+		case spare:
+			return sim.New(c, &blockforest.BlockForest{Rank: c.Rank(), NumRanks: c.Size(), Domain: forest.Domain,
+				GridSize: forest.GridSize, CellsPerBlock: forest.CellsPerBlock, Periodic: forest.Periodic}, cfg)
 		}
+		var in *blockforest.SetupForest
+		if c.Rank() == 0 {
+			in = forest
+		}
+		bf, err := blockforest.Distribute(c, in)
+		if err != nil {
+			return nil, err
+		}
+		return sim.New(c, bf, cfg)
+	}
+	if c.WorldRank() >= ranks {
+		// Spare rank: park until a failure recruits it (or the run ends).
+		spare := func(c *comm.Comm) (*sim.Simulation, error) { return build(c, true) }
+		r.Sim, r.Metrics, r.Joined, r.Err = sim.RunSpareCtx(ctx, c, ranks, spare, w.Steps, *w.Resilience)
 		if !r.Joined {
 			return r.Err
 		}
-	case w.Refined != nil:
-		if r.Refined, err = amr.New(ac, rcfg); err != nil {
-			return err
+	} else {
+		// With spares parked, active ranks step on the world's leading
+		// sub-communicator.
+		ac := c
+		if w.Spares > 0 {
+			ac = c.GrowWorld(ranks)
 		}
-	default:
-		var in *blockforest.SetupForest
-		if ac.Rank() == 0 {
-			in = forest
-		}
-		bf, err := blockforest.Distribute(ac, in)
-		if err != nil {
-			return err
-		}
-		if r.Sim, err = sim.New(ac, bf, cfg); err != nil {
+		if r.Sim, err = build(ac, false); err != nil {
 			return err
 		}
 		if w.Prepare != nil {
@@ -228,7 +234,7 @@ func (p *Problem) launchRank(ctx context.Context, c *comm.Comm, ranks int, w *Wo
 
 // Execute launches the world and runs it to completion (or cancellation):
 // the one place that picks the plain, rebalanced or fault-tolerant
-// stepping of a uniform or refined world, classifies how the run ended,
+// stepping of a world, uniform or refined, classifies how the run ended,
 // fingerprints the fields, dumps w.VTKDir and calls each (if non-nil) on
 // every rank still in the world. Recovery may have renumbered the
 // communicator (shrink) or swapped members in (heal): whichever rank
@@ -275,11 +281,6 @@ func (p *Problem) Execute(ctx context.Context, w World, each func(r *Rank) error
 // drive is the run-mode switch.
 func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
 	switch {
-	case r.Refined != nil && w.Resilience != nil:
-		rec, err := r.Refined.RunResilientCtx(ctx, w.Steps, *w.Resilience)
-		return sim.Metrics{Recovery: rec}, err
-	case r.Refined != nil:
-		return sim.Metrics{}, r.Refined.RunCtx(ctx, w.Steps)
 	case w.Resilience != nil:
 		return r.Sim.RunResilientCtx(ctx, w.Steps, *w.Resilience)
 	case w.RebalanceEvery == 0:
@@ -303,16 +304,17 @@ func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
 	return m, nil
 }
 
-// finish fingerprints the rank's runtime into o and returns the
+// finish fingerprints the rank's runtime into o — a refined world with
+// the hash that folds every leaf's identity — and returns the
 // communicator it ended the run on.
 func (r *Rank) finish(o *Outcome) (c *comm.Comm, err error) {
 	if a := r.Refined; a != nil {
 		o.Hash, err = a.FieldHash()
 		o.Steps, o.Levels = a.Steps(), a.LevelCounts()
-		return a.Comm, err
+	} else {
+		o.Hash, err = r.Sim.FieldHash()
+		o.Steps = r.Sim.Steps()
 	}
-	o.Hash, err = r.Sim.FieldHash()
-	o.Steps = r.Sim.Steps()
 	return r.Sim.Comm, err
 }
 

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"walberla/internal/field"
+	"walberla/internal/sim"
 )
 
 // amrBase is a minimal valid refined scenario: a 2x2x2 lid-driven
@@ -45,9 +45,11 @@ func TestRefinementValidateErrors(t *testing.T) {
 			sc.Geometry.Obstacle = &Obstacle{Min: [3]int{1, 1, 1}, Max: [3]int{2, 2, 2}}
 		}, "obstacle"},
 		{"d2q9 stencil", func(sc *Scenario) { sc.Lattice.Stencil = "d2q9" }, "d3q19"},
+		{"d3q27 stencil", func(sc *Scenario) { sc.Lattice.Stencil = "d3q27" }, "d3q19"},
 		{"sparse kernel", func(sc *Scenario) { sc.Collision.Kernel = "sparse" }, "sparse"},
 		{"workload rebalancing", func(sc *Scenario) { sc.Run.RebalanceEvery = 2 }, "rebalance"},
 		{"body force", func(sc *Scenario) { sc.Physics.Force = [3]float64{1e-6, 0, 0} }, "force"},
+		{"body force across z", func(sc *Scenario) { sc.Physics.Force = [3]float64{0, 0, -1e-6} }, "force"},
 		{"odd cells per block", func(sc *Scenario) { sc.Resolution.CellsPerBlock = [3]int{7, 8, 8} }, "even"},
 	}
 	for _, tc := range cases {
@@ -81,10 +83,10 @@ func TestRefinementDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Layout != field.SoA {
-		t.Errorf("auto layout resolved to %v, want SoA", cfg.Layout)
+	if cfg.Layout != sim.LayoutAuto {
+		t.Errorf("auto layout mapped to %v, want auto (the plane's SoA for D3Q19)", cfg.Layout)
 	}
-	if cfg.Flags == nil {
+	if cfg.SetupFlags == nil {
 		t.Error("cavity mapping has no boundary flags")
 	}
 	if cfg.Tau != 0.9 {
@@ -106,7 +108,7 @@ func TestRefinementDefaults(t *testing.T) {
 		if ex == "taylor-green" && (cfg.Periodic != [3]bool{true, true, true} || cfg.InitialState == nil) {
 			t.Errorf("taylor-green mapping not periodic with an initial state")
 		}
-		if ex == "channel" && cfg.Flags == nil {
+		if ex == "channel" && cfg.SetupFlags == nil {
 			t.Errorf("channel mapping has no boundary flags")
 		}
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 
-	"walberla/internal/amr"
 	"walberla/internal/comm"
 	"walberla/internal/core"
 	"walberla/internal/sim"
@@ -20,11 +19,9 @@ type ExecuteOptions struct {
 	// VTKDir, if non-empty, receives one VTK file per block after the run.
 	VTKDir string
 	// Each, if non-nil, runs on every rank's goroutine after its time
-	// loop with the local simulation state (probing, assertions).
+	// loop with the local simulation state (probing, assertions) — on a
+	// refined scenario the data plane of its leaves.
 	Each func(c *comm.Comm, s *sim.Simulation)
-	// EachAMR is Each for refined scenarios (refinement.max_level > 0),
-	// which run on the AMR driver.
-	EachAMR func(c *comm.Comm, s *amr.Sim)
 }
 
 // Result is what one scenario execution produced.
@@ -63,10 +60,7 @@ func Execute(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result, er
 		w.Refined = &cfg
 	}
 	return p.Execute(ctx, w, func(r *core.Rank) error {
-		switch {
-		case r.Refined != nil && opts.EachAMR != nil:
-			opts.EachAMR(r.Refined.Comm, r.Refined)
-		case r.Sim != nil && opts.Each != nil:
+		if opts.Each != nil {
 			opts.Each(r.Sim.Comm, r.Sim)
 		}
 		return nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"walberla/internal/amr"
 	"walberla/internal/comm"
 	"walberla/internal/sim"
 )
@@ -75,14 +74,12 @@ func TestRecoveryMatrix(t *testing.T) {
 					// What rank 0 put on its sockets, if it has any: every
 					// replica byte it counted must be among them.
 					var wire comm.NetStats
-					each := func(c *comm.Comm) {
-						if ns, ok := c.NetStats(); ok && c.Rank() == 0 {
-							wire = ns
-						}
-					}
 					got, err := Execute(context.Background(), sc, ExecuteOptions{
-						Each:    func(c *comm.Comm, _ *sim.Simulation) { each(c) },
-						EachAMR: func(c *comm.Comm, _ *amr.Sim) { each(c) },
+						Each: func(c *comm.Comm, _ *sim.Simulation) {
+							if ns, ok := c.NetStats(); ok && c.Rank() == 0 {
+								wire = ns
+							}
+						},
 					})
 					if err != nil {
 						t.Fatal(err)

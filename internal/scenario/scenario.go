@@ -498,14 +498,10 @@ func (sc *Scenario) Validate() error {
 	if sc.Run.RebalanceEvery > 0 && sc.Resilience.CheckpointEvery > 0 {
 		return fmt.Errorf("scenario: run.rebalance_every cannot be combined with the fault-tolerant driver")
 	}
-	if err := sc.validateRefinement(); err != nil {
+	if err := sc.validateRefinement(); err != nil || sc.AMR() {
+		// A refined world's solver-level checks ran in
+		// amr.Config.Validate, which runs the uniform one's too.
 		return err
-	}
-	if sc.AMR() {
-		// Solver-level checks were delegated to amr.Config.Validate inside
-		// validateRefinement; the uniform-driver delegate below does not
-		// apply to refined worlds.
-		return nil
 	}
 	// Delegate solver-level checks (tau range, kernel/stencil pairing) to
 	// the single normalization point; the built problem is discarded.
@@ -579,10 +575,8 @@ func (sc *Scenario) Problem() (*core.Problem, error) {
 		amp := sc.Geometry.Amplitude
 		kx := 2 * math.Pi / float64(sc.Resolution.Grid[0]*sc.Resolution.CellsPerBlock[0])
 		ky := 2 * math.Pi / float64(sc.Resolution.Grid[1]*sc.Resolution.CellsPerBlock[1])
-		p.InitialState = func(x, y, z int) (rho, ux, uy, uz float64) {
-			fx := (float64(x) + 0.5) * kx
-			fy := (float64(y) + 0.5) * ky
-			return 1, amp * math.Cos(fx) * math.Sin(fy), -amp * math.Sin(fx) * math.Cos(fy), 0
+		p.InitialState = func(x, y, z float64) (rho, ux, uy, uz float64) {
+			return 1, amp * math.Cos(x*kx) * math.Sin(y*ky), -amp * math.Sin(x*kx) * math.Cos(y*ky), 0
 		}
 	case "tree":
 		sdf, err := sc.treeSDF()

@@ -353,8 +353,7 @@ func maskConfig(p flagPattern, periodic bool, stencil *lattice.Stencil, layout L
 		Layout:  layout,
 		Tau:     0.8,
 		Force:   [3]float64{1e-6, -2e-6, 3e-6},
-		InitialState: func(x, y, z int) (float64, float64, float64, float64) {
-			fx, fy, fz := float64(x)+0.5, float64(y)+0.5, float64(z)+0.5
+		InitialState: func(fx, fy, fz float64) (float64, float64, float64, float64) {
 			return 1 + 0.01*math.Sin(fx+2*fy+3*fz), 0.02 * math.Cos(fy), 0.02 * math.Sin(fz), 0.02 * math.Cos(fx)
 		},
 		SetupFlags: func(b *blockforest.Block, _ *blockforest.BlockForest, flags *field.FlagField) {
@@ -511,7 +510,7 @@ func windowConfig(p flagPattern, periodic bool, stencil *lattice.Stencil, layout
 	rho, v := 1.02, [3]float64{0.01, -0.02, 0.015}
 	cfg.InitialRho, cfg.InitialVelocity, cfg.InitialState = rho, v, nil
 	if full {
-		cfg.InitialState = func(int, int, int) (float64, float64, float64, float64) { return rho, v[0], v[1], v[2] }
+		cfg.InitialState = func(float64, float64, float64) (float64, float64, float64, float64) { return rho, v[0], v[1], v[2] }
 	}
 	return cfg
 }

@@ -166,7 +166,7 @@ func chaosSoak(t *testing.T, opts comm.Options, active, spares, steps, workers i
 		var err error
 		if c.WorldRank() >= active {
 			var join bool
-			s, m, join, err = RunSpareCtx(context.Background(), c, active, healDomainHeader(), cfg, steps, rc)
+			s, m, join, err = RunSpareCtx(context.Background(), c, active, Spare(healDomainHeader(), cfg), steps, rc)
 			if !join {
 				if err != nil {
 					t.Errorf("released spare %d: %v", c.WorldRank(), err)

@@ -3,8 +3,21 @@ package sim
 import (
 	"math"
 
+	"walberla/internal/blockforest"
+	"walberla/internal/comm"
 	"walberla/internal/lattice"
 )
+
+// Spare returns the builder RunSpareCtx recruits a spare of a uniform
+// world into: New on the forest header of domain, owning no block.
+func Spare(domain *blockforest.BlockForest, cfg Config) func(c *comm.Comm) (*Simulation, error) {
+	return func(c *comm.Comm) (*Simulation, error) {
+		return New(c, &blockforest.BlockForest{
+			Rank: c.Rank(), NumRanks: c.Size(), Domain: domain.Domain, GridSize: domain.GridSize,
+			CellsPerBlock: domain.CellsPerBlock, Periodic: domain.Periodic,
+		}, cfg)
+	}
+}
 
 // PostExchange exposes the post half of the ghost exchange to the external
 // test package, whose benchmarks build worlds through internal/core.

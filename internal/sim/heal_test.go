@@ -51,7 +51,7 @@ func runHealScenario(t *testing.T, opts comm.Options, active, spares, steps, wor
 		cfg := cavityConfig()
 		cfg.Workers = workers
 		if c.WorldRank() >= active {
-			s, m, join, err := RunSpareCtx(context.Background(), c, active, healDomainHeader(), cfg, steps, rc)
+			s, m, join, err := RunSpareCtx(context.Background(), c, active, Spare(healDomainHeader(), cfg), steps, rc)
 			if !join {
 				if err != nil {
 					t.Errorf("released spare %d: %v", c.WorldRank(), err)
@@ -266,7 +266,7 @@ func TestHealSparePoolExhausted(t *testing.T) {
 	comm.RunWithOptions(active+spares, opts, func(c *comm.Comm) {
 		rc := healConfig()
 		if c.WorldRank() >= active {
-			s, m, join, err := RunSpareCtx(context.Background(), c, active, healDomainHeader(), cavityConfig(), steps, rc)
+			s, m, join, err := RunSpareCtx(context.Background(), c, active, Spare(healDomainHeader(), cavityConfig()), steps, rc)
 			if !join {
 				t.Errorf("spare %d was released, want recruited", c.WorldRank())
 				return
@@ -343,7 +343,7 @@ func TestHealDiskFallback(t *testing.T) {
 		rc := ResilienceConfig{Mode: RecoverHeal, CheckpointEvery: 2, Dir: dir, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
 		rc.Validate()
 		if c.WorldRank() >= active {
-			s, m, join, err := RunSpareCtx(context.Background(), c, active, healDomainHeader(), cavityConfig(), steps, rc)
+			s, m, join, err := RunSpareCtx(context.Background(), c, active, Spare(healDomainHeader(), cavityConfig()), steps, rc)
 			if !join {
 				t.Error("spare was released, want recruited")
 				return
@@ -437,7 +437,7 @@ func TestHealDiskFallback(t *testing.T) {
 // RecoverHeal and must refuse anything else up front.
 func TestRunSpareRejectsWrongMode(t *testing.T) {
 	comm.Run(1, func(c *comm.Comm) {
-		_, _, _, err := RunSpareCtx(context.Background(), c, 1, healDomainHeader(), cavityConfig(), 1, ResilienceConfig{Mode: RecoverShrink})
+		_, _, _, err := RunSpareCtx(context.Background(), c, 1, Spare(healDomainHeader(), cavityConfig()), 1, ResilienceConfig{Mode: RecoverShrink})
 		if err == nil {
 			t.Error("RunSpareCtx accepted RecoverShrink, want an error")
 		}

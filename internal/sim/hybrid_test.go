@@ -49,9 +49,8 @@ func taylorGreenBitsMode(t *testing.T, workers, steps int, mode ExchangeMode) ma
 			Workers: workers,
 			// A body force exercises the forcing sweep on the workers too.
 			Force: [3]float64{1e-7, 0, 0},
-			InitialState: func(x, y, z int) (float64, float64, float64, float64) {
-				fx := (float64(x) + 0.5) * k
-				fy := (float64(y) + 0.5) * k
+			InitialState: func(x, y, z float64) (float64, float64, float64, float64) {
+				fx, fy := x*k, y*k
 				return 1.0,
 					0.02 * math.Cos(fx) * math.Sin(fy),
 					-0.02 * math.Sin(fx) * math.Cos(fy),

@@ -11,10 +11,11 @@ import (
 // as blocks (AssembleBlock, with the level's relaxation time), and Step
 // runs them: one sub-step of a level is the uniform step's post /
 // interior / wait / frontier over that level's blocks, followed by two
-// sub-steps of the next finer level (Simulation.subStep). The refined
-// runtime supplies only what it alone knows: the leaves around each block
-// (Block.Neighbors) and the arithmetic of transfers between levels (the
-// Resampler).
+// sub-steps of the next finer level (Simulation.subStep). Run, the
+// resilient driver, checkpoint sets and spares run a refined world as they
+// run a uniform one. The refined runtime supplies only what it alone
+// knows, as the world's Refiner: the arithmetic of transfers between
+// levels (the Resampler), the refine/coarsen controller and its leaf set.
 
 // Transfer is a ghost transfer between blocks one level apart, produced on
 // the sender at the receiver's resolution when the exchange packs it: for
@@ -51,6 +52,28 @@ type Transfer struct {
 type Resampler interface {
 	Resample(t *Transfer, buf []float64, phase, worker int)
 }
+
+// Refiner is what a refined world's controller adds to its data plane
+// (SetRefiner).
+type Refiner interface {
+	// Resampler computes the world's transfers between levels.
+	Resampler
+	// BeforeStep runs before the coarse step that starts at world step
+	// step: the controller's pass, which may change the block set (Commit).
+	BeforeStep(step int) error
+	// Depth is the deepest level a landed leaf may have.
+	Depth() int
+	// Landed takes the leaf set Land committed, owners included.
+	Landed(leaves []blockforest.Leaf)
+	// Reset rebuilds the forest of step 0 at the initial state: a
+	// restore's last rung, when no generation survives.
+	Reset() error
+}
+
+// SetRefiner makes the world a refined one whose controller is r: Step
+// runs r's pass first, Land and Commit take r's depth and transfers, and a
+// restore without a surviving generation rebuilds r's step-0 forest.
+func (s *Simulation) SetRefiner(r Refiner) { s.refiner = r }
 
 // TauAt returns the relaxation time of refinement level l under acoustic
 // scaling: both dx and dt halve per level, so ν = c_s²(τ−1/2)dt requires

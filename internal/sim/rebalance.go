@@ -132,7 +132,7 @@ func (s *Simulation) Rebalance(assignment map[[3]int]int) error {
 	if err != nil {
 		return fmt.Errorf("sim: rebalance: %w", err)
 	}
-	if _, err := s.Land(s.Comm, append(records(outgoing[me]), gained...), 0, nil); err != nil {
+	if err := s.Land(s.Comm, append(records(outgoing[me]), gained...)); err != nil {
 		return err
 	}
 	// Migration invalidates ghost layers; synchronize before stepping on.

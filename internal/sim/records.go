@@ -26,13 +26,14 @@ import (
 // ghost-exchange tag (which is bounded by numTrees * 27).
 const tagShip = 1 << 30
 
-// records are the given live blocks as WBK2 records: a uniform block is a
-// level-0 leaf of its root. A decoded rank file is such a list, in the
-// layout each block was stored in.
+// records are the given live blocks as WBK2 records, each with its full
+// leaf identity: a uniform block is a level-0 leaf of its root. A decoded
+// rank file is such a list, in the layout each block was stored in.
 func records(blocks []*BlockData) []output.LeafSnapshot {
 	snaps := make([]output.LeafSnapshot, len(blocks))
 	for i, bd := range blocks {
-		snaps[i] = output.LeafSnapshot{Tree: bd.Block.ID.Tree, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
+		id := bd.Block.ID
+		snaps[i] = output.LeafSnapshot{Tree: id.Tree, Path: id.Path, Level: id.Level, Coord: bd.Block.Coord, Src: bd.Src, Dst: bd.Dst}
 	}
 	return snaps
 }
@@ -84,10 +85,10 @@ func (s *Simulation) Ship(out map[int][]output.LeafSnapshot, from []int) ([]outp
 }
 
 // Land makes recs — the records of every leaf this rank owns from now on
-// — its block set on c, after its ownership changed or was restored: the
-// uniform Install (a rewind, shrink or heal), Rebalance and the refined
-// Install all end here. maxLevel is the deepest level a leaf may have, r
-// the transfers between levels (nil on a uniform world). In five steps:
+// — its block set on c, after its ownership changed or was restored: a
+// restore (a rewind, shrink or heal) and Rebalance both end here. A leaf
+// may be as deep as the Refiner's Depth (level 0 on a uniform world). In
+// five steps:
 //
 //  1. every record is checked alone (checkRecord);
 //  2. the ranks agree on the verdict (resilience.Agree), so a record
@@ -101,11 +102,15 @@ func (s *Simulation) Ship(out map[int][]output.LeafSnapshot, from []int) ([]outp
 //     (NewBlock) and filled with a copy of their records, which are
 //     decoded whole-block and in the layout they were stored in (a buddy
 //     ring keeps its decoded replicas);
-//  5. Commit.
+//  5. Commit, and the Refiner takes the leaf set in canonical order,
+//     owners included.
 //
-// It returns the leaf set in canonical order, owners included. A failure
-// before the allgather completes leaves the world as it was.
-func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int, r Resampler) ([]blockforest.Leaf, error) {
+// A failure before the allgather completes leaves the world as it was.
+func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot) error {
+	maxLevel := 0
+	if s.refiner != nil {
+		maxLevel = s.refiner.Depth()
+	}
 	var err error
 	for _, rec := range recs {
 		if err = s.checkRecord(rec, maxLevel); err != nil {
@@ -113,7 +118,7 @@ func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int
 		}
 	}
 	if err := resilience.Agree(c, err); err != nil {
-		return nil, err
+		return err
 	}
 	s.Comm = c
 	local := make([]int64, 0, 3*len(recs))
@@ -122,7 +127,7 @@ func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int
 	}
 	gathered, err := c.AllgatherErr(local)
 	if err != nil {
-		return nil, fmt.Errorf("sim: gathering the leaf set: %w", err)
+		return fmt.Errorf("sim: gathering the leaf set: %w", err)
 	}
 	f, g := s.Forest, s.Forest.GridSize
 	var leaves []blockforest.Leaf
@@ -134,7 +139,7 @@ func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int
 		}
 	}
 	if err := blockforest.CheckGraded(leaves, f.GridSize, f.Periodic); err != nil {
-		return nil, fmt.Errorf("sim: the landed leaf set: %w", err)
+		return fmt.Errorf("sim: the landed leaf set: %w", err)
 	}
 	blockforest.SortLeaves(leaves)
 	x := blockforest.NewIndex(leaves, f.GridSize, f.Periodic)
@@ -157,9 +162,13 @@ func (s *Simulation) Land(c *comm.Comm, recs []output.LeafSnapshot, maxLevel int
 		return bd, err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return leaves, s.Commit(x, blocks, r)
+	err = s.Commit(x, blocks)
+	if s.refiner != nil {
+		s.refiner.Landed(leaves)
+	}
+	return err
 }
 
 // NewBlock assembles the block of leaf l of the leaf set indexed by x —
@@ -177,14 +186,14 @@ func (s *Simulation) NewBlock(x *blockforest.Index, l blockforest.Leaf, src, dst
 	return bd, nil
 }
 
-// NewBlocks assembles the blocks of leaves ls of the set x indexes on the
-// worker pool (NewBlock), calls init on each once it is built, on the same
-// worker, and returns them in the order of ls.
-func (s *Simulation) NewBlocks(x *blockforest.Index, ls []blockforest.Leaf, init func(*BlockData)) ([]*BlockData, error) {
+// NewBlocks assembles the blocks of leaves ls of the set x indexes at the
+// configured step-0 state (NewBlock, then Config.InitialState at each
+// leaf's level) on the worker pool, and returns them in the order of ls.
+func (s *Simulation) NewBlocks(x *blockforest.Index, ls []blockforest.Leaf) ([]*BlockData, error) {
 	return s.assemble(len(ls), func(i int) (*BlockData, error) {
 		bd, err := s.NewBlock(x, ls[i], nil, nil)
 		if err == nil {
-			init(bd)
+			s.applyInitialState(bd)
 		}
 		return bd, err
 	})
@@ -193,11 +202,11 @@ func (s *Simulation) NewBlocks(x *blockforest.Index, ls []blockforest.Leaf, init
 // Commit makes blocks — leaves of the set x indexes that this rank owns,
 // in any order — its block set: every block's neighbourhood is looked up
 // in x, then SetBlocks puts them in canonical order and rebuilds the
-// exchange plans, whose transfers between levels r computes.
-func (s *Simulation) Commit(x *blockforest.Index, blocks []*BlockData, r Resampler) error {
+// exchange plans, whose transfers between levels the Refiner computes.
+func (s *Simulation) Commit(x *blockforest.Index, blocks []*BlockData) error {
 	for _, bd := range blocks {
 		b := bd.Block
 		b.Neighbors = x.Neighbors(blockforest.Leaf{ID: b.ID, Coord: b.Coord})
 	}
-	return s.SetBlocks(blocks, r)
+	return s.SetBlocks(blocks, s.refiner)
 }

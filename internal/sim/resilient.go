@@ -4,30 +4,32 @@ import (
 	"context"
 	"time"
 
-	"walberla/internal/blockforest"
 	"walberla/internal/comm"
 	"walberla/internal/lattice"
 	"walberla/internal/resilience"
 	"walberla/internal/telemetry"
 )
 
-// Resilient execution of the uniform simulation. The failure loop, the
-// checkpoint-set protocol, the buddy ring and the restore vote live in
-// internal/resilience, which also reads a set's files and copies, encodes
-// and decodes the records; this file supplies what a generation of a
-// uniform world *contains* (the resilience.World methods of type world:
-// its blocks as WBK2 records, level-0 leaves of their roots; installing
-// one record list) and the public entry points. A record is
-// self-contained: its identity fixes the block's box, and flags are a
-// function of the geometry and the neighbourhood. So every restore — a
-// rewind, a shrink or a heal — lands each record where the generation put
-// it through the landing routine both runtimes share (Land): the ranks
+// Resilient execution, of a uniform and a refined world alike. The failure
+// loop, the checkpoint-set protocol, the buddy ring and the restore vote
+// live in internal/resilience, which also reads a set's files and copies,
+// encodes and decodes the records; this file supplies what a generation of
+// a world *contains* (the resilience.World methods of type world: its
+// blocks as WBK2 records with their full leaf identity — a uniform block is
+// the level-0 leaf of its root; installing one record list) and the public
+// entry points. A record is self-contained: its identity fixes the block's
+// box, and flags are a function of the geometry and the neighbourhood. So
+// every restore — a rewind, a shrink or a heal — lands each record where
+// the generation put it through the one landing routine (Land): the ranks
 // agree that every record fits, every rank allgathers the leaf set,
 // rebuilds its neighbourhoods from it, keeps the blocks it holds and
-// builds the adopted ones, flags included, as construction does.
-// Protection is taken at a step barrier, so a restored run replays the
-// exact deterministic step sequence and finishes bit-identical to an
-// uninterrupted one. See docs/RESILIENCE.md.
+// builds the adopted ones, flags included, as construction does; a refined
+// world's Refiner takes the landed leaf set, so re-grades between the
+// generation and the failure are undone with the fields. Protection is
+// taken at a step barrier, and stepping, the refine/coarsen controller and
+// its balancer are deterministic, so a restored run replays the exact step
+// sequence and finishes bit-identical to an uninterrupted one. See
+// docs/RESILIENCE.md.
 
 // The resilience vocabulary under the names this package has always
 // exported.
@@ -118,41 +120,41 @@ func (s *Simulation) runDriver(ctx context.Context, d *resilience.Driver, steps 
 // rendezvous, and when recruited receives the dead rank's state and
 // finishes the run as a full member of the world — the spare-rank
 // counterpart of RunResilientCtx. wc is the world communicator this rank
-// received from comm.Run; active is the target active world size; domain
-// supplies the forest header (Domain, GridSize, CellsPerBlock, Periodic —
-// the block assignment itself is streamed on recruitment, with the step
-// the survivors run to); steps is the run's length, which the metrics
-// are reduced over. It returns joined=false with a nil Simulation
-// when the run ended without needing this spare, and otherwise the joined
-// run's Simulation (for FieldHash and the like) and metrics. Like
+// received from comm.Run; active is the target active world size; build
+// makes, on the grown communicator, the world that owns no block yet which
+// the recruit adopts its blocks into (a uniform one is New on the forest
+// header alone; the block assignment itself is streamed on recruitment,
+// with the step the survivors run to); steps is the run's length, which
+// the metrics are reduced over. It returns joined=false with a nil Simulation when the run
+// ended without needing this spare, and otherwise the joined run's
+// Simulation (for FieldHash and the like) and metrics. Like
 // RunResilientCtx it returns ErrRetired if this rank itself fails
 // permanently after joining.
-func RunSpareCtx(ctx context.Context, wc *comm.Comm, active int, domain *blockforest.BlockForest, cfg Config, steps int, rc ResilienceConfig) (*Simulation, Metrics, bool, error) {
+func RunSpareCtx(ctx context.Context, wc *comm.Comm, active int, build func(c *comm.Comm) (*Simulation, error), steps int, rc ResilienceConfig) (*Simulation, Metrics, bool, error) {
 	var s *Simulation
 	var start time.Time
 	_, rec, joined, err := resilience.RunSpare(ctx, wc, active, rc, func(c *comm.Comm) (resilience.World, error) {
 		start = time.Now()
 		var err error
-		s, err = New(c, &blockforest.BlockForest{
-			Rank:          c.Rank(),
-			NumRanks:      c.Size(),
-			Domain:        domain.Domain,
-			GridSize:      domain.GridSize,
-			CellsPerBlock: domain.CellsPerBlock,
-			Periodic:      domain.Periodic,
-		}, cfg)
+		s, err = build(c)
 		return world{s}, err
 	})
 	if err != nil || !joined {
 		return s, Metrics{}, joined, err
+	}
+	// The recruit counted its blocks' updates from step 0 on (Install); the
+	// run began steps before its end.
+	for i := range s.work {
+		s.work[i] -= int64(s.worldSteps-steps) * s.stepWork[i]
 	}
 	m, err := s.gatherMetrics(steps, time.Since(start))
 	m.Recovery = rec
 	return s, m, true, err
 }
 
-// world is the uniform simulation as the recovery driver sees it. Its
-// state is a decoded rank file: []output.LeafSnapshot.
+// world is the simulation as the recovery driver sees it; its Step is
+// the Simulation's. Its state is a decoded rank file:
+// []output.LeafSnapshot.
 type world struct{ *Simulation }
 
 func (w world) Comm() *comm.Comm { return w.Simulation.Comm }
@@ -161,35 +163,36 @@ func (w world) Telemetry() (*telemetry.Lane, *telemetry.Registry) {
 	return w.tel.driver, w.Config.Metrics
 }
 
-// Step is one time step of the driver's loop, which keeps simulated time
-// itself (Install sets it to the restored step).
-func (w world) Step() error {
-	w.worldSteps++
-	return w.Simulation.Step()
-}
-
 // Records are the live blocks as WBK2 records.
 func (w world) Records() (resilience.State, *lattice.Stencil) {
 	return records(w.Blocks), w.Stencil
 }
 
-// Reset re-initializes every block and simulated time.
+// Reset re-initializes every block — a refined world rebuilds its step-0
+// forest — and simulated time.
 func (w world) Reset() error {
-	for _, bd := range w.Blocks {
-		w.initBlockState(bd)
-	}
 	w.worldSteps = 0
-	return nil
+	var err error
+	if w.refiner != nil {
+		err = w.refiner.Reset()
+	} else {
+		for _, bd := range w.Blocks {
+			w.initBlockState(bd)
+		}
+	}
+	w.rebaseWork(0)
+	return err
 }
 
 // Install lands the records where the generation put them (Land), on c —
 // a rewind, a shrink and a heal alike.
 func (w world) Install(c *comm.Comm, step int, recs resilience.State) error {
-	if _, err := w.Land(c, recs, 0, nil); err != nil {
+	if err := w.Land(c, recs); err != nil {
 		return err
 	}
 	// Simulated time resumes at the restored step; the plain driver's
 	// fault-injection announcements continue from there.
 	w.worldSteps = step
+	w.rebaseWork(step)
 	return nil
 }

@@ -103,10 +103,12 @@ type Config struct {
 	InitialRho      float64
 	InitialVelocity [3]float64
 	// InitialState, if non-nil, overrides the uniform initialization with
-	// a per-cell equilibrium state; x, y, z are global cell coordinates.
-	// Blocks are built on the worker pool, so it is called concurrently
-	// (and from every in-process rank at once).
-	InitialState func(x, y, z int) (rho, ux, uy, uz float64)
+	// a per-cell equilibrium state; x, y, z are the cell's centre in
+	// level-0 lattice units (cell (i, j, k) of a uniform world is at
+	// (i+½, j+½, k+½); a level-ℓ cell is 2^-ℓ wide), so one function
+	// initializes a leaf at any level. Blocks are built on the worker pool,
+	// so it is called concurrently (and from every in-process rank at once).
+	InitialState func(x, y, z float64) (rho, ux, uy, uz float64)
 	// Boundary configures wall velocities and outflow densities.
 	Boundary boundary.Config
 	// Force is a constant body force density applied to every fluid cell
@@ -414,12 +416,22 @@ type Simulation struct {
 	levelOverlap []OverlapTimes // the step's phase breakdown, per level
 	steps        int
 	// worldSteps is the cumulative simulated-time step, never reset by
-	// ResetTimers, advanced by both drivers and set to the restored step by
+	// ResetTimers, advanced by every Step and set to the restored step by
 	// restores. The plain driver announces it to the fault injector so a
 	// scenario's deterministic fault schedule fires at absolute steps even
 	// when the run is split into many RunCtx batches (the serve daemon);
 	// the resilient driver starts its loop there.
 	worldSteps int
+	// stepWork is what one (coarse) step updates on this rank — cells, then
+	// fluid cells, a level-ℓ block counting 2^ℓ times — as of the last plan
+	// build; work accumulates it over the run that began at world step
+	// runFrom (ResetTimers), and the run's metrics reduce it.
+	stepWork, work [2]int64
+	runFrom        int
+
+	// refiner is a refined world's controller (SetRefiner); nil on a
+	// uniform world.
+	refiner Refiner
 }
 
 // New builds the simulation state for this rank's part of the forest.
@@ -588,18 +600,21 @@ func (s *Simulation) fillUniform(bd *BlockData) {
 }
 
 // applyInitialState overrides the interior of Src with the per-cell
-// equilibrium of Config.InitialState, if one is configured.
+// equilibrium of Config.InitialState, if one is configured, at the cell
+// centres of the block's level.
 func (s *Simulation) applyInitialState(bd *BlockData) {
 	if s.Config.InitialState == nil {
 		return
 	}
-	cells := bd.Block.Cells
+	b, cells := bd.Block, bd.Block.Cells
+	idx := blockforest.LevelIndex(b.Coord, b.ID)
+	h := 1 / float64(int(1)<<b.ID.Level)
 	feq := make([]float64, s.Stencil.Q)
-	base := [3]int{bd.Block.Coord[0] * cells[0], bd.Block.Coord[1] * cells[1], bd.Block.Coord[2] * cells[2]}
+	base := [3]int{idx[0] * cells[0], idx[1] * cells[1], idx[2] * cells[2]}
 	for z := 0; z < cells[2]; z++ {
 		for y := 0; y < cells[1]; y++ {
 			for x := 0; x < cells[0]; x++ {
-				rho, ux, uy, uz := s.Config.InitialState(base[0]+x, base[1]+y, base[2]+z)
+				rho, ux, uy, uz := s.Config.InitialState((float64(base[0]+x)+0.5)*h, (float64(base[1]+y)+0.5)*h, (float64(base[2]+z)+0.5)*h)
 				s.Stencil.Equilibrium(feq, rho, ux, uy, uz)
 				for a := 0; a < s.Stencil.Q; a++ {
 					bd.Src.Set(x, y, z, lattice.Direction(a), feq[a])
@@ -648,13 +663,19 @@ func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 }
 
 // Step advances the simulation by one time step — on a refined world one
-// coarse step — overlapping every ghost-layer exchange with the interior
-// sweeps. It runs one sub-step of level 0 (subStep), which recurses over
-// the finer levels the exchange plans cover; a uniform world has level 0
-// alone. Step returns a typed *comm.RankFailedError when a peer dies
-// mid-step, leaving this rank's fields in an unspecified state that only a
+// coarse step, after the refiner's controller pass (Refiner.BeforeStep) —
+// overlapping every ghost-layer exchange with the interior sweeps, and
+// advances WorldStep. It runs one sub-step of level 0 (subStep), which
+// recurses over the finer levels the exchange plans cover; a uniform
+// world has level 0 alone. Step returns a typed *comm.RankFailedError
+// when a peer dies mid-step, leaving this rank's fields in an unspecified state that only a
 // checkpoint restore (or re-initialization) may repair.
 func (s *Simulation) Step() error {
+	if s.refiner != nil {
+		if err := s.refiner.BeforeStep(s.worldSteps); err != nil {
+			return err
+		}
+	}
 	s.Comm.SetTelemetryStep(s.steps)
 	stepStart := s.tel.driver.Start()
 	if err := s.subStep(0); err != nil {
@@ -663,6 +684,9 @@ func (s *Simulation) Step() error {
 	s.tel.steps.Inc()
 	s.tel.driver.Span(telemetry.PhaseStep, s.steps, 0, stepStart)
 	s.steps++
+	s.worldSteps++
+	s.work[0] += s.stepWork[0]
+	s.work[1] += s.stepWork[1]
 	return nil
 }
 
@@ -755,8 +779,11 @@ func (s *Simulation) rebuildPlan() error {
 	for len(s.levelOverlap) < n {
 		s.levelOverlap = append(s.levelOverlap, OverlapTimes{})
 	}
+	s.stepWork = [2]int64{}
 	for _, bd := range s.Blocks {
 		l := bd.Block.ID.Level
+		s.stepWork[0] += int64(bd.Src.InteriorCells()) << l
+		s.stepWork[1] += int64(bd.Fluid) << l
 		if remote[bd] {
 			s.frontier[l] = append(s.frontier[l], bd)
 		} else {
@@ -791,8 +818,7 @@ func (s *Simulation) RunCtx(ctx context.Context, steps int) (Metrics, error) {
 		// Announce the absolute step to the fault injector (free without a
 		// plan). The resilient drivers announce their own replay-aware step
 		// and never come through here.
-		s.worldSteps++
-		s.Comm.SetStep(s.worldSteps)
+		s.Comm.SetStep(s.worldSteps + 1)
 		if err := s.Step(); err != nil {
 			return Metrics{}, err
 		}
@@ -819,11 +845,23 @@ func (s *Simulation) Steps() int { return s.steps }
 // set.
 func (s *Simulation) WorldStep() int { return s.worldSteps }
 
-// ResetTimers zeroes the accumulated phase timers.
+// ResetTimers zeroes the accumulated phase timers and starts a run's
+// count of cell updates at the current world step.
 func (s *Simulation) ResetTimers() {
 	s.computeTime, s.boundaryTime = 0, 0
 	clear(s.levelOverlap)
 	s.steps = 0
+	s.work, s.runFrom = [2]int64{}, s.worldSteps
+}
+
+// rebaseWork sets the run's count of cell updates to what this rank's
+// blocks would have done from the run's first step to step — the state
+// of a restore, which replays from step on: exact on a uniform world,
+// whose blocks only change owner, whatever a rank held before.
+func (s *Simulation) rebaseWork(step int) {
+	for i := range s.work {
+		s.work[i] = int64(step-s.runFrom) * s.stepWork[i]
+	}
 }
 
 // Workers returns the configured intra-rank worker count.

@@ -44,9 +44,8 @@ func TestTaylorGreenViscousDecay(t *testing.T) {
 		forest, _ := blockforest.Distribute(c, forestFor(c.Rank(), f))
 		s, err := New(c, forest, Config{
 			Tau: tau,
-			InitialState: func(x, y, z int) (float64, float64, float64, float64) {
-				fx := (float64(x) + 0.5) * k
-				fy := (float64(y) + 0.5) * k
+			InitialState: func(x, y, z float64) (float64, float64, float64, float64) {
+				fx, fy := x*k, y*k
 				return 1.0,
 					u0 * math.Cos(fx) * math.Sin(fy),
 					-u0 * math.Sin(fx) * math.Cos(fy),

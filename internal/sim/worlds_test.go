@@ -398,7 +398,7 @@ func (r *treeRun) run(t *testing.T) *treeRun {
 	p := problemFor(t, treeDoc(2, 0.05, r.ranks))
 	p.Workers, p.Layout = r.workers, r.layout
 	if r.wholeBlocks {
-		p.InitialState = func(int, int, int) (float64, float64, float64, float64) {
+		p.InitialState = func(float64, float64, float64) (float64, float64, float64, float64) {
 			return 1, p.InitialVelocity[0], p.InitialVelocity[1], p.InitialVelocity[2]
 		}
 	}
@@ -538,7 +538,7 @@ func recoverTree(t *testing.T, rc sim.ResilienceConfig, active, spares, victim i
 	comm.RunWithOptions(active+spares, opts, func(c *comm.Comm) {
 		cfg := p.SimConfig()
 		if c.WorldRank() >= active {
-			s, m, joined, err := sim.RunSpareCtx(context.Background(), c, active, header, cfg, treeSteps, rc)
+			s, m, joined, err := sim.RunSpareCtx(context.Background(), c, active, sim.Spare(header, cfg), treeSteps, rc)
 			if err != nil {
 				t.Errorf("spare %d: %v", c.WorldRank(), err)
 			} else if joined {
@@ -907,7 +907,7 @@ func refinedLandingMatchesConstruction(t *testing.T) {
 			if err := refine(s, 0); err != nil {
 				return err
 			}
-			if err := s.Run(1); err != nil {
+			if _, err := s.Plane().Run(1); err != nil {
 				return err
 			}
 			held := map[blockforest.BlockID]*sim.BlockData{}
@@ -932,9 +932,9 @@ func refinedLandingMatchesConstruction(t *testing.T) {
 		}},
 		{"shrink", comm.Options{Faults: &comm.FaultPlan{Seed: 5, Crashes: []comm.CrashSpec{{Rank: 1, Step: 3}}}},
 			func(s *amr.Sim, _ string) error {
-				st, err := s.RunResilient(s.Steps()+4, rc)
-				if err == nil && st.Shrinks != 1 {
-					err = fmt.Errorf("%d shrinks, want 1", st.Shrinks)
+				m, err := s.Plane().RunResilient(4, rc)
+				if err == nil && m.Recovery.Shrinks != 1 {
+					err = fmt.Errorf("%d shrinks, want 1", m.Recovery.Shrinks)
 				}
 				return err
 			}},
@@ -955,7 +955,7 @@ func refinedLandingMatchesConstruction(t *testing.T) {
 					}
 				}
 				if err == nil {
-					err = s.Run(2)
+					_, err = s.Plane().Run(2)
 				}
 				if err == nil {
 					err = ev.drive(s, dir)
@@ -972,11 +972,11 @@ func refinedLandingMatchesConstruction(t *testing.T) {
 				leaves = s.Leaves()
 				x := blockforest.NewIndex(bfLeaves(leaves), cfg.Grid, cfg.Periodic)
 				for _, b := range s.OwnedBlocks() {
-					owned[b.ID] = s.Comm.Rank()
-					l := blockforest.Leaf{ID: b.ID, Coord: b.Coord, Rank: s.Comm.Rank()}
+					owned[b.ID] = s.Plane().Comm.Rank()
+					l := blockforest.Leaf{ID: b.ID, Coord: b.Coord, Rank: s.Plane().Comm.Rank()}
 					want := &blockforest.Block{ID: b.ID, Coord: b.Coord, Cells: cfg.Cells, Neighbors: x.Neighbors(l)}
 					flags := field.NewFlagField(cfg.Cells[0], cfg.Cells[1], cfg.Cells[2], 1)
-					cfg.Flags(want, nil, flags)
+					cfg.SetupFlags(want, nil, flags)
 					if !slices.Equal(b.Flags.Data(), flags.Data()) {
 						errs = append(errs, fmt.Errorf("leaf %v: flag field differs from a fresh build's", b.ID))
 					}
