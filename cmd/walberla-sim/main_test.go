@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -159,20 +160,23 @@ func TestCheckpointSetsAcrossRecovery(t *testing.T) {
 func TestRefinedScenarioHash(t *testing.T) {
 	sets := t.TempDir()
 	fieldHash(t, refinedScenario+" -steps 3 -checkpoint "+sets)
-	for _, mode := range []string{
-		"",
-		"-spares 1 -recover-mode heal -checkpoint-every 2 -inject-fault crash=1@3",
-		"-steps 3 -resume " + sets,
+	for _, c := range []struct {
+		mode  string
+		steps int // this run's, a resumed run's too
+	}{
+		{"", 6},
+		{"-spares 1 -recover-mode heal -checkpoint-every 2 -inject-fault crash=1@3", 6},
+		{"-steps 3 -resume " + sets, 3},
 	} {
-		out, err := cli(t, strings.Fields(refinedScenario+" "+mode)...)
+		out, err := cli(t, strings.Fields(refinedScenario+" "+c.mode)...)
 		if err != nil {
-			t.Fatalf("%q: %v", mode, err)
+			t.Fatalf("%q: %v", c.mode, err)
 		}
 		if m := hashLine.FindStringSubmatch(out); m == nil || m[1] != refinedHash {
-			t.Errorf("%q: field hash %v, want %s\n%s", mode, m, refinedHash, out)
+			t.Errorf("%q: field hash %v, want %s\n%s", c.mode, m, refinedHash, out)
 		}
-		if !regexp.MustCompile(`(?m)^AMR run complete: 6 steps.*\nsimulation: steps=\d+ .*MLUPS=[0-9.]*[1-9]`).MatchString(out) {
-			t.Errorf("%q: no metrics after the level summary\n%s", mode, out)
+		if !regexp.MustCompile(fmt.Sprintf(`(?m)^AMR run complete: %d steps.*\nsimulation: steps=%d .*MLUPS=[0-9.]*[1-9]`, c.steps, c.steps)).MatchString(out) {
+			t.Errorf("%q: no metrics of %d steps after the level summary\n%s", c.mode, c.steps, out)
 		}
 	}
 }

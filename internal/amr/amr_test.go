@@ -176,7 +176,7 @@ func TestConstantStateInvariant(t *testing.T) {
 		// Moments stay at rest to round-off on every cell of every leaf.
 		C := s.cfg.Cells
 		f := make([]float64, s.cfg.Stencil.Q)
-		for _, b := range s.blocks {
+		for _, b := range s.OwnedBlocks() {
 			for z := 0; z < C[2]; z++ {
 				for y := 0; y < C[1]; y++ {
 					for x := 0; x < C[0]; x++ {

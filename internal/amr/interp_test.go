@@ -3,6 +3,7 @@ package amr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"walberla/internal/blockforest"
@@ -78,11 +79,7 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 				return
 			}
 			rec := &recorder{refiner: refiner{s}, seen: map[*sim.Transfer]bool{}}
-			data := make([]*sim.BlockData, len(s.blocks))
-			for i, b := range s.blocks {
-				data[i] = b.BlockData
-			}
-			if err := s.plane.SetBlocks(data, rec); err != nil {
+			if err := s.plane.SetBlocks(slices.Clone(s.plane.Blocks), rec); err != nil {
 				t.Error(err)
 				return
 			}
@@ -151,7 +148,7 @@ func TestResampleMemoMatchesRecompute(t *testing.T) {
 // criterionReference is the refinement criterion as it was first
 // written — every PDF through Get or At, a closure per difference, one
 // square root per cell — kept as the oracle of criterion.
-func (s *Sim) criterionReference(b *Block) float64 {
+func (s *Sim) criterionReference(b *sim.BlockData) float64 {
 	C := s.cfg.Cells
 	st := s.cfg.Stencil
 	u, f := s.critU, s.critF
@@ -186,7 +183,7 @@ func (s *Sim) criterionReference(b *Block) float64 {
 		d := u[idx(hi[0], hi[1], hi[2])][comp] - u[idx(lo[0], lo[1], lo[2])][comp]
 		return d / float64(hi[axis]-lo[axis])
 	}
-	h := float64(int(1) << uint(b.Level())) // 1/h: physical gradients
+	h := float64(int(1) << uint(b.Block.ID.Level)) // 1/h: physical gradients
 	var maxCrit float64
 	for z := 0; z < C[2]; z++ {
 		for y := 0; y < C[1]; y++ {
@@ -267,7 +264,7 @@ func TestCriterionMatchesReference(t *testing.T) {
 							critU: make([][3]float64, C[0]*C[1]*C[2]),
 							critF: make([]float64, st.Q),
 						}
-						b := &Block{Leaf: Leaf{ID: blockforest.BlockID{Level: level}}, BlockData: &sim.BlockData{Src: f}}
+						b := &sim.BlockData{Block: &blockforest.Block{ID: blockforest.BlockID{Level: level}}, Src: f}
 						got, want := s.criterion(b), s.criterionReference(b)
 						if math.Float64bits(got) != math.Float64bits(want) || !(want > 0) {
 							t.Errorf("%v rows %d nan=%v %s level %d: criterion %v, reference %v",

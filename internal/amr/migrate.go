@@ -70,6 +70,10 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	for _, l := range s.leaves {
 		oldByID[l.ID] = l
 	}
+	owned := make(map[blockforest.BlockID]*sim.BlockData, len(s.plane.Blocks))
+	for _, bd := range s.plane.Blocks {
+		owned[bd.Block.ID] = bd
+	}
 
 	// The movement table, in canonical new-leaf order (identical on all
 	// ranks).
@@ -116,7 +120,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 		switch {
 		case m.src == me && (m.dst != me || m.kind != payloadKeep): // a kept leaf that stays is its block
-			sn, err := s.buildPayload(m, x, graded)
+			sn, err := s.buildPayload(owned[sourceID(m)], m, x, graded)
 			if err != nil {
 				return err
 			}
@@ -156,7 +160,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			inits = append(inits, nl)
 			continue
 		case m.kind == payloadKeep && m.src == me:
-			bd = s.byID[m.id].BlockData
+			bd = owned[m.id]
 		case !ok:
 			return fmt.Errorf("amr: missing migration payload for leaf %v", m.id)
 		case m.kind == payloadMerge:
@@ -201,16 +205,16 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	return nil
 }
 
-// buildPayload materializes one outgoing WBK2 record from local state.
+// buildPayload materializes one outgoing WBK2 record from b, the local
+// block the payload reads.
 // Split children are prolonged here at the source, so the wire carries
 // the new fine state and every destination receives ready-to-install
 // fields.
-func (s *Sim) buildPayload(m payload, x *blockforest.Index, graded []blockforest.Leaf) (output.LeafSnapshot, error) {
-	b := s.byID[sourceID(m)]
+func (s *Sim) buildPayload(b *sim.BlockData, m payload, x *blockforest.Index, graded []blockforest.Leaf) (output.LeafSnapshot, error) {
 	if b == nil {
 		panic(fmt.Sprintf("amr: payload source %v not owned", sourceID(m)))
 	}
-	sn := output.LeafSnapshot{Tree: m.id.Tree, Path: m.id.Path, Level: m.id.Level, Coord: b.Coord, Src: b.Src, Dst: b.Dst}
+	sn := output.LeafSnapshot{Tree: m.id.Tree, Path: m.id.Path, Level: m.id.Level, Coord: b.Block.Coord, Src: b.Src, Dst: b.Dst}
 	if m.kind == payloadSplit {
 		child, err := s.splitChild(x, b, graded[m.newLeaf])
 		if err != nil {
@@ -223,7 +227,7 @@ func (s *Sim) buildPayload(m payload, x *blockforest.Index, graded []blockforest
 
 // splitChild assembles the child leaf l of parent, of the leaf set x
 // indexes, and prolongs both of the parent's fields into it.
-func (s *Sim) splitChild(x *blockforest.Index, parent *Block, l blockforest.Leaf) (*sim.BlockData, error) {
+func (s *Sim) splitChild(x *blockforest.Index, parent *sim.BlockData, l blockforest.Leaf) (*sim.BlockData, error) {
 	child, err := s.plane.NewBlock(x, l, nil, nil)
 	if err != nil {
 		return nil, err

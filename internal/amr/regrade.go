@@ -8,6 +8,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/lattice"
+	"walberla/internal/sim"
 	"walberla/internal/telemetry"
 )
 
@@ -42,9 +43,9 @@ func (s *Sim) Regrade() error {
 func (s *Sim) regrade() (changed bool, err error) {
 	t0 := time.Now()
 	lt0 := s.tel.driver.Start()
-	local := make([]int64, 0, 4*len(s.blocks)) // per leaf: ID, then mark
-	for _, b := range s.blocks {
-		local = append(appendID(local, b.ID), int64(s.markOf(b)))
+	local := make([]int64, 0, 4*len(s.plane.Blocks)) // per leaf: ID, then mark
+	for _, bd := range s.plane.Blocks {
+		local = append(appendID(local, bd.Block.ID), int64(s.markOf(bd)))
 	}
 	gathered, err := s.plane.Comm.AllgatherErr(local)
 	if err != nil {
@@ -93,13 +94,13 @@ func (s *Sim) applyMarks(m map[blockforest.BlockID]blockforest.Mark, maxLevel in
 
 // markOf evaluates the refinement criterion of one block and applies
 // the hysteresis band.
-func (s *Sim) markOf(b *Block) blockforest.Mark {
+func (s *Sim) markOf(b *sim.BlockData) blockforest.Mark {
 	r := &s.cfg.Refinement
-	crit := s.criterion(b)
-	if crit > r.RefineAbove && b.Level() < r.MaxLevel {
+	crit, level := s.criterion(b), int(b.Block.ID.Level)
+	if crit > r.RefineAbove && level < r.MaxLevel {
 		return blockforest.MarkRefine
 	}
-	if crit < r.CoarsenBelow && b.Level() > 0 {
+	if crit < r.CoarsenBelow && level > 0 {
 		return blockforest.MarkCoarsen
 	}
 	return blockforest.MarkKeep
@@ -112,7 +113,7 @@ func (s *Sim) markOf(b *Block) blockforest.Mark {
 // root per block: sqrt is monotone and correctly rounded and 2^ℓ scales
 // exactly, so that is the maximum of the per-cell norms bit for bit (a
 // NaN cell never wins either comparison).
-func (s *Sim) criterion(b *Block) float64 {
+func (s *Sim) criterion(b *sim.BlockData) float64 {
 	C := s.cfg.Cells
 	st := s.cfg.Stencil
 	u, f := s.critU, s.critF
@@ -200,5 +201,5 @@ func (s *Sim) criterion(b *Block) float64 {
 			}
 		}
 	}
-	return math.Sqrt(maxSq) * float64(int(1)<<uint(b.Level()))
+	return math.Sqrt(maxSq) * float64(int(1)<<uint(b.Block.ID.Level))
 }

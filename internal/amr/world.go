@@ -28,11 +28,9 @@ type Sim struct {
 	leaves   []Leaf // canonical forest order, all ranks
 	maxLevel int    // deepest level currently present
 
-	blocks []*Block // owned leaves, canonical order
-	byID   map[blockforest.BlockID]*Block
-
-	// plane owns the blocks' data, exchange plans, the step and simulated
-	// time (WorldStep counts the coarse steps).
+	// plane owns the blocks — this rank's leaves, in canonical order —
+	// their data, exchange plans, the step and simulated time (WorldStep
+	// counts the coarse steps).
 	plane *sim.Simulation
 
 	tel   amrTel
@@ -174,20 +172,13 @@ func (s *Sim) install(leaves []blockforest.Leaf, x *blockforest.Index, blocks []
 }
 
 // setForest takes the leaf set the data plane's blocks were committed
-// against: the replicated leaf list, this rank's blocks — the data plane's
-// — with their identity index, and the forest-shape gauges.
+// against: the replicated leaf list and the forest-shape gauges.
 func (s *Sim) setForest(leaves []blockforest.Leaf) {
 	s.leaves = make([]Leaf, len(leaves))
 	s.maxLevel = 0
 	for i, l := range leaves {
 		s.leaves[i] = leafFrom(l)
 		s.maxLevel = max(s.maxLevel, l.Level())
-	}
-	s.blocks = make([]*Block, len(s.plane.Blocks))
-	s.byID = make(map[blockforest.BlockID]*Block, len(s.blocks))
-	for i, bd := range s.plane.Blocks {
-		b := &Block{Leaf: leafFrom(blockforest.Leaf{ID: bd.Block.ID, Coord: bd.Block.Coord, Rank: s.plane.Comm.Rank()}), BlockData: bd}
-		s.blocks[i], s.byID[b.ID] = b, b
 	}
 	s.tel.leaves.Set(float64(len(s.leaves)))
 	s.tel.maxLevel.Set(float64(s.maxLevel))
@@ -200,14 +191,13 @@ func (s *Sim) setForest(leaves []blockforest.Leaf) {
 // folded with level metadata, so equal hashes mean bit-identical refined
 // worlds regardless of rank count, worker count, transport or layout.
 func (s *Sim) FieldHash() (uint64, error) {
-	data := make([]*sim.BlockData, len(s.blocks))
-	keys := make([][]uint64, len(s.blocks))
-	for i, b := range s.blocks {
-		data[i] = b.BlockData
-		keys[i] = []uint64{uint64(b.ID.Tree), b.ID.Path, uint64(b.ID.Level),
-			uint64(int64(b.Coord[0])), uint64(int64(b.Coord[1])), uint64(int64(b.Coord[2]))}
+	keys := make([][]uint64, len(s.plane.Blocks))
+	for i, bd := range s.plane.Blocks {
+		id, c := bd.Block.ID, bd.Block.Coord
+		keys[i] = []uint64{uint64(id.Tree), id.Path, uint64(id.Level),
+			uint64(int64(c[0])), uint64(int64(c[1])), uint64(int64(c[2]))}
 	}
-	return sim.WorldHash(s.plane.Comm, data, keys, []int{0, 2, 1}) // tree, level, path
+	return sim.WorldHash(s.plane.Comm, s.plane.Blocks, keys, []int{0, 2, 1}) // tree, level, path
 }
 
 // Steps returns the number of completed coarse steps: the plane's
@@ -239,9 +229,16 @@ func (s *Sim) NumLeaves() int { return len(s.leaves) }
 // Leaves returns a copy of the global leaf list in canonical order.
 func (s *Sim) Leaves() []Leaf { return append([]Leaf(nil), s.leaves...) }
 
-// OwnedBlocks returns this rank's blocks in canonical order. The slice
-// is a copy; the blocks are live state — read-only for callers.
-func (s *Sim) OwnedBlocks() []*Block { return append([]*Block(nil), s.blocks...) }
+// OwnedBlocks returns this rank's blocks — the data plane's — in
+// canonical order. The slice is new; the blocks are live state — read-only
+// for callers.
+func (s *Sim) OwnedBlocks() []*Block {
+	out := make([]*Block, len(s.plane.Blocks))
+	for i, bd := range s.plane.Blocks {
+		out[i] = &Block{Leaf: leafFrom(blockforest.Leaf{ID: bd.Block.ID, Coord: bd.Block.Coord, Rank: s.plane.Comm.Rank()}), BlockData: bd}
+	}
+	return out
+}
 
 // TotalCells returns the global cell count of the current forest.
 func (s *Sim) TotalCells() int64 {

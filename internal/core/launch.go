@@ -73,8 +73,8 @@ type Outcome struct {
 	// across CLI, daemon, worker counts and transports exactly when the
 	// fields are bit-identical.
 	Hash uint64
-	// Steps is the number of steps rank 0 executed (less than requested
-	// when interrupted).
+	// Steps is the number of steps of the run, resumed or not, replays
+	// not counted; when interrupted, the steps rank 0 executed.
 	Steps int
 	// Levels is the final leaf count per refinement level (refined worlds
 	// only; nil for uniform runs).
@@ -306,14 +306,19 @@ func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
 
 // finish fingerprints the rank's runtime into o — a refined world with
 // the hash that folds every leaf's identity — and returns the
-// communicator it ended the run on.
+// communicator it ended the run on. Steps are this run's on either world,
+// also when it resumed a checkpoint set: its metrics' (replays left out),
+// or the steps executed before an interruption.
 func (r *Rank) finish(o *Outcome) (c *comm.Comm, err error) {
+	o.Steps = o.Metrics.Steps
+	if o.Interrupted {
+		o.Steps = r.Sim.Steps()
+	}
 	if a := r.Refined; a != nil {
 		o.Hash, err = a.FieldHash()
-		o.Steps, o.Levels = a.Steps(), a.LevelCounts()
+		o.Levels = a.LevelCounts()
 	} else {
 		o.Hash, err = r.Sim.FieldHash()
-		o.Steps = r.Sim.Steps()
 	}
 	return r.Sim.Comm, err
 }

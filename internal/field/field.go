@@ -53,6 +53,12 @@ func (l Layout) String() string {
 // thus pays for the cells around the vessel only, while x stays
 // unit-stride inside every row the kernels update (docs/KERNELS.md,
 // "Allocation rows").
+//
+// A view (View) is the field of one block inside a larger whole-block
+// field, whose storage it shares: Data is that field's, AllocatedCells its
+// per-direction length, and two adjacent views of one field share cells —
+// the ghost layer of one is the other's boundary cells. A view owns its
+// interior only: CopyFrom and FillEquilibrium write no ghost cell of it.
 type PDFField struct {
 	Stencil *lattice.Stencil
 	Nx      int // interior cells in x
@@ -103,6 +109,28 @@ func NewPDFFieldRows(s *lattice.Stencil, layout Layout, rows *Rows) *PDFField {
 	}
 }
 
+// View returns the field of the nx x ny x nz block whose interior starts
+// at interior cell lo of f, with f's ghost width, stencil and layout: its
+// rows address f's storage, so it writes and reads f's cells. f must store
+// its whole block and be no view itself, and the view's ghosted block must
+// lie in f's. The view starts with f's fill value.
+func (f *PDFField) View(lo [3]int, nx, ny, nz int) *PDFField {
+	rows := f.rows.viewRows(lo, nx, ny, nz)
+	return &PDFField{
+		Stencil: f.Stencil,
+		Nx:      nx, Ny: ny, Nz: nz,
+		Ghost:    f.Ghost,
+		Layout:   f.Layout,
+		rows:     rows,
+		spans:    rows.spans,
+		ry:       rows.ry,
+		cells:    f.cells,
+		cellStep: f.cellStep, dirStep: f.dirStep,
+		data: f.data,
+		fill: append([]float64(nil), f.fill...),
+	}
+}
+
 // Rows returns the field's allocation rows.
 func (f *PDFField) Rows() *Rows { return f.rows }
 
@@ -114,7 +142,7 @@ func (f *PDFField) FillValue(dir lattice.Direction) float64 { return f.fill[dir]
 
 // SameShape reports whether g has f's extents, ghost width, stencil, layout
 // and allocation rows, so that a linear index addresses the same PDF in
-// both.
+// both (Rows.Equal).
 func (f *PDFField) SameShape(g *PDFField) bool {
 	return f.Nx == g.Nx && f.Ny == g.Ny && f.Nz == g.Nz && f.Ghost == g.Ghost &&
 		f.Layout == g.Layout && f.Stencil == g.Stencil && f.rows.Equal(g.rows)
@@ -157,8 +185,9 @@ func (f *PDFField) At(x, y, z int, dir lattice.Direction) float64 {
 	return f.data[f.Index(x, y, z, dir)]
 }
 
-// Data exposes the raw storage of the rows for compute kernels.
-// Layout-dependent; use Index or CellIndex to address it.
+// Data exposes the raw storage of the rows for compute kernels — a view's
+// is the storage it shares. Layout-dependent; use Index or CellIndex to
+// address it.
 func (f *PDFField) Data() []float64 { return f.data }
 
 // DirSlice returns the contiguous per-direction array of a SoA field. It
@@ -172,7 +201,8 @@ func (f *PDFField) DirSlice(dir lattice.Direction) []float64 {
 }
 
 // AllocatedCells returns the number of cells the field stores: the cells
-// of its rows, ghost cells included.
+// of its rows, ghost cells included; for a view, those of the field whose
+// storage it shares, the length of one direction's array.
 func (f *PDFField) AllocatedCells() int { return f.cells }
 
 // InteriorCells returns Nx*Ny*Nz.
@@ -180,23 +210,46 @@ func (f *PDFField) InteriorCells() int { return f.Nx * f.Ny * f.Nz }
 
 // FillEquilibrium sets every cell, including ghosts, to the equilibrium
 // distribution for the given density and velocity, which also becomes the
-// fill value of the cells outside the rows.
+// fill value of the cells outside the rows; a view's interior cells only.
 func (f *PDFField) FillEquilibrium(rho, ux, uy, uz float64) {
-	f.Stencil.Equilibrium(f.fill, rho, ux, uy, uz)
+	f.FillEquilibriumPart(0, 1, rho, ux, uy, uz)
+}
+
+// FillEquilibriumPart is part k of n of FillEquilibrium: the parts write
+// disjoint cells and only part 0 the fill value, so the n parts may run
+// concurrently — how a field much larger than a block is filled.
+func (f *PDFField) FillEquilibriumPart(k, n int, rho, ux, uy, uz float64) {
 	q := f.Stencil.Q
-	if f.Layout == SoA {
-		for a := 0; a < q; a++ {
-			fillFloats(f.data[a*f.cells:(a+1)*f.cells], f.fill[a])
+	feq := make([]float64, q)
+	f.Stencil.Equilibrium(feq, rho, ux, uy, uz)
+	if k == 0 {
+		copy(f.fill, feq)
+	}
+	if f.rows.view {
+		for z := k * f.Nz / n; z < (k+1)*f.Nz/n; z++ {
+			for y := 0; y < f.Ny; y++ {
+				for a := 0; a < q; a++ {
+					spread(f.data, f.Index(0, y, z, lattice.Direction(a)), f.Nx, f.cellStep, feq[a])
+				}
+			}
 		}
 		return
 	}
-	if f.cells == 0 {
+	c0, c1 := k*f.cells/n, (k+1)*f.cells/n
+	if f.Layout == SoA {
+		for a := 0; a < q; a++ {
+			fillFloats(f.data[a*f.cells+c0:a*f.cells+c1], feq[a])
+		}
+		return
+	}
+	if c0 == c1 {
 		return
 	}
 	// One cell, then doubling copies of what is already written.
-	n := copy(f.data, f.fill)
-	for n < len(f.data) {
-		n += copy(f.data[n:], f.data[:n])
+	part := f.data[c0*q : c1*q]
+	m := copy(part, feq)
+	for m < len(part) {
+		m += copy(part[m:], part[:m])
 	}
 }
 
@@ -359,31 +412,37 @@ func CopyRegion(dst *PDFField, dstLo [3]int, src *PDFField, srcLo, srcHi [3]int,
 }
 
 // CopyShape allocates a new zeroed field with identical shape, ghost width,
-// stencil, layout and rows — the destination field of a stream-pull
-// update.
+// stencil, layout and stored cells — the destination field of a
+// stream-pull update; of a view, a field of its own storing the view's
+// whole block.
 func (f *PDFField) CopyShape() *PDFField {
-	return NewPDFFieldRows(f.Stencil, f.Layout, f.rows)
+	return NewPDFFieldRows(f.Stencil, f.Layout, f.rows.own())
 }
 
-// CopyFrom overwrites every stored cell of f with the value g holds there
-// (g's fill value where g does not store the cell). The fields must agree
-// in extents, ghost width and stencil, and may differ in layout and rows —
-// it is how a decoded checkpoint or a replica lands in a live block field.
+// CopyFrom overwrites every stored cell of f — of a view, every interior
+// cell — with the value g holds there (g's fill value where g does not
+// store the cell). The fields must agree in extents, ghost width and
+// stencil, and may differ in layout and rows — it is how a decoded
+// checkpoint or a replica lands in a live block field.
 func (f *PDFField) CopyFrom(g *PDFField) {
 	if f.Nx != g.Nx || f.Ny != g.Ny || f.Nz != g.Nz || f.Ghost != g.Ghost || f.Stencil != g.Stencil {
 		panic("field: CopyFrom requires identically sized fields")
 	}
-	if f.Layout == g.Layout && f.rows.Equal(g.rows) {
+	if f.Layout == g.Layout && f.rows.Equal(g.rows) && !f.rows.view {
 		copy(f.data, g.data)
 		return
 	}
+	h := f.Ghost // the ghost cells written
+	if f.rows.view {
+		h = 0
+	}
 	for q := 0; q < f.Stencil.Q; q++ {
 		fo, gOff := q*f.dirStep, q*g.dirStep
-		for z := -f.Ghost; z < f.Nz+f.Ghost; z++ {
-			gs := g.rows.layer(-f.Ghost, f.Ny+f.Ghost, z)
-			for j, sp := range f.rows.layer(-f.Ghost, f.Ny+f.Ghost, z) {
-				lo, hi := int(sp.lo), int(sp.hi)
-				if lo == hi {
+		for z := -h; z < f.Nz+h; z++ {
+			gs := g.rows.layer(-h, f.Ny+h, z)
+			for j, sp := range f.rows.layer(-h, f.Ny+h, z) {
+				lo, hi := max(int(sp.lo), -h), min(int(sp.hi), f.Nx+h)
+				if lo >= hi {
 					continue
 				}
 				gp := &gs[j]
@@ -395,10 +454,10 @@ func (f *PDFField) CopyFrom(g *PDFField) {
 	}
 }
 
-// ConvertLayout returns a copy of the field, same rows and fill value, in
-// the requested layout.
+// ConvertLayout returns a copy of the field, same stored cells and fill
+// value, in the requested layout — of a view, a field of its own.
 func (f *PDFField) ConvertLayout(layout Layout) *PDFField {
-	out := NewPDFFieldRows(f.Stencil, layout, f.rows)
+	out := NewPDFFieldRows(f.Stencil, layout, f.rows.own())
 	copy(out.fill, f.fill)
 	out.CopyFrom(f)
 	return out

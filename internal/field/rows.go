@@ -16,6 +16,12 @@ import (
 // row-major box formula, and a field storing its whole block indexes
 // exactly as a plain three-dimensional array. Rows are immutable
 // once built: the two fields of a block share one.
+//
+// Rows storing the whole block carry the strides of that array: row (y, z)
+// starts sy*(y+ghost) + sz*(z+ghost) after row (-ghost, -ghost). A view's
+// rows (PDFField.View) are such rows inside a larger whole-block field:
+// they address its storage, with its strides and from the view's origin in
+// it, and cells is its per-direction length.
 type Rows struct {
 	nx, ny, nz, ghost int
 	ry                int       // rows per z-layer: ny + 2*ghost
@@ -23,6 +29,8 @@ type Rows struct {
 	cells             int
 	box               Window // bounding box of the stored cells
 	full              bool   // the stored cells are the ghosted block
+	sy, sz            int    // whole-block rows: the row and z-layer strides
+	view              bool   // the rows address a larger field's storage
 }
 
 // rowSpan is one allocation row: its x-span [lo, hi), lo == hi for an
@@ -76,6 +84,40 @@ func NewRows(nx, ny, nz, ghost int, span func(y, z int) (lo, hi int)) *Rows {
 		r.box = Window{}
 	}
 	r.full = r.cells == FullWindow(nx, ny, nz, ghost).Cells()
+	if r.full {
+		r.sy, r.sz = nx+2*ghost, (nx+2*ghost)*ry
+	}
+	return r
+}
+
+// viewRows are the rows of the nx x ny x nz block, ghost width r's, whose
+// interior starts at cell lo of r, rows storing their whole block: the
+// block and its ghost layer must lie in r's ghosted block.
+func (r *Rows) viewRows(lo [3]int, nx, ny, nz int) *Rows {
+	g := r.ghost
+	if !r.full || r.view || min(lo[0], lo[1], lo[2]) < 0 || lo[0]+nx > r.nx || lo[1]+ny > r.ny || lo[2]+nz > r.nz {
+		panic(fmt.Sprintf("field: a view of %dx%dx%d cells at %v does not fit a whole-block field of %dx%dx%d", nx, ny, nz, lo, r.nx, r.ny, r.nz))
+	}
+	v := &Rows{
+		nx: nx, ny: ny, nz: nz, ghost: g, ry: ny + 2*g,
+		spans: make([]rowSpan, (ny+2*g)*(nz+2*g)),
+		cells: r.cells, box: FullWindow(nx, ny, nz, g),
+		full: true, sy: r.sy, sz: r.sz, view: true,
+	}
+	for z := -g; z < nz+g; z++ {
+		for y := -g; y < ny+g; y++ {
+			v.spans[v.row(y, z)] = rowSpan{lo: int32(-g), hi: int32(nx + g), base: r.CellIndex(lo[0], lo[1]+y, lo[2]+z)}
+		}
+	}
+	return v
+}
+
+// own returns rows storing the cells of r in a field of its own: r, or
+// for a view the whole block.
+func (r *Rows) own() *Rows {
+	if r.view {
+		return FullRows(r.nx, r.ny, r.nz, r.ghost)
+	}
 	return r
 }
 
@@ -126,20 +168,35 @@ func (r *Rows) Window() Window { return r.box }
 // Full reports whether the layout stores the whole ghosted block.
 func (r *Rows) Full() bool { return r.full }
 
+// Strides returns the row and z-layer strides of rows storing the whole
+// block (Full), in cells: CellIndex(x, y+1, z) = CellIndex(x, y, z) + row
+// and CellIndex(x, y, z+1) = CellIndex(x, y, z) + layer.
+func (r *Rows) Strides() (row, layer int) { return r.sy, r.sz }
+
+// View reports whether the rows address a larger field's storage
+// (PDFField.View).
+func (r *Rows) View() bool { return r.view }
+
 // Extents returns the block shape the layout was built for.
 func (r *Rows) Extents() (nx, ny, nz, ghost int) { return r.nx, r.ny, r.nz, r.ghost }
 
-// Equal reports whether o describes the same block shape and spans, so
-// that a cell index addresses the same cell in both.
+// Equal reports whether o stores the cells of r (SameCells) at the same
+// cell indices, so that a cell index addresses the same cell in both.
 func (r *Rows) Equal(o *Rows) bool {
+	return r.SameCells(o) && r.cells == o.cells && r.sy == o.sy && r.sz == o.sz && r.spans[0].base == o.spans[0].base
+}
+
+// SameCells reports whether o describes the same block shape and spans,
+// wherever it stores them.
+func (r *Rows) SameCells(o *Rows) bool {
 	if r == o {
 		return true
 	}
-	if r.nx != o.nx || r.ny != o.ny || r.nz != o.nz || r.ghost != o.ghost || r.cells != o.cells {
+	if r.nx != o.nx || r.ny != o.ny || r.nz != o.nz || r.ghost != o.ghost {
 		return false
 	}
-	if r.full && o.full {
-		return true
+	if r.full || o.full {
+		return r.full == o.full
 	}
 	for i, sp := range r.spans {
 		if sp.lo != o.spans[i].lo || sp.hi != o.spans[i].hi {

@@ -58,18 +58,19 @@ func newPullVec(offs *[lattice.Q19]int, layout field.Layout, cells int) pullVec 
 	return v
 }
 
-// blockPulls is the one vector of fields storing their whole block (row
-// length ax, ay rows per z-layer) in the given layout.
+// blockPulls is the one vector of fields storing their whole block in the
+// given layout, the one place whole-block addressing is derived: rows
+// whose strides (Rows.Strides) are those of the block itself or, for a
+// view, of the field whose storage it shares.
 func blockPulls(rows *field.Rows, layout field.Layout) pullVec {
 	if !rows.Full() {
 		panic("kernels: a kernel built for whole blocks sweeps whole-block fields only")
 	}
-	nx, ny, _, g := rows.Extents()
-	ax, ay := nx+2*g, ny+2*g
+	sy, sz := rows.Strides()
 	s := lattice.D3Q19()
 	var offs [lattice.Q19]int
 	for a := range offs {
-		offs[a] = s.Cx[a] + s.Cy[a]*ax + s.Cz[a]*ax*ay
+		offs[a] = s.Cx[a] + s.Cy[a]*sy + s.Cz[a]*sz
 	}
 	return newPullVec(&offs, layout, rows.Cells())
 }

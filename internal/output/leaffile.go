@@ -210,18 +210,26 @@ func readLeafKey(rr io.Reader, l *LeafSnapshot) string {
 }
 
 // CopyLeaves replaces the fields of leaves with copies of themselves —
-// a generation kept in memory and restored by memcpy — reusing the
-// storage of reuse's records where the shapes match.
+// a generation kept in memory and restored by copying back — reusing the
+// storage of reuse's records where the shapes match. A copy is a field of
+// its own shaped like its block (CopyShape), also of a view, whose storage
+// is a whole arena.
 func CopyLeaves(leaves, reuse []LeafSnapshot) {
 	for i := range leaves {
 		l := &leaves[i]
 		src, dst := l.Src, l.Dst
-		if i < len(reuse) && reuse[i].Src.SameShape(src) {
+		if i < len(reuse) && fits(reuse[i].Src, src) && fits(reuse[i].Dst, dst) {
 			l.Src, l.Dst = reuse[i].Src, reuse[i].Dst
 		} else {
 			l.Src, l.Dst = src.CopyShape(), dst.CopyShape()
 		}
-		copy(l.Src.Data(), src.Data())
-		copy(l.Dst.Data(), dst.Data())
+		l.Src.CopyFrom(src)
+		l.Dst.CopyFrom(dst)
 	}
+}
+
+// fits reports whether f is what CopyShape of g allocates: a field of its
+// own in g's layout storing g's cells.
+func fits(f, g *field.PDFField) bool {
+	return f.Stencil == g.Stencil && f.Layout == g.Layout && !f.Rows().View() && f.Rows().SameCells(g.Rows())
 }

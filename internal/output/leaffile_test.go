@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"walberla/internal/field"
@@ -195,6 +196,54 @@ func TestLeafFileSize(t *testing.T) {
 		}
 		if got := AppendLeafFile([]byte("head"), leaves); !bytes.Equal(got, append([]byte("head"), buf.Bytes()...)) {
 			t.Fatalf("%d leaves: AppendLeafFile appends %d bytes that differ from WriteLeafFile's %d", len(leaves), len(got)-4, buf.Len())
+		}
+	}
+}
+
+// TestCopyLeavesOfViews: a generation kept in memory copies a block whose
+// fields are views of a larger field (a rank arena) into fields of its own,
+// shaped like the block and holding its cells, and reuses them for the next
+// generation.
+func TestCopyLeavesOfViews(t *testing.T) {
+	st := lattice.D3Q19()
+	arena := [2]*field.PDFField{field.NewPDFField(st, 8, 4, 4, 1, field.SoA), field.NewPDFField(st, 8, 4, 4, 1, field.SoA)}
+	for k, f := range arena {
+		for i := range f.Data() {
+			f.Data()[i] = float64(k*len(f.Data()) + i)
+		}
+	}
+	var views []LeafSnapshot
+	for b := 0; b < 2; b++ {
+		lo := [3]int{4 * b, 0, 0}
+		views = append(views, LeafSnapshot{Tree: uint32(b), Coord: [3]int{b, 0, 0},
+			Src: arena[0].View(lo, 4, 4, 4), Dst: arena[1].View(lo, 4, 4, 4)})
+	}
+	gen := slices.Clone(views)
+	CopyLeaves(gen, nil)
+	for i, l := range gen {
+		for j, f := range [2]*field.PDFField{l.Src, l.Dst} {
+			v := [2]*field.PDFField{views[i].Src, views[i].Dst}[j]
+			if f.Rows().View() || !f.Rows().Full() || f.AllocatedCells() != 6*6*6 || len(f.Data()) != 6*6*6*st.Q {
+				t.Fatalf("leaf %d field %d: a copy storing %d cells, view %v, want a block of its own", i, j, f.AllocatedCells(), f.Rows().View())
+			}
+			for z := -1; z <= 4; z++ {
+				for y := -1; y <= 4; y++ {
+					for x := -1; x <= 4; x++ {
+						for a := 0; a < st.Q; a++ {
+							if got, want := f.At(x, y, z, lattice.Direction(a)), v.At(x, y, z, lattice.Direction(a)); got != want {
+								t.Fatalf("leaf %d field %d cell (%d,%d,%d) dir %d: %v, view holds %v", i, j, x, y, z, a, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	next := slices.Clone(views)
+	CopyLeaves(next, gen)
+	for i := range next {
+		if next[i].Src != gen[i].Src || next[i].Dst != gen[i].Dst {
+			t.Errorf("leaf %d: the next generation did not reuse the last one's fields", i)
 		}
 	}
 }

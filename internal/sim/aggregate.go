@@ -151,25 +151,41 @@ type copyRun struct {
 }
 
 // shortRun is the row length below which a scalar loop beats the call
-// into memmove.
+// into memmove; rows of exactly shortRun values, a block edge of 8 cells,
+// move as one array value.
 const shortRun = 8
 
 // execRuns performs runs from src to dst: the one executor of same-rank
 // copies (field to field), packs (field to aggregate) and unpacks
-// (aggregate to field).
+// (aggregate to field). It has one loop per run shape: strided single
+// values (an x-face of a row-major block), rows of shortRun values, other
+// short rows, and long rows through memmove.
 func execRuns(dst, src []float64, runs []copyRun) {
 	for _, r := range runs {
 		sp, dp := r.src, r.dst
-		for rep := int32(0); rep < r.reps; rep++ {
-			if r.n < shortRun {
+		switch {
+		case r.n == 1:
+			for rep := int32(0); rep < r.reps; rep++ {
+				dst[dp] = src[sp]
+				sp, dp = sp+r.srcStep, dp+r.dstStep
+			}
+		case r.n == shortRun:
+			for rep := int32(0); rep < r.reps; rep++ {
+				*(*[shortRun]float64)(dst[dp:]) = *(*[shortRun]float64)(src[sp:])
+				sp, dp = sp+r.srcStep, dp+r.dstStep
+			}
+		case r.n < shortRun:
+			for rep := int32(0); rep < r.reps; rep++ {
 				for k := int32(0); k < r.n; k++ {
 					dst[dp+k] = src[sp+k]
 				}
-			} else {
-				copy(dst[dp:dp+r.n], src[sp:sp+r.n])
+				sp, dp = sp+r.srcStep, dp+r.dstStep
 			}
-			sp += r.srcStep
-			dp += r.dstStep
+		default:
+			for rep := int32(0); rep < r.reps; rep++ {
+				copy(dst[dp:dp+r.n], src[sp:sp+r.n])
+				sp, dp = sp+r.srcStep, dp+r.dstStep
+			}
 		}
 	}
 }
@@ -441,24 +457,94 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 
 // compileLocal lowers the copy of src's interior slab srcReg into dst's
 // ghost slab dstReg onto the sink, keeping only the slots dst reads
-// (needMask). A slot whose source cell lies outside src's allocation rows
-// is dropped as well: the source would deliver its fill value, the
-// uniform initial equilibrium the destination slot has held since it was
-// initialized. (A slot dst reads is always stored by dst, whose rows hold
-// every cell its fluid cells pull from.) It returns the runs and the
-// number of values they move.
-func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction) ([]copyRun, int) {
+// (needMask) that the plan's claims leave to it. A slot whose source cell
+// lies outside src's allocation rows is dropped as well: the source would
+// deliver its fill value, the uniform initial equilibrium the destination
+// slot has held since it was initialized. (A slot dst reads is always
+// stored by dst, whose rows hold every cell its fluid cells pull from.) It
+// returns the runs, the number of values they move and the number of
+// slots that storage shared with an arena keeps from moving.
+func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction, cl *claims) ([]copyRun, int, int) {
 	sf, df := src.Src, dst.Src
 	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
 		panic("sim: local copy requires matching stencil and layout")
 	}
 	var m slotMask
-	if !dst.readsAll() {
+	if !dst.readsAll() || df.Rows().View() {
 		m.bits = make([]byte, (len(dirs)*dstReg.cells()+7)/8)
 		needMask(m.bits, 0, dst, dstReg, dirs)
 	}
+	aliased := cl.take(m.bits, 0, end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, dstReg.size(), dirs)
 	runs, _, moved := k.lower(end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, srcReg.size(), dirs, m, nil)
-	return runs, moved
+	return runs, moved, aliased
+}
+
+// claims are the arena positions the plan writes, each with the source
+// position that fills it (-1: a remote one): the junction rule of rank
+// arenas (docs/EXCHANGE.md, "Rank arenas"). Views of one arena overlap in
+// their ghost layers, so several transfers may name one position, and a
+// transfer between two members names positions that are its own source.
+// Positions fit 32 bits (lower checks); a source position that does not —
+// a cell its field does not store — reads as -2. The map is made at the
+// first claim, of hint entries.
+type claims struct {
+	at   map[int32]int32
+	hint int
+}
+
+// take clears from bits — the kept slots of a transfer into the ghost slab
+// of dst (canonical order, from bit at on; extent ext) — every slot whose
+// destination is an arena position that its source already is (src sharing
+// dst's storage) or that an earlier transfer claimed, and claims the rest;
+// it returns the number cleared. Positions of fields of their own are not
+// claimed. Two transfers naming one position must read one source
+// position: the position's one cell. Two views of one arena have its
+// strides, so a slot's source and destination are one position for every
+// slot of a transfer or for none.
+func (cl *claims) take(bits []byte, at int, src, dst end, ext [3]int, dirs []lattice.Direction) int {
+	if !dst.f.Rows().View() {
+		return 0
+	}
+	m, k, cleared := slotMask{bits: bits}, at, 0
+	if src.f != nil && src.f.Rows().View() && &src.f.Data()[0] == &dst.f.Data()[0] &&
+		src.f.Index(src.lo[0], src.lo[1], src.lo[2], dirs[0]) == dst.f.Index(dst.lo[0], dst.lo[1], dst.lo[2], dirs[0]) {
+		for ; k < at+len(dirs)*ext[0]*ext[1]*ext[2]; k++ {
+			if m.has(k) {
+				bits[k>>3] &^= 1 << (k & 7)
+				cleared++
+			}
+		}
+		return cleared
+	}
+	for _, d := range dirs {
+		for z := 0; z < ext[2]; z++ {
+			for y := 0; y < ext[1]; y++ {
+				for x := 0; x < ext[0]; x, k = x+1, k+1 {
+					if !m.has(k) {
+						continue
+					}
+					t, sp := int32(dst.f.Index(dst.lo[0]+x, dst.lo[1]+y, dst.lo[2]+z, d)), int32(-1)
+					if src.f != nil {
+						sp = int32(max(-2, min(src.f.Index(src.lo[0]+x, src.lo[1]+y, src.lo[2]+z, d), math.MaxInt32)))
+					}
+					if cl.at == nil {
+						cl.at = make(map[int32]int32, cl.hint)
+					}
+					prev, seen := cl.at[t]
+					if !seen {
+						cl.at[t] = sp
+						continue
+					}
+					if prev != sp {
+						panic(fmt.Sprintf("sim: arena position %d filled from %d and %d", t, prev, sp))
+					}
+					bits[k>>3] &^= 1 << (k & 7)
+					cleared++
+				}
+			}
+		}
+	}
+	return cleared
 }
 
 // rankChannel aggregates all traffic between this rank and one neighbor
@@ -528,11 +614,12 @@ func groupTasks(tasks []packTask, ci, n int, floats func(int) int, alone func(in
 }
 
 // transferStats is the per-step volume of a plan and what the receivers'
-// need-masks removed from it.
+// need-masks and the rank's arena removed from it.
 type transferStats struct {
 	localFloats        int // values the same-rank copies move
-	localCopiesElided  int // block pairs whose mask came out empty
-	localFloatsElided  int // values of the full local slabs that are not moved
+	localCopiesElided  int // block pairs whose need-mask came out empty
+	localFloatsElided  int // values of the full local slabs no fluid cell reads
+	localFloatsAliased int // values of the full local slabs an arena shares
 	remoteFloatsElided int // values of the full received slabs that do not cross
 }
 
@@ -572,14 +659,18 @@ func buildPlans(s *Simulation) ([]plan, error) {
 	}
 	plans := make([]plan, top+1)
 	copies := make([][]localCopy, top+1)
+	var cl claims
+	if a := s.arena; a != nil { // about what the faces of its ghost layer take
+		cl.hint = (a.src.AllocatedCells() - a.src.InteriorCells()) * len(commDirections(s.Stencil, [3]int{1, 0, 0}))
+	}
 	for l := range plans {
-		plans[l], copies[l] = buildPlan(s, l, byID)
+		plans[l], copies[l] = buildPlan(s, l, byID, &cl)
 	}
 	if err := exchangeMasks(s, plans); err != nil {
 		return nil, err
 	}
 	for l := range plans {
-		plans[l].lower(copies[l], s.Comm.Rank())
+		plans[l].lower(copies[l], s.Comm.Rank(), &cl)
 		s.bindTasks(&plans[l])
 	}
 	return plans, nil
@@ -601,8 +692,9 @@ type localCopy struct {
 // between blocks of one level into the returned copies, the same-rank ones
 // between levels into both manifests of the channel to the own rank. A
 // local transfer is enumerated once, at its sender; a remote one at both
-// ends, each deriving the same manifest key.
-func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData) (plan, []localCopy) {
+// ends, each deriving the same manifest key. The receive slabs into the
+// rank's arena claim their positions in cl in manifest order.
+func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData, cl *claims) (plan, []localCopy) {
 	me := s.Comm.Rank()
 	p := plan{level: level}
 	var copies []localCopy
@@ -679,7 +771,7 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 		sort.Slice(ch.send, func(a, b int) bool { return ch.send[a].key.less(ch.send[b].key) })
 		sort.Slice(ch.recv, func(a, b int) bool { return ch.recv[a].key.less(ch.recv[b].key) })
 		if ch.rank != me {
-			ch.mask = maskManifest(ch.recv)
+			ch.mask = maskManifest(ch.recv, cl)
 		}
 	}
 	return p, copies
@@ -688,8 +780,9 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 // maskManifest evaluates the need-mask of a remote channel's receive
 // manifest into one bit string, slab after slab, and returns it: a
 // transfer between levels crosses whole (its sender resamples the whole
-// window), every other slab keeps what its receiving block reads.
-func maskManifest(recv []slabOp) []byte {
+// window), every other slab keeps what its receiving block reads and no
+// earlier transfer claimed (claims.take).
+func maskManifest(recv []slabOp, cl *claims) []byte {
 	bits := make([]byte, (manifestSlots(recv)+7)/8)
 	at := 0
 	for k := range recv {
@@ -698,6 +791,7 @@ func maskManifest(recv []slabOp) []byte {
 			setBits(bits, at, sl.slots())
 		} else {
 			needMask(bits, at, sl.bd, sl.reg, sl.dirs)
+			cl.take(bits, at, end{}, end{f: sl.bd.Src, lo: sl.reg.lo}, sl.reg.size(), sl.dirs)
 		}
 		sl.mask = slotMask{bits: bits, off: at}.simplify(sl.slots())
 		at += sl.slots()
@@ -753,8 +847,8 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 }
 
 // lower lowers every transfer of the plan to index runs: the same-rank
-// copies field to field — the ones whose mask comes out empty leave the
-// plan — the send slabs field to aggregate and the receive slabs aggregate
+// copies field to field, claiming arena positions in cl — the ones whose
+// mask comes out empty leave the plan — the send slabs field to aggregate and the receive slabs aggregate
 // to field, each against its mask. A slab's window is the prefix sum of
 // the kept slots before it, so both ends of a channel agree on every
 // position and the bytes stay layout-agnostic. A transfer between levels
@@ -766,15 +860,18 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 // alternate between for a remote channel, one for the channel to the own
 // rank me, whose aggregate never leaves the rank — and every slot whose
 // sender does not store the cell gets its fill value, once, in each.
-func (p *plan) lower(copies []localCopy, me int) {
+func (p *plan) lower(copies []localCopy, me int, cl *claims) {
 	var sink runSink
 	p.locals = make([]localOp, 0, len(copies))
 	for _, c := range copies {
-		runs, moved := sink.compileLocal(c.src, c.dst, c.srcReg, c.dstReg, c.dirs)
+		runs, moved, aliased := sink.compileLocal(c.src, c.dst, c.srcReg, c.dstReg, c.dirs, cl)
 		p.stats.localFloats += moved
-		p.stats.localFloatsElided += len(c.dirs)*c.srcReg.cells() - moved
+		p.stats.localFloatsAliased += aliased
+		p.stats.localFloatsElided += len(c.dirs)*c.srcReg.cells() - moved - aliased
 		if moved == 0 {
-			p.stats.localCopiesElided++
+			if aliased == 0 {
+				p.stats.localCopiesElided++
+			}
 			continue
 		}
 		p.locals = append(p.locals, localOp{src: c.src, dst: c.dst, runs: runs, floats: moved})
@@ -986,6 +1083,7 @@ func (aggregated) stats(s *Simulation) ExchangeStats {
 		st.LocalFloats += p.stats.localFloats
 		st.LocalCopiesElided += p.stats.localCopiesElided
 		st.LocalFloatsElided += p.stats.localFloatsElided
+		st.LocalFloatsAliased += p.stats.localFloatsAliased
 		st.RemoteFloatsElided += p.stats.remoteFloatsElided
 		for i := range p.channels {
 			ch := &p.channels[i]

@@ -23,7 +23,8 @@ func allocForest() *blockforest.SetupForest {
 // per neighbor rank, unpack, boundary, kernel sweep, swap — performs zero
 // heap allocations. Workers is 1 because the fork-join pool's per-region
 // goroutine spawns are the one deliberate exception, and AllocsPerRun
-// serializes execution anyway.
+// serializes execution anyway. Each rank's 2x2x1 blocks form an arena
+// swept as one box, so the gate holds for arena worlds too.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -39,6 +40,9 @@ func TestStepZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 			return
+		}
+		if s.arena == nil || len(s.frontier[0]) != 1 || s.frontier[0][0].kernel == nil {
+			t.Errorf("rank %d: no arena swept as one box: %d sweeps", c.Rank(), len(s.frontier[0]))
 		}
 		step := func() {
 			if err := s.Step(); err != nil {

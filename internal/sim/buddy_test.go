@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -352,12 +351,7 @@ func TestReplicateRoundTrip(t *testing.T) {
 		}
 		mu.Lock()
 		for _, bd := range blocks {
-			d := bd.Src.Data()
-			bits := make([]uint64, len(d))
-			for i, v := range d {
-				bits[i] = math.Float64bits(v)
-			}
-			decoded[bd.Block.Coord] = bits
+			decoded[bd.Block.Coord] = fieldBits(bd.Src)
 		}
 		mu.Unlock()
 	})

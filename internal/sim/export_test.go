@@ -5,6 +5,7 @@ import (
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/field"
 	"walberla/internal/lattice"
 )
 
@@ -44,17 +45,29 @@ var NewWithExchange = newWithExchange
 // NOT write — neither a compiled local copy nor the unpack runs of a receive
 // slab, which hold only the slots the receiver's need-mask kept. Calling it
 // before every step turns any read of a slot a mask dropped, same-rank or
-// remote, into a NaN in the interior.
+// remote, into a NaN in the interior. In an arena it poisons only
+// positions that are a ghost slot of every view storing them: an interior
+// cell of a member is state, whichever view's ghost layer it is too.
 func (s *Simulation) GhostPoisoner() func() {
-	written := make(map[*BlockData][]bool, len(s.Blocks))
-	for _, bd := range s.Blocks {
-		written[bd] = make([]bool, len(bd.Src.Data()))
+	type storage struct {
+		owner             *BlockData // the block whose Src the poisoner writes
+		written, interior []bool
+	}
+	at := make(map[*float64]*storage)
+	of := func(bd *BlockData) *storage {
+		d := bd.Src.Data()
+		st := at[&d[0]]
+		if st == nil {
+			st = &storage{owner: bd, written: make([]bool, len(d)), interior: make([]bool, len(d))}
+			at[&d[0]] = st
+		}
+		return st
 	}
 	mark := func(bd *BlockData, runs []copyRun) {
 		for _, r := range runs {
 			for rep := int32(0); rep < r.reps; rep++ {
 				for k := int32(0); k < r.n; k++ {
-					written[bd][r.dst+rep*r.dstStep+k] = true
+					of(bd).written[r.dst+rep*r.dstStep+k] = true
 				}
 			}
 		}
@@ -68,24 +81,36 @@ func (s *Simulation) GhostPoisoner() func() {
 			mark(sl.bd, sl.runs)
 		}
 	}
-	poison := make(map[*BlockData][]int, len(s.Blocks))
-	for _, bd := range s.Blocks {
-		f := bd.Src
+	// slots calls fn with the storage position of every stored PDF of f's
+	// ghosted block and whether its cell is interior.
+	slots := func(f *field.PDFField, fn func(i int, interior bool)) {
 		for z := -1; z <= f.Nz; z++ {
 			for y := -1; y <= f.Ny; y++ {
 				for x := -1; x <= f.Nx; x++ {
-					if x >= 0 && x < f.Nx && y >= 0 && y < f.Ny && z >= 0 && z < f.Nz ||
-						!f.Rows().Contains(x, y, z) {
+					if !f.Rows().Contains(x, y, z) {
 						continue
 					}
+					in := x >= 0 && x < f.Nx && y >= 0 && y < f.Ny && z >= 0 && z < f.Nz
 					for a := 0; a < f.Stencil.Q; a++ {
-						if i := f.Index(x, y, z, lattice.Direction(a)); !written[bd][i] {
-							poison[bd] = append(poison[bd], i)
-						}
+						fn(f.Index(x, y, z, lattice.Direction(a)), in)
 					}
 				}
 			}
 		}
+	}
+	for _, bd := range s.Blocks {
+		st := of(bd)
+		slots(bd.Src, func(i int, in bool) { st.interior[i] = st.interior[i] || in })
+	}
+	poison := make(map[*BlockData][]int, len(s.Blocks))
+	for _, bd := range s.Blocks {
+		st := of(bd)
+		slots(bd.Src, func(i int, in bool) {
+			if !in && !st.written[i] && !st.interior[i] {
+				st.written[i] = true // once per storage
+				poison[st.owner] = append(poison[st.owner], i)
+			}
+		})
 	}
 	nan := math.NaN()
 	return func() {
@@ -96,4 +121,54 @@ func (s *Simulation) GhostPoisoner() func() {
 			}
 		}
 	}
+}
+
+// RunShape is one cell of the run-shape histogram of an exchange plan: the
+// rows of one shape that one kind of transfer moves per step, and their
+// values.
+type RunShape struct{ Rows, Values int }
+
+// RunShapes returns the run-shape histogram of every level's plan, keyed
+// "<kind> <shape>": kind "same-rank" (copies between blocks of the rank)
+// or "remote" (packs and unpacks), shape "n=1" (strided single values),
+// "n=8", "n<8" or "long" — the loops of execRuns.
+func (s *Simulation) RunShapes() map[string]RunShape {
+	h := map[string]RunShape{}
+	add := func(kind string, runs []copyRun) {
+		for _, r := range runs {
+			shape := "long"
+			switch {
+			case r.n == 1:
+				shape = "n=1"
+			case r.n == shortRun:
+				shape = "n=8"
+			case r.n < shortRun:
+				shape = "n<8"
+			}
+			e := h[kind+" "+shape]
+			e.Rows += int(r.reps)
+			e.Values += int(r.reps * r.n)
+			h[kind+" "+shape] = e
+		}
+	}
+	for l := range s.levels {
+		p := &s.levels[l]
+		for i := range p.locals {
+			add("same-rank", p.locals[i].runs)
+		}
+		for ci := range p.channels {
+			ch := &p.channels[ci]
+			kind := "remote"
+			if ch.rank == s.Comm.Rank() {
+				kind = "same-rank"
+			}
+			for _, sl := range ch.send {
+				add(kind, sl.runs)
+			}
+			for _, sl := range ch.recv {
+				add(kind, sl.runs)
+			}
+		}
+	}
+	return h
 }

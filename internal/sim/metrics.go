@@ -157,15 +157,18 @@ type ExchangeStats struct {
 	// plan and LocalFloats the values they move per step. The plan keeps
 	// only the ghost slots the destination block reads: LocalCopiesElided
 	// block pairs left it entirely and LocalFloatsElided values of the full
-	// slabs are not moved.
-	LocalCopies       int
-	LocalFloats       int
-	LocalCopiesElided int
-	LocalFloatsElided int
+	// slabs are not moved. LocalFloatsAliased values of the full slabs do
+	// not move because the rank's arena stores source and destination in
+	// one place (docs/EXCHANGE.md, "Rank arenas").
+	LocalCopies        int
+	LocalFloats        int
+	LocalCopiesElided  int
+	LocalFloatsElided  int
+	LocalFloatsAliased int
 	// SendFloats and RecvFloats are this rank's per-step payload volumes
 	// in float64 values. Only the ghost slots the receiving block reads
-	// cross: RemoteFloatsElided values of the full slabs this rank
-	// receives do not.
+	// cross, an arena position once: RemoteFloatsElided values of the full
+	// slabs this rank receives do not.
 	SendFloats         int
 	RecvFloats         int
 	RemoteFloatsElided int

@@ -148,15 +148,17 @@ func unpack(f *field.PDFField, r region, dirs []lattice.Direction, buf []float64
 }
 
 // post starts one per-block-pair ghost layer synchronization: all boundary
-// slabs are packed on the worker pool (same-rank copies land in the peer's
-// ghost region immediately), the remote slabs are sent (eager, so this
-// cannot deadlock), and one receive per remote op is posted.
+// slabs are packed (same-rank copies land in the peer's ghost region
+// immediately), the remote slabs are sent (eager, so this cannot
+// deadlock), and one receive per remote op is posted.
 //
-// The parallel pack/copy phase is race-free by region disjointness: packs
-// read interior slabs, copies write ghost slabs, and two copies into the
-// same block target different offsets, hence disjoint ghost slabs.
+// The oracle packs, copies and unpacks whole slabs one after another, on
+// the rank's own goroutine: in a rank's arena a copy between two members writes the
+// cells it reads, and slabs into two members' ghost layers meet at the
+// junctions (docs/EXCHANGE.md, "Rank arenas") — the same values, but
+// concurrent writes all the same.
 func (pp *perPair) post(s *Simulation, _ int) error {
-	s.pool.run(len(pp.plan), func(_, i int) {
+	for i := range pp.plan {
 		op := &pp.plan[i]
 		op.buf = pack(op.bd.Src, op.src, op.sendDirs)
 		if op.peer != nil {
@@ -166,7 +168,7 @@ func (pp *perPair) post(s *Simulation, _ int) error {
 			unpack(op.peer.Src, peerDst, op.sendDirs, op.buf)
 			op.buf = nil
 		}
-	})
+	}
 	for i := range pp.plan {
 		op := &pp.plan[i]
 		if !op.remote {
@@ -189,7 +191,7 @@ func (pp *perPair) post(s *Simulation, _ int) error {
 }
 
 // complete waits for every posted per-pair receive and unpacks the slabs
-// into the frontier blocks' ghost layers on the worker pool.
+// into the frontier blocks' ghost layers.
 func (pp *perPair) complete(s *Simulation, _ int) error {
 	for i := range pp.pending {
 		p := &pp.pending[i]
@@ -199,11 +201,11 @@ func (pp *perPair) complete(s *Simulation, _ int) error {
 		}
 		p.op.buf = buf
 	}
-	s.pool.run(len(pp.pending), func(_, i int) {
+	for i := range pp.pending {
 		op := pp.pending[i].op
 		unpack(op.bd.Src, op.dst, op.recvDirs, op.buf)
 		op.buf = nil
-	})
+	}
 	pp.pending = pp.pending[:0]
 	return nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -33,18 +32,12 @@ func cavityForest() *blockforest.SetupForest {
 	return f
 }
 
-// collectBits snapshots the exact bit pattern of every block's Src field.
+// collectBits snapshots the exact bit pattern of every block's Src
+// interior (interiorBits). The ghost layers are left out: a world whose
+// ownership changed forms other arenas, and a ghost slot toward an arena
+// member is that member's cell, not a copy of it.
 func collectBits(s *Simulation, mu *sync.Mutex, into map[[3]int][]uint64) {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, bd := range s.Blocks {
-		d := bd.Src.Data()
-		bits := make([]uint64, len(d))
-		for i, v := range d {
-			bits[i] = math.Float64bits(v)
-		}
-		into[bd.Block.Coord] = bits
-	}
+	interiorBits(s, mu, into)
 }
 
 // TestResilientBitIdenticalUnderCrashes is the core acceptance test: a

@@ -394,15 +394,15 @@ type Simulation struct {
 	resample    Resampler
 
 	// Hybrid execution state: the worker pool, the frontier/interior
-	// block split of every level (frontier blocks have off-rank neighbors
-	// and must wait for remote ghost data; interior blocks sweep while
-	// communication is in flight), and the precomputed body-force
+	// split of every level's sweeps (frontier blocks have off-rank
+	// neighbors and must wait for remote ghost data; interior blocks sweep
+	// while communication is in flight), and the precomputed body-force
 	// increments. sweepList and sweepFn are the persistent argument slot
 	// and closure of sweepBlocks.
 	pool      workerPool
-	interior  [][]*BlockData
-	frontier  [][]*BlockData
-	sweepList []*BlockData
+	interior  [][]sweep
+	frontier  [][]sweep
+	sweepList []sweep
 	sweepFn   func(int, int)
 	force     *forcing
 
@@ -432,6 +432,9 @@ type Simulation struct {
 	// refiner is a refined world's controller (SetRefiner); nil on a
 	// uniform world.
 	refiner Refiner
+	// arena is the storage this rank's all-fluid blocks share (arena.go);
+	// nil when they form none.
+	arena *arena
 }
 
 // New builds the simulation state for this rank's part of the forest.
@@ -462,11 +465,27 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		}
 		c.SetNetTelemetry(lane, cfg.Metrics)
 	}
+	// Flags first: they decide the arena, whose views the members are
+	// assembled on.
+	flags := make([]*field.FlagField, len(forest.Blocks))
+	s.pool.run(len(flags), func(_, i int) { flags[i] = s.setupFlags(forest.Blocks[i]) })
+	member := func(i int) bool { return s.arenaMember(forest.Blocks[i], flags[i].Count(field.Fluid)) }
+	if lo, ext, ok := arenaBox(forest.Blocks, member); ok {
+		s.arena = s.newArena(lo, ext)
+	}
 	blocks, err := s.assemble(len(forest.Blocks), func(i int) (*BlockData, error) {
 		b := forest.Blocks[i]
-		bd, err := s.AssembleBlock(b, s.setupFlags(b), nil, nil)
+		var src, dst *field.PDFField
+		in := s.arena != nil && member(i)
+		if in {
+			src, dst = s.arena.views(b)
+		}
+		bd, err := s.AssembleBlock(b, flags[i], src, dst)
 		if err == nil {
 			s.applyInitialState(bd)
+			if in {
+				s.arena.grid[s.arena.at(b.Coord)] = bd
+			}
 		}
 		return bd, err
 	})
@@ -475,22 +494,34 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 	}
 	s.Blocks = blocks
 	s.sweepFn = func(worker, i int) {
-		bd := s.sweepList[i]
+		u := &s.sweepList[i]
 		lane := s.tel.worker(worker)
 		laneStart := lane.Start()
 		tb := time.Now()
-		bd.Boundary.Apply(bd.Src)
+		for _, bd := range u.blocks {
+			bd.Boundary.Apply(bd.Src)
+		}
 		tk := time.Now()
-		bd.Kernel.Sweep(bd.Src, bd.Dst, bd.sweepFlags)
-		s.force.apply(bd)
-		bd.stepBoundary = tk.Sub(tb)
-		bd.stepCompute = time.Since(tk)
+		if u.kernel != nil {
+			u.kernel.Sweep(u.src, u.dst, nil)
+		} else {
+			bd := u.blocks[0]
+			bd.Kernel.Sweep(bd.Src, bd.Dst, bd.sweepFlags)
+		}
+		for _, bd := range u.blocks {
+			s.force.apply(bd)
+		}
+		boundary, compute := tk.Sub(tb), time.Since(tk)
+		for _, bd := range u.blocks { // the box's time in equal shares
+			n := time.Duration(len(u.blocks))
+			bd.stepBoundary, bd.stepCompute = boundary/n, compute/n
+		}
 		if lane != nil {
 			// Reuse the durations just measured instead of stamping each
-			// boundary live — two fewer clock reads per block.
-			mid := laneStart + int64(bd.stepBoundary)
+			// boundary live — two fewer clock reads per sweep.
+			mid := laneStart + int64(boundary)
 			lane.SpanAt(telemetry.PhaseBoundary, s.steps, int32(i), laneStart, mid)
-			lane.SpanAt(telemetry.PhaseCollideStream, s.steps, int32(i), mid, mid+int64(bd.stepCompute))
+			lane.SpanAt(telemetry.PhaseCollideStream, s.steps, int32(i), mid, mid+int64(compute))
 		}
 	}
 	if err := s.rebuildPlan(); err != nil {
@@ -541,8 +572,8 @@ func (s *Simulation) setupFlags(b *blockforest.Block) *field.FlagField {
 func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField, src, dst *field.PDFField) (*BlockData, error) {
 	fluid := flags.Count(field.Fluid)
 	rows := s.Config.allocationRows(flags, fluid)
-	if src != nil && src.Rows().Equal(rows) {
-		rows = src.Rows() // one table for kernel and fields
+	if src != nil && src.Rows().SameCells(rows) {
+		rows = src.Rows() // one table for kernel and fields; a view's addresses its arena
 	}
 	k, choice, err := s.Config.blockKernel(int(b.ID.Level), flags, fluid, rows)
 	if err != nil {
@@ -559,7 +590,7 @@ func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField,
 		sweepFlags: denseSweepFlags(choice, flags, fluid),
 	}
 	cells := b.Cells
-	if src == nil || src.Rows() != rows || dst.Rows() != rows || src.Stencil != s.Stencil || dst.Stencil != s.Stencil ||
+	if src == nil || src.Rows() != rows || !dst.Rows().Equal(rows) || src.Stencil != s.Stencil || dst.Stencil != s.Stencil ||
 		src.Layout != k.Layout() || dst.Layout != k.Layout() || src.Nx != cells[0] || src.Ny != cells[1] || src.Nz != cells[2] || src.Ghost != 1 {
 		bd.Src = field.NewPDFFieldRows(s.Stencil, k.Layout(), rows)
 		bd.Dst = bd.Src.CopyShape()
@@ -724,11 +755,10 @@ func (s *Simulation) subStep(l int) error {
 	s.sweepBlocks(s.frontier[l])
 	o := OverlapTimes{Post: t1.Sub(t0), Interior: t2.Sub(t1), Wait: t3.Sub(t2), Frontier: time.Since(t3)}
 	s.levelOverlap[l].add(o)
-	for _, bd := range s.interior[l] {
-		field.Swap(bd.Src, bd.Dst)
-	}
-	for _, bd := range s.frontier[l] {
-		field.Swap(bd.Src, bd.Dst)
+	for _, us := range [2][]sweep{s.interior[l], s.frontier[l]} {
+		for i := range us {
+			us[i].swap()
+		}
 	}
 	s.levelSweeps[l]++
 	s.tel.subStepPhases(s.steps, l, start, o)
@@ -740,22 +770,24 @@ func (s *Simulation) subStep(l int) error {
 	return nil
 }
 
-// sweepBlocks runs the fused per-block update — boundary handling,
-// stream-collide, body force — for the given blocks on the worker pool,
-// then reduces the per-block phase timings in deterministic block order.
-// The sweep body is the persistent s.sweepFn closure; a fresh closure per
-// call would escape to the heap on every invocation.
-func (s *Simulation) sweepBlocks(bds []*BlockData) {
-	s.sweepList = bds
-	s.pool.run(len(bds), s.sweepFn)
+// sweepBlocks runs the fused update — boundary handling, stream-collide,
+// body force — of the given sweeps on the worker pool, then reduces the
+// per-block phase timings in deterministic block order. The sweep body is
+// the persistent s.sweepFn closure; a fresh closure per call would escape
+// to the heap on every invocation.
+func (s *Simulation) sweepBlocks(us []sweep) {
+	s.sweepList = us
+	s.pool.run(len(us), s.sweepFn)
 	s.sweepList = nil
 	var bNs, cNs time.Duration
-	for _, bd := range bds {
-		s.boundaryTime += bd.stepBoundary
-		s.computeTime += bd.stepCompute
-		bd.ComputeTime += bd.stepCompute
-		bNs += bd.stepBoundary
-		cNs += bd.stepCompute
+	for i := range us {
+		for _, bd := range us[i].blocks {
+			s.boundaryTime += bd.stepBoundary
+			s.computeTime += bd.stepCompute
+			bd.ComputeTime += bd.stepCompute
+			bNs += bd.stepBoundary
+			cNs += bd.stepCompute
+		}
 	}
 	s.tel.boundaryNs.Add(int64(bNs))
 	s.tel.collideNs.Add(int64(cNs))
@@ -775,7 +807,7 @@ func (s *Simulation) rebuildPlan() error {
 		return err
 	}
 	n := len(s.levels)
-	s.interior, s.frontier, s.levelSweeps = make([][]*BlockData, n), make([][]*BlockData, n), make([]int, n)
+	s.interior, s.frontier, s.levelSweeps = make([][]sweep, n), make([][]sweep, n), make([]int, n)
 	for len(s.levelOverlap) < n {
 		s.levelOverlap = append(s.levelOverlap, OverlapTimes{})
 	}
@@ -784,13 +816,14 @@ func (s *Simulation) rebuildPlan() error {
 		l := bd.Block.ID.Level
 		s.stepWork[0] += int64(bd.Src.InteriorCells()) << l
 		s.stepWork[1] += int64(bd.Fluid) << l
-		if remote[bd] {
-			s.frontier[l] = append(s.frontier[l], bd)
-		} else {
-			s.interior[l] = append(s.interior[l], bd)
-		}
 	}
-	return nil
+	return s.sweeps(remote, func(l int, u sweep) {
+		if remote[u.blocks[0]] {
+			s.frontier[l] = append(s.frontier[l], u)
+		} else {
+			s.interior[l] = append(s.interior[l], u)
+		}
+	})
 }
 
 // Run advances the given number of steps and returns the metrics of the
@@ -872,8 +905,12 @@ func (s *Simulation) Workers() int { return s.pool.workers }
 // interior blocks sweep while communication is in flight.
 func (s *Simulation) BlockSplit() (frontier, interior int) {
 	for l := range s.frontier {
-		frontier += len(s.frontier[l])
-		interior += len(s.interior[l])
+		for _, u := range s.frontier[l] {
+			frontier += len(u.blocks)
+		}
+		for _, u := range s.interior[l] {
+			interior += len(u.blocks)
+		}
 	}
 	return frontier, interior
 }
@@ -888,15 +925,21 @@ func (s *Simulation) LocalCells() int64 {
 }
 
 // FieldCells returns the PDF field footprint of this rank in cells, per
-// field: allocated is what the blocks' allocation rows store, block what
-// whole ghosted blocks would. Memory follows the fluid a rank owns when
+// field: allocated is what the blocks' allocation rows store — an arena
+// once, whatever number of views share it — block what whole ghosted
+// blocks would. Memory follows the fluid a rank owns when
 // allocated stays near the cells around the fluid; the two are equal on
 // all-fluid worlds.
 func (s *Simulation) FieldCells() (allocated, block int64) {
 	for _, bd := range s.Blocks {
 		f := bd.Src
-		allocated += int64(f.AllocatedCells())
+		if !f.Rows().View() {
+			allocated += int64(f.AllocatedCells())
+		}
 		block += int64(field.FullWindow(f.Nx, f.Ny, f.Nz, f.Ghost).Cells())
+	}
+	if s.arena != nil {
+		allocated += int64(s.arena.src.AllocatedCells())
 	}
 	return allocated, block
 }

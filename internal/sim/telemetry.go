@@ -48,6 +48,7 @@ type simTel struct {
 	localFloats        *telemetry.Gauge
 	localCopiesElided  *telemetry.Gauge
 	localFloatsElided  *telemetry.Gauge
+	localFloatsAliased *telemetry.Gauge
 	remoteFloatsElided *telemetry.Gauge
 
 	fieldAllocated *telemetry.Gauge
@@ -75,6 +76,7 @@ func resolveSimTel(tr *telemetry.Tracer, reg *telemetry.Registry) simTel {
 		localFloats:        reg.Gauge("sim.exchange.local_floats"),
 		localCopiesElided:  reg.Gauge("sim.exchange.local_copies_elided"),
 		localFloatsElided:  reg.Gauge("sim.exchange.local_floats_elided"),
+		localFloatsAliased: reg.Gauge("sim.exchange.local_floats_aliased"),
 		remoteFloatsElided: reg.Gauge("sim.exchange.remote_floats_elided"),
 
 		fieldAllocated: reg.Gauge("sim.field.allocated_cells"),
@@ -100,6 +102,7 @@ func (s *Simulation) publishGauges() {
 	t.localFloats.Set(float64(es.LocalFloats))
 	t.localCopiesElided.Set(float64(es.LocalCopiesElided))
 	t.localFloatsElided.Set(float64(es.LocalFloatsElided))
+	t.localFloatsAliased.Set(float64(es.LocalFloatsAliased))
 	t.remoteFloatsElided.Set(float64(es.RemoteFloatsElided))
 	allocated, block := s.FieldCells()
 	t.fieldAllocated.Set(float64(allocated))

@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,9 +76,10 @@ func exchangeStats(t *testing.T, doc string) sim.ExchangeStats {
 		mu.Lock()
 		defer mu.Unlock()
 		for name, want := range map[string]int{
-			"sim.exchange.local_floats":        es.LocalFloats,
-			"sim.exchange.local_copies_elided": es.LocalCopiesElided,
-			"sim.exchange.local_floats_elided": es.LocalFloatsElided,
+			"sim.exchange.local_floats":         es.LocalFloats,
+			"sim.exchange.local_copies_elided":  es.LocalCopiesElided,
+			"sim.exchange.local_floats_elided":  es.LocalFloatsElided,
+			"sim.exchange.local_floats_aliased": es.LocalFloatsAliased,
 		} {
 			if got := regs[c.Rank()].Gauge(name).Value(); got != float64(want) {
 				t.Errorf("rank %d: gauge %s = %v, ExchangeStats says %d", c.Rank(), name, got, want)
@@ -87,6 +89,7 @@ func exchangeStats(t *testing.T, doc string) sim.ExchangeStats {
 		sum.LocalFloats += es.LocalFloats
 		sum.LocalCopiesElided += es.LocalCopiesElided
 		sum.LocalFloatsElided += es.LocalFloatsElided
+		sum.LocalFloatsAliased += es.LocalFloatsAliased
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +101,8 @@ func exchangeStats(t *testing.T, doc string) sim.ExchangeStats {
 // the property the need-mask exploits: on the sparse tree most of what the
 // full slabs carried is solid and leaves the plan, on all-fluid worlds —
 // walled or periodic — every ghost slot is read and nothing may be elided.
+// What an all-fluid rank's arena shares does not move either, but it is
+// aliased, not elided: the same-rank slabs are all moved or aliased.
 func TestLocalCopyElisionByWorld(t *testing.T) {
 	for _, ranks := range []int{1, 2} {
 		es := exchangeStats(t, treeDoc(2, 0.05, ranks))
@@ -113,12 +118,127 @@ func TestLocalCopyElisionByWorld(t *testing.T) {
 			"taylor-green": fmt.Sprintf(taylorGreenDoc, ranks),
 		} {
 			es := exchangeStats(t, doc)
-			if es.LocalCopies == 0 || es.LocalFloats == 0 {
-				t.Errorf("%s on %d ranks: no local copies: %+v", name, ranks, es)
+			if es.LocalFloats+es.LocalFloatsAliased == 0 || es.LocalFloatsAliased == 0 {
+				t.Errorf("%s on %d ranks: no local slabs, or none aliased: %+v", name, ranks, es)
 			}
 			if es.LocalCopiesElided != 0 || es.LocalFloatsElided != 0 {
 				t.Errorf("%s on %d ranks: elided %d copies, %d values; want exactly 0",
 					name, ranks, es.LocalCopiesElided, es.LocalFloatsElided)
+			}
+		}
+	}
+}
+
+// benchWorldDocs are the worlds of bench/workloads.go at their smoke size
+// (dense_node, halo_unix, tree_sparse, amr_shear), and halo_unix at its
+// timed size.
+var benchWorldDocs = []struct{ name, doc string }{
+	{"dense_node", `{"version": 1, "geometry": {"example": "cavity", "lid_velocity": 0.05},
+  "resolution": {"grid": [2, 2, 2], "cells_per_block": [8, 8, 8]}, "collision": {"tau": 0.65},
+  "parallel": {"ranks": 1, "workers": 2}, "run": {"steps": 1}}`},
+	{"halo_unix", `{"version": 1, "geometry": {"example": "taylor-green", "amplitude": 0.02},
+  "resolution": {"grid": [2, 2, 2], "cells_per_block": [8, 8, 8]}, "collision": {"tau": 0.8},
+  "parallel": {"ranks": 2}, "run": {"steps": 1}}`},
+	{"tree_sparse", treeDoc(2, 0.05, 2)},
+	{"amr_shear", `{"version": 1, "geometry": {"example": "taylor-green", "amplitude": 0.05},
+  "resolution": {"grid": [16, 1, 1], "cells_per_block": [4, 4, 4]}, "collision": {"tau": 0.53},
+  "refinement": {"max_level": 2, "criterion": "gradient", "refine_above": 0.0015, "coarsen_below": 0.0004, "interval": 4},
+  "physics": {"initial_velocity": [0.04, 0, 0]}, "parallel": {"ranks": 2}, "run": {"steps": 1}}`},
+	{"halo_unix timed", fmt.Sprintf(taylorGreenDoc, 2)},
+}
+
+// TestRunShapesByWorld logs the run-shape histogram of each bench world's
+// exchange plan — per shape of execRuns, the rows and values same-rank
+// copies and remote packs and unpacks move per step — and pins what rank
+// arenas leave of the same-rank copies: on the halo world at its timed
+// size a rank's same-rank values fall by at least 75 % (only the periodic
+// x and y wraps copy), on dense_node to none.
+func TestRunShapesByWorld(t *testing.T) {
+	for _, w := range benchWorldDocs {
+		var mu sync.Mutex
+		err := problemFor(t, w.doc).RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+			h, es := s.RunShapes(), s.ExchangeStats()
+			mu.Lock()
+			defer mu.Unlock()
+			var keys []string
+			for k := range h {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				t.Logf("%s rank %d: %-16s %6d rows %7d values", w.name, c.Rank(), k, h[k].Rows, h[k].Values)
+			}
+			same := 0
+			for _, k := range keys {
+				if strings.HasPrefix(k, "same-rank ") {
+					same += h[k].Values
+				}
+			}
+			if same != es.LocalFloats {
+				t.Errorf("%s rank %d: the same-rank runs move %d values, ExchangeStats %d", w.name, c.Rank(), same, es.LocalFloats)
+			}
+			switch w.name {
+			case "dense_node":
+				if same != 0 || es.LocalFloatsAliased == 0 {
+					t.Errorf("dense_node: %d same-rank values copied (%d aliased), want none", same, es.LocalFloatsAliased)
+				}
+			case "halo_unix timed":
+				if 4*same > same+es.LocalFloatsAliased {
+					t.Errorf("halo rank %d copies %d same-rank values of %d, want at most a quarter", c.Rank(), same, same+es.LocalFloatsAliased)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestArenaRankCountOracle: Taylor–Green in 4x4x4 blocks of 8³ ends on
+// one field hash on 1, 2 and 3 ranks with 1 and 2 workers, in process and
+// over unix sockets. On 1 and 2 ranks every rank's blocks fill a box and
+// share its arena; the Morton thirds of 3 ranks fill none, and no rank
+// forms one.
+func TestArenaRankCountOracle(t *testing.T) {
+	const steps = 10
+	var want uint64
+	for _, network := range []string{"inproc", "unix"} {
+		for _, ranks := range []int{1, 2, 3} {
+			for _, workers := range []int{1, 2} {
+				doc := fmt.Sprintf(`{"version": 1, "geometry": {"example": "taylor-green"},
+  "resolution": {"grid": [4, 4, 4], "cells_per_block": [8, 8, 8]}, "parallel": {"ranks": %d, "workers": %d},
+  "transport": {"network": %q}, "run": {"steps": 1}}`, ranks, workers, network)
+				label := fmt.Sprintf("%s ranks=%d workers=%d", network, ranks, workers)
+				var mu sync.Mutex
+				var hash uint64
+				arenas := 0
+				err := problemFor(t, doc).RunEach(steps, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+					h, err := s.FieldHash()
+					allocated, block := s.FieldCells()
+					mu.Lock()
+					defer mu.Unlock()
+					if err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+					if c.Rank() == 0 {
+						hash = h
+					}
+					if allocated < block {
+						arenas++
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if want == 0 {
+					want = hash
+				}
+				if hash != want {
+					t.Errorf("%s: field hash %016x, want %016x", label, hash, want)
+				}
+				if wantArenas := map[int]int{1: 1, 2: 2, 3: 0}[ranks]; arenas != wantArenas {
+					t.Errorf("%s: %d ranks formed an arena, want %d", label, arenas, wantArenas)
+				}
 			}
 		}
 	}
@@ -666,6 +786,7 @@ type builtState struct {
 	rank      int
 	flags     []field.CellType
 	neighbors []blockforest.Neighbor
+	view      bool // the block's fields are views of its rank's arena
 }
 
 // builtStates records the built state of every block of the rank.
@@ -673,7 +794,7 @@ func builtStates(s *sim.Simulation, mu *sync.Mutex, into map[[3]int]builtState) 
 	mu.Lock()
 	defer mu.Unlock()
 	for _, bd := range s.Blocks {
-		into[bd.Block.Coord] = builtState{s.Comm.Rank(), slices.Clone(bd.Flags.Data()), slices.Clone(bd.Block.Neighbors)}
+		into[bd.Block.Coord] = builtState{s.Comm.Rank(), slices.Clone(bd.Flags.Data()), slices.Clone(bd.Block.Neighbors), bd.Src.Rows().View()}
 	}
 }
 
@@ -706,6 +827,9 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 		{"trimmed tree", treeDocCells(2, 0.02, 8, 3), 1, true},
 		{"cavity", fmt.Sprintf(cavityDoc, 8, 8, 8, 3), 1, false},
 		{"tree on 2 workers", treeDoc(2, 0.05, 3), 2, false},
+		// Every rank's Morton third is a 2x2x2 box of all-fluid blocks: an
+		// arena, re-formed after the shrink and the rebalance.
+		{"arenas", strings.Replace(fmt.Sprintf(cavityDoc, 4, 4, 4, 3), "[2, 2, 2]", "[2, 2, 6]", 1), 1, false},
 	}
 	for _, w := range worlds {
 		p := problemFor(t, w.doc)
@@ -816,6 +940,7 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 					t.Errorf("no block that changed owner lacks a neighbor inside the grid")
 				}
 				want := build(t, ev.ranks, comm.Options{}, owner, func(*comm.Comm, *sim.Simulation) error { return nil })
+				views := 0
 				for coord, w := range want {
 					g := got[coord]
 					if !slices.Equal(g.flags, w.flags) {
@@ -824,6 +949,15 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 					if !slices.Equal(g.neighbors, w.neighbors) {
 						t.Errorf("block %v: neighbors %v, construction builds %v", coord, g.neighbors, w.neighbors)
 					}
+					if g.view != w.view {
+						t.Errorf("block %v: an arena member %v, in construction %v", coord, g.view, w.view)
+					}
+					if w.view {
+						views++
+					}
+				}
+				if w.name == "arenas" && views != len(want) {
+					t.Errorf("%d of %d blocks are arena members, want all", views, len(want))
 				}
 			})
 		}
@@ -1041,8 +1175,9 @@ func linkedHull(st *lattice.Stencil, flags *field.FlagField, y, z int) (lo, hi i
 // fluid's bounding boxes grown by one held 2 661 = 0.114), and the world
 // total is the same on 1, 2 and 4 ranks — what a rank allocates follows the
 // fluid it owns, not the world's box or the rank count. All-fluid worlds
-// store exactly their blocks and index them with the box formula. The
-// gauges publish the same numbers.
+// store exactly their ranks' arenas — each rank's blocks as one box with
+// one ghost layer — and index each block with the box formula of its
+// arena. The gauges publish the same numbers.
 func TestFieldMemoryFollowsFluid(t *testing.T) {
 	footprint := func(doc string, perBlock func(bd *sim.BlockData)) (allocated, block int64) {
 		p := problemFor(t, doc)
@@ -1103,26 +1238,36 @@ func TestFieldMemoryFollowsFluid(t *testing.T) {
 			t.Errorf("tree on %d ranks stores %d cells, on 1 rank %d", ranks, allocated, world)
 		}
 	}
-	for name, doc := range map[string]string{
-		"cavity":       fmt.Sprintf(cavityDoc, 8, 8, 8, 2),
-		"taylor-green": fmt.Sprintf(taylorGreenDoc, 2),
+	// Two ranks: the cavity's 2x2x2 blocks of 8³ are two arenas of
+	// 18x18x10 cells, Taylor–Green's 4x4x4 two of 34x34x18.
+	for name, world := range map[string]struct {
+		doc   string
+		arena int64
+	}{
+		"cavity":       {fmt.Sprintf(cavityDoc, 8, 8, 8, 2), 18 * 18 * 10},
+		"taylor-green": {fmt.Sprintf(taylorGreenDoc, 2), 34 * 34 * 18},
 	} {
-		allocated, block := footprint(doc, func(bd *sim.BlockData) {
+		allocated, block := footprint(world.doc, func(bd *sim.BlockData) {
 			f := bd.Src
+			sy, sz := f.Rows().Strides()
+			if !f.Rows().View() || sy*sz == 0 {
+				t.Fatalf("%s block %v stores no arena view (strides %d, %d)", name, bd.Block.Coord, sy, sz)
+			}
 			box := field.FullWindow(f.Nx, f.Ny, f.Nz, f.Ghost)
+			origin := f.CellIndex(box.Lo[0], box.Lo[1], box.Lo[2])
 			for z := box.Lo[2]; z < box.Hi[2]; z++ {
 				for y := box.Lo[1]; y < box.Hi[1]; y++ {
 					for x := box.Lo[0]; x < box.Hi[0]; x++ {
-						want := ((z-box.Lo[2])*(box.Hi[1]-box.Lo[1])+y-box.Lo[1])*(box.Hi[0]-box.Lo[0]) + x - box.Lo[0]
+						want := origin + (z-box.Lo[2])*sz + (y-box.Lo[1])*sy + x - box.Lo[0]
 						if got := f.CellIndex(x, y, z); got != want {
-							t.Fatalf("%s block %v: CellIndex(%d,%d,%d) = %d, box formula %d", name, bd.Block.Coord, x, y, z, got, want)
+							t.Fatalf("%s block %v: CellIndex(%d,%d,%d) = %d, arena box formula %d", name, bd.Block.Coord, x, y, z, got, want)
 						}
 					}
 				}
 			}
 		})
-		if allocated != block || block == 0 {
-			t.Errorf("%s stores %d of %d cells, want exactly its blocks", name, allocated, block)
+		if allocated != 2*world.arena || block == 0 {
+			t.Errorf("%s stores %d of %d cells, want its two arenas' %d", name, allocated, block, 2*world.arena)
 		}
 	}
 }
