@@ -73,10 +73,14 @@ race-net:
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
-# gate, bit-identical suspend/resume, the scenario schema round trip and
-# the HTTP API surface — and, because every one of them starts its world
-# through it, the launcher (internal/core: first-error capture, world
-# revocation, spare parking) and the walberla-sim front end on top.
+# gate, bit-identical suspend/resume — of a refined session too, which
+# ends on the command line's hash, snapshots one VTK file per leaf and
+# refuses a steer (TestRefinedSessionLifecycle) — the scenario schema
+# round trip, the one VTK writer (TestVTKFiles) and the HTTP API surface —
+# and, because every one of them starts its world through it, the
+# launcher (internal/core: first-error capture, world revocation, spare
+# parking, the step count of an interrupted healed run) and the
+# walberla-sim front end on top.
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./internal/scenario/ ./internal/core/ ./cmd/walberla-sim/
 

@@ -222,11 +222,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err := reject("does not apply to a refined scenario (the roofline model is the uniform world's)", "machine"); err != nil {
 			return err
 		}
-		cfg, err := sc.AMRConfig()
-		if err != nil {
-			return err
-		}
-		w.Refined = &cfg
+		machine = nil
 	}
 	if w.Resilience == nil {
 		if err := reject("needs the fault-tolerant driver (-checkpoint-every or -inject-fault)",
@@ -294,8 +290,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				return err
 			}
 		}
-		if r.Refined != nil {
-			return nil // the roofline model is the uniform world's
+		if machine == nil {
+			return nil // a refined world: no roofline model
 		}
 		// The live measured-vs-model comparison lands in the registry, so
 		// the metrics snapshot (file and HTTP endpoint) reports per-phase

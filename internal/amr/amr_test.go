@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -487,8 +488,10 @@ func TestUniformMatchesLevelZero(t *testing.T) {
 // TestDepthZeroIsUniform: a uniform world is a refined world at depth 0,
 // bit for bit. The same dense periodic world with a Gaussian jet, on 4×2×2
 // and on 4×4×4 roots of 16³ cells, built once by sim.New on a distributed
-// forest and once by New with refinement off, ends 100 steps on the same
-// Simulation.FieldHash, on 2 ranks × 2 workers.
+// forest and once by New with refinement off, ends 100 steps with every
+// block's interior bit-equal, on 2 ranks × 2 workers. (The two hash
+// differently: Simulation.FieldHash keys a refined world's blocks by
+// their leaf identity.)
 func TestDepthZeroIsUniform(t *testing.T) {
 	const steps = 100
 	for _, grid := range [][3]int{{4, 2, 2}, {4, 4, 4}} {
@@ -501,30 +504,35 @@ func TestDepthZeroIsUniform(t *testing.T) {
 			}
 			return s.Plane(), nil
 		}
-		var hashes [2]uint64
+		var mu sync.Mutex
+		bits := [2]map[[3]int][]uint64{{}, {}}
 		for i, build := range []func(*comm.Comm, Config) (*sim.Simulation, error){uniformTwin, refined} {
 			comm.Run(2, func(c *comm.Comm) {
 				s, err := build(c, cfg)
 				if err == nil {
 					_, err = s.Run(steps)
 				}
-				var h uint64
-				if err == nil {
-					h, err = s.FieldHash()
-				}
 				if err != nil {
 					t.Errorf("grid %v world %d rank %d: %v", grid, i, c.Rank(), err)
+					return
 				}
-				if c.Rank() == 0 {
-					hashes[i] = h
+				mu.Lock()
+				defer mu.Unlock()
+				for _, bd := range s.Blocks {
+					bits[i][bd.Block.Coord] = interiorBits(bd.Src)
 				}
 			})
 		}
 		if t.Failed() {
 			t.FailNow()
 		}
-		if hashes[0] != hashes[1] {
-			t.Errorf("grid %v: refined world at depth 0 hashes %016x, the uniform world %016x", grid, hashes[1], hashes[0])
+		if n := grid[0] * grid[1] * grid[2]; len(bits[0]) != n || len(bits[1]) != n {
+			t.Fatalf("grid %v: %d uniform and %d refined blocks, want %d", grid, len(bits[0]), len(bits[1]), n)
+		}
+		for coord, want := range bits[0] {
+			if !slices.Equal(bits[1][coord], want) {
+				t.Errorf("grid %v: refined world at depth 0 differs from the uniform world in block %v", grid, coord)
+			}
 		}
 	}
 }

@@ -185,20 +185,9 @@ func (s *Sim) setForest(leaves []blockforest.Leaf) {
 	s.tel.cells.Set(float64(s.TotalCells()))
 }
 
-// FieldHash folds every interior PDF value of every leaf into one
-// FNV-1a hash, identical on all ranks (sim.WorldHash). Leaves are sorted
-// by the full leaf identity (forest order is placement-independent) and
-// folded with level metadata, so equal hashes mean bit-identical refined
-// worlds regardless of rank count, worker count, transport or layout.
-func (s *Sim) FieldHash() (uint64, error) {
-	keys := make([][]uint64, len(s.plane.Blocks))
-	for i, bd := range s.plane.Blocks {
-		id, c := bd.Block.ID, bd.Block.Coord
-		keys[i] = []uint64{uint64(id.Tree), id.Path, uint64(id.Level),
-			uint64(int64(c[0])), uint64(int64(c[1])), uint64(int64(c[2]))}
-	}
-	return sim.WorldHash(s.plane.Comm, s.plane.Blocks, keys, []int{0, 2, 1}) // tree, level, path
-}
+// FieldHash is the data plane's field hash (sim.Simulation.FieldHash),
+// which keys a refined world's leaves by their full identity.
+func (s *Sim) FieldHash() (uint64, error) { return s.plane.FieldHash() }
 
 // Steps returns the number of completed coarse steps: the plane's
 // simulated time (sim.Simulation.WorldStep).

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 
+	"walberla/internal/amr"
 	"walberla/internal/blockforest"
 	"walberla/internal/boundary"
 	"walberla/internal/comm"
@@ -43,6 +44,11 @@ type Problem struct {
 	CellsPerBlock [3]int
 	// Periodic marks periodic axes of dense problems.
 	Periodic [3]bool
+	// Refinement, with MaxLevel > 0, makes a dense problem a refined world
+	// (internal/amr): its grid's blocks are the roots of a 2:1-graded
+	// octree whose controller refines and coarsens at run time, on the
+	// same data plane, driver and recovery as a uniform world.
+	Refinement amr.Refinement
 
 	// Stencil, Kernel, Tau, Magic, Boundary, Force and InitialVelocity
 	// configure the solver as in sim.Config (nil Stencil means D3Q19).
@@ -94,13 +100,17 @@ type Problem struct {
 // session layers build it once and reuse it across world restarts so a
 // resumed session restores onto the identical block assignment). A
 // geometry problem keeps the kept blocks' voxels for SimConfig's flag
-// hook, so BuildForest must not run while a world of p is being built.
+// hook, so BuildForest must not run while a world of p is being built. A
+// refined problem has none: every rank builds its roots (amr.New).
 func (p *Problem) BuildForest() (*blockforest.SetupForest, error) {
 	ranks := p.Ranks
 	if ranks == 0 {
 		ranks = 1
 	}
-	if p.Geometry != nil {
+	switch {
+	case p.Refinement.MaxLevel > 0:
+		return nil, nil
+	case p.Geometry != nil:
 		if p.Dx <= 0 {
 			return nil, fmt.Errorf("core: geometry problems need Dx > 0")
 		}
@@ -154,6 +164,13 @@ func (p *Problem) SimConfig() sim.Config {
 		cfg.SetupFlags = setup.FlagsFromSDF(p.Geometry, p.voxels)
 	}
 	return cfg
+}
+
+// AMRConfig assembles the refined world's configuration of this problem:
+// SimConfig on the dense grid's roots, with its refinement section;
+// amr.New normalizes it with Config.Validate.
+func (p *Problem) AMRConfig() amr.Config {
+	return amr.Config{Config: p.SimConfig(), Grid: p.Grid, Cells: p.CellsPerBlock, Periodic: p.Periodic, Refinement: p.Refinement}
 }
 
 // Run executes the problem for the given number of time steps and returns

@@ -11,7 +11,6 @@ import (
 	"walberla/internal/amr"
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
-	"walberla/internal/field"
 	"walberla/internal/output"
 	"walberla/internal/sim"
 )
@@ -22,7 +21,8 @@ import (
 type World struct {
 	// Forest, if non-nil, is the block structure to distribute (loaded
 	// from a file, or kept by a session across residencies so a resumed
-	// world lands on the identical assignment); nil builds p.BuildForest().
+	// world lands on the identical assignment); nil builds p.BuildForest()
+	// (a refined problem has none).
 	Forest *blockforest.SetupForest
 	// Comm configures the communicator: transport, fault plan and
 	// failure-detection timeout.
@@ -30,10 +30,6 @@ type World struct {
 	// Spares parks this many extra ranks beside the p.Ranks active ones;
 	// heal recovery recruits them (needs Resilience in heal mode).
 	Spares int
-	// Refined, if non-nil, builds a refined world (internal/amr) on every
-	// rank instead of distributing a uniform forest; it runs on the same
-	// data plane, driver and recovery.
-	Refined *amr.Config
 	// Prepare, if non-nil, runs collectively on every active rank between
 	// building the world and the first step (restoring a checkpoint set,
 	// say); an error on any rank ends the launch before the time loop.
@@ -51,11 +47,9 @@ type World struct {
 }
 
 // Rank is one rank's runtime as Launch hands it to the body: Sim is the
-// data plane that runs it, of a uniform and a refined world alike; Refined
-// is a refined world's leaf set and controller (nil on a uniform one).
+// data plane that runs it, of a uniform and a refined world alike.
 type Rank struct {
-	Sim     *sim.Simulation
-	Refined *amr.Sim
+	Sim *sim.Simulation
 	// Joined marks a parked spare that a heal recruited: its runtime has
 	// already finished the run when the body sees it, with Metrics and Err
 	// as the driver returned them. Execute fills both for every rank.
@@ -74,24 +68,25 @@ type Outcome struct {
 	// fields are bit-identical.
 	Hash uint64
 	// Steps is the number of steps of the run, resumed or not, replays
-	// not counted; when interrupted, the steps rank 0 executed.
+	// not counted; when interrupted, how far the fields got before it.
 	Steps int
 	// Levels is the final leaf count per refinement level (refined worlds
-	// only; nil for uniform runs).
+	// only, sim.Simulation.LeafLevels; nil for uniform runs).
 	Levels []int
 	// Interrupted reports that the context cancelled the run at a step
 	// boundary; the fields (and Hash) are the consistent state there.
 	Interrupted bool
 }
 
-func (w *World) validate(ranks int) error {
+func (w *World) validate(p *Problem) error {
+	ranks := max(p.Ranks, 1)
 	n := ranks + w.Spares
 	switch {
 	case w.Steps < 0 || w.RebalanceEvery < 0 || w.Spares < 0:
 		return fmt.Errorf("core: negative steps, rebalance interval or spare count")
 	case w.Spares > 0 && (w.Resilience == nil || w.Resilience.Mode != sim.RecoverHeal || w.Resilience.CheckpointEvery <= 0):
 		return fmt.Errorf("core: %d spare ranks need heal-mode recovery with a checkpoint interval", w.Spares)
-	case w.RebalanceEvery > 0 && (w.Resilience != nil || w.Refined != nil):
+	case w.RebalanceEvery > 0 && (w.Resilience != nil || p.Refinement.MaxLevel > 0):
 		return fmt.Errorf("core: workload rebalancing cannot be combined with the fault-tolerant driver or a refined world")
 	case w.Forest != nil && w.Forest.MaxRank() >= ranks:
 		return fmt.Errorf("core: the forest is balanced for %d ranks, the world has %d", w.Forest.MaxRank()+1, ranks)
@@ -119,12 +114,12 @@ func (w *World) validate(ranks int) error {
 // the world, so peers blocked on it fail instead of waiting. A body
 // returning sim.ErrRetired left the world on purpose and is no error.
 func (p *Problem) Launch(ctx context.Context, w World, body func(r *Rank) error) error {
-	ranks := max(p.Ranks, 1)
-	if err := w.validate(ranks); err != nil {
+	if err := w.validate(p); err != nil {
 		return err
 	}
+	ranks := max(p.Ranks, 1)
 	forest := w.Forest
-	if forest == nil && w.Refined == nil {
+	if forest == nil {
 		var err error
 		if forest, err = p.BuildForest(); err != nil {
 			return err
@@ -164,21 +159,22 @@ func (p *Problem) launchRank(ctx context.Context, c *comm.Comm, ranks int, w *Wo
 		cfg.Tracer, cfg.Metrics = p.TelemetryFor(c.WorldRank())
 	}
 	r := &Rank{}
-	// build makes this rank's world on c: the refined one, or the uniform
-	// one on the distributed forest; a spare's owns no block yet.
+	// build makes this rank's world on c: the refined one on its roots, or
+	// the uniform one on the distributed forest; a spare's owns no block
+	// yet.
 	build := func(c *comm.Comm, spare bool) (*sim.Simulation, error) {
 		switch {
-		case w.Refined != nil:
-			rcfg, newRefined := *w.Refined, amr.New
+		case p.Refinement.MaxLevel > 0:
+			rcfg, newRefined := p.AMRConfig(), amr.New
 			rcfg.Tracer, rcfg.Metrics = cfg.Tracer, cfg.Metrics
 			if spare {
 				newRefined = amr.NewSpare
 			}
-			var err error
-			if r.Refined, err = newRefined(c, rcfg); err != nil {
+			a, err := newRefined(c, rcfg)
+			if err != nil {
 				return nil, err
 			}
-			return r.Refined.Plane(), nil
+			return a.Plane(), nil
 		case spare:
 			return sim.New(c, &blockforest.BlockForest{Rank: c.Rank(), NumRanks: c.Size(), Domain: forest.Domain,
 				GridSize: forest.GridSize, CellsPerBlock: forest.CellsPerBlock, Periodic: forest.Periodic}, cfg)
@@ -304,62 +300,44 @@ func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
 	return m, nil
 }
 
-// finish fingerprints the rank's runtime into o — a refined world with
-// the hash that folds every leaf's identity — and returns the
-// communicator it ended the run on. Steps are this run's on either world,
-// also when it resumed a checkpoint set: its metrics' (replays left out),
-// or the steps executed before an interruption.
+// finish fingerprints the rank's runtime into o and returns the
+// communicator it ended the run on. Steps are this run's, also when it
+// resumed a checkpoint set, replays left out: its metrics', or how far an
+// interrupted run got.
 func (r *Rank) finish(o *Outcome) (c *comm.Comm, err error) {
 	o.Steps = o.Metrics.Steps
 	if o.Interrupted {
 		o.Steps = r.Sim.Steps()
 	}
-	if a := r.Refined; a != nil {
-		o.Hash, err = a.FieldHash()
-		o.Levels = a.LevelCounts()
-	} else {
-		o.Hash, err = r.Sim.FieldHash()
+	if o.Hash, err = r.Sim.FieldHash(); err == nil {
+		o.Levels, err = r.Sim.LeafLevels()
 	}
 	return r.Sim.Comm, err
 }
 
 // WriteVTK dumps every local block's field into dir (created if missing)
-// as block_X_Y_Z.vtk, or block_L<level>_X_Y_Z.vtk on a refined world,
-// where the spacing halves per level so viewers reassemble the
-// mixed-resolution domain in physical coordinates. Each rank writes only
-// its own blocks, so callers need no coordination.
+// as <name>.vtk (sim.Simulation.BlockName: block_X_Y_Z, or
+// block_L<level>_X_Y_Z on a refined world), placed and spaced by the
+// block's box, so viewers reassemble a mixed-resolution domain in
+// physical coordinates. Each rank writes only its own blocks, so callers
+// need no coordination.
 func (r *Rank) WriteVTK(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, src *field.PDFField, flags *field.FlagField, corner [3]float64, h float64) error {
+	for _, bd := range r.Sim.Blocks {
+		b, name := bd.Block, r.Sim.BlockName(bd)
+		h := (b.AABB.Max[0] - b.AABB.Min[0]) / float64(bd.Src.Nx)
+		origin := [3]float64{b.AABB.Min[0] + h/2, b.AABB.Min[1] + h/2, b.AABB.Min[2] + h/2}
 		f, err := os.Create(filepath.Join(dir, name+".vtk"))
 		if err != nil {
 			return err
 		}
-		origin := [3]float64{corner[0] + h/2, corner[1] + h/2, corner[2] + h/2}
-		err = output.WriteVTK(f, name, src, flags, origin, h)
+		err = output.WriteVTK(f, name, bd.Src, bd.Flags, origin, h)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		return err
-	}
-	if r.Refined != nil {
-		for _, b := range r.Refined.OwnedBlocks() {
-			h := 1 / float64(int(1)<<uint(b.Level()))
-			name := fmt.Sprintf("block_L%d_%d_%d_%d", b.Level(), b.Idx[0], b.Idx[1], b.Idx[2])
-			corner := [3]float64{float64(b.Idx[0]*b.Src.Nx) * h, float64(b.Idx[1]*b.Src.Ny) * h, float64(b.Idx[2]*b.Src.Nz) * h}
-			if err := write(name, b.Src, b.Flags, corner, h); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, bd := range r.Sim.Blocks {
-		b := bd.Block
-		h := (b.AABB.Max[0] - b.AABB.Min[0]) / float64(bd.Src.Nx)
-		name := fmt.Sprintf("block_%d_%d_%d", b.Coord[0], b.Coord[1], b.Coord[2])
-		if err := write(name, bd.Src, bd.Flags, b.AABB.Min, h); err != nil {
+		if err != nil {
 			return err
 		}
 	}

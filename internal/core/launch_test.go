@@ -139,6 +139,61 @@ func TestExecuteReportsFromWhoeverIsRankZero(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err turns Canceled after a fixed number
+// of calls. Each member of a world calls Err once per step boundary, in
+// the cancellation vote, so the step a run stops at follows from the
+// count alone, with no goroutine timing involved.
+type cancelAfter struct {
+	context.Context
+	after int32
+	calls atomic.Int32
+	done  chan struct{}
+}
+
+// Done is non-nil, so the drivers vote; it never fires.
+func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestInterruptedHealedRunCountsItsSteps: an interrupted run reports the
+// steps it got through, replays not counted. Rank 1 crashes at step 3, a
+// spare takes its place and the world replays from the step-2
+// generation; cancelled a few steps after that replay, the run reports
+// the step its fields are at, not the steps it executed.
+func TestInterruptedHealedRunCountsItsSteps(t *testing.T) {
+	w := World{Steps: 20, Spares: 1,
+		Resilience: &sim.ResilienceConfig{CheckpointEvery: 2, Mode: sim.RecoverHeal, MaxFailures: -1},
+		Comm:       comm.Options{Faults: &comm.FaultPlan{Seed: 1, Crashes: []comm.CrashSpec{{Rank: 1, Step: 3}}}}}
+	// Two votes per boundary: steps 0–3 before the crash, then 2, 3, 4 and
+	// 5 after the heal.
+	ctx := &cancelAfter{Context: context.Background(), after: 16, done: make(chan struct{})}
+	at := 0
+	var out Outcome
+	err := within(t, func() (err error) {
+		out, err = cavity(2).Execute(ctx, w, func(r *Rank) error {
+			if r.Sim.Comm.Rank() == 0 {
+				at = r.Sim.WorldStep()
+			}
+			return nil
+		})
+		return err
+	})
+	if err != nil || !out.Interrupted {
+		t.Fatalf("got %+v, %v; want an interrupted run", out, err)
+	}
+	if at <= 3 {
+		t.Fatalf("the run stopped at step %d, before the crash at step 3 was healed", at)
+	}
+	if out.Steps != at {
+		t.Errorf("the interrupted run reports %d steps; its fields are at step %d", out.Steps, at)
+	}
+}
+
 // TestWorldValidation: what cannot start is an error before any rank runs.
 func TestWorldValidation(t *testing.T) {
 	forest, err := cavity(4).BuildForest()

@@ -56,28 +56,15 @@ func (sc *Scenario) validateRefinement() error {
 // AMR reports whether the scenario runs a refined world.
 func (sc *Scenario) AMR() bool { return sc.Refinement.MaxLevel > 0 }
 
-// AMRConfig maps a validated scenario onto the refined world's
-// configuration: the problem's solver configuration (Problem, SimConfig)
-// with its root grid and the refinement section. The mapping is pure, like
-// Problem.
+// AMRConfig is the refined world's configuration of a validated
+// scenario (core.Problem.AMRConfig), checked by amr.Config.Validate. The
+// mapping is pure, like Problem.
 func (sc *Scenario) AMRConfig() (amr.Config, error) {
 	p, err := sc.Problem()
 	if err != nil {
 		return amr.Config{}, err
 	}
-	cfg := amr.Config{
-		Config:   p.SimConfig(),
-		Grid:     p.Grid,
-		Cells:    p.CellsPerBlock,
-		Periodic: p.Periodic,
-		Refinement: amr.Refinement{
-			MaxLevel:     sc.Refinement.MaxLevel,
-			Criterion:    amr.Criterion(sc.Refinement.Criterion),
-			RefineAbove:  sc.Refinement.RefineAbove,
-			CoarsenBelow: sc.Refinement.CoarsenBelow,
-			Interval:     sc.Refinement.Interval,
-		},
-	}
+	cfg := p.AMRConfig()
 	if err := cfg.Validate(); err != nil {
 		return amr.Config{}, fmt.Errorf("scenario: %w", err)
 	}

@@ -52,13 +52,6 @@ func Execute(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result, er
 	if rc, resilient := sc.Resilient(); resilient {
 		w.Resilience = &rc
 	}
-	if sc.AMR() {
-		cfg, err := sc.AMRConfig()
-		if err != nil {
-			return Result{}, err
-		}
-		w.Refined = &cfg
-	}
 	return p.Execute(ctx, w, func(r *core.Rank) error {
 		if opts.Each != nil {
 			opts.Each(r.Sim.Comm, r.Sim)

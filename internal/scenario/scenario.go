@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"walberla/internal/amr"
 	"walberla/internal/boundary"
 	"walberla/internal/comm"
 	"walberla/internal/core"
@@ -555,6 +556,13 @@ func (sc *Scenario) Problem() (*core.Problem, error) {
 		Ranks:           sc.Parallel.Ranks,
 		Workers:         sc.Parallel.Workers,
 		Seed:            sc.Geometry.Seed,
+		Refinement: amr.Refinement{
+			MaxLevel:     sc.Refinement.MaxLevel,
+			Criterion:    amr.Criterion(sc.Refinement.Criterion),
+			RefineAbove:  sc.Refinement.RefineAbove,
+			CoarsenBelow: sc.Refinement.CoarsenBelow,
+			Interval:     sc.Refinement.Interval,
+		},
 	}
 	switch sc.Geometry.Example {
 	case "cavity":

@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -436,22 +438,73 @@ func TestCheckpointingSessionNeedsNoDir(t *testing.T) {
 	}
 }
 
-// TestCreateRejectsRefinement: refined scenarios run on the AMR driver,
-// which the stateful session loop does not host — Create must refuse
-// them with a 400 rather than silently running uniform.
-func TestCreateRejectsRefinement(t *testing.T) {
+// TestRefinedSessionLifecycle: a refined scenario is a session like any
+// other. Created, stepped 2, suspended, resumed and stepped 4 more, it
+// ends on the hash of scenario.Execute, which is the command line's
+// (walberla-sim -scenario amr-cavity.json); a snapshot writes one file per
+// leaf, byte for byte what Execute's VTK dump writes. Steering it is a
+// 400 naming physics.force — a refined world takes no body force — and
+// leaves the fields as they were.
+func TestRefinedSessionLifecycle(t *testing.T) {
+	const cliHash = 0xff71bdd150329bef
+	load := func() *scenario.Scenario {
+		sc, err := scenario.ParseFile(filepath.Join("..", "scenario", "testdata", "amr-cavity.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	vtk := t.TempDir()
+	want, err := scenario.Execute(context.Background(), load(), scenario.ExecuteOptions{VTKDir: vtk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Hash != cliHash || want.Steps != 6 {
+		t.Fatalf("scenario.Execute: %d steps to %016x, want 6 to %016x", want.Steps, want.Hash, uint64(cliHash))
+	}
+
 	s := newTestServer(t, Config{})
-	sc := testScenario(t, 4)
-	sc.Refinement = scenario.RefinementSpec{MaxLevel: 1, RefineAbove: 0.01}
-	_, err := s.Create(sc, "tenant-a")
-	if err == nil {
-		t.Fatal("Create accepted a refined scenario")
+	sess, err := s.Create(load(), "tenant-a")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("want 400 APIError, got %v", err)
+	ctx := context.Background()
+	if _, _, err := s.Step(ctx, sess.ID, 2); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "refinement") {
-		t.Errorf("error %q does not mention refinement", err)
+	if err := s.Suspend(ctx, sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Resume(ctx, sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Steer(ctx, sess.ID, [3]float64{1e-6, 0, 0})
+	apiStatus(t, err, 400)
+	if !strings.Contains(err.Error(), "physics.force") {
+		t.Errorf("steer refusal %q does not name physics.force", err)
+	}
+	hash, stepped, err := s.Step(ctx, sess.ID, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepped != 6 || hash != want.Hash {
+		t.Fatalf("stepped %d to hash %016x, want 6 steps and %016x", stepped, hash, want.Hash)
+	}
+
+	frame, files, err := s.Snapshot(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 36 {
+		t.Fatalf("snapshot lists %d files, want one per leaf (36)", len(files))
+	}
+	for _, name := range files {
+		got, err := os.ReadFile(filepath.Join(sess.dir, frame, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, err := os.ReadFile(filepath.Join(vtk, name)); err != nil || !bytes.Equal(got, w) {
+			t.Errorf("snapshot %s differs from scenario.Execute's (%v)", name, err)
+		}
 	}
 }

@@ -94,12 +94,6 @@ func (s *Server) Create(sc *scenario.Scenario, tenant string) (*Session, error) 
 	if err := sc.Validate(); err != nil {
 		return nil, &APIError{Status: 400, Err: err}
 	}
-	if sc.AMR() {
-		// Sessions run the stateful uniform driver (suspend/resume via
-		// checkpoint sets, supervised respawn); the AMR driver is batch-run
-		// only for now. Refusing here beats silently dropping refinement.
-		return nil, &APIError{Status: 400, Err: fmt.Errorf("serve: refined scenarios (refinement.max_level > 0) are not supported as sessions; run them with walberla-sim or scenario.Execute")}
-	}
 	// A session parks no spare, recovers by respawning its whole world
 	// from its last set, keeps its sets under its own data directory and
 	// never rebalances: keys asking for more are refused by name, not
@@ -255,11 +249,18 @@ func (s *Server) Step(ctx context.Context, id string, n int) (uint64, int, error
 }
 
 // Steer atomically replaces the session's body force between step
-// batches — live steering of a running simulation.
+// batches — live steering of a running simulation. The force must be one
+// the session's scenario validates with: a refined world takes none, since
+// forcing is not rescaled per level (docs/AMR.md).
 func (s *Server) Steer(ctx context.Context, id string, force [3]float64) error {
 	sess, err := s.Get(id)
 	if err != nil {
 		return err
+	}
+	steered := *sess.scenario
+	steered.Physics.Force = force
+	if err := steered.Validate(); err != nil {
+		return &APIError{Status: 400, Err: fmt.Errorf("serve: steering physics.force: %w", err)}
 	}
 	_, err = sess.send(ctx, wireCmd{Op: opSteer, Force: force})
 	return err

@@ -74,7 +74,8 @@ type Session struct {
 	srv      *Server
 	scenario *scenario.Scenario
 	// forest is built once at create and reused for every revival, so a
-	// resumed world restores onto the identical block assignment.
+	// resumed world restores onto the identical block assignment (nil for
+	// a refined world, which builds its roots on every rank).
 	forest *blockforest.SetupForest
 	dir    string // per-session spill directory (checkpoint sets, frames)
 

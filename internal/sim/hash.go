@@ -5,52 +5,44 @@ import (
 	"math"
 	"sort"
 
-	"walberla/internal/comm"
+	"walberla/internal/blockforest"
 	"walberla/internal/field"
 	"walberla/internal/lattice"
 )
 
-// FieldHash is the collective state fingerprint of the session and
-// scenario APIs: every rank hashes the interior cells of its blocks'
-// current PDF fields, the per-block digests are gathered, ordered by
-// global block coordinate and folded into a single value that every rank
-// returns. Two runs of the same scenario produce the same hash exactly
-// when their fields are bit-identical — independent of rank count,
-// worker count, block assignment and memory layout, because the fold
-// order is the global coordinate order and cells are visited in
-// canonical (z, y, x, direction) order through the layout-agnostic
-// accessor.
+// FieldHash is the collective state fingerprint of every front end: every
+// rank hashes the interior cells of its blocks' current PDF fields, and
+// the per-block digests are gathered on rank 0, ordered by block identity
+// and folded — key words, then digest — into a single value that every
+// rank returns. A block's key is its global coordinate (z, y, x order) on
+// a world without a Refiner, and its full leaf identity on a refined one
+// (tree, level, path order; the words tree, path, level, coordinate), so
+// equal hashes mean bit-identical fields regardless of rank count, worker
+// count, block assignment, transport and memory layout: cells are visited
+// in canonical (z, y, x, direction) order through the layout-agnostic
+// accessor. Each rank sends its entries as one []int64: per block the
+// key's length, its words and the digest.
 func (s *Simulation) FieldHash() (uint64, error) {
-	keys := make([][]uint64, len(s.Blocks))
-	for i, bd := range s.Blocks {
-		c := bd.Block.Coord
-		keys[i] = []uint64{uint64(int64(c[0])), uint64(int64(c[1])), uint64(int64(c[2]))}
+	order := []int{2, 1, 0}
+	if s.refiner != nil {
+		order = []int{0, 2, 1}
 	}
-	return WorldHash(s.Comm, s.Blocks, keys, []int{2, 1, 0})
-}
-
-// WorldHash is the fold behind both runtimes' FieldHash: the interior
-// digest of every local block, keyed by the words naming the block
-// (keys[i] for blocks[i]), is gathered on rank 0, the entries are sorted
-// by the key words order lists, most significant first, and folded — key
-// words, then digest — into one value, which every rank returns. Each
-// rank sends its entries as one []int64: per block the key's length, its
-// words and the digest. Collective.
-func WorldHash(c *comm.Comm, blocks []*BlockData, keys [][]uint64, order []int) (uint64, error) {
 	var local []int64
-	for i, bd := range blocks {
-		local = append(local, int64(len(keys[i])))
-		for _, w := range keys[i] {
-			local = append(local, int64(w))
+	for _, bd := range s.Blocks {
+		id, c := bd.Block.ID, bd.Block.Coord
+		if s.refiner != nil {
+			local = append(local, 6, int64(id.Tree), int64(id.Path), int64(id.Level))
+		} else {
+			local = append(local, 3)
 		}
-		local = append(local, int64(hashInterior(bd.Src)))
+		local = append(local, int64(c[0]), int64(c[1]), int64(c[2]), int64(hashInterior(bd.Src)))
 	}
-	gathered, err := c.GatherErr(0, local)
+	gathered, err := s.Comm.GatherErr(0, local)
 	if err != nil {
 		return 0, err
 	}
 	var h uint64
-	if c.Rank() == 0 {
+	if s.Comm.Rank() == 0 {
 		var all [][]int64 // key words, then digest
 		for _, g := range gathered {
 			for words := g.([]int64); len(words) > 0; {
@@ -73,7 +65,7 @@ func WorldHash(c *comm.Comm, blocks []*BlockData, keys [][]uint64, order []int) 
 			}
 		}
 	}
-	v, err := c.BcastErr(0, int64(h))
+	v, err := s.Comm.BcastErr(0, int64(h))
 	if err != nil {
 		return 0, err
 	}
@@ -82,6 +74,19 @@ func WorldHash(c *comm.Comm, blocks []*BlockData, keys [][]uint64, order []int) 
 		return 0, fmt.Errorf("sim: field hash broadcast carried %T", v)
 	}
 	return uint64(hv), nil
+}
+
+// BlockName names a block in per-block output files: block_X_Y_Z by its
+// grid coordinate on a world without a Refiner, block_L<level>_X_Y_Z by
+// its index on its level's block grid on a refined one, where leaves of
+// one root share its coordinate.
+func (s *Simulation) BlockName(bd *BlockData) string {
+	b := bd.Block
+	if s.refiner == nil {
+		return fmt.Sprintf("block_%d_%d_%d", b.Coord[0], b.Coord[1], b.Coord[2])
+	}
+	i := blockforest.LevelIndex(b.Coord, b.ID)
+	return fmt.Sprintf("block_L%d_%d_%d_%d", b.ID.Level, i[0], i[1], i[2])
 }
 
 const (

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"walberla/internal/blockforest"
+	"walberla/internal/comm"
 	"walberla/internal/lattice"
 )
 
@@ -74,6 +75,30 @@ type Refiner interface {
 // runs r's pass first, Land and Commit take r's depth and transfers, and a
 // restore without a surviving generation rebuilds r's step-0 forest.
 func (s *Simulation) SetRefiner(r Refiner) { s.refiner = r }
+
+// LeafLevels returns the global leaf count per level of a refined world,
+// from level 0 to the deepest level present, counted over every rank's
+// blocks; nil on a world without a Refiner. Collective on a refined world.
+func (s *Simulation) LeafLevels() ([]int, error) {
+	if s.refiner == nil {
+		return nil, nil
+	}
+	counts := make([]int, s.refiner.Depth()+1)
+	for _, bd := range s.Blocks {
+		counts[bd.Block.ID.Level]++
+	}
+	for l, n := range counts {
+		total, err := s.Comm.AllreduceInt64Err(int64(n), comm.Sum[int64])
+		if err != nil {
+			return nil, err
+		}
+		counts[l] = int(total)
+	}
+	for len(counts) > 1 && counts[len(counts)-1] == 0 {
+		counts = counts[:len(counts)-1]
+	}
+	return counts, nil
+}
 
 // TauAt returns the relaxation time of refinement level l under acoustic
 // scaling: both dx and dt halve per level, so ν = c_s²(τ−1/2)dt requires

@@ -869,9 +869,10 @@ func (s *Simulation) SetForce(f [3]float64) {
 	s.force = newForcing(s.Stencil, f)
 }
 
-// Steps returns the number of time steps executed since the last timer
-// reset.
-func (s *Simulation) Steps() int { return s.steps }
+// Steps returns the steps of the current run net of replays — how far
+// simulated time got past the step the run started at (the last timer
+// reset) — as the run's metrics count them.
+func (s *Simulation) Steps() int { return s.worldSteps - s.runFrom }
 
 // WorldStep returns the simulated-time step the fields are at: every step
 // taken since New, counted from the step of the last restored checkpoint
