@@ -107,7 +107,8 @@ race-amr:
 # storage: interval kernels, per-row pulls, masked copies), the refined
 # twins TestStepZeroAllocRefined and TestStepZeroAllocRefinedTraced (a
 # coarse step of a static three-level forest: the same overlapped step,
-# run per level sub-step), and
+# run per level sub-step, whose refined leaves share an arena swept as a
+# box), and
 # TestFieldMemoryFollowsFluid, the proportionality gate of the allocation
 # rows (PDF storage follows the fluid a rank owns, not its blocks' boxes).
 alloc-test:

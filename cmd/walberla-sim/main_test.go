@@ -153,6 +153,19 @@ func TestCheckpointSetsAcrossRecovery(t *testing.T) {
 	}
 }
 
+// TestRebalancedRunReportsEveryChunk: a run rebalanced every 5 steps
+// reports the metrics of all its steps, not of its last chunk, and ends on
+// the tree's hash.
+func TestRebalancedRunReportsEveryChunk(t *testing.T) {
+	out, err := cli(t, strings.Fields("-tree -dx 0.02 -cells 8 -ranks 2 -steps 20 -rebalance 5")...)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if m := hashLine.FindStringSubmatch(out); m == nil || m[1] != treeHash || !strings.Contains(out, "simulation: steps=20 ") {
+		t.Errorf("rebalanced run: hash %v, want %s after steps=20\n%s", m, treeHash, out)
+	}
+}
+
 // TestRefinedScenarioHash pins the refined cavity's field hash: run
 // plainly, healed onto a spare after a crash, and resumed from the set of
 // its first half, it ends on refinedHash, and each run prints its metrics

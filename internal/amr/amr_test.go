@@ -1,6 +1,7 @@
 package amr
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -207,6 +208,47 @@ func TestWorkerInvariance(t *testing.T) {
 		if got != want {
 			t.Errorf("workers=%d: hash %016x != serial %016x (levels %v vs %v)", w, got, want, gotLevels, wantLevels)
 		}
+	}
+}
+
+// TestArenaJunction: one coarse leaf feeds the face ghost of one member of
+// a refined arena and the edge ghost of another at the same arena
+// position — root (1,0,0) beside the children of root (0,0,0): child
+// (1,1,0)'s +x face and child (1,0,0)'s +x+y edge. The second transfer's
+// unpack leaves that position to the first, so unpacks on two workers
+// write disjoint slots (go test -race), and the field ends as with one.
+func TestArenaJunction(t *testing.T) {
+	var hashes []uint64
+	for _, workers := range []int{1, 2} {
+		for _, ranks := range []int{1, 2} {
+			comm.Run(ranks, func(c *comm.Comm) {
+				cfg := baseConfig(workers, sim.LayoutSoA)
+				cfg.Refinement.Interval = 0
+				s, err := New(c, cfg)
+				if err == nil {
+					err = s.ApplyMarks(map[blockforest.BlockID]blockforest.Mark{{}: blockforest.MarkRefine})
+				}
+				if err == nil {
+					err = run(s, 4)
+				}
+				h, herr := s.FieldHash()
+				if err = errors.Join(err, herr); err != nil {
+					t.Error(err)
+					return
+				}
+				if c.Rank() == 0 {
+					hashes = append(hashes, h)
+				}
+				for _, l := range s.Leaves() {
+					if l.ID.Level == 1 && l.Rank != s.Leaves()[0].Rank {
+						t.Errorf("ranks=%d: the children of root 0 are on several ranks", ranks)
+					}
+				}
+			})
+		}
+	}
+	if len(hashes) != 4 || slices.Contains(hashes, 0) || slices.IndexFunc(hashes, func(h uint64) bool { return h != hashes[0] }) >= 0 {
+		t.Errorf("field hashes %x, want one", hashes)
 	}
 }
 
@@ -578,7 +620,8 @@ func TestRefinedMetricsCountSweeps(t *testing.T) {
 // stepZeroAllocRefined is the allocation gate of the refined step: on a
 // static three-level forest over two ranks, a steady-state coarse step —
 // every level's exchange, resampled interface transfers included, and
-// every level's sweeps — performs zero heap allocations. Workers is 1
+// every level's sweeps, refined leaves sweeping in arena boxes — performs
+// zero heap allocations. Workers is 1
 // because the pool's per-region goroutine spawns are the one deliberate
 // exception (as in sim's TestStepZeroAlloc).
 func stepZeroAllocRefined(t *testing.T, traced bool) {
@@ -620,6 +663,9 @@ func stepZeroAllocRefined(t *testing.T, traced bool) {
 		}
 		if s.MaxLevel() != 2 {
 			t.Errorf("forest has max level %d, want 2", s.MaxLevel())
+		}
+		if s.plane.BoxSweeps(1)+s.plane.BoxSweeps(2) == 0 {
+			t.Error("no refined leaves share an arena swept as a box")
 		}
 		if avg := testing.AllocsPerRun(runs, step); avg != 0 {
 			t.Errorf("refined Step allocates %.1f objects per coarse step in steady state, want 0", avg)

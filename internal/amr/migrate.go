@@ -119,7 +119,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 			moved++
 		}
 		switch {
-		case m.src == me && (m.dst != me || m.kind != payloadKeep): // a kept leaf that stays is its block
+		case m.src == me && (m.dst != me || m.kind == payloadMerge): // a kept leaf that stays is its block
 			sn, err := s.buildPayload(owned[sourceID(m)], m, x, graded)
 			if err != nil {
 				return err
@@ -146,7 +146,7 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 	// re-initialized from the initial condition are built together, at
 	// their step-0 state, on the worker pool.
 	newBlocks := make(map[blockforest.BlockID]*sim.BlockData)
-	var inits []blockforest.Leaf
+	var inits, children []blockforest.Leaf
 	for _, m := range moves {
 		if m.dst != me {
 			continue
@@ -158,6 +158,9 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		switch {
 		case m.kind == payloadSplitInit:
 			inits = append(inits, nl)
+			continue
+		case m.kind == payloadSplit && m.src == me:
+			children = append(children, nl)
 			continue
 		case m.kind == payloadKeep && m.src == me:
 			bd = owned[m.id]
@@ -179,10 +182,9 @@ func (s *Sim) migrate(graded []blockforest.Leaf) error {
 		}
 		newBlocks[nl.ID] = bd
 	}
-	blocks, err := s.plane.NewBlocks(x, inits)
-	if err != nil {
-		return err
-	}
+	blocks := append(s.plane.NewBlocks(x, inits, nil), s.plane.NewBlocks(x, children, func(w, i int, child *sim.BlockData) {
+		s.prolong(owned[children[i].ID.Parent()], child, w)
+	})...)
 	for _, bd := range newBlocks {
 		blocks = append(blocks, bd)
 	}
@@ -232,10 +234,15 @@ func (s *Sim) splitChild(x *blockforest.Index, parent *sim.BlockData, l blockfor
 	if err != nil {
 		return nil, err
 	}
-	oct, level := l.ID.Octant(), l.Level()
-	s.prolongBlock(parent.Src, oct, level, child.Src, &s.scratch[0])
-	s.prolongBlock(parent.Dst, oct, level, child.Dst, &s.scratch[0])
+	s.prolong(parent, child, 0)
 	return child, nil
+}
+
+// prolong prolongs the parent's fields into child, on worker's scratch.
+func (s *Sim) prolong(parent, child *sim.BlockData, worker int) {
+	oct, level := child.Block.ID.Octant(), int(child.Block.ID.Level)
+	s.prolongBlock(parent.Src, oct, level, child.Src, &s.scratch[worker])
+	s.prolongBlock(parent.Dst, oct, level, child.Dst, &s.scratch[worker])
 }
 
 // sourceID is the old leaf a payload reads from.

@@ -132,11 +132,7 @@ func (s *Sim) buildInitialForest() error {
 			mine = append(mine, l)
 		}
 	}
-	blocks, err := s.plane.NewBlocks(x, mine)
-	if err != nil {
-		return err
-	}
-	return s.install(roots, x, blocks)
+	return s.install(roots, x, s.plane.NewBlocks(x, mine, nil))
 }
 
 // assignRanks distributes leaves (in canonical order) contiguously by

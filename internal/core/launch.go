@@ -287,10 +287,11 @@ func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
 	var m sim.Metrics
 	for remaining := w.Steps; remaining > 0; {
 		chunk := min(w.RebalanceEvery, remaining)
-		var err error
-		if m, err = r.Sim.RunCtx(ctx, chunk); err != nil {
-			return m, err
+		c, err := r.Sim.RunCtx(ctx, chunk)
+		if err != nil {
+			return c, err
 		}
+		m = accumulate(m, c)
 		if remaining -= chunk; remaining > 0 {
 			if err := r.Sim.RebalanceByWorkload(true); err != nil {
 				return m, err
@@ -298,6 +299,22 @@ func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
 		}
 	}
 	return m, nil
+}
+
+// accumulate adds the metrics c of a run's next chunk to m, those of its
+// chunks so far: steps and wall time add up, the update rates are all the
+// updates over the summed wall time, the communication fraction is
+// weighted by wall time, and the cell counts are the last chunk's.
+func accumulate(m, c sim.Metrics) sim.Metrics {
+	w, wc := m.WallTime.Seconds(), c.WallTime.Seconds()
+	c.Steps += m.Steps
+	c.WallTime += m.WallTime
+	if t := w + wc; t > 0 {
+		c.MLUPS = (m.MLUPS*w + c.MLUPS*wc) / t
+		c.MFLUPS = (m.MFLUPS*w + c.MFLUPS*wc) / t
+		c.CommFraction = (m.CommFraction*w + c.CommFraction*wc) / t
+	}
+	return c
 }
 
 // finish fingerprints the rank's runtime into o and returns the

@@ -92,6 +92,9 @@ type slabOp struct {
 // slots is the size of the slab's whole window, every slot kept.
 func (sl *slabOp) slots() int { return len(sl.dirs) * sl.reg.cells() }
 
+// resampled reports whether the slab is a transfer between levels.
+func (sl *slabOp) resampled() bool { return sl.key.src.Level != sl.key.receiver.Level }
+
 // manifestSlots is the number of slots of a manifest's whole slabs.
 func manifestSlots(slabs []slabOp) int {
 	n := 0
@@ -262,8 +265,10 @@ func setBits(bits []byte, k, n int) {
 }
 
 // readsAll reports whether the block's interior is all fluid: it runs the
-// dense kernel path, which tests no flags, and reads every ghost slot.
-func (bd *BlockData) readsAll() bool { return bd.Fluid == bd.Src.InteriorCells() }
+// dense kernel path, which tests no flags, and reads every ghost slot. Such
+// a block may join an arena (arenaCover): a solid cell would take a
+// neighbour's bounce-back into its state.
+func (bd *BlockData) readsAll() bool { return bd.Fluid == bd.Flags.Nx*bd.Flags.Ny*bd.Flags.Nz }
 
 // needMask is the need-rule, the one place that decides which ghost slots
 // a block reads: it sets bit at+k of bits for every slot k of bd's ghost
@@ -371,14 +376,16 @@ type rowEnds struct {
 // order. A kept slot an end's field does not store gets no run: a receiver
 // skips it; a sender leaves it to the fill value — a local destination has
 // held that value since it was initialized, an aggregate position goes to
-// fills, to be written once into both send buffers. A row m keeps whole
+// fills, to be written once into both send buffers. With whole set the
+// slots m drops keep their window positions too, and only their runs go.
+// A row m keeps whole
 // and both ends hold contiguously becomes one row without a per-slot
 // test; adjacent slots merge into rows and equidistant rows into one run
 // (addRow). The rows' field positions are looked up once per slab, not
 // once per direction, and a z-layer of even whole rows that the mask keeps
 // folds in one step: the first two rows set the run's step, the rest are
 // repetitions addRow would count one by one.
-func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m slotMask, fills *[]fillSlot) ([]copyRun, int, int) {
+func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m slotMask, fills *[]fillSlot, whole bool) ([]copyRun, int, int) {
 	for _, e := range [2]end{src, dst} {
 		if e.f != nil && len(e.f.Data()) > math.MaxInt32 {
 			panic("sim: block too large for 32-bit copy runs")
@@ -434,6 +441,9 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 			y, z := ri%ext[1], ri/ext[1]
 			for i := 0; i < nx; i, bit = i+1, bit+1 {
 				if !m.has(bit) {
+					if whole {
+						kept++
+					}
 					continue
 				}
 				s, t := src.pos(r.src, d, i, kept), dst.pos(r.dst, d, i, kept)
@@ -464,7 +474,7 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 // stored by dst, whose rows hold every cell its fluid cells pull from.) It
 // returns the runs, the number of values they move and the number of
 // slots that storage shared with an arena keeps from moving.
-func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction, cl *claims) ([]copyRun, int, int) {
+func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs []lattice.Direction, cl claims) ([]copyRun, int, int) {
 	sf, df := src.Src, dst.Src
 	if sf.Stencil != df.Stencil || sf.Layout != df.Layout {
 		panic("sim: local copy requires matching stencil and layout")
@@ -475,21 +485,57 @@ func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs 
 		needMask(m.bits, 0, dst, dstReg, dirs)
 	}
 	aliased := cl.take(m.bits, 0, end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, dstReg.size(), dirs)
-	runs, _, moved := k.lower(end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, srcReg.size(), dirs, m, nil)
+	runs, _, moved := k.lower(end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, srcReg.size(), dirs, m, nil, false)
 	return runs, moved, aliased
 }
 
 // claims are the arena positions the plan writes, each with the source
-// position that fills it (-1: a remote one): the junction rule of rank
-// arenas (docs/EXCHANGE.md, "Rank arenas"). Views of one arena overlap in
-// their ghost layers, so several transfers may name one position, and a
-// transfer between two members names positions that are its own source.
-// Positions fit 32 bits (lower checks); a source position that does not —
-// a cell its field does not store — reads as -2. The map is made at the
-// first claim, of hint entries.
-type claims struct {
-	at   map[int32]int32
-	hint int
+// position that fills it (-1: a remote one, or a transfer between levels):
+// the junction rule of rank arenas (docs/EXCHANGE.md, "Rank arenas").
+// Views of one arena overlap in their ghost layers, so several transfers
+// may name one position, and a transfer between two members names
+// positions that are its own source. Only the ghost layer of an arena's
+// box is claimed, in a table per arena keyed by its storage (positions of
+// two arenas coincide). A source position beyond 32 bits — a cell its
+// field does not store — reads as -2.
+type claims map[*float64]*shell
+
+// shell is the claim table of one arena: the extents of its ghosted box,
+// and of its storage's, in which the box starts at cell off; per slot of
+// the box's ghost layer (cell in z, y, x order, then direction) the
+// claimed source position plus 3, 0 while unclaimed — made at the first
+// claim, as an arena without remote or wrapped neighbours claims nothing.
+type shell struct {
+	ext, sto, off [3]int
+	src           []uint32
+}
+
+// newClaims returns the empty claims of the rank's arenas.
+func newClaims(s *Simulation) claims {
+	cl, c := make(claims, len(s.arenas)), s.Forest.CellsPerBlock
+	for _, a := range s.arenas {
+		cl[&a.grid[0].Src.Data()[0]] = &shell{ext: [3]int{a.ext[0]*c[0] + 2, a.ext[1]*c[1] + 2, a.ext[2]*c[2] + 2},
+			sto: [3]int{a.src.Nx + 2, a.src.Ny + 2, a.src.Nz + 2}, off: a.off}
+	}
+	return cl
+}
+
+// slot returns the table index of direction d of cell g of the ghost
+// layer, g in ghosted coordinates (from 0).
+func (sh *shell) slot(g [3]int, d lattice.Direction, q int) int {
+	x, y, z := sh.ext[0], sh.ext[1], sh.ext[2]
+	k := 2*x*y + (g[2]-1)*2*(x+y-2) // the cells of the layers and rows below g's
+	switch {
+	case g[2] == 0 || g[2] == z-1:
+		k = (g[2]/(z-1)*y+g[1])*x + g[0]
+	case g[1] == 0 || g[1] == y-1:
+		k += g[1]/(y-1)*x + g[0]
+	case g[0] == 0 || g[0] == x-1:
+		k += 2*x + 2*(g[1]-1) + g[0]/(x-1)
+	default:
+		panic(fmt.Sprintf("sim: an arena claim inside its box, at %v", g))
+	}
+	return k*q + int(d)
 }
 
 // take clears from bits — the kept slots of a transfer into the ghost slab
@@ -501,7 +547,7 @@ type claims struct {
 // position: the position's one cell. Two views of one arena have its
 // strides, so a slot's source and destination are one position for every
 // slot of a transfer or for none.
-func (cl *claims) take(bits []byte, at int, src, dst end, ext [3]int, dirs []lattice.Direction) int {
+func (cl claims) take(bits []byte, at int, src, dst end, ext [3]int, dirs []lattice.Direction) int {
 	if !dst.f.Rows().View() {
 		return 0
 	}
@@ -516,6 +562,12 @@ func (cl *claims) take(bits []byte, at int, src, dst end, ext [3]int, dirs []lat
 		}
 		return cleared
 	}
+	sh := cl[&dst.f.Data()[0]]
+	if e := sh.ext; sh.src == nil {
+		sh.src = make([]uint32, (e[0]*e[1]*e[2]-(e[0]-2)*(e[1]-2)*(e[2]-2))*dst.f.Stencil.Q)
+	}
+	c := dst.f.CellIndex(dst.lo[0], dst.lo[1], dst.lo[2]) // the slab's first cell, in the storage
+	g0 := [3]int{c%sh.sto[0] - sh.off[0], c/sh.sto[0]%sh.sto[1] - sh.off[1], c/(sh.sto[0]*sh.sto[1]) - sh.off[2]}
 	for _, d := range dirs {
 		for z := 0; z < ext[2]; z++ {
 			for y := 0; y < ext[1]; y++ {
@@ -523,20 +575,18 @@ func (cl *claims) take(bits []byte, at int, src, dst end, ext [3]int, dirs []lat
 					if !m.has(k) {
 						continue
 					}
-					t, sp := int32(dst.f.Index(dst.lo[0]+x, dst.lo[1]+y, dst.lo[2]+z, d)), int32(-1)
+					sp := -1
 					if src.f != nil {
-						sp = int32(max(-2, min(src.f.Index(src.lo[0]+x, src.lo[1]+y, src.lo[2]+z, d), math.MaxInt32)))
+						sp = max(-2, min(src.f.Index(src.lo[0]+x, src.lo[1]+y, src.lo[2]+z, d), math.MaxInt32))
 					}
-					if cl.at == nil {
-						cl.at = make(map[int32]int32, cl.hint)
-					}
-					prev, seen := cl.at[t]
-					if !seen {
-						cl.at[t] = sp
+					g := [3]int{g0[0] + x, g0[1] + y, g0[2] + z}
+					prev := &sh.src[sh.slot(g, d, dst.f.Stencil.Q)]
+					if *prev == 0 {
+						*prev = uint32(sp + 3)
 						continue
 					}
-					if prev != sp {
-						panic(fmt.Sprintf("sim: arena position %d filled from %d and %d", t, prev, sp))
+					if int(*prev)-3 != sp {
+						panic(fmt.Sprintf("sim: arena cell %v, direction %d filled from %d and %d", g, d, int(*prev)-3, sp))
 					}
 					bits[k>>3] &^= 1 << (k & 7)
 					cleared++
@@ -659,18 +709,15 @@ func buildPlans(s *Simulation) ([]plan, error) {
 	}
 	plans := make([]plan, top+1)
 	copies := make([][]localCopy, top+1)
-	var cl claims
-	if a := s.arena; a != nil { // about what the faces of its ghost layer take
-		cl.hint = (a.src.AllocatedCells() - a.src.InteriorCells()) * len(commDirections(s.Stencil, [3]int{1, 0, 0}))
-	}
+	cl := newClaims(s)
 	for l := range plans {
-		plans[l], copies[l] = buildPlan(s, l, byID, &cl)
+		plans[l], copies[l] = buildPlan(s, l, byID, cl)
 	}
 	if err := exchangeMasks(s, plans); err != nil {
 		return nil, err
 	}
 	for l := range plans {
-		plans[l].lower(copies[l], s.Comm.Rank(), &cl)
+		plans[l].lower(copies[l], s.Comm.Rank(), cl)
 		s.bindTasks(&plans[l])
 	}
 	return plans, nil
@@ -693,8 +740,8 @@ type localCopy struct {
 // between levels into both manifests of the channel to the own rank. A
 // local transfer is enumerated once, at its sender; a remote one at both
 // ends, each deriving the same manifest key. The receive slabs into the
-// rank's arena claim their positions in cl in manifest order.
-func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData, cl *claims) (plan, []localCopy) {
+// rank's arenas claim their positions in cl in manifest order.
+func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData, cl claims) (plan, []localCopy) {
 	me := s.Comm.Rank()
 	p := plan{level: level}
 	var copies []localCopy
@@ -770,31 +817,37 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 		ch := &p.channels[i]
 		sort.Slice(ch.send, func(a, b int) bool { return ch.send[a].key.less(ch.send[b].key) })
 		sort.Slice(ch.recv, func(a, b int) bool { return ch.recv[a].key.less(ch.recv[b].key) })
-		if ch.rank != me {
-			ch.mask = maskManifest(ch.recv, cl)
+		if mask := maskManifest(ch.recv, cl); ch.rank != me {
+			ch.mask = mask
 		}
 	}
 	return p, copies
 }
 
-// maskManifest evaluates the need-mask of a remote channel's receive
-// manifest into one bit string, slab after slab, and returns it: a
-// transfer between levels crosses whole (its sender resamples the whole
-// window), every other slab keeps what its receiving block reads and no
-// earlier transfer claimed (claims.take).
-func maskManifest(recv []slabOp, cl *claims) []byte {
+// maskManifest evaluates the need-mask of a channel's receive manifest
+// into one bit string, slab after slab, and returns it: a slab keeps what
+// its receiving block reads and no earlier transfer claimed (claims.take).
+// A transfer between levels crosses whole, as its sender resamples the
+// whole window; only the mask its unpack runs are lowered with drops what
+// an earlier transfer claimed. Two transfers from one leaf of another
+// level may name one arena position — a member's face ghost and another's
+// edge ghost — with one value, and unpacks run concurrently.
+func maskManifest(recv []slabOp, cl claims) []byte {
 	bits := make([]byte, (manifestSlots(recv)+7)/8)
 	at := 0
 	for k := range recv {
 		sl := &recv[k]
-		if sl.key.src.Level != sl.key.receiver.Level {
-			setBits(bits, at, sl.slots())
+		n, m := sl.slots(), slotMask{bits: bits, off: at}
+		if sl.resampled() {
+			setBits(bits, at, n)
+			m = slotMask{bits: make([]byte, (n+7)/8)}
+			setBits(m.bits, 0, n)
 		} else {
 			needMask(bits, at, sl.bd, sl.reg, sl.dirs)
-			cl.take(bits, at, end{}, end{f: sl.bd.Src, lo: sl.reg.lo}, sl.reg.size(), sl.dirs)
 		}
-		sl.mask = slotMask{bits: bits, off: at}.simplify(sl.slots())
-		at += sl.slots()
+		cl.take(m.bits, m.off, end{}, end{f: sl.bd.Src, lo: sl.reg.lo}, sl.reg.size(), sl.dirs)
+		sl.mask = m.simplify(n)
+		at += n
 	}
 	return bits
 }
@@ -860,7 +913,7 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 // alternate between for a remote channel, one for the channel to the own
 // rank me, whose aggregate never leaves the rank — and every slot whose
 // sender does not store the cell gets its fill value, once, in each.
-func (p *plan) lower(copies []localCopy, me int, cl *claims) {
+func (p *plan) lower(copies []localCopy, me int, cl claims) {
 	var sink runSink
 	p.locals = make([]localOp, 0, len(copies))
 	for _, c := range copies {
@@ -913,7 +966,7 @@ func lowerManifest(slabs []slabOp, sink *runSink, fills *[]fillSlot, send bool) 
 			if !send {
 				src, dst = agg, blk
 			}
-			sl.runs, sl.n, _ = sink.lower(src, dst, sl.reg.size(), sl.dirs, sl.mask, fills)
+			sl.runs, sl.n, _ = sink.lower(src, dst, sl.reg.size(), sl.dirs, sl.mask, fills, sl.resampled())
 		}
 		sl.mask = slotMask{}
 		off += sl.n

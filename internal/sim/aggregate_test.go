@@ -824,7 +824,7 @@ func twoLevelBlocks(s *Simulation) ([]*BlockData, error) {
 // the plan gives it one send buffer; remote channels keep two.
 func TestOwnRankChannelHoldsOneBuffer(t *testing.T) {
 	comm.Run(1, func(c *comm.Comm) {
-		s, err := New(c, &blockforest.BlockForest{NumRanks: 1}, Config{})
+		s, err := New(c, &blockforest.BlockForest{NumRanks: 1, GridSize: [3]int{2, 1, 1}, CellsPerBlock: [3]int{4, 4, 4}}, Config{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -860,4 +860,51 @@ func TestOwnRankChannelHoldsOneBuffer(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestClaimsPerArena: a rank holding two arenas of one shape — the
+// all-fluid blocks of a periodic row of five beside a block with a solid
+// cell in the middle — claims the ghost positions of each in its own
+// table: the two arenas' ghost slots share storage positions, filled from
+// different cells. The row ends on the field hash of five ranks, one block
+// each and no arena.
+func TestClaimsPerArena(t *testing.T) {
+	flags := func(b *blockforest.Block, _ *blockforest.BlockForest, f *field.FlagField) {
+		f.Fill(field.Fluid)
+		if b.Coord[0] == 2 {
+			f.Set(1, 1, 1, field.NoSlip)
+		}
+	}
+	var hashes [2]uint64
+	for i, ranks := range []int{1, 5} {
+		comm.Run(ranks, func(c *comm.Comm) {
+			f := blockforest.NewSetupForest(blockforest.NewAABB([3]float64{}, [3]float64{5, 1, 1}), [3]int{5, 1, 1}, [3]int{4, 4, 4}, [3]bool{true, true, true})
+			f.BalanceMorton(ranks)
+			forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
+			var s *Simulation
+			if err == nil {
+				s, err = New(c, forest, Config{Tau: 0.7, SetupFlags: flags, InitialVelocity: [3]float64{0.02, 0.01, 0}})
+			}
+			if err == nil {
+				_, err = s.Run(10)
+			}
+			var h uint64
+			if err == nil {
+				h, err = s.FieldHash()
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ranks == 1 && (len(s.arenas) != 2 || s.arenas[0].ext != s.arenas[1].ext) {
+				t.Errorf("one rank forms %d arenas, want two of one shape", len(s.arenas))
+			}
+			if c.Rank() == 0 {
+				hashes[i] = h
+			}
+		})
+	}
+	if hashes[0] != hashes[1] || hashes[0] == 0 {
+		t.Errorf("two arenas end on %016x, five ranks on %016x", hashes[0], hashes[1])
+	}
 }

@@ -41,7 +41,7 @@ func TestStepZeroAlloc(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if s.arena == nil || len(s.frontier[0]) != 1 || s.frontier[0][0].kernel == nil {
+		if len(s.arenas) != 1 || len(s.frontier[0]) != 1 || s.frontier[0][0].kernel == nil {
 			t.Errorf("rank %d: no arena swept as one box: %d sweeps", c.Rank(), len(s.frontier[0]))
 		}
 		step := func() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"slices"
 
 	"walberla/internal/blockforest"
@@ -8,127 +9,183 @@ import (
 	"walberla/internal/kernels"
 )
 
-// Rank arenas (docs/EXCHANGE.md, "Rank arenas"). On a world without a
-// Refiner, the all-fluid blocks of a rank that exactly fill their bounding
-// box in the block grid share one Src and one Dst field: the box plus one
-// ghost layer. Each member's fields are views of it (field.View), so a
-// member's ghost layer toward a member is that member's cells, and the
-// exchange plan moves nothing between them (claims.take).
+// Rank arenas (docs/EXCHANGE.md, "Rank arenas"). On every world, uniform
+// or refined, a rank's all-fluid blocks of one level are covered by boxes
+// of that level's block grid (arenaCover), and the blocks of each box
+// share one Src and one Dst field: the box plus one ghost layer. Each
+// member's fields are views of it (field.View), so a member's ghost layer
+// toward a member of its box is that member's cells, and the exchange plan
+// moves nothing between them (claims.take).
 
-// arena is a rank's shared storage: src and dst over the box of ext blocks
-// starting at block lo, and its members by position in the box, x fastest.
+// arena is the shared storage of one box: src and dst, whose cell off is
+// the first of the box of ext blocks of level starting at block lo of the
+// level's grid, and its members by position in the box, x fastest. The
+// storage may hold a larger box, one it kept from a former arena.
 type arena struct {
-	src, dst *field.PDFField
-	lo, ext  [3]int
-	grid     []*BlockData
+	src, dst     *field.PDFField
+	level        int
+	lo, ext, off [3]int
+	grid         []*BlockData
 }
 
-// arenaBox returns the bounding box — first block and extent — of the
-// blocks for which member holds, and whether they are at least two that
-// exactly fill it.
-func arenaBox(blocks []*blockforest.Block, member func(i int) bool) (lo, ext [3]int, ok bool) {
-	var hi [3]int
-	n := 0
-	for i, b := range blocks {
-		if !member(i) {
+// arenaCover returns the arenas — fields not yet allocated — that cover
+// the blocks that may join one (readsAll), level by level, and for each
+// block the arena it joins (nil: none). A level's cover is greedy and
+// deterministic: from its first uncovered member in (z, y, x) order of the
+// level's grid a box grows along x, then y, then z, over uncovered members
+// only, and boxes of at least two members are kept. Members that exactly
+// fill their bounding box are that one box. A box of a refined level stays
+// in one tree, so a regrade re-forms only the boxes of the trees it
+// changes.
+func arenaCover(blocks []*BlockData) (arenas, join []*arena) {
+	type pos struct {
+		level    int
+		tree, at [3]int // tree: the root of a refined level's block
+	}
+	free := make(map[pos]int) // uncovered member -> block index
+	var order []pos
+	for i, bd := range blocks {
+		if b, l := bd.Block, int(bd.Block.ID.Level); bd.readsAll() {
+			p := pos{level: l, at: blockforest.LevelIndex(b.Coord, b.ID)}
+			if l > 0 {
+				p.tree = b.Coord
+			}
+			free[p] = i
+			order = append(order, p)
+		}
+	}
+	slices.SortFunc(order, func(a, b pos) int {
+		return cmp.Or(cmp.Compare(a.level, b.level), cmp.Compare(a.at[2], b.at[2]), cmp.Compare(a.at[1], b.at[1]), cmp.Compare(a.at[0], b.at[0]))
+	})
+	// box lists the positions of the box of ext starting at p.
+	box := func(p pos, ext [3]int) (in []pos) {
+		for z := range ext[2] {
+			for y := range ext[1] {
+				for x := range ext[0] {
+					in = append(in, pos{p.level, p.tree, [3]int{p.at[0] + x, p.at[1] + y, p.at[2] + z}})
+				}
+			}
+		}
+		return in
+	}
+	covered := func(q pos) bool { _, ok := free[q]; return !ok }
+	join = make([]*arena, len(blocks))
+	for _, p := range order {
+		if covered(p) {
 			continue
 		}
-		for d := range lo {
-			if n == 0 || b.Coord[d] < lo[d] {
-				lo[d] = b.Coord[d]
+		ext := [3]int{1, 1, 1}
+		for d := range ext {
+			for q, slab := p, ext; ; ext[d]++ {
+				q.at[d], slab[d] = p.at[d]+ext[d], 1
+				if slices.ContainsFunc(box(q, slab), covered) {
+					break
+				}
 			}
-			hi[d] = max(hi[d], b.Coord[d]+1)
 		}
-		n++
+		a := &arena{level: p.level, lo: p.at, ext: ext, grid: make([]*BlockData, ext[0]*ext[1]*ext[2])}
+		for k, q := range box(p, ext) {
+			if len(a.grid) > 1 {
+				join[free[q]], a.grid[k] = a, blocks[free[q]]
+			}
+			delete(free, q)
+		}
+		if len(a.grid) > 1 {
+			arenas = append(arenas, a)
+		}
 	}
-	ext = [3]int{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]}
-	return lo, ext, n >= 2 && n == ext[0]*ext[1]*ext[2]
+	return arenas, join
 }
 
-// arenaMember reports whether a block with fluid interior cells may join
-// an arena: a level-0 block of a world without a Refiner, all fluid. A
-// solid cell inside would take a neighbour's bounce-back into its state.
-func (s *Simulation) arenaMember(b *blockforest.Block, fluid int) bool {
-	c := b.Cells
-	return s.refiner == nil && b.ID.Level == 0 && fluid == c[0]*c[1]*c[2]
-}
-
-// newArena allocates the arena of the box of ext blocks starting at block
-// lo, both fields at the configured uniform initial equilibrium, in the
-// layout of an all-fluid block's kernel. The two allocations and the fill
-// run on the pool: they are the first touch of the rank's storage.
-func (s *Simulation) newArena(lo, ext [3]int) *arena {
-	c := s.Forest.CellsPerBlock
-	layout := kernelLayout(s.Config.resolveKernel(1))
-	var f [2]*field.PDFField
-	s.pool.run(2, func(_, i int) { f[i] = field.NewPDFField(s.Stencil, ext[0]*c[0], ext[1]*c[1], ext[2]*c[2], 1, layout) })
-	v, parts := s.Config.InitialVelocity, 4*s.pool.workers
-	s.pool.run(2*parts, func(_, k int) {
-		f[k%2].FillEquilibriumPart(k/2, parts, s.Config.InitialRho, v[0], v[1], v[2])
-	})
-	return &arena{src: f[0], dst: f[1], lo: lo, ext: ext, grid: make([]*BlockData, ext[0]*ext[1]*ext[2])}
-}
-
-// at returns the position in the box of the block at coord.
-func (a *arena) at(coord [3]int) int {
-	return ((coord[2]-a.lo[2])*a.ext[1]+coord[1]-a.lo[1])*a.ext[0] + coord[0] - a.lo[0]
+// at returns the position in the box of member b.
+func (a *arena) at(b *blockforest.Block) int {
+	p := blockforest.LevelIndex(b.Coord, b.ID)
+	return ((p[2]-a.lo[2])*a.ext[1]+p[1]-a.lo[1])*a.ext[0] + p[0] - a.lo[0]
 }
 
 // views returns the Src and Dst views of member b.
 func (a *arena) views(b *blockforest.Block) (src, dst *field.PDFField) {
-	c := b.Cells
-	lo := [3]int{(b.Coord[0] - a.lo[0]) * c[0], (b.Coord[1] - a.lo[1]) * c[1], (b.Coord[2] - a.lo[2]) * c[2]}
+	c, p := b.Cells, blockforest.LevelIndex(b.Coord, b.ID)
+	lo := [3]int{a.off[0] + (p[0]-a.lo[0])*c[0], a.off[1] + (p[1]-a.lo[1])*c[1], a.off[2] + (p[2]-a.lo[2])*c[2]}
 	return a.src.View(lo, c[0], c[1], c[2]), a.dst.View(lo, c[0], c[1], c[2])
 }
 
-// formArena makes the arena of blocks the rank's. When its members are the
-// current arena's nothing changes; otherwise each member's state is copied
-// into its view of a new arena and each block leaving an arena gets fields
-// of its own, both with a kernel for the new fields' rows. It runs at the
-// plan rebuilds after Land, Rebalance, shrink and heal; New builds its
-// arena before assembly instead.
-func (s *Simulation) formArena(blocks []*BlockData) error {
-	hdrs := make([]*blockforest.Block, len(blocks))
-	for i, bd := range blocks {
-		hdrs[i] = bd.Block
+// holds reports whether o held every member of a at its position, and a
+// fills at least half of o's storage, which a would otherwise keep alive.
+func (o *arena) holds(a *arena) bool {
+	if c := o.grid[0].Block.Cells; o.level != a.level || 2*len(a.grid)*c[0]*c[1]*c[2] < o.src.InteriorCells() {
+		return false
 	}
-	member := func(i int) bool { return s.arenaMember(blocks[i].Block, blocks[i].Fluid) }
-	var a *arena
-	if lo, ext, ok := arenaBox(hdrs, member); ok {
-		a = &arena{lo: lo, ext: ext, grid: make([]*BlockData, ext[0]*ext[1]*ext[2])}
+	for d := range a.lo {
+		if a.lo[d] < o.lo[d] || a.lo[d]+a.ext[d] > o.lo[d]+o.ext[d] {
+			return false
+		}
+	}
+	return !slices.ContainsFunc(a.grid, func(bd *BlockData) bool { return o.grid[o.at(bd.Block)] != bd })
+}
+
+// formArenas makes the arenas that cover blocks the rank's. An arena whose
+// members a current arena held at their positions keeps that storage, and
+// its members their views. The others are allocated level by level, at the
+// uniform initial equilibrium: their members' state is copied into their
+// views, and a block of the level leaving an arena gets fields of its own,
+// both with a kernel for the new rows. A block without fields yet (New,
+// NewBlocks) gets its views or fields (store) and its state. It runs in New
+// and at the plan rebuilds after Commit, Land, Rebalance, shrink and heal.
+func (s *Simulation) formArenas(blocks []*BlockData) error {
+	arenas, join := arenaCover(blocks)
+	c, taken := s.Forest.CellsPerBlock, make(map[*arena]bool)
+	for _, a := range arenas {
+		if j := slices.IndexFunc(s.arenas, func(o *arena) bool { return !taken[o] && o.holds(a) }); j >= 0 {
+			o := s.arenas[j]
+			taken[o], a.src, a.dst = true, o.src, o.dst
+			a.off = [3]int{o.off[0] + (a.lo[0]-o.lo[0])*c[0], o.off[1] + (a.lo[1]-o.lo[1])*c[1], o.off[2] + (a.lo[2]-o.lo[2])*c[2]}
+		}
+	}
+	s.arenas = arenas
+	for l := 0; slices.ContainsFunc(blocks, func(bd *BlockData) bool { return int(bd.Block.ID.Level) >= l }); l++ {
+		var is []int // the level's blocks whose storage changes
 		for i, bd := range blocks {
-			if member(i) {
-				a.grid[a.at(bd.Block.Coord)] = bd
+			if a := join[i]; int(bd.Block.ID.Level) == l && (bd.Src == nil || a != nil && a.src == nil || a == nil && bd.Src.Rows().View()) {
+				is = append(is, i)
 			}
 		}
-		if old := s.arena; old != nil && old.lo == lo && old.ext == ext && slices.Equal(old.grid, a.grid) {
-			return nil
+		for _, a := range arenas {
+			if e, v := a.ext, s.Config.InitialVelocity; a.level == l && a.src == nil {
+				a.src = field.NewPDFField(s.Stencil, e[0]*c[0], e[1]*c[1], e[2]*c[2], 1, kernelLayout(s.Config.resolveKernel(1)))
+				a.dst = a.src.CopyShape()
+				s.pool.run(2, func(_, i int) {
+					[2]*field.PDFField{a.src, a.dst}[i].FillEquilibrium(s.Config.InitialRho, v[0], v[1], v[2])
+				})
+			}
 		}
-		grid := a.grid
-		a = s.newArena(lo, ext)
-		a.grid = grid
-	}
-	s.arena = a
-	errs := make([]error, len(blocks))
-	s.pool.run(len(blocks), func(_, i int) {
-		bd := blocks[i]
-		var src, dst *field.PDFField
-		switch {
-		case a != nil && member(i):
-			src, dst = a.views(bd.Block)
-			src.CopyFrom(bd.Src)
-			dst.CopyFrom(bd.Dst)
-		case bd.Src.Rows().View():
-			src, dst = bd.Src.ConvertLayout(bd.Src.Layout), bd.Dst.ConvertLayout(bd.Dst.Layout)
-		default:
-			return
-		}
-		bd.Src, bd.Dst = src, dst
-		bd.Kernel, _, errs[i] = s.Config.blockKernel(int(bd.Block.ID.Level), bd.Flags, bd.Fluid, src.Rows())
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+		errs := make([]error, len(is))
+		s.pool.run(len(is), func(w, k int) {
+			bd, a := blocks[is[k]], join[is[k]]
+			var src, dst *field.PDFField
+			if a != nil {
+				src, dst = a.views(bd.Block)
+			}
+			switch {
+			case bd.Src == nil:
+				if errs[k] = s.store(bd, src, dst); errs[k] == nil && bd.land != nil {
+					bd.land(w, bd)
+				} else if errs[k] == nil {
+					s.applyInitialState(bd)
+				}
+				bd.land = nil
+				return
+			case a != nil:
+				src.CopyFrom(bd.Src)
+				dst.CopyFrom(bd.Dst)
+			default:
+				src, dst = bd.Src.ConvertLayout(bd.Src.Layout), bd.Dst.ConvertLayout(bd.Dst.Layout)
+			}
+			bd.Src, bd.Dst = src, dst
+			bd.Kernel, _, errs[k] = s.Config.blockKernel(l, bd.Flags, bd.Fluid, src.Rows())
+		})
+		if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+			return errs[i]
 		}
 	}
 	return nil
@@ -156,49 +213,67 @@ func (u *sweep) swap() {
 }
 
 // sweeps hands every block of the rank to add in one sweep, with its
-// level: a block outside the arena alone, the members in boxes — z-layers
-// of the arena, or x-rows where the layers are fewer than the workers. A
-// box whose members differ in frontier status (remote), or whose kernels
-// read their flags, sweeps them one by one.
+// level: a block outside the arenas alone, the members of an arena in
+// boxes — z-layers of the arena, or y-rows where the layers are fewer than
+// the workers. A box whose members differ in frontier status (remote)
+// splits into x-runs of one status; a run of one block, and a box whose
+// kernels read their flags, sweep block by block.
 func (s *Simulation) sweeps(remote map[*BlockData]bool, add func(l int, u sweep)) error {
 	for i, bd := range s.Blocks {
 		if !bd.Src.Rows().View() {
 			add(int(bd.Block.ID.Level), sweep{blocks: s.Blocks[i : i+1 : i+1]})
 		}
 	}
-	a := s.arena
-	if a == nil {
-		return nil
-	}
-	c, ext, rows := s.Forest.CellsPerBlock, a.ext, a.ext[1]
-	if ext[2] < s.pool.workers {
-		rows = 1
-	}
-	for z := range ext[2] {
-		for y := 0; y < ext[1]; y += rows {
-			in := a.grid[(z*ext[1]+y)*ext[0] : (z*ext[1]+y+rows)*ext[0]]
-			mixed := false
-			for _, bd := range in {
-				mixed = mixed || remote[bd] != remote[in[0]] || bd.sweepFlags != nil
-			}
-			if mixed || len(in) == 1 {
+	c := s.Forest.CellsPerBlock
+	for _, a := range s.arenas {
+		// box adds the members in, the box of n blocks at block at of a.
+		box := func(in []*BlockData, at, n [3]int) error {
+			if len(in) == 1 || slices.ContainsFunc(in, func(bd *BlockData) bool { return bd.sweepFlags != nil }) {
 				for j := range in {
-					add(0, sweep{blocks: in[j : j+1 : j+1]})
+					add(a.level, sweep{blocks: in[j : j+1 : j+1]})
 				}
-				continue
+				return nil
 			}
-			at, n := [3]int{0, y * c[1], z * c[2]}, [3]int{ext[0] * c[0], rows * c[1], c[2]}
-			u := sweep{blocks: in, src: a.src.View(at, n[0], n[1], n[2]), dst: a.dst.View(at, n[0], n[1], n[2])}
+			lo, size := [3]int{a.off[0] + at[0]*c[0], a.off[1] + at[1]*c[1], a.off[2] + at[2]*c[2]}, [3]int{n[0] * c[0], n[1] * c[1], n[2] * c[2]}
+			u := sweep{blocks: in, src: a.src.View(lo, size[0], size[1], size[2]), dst: a.dst.View(lo, size[0], size[1], size[2])}
 			if &u.src.Data()[0] != &in[0].Src.Data()[0] {
 				field.Swap(u.src, u.dst) // the members are at odd parity
 			}
 			var err error
 			u.kernel, err = kernels.New(kernels.Spec{Choice: s.Config.resolveKernel(1), Stencil: s.Stencil,
-				Tau: s.Config.TauAt(0), Magic: s.Config.Magic, Rows: u.src.Rows()})
-			if err != nil {
-				return err
+				Tau: s.Config.TauAt(a.level), Magic: s.Config.Magic, Rows: u.src.Rows()})
+			if err == nil {
+				add(a.level, u)
 			}
-			add(0, u)
+			return err
+		}
+		ext, rows := a.ext, a.ext[1]
+		if ext[2] < s.pool.workers {
+			rows = 1
+		}
+		for z := range ext[2] {
+			for y := 0; y < ext[1]; y += rows {
+				in := a.grid[(z*ext[1]+y)*ext[0] : (z*ext[1]+y+rows)*ext[0]]
+				if !slices.ContainsFunc(in, func(bd *BlockData) bool { return remote[bd] != remote[in[0]] }) {
+					if err := box(in, [3]int{0, y, z}, [3]int{ext[0], rows, 1}); err != nil {
+						return err
+					}
+					continue
+				}
+				for r := range rows {
+					row := in[r*ext[0] : (r+1)*ext[0]]
+					for x := 0; x < len(row); {
+						n := 1
+						for x+n < len(row) && remote[row[x+n]] == remote[row[x]] {
+							n++
+						}
+						if err := box(row[x:x+n:x+n], [3]int{x, y + r, z}, [3]int{n, 1, 1}); err != nil {
+							return err
+						}
+						x += n
+					}
+				}
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"walberla/internal/blockforest"
@@ -41,9 +42,10 @@ const RaceEnabled = raceEnabled
 var NewWithExchange = newWithExchange
 
 // GhostPoisoner returns a function that overwrites with NaN every stored
-// ghost slot of this rank's Src fields that the aggregated exchange plan does
-// NOT write — neither a compiled local copy nor the unpack runs of a receive
-// slab, which hold only the slots the receiver's need-mask kept. Calling it
+// ghost slot of this rank's Src fields that the aggregated exchange plans of
+// all levels do NOT write — neither a compiled local copy nor the unpack
+// runs of a receive slab, which hold only the slots the receiver's
+// need-mask kept. Calling it
 // before every step turns any read of a slot a mask dropped, same-rank or
 // remote, into a NaN in the interior. In an arena it poisons only
 // positions that are a ghost slot of every view storing them: an interior
@@ -72,13 +74,15 @@ func (s *Simulation) GhostPoisoner() func() {
 			}
 		}
 	}
-	p := &s.levels[0]
-	for i := range p.locals {
-		mark(p.locals[i].dst, p.locals[i].runs)
-	}
-	for ci := range p.channels {
-		for _, sl := range p.channels[ci].recv {
-			mark(sl.bd, sl.runs)
+	for l := range s.levels {
+		p := &s.levels[l]
+		for i := range p.locals {
+			mark(p.locals[i].dst, p.locals[i].runs)
+		}
+		for ci := range p.channels {
+			for _, sl := range p.channels[ci].recv {
+				mark(sl.bd, sl.runs)
+			}
 		}
 	}
 	// slots calls fn with the storage position of every stored PDF of f's
@@ -172,3 +176,36 @@ func (s *Simulation) RunShapes() map[string]RunShape {
 	}
 	return h
 }
+
+// ArenaBox is one arena of a rank: its level, first block and extent in
+// the level's grid, and its members in box order.
+type ArenaBox struct {
+	Level   int
+	Lo, Ext [3]int
+	Members []blockforest.BlockID
+}
+
+func (a ArenaBox) String() string {
+	return fmt.Sprintf("level %d box %v+%v of %d members", a.Level, a.Lo, a.Ext, len(a.Members))
+}
+
+// ArenaBoxes returns the rank's arenas, or with fresh set the arenas a
+// fresh build of its block set forms — the cover New and SetBlocks compute.
+func (s *Simulation) ArenaBoxes(fresh bool) []ArenaBox {
+	arenas := s.arenas
+	if fresh {
+		arenas, _ = arenaCover(s.Blocks)
+	}
+	out := make([]ArenaBox, len(arenas))
+	for i, a := range arenas {
+		out[i] = ArenaBox{Level: a.level, Lo: a.lo, Ext: a.ext}
+		for _, bd := range a.grid {
+			out[i].Members = append(out[i].Members, bd.Block.ID)
+		}
+	}
+	return out
+}
+
+// LevelFloatsAliased returns what the rank's arenas share of the
+// same-rank slabs of level l's plan (ExchangeStats.LocalFloatsAliased).
+func (s *Simulation) LevelFloatsAliased(l int) int { return s.levels[l].stats.localFloatsAliased }

@@ -110,11 +110,11 @@ func (c *Config) TauAt(l int) float64 {
 
 // SetBlocks makes blocks this rank's block set — blocks of any levels,
 // each with its whole neighborhood in Block.Neighbors, put in canonical
-// order (the forest's too) — re-forms a uniform world's arena, and
-// rebuilds the exchange plans of all levels, whose transfers between
-// levels r computes. Like every plan
-// rebuild it runs at a step boundary, is collective among neighboring
-// ranks and fails only when one of them does.
+// order (the forest's too) — re-forms the arenas whose members changed
+// (formArenas), and rebuilds the exchange plans of all levels, whose
+// transfers between levels r computes. Like every plan rebuild it runs at
+// a step boundary, is collective among neighboring ranks and fails only
+// when one of them does.
 func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler) error {
 	sort.Slice(blocks, func(i, j int) bool {
 		return blockforest.CanonicalLess(blocks[i].Block.Coord, blocks[i].Block.ID, blocks[j].Block.Coord, blocks[j].Block.ID)
@@ -125,10 +125,8 @@ func (s *Simulation) SetBlocks(blocks []*BlockData, r Resampler) error {
 		f.Blocks[i] = bd.Block
 	}
 	s.Blocks, s.resample = blocks, r
-	if s.refiner == nil {
-		if err := s.formArena(blocks); err != nil {
-			return err
-		}
+	if err := s.formArenas(blocks); err != nil {
+		return err
 	}
 	return s.rebuildPlan()
 }

@@ -186,17 +186,21 @@ func (s *Simulation) NewBlock(x *blockforest.Index, l blockforest.Leaf, src, dst
 	return bd, nil
 }
 
-// NewBlocks assembles the blocks of leaves ls of the set x indexes at the
-// configured step-0 state (NewBlock, then Config.InitialState at each
-// leaf's level) on the worker pool, and returns them in the order of ls.
-func (s *Simulation) NewBlocks(x *blockforest.Index, ls []blockforest.Leaf) ([]*BlockData, error) {
-	return s.assemble(len(ls), func(i int) (*BlockData, error) {
-		bd, err := s.NewBlock(x, ls[i], nil, nil)
-		if err == nil {
-			s.applyInitialState(bd)
+// NewBlocks returns the blocks of leaves ls of the set x indexes, header
+// and flags as NewBlock builds them, on the worker pool. Kernel and fields
+// — an arena's views where they join one — come when Commit lands them
+// (formArenas), with the step-0 state (Config.InitialState at each leaf's
+// level) or what fill(worker, i, bd) writes into those of block i.
+func (s *Simulation) NewBlocks(x *blockforest.Index, ls []blockforest.Leaf, fill func(worker, i int, bd *BlockData)) []*BlockData {
+	blocks, _ := s.assemble(len(ls), func(i int) (*BlockData, error) {
+		b := s.Forest.Header(ls[i], x)
+		bd := s.blockData(b, s.setupFlags(b))
+		if fill != nil {
+			bd.land = func(worker int, bd *BlockData) { fill(worker, i, bd) }
 		}
-		return bd, err
+		return bd, nil
 	})
+	return blocks
 }
 
 // Commit makes blocks — leaves of the set x indexes that this rank owns,

@@ -176,8 +176,9 @@ func (w world) Reset() error {
 	if w.refiner != nil {
 		err = w.refiner.Reset()
 	} else {
-		for _, bd := range w.Blocks {
-			w.initBlockState(bd)
+		for _, bd := range w.Blocks { // the step-0 state, as assembled
+			w.fillUniform(bd)
+			w.applyInitialState(bd)
 		}
 	}
 	w.rebaseWork(0)

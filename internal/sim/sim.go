@@ -15,6 +15,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"walberla/internal/blockforest"
@@ -366,6 +367,9 @@ type BlockData struct {
 	// kernels' dense fast path, which skips all per-cell flag tests),
 	// the block's Flags otherwise.
 	sweepFlags *field.FlagField
+	// land, on a block NewBlocks returned with a fill, writes its state
+	// once formArenas has given it fields.
+	land func(worker int, bd *BlockData)
 
 	// Per-step phase timing scratch, written by the worker executing this
 	// block's sweep and reduced into the rank timers in deterministic
@@ -432,9 +436,9 @@ type Simulation struct {
 	// refiner is a refined world's controller (SetRefiner); nil on a
 	// uniform world.
 	refiner Refiner
-	// arena is the storage this rank's all-fluid blocks share (arena.go);
-	// nil when they form none.
-	arena *arena
+	// arenas are the storages this rank's all-fluid blocks share, level by
+	// level (arena.go).
+	arenas []*arena
 }
 
 // New builds the simulation state for this rank's part of the forest.
@@ -465,31 +469,13 @@ func New(c *comm.Comm, forest *blockforest.BlockForest, cfg Config) (*Simulation
 		}
 		c.SetNetTelemetry(lane, cfg.Metrics)
 	}
-	// Flags first: they decide the arena, whose views the members are
-	// assembled on.
-	flags := make([]*field.FlagField, len(forest.Blocks))
-	s.pool.run(len(flags), func(_, i int) { flags[i] = s.setupFlags(forest.Blocks[i]) })
-	member := func(i int) bool { return s.arenaMember(forest.Blocks[i], flags[i].Count(field.Fluid)) }
-	if lo, ext, ok := arenaBox(forest.Blocks, member); ok {
-		s.arena = s.newArena(lo, ext)
-	}
-	blocks, err := s.assemble(len(forest.Blocks), func(i int) (*BlockData, error) {
+	// Flags first: they decide the arenas, whose views the members get with
+	// their kernels (formArenas).
+	blocks, _ := s.assemble(len(forest.Blocks), func(i int) (*BlockData, error) {
 		b := forest.Blocks[i]
-		var src, dst *field.PDFField
-		in := s.arena != nil && member(i)
-		if in {
-			src, dst = s.arena.views(b)
-		}
-		bd, err := s.AssembleBlock(b, flags[i], src, dst)
-		if err == nil {
-			s.applyInitialState(bd)
-			if in {
-				s.arena.grid[s.arena.at(b.Coord)] = bd
-			}
-		}
-		return bd, err
+		return s.blockData(b, s.setupFlags(b)), nil
 	})
-	if err != nil {
+	if err := s.formArenas(blocks); err != nil {
 		return nil, err
 	}
 	s.Blocks = blocks
@@ -570,26 +556,35 @@ func (s *Simulation) setupFlags(b *blockforest.Block) *field.FlagField {
 // buddy adoption, heal and every leaf of a refined world pass through it —
 // so a block rebuilt on another rank gets the identical kernel and rows.
 func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField, src, dst *field.PDFField) (*BlockData, error) {
-	fluid := flags.Count(field.Fluid)
-	rows := s.Config.allocationRows(flags, fluid)
+	bd := s.blockData(b, flags)
+	if err := s.store(bd, src, dst); err != nil {
+		return nil, err
+	}
+	return bd, nil
+}
+
+// blockData is the block of b and its flags, without the kernel and
+// fields store gives it.
+func (s *Simulation) blockData(b *blockforest.Block, flags *field.FlagField) *BlockData {
+	return &BlockData{Block: b, Flags: flags, Boundary: boundary.NewSweep(s.Stencil, flags, s.Config.Boundary), Fluid: flags.Count(field.Fluid)}
+}
+
+// store gives bd its kernel and fields, with src and dst as AssembleBlock
+// takes them.
+func (s *Simulation) store(bd *BlockData, src, dst *field.PDFField) error {
+	rows := s.Config.allocationRows(bd.Flags, bd.Fluid)
 	if src != nil && src.Rows().SameCells(rows) {
 		rows = src.Rows() // one table for kernel and fields; a view's addresses its arena
 	}
-	k, choice, err := s.Config.blockKernel(int(b.ID.Level), flags, fluid, rows)
+	k, choice, err := s.Config.blockKernel(int(bd.Block.ID.Level), bd.Flags, bd.Fluid, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bd := &BlockData{
-		Block:      b,
-		Src:        src,
-		Dst:        dst,
-		Flags:      flags,
-		Kernel:     k,
-		Boundary:   boundary.NewSweep(s.Stencil, flags, s.Config.Boundary),
-		Fluid:      fluid,
-		sweepFlags: denseSweepFlags(choice, flags, fluid),
+	bd.Src, bd.Dst, bd.Kernel, bd.sweepFlags = src, dst, k, nil
+	if choice == KernelSparse || !bd.readsAll() { // the kernel reads the flags
+		bd.sweepFlags = bd.Flags
 	}
-	cells := b.Cells
+	cells := bd.Block.Cells
 	if src == nil || src.Rows() != rows || !dst.Rows().Equal(rows) || src.Stencil != s.Stencil || dst.Stencil != s.Stencil ||
 		src.Layout != k.Layout() || dst.Layout != k.Layout() || src.Nx != cells[0] || src.Ny != cells[1] || src.Nz != cells[2] || src.Ghost != 1 {
 		bd.Src = field.NewPDFFieldRows(s.Stencil, k.Layout(), rows)
@@ -600,25 +595,7 @@ func (s *Simulation) AssembleBlock(b *blockforest.Block, flags *field.FlagField,
 			bd.Dst.CopyFrom(dst)
 		}
 	}
-	return bd, nil
-}
-
-// denseSweepFlags picks the flag field a block's kernel sweep receives:
-// nil when every interior cell is fluid and the kernel is not bound to its
-// flag field — the dense fast path — and the block's flags otherwise.
-func denseSweepFlags(choice KernelChoice, flags *field.FlagField, fluid int) *field.FlagField {
-	if choice != KernelSparse && fluid == flags.Nx*flags.Ny*flags.Nz {
-		return nil
-	}
-	return flags
-}
-
-// initBlockState (re)initializes a block's PDF fields to the configured
-// step-zero state. A resilient restart that finds no valid checkpoint set
-// rolls the fields back to exactly this state.
-func (s *Simulation) initBlockState(bd *BlockData) {
-	s.fillUniform(bd)
-	s.applyInitialState(bd)
+	return nil
 }
 
 // fillUniform sets both PDF fields of a block to the equilibrium of the
@@ -665,13 +642,14 @@ func defaultFlags(b *blockforest.Block, forest *blockforest.BlockForest, flags *
 		if b.Neighbor([3]int{nx, ny, nz}) != nil {
 			continue
 		}
-		markGhostFace(flags, f, field.NoSlip)
+		MarkGhostFace(flags, f, field.NoSlip)
 	}
 }
 
-// markGhostFace sets the ghost slab beyond the given face (including its
-// edges and corners on that side) to the cell type.
-func markGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
+// MarkGhostFace sets the ghost slab beyond the given face (including its
+// edges and corners on that side) to the cell type — also for scenario
+// setup hooks.
+func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 	g := flags.Ghost
 	nx, ny, nz := f.Normal()
 	for z := -g; z < flags.Nz+g; z++ {
@@ -686,11 +664,6 @@ func markGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 			}
 		}
 	}
-}
-
-// MarkGhostFace is exported for scenario setup hooks.
-func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
-	markGhostFace(flags, f, t)
 }
 
 // Step advances the simulation by one time step — on a refined world one
@@ -916,6 +889,11 @@ func (s *Simulation) BlockSplit() (frontier, interior int) {
 	return frontier, interior
 }
 
+// BoxSweeps returns how many of level l's sweeps run arena members as a box.
+func (s *Simulation) BoxSweeps(l int) int {
+	return len(slices.DeleteFunc(slices.Concat(s.interior[l], s.frontier[l]), func(u sweep) bool { return u.kernel == nil }))
+}
+
 // LocalCells returns the number of allocated interior cells on this rank.
 func (s *Simulation) LocalCells() int64 {
 	var n int64
@@ -939,8 +917,8 @@ func (s *Simulation) FieldCells() (allocated, block int64) {
 		}
 		block += int64(field.FullWindow(f.Nx, f.Ny, f.Nz, f.Ghost).Cells())
 	}
-	if s.arena != nil {
-		allocated += int64(s.arena.src.AllocatedCells())
+	for _, a := range s.arenas {
+		allocated += int64(a.src.AllocatedCells())
 	}
 	return allocated, block
 }

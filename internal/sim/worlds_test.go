@@ -197,8 +197,8 @@ func TestRunShapesByWorld(t *testing.T) {
 // TestArenaRankCountOracle: Taylor–Green in 4x4x4 blocks of 8³ ends on
 // one field hash on 1, 2 and 3 ranks with 1 and 2 workers, in process and
 // over unix sockets. On 1 and 2 ranks every rank's blocks fill a box and
-// share its arena; the Morton thirds of 3 ranks fill none, and no rank
-// forms one.
+// share its one arena; the Morton thirds of 3 ranks fill none, and every
+// rank covers its blocks with several (logged).
 func TestArenaRankCountOracle(t *testing.T) {
 	const steps = 10
 	var want uint64
@@ -211,10 +211,9 @@ func TestArenaRankCountOracle(t *testing.T) {
 				label := fmt.Sprintf("%s ranks=%d workers=%d", network, ranks, workers)
 				var mu sync.Mutex
 				var hash uint64
-				arenas := 0
 				err := problemFor(t, doc).RunEach(steps, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
 					h, err := s.FieldHash()
-					allocated, block := s.FieldCells()
+					arenas := s.ArenaBoxes(false)
 					mu.Lock()
 					defer mu.Unlock()
 					if err != nil {
@@ -223,8 +222,11 @@ func TestArenaRankCountOracle(t *testing.T) {
 					if c.Rank() == 0 {
 						hash = h
 					}
-					if allocated < block {
-						arenas++
+					if ranks < 3 && len(arenas) != 1 || ranks == 3 && len(arenas) < 2 {
+						t.Errorf("%s: rank %d forms %d arenas", label, c.Rank(), len(arenas))
+					}
+					for _, a := range arenas {
+						t.Logf("%s rank %d: %v", label, c.Rank(), a)
 					}
 				})
 				if err != nil {
@@ -235,9 +237,6 @@ func TestArenaRankCountOracle(t *testing.T) {
 				}
 				if hash != want {
 					t.Errorf("%s: field hash %016x, want %016x", label, hash, want)
-				}
-				if wantArenas := map[int]int{1: 1, 2: 2, 3: 0}[ranks]; arenas != wantArenas {
-					t.Errorf("%s: %d ranks formed an arena, want %d", label, arenas, wantArenas)
 				}
 			}
 		}
