@@ -30,8 +30,11 @@ race:
 	$(GO) test -race ./...
 
 # race-sim re-runs the simulation driver tests uncached under the race
-# detector: the hybrid bit-identity tests (multi-worker vs serial,
-# resilient replay with workers > 1) must pass fresh on every gate.
+# detector: the hybrid bit-identity tests (multi-worker vs serial — the
+# overlap split on a rank cut normal to z, one frontier box per rank on a
+# cut normal to x, where arena rows are swept whole — and resilient replay
+# with workers > 1) must pass fresh on every gate, as must the row rule of
+# the arena sweeps (TestArenaRowsSweepWhole).
 race-sim:
 	$(GO) test -race -count=1 ./internal/sim/...
 
@@ -65,11 +68,12 @@ race-resilience:
 # silent rank is named), the receive-buffer ownership contract, the
 # payload contract on both transports, a payload split across frames and
 # joined again, the cross-transport bit-identity and
-# recovery-over-sockets tests, and the refined overlapped step over
+# recovery-over-sockets tests, the refined overlapped step over
 # sockets (TestRefinedLevelsOverlap: every level's interior blocks sweep
-# while its slabs are on the wire).
+# while its slabs are on the wire), and a rank's panic waking a peer
+# blocked in a receive from it on both transports (TestRankPanicWakesPeers).
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire|TestRefinedLevelsOverlap' ./internal/comm/ ./internal/sim/ ./internal/amr/
+	$(GO) test -race -count=1 -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire|TestRefinedLevelsOverlap|TestRankPanicWakesPeers' ./internal/comm/ ./internal/sim/ ./internal/amr/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share

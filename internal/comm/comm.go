@@ -42,6 +42,7 @@ package comm
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -402,8 +403,10 @@ type Comm struct {
 }
 
 // Run executes f on n ranks, one goroutine per rank, and returns when all
-// ranks have finished. A panic on any rank is re-raised on the caller with
-// the rank attached.
+// ranks have finished. A panic on any rank declares that rank failed, so
+// its peers' receives return an error instead of blocking, and the first
+// rank's panic is re-raised on the caller with the rank and its stack
+// attached.
 func Run(n int, f func(c *Comm)) {
 	RunWithOptions(n, Options{}, f)
 }
@@ -451,9 +454,12 @@ func RunWithOptions(n int, opts Options, f func(c *Comm)) {
 			defer func() {
 				if p := recover(); p != nil {
 					select {
-					case panics <- fmt.Sprintf("rank %d: %v", rank, p):
+					case panics <- fmt.Sprintf("rank %d: %v\n%s", rank, p, debug.Stack()):
 					default:
 					}
+					// Peers blocked on this rank wake with an error instead
+					// of waiting for it forever.
+					w.declareFailure(&RankFailedError{Rank: rank, Cause: fmt.Sprintf("panic: %v", p)})
 				}
 			}()
 			f(&Comm{w: w, group: group, toIndex: toIndex, rank: rank,

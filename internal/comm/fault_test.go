@@ -2,7 +2,9 @@ package comm
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -328,6 +330,40 @@ func TestFailureNamesOnlyTheSilentRank(t *testing.T) {
 					t.Errorf("rank %d: got %v, want a timeout failure of rank 0", c.Rank(), err)
 				}
 			})
+		})
+	}
+}
+
+// TestRankPanicWakesPeers: a rank that panics is declared failed, so a
+// peer blocked in a receive from it wakes with an error, and Run re-raises
+// the panicking rank's message — on either transport, well before the
+// test binary's timeout.
+func TestRankPanicWakesPeers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  *NetOptions
+	}{{"inproc", nil}, {"unix", &NetOptions{Network: "unix"}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan string, 1)
+			go func() {
+				defer func() { done <- fmt.Sprint(recover()) }()
+				RunWithOptions(2, Options{Net: tc.net}, func(c *Comm) {
+					if c.Rank() == 0 {
+						c.Recv(1, 1) // never sent
+						return
+					}
+					time.Sleep(50 * time.Millisecond) // let rank 0 block in Recv first
+					panic("rank-one-boom")
+				})
+			}()
+			select {
+			case msg := <-done:
+				if !strings.Contains(msg, "rank 1: rank-one-boom") {
+					t.Errorf("Run panicked with %q, want rank 1's panic", msg)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("rank 0 still blocked 10 s after rank 1 panicked")
+			}
 		})
 	}
 }

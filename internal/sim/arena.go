@@ -192,10 +192,10 @@ func (s *Simulation) formArenas(blocks []*BlockData) error {
 }
 
 // sweep is one task of a level's sweep: a block through its own kernel,
-// or a box of arena members through one kernel over views of the box,
-// with rows as long as the box (docs/KERNELS.md, "Allocation rows") — 4
-// blocks of 8³ sweep rows of 32 cells. Boundary passes and body forces
-// stay per block.
+// or a box of whole rows of arena members (sweeps) through one kernel
+// over views of the box, with rows as long as the box (docs/KERNELS.md,
+// "Allocation rows") — 4 blocks of 8³ sweep rows of 32 cells. Boundary
+// passes and body forces stay per block.
 type sweep struct {
 	blocks   []*BlockData
 	src, dst *field.PDFField // the box's views; nil for a block alone
@@ -213,24 +213,30 @@ func (u *sweep) swap() {
 }
 
 // sweeps hands every block of the rank to add in one sweep, with its
-// level: a block outside the arenas alone, the members of an arena in
-// boxes — z-layers of the arena, or y-rows where the layers are fewer than
-// the workers. A box whose members differ in frontier status (remote)
-// splits into x-runs of one status; a run of one block, and a box whose
-// kernels read their flags, sweep block by block.
-func (s *Simulation) sweeps(remote map[*BlockData]bool, add func(l int, u sweep)) error {
+// level and phase: a block outside the arenas alone, in the frontier iff
+// it is remote, the members of an arena in boxes of whole rows — a row of
+// blocks runs along x, where storage is contiguous, and is never divided
+// between sweeps. A row with a remote member sweeps in the frontier, and
+// consecutive rows of one status within a z-layer (each row alone where
+// the layers are fewer than the workers) sweep as one box, so interior and
+// frontier overlap only where the rank cut is normal to y or z. Divided
+// rows swept as single blocks with rows half as long, which cost amr_shear
+// up to 45 % of a rank's level-2 sweep time (EXPERIMENTS.md, "Arena rows
+// swept whole"). A box of one block, and a box whose kernels read their
+// flags, sweep block by block.
+func (s *Simulation) sweeps(remote map[*BlockData]bool, add func(l int, frontier bool, u sweep)) error {
 	for i, bd := range s.Blocks {
 		if !bd.Src.Rows().View() {
-			add(int(bd.Block.ID.Level), sweep{blocks: s.Blocks[i : i+1 : i+1]})
+			add(int(bd.Block.ID.Level), remote[bd], sweep{blocks: s.Blocks[i : i+1 : i+1]})
 		}
 	}
 	c := s.Forest.CellsPerBlock
 	for _, a := range s.arenas {
 		// box adds the members in, the box of n blocks at block at of a.
-		box := func(in []*BlockData, at, n [3]int) error {
+		box := func(in []*BlockData, at, n [3]int, frontier bool) error {
 			if len(in) == 1 || slices.ContainsFunc(in, func(bd *BlockData) bool { return bd.sweepFlags != nil }) {
 				for j := range in {
-					add(a.level, sweep{blocks: in[j : j+1 : j+1]})
+					add(a.level, frontier, sweep{blocks: in[j : j+1 : j+1]})
 				}
 				return nil
 			}
@@ -243,7 +249,7 @@ func (s *Simulation) sweeps(remote map[*BlockData]bool, add func(l int, u sweep)
 			u.kernel, err = kernels.New(kernels.Spec{Choice: s.Config.resolveKernel(1), Stencil: s.Stencil,
 				Tau: s.Config.TauAt(a.level), Magic: s.Config.Magic, Rows: u.src.Rows()})
 			if err == nil {
-				add(a.level, u)
+				add(a.level, frontier, u)
 			}
 			return err
 		}
@@ -251,28 +257,21 @@ func (s *Simulation) sweeps(remote map[*BlockData]bool, add func(l int, u sweep)
 		if ext[2] < s.pool.workers {
 			rows = 1
 		}
+		// members returns the members of rows [y, y+n) of layer z.
+		members := func(y, z, n int) []*BlockData { return a.grid[(z*ext[1]+y)*ext[0] : (z*ext[1]+y+n)*ext[0]] }
+		hot := func(y, z int) bool {
+			return slices.ContainsFunc(members(y, z, 1), func(bd *BlockData) bool { return remote[bd] })
+		}
 		for z := range ext[2] {
-			for y := 0; y < ext[1]; y += rows {
-				in := a.grid[(z*ext[1]+y)*ext[0] : (z*ext[1]+y+rows)*ext[0]]
-				if !slices.ContainsFunc(in, func(bd *BlockData) bool { return remote[bd] != remote[in[0]] }) {
-					if err := box(in, [3]int{0, y, z}, [3]int{ext[0], rows, 1}); err != nil {
-						return err
-					}
-					continue
+			for y := 0; y < ext[1]; {
+				n := 1
+				for n < rows && y+n < ext[1] && hot(y+n, z) == hot(y, z) {
+					n++
 				}
-				for r := range rows {
-					row := in[r*ext[0] : (r+1)*ext[0]]
-					for x := 0; x < len(row); {
-						n := 1
-						for x+n < len(row) && remote[row[x+n]] == remote[row[x]] {
-							n++
-						}
-						if err := box(row[x:x+n:x+n], [3]int{x, y + r, z}, [3]int{n, 1, 1}); err != nil {
-							return err
-						}
-						x += n
-					}
+				if err := box(members(y, z, n), [3]int{0, y, z}, [3]int{ext[0], n, 1}, hot(y, z)); err != nil {
+					return err
 				}
+				y += n
 			}
 		}
 	}

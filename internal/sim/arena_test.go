@@ -11,6 +11,7 @@ import (
 	"walberla/internal/amr"
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
+	"walberla/internal/core"
 	"walberla/internal/scenario"
 	"walberla/internal/sim"
 )
@@ -125,13 +126,13 @@ func TestRefinedArenaOracle(t *testing.T) {
 	}
 }
 
-// TestArenaCoverFollowsRegrades: while the controller follows a drifting
-// shear layer, after every step each rank's arenas are the ones a fresh
-// build of its leaf set forms, and every level on which the rank holds two
-// face-adjacent leaves of one tree (of the grid, on level 0) shares ghost
-// slots through an arena.
-func TestArenaCoverFollowsRegrades(t *testing.T) {
-	const steps, lx, drift = 120, 64.0, 0.06
+// shearSteps is how many steps the drifting shear layer runs.
+const shearSteps = 120
+
+// driftingShear is a Gaussian shear layer drifting along x through 16 roots
+// of 4³ cells on two ranks, which the controller regrades every 4 steps.
+func driftingShear(t *testing.T) *core.Problem {
+	const lx, drift = 64.0, 0.06
 	p := problemFor(t, `{"version": 1, "geometry": {"example": "taylor-green", "amplitude": 0.05},
   "resolution": {"grid": [16, 1, 1], "cells_per_block": [4, 4, 4]}, "collision": {"tau": 0.53},
   "refinement": {"max_level": 2, "criterion": "gradient", "refine_above": 0.0015, "coarsen_below": 0.0004, "interval": 4},
@@ -139,11 +140,21 @@ func TestArenaCoverFollowsRegrades(t *testing.T) {
 	p.InitialState = func(x, _, _ float64) (float64, float64, float64, float64) {
 		return 1, drift, 0.05 * math.Exp(-(x-lx/2)*(x-lx/2)/4), 0
 	}
+	return p
+}
+
+// TestArenaCoverFollowsRegrades: while the controller follows a drifting
+// shear layer, after every step each rank's arenas are the ones a fresh
+// build of its leaf set forms, and every level on which the rank holds two
+// face-adjacent leaves of one tree (of the grid, on level 0) shares ghost
+// slots through an arena.
+func TestArenaCoverFollowsRegrades(t *testing.T) {
+	p := driftingShear(t)
 	var mu sync.Mutex
 	changes := 0
 	err := p.RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
 		prev := ""
-		for step := range steps {
+		for step := range shearSteps {
 			if err := s.Step(); err != nil {
 				t.Error(err)
 				return
@@ -170,7 +181,80 @@ func TestArenaCoverFollowsRegrades(t *testing.T) {
 	}
 	t.Logf("rank 0's arenas changed %d times", changes)
 	if changes < 3 {
-		t.Errorf("rank 0's arenas changed %d times in %d steps, want a drifting cover", changes, steps)
+		t.Errorf("rank 0's arenas changed %d times in %d steps, want a drifting cover", changes, shearSteps)
+	}
+}
+
+// TestArenaRowsSweepWhole: no y-row of an arena is divided between
+// sweeps, and a row sweeps in the frontier iff one of its members exchanges
+// with another rank — on the static three-level forest and amr-cavity.json
+// at 2 and 3 ranks with 1 and 2 workers, and after every step, regrades
+// included, of the drifting shear layer. Some rows on the rank cut mix
+// members of both kinds, so splitting rows would show.
+func TestArenaRowsSweepWhole(t *testing.T) {
+	raw, err := os.ReadFile("../scenario/testdata/amr-cavity.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	mixed := map[string]int{}
+	check := func(world string, c *comm.Comm, s *sim.Simulation) {
+		faults, n := s.RowSweepFaults()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, f := range faults {
+			t.Errorf("%s rank %d: %s", world, c.Rank(), f)
+		}
+		mixed[strings.Fields(world)[0]] += n
+	}
+	for _, ranks := range []int{2, 3} {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("ranks=%d workers=%d", ranks, workers)
+			sc, err := scenario.Parse([]byte(fmt.Sprintf(refinedDoc, ranks, workers, "inproc")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			comm.RunWithOptions(ranks, sc.CommOptions(), func(c *comm.Comm) {
+				s, err := staticThreeLevels(c, sc)
+				if err == nil {
+					_, err = s.Plane().Run(2)
+				}
+				if err != nil {
+					t.Errorf("static %s rank %d: %v", label, c.Rank(), err)
+					return
+				}
+				check("static "+label, c, s.Plane())
+			})
+			doc := strings.Replace(string(raw), `"parallel": {"ranks": 2, "workers": 2}`, fmt.Sprintf(`"parallel": {"ranks": %d, "workers": %d}`, ranks, workers), 1)
+			err = problemFor(t, doc).RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+				for range 6 {
+					if err := s.Step(); err != nil {
+						t.Error(err)
+						return
+					}
+					check("amr-cavity "+label, c, s)
+				}
+			})
+			if err != nil {
+				t.Fatalf("amr-cavity %s: %v", label, err)
+			}
+		}
+	}
+	err = driftingShear(t).RunEach(0, func(c *comm.Comm, s *sim.Simulation, _ sim.Metrics) {
+		for step := range shearSteps {
+			if err := s.Step(); err != nil {
+				t.Error(err)
+				return
+			}
+			check(fmt.Sprintf("shear step %d", step), c, s)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rows mixing frontier and interior members: %v", mixed)
+	if mixed["static"] == 0 || mixed["shear"] == 0 {
+		t.Errorf("rows mixing frontier and interior members: %v, want some on the static forest and the shear layer", mixed)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"walberla/internal/blockforest"
 	"walberla/internal/comm"
@@ -209,3 +210,53 @@ func (s *Simulation) ArenaBoxes(fresh bool) []ArenaBox {
 // LevelFloatsAliased returns what the rank's arenas share of the
 // same-rank slabs of level l's plan (ExchangeStats.LocalFloatsAliased).
 func (s *Simulation) LevelFloatsAliased(l int) int { return s.levels[l].stats.localFloatsAliased }
+
+// RowSweepFaults checks the row rule of sweeps on the rank's arenas: every
+// y-row of an arena belongs to exactly one sweep, and that sweep runs in
+// the frontier iff a member of the row exchanges with another rank. It
+// returns one line per row that breaks the rule, and how many rows mix
+// members that exchange with another rank and members that do not.
+func (s *Simulation) RowSweepFaults() (faults []string, mixed int) {
+	remote := map[*BlockData]bool{}
+	for l := range s.levels {
+		for _, ch := range s.levels[l].channels {
+			if ch.rank == s.Comm.Rank() {
+				continue
+			}
+			for _, sl := range slices.Concat(ch.send, ch.recv) {
+				remote[sl.bd] = true
+			}
+		}
+	}
+	held := map[*BlockData][]*sweep{} // block -> the sweeps that run it
+	frontier := map[*sweep]bool{}
+	for l := range s.interior {
+		for i, us := range [2][]sweep{s.interior[l], s.frontier[l]} {
+			for k := range us {
+				frontier[&us[k]] = i == 1
+				for _, bd := range us[k].blocks {
+					held[bd] = append(held[bd], &us[k])
+				}
+			}
+		}
+	}
+	for _, a := range s.arenas {
+		for z := range a.ext[2] {
+			for y := range a.ext[1] {
+				row := a.grid[(z*a.ext[1]+y)*a.ext[0] : (z*a.ext[1]+y+1)*a.ext[0]]
+				u := held[row[0]]
+				if slices.ContainsFunc(row, func(bd *BlockData) bool { return remote[bd] != remote[row[0]] }) {
+					mixed++
+				}
+				if slices.ContainsFunc(row, func(bd *BlockData) bool { return len(held[bd]) != 1 || held[bd][0] != u[0] }) {
+					faults = append(faults, fmt.Sprintf("level %d box %v+%v row y=%d z=%d: members in several sweeps", a.level, a.lo, a.ext, y, z))
+					continue
+				}
+				if hot := slices.ContainsFunc(row, func(bd *BlockData) bool { return remote[bd] }); frontier[u[0]] != hot {
+					faults = append(faults, fmt.Sprintf("level %d box %v+%v row y=%d z=%d: frontier %v, remote member %v", a.level, a.lo, a.ext, y, z, frontier[u[0]], hot))
+				}
+			}
+		}
+	}
+	return faults, mixed
+}

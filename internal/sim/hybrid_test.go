@@ -107,49 +107,68 @@ func TestHybridTaylorGreenBitIdentical(t *testing.T) {
 }
 
 // TestHybridOverlapSplitBitIdentical drives the comm/compute overlap
-// path with a decomposition that has both frontier and interior blocks
-// on a rank (4 blocks in a row over 2 ranks: the outer blocks have only
-// local neighbors, the middle ones talk across the rank boundary) and
-// checks bit-identity plus the split bookkeeping.
+// path and checks bit-identity at 1 and 4 workers plus the split
+// bookkeeping, on 4 blocks in a line over 2 ranks. An arena row of blocks
+// is never divided between sweeps (sweeps), so the split depends on the
+// direction of the line: along z each rank's outer layer has only local
+// neighbors and sweeps before the wait, its inner one after it; along x,
+// the direction of the rows, each rank's two blocks are one row with a
+// remote member, swept as one frontier box.
 func TestHybridOverlapSplitBitIdentical(t *testing.T) {
 	const steps = 25
-	run := func(workers int) map[[3]int][]uint64 {
-		domain := blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1})
-		f := blockforest.NewSetupForest(domain, [3]int{4, 1, 1}, [3]int{4, 4, 4}, [3]bool{})
-		f.BalanceMorton(2)
-		var mu sync.Mutex
-		bits := make(map[[3]int][]uint64)
-		comm.Run(2, func(c *comm.Comm) {
-			forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cfg := cavityConfig()
-			cfg.Workers = workers
-			s, err := New(c, forest, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			frontier, interior := s.BlockSplit()
-			if frontier == 0 || interior == 0 {
+	for _, tc := range []struct {
+		name  string
+		grid  [3]int
+		check func(t *testing.T, c *comm.Comm, s *Simulation)
+	}{
+		{"cut normal to z", [3]int{1, 1, 4}, func(t *testing.T, c *comm.Comm, s *Simulation) {
+			if frontier, interior := s.BlockSplit(); frontier == 0 || interior == 0 {
 				t.Errorf("rank %d: frontier=%d interior=%d, want both nonzero", c.Rank(), frontier, interior)
 			}
 			mustRun(t, s, steps)
-			o := s.Overlap()
-			if o.Post <= 0 || o.Interior <= 0 || o.Frontier <= 0 {
+			if o := s.Overlap(); o.Post <= 0 || o.Interior <= 0 || o.Frontier <= 0 {
 				t.Errorf("rank %d: degenerate overlap breakdown %v", c.Rank(), o)
 			}
-			collectBits(s, &mu, bits)
+		}},
+		{"cut normal to x", [3]int{4, 1, 1}, func(t *testing.T, c *comm.Comm, s *Simulation) {
+			if f := s.frontier[0]; len(f) != 1 || len(f[0].blocks) != 2 || f[0].kernel == nil || len(s.interior[0]) != 0 {
+				t.Errorf("rank %d: %d frontier and %d interior sweeps, want one frontier box of the rank's row", c.Rank(), len(f), len(s.interior[0]))
+			}
+			mustRun(t, s, steps)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) map[[3]int][]uint64 {
+				domain := blockforest.NewAABB([3]float64{0, 0, 0}, [3]float64{1, 1, 1})
+				f := blockforest.NewSetupForest(domain, tc.grid, [3]int{4, 4, 4}, [3]bool{})
+				f.BalanceMorton(2)
+				var mu sync.Mutex
+				bits := make(map[[3]int][]uint64)
+				comm.Run(2, func(c *comm.Comm) {
+					forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					cfg := cavityConfig()
+					cfg.Workers = workers
+					s, err := New(c, forest, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					tc.check(t, c, s)
+					collectBits(s, &mu, bits)
+				})
+				return bits
+			}
+			ref := run(1)
+			if t.Failed() {
+				t.Fatal("serial reference failed")
+			}
+			compareBits(t, ref, run(4), "overlap workers=4")
 		})
-		return bits
 	}
-	ref := run(1)
-	if t.Failed() {
-		t.Fatal("serial reference failed")
-	}
-	compareBits(t, ref, run(4), "overlap workers=4")
 }
 
 // TestHybridResilientReplayBitIdentical: rewind-and-replay recovery with

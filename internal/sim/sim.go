@@ -790,8 +790,8 @@ func (s *Simulation) rebuildPlan() error {
 		s.stepWork[0] += int64(bd.Src.InteriorCells()) << l
 		s.stepWork[1] += int64(bd.Fluid) << l
 	}
-	return s.sweeps(remote, func(l int, u sweep) {
-		if remote[u.blocks[0]] {
+	return s.sweeps(remote, func(l int, frontier bool, u sweep) {
+		if frontier {
 			s.frontier[l] = append(s.frontier[l], u)
 		} else {
 			s.interior[l] = append(s.interior[l], u)
