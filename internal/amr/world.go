@@ -36,7 +36,7 @@ type Sim struct {
 	tel   amrTel
 	stats Stats
 
-	// scratch is per-worker interpolation scratch (Q-vector pairs);
+	// scratch is the per-worker scratch of the transfer walk;
 	// allDirs lists every direction of the stencil, the output of the
 	// whole-block transfers.
 	scratch []interpScratch
@@ -93,9 +93,6 @@ func NewSpare(c *comm.Comm, cfg Config) (*Sim, error) {
 	plane.SetRefiner(refiner{s})
 	s.tel = resolveAMRTel(cfg.Tracer, cfg.Metrics)
 	s.scratch = make([]interpScratch, plane.Workers())
-	for i := range s.scratch {
-		s.scratch[i] = newInterpScratch(cfg.Stencil.Q)
-	}
 	for a := 0; a < cfg.Stencil.Q; a++ {
 		s.allDirs = append(s.allDirs, lattice.Direction(a))
 	}

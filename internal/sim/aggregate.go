@@ -31,8 +31,9 @@ import (
 //
 // A plan is built per level of the receiving blocks — a uniform world has
 // one. Transfers between levels are produced at the receiver's resolution
-// by the sender at pack time (the Resampler) and cross whole, so
-// receivers always unpack a plain slab.
+// by the sender at pack time (the Resampler), and masked like every slab:
+// the sender produces only the slots the receiver keeps, so receivers
+// always unpack a plain slab.
 //
 // Both sides sort their manifest by the same canonical key — (Morton key
 // of the SENDING block, its identity, offset index of the SENDING
@@ -85,15 +86,12 @@ type slabOp struct {
 	key aggKey
 	// x, on the send side of a transfer between levels, is what the
 	// Resampler packs instead of the slab reg of bd (which is then the
-	// receiver-frame box); it packs the whole window and has no runs.
+	// receiver-frame box): the window's kept slots, with no runs.
 	x *Transfer
 }
 
 // slots is the size of the slab's whole window, every slot kept.
 func (sl *slabOp) slots() int { return len(sl.dirs) * sl.reg.cells() }
-
-// resampled reports whether the slab is a transfer between levels.
-func (sl *slabOp) resampled() bool { return sl.key.src.Level != sl.key.receiver.Level }
 
 // manifestSlots is the number of slots of a manifest's whole slabs.
 func manifestSlots(slabs []slabOp) int {
@@ -376,16 +374,14 @@ type rowEnds struct {
 // order. A kept slot an end's field does not store gets no run: a receiver
 // skips it; a sender leaves it to the fill value — a local destination has
 // held that value since it was initialized, an aggregate position goes to
-// fills, to be written once into both send buffers. With whole set the
-// slots m drops keep their window positions too, and only their runs go.
-// A row m keeps whole
+// fills, to be written once into both send buffers. A row m keeps whole
 // and both ends hold contiguously becomes one row without a per-slot
 // test; adjacent slots merge into rows and equidistant rows into one run
 // (addRow). The rows' field positions are looked up once per slab, not
 // once per direction, and a z-layer of even whole rows that the mask keeps
 // folds in one step: the first two rows set the run's step, the rest are
 // repetitions addRow would count one by one.
-func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m slotMask, fills *[]fillSlot, whole bool) ([]copyRun, int, int) {
+func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m slotMask, fills *[]fillSlot) ([]copyRun, int, int) {
 	for _, e := range [2]end{src, dst} {
 		if e.f != nil && len(e.f.Data()) > math.MaxInt32 {
 			panic("sim: block too large for 32-bit copy runs")
@@ -441,9 +437,6 @@ func (k *runSink) lower(src, dst end, ext [3]int, dirs []lattice.Direction, m sl
 			y, z := ri%ext[1], ri/ext[1]
 			for i := 0; i < nx; i, bit = i+1, bit+1 {
 				if !m.has(bit) {
-					if whole {
-						kept++
-					}
 					continue
 				}
 				s, t := src.pos(r.src, d, i, kept), dst.pos(r.dst, d, i, kept)
@@ -485,7 +478,7 @@ func (k *runSink) compileLocal(src, dst *BlockData, srcReg, dstReg region, dirs 
 		needMask(m.bits, 0, dst, dstReg, dirs)
 	}
 	aliased := cl.take(m.bits, 0, end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, dstReg.size(), dirs)
-	runs, _, moved := k.lower(end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, srcReg.size(), dirs, m, nil, false)
+	runs, _, moved := k.lower(end{f: sf, lo: srcReg.lo}, end{f: df, lo: dstReg.lo}, srcReg.size(), dirs, m, nil)
 	return runs, moved, aliased
 }
 
@@ -790,9 +783,6 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 					reg = ghostBox(blk.Cells, o, neg(rel), w, wn)
 					x = &Transfer{Src: bd, ToFiner: w > wn, Lo: reg.lo, Hi: reg.hi, Dirs: dirs,
 						Base: [3]int{rel[0] * blk.Cells[0], rel[1] * blk.Cells[1], rel[2] * blk.Cells[2]}, MemoStamp: -1}
-					if x.ToFiner {
-						x.Memo = make([]float64, reg.cells()*s.Stencil.Q)
-					}
 				}
 				peer := byID[n.ID]
 				if n.Rank == me && peer == nil {
@@ -819,6 +809,10 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 		sort.Slice(ch.recv, func(a, b int) bool { return ch.recv[a].key.less(ch.recv[b].key) })
 		if mask := maskManifest(ch.recv, cl); ch.rank != me {
 			ch.mask = mask
+		} else { // the same transfers in the same order
+			for k := range ch.send {
+				ch.send[k].mask = ch.recv[k].mask
+			}
 		}
 	}
 	return p, copies
@@ -826,28 +820,20 @@ func buildPlan(s *Simulation, level int, byID map[blockforest.BlockID]*BlockData
 
 // maskManifest evaluates the need-mask of a channel's receive manifest
 // into one bit string, slab after slab, and returns it: a slab keeps what
-// its receiving block reads and no earlier transfer claimed (claims.take).
-// A transfer between levels crosses whole, as its sender resamples the
-// whole window; only the mask its unpack runs are lowered with drops what
-// an earlier transfer claimed. Two transfers from one leaf of another
-// level may name one arena position — a member's face ghost and another's
-// edge ghost — with one value, and unpacks run concurrently.
+// its receiving block reads and no earlier transfer claimed (claims.take),
+// a transfer between levels like one of a level. Two transfers from one
+// leaf of another level may name one arena position — a member's face
+// ghost and another's edge ghost — with one value; the first keeps it, as
+// unpacks run concurrently.
 func maskManifest(recv []slabOp, cl claims) []byte {
 	bits := make([]byte, (manifestSlots(recv)+7)/8)
 	at := 0
 	for k := range recv {
 		sl := &recv[k]
-		n, m := sl.slots(), slotMask{bits: bits, off: at}
-		if sl.resampled() {
-			setBits(bits, at, n)
-			m = slotMask{bits: make([]byte, (n+7)/8)}
-			setBits(m.bits, 0, n)
-		} else {
-			needMask(bits, at, sl.bd, sl.reg, sl.dirs)
-		}
-		cl.take(m.bits, m.off, end{}, end{f: sl.bd.Src, lo: sl.reg.lo}, sl.reg.size(), sl.dirs)
-		sl.mask = m.simplify(n)
-		at += n
+		needMask(bits, at, sl.bd, sl.reg, sl.dirs)
+		cl.take(bits, at, end{}, end{f: sl.bd.Src, lo: sl.reg.lo}, sl.reg.size(), sl.dirs)
+		sl.mask = slotMask{bits: bits, off: at}.simplify(sl.slots())
+		at += sl.slots()
 	}
 	return bits
 }
@@ -889,9 +875,6 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 			for k := range ch.send {
 				sl := &ch.send[k]
 				sl.mask = slotMask{bits: bits, off: at}.simplify(sl.slots())
-				if sl.x != nil && sl.mask.bits != nil {
-					return fmt.Errorf("sim: rank %d: rank %d masks a level-%d transfer between levels", me, ch.rank, l)
-				}
 				at += sl.slots()
 			}
 		}
@@ -905,7 +888,7 @@ func exchangeMasks(s *Simulation, plans []plan) error {
 // to field, each against its mask. A slab's window is the prefix sum of
 // the kept slots before it, so both ends of a channel agree on every
 // position and the bytes stay layout-agnostic. A transfer between levels
-// keeps its whole window, which the Resampler packs. Each transfer is
+// keeps its mask, whose kept slots the Resampler packs. Each transfer is
 // lowered once and keeps an exact-size copy of its runs: they live as long
 // as the plan, and on a world of many small blocks the growth slack of one
 // appended list, or the garbage of compacting it, shows in the peak memory.
@@ -957,16 +940,21 @@ func lowerManifest(slabs []slabOp, sink *runSink, fills *[]fillSlot, send bool) 
 	off := 0
 	for k := range slabs {
 		sl := &slabs[k]
-		sl.off = off
+		sl.off, sl.n = off, 0
 		if sl.x != nil {
-			sl.n = sl.slots()
+			for k := range sl.slots() {
+				if sl.mask.has(k) {
+					sl.n++
+				}
+			}
+			sl.x.keep = sl.mask
 		} else {
 			blk, agg := end{f: sl.bd.Src, lo: sl.reg.lo}, end{at: off}
 			src, dst := blk, agg
 			if !send {
 				src, dst = agg, blk
 			}
-			sl.runs, sl.n, _ = sink.lower(src, dst, sl.reg.size(), sl.dirs, sl.mask, fills, sl.resampled())
+			sl.runs, sl.n, _ = sink.lower(src, dst, sl.reg.size(), sl.dirs, sl.mask, fills)
 		}
 		sl.mask = slotMask{}
 		off += sl.n

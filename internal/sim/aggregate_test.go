@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -907,4 +908,32 @@ func TestClaimsPerArena(t *testing.T) {
 	if hashes[0] != hashes[1] || hashes[0] == 0 {
 		t.Errorf("two arenas end on %016x, five ranks on %016x", hashes[0], hashes[1])
 	}
+}
+
+// TestWrongSizedMaskRefused: a peer's need-mask that does not fit the
+// manifest it is meant for fails the plan build with an error naming the
+// peer, whatever slabs the manifest holds.
+func TestWrongSizedMaskRefused(t *testing.T) {
+	comm.Run(2, func(c *comm.Comm) {
+		f := blockforest.NewSetupForest(blockforest.NewAABB([3]float64{}, [3]float64{2, 1, 1}), [3]int{2, 1, 1}, [3]int{4, 4, 4}, [3]bool{true, true, true})
+		f.BalanceMorton(2)
+		forest, err := blockforest.Distribute(c, forestFor(c.Rank(), f))
+		var s *Simulation
+		if err == nil {
+			s, err = New(c, forest, Config{Tau: 0.7})
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if c.Rank() == 1 {
+			if err := c.SendErr(0, tagNeedMask, []byte{0xff}); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		if _, err := buildPlans(s); err == nil || !strings.Contains(err.Error(), "need-mask from rank 1 does not fit") {
+			t.Errorf("a one-byte mask from rank 1: plan build error %v", err)
+		}
+	})
 }

@@ -319,3 +319,42 @@ func TestRefinedGhostPoison(t *testing.T) {
 		t.Errorf("poisoned field hash %016x, clean %016x", hashes[1], hashes[0])
 	}
 }
+
+// TestRemoteTransfersCarryKeptSlots: a transfer between levels bound for
+// another rank is masked like a slab of one level — on the static
+// three-level forest over two ranks, the receiving arenas' claims drop
+// slots of some, and every such transfer's window is exactly the slots
+// its Kept reports, which the Resampler packs.
+func TestRemoteTransfersCarryKeptSlots(t *testing.T) {
+	sc, err := scenario.Parse([]byte(fmt.Sprintf(refinedDoc, 2, 1, "inproc")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var transfers, masked int
+	comm.Run(2, func(c *comm.Comm) {
+		s, err := staticThreeLevels(c, sc)
+		if err == nil {
+			err = s.Step()
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, x := range s.Plane().RemoteTransfers() {
+			slots, kept, window := x[0], x[1], x[2]
+			if window != kept {
+				t.Errorf("rank %d: a transfer between levels of %d slots keeps %d and packs a window of %d", c.Rank(), slots, kept, window)
+			}
+			transfers++
+			if kept < slots {
+				masked++
+			}
+		}
+	})
+	if masked == 0 {
+		t.Errorf("none of %d remote transfers between levels is masked", transfers)
+	}
+}

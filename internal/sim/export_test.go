@@ -260,3 +260,27 @@ func (s *Simulation) RowSweepFaults() (faults []string, mixed int) {
 	}
 	return faults, mixed
 }
+
+// RemoteTransfers returns, for every transfer between levels this rank
+// sends to another rank, its slots, the slots its Kept reports and the
+// length of its window in the channel's aggregate.
+func (s *Simulation) RemoteTransfers() [][3]int {
+	var out [][3]int
+	for l := range s.levels {
+		for _, ch := range s.levels[l].channels {
+			for _, sl := range ch.send {
+				if sl.x == nil || ch.rank == s.Comm.Rank() {
+					continue
+				}
+				kept := 0
+				for k := range sl.slots() {
+					if sl.x.Kept(k) {
+						kept++
+					}
+				}
+				out = append(out, [3]int{sl.slots(), kept, sl.n})
+			}
+		}
+	}
+	return out
+}

@@ -22,7 +22,7 @@ import (
 // the sender at the receiver's resolution when the exchange packs it: for
 // every cell p of the receiver-frame box [Lo, Hi) and every direction of
 // Dirs, in PackRegion order (dir-major, then z, y, x), the receiver's value
-// taken from Src.
+// taken from Src — of these slots the ones the receiver keeps (Kept).
 type Transfer struct {
 	Src *BlockData
 	// ToFiner is set when the receiver is one level finer than Src (the
@@ -34,17 +34,23 @@ type Transfer struct {
 	// is the origin of a 2×2×2 group of Src's interior cells.
 	Base [3]int
 	Dirs []lattice.Direction
-	// Memo, on a transfer to a finer level, is the Resampler's to keep one
-	// PDF vector per cell of the box (Q values each, in box order) from one
-	// exchange to a later one; MemoStamp is what it last stamped Memo with,
-	// -1 before the first stamp. Both are allocated with the plan and die
-	// with it. A transfer to a coarser level has none.
+	// keep is the receiver's mask of the slots, as for a slab of one level.
+	keep slotMask
+	// Table and Memo are the Resampler's to keep from one exchange to a
+	// later one: Table what it lowers the transfer to, Memo, on a transfer
+	// to a finer level, samples; MemoStamp is what it last stamped Memo
+	// with, -1 before the first stamp. They die with the plan.
+	Table     any
 	Memo      []float64
 	MemoStamp int
 }
 
+// Kept reports whether the receiver keeps slot k of the transfer (PackRegion
+// order over the box and Dirs). The payload holds the kept slots in order.
+func (t *Transfer) Kept(k int) bool { return t.keep.has(k) }
+
 // Resampler computes transfers between levels. Resample writes the payload
-// of t into buf (len(t.Dirs) values per cell of the box); phase is the
+// of t into buf (its kept slots); phase is the
 // receiving sub-step's half of its parent's interval (0 for the first of a
 // level's two sub-steps, 1 for the second: the parity of the receiving
 // level's LevelSweeps), and worker the pool worker running it, for

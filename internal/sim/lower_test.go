@@ -121,8 +121,8 @@ func checkLowering(t *testing.T, label string, st *lattice.Stencil, layout field
 	const off = 5 // the slab's window starts inside the aggregate
 	var fills []fillSlot
 	var sink runSink
-	sRuns, kept, _ := sink.lower(end{f: src, lo: sLo}, end{at: off}, ext, dirs, m, &fills, false)
-	rRuns, rKept, _ := sink.lower(end{at: off}, end{f: dst, lo: dLo}, ext, dirs, m, nil, false)
+	sRuns, kept, _ := sink.lower(end{f: src, lo: sLo}, end{at: off}, ext, dirs, m, &fills)
+	rRuns, rKept, _ := sink.lower(end{at: off}, end{f: dst, lo: dLo}, ext, dirs, m, nil)
 	if kept != want || rKept != want {
 		t.Fatalf("%s: windows of %d and %d slots, the mask keeps %d", label, kept, rKept, want)
 	}

@@ -3,12 +3,14 @@ package sim_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"walberla/internal/amr"
 	"walberla/internal/comm"
 	"walberla/internal/scenario"
+	"walberla/internal/telemetry"
 )
 
 // shearDoc is the refined world of the benchmark's amr_shear workload: 16
@@ -24,7 +26,10 @@ const shearDoc = `{"version": 1, "geometry": {"example": "taylor-green", "amplit
 // warm-up and 24 timed steps on each, and reports each rank's
 // Simulation.LevelOverlap summed over the five worlds and averaged over
 // the iterations: per level the interior, wait and frontier times, and
-// the level-2 sweep time (interior + frontier) as metrics. Run it with
+// the level-2 sweep time (interior + frontier) as metrics. It logs each
+// rank's transfers between levels, controller passes and migrations of
+// the timed steps too, from the spans of a tracer on every world: the
+// resample, regrade and migrate phases. Run it with
 //
 //	go test -run '^$' -bench ShearLevelOverlap -benchtime 3x -v ./internal/sim/
 func BenchmarkShearLevelOverlap(b *testing.B) {
@@ -34,6 +39,8 @@ func BenchmarkShearLevelOverlap(b *testing.B) {
 		b.Fatal(err)
 	}
 	var sum [2][levels][3]float64 // rank, level: interior, wait, frontier ms
+	phases := []telemetry.Phase{telemetry.PhaseResample, telemetry.PhaseRegrade, telemetry.PhaseMigrate}
+	var spent [2][3]float64 // rank: ms per phase
 	for range b.N {
 		for range worlds {
 			var mu sync.Mutex
@@ -46,6 +53,9 @@ func BenchmarkShearLevelOverlap(b *testing.B) {
 				cfg.InitialState = func(x, _, _ float64) (float64, float64, float64, float64) {
 					return 1, 0.04, 0.05 * math.Exp(-(x-64)*(x-64)/4), 0
 				}
+				tr := telemetry.NewTracer(c.Rank(), cfg.Workers, 1<<17)
+				cfg.Tracer = tr
+				var from int64
 				s, err := amr.New(c, cfg)
 				for pass := 0; err == nil && pass <= cfg.Refinement.MaxLevel; pass++ {
 					err = s.Regrade()
@@ -53,6 +63,7 @@ func BenchmarkShearLevelOverlap(b *testing.B) {
 				for i := 0; err == nil && i < warm+steps; i++ {
 					if i == warm {
 						s.Plane().ResetTimers()
+						from = tr.Lanes()[0].Start()
 					}
 					err = s.Step()
 				}
@@ -62,6 +73,16 @@ func BenchmarkShearLevelOverlap(b *testing.B) {
 				}
 				mu.Lock()
 				defer mu.Unlock()
+				for _, l := range tr.Lanes() {
+					if l.Dropped() > 0 {
+						b.Errorf("rank %d: lane %s dropped %d spans", c.Rank(), l.Name(), l.Dropped())
+					}
+					l.Each(func(sp telemetry.Span) {
+						if i := slices.Index(phases, sp.Phase); i >= 0 && sp.Start >= from {
+							spent[c.Rank()][i] += 1e3 * sp.Duration().Seconds() / float64(b.N)
+						}
+					})
+				}
 				for l := range levels {
 					o := s.Plane().LevelOverlap(l)
 					for i, d := range [3]float64{o.Interior.Seconds(), o.Wait.Seconds(), o.Frontier.Seconds()} {
@@ -75,6 +96,7 @@ func BenchmarkShearLevelOverlap(b *testing.B) {
 		for l, t := range sum[r] {
 			b.Logf("rank %d level %d: interior %.0f ms, wait %.0f ms, frontier %.0f ms, sweep %.0f ms", r, l, t[0], t[1], t[2], t[0]+t[2])
 		}
+		b.Logf("rank %d: resample %.0f ms, regrade %.0f ms, migrate %.0f ms", r, spent[r][0], spent[r][1], spent[r][2])
 		b.ReportMetric(sum[r][2][0]+sum[r][2][2], fmt.Sprintf("l2_sweep_ms_r%d", r))
 	}
 }
