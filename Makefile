@@ -34,9 +34,11 @@ race:
 # overlap split on a rank cut normal to z, one frontier box per rank on a
 # cut normal to x, where arena rows are swept whole — and resilient replay
 # with workers > 1) must pass fresh on every gate, as must the row rule of
-# the arena sweeps (TestArenaRowsSweepWhole).
+# the arena sweeps (TestArenaRowsSweepWhole). Its timeout is about three
+# times its normal run (about 4 min on 2 vCPUs), so a hang ends in the
+# goroutine dump that names the stuck test.
 race-sim:
-	$(GO) test -race -count=1 ./internal/sim/...
+	$(GO) test -race -count=1 -timeout 12m ./internal/sim/...
 
 # race-resilience re-runs only the fault-tolerance tests uncached under
 # the race detector — the recovery driver without an LBM (failure loop,
@@ -72,8 +74,11 @@ race-resilience:
 # sockets (TestRefinedLevelsOverlap: every level's interior blocks sweep
 # while its slabs are on the wire), and a rank's panic waking a peer
 # blocked in a receive from it on both transports (TestRankPanicWakesPeers).
+# Its timeout is far above its normal run (the internal/sim binary takes
+# 13–14 s), so a hang ends within minutes in the goroutine dump that names
+# the stuck test.
 race-net:
-	$(GO) test -race -count=1 -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire|TestRefinedLevelsOverlap|TestRankPanicWakesPeers' ./internal/comm/ ./internal/sim/ ./internal/amr/
+	$(GO) test -race -count=1 -timeout 3m -run 'TestNet|TestPayloadContract|TestPayloadAboveFrameBound|TestFrame|TestRecvRing|TestCrossTransport|TestScalar|TestClassify|TestReadFrame|TestF64Bytes|TestFailureNamesOnlyTheSilentRank|TestDelayKeepsStreamOrder|TestDelayedFramesCrossTheWire|TestRefinedLevelsOverlap|TestRankPanicWakesPeers' ./internal/comm/ ./internal/sim/ ./internal/amr/
 
 # race-serve re-runs the session daemon suite uncached under the race
 # detector: concurrent session lifecycles over the shared fair-share
@@ -99,9 +104,11 @@ race-serve:
 # two ranks a record refused on one rank fails every rank alike), and
 # blockforest's one neighbourhood routine against its oracles. Refined heal onto a
 # recruited spare, in process and over unix sockets, is in
-# TestRecoveryMatrix (race-resilience, race-serve).
+# TestRecoveryMatrix (race-resilience, race-serve). Its timeout is about
+# three times its normal run (about 3.5 min on 2 vCPUs), so a hang ends
+# in the goroutine dump that names the stuck test.
 race-amr:
-	$(GO) test -race -count=1 ./internal/amr/ ./internal/blockforest/
+	$(GO) test -race -count=1 -timeout 12m ./internal/amr/ ./internal/blockforest/
 
 # alloc-test re-runs the memory gates uncached and WITHOUT the race
 # detector (race instrumentation allocates, so the allocation tests skip
