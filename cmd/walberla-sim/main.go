@@ -5,7 +5,8 @@
 // or built on the fly (-dx). Either way the merged description is
 // validated once and becomes one core.Problem.Execute call, the launcher
 // every front end shares (single reader, broadcast, per-rank voxelization,
-// time loop — plain, rebalanced or fault-tolerant). The run reports
+// time loop — plain or fault-tolerant, balanced every -rebalance steps
+// either way). The run reports
 // MLUPS/MFLUPS, the field hash, recovery and roofline summaries, and
 // optionally writes VTK output, checkpoint sets and telemetry; -resume
 // continues from the newest usable checkpoint set.
@@ -208,12 +209,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		p.Geometry = sdf
 	}
 	w := core.World{
-		Forest:         forest,
-		Comm:           sc.CommOptions(),
-		Spares:         sc.Parallel.Spares,
-		Steps:          sc.Run.Steps,
-		RebalanceEvery: sc.Run.RebalanceEvery,
-		VTKDir:         *vtkDir,
+		Forest: forest,
+		Comm:   sc.CommOptions(),
+		Spares: sc.Parallel.Spares,
+		Steps:  sc.Run.Steps,
+		VTKDir: *vtkDir,
 	}
 	if rc, resilient := sc.Resilient(); resilient || faults != nil {
 		w.Resilience = &rc

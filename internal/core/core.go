@@ -77,6 +77,9 @@ type Problem struct {
 	// Workers is the intra-rank worker count for block sweeps and
 	// pack/unpack (the hybrid MPI+threads mode); zero means one.
 	Workers int
+	// RebalanceEvery > 0 balances the world by measured kernel time every
+	// so many steps, under every driver (sim.Config.RebalanceEvery).
+	RebalanceEvery int
 	// Seed drives randomized setup stages.
 	Seed int64
 	// TelemetryFor, if non-nil, supplies each rank's tracer and metrics
@@ -159,6 +162,7 @@ func (p *Problem) SimConfig() sim.Config {
 		InitialState:    p.InitialState,
 		SetupFlags:      p.SetupFlags,
 		Workers:         p.Workers,
+		RebalanceEvery:  p.RebalanceEvery,
 	}
 	if p.Geometry != nil && cfg.SetupFlags == nil {
 		cfg.SetupFlags = setup.FlagsFromSDF(p.Geometry, p.voxels)

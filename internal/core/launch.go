@@ -35,13 +35,11 @@ type World struct {
 	// say); an error on any rank ends the launch before the time loop.
 	Prepare func(s *sim.Simulation) error
 
-	// Steps is the length of the run; RebalanceEvery > 0 rebalances blocks
-	// by measured compute time every so many steps; Resilience, if
-	// non-nil, runs the fault-tolerant driver. Execute reads them; Launch
-	// needs them for what a recruited spare finishes.
-	Steps          int
-	RebalanceEvery int
-	Resilience     *sim.ResilienceConfig
+	// Steps is the length of the run; Resilience, if non-nil, runs the
+	// fault-tolerant driver. Execute reads them; Launch needs them for what
+	// a recruited spare finishes.
+	Steps      int
+	Resilience *sim.ResilienceConfig
 	// VTKDir, if non-empty, receives one VTK file per block after Execute.
 	VTKDir string
 }
@@ -82,12 +80,10 @@ func (w *World) validate(p *Problem) error {
 	ranks := max(p.Ranks, 1)
 	n := ranks + w.Spares
 	switch {
-	case w.Steps < 0 || w.RebalanceEvery < 0 || w.Spares < 0:
-		return fmt.Errorf("core: negative steps, rebalance interval or spare count")
+	case w.Steps < 0 || w.Spares < 0:
+		return fmt.Errorf("core: negative steps or spare count")
 	case w.Spares > 0 && (w.Resilience == nil || w.Resilience.Mode != sim.RecoverHeal || w.Resilience.CheckpointEvery <= 0):
 		return fmt.Errorf("core: %d spare ranks need heal-mode recovery with a checkpoint interval", w.Spares)
-	case w.RebalanceEvery > 0 && (w.Resilience != nil || p.Refinement.MaxLevel > 0):
-		return fmt.Errorf("core: workload rebalancing cannot be combined with the fault-tolerant driver or a refined world")
 	case w.Forest != nil && w.Forest.MaxRank() >= ranks:
 		return fmt.Errorf("core: the forest is balanced for %d ranks, the world has %d", w.Forest.MaxRank()+1, ranks)
 	}
@@ -229,8 +225,8 @@ func (p *Problem) launchRank(ctx context.Context, c *comm.Comm, ranks int, w *Wo
 }
 
 // Execute launches the world and runs it to completion (or cancellation):
-// the one place that picks the plain, rebalanced or fault-tolerant
-// stepping of a world, uniform or refined, classifies how the run ended,
+// the one place that picks the plain or fault-tolerant stepping of a
+// world, uniform or refined, classifies how the run ended,
 // fingerprints the fields, dumps w.VTKDir and calls each (if non-nil) on
 // every rank still in the world. Recovery may have renumbered the
 // communicator (shrink) or swapped members in (heal): whichever rank
@@ -274,47 +270,14 @@ func (p *Problem) Execute(ctx context.Context, w World, each func(r *Rank) error
 	return out, nil
 }
 
-// drive is the run-mode switch.
+// drive is the run-mode switch: plain or fault-tolerant. Either steps
+// through Simulation.Step, which balances the world every
+// Problem.RebalanceEvery steps.
 func (w *World) drive(ctx context.Context, r *Rank) (sim.Metrics, error) {
-	switch {
-	case w.Resilience != nil:
+	if w.Resilience != nil {
 		return r.Sim.RunResilientCtx(ctx, w.Steps, *w.Resilience)
-	case w.RebalanceEvery == 0:
-		return r.Sim.RunCtx(ctx, w.Steps)
 	}
-	// Chunked stepping interleaved with workload-measured rebalancing; the
-	// context's step-boundary cancellation is preserved.
-	var m sim.Metrics
-	for remaining := w.Steps; remaining > 0; {
-		chunk := min(w.RebalanceEvery, remaining)
-		c, err := r.Sim.RunCtx(ctx, chunk)
-		if err != nil {
-			return c, err
-		}
-		m = accumulate(m, c)
-		if remaining -= chunk; remaining > 0 {
-			if err := r.Sim.RebalanceByWorkload(true); err != nil {
-				return m, err
-			}
-		}
-	}
-	return m, nil
-}
-
-// accumulate adds the metrics c of a run's next chunk to m, those of its
-// chunks so far: steps and wall time add up, the update rates are all the
-// updates over the summed wall time, the communication fraction is
-// weighted by wall time, and the cell counts are the last chunk's.
-func accumulate(m, c sim.Metrics) sim.Metrics {
-	w, wc := m.WallTime.Seconds(), c.WallTime.Seconds()
-	c.Steps += m.Steps
-	c.WallTime += m.WallTime
-	if t := w + wc; t > 0 {
-		c.MLUPS = (m.MLUPS*w + c.MLUPS*wc) / t
-		c.MFLUPS = (m.MFLUPS*w + c.MFLUPS*wc) / t
-		c.CommFraction = (m.CommFraction*w + c.CommFraction*wc) / t
-	}
-	return c
+	return r.Sim.RunCtx(ctx, w.Steps)
 }
 
 // finish fingerprints the rank's runtime into o and returns the

@@ -205,7 +205,6 @@ func TestWorldValidation(t *testing.T) {
 		w          World
 	}{
 		{"spares without heal", "spare ranks need heal-mode recovery", World{Spares: 1}},
-		{"rebalance with recovery", "rebalancing cannot be combined", World{RebalanceEvery: 2, Resilience: &sim.ResilienceConfig{}}},
 		{"forest for more ranks", "balanced for 4 ranks", World{Forest: forest}},
 		{"fault outside the world", "crash rank 2", World{Comm: comm.Options{Faults: &comm.FaultPlan{Crashes: []comm.CrashSpec{{Rank: 2, Step: 1}}}}}},
 		{"address count", "transport addresses", World{Comm: comm.Options{Net: &comm.NetOptions{Network: "tcp", Addrs: []string{"127.0.0.1:0"}}}}},

@@ -46,9 +46,6 @@ func (sc *Scenario) validateRefinement() error {
 	if sc.Geometry.Obstacle != nil {
 		return fmt.Errorf("scenario: geometry.obstacle is not supported with refinement")
 	}
-	if sc.Run.RebalanceEvery > 0 {
-		return fmt.Errorf("scenario: run.rebalance_every is not supported with refinement (re-grades rebalance by construction)")
-	}
 	_, err := sc.AMRConfig()
 	return err
 }

@@ -47,7 +47,6 @@ func TestRefinementValidateErrors(t *testing.T) {
 		{"d2q9 stencil", func(sc *Scenario) { sc.Lattice.Stencil = "d2q9" }, "d3q19"},
 		{"d3q27 stencil", func(sc *Scenario) { sc.Lattice.Stencil = "d3q27" }, "d3q19"},
 		{"sparse kernel", func(sc *Scenario) { sc.Collision.Kernel = "sparse" }, "sparse"},
-		{"workload rebalancing", func(sc *Scenario) { sc.Run.RebalanceEvery = 2 }, "rebalance"},
 		{"body force", func(sc *Scenario) { sc.Physics.Force = [3]float64{1e-6, 0, 0} }, "force"},
 		{"body force across z", func(sc *Scenario) { sc.Physics.Force = [3]float64{0, 0, -1e-6} }, "force"},
 		{"odd cells per block", func(sc *Scenario) { sc.Resolution.CellsPerBlock = [3]int{7, 8, 8} }, "even"},

@@ -43,11 +43,10 @@ func Execute(ctx context.Context, sc *Scenario, opts ExecuteOptions) (Result, er
 	}
 	p.TelemetryFor = opts.TelemetryFor
 	w := core.World{
-		Comm:           sc.CommOptions(),
-		Spares:         sc.Parallel.Spares,
-		Steps:          sc.Run.Steps,
-		RebalanceEvery: sc.Run.RebalanceEvery,
-		VTKDir:         opts.VTKDir,
+		Comm:   sc.CommOptions(),
+		Spares: sc.Parallel.Spares,
+		Steps:  sc.Run.Steps,
+		VTKDir: opts.VTKDir,
 	}
 	if rc, resilient := sc.Resilient(); resilient {
 		w.Resilience = &rc

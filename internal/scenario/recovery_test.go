@@ -111,3 +111,55 @@ func TestRecoveryMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalanceMatrix: the periodic balance runs inside the step under
+// every driver. A uniform and a refined world, rebalanced every 3 steps
+// or not, with and without a crash healed onto one spare, all end on
+// their world's hash of a fault-free run without rebalancing.
+func TestRebalanceMatrix(t *testing.T) {
+	const steps = 8
+	worlds := []struct {
+		name  string
+		build func() *Scenario
+	}{
+		{"uniform cavity", func() *Scenario {
+			return &Scenario{
+				Version:    Version,
+				Geometry:   Geometry{Example: "cavity", LidVelocity: 0.08},
+				Resolution: Resolution{Grid: [3]int{2, 2, 1}, CellsPerBlock: [3]int{8, 8, 8}},
+			}
+		}},
+		{"refined shear layer", func() *Scenario {
+			sc := amrBase()
+			sc.Refinement.Interval = 2
+			return sc
+		}},
+	}
+	for _, w := range worlds {
+		ref := w.build()
+		ref.Parallel.Ranks, ref.Run.Steps = 2, steps
+		clean, err := Execute(context.Background(), ref, ExecuteOptions{})
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", w.name, err)
+		}
+		for _, every := range []int{0, 3} {
+			for _, crash := range []bool{false, true} {
+				sc := w.build()
+				sc.Parallel.Ranks, sc.Run.Steps, sc.Run.RebalanceEvery = 2, steps, every
+				if crash {
+					sc.Resilience = Resilience{CheckpointEvery: 2, Mode: "heal"}
+					sc.Parallel.Spares = 1
+					sc.Faults.Crashes = []FaultEvent{{Rank: 1, Step: 5}}
+				}
+				got, err := Execute(context.Background(), sc, ExecuteOptions{})
+				if err != nil {
+					t.Errorf("%s, rebalance_every %d, crash %v: %v", w.name, every, crash, err)
+					continue
+				}
+				if got.Hash != clean.Hash || got.Steps != steps {
+					t.Errorf("%s, rebalance_every %d, crash %v: %d steps, hash %016x, want %d and %016x", w.name, every, crash, got.Steps, got.Hash, steps, clean.Hash)
+				}
+			}
+		}
+	}
+}

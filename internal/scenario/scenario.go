@@ -161,7 +161,7 @@ type Collision struct {
 // RefinementSpec enables runtime adaptive mesh refinement: the
 // simulation runs on the AMR driver, which refines/coarsens a
 // 2:1-graded block octree at runtime from a flow criterion and
-// rebalances by level-weighted cost on every re-grade. See docs/AMR.md
+// balances every re-grade by the data plane's one cut. See docs/AMR.md
 // for the constraints (D3Q19, dense examples, no sparse kernels).
 type RefinementSpec struct {
 	// MaxLevel caps the refinement depth; 0 (the default) runs the
@@ -270,7 +270,7 @@ type RunSpec struct {
 	// Steps is the number of time steps; must be positive.
 	Steps int `json:"steps"`
 	// RebalanceEvery rebalances blocks by measured compute time every N
-	// steps (plain driver only); 0 disables it.
+	// steps, under every driver and on refined worlds too; 0 disables it.
 	RebalanceEvery int `json:"rebalance_every,omitempty"`
 }
 
@@ -496,9 +496,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Run.RebalanceEvery < 0 {
 		return fmt.Errorf("scenario: run.rebalance_every must be non-negative, got %d", sc.Run.RebalanceEvery)
 	}
-	if sc.Run.RebalanceEvery > 0 && sc.Resilience.CheckpointEvery > 0 {
-		return fmt.Errorf("scenario: run.rebalance_every cannot be combined with the fault-tolerant driver")
-	}
 	if err := sc.validateRefinement(); err != nil || sc.AMR() {
 		// A refined world's solver-level checks ran in
 		// amr.Config.Validate, which runs the uniform one's too.
@@ -555,6 +552,7 @@ func (sc *Scenario) Problem() (*core.Problem, error) {
 		InitialVelocity: sc.Physics.InitialVelocity,
 		Ranks:           sc.Parallel.Ranks,
 		Workers:         sc.Parallel.Workers,
+		RebalanceEvery:  sc.Run.RebalanceEvery,
 		Seed:            sc.Geometry.Seed,
 		Refinement: amr.Refinement{
 			MaxLevel:     sc.Refinement.MaxLevel,

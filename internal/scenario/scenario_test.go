@@ -129,10 +129,6 @@ func TestValidateErrors(t *testing.T) {
 		}, "transport.heartbeat"},
 		{"bad mode", func(sc *Scenario) { sc.Resilience.Mode = "forward" }, "resilience.mode"},
 		{"no steps", func(sc *Scenario) { sc.Run.Steps = 0 }, "run.steps"},
-		{"rebalance with resilience", func(sc *Scenario) {
-			sc.Run.RebalanceEvery = 2
-			sc.Resilience = Resilience{CheckpointEvery: 5, Dir: "x"}
-		}, "rebalance"},
 		{"bad tau", func(sc *Scenario) { sc.Collision.Tau = 0.3 }, "tau"},
 		{"bad kernel pairing", func(sc *Scenario) {
 			sc.Lattice.Stencil = "d2q9"

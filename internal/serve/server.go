@@ -95,9 +95,8 @@ func (s *Server) Create(sc *scenario.Scenario, tenant string) (*Session, error) 
 		return nil, &APIError{Status: 400, Err: err}
 	}
 	// A session parks no spare, recovers by respawning its whole world
-	// from its last set, keeps its sets under its own data directory and
-	// never rebalances: keys asking for more are refused by name, not
-	// dropped.
+	// from its last set and keeps its sets under its own data directory:
+	// keys asking for more are refused by name, not dropped.
 	for _, k := range []struct {
 		set bool
 		key string
@@ -105,7 +104,6 @@ func (s *Server) Create(sc *scenario.Scenario, tenant string) (*Session, error) 
 		{sc.Parallel.Spares > 0, "parallel.spares"},
 		{sc.Resilience.Mode != "rewind", fmt.Sprintf("resilience.mode %q", sc.Resilience.Mode)},
 		{sc.Resilience.Dir != "", "resilience.dir"},
-		{sc.Run.RebalanceEvery > 0, "run.rebalance_every"},
 	} {
 		if k.set {
 			return nil, &APIError{Status: 400, Err: fmt.Errorf("serve: %s is not supported by sessions; run the scenario with walberla-sim or scenario.Execute", k.key)}

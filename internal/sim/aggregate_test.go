@@ -726,7 +726,7 @@ func TestRebuildTakesFreshSendBuffers(t *testing.T) {
 			if _, err := s.Run(2); err != nil {
 				return err
 			}
-			return s.Rebalance(map[[3]int]int{{0, 0, 0}: 1, {1, 0, 0}: 0})
+			return s.Rebalance(ByCoord(s, map[[3]int]int{{0, 0, 0}: 1, {1, 0, 0}: 0}))
 		}},
 		{"regrade", 2, periodic(), Config{SetupFlags: allFluid}, comm.Options{}, func(s *Simulation) error {
 			if _, err := s.Run(2); err != nil {

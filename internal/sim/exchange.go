@@ -139,13 +139,3 @@ func recvRegion(cells [3]int, o [3]int) region {
 	}
 	return r
 }
-
-// exchangeGhostLayers performs one full, non-overlapped ghost layer
-// synchronization of level 0 (post immediately followed by complete) —
-// used outside the time loop, e.g. after block migration.
-func (s *Simulation) exchangeGhostLayers() error {
-	if err := s.exchange.post(s, 0); err != nil {
-		return err
-	}
-	return s.exchange.complete(s, 0)
-}

@@ -165,7 +165,7 @@ func TestExchangeGhostValues(t *testing.T) {
 				bd.Src.Data()[i] = tag
 			}
 		}
-		if err := s.exchangeGhostLayers(); err != nil {
+		if err := s.ExchangeGhostLayers(); err != nil {
 			t.Error(err)
 			return
 		}

@@ -11,6 +11,17 @@ import (
 	"walberla/internal/lattice"
 )
 
+// ByCoord keys an assignment of a uniform world's blocks by grid
+// coordinate as Rebalance takes it, by leaf identity: the block at c is
+// the level-0 leaf of its root.
+func ByCoord(s *Simulation, m map[[3]int]int) map[blockforest.BlockID]int {
+	out := make(map[blockforest.BlockID]int, len(m))
+	for c, r := range m {
+		out[blockforest.BlockID{Tree: blockforest.TreeIndex(s.Forest.GridSize, c)}] = r
+	}
+	return out
+}
+
 // Spare returns the builder RunSpareCtx recruits a spare of a uniform
 // world into: New on the forest header of domain, owning no block.
 func Spare(domain *blockforest.BlockForest, cfg Config) func(c *comm.Comm) (*Simulation, error) {
@@ -26,9 +37,15 @@ func Spare(domain *blockforest.BlockForest, cfg Config) func(c *comm.Comm) (*Sim
 // test package, whose benchmarks build worlds through internal/core.
 func (s *Simulation) PostExchange() error { return s.exchange.post(s, 0) }
 
-// ExchangeGhostLayers exposes one whole ghost exchange, post and complete,
-// to the external test package.
-func (s *Simulation) ExchangeGhostLayers() error { return s.exchangeGhostLayers() }
+// ExchangeGhostLayers runs one whole, non-overlapped ghost exchange of
+// level 0, post and complete, outside the time loop (also for the
+// external test package).
+func (s *Simulation) ExchangeGhostLayers() error {
+	if err := s.exchange.post(s, 0); err != nil {
+		return err
+	}
+	return s.exchange.complete(s, 0)
+}
 
 // RebuildPlan exposes the exchange plan rebuild to the external test
 // package's benchmarks.

@@ -179,7 +179,7 @@ func TestRebalanceOverSockets(t *testing.T) {
 			mustRun(t, s, steps/2)
 			moved := output.LeafFileSize(records(s.Blocks))
 			before, _ := c.NetStats()
-			if err := s.Rebalance(map[[3]int]int{{0, 0, 0}: 1, {1, 0, 0}: 0}); err != nil {
+			if err := s.Rebalance(ByCoord(s, map[[3]int]int{{0, 0, 0}: 1, {1, 0, 0}: 0})); err != nil {
 				t.Error(err)
 				return
 			}

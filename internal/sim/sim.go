@@ -132,6 +132,12 @@ type Config struct {
 	// communicator update with counters (phase nanoseconds, comm traffic,
 	// checkpoint bytes) and gauges (mailbox occupancy, load imbalance).
 	Metrics *telemetry.Registry
+	// RebalanceEvery > 0 balances the world before every step whose world
+	// step is a positive multiple of it (Step): the blocks are cut anew
+	// over the ranks by their measured kernel time (Assign) and migrate to
+	// their new owners. 0 cuts only where the block set changes anyway
+	// (set-up, a regrade), by static weights.
+	RebalanceEvery int
 }
 
 // Validate normalizes the configuration in place — filling every zero
@@ -194,6 +200,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
+	}
+	if c.RebalanceEvery < 0 {
+		return fmt.Errorf("sim: negative rebalance interval %d", c.RebalanceEvery)
 	}
 	return nil
 }
@@ -358,8 +367,8 @@ type BlockData struct {
 	Kernel   kernels.Kernel
 	Boundary *boundary.Sweep
 	Fluid    int // fluid cell count
-	// ComputeTime accumulates this block's kernel time, the measured
-	// workload used by dynamic rebalancing.
+	// ComputeTime accumulates this block's kernel time since the block set
+	// last changed (Commit): the measured weight of the balance (Weight).
 	ComputeTime time.Duration
 
 	// sweepFlags is the flag field the kernel sweep receives: nil for
@@ -667,9 +676,10 @@ func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 }
 
 // Step advances the simulation by one time step — on a refined world one
-// coarse step, after the refiner's controller pass (Refiner.BeforeStep) —
-// overlapping every ghost-layer exchange with the interior sweeps, and
-// advances WorldStep. It runs one sub-step of level 0 (subStep), which
+// coarse step, after the refiner's controller pass (Refiner.BeforeStep),
+// and every Config.RebalanceEvery steps after the balance — overlapping
+// every ghost-layer exchange with the interior sweeps, and advances
+// WorldStep. It runs one sub-step of level 0 (subStep), which
 // recurses over the finer levels the exchange plans cover; a uniform
 // world has level 0 alone. Step returns a typed *comm.RankFailedError
 // when a peer dies mid-step, leaving this rank's fields in an unspecified state that only a
@@ -677,6 +687,11 @@ func MarkGhostFace(flags *field.FlagField, f lattice.Face, t field.CellType) {
 func (s *Simulation) Step() error {
 	if s.refiner != nil {
 		if err := s.refiner.BeforeStep(s.worldSteps); err != nil {
+			return err
+		}
+	}
+	if n := s.Config.RebalanceEvery; n > 0 && s.worldSteps > 0 && s.worldSteps%n == 0 {
+		if err := s.balance(); err != nil {
 			return err
 		}
 	}

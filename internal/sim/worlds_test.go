@@ -766,7 +766,7 @@ func TestTreeRecoveryRebuildsWindows(t *testing.T) {
 				return err
 			}
 			before := len(s.Blocks)
-			if err := s.Rebalance(swap); err != nil {
+			if err := s.Rebalance(sim.ByCoord(s, swap)); err != nil {
 				return err
 			}
 			if len(s.Blocks)+before != len(swap) {
@@ -918,7 +918,7 @@ func TestShrinkAndRebalanceMatchConstruction(t *testing.T) {
 				for coord, r := range initial {
 					rotate[coord] = (r + 1) % c.Size()
 				}
-				return s.Rebalance(rotate)
+				return s.Rebalance(sim.ByCoord(s, rotate))
 			}},
 		} {
 			t.Run(w.name+"/"+ev.name, func(t *testing.T) {
